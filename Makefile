@@ -6,7 +6,8 @@ GO ?= go
 
 all: build test
 
-# The full CI gate: gofmt, vet, build, race-enabled tests, and smoke runs of
+# The full CI gate: gofmt, vet, build, race-enabled tests, the nested bench/
+# module, the allocation and retention gates, and smoke runs of
 # every benchmark and fuzz target.
 check:
 	./scripts/check.sh

@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -233,6 +234,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	case "session":
 		info, err := c.Session(ctx, core.SessionID(*id))
+		if errors.Is(err, core.ErrUnknownSession) {
+			return fail(fmt.Errorf("session %d is unknown or retired: the daemon remembers the last %d ended sessions of each shard", *id, core.TombstoneRing))
+		}
 		if err != nil {
 			return fail(err)
 		}

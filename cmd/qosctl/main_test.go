@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"qosneg"
+	"qosneg/internal/core"
 	"qosneg/internal/protocol"
 	"qosneg/internal/telemetry"
 )
@@ -16,6 +18,14 @@ import (
 // returns its address. With instrument, the whole stack carries a shared
 // telemetry registry, as the real daemon does.
 func startDaemon(t *testing.T, instrument bool) string {
+	t.Helper()
+	_, addr := startDaemonSystem(t, instrument)
+	return addr
+}
+
+// startDaemonSystem is startDaemon for tests that also drive the daemon's
+// manager in-process.
+func startDaemonSystem(t *testing.T, instrument bool) (*qosneg.System, string) {
 	t.Helper()
 	options := []qosneg.Option{qosneg.WithClients(1), qosneg.WithServers(2)}
 	var reg *telemetry.Registry
@@ -48,7 +58,7 @@ func startDaemon(t *testing.T, instrument bool) string {
 		srv.Close()
 		<-done
 	})
-	return l.Addr().String()
+	return sys, l.Addr().String()
 }
 
 // ctl runs one qosctl invocation against the daemon and returns its output.
@@ -116,6 +126,32 @@ func TestQosctlCatalogAndNegotiation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQosctlRetiredSession: a session that ended recently still answers
+// `qosctl session`; one the daemon has since forgotten gets a message that
+// says so, on stderr, with a non-zero exit.
+func TestQosctlRetiredSession(t *testing.T) {
+	sys, addr := startDaemonSystem(t, false)
+	if out, stderr, code := ctl(t, addr, "-doc", "news-1", "negotiate"); code != 0 {
+		t.Fatalf("negotiate: exit %d: %s%s", code, out, stderr)
+	}
+	if out, stderr, code := ctl(t, addr, "-id", "1", "session"); code != 0 || !strings.Contains(out, "session 1: aborted") {
+		t.Fatalf("rejected session inside the ring: exit %d: %s%s", code, out, stderr)
+	}
+	for i := 0; i < core.TombstoneRing; i++ {
+		res, err := sys.Negotiate(context.Background(), "client-1", "news-1", "tv-quality")
+		if err != nil || res.Session == nil {
+			t.Fatalf("churn negotiation %d: %v (%v)", i, err, res.Status)
+		}
+		if err := sys.Manager.Reject(res.Session.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, stderr, code := ctl(t, addr, "-id", "1", "session")
+	if code == 0 || out != "" || !strings.Contains(stderr, "session 1 is unknown or retired") {
+		t.Errorf("evicted session: exit %d, stdout %q, stderr %q", code, out, stderr)
 	}
 }
 

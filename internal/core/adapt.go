@@ -89,49 +89,34 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	if m.opts.Adaptation != nil {
 		adOrder = m.opts.Adaptation.OrderTargets
 	}
-	acceptable, feasible := offer.Partition(ranked, u)
-	for _, group := range [][]offer.Ranked{acceptable, feasible} {
-		group, _ := m.policyOrder(group, u.Desired.Cost.Guarantee, adOrder, "adapt")
-		for _, r := range group {
-			if r.Key() == current.Key() {
-				continue
-			}
-			if ctx.Err() != nil {
-				m.abortWindow(s, epoch, Playing)
-				m.adaptFailed(current)
-				return Transition{}, fmt.Errorf("%w: session %d: %w", ErrAdaptationFailed, id, ctx.Err())
-			}
-			cm, fail := m.tryCommit(ctx, mach, d, u, r)
-			if fail != nil {
-				continue
-			}
-			s.mu.Lock()
-			if s.state != Playing || s.epoch != epoch {
-				// A concurrent transition ended the session while we were
-				// committing; don't install resources nothing will release.
-				st := s.state
-				s.busy = false
-				s.mu.Unlock()
-				m.release(cm)
-				m.recordStaleInstall("adapt", id, st)
-				return Transition{}, fmt.Errorf("%w: adapt in state %v", ErrBadState, st)
-			}
-			s.commit = cm
-			s.Current = r
-			s.transition++
-			s.epoch++
+	if c, _ := m.commitFirst(ctx, mach, d, u, ranked, current.Key(), adOrder, "adapt"); c.ok {
+		r := c.chosen
+		s.mu.Lock()
+		if s.state != Playing || s.epoch != epoch {
+			// A concurrent transition ended the session while we were
+			// committing; don't install resources nothing will release.
+			st := s.state
 			s.busy = false
-			pos := s.position
 			s.mu.Unlock()
-			m.met.adapt(true)
-			if m.opts.Tracer != nil {
-				m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: r.Key(), Status: "ok", Detail: "from " + current.Key()})
-			}
-			m.statsMu.Lock()
-			m.stats.Adaptations++
-			m.statsMu.Unlock()
-			return Transition{Session: id, From: current, To: r, Position: int64(pos)}, nil
+			m.release(c.commit)
+			m.recordStaleInstall("adapt", id, st)
+			return Transition{}, fmt.Errorf("%w: adapt in state %v", ErrBadState, st)
 		}
+		s.commit = c.commit
+		s.Current = r
+		s.transition++
+		s.epoch++
+		s.busy = false
+		pos := s.position
+		s.mu.Unlock()
+		m.met.adapt(true)
+		if m.opts.Tracer != nil {
+			m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: r.Key(), Status: "ok", Detail: "from " + current.Key()})
+		}
+		m.statsMu.Lock()
+		m.stats.Adaptations++
+		m.statsMu.Unlock()
+		return Transition{Session: id, From: current, To: r, Position: int64(pos)}, nil
 	}
 
 	m.abortWindow(s, epoch, Playing)
@@ -153,47 +138,45 @@ func (m *Manager) adaptFailed(current offer.Ranked) {
 	m.statsMu.Unlock()
 }
 
-// SessionByServerReservation finds the playing or reserved session holding
-// the given CMFS reservation; the adaptation monitor uses it to map server
-// overcommitments to sessions.
+// SessionByServerReservation finds the live session holding the given CMFS
+// reservation; the adaptation monitor uses it to map server overcommitments
+// to sessions.
 func (m *Manager) SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*Session, bool) {
-	m.sessMu.RLock()
-	defer m.sessMu.RUnlock()
-	for _, s := range m.sessions {
-		s.mu.Lock()
-		if s.state != Playing && s.state != Reserved {
-			s.mu.Unlock()
-			continue
-		}
-		for _, sr := range s.commit.servers {
+	return m.sessionHolding(func(cm commitment) bool {
+		for _, sr := range cm.servers {
 			if sr.server.ID() == server && sr.res.ID == res {
-				s.mu.Unlock()
-				return s, true
+				return true
 			}
 		}
-		s.mu.Unlock()
-	}
-	return nil, false
+		return false
+	})
 }
 
-// SessionByNetworkReservation finds the playing or reserved session holding
-// the given network reservation.
+// SessionByNetworkReservation finds the live session holding the given
+// network reservation.
 func (m *Manager) SessionByNetworkReservation(res network.ReservationID) (*Session, bool) {
+	return m.sessionHolding(func(cm commitment) bool {
+		for _, c := range cm.conns {
+			if c.Reservation.ID == res {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// sessionHolding scans the session table, which holds live sessions only (a
+// terminal or mid-window session has an empty commitment anyway).
+func (m *Manager) sessionHolding(holds func(commitment) bool) (*Session, bool) {
 	m.sessMu.RLock()
 	defer m.sessMu.RUnlock()
 	for _, s := range m.sessions {
 		s.mu.Lock()
-		if s.state != Playing && s.state != Reserved {
-			s.mu.Unlock()
-			continue
-		}
-		for _, c := range s.commit.conns {
-			if c.Reservation.ID == res {
-				s.mu.Unlock()
-				return s, true
-			}
-		}
+		found := holds(s.commit)
 		s.mu.Unlock()
+		if found {
+			return s, true
+		}
 	}
 	return nil, false
 }

@@ -181,6 +181,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	checkSessionTableAtFloor(t, bed.Manager.(*core.Manager))
 	if v := reg.Counter(ledger.MetricLeaked, "").Value(); v != 0 {
 		t.Errorf("seed %d: %s = %d, want 0", seed, ledger.MetricLeaked, v)
 	}

@@ -135,6 +135,9 @@ func runChaos(t *testing.T, seed int64) {
 	if err := b.led.CheckEmpty(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
+	if live, tombs := b.man.LiveSessions(), len(b.man.tombs); live != 0 || tombs > TombstoneRing {
+		t.Fatalf("seed %d: %d live sessions and %d tombstones after winding down, want 0 and <= %d", seed, live, tombs, TombstoneRing)
+	}
 	if got := b.man.Stats().StaleInstalls; got != 0 {
 		t.Fatalf("seed %d: %d stale installs in a sequential run", seed, got)
 	}

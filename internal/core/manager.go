@@ -254,9 +254,13 @@ type Manager struct {
 
 	// sessMu guards the session table and id counter only; negotiations
 	// never hold it while enumerating, classifying or committing.
+	// sessions holds live sessions only; a terminal transition retires the
+	// session into the tombs ring, where tombNext is the oldest once full.
 	sessMu   sync.RWMutex
 	sessions map[SessionID]*Session
 	nextID   SessionID
+	tombs    []tombstone
+	tombNext int
 
 	// srvMu guards the (read-mostly) server registry.
 	srvMu   sync.RWMutex
@@ -402,6 +406,11 @@ type negOutcome struct {
 	retryAfter time.Duration
 }
 
+// refusal renders an outcome that reserved nothing as the caller's Result.
+func (o negOutcome) refusal() Result {
+	return Result{Status: o.status, Offer: o.localOffer, Violations: o.violations, Reason: o.reason, RetryAfter: o.retryAfter}
+}
+
 // trace emits a trace event when a tracer is installed.
 func (m *Manager) trace(step, offerKey, detail string) {
 	if m.opts.Trace != nil {
@@ -423,12 +432,15 @@ func (m *Manager) hookUnlocked(op string, id SessionID) {
 // nothing to free here.
 func (m *Manager) abortWindow(s *Session, epoch uint64, expect SessionState) {
 	s.mu.Lock()
-	if s.state == expect && s.epoch == epoch {
-		s.state = Aborted
-		s.epoch++
+	aborted := s.state == expect && s.epoch == epoch
+	if aborted {
+		s.end(Aborted)
 	}
 	s.busy = false
 	s.mu.Unlock()
+	if aborted {
+		m.retire(s)
+	}
 }
 
 // recordStaleInstall counts one epoch-guard save: a freshly committed
@@ -586,85 +598,32 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 		}
 		return negOutcome{}, err
 	}
-	acceptable, feasible := offer.Partition(ranked, u)
-
-	// Step 5: resource commitment, acceptable set first. Offers touching
-	// a server that already failed as down this negotiation are skipped —
-	// a dead server is attempted at most once per run, however a policy
-	// orders the attempts: the dead set keys on the server and marks it
-	// idempotently, so the bookkeeping is independent of iteration order.
-	dead := make(map[media.ServerID]bool)
-	var downs, capacities, constraints, skipped int
-	var retryAfter time.Duration
+	// Step 5: resource commitment, acceptable set first.
 	var selOrder func([]PolicyCandidate) []int
 	if m.opts.Selection != nil {
 		selOrder = m.opts.Selection.OrderCommits
 	}
-	for _, group := range [][]offer.Ranked{acceptable, feasible} {
-		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, selOrder, "negotiate")
-		for i, r := range group {
-			if id, onDead := offerOnDead(r, dead); onDead {
-				if m.tracing() {
-					m.trace("skip-dead", r.Key(), string(id))
-					m.span(telemetry.Event{Step: telemetry.StepSkipDead, Offer: r.Key(), Server: string(id)})
-				}
-				m.met.skip()
-				skipped++
-				continue
-			}
-			if m.tracing() {
-				m.trace("commit-attempt", r.Key(), fmt.Sprintf("%s OIF=%.4g %s", r.Status, r.OIF, r.Total()))
-			}
-			cm, fail := m.tryCommit(ctx, mach, doc, u, r)
-			if fail != nil {
-				if err := ctx.Err(); err != nil {
-					if m.tracing() {
-						m.trace("commit-failed", r.Key(), err.Error())
-						m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: r.Key(), Status: "canceled", Detail: err.Error()})
-					}
-					return negOutcome{}, err
-				}
-				if m.tracing() {
-					m.trace("commit-failed", r.Key(), fail.String())
-					m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: r.Key(), Server: string(fail.server), Status: fail.cause.String(), Detail: fail.String()})
-				}
-				switch fail.cause {
-				case CauseServerDown:
-					if !dead[fail.server] {
-						dead[fail.server] = true
-						downs++
-					}
-					if rem, ok := m.Quarantined(fail.server); ok && rem > retryAfter {
-						retryAfter = rem
-					}
-				case CauseCapacity:
-					capacities++
-				case CauseConstraint:
-					constraints++
-				}
-				continue
-			}
-			status := FailedWithOffer
-			if r.Status != offer.Constraint && offer.WithinBudget(r.SystemOffer, u) {
-				status = Succeeded
-			}
-			if selOrder != nil {
-				// Chosen rank in classical order (the regret-proxy pair: a
-				// good policy commits at low rank with few failed attempts).
-				rank := i
-				if ranks != nil {
-					rank = ranks[i]
-				}
-				m.met.policyChosenRank(rank)
-				m.met.policyRegret(downs + capacities + constraints + skipped)
-			}
-			t.lap(telemetry.StepCommitment)
-			if m.tracing() {
-				m.trace("committed", r.Key(), status.String())
-				m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: r.Key(), Status: status.String()})
-			}
-			return negOutcome{status: status, ranked: ranked, chosen: r, commit: cm}, nil
+	c, err := m.commitFirst(ctx, mach, doc, u, ranked, "", selOrder, "negotiate")
+	if err != nil {
+		return negOutcome{}, err
+	}
+	if c.ok {
+		status := FailedWithOffer
+		if c.chosen.Acceptable(u) {
+			status = Succeeded
 		}
+		if selOrder != nil {
+			// Chosen rank in classical order (the regret-proxy pair: a good
+			// policy commits at low rank with few failed attempts).
+			m.met.policyChosenRank(c.rank)
+			m.met.policyRegret(c.downs + c.capacities + c.constraints + c.skipped)
+		}
+		t.lap(telemetry.StepCommitment)
+		if m.tracing() {
+			m.trace("committed", c.chosen.Key(), status.String())
+			m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: c.chosen.Key(), Status: status.String()})
+		}
+		return negOutcome{status: status, ranked: ranked, chosen: c.chosen, commit: c.commit}, nil
 	}
 	t.lap(telemetry.StepCommitment)
 
@@ -675,25 +634,121 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	// with an honest retry hint.
 	if m.tracing() {
 		detail := fmt.Sprintf("%d feasible offers (%d server-down, %d capacity, %d constraint, %d skipped)",
-			len(ranked), downs, capacities, constraints, skipped)
+			len(ranked), c.downs, c.capacities, c.constraints, c.skipped)
 		m.trace("exhausted", "", detail)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "exhausted", Detail: detail})
 	}
-	if constraints > 0 && downs+capacities+skipped == 0 {
+	if c.constraints > 0 && c.downs+c.capacities+c.skipped == 0 {
 		return negOutcome{
 			status: FailedWithoutOffer,
 			ranked: ranked,
 			reason: fmt.Sprintf("all %d feasible offers violate hard constraints of the profile", len(ranked)),
 		}, nil
 	}
-	retryAfter = maxDuration(retryAfter, maxDuration(quarRemain, m.opts.Health.retryAfter()))
 	return negOutcome{
 		status:     FailedTryLater,
 		ranked:     ranked,
-		retryAfter: retryAfter,
+		retryAfter: maxDuration(c.retryAfter, maxDuration(quarRemain, m.opts.Health.retryAfter())),
 		reason: fmt.Sprintf("no resources for any of %d feasible offers (%d server-down, %d capacity, %d constraint)",
-			len(ranked), downs+skipped, capacities, constraints),
+			len(ranked), c.downs+c.skipped, c.capacities, c.constraints),
 	}, nil
+}
+
+// commitResult is the outcome of one step-5 pass: the first offer that
+// committed, if any, and a tally of the attempts that did not.
+type commitResult struct {
+	ok     bool
+	chosen offer.Ranked
+	commit commitment
+	// rank is chosen's classical position in its set, for the policy
+	// metrics; only set meaningfully when an ordering hook is installed.
+	rank int
+	// Failed attempts by cause (a down server counts once), offers skipped
+	// for touching a down server, and the longest quarantine left on one.
+	downs, capacities, constraints, skipped int
+	retryAfter                              time.Duration
+}
+
+// commitFirst is step 5, shared by negotiation and adaptation: it attempts
+// resource commitment for the ranked offers — "at first ... only the offers
+// which satisfy the cost and the QoS requested by the user", then the others,
+// "always in the order defined above" — and stops at the first that commits,
+// passing over the offer keyed skipKey (the one an adaptation is leaving).
+// A server that fails as down is attempted at most once per pass however a
+// policy orders the attempts: the dead set keys on the server and marks it
+// idempotently, so the bookkeeping is independent of iteration order.
+//
+// Without an ordering hook the one ranked slice is walked twice under the
+// acceptable-set predicate; a hook permutes ties within each set, so the two
+// sets are materialized for it. A canceled ctx returns its error.
+func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, ranked []offer.Ranked, skipKey string, order func([]PolicyCandidate) []int, procedure string) (commitResult, error) {
+	var c commitResult
+	var dead map[media.ServerID]bool
+	groups := [2][]offer.Ranked{ranked, ranked}
+	if order != nil {
+		groups[0], groups[1] = offer.Partition(ranked, u)
+	}
+	for pass, group := range groups {
+		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, order, procedure)
+		for i, r := range group {
+			if order == nil && r.Acceptable(u) != (pass == 0) {
+				continue
+			}
+			if skipKey != "" && r.Key() == skipKey {
+				continue
+			}
+			if id, onDead := offerOnDead(r, dead); onDead {
+				if m.tracing() {
+					m.trace("skip-dead", r.Key(), string(id))
+					m.span(telemetry.Event{Step: telemetry.StepSkipDead, Offer: r.Key(), Server: string(id)})
+				}
+				m.met.skip()
+				c.skipped++
+				continue
+			}
+			if m.tracing() {
+				m.trace("commit-attempt", r.Key(), fmt.Sprintf("%s OIF=%.4g %s", r.Status, r.OIF, r.Total()))
+			}
+			cm, fail := m.tryCommit(ctx, mach, doc, u, r)
+			if fail == nil {
+				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
+				if ranks != nil {
+					c.rank = ranks[i]
+				}
+				return c, nil
+			}
+			ctxErr := ctx.Err()
+			if m.tracing() {
+				server, status, detail := string(fail.server), fail.cause.String(), fail.String()
+				if ctxErr != nil {
+					server, status, detail = "", "canceled", ctxErr.Error()
+				}
+				m.trace("commit-failed", r.Key(), detail)
+				m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: r.Key(), Server: server, Status: status, Detail: detail})
+			}
+			if ctxErr != nil {
+				return c, ctxErr
+			}
+			switch fail.cause {
+			case CauseServerDown:
+				if !dead[fail.server] {
+					if dead == nil {
+						dead = make(map[media.ServerID]bool)
+					}
+					dead[fail.server] = true
+					c.downs++
+				}
+				if rem, ok := m.Quarantined(fail.server); ok && rem > c.retryAfter {
+					c.retryAfter = rem
+				}
+			case CauseCapacity:
+				c.capacities++
+			case CauseConstraint:
+				c.constraints++
+			}
+		}
+	}
+	return c, nil
 }
 
 // offerOnDead reports whether any choice of the offer is served by a
@@ -772,13 +827,7 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	}
 	m.count(out.status)
 	if !out.status.Reserved() {
-		return Result{
-			Status:     out.status,
-			Offer:      out.localOffer,
-			Violations: out.violations,
-			Reason:     out.reason,
-			RetryAfter: out.retryAfter,
-		}, nil
+		return out.refusal(), nil
 	}
 	sess := &Session{
 		Machine:      mach,
@@ -895,13 +944,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	m.count(out.status)
 	if !out.status.Reserved() {
 		m.abortWindow(s, epoch, Reserved)
-		return Result{
-			Status:     out.status,
-			Offer:      out.localOffer,
-			Violations: out.violations,
-			Reason:     out.reason,
-			RetryAfter: out.retryAfter,
-		}, nil
+		return out.refusal(), nil
 	}
 	s.mu.Lock()
 	if s.state != Reserved || s.epoch != epoch {
@@ -1008,6 +1051,9 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 			return commitment{}, &commitFailure{cause: CauseCanceled, err: err}
 		}
 		sid := ch.Variant.Server
+		// Snapshot the evidence generation before the quarantine check: a
+		// quarantine that trips between the two must outlive this success.
+		healthGen := m.serverHealthGen(sid)
 		if rem, ok := m.Quarantined(sid); ok {
 			// No new evidence — the breaker already tripped — so this is
 			// not recorded against the server again.
@@ -1022,7 +1068,6 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		if !ok {
 			return fail(CauseServerDown, sid, "reserve", fmt.Errorf("%w: %s not registered", ErrServerDown, sid))
 		}
-		healthGen := m.serverHealthGen(sid)
 		netQoS := ch.Variant.NetworkQoS()
 		var began time.Time
 		if len(m.observers) > 0 {
@@ -1155,13 +1200,11 @@ func (m *Manager) expireOrReject(id SessionID, expire bool) error {
 		}
 		return fmt.Errorf("%w: reject in state %v", ErrBadState, s.state)
 	}
-	s.state = Aborted
 	s.expired = expire
-	s.epoch++
-	cm := s.commit
-	s.commit = commitment{}
+	cm := s.end(Aborted)
 	s.mu.Unlock()
 	m.release(cm)
+	m.retire(s)
 	return nil
 }
 
@@ -1193,13 +1236,11 @@ func (m *Manager) Complete(id SessionID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: complete in state %v", ErrBadState, st)
 	}
-	s.state = Completed
-	s.epoch++
-	cm := s.commit
-	s.commit = commitment{}
+	cm := s.end(Completed)
 	price := s.Current.Total()
 	s.mu.Unlock()
 	m.release(cm)
+	m.retire(s)
 	m.met.addRevenue(int64(price))
 	m.statsMu.Lock()
 	m.stats.Revenue += price
@@ -1218,27 +1259,32 @@ func (m *Manager) Abort(id SessionID) error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.state = Aborted
-	s.epoch++
-	cm := s.commit
-	s.commit = commitment{}
+	cm := s.end(Aborted)
 	s.mu.Unlock()
 	m.release(cm)
+	m.retire(s)
 	return nil
 }
 
-// Session returns the session with the given id.
+// Session returns the session with the given id: the live session, or one
+// rendered from its tombstone while the id is among the last TombstoneRing
+// retired. Older ids are unknown.
 func (m *Manager) Session(id SessionID) (*Session, error) {
 	m.sessMu.RLock()
 	defer m.sessMu.RUnlock()
-	s, ok := m.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownSession, id)
+	if s, ok := m.sessions[id]; ok {
+		return s, nil
 	}
-	return s, nil
+	for i := range m.tombs {
+		if m.tombs[i].id == id {
+			return m.tombs[i].session(), nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %d", ErrUnknownSession, id)
 }
 
-// Sessions returns every session in a given state.
+// Sessions returns every session in a given state; for the terminal states
+// that is the retired sessions still in the tombstone ring.
 func (m *Manager) Sessions(state SessionState) []*Session {
 	m.sessMu.RLock()
 	defer m.sessMu.RUnlock()
@@ -1248,7 +1294,21 @@ func (m *Manager) Sessions(state SessionState) []*Session {
 			out = append(out, s)
 		}
 	}
+	if state.terminal() {
+		for i := range m.tombs {
+			if m.tombs[i].state == state {
+				out = append(out, m.tombs[i].session())
+			}
+		}
+	}
 	return out
+}
+
+// LiveSessions returns how many sessions are reserved or playing.
+func (m *Manager) LiveSessions() int {
+	m.sessMu.RLock()
+	defer m.sessMu.RUnlock()
+	return len(m.sessions)
 }
 
 // ServerLoad is one row of ServerLoads: current load plus the circuit
@@ -1294,14 +1354,18 @@ func (m *Manager) ServerLoads() []ServerLoad {
 	return out
 }
 
-// Invoice itemizes the committed offer of a session: one line per
+// Invoice itemizes the committed offer of a live session: one line per
 // continuous monomedia with its negotiated rate and playout length, plus
 // the copyright fee — the statement behind the cost figure the information
-// window displays.
+// window displays. A terminal session keeps its price (Session.Cost) but not
+// the choices an itemization needs, and answers ErrBadState.
 func (m *Manager) Invoice(id SessionID) (cost.Invoice, error) {
 	s, err := m.Session(id)
 	if err != nil {
 		return cost.Invoice{}, err
+	}
+	if st := s.State(); st.terminal() {
+		return cost.Invoice{}, fmt.Errorf("%w: invoice in state %v", ErrBadState, st)
 	}
 	doc, err := m.registry.Document(s.Document)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 func rankedRun(statuses []offer.Status, oifs []float64) []offer.Ranked {
 	out := make([]offer.Ranked, len(statuses))
 	for i := range statuses {
-		out[i] = offer.Ranked{Status: statuses[i], OIF: oifs[i]}
+		out[i] = offer.Ranked{SystemOffer: &offer.SystemOffer{}, Status: statuses[i], OIF: oifs[i]}
 	}
 	return out
 }

@@ -57,6 +57,11 @@ type serverReservation struct {
 // committed offer, the full classified offer list (kept, per step 4, so
 // "the adaptation procedure makes use of the whole set of feasible system
 // offers"), and the playout position used by the transition procedure.
+//
+// The manager holds a session only while it is live. A terminal transition
+// retires it to a tombstone, from which Manager.Session renders a Session
+// with the final state, document, position, transitions and the committed
+// offer's key and price — no choices, machine, profile or ranked list.
 type Session struct {
 	ID       SessionID
 	Machine  client.Machine
@@ -64,7 +69,9 @@ type Session struct {
 	Profile  profile.UserProfile
 	// Current is the committed offer.
 	Current offer.Ranked
-	// Ranked is the full classified offer list from negotiation step 4.
+	// Ranked is the full classified offer list from negotiation step 4;
+	// nil once the session is terminal. The offers are shared with the
+	// offer cache and immutable.
 	Ranked []offer.Ranked
 	// ChoicePeriod is the confirmation window in force (step 6).
 	ChoicePeriod time.Duration
@@ -99,6 +106,70 @@ type Session struct {
 	// reservedAt is when resources were committed; only set while
 	// telemetry is enabled, to time step 6 (reservation → confirmation).
 	reservedAt time.Time
+}
+
+// end moves the session to a terminal state and hands back the commitment
+// for the caller to release once mu is dropped. Only a live session adapts,
+// so the ranked list goes with it. Caller holds mu.
+func (s *Session) end(state SessionState) commitment {
+	s.state = state
+	s.epoch++
+	cm := s.commit
+	s.commit = commitment{}
+	s.Ranked = nil
+	return cm
+}
+
+// TombstoneRing is how many retired sessions a manager remembers. Late calls
+// on a retired id inside that window answer as on the terminal session
+// (ErrChoicePeriodExpired, ErrBadState, the final SessionInfo); older ids
+// answer ErrUnknownSession.
+const TombstoneRing = 1024
+
+// tombstone is what SessionInfo, the session listing and the late-call errors
+// need of a retired session; nothing in it refers to a cached product.
+type tombstone struct {
+	id          SessionID
+	document    media.DocumentID
+	offer       offer.SystemOffer // Summary of the committed offer
+	position    time.Duration
+	transitions int
+	state       SessionState
+	expired     bool
+}
+
+// session renders the tombstone as a Session for the caller to keep.
+func (t *tombstone) session() *Session {
+	committed := t.offer
+	return &Session{
+		ID:         t.id,
+		Document:   t.document,
+		Current:    offer.Ranked{SystemOffer: &committed},
+		state:      t.state,
+		expired:    t.expired,
+		position:   t.position,
+		transition: t.transitions,
+	}
+}
+
+// retire takes a session that just reached a terminal state out of the live
+// table and leaves its tombstone in the ring, overwriting the oldest.
+func (m *Manager) retire(s *Session) {
+	s.mu.Lock()
+	t := tombstone{
+		id: s.ID, document: s.Document, offer: s.Current.Summary(),
+		position: s.position, transitions: s.transition, state: s.state, expired: s.expired,
+	}
+	s.mu.Unlock()
+	m.sessMu.Lock()
+	delete(m.sessions, s.ID)
+	if len(m.tombs) < TombstoneRing {
+		m.tombs = append(m.tombs, t)
+	} else {
+		m.tombs[m.tombNext] = t
+		m.tombNext = (m.tombNext + 1) % TombstoneRing
+	}
+	m.sessMu.Unlock()
 }
 
 // State returns the session's lifecycle state.

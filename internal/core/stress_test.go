@@ -41,6 +41,19 @@ func TestLifecycleStress(t *testing.T) {
 	}
 }
 
+// checkSessionTableAtFloor is the retention half of the lifecycle invariant:
+// once every session is terminal the live table is empty, and what the
+// manager still remembers of them fits the tombstone ring.
+func checkSessionTableAtFloor(t *testing.T, m *core.Manager) {
+	t.Helper()
+	if n := m.LiveSessions(); n != 0 {
+		t.Errorf("%d sessions still in the live table with every session terminal", n)
+	}
+	if n := len(m.Sessions(core.Completed)) + len(m.Sessions(core.Aborted)); n > core.TombstoneRing {
+		t.Errorf("%d retired sessions remembered, ring holds %d", n, core.TombstoneRing)
+	}
+}
+
 func stressIters() int {
 	if s := os.Getenv("QOSNEG_STRESS_ITERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -246,10 +259,12 @@ func runLifecycleStress(t *testing.T, seed int64) {
 		}
 	}
 
-	// The lifecycle invariant: all sessions terminal ⇒ the ledger is empty.
+	// The lifecycle invariant: all sessions terminal ⇒ the ledger is empty
+	// and the session table is at its floor.
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
+	checkSessionTableAtFloor(t, bed.Manager.(*core.Manager))
 	if got := bed.Network.ActiveReservations(); got != 0 {
 		t.Errorf("seed %d: %d network reservations leaked", seed, got)
 	}

@@ -7,9 +7,13 @@ import (
 )
 
 // Ranked is a system offer annotated with its two classification parameters
-// (negotiation step 3, "computation of classification parameters").
+// (negotiation step 3, "computation of classification parameters"). The offer
+// is carried by reference: it is shared with whoever built it (the offer
+// cache's materialized product on a hit) and must be treated as immutable.
+// The zero Ranked holds no offer; Key, Total and the other promoted methods
+// must not be called on it.
 type Ranked struct {
-	SystemOffer
+	*SystemOffer
 	Status Status
 	OIF    float64
 	// QoSImportance is the QoS term of the OIF (before the cost
@@ -17,17 +21,19 @@ type Ranked struct {
 	QoSImportance float64
 }
 
-// Rank computes the classification parameters for every offer.
+// Rank computes the classification parameters for every offer. The result
+// refers to the elements of offers rather than copying them.
 func Rank(offers []SystemOffer, u profile.UserProfile) []Ranked {
 	out := make([]Ranked, len(offers))
-	for i, o := range offers {
+	for i := range offers {
+		o := &offers[i]
 		var q float64
 		for _, s := range o.Settings() {
 			q += u.Importance.QoS(s)
 		}
 		out[i] = Ranked{
 			SystemOffer:   o,
-			Status:        SNS(o, u),
+			Status:        SNS(*o, u),
 			OIF:           q - u.Importance.Cost(o.Total()),
 			QoSImportance: q,
 		}
@@ -138,16 +144,24 @@ func Classify(offers []SystemOffer, u profile.UserProfile) []Ranked {
 	return ranked
 }
 
-// Partition splits classified offers into the acceptable set (offers that
-// satisfy the user's QoS and cost: SNS better than Constraint and total
-// cost within the binding budget) and the remaining feasible set, both in
-// classified order. Step 5 commits resources against the acceptable set
-// first and falls back to the feasible set ("If none of those offers can be
-// supported by the system, we consider the other offers, however always in
-// the order defined above").
+// Acceptable reports whether the offer belongs to step 5's acceptable set:
+// it satisfies the user's QoS and cost (SNS better than Constraint and total
+// cost within the binding budget). Step 5 commits resources against the
+// acceptable offers first and falls back to the rest ("If none of those
+// offers can be supported by the system, we consider the other offers,
+// however always in the order defined above").
+func (r Ranked) Acceptable(u profile.UserProfile) bool {
+	return r.Status != Constraint && WithinBudget(*r.SystemOffer, u)
+}
+
+// Partition splits classified offers into the acceptable set and the
+// remaining feasible set, both in classified order. The negotiation
+// procedure walks the ranked list with Acceptable instead; the materialized
+// groups serve callers that reorder within a group (an installed selection
+// policy, the booking negotiator) and the tests' reference model.
 func Partition(ranked []Ranked, u profile.UserProfile) (acceptable, feasible []Ranked) {
 	for _, r := range ranked {
-		if r.Status != Constraint && WithinBudget(r.SystemOffer, u) {
+		if r.Acceptable(u) {
 			acceptable = append(acceptable, r)
 		} else {
 			feasible = append(feasible, r)

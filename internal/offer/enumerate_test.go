@@ -240,12 +240,12 @@ func TestPartitionProperty(t *testing.T) {
 			return false
 		}
 		for _, r := range acc {
-			if r.Status == Constraint || !WithinBudget(r.SystemOffer, u) {
+			if r.Status == Constraint || !WithinBudget(*r.SystemOffer, u) {
 				return false
 			}
 		}
 		for _, r := range fea {
-			if r.Status != Constraint && WithinBudget(r.SystemOffer, u) {
+			if r.Status != Constraint && WithinBudget(*r.SystemOffer, u) {
 				return false
 			}
 		}

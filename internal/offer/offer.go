@@ -58,6 +58,17 @@ func (o SystemOffer) Key() string {
 	return computeKey(o.Choices)
 }
 
+// Summary returns the offer's identity and price without its choices or
+// per-stream cost lines: what outlives a session. It shares no memory with
+// the product the offer was built in.
+func (o SystemOffer) Summary() SystemOffer {
+	return SystemOffer{
+		Document: o.Document,
+		Cost:     cost.Breakdown{Copyright: o.Cost.Copyright, Total: o.Cost.Total},
+		key:      o.Key(),
+	}
+}
+
 // computeKey joins the chosen variant ids; Key()'s slow path for offers whose
 // cache was not filled (hand-built literals, JSON round-trips).
 func computeKey(choices []Choice) string {

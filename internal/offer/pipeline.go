@@ -93,6 +93,9 @@ func collectRange(ctx context.Context, doc media.Document, cands Candidates, sta
 	budget := u.Desired.Cost.MaxCost
 	idx := make([]int, len(cands))
 	decodeIndex(idx, cands, lo)
+	// One probe offer for the whole range: it escapes through Orderer.Less,
+	// so a per-offer probe would allocate per scored offer.
+	var probeOffer SystemOffer
 	for n := lo; n < hi; n++ {
 		if n%1024 == 0 && ctx.Err() != nil {
 			return ctx.Err()
@@ -122,25 +125,18 @@ func collectRange(ctx context.Context, doc media.Document, cands Candidates, sta
 		// every key tie-break, so the skip only fires when the worst
 		// kept offer beats the probe on the numeric keys alone —
 		// skipping is conservative.
-		probe := Ranked{
-			SystemOffer:   SystemOffer{Cost: cost.Breakdown{Total: total}},
-			Status:        status,
-			OIF:           oif,
-			QoSImportance: qImp,
-		}
+		probeOffer.Cost.Total = total
+		probe := Ranked{SystemOffer: &probeOffer, Status: status, OIF: oif, QoSImportance: qImp}
 		if !tk.Full() || !orderer.Less(tk.Worst(), probe) {
-			var o SystemOffer
+			var o *SystemOffer
 			if prebuilt != nil {
-				o = prebuilt[n]
+				o = &prebuilt[n]
 			} else {
-				o = buildOffer(doc, cands, idx, copyright)
+				built := buildOffer(doc, cands, idx, copyright)
+				o = &built
 			}
-			tk.Add(Ranked{
-				SystemOffer:   o,
-				Status:        status,
-				OIF:           oif,
-				QoSImportance: qImp,
-			})
+			probe.SystemOffer = o
+			tk.Add(probe)
 		}
 		advanceIndex(idx, cands)
 	}

@@ -179,7 +179,7 @@ func TestTopKProperty(t *testing.T) {
 		all := make([]Ranked, n)
 		for i := range all {
 			r := Ranked{
-				SystemOffer: SystemOffer{
+				SystemOffer: &SystemOffer{
 					Choices: []Choice{{Variant: media.Variant{ID: media.VariantID(fmt.Sprintf("v%d", i))}}},
 					Cost:    cost.Breakdown{Total: cost.Money(rng.Intn(5))},
 				},

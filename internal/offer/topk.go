@@ -1,6 +1,6 @@
 package offer
 
-import "sort"
+import "slices"
 
 // TopK keeps the K best ranked offers seen so far under an Orderer's
 // ordering: negotiation step 4's classification as a bounded heap instead
@@ -14,9 +14,9 @@ import "sort"
 // own collector and merges them.
 type TopK struct {
 	k int
-	// less is the best-first ordering; the heap keeps the *worst* kept
+	// order is the best-first ordering; the heap keeps the *worst* kept
 	// offer at the root so it can be evicted on a better arrival.
-	less  func(a, b Ranked) bool
+	order Orderer
 	items []Ranked
 }
 
@@ -35,7 +35,7 @@ func NewTopK(k int, o Orderer) *TopK {
 // more than k), capHint for an unbounded one (it holds everything).
 func (t *TopK) Reset(k int, o Orderer, capHint int) {
 	t.k = k
-	t.less = o.Less
+	t.order = o
 	if k > 0 && (capHint <= 0 || capHint > k) {
 		capHint = k
 	}
@@ -44,10 +44,8 @@ func (t *TopK) Reset(k int, o Orderer, capHint int) {
 		return
 	}
 	// Reuse the backing array; drop the stale offers so a pooled collector
-	// does not pin the previous negotiation's strings and slices.
-	for i := range t.items {
-		t.items[i] = Ranked{}
-	}
+	// does not pin the previous negotiation's product.
+	clear(t.items)
 	t.items = t.items[:0]
 }
 
@@ -70,7 +68,7 @@ func (t *TopK) Add(r Ranked) {
 		t.up(len(t.items) - 1)
 		return
 	}
-	if !t.less(r, t.items[0]) {
+	if !t.order.Less(r, t.items[0]) {
 		return
 	}
 	t.items[0] = r
@@ -87,14 +85,21 @@ func (t *TopK) Merge(other *TopK) {
 // Sorted returns the kept offers best-first, consuming nothing: the
 // classified list handed to the resource-commitment step.
 func (t *TopK) Sorted() []Ranked {
-	out := make([]Ranked, len(t.items))
-	copy(out, t.items)
-	sort.Slice(out, func(i, j int) bool { return t.less(out[i], out[j]) })
+	out := slices.Clone(t.items)
+	slices.SortFunc(out, func(a, b Ranked) int {
+		switch {
+		case t.order.Less(a, b):
+			return -1
+		case t.order.Less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 
 // worseThan is the heap ordering: the root holds the worst kept offer.
-func (t *TopK) worseThan(i, j int) bool { return t.less(t.items[j], t.items[i]) }
+func (t *TopK) worseThan(i, j int) bool { return t.order.Less(t.items[j], t.items[i]) }
 
 func (t *TopK) up(i int) {
 	for i > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"qosneg/internal/client"
@@ -362,6 +363,11 @@ func envelopeError(e Envelope) error {
 		msg := "unknown error"
 		if p, ok := e.Payload.(*ErrorPayload); ok && p.Error != "" {
 			msg = p.Error
+		}
+		// The one manager error clients branch on keeps its identity across
+		// the wire: an id the daemon never issued or has since forgotten.
+		if rest, ok := strings.CutPrefix(msg, core.ErrUnknownSession.Error()); ok {
+			return fmt.Errorf("protocol: server error: %w%s", core.ErrUnknownSession, rest)
 		}
 		return fmt.Errorf("protocol: server error: %s", msg)
 	}

@@ -604,7 +604,7 @@ func (f *Fleet) ShardStats() []Stat {
 	for i, sh := range f.shards {
 		st := Stat{
 			Shard:    i,
-			Sessions: len(sh.mgr.Sessions(core.Reserved)) + len(sh.mgr.Sessions(core.Playing)),
+			Sessions: sh.mgr.LiveSessions(),
 			Stats:    sh.mgr.Stats(),
 		}
 		for t := topic(0); t < numTopics; t++ {

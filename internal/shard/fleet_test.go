@@ -485,11 +485,16 @@ func runShardStress(t *testing.T, shards int, seed int64) {
 			t.Fatalf("shards=%d: %d sessions still %v after wind-down", shards, len(ss), state)
 		}
 	}
-	// Per-shard: no shard may hold a live session the aggregate missed.
+	// Per-shard: no shard's live table may hold a session the aggregate
+	// missed, and what the shards remember of retired sessions fits their
+	// tombstone rings.
 	for _, row := range bed.Fleet.ShardStats() {
 		if row.Sessions != 0 {
 			t.Errorf("shards=%d: shard %d still holds %d live sessions", shards, row.Shard, row.Sessions)
 		}
+	}
+	if n := len(bed.Manager.Sessions(core.Completed)) + len(bed.Manager.Sessions(core.Aborted)); n > shards*core.TombstoneRing {
+		t.Errorf("shards=%d: %d retired sessions remembered, rings hold %d", shards, n, shards*core.TombstoneRing)
 	}
 	// Fleet-wide: the shared ledger balances to zero.
 	if err := bed.Ledger.CheckEmpty(); err != nil {

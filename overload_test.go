@@ -462,6 +462,9 @@ func TestOverloadShardedFleet(t *testing.T) {
 			t.Errorf("shard %d still holds %d live sessions after wind-down", row.Shard, row.Sessions)
 		}
 	}
+	if n, ring := len(h.sys.Manager.Sessions(core.Completed))+len(h.sys.Manager.Sessions(core.Aborted)), 4*core.TombstoneRing; n > ring {
+		t.Errorf("%d retired sessions remembered after wind-down, the four shards' rings hold %d", n, ring)
+	}
 	// The router gate is the only manager-side gate: any manager-level shed
 	// must appear in the fleet's aggregate counters (wire-level sheds are
 	// counted separately by the protocol server).

@@ -21,6 +21,11 @@ go build ./...
 echo "== go test -race"
 go test -race -shuffle=on ./...
 
+# bench/ is a nested module the lines above do not reach; an internal API
+# change that stops it compiling fails bench/run.sh, and with it the PR.
+echo "== benchmark module (vet, all workloads at 1/200 scale)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "== lifecycle stress gate (short)"
 go test -race -short -count=1 -run 'TestLifecycleStress' ./internal/core
 
@@ -33,8 +38,12 @@ go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmiss
 echo "== telemetry zero-alloc gate"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 
-echo "== cached-negotiate allocation gate (policy off must stay free)"
+echo "== cached-negotiate allocation gate (count and bytes; policy off must stay free)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestPolicyOffAllocBound' ./internal/core
+
+echo "== bounded-retention gate (100k cycles, live heap flat; retired-session answers)"
+go test -count=1 -run 'TestSteadyStateHeapFlat' ./internal/core
+go test -race -count=1 -run 'TestRetiredSession|TestWatchSurvivesEviction' ./internal/shard ./internal/protocol ./cmd/qosctl
 
 echo "== policy equivalence gate (race)"
 go test -race -count=1 -run 'TestPolicyOffEquivalence|TestPolicyReorderedFailover' ./internal/policy

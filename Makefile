@@ -16,6 +16,7 @@ check:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCurveEval$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzServerInput$$' -fuzztime 5s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzTableClassify$$' -fuzztime 5s ./internal/cost
 
 # Long concurrency stress on the session lifecycle (the epoch guard and the
@@ -43,14 +44,19 @@ bench:
 bench-compare:
 	./scripts/bench.sh -compare BENCH_BASELINE.json
 
-# CPU and heap profiles of the cached E6 negotiation hot path, written to
-# ./profiles/ for `go tool pprof`.
+# CPU and heap profiles of the cached E6 negotiation hot path, and an
+# every-allocation heap profile of the offer-cache miss path
+# (BenchmarkMissPath), written to ./profiles/ for `go tool pprof`
+# (`-sample_index=alloc_objects` ranks the miss path's call sites by count).
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench '^BenchmarkE6Negotiate$$' -benchtime 2s \
 		-cpuprofile profiles/e6.cpu.pprof -memprofile profiles/e6.mem.pprof \
 		-o profiles/e6.test .
-	@echo "profile: wrote profiles/e6.cpu.pprof and profiles/e6.mem.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkMissPath$$' -benchtime 2000x \
+		-memprofile profiles/miss.mem.pprof -memprofilerate 1 \
+		-o profiles/miss.test ./internal/offer
+	@echo "profile: wrote profiles/e6.cpu.pprof, profiles/e6.mem.pprof and profiles/miss.mem.pprof"
 
 cover:
 	$(GO) test -cover ./...

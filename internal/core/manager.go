@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -467,12 +466,8 @@ func (m *Manager) recordStaleInstall(procedure string, id SessionID, st SessionS
 // hit is byte-equivalent to recomputing.
 func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, g cost.Guarantee, exclude func(media.Variant) bool, exclHash uint64) (offer.Candidates, []offer.SystemOffer, error) {
 	pricing, pricingGen := m.pricingSnapshot()
-	workers := m.opts.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if m.cache == nil {
-		cands, err := offer.Filter(ctx, doc, mach, pricing, g, workers, exclude)
+		cands, err := offer.Filter(ctx, doc, mach, pricing, g, 0, exclude)
 		return cands, nil, err
 	}
 	key := offercache.Key{Doc: doc.ID, Machine: mach.Fingerprint(), Guarantee: g, Exclusion: exclHash}
@@ -481,7 +476,7 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 	if out == offercache.Hit {
 		return cands, offers, nil
 	}
-	cands, err := offer.Filter(ctx, doc, mach, pricing, g, workers, exclude)
+	cands, err := offer.Filter(ctx, doc, mach, pricing, g, 0, exclude)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -127,7 +127,8 @@ func (s *Session) end(state SessionState) commitment {
 const TombstoneRing = 1024
 
 // tombstone is what SessionInfo, the session listing and the late-call errors
-// need of a retired session; nothing in it refers to a cached product.
+// need of a retired session; of a cached product it refers to nothing but the
+// key buffer (offer.SystemOffer.Summary).
 type tombstone struct {
 	id          SessionID
 	document    media.DocumentID

@@ -18,6 +18,11 @@ import (
 // full, half and quarter frame rate.
 var scalableDivisors = []int{1, 2, 4}
 
+// Scalable reports whether the variant is a scalable video stream, i.e.
+// whether ScalableLayers expands it into anything but itself. Step 2 asks
+// first, so the common non-scalable variant costs no one-element slice.
+func (v Variant) Scalable() bool { return v.Format == ScalableMPEG && v.QoS.Video != nil }
+
 // ScalableLayers expands a variant into its decodable layers. Non-scalable
 // variants (any format other than ScalableMPEG, or non-video QoS) return
 // just themselves. Layers keep the stored file's identity plus a
@@ -25,7 +30,7 @@ var scalableDivisors = []int{1, 2, 4}
 // delivers the same frames, fewer of them per second), so the Section 6
 // mapping yields proportionally lower bit rates.
 func ScalableLayers(v Variant) []Variant {
-	if v.Format != ScalableMPEG || v.QoS.Video == nil {
+	if !v.Scalable() {
 		return []Variant{v}
 	}
 	base := *v.QoS.Video

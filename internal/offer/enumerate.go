@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"qosneg/internal/client"
 	"qosneg/internal/cost"
@@ -45,9 +44,6 @@ type EnumerateOptions struct {
 	MaxOffers int
 	// Guarantee selects the service guarantee priced into each offer.
 	Guarantee cost.Guarantee
-	// Workers bounds the per-monomedia filtering fan-out; 0 filters on the
-	// calling goroutine.
-	Workers int
 	// Exclude, when non-nil, drops variants for which it returns true
 	// before the product is built (the QoS manager's server quarantine).
 	Exclude func(media.Variant) bool
@@ -98,30 +94,46 @@ func maxOffersOrDefault(n int) int {
 // scalable variants expand into their decodable temporal layers (the INRS
 // scalable decoder), each surviving layer is mapped to its network QoS and
 // priced, and the per-monomedia candidate lists are returned in document
-// order. Monomedia are filtered concurrently on up to workers goroutines
-// (a bounded fan-out; workers<=1 filters inline).
+// order. The lists are cap-limited windows of one backing array.
+//
+// Filtering runs on the calling goroutine: a pass costs 1–40 µs on every
+// document shape in the repository, less than starting and joining one
+// goroutine per monomedia. The int parameter was that fan-out's worker
+// count; it is ignored and stays in the signature for existing callers.
 //
 // It returns a *NoVariantError naming the first (in document order)
 // monomedia with no decodable variant — with Excluded set when only the
 // exclude filter emptied the list — and ctx's error if the context is
-// canceled mid-filter.
-func Filter(ctx context.Context, doc media.Document, m client.Machine, pricing cost.Pricing, g cost.Guarantee, workers int, exclude func(media.Variant) bool) (Candidates, error) {
+// already canceled.
+func Filter(ctx context.Context, doc media.Document, m client.Machine, pricing cost.Pricing, g cost.Guarantee, _ int, exclude func(media.Variant) bool) (Candidates, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	// Most variants survive and most are not scalable, so the variant count
+	// is the right capacity; scalable expansion may still grow the array,
+	// which leaves the windows already handed out on the old one, intact.
+	variants := 0
+	for _, mono := range doc.Monomedia {
+		variants += len(mono.Variants)
+	}
 	cands := make(Candidates, len(doc.Monomedia))
-	excluded := make([]bool, len(doc.Monomedia))
-	filterOne := func(i int) {
-		mono := doc.Monomedia[i]
+	all := make([]Candidate, 0, variants)
+	var single [1]media.Variant // a non-scalable variant's only layer, kept off the heap
+	for i, mono := range doc.Monomedia {
 		continuous := mono.Kind.Continuous()
-		// Most variants survive and most are not scalable, so the variant
-		// count is the right capacity hint; scalable expansion may still
-		// grow the slice, rarely.
-		cands[i] = make([]Candidate, 0, len(mono.Variants))
+		start, excluded := len(all), false
 		for _, v := range mono.Variants {
-			for _, layer := range media.ScalableLayers(v) {
+			single[0] = v
+			layers := single[:]
+			if v.Scalable() {
+				layers = media.ScalableLayers(v)
+			}
+			for _, layer := range layers {
 				if !m.CanDecode(layer) {
 					continue
 				}
 				if exclude != nil && exclude(layer) {
-					excluded[i] = true
+					excluded = true
 					continue
 				}
 				c := Candidate{Variant: layer, Net: layer.NetworkQoS(), Continuous: continuous}
@@ -131,47 +143,29 @@ func Filter(ctx context.Context, doc media.Document, m client.Machine, pricing c
 						Duration: mono.Duration,
 					})
 				}
-				cands[i] = append(cands[i], c)
+				all = append(all, c)
 			}
 		}
-	}
-	if workers > 1 && len(doc.Monomedia) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range doc.Monomedia {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				filterOne(i)
-			}(i)
+		if len(all) == start {
+			return nil, &NoVariantError{Monomedia: mono.ID, Excluded: excluded}
 		}
-		wg.Wait()
-	} else {
-		for i := range doc.Monomedia {
-			filterOne(i)
-		}
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	for i, mono := range doc.Monomedia {
-		if len(cands[i]) == 0 {
-			return nil, &NoVariantError{Monomedia: mono.ID, Excluded: excluded[i]}
-		}
+		cands[i] = all[start:len(all):len(all)]
 	}
 	return cands, nil
 }
 
 // checkProduct verifies the cartesian product stays within maxOffers,
-// mirroring the incremental overflow-safe check Enumerate always used.
-func checkProduct(cands Candidates, maxOffers int) (int, error) {
+// mirroring the incremental overflow-safe check Enumerate always used, and
+// that cands has one non-empty list per monomedia of the document.
+func checkProduct(doc media.Document, cands Candidates, maxOffers int) (int, error) {
+	if len(cands) != len(doc.Monomedia) {
+		return 0, fmt.Errorf("offer: %d candidate lists for the %d monomedia of document %s", len(cands), len(doc.Monomedia), doc.ID)
+	}
 	total := 1
-	for _, m := range cands {
+	for i, m := range cands {
+		if len(m) == 0 {
+			return 0, &NoVariantError{Monomedia: doc.Monomedia[i].ID}
+		}
 		if total > maxOffers/len(m) {
 			return 0, fmt.Errorf("%w: product exceeds %d", ErrTooManyOffers, maxOffers)
 		}
@@ -266,7 +260,7 @@ func Walk(doc media.Document, cands Candidates, yield func(SystemOffer) bool) {
 // the streaming EnumerateTopK instead and keeps only the offers that can
 // still win classification.
 func Enumerate(doc media.Document, m client.Machine, pricing cost.Pricing, opts EnumerateOptions) ([]SystemOffer, error) {
-	cands, err := Filter(context.Background(), doc, m, pricing, opts.Guarantee, opts.Workers, opts.Exclude)
+	cands, err := Filter(context.Background(), doc, m, pricing, opts.Guarantee, 0, opts.Exclude)
 	if err != nil {
 		return nil, err
 	}
@@ -277,15 +271,69 @@ func Enumerate(doc media.Document, m client.Machine, pricing cost.Pricing, opts 
 // already-filtered candidate set: Enumerate minus the step-2 filter. The
 // offer cache hands memoized candidates straight here, skipping the
 // per-request decode/map/price work entirely.
+//
+// The product is built in slabs — one array each for the offers, their
+// choices, their per-stream cost lines and their keys, filled in one
+// lexicographic walk — so it costs a handful of allocations whatever its
+// size. Every slice handed out of a slab is cap-limited: appending to one
+// offer's Choices or cost lines reallocates instead of writing into its
+// neighbour. Offer for offer the result equals buildOffer's.
 func FromCandidates(doc media.Document, cands Candidates, maxOffers int) ([]SystemOffer, error) {
-	total, err := checkProduct(cands, maxOffersOrDefault(maxOffers))
+	total, err := checkProduct(doc, cands, maxOffersOrDefault(maxOffers))
 	if err != nil {
 		return nil, err
 	}
-	offers := make([]SystemOffer, 0, total)
-	Walk(doc, cands, func(o SystemOffer) bool {
-		offers = append(offers, o)
-		return true
-	})
+	n := len(cands)
+	if n == 0 {
+		return []SystemOffer{}, nil
+	}
+	// Candidate j of monomedia i appears in total/len(cands[i]) offers; size
+	// the key and money slabs from what each one contributes.
+	keyBytes, lines := total*(n-1), 0
+	for _, mono := range cands {
+		per := total / len(mono)
+		for j := range mono {
+			keyBytes += per * len(mono[j].Variant.ID)
+			if mono[j].Continuous {
+				lines += per
+			}
+		}
+	}
+	offers := make([]SystemOffer, total)
+	choices := make([]Choice, total*n)
+	// Network lines fill the first half of the money slab, server lines the
+	// second, at the same offsets.
+	money := make([]cost.Money, 2*lines)
+	var keys strings.Builder
+	keys.Grow(keyBytes) // exact: the buffer never moves under the substrings below
+	copyright := cost.Money(doc.CopyrightFee)
+	idx := make([]int, n)
+	line := 0
+	for o := range offers {
+		b := cost.Breakdown{Copyright: copyright, Total: copyright}
+		ch := choices[o*n : (o+1)*n : (o+1)*n]
+		keyStart, first := keys.Len(), line
+		for i, j := range idx {
+			c := &cands[i][j]
+			ch[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: c.Variant}
+			if i > 0 {
+				keys.WriteByte('+')
+			}
+			keys.WriteString(string(c.Variant.ID))
+			if c.Continuous {
+				money[line], money[lines+line] = c.NetworkCost, c.ServerCost
+				b.Total += c.NetworkCost + c.ServerCost
+				line++
+			}
+		}
+		// An offer with no continuous stream keeps nil cost lines, as
+		// buildOffer leaves them: the JSON encoding tells nil from empty.
+		if line > first {
+			b.Network = money[first:line:line]
+			b.Server = money[lines+first : lines+line : lines+line]
+		}
+		offers[o] = SystemOffer{Document: doc.ID, Choices: ch, Cost: b, key: keys.String()[keyStart:]}
+		advanceIndex(idx, cands)
+	}
 	return offers, nil
 }

@@ -59,8 +59,10 @@ func (o SystemOffer) Key() string {
 }
 
 // Summary returns the offer's identity and price without its choices or
-// per-stream cost lines: what outlives a session. It shares no memory with
-// the product the offer was built in.
+// per-stream cost lines: what outlives a session. Of the product the offer
+// was built in it keeps only the key's bytes alive — for a slab-built
+// product the one buffer holding every offer's key, a few percent of the
+// product — and none of the offers, choices or cost lines.
 func (o SystemOffer) Summary() SystemOffer {
 	return SystemOffer{
 		Document: o.Document,

@@ -2,9 +2,10 @@
 // (static compatibility checking, computation of classification parameters,
 // classification) as a streaming fan-out instead of materialize-then-sort.
 //
-// Stage 1 filters each monomedia's variants concurrently and precomputes,
-// per surviving candidate, the Section 6 network mapping, the Section 7
-// stream price and the profile-dependent classification stats. Stage 2
+// Stage 1 filters each monomedia's variants (inline: a filter pass is
+// shorter than a goroutine hand-off) and precomputes, per surviving
+// candidate, the Section 6 network mapping, the Section 7 stream price and
+// the profile-dependent classification stats. Stage 2
 // splits the cartesian product of candidates into contiguous index ranges,
 // one per worker in a bounded pool; each worker streams its range, scores
 // offers from the per-candidate stats in O(#monomedia) additions, and
@@ -29,7 +30,8 @@ type PipelineOptions struct {
 	MaxOffers int
 	// Guarantee selects the service guarantee priced into each offer.
 	Guarantee cost.Guarantee
-	// Workers bounds the fan-out; 0 selects GOMAXPROCS.
+	// Workers bounds the scoring fan-out over products of smallProduct
+	// offers or more; 0 selects GOMAXPROCS.
 	Workers int
 	// TopK bounds how many classified offers are kept; 0 keeps all.
 	TopK int
@@ -59,11 +61,17 @@ type candidateStats struct {
 }
 
 // rankCandidates precomputes candidateStats for every candidate, mirroring
-// SNS's per-choice comparisons and Rank's importance sum.
+// SNS's per-choice comparisons and Rank's importance sum. The per-monomedia
+// rows are windows of one slab.
 func rankCandidates(cands Candidates, u profile.UserProfile) [][]candidateStats {
+	n := 0
+	for _, mono := range cands {
+		n += len(mono)
+	}
 	stats := make([][]candidateStats, len(cands))
+	slab := make([]candidateStats, n)
 	for i, mono := range cands {
-		stats[i] = make([]candidateStats, len(mono))
+		stats[i], slab = slab[:len(mono):len(mono)], slab[len(mono):]
 		for j, c := range mono {
 			st := candidateStats{qImp: u.Importance.QoS(c.Variant.QoS)}
 			if kind, ok := c.Variant.QoS.Kind(); ok {
@@ -157,11 +165,7 @@ const smallProduct = 2048
 // Errors: *NoVariantError (some monomedia undecodable), ErrTooManyOffers
 // (product above MaxOffers), or ctx's error when canceled mid-stream.
 func EnumerateTopK(ctx context.Context, doc media.Document, mach client.Machine, pricing cost.Pricing, u profile.UserProfile, opts PipelineOptions) ([]Ranked, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cands, err := Filter(ctx, doc, mach, pricing, opts.Guarantee, workers, opts.Exclude)
+	cands, err := Filter(ctx, doc, mach, pricing, opts.Guarantee, 0, opts.Exclude)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +197,7 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	total, err := checkProduct(cands, maxOffersOrDefault(opts.MaxOffers))
+	total, err := checkProduct(doc, cands, maxOffersOrDefault(opts.MaxOffers))
 	if err != nil {
 		return nil, err
 	}

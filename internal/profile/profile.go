@@ -75,25 +75,19 @@ type MMProfile struct {
 
 // Setting returns the profile's QoS section for the given media kind as a
 // qos.Setting, and false when the user expressed no requirement. Graphics
-// share the image section.
+// share the image section. The setting aliases the profile's own section —
+// classification asks twice per candidate, so a copy would be an allocation
+// per call — and is read-only.
 func (p MMProfile) Setting(k qos.MediaKind) (qos.Setting, bool) {
 	switch k {
 	case qos.Video:
-		if p.Video != nil {
-			return qos.VideoSetting(*p.Video), true
-		}
+		return qos.Setting{Video: p.Video}, p.Video != nil
 	case qos.Audio:
-		if p.Audio != nil {
-			return qos.AudioSetting(*p.Audio), true
-		}
+		return qos.Setting{Audio: p.Audio}, p.Audio != nil
 	case qos.Image, qos.Graphic:
-		if p.Image != nil {
-			return qos.ImageSetting(*p.Image), true
-		}
+		return qos.Setting{Image: p.Image}, p.Image != nil
 	case qos.Text:
-		if p.Text != nil {
-			return qos.TextSetting(*p.Text), true
-		}
+		return qos.Setting{Text: p.Text}, p.Text != nil
 	}
 	return qos.Setting{}, false
 }

@@ -38,8 +38,8 @@ go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmiss
 echo "== telemetry zero-alloc gate"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 
-echo "== cached-negotiate allocation gate (count and bytes; policy off must stay free)"
-go test -count=1 -run 'TestCachedNegotiateAllocBound|TestPolicyOffAllocBound' ./internal/core
+echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free)"
+go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound' ./internal/core
 
 echo "== bounded-retention gate (100k cycles, live heap flat; retired-session answers)"
 go test -count=1 -run 'TestSteadyStateHeapFlat' ./internal/core

@@ -17,6 +17,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCurveEval$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzServerInput$$' -fuzztime 5s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 5s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryBody$$' -fuzztime 5s ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzTableClassify$$' -fuzztime 5s ./internal/cost
 
 # Long concurrency stress on the session lifecycle (the epoch guard and the
@@ -44,10 +45,12 @@ bench:
 bench-compare:
 	./scripts/bench.sh -compare BENCH_BASELINE.json
 
-# CPU and heap profiles of the cached E6 negotiation hot path, and an
+# CPU and heap profiles of the cached E6 negotiation hot path, an
 # every-allocation heap profile of the offer-cache miss path
-# (BenchmarkMissPath), written to ./profiles/ for `go tool pprof`
-# (`-sample_index=alloc_objects` ranks the miss path's call sites by count).
+# (BenchmarkMissPath), and a CPU and an every-allocation profile of one
+# session's lifecycle over the binary wire codec (BenchmarkWireLifecycle),
+# written to ./profiles/ for `go tool pprof`
+# (`-sample_index=alloc_objects` ranks call sites by allocation count).
 profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench '^BenchmarkE6Negotiate$$' -benchtime 2s \
@@ -56,7 +59,11 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkMissPath$$' -benchtime 2000x \
 		-memprofile profiles/miss.mem.pprof -memprofilerate 1 \
 		-o profiles/miss.test ./internal/offer
-	@echo "profile: wrote profiles/e6.cpu.pprof, profiles/e6.mem.pprof and profiles/miss.mem.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkWireLifecycle$$/^codec=binary$$' -benchtime 2s \
+		-cpuprofile profiles/wire.cpu.pprof -o profiles/wire.test .
+	$(GO) test -run '^$$' -bench '^BenchmarkWireLifecycle$$/^codec=binary$$' -benchtime 2000x \
+		-memprofile profiles/wire.mem.pprof -memprofilerate 1 -o profiles/wire.test .
+	@echo "profile: wrote profiles/{e6.cpu,e6.mem,miss.mem,wire.cpu,wire.mem}.pprof"
 
 cover:
 	$(GO) test -cover ./...

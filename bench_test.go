@@ -599,6 +599,56 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkWireLifecycle is the JSON-vs-binary figure at one caller: a
+// session's whole wire lifecycle — negotiate, confirm, session — over
+// loopback, once per codec, then completed in-process as the daemon's
+// playout driver would. `make profile` takes its wire profiles from it.
+func BenchmarkWireLifecycle(b *testing.B) {
+	for _, tc := range []struct{ label, codec string }{
+		{"json", protocol.CodecJSON},
+		{"binary", protocol.CodecBinary},
+	} {
+		b.Run("codec="+tc.label, func(b *testing.B) {
+			sys, doc := benchSystem(b, 1, 2)
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := protocol.NewServer(sys.Manager, sys.Registry)
+			go srv.Serve(l)
+			defer func() {
+				l.Close()
+				srv.Close()
+			}()
+			c, err := protocol.Dial(l.Addr().String(), protocol.WithWire(protocol.WireOptions{Codecs: []string{tc.codec}}))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			mach, _ := sys.Client("client-1")
+			u := benchProfile()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Negotiate(ctx, mach, doc.ID, u)
+				if err != nil || !res.Status.Reserved() {
+					b.Fatalf("negotiate: %v %v", res.Status, err)
+				}
+				if err := c.Confirm(ctx, res.Session); err != nil {
+					b.Fatal(err)
+				}
+				if info, err := c.Session(ctx, res.Session); err != nil || info.State != core.Playing.String() {
+					b.Fatalf("session: %+v %v", info, err)
+				}
+				if err := sys.Manager.Complete(res.Session); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkWireRPC measures wire-protocol RPC throughput over a single
 // client (hence a single TCP connection) shared by 1, 64 and 1000
 // concurrent callers, once per codec. The JSON line codec serializes

@@ -18,9 +18,9 @@
 //	qosctl -addr 127.0.0.1:7000 shards
 //
 // The -codec flag pins the wire codec: "auto" (default) negotiates the
-// multiplexed binary codec and falls back to JSON against older daemons,
-// "binary" refuses to fall back, and "json" speaks the legacy protocol
-// byte-for-byte.
+// multiplexed binary codec (binary/2: typed frame bodies) and falls back to
+// JSON against daemons that predate it, "binary" refuses to fall back, and
+// "json" speaks the legacy line protocol byte-for-byte.
 package main
 
 import (
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profileName := fs.String("profile", "tv-quality", "factory profile: tv-quality, premium or economy")
 	clientNode := fs.String("client", "client-1", "client attachment point on the daemon's network")
 	confirm := fs.Bool("confirm", false, "confirm the offer after a successful negotiation")
-	codec := fs.String("codec", "auto", "wire codec: auto, binary or json")
+	codec := fs.String("codec", "auto", "wire codec: auto (binary/2, falling back to JSON lines against a daemon without it), binary (no fallback) or json")
 	id := fs.Uint64("id", 0, "session id for the session command")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -48,7 +48,7 @@ func main() {
 	tariff := flag.String("pricing", "", "JSON tariff to load (default: built-in cost tables)")
 	verbose := flag.Bool("verbose", false, "log every negotiation decision (the QoS manager's trace)")
 	debugAddr := flag.String("debug-addr", "", "HTTP address for /metrics, /debug/vars, /debug/trace and /debug/pprof (empty disables)")
-	codec := flag.String("codec", "auto", "wire codecs offered in the handshake: auto (binary with JSON fallback), binary or json; legacy clients always get JSON")
+	codec := flag.String("codec", "auto", "wire codecs accepted in the handshake: auto (binary/2 with JSON-lines fallback), binary or json; clients that send no hello, or offer only an older binary version, always get JSON")
 	maxStreams := flag.Int("max-streams", 0, "concurrent streams per multiplexed connection (0 selects the protocol default)")
 	traceDepth := flag.Int("trace-depth", 256, "negotiation spans retained for /debug/trace")
 	articles := flag.Int("articles", 5, "synthetic articles to create when no catalog is given")

@@ -195,7 +195,7 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 	defer ctl.Reject(bg, res.Session)
 
 	conn, r := binaryHandshake(t, h.addr)
-	watchReq, _ := encodeEnvelope(Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
+	watchReq, _ := appendBody(nil, Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 7, Payload: watchReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 	if _, err := readFrame(r); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := encodeEnvelope(Envelope{Type: MsgStats})
+	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 8, Payload: statsReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 		if err != nil {
 			t.Fatalf("connection died instead of shedding: %v", err)
 		}
-		env, derr := decodeEnvelope(f.Payload)
+		env, derr := decodeBody(f.Payload)
 		if derr != nil {
 			t.Fatal(derr)
 		}
@@ -329,5 +329,59 @@ func TestBatchPerItemDeadlineBoundsNegotiation(t *testing.T) {
 	}
 	if st, _ := ParseStatus(p.Items[0].Status); st.Reserved() {
 		bed.Manager.Reject(p.Items[0].Session)
+	}
+}
+
+// TestShedBeforeParse: a saturated server refuses a negotiation on its type
+// code alone. The bodies here would not decode — proof that the refusal
+// costs no parse — and each is answered busy on its own stream while the
+// connection keeps serving; the same body on an unsaturated server is the
+// malformed request it looks like.
+func TestShedBeforeParse(t *testing.T) {
+	bed := testbed.MustNew(testbed.Spec{})
+	garbage := func(t MessageType) []byte { return []byte{codeOf[t], 0xff, 0xff, 0xff} }
+	h, reg := serveWith(t, bed, WithServerAdmission(saturatedController(t)))
+	conn, r := binaryHandshake(t, h.addr)
+	var wire []byte
+	for i, mt := range []MessageType{MsgNegotiate, MsgRenegotiate, MsgBatchNegotiate} {
+		wire = appendFrame(wire, frame{Stream: uint32(i + 1), Payload: garbage(mt)})
+	}
+	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
+	if _, err := conn.Write(appendFrame(wire, frame{Stream: 9, Payload: stats})); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[uint32]MessageType{}
+	for len(seen) < 4 {
+		f, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("connection died: %v (saw %v)", err, seen)
+		}
+		env, err := decodeBody(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[f.Stream] = env.Type
+		if p, ok := env.Payload.(*BusyPayload); ok && p.RetryAfterMs <= 0 {
+			t.Errorf("stream %d: busy without a retry hint", f.Stream)
+		}
+	}
+	if seen[1] != MsgBusy || seen[2] != MsgBusy || seen[3] != MsgBusy || seen[9] != MsgStatsInfo {
+		t.Errorf("answers = %v", seen)
+	}
+	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v != 3 {
+		t.Errorf("%v sheds counted, want 3", v)
+	}
+
+	idle, _ := serveWith(t, bed)
+	conn, r = binaryHandshake(t, idle.addr)
+	if _, err := conn.Write(appendFrame(nil, frame{Stream: 1, Payload: garbage(MsgNegotiate)})); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env, err := decodeBody(f.Payload); err != nil || env.Type != MsgError {
+		t.Errorf("unsaturated server answered %+v %v to a malformed negotiate", env, err)
 	}
 }

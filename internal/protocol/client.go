@@ -102,8 +102,7 @@ func WithWire(w WireOptions) ClientOption {
 // canceled in-flight call returns the context's error and marks the
 // connection broken.
 //
-// Every RPC takes a context as its first argument; the legacy *Context
-// method names remain as deprecated aliases.
+// Every RPC takes a context as its first argument.
 //
 // Clients built by Dial self-heal: a broken connection is automatically
 // redialed with capped exponential backoff, and read-only RPCs (Session,
@@ -300,7 +299,7 @@ func (c *Client) handshake(ctx context.Context, nc net.Conn) (*clientConn, error
 	}
 	stop, done := cc.arm(ctx)
 	hello := Envelope{Type: MsgHello, Payload: &HelloRequest{Codecs: prefs, MaxStreams: c.wire.maxStreams()}}
-	sendErr := cc.writeLine(hello)
+	sendErr := writeEnvelopeLine(nc, hello)
 	var resp Envelope
 	var recvErr error
 	if sendErr == nil {
@@ -340,7 +339,7 @@ func (c *Client) handshake(ctx context.Context, nc net.Conn) (*clientConn, error
 	}
 	if cc.codec == CodecBinary {
 		cc.sem = make(chan struct{}, streams)
-		cc.streams = make(map[uint32]*clientStream)
+		cc.streams = make(map[uint32]streamSink)
 		cc.closedCh = make(chan struct{})
 		cc.fw = newFrameWriter(nc, func(error) { nc.Close() })
 		go cc.readLoop()
@@ -491,13 +490,6 @@ func (c *Client) Negotiate(ctx context.Context, mach client.Machine, doc media.D
 	return resultEnvelope(resp)
 }
 
-// NegotiateContext runs the negotiation procedure on the daemon.
-//
-// Deprecated: use Negotiate.
-func (c *Client) NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (NegotiationResult, error) {
-	return c.Negotiate(ctx, mach, doc, u)
-}
-
 // Renegotiate re-runs the negotiation for a reserved session with a
 // modified profile.
 func (c *Client) Renegotiate(ctx context.Context, id core.SessionID, u profile.UserProfile) (NegotiationResult, error) {
@@ -506,13 +498,6 @@ func (c *Client) Renegotiate(ctx context.Context, id core.SessionID, u profile.U
 		return NegotiationResult{}, err
 	}
 	return resultEnvelope(resp)
-}
-
-// RenegotiateContext re-runs the negotiation for a reserved session.
-//
-// Deprecated: use Renegotiate.
-func (c *Client) RenegotiateContext(ctx context.Context, id core.SessionID, u profile.UserProfile) (NegotiationResult, error) {
-	return c.Renegotiate(ctx, id, u)
 }
 
 // BatchResult is one item's outcome of a BatchNegotiate: either Err or an
@@ -570,24 +555,10 @@ func (c *Client) Confirm(ctx context.Context, id core.SessionID) error {
 	return err
 }
 
-// ConfirmContext accepts a reserved offer.
-//
-// Deprecated: use Confirm.
-func (c *Client) ConfirmContext(ctx context.Context, id core.SessionID) error {
-	return c.Confirm(ctx, id)
-}
-
 // Reject declines a reserved offer, releasing its resources.
 func (c *Client) Reject(ctx context.Context, id core.SessionID) error {
 	_, err := c.roundTrip(ctx, Envelope{Type: MsgReject, Payload: &SessionRequest{Session: id}}, false)
 	return err
-}
-
-// RejectContext declines a reserved offer, releasing its resources.
-//
-// Deprecated: use Reject.
-func (c *Client) RejectContext(ctx context.Context, id core.SessionID) error {
-	return c.Reject(ctx, id)
 }
 
 // SessionInfo is the client-side view of a session's state.
@@ -622,13 +593,6 @@ func (c *Client) Session(ctx context.Context, id core.SessionID) (SessionInfo, e
 	return sessionInfo(p), nil
 }
 
-// SessionContext queries a session's state.
-//
-// Deprecated: use Session.
-func (c *Client) SessionContext(ctx context.Context, id core.SessionID) (SessionInfo, error) {
-	return c.Session(ctx, id)
-}
-
 // Watch streams session updates until the session completes or aborts,
 // calling fn for every state or transition change. On a multiplexed
 // connection the watch runs on its own stream: other RPCs on this client
@@ -652,13 +616,6 @@ func (c *Client) Watch(ctx context.Context, id core.SessionID, interval time.Dur
 	return cc.watchJSON(ctx, req, fn)
 }
 
-// WatchContext streams session updates until the session completes.
-//
-// Deprecated: use Watch.
-func (c *Client) WatchContext(ctx context.Context, id core.SessionID, interval time.Duration, fn func(SessionInfo)) error {
-	return c.Watch(ctx, id, interval, fn)
-}
-
 // ListDocuments lists the daemon's catalog, optionally filtered by a title
 // substring.
 func (c *Client) ListDocuments(ctx context.Context, query string) ([]DocumentSummary, error) {
@@ -671,13 +628,6 @@ func (c *Client) ListDocuments(ctx context.Context, query string) ([]DocumentSum
 		return nil, fmt.Errorf("protocol: unexpected response %q", resp.Type)
 	}
 	return p.Documents, nil
-}
-
-// ListDocumentsContext lists the daemon's catalog.
-//
-// Deprecated: use ListDocuments.
-func (c *Client) ListDocumentsContext(ctx context.Context, query string) ([]DocumentSummary, error) {
-	return c.ListDocuments(ctx, query)
 }
 
 // ListSessions lists the daemon's sessions, ordered by id.
@@ -693,13 +643,6 @@ func (c *Client) ListSessions(ctx context.Context) ([]SessionSummary, error) {
 	return p.Sessions, nil
 }
 
-// ListSessionsContext lists the daemon's sessions, ordered by id.
-//
-// Deprecated: use ListSessions.
-func (c *Client) ListSessionsContext(ctx context.Context) ([]SessionSummary, error) {
-	return c.ListSessions(ctx)
-}
-
 // Invoice fetches a session's itemized bill.
 func (c *Client) Invoice(ctx context.Context, id core.SessionID) (cost.Invoice, error) {
 	resp, err := c.roundTrip(ctx, Envelope{Type: MsgInvoice, Payload: &SessionRequest{Session: id}}, true)
@@ -711,13 +654,6 @@ func (c *Client) Invoice(ctx context.Context, id core.SessionID) (cost.Invoice, 
 		return cost.Invoice{}, fmt.Errorf("protocol: empty invoice response")
 	}
 	return *p.Invoice, nil
-}
-
-// InvoiceContext fetches a session's itemized bill.
-//
-// Deprecated: use Invoice.
-func (c *Client) InvoiceContext(ctx context.Context, id core.SessionID) (cost.Invoice, error) {
-	return c.Invoice(ctx, id)
 }
 
 // ServerLoads fetches the media servers' current load.
@@ -733,13 +669,6 @@ func (c *Client) ServerLoads(ctx context.Context) ([]core.ServerLoad, error) {
 	return p.ServerLoads, nil
 }
 
-// ServerLoadsContext fetches the media servers' current load.
-//
-// Deprecated: use ServerLoads.
-func (c *Client) ServerLoadsContext(ctx context.Context) ([]core.ServerLoad, error) {
-	return c.ServerLoads(ctx)
-}
-
 // Stats fetches the daemon's outcome counters.
 func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
 	resp, err := c.roundTrip(ctx, Envelope{Type: MsgStats}, true)
@@ -751,13 +680,6 @@ func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
 		return core.Stats{}, fmt.Errorf("protocol: empty stats response")
 	}
 	return *p.Stats, nil
-}
-
-// StatsContext fetches the daemon's outcome counters.
-//
-// Deprecated: use Stats.
-func (c *Client) StatsContext(ctx context.Context) (core.Stats, error) {
-	return c.Stats(ctx)
 }
 
 // ShardStats fetches the per-shard breakdown of a daemon fronting a sharded
@@ -790,16 +712,36 @@ func (c *Client) Metrics(ctx context.Context) (telemetry.Snapshot, error) {
 	return *p.Metrics, nil
 }
 
-// MetricsContext fetches the daemon's telemetry snapshot.
-//
-// Deprecated: use Metrics.
-func (c *Client) MetricsContext(ctx context.Context) (telemetry.Snapshot, error) {
-	return c.Metrics(ctx)
+// streamSink is where the read loop delivers one stream's envelopes and the
+// connection's terminal error. Neither method may block: the loop serves
+// every stream of the connection.
+type streamSink interface {
+	push(Envelope)
+	fail(error)
 }
 
-// clientStream receives the demultiplexed envelopes of one stream through
-// an unbounded queue, so the connection's read loop never blocks on a slow
-// or abandoned consumer.
+// reply is a unary RPC's response, or the error that ended the wait for it.
+type reply struct {
+	env Envelope
+	err error
+}
+
+// replySlot is a unary RPC's sink: one slot for the one response. Anything
+// after the first delivery (a second frame, the teardown error) is dropped.
+type replySlot chan reply
+
+func (s replySlot) push(e Envelope) { s.put(reply{env: e}) }
+func (s replySlot) fail(err error)  { s.put(reply{err: err}) }
+
+func (s replySlot) put(r reply) {
+	select {
+	case s <- r:
+	default:
+	}
+}
+
+// clientStream is a watch's sink: an unbounded queue, so the connection's
+// read loop never blocks on a slow or abandoned consumer.
 type clientStream struct {
 	mu  sync.Mutex
 	q   []Envelope
@@ -875,7 +817,7 @@ type clientConn struct {
 	fw       *frameWriter
 	sem      chan struct{}
 	smu      sync.Mutex
-	streams  map[uint32]*clientStream
+	streams  map[uint32]streamSink
 	nextID   uint32
 	connErr  error
 	closedCh chan struct{}
@@ -916,8 +858,9 @@ func (cc *clientConn) teardown(err error) {
 // readLoop demultiplexes binary frames to their streams until the
 // connection dies.
 func (cc *clientConn) readLoop() {
+	frames := frameReader{r: cc.r}
 	for {
-		f, err := readFrame(cc.r)
+		f, err := frames.next()
 		if err != nil {
 			cc.teardown(fmt.Errorf("protocol: receive: %w", err))
 			return
@@ -925,12 +868,11 @@ func (cc *clientConn) readLoop() {
 		if f.Flags&flagCancel != 0 {
 			continue
 		}
-		env, err := decodeEnvelope(f.Payload)
+		env, err := decodeBody(f.Payload)
 		if err != nil {
 			cc.teardown(fmt.Errorf("protocol: receive: %w", err))
 			return
 		}
-		env.StreamID = f.Stream
 		cc.smu.Lock()
 		st := cc.streams[f.Stream]
 		cc.smu.Unlock()
@@ -942,12 +884,26 @@ func (cc *clientConn) readLoop() {
 	}
 }
 
-// openStream registers a fresh stream id; the caller must closeStream it.
-func (cc *clientConn) openStream() (*clientStream, uint32, error) {
+// startStream takes a stream slot (bounded by the negotiated cap), registers
+// sink under a fresh stream id and puts the request on the wire; a
+// connection that cannot take it is torn down. On success the caller must
+// endStream.
+func (cc *clientConn) startStream(ctx context.Context, sink streamSink, env Envelope) (uint32, error) {
+	select {
+	case cc.sem <- struct{}{}:
+	case <-cc.closedCh:
+		cc.smu.Lock()
+		defer cc.smu.Unlock()
+		return 0, cc.errLocked()
+	case <-ctx.Done():
+		return 0, fmt.Errorf("protocol: %w", ctx.Err())
+	}
 	cc.smu.Lock()
-	defer cc.smu.Unlock()
 	if cc.streams == nil {
-		return nil, 0, cc.errLocked()
+		err := cc.errLocked()
+		cc.smu.Unlock()
+		<-cc.sem
+		return 0, err
 	}
 	for {
 		cc.nextID++
@@ -958,17 +914,28 @@ func (cc *clientConn) openStream() (*clientStream, uint32, error) {
 			break
 		}
 	}
-	st := newClientStream()
-	cc.streams[cc.nextID] = st
-	return st, cc.nextID, nil
+	id := cc.nextID
+	cc.streams[id] = sink
+	cc.smu.Unlock()
+	cc.owner.streamGauge.Add(1)
+	if err := cc.fw.sendEnvelope(id, 0, env); err != nil {
+		cc.endStream(id)
+		err = fmt.Errorf("protocol: send: %w", err)
+		cc.teardown(err)
+		return 0, err
+	}
+	return id, nil
 }
 
-func (cc *clientConn) closeStream(id uint32) {
+// endStream deregisters a stream and gives its slot back.
+func (cc *clientConn) endStream(id uint32) {
 	cc.smu.Lock()
 	if cc.streams != nil {
 		delete(cc.streams, id)
 	}
 	cc.smu.Unlock()
+	cc.owner.streamGauge.Add(-1)
+	<-cc.sem
 }
 
 func (cc *clientConn) errLocked() error {
@@ -978,22 +945,14 @@ func (cc *clientConn) errLocked() error {
 	return errConnBroken
 }
 
-// acquire takes a stream slot, bounded by the negotiated per-connection
-// cap.
-func (cc *clientConn) acquire(ctx context.Context) error {
-	select {
-	case cc.sem <- struct{}{}:
-		return nil
-	case <-cc.closedCh:
-		cc.smu.Lock()
-		defer cc.smu.Unlock()
-		return cc.errLocked()
-	case <-ctx.Done():
-		return fmt.Errorf("protocol: %w", ctx.Err())
+// abandon gives up on a stream whose context ended: a best-effort cancel
+// frame tells the server to stop; the connection stays healthy.
+func (cc *clientConn) abandon(ctx context.Context, id uint32) error {
+	if !cc.isBroken() {
+		cc.fw.send(newFrame(id, flagCancel))
 	}
+	return fmt.Errorf("protocol: %w", ctx.Err())
 }
-
-func (cc *clientConn) release() { <-cc.sem }
 
 // exchange performs one request/response on this connection, whichever
 // codec it speaks.
@@ -1004,41 +963,28 @@ func (cc *clientConn) exchange(ctx context.Context, env Envelope) (Envelope, err
 	return cc.exchangeJSON(ctx, env)
 }
 
-// exchangeBinary runs the RPC on its own stream. Cancellation abandons the
-// stream with a best-effort cancel frame; the connection stays healthy.
+// exchangeBinary runs the RPC on its own stream.
 func (cc *clientConn) exchangeBinary(ctx context.Context, env Envelope) (Envelope, error) {
-	if err := cc.acquire(ctx); err != nil {
-		return Envelope{}, err
-	}
-	defer cc.release()
-	st, id, err := cc.openStream()
+	slot := make(replySlot, 1)
+	id, err := cc.startStream(ctx, slot, env)
 	if err != nil {
 		return Envelope{}, err
 	}
-	defer cc.closeStream(id)
-	cc.owner.streamGauge.Add(1)
-	defer cc.owner.streamGauge.Add(-1)
-	payload, err := encodeEnvelope(env)
-	if err != nil {
-		return Envelope{}, err
-	}
-	if err := cc.fw.send(frame{Stream: id, Payload: payload}); err != nil {
-		cc.teardown(fmt.Errorf("protocol: send: %w", err))
-		return Envelope{}, fmt.Errorf("protocol: send: %w", err)
-	}
-	resp, err := st.next(ctx)
-	if err != nil {
-		if ctx.Err() != nil && !cc.isBroken() {
-			// Only this stream is abandoned; tell the server to stop.
-			cc.fw.send(frame{Stream: id, Flags: flagCancel})
-			return Envelope{}, fmt.Errorf("protocol: %w", ctx.Err())
+	defer cc.endStream(id)
+	var rep reply
+	select {
+	case rep = <-slot:
+	case <-ctx.Done():
+		select {
+		case rep = <-slot: // the response beat the cancellation
+		default:
+			return Envelope{}, cc.abandon(ctx, id)
 		}
-		return Envelope{}, err
 	}
-	if err := envelopeError(resp); err != nil {
-		return resp, err
+	if rep.err != nil {
+		return Envelope{}, rep.err
 	}
-	return resp, nil
+	return rep.env, envelopeError(rep.env)
 }
 
 // exchangeJSON performs one serialized request/response; concurrent callers
@@ -1051,7 +997,7 @@ func (cc *clientConn) exchangeJSON(ctx context.Context, env Envelope) (Envelope,
 		return Envelope{}, errConnBroken
 	}
 	stop, done := cc.arm(ctx)
-	sendErr := cc.writeLine(env)
+	sendErr := writeEnvelopeLine(cc.nc, env)
 	var resp Envelope
 	var recvErr error
 	if sendErr == nil {
@@ -1100,15 +1046,6 @@ func (cc *clientConn) arm(ctx context.Context) (stop func() bool, done chan stru
 	return stop, done
 }
 
-func (cc *clientConn) writeLine(env Envelope) error {
-	data, err := encodeEnvelope(env)
-	if err != nil {
-		return err
-	}
-	_, err = cc.nc.Write(append(data, '\n'))
-	return err
-}
-
 func (cc *clientConn) readLine() (Envelope, error) {
 	line, err := cc.r.ReadBytes('\n')
 	if err != nil {
@@ -1119,31 +1056,17 @@ func (cc *clientConn) readLine() (Envelope, error) {
 
 // watchBinary consumes a server-push watch stream on its own stream id.
 func (cc *clientConn) watchBinary(ctx context.Context, req Envelope, fn func(SessionInfo)) error {
-	if err := cc.acquire(ctx); err != nil {
-		return err
-	}
-	defer cc.release()
-	st, id, err := cc.openStream()
+	st := newClientStream()
+	id, err := cc.startStream(ctx, st, req)
 	if err != nil {
 		return err
 	}
-	defer cc.closeStream(id)
-	cc.owner.streamGauge.Add(1)
-	defer cc.owner.streamGauge.Add(-1)
-	payload, err := encodeEnvelope(req)
-	if err != nil {
-		return err
-	}
-	if err := cc.fw.send(frame{Stream: id, Payload: payload}); err != nil {
-		cc.teardown(fmt.Errorf("protocol: send: %w", err))
-		return fmt.Errorf("protocol: send: %w", err)
-	}
+	defer cc.endStream(id)
 	for {
 		resp, err := st.next(ctx)
 		if err != nil {
 			if ctx.Err() != nil && !cc.isBroken() {
-				cc.fw.send(frame{Stream: id, Flags: flagCancel})
-				return fmt.Errorf("protocol: %w", ctx.Err())
+				return cc.abandon(ctx, id)
 			}
 			return err
 		}
@@ -1178,7 +1101,7 @@ func (cc *clientConn) watchJSON(ctx context.Context, req Envelope, fn func(Sessi
 			}
 		}
 	}()
-	if err := cc.writeLine(req); err != nil {
+	if err := writeEnvelopeLine(cc.nc, req); err != nil {
 		cc.broken.Store(true)
 		return cc.owner.finishCtx(ctx, fmt.Errorf("protocol: send: %w", err))
 	}

@@ -16,19 +16,17 @@ import (
 	"qosneg/internal/telemetry"
 )
 
-// Envelope is the unified wire message: a stream id (carried in the frame
-// header on the binary codec, absent on the JSON fallback), a message type,
-// and one typed payload per message type. Adding an RPC means adding a
-// payload struct and a payloadFor entry — not widening a shared field bag.
+// Envelope is the unified wire message: a message type and one typed payload
+// per message type. Adding an RPC means adding a payload struct and a
+// messages entry — not widening a shared field bag.
 //
-// On the wire an envelope is always one flat JSON object, {"type":...}
-// merged with the payload's fields, so the JSON fallback is byte-compatible
-// with the pre-envelope protocol, and a binary frame's payload is exactly
-// the bytes the JSON codec would put on a line.
+// On the JSON codec an envelope is one flat JSON object, {"type":...} merged
+// with the payload's fields, byte-compatible with the pre-envelope protocol.
+// On the binary codec it is a type-code byte and a body (codec.go), on the
+// stream its frame header names.
 type Envelope struct {
-	StreamID uint32
-	Type     MessageType
-	Payload  any
+	Type    MessageType
+	Payload any
 }
 
 // Request payloads (client → server). Field order mirrors the legacy
@@ -200,58 +198,67 @@ type BatchResultPayload struct {
 	Items []BatchItemResult `json:"items"`
 }
 
+// messages is the protocol's registry. A message type's index is its type
+// code on the binary codec (requests below 32, responses from 32 up, 0 never
+// sent); alloc makes its fresh payload and is nil for payload-less messages.
+var messages = [...]struct {
+	typ   MessageType
+	alloc func() any
+}{
+	1:  {MsgHello, alloc[HelloRequest]},
+	2:  {MsgNegotiate, alloc[NegotiateRequest]},
+	3:  {MsgConfirm, alloc[SessionRequest]},
+	4:  {MsgReject, alloc[SessionRequest]},
+	5:  {MsgRenegotiate, alloc[RenegotiateRequest]},
+	6:  {MsgBatchNegotiate, alloc[BatchNegotiateRequest]},
+	7:  {MsgSession, alloc[SessionRequest]},
+	8:  {MsgListDocuments, alloc[ListDocumentsRequest]},
+	9:  {MsgStats, nil},
+	10: {MsgListSessions, nil},
+	11: {MsgInvoice, alloc[SessionRequest]},
+	12: {MsgServerLoads, nil},
+	13: {MsgWatch, alloc[WatchRequest]},
+	14: {MsgMetrics, nil},
+
+	32: {MsgHelloAck, alloc[HelloAck]},
+	33: {MsgResult, alloc[ResultPayload]},
+	34: {MsgBatchResult, alloc[BatchResultPayload]},
+	35: {MsgOK, alloc[OKPayload]},
+	36: {MsgSessionInfo, alloc[SessionInfoPayload]},
+	37: {MsgDocuments, alloc[DocumentsPayload]},
+	38: {MsgStatsInfo, alloc[StatsInfoPayload]},
+	39: {MsgSessions, alloc[SessionsPayload]},
+	40: {MsgInvoiceInfo, alloc[InvoicePayload]},
+	41: {MsgServerLoadsInfo, alloc[ServerLoadsPayload]},
+	42: {MsgMetricsInfo, alloc[MetricsPayload]},
+	43: {MsgError, alloc[ErrorPayload]},
+	44: {MsgBusy, alloc[BusyPayload]},
+}
+
+func alloc[T any]() any { return new(T) }
+
+// codeOf maps a message type to its index in messages; unknown types read 0.
+var codeOf = func() map[MessageType]byte {
+	m := make(map[MessageType]byte, len(messages))
+	for code, msg := range messages {
+		if msg.typ != "" {
+			m[msg.typ] = byte(code)
+		}
+	}
+	return m
+}()
+
 // payloadFor returns a fresh payload pointer for a message type, or nil for
 // types that carry no payload (and for unknown types, which the dispatcher
 // rejects).
 func payloadFor(t MessageType) any {
-	switch t {
-	case MsgHello:
-		return new(HelloRequest)
-	case MsgNegotiate:
-		return new(NegotiateRequest)
-	case MsgRenegotiate:
-		return new(RenegotiateRequest)
-	case MsgConfirm, MsgReject, MsgSession, MsgInvoice:
-		return new(SessionRequest)
-	case MsgListDocuments:
-		return new(ListDocumentsRequest)
-	case MsgWatch:
-		return new(WatchRequest)
-	case MsgBatchNegotiate:
-		return new(BatchNegotiateRequest)
-	case MsgBatchResult:
-		return new(BatchResultPayload)
-	case MsgHelloAck:
-		return new(HelloAck)
-	case MsgError:
-		return new(ErrorPayload)
-	case MsgBusy:
-		return new(BusyPayload)
-	case MsgResult:
-		return new(ResultPayload)
-	case MsgOK:
-		return new(OKPayload)
-	case MsgSessionInfo:
-		return new(SessionInfoPayload)
-	case MsgDocuments:
-		return new(DocumentsPayload)
-	case MsgStatsInfo:
-		return new(StatsInfoPayload)
-	case MsgSessions:
-		return new(SessionsPayload)
-	case MsgInvoiceInfo:
-		return new(InvoicePayload)
-	case MsgServerLoadsInfo:
-		return new(ServerLoadsPayload)
-	case MsgMetricsInfo:
-		return new(MetricsPayload)
-	default:
-		return nil
+	if msg := messages[codeOf[t]]; msg.alloc != nil {
+		return msg.alloc()
 	}
+	return nil
 }
 
-// encodeEnvelope renders the flat JSON object both codecs carry: the JSON
-// codec appends a newline, the binary codec wraps it in a frame.
+// encodeEnvelope renders the flat JSON object the JSON codec puts on a line.
 func encodeEnvelope(e Envelope) ([]byte, error) {
 	head := make([]byte, 0, 256)
 	head = append(head, `{"type":`...)
@@ -304,8 +311,8 @@ func probeType(data []byte) (MessageType, bool) {
 // message types decode with a nil payload so the dispatcher can answer a
 // protocol-level error instead of dropping the connection.
 //
-// The hot path (a known type in leading position, as both codecs emit) is a
-// single typed json.Unmarshal, which also validates the whole document.
+// The hot path (a known type in leading position, as encodeEnvelope emits)
+// is a single typed json.Unmarshal, which also validates the whole document.
 // Everything else — unknown types, payload-less messages, foreign field
 // orders — falls back to a probe parse first, so malformed JSON is still
 // rejected even when there is no payload struct to validate against.

@@ -442,7 +442,7 @@ func binaryHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write([]byte(`{"type":"hello","codecs":["binary/1","json"]}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"type":"hello","codecs":["binary/2","json"]}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
@@ -462,7 +462,7 @@ func binaryHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 func TestStreamZeroIsProtocolError(t *testing.T) {
 	h := newHarness(t)
 	conn, r := binaryHandshake(t, h.addr)
-	payload, _ := encodeEnvelope(Envelope{Type: MsgStats})
+	payload, _ := appendBody(nil, Envelope{Type: MsgStats})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 0, Payload: payload})); err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestStreamZeroIsProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no error frame before close: %v", err)
 	}
-	env, err := decodeEnvelope(f.Payload)
+	env, err := decodeBody(f.Payload)
 	if err != nil || env.Type != MsgError {
 		t.Fatalf("frame = %+v %v, want a typed error", env, err)
 	}
@@ -495,7 +495,7 @@ func TestDuplicateStreamIDIsProtocolError(t *testing.T) {
 	defer ctl.Reject(bg, res.Session)
 
 	conn, r := binaryHandshake(t, h.addr)
-	watchReq, _ := encodeEnvelope(Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
+	watchReq, _ := appendBody(nil, Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 7, Payload: watchReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestDuplicateStreamIDIsProtocolError(t *testing.T) {
 	if _, err := readFrame(r); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := encodeEnvelope(Envelope{Type: MsgStats})
+	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 7, Payload: statsReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestDuplicateStreamIDIsProtocolError(t *testing.T) {
 		if err != nil {
 			break // clean close after the error frame
 		}
-		if env, derr := decodeEnvelope(f.Payload); derr == nil && env.Type == MsgError {
+		if env, derr := decodeBody(f.Payload); derr == nil && env.Type == MsgError {
 			if p := env.Payload.(*ErrorPayload); strings.Contains(p.Error, "stream id") {
 				sawError = true
 			}
@@ -537,7 +537,7 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 	defer ctl.Reject(bg, res.Session)
 
 	conn, r := binaryHandshake(t, h.addr)
-	watchReq, _ := encodeEnvelope(Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
+	watchReq, _ := appendBody(nil, Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: res.Session, IntervalMs: 20}})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 3, Payload: watchReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 999, Flags: flagCancel})); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := encodeEnvelope(Envelope{Type: MsgStats})
+	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 4, Payload: statsReq})); err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 			t.Fatalf("connection died after cancel: %v", err)
 		}
 		if f.Stream == 4 {
-			env, derr := decodeEnvelope(f.Payload)
+			env, derr := decodeBody(f.Payload)
 			if derr != nil || env.Type != MsgStatsInfo {
 				t.Fatalf("stats answer = %+v %v", env, derr)
 			}

@@ -5,16 +5,15 @@
 //
 // Two codecs share one TCP port. The legacy codec is newline-delimited
 // JSON, one request answered at a time — simple clients interoperate with
-// nothing but a socket and a JSON library. The binary codec wraps the same
-// JSON payloads in length-prefixed frames (magic, version, flags, stream
-// id) and multiplexes concurrent RPCs over a single connection: each RPC
-// runs on its own stream id, watch subscriptions are server-push streams,
-// and a batch RPC negotiates a whole playlist in one round trip. A client
-// opens with a MsgHello listing the codecs it speaks; the server picks one
-// and answers MsgHelloAck. Peers that predate the handshake fall back
-// cleanly — an old server answers MsgError to the hello (the client then
-// speaks JSON), and an old client's first message is not a hello (the
-// server then speaks JSON).
+// nothing but a socket and a JSON library. The binary codec puts typed
+// bodies in length-prefixed frames (magic, version, flags, stream id) and
+// multiplexes concurrent RPCs over a single connection: each RPC runs on its
+// own stream id, watch subscriptions are server-push streams, and a batch
+// RPC negotiates a whole playlist in one round trip. A client opens with a
+// MsgHello listing the codecs it speaks; the server picks one and answers
+// MsgHelloAck. Older peers land on JSON: a server that predates the
+// handshake answers MsgError to the hello, an old client never sends one,
+// and a peer with another binary version shares only "json" with this one.
 //
 // The protocol carries the full negotiation flow of Section 4: a negotiate
 // request (client machine description + document + user profile), the

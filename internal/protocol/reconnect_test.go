@@ -178,7 +178,7 @@ func TestCompletedCallUnderCancelDoesNotPoisonDeadline(t *testing.T) {
 		// complete exactly as the cancellation fires.
 		timeout := time.Duration(20+i%80*10) * time.Microsecond
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		_, err := c.StatsContext(ctx)
+		_, err := c.Stats(ctx)
 		cancel()
 		if err != nil {
 			// Canceled mid-exchange; this client cannot redial, so take a
@@ -188,7 +188,7 @@ func TestCompletedCallUnderCancelDoesNotPoisonDeadline(t *testing.T) {
 			continue
 		}
 		completed++
-		if _, err := c.StatsContext(context.Background()); err != nil {
+		if _, err := c.Stats(context.Background()); err != nil {
 			t.Fatalf("connection poisoned after completed call %d: %v", i, err)
 		}
 	}

@@ -23,7 +23,8 @@ import (
 // Server exposes a QoS manager over TCP, speaking both wire codecs: every
 // connection opens in the JSON line protocol, and a MsgHello handshake may
 // upgrade it to the multiplexed binary codec. Legacy clients never send a
-// hello and are served exactly as before.
+// hello and are served exactly as before; clients offering only an older
+// binary version are answered JSON.
 //
 // The server enforces each reserved session's choice period with a
 // server-side timer: the paper's step 6 ("The user must confirm the user
@@ -298,7 +299,6 @@ func (s *Server) serve(ctx context.Context, env Envelope) Envelope {
 	if resp.Type == MsgError {
 		s.rpcErrors.With(string(env.Type)).Inc()
 	}
-	resp.StreamID = env.StreamID
 	return resp
 }
 
@@ -659,6 +659,7 @@ func (s *Server) listDocuments(query string) Envelope {
 // MsgError on stream 0 and close the connection.
 func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 	fw := newFrameWriter(conn, func(error) { conn.Close() })
+	frames := frameReader{r: r}
 	var (
 		smu                 sync.Mutex
 		active              = make(map[uint32]context.CancelFunc)
@@ -671,19 +672,12 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		wg.Wait()
 		fw.stop()
 	}()
-	sendEnv := func(stream uint32, flags byte, e Envelope) error {
-		data, err := encodeEnvelope(e)
-		if err != nil {
-			return err
-		}
-		return fw.send(frame{Stream: stream, Flags: flags, Payload: data})
-	}
 	fatal := func(err error) {
-		sendEnv(0, flagFIN, errEnvelope("%s", err))
+		fw.sendEnvelope(0, flagFIN, errEnvelope("%s", err))
 		fw.stop() // flush the error before the deferred teardown closes conn
 	}
 	for {
-		f, err := readFrame(r)
+		f, err := frames.next()
 		if err != nil {
 			if errors.Is(err, ErrBadFrameMagic) || errors.Is(err, ErrBadFrameVersion) || errors.Is(err, ErrFrameTooLarge) {
 				fatal(err)
@@ -712,34 +706,37 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 			fatal(fmt.Errorf("%w: %d is already open", ErrBadStreamID, f.Stream))
 			return
 		}
-		// The semaphore bounds handler concurrency at the negotiated
-		// stream cap. At the cap the stream is shed with a typed busy
-		// reply — before the payload is even parsed — instead of the read
-		// loop blocking, which would silently stall every other stream on
-		// the connection (including cancels) until a handler finished.
+		// Both refusals below answer before the body is parsed: a shed
+		// arrival costs a busy reply, not the decoding of its profile (so a
+		// saturated server does not notice a malformed negotiate body).
+		//
+		// The semaphore bounds handler concurrency at the negotiated stream
+		// cap. At the cap the stream is shed with a typed busy reply instead
+		// of the read loop blocking, which would silently stall every other
+		// stream on the connection (including cancels) until a handler
+		// finished.
 		select {
 		case sem <- struct{}{}:
 		default:
 			s.shedCtr.With(CodecBinary).Inc()
-			sendEnv(f.Stream, flagFIN, busyEnvelope("stream limit reached", s.busyRetry()))
+			fw.sendEnvelope(f.Stream, flagFIN, busyEnvelope("stream limit reached", s.busyRetry()))
 			continue
 		}
-		env, derr := decodeEnvelope(f.Payload)
-		if derr != nil {
-			sendEnv(f.Stream, flagFIN, errEnvelope("bad request: %v", derr))
-			fw.stop()
-			return
-		}
-		env.StreamID = f.Stream
-		// Admission control: refuse new negotiation work with the
-		// controller's load-derived hint before any reservation work runs.
-		if s.adm != nil && negotiationType(env.Type) {
+		// Admission control: the type code alone says whether the frame is
+		// new negotiation work, refused with the controller's hint.
+		if s.adm != nil && negotiationType(bodyType(f.Payload)) {
 			if retry, saturated := s.adm.Saturated(); saturated {
 				<-sem
 				s.shedCtr.With(CodecBinary).Inc()
-				sendEnv(f.Stream, flagFIN, busyEnvelope("admission control: manager overloaded", retry))
+				fw.sendEnvelope(f.Stream, flagFIN, busyEnvelope("admission control: manager overloaded", retry))
 				continue
 			}
+		}
+		env, derr := decodeBody(f.Payload)
+		if derr != nil {
+			fw.sendEnvelope(f.Stream, flagFIN, errEnvelope("bad request: %v", derr))
+			fw.stop()
+			return
 		}
 		streamCtx, cancel := context.WithCancel(connCtx)
 		smu.Lock()
@@ -747,10 +744,10 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		smu.Unlock()
 		wg.Add(1)
 		s.streamGauge.Add(1)
-		go func(env Envelope, ctx context.Context, cancel context.CancelFunc) {
+		go func(stream uint32, env Envelope, ctx context.Context, cancel context.CancelFunc) {
 			defer func() {
 				smu.Lock()
-				delete(active, env.StreamID)
+				delete(active, stream)
 				smu.Unlock()
 				cancel()
 				<-sem
@@ -759,20 +756,41 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 			}()
 			if env.Type == MsgWatch {
 				req, _ := env.Payload.(*WatchRequest)
-				s.watchBinary(ctx, env.StreamID, req, sendEnv)
+				s.watchBinary(ctx, stream, req, fw)
 				return
 			}
 			resp := s.serve(ctx, env)
-			if ctx.Err() == nil {
-				sendEnv(env.StreamID, flagFIN, resp)
+			if ctx.Err() != nil {
+				s.abandon(env.Type, resp)
+				return
 			}
-		}(env, streamCtx, cancel)
+			fw.sendEnvelope(stream, flagFIN, resp)
+		}(f.Stream, env, streamCtx, cancel)
+	}
+}
+
+// abandon takes back what a dropped reply reserved. A stream canceled after
+// the manager's last look at its context still reserves, but nobody learns
+// the session id: reject it now, not at the end of its choice period. (A
+// renegotiated session is left alone; its caller has known the id all along.)
+func (s *Server) abandon(req MessageType, resp Envelope) {
+	switch p := resp.Payload.(type) {
+	case *ResultPayload:
+		if req == MsgNegotiate && p.Session != 0 {
+			s.reject(p.Session)
+		}
+	case *BatchResultPayload:
+		for i := range p.Items {
+			if id := p.Items[i].Session; id != 0 {
+				s.reject(id)
+			}
+		}
 	}
 }
 
 // watchBinary pushes a watch stream's updates as frames on its stream id;
 // the final update carries the FIN flag.
-func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchRequest, sendEnv func(uint32, byte, Envelope) error) {
+func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchRequest, fw *frameWriter) {
 	s.watchLoop(ctx, req, func(e Envelope) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -781,6 +799,6 @@ func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchReque
 		if p, ok := e.Payload.(*SessionInfoPayload); (ok && p.Final) || e.Type == MsgError {
 			flags = flagFIN
 		}
-		return sendEnv(stream, flags, e)
+		return fw.sendEnvelope(stream, flags, e)
 	})
 }

@@ -11,24 +11,29 @@ import (
 )
 
 // Codec names, as exchanged in the MsgHello handshake. The binary codec is
-// length-prefixed frames carrying the same JSON payloads as the fallback;
-// the JSON codec is the legacy newline-delimited stream, one request at a
-// time.
+// length-prefixed frames with typed bodies (codec.go); the JSON codec is the
+// legacy newline-delimited stream, one request at a time: the fallback for
+// peers that predate this binary version, and the tests' oracle.
 const (
 	// CodecJSON is the legacy framing: one JSON value per line, requests
 	// answered in order on a single logical stream.
 	CodecJSON = "json"
 	// CodecBinary is the multiplexed framing: 12-byte binary headers
-	// (magic, version, flags, stream id, payload length) in front of the
-	// same JSON payload bytes, with concurrent streams per connection.
-	CodecBinary = "binary/1"
+	// (magic, version, flags, stream id, payload length) in front of a
+	// type-code byte and the message body, with concurrent streams per
+	// connection. A peer offering only "binary/1" is answered CodecJSON.
+	CodecBinary = "binary/2"
 )
 
 // WireVersion is the binary framing version this build speaks; it is
 // carried in every frame header and checked on receipt.
-const WireVersion = 1
+const WireVersion = 2
 
 const (
+	// frameBodyKeep is the largest body buffer a frameReader keeps between
+	// frames: one oversized frame does not set a connection's footprint.
+	frameBodyKeep = 4 << 10
+
 	frameMagic0 = 'Q'
 	frameMagic1 = 'N'
 	// frameHeaderSize is magic(2) + version(1) + flags(1) + stream(4) +
@@ -106,32 +111,49 @@ func (w WireOptions) supports(codec string) bool {
 	return false
 }
 
-// frame is one unit of the binary codec: a stream id, flags, and the JSON
-// payload bytes (identical to the bytes the JSON codec would put on a
-// line).
+// frame is one received unit of the binary codec. Payload (a body, codec.go)
+// aliases the frameReader's buffer and is valid only until its next call.
 type frame struct {
 	Stream  uint32
 	Flags   byte
 	Payload []byte
 }
 
-// appendFrame appends f's wire encoding to dst.
-func appendFrame(dst []byte, f frame) []byte {
-	var hdr [frameHeaderSize]byte
-	hdr[0], hdr[1] = frameMagic0, frameMagic1
-	hdr[2] = WireVersion
-	hdr[3] = f.Flags
-	binary.BigEndian.PutUint32(hdr[4:8], f.Stream)
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(f.Payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.Payload...)
+// framePool recycles outgoing frames. A frame is built in one pooled buffer
+// (header, then type code and body appended in place, the length patched
+// last) and belongs to the frameWriter once sent, which puts it back after
+// the write. The pool is sync.Pool's: the collector empties it, so the rare
+// large frame does not pin its buffer.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// newFrame starts a pooled frame: a complete header announcing an empty
+// payload, which is all a cancel frame is.
+func newFrame(stream uint32, flags byte) *[]byte {
+	buf := framePool.Get().(*[]byte)
+	b := append((*buf)[:0], frameMagic0, frameMagic1, WireVersion, flags)
+	b = binary.BigEndian.AppendUint32(b, stream)
+	*buf = append(b, 0, 0, 0, 0)
+	return buf
 }
 
-// readFrame reads and validates one frame. Transport errors come back
-// verbatim; malformed headers come back as the typed framing errors above.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads one connection's frames into a body buffer it reuses
+// from frame to frame — every decoder copies what it keeps.
+type frameReader struct {
+	r    *bufio.Reader
+	body []byte
+}
+
+// next reads and validates one frame. Transport errors come back verbatim;
+// malformed headers come back as the typed framing errors above.
+func (fr *frameReader) next() (frame, error) {
+	if cap(fr.body) > frameBodyKeep {
+		fr.body = nil // let go before the wait for the next frame, not after
+	}
+	hdr, err := fr.r.Peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, err
 	}
 	if hdr[0] != frameMagic0 || hdr[1] != frameMagic1 {
@@ -140,17 +162,18 @@ func readFrame(r io.Reader) (frame, error) {
 	if hdr[2] != WireVersion {
 		return frame{}, fmt.Errorf("%w: %d", ErrBadFrameVersion, hdr[2])
 	}
-	f := frame{
-		Flags:  hdr[3],
-		Stream: binary.BigEndian.Uint32(hdr[4:8]),
-	}
-	n := binary.BigEndian.Uint32(hdr[8:12])
+	f := frame{Flags: hdr[3], Stream: binary.BigEndian.Uint32(hdr[4:8])}
+	n := int(binary.BigEndian.Uint32(hdr[8:12]))
 	if n > MaxFramePayload {
 		return frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
+	fr.r.Discard(frameHeaderSize) // cannot fail: Peek buffered these bytes
 	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
+		if cap(fr.body) < n {
+			fr.body = make([]byte, n)
+		}
+		f.Payload = fr.body[:n]
+		if _, err := io.ReadFull(fr.r, f.Payload); err != nil {
 			return frame{}, err
 		}
 	}
@@ -161,7 +184,7 @@ func readFrame(r io.Reader) (frame, error) {
 // connection through a dedicated goroutine, flushing the buffered writer
 // only when the queue drains — so bursts of small responses share syscalls.
 type frameWriter struct {
-	ch   chan frame
+	ch   chan *[]byte
 	quit chan struct{}
 	done chan struct{}
 	once sync.Once
@@ -175,7 +198,8 @@ type frameWriter struct {
 // connection so the read side unblocks).
 func newFrameWriter(w io.Writer, fail func(error)) *frameWriter {
 	fw := &frameWriter{
-		ch:   make(chan frame, 128),
+		// Deep enough that a burst of streams queues behind one flush.
+		ch:   make(chan *[]byte, 128),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -186,9 +210,8 @@ func newFrameWriter(w io.Writer, fail func(error)) *frameWriter {
 func (fw *frameWriter) loop(w io.Writer, fail func(error)) {
 	defer close(fw.done)
 	bw := bufio.NewWriterSize(w, 32<<10)
-	buf := make([]byte, 0, 4<<10)
 	var failed bool
-	flush := func(err error) {
+	check := func(err error) {
 		if err == nil || failed {
 			return
 		}
@@ -200,40 +223,38 @@ func (fw *frameWriter) loop(w io.Writer, fail func(error)) {
 			fail(err)
 		}
 	}
+	// After a failure frames are only drained, so senders never block on a
+	// dead connection.
+	write := func(buf *[]byte) {
+		if !failed {
+			_, err := bw.Write(*buf)
+			check(err)
+		}
+		framePool.Put(buf)
+	}
 	for {
 		select {
-		case f := <-fw.ch:
-			if failed {
-				continue // drain so senders never block on a dead conn
-			}
-			buf = appendFrame(buf[:0], f)
-			_, err := bw.Write(buf)
-			if err == nil && len(fw.ch) == 0 {
+		case buf := <-fw.ch:
+			write(buf)
+			if !failed && len(fw.ch) == 0 {
 				// Give runnable producers one scheduler slot to extend the
 				// burst before paying the flush syscall: under concurrent
 				// load many small frames then share one write.
 				runtime.Gosched()
 				if len(fw.ch) == 0 {
-					err = bw.Flush()
+					check(bw.Flush())
 				}
 			}
-			flush(err)
 		case <-fw.quit:
 			// Drain frames already queued so responses written just
 			// before shutdown still reach the peer.
 			for {
 				select {
-				case f := <-fw.ch:
-					if failed {
-						continue
-					}
-					buf = appendFrame(buf[:0], f)
-					if _, err := bw.Write(buf); err != nil {
-						flush(err)
-					}
+				case buf := <-fw.ch:
+					write(buf)
 				default:
 					if !failed {
-						flush(bw.Flush())
+						check(bw.Flush())
 					}
 					return
 				}
@@ -242,21 +263,35 @@ func (fw *frameWriter) loop(w io.Writer, fail func(error)) {
 	}
 }
 
-// send enqueues a frame; it returns the writer's terminal error after the
-// writer has stopped or failed.
-func (fw *frameWriter) send(f frame) error {
+// send enqueues a frame, which the caller no longer owns; it returns the
+// writer's terminal error after the writer has stopped or failed.
+func (fw *frameWriter) send(buf *[]byte) error {
 	fw.mu.Lock()
 	err := fw.err
 	fw.mu.Unlock()
+	if err == nil {
+		select {
+		case fw.ch <- buf:
+			return nil
+		case <-fw.quit:
+			err = ErrClientClosed
+		}
+	}
+	framePool.Put(buf)
+	return err
+}
+
+// sendEnvelope encodes e as one pooled frame and enqueues it.
+func (fw *frameWriter) sendEnvelope(stream uint32, flags byte, e Envelope) error {
+	buf := newFrame(stream, flags)
+	b, err := appendBody(*buf, e)
+	*buf = b
 	if err != nil {
+		framePool.Put(buf)
 		return err
 	}
-	select {
-	case fw.ch <- f:
-		return nil
-	case <-fw.quit:
-		return ErrClientClosed
-	}
+	binary.BigEndian.PutUint32(b[8:frameHeaderSize], uint32(len(b)-frameHeaderSize))
+	return fw.send(buf)
 }
 
 // stop flushes pending frames and stops the writer goroutine; safe to call

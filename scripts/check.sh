@@ -41,6 +41,9 @@ go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound' ./internal/core
 
+echo "== wire allocation gate (negotiate+reject over the binary codec, minus the same pair in-process)"
+go test -count=1 -run 'TestWireNegotiateAllocBound' ./internal/protocol
+
 echo "== bounded-retention gate (100k cycles, live heap flat; retired-session answers)"
 go test -count=1 -run 'TestSteadyStateHeapFlat' ./internal/core
 go test -race -count=1 -run 'TestRetiredSession|TestWatchSurvivesEviction' ./internal/shard ./internal/protocol ./cmd/qosctl
@@ -64,6 +67,7 @@ echo "== fuzz (smoke, 5s per target)"
 go test -run '^$' -fuzz '^FuzzCurveEval$' -fuzztime 5s ./internal/profile
 go test -run '^$' -fuzz '^FuzzServerInput$' -fuzztime 5s ./internal/protocol
 go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s ./internal/protocol
+go test -run '^$' -fuzz '^FuzzBinaryBody$' -fuzztime 5s ./internal/protocol
 go test -run '^$' -fuzz '^FuzzTableClassify$' -fuzztime 5s ./internal/cost
 
 echo "check: OK"

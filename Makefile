@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare profile cover check experiments examples fmt vet fuzz stress clean
+.PHONY: all build test race bench bench-compare profile cover check experiments expdiff examples fmt vet fuzz stress clean
 
 all: build test
 
@@ -71,6 +71,11 @@ cover:
 # Regenerate every paper artefact (EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/nodsim -exp all
+
+# Diff `nodsim -exp all` between commit REV and the working tree, with the
+# wall-clock cells masked; no output means E1–E20 are unchanged.
+expdiff:
+	./scripts/expdiff.sh $(REV)
 
 # Run every example program once.
 examples:

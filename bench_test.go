@@ -241,7 +241,7 @@ func BenchmarkHotDocumentThroughput(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				mach := machines[int(next.Add(1)-1)%clients]
 				for pb.Next() {
-					res, err := sys.Manager.Negotiate(mach, doc.ID, u)
+					res, err := sys.Manager.NegotiateContext(context.Background(), mach, doc.ID, u)
 					if err != nil {
 						b.Error(err)
 						return
@@ -310,7 +310,7 @@ func BenchmarkNegotiateParallel(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				mach := machines[int(next.Add(1)-1)%clients]
 				for pb.Next() {
-					res, err := sys.Manager.Negotiate(mach, doc.ID, u)
+					res, err := sys.Manager.NegotiateContext(context.Background(), mach, doc.ID, u)
 					if err != nil {
 						b.Error(err)
 						return
@@ -359,7 +359,7 @@ func BenchmarkShardedNegotiate(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				mach := machines[int(next.Add(1)-1)%clients]
 				for pb.Next() {
-					res, err := sys.Manager.Negotiate(mach, doc.ID, u)
+					res, err := sys.Manager.NegotiateContext(context.Background(), mach, doc.ID, u)
 					if err != nil {
 						b.Error(err)
 						return
@@ -429,7 +429,7 @@ func BenchmarkE8Blocking(b *testing.B) {
 		}
 		eng := sim.NewEngine()
 		gen.Drive(eng, 120, func(req workload.Request) {
-			res, err := sys.Manager.Negotiate(req.Client, req.Document, req.Profile)
+			res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 			if err != nil || !res.Status.Reserved() {
 				return
 			}
@@ -805,13 +805,13 @@ func BenchmarkE13Classifiers(b *testing.B) {
 	}
 	u := benchProfile()
 	base := offer.Rank(offers, u)
-	for _, cl := range []offer.Classifier{offer.SNSPrimary{}, offer.OIFOnly{}, offer.CostOnly{}, offer.QoSOnly{}} {
+	for _, cl := range []offer.Orderer{offer.SNSPrimary{}, offer.OIFOnly{}, offer.CostOnly{}, offer.QoSOnly{}} {
 		cl := cl
 		b.Run(cl.Name(), func(b *testing.B) {
 			ranked := make([]offer.Ranked, len(base))
 			for i := 0; i < b.N; i++ {
 				copy(ranked, base)
-				cl.Sort(ranked)
+				offer.Sort(ranked, cl)
 			}
 		})
 	}
@@ -828,41 +828,10 @@ func BenchmarkRenegotiate(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Manager.Renegotiate(res.Session.ID, u); err != nil {
+		if _, err := sys.Manager.RenegotiateContext(context.Background(), res.Session.ID, u); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkStreamTopK compares the lazy best-first stream against a full
-// sort when only the top offers are consumed (the common case: commitment
-// succeeds on the first or second offer). 512-offer set from the E9
-// synthetic document.
-func BenchmarkStreamTopK(b *testing.B) {
-	mach := client.Workstation("c1", "n1")
-	doc := synthBenchDoc(3, 8) // 512 offers
-	offers, err := offer.Enumerate(doc, mach, cost.DefaultPricing(), offer.EnumerateOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := benchProfile()
-	base := offer.Rank(offers, u)
-	b.Run("full-sort", func(b *testing.B) {
-		ranked := make([]offer.Ranked, len(base))
-		for i := 0; i < b.N; i++ {
-			copy(ranked, base)
-			offer.SNSPrimary{}.Sort(ranked)
-			_ = ranked[0]
-		}
-	})
-	b.Run("stream-top3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := offer.NewStream(base, offer.SNSPrimary{})
-			for k := 0; k < 3; k++ {
-				s.Next()
-			}
-		}
-	})
 }
 
 // BenchmarkE15Federation measures one brokered negotiation across three

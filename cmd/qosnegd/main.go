@@ -39,6 +39,20 @@ import (
 	"qosneg/internal/telemetry"
 )
 
+// managerOptions is the flag→options wiring of the QoS manager and its
+// tracer: the core options, and the ring behind /debug/trace, teed to logf
+// under -verbose so that every negotiation decision is logged, once.
+func managerOptions(offerCache int, health core.HealthPolicy, verbose bool, ring *telemetry.Ring, logf func(format string, args ...any)) []qosneg.Option {
+	opts := core.DefaultOptions()
+	opts.OfferCache = offerCache
+	opts.Health = health
+	var tracer telemetry.Tracer = ring
+	if verbose {
+		tracer = telemetry.Multi(ring, telemetry.LogTracer(logf))
+	}
+	return []qosneg.Option{qosneg.WithOptions(opts), qosneg.WithTracer(tracer)}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "TCP listen address")
 	servers := flag.Int("servers", 2, "number of CMFS servers")
@@ -67,31 +81,17 @@ func main() {
 	policySeed := flag.Int64("policy-seed", 1, "deterministic seed for the bandit policy's exploration (with -policy bandit)")
 	flag.Parse()
 
-	opts := core.DefaultOptions()
-	opts.OfferCache = *offerCache
-	opts.Health = core.HealthPolicy{
+	reg := telemetry.NewRegistry()
+	ring := telemetry.NewRing(*traceDepth)
+	options := append(managerOptions(*offerCache, core.HealthPolicy{
 		FailureThreshold: *healthThreshold,
 		Cooldown:         *healthCooldown,
 		RetryAfter:       *retryAfter,
-	}
-	if *verbose {
-		opts.Trace = func(e core.TraceEvent) {
-			log.Printf("negotiate: %-14s %-24s %s", e.Step, e.Offer, e.Detail)
-		}
-	}
-	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(*traceDepth)
-	var tracer telemetry.Tracer = ring
-	if *verbose {
-		tracer = telemetry.Multi(ring, telemetry.LogTracer(log.Printf))
-	}
-	options := []qosneg.Option{
+	}, *verbose, ring, log.Printf),
+		qosneg.WithMetrics(reg),
 		qosneg.WithClients(*clients),
 		qosneg.WithServers(*servers),
-		qosneg.WithOptions(opts),
-		qosneg.WithMetrics(reg),
-		qosneg.WithTracer(tracer),
-	}
+	)
 	if *shards > 0 {
 		options = append(options, qosneg.WithShards(*shards))
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -69,7 +70,7 @@ func main() {
 	u.Desired.Cost.MaxCost = cost.Dollars(12)
 	u.Worst.Cost.MaxCost = cost.Dollars(12)
 
-	res, err := man.Negotiate(mach, doc.ID, u)
+	res, err := man.NegotiateContext(context.Background(), mach, doc.ID, u)
 	must(err)
 	if !res.Status.Reserved() {
 		log.Fatalf("negotiation: %v (%s)", res.Status, res.Reason)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -79,7 +80,7 @@ func main() {
 
 	var completed, aborted int
 	gen.Drive(eng, 60, func(req workload.Request) {
-		res, err := sys.Manager.Negotiate(req.Client, req.Document, req.Profile)
+		res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -112,7 +112,7 @@ func lifecycleTrace(t *testing.T, seed int64) string {
 	sys.Monitor().Attach(eng, 5*time.Second, nil)
 	fingerprint := ""
 	gen.Drive(eng, 80, func(req workload.Request) {
-		res, err := sys.Manager.Negotiate(req.Client, req.Document, req.Profile)
+		res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package adaptation
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func playing(t *testing.T, b *testbed.Bed) *core.Session {
 	if _, err := b.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Manager.Negotiate(b.Client(1), "news-1", tvProfile())
+	res, err := b.Manager.NegotiateContext(context.Background(), b.Client(1), "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestScanSkipsReservedSessions(t *testing.T) {
 	if _, err := b.AddNewsArticle("news-1", "T", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Manager.Negotiate(b.Client(1), "news-1", tvProfile())
+	res, err := b.Manager.NegotiateContext(context.Background(), b.Client(1), "news-1", tvProfile())
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}
@@ -179,7 +180,7 @@ func TestAttachStopCancelsInFlightSweep(t *testing.T) {
 	}
 	var sessions []*core.Session
 	for i := 1; i <= 2; i++ {
-		res, err := b.Manager.Negotiate(b.Client(i), "news-1", tvProfile())
+		res, err := b.Manager.NegotiateContext(context.Background(), b.Client(i), "news-1", tvProfile())
 		if err != nil || !res.Status.Reserved() {
 			t.Fatalf("negotiate %d: %v %v", i, res.Status, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 
 func playingSession(t *testing.T, b *bed) *Session {
 	t.Helper()
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestAdaptFailsWhenEverythingDegraded(t *testing.T) {
 
 func TestAdaptRequiresPlayingState(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if _, err := b.man.Adapt(res.Session.ID); !errors.Is(err, ErrBadState) {
 		t.Errorf("adapt on reserved session: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestAdaptDropsToScalableLayer(t *testing.T) {
 	u.Worst.Audio = nil
 	u.Desired.Video.FrameRate = 24
 	u.Worst.Video.FrameRate = 6
-	res, err := b.man.Negotiate(b.mach, "scalable-1", u)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "scalable-1", u)
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 	for step := 0; step < 300; step++ {
 		switch op := rng.Intn(13); op {
 		case 0, 1, 2, 3: // negotiate; any status is legal under injection
-			res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", chaosProfile())
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", chaosProfile())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 			}
 		case 6: // renegotiate
 			if id, ok := pickLive(); ok {
-				bed.Manager.Renegotiate(id, chaosProfile())
+				bed.Manager.RenegotiateContext(context.Background(), id, chaosProfile())
 			}
 		case 7: // advance + complete
 			if id, ok := pickLive(); ok {

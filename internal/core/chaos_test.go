@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -62,7 +63,7 @@ func runChaos(t *testing.T, seed int64) {
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); op {
 		case 0, 1, 2: // negotiate
-			res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+			res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +80,7 @@ func runChaos(t *testing.T, seed int64) {
 			}
 		case 5: // renegotiate
 			if id, ok := pick(rng, live); ok {
-				b.man.Renegotiate(id, tvProfile())
+				b.man.RenegotiateContext(context.Background(), id, tvProfile())
 			}
 		case 6: // advance + complete
 			if id, ok := pick(rng, live); ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,7 @@ func TestNegotiationContract(t *testing.T) {
 		if err := u.Validate(); err != nil {
 			return true // generator produced an invalid profile; skip
 		}
-		res, err := b.man.Negotiate(b.mach, "news-1", u)
+		res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // before ranked offers aliased the shared product.
 func TestSessionRankedJSONGolden(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil || res.Session == nil {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}

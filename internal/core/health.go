@@ -223,9 +223,8 @@ func (m *Manager) recordCommitFailure(f *commitFailure) {
 			// re-publishes — so evidence crosses the bus exactly once.
 			m.opts.OnQuarantine(f.server, until)
 		}
-		if m.tracing() {
+		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
-			m.trace("quarantine", "", detail)
 			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})
 		}
 	}
@@ -306,9 +305,8 @@ func (m *Manager) ApplyQuarantine(id media.ServerID, until time.Time) {
 		m.statsMu.Lock()
 		m.stats.Quarantines++
 		m.statsMu.Unlock()
-		if m.tracing() {
+		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s until %s (replicated evidence)", id, until.Format(time.RFC3339))
-			m.trace("quarantine", "", detail)
 			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(id), Status: "replicated", Detail: detail})
 		}
 	}

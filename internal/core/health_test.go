@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
+	"qosneg/internal/telemetry"
 )
 
 // flakyServer wraps a real CMFS server with switchable failure modes so the
@@ -89,11 +91,11 @@ func serverLoad(t *testing.T, m *Manager, id media.ServerID) ServerLoad {
 func TestFailoverSkipsDeadServer(t *testing.T) {
 	b := defaultBed(t)
 	flaky := flakify(b)
-	var traces []TraceEvent
-	b.man.opts.Trace = func(e TraceEvent) { traces = append(traces, e) }
+	ring := telemetry.NewRing(256)
+	b.man.opts.Tracer = ring
 	flaky["server-1"].setDown(true)
 
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +110,22 @@ func TestFailoverSkipsDeadServer(t *testing.T) {
 	if got := flaky["server-1"].attempts(); got != 1 {
 		t.Errorf("dead server reserve attempts = %d; want exactly 1", got)
 	}
+	// One commit-failed event names the cause and the server; later offers
+	// on it are skipped, each skip naming the same server.
+	if got := countDecisions(ring, telemetry.StepCommitment, CauseServerDown.String()); got != 1 {
+		t.Errorf("%d server-down commit-failed events; want exactly 1", got)
+	}
 	skips := 0
-	for _, e := range traces {
-		if e.Step == "skip-dead" {
+	for _, e := range decisions(ring) {
+		if e.Step == telemetry.StepSkipDead {
 			skips++
+			if e.Server != "server-1" || e.Offer == "" {
+				t.Errorf("skip-dead event = %+v, want it to name server-1 and the offer", e)
+			}
 		}
 	}
 	if skips == 0 {
-		t.Error("no skip-dead trace: later offers on the dead server were not short-circuited")
+		t.Error("no skip-dead event: later offers on the dead server were not short-circuited")
 	}
 
 	row := serverLoad(t, b.man, "server-1")
@@ -131,7 +141,7 @@ func TestFailoverSkipsDeadServer(t *testing.T) {
 
 	// Second run: the quarantine filters server-1's variants out of
 	// classification, so the dead server is not even attempted.
-	res2, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res2, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +167,7 @@ func TestShortageCarriesRetryAfter(t *testing.T) {
 		MaxStreams:  1,
 	}
 	b := newBed(t, cfg, 0)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +185,7 @@ func TestShortageCarriesRetryAfter(t *testing.T) {
 // TestSuccessCarriesNoRetryAfter: the hint is reserved for FAILEDTRYLATER.
 func TestSuccessCarriesNoRetryAfter(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +208,7 @@ func TestCapacityBreakerTripsAndHeals(t *testing.T) {
 	for _, fs := range flaky {
 		fs.failReserves(-1)
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +238,7 @@ func TestCapacityBreakerTripsAndHeals(t *testing.T) {
 		fs.failReserves(0)
 	}
 	if tripped == len(flaky) {
-		res2, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+		res2, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +250,7 @@ func TestCapacityBreakerTripsAndHeals(t *testing.T) {
 	// Past the cooldown the quarantine lapses and negotiation succeeds;
 	// the successful commit resets the breaker counters.
 	clock = clock.Add(2 * time.Minute)
-	res3, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res3, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +273,7 @@ func TestZeroHealthPolicyDisablesBreaker(t *testing.T) {
 	for _, fs := range flaky {
 		fs.failReserves(-1)
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"qosneg/internal/telemetry"
 )
 
 // The tests in this file pin the epoch-guarded session lifecycle: the
@@ -24,7 +26,7 @@ func checkLedgerEmpty(t *testing.T, b *bed) {
 
 func reservedSession(t *testing.T, b *bed) *Session {
 	t.Helper()
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +63,8 @@ func TestEpochAdvancesOnEveryTransition(t *testing.T) {
 // stranding its CMFS and network reservations forever.
 func TestAdaptReleasesStaleInstallOnConcurrentAbort(t *testing.T) {
 	b := defaultBed(t)
+	ring := telemetry.NewRing(64)
+	b.man.opts.Tracer = ring
 	s := playingSession(t, b)
 	fired := false
 	b.man.testHookUnlocked = func(op string, id SessionID) {
@@ -85,6 +89,9 @@ func TestAdaptReleasesStaleInstallOnConcurrentAbort(t *testing.T) {
 	if got := b.man.Stats().StaleInstalls; got != 1 {
 		t.Errorf("stale installs = %d, want 1", got)
 	}
+	if got := countDecisions(ring, telemetry.StepCommitment, "stale-install"); got != 1 {
+		t.Errorf("%d stale-install events, want 1: %+v", got, decisions(ring))
+	}
 	if got := b.net.ActiveReservations(); got != 0 {
 		t.Errorf("%d network reservations leaked past the abort", got)
 	}
@@ -98,6 +105,8 @@ func TestAdaptReleasesStaleInstallOnConcurrentAbort(t *testing.T) {
 // never released.
 func TestRenegotiateReleasesStaleInstallOnConcurrentExpire(t *testing.T) {
 	b := defaultBed(t)
+	ring := telemetry.NewRing(64)
+	b.man.opts.Tracer = ring
 	s := reservedSession(t, b)
 	fired := false
 	b.man.testHookUnlocked = func(op string, id SessionID) {
@@ -121,6 +130,9 @@ func TestRenegotiateReleasesStaleInstallOnConcurrentExpire(t *testing.T) {
 	}
 	if got := b.man.Stats().StaleInstalls; got != 1 {
 		t.Errorf("stale installs = %d, want 1", got)
+	}
+	if got := countDecisions(ring, telemetry.StepCommitment, "stale-install"); got != 1 {
+		t.Errorf("%d stale-install events, want 1: %+v", got, decisions(ring))
 	}
 	if got := b.net.ActiveReservations(); got != 0 {
 		t.Errorf("%d network reservations leaked past the expiry", got)

@@ -40,31 +40,11 @@ var ErrAdaptationFailed = errors.New("core: adaptation failed, no alternate offe
 // time-out is reached the session is simply aborted").
 var ErrChoicePeriodExpired = errors.New("core: choice period expired")
 
-// TraceEvent records one decision of the negotiation procedure; install a
-// tracer via Options.Trace to see why the QoS manager picked (or skipped)
-// each offer — the explainability side of "smart negotiation".
-type TraceEvent struct {
-	// Step names the decision point: "local-failed", "no-variant",
-	// "commit-attempt", "choice-committed", "commit-failed", "committed",
-	// "exhausted".
-	Step string
-	// Offer is the offer key at commit decision points.
-	Offer string
-	// Detail carries the status, OIF or failure reason.
-	Detail string
-}
-
 // Options tunes the QoS manager.
 type Options struct {
 	// Classifier orders the feasible offers; nil selects the paper's
-	// SNS-primary classification. Classifiers that also implement
-	// offer.Orderer (all built-ins do) run on the streaming parallel
-	// pipeline; others fall back to materialize-and-sort.
-	Classifier offer.Classifier
-	// Trace, when non-nil, receives a TraceEvent per negotiation
-	// decision. Must be fast and non-blocking; called on the negotiating
-	// goroutine.
-	Trace func(TraceEvent)
+	// SNS-primary classification.
+	Classifier offer.Orderer
 	// ChoicePeriod is the default confirmation window when the user
 	// profile does not set one (Section 8).
 	ChoicePeriod time.Duration
@@ -73,9 +53,6 @@ type Options struct {
 	// PathAlternates is how many candidate network paths the transport
 	// system tries per stream.
 	PathAlternates int
-	// Concurrency bounds the pipeline's worker pool per negotiation;
-	// 0 selects GOMAXPROCS.
-	Concurrency int
 	// TopK bounds how many classified offers each negotiation keeps for
 	// commitment and later adaptation; 0 selects DefaultTopK, negative
 	// keeps the full classified set.
@@ -95,10 +72,10 @@ type Options struct {
 	// adaptations, revenue). Nil (telemetry.Noop) disables recording at
 	// zero cost.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives typed span events for the six
-	// negotiation steps and the failure paths (skip-dead, quarantine,
-	// adaptation). It supersedes Trace, which survives for string-oriented
-	// consumers; both may be installed. Like Trace it runs on the
+	// Tracer, when non-nil, receives a typed span event per negotiation
+	// step and per decision — why the QoS manager picked, failed or skipped
+	// each offer (local-failed, no-variant, skip-dead, commit-failed with its
+	// cause, committed, exhausted, quarantine, adaptation). It runs on the
 	// negotiating goroutine and must be fast and non-blocking.
 	Tracer telemetry.Tracer
 	// Admission, when non-nil, gates every negotiation before step 1:
@@ -410,13 +387,6 @@ func (o negOutcome) refusal() Result {
 	return Result{Status: o.status, Offer: o.localOffer, Violations: o.violations, Reason: o.reason, RetryAfter: o.retryAfter}
 }
 
-// trace emits a trace event when a tracer is installed.
-func (m *Manager) trace(step, offerKey, detail string) {
-	if m.opts.Trace != nil {
-		m.opts.Trace(TraceEvent{Step: step, Offer: offerKey, Detail: detail})
-	}
-}
-
 // hookUnlocked fires the test-only unlock-window hook.
 func (m *Manager) hookUnlocked(op string, id SessionID) {
 	if m.testHookUnlocked != nil {
@@ -450,9 +420,8 @@ func (m *Manager) recordStaleInstall(procedure string, id SessionID, st SessionS
 	m.statsMu.Lock()
 	m.stats.StaleInstalls++
 	m.statsMu.Unlock()
-	if m.tracing() {
+	if m.opts.Tracer != nil {
 		detail := fmt.Sprintf("session %d reached %v mid-%s; fresh commitment released", id, st, procedure)
-		m.trace("stale-install", "", detail)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "stale-install", Detail: detail})
 	}
 }
@@ -494,47 +463,29 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 }
 
 // classify runs steps 2–4: enumeration, classification parameters and
-// classification, over the (possibly memoized) candidate set. Orderer-capable
-// classifiers (all built-ins) run the streaming parallel pipeline, which
-// keeps only the top-K offers; other classifiers materialize the product and
-// sort it. An exclude filter (the quarantine set) drops variants on
-// unhealthy servers before the product is built, so the pipeline exploits
-// the paper's multi-server variant redundancy instead of burning commit
-// attempts on dead replicas; exclHash names that exclusion world in the
-// cache key.
+// classification, as one streaming pass over the (possibly memoized)
+// candidate set that keeps only the top-K offers. An exclude filter (the
+// quarantine set) drops variants on unhealthy servers before the product is
+// built, so the pipeline exploits the paper's multi-server variant
+// redundancy instead of burning commit attempts on dead replicas; exclHash
+// names that exclusion world in the cache key.
 func (m *Manager) classify(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, u profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) ([]offer.Ranked, error) {
 	cands, prebuilt, err := m.candidateSet(ctx, doc, docGen, mach, u.Desired.Cost.Guarantee, exclude, exclHash)
 	if err != nil {
 		t.lap(telemetry.StepCompatibilityCheck)
 		return nil, err
 	}
-	if orderer, ok := m.opts.Classifier.(offer.Orderer); ok {
-		ranked, err := offer.TopKFromCandidates(ctx, doc, cands, u, offer.PipelineOptions{
-			MaxOffers: m.opts.MaxOffers,
-			Workers:   m.opts.Concurrency,
-			TopK:      m.opts.topK(),
-			Orderer:   orderer,
-			Prebuilt:  prebuilt,
-		})
-		// The fused pipeline performs steps 2-4 in one streaming pass, so
-		// a single classification lap covers compatibility checking,
-		// classification parameters and classification.
-		t.lap(telemetry.StepClassification)
-		return ranked, err
-	}
-	offers := prebuilt
-	if offers == nil {
-		if offers, err = offer.FromCandidates(doc, cands, m.opts.MaxOffers); err != nil {
-			t.lap(telemetry.StepCompatibilityCheck)
-			return nil, err
-		}
-	}
-	t.lap(telemetry.StepCompatibilityCheck)
-	ranked := offer.Rank(offers, u)
-	t.lap(telemetry.StepClassificationParams)
-	m.opts.Classifier.Sort(ranked)
+	ranked, err := offer.TopKFromCandidates(ctx, doc, cands, u, offer.PipelineOptions{
+		MaxOffers: m.opts.MaxOffers,
+		TopK:      m.opts.topK(),
+		Orderer:   m.opts.Classifier,
+		Prebuilt:  prebuilt,
+	})
+	// The fused pipeline performs steps 2-4 in one streaming pass, so a
+	// single classification lap covers compatibility checking,
+	// classification parameters and classification.
 	t.lap(telemetry.StepClassification)
-	return ranked, nil
+	return ranked, err
 }
 
 // runProcedure executes steps 1–5 of Section 4. docGen is the registry
@@ -546,9 +497,8 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	if violations := mach.CheckLocal(u.Desired); len(violations) > 0 {
 		local := mach.LocalOffer(u.Desired)
 		t.lap(telemetry.StepLocalNegotiation)
-		if m.tracing() {
+		if m.opts.Tracer != nil {
 			detail := violations[0].String()
-			m.trace("local-failed", "", detail)
 			m.span(telemetry.Event{Step: telemetry.StepLocalNegotiation, Status: "failed", Detail: detail})
 		}
 		return negOutcome{
@@ -561,9 +511,9 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	t.lap(telemetry.StepLocalNegotiation)
 
 	// Steps 2–4: static compatibility checking, offer enumeration,
-	// classification parameters and classification, on the streaming
-	// parallel pipeline. Variants on quarantined servers are excluded up
-	// front: the breaker already has evidence they cannot commit.
+	// classification parameters and classification, in one streaming pass.
+	// Variants on quarantined servers are excluded up front: the breaker
+	// already has evidence they cannot commit.
 	exclude, quarRemain, exclHash := m.quarantineExclude()
 	ranked, err := m.classify(ctx, doc, docGen, mach, u, exclude, exclHash, &t)
 	if err != nil {
@@ -573,9 +523,8 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 				// Decodable variants exist but every one lives on a
 				// quarantined server: a transient shortage, not a
 				// structural mismatch.
-				if m.tracing() {
+				if m.opts.Tracer != nil {
 					detail := fmt.Sprintf("%s (all variants quarantined)", nv.Monomedia)
-					m.trace("no-variant", "", detail)
 					m.span(telemetry.Event{Step: telemetry.StepClassification, Status: "no-variant", Detail: detail})
 				}
 				return negOutcome{
@@ -584,7 +533,6 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 					reason:     fmt.Sprintf("every decodable variant of %s is on a quarantined server", nv.Monomedia),
 				}, nil
 			}
-			m.trace("no-variant", "", string(nv.Monomedia))
 			m.span(telemetry.Event{Step: telemetry.StepClassification, Status: "no-variant", Detail: string(nv.Monomedia)})
 			return negOutcome{
 				status: FailedWithoutOffer,
@@ -614,8 +562,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 			m.met.policyRegret(c.downs + c.capacities + c.constraints + c.skipped)
 		}
 		t.lap(telemetry.StepCommitment)
-		if m.tracing() {
-			m.trace("committed", c.chosen.Key(), status.String())
+		if m.opts.Tracer != nil {
 			m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: c.chosen.Key(), Status: status.String()})
 		}
 		return negOutcome{status: status, ranked: ranked, chosen: c.chosen, commit: c.commit}, nil
@@ -627,10 +574,9 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	// there is no supportable configuration for this profile at all. Any
 	// shortage or dead server, by contrast, is transient — FAILEDTRYLATER
 	// with an honest retry hint.
-	if m.tracing() {
+	if m.opts.Tracer != nil {
 		detail := fmt.Sprintf("%d feasible offers (%d server-down, %d capacity, %d constraint, %d skipped)",
 			len(ranked), c.downs, c.capacities, c.constraints, c.skipped)
-		m.trace("exhausted", "", detail)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "exhausted", Detail: detail})
 	}
 	if c.constraints > 0 && c.downs+c.capacities+c.skipped == 0 {
@@ -693,16 +639,12 @@ func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc medi
 				continue
 			}
 			if id, onDead := offerOnDead(r, dead); onDead {
-				if m.tracing() {
-					m.trace("skip-dead", r.Key(), string(id))
+				if m.opts.Tracer != nil {
 					m.span(telemetry.Event{Step: telemetry.StepSkipDead, Offer: r.Key(), Server: string(id)})
 				}
 				m.met.skip()
 				c.skipped++
 				continue
-			}
-			if m.tracing() {
-				m.trace("commit-attempt", r.Key(), fmt.Sprintf("%s OIF=%.4g %s", r.Status, r.OIF, r.Total()))
 			}
 			cm, fail := m.tryCommit(ctx, mach, doc, u, r)
 			if fail == nil {
@@ -713,12 +655,11 @@ func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc medi
 				return c, nil
 			}
 			ctxErr := ctx.Err()
-			if m.tracing() {
+			if m.opts.Tracer != nil {
 				server, status, detail := string(fail.server), fail.cause.String(), fail.String()
 				if ctxErr != nil {
 					server, status, detail = "", "canceled", ctxErr.Error()
 				}
-				m.trace("commit-failed", r.Key(), detail)
 				m.span(telemetry.Event{Step: telemetry.StepCommitment, Offer: r.Key(), Server: server, Status: status, Detail: detail})
 			}
 			if ctxErr != nil {
@@ -774,14 +715,6 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 		return c
 	}
 	return m.opts.ChoicePeriod
-}
-
-// Negotiate runs the negotiation procedure with no cancellation.
-//
-// Deprecated: use NegotiateContext, which bounds the pipeline with the
-// caller's context.
-func (m *Manager) Negotiate(mach client.Machine, docID media.DocumentID, u profile.UserProfile) (Result, error) {
-	return m.NegotiateContext(context.Background(), mach, docID, u)
 }
 
 // NegotiateContext runs the negotiation procedure of Section 4 for the
@@ -848,15 +781,6 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	m.sessMu.Unlock()
 	uo := out.chosen.UserOffer()
 	return Result{Status: out.status, Offer: &uo, Session: sess}, nil
-}
-
-// Renegotiate re-runs the negotiation for a reserved session with no
-// cancellation.
-//
-// Deprecated: use RenegotiateContext, which bounds the pipeline with the
-// caller's context.
-func (m *Manager) Renegotiate(id SessionID, u profile.UserProfile) (Result, error) {
-	return m.RenegotiateContext(context.Background(), id, u)
 }
 
 // RenegotiateContext re-runs the negotiation procedure for a reserved
@@ -1089,9 +1013,6 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		m.recordServerSuccess(sid, healthGen)
 		if len(m.observers) > 0 {
 			m.observeCommit(sid, u.Desired.Cost.Guarantee, CauseNone, m.now().Sub(began))
-		}
-		if m.tracing() {
-			m.trace("choice-committed", r.Key(), string(ch.Monomedia))
 		}
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
 			startDelay = d

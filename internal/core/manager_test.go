@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -116,7 +117,7 @@ func tvProfile() profile.UserProfile {
 
 func TestNegotiateSucceeded(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestNegotiateSucceeded(t *testing.T) {
 
 func TestNegotiateUnknownDocument(t *testing.T) {
 	b := defaultBed(t)
-	if _, err := b.man.Negotiate(b.mach, "ghost", tvProfile()); err == nil {
+	if _, err := b.man.NegotiateContext(context.Background(), b.mach, "ghost", tvProfile()); err == nil {
 		t.Error("unknown document accepted")
 	}
 }
@@ -168,7 +169,7 @@ func TestNegotiateFailedWithLocalOffer(t *testing.T) {
 	b := defaultBed(t)
 	mach := b.mach
 	mach.Display.Color = qos.BlackWhite // the paper's example
-	res, err := b.man.Negotiate(mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestNegotiateFailedWithoutOffer(t *testing.T) {
 	mach.Decoders = []media.Format{media.MPEG1, media.GIF, media.PlainText}
 	// Keep the local check passing: drop the audio requirement? No — the
 	// local check tests hardware, not decoders; audio hardware is fine.
-	res, err := b.man.Negotiate(mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestNegotiateFailedTryLater(t *testing.T) {
 		MaxStreams:  1,
 	}
 	b := newBed(t, cfg, 0)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestNegotiateFailedWithOffer(t *testing.T) {
 		},
 		Importance: profile.DefaultImportance(),
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", u)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestNegotiateFailedWithOffer(t *testing.T) {
 
 func TestConfirmRejectLifecycle(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	id := res.Session.ID
 
 	if err := b.man.Confirm(id); err != nil {
@@ -311,7 +312,7 @@ func TestConfirmRejectLifecycle(t *testing.T) {
 
 func TestRejectReleasesResources(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err := b.man.Reject(res.Session.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestRejectReleasesResources(t *testing.T) {
 
 func TestAbortFromAnyState(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	id := res.Session.ID
 	if err := b.man.Abort(id); err != nil {
 		t.Fatal(err)
@@ -365,8 +366,8 @@ func TestUnknownSessionOperations(t *testing.T) {
 
 func TestSessionsByState(t *testing.T) {
 	b := defaultBed(t)
-	r1, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
-	r2, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	r1, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
+	r2, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	b.man.Confirm(r2.Session.ID)
 	if got := len(b.man.Sessions(Reserved)); got != 1 {
 		t.Errorf("reserved = %d", got)
@@ -384,7 +385,7 @@ func TestBlockingUnderLoad(t *testing.T) {
 	b := newBed(t, cmfs.DefaultConfig(), 10*qos.MBitPerSecond)
 	var statuses []NegotiationStatus
 	for i := 0; i < 10; i++ {
-		res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+		res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,7 +420,7 @@ func TestStartDelayConstraint(t *testing.T) {
 	b := defaultBed(t)
 	u := tvProfile()
 	u.Desired.Time.MaxStartDelay = time.Millisecond // below round length
-	res, err := b.man.Negotiate(b.mach, "news-1", u)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,13 +437,13 @@ func TestStartDelayConstraint(t *testing.T) {
 func TestChoicePeriodDefaulting(t *testing.T) {
 	b := defaultBed(t)
 	u := tvProfile()
-	res, _ := b.man.Negotiate(b.mach, "news-1", u)
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if res.Session.ChoicePeriod != 30*time.Second {
 		t.Errorf("default choice period = %v", res.Session.ChoicePeriod)
 	}
 	b.man.Reject(res.Session.ID)
 	u.Desired.Time.ChoicePeriod = 5 * time.Second
-	res, _ = b.man.Negotiate(b.mach, "news-1", u)
+	res, _ = b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if res.Session.ChoicePeriod != 5*time.Second {
 		t.Errorf("profile choice period = %v", res.Session.ChoicePeriod)
 	}

@@ -254,15 +254,9 @@ func (n *negMetrics) serverHealthGauges(id media.ServerID, consecutive int, unti
 	n.quarantined.With(string(id)).Set(end)
 }
 
-// tracing reports whether any trace consumer — the legacy string callback
-// or the structured tracer — is installed. Call sites that render detail
-// strings must check it first so disabled tracing allocates nothing.
-func (m *Manager) tracing() bool {
-	return m.opts.Trace != nil || m.opts.Tracer != nil
-}
-
-// span emits a structured event to the tracer only (never to the legacy
-// callback, whose event vocabulary and details are frozen by its tests).
+// span emits a structured event to the tracer. Call sites that render a
+// detail string check Options.Tracer first, so disabled tracing allocates
+// nothing.
 func (m *Manager) span(e telemetry.Event) {
 	if m.opts.Tracer != nil {
 		m.opts.Tracer.Trace(e)

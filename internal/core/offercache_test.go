@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,7 +88,7 @@ func windDown(t *testing.T, m *Manager, res Result, mode int) {
 // exactly the ranked list and committed offer of the first.
 func TestOfferCacheHitEquivalence(t *testing.T) {
 	b := defaultBed(t)
-	res1, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res1, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 	ranked1, _ := json.Marshal(res1.Session.Ranked)
 	windDown(t, b.man, res1, 0)
 
-	res2, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res2, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 // the memoized old one.
 func TestOfferCacheDocInvalidation(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestOfferCacheDocInvalidation(t *testing.T) {
 	if err := b.reg.Add(bedDoc(700)); err != nil {
 		t.Fatal(err)
 	}
-	res, err = b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err = b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestOfferCacheDocInvalidation(t *testing.T) {
 func TestOfferCachePricingInvalidation(t *testing.T) {
 	b := defaultBed(t)
 	b.man.SetPricing(versionPricing(1))
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestOfferCachePricingInvalidation(t *testing.T) {
 	windDown(t, b.man, res, 0)
 
 	b.man.SetPricing(versionPricing(3))
-	res, err = b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err = b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestOfferCachePricingInvalidation(t *testing.T) {
 // choose a quarantined server's variants.
 func TestOfferCacheQuarantinePurge(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 		t.Errorf("after trip: invalidations = %d, want 1", st.OfferCacheInvalidations)
 	}
 
-	res, err = b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err = b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 	if st.OfferCacheInvalidations != 2 {
 		t.Errorf("after restore: invalidations = %d, want 2", st.OfferCacheInvalidations)
 	}
-	res, err = b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err = b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestOfferCacheOnOffEquivalence(t *testing.T) {
 		t.Helper()
 		var snaps [2]string
 		for i, b := range beds {
-			res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+			res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 			if err != nil {
 				t.Fatalf("step %d bed %d: %v", step, i, err)
 			}
@@ -454,7 +455,7 @@ func coherenceRun(t *testing.T, seed int64) {
 			for i := 0; i < 60; i++ {
 				docLo, priceLo := docInstalled.Load(), priceInstalled.Load()
 				qBefore := quarVer.Load()
-				res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+				res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return

@@ -9,6 +9,7 @@ import (
 	"qosneg/internal/cmfs"
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
+	"qosneg/internal/telemetry"
 )
 
 // TestConcurrentNegotiationsAccounting hammers one manager with many
@@ -77,27 +78,42 @@ func TestConcurrentNegotiationsAccounting(t *testing.T) {
 	}
 }
 
+// cancelOnReserve cancels a negotiation's context as soon as one of its
+// reservations succeeds: deterministically mid-commit.
+type cancelOnReserve struct {
+	MediaServer
+	cancel context.CancelFunc
+}
+
+func (s cancelOnReserve) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
+	res, err := s.MediaServer.Reserve(q)
+	if err == nil {
+		s.cancel()
+	}
+	return res, err
+}
+
 // TestNegotiateCanceledMidCommit cancels the context from inside the
-// resource-commitment step — the trace hook fires on the first committed
-// choice, deterministically mid-commit — and checks the partial commitment
-// is rolled back: the error is the context's, no session is created, and
-// servers and network are left empty.
+// resource-commitment step — on the first reserved choice — and checks the
+// partial commitment is rolled back: the error is the context's, no session
+// is created, and servers and network are left empty.
 func TestNegotiateCanceledMidCommit(t *testing.T) {
 	b := defaultBed(t)
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ring := telemetry.NewRing(64)
 	opts := DefaultOptions()
-	opts.Trace = func(e TraceEvent) {
-		if e.Step == "choice-committed" {
-			cancel()
-		}
-	}
+	opts.Tracer = ring
 	man := NewManager(b.reg, b.man.transport, b.man.pricing, opts)
 	for id, s := range b.servers {
-		man.AddServer(s, network.NodeID(id))
+		man.AddServer(cancelOnReserve{MediaServer: s, cancel: cancel}, network.NodeID(id))
 	}
 	_, err := man.NegotiateContext(ctx, b.mach, "news-1", tvProfile())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if events := decisions(ring); len(events) != 1 || events[0].Step != telemetry.StepCommitment || events[0].Status != "canceled" {
+		t.Errorf("decisions = %+v, want the one canceled attempt", events)
 	}
 	for id, s := range b.servers {
 		if n := s.ActiveStreams(); n != 0 {
@@ -132,7 +148,7 @@ func TestNegotiateCanceledBeforeStart(t *testing.T) {
 // ErrChoicePeriodExpired.
 func TestExpireReportsChoicePeriod(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +173,11 @@ func TestExpireReportsChoicePeriod(t *testing.T) {
 	if err := b.man.Reject(id); !errors.Is(err, ErrChoicePeriodExpired) {
 		t.Errorf("Reject after expiry: %v, want ErrChoicePeriodExpired", err)
 	}
-	if _, err := b.man.Renegotiate(id, tvProfile()); !errors.Is(err, ErrChoicePeriodExpired) {
+	if _, err := b.man.RenegotiateContext(context.Background(), id, tvProfile()); !errors.Is(err, ErrChoicePeriodExpired) {
 		t.Errorf("Renegotiate after expiry: %v, want ErrChoicePeriodExpired", err)
 	}
 	// A plain Reject, by contrast, stays a bare state error.
-	res2, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res2, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil || res2.Session == nil {
 		t.Fatalf("second negotiation: %v %v", res2.Status, err)
 	}

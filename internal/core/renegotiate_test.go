@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func TestRenegotiateUpgradesOffer(t *testing.T) {
 	u := tvProfile()
 	u.Desired.Video.Color = qos.Grey
 	u.Worst.Video.Color = qos.BlackWhite
-	res, err := b.man.Negotiate(b.mach, "news-1", u)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}
@@ -25,7 +26,7 @@ func TestRenegotiateUpgradesOffer(t *testing.T) {
 
 	// The user edits the profile upward and pushes OK.
 	u2 := tvProfile() // color, CD
-	res2, err := b.man.Renegotiate(id, u2)
+	res2, err := b.man.RenegotiateContext(context.Background(), id, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestRenegotiateUpgradesOffer(t *testing.T) {
 
 func TestRenegotiateFailureAbortsSession(t *testing.T) {
 	b := defaultBed(t)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}
@@ -72,7 +73,7 @@ func TestRenegotiateFailureAbortsSession(t *testing.T) {
 	// status is FAILEDWITHOUTOFFER.
 	u := tvProfile()
 	u.Desired.Time.MaxStartDelay = time.Nanosecond
-	res2, err := b.man.Renegotiate(id, u)
+	res2, err := b.man.RenegotiateContext(context.Background(), id, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,12 @@ func TestRenegotiateFailureAbortsSession(t *testing.T) {
 
 func TestRenegotiateLocalFailure(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	id := res.Session.ID
 	u := tvProfile()
 	u.Desired.Video.Resolution = qos.HDTVResolution // beyond the 1280px screen
 	u.Worst.Video.Resolution = qos.HDTVResolution
-	res2, err := b.man.Renegotiate(id, u)
+	res2, err := b.man.RenegotiateContext(context.Background(), id, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,20 +116,20 @@ func TestRenegotiateLocalFailure(t *testing.T) {
 
 func TestRenegotiateStateChecks(t *testing.T) {
 	b := defaultBed(t)
-	if _, err := b.man.Renegotiate(42, tvProfile()); !errors.Is(err, ErrUnknownSession) {
+	if _, err := b.man.RenegotiateContext(context.Background(), 42, tvProfile()); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session: %v", err)
 	}
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	b.man.Confirm(res.Session.ID)
-	if _, err := b.man.Renegotiate(res.Session.ID, tvProfile()); !errors.Is(err, ErrBadState) {
+	if _, err := b.man.RenegotiateContext(context.Background(), res.Session.ID, tvProfile()); !errors.Is(err, ErrBadState) {
 		t.Errorf("renegotiate while playing: %v", err)
 	}
 }
 
 func TestRenegotiateCountsRequests(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
-	if _, err := b.man.Renegotiate(res.Session.ID, tvProfile()); err != nil {
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
+	if _, err := b.man.RenegotiateContext(context.Background(), res.Session.ID, tvProfile()); err != nil {
 		t.Fatal(err)
 	}
 	st := b.man.Stats()
@@ -141,7 +142,7 @@ func TestRenegotiateFreesBudgetForOthers(t *testing.T) {
 	// Renegotiating downward releases capacity another user can take.
 	b := newBed(t, cmfs.DefaultConfig(), 10*qos.MBitPerSecond)
 	u := tvProfile()
-	res, err := b.man.Negotiate(b.mach, "news-1", u)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}
@@ -153,7 +154,7 @@ func TestRenegotiateFreesBudgetForOthers(t *testing.T) {
 	down.Worst.Audio.Grade = qos.TelephoneQuality
 	down.Desired.Cost.MaxCost = cost.Dollars(3)
 	down.Worst.Cost.MaxCost = cost.Dollars(3)
-	res2, err := b.man.Renegotiate(res.Session.ID, down)
+	res2, err := b.man.RenegotiateContext(context.Background(), res.Session.ID, down)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestSteadyStateHeapFlat(t *testing.T) {
 	const cycles, warm, maxGrowth = 100_000, 10_000, 1 << 20
 	var base uint64
 	for i := 1; i <= cycles; i++ {
-		res, err := b.man.Negotiate(b.mach, "news-1", u)
+		res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 		if err != nil || res.Session == nil {
 			t.Fatalf("cycle %d: negotiate: %v (%v)", i, err, res.Status)
 		}

@@ -132,7 +132,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(16) {
 				case 0, 1, 2, 3: // negotiate; any status is legal under injection
-					res, err := bed.Manager.Negotiate(bed.Client(1+rng.Intn(2)), "news-1", chaosProfile())
+					res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+rng.Intn(2)), "news-1", chaosProfile())
 					if err != nil {
 						t.Errorf("seed %d: Negotiate: %v", seed, err)
 						return
@@ -164,10 +164,10 @@ func runLifecycleStress(t *testing.T, seed int64) {
 					}
 				case 11: // renegotiation racing Expire/Reject/Abort
 					if id, ok := pickLive(rng); ok {
-						bed.Manager.Renegotiate(id, chaosProfile())
+						bed.Manager.RenegotiateContext(context.Background(), id, chaosProfile())
 					}
 				case 12: // focused window race: long procedure vs terminal op
-					res, err := bed.Manager.Negotiate(bed.Client(1+rng.Intn(2)), "news-1", chaosProfile())
+					res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+rng.Intn(2)), "news-1", chaosProfile())
 					if err != nil {
 						t.Errorf("seed %d: Negotiate: %v", seed, err)
 						return
@@ -206,7 +206,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 					if adapt {
 						bed.Manager.Adapt(id)
 					} else {
-						bed.Manager.Renegotiate(id, chaosProfile())
+						bed.Manager.RenegotiateContext(context.Background(), id, chaosProfile())
 					}
 					race.Wait()
 				case 13:

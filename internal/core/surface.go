@@ -20,9 +20,7 @@ import (
 // adaptation monitor sit on top of either without change.
 type SessionManager interface {
 	// Negotiation (Section 4, steps 1-5) and renegotiation (Section 8).
-	Negotiate(mach client.Machine, doc media.DocumentID, u profile.UserProfile) (Result, error)
 	NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (Result, error)
-	Renegotiate(id SessionID, u profile.UserProfile) (Result, error)
 	RenegotiateContext(ctx context.Context, id SessionID, u profile.UserProfile) (Result, error)
 
 	// Step 6 and the playout lifecycle.

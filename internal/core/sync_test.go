@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,7 +26,7 @@ func TestCommitEnforcesSyncTolerance(t *testing.T) {
 	if err := b.reg.Add(doc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestCommitEnforcesSyncTolerance(t *testing.T) {
 	if err := b.reg.Add(doc); err != nil {
 		t.Fatal(err)
 	}
-	res, err = b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err = b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestCommitIgnoresSyncForDiscreteMedia(t *testing.T) {
 	if err := b.reg.Add(doc); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestNegotiationMetricsRecorded(t *testing.T) {
 	ring := telemetry.NewRing(128)
 	b := metricsBed(t, reg, ring)
 
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestBreakerMetricsRecorded(t *testing.T) {
 		fs.setDown(true)
 	}
 
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,22 +128,18 @@ func TestBreakerMetricsRecorded(t *testing.T) {
 }
 
 // TestNoopTelemetryZeroAlloc pins the disabled-telemetry negotiation hot
-// path: with no Trace callback, no Tracer and no Metrics registry, the
-// manager's instrumentation helpers must allocate nothing. The fmt.Sprintf
-// call sites this PR guarded (skip-dead, commit-attempt, commit-failed,
-// exhausted, quarantine) are all gated on tracing(), so this test plus the
-// guards is the allocation proof for the whole trace surface.
+// path: with no Tracer and no Metrics registry, the manager's
+// instrumentation helpers must allocate nothing. The call sites that render
+// a detail string (commit-failed, exhausted, quarantine, stale-install) are
+// all gated on Options.Tracer, so this test plus the guards is the
+// allocation proof for the whole trace surface.
 func TestNoopTelemetryZeroAlloc(t *testing.T) {
 	b := newBed(t, cmfs.DefaultConfig(), 0)
 	m := b.man
-	if m.tracing() {
-		t.Fatalf("bed unexpectedly has tracing enabled")
+	if m.opts.Tracer != nil || m.met != nil {
+		t.Fatalf("bed unexpectedly has telemetry enabled")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if m.tracing() {
-			t.Errorf("tracing() flipped")
-		}
-		m.trace("commit-attempt", "", "")
 		m.span(telemetry.Event{Step: telemetry.StepCommitment})
 		tm := m.stepTimer()
 		tm.lap(telemetry.StepLocalNegotiation)
@@ -162,20 +159,13 @@ func TestNoopTelemetryZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCachedNegotiateAllocBound pins what a full cached negotiate-and-reject
-// cycle allocates (telemetry disabled, candidate set memoized), in count and
-// in bytes. The bounds are the measured 31 allocations and 2.5 KB plus 15%:
-// a ranked list copied out of the shared product, a re-materialized
-// acceptable/feasible partition, a profile section boxed per candidate or an
-// eager fmt.Sprintf call site each overshoot them.
-func TestCachedNegotiateAllocBound(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting is noisy under -short race beds")
-	}
-	b := defaultBed(t)
+// cachedCycleAllocs measures what one cache-hot negotiate-and-reject cycle on
+// the bed allocates.
+func cachedCycleAllocs(t *testing.T, b *bed) testing.BenchmarkResult {
+	t.Helper()
 	u := tvProfile()
 	cycle := func() {
-		res, err := b.man.Negotiate(b.mach, "news-1", u)
+		res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 		if err != nil || res.Session == nil {
 			t.Fatalf("negotiate: %v (%+v)", err, res.Status)
 		}
@@ -197,12 +187,45 @@ func TestCachedNegotiateAllocBound(t *testing.T) {
 	if got := b.man.Stats().OfferCacheHits; got < hitsBefore+res.N {
 		t.Fatalf("measured loop was not cache-hot: hits %d -> %d over %d cycles", hitsBefore, got, res.N)
 	}
+	return res
+}
+
+// TestCachedNegotiateAllocBound pins what a full cached negotiate-and-reject
+// cycle allocates (telemetry disabled, candidate set memoized), in count and
+// in bytes. The bounds are the measured 31 allocations and 2.5 KB plus 15%:
+// a ranked list copied out of the shared product, a re-materialized
+// acceptable/feasible partition, a profile section boxed per candidate or an
+// eager fmt.Sprintf call site each overshoot them.
+func TestCachedNegotiateAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race beds")
+	}
+	res := cachedCycleAllocs(t, defaultBed(t))
 	const maxAllocs, maxBytes = 36, 2900
 	if res.AllocsPerOp() > maxAllocs || res.AllocedBytesPerOp() > maxBytes {
 		t.Fatalf("cached negotiate+reject allocated %d objects, %d bytes per cycle, want <= %d and <= %d",
 			res.AllocsPerOp(), res.AllocedBytesPerOp(), maxAllocs, maxBytes)
 	}
 	t.Logf("cached negotiate+reject: %d allocs, %d bytes per cycle", res.AllocsPerOp(), res.AllocedBytesPerOp())
+}
+
+// TestTracerOnAllocBound pins that installing a tracer costs the cached
+// negotiate-and-reject cycle no allocation: a ring stores events by value,
+// and on the success path the manager hands it only strings that already
+// exist (the cached offer key, the status name). A string rendered for a
+// sink nobody installed — or rendered whether or not the decision needs one —
+// shows here as tracer-on allocating more than tracer-off.
+func TestTracerOnAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race beds")
+	}
+	off := cachedCycleAllocs(t, defaultBed(t))
+	on := cachedCycleAllocs(t, metricsBed(t, nil, telemetry.NewRing(256)))
+	if on.AllocsPerOp() > off.AllocsPerOp() {
+		t.Fatalf("cached negotiate+reject allocated %d objects per cycle with a ring tracer, %d without: the tracer must not add any",
+			on.AllocsPerOp(), off.AllocsPerOp())
+	}
+	t.Logf("cached negotiate+reject: %d allocs with a ring tracer, %d without", on.AllocsPerOp(), off.AllocsPerOp())
 }
 
 // missDoc is a video × audio × caption document with side variants each, so
@@ -254,7 +277,7 @@ func TestMissPathAllocBound(t *testing.T) {
 		// Warm the lazy substrate (path caches, pooled collectors) on the
 		// bed's own article, not on a measured document.
 		for i := 0; i < 8; i++ {
-			res, err := b.man.Negotiate(b.mach, "news-1", u)
+			res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
 			if err != nil || res.Session == nil {
 				t.Fatalf("warm-up: %v (%+v)", err, res.Status)
 			}
@@ -265,7 +288,7 @@ func TestMissPathAllocBound(t *testing.T) {
 		missesBefore := b.man.Stats().OfferCacheMisses
 		next := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			res, err := b.man.Negotiate(b.mach, ids[next], u)
+			res, err := b.man.NegotiateContext(context.Background(), b.mach, ids[next], u)
 			next++
 			if err != nil || res.Session == nil {
 				t.Fatalf("negotiate: %v (%+v)", err, res.Status)

@@ -1,73 +1,66 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"qosneg/internal/client"
 	"qosneg/internal/cmfs"
-	"qosneg/internal/cost"
 	"qosneg/internal/media"
-	"qosneg/internal/network"
 	"qosneg/internal/qos"
-	"qosneg/internal/registry"
-	"qosneg/internal/transport"
+	"qosneg/internal/telemetry"
 )
 
-// tracedBed builds a bed whose manager records trace events.
-func tracedBed(t *testing.T, events *[]TraceEvent) *bed {
+// tracedBed builds the standard bed with a ring recording the manager's span
+// events.
+func tracedBed(t *testing.T) (*bed, *telemetry.Ring) {
 	t.Helper()
-	net, err := network.BuildStar(network.StarSpec{
-		Clients: []network.NodeID{"client-1"},
-		Servers: []network.NodeID{"server-1", "server-2"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := registry.New()
+	ring := telemetry.NewRing(256)
 	opts := DefaultOptions()
-	opts.Trace = func(e TraceEvent) { *events = append(*events, e) }
-	man := NewManager(reg, transport.New(net, 3), cost.DefaultPricing(), opts)
-	b := &bed{reg: reg, net: net, man: man, servers: map[media.ServerID]*cmfs.Server{}}
-	for _, id := range []media.ServerID{"server-1", "server-2"} {
-		s := cmfs.MustServer(id, cmfs.DefaultConfig())
-		b.servers[id] = s
-		man.AddServer(s, network.NodeID(id))
+	opts.Tracer = ring
+	return newBedOpts(t, cmfs.DefaultConfig(), 0, opts), ring
+}
+
+// decisions filters a ring down to the events that say what the procedure
+// decided — each carries an outcome word, or is a skip — dropping the timed
+// step laps around them.
+func decisions(r *telemetry.Ring) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range r.Events() {
+		if e.Status != "" || e.Step == telemetry.StepSkipDead {
+			out = append(out, e)
+		}
 	}
-	doc := media.BuildNewsArticle(media.NewsArticleSpec{
-		ID: "news-1", Title: "T", Duration: time.Minute,
-		Servers: []media.ServerID{"server-1", "server-2"},
-		VideoQualities: []qos.VideoQoS{
-			{Color: qos.Color, FrameRate: 25, Resolution: qos.TVResolution},
-			{Color: qos.Grey, FrameRate: 15, Resolution: qos.TVResolution},
-		},
-		AudioQualities: []qos.AudioQoS{{Grade: qos.CDQuality}},
-	})
-	if err := reg.Add(doc); err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// countDecisions counts the decision events of one step and outcome word.
+func countDecisions(r *telemetry.Ring, step telemetry.Step, status string) int {
+	n := 0
+	for _, e := range decisions(r) {
+		if e.Step == step && e.Status == status {
+			n++
+		}
 	}
-	b.mach = client.Workstation("client-1", "client-1")
-	b.doc = doc
-	return b
+	return n
 }
 
 func TestTraceSuccessfulNegotiation(t *testing.T) {
-	var events []TraceEvent
-	b := tracedBed(t, &events)
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	b, ring := tracedBed(t)
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("negotiate: %v %v", res.Status, err)
 	}
-	if len(events) < 2 {
-		t.Fatalf("events = %+v", events)
+	// The first offer committed: one decision, the commitment itself.
+	events := decisions(ring)
+	if len(events) != 1 {
+		t.Fatalf("decisions = %+v", events)
 	}
-	first, last := events[0], events[len(events)-1]
-	if first.Step != "commit-attempt" {
-		t.Errorf("first event = %+v", first)
-	}
-	if last.Step != "committed" || last.Detail != "SUCCEEDED" {
+	last := events[0]
+	if last.Step != telemetry.StepCommitment || last.Status != "SUCCEEDED" {
 		t.Errorf("last event = %+v", last)
 	}
 	if last.Offer != res.Session.Current.Key() {
@@ -76,53 +69,77 @@ func TestTraceSuccessfulNegotiation(t *testing.T) {
 }
 
 func TestTraceExhaustion(t *testing.T) {
-	var events []TraceEvent
-	b := tracedBed(t, &events)
+	b, ring := tracedBed(t)
 	for _, srv := range b.servers {
 		srv.SetDegradation(0.999)
 	}
-	res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != FailedTryLater {
 		t.Fatalf("status = %v", res.Status)
 	}
-	attempts, failures, exhausted := 0, 0, 0
-	for _, e := range events {
-		switch e.Step {
-		case "commit-attempt":
-			attempts++
-		case "commit-failed":
-			failures++
-		case "exhausted":
+	// Every attempt ends in one commit-failed event naming its offer and
+	// cause, and the pass closes with one exhausted event whose tally agrees.
+	failures, exhausted := 0, 0
+	var feasible, downs, capacities int
+	for _, e := range decisions(ring) {
+		switch {
+		case e.Step == telemetry.StepCommitment && e.Status == "exhausted":
 			exhausted++
+			if _, err := fmt.Sscanf(e.Detail, "%d feasible offers (%d server-down, %d capacity", &feasible, &downs, &capacities); err != nil {
+				t.Errorf("exhausted detail %q: %v", e.Detail, err)
+			}
+		case e.Step == telemetry.StepCommitment:
+			failures++
+			if e.Status != CauseCapacity.String() || e.Offer == "" || e.Server == "" || !strings.Contains(e.Detail, "reserve") {
+				t.Errorf("commit-failed event = %+v, want a capacity failure naming offer, server and operation", e)
+			}
+		default:
+			t.Errorf("unexpected decision %+v", e)
 		}
 	}
-	if attempts == 0 || attempts != failures || exhausted != 1 {
-		t.Errorf("attempts=%d failures=%d exhausted=%d", attempts, failures, exhausted)
+	if failures == 0 || failures != feasible || failures != capacities || exhausted != 1 {
+		t.Errorf("failures=%d exhausted=%d, tally: %d feasible, %d capacity", failures, exhausted, feasible, capacities)
 	}
 }
 
 func TestTraceLocalFailure(t *testing.T) {
-	var events []TraceEvent
-	b := tracedBed(t, &events)
+	b, ring := tracedBed(t)
 	mach := b.mach
 	mach.Display.Color = qos.BlackWhite
-	if _, err := b.man.Negotiate(mach, "news-1", tvProfile()); err != nil {
+	if _, err := b.man.NegotiateContext(context.Background(), mach, "news-1", tvProfile()); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].Step != "local-failed" {
-		t.Fatalf("events = %+v", events)
+	events := decisions(ring)
+	if len(events) != 1 || events[0].Step != telemetry.StepLocalNegotiation || events[0].Status != "failed" {
+		t.Fatalf("decisions = %+v", events)
 	}
 	if !strings.Contains(events[0].Detail, "color") {
 		t.Errorf("detail = %q", events[0].Detail)
 	}
 }
 
+// TestTraceNoVariant checks step 2's refusal names the monomedia no variant
+// of which the machine can decode.
+func TestTraceNoVariant(t *testing.T) {
+	b, ring := tracedBed(t)
+	mach := b.mach
+	mach.Decoders = []media.Format{media.MPEG1, media.GIF, media.PlainText} // no audio decoder
+	res, err := b.man.NegotiateContext(context.Background(), mach, "news-1", tvProfile())
+	if err != nil || res.Status != FailedWithoutOffer {
+		t.Fatalf("negotiate: %v %v", res.Status, err)
+	}
+	events := decisions(ring)
+	if len(events) != 1 || events[0].Step != telemetry.StepClassification || events[0].Status != "no-variant" || events[0].Detail != "audio" {
+		t.Fatalf("decisions = %+v", events)
+	}
+}
+
 func TestRevenueAccumulatesOnCompletion(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	price := res.Session.Cost()
 	b.man.Confirm(res.Session.ID)
 	b.man.Complete(res.Session.ID)
@@ -130,13 +147,13 @@ func TestRevenueAccumulatesOnCompletion(t *testing.T) {
 		t.Errorf("revenue = %v, want %v", got, price)
 	}
 	// Rejected sessions earn nothing.
-	res2, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res2, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	b.man.Reject(res2.Session.ID)
 	if got := b.man.Stats().Revenue; got != price {
 		t.Errorf("revenue after reject = %v", got)
 	}
 	// Aborted sessions earn nothing either.
-	res3, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res3, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	b.man.Confirm(res3.Session.ID)
 	b.man.Abort(res3.Session.ID)
 	if got := b.man.Stats().Revenue; got != price {
@@ -146,7 +163,7 @@ func TestRevenueAccumulatesOnCompletion(t *testing.T) {
 
 func TestManagerInvoice(t *testing.T) {
 	b := defaultBed(t)
-	res, _ := b.man.Negotiate(b.mach, "news-1", tvProfile())
+	res, _ := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	inv, err := b.man.Invoice(res.Session.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +193,7 @@ func TestConcurrentManagerStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				res, err := b.man.Negotiate(b.mach, "news-1", tvProfile())
+				res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 				if err != nil {
 					t.Error(err)
 					return
@@ -193,7 +210,7 @@ func TestConcurrentManagerStress(t *testing.T) {
 					b.man.Advance(id, time.Second)
 					b.man.Complete(id)
 				case 2:
-					b.man.Renegotiate(id, tvProfile())
+					b.man.RenegotiateContext(context.Background(), id, tvProfile())
 					b.man.Abort(id)
 				default:
 					b.man.Confirm(id)

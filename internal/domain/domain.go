@@ -13,6 +13,7 @@
 package domain
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -82,7 +83,7 @@ func (b *Broker) Negotiate(mach client.Machine, doc media.DocumentID, u profile.
 			continue
 		}
 		carriers++
-		res, err := d.Manager.Negotiate(mach, doc, u)
+		res, err := d.Manager.NegotiateContext(context.Background(), mach, doc, u)
 		if err != nil {
 			return Result{}, fmt.Errorf("domain %s: %w", d.Name, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -85,7 +86,7 @@ func runE16One(withMonitor bool) (int, int, int, int) {
 	completed, aborted := 0, 0
 	transitions := 0
 	for i := 0; i < 8; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(i%4+1), "news-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(i%4+1), "news-1", tvRequest())
 		if err != nil || !res.Status.Reserved() {
 			continue
 		}
@@ -206,7 +207,7 @@ func runE18One(factor int) int {
 	}
 	accepted := 0
 	for i := 0; i < 60; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(i%6+1), "hot-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(i%6+1), "hot-1", tvRequest())
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -37,7 +38,7 @@ func runE7(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvRequest())
+	res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvRequest())
 	if err != nil {
 		return err
 	}
@@ -92,7 +93,7 @@ func runE10(w io.Writer) error {
 	eng := sim.NewEngine()
 
 	// Scenario A: the user confirms inside the choice period.
-	resA, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvRequest())
+	resA, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvRequest())
 	if err != nil {
 		return err
 	}
@@ -105,7 +106,7 @@ func runE10(w io.Writer) error {
 	})
 
 	// Scenario B: the user never presses OK; the timer aborts the session.
-	resB, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvRequest())
+	resB, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvRequest())
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -46,7 +47,7 @@ func runE13(w io.Writer) error {
 	fmt.Fprintln(w, "importance of granted offers; cost = mean price per granted session.")
 	fmt.Fprintf(w, "%-12s %-9s %-13s %-13s %s\n", "classifier", "accept%", "desired-QoS%", "satisfaction", "mean cost")
 
-	classifiers := []offer.Classifier{
+	classifiers := []offer.Orderer{
 		offer.SNSPrimary{}, offer.OIFOnly{}, offer.CostOnly{}, offer.QoSOnly{},
 	}
 	for _, cl := range classifiers {
@@ -82,7 +83,7 @@ func (s e13Stats) meanCost() string {
 	return fmt.Sprintf("%.2f$", float64(s.cost)/float64(s.granted)/1000)
 }
 
-func runE13One(cl offer.Classifier) e13Stats {
+func runE13One(cl offer.Orderer) e13Stats {
 	opts := core.DefaultOptions()
 	opts.Classifier = cl
 	bed := testbed.MustNew(testbed.Spec{
@@ -130,7 +131,7 @@ func runE13One(cl offer.Classifier) e13Stats {
 	var stats e13Stats
 	g.Drive(eng, 120, func(req workload.Request) {
 		stats.requests++
-		res, err := bed.Manager.Negotiate(req.Client, req.Document, req.Profile)
+		res, err := bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil || !res.Status.Reserved() {
 			return
 		}

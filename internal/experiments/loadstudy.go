@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -200,7 +201,7 @@ func runE8Smart(mean time.Duration, arrivals, docs int) e8Counts {
 	var counts e8Counts
 	g.Drive(eng, arrivals, func(req workload.Request) {
 		counts.requests++
-		res, err := bed.Manager.Negotiate(req.Client, req.Document, req.Profile)
+		res, err := bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil || !res.Status.Reserved() {
 			return
 		}
@@ -374,7 +375,7 @@ func runE11(w io.Writer) error {
 	}
 
 	// Atomic document-level negotiation: the paper's procedure.
-	res, err := bed.Manager.Negotiate(mach, doc.ID, u)
+	res, err := bed.Manager.NegotiateContext(context.Background(), mach, doc.ID, u)
 	if err != nil {
 		return err
 	}
@@ -467,7 +468,7 @@ func runE12(w io.Writer) error {
 		var revenue cost.Money
 		for i := 0; i < 40; i++ {
 			mach := bed.Client(i%4 + 1)
-			res, err := bed.Manager.Negotiate(mach, "doc-greed", u)
+			res, err := bed.Manager.NegotiateContext(context.Background(), mach, "doc-greed", u)
 			if err != nil {
 				return err
 			}

@@ -112,7 +112,7 @@ func e19Probe(bed *testbed.Bed, ids []media.DocumentID, dur time.Duration) float
 					return
 				default:
 				}
-				res, err := bed.Manager.Negotiate(mach, ids[w%len(ids)], u)
+				res, err := bed.Manager.NegotiateContext(context.Background(), mach, ids[w%len(ids)], u)
 				if err == nil && res.Status.Reserved() {
 					mu.Lock()
 					good++

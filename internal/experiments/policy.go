@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -118,7 +119,7 @@ func e20Drive(bandit, faulty bool, count int) e20Outcome {
 	prevFails := 0
 	start := time.Now()
 	for i := 1; i <= count; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(1+i%2), "news-1", u)
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+i%2), "news-1", u)
 		if err != nil {
 			break
 		}

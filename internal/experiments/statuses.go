@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -66,7 +67,7 @@ func runE6(w io.Writer) error {
 		if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 			return err
 		}
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvRequest())
 		if err != nil {
 			return err
 		}
@@ -83,7 +84,7 @@ func runE6(w io.Writer) error {
 		u := tvRequest()
 		u.Desired.Video.Color = qos.SuperColor // no super-color variant exists
 		u.Worst.Video.Color = qos.SuperColor
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", u)
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", u)
 		if err != nil {
 			return err
 		}
@@ -98,7 +99,7 @@ func runE6(w io.Writer) error {
 		if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 			return err
 		}
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvRequest())
 		if err != nil {
 			return err
 		}
@@ -113,7 +114,7 @@ func runE6(w io.Writer) error {
 		}
 		mach := bed.Client(1)
 		mach.Decoders = []media.Format{media.MPEG1, media.GIF, media.PlainText}
-		res, err := bed.Manager.Negotiate(mach, "news-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), mach, "news-1", tvRequest())
 		if err != nil {
 			return err
 		}
@@ -128,7 +129,7 @@ func runE6(w io.Writer) error {
 		}
 		mach := bed.Client(1)
 		mach.Display.Color = qos.BlackWhite
-		res, err := bed.Manager.Negotiate(mach, "news-1", tvRequest())
+		res, err := bed.Manager.NegotiateContext(context.Background(), mach, "news-1", tvRequest())
 		if err != nil {
 			return err
 		}

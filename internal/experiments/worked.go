@@ -173,9 +173,9 @@ func runE3(w io.Writer) error {
 		fmt.Fprintf(w, "%s\n  %s\n", s.name, s.expect)
 		ranked := offer.Rank(offers, u)
 		if s.oifOnly {
-			offer.OIFOnly{}.Sort(ranked)
+			offer.Sort(ranked, offer.OIFOnly{})
 		} else {
-			offer.SNSPrimary{}.Sort(ranked)
+			offer.Sort(ranked, offer.SNSPrimary{})
 		}
 		for i, r := range ranked {
 			fmt.Fprintf(w, "  %d. %-7s OIF=%-6.4g SNS=%s\n", i+1, r.Key(), r.OIF, r.Status)

@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -233,7 +234,7 @@ func TestNegotiationFailsOverCrashMidCommit(t *testing.T) {
 	}
 	ws.CrashAfterReserves(1)
 
-	res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvProfile())
+	res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

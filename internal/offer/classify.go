@@ -41,12 +41,19 @@ func Rank(offers []SystemOffer, u profile.UserProfile) []Ranked {
 	return out
 }
 
-// Classifier orders ranked offers best-first.
-type Classifier interface {
-	// Sort orders the slice in place, best offer first.
-	Sort(offers []Ranked)
-	// Name identifies the classifier in experiment output.
+// Orderer is a classifier: a strict total order over ranked offers, best
+// first, and the name that identifies it in experiment output. The negotiation
+// pipeline keeps the K best offers under Less without sorting the product;
+// Sort is the full stable sort the same Less defines.
+type Orderer interface {
+	// Less reports whether a ranks strictly better than b.
+	Less(a, b Ranked) bool
 	Name() string
+}
+
+// Sort orders the slice in place, best offer first.
+func Sort(ranked []Ranked, by Orderer) {
+	sort.SliceStable(ranked, func(i, j int) bool { return by.Less(ranked[i], ranked[j]) })
 }
 
 // SNSPrimary is the paper's default classification (Section 5.2.2): "we use
@@ -55,23 +62,21 @@ type Classifier interface {
 // cost, then on the deterministic offer key.
 type SNSPrimary struct{}
 
-// Name implements Classifier.
+// Name implements Orderer.
 func (SNSPrimary) Name() string { return "sns-primary" }
 
-// Sort implements Classifier.
-func (SNSPrimary) Sort(offers []Ranked) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		if offers[i].Status != offers[j].Status {
-			return offers[i].Status < offers[j].Status
-		}
-		if offers[i].OIF != offers[j].OIF {
-			return offers[i].OIF > offers[j].OIF
-		}
-		if offers[i].Total() != offers[j].Total() {
-			return offers[i].Total() < offers[j].Total()
-		}
-		return offers[i].Key() < offers[j].Key()
-	})
+// Less implements Orderer.
+func (SNSPrimary) Less(a, b Ranked) bool {
+	if a.Status != b.Status {
+		return a.Status < b.Status
+	}
+	if a.OIF != b.OIF {
+		return a.OIF > b.OIF
+	}
+	if a.Total() != b.Total() {
+		return a.Total() < b.Total()
+	}
+	return a.Key() < b.Key()
 }
 
 // OIFOnly classifies purely by overall importance factor. It reproduces the
@@ -80,20 +85,18 @@ func (SNSPrimary) Sort(offers []Ranked) {
 // ablation baseline.
 type OIFOnly struct{}
 
-// Name implements Classifier.
+// Name implements Orderer.
 func (OIFOnly) Name() string { return "oif-only" }
 
-// Sort implements Classifier.
-func (OIFOnly) Sort(offers []Ranked) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		if offers[i].OIF != offers[j].OIF {
-			return offers[i].OIF > offers[j].OIF
-		}
-		if offers[i].Total() != offers[j].Total() {
-			return offers[i].Total() < offers[j].Total()
-		}
-		return offers[i].Key() < offers[j].Key()
-	})
+// Less implements Orderer.
+func (OIFOnly) Less(a, b Ranked) bool {
+	if a.OIF != b.OIF {
+		return a.OIF > b.OIF
+	}
+	if a.Total() != b.Total() {
+		return a.Total() < b.Total()
+	}
+	return a.Key() < b.Key()
 }
 
 // CostOnly classifies cheapest-first: Section 5's strawman ("to classify
@@ -101,17 +104,15 @@ func (OIFOnly) Sort(offers []Ranked) {
 // offer is the best"). Used as an experiment baseline.
 type CostOnly struct{}
 
-// Name implements Classifier.
+// Name implements Orderer.
 func (CostOnly) Name() string { return "cost-only" }
 
-// Sort implements Classifier.
-func (CostOnly) Sort(offers []Ranked) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		if offers[i].Total() != offers[j].Total() {
-			return offers[i].Total() < offers[j].Total()
-		}
-		return offers[i].Key() < offers[j].Key()
-	})
+// Less implements Orderer.
+func (CostOnly) Less(a, b Ranked) bool {
+	if a.Total() != b.Total() {
+		return a.Total() < b.Total()
+	}
+	return a.Key() < b.Key()
 }
 
 // QoSOnly classifies by QoS importance alone (the weighted-average scheme
@@ -119,20 +120,18 @@ func (CostOnly) Sort(offers []Ranked) {
 // ignoring cost. Used as an experiment baseline.
 type QoSOnly struct{}
 
-// Name implements Classifier.
+// Name implements Orderer.
 func (QoSOnly) Name() string { return "qos-only" }
 
-// Sort implements Classifier.
-func (QoSOnly) Sort(offers []Ranked) {
-	sort.SliceStable(offers, func(i, j int) bool {
-		if offers[i].QoSImportance != offers[j].QoSImportance {
-			return offers[i].QoSImportance > offers[j].QoSImportance
-		}
-		if offers[i].Total() != offers[j].Total() {
-			return offers[i].Total() < offers[j].Total()
-		}
-		return offers[i].Key() < offers[j].Key()
-	})
+// Less implements Orderer.
+func (QoSOnly) Less(a, b Ranked) bool {
+	if a.QoSImportance != b.QoSImportance {
+		return a.QoSImportance > b.QoSImportance
+	}
+	if a.Total() != b.Total() {
+		return a.Total() < b.Total()
+	}
+	return a.Key() < b.Key()
 }
 
 // Classify ranks and orders offers with the paper's default classifier and
@@ -140,7 +139,7 @@ func (QoSOnly) Sort(offers []Ranked) {
 // commitment step needs.
 func Classify(offers []SystemOffer, u profile.UserProfile) []Ranked {
 	ranked := Rank(offers, u)
-	SNSPrimary{}.Sort(ranked)
+	Sort(ranked, SNSPrimary{})
 	return ranked
 }
 

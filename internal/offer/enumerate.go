@@ -214,17 +214,6 @@ func advanceIndex(idx []int, cands Candidates) bool {
 	return false
 }
 
-// decodeIndex writes the multi-index of the n-th tuple (lexicographic, last
-// dimension fastest) into idx; the parallel pipeline uses it to hand each
-// worker a contiguous, independent slice of the product space.
-func decodeIndex(idx []int, cands Candidates, n int) {
-	for i := len(idx) - 1; i >= 0; i-- {
-		size := len(cands[i])
-		idx[i] = n % size
-		n /= size
-	}
-}
-
 // Walk streams every feasible system offer in lexicographic variant order,
 // calling yield for each; enumeration stops early when yield returns false.
 // Offers are materialized one at a time — nothing proportional to the
@@ -257,8 +246,8 @@ func Walk(doc media.Document, cands Candidates, yield func(SystemOffer) bool) {
 // variant, and ErrTooManyOffers when the product exceeds the limit.
 //
 // Enumerate materializes the whole product; the negotiation hot path uses
-// the streaming EnumerateTopK instead and keeps only the offers that can
-// still win classification.
+// Filter and the streaming TopKFromCandidates instead and keeps only the
+// offers that can still win classification.
 func Enumerate(doc media.Document, m client.Machine, pricing cost.Pricing, opts EnumerateOptions) ([]SystemOffer, error) {
 	cands, err := Filter(context.Background(), doc, m, pricing, opts.Guarantee, 0, opts.Exclude)
 	if err != nil {

@@ -145,7 +145,7 @@ func TestEnumerateCostOrdering(t *testing.T) {
 	m := client.Workstation("c1", "n1")
 	offers, _ := Enumerate(doc, m, cost.DefaultPricing(), EnumerateOptions{})
 	ranked := Rank(offers, profile.UserProfile{Importance: profile.DefaultImportance()})
-	CostOnly{}.Sort(ranked)
+	Sort(ranked, CostOnly{})
 	cheapest, priciest := ranked[0], ranked[len(ranked)-1]
 	if cheapest.Total() > priciest.Total() {
 		t.Error("cost-only sort broken")
@@ -157,7 +157,7 @@ func TestEnumerateCostOrdering(t *testing.T) {
 }
 
 func TestBaselineClassifierNames(t *testing.T) {
-	for _, c := range []Classifier{SNSPrimary{}, OIFOnly{}, CostOnly{}, QoSOnly{}} {
+	for _, c := range []Orderer{SNSPrimary{}, OIFOnly{}, CostOnly{}, QoSOnly{}} {
 		if c.Name() == "" {
 			t.Error("classifier without name")
 		}
@@ -167,7 +167,7 @@ func TestBaselineClassifierNames(t *testing.T) {
 func TestQoSOnlyIgnoresCost(t *testing.T) {
 	u := paperProfile()
 	ranked := Rank(paperOffers(), u)
-	QoSOnly{}.Sort(ranked)
+	Sort(ranked, QoSOnly{})
 	// QoS importances: offer1 20, offer2 23, offer3 24, offer4 27.
 	assertOrder(t, order(ranked), "offer4", "offer3", "offer2", "offer1")
 }

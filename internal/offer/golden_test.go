@@ -8,15 +8,14 @@ import (
 	"testing"
 
 	"qosneg/internal/client"
-	"qosneg/internal/cost"
 )
 
 // TestRankedJSONGolden pins the wire encoding of a classified offer list
 // byte-for-byte: Ranked carries its system offer by reference, which must
 // not show in the JSON the protocol and the experiment outputs emit.
 func TestRankedJSONGolden(t *testing.T) {
-	ranked, err := EnumerateTopK(context.Background(), newsDoc(), client.Workstation("c1", "n1"),
-		cost.DefaultPricing(), pipelineProfile(), PipelineOptions{TopK: 3})
+	ranked, err := filterTopK(context.Background(), newsDoc(), client.Workstation("c1", "n1"),
+		pipelineProfile(), PipelineOptions{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestPaperClassificationSetting3(t *testing.T) {
 	u.Importance = profile.Importance{CostPerDollar: 4}
 
 	ranked := Rank(paperOffers(), u)
-	OIFOnly{}.Sort(ranked)
+	Sort(ranked, OIFOnly{})
 	assertOrder(t, order(ranked), "offer1", "offer3", "offer2", "offer4")
 	for id, want := range map[string]float64{"offer1": -10, "offer2": -16, "offer3": -12, "offer4": -20} {
 		found := false

@@ -97,38 +97,59 @@ func TestEnumerateMatchesWalk(t *testing.T) {
 	}
 }
 
-// TestEnumerateTopKMatchesClassify checks the parallel bounded pipeline
-// returns exactly the prefix the classical enumerate+rank+sort produces,
-// for every built-in orderer and several K.
-func TestEnumerateTopKMatchesClassify(t *testing.T) {
-	doc := synthDoc(8) // 512 offers
-	m := client.Workstation("c1", "n1")
-	pricing := cost.DefaultPricing()
-	u := pipelineProfile()
-	offers, err := Enumerate(doc, m, pricing, EnumerateOptions{})
+// filterTopK runs steps 2–4 the way the manager does: the step-2 filter, then
+// the fused scoring and bounded classification over its candidates.
+func filterTopK(ctx context.Context, doc media.Document, m client.Machine, u profile.UserProfile, opts PipelineOptions) ([]Ranked, error) {
+	cands, err := Filter(ctx, doc, m, cost.DefaultPricing(), u.Desired.Cost.Guarantee, 0, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for _, orderer := range []Orderer{SNSPrimary{}, OIFOnly{}, CostOnly{}, QoSOnly{}} {
-		full := Rank(offers, u)
-		orderer.(Classifier).Sort(full)
-		for _, k := range []int{0, 1, 7, 64, 10_000} {
-			got, err := EnumerateTopK(context.Background(), doc, m, pricing, u, PipelineOptions{
-				TopK: k, Workers: 4, Orderer: orderer,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := full
-			if k > 0 && k < len(full) {
-				want = full[:k]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: got %d offers, want %d", orderer.(Classifier).Name(), k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Key() != want[i].Key() {
-					t.Errorf("%s k=%d offer %d: %q, want %q", orderer.(Classifier).Name(), k, i, got[i].Key(), want[i].Key())
+	return TopKFromCandidates(ctx, doc, cands, u, opts)
+}
+
+// TestTopKFromCandidatesMatchesClassify checks the bounded pipeline returns
+// exactly the prefix the classical enumerate+rank+sort produces, for every
+// built-in orderer and several K — including the product sizes (2197, 4096)
+// that once ran on a goroutine fan-out, unbounded and at the manager's
+// default bound.
+func TestTopKFromCandidatesMatchesClassify(t *testing.T) {
+	m := client.Workstation("c1", "n1")
+	u := pipelineProfile()
+	for _, tc := range []struct {
+		variants int // per monomedia: the product is variants^3
+		ks       []int
+	}{
+		{8, []int{0, 1, 7, 64, 10_000}},
+		{13, []int{0, 64}},
+		{16, []int{0, 64}},
+	} {
+		doc := synthDoc(tc.variants)
+		offers, err := Enumerate(doc, m, cost.DefaultPricing(), EnumerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tc.variants * tc.variants * tc.variants; len(offers) != want {
+			t.Fatalf("synthDoc(%d): %d offers, want %d", tc.variants, len(offers), want)
+		}
+		for _, orderer := range []Orderer{SNSPrimary{}, OIFOnly{}, CostOnly{}, QoSOnly{}} {
+			full := Rank(offers, u)
+			Sort(full, orderer)
+			for _, k := range tc.ks {
+				got, err := filterTopK(context.Background(), doc, m, u, PipelineOptions{TopK: k, Orderer: orderer})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := full
+				if k > 0 && k < len(full) {
+					want = full[:k]
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s n=%d k=%d: got %d offers, want %d", orderer.Name(), len(offers), k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Key() != want[i].Key() {
+						t.Errorf("%s n=%d k=%d offer %d: %q, want %q", orderer.Name(), len(offers), k, i, got[i].Key(), want[i].Key())
+					}
 				}
 			}
 		}
@@ -140,31 +161,37 @@ func TestEnumerateTopKMatchesClassify(t *testing.T) {
 func TestEnumerateTopKErrors(t *testing.T) {
 	doc := newsDoc()
 	m := client.Workstation("c1", "n1")
-	pricing := cost.DefaultPricing()
 	u := pipelineProfile()
-	if _, err := EnumerateTopK(context.Background(), doc, m, pricing, u, PipelineOptions{MaxOffers: 4}); !errors.Is(err, ErrTooManyOffers) {
+	if _, err := filterTopK(context.Background(), doc, m, u, PipelineOptions{MaxOffers: 4}); !errors.Is(err, ErrTooManyOffers) {
 		t.Errorf("tight MaxOffers: err = %v, want ErrTooManyOffers", err)
 	}
 	deaf := m
 	deaf.Audio = 0
 	var nv *NoVariantError
-	if _, err := EnumerateTopK(context.Background(), doc, deaf, pricing, u, PipelineOptions{}); !errors.As(err, &nv) {
+	if _, err := filterTopK(context.Background(), doc, deaf, u, PipelineOptions{}); !errors.As(err, &nv) {
 		t.Errorf("deaf machine: err = %v, want NoVariantError", err)
 	} else if nv.Monomedia != "audio" {
 		t.Errorf("NoVariantError names %q", nv.Monomedia)
 	}
 }
 
-// TestEnumerateTopKCanceled checks a pre-canceled context aborts the
-// pipeline with the context's error.
+// TestEnumerateTopKCanceled checks a context canceled after the step-2
+// filter aborts scoring with the context's error.
 func TestEnumerateTopKCanceled(t *testing.T) {
+	doc := synthDoc(16)
+	m := client.Workstation("c1", "n1")
+	u := pipelineProfile()
+	cands, err := Filter(context.Background(), doc, m, cost.DefaultPricing(), u.Desired.Cost.Guarantee, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	doc := synthDoc(16) // 4096 offers: the parallel path
-	m := client.Workstation("c1", "n1")
-	_, err := EnumerateTopK(ctx, doc, m, cost.DefaultPricing(), pipelineProfile(), PipelineOptions{Workers: 4})
-	if !errors.Is(err, context.Canceled) {
+	if _, err := TopKFromCandidates(ctx, doc, cands, u, PipelineOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if _, err := filterTopK(ctx, doc, m, u, PipelineOptions{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("filter: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -175,7 +202,8 @@ func TestTopKProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(200)
 		k := 1 + rng.Intn(20)
-		tk := NewTopK(k, SNSPrimary{})
+		tk := new(TopK)
+		tk.Reset(k, SNSPrimary{}, n)
 		all := make([]Ranked, n)
 		for i := range all {
 			r := Ranked{
@@ -189,7 +217,7 @@ func TestTopKProperty(t *testing.T) {
 			all[i] = r
 			tk.Add(r)
 		}
-		SNSPrimary{}.Sort(all)
+		Sort(all, SNSPrimary{})
 		want := all
 		if k < len(all) {
 			want = all[:k]
@@ -198,8 +226,9 @@ func TestTopKProperty(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %d, want %d", trial, len(got), len(want))
 		}
+		less := SNSPrimary{}.Less
 		for i := range want {
-			if got[i].Key() != want[i].Key() || snsLess(got[i], want[i]) || snsLess(want[i], got[i]) {
+			if got[i].Key() != want[i].Key() || less(got[i], want[i]) || less(want[i], got[i]) {
 				t.Fatalf("trial %d offer %d: got %+v, want %+v", trial, i, got[i], want[i])
 			}
 		}

@@ -10,8 +10,7 @@ import "slices"
 // more importantly under load, O(K) memory instead of O(N).
 //
 // K <= 0 keeps every offer (the classical unbounded classification).
-// TopK is not safe for concurrent use; the pipeline gives each worker its
-// own collector and merges them.
+// TopK is not safe for concurrent use. The zero value is unusable until Reset.
 type TopK struct {
 	k int
 	// order is the best-first ordering; the heap keeps the *worst* kept
@@ -20,19 +19,13 @@ type TopK struct {
 	items []Ranked
 }
 
-// NewTopK builds a collector keeping the k best offers under the orderer's
-// ordering; k <= 0 keeps everything.
-func NewTopK(k int, o Orderer) *TopK {
-	t := &TopK{}
-	t.Reset(k, o, k)
-	return t
-}
-
-// Reset reinitializes the collector for reuse (the pipeline pools them via
-// sync.Pool). capHint is how many offers the caller will feed at most — the
-// worker's index-range size — so the heap backing array is allocated once at
-// its final size: min(k, capHint) for a bounded collector (it never holds
-// more than k), capHint for an unbounded one (it holds everything).
+// Reset initializes the collector to keep the k best offers under the
+// orderer's ordering (k <= 0 keeps everything), reusing its backing array (the
+// pipeline pools collectors via sync.Pool). capHint is how many offers the
+// caller will feed at most — the product size — so the heap backing array is
+// allocated once at its final size: min(k, capHint) for a bounded collector
+// (it never holds more than k), capHint for an unbounded one (it holds
+// everything).
 func (t *TopK) Reset(k int, o Orderer, capHint int) {
 	t.k = k
 	t.order = o
@@ -49,15 +42,13 @@ func (t *TopK) Reset(k int, o Orderer, capHint int) {
 	t.items = t.items[:0]
 }
 
-// Len returns how many offers are currently kept.
-func (t *TopK) Len() int { return len(t.items) }
-
 // Full reports whether the collector holds K offers, so that a further Add
 // must evict the worst to be kept.
 func (t *TopK) Full() bool { return t.k > 0 && len(t.items) >= t.k }
 
-// Worst returns the worst kept offer; only valid when Len() > 0. Together
-// with Full it lets callers skip materializing offers that cannot be kept.
+// Worst returns the worst kept offer; only valid once an offer was added.
+// Together with Full it lets callers skip materializing offers that cannot
+// be kept.
 func (t *TopK) Worst() Ranked { return t.items[0] }
 
 // Add offers r to the collector, evicting the current worst if the
@@ -73,13 +64,6 @@ func (t *TopK) Add(r Ranked) {
 	}
 	t.items[0] = r
 	t.down(0)
-}
-
-// Merge folds every offer kept by other into t.
-func (t *TopK) Merge(other *TopK) {
-	for _, r := range other.items {
-		t.Add(r)
-	}
 }
 
 // Sorted returns the kept offers best-first, consuming nothing: the

@@ -1,6 +1,7 @@
 package policy_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -221,7 +222,7 @@ func TestPolicyReorderedFailover(t *testing.T) {
 		// The reversed order leads with server-3; crash it so the policy's
 		// first choice fails and the run must fail over across the tie run.
 		inj.Crash("server-3")
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func TestPolicyOffEquivalence(t *testing.T) {
 		for i, pb := range beds {
 			switch op {
 			case 0, 1, 2, 3:
-				res, err := pb.bed.Manager.Negotiate(pb.bed.Client(client), "news-1", tvProfile())
+				res, err := pb.bed.Manager.NegotiateContext(context.Background(), pb.bed.Client(client), "news-1", tvProfile())
 				snaps[i] = "negotiate " + signature(res, err)
 				if err == nil && res.Session != nil {
 					live[i] = append(live[i], res.Session.ID)
@@ -349,7 +350,7 @@ func TestPolicyOffEquivalence(t *testing.T) {
 			case 8:
 				if pickIdx >= 0 && pickIdx < len(live[i]) {
 					id := live[i][pickIdx]
-					res, err := pb.bed.Manager.Renegotiate(id, tvProfile())
+					res, err := pb.bed.Manager.RenegotiateContext(context.Background(), id, tvProfile())
 					snaps[i] = fmt.Sprintf("renegotiate %d %s", id, signature(res, err))
 				}
 			case 9:
@@ -415,7 +416,7 @@ func TestBanditFleetPropagation(t *testing.T) {
 		s.SetReserveFailure(1.0)
 	}
 	for i := 0; i < 12; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", tvProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +432,7 @@ func TestBanditFleetPropagation(t *testing.T) {
 	// learned, so the last few rounds must commit without burning attempts.
 	before := bed.Manager.Stats()
 	for i := 0; i < 8; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(2), "news-1", tvProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(2), "news-1", tvProfile())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func tvProfile() profile.UserProfile {
 
 func reserved(t *testing.T, b *testbed.Bed, doc media.DocumentID) *core.Session {
 	t.Helper()
-	res, err := b.Manager.Negotiate(b.Client(1), doc, tvProfile())
+	res, err := b.Manager.NegotiateContext(context.Background(), b.Client(1), doc, tvProfile())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,13 +348,6 @@ func (f *Fleet) shedResult(retry time.Duration) core.Result {
 	}
 }
 
-// Negotiate runs the negotiation procedure with no cancellation.
-//
-// Deprecated: use NegotiateContext, as on *core.Manager.
-func (f *Fleet) Negotiate(mach client.Machine, doc media.DocumentID, u profile.UserProfile) (core.Result, error) {
-	return f.NegotiateContext(context.Background(), mach, doc, u)
-}
-
 // NegotiateContext gates the request through the router's admission
 // controller, places it on the next shard round-robin, catches that shard
 // up on the update bus and runs the procedure there.
@@ -369,14 +362,6 @@ func (f *Fleet) NegotiateContext(ctx context.Context, mach client.Machine, doc m
 	sh := f.place()
 	f.catchUp(sh)
 	return sh.mgr.NegotiateContext(ctx, mach, doc, u)
-}
-
-// Renegotiate re-runs the negotiation for a reserved session with no
-// cancellation.
-//
-// Deprecated: use RenegotiateContext, as on *core.Manager.
-func (f *Fleet) Renegotiate(id core.SessionID, u profile.UserProfile) (core.Result, error) {
-	return f.RenegotiateContext(context.Background(), id, u)
 }
 
 // RenegotiateContext gates through the router's admission controller and

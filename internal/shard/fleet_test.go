@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -72,7 +73,7 @@ func driveInterleaving(t *testing.T, bed *testbed.Bed, seed int64, ops int) []st
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3:
-			res, err := bed.Manager.Negotiate(bed.Client(1+rng.Intn(2)), "news-1", stressProfile())
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+rng.Intn(2)), "news-1", stressProfile())
 			record("negotiate %s", signature(res, err))
 			if err == nil && res.Session != nil {
 				live = append(live, res.Session.ID)
@@ -96,7 +97,7 @@ func driveInterleaving(t *testing.T, bed *testbed.Bed, seed int64, ops int) []st
 			}
 		case 8:
 			if id, ok := pick(); ok {
-				res, err := bed.Manager.Renegotiate(id, stressProfile())
+				res, err := bed.Manager.RenegotiateContext(context.Background(), id, stressProfile())
 				record("renegotiate %d %s", id, signature(res, err))
 			}
 		case 9:
@@ -148,7 +149,7 @@ func TestFleetReplication(t *testing.T) {
 	}
 	// Every placement (round-robin over 4 shards) must see the document.
 	for i := 0; i < 8; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", stressProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +166,7 @@ func TestFleetReplication(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		// An unsharded manager answers a vanished document with a not-found
 		// error; a stale replica would instead still negotiate successfully.
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", stressProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err == nil {
 			t.Fatalf("negotiation %d after Remove: shard answered from a stale replica (status %v)", i, res.Status)
 		}
@@ -205,7 +206,7 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	// the point: the other three only learn of it over the bus.
 	tripped := false
 	for i := 0; i < 32 && !tripped; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", stressProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestFleetPolicyPropagation(t *testing.T) {
 	// Round-robin placement lands commits on both shards; each commit's
 	// observation is shared immediately by the stub.
 	for i := 0; i < 6; i++ {
-		res, err := bed.Manager.Negotiate(bed.Client(1), "news-1", stressProfile())
+		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +418,7 @@ func runShardStress(t *testing.T, shards int, seed int64) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(12) {
 				case 0, 1, 2, 3:
-					res, err := bed.Manager.Negotiate(bed.Client(1+rng.Intn(2)), "news-1", stressProfile())
+					res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+rng.Intn(2)), "news-1", stressProfile())
 					if err != nil {
 						t.Errorf("shards=%d: Negotiate: %v", shards, err)
 						return
@@ -443,7 +444,7 @@ func runShardStress(t *testing.T, shards int, seed int64) {
 					}
 				case 9:
 					if id, ok := pickLive(rng); ok {
-						bed.Manager.Renegotiate(id, stressProfile())
+						bed.Manager.RenegotiateContext(context.Background(), id, stressProfile())
 					}
 				case 10:
 					if id, ok := pickLive(rng); ok {

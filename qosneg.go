@@ -12,7 +12,7 @@
 // with disk-round admission control, a reservation-capable network, the
 // transport system, client machine models, the offer classification
 // machinery of the paper's Section 5, the six-step negotiation procedure of
-// Section 4 run on a parallel streaming pipeline, the adaptation monitor, a
+// Section 4 run on a streaming pipeline, the adaptation monitor, a
 // playout driver on a discrete-event engine, a TCP wire protocol, and the
 // profile manager's window flow.
 //
@@ -77,20 +77,18 @@ import (
 // two-server star-topology system with the default disk model, link
 // capacities, cost tables and QoS-manager options.
 type config struct {
-	spec        testbed.Spec
-	opts        core.Options
-	optsSet     bool
-	concurrency int
-	topK        int
-	offerCache  *int
-	health      *core.HealthPolicy
-	retry       protocol.RetryPolicy
-	wire        protocol.WireOptions
-	metrics     *telemetry.Registry
-	tracer      telemetry.Tracer
-	admission   *admission.Controller
-	selection   core.SelectionPolicy
-	adaptation  core.AdaptationPolicy
+	spec       testbed.Spec
+	opts       core.Options
+	optsSet    bool
+	offerCache *int
+	health     *core.HealthPolicy
+	retry      protocol.RetryPolicy
+	wire       protocol.WireOptions
+	metrics    *telemetry.Registry
+	tracer     telemetry.Tracer
+	admission  *admission.Controller
+	selection  core.SelectionPolicy
+	adaptation core.AdaptationPolicy
 }
 
 // Option configures New; the With* constructors build them.
@@ -116,14 +114,8 @@ func WithAccessCapacity(r qos.BitRate) Option {
 	return func(c *config) { c.spec.AccessCapacity = r }
 }
 
-// WithBackboneCapacity overrides the star topology's backbone capacity.
-func WithBackboneCapacity(r qos.BitRate) Option {
-	return func(c *config) { c.spec.BackboneCapacity = r }
-}
-
 // WithOptions replaces the QoS manager options wholesale (classifier,
-// choice period, enumeration bound, path alternates). Later WithConcurrency
-// still applies on top.
+// choice period, enumeration bound, path alternates).
 func WithOptions(o core.Options) Option {
 	return func(c *config) { c.opts, c.optsSet = o, true }
 }
@@ -131,19 +123,6 @@ func WithOptions(o core.Options) Option {
 // WithPricing overrides the default cost tables (see cost.LoadPricing).
 func WithPricing(p cost.Pricing) Option {
 	return func(c *config) { c.spec.Pricing = &p }
-}
-
-// WithConcurrency bounds the negotiation pipeline's worker pool; 0 (the
-// default) selects GOMAXPROCS.
-func WithConcurrency(n int) Option {
-	return func(c *config) { c.concurrency = n }
-}
-
-// WithTopK bounds how many classified offers each negotiation keeps for
-// commitment and adaptation; 0 selects core.DefaultTopK, negative keeps
-// the full classified set.
-func WithTopK(k int) Option {
-	return func(c *config) { c.topK = k }
 }
 
 // WithOfferCache sizes the candidate-set cache memoizing the static half of
@@ -194,9 +173,7 @@ func WithMetrics(reg *telemetry.Registry) Option {
 
 // WithTracer installs a structured span tracer on the QoS manager (and on
 // clients built by Dial): every negotiation step, skip, quarantine and
-// redial emits a typed telemetry.Event. It supersedes the string-based
-// core.Options.Trace callback, which remains supported; both may be
-// installed. It applies on top of WithOptions.
+// redial emits a typed telemetry.Event. It applies on top of WithOptions.
 func WithTracer(tr telemetry.Tracer) Option {
 	return func(c *config) { c.tracer = tr }
 }
@@ -304,12 +281,6 @@ func New(options ...Option) (*System, error) {
 	opts := core.DefaultOptions()
 	if cfg.optsSet {
 		opts = cfg.opts
-	}
-	if cfg.concurrency != 0 {
-		opts.Concurrency = cfg.concurrency
-	}
-	if cfg.topK != 0 {
-		opts.TopK = cfg.topK
 	}
 	if cfg.offerCache != nil {
 		opts.OfferCache = *cfg.offerCache

@@ -12,6 +12,12 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "== no deprecated API twins"
+if grep -rn 'Deprecated:' --include='*.go' .; then
+	echo "check: a Deprecated: marker means two ways to make one call; delete the old one" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -35,8 +41,9 @@ go test -race -short -count=1 -run 'TestShardLifecycleStress' ./internal/shard
 echo "== overload shed gate (race, short)"
 go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmission' .
 
-echo "== telemetry zero-alloc gate"
+echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer adds nothing to a cached negotiate+reject)"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
+go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
 echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound' ./internal/core

@@ -329,13 +329,12 @@ func BenchmarkNegotiateParallel(b *testing.B) {
 
 // BenchmarkShardedNegotiate measures concurrent negotiate+reject rounds
 // against a sharded manager fleet at 1, 2, 4 and 8 shards, with enough
-// client machines to keep every shard busy. shards=1 prices the routing
-// layer itself (one-shard fleet vs the plain manager of
-// BenchmarkNegotiateParallel); higher counts measure how much manager-side
-// serialization — session table, breaker state, offer cache — sharding
-// removes. Throughput scales with cores: on a multi-core host 4 shards
-// should clear well over 2.5× the 1-shard rate; a single-core runner can
-// only show the routing overhead staying flat.
+// client machines to keep every shard busy. shards=1 is the default system
+// (what BenchmarkNegotiateParallel/clients=8 also measures); higher counts
+// measure how much manager-side serialization — session table, breaker
+// state, offer cache — sharding removes. Throughput scales with cores: on a
+// multi-core host 4 shards should clear well over 2.5× the 1-shard rate; a
+// single-core runner can only show the routing overhead staying flat.
 func BenchmarkShardedNegotiate(b *testing.B) {
 	const clients = 8
 	for _, shards := range []int{1, 2, 4, 8} {

@@ -8,7 +8,6 @@ import (
 
 	"qosneg"
 	"qosneg/internal/admission"
-	"qosneg/internal/core"
 	"qosneg/internal/protocol"
 	"qosneg/internal/telemetry"
 )
@@ -33,11 +32,9 @@ func startShedDaemon(t *testing.T, wireShed bool) string {
 	t.Helper()
 	ctrl := pinController(t)
 	reg := telemetry.NewRegistry()
-	opts := core.DefaultOptions()
-	opts.Admission = ctrl
 	sys, err := qosneg.New(
 		qosneg.WithClients(1), qosneg.WithServers(2),
-		qosneg.WithOptions(opts), qosneg.WithMetrics(reg))
+		qosneg.WithAdmission(ctrl), qosneg.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

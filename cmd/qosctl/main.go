@@ -297,7 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		if len(rows) == 0 {
-			fmt.Fprintln(stdout, "daemon runs a single (unsharded) manager")
+			fmt.Fprintln(stdout, "daemon reports no per-shard view")
 			break
 		}
 		printShards(stdout, rows)
@@ -329,7 +329,8 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 		fmt.Fprintln(w, "telemetry: daemon not instrumented (no metrics snapshot)")
 		return
 	}
-	if h, ok := snap.Find(core.MetricNegotiationTime, ""); ok && h.Count > 0 {
+	// Every shard records its own latency series; the headline is the fleet's.
+	if h, ok := snap.Merged(core.MetricNegotiationTime); ok && h.Count > 0 {
 		fmt.Fprintf(w, "negotiation latency: %s (n=%d)\n", quantiles(h), h.Count)
 	}
 	steps := []telemetry.Step{

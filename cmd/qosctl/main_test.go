@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -25,9 +26,9 @@ func startDaemon(t *testing.T, instrument bool) string {
 
 // startDaemonSystem is startDaemon for tests that also drive the daemon's
 // manager in-process.
-func startDaemonSystem(t *testing.T, instrument bool) (*qosneg.System, string) {
+func startDaemonSystem(t *testing.T, instrument bool, extra ...qosneg.Option) (*qosneg.System, string) {
 	t.Helper()
-	options := []qosneg.Option{qosneg.WithClients(1), qosneg.WithServers(2)}
+	options := append([]qosneg.Option{qosneg.WithClients(1), qosneg.WithServers(2)}, extra...)
 	var reg *telemetry.Registry
 	if instrument {
 		reg = telemetry.NewRegistry()
@@ -207,28 +208,38 @@ func TestQosctlBatch(t *testing.T) {
 	}
 }
 
+// TestQosctlStats: the report reads the same whatever the shard count. Each
+// shard records negotiation latency under its own label, and round-robin
+// placement spreads four negotiations over four shards, so the headline line
+// must be the merge of every shard's histogram.
 func TestQosctlStats(t *testing.T) {
-	addr := startDaemon(t, true)
-	if stdout, stderr, code := ctl(t, addr, "-doc", "news-1", "negotiate"); code != 0 {
-		t.Fatalf("negotiate: exit %d\n%s%s", code, stdout, stderr)
-	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, addr := startDaemonSystem(t, true, qosneg.WithShards(shards))
+			for i := 0; i < 4; i++ {
+				if stdout, stderr, code := ctl(t, addr, "-doc", "news-1", "negotiate"); code != 0 {
+					t.Fatalf("negotiate: exit %d\n%s%s", code, stdout, stderr)
+				}
+			}
 
-	stdout, stderr, code := ctl(t, addr, "stats")
-	if code != 0 {
-		t.Fatalf("stats: exit %d (stderr: %s)", code, stderr)
-	}
-	for _, w := range []string{
-		"requests 1: SUCCEEDED 1",
-		"negotiation latency: p50",
-		"step latencies:",
-		"local-negotiation",
-		"commitment",
-		"servers:",
-		"server-1",
-	} {
-		if !strings.Contains(stdout, w) {
-			t.Errorf("stats output missing %q:\n%s", w, stdout)
-		}
+			stdout, stderr, code := ctl(t, addr, "stats")
+			if code != 0 {
+				t.Fatalf("stats: exit %d (stderr: %s)", code, stderr)
+			}
+			for _, w := range []string{
+				"requests 4: SUCCEEDED 4",
+				"negotiation latency: p50",
+				"(n=4)\nstep latencies:",
+				"local-negotiation",
+				"commitment",
+				"servers:",
+				"server-1",
+			} {
+				if !strings.Contains(stdout, w) {
+					t.Errorf("stats output missing %q:\n%s", w, stdout)
+				}
+			}
+		})
 	}
 }
 

@@ -57,7 +57,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7000", "TCP listen address")
 	servers := flag.Int("servers", 2, "number of CMFS servers")
 	clients := flag.Int("clients", 4, "number of provisioned client attachment points")
-	shards := flag.Int("shards", 0, "manager shards behind consistent-hash session routing (0 runs the classic single manager)")
+	shards := flag.Int("shards", 1, "manager shards behind consistent-hash session routing")
 	catalog := flag.String("catalog", "", "JSON document catalog to load (default: synthesize articles)")
 	tariff := flag.String("pricing", "", "JSON tariff to load (default: built-in cost tables)")
 	verbose := flag.Bool("verbose", false, "log every negotiation decision (the QoS manager's trace)")
@@ -91,10 +91,8 @@ func main() {
 		qosneg.WithMetrics(reg),
 		qosneg.WithClients(*clients),
 		qosneg.WithServers(*servers),
+		qosneg.WithShards(*shards),
 	)
-	if *shards > 0 {
-		options = append(options, qosneg.WithShards(*shards))
-	}
 	switch *policyName {
 	case "", "static":
 		// The fixed tie-break; installing policy.Static would be equivalent.
@@ -238,11 +236,8 @@ func main() {
 		os.Exit(0)
 	}()
 
-	if sys.Fleet != nil {
-		log.Printf("sharded manager fleet: %d shards behind consistent-hash routing", sys.Fleet.Shards())
-	}
-	log.Printf("qosnegd listening on %s (%d servers, %d client slots, real-time playout on)",
-		l.Addr(), *servers, *clients)
+	log.Printf("qosnegd listening on %s (%d manager shards, %d servers, %d client slots, real-time playout on)",
+		l.Addr(), sys.Fleet.Shards(), *servers, *clients)
 	if err := srv.Serve(l); err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}

@@ -63,7 +63,8 @@ func runFaultChaos(t *testing.T, seed int64) {
 	}
 	reg := telemetry.NewRegistry()
 	opts.Metrics = reg
-	bed := testbed.MustNew(testbed.Spec{Faults: inj, Options: &opts})
+	bed := testbed.MustNew(testbed.Spec{Faults: inj})
+	man := bareManager(bed, inj, opts)
 	bed.Ledger.Instrument(reg)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
@@ -182,7 +183,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	checkSessionTableAtFloor(t, bed.Manager.(*core.Manager))
+	checkSessionTableAtFloor(t, man)
 	if v := reg.Counter(ledger.MetricLeaked, "").Value(); v != 0 {
 		t.Errorf("seed %d: %s = %d, want 0", seed, ledger.MetricLeaked, v)
 	}

@@ -217,11 +217,11 @@ func (m *Manager) recordCommitFailure(f *commitFailure) {
 		m.statsMu.Lock()
 		m.stats.Quarantines++
 		m.statsMu.Unlock()
-		if m.opts.OnQuarantine != nil {
+		if m.opts.Shard != nil {
 			// Locally gathered breaker evidence only: quarantines applied
 			// from a sibling shard go through ApplyQuarantine, which never
 			// re-publishes — so evidence crosses the bus exactly once.
-			m.opts.OnQuarantine(f.server, until)
+			m.opts.Shard.PublishQuarantine(f.server, until)
 		}
 		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
@@ -278,8 +278,9 @@ func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
 //
 // The failure-evidence generation is bumped so an in-flight local commit
 // that started before the evidence arrived cannot clear it on success, and
-// Options.OnQuarantine deliberately does not fire — replicated evidence is
-// never re-published, which is what makes the propagation loop-free.
+// ShardHooks.PublishQuarantine deliberately does not fire — replicated
+// evidence is never re-published, which is what makes the propagation
+// loop-free.
 func (m *Manager) ApplyQuarantine(id media.ServerID, until time.Time) {
 	if !until.After(m.now()) {
 		return

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"qosneg/internal/admission"
 	"qosneg/internal/client"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
@@ -78,33 +77,12 @@ type Options struct {
 	// cause, committed, exhausted, quarantine, adaptation). It runs on the
 	// negotiating goroutine and must be fast and non-blocking.
 	Tracer telemetry.Tracer
-	// Admission, when non-nil, gates every negotiation before step 1:
-	// work the controller refuses is answered FAILEDTRYLATER with the
-	// controller's load-derived RetryAfter hint and Result.Shed set,
-	// without running the procedure. Nil disables admission control at
-	// zero cost.
-	Admission *admission.Controller
-	// NextSessionID, when non-nil, replaces the manager's private id
-	// counter: every reserved session gets the allocator's next id. A
-	// sharded fleet installs a per-shard allocator that only emits ids
-	// hashing back to that shard, so a session is always resident where the
-	// consistent-hash router will look for it — and fleet-wide uniqueness
-	// follows from the hash partitions being disjoint, with no cross-shard
-	// coordination. Called under the session-table lock; must be fast.
-	NextSessionID func() SessionID
-	// OnQuarantine, when non-nil, fires after this manager's circuit
-	// breaker trips a quarantine (not on externally applied evidence — see
-	// ApplyQuarantine). The sharded fleet uses it to publish breaker
-	// evidence on the update bus so sibling shards stop offering the dead
-	// server too. Runs on the negotiating goroutine; must be fast and
-	// non-blocking.
-	OnQuarantine func(id media.ServerID, until time.Time)
-	// ShardLabel, when non-empty, labels this manager's negotiation-latency
-	// histogram with a "shard" dimension instead of registering the plain
-	// series — so a fleet's shards share one metrics registry without
-	// colliding, and per-shard latency is visible. Empty (the default)
-	// keeps the unsharded series exactly as before.
-	ShardLabel string
+	// Shard, when non-nil, makes this manager one shard of a fleet: session
+	// ids, breaker-trip publication and the negotiation-latency series' shard
+	// label come from the hooks (see ShardHooks). Nil — a bare manager in
+	// tests and benchmarks — allocates 1, 2, 3 … privately, publishes
+	// nothing and records under shard "0".
+	Shard ShardHooks
 	// Selection, when non-nil, may reorder step 5's commitment attempts
 	// among offers the classifier ranked equal — same Status, same OIF —
 	// and nothing else, so classification stays normative (see policy.go).
@@ -115,6 +93,25 @@ type Options struct {
 	// Adaptation is Selection's counterpart for the adaptation procedure's
 	// target order; the same object may serve both roles.
 	Adaptation AdaptationPolicy
+}
+
+// ShardHooks is what a manager running as one shard of a fleet asks of the
+// fleet. shard.Fleet implements it per shard; the methods run on the
+// negotiating goroutine and must be fast and non-blocking.
+type ShardHooks interface {
+	// Label is the shard's value of the negotiation-latency histogram's
+	// "shard" label, so a fleet's shards share one metrics registry.
+	Label() string
+	// NextSessionID allocates the id of a freshly reserved session, in place
+	// of the manager's private counter. A shard only emits ids that hash
+	// back to itself, so a session is resident where the router will look
+	// for it and fleet-wide uniqueness needs no coordination. Called under
+	// the session-table lock.
+	NextSessionID() SessionID
+	// PublishQuarantine fires after this manager's own circuit breaker trips
+	// (never for evidence installed by ApplyQuarantine), so sibling shards
+	// stop offering the dead server too.
+	PublishQuarantine(id media.ServerID, until time.Time)
 }
 
 // DefaultTopK is how many classified offers a negotiation retains by
@@ -282,9 +279,10 @@ type Stats struct {
 	// ended the session while an adaptation or renegotiation was committing
 	// off-lock. Each one is a reservation leak prevented.
 	StaleInstalls int
-	// AdmissionSheds counts requests the admission controller refused
-	// before step 1; each is also counted under Requests and
-	// FailedTryLater, since the caller saw a FAILEDTRYLATER result.
+	// AdmissionSheds counts requests the admission controller refused at
+	// the fleet router, before any shard ran step 1; each is also counted
+	// under Requests and FailedTryLater, since the caller saw a
+	// FAILEDTRYLATER result.
 	AdmissionSheds int
 	// Offer-cache counters, snapshotted from the candidate-set cache: how
 	// many negotiations reused a memoized candidate set, how many computed
@@ -312,7 +310,7 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		transport: ts,
 		pricing:   pricing,
 		opts:      opts,
-		met:       newNegMetrics(opts.Metrics, opts.ShardLabel),
+		met:       newNegMetrics(opts.Metrics, opts.Shard),
 		now:       time.Now,
 		servers:   make(map[media.ServerID]serverEntry),
 		health:    make(map[media.ServerID]*serverHealth),
@@ -725,15 +723,6 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 // Canceling ctx aborts the pipeline between stages and rolls back any
 // partially committed resources; the context's error is returned.
 func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, docID media.DocumentID, u profile.UserProfile) (Result, error) {
-	// Admission control runs before step 1 — and before the registry is
-	// even consulted — so a shed costs nothing but the refusal itself.
-	release, retry, admitted := m.opts.Admission.Admit()
-	if !admitted {
-		return m.shedResult(retry), nil
-	}
-	if release != nil {
-		defer release()
-	}
 	doc, docGen, err := m.registry.Snapshot(docID)
 	if err != nil {
 		return Result{}, err
@@ -771,8 +760,8 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		sess.reservedAt = m.now()
 	}
 	m.sessMu.Lock()
-	if m.opts.NextSessionID != nil {
-		sess.ID = m.opts.NextSessionID()
+	if m.opts.Shard != nil {
+		sess.ID = m.opts.Shard.NextSessionID()
 	} else {
 		m.nextID++
 		sess.ID = m.nextID
@@ -797,16 +786,6 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 // the freshly committed resources are released instead of installed, and
 // ErrChoicePeriodExpired (or ErrBadState) is returned.
 func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profile.UserProfile) (Result, error) {
-	// Admission gates renegotiation too, before the session is touched:
-	// a shed leaves the reservation intact and Reserved, so the client can
-	// simply retry after the hint instead of losing its session.
-	release, retry, admitted := m.opts.Admission.Admit()
-	if !admitted {
-		return m.shedResult(retry), nil
-	}
-	if release != nil {
-		defer release()
-	}
 	s, err := m.Session(id)
 	if err != nil {
 		return Result{}, err
@@ -895,22 +874,6 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	s.mu.Unlock()
 	uo := out.chosen.UserOffer()
 	return Result{Status: out.status, Offer: &uo, Session: s}, nil
-}
-
-// shedResult books one admission refusal and renders it as the paper's
-// polite refusal: FAILEDTRYLATER with the controller's RetryAfter hint.
-func (m *Manager) shedResult(retry time.Duration) Result {
-	m.statsMu.Lock()
-	m.stats.Requests++
-	m.stats.AdmissionSheds++
-	m.statsMu.Unlock()
-	m.count(FailedTryLater)
-	return Result{
-		Status:     FailedTryLater,
-		Reason:     "admission control: manager overloaded",
-		RetryAfter: retry,
-		Shed:       true,
-	}
 }
 
 func (m *Manager) count(s NegotiationStatus) {

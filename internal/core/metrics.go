@@ -64,26 +64,23 @@ type negMetrics struct {
 }
 
 // newNegMetrics registers the manager's metrics; nil registry → nil metrics.
-// A non-empty shard label registers the end-to-end negotiation histogram as
-// a "shard"-labeled family instead of the plain series, so every shard of a
-// fleet records into its own latency distribution on the shared registry.
-func newNegMetrics(reg *telemetry.Registry, shard string) *negMetrics {
+// The end-to-end negotiation histogram is a "shard"-labeled family, so every
+// shard of a fleet records into its own latency distribution on the shared
+// registry; a manager without shard hooks records under "0".
+func newNegMetrics(reg *telemetry.Registry, shard ShardHooks) *negMetrics {
 	if reg == nil {
 		return nil
 	}
-	negSeconds := (*telemetry.Histogram)(nil)
-	if shard == "" {
-		negSeconds = reg.Histogram(MetricNegotiationTime,
-			"End-to-end negotiation latency (steps 1-5).", telemetry.LatencyBuckets)
-	} else {
-		negSeconds = reg.HistogramFamily(MetricNegotiationTime,
-			"End-to-end negotiation latency (steps 1-5), by manager shard.",
-			"shard", telemetry.LatencyBuckets).With(shard)
+	label := "0"
+	if shard != nil {
+		label = shard.Label()
 	}
 	n := &negMetrics{
 		outcomes: reg.CounterFamily(MetricNegotiations,
 			"Negotiation outcomes by NegotiationStatus.", "status"),
-		negSeconds: negSeconds,
+		negSeconds: reg.HistogramFamily(MetricNegotiationTime,
+			"End-to-end negotiation latency (steps 1-5), by manager shard.",
+			"shard", telemetry.LatencyBuckets).With(label),
 		steps: reg.HistogramFamily(MetricStepTime,
 			"Per-step negotiation latency.", "step", telemetry.LatencyBuckets),
 		commitFailures: reg.CounterFamily(MetricCommitFailures,

@@ -54,6 +54,18 @@ func checkSessionTableAtFloor(t *testing.T, m *core.Manager) {
 	}
 }
 
+// bareManager swaps the bed's fleet for a bare core.Manager over the same
+// registry, ledger and fault-wrapped substrate, so a test can reach the
+// manager's own hooks and retention counters.
+func bareManager(bed *testbed.Bed, inj *faults.Injector, opts core.Options) *core.Manager {
+	man := core.NewManager(bed.Registry, inj.WrapTransport(bed.Transit), bed.Pricing, opts)
+	for _, s := range inj.Servers() {
+		man.AddServer(s, s.Node())
+	}
+	bed.Manager = man
+	return man
+}
+
 func stressIters() int {
 	if s := os.Getenv("QOSNEG_STRESS_ITERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -78,7 +90,8 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	}
 	reg := telemetry.NewRegistry()
 	opts.Metrics = reg
-	bed := testbed.MustNew(testbed.Spec{Faults: inj, Options: &opts})
+	bed := testbed.MustNew(testbed.Spec{Faults: inj})
+	man := bareManager(bed, inj, opts)
 	bed.Ledger.Instrument(reg)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
@@ -91,7 +104,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	// a single-CPU runner), so the harness forces the interleaving the epoch
 	// guard exists for; the guard must absorb it leak-free.
 	var windows uint64
-	bed.Manager.(*core.Manager).SetTestHookUnlocked(func(op string, id core.SessionID) {
+	man.SetTestHookUnlocked(func(op string, id core.SessionID) {
 		if atomic.AddUint64(&windows, 1)%4 != 0 {
 			return
 		}
@@ -264,7 +277,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
-	checkSessionTableAtFloor(t, bed.Manager.(*core.Manager))
+	checkSessionTableAtFloor(t, man)
 	if got := bed.Network.ActiveReservations(); got != 0 {
 		t.Errorf("seed %d: %d network reservations leaked", seed, got)
 	}

@@ -14,10 +14,11 @@ import (
 
 // SessionManager is the manager surface the rest of the system programs
 // against: the six-step negotiation procedure, the step 6 session lifecycle,
-// the adaptation procedure and the ops views. *Manager implements it
-// directly; shard.Fleet implements it by consistent-hash routing over N
-// independent managers — so the facade, protocol server, playout driver and
-// adaptation monitor sit on top of either without change.
+// the adaptation procedure and the ops views. Every assembled system holds a
+// shard.Fleet behind it, which implements it by consistent-hash routing over
+// its shards; each shard is a *Manager, which implements it directly — so the
+// protocol server, playout driver and adaptation monitor also sit on a bare
+// manager in tests and benchmarks.
 type SessionManager interface {
 	// Negotiation (Section 4, steps 1-5) and renegotiation (Section 8).
 	NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (Result, error)

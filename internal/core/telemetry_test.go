@@ -53,7 +53,7 @@ func TestNegotiationMetricsRecorded(t *testing.T) {
 	if got := s.CounterValue(MetricNegotiations, Succeeded.String()); got != 1 {
 		t.Fatalf("negotiations{SUCCEEDED} = %d, want 1", got)
 	}
-	e2e, ok := s.Find(MetricNegotiationTime, "")
+	e2e, ok := s.Find(MetricNegotiationTime, "0")
 	if !ok || e2e.Count != 1 {
 		t.Fatalf("end-to-end histogram = %+v ok=%v, want one observation", e2e, ok)
 	}

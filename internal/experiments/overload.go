@@ -11,7 +11,6 @@ import (
 
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
-	"qosneg/internal/core"
 	"qosneg/internal/faults"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
@@ -57,7 +56,7 @@ func (tl *e19Tally) p99() time.Duration {
 }
 
 // e19Bed assembles the E8 substrate with an admission controller on the
-// manager and the standard fault weather: a fixed per-reservation cost so
+// fleet router and the standard fault weather: a fixed per-reservation cost so
 // negotiations take real time (without it the manager finishes in
 // microseconds and no load ever accumulates).
 func e19Bed(faulty bool) (*testbed.Bed, []media.DocumentID, *admission.Controller) {
@@ -65,14 +64,12 @@ func e19Bed(faulty bool) (*testbed.Bed, []media.DocumentID, *admission.Controlle
 		SLO:         e19SLO,
 		MaxInFlight: runtime.GOMAXPROCS(0),
 	})
-	opts := core.DefaultOptions()
-	opts.Admission = ctrl
 	inj := faults.New(1996)
 	bed := testbed.MustNew(testbed.Spec{
 		Clients:        4,
 		Servers:        3,
 		AccessCapacity: 25 * qos.MBitPerSecond,
-		Options:        &opts,
+		Admission:      ctrl,
 		Faults:         inj,
 	})
 	ctrl.SetOccupancy(bed.Ledger.Open)

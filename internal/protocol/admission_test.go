@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,9 +112,7 @@ func TestServerShedBusyOverWire(t *testing.T) {
 func TestManagerShedResultOverWire(t *testing.T) {
 	for _, tc := range codecCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Admission = saturatedController(t)
-			bed := testbed.MustNew(testbed.Spec{Options: &opts})
+			bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
 			if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
 				t.Fatal(err)
 			}
@@ -142,9 +142,7 @@ func TestManagerShedResultOverWire(t *testing.T) {
 // TestBatchShedItemsCarryRetryAfter: every shed item of a batch carries the
 // controller's hint and the Shed marker.
 func TestBatchShedItemsCarryRetryAfter(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Admission = saturatedController(t)
-	bed := testbed.MustNew(testbed.Spec{Options: &opts})
+	bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
 	docs := []media.DocumentID{"news-1", "news-2", "news-3"}
 	for _, id := range docs {
 		if _, err := bed.AddNewsArticle(id, "Article "+string(id), time.Minute); err != nil {
@@ -242,6 +240,45 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 	}
 	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v == 0 {
 		t.Fatal("binary shed not counted")
+	}
+}
+
+// TestStreamSlotFreedBeforeFIN: client and server negotiate the same stream
+// cap, so a client that never exceeds it must never be shed for it. A caller
+// reuses its slot the moment it has read a reply; the server therefore has
+// to free the stream's slot before it queues the FIN, not after.
+func TestStreamSlotFreedBeforeFIN(t *testing.T) {
+	bed := testbed.MustNew(testbed.Spec{})
+	wire := WireOptions{MaxStreams: 8}
+	h, _ := serveWith(t, bed, WithServerWire(wire))
+	c, err := Dial(h.addr, WithWire(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var busy atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < wire.MaxStreams; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				_, err := c.ListSessions(bg)
+				var eb *ErrBusy
+				switch {
+				case errors.As(err, &eb):
+					busy.Add(1)
+				case err != nil:
+					t.Errorf("list sessions: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := busy.Load(); n != 0 {
+		t.Fatalf("%d of %d calls shed at a stream cap the client never exceeded", n, wire.MaxStreams*2000)
 	}
 }
 

@@ -352,8 +352,8 @@ func (s *Server) dispatch(ctx context.Context, env Envelope) Envelope {
 	case MsgStats:
 		st := s.man.Stats()
 		p := &StatsInfoPayload{Stats: &st}
-		// A sharded fleet reveals its per-shard breakdown through this
-		// optional interface; a plain manager answers without it.
+		// The fleet reveals its per-shard breakdown through this optional
+		// interface; a bare core.Manager answers without it.
 		if f, ok := s.man.(interface{ ShardStats() []shard.Stat }); ok {
 			p.Shards = f.ShardStats()
 		}
@@ -745,18 +745,32 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		wg.Add(1)
 		s.streamGauge.Add(1)
 		go func(stream uint32, env Envelope, ctx context.Context, cancel context.CancelFunc) {
-			defer func() {
+			// closeStream frees the stream's slot and its active entry. It
+			// runs before the FIN is queued: a client that has read the FIN
+			// may reuse the slot at once, and must not be shed for a stream
+			// the server already answered. (A cancel frame still in flight
+			// then finds no entry and is ignored.) Only this goroutine
+			// calls it.
+			closed := false
+			closeStream := func() {
+				if closed {
+					return
+				}
+				closed = true
 				smu.Lock()
 				delete(active, stream)
 				smu.Unlock()
-				cancel()
 				<-sem
 				s.streamGauge.Add(-1)
+			}
+			defer func() {
+				closeStream()
+				cancel()
 				wg.Done()
 			}()
 			if env.Type == MsgWatch {
 				req, _ := env.Payload.(*WatchRequest)
-				s.watchBinary(ctx, stream, req, fw)
+				s.watchBinary(ctx, stream, req, fw, closeStream)
 				return
 			}
 			resp := s.serve(ctx, env)
@@ -764,6 +778,7 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 				s.abandon(env.Type, resp)
 				return
 			}
+			closeStream()
 			fw.sendEnvelope(stream, flagFIN, resp)
 		}(f.Stream, env, streamCtx, cancel)
 	}
@@ -789,8 +804,9 @@ func (s *Server) abandon(req MessageType, resp Envelope) {
 }
 
 // watchBinary pushes a watch stream's updates as frames on its stream id;
-// the final update carries the FIN flag.
-func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchRequest, fw *frameWriter) {
+// the final update carries the FIN flag, queued after closeStream has freed
+// the stream's slot.
+func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchRequest, fw *frameWriter, closeStream func()) {
 	s.watchLoop(ctx, req, func(e Envelope) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -798,6 +814,7 @@ func (s *Server) watchBinary(ctx context.Context, stream uint32, req *WatchReque
 		flags := byte(0)
 		if p, ok := e.Payload.(*SessionInfoPayload); (ok && p.Final) || e.Type == MsgError {
 			flags = flagFIN
+			closeStream()
 		}
 		return fw.sendEnvelope(stream, flags, e)
 	})

@@ -137,7 +137,7 @@ func (r *Registry) Document(id media.DocumentID) (media.Document, error) {
 // atomically under one lock acquisition. The generation changes whenever the
 // document is replaced (Add), removed and re-added, or reloaded from disk —
 // so a candidate set computed from this snapshot is valid exactly as long as
-// Generation(id) still returns the same value.
+// a later Snapshot returns the same generation.
 func (r *Registry) Snapshot(id media.DocumentID) (media.Document, uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -146,14 +146,6 @@ func (r *Registry) Snapshot(id media.DocumentID) (media.Document, uint64, error)
 		return media.Document{}, 0, fmt.Errorf("%w: document %q", ErrNotFound, id)
 	}
 	return d, r.gens[id], nil
-}
-
-// Generation returns the mutation generation of a document (0 when the
-// document is unknown).
-func (r *Registry) Generation(id media.DocumentID) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gens[id]
 }
 
 // List returns every stored document id in sorted order.
@@ -205,24 +197,6 @@ func (r *Registry) Variants(doc media.DocumentID, mono media.MonomediaID) ([]med
 	out := make([]media.Variant, len(m.Variants))
 	copy(out, m.Variants)
 	return out, nil
-}
-
-// VariantsOnServer returns, per document, how many variants are stored on
-// the given server. The experiment harness uses it to check placement skew.
-func (r *Registry) VariantsOnServer(server media.ServerID) map[media.DocumentID]int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[media.DocumentID]int)
-	for id, d := range r.docs {
-		for _, m := range d.Monomedia {
-			for _, v := range m.Variants {
-				if v.Server == server {
-					out[id]++
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Servers returns the sorted set of server ids referenced by any variant.

@@ -119,20 +119,6 @@ func TestServerIndex(t *testing.T) {
 	if len(servers) != 2 || servers[0] != "s1" || servers[1] != "s2" {
 		t.Errorf("Servers = %v", servers)
 	}
-	on1 := r.VariantsOnServer("s1")
-	on2 := r.VariantsOnServer("s2")
-	if on1["news-1"]+on2["news-1"] == 0 {
-		t.Error("no variants indexed")
-	}
-	total := on1["news-1"] + on2["news-1"]
-	want := 0
-	d, _ := r.Document("news-1")
-	for _, m := range d.Monomedia {
-		want += len(m.Variants)
-	}
-	if total != want {
-		t.Errorf("server index counts %d variants, want %d", total, want)
-	}
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {

@@ -59,46 +59,3 @@ func (s Schedule) Duration() time.Duration {
 	}
 	return max
 }
-
-// ActiveAt returns the continuous streams playing at position pos, in
-// schedule order.
-func (s Schedule) ActiveAt(pos time.Duration) []media.MonomediaID {
-	var out []media.MonomediaID
-	for _, w := range s.Streams {
-		if w.Start <= pos && pos < w.End {
-			out = append(out, w.Monomedia)
-		}
-	}
-	return out
-}
-
-// PeakConcurrency returns the maximum number of simultaneously playing
-// continuous streams — the worst-case simultaneous resource demand of the
-// document.
-func (s Schedule) PeakConcurrency() int {
-	type event struct {
-		at    time.Duration
-		delta int
-	}
-	var events []event
-	for _, w := range s.Streams {
-		if w.End == w.Start {
-			continue
-		}
-		events = append(events, event{w.Start, 1}, event{w.End, -1})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
-		}
-		return events[i].delta < events[j].delta
-	})
-	cur, peak := 0, 0
-	for _, ev := range events {
-		cur += ev.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
-}

@@ -66,23 +66,6 @@ func TestBuildScheduleSequentialComposition(t *testing.T) {
 	}
 }
 
-func TestActiveAtAndPeak(t *testing.T) {
-	s := BuildSchedule(seqDoc())
-	at := func(sec int) []media.MonomediaID { return s.ActiveAt(time.Duration(sec) * time.Second) }
-	if got := at(5); len(got) != 2 { // intro + audio
-		t.Errorf("active@5s = %v", got)
-	}
-	if got := at(20); len(got) != 2 { // main + audio
-		t.Errorf("active@20s = %v", got)
-	}
-	if got := at(45); len(got) != 0 {
-		t.Errorf("active@45s = %v", got)
-	}
-	if got := s.PeakConcurrency(); got != 2 {
-		t.Errorf("peak concurrency = %d", got)
-	}
-}
-
 func TestScheduleOfParallelDoc(t *testing.T) {
 	doc := media.BuildNewsArticle(media.NewsArticleSpec{
 		ID: "news-1", Title: "T", Duration: time.Minute,
@@ -94,7 +77,8 @@ func TestScheduleOfParallelDoc(t *testing.T) {
 	if s.Duration() != time.Minute {
 		t.Errorf("Duration = %v", s.Duration())
 	}
-	if got := s.PeakConcurrency(); got != 2 {
-		t.Errorf("peak = %d", got)
+	// Video and audio play in parallel for the whole article.
+	if len(s.Streams) != 2 || s.Streams[0].Start != 0 || s.Streams[1].Start != 0 {
+		t.Errorf("streams = %+v, want two starting at 0", s.Streams)
 	}
 }

@@ -34,15 +34,21 @@ type Config struct {
 	Transport core.Transport
 	// Pricing is the initial tariff.
 	Pricing cost.Pricing
-	// Options is the per-shard manager configuration. The fleet lifts
-	// Options.Admission to the router (one gate per request, before
-	// routing) and installs its own session-id allocator, quarantine
-	// publisher and shard metric label on each shard's copy.
+	// Options is the per-shard manager configuration; the fleet installs
+	// each shard's handle as Options.Shard on that shard's copy.
 	Options core.Options
+	// Admission, when non-nil, gates negotiation-class work once at the
+	// router, before routing: refused work is answered FAILEDTRYLATER with
+	// the controller's load-derived RetryAfter hint and Result.Shed set,
+	// without reaching a shard. Nil disables admission control at zero cost.
+	Admission *admission.Controller
 }
 
-// shardHandle is one manager shard plus its replication cursor.
+// shardHandle is one manager shard plus its replication cursor. It is the
+// shard's core.ShardHooks: metric label, session-id allocator and
+// breaker-trip publisher.
 type shardHandle struct {
+	fleet   *Fleet
 	idx     int
 	mgr     *core.Manager
 	replica *registry.Registry
@@ -74,8 +80,7 @@ type Fleet struct {
 	shards  []*shardHandle
 	primary *registry.Registry
 	bus     *bus
-	// adm, when non-nil, gates negotiation-class work once at the router;
-	// shards run with admission disabled so a request is never gated twice.
+	// adm, when non-nil, gates negotiation-class work once at the router.
 	adm *admission.Controller
 	rr  atomic.Uint64
 	met *fleetMetrics
@@ -102,24 +107,18 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		primary: cfg.Registry,
 		bus:     &bus{},
-		adm:     cfg.Options.Admission,
+		adm:     cfg.Admission,
 		met:     newFleetMetrics(cfg.Options.Metrics, n),
 	}
 	for i := 0; i < n; i++ {
-		sh := &shardHandle{idx: i, replica: registry.New()}
-		idx := i
+		sh := &shardHandle{fleet: f, idx: i, replica: registry.New()}
 		opts := cfg.Options
-		opts.Admission = nil
-		opts.ShardLabel = strconv.Itoa(idx)
-		opts.NextSessionID = f.allocator(sh, n)
-		opts.OnQuarantine = func(id media.ServerID, until time.Time) {
-			f.publishHealth(idx, id, until)
-		}
+		opts.Shard = sh
 		// A forkable selection policy splits into per-shard instances: each
 		// shard learns lock-free from its own commits, and instances that
 		// share state exchange additive summaries over the policy topic.
 		if forker, ok := opts.Selection.(core.PolicyForker); ok {
-			forked := forker.ForkPolicy(idx)
+			forked := forker.ForkPolicy(i)
 			sameObject := any(opts.Adaptation) == any(opts.Selection)
 			opts.Selection = forked
 			if sameObject {
@@ -131,7 +130,7 @@ func New(cfg Config) *Fleet {
 				sh.policy = sharer
 				if n > 1 {
 					sharer.SetShareHook(func(sums []core.PolicySummary) {
-						f.publishPolicy(idx, sums)
+						f.publishPolicy(sh.idx, sums)
 					})
 				}
 			}
@@ -153,32 +152,34 @@ func New(cfg Config) *Fleet {
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
 
-// allocator returns shard sh's session-id allocator: it scans upward from
-// the shard's last id to the next id that jump-hashes home. The partitions
-// {id : shardOf(id)=i} are disjoint across shards, so ids are fleet-unique
-// without coordination; the expected scan length is the shard count. With
-// one shard every id matches, so a single-shard fleet allocates 1, 2, 3, …
-// exactly like an unsharded manager.
-func (f *Fleet) allocator(sh *shardHandle, n int) func() core.SessionID {
-	return func() core.SessionID {
-		sh.idMu.Lock()
-		defer sh.idMu.Unlock()
-		for {
-			sh.lastID++
-			if shardOf(core.SessionID(sh.lastID), n) == sh.idx {
-				return core.SessionID(sh.lastID)
-			}
+// Label is the shard's index, the "shard" label of its latency series.
+func (sh *shardHandle) Label() string { return strconv.Itoa(sh.idx) }
+
+// NextSessionID scans upward from the shard's last id to the next id that
+// jump-hashes home. The partitions {id : shardOf(id)=i} are disjoint across
+// shards, so ids are fleet-unique without coordination; the expected scan
+// length is the shard count. With one shard every id matches, so a
+// single-shard fleet allocates 1, 2, 3, … exactly like a bare manager.
+func (sh *shardHandle) NextSessionID() core.SessionID {
+	n := len(sh.fleet.shards)
+	sh.idMu.Lock()
+	defer sh.idMu.Unlock()
+	for {
+		sh.lastID++
+		if shardOf(core.SessionID(sh.lastID), n) == sh.idx {
+			return core.SessionID(sh.lastID)
 		}
 	}
 }
 
-// publishHealth broadcasts one breaker trip. Single-shard fleets skip the
-// bus: there is no sibling to inform.
-func (f *Fleet) publishHealth(origin int, id media.ServerID, until time.Time) {
+// PublishQuarantine broadcasts one breaker trip. Single-shard fleets skip
+// the bus: there is no sibling to inform.
+func (sh *shardHandle) PublishQuarantine(id media.ServerID, until time.Time) {
+	f := sh.fleet
 	if len(f.shards) == 1 {
 		return
 	}
-	f.bus.publish(topicHealth, event{origin: origin, server: id, until: until})
+	f.bus.publish(topicHealth, event{origin: sh.idx, server: id, until: until})
 	f.met.published(topicHealth)
 	f.met.lagGauge(f.busLag())
 }
@@ -451,8 +452,8 @@ func (f *Fleet) Invoice(id core.SessionID) (cost.Invoice, error) {
 // SetPricing publishes a tariff swap on the update bus; every shard applies
 // it before answering its next routed request, bumping its pricing
 // generation so memoized candidate sets priced under the old tables are
-// recomputed — the same lazy-invalidation contract as the unsharded
-// manager's SetPricing.
+// recomputed — the same lazy-invalidation contract as
+// core.Manager.SetPricing.
 func (f *Fleet) SetPricing(p cost.Pricing) {
 	f.bus.publish(topicPricing, event{pricing: p})
 	f.met.published(topicPricing)

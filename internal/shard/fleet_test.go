@@ -9,12 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/admission"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/faults"
+	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
 	"qosneg/internal/sim"
+	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
 )
 
@@ -114,27 +117,95 @@ func driveInterleaving(t *testing.T, bed *testbed.Bed, seed int64, ops int) []st
 	return out
 }
 
-// A one-shard fleet must be observably identical to an unsharded manager:
-// the same randomized interleaving of operations yields byte-identical
-// outcomes — statuses, session ids (the shard allocator degenerates to
-// 1,2,3,…), offers, costs and final counters.
+// A one-shard fleet must be observably identical to the bare manager it
+// replaced as the system's manager surface.
 func TestSingleShardEquivalence(t *testing.T) {
+	t.Run("interleaving", testSingleShardInterleaving)
+	t.Run("shed", testSingleShardShed)
+}
+
+// The same randomized interleaving of operations yields byte-identical
+// outcomes — statuses, session ids (the shard allocator degenerates to
+// 1,2,3,…), offers, costs and final counters. The testbed only builds
+// fleets, so the reference side swaps a hand-built core.Manager in.
+func testSingleShardInterleaving(t *testing.T) {
 	for _, seed := range []int64{1, 42, 1996} {
 		plain := testbed.MustNew(testbed.Spec{})
-		fleet := testbed.MustNew(testbed.Spec{Shards: 1})
-		if fleet.Fleet == nil {
-			t.Fatal("Spec{Shards:1} built no fleet")
+		man := core.NewManager(plain.Registry, plain.Transit, plain.Pricing, core.DefaultOptions())
+		for id, srv := range plain.Servers {
+			man.AddServer(srv, network.NodeID(id))
 		}
+		plain.Manager = man
+		fleet := testbed.MustNew(testbed.Spec{Shards: 1})
 		want := driveInterleaving(t, plain, seed, 120)
 		got := driveInterleaving(t, fleet, seed, 120)
 		if len(want) != len(got) {
-			t.Fatalf("seed %d: %d ops unsharded vs %d sharded", seed, len(want), len(got))
+			t.Fatalf("seed %d: %d ops bare vs %d through the fleet", seed, len(want), len(got))
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Fatalf("seed %d: op %d diverged\nunsharded: %s\n  sharded: %s", seed, i, want[i], got[i])
+				t.Fatalf("seed %d: op %d diverged\n bare: %s\nfleet: %s", seed, i, want[i], got[i])
 			}
 		}
+	}
+}
+
+// The router's admission gate is the only one a request crosses. This pins
+// it to what the manager-level gate it replaced answered for a saturated
+// controller: FAILEDTRYLATER with the Shed flag and the controller's hint,
+// booked as one request, one shed and one FAILEDTRYLATER in Stats and in
+// the outcome counter — and a shed renegotiation leaves the session
+// reserved.
+func testSingleShardShed(t *testing.T) {
+	ctrl := admission.New(admission.Config{MaxInFlight: 1, MinInFlight: 1})
+	reg := telemetry.NewRegistry()
+	opts := core.DefaultOptions()
+	opts.Metrics = reg
+	bed := testbed.MustNew(testbed.Spec{Shards: 1, Options: &opts, Admission: ctrl})
+	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	held, err := bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", stressProfile())
+	if err != nil || held.Session == nil {
+		t.Fatalf("admitted negotiation: %v %v", held.Status, err)
+	}
+	release, _, ok := ctrl.Admit()
+	if !ok {
+		t.Fatal("could not pin the controller's only slot")
+	}
+	defer release()
+
+	shedWant := func(res core.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.Result{
+			Status:     core.FailedTryLater,
+			Reason:     "admission control: manager overloaded",
+			RetryAfter: ctrl.RetryHint(),
+			Shed:       true,
+		}
+		if !reflect.DeepEqual(res, want) || res.RetryAfter <= 0 {
+			t.Fatalf("shed result = %+v, want %+v", res, want)
+		}
+	}
+	shedWant(bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", stressProfile()))
+	shedWant(bed.Manager.RenegotiateContext(ctx, held.Session.ID, stressProfile()))
+	if st := held.Session.State(); st != core.Reserved {
+		t.Fatalf("session is %v after a shed renegotiation, want Reserved", st)
+	}
+
+	st := bed.Manager.Stats()
+	if st.Requests != 3 || st.AdmissionSheds != 2 || st.FailedTryLater != 2 {
+		t.Fatalf("stats = requests %d, sheds %d, try-later %d; want 3, 2, 2", st.Requests, st.AdmissionSheds, st.FailedTryLater)
+	}
+	if got := reg.Snapshot().CounterValue(core.MetricNegotiations, core.FailedTryLater.String()); got != 2 {
+		t.Fatalf("%s{status=FAILEDTRYLATER} = %d, want 2", core.MetricNegotiations, got)
+	}
+	if as := ctrl.Stats(); as.Sheds != 2 {
+		t.Fatalf("controller counted %d sheds, want 2: a request must be gated exactly once", as.Sheds)
 	}
 }
 
@@ -164,8 +235,9 @@ func TestFleetReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		// An unsharded manager answers a vanished document with a not-found
-		// error; a stale replica would instead still negotiate successfully.
+		// A manager reading the primary registry answers a vanished document
+		// with a not-found error; a stale replica would instead still
+		// negotiate successfully.
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err == nil {
 			t.Fatalf("negotiation %d after Remove: shard answered from a stale replica (status %v)", i, res.Status)

@@ -14,8 +14,8 @@ import (
 // TestRetiredSessionSemantics pins what every session-addressed call answers
 // for a live session, for a retired one still in the tombstone ring (ended by
 // rejection, by the choice-period time-out, by completion) and for one the
-// ring has since overwritten — on a single manager and on a 4-shard fleet,
-// whose shards each keep their own ring.
+// ring has since overwritten — on the default one-shard fleet (Spec.Shards 0)
+// and on a 4-shard fleet, whose shards each keep their own ring.
 func TestRetiredSessionSemantics(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		shards := shards

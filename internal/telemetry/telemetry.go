@@ -535,6 +535,33 @@ func (s Snapshot) Find(name, labelValue string) (HistogramPoint, bool) {
 	return HistogramPoint{}, false
 }
 
+// Merged sums every snapshot histogram with the given name bucket-wise into
+// one unlabeled point: the fleet-wide distribution of a per-shard family.
+// Series of one family share their bucket bounds, which is what makes the
+// cumulative counts addable. Reports false when no series has the name.
+func (s Snapshot) Merged(name string) (HistogramPoint, bool) {
+	out := HistogramPoint{Name: name}
+	found := false
+	for _, h := range s.Histograms {
+		if h.Name != name {
+			continue
+		}
+		if !found {
+			found = true
+			out.Buckets = make([]BucketPoint, len(h.Buckets))
+			copy(out.Buckets, h.Buckets)
+			out.Count, out.Sum = h.Count, h.Sum
+			continue
+		}
+		out.Count += h.Count
+		out.Sum += h.Sum
+		for i := 0; i < len(out.Buckets) && i < len(h.Buckets); i++ {
+			out.Buckets[i].Count += h.Buckets[i].Count
+		}
+	}
+	return out, found
+}
+
 // CounterValue sums the snapshot counters with the given name whose labels
 // contain labelValue (any key, "" for unlabeled or all series).
 func (s Snapshot) CounterValue(name, labelValue string) uint64 {

@@ -105,6 +105,20 @@ func TestFamilies(t *testing.T) {
 	if _, ok := s.Find("op_seconds", "write"); ok {
 		t.Fatalf("Find(op_seconds, write) matched unexpectedly")
 	}
+
+	// Merged adds a family's series bucket by bucket.
+	hf.With("write").Observe(50 * time.Millisecond)
+	hf.With("write").Observe(time.Second)
+	m, ok := r.Snapshot().Merged("op_seconds")
+	if !ok || m.Count != 3 || len(m.Labels) != 0 {
+		t.Fatalf("Merged(op_seconds) = %+v ok=%v, want 3 unlabeled observations", m, ok)
+	}
+	if got := []uint64{m.Buckets[0].Count, m.Buckets[1].Count}; got[0] != 1 || got[1] != 2 {
+		t.Fatalf("merged cumulative buckets = %v, want [1 2]", got)
+	}
+	if _, ok := s.Merged("ghost"); ok {
+		t.Fatalf("Merged(ghost) matched unexpectedly")
+	}
 }
 
 func TestPrometheusRendering(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"qosneg/internal/admission"
 	"qosneg/internal/client"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
@@ -28,11 +29,11 @@ type Bed struct {
 	Registry *registry.Registry
 	Network  *network.Network
 	Transit  *transport.System
-	// Manager is the QoS manager surface: a single *core.Manager by
-	// default, a *shard.Fleet when Spec.Shards asks for one.
+	// Manager is the QoS manager surface the rest of the system programs
+	// against; it holds Fleet.
 	Manager core.SessionManager
-	// Fleet is the sharded fleet behind Manager when Spec.Shards > 0, nil
-	// for an unsharded bed.
+	// Fleet is the manager fleet behind Manager (Spec.Shards shards, one by
+	// default), for the fleet-only views: Sync, ShardStats, Shards.
 	Fleet   *shard.Fleet
 	Servers map[media.ServerID]*cmfs.Server
 	Clients map[client.MachineID]client.Machine
@@ -52,9 +53,7 @@ type Spec struct {
 	Clients int
 	// Servers is the number of CMFS servers (default 2).
 	Servers int
-	// Shards, when positive, fronts the bed with a sharded manager fleet of
-	// that many shards instead of a single manager (Bed.Fleet is set). Zero
-	// keeps the classic single *core.Manager.
+	// Shards is the number of manager shards in the bed's fleet (default 1).
 	Shards int
 	// ServerConfig overrides the CMFS disk model (default
 	// cmfs.DefaultConfig).
@@ -65,6 +64,9 @@ type Spec struct {
 	BackboneCapacity qos.BitRate
 	// Options overrides the QoS manager options.
 	Options *core.Options
+	// Admission, when non-nil, gates negotiation-class work at the fleet
+	// router (see shard.Config.Admission).
+	Admission *admission.Controller
 	// Pricing overrides the default cost tables.
 	Pricing *cost.Pricing
 	// Faults, when non-nil, wraps every CMFS server and the transport
@@ -135,18 +137,15 @@ func New(spec Spec) (*Bed, error) {
 	if spec.Faults != nil {
 		ts = spec.Faults.WrapTransport(ts)
 	}
-	if spec.Shards > 0 {
-		bed.Fleet = shard.New(shard.Config{
-			Shards:    spec.Shards,
-			Registry:  bed.Registry,
-			Transport: ts,
-			Pricing:   bed.Pricing,
-			Options:   opts,
-		})
-		bed.Manager = bed.Fleet
-	} else {
-		bed.Manager = core.NewManager(bed.Registry, ts, bed.Pricing, opts)
-	}
+	bed.Fleet = shard.New(shard.Config{
+		Shards:    spec.Shards,
+		Registry:  bed.Registry,
+		Transport: ts,
+		Pricing:   bed.Pricing,
+		Options:   opts,
+		Admission: spec.Admission,
+	})
+	bed.Manager = bed.Fleet
 	for _, node := range serverNodes {
 		srv, err := cmfs.NewServer(media.ServerID(node), cfg)
 		if err != nil {

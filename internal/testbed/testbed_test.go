@@ -18,6 +18,12 @@ func TestDefaults(t *testing.T) {
 	if len(b.Servers) != 2 || len(b.Clients) != 2 {
 		t.Errorf("defaults: %d servers, %d clients", len(b.Servers), len(b.Clients))
 	}
+	if n := b.Fleet.Shards(); n != 1 {
+		t.Errorf("defaults: %d shards, want 1", n)
+	}
+	if b.Manager != core.SessionManager(b.Fleet) {
+		t.Error("defaults: Manager does not hold the fleet")
+	}
 	ids := b.ServerIDs()
 	if len(ids) != 2 || ids[0] != "server-1" || ids[1] != "server-2" {
 		t.Errorf("ServerIDs = %v", ids)

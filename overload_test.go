@@ -409,7 +409,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	}
 	mst := h.sys.Manager.Stats()
 	if mst.AdmissionSheds == 0 {
-		t.Log("note: every shed happened at the wire; manager gate untouched")
+		t.Log("note: every shed happened at the wire; router gate untouched")
 	}
 }
 
@@ -438,8 +438,8 @@ func TestOverloadShedBurst(t *testing.T) {
 // TestOverloadShardedFleet runs the open-loop overload harness against a
 // 4-shard manager fleet with the admission decision at the shard router: a
 // bursty 10× overload must shed with usable hints while the admitted p99
-// holds, exactly as on the single manager — and afterward every shard drains
-// to zero live sessions and the shared ledger balances.
+// holds, exactly as on the default single shard — and afterward every shard
+// drains to zero live sessions and the shared ledger balances.
 func TestOverloadShardedFleet(t *testing.T) {
 	count, probeDur := 30_000, 500*time.Millisecond
 	if testing.Short() {
@@ -449,8 +449,8 @@ func TestOverloadShardedFleet(t *testing.T) {
 		count, probeDur = 5_000, 300*time.Millisecond
 	}
 	h := newOverloadHarness(t, 4, WithShards(4))
-	if h.sys.Fleet == nil {
-		t.Fatal("WithShards(4) built no fleet")
+	if n := h.sys.Fleet.Shards(); n != 4 {
+		t.Fatalf("WithShards(4) built %d shards", n)
 	}
 	peak := h.probePeak(t, probeDur)
 	begin := time.Now()

@@ -49,7 +49,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"time"
 
 	"qosneg/internal/adaptation"
 	"qosneg/internal/admission"
@@ -58,35 +57,28 @@ import (
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/faults"
-	"qosneg/internal/ledger"
 	"qosneg/internal/media"
-	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/protocol"
 	"qosneg/internal/qos"
-	"qosneg/internal/registry"
 	"qosneg/internal/session"
-	"qosneg/internal/shard"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
-	"qosneg/internal/transport"
 )
 
-// config collects the option values; the zero value builds a two-client,
-// two-server star-topology system with the default disk model, link
-// capacities, cost tables and QoS-manager options.
+// config collects the option values; with opts at core.DefaultOptions it
+// builds a two-client, two-server star-topology system with the default disk
+// model, link capacities and cost tables.
 type config struct {
 	spec       testbed.Spec
 	opts       core.Options
-	optsSet    bool
 	offerCache *int
 	health     *core.HealthPolicy
 	retry      protocol.RetryPolicy
 	wire       protocol.WireOptions
 	metrics    *telemetry.Registry
 	tracer     telemetry.Tracer
-	admission  *admission.Controller
 	selection  core.SelectionPolicy
 	adaptation core.AdaptationPolicy
 }
@@ -117,7 +109,7 @@ func WithAccessCapacity(r qos.BitRate) Option {
 // WithOptions replaces the QoS manager options wholesale (classifier,
 // choice period, enumeration bound, path alternates).
 func WithOptions(o core.Options) Option {
-	return func(c *config) { c.opts, c.optsSet = o, true }
+	return func(c *config) { c.opts = o }
 }
 
 // WithPricing overrides the default cost tables (see cost.LoadPricing).
@@ -179,29 +171,27 @@ func WithTracer(tr telemetry.Tracer) Option {
 }
 
 // WithAdmission installs an SLO-driven admission controller on the system:
-// the QoS manager sheds negotiation requests with FAILEDTRYLATER (and a
-// load-derived RetryAfter hint) when the controller reports overload, and
-// servers built by Serve refuse negotiation-class RPCs with a typed busy
-// reply before any reservation work. New wires the controller's occupancy
-// signal to the system's resource ledger and, when WithMetrics is also set,
-// instruments it. A nil controller disables admission control (the
-// default): the gates are then a single nil check — the zero-overhead path.
+// the manager fleet's router sheds negotiation requests with FAILEDTRYLATER
+// (and a load-derived RetryAfter hint) when the controller reports overload
+// — once per request, before routing — and servers built by Serve refuse
+// negotiation-class RPCs with a typed busy reply before any reservation
+// work. New wires the controller's occupancy signal to the system's resource
+// ledger and, when WithMetrics is also set, instruments it. A nil controller
+// disables admission control (the default): each gate is then a single nil
+// check — the zero-overhead path.
 func WithAdmission(c *admission.Controller) Option {
-	return func(cfg *config) { cfg.admission = c }
+	return func(cfg *config) { cfg.spec.Admission = c }
 }
 
-// WithShards fronts the system with a sharded manager fleet of n independent
-// manager shards behind consistent-hash session routing (see internal/shard
-// and DESIGN.md §14): new negotiations are placed round-robin, session
+// WithShards sets how many independent manager shards the system's fleet
+// runs behind consistent-hash session routing (see internal/shard and
+// DESIGN.md §14): new negotiations are placed round-robin, session
 // operations route by session id, the document catalog and pricing replicate
 // to every shard with generation stamps, and breaker evidence propagates
 // fleet-wide over the update bus. System.Fleet holds the fleet handle;
-// System.Manager remains the single surface callers use. With an admission
-// controller (WithAdmission) the gate moves to the fleet router, so a
-// request is admitted once, before routing. WithShards(0) — the default —
-// keeps the classic single manager; WithShards(1) builds a one-shard fleet,
-// which behaves identically to an unsharded system (same session ids, same
-// outcomes) while exercising the routing layer.
+// System.Manager remains the single surface callers use. The default is one
+// shard, which allocates session ids 1, 2, 3 … and never touches the bus;
+// n < 1 means 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.spec.Shards = n }
 }
@@ -234,28 +224,14 @@ func WithFaultInjector(inj *faults.Injector) Option {
 	return func(c *config) { c.spec.Faults = inj }
 }
 
-// System is an assembled news-on-demand prototype: every component wired
-// together, plus a profile store pre-loaded with the factory profiles.
+// System is an assembled news-on-demand prototype: the testbed's substrate
+// and manager fleet (Registry, Network, Transit, Manager, Fleet, Servers,
+// Clients, Pricing, Faults, Ledger, AddNewsArticle — see testbed.Bed), plus a
+// profile store pre-loaded with the factory profiles and the wire and
+// telemetry configuration Serve and Dial use.
 type System struct {
-	Registry *registry.Registry
-	Network  *network.Network
-	Transit  *transport.System
-	Manager  core.SessionManager
-	// Fleet is the sharded manager fleet behind Manager when WithShards was
-	// used, nil for a single-manager system.
-	Fleet    *shard.Fleet
-	Servers  map[media.ServerID]*cmfs.Server
-	Clients  map[client.MachineID]client.Machine
+	*testbed.Bed
 	Profiles *profile.Store
-	Pricing  cost.Pricing
-	// Faults is the injector installed by WithFaultInjector, nil
-	// otherwise.
-	Faults *faults.Injector
-	// Ledger is the resource ledger double-checking every CMFS
-	// reservation, network reservation and transport connection the system
-	// makes; Ledger.CheckEmpty after winding all sessions down proves
-	// nothing leaked (see DESIGN.md, "Session lifecycle").
-	Ledger *ledger.Ledger
 	// Retry is the redial/backoff policy System.Dial hands to clients.
 	Retry protocol.RetryPolicy
 	// Wire is the codec negotiation configuration (WithWire) Serve and
@@ -274,14 +250,11 @@ type System struct {
 // New assembles a system from the options; with none it builds the default
 // two-client, two-server star topology.
 func New(options ...Option) (*System, error) {
-	var cfg config
+	cfg := config{opts: core.DefaultOptions()}
 	for _, o := range options {
 		o(&cfg)
 	}
-	opts := core.DefaultOptions()
-	if cfg.optsSet {
-		opts = cfg.opts
-	}
+	opts := cfg.opts
 	if cfg.offerCache != nil {
 		opts.OfferCache = *cfg.offerCache
 	}
@@ -294,9 +267,6 @@ func New(options ...Option) (*System, error) {
 	if cfg.tracer != nil {
 		opts.Tracer = cfg.tracer
 	}
-	if cfg.admission != nil {
-		opts.Admission = cfg.admission
-	}
 	if cfg.selection != nil {
 		opts.Selection = cfg.selection
 	}
@@ -308,12 +278,9 @@ func New(options ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.admission != nil {
-		cfg.admission.SetOccupancy(bed.Ledger.Open)
-		if cfg.metrics != nil {
-			cfg.admission.Instrument(cfg.metrics)
-		}
-	}
+	// Both are no-ops on a nil controller.
+	cfg.spec.Admission.SetOccupancy(bed.Ledger.Open)
+	cfg.spec.Admission.Instrument(cfg.metrics)
 	if cfg.metrics != nil {
 		for _, srv := range bed.Servers {
 			srv.Instrument(cfg.metrics)
@@ -328,66 +295,18 @@ func New(options ...Option) (*System, error) {
 		}
 	}
 	return &System{
-		Registry:  bed.Registry,
-		Network:   bed.Network,
-		Transit:   bed.Transit,
-		Manager:   bed.Manager,
-		Fleet:     bed.Fleet,
-		Servers:   bed.Servers,
-		Clients:   bed.Clients,
+		Bed:       bed,
 		Profiles:  store,
-		Pricing:   bed.Pricing,
-		Faults:    bed.Faults,
-		Ledger:    bed.Ledger,
 		Retry:     cfg.retry,
 		Wire:      cfg.wire,
 		Metrics:   cfg.metrics,
 		Tracer:    cfg.tracer,
-		Admission: cfg.admission,
+		Admission: cfg.spec.Admission,
 	}, nil
-}
-
-// AddNewsArticle builds and registers a standard multi-variant news article
-// spread across the system's servers.
-func (s *System) AddNewsArticle(id media.DocumentID, title string, duration time.Duration) (media.Document, error) {
-	doc := media.BuildNewsArticle(media.NewsArticleSpec{
-		ID:       id,
-		Title:    title,
-		Duration: duration,
-		Servers:  s.serverIDs(),
-		VideoQualities: []qos.VideoQoS{
-			{Color: qos.Color, FrameRate: 25, Resolution: qos.TVResolution},
-			{Color: qos.Color, FrameRate: 15, Resolution: qos.TVResolution},
-			{Color: qos.Grey, FrameRate: 25, Resolution: qos.TVResolution},
-			{Color: qos.BlackWhite, FrameRate: 15, Resolution: qos.TVResolution},
-		},
-		AudioQualities: []qos.AudioQoS{
-			{Grade: qos.CDQuality, Language: qos.English},
-			{Grade: qos.TelephoneQuality, Language: qos.English},
-		},
-		Languages:    []qos.Language{qos.English, qos.French},
-		CopyrightFee: 500,
-	})
-	if err := s.Registry.Add(doc); err != nil {
-		return media.Document{}, err
-	}
-	return doc, nil
 }
 
 // AddDocument registers an arbitrary document.
 func (s *System) AddDocument(d media.Document) error { return s.Registry.Add(d) }
-
-func (s *System) serverIDs() []media.ServerID {
-	out := make([]media.ServerID, 0, len(s.Servers))
-	for i := 1; ; i++ {
-		id := media.ServerID(fmt.Sprintf("server-%d", i))
-		if _, ok := s.Servers[id]; !ok {
-			break
-		}
-		out = append(out, id)
-	}
-	return out
-}
 
 // Client returns the machine with the given id, or an error wrapping
 // ErrClientNotFound.
@@ -422,7 +341,7 @@ func (s *System) NegotiateWith(ctx context.Context, mach client.Machine, doc med
 // Monitor builds the adaptation monitor over the system's substrate.
 func (s *System) Monitor() *adaptation.Monitor {
 	servers := make([]*cmfs.Server, 0, len(s.Servers))
-	for _, id := range s.serverIDs() {
+	for _, id := range s.ServerIDs() {
 		servers = append(servers, s.Servers[id])
 	}
 	return adaptation.New(s.Manager, s.Network, servers...)

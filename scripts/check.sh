@@ -18,6 +18,12 @@ if grep -rn 'Deprecated:' --include='*.go' .; then
 	exit 1
 fi
 
+echo "== one way to assemble a system"
+if grep -rn 'core\.NewManager(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=shard .; then
+	echo "check: only internal/shard builds managers; assemble through testbed.New or qosneg.New, not a second way" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -40,6 +46,9 @@ go test -race -short -count=1 -run 'TestShardLifecycleStress' ./internal/shard
 
 echo "== overload shed gate (race, short)"
 go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmission' .
+
+echo "== wire stream-slot gate (race: a client inside its stream cap is never shed for it)"
+go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling' ./internal/protocol
 
 echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer adds nothing to a cached negotiate+reject)"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core

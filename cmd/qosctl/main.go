@@ -336,7 +336,6 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 	steps := []telemetry.Step{
 		telemetry.StepLocalNegotiation,
 		telemetry.StepCompatibilityCheck,
-		telemetry.StepClassificationParams,
 		telemetry.StepClassification,
 		telemetry.StepCommitment,
 		telemetry.StepConfirmation,
@@ -382,11 +381,11 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 }
 
 // printShards renders the per-shard fleet view: live sessions, outcome
-// counters, update-bus lag and breaker state for each manager shard.
+// counters and breaker state for each manager shard.
 func printShards(w io.Writer, rows []shard.Stat) {
 	for _, r := range rows {
 		st := r.Stats
-		fmt.Fprintf(w, "shard %d: %d live session(s), bus lag %d\n", r.Shard, r.Sessions, r.BusLag)
+		fmt.Fprintf(w, "shard %d: %d live session(s)\n", r.Shard, r.Sessions)
 		fmt.Fprintf(w, "  requests %d: SUCCEEDED %d, FAILEDWITHOFFER %d, FAILEDTRYLATER %d, "+
 			"FAILEDWITHOUTOFFER %d, FAILEDWITHLOCALOFFER %d; adaptations %d (failed %d)\n",
 			st.Requests, st.Succeeded, st.FailedWithOffer, st.FailedTryLater,

@@ -220,7 +220,7 @@ func (m *Manager) recordCommitFailure(f *commitFailure) {
 		if m.opts.Shard != nil {
 			// Locally gathered breaker evidence only: quarantines applied
 			// from a sibling shard go through ApplyQuarantine, which never
-			// re-publishes — so evidence crosses the bus exactly once.
+			// re-publishes, so each trip reaches each sibling exactly once.
 			m.opts.Shard.PublishQuarantine(f.server, until)
 		}
 		if m.opts.Tracer != nil {

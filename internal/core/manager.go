@@ -110,7 +110,8 @@ type ShardHooks interface {
 	NextSessionID() SessionID
 	// PublishQuarantine fires after this manager's own circuit breaker trips
 	// (never for evidence installed by ApplyQuarantine), so sibling shards
-	// stop offering the dead server too.
+	// stop offering the dead server too. It runs with none of this
+	// manager's locks held, so it may call into sibling managers.
 	PublishQuarantine(id media.ServerID, until time.Time)
 }
 

@@ -99,39 +99,6 @@ type PolicyObserver interface {
 	ObserveCommit(CommitObservation)
 }
 
-// PolicySummary is one arm's worth of learned policy state in shareable
-// form: additive success/failure evidence for a (server, guarantee) pair,
-// plus a latency estimate. A sharded fleet carries summaries on its update
-// bus so every shard's policy benefits from every shard's commits; additive
-// deltas merge order-independently, so replay order across shards cannot
-// skew the learned state.
-type PolicySummary struct {
-	Server    media.ServerID `json:"server"`
-	Guarantee cost.Guarantee `json:"guarantee"`
-	Successes float64        `json:"successes"`
-	Failures  float64        `json:"failures"`
-	// LatencySeconds is the sharer's commit-latency estimate for the arm;
-	// zero when it has none.
-	LatencySeconds float64 `json:"latencySeconds,omitempty"`
-}
-
-// PolicyForker is implemented by policies that can split into per-shard
-// instances. The fleet forks the configured policy once per shard so each
-// shard learns from its own commits without lock contention, and shares
-// state summaries over the bus instead.
-type PolicyForker interface {
-	ForkPolicy(shard int) SelectionPolicy
-}
-
-// PolicySharer is implemented by policies that exchange learned state.
-// SetShareHook installs the fleet's publisher (called with additive deltas
-// accumulated since the last share); MergePolicy folds a sibling's deltas
-// in. Both may be called concurrently with ordering and observation.
-type PolicySharer interface {
-	SetShareHook(func([]PolicySummary))
-	MergePolicy([]PolicySummary)
-}
-
 // policyObservers resolves the observer list once at construction: the
 // selection policy, and the adaptation policy when it is a distinct object.
 // tryCommit consults the slice with a single len check on the hot path.

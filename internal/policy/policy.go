@@ -41,8 +41,7 @@ func (Static) OrderTargets(ties []core.PolicyCandidate) []int { return nil }
 // Config tunes the bandit. The zero value is usable: DefaultConfig's values
 // are substituted for any field left zero.
 type Config struct {
-	// Seed makes the bandit's exploration deterministic. Forked per-shard
-	// instances derive their seed from it.
+	// Seed makes the bandit's exploration deterministic.
 	Seed int64
 	// Exploration scales the UCB-style uncertainty bonus. Zero means
 	// DefaultConfig's value; negative disables the bonus.
@@ -63,10 +62,6 @@ type Config struct {
 	FailureWeight float64
 	LatencyWeight float64
 	CostWeight    float64
-	// ShareEvery batches learned-state publication: with a share hook
-	// installed, every ShareEvery observations the accumulated deltas are
-	// handed to the hook.
-	ShareEvery int
 }
 
 // DefaultConfig are the weights E20 runs with.
@@ -79,7 +74,6 @@ func DefaultConfig() Config {
 		FailureWeight: 0.25,
 		LatencyWeight: 0.5,
 		CostWeight:    0.05,
-		ShareEvery:    8,
 	}
 }
 
@@ -108,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CostWeight == 0 {
 		c.CostWeight = d.CostWeight
-	}
-	if c.ShareEvery <= 0 {
-		c.ShareEvery = d.ShareEvery
 	}
 	return c
 }
@@ -142,9 +133,8 @@ func (a *arm) mean() float64 { return (a.successes + 1) / (a.n() + 2) }
 // each candidate offer by its weakest server — posterior commit-success
 // mean plus an optimism bonus, minus live-load, failure-history, latency
 // and cost penalties — and orders tie runs best-score-first. It learns from
-// every per-server commit attempt the manager feeds it via ObserveCommit,
-// and can exchange learned state with sibling shards as additive
-// core.PolicySummary deltas.
+// every per-server commit attempt the manager feeds it via ObserveCommit.
+// Every shard of a fleet consults and teaches the same Bandit.
 //
 // All methods are safe for concurrent use; ordering and observation take
 // one mutex and do O(run length × servers) float work, no allocation beyond
@@ -155,11 +145,6 @@ type Bandit struct {
 	mu   sync.Mutex
 	rng  splitmix
 	arms map[armKey]*arm
-	// delta accumulates unshared evidence since the last share; observed
-	// counts observations toward the next share.
-	delta    map[armKey]*arm
-	observed int
-	share    func([]core.PolicySummary)
 }
 
 // NewBandit builds a bandit with cfg (zero fields take defaults).
@@ -258,14 +243,12 @@ func (b *Bandit) serverScoreLocked(sv core.PolicyServer, g cost.Guarantee) float
 }
 
 // ObserveCommit implements core.PolicyObserver: fold one attempt outcome
-// into the arm's decayed counts (and the unshared delta), then share if the
-// batch is due.
+// into the arm's decayed counts.
 func (b *Bandit) ObserveCommit(o core.CommitObservation) {
 	if o.Server == "" {
 		return
 	}
 	k := armKey{o.Server, o.Guarantee}
-	success := o.Cause == core.CauseNone
 
 	b.mu.Lock()
 	a := b.arms[k]
@@ -275,7 +258,7 @@ func (b *Bandit) ObserveCommit(o core.CommitObservation) {
 	}
 	a.successes *= b.cfg.Decay
 	a.failures *= b.cfg.Decay
-	if success {
+	if o.Cause == core.CauseNone {
 		a.successes++
 		if sec := o.Latency.Seconds(); sec > 0 {
 			if a.latency == 0 {
@@ -287,132 +270,11 @@ func (b *Bandit) ObserveCommit(o core.CommitObservation) {
 	} else {
 		a.failures++
 	}
-	var out []core.PolicySummary
-	if b.share != nil {
-		if b.delta == nil {
-			b.delta = make(map[armKey]*arm)
-		}
-		d := b.delta[k]
-		if d == nil {
-			d = &arm{}
-			b.delta[k] = d
-		}
-		if success {
-			d.successes++
-		} else {
-			d.failures++
-		}
-		d.latency = a.latency
-		b.observed++
-		if b.observed >= b.cfg.ShareEvery {
-			out = b.drainDeltaLocked()
-		}
-	}
-	hook := b.share
 	b.mu.Unlock()
-
-	if hook != nil && len(out) > 0 {
-		hook(out)
-	}
-}
-
-// drainDeltaLocked snapshots and clears the unshared evidence.
-func (b *Bandit) drainDeltaLocked() []core.PolicySummary {
-	if len(b.delta) == 0 {
-		b.observed = 0
-		return nil
-	}
-	out := make([]core.PolicySummary, 0, len(b.delta))
-	for k, d := range b.delta {
-		out = append(out, core.PolicySummary{
-			Server:         k.server,
-			Guarantee:      k.g,
-			Successes:      d.successes,
-			Failures:       d.failures,
-			LatencySeconds: d.latency,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Server != out[j].Server {
-			return out[i].Server < out[j].Server
-		}
-		return out[i].Guarantee < out[j].Guarantee
-	})
-	b.delta = nil
-	b.observed = 0
-	return out
-}
-
-// SetShareHook implements core.PolicySharer.
-func (b *Bandit) SetShareHook(hook func([]core.PolicySummary)) {
-	b.mu.Lock()
-	b.share = hook
-	b.mu.Unlock()
-}
-
-// MergePolicy implements core.PolicySharer: fold a sibling shard's additive
-// deltas into the local arms. Addition commutes, so replay order across
-// shards cannot skew the merged state.
-func (b *Bandit) MergePolicy(sums []core.PolicySummary) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range sums {
-		if s.Server == "" || (s.Successes == 0 && s.Failures == 0) {
-			continue
-		}
-		k := armKey{s.Server, s.Guarantee}
-		a := b.arms[k]
-		if a == nil {
-			a = &arm{}
-			b.arms[k] = a
-		}
-		a.successes += s.Successes
-		a.failures += s.Failures
-		if s.LatencySeconds > 0 {
-			if a.latency == 0 {
-				a.latency = s.LatencySeconds
-			} else {
-				a.latency = 0.5 * (a.latency + s.LatencySeconds)
-			}
-		}
-	}
-}
-
-// ForkPolicy implements core.PolicyForker: an independent bandit with a
-// shard-derived seed, so each shard of a fleet learns lock-free from its
-// own commits and exchanges evidence over the bus.
-func (b *Bandit) ForkPolicy(shard int) core.SelectionPolicy {
-	cfg := b.cfg
-	cfg.Seed = b.cfg.Seed + int64(shard)*0x9e3779b9
-	return NewBandit(cfg)
-}
-
-// Snapshot returns the bandit's current arms as summaries (absolute counts,
-// not deltas), sorted; for tests and reports.
-func (b *Bandit) Snapshot() []core.PolicySummary {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]core.PolicySummary, 0, len(b.arms))
-	for k, a := range b.arms {
-		out = append(out, core.PolicySummary{
-			Server:         k.server,
-			Guarantee:      k.g,
-			Successes:      a.successes,
-			Failures:       a.failures,
-			LatencySeconds: a.latency,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Server != out[j].Server {
-			return out[i].Server < out[j].Server
-		}
-		return out[i].Guarantee < out[j].Guarantee
-	})
-	return out
 }
 
 // splitmix is a tiny deterministic PRNG (SplitMix64) so the bandit does not
-// share math/rand's global state and forks reproduce bit-for-bit.
+// share math/rand's global state and seeded runs reproduce bit-for-bit.
 type splitmix uint64
 
 func (s *splitmix) next() uint64 {

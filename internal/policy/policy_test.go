@@ -124,70 +124,6 @@ func TestBanditNoEvidenceDefaults(t *testing.T) {
 	}
 }
 
-// Share batching: with a hook installed the bandit publishes additive
-// deltas every ShareEvery observations and drains them, so successive
-// batches never re-ship old evidence. Merging the batches into a fresh
-// bandit must reproduce the teacher's preference.
-func TestBanditShareAndMerge(t *testing.T) {
-	teacher := policy.NewBandit(policy.Config{ShareEvery: 4})
-	var batches [][]core.PolicySummary
-	teacher.SetShareHook(func(s []core.PolicySummary) { batches = append(batches, s) })
-	for i := 0; i < 8; i++ {
-		teacher.ObserveCommit(core.CommitObservation{Server: "server-1", Cause: core.CauseServerDown})
-	}
-	if len(batches) != 2 {
-		t.Fatalf("8 observations at ShareEvery=4 published %d batches, want 2", len(batches))
-	}
-	var total float64
-	for _, batch := range batches {
-		for _, s := range batch {
-			if s.Server != "server-1" {
-				t.Errorf("unexpected summary %+v", s)
-			}
-			total += s.Successes + s.Failures
-		}
-	}
-	if total != 8 {
-		t.Errorf("batches carry %.0f observations, want 8 (no re-shipping, no loss)", total)
-	}
-	student := policy.NewBandit(policy.Config{})
-	for _, batch := range batches {
-		student.MergePolicy(batch)
-	}
-	perm := student.OrderCommits([]core.PolicyCandidate{
-		candidate(0, 100, core.PolicyServer{ID: "server-1"}),
-		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
-	})
-	if perm[0] != 1 {
-		t.Fatalf("student order = %v, want merged evidence to demote server-1", perm)
-	}
-}
-
-// Forks must be deterministic: the same shard index yields the same seed,
-// so two forks given identical observations order identically even with
-// Thompson sampling drawing noise.
-func TestBanditForkDeterministic(t *testing.T) {
-	root := policy.NewBandit(policy.Config{Thompson: true})
-	a := root.ForkPolicy(3).(*policy.Bandit)
-	b := root.ForkPolicy(3).(*policy.Bandit)
-	ties := []core.PolicyCandidate{
-		candidate(0, 100, core.PolicyServer{ID: "server-1"}),
-		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
-		candidate(2, 100, core.PolicyServer{ID: "server-3"}),
-	}
-	for round := 0; round < 20; round++ {
-		pa, pb := a.OrderCommits(ties), b.OrderCommits(ties)
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("round %d: forks diverged: %v vs %v", round, pa, pb)
-			}
-		}
-	}
-	if other := root.ForkPolicy(4).(*policy.Bandit); other == a {
-		t.Fatal("distinct shards share a fork")
-	}
-}
-
 // reversing flips every tie run: the worst possible fixed answer, which
 // makes it the sharpest probe of order-independent bookkeeping.
 type reversing struct{}
@@ -401,9 +337,9 @@ func TestPolicyOffEquivalence(t *testing.T) {
 
 // TestBanditFleetPropagation is the end-to-end version of the shard
 // package's stub test: a real bandit on a 2-shard fleet, with one shard's
-// learned aversion to a flaky server reaching the sibling over the bus.
+// learned aversion to a flaky server steering the sibling too.
 func TestBanditFleetPropagation(t *testing.T) {
-	b := policy.NewBandit(policy.Config{ShareEvery: 1})
+	b := policy.NewBandit(policy.Config{})
 	opts := core.DefaultOptions()
 	opts.Health = core.HealthPolicy{FailureThreshold: 0}
 	opts.Selection = b
@@ -424,12 +360,9 @@ func TestBanditFleetPropagation(t *testing.T) {
 			bed.Manager.Reject(res.Session.ID)
 		}
 	}
-	bed.Fleet.Sync()
-	// Every shard's bandit — not just the one that suffered the failures —
-	// must now hold evidence against server-1. The root bandit is never
-	// consulted on a fleet; its forks are, and we can only observe them
-	// through behaviour: negotiations stop failing once both shards have
-	// learned, so the last few rounds must commit without burning attempts.
+	// Both shards — not just the one that suffered a failure — must now
+	// steer away from server-1, so the last rounds, placed on both shards,
+	// must commit without burning attempts.
 	before := bed.Manager.Stats()
 	for i := 0; i < 8; i++ {
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(2), "news-1", tvProfile())

@@ -25,7 +25,9 @@ import (
 // ErrNotFound is returned for lookups of unknown documents or components.
 var ErrNotFound = errors.New("registry: not found")
 
-// Registry is the document/variant metadata catalog.
+// Registry is the document/variant metadata catalog. Every shard of a
+// manager fleet reads the same Registry, so a mutation is visible fleet-wide
+// as soon as the mutating call returns.
 type Registry struct {
 	mu   sync.RWMutex
 	docs map[media.DocumentID]media.Document
@@ -35,31 +37,6 @@ type Registry struct {
 	// remove+re-add cycle) is always visible as a generation change.
 	gen  uint64
 	gens map[media.DocumentID]uint64
-	// replicaHook, when installed, is notified after every catalog
-	// mutation, outside the lock; see SetReplicaHook.
-	replicaHook func(id media.DocumentID, full bool)
-}
-
-// SetReplicaHook installs a callback fired after every mutation of the
-// catalog: Add and Remove report the affected document id, LoadFile reports
-// a full replacement (id empty, full true). The sharded fleet uses it to
-// publish catalog changes on its update bus so per-shard replicas re-sync
-// before answering. The hook runs outside the registry lock, after the
-// mutation is visible; it must be fast and must not mutate this registry.
-func (r *Registry) SetReplicaHook(fn func(id media.DocumentID, full bool)) {
-	r.mu.Lock()
-	r.replicaHook = fn
-	r.mu.Unlock()
-}
-
-// notifyReplica fires the replica hook, if any.
-func (r *Registry) notifyReplica(id media.DocumentID, full bool) {
-	r.mu.RLock()
-	fn := r.replicaHook
-	r.mu.RUnlock()
-	if fn != nil {
-		fn(id, full)
-	}
 }
 
 // New returns an empty registry.
@@ -81,7 +58,6 @@ func (r *Registry) Add(d media.Document) error {
 	r.gen++
 	r.gens[d.ID] = r.gen
 	r.mu.Unlock()
-	r.notifyReplica(d.ID, false)
 	return nil
 }
 
@@ -96,35 +72,7 @@ func (r *Registry) Remove(id media.DocumentID) error {
 	delete(r.gens, id)
 	r.gen++
 	r.mu.Unlock()
-	r.notifyReplica(id, false)
 	return nil
-}
-
-// ApplyReplica installs a (document, generation) snapshot taken from a
-// primary registry into this replica, preserving the primary's generation
-// stamp — so a candidate set memoized against the replica carries exactly
-// the generation the primary would report, and the offer cache's coherence
-// argument holds across shards. The document is assumed already validated
-// by the primary's Add; no hook fires (replicas are leaves, not sources).
-func (r *Registry) ApplyReplica(d media.Document, gen uint64) {
-	r.mu.Lock()
-	r.docs[d.ID] = d
-	r.gens[d.ID] = gen
-	if gen > r.gen {
-		r.gen = gen
-	}
-	r.mu.Unlock()
-}
-
-// RemoveReplica deletes a document from a replica without error when it is
-// absent and without firing the replica hook; the replication path uses it
-// to apply primary removals idempotently.
-func (r *Registry) RemoveReplica(id media.DocumentID) {
-	r.mu.Lock()
-	delete(r.docs, id)
-	delete(r.gens, id)
-	r.gen++
-	r.mu.Unlock()
 }
 
 // Document returns the document with the given id.
@@ -272,6 +220,5 @@ func (r *Registry) LoadFile(path string) error {
 		r.gens[id] = r.gen
 	}
 	r.mu.Unlock()
-	r.notifyReplica("", true)
 	return nil
 }

@@ -23,10 +23,9 @@ import (
 type Config struct {
 	// Shards is the number of manager shards (minimum 1).
 	Shards int
-	// Registry is the primary document/variant catalog. The fleet installs
-	// its replication hook on it and gives every shard its own replica, so
-	// catalog mutations made through this registry reach each shard before
-	// it answers its next routed request.
+	// Registry is the document/variant catalog. Every shard reads it
+	// directly, so a catalog mutation is visible to every shard as soon as
+	// it returns.
 	Registry *registry.Registry
 	// Transport is the (shared) connection-establishment substrate; every
 	// shard commits against the same network, so capacity admission stays
@@ -35,7 +34,8 @@ type Config struct {
 	// Pricing is the initial tariff.
 	Pricing cost.Pricing
 	// Options is the per-shard manager configuration; the fleet installs
-	// each shard's handle as Options.Shard on that shard's copy.
+	// each shard's handle as Options.Shard on that shard's copy. Every shard
+	// consults the same Selection and Adaptation policy objects.
 	Options core.Options
 	// Admission, when non-nil, gates negotiation-class work once at the
 	// router, before routing: refused work is answered FAILEDTRYLATER with
@@ -44,29 +44,16 @@ type Config struct {
 	Admission *admission.Controller
 }
 
-// shardHandle is one manager shard plus its replication cursor. It is the
-// shard's core.ShardHooks: metric label, session-id allocator and
-// breaker-trip publisher.
+// shardHandle is one manager shard. It is the shard's core.ShardHooks:
+// metric label, session-id allocator and breaker-trip publisher.
 type shardHandle struct {
-	fleet   *Fleet
-	idx     int
-	mgr     *core.Manager
-	replica *registry.Registry
-
-	// applyMu serializes bus replay into this shard; applied[t] is the
-	// highest sequence of topic t this shard has applied (atomic, so the
-	// caught-up fast path is lock-free).
-	applyMu sync.Mutex
-	applied [numTopics]atomic.Uint64
+	fleet *Fleet
+	idx   int
+	mgr   *core.Manager
 
 	// idMu guards the session-id scan cursor.
 	idMu   sync.Mutex
 	lastID uint64
-
-	// policy is this shard's forked policy instance when the configured
-	// selection policy shares learned state; bus replay merges sibling
-	// summaries into it.
-	policy core.PolicySharer
 }
 
 // Fleet fronts N independent core.Manager shards behind consistent-hash
@@ -77,9 +64,7 @@ type shardHandle struct {
 // everything built against the manager surface works against a fleet
 // unchanged.
 type Fleet struct {
-	shards  []*shardHandle
-	primary *registry.Registry
-	bus     *bus
+	shards []*shardHandle
 	// adm, when non-nil, gates negotiation-class work once at the router.
 	adm *admission.Controller
 	rr  atomic.Uint64
@@ -94,58 +79,27 @@ type Fleet struct {
 // Fleet must keep satisfying the manager surface.
 var _ core.SessionManager = (*Fleet)(nil)
 
-// New builds a fleet of cfg.Shards managers over the shared substrate. Each
-// shard gets its own registry replica (seeded from the primary), its own
-// offer cache and breaker state, and a disjoint session-id partition; the
-// media servers registered later via AddServer are shared, so disk-round and
-// network admission stay global.
+// New builds a fleet of cfg.Shards managers over the shared substrate. The
+// shards share the registry, the policy objects and the media servers
+// registered later via AddServer, so disk-round and network admission stay
+// global; each keeps its own offer cache, breaker table, tariff copy and a
+// disjoint session-id partition.
 func New(cfg Config) *Fleet {
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
 	}
 	f := &Fleet{
-		primary: cfg.Registry,
-		bus:     &bus{},
-		adm:     cfg.Admission,
-		met:     newFleetMetrics(cfg.Options.Metrics, n),
+		adm: cfg.Admission,
+		met: newFleetMetrics(cfg.Options.Metrics, n),
 	}
 	for i := 0; i < n; i++ {
-		sh := &shardHandle{fleet: f, idx: i, replica: registry.New()}
+		sh := &shardHandle{fleet: f, idx: i}
 		opts := cfg.Options
 		opts.Shard = sh
-		// A forkable selection policy splits into per-shard instances: each
-		// shard learns lock-free from its own commits, and instances that
-		// share state exchange additive summaries over the policy topic.
-		if forker, ok := opts.Selection.(core.PolicyForker); ok {
-			forked := forker.ForkPolicy(i)
-			sameObject := any(opts.Adaptation) == any(opts.Selection)
-			opts.Selection = forked
-			if sameObject {
-				if ad, ok := forked.(core.AdaptationPolicy); ok {
-					opts.Adaptation = ad
-				}
-			}
-			if sharer, ok := forked.(core.PolicySharer); ok {
-				sh.policy = sharer
-				if n > 1 {
-					sharer.SetShareHook(func(sums []core.PolicySummary) {
-						f.publishPolicy(sh.idx, sums)
-					})
-				}
-			}
-		}
-		sh.mgr = core.NewManager(sh.replica, cfg.Transport, cfg.Pricing, opts)
+		sh.mgr = core.NewManager(cfg.Registry, cfg.Transport, cfg.Pricing, opts)
 		f.shards = append(f.shards, sh)
 	}
-	for _, sh := range f.shards {
-		f.resync(sh)
-	}
-	cfg.Registry.SetReplicaHook(func(id media.DocumentID, full bool) {
-		f.bus.publish(topicRegistry, event{doc: id, full: full})
-		f.met.published(topicRegistry)
-		f.met.lagGauge(f.busLag())
-	})
 	return f
 }
 
@@ -172,156 +126,30 @@ func (sh *shardHandle) NextSessionID() core.SessionID {
 	}
 }
 
-// PublishQuarantine broadcasts one breaker trip. Single-shard fleets skip
-// the bus: there is no sibling to inform.
+// PublishQuarantine installs one local breaker trip on every sibling shard
+// before it returns. The manager calls it holding none of its locks, and
+// ApplyQuarantine never publishes, so two shards tripping at once can
+// neither deadlock nor echo.
 func (sh *shardHandle) PublishQuarantine(id media.ServerID, until time.Time) {
-	f := sh.fleet
-	if len(f.shards) == 1 {
-		return
-	}
-	f.bus.publish(topicHealth, event{origin: sh.idx, server: id, until: until})
-	f.met.published(topicHealth)
-	f.met.lagGauge(f.busLag())
-}
-
-// publishPolicy broadcasts one shard's learned-policy deltas. Like health,
-// single-shard fleets skip the bus: there is no sibling to teach.
-func (f *Fleet) publishPolicy(origin int, sums []core.PolicySummary) {
-	if len(f.shards) == 1 || len(sums) == 0 {
-		return
-	}
-	f.bus.publish(topicPolicy, event{origin: origin, sums: sums})
-	f.met.published(topicPolicy)
-	f.met.lagGauge(f.busLag())
-}
-
-// catchUp replays any bus entries shard sh has not applied yet, in
-// per-topic publication order. The fast path — shard already at every topic
-// head — is numTopics atomic-load pairs and no lock. Replay applies topics
-// in a fixed order (registry, pricing, health, policy) under the shard's apply
-// mutex, so concurrent routed calls to the same shard never interleave
-// partial replays.
-func (f *Fleet) catchUp(sh *shardHandle) {
-	behind := false
-	for t := topic(0); t < numTopics; t++ {
-		if sh.applied[t].Load() != f.bus.head[t].Load() {
-			behind = true
-			break
-		}
-	}
-	if !behind {
-		return
-	}
-	sh.applyMu.Lock()
-	for t := topic(0); t < numTopics; t++ {
-		from := sh.applied[t].Load()
-		evs, upTo := f.bus.since(t, from)
-		if len(evs) == 0 {
-			continue
-		}
-		for i := range evs {
-			f.apply(sh, t, &evs[i])
-		}
-		sh.applied[t].Store(upTo)
-		f.trimTopic(t)
-	}
-	sh.applyMu.Unlock()
-	f.met.lagGauge(f.busLag())
-}
-
-// apply installs one bus event on a shard.
-func (f *Fleet) apply(sh *shardHandle, t topic, ev *event) {
-	switch t {
-	case topicRegistry:
-		if ev.full {
-			f.resync(sh)
-			return
-		}
-		// Re-reading the primary (rather than shipping the document in the
-		// event) is deliberate: a later mutation of the same document makes
-		// the earlier replay idempotently install the newest snapshot, and
-		// the replica's generation stamp always equals the primary's.
-		d, gen, err := f.primary.Snapshot(ev.doc)
-		if err != nil {
-			sh.replica.RemoveReplica(ev.doc)
-			return
-		}
-		sh.replica.ApplyReplica(d, gen)
-	case topicPricing:
-		sh.mgr.SetPricing(ev.pricing)
-	case topicHealth:
-		if ev.origin != sh.idx {
-			sh.mgr.ApplyQuarantine(ev.server, ev.until)
-		}
-	case topicPolicy:
-		if ev.origin != sh.idx && sh.policy != nil {
-			sh.policy.MergePolicy(ev.sums)
+	for _, sib := range sh.fleet.shards {
+		if sib != sh {
+			sib.mgr.ApplyQuarantine(id, until)
 		}
 	}
 }
 
-// resync replaces a shard's replica contents with the primary's current
-// catalog, preserving the primary's generation stamps.
-func (f *Fleet) resync(sh *shardHandle) {
-	want := make(map[media.DocumentID]bool)
-	for _, id := range f.primary.List() {
-		want[id] = true
-		if d, gen, err := f.primary.Snapshot(id); err == nil {
-			sh.replica.ApplyReplica(d, gen)
-		}
-	}
-	for _, id := range sh.replica.List() {
-		if !want[id] {
-			sh.replica.RemoveReplica(id)
-		}
-	}
-}
+// Sync is a no-op: shards share the registry and receive tariffs and
+// breaker trips directly, so there is nothing to catch up on. It remains
+// because the benchmark module calls it.
+func (f *Fleet) Sync() {}
 
-// trimTopic drops the bus prefix every shard has applied.
-func (f *Fleet) trimTopic(t topic) {
-	min := ^uint64(0)
-	for _, sh := range f.shards {
-		if a := sh.applied[t].Load(); a < min {
-			min = a
-		}
-	}
-	f.bus.trim(t, min)
-}
-
-// busLag is the total number of unapplied (topic, shard) entries: the sum
-// over topics of head minus the slowest shard's applied sequence.
-func (f *Fleet) busLag() uint64 {
-	var lag uint64
-	for t := topic(0); t < numTopics; t++ {
-		head := f.bus.head[t].Load()
-		min := head
-		for _, sh := range f.shards {
-			if a := sh.applied[t].Load(); a < min {
-				min = a
-			}
-		}
-		lag += head - min
-	}
-	return lag
-}
-
-// Sync forces every shard to apply all pending bus entries; tests and
-// wind-down paths use it to make replication externally observable without
-// routing a request.
-func (f *Fleet) Sync() {
-	for _, sh := range f.shards {
-		f.catchUp(sh)
-	}
-}
-
-// route resolves the home shard of a session id, catches it up on the bus,
-// and returns its manager. Unknown ids route like known ones: the home
-// shard is the only shard that could ever hold the session, so its
-// ErrUnknownSession answer is authoritative.
+// route resolves the home shard of a session id and returns its manager.
+// Unknown ids route like known ones: the home shard is the only shard that
+// could ever hold the session, so its ErrUnknownSession answer is
+// authoritative.
 func (f *Fleet) route(id core.SessionID) *core.Manager {
 	sh := f.shards[shardOf(id, len(f.shards))]
 	f.met.routed(sh.idx)
-	f.catchUp(sh)
 	return sh.mgr
 }
 
@@ -350,8 +178,8 @@ func (f *Fleet) shedResult(retry time.Duration) core.Result {
 }
 
 // NegotiateContext gates the request through the router's admission
-// controller, places it on the next shard round-robin, catches that shard
-// up on the update bus and runs the procedure there.
+// controller, places it on the next shard round-robin and runs the
+// procedure there.
 func (f *Fleet) NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (core.Result, error) {
 	release, retry, admitted := f.adm.Admit()
 	if !admitted {
@@ -360,9 +188,7 @@ func (f *Fleet) NegotiateContext(ctx context.Context, mach client.Machine, doc m
 	if release != nil {
 		defer release()
 	}
-	sh := f.place()
-	f.catchUp(sh)
-	return sh.mgr.NegotiateContext(ctx, mach, doc, u)
+	return f.place().mgr.NegotiateContext(ctx, mach, doc, u)
 }
 
 // RenegotiateContext gates through the router's admission controller and
@@ -449,15 +275,13 @@ func (f *Fleet) Invoice(id core.SessionID) (cost.Invoice, error) {
 	return f.route(id).Invoice(id)
 }
 
-// SetPricing publishes a tariff swap on the update bus; every shard applies
-// it before answering its next routed request, bumping its pricing
-// generation so memoized candidate sets priced under the old tables are
-// recomputed — the same lazy-invalidation contract as
-// core.Manager.SetPricing.
+// SetPricing installs a tariff on every shard before it returns. Each shard
+// bumps its pricing generation, so candidate sets memoized under the old
+// tables are recomputed (core.Manager.SetPricing).
 func (f *Fleet) SetPricing(p cost.Pricing) {
-	f.bus.publish(topicPricing, event{pricing: p})
-	f.met.published(topicPricing)
-	f.met.lagGauge(f.busLag())
+	for _, sh := range f.shards {
+		sh.mgr.SetPricing(p)
+	}
 }
 
 // AddServer registers a media server with every shard. The server object is
@@ -470,10 +294,8 @@ func (f *Fleet) AddServer(s core.MediaServer, node network.NodeID) {
 }
 
 // Quarantined reports the longest remaining quarantine any shard holds for
-// the server, after syncing replication so freshly published evidence
-// counts.
+// the server.
 func (f *Fleet) Quarantined(id media.ServerID) (time.Duration, bool) {
-	f.Sync()
 	var longest time.Duration
 	found := false
 	for _, sh := range f.shards {
@@ -573,16 +395,16 @@ type Stat struct {
 	Sessions int `json:"sessions"`
 	// Stats is the shard's own outcome-counter snapshot.
 	Stats core.Stats `json:"stats"`
-	// BusLag is how many published bus entries this shard has not applied
-	// yet, summed over topics.
+	// BusLag always reads 0: shards share state, so none lags. The field
+	// remains because the benchmark module reads it.
 	BusLag uint64 `json:"busLag"`
 	// Breakers lists the servers this shard's circuit breaker holds state
 	// for.
 	Breakers []Breaker `json:"breakers,omitempty"`
 }
 
-// ShardStats snapshots each shard's session count, outcome counters,
-// breaker states and bus lag. The protocol server detects this method on
+// ShardStats snapshots each shard's session count, outcome counters and
+// breaker states. The protocol server detects this method on
 // its manager via interface assertion and attaches the rows to MsgStats
 // answers, which is how `qosctl shards` sees them.
 func (f *Fleet) ShardStats() []Stat {
@@ -592,9 +414,6 @@ func (f *Fleet) ShardStats() []Stat {
 			Shard:    i,
 			Sessions: sh.mgr.LiveSessions(),
 			Stats:    sh.mgr.Stats(),
-		}
-		for t := topic(0); t < numTopics; t++ {
-			st.BusLag += f.bus.head[t].Load() - sh.applied[t].Load()
 		}
 		for _, row := range sh.mgr.ServerLoads() {
 			if row.Quarantined || row.ConsecutiveFailures > 0 || row.Quarantines > 0 {
@@ -615,26 +434,18 @@ func (f *Fleet) ShardStats() []Stat {
 // fleetMetrics holds the router's own telemetry series; nil (no registry)
 // disables recording, every method nil-checks.
 type fleetMetrics struct {
-	routedTo    []*telemetry.Counter
-	publishedOn [numTopics]*telemetry.Counter
-	lag         *telemetry.Gauge
-	outcomes    *telemetry.CounterFamily
+	routedTo []*telemetry.Counter
+	outcomes *telemetry.CounterFamily
 }
 
-// Router metric names; DESIGN.md §14 documents them.
-const (
-	MetricShardRouted       = "qosneg_shard_routed_total"
-	MetricShardBusPublished = "qosneg_shard_bus_published_total"
-	MetricShardBusLag       = "qosneg_shard_bus_lag"
-)
+// MetricShardRouted is the router's metric name; DESIGN.md §14 documents it.
+const MetricShardRouted = "qosneg_shard_routed_total"
 
 func newFleetMetrics(reg *telemetry.Registry, shards int) *fleetMetrics {
 	if reg == nil {
 		return nil
 	}
 	m := &fleetMetrics{
-		lag: reg.Gauge(MetricShardBusLag,
-			"Published update-bus entries not yet applied by every shard, summed over topics."),
 		outcomes: reg.CounterFamily(core.MetricNegotiations,
 			"Negotiation outcomes by NegotiationStatus.", "status"),
 	}
@@ -643,29 +454,12 @@ func newFleetMetrics(reg *telemetry.Registry, shards int) *fleetMetrics {
 	for i := 0; i < shards; i++ {
 		m.routedTo = append(m.routedTo, routed.With(strconv.Itoa(i)))
 	}
-	published := reg.CounterFamily(MetricShardBusPublished,
-		"Update-bus events published, by topic.", "topic")
-	for t := topic(0); t < numTopics; t++ {
-		m.publishedOn[t] = published.With(t.String())
-	}
 	return m
 }
 
 func (m *fleetMetrics) routed(i int) {
 	if m != nil && i < len(m.routedTo) {
 		m.routedTo[i].Inc()
-	}
-}
-
-func (m *fleetMetrics) published(t topic) {
-	if m != nil {
-		m.publishedOn[t].Inc()
-	}
-}
-
-func (m *fleetMetrics) lagGauge(v uint64) {
-	if m != nil {
-		m.lag.Set(int64(v))
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/faults"
+	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
+	"qosneg/internal/shard"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
@@ -209,57 +211,93 @@ func testSingleShardShed(t *testing.T) {
 	}
 }
 
-// Catalog mutations on the primary registry must reach every shard before
-// it answers: a document added (or removed) after the fleet is built is
-// visible (or gone) on whichever shard the next negotiation lands on, and a
-// pricing swap reprices offers fleet-wide.
-func TestFleetReplication(t *testing.T) {
-	bed := testbed.MustNew(testbed.Spec{Shards: 4})
+// Every shard reads the one registry and holds the tariff the fleet last
+// installed: a document added (or removed) after the fleet is built is
+// visible (or gone) on whichever shard the next negotiation lands on, and
+// after Fleet.SetPricing a negotiation on each shard is priced under the
+// new tariff, even though every shard's offer cache is warm.
+func TestFleetSharedState(t *testing.T) {
+	const shards = 4
+	bed := testbed.MustNew(testbed.Spec{Shards: shards})
 	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Every placement (round-robin over 4 shards) must see the document.
-	for i := 0; i < 8; i++ {
-		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
+	negotiateCost := func(b *testbed.Bed) cost.Money {
+		t.Helper()
+		res, err := b.Manager.NegotiateContext(context.Background(), b.Client(1), "news-1", stressProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Session == nil {
-			t.Fatalf("negotiation %d: no session (status %v, %s)", i, res.Status, res.Reason)
+			t.Fatalf("no session (status %v, %s)", res.Status, res.Reason)
 		}
-		if err := bed.Manager.Reject(res.Session.ID); err != nil {
+		c := res.Session.Cost()
+		if err := b.Manager.Reject(res.Session.ID); err != nil {
 			t.Fatal(err)
 		}
+		return c
 	}
+	// Two rounds of round-robin placement: every shard sees the document,
+	// and the second round answers from warm caches.
+	var old cost.Money
+	for i := 0; i < 2*shards; i++ {
+		old = negotiateCost(bed)
+	}
+
+	// A free server tariff: the reference is a fresh one-shard system
+	// built with it from the start.
+	tariff := cost.DefaultPricing()
+	tariff.Server = cost.MustTable(cost.Class{MinRate: 0, Price: 0})
+	ref := testbed.MustNew(testbed.Spec{Pricing: &tariff})
+	if _, err := ref.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	want := negotiateCost(ref)
+	if want == old {
+		t.Fatalf("test tariff does not change the price (%v)", want)
+	}
+	bed.Fleet.SetPricing(tariff)
+	for i := 0; i < shards; i++ {
+		if got := negotiateCost(bed); got != want {
+			t.Errorf("negotiation %d after SetPricing cost %v, want %v (old tariff %v)", i, got, want, old)
+		}
+	}
+	for _, row := range bed.Fleet.ShardStats() {
+		if row.Stats.Requests != 3 {
+			t.Errorf("shard %d answered %d requests, want 3", row.Shard, row.Stats.Requests)
+		}
+	}
+
 	if err := bed.Registry.Remove("news-1"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		// A manager reading the primary registry answers a vanished document
-		// with a not-found error; a stale replica would instead still
-		// negotiate successfully.
+	for i := 0; i < shards; i++ {
+		// The document is gone for every shard: each answers not-found
+		// rather than negotiating from a cached candidate set.
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err == nil {
-			t.Fatalf("negotiation %d after Remove: shard answered from a stale replica (status %v)", i, res.Status)
+			t.Fatalf("negotiation %d after Remove: status %v, want a not-found error", i, res.Status)
 		}
 	}
-	if lag := fleetBusLag(bed); lag != 0 {
-		t.Errorf("bus lag %d after routed calls, want 0", lag)
-	}
 }
 
-func fleetBusLag(bed *testbed.Bed) uint64 {
-	var lag uint64
-	for _, row := range bed.Fleet.ShardStats() {
-		lag += row.BusLag
-	}
-	return lag
-}
-
-// One shard's breaker evidence must exclude the server fleet-wide: a trip
-// gathered on the shard that suffered the commit failures propagates over
-// the health topic, and after the next routed call every shard reports the
+// quarantinedOn reports, per shard, whether the shard's breaker holds the
 // server quarantined.
+func quarantinedOn(bed *testbed.Bed, server media.ServerID) []bool {
+	var out []bool
+	for _, row := range bed.Fleet.ShardStats() {
+		q := false
+		for _, b := range row.Breakers {
+			q = q || (b.Server == server && b.Quarantined)
+		}
+		out = append(out, q)
+	}
+	return out
+}
+
+// One shard's breaker evidence must exclude the server fleet-wide: by the
+// time the negotiation whose commit tripped the breaker returns, every
+// shard reports the server quarantined.
 func TestCrossShardQuarantinePropagation(t *testing.T) {
 	inj := faults.New(7)
 	opts := core.DefaultOptions()
@@ -274,8 +312,8 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	}
 	inj.Crash("server-1")
 	// Negotiate until some shard's breaker trips on the crashed server. The
-	// round-robin placement means the tripping shard is arbitrary — which is
-	// the point: the other three only learn of it over the bus.
+	// round-robin placement means the tripping shard is arbitrary; the
+	// other three hold only the evidence it handed them.
 	tripped := false
 	for i := 0; i < 32 && !tripped; i++ {
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
@@ -290,26 +328,16 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	if !tripped {
 		t.Fatal("crashed server never tripped a breaker")
 	}
+	for idx, q := range quarantinedOn(bed, "server-1") {
+		if !q {
+			t.Errorf("shard %d does not report server-1 quarantined", idx)
+		}
+	}
 	if _, q := bed.Manager.Quarantined("server-1"); !q {
 		t.Fatal("fleet does not report server-1 quarantined after a trip")
 	}
-	// Quarantined() synced the bus; now every shard must hold the evidence.
-	for _, row := range bed.Fleet.ShardStats() {
-		found := false
-		for _, b := range row.Breakers {
-			if b.Server == "server-1" && b.Quarantined {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("shard %d does not report server-1 quarantined (breakers %+v)", row.Shard, row.Breakers)
-		}
-		if row.BusLag != 0 {
-			t.Errorf("shard %d: bus lag %d after sync, want 0", row.Shard, row.BusLag)
-		}
-	}
-	// Propagated evidence must not re-publish: the health log has exactly
-	// the locally gathered trips, not an echo per shard.
+	// Per-shard counters are what each shard's breaker recorded, trips
+	// installed from a sibling included, and the aggregate is their sum.
 	quarantines := 0
 	for _, row := range bed.Fleet.ShardStats() {
 		quarantines += row.Stats.Quarantines
@@ -319,112 +347,125 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	}
 }
 
-// stubPolicy is a minimal forkable, sharing selection policy: every fork
-// records the summaries merged into it and shares one summary per observed
-// commit, so the test can watch learned state travel the policy topic.
-type stubPolicy struct {
+// Two shards trip their breakers on two different servers at the same
+// time; each trip is installed on the sibling while the sibling may be
+// tripping too. Both shards must end with both servers quarantined, and
+// neither negotiation may hang. Run under -race.
+func TestConcurrentCrossShardTrips(t *testing.T) {
+	servers := []media.ServerID{"server-1", "server-2"}
+	for round := 0; round < 20; round++ {
+		inj := faults.New(int64(round))
+		opts := core.DefaultOptions()
+		opts.Health = core.HealthPolicy{FailureThreshold: 1, Cooldown: time.Hour, RetryAfter: time.Millisecond}
+		bed := testbed.MustNew(testbed.Spec{Shards: 2, Servers: 2, Faults: inj, Options: &opts})
+		for i, sid := range servers {
+			// Document i lives on server i alone, so the shard negotiating it
+			// can only trip that server's breaker.
+			doc := media.BuildNewsArticle(media.NewsArticleSpec{
+				ID:             media.DocumentID(fmt.Sprintf("doc-%d", i)),
+				Title:          "Single-server article",
+				Duration:       time.Minute,
+				Servers:        []media.ServerID{sid},
+				VideoQualities: []qos.VideoQoS{{Color: qos.Color, FrameRate: 25, Resolution: qos.TVResolution}},
+				AudioQualities: []qos.AudioQoS{{Grade: qos.CDQuality, Language: qos.English}},
+				Languages:      []qos.Language{qos.English},
+			})
+			if err := bed.Registry.Add(doc); err != nil {
+				t.Fatal(err)
+			}
+			inj.Crash(sid)
+		}
+		start := make(chan struct{})
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range servers {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				doc := media.DocumentID(fmt.Sprintf("doc-%d", i))
+				if _, err := shard.Manager(bed.Fleet, i).NegotiateContext(context.Background(), bed.Client(1), doc, stressProfile()); err != nil {
+					t.Errorf("shard %d: %v", i, err)
+				}
+			}(i)
+		}
+		go func() { wg.Wait(); close(done) }()
+		close(start)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: concurrent trips did not finish (deadlock?)", round)
+		}
+		for _, sid := range servers {
+			for idx, q := range quarantinedOn(bed, sid) {
+				if !q {
+					t.Errorf("round %d: shard %d does not hold %s quarantined", round, idx, sid)
+				}
+			}
+		}
+		if err := bed.Ledger.CheckEmpty(); err != nil {
+			t.Errorf("round %d: %v", round, err)
+		}
+	}
+}
+
+// countingPolicy is a selection policy that counts the commit outcomes fed
+// to it.
+type countingPolicy struct {
 	mu       sync.Mutex
-	shard    int
-	forks    []*stubPolicy
-	hook     func([]core.PolicySummary)
-	merged   []core.PolicySummary
 	observed int
 }
 
-func (p *stubPolicy) Name() string                                   { return "stub" }
-func (p *stubPolicy) OrderCommits(ties []core.PolicyCandidate) []int { return nil }
+func (p *countingPolicy) Name() string                                   { return "counting" }
+func (p *countingPolicy) OrderCommits(ties []core.PolicyCandidate) []int { return nil }
 
-func (p *stubPolicy) ForkPolicy(shard int) core.SelectionPolicy {
-	f := &stubPolicy{shard: shard}
-	p.mu.Lock()
-	p.forks = append(p.forks, f)
-	p.mu.Unlock()
-	return f
-}
-
-func (p *stubPolicy) SetShareHook(h func([]core.PolicySummary)) {
-	p.mu.Lock()
-	p.hook = h
-	p.mu.Unlock()
-}
-
-func (p *stubPolicy) MergePolicy(sums []core.PolicySummary) {
-	p.mu.Lock()
-	p.merged = append(p.merged, sums...)
-	p.mu.Unlock()
-}
-
-func (p *stubPolicy) ObserveCommit(o core.CommitObservation) {
+func (p *countingPolicy) ObserveCommit(core.CommitObservation) {
 	p.mu.Lock()
 	p.observed++
-	h := p.hook
 	p.mu.Unlock()
-	if h != nil {
-		h([]core.PolicySummary{{Server: o.Server, Guarantee: o.Guarantee, Successes: 1}})
-	}
 }
 
-// A forkable selection policy must be split per shard, and every shard's
-// shared summaries must reach every sibling — and only siblings: no shard
-// merges its own evidence back.
+func (p *countingPolicy) count() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.observed
+}
+
+// Every shard feeds its commit outcomes to the one installed policy object:
+// whichever shard a negotiation lands on, the observer's count grows by the
+// same amount.
 func TestFleetPolicyPropagation(t *testing.T) {
-	root := &stubPolicy{}
+	const shards = 2
+	pol := &countingPolicy{}
 	opts := core.DefaultOptions()
-	opts.Selection = root
-	bed := testbed.MustNew(testbed.Spec{Shards: 2, Options: &opts})
+	opts.Selection = pol
+	bed := testbed.MustNew(testbed.Spec{Shards: shards, Options: &opts})
 	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if len(root.forks) != 2 {
-		t.Fatalf("forked %d policy instances, want 2", len(root.forks))
-	}
-	// Round-robin placement lands commits on both shards; each commit's
-	// observation is shared immediately by the stub.
-	for i := 0; i < 6; i++ {
+	per := -1
+	for i := 0; i < 3*shards; i++ {
+		before := pol.count()
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Session != nil {
-			bed.Manager.Reject(res.Session.ID)
+		if res.Session == nil {
+			t.Fatalf("negotiation %d: no session (status %v, %s)", i, res.Status, res.Reason)
+		}
+		bed.Manager.Reject(res.Session.ID)
+		d := pol.count() - before
+		if per < 0 {
+			per = d
+		}
+		if d == 0 || d != per {
+			t.Errorf("negotiation %d fed the policy %d observations, want %d (>0)", i, d, per)
 		}
 	}
-	bed.Fleet.Sync()
-	for _, f := range root.forks {
-		f.mu.Lock()
-		observed, merged := f.observed, append([]core.PolicySummary(nil), f.merged...)
-		f.mu.Unlock()
-		if observed == 0 {
-			t.Errorf("shard %d policy observed no commits", f.shard)
+	for _, row := range bed.Fleet.ShardStats() {
+		if row.Stats.Succeeded != 3 {
+			t.Errorf("shard %d committed %d negotiations, want 3", row.Shard, row.Stats.Succeeded)
 		}
-		if len(merged) == 0 {
-			t.Errorf("shard %d policy merged no sibling summaries", f.shard)
-		}
-		for _, s := range merged {
-			if s.Successes != 1 || s.Server == "" {
-				t.Errorf("shard %d merged malformed summary %+v", f.shard, s)
-			}
-		}
-	}
-	// Conservation: everything merged was observed by the sibling — with no
-	// self-echo, each shard merges exactly what the other observed.
-	if got, want := len(root.forks[0].merged), root.forks[1].observed; got != want {
-		t.Errorf("shard 0 merged %d summaries, sibling observed %d", got, want)
-	}
-	if got, want := len(root.forks[1].merged), root.forks[0].observed; got != want {
-		t.Errorf("shard 1 merged %d summaries, sibling observed %d", got, want)
-	}
-	// A single-shard fleet has no sibling to teach: the share hook must not
-	// be installed at all.
-	solo := &stubPolicy{}
-	soloOpts := core.DefaultOptions()
-	soloOpts.Selection = solo
-	testbed.MustNew(testbed.Spec{Shards: 1, Options: &soloOpts})
-	if len(solo.forks) != 1 {
-		t.Fatalf("single-shard fleet forked %d instances, want 1", len(solo.forks))
-	}
-	if solo.forks[0].hook != nil {
-		t.Error("single-shard fleet installed a policy share hook; there is no sibling to teach")
 	}
 }
 

@@ -2,8 +2,8 @@
 // consistent-hash session routing, exposing the same manager surface
 // (core.SessionManager) — so the facade, protocol server and admission
 // controller sit on top of a fleet exactly as they sit on top of a single
-// manager. See DESIGN.md §14 for the topology, the replication argument and
-// the bus ordering guarantees.
+// manager. See DESIGN.md §14 for the topology and the shared-state
+// argument.
 package shard
 
 import "qosneg/internal/core"

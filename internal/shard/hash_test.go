@@ -63,38 +63,3 @@ func TestRoutingSingleShard(t *testing.T) {
 		}
 	}
 }
-
-// The bus must deliver per-topic events in publication order, expose them
-// incrementally via since, and drop trimmed prefixes without renumbering.
-func TestBusOrderingAndTrim(t *testing.T) {
-	b := &bus{}
-	for i := 0; i < 10; i++ {
-		seq := b.publish(topicHealth, event{origin: i})
-		if seq != uint64(i+1) {
-			t.Fatalf("publish %d returned seq %d", i, seq)
-		}
-	}
-	evs, _ := b.since(topicHealth, 0)
-	if len(evs) != 10 {
-		t.Fatalf("since(0): %d events, want 10", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.origin != i {
-			t.Fatalf("since(0)[%d].origin = %d, want %d (order broken)", i, ev.origin, i)
-		}
-	}
-	b.trim(topicHealth, 4)
-	evs, _ = b.since(topicHealth, 4)
-	if len(evs) != 6 || evs[0].origin != 4 {
-		t.Fatalf("after trim(4), since(4) = %d events starting at origin %v, want 6 starting at 4",
-			len(evs), evs[0].origin)
-	}
-	if got, _ := b.since(topicHealth, 10); got != nil {
-		t.Fatalf("since(head) = %d events, want none", len(got))
-	}
-	// Trimming below the base is a no-op, not a panic.
-	b.trim(topicHealth, 2)
-	if evs, _ := b.since(topicHealth, 4); len(evs) != 6 {
-		t.Fatalf("trim below base disturbed the log: %d events", len(evs))
-	}
-}

@@ -16,12 +16,10 @@ const (
 	// StepCompatibilityCheck is step 2: checking server offers against the
 	// locally negotiated QoS envelope.
 	StepCompatibilityCheck
-	// StepClassificationParams is step 3: gathering the classification
-	// parameters (cost tables, orderings) for the compatible offers.
-	StepClassificationParams
-	// StepClassification is step 4: classifying (ranking) the offers. The
-	// fused top-K pipeline performs steps 2–4 in one pass; it emits a
-	// single StepClassification span covering all three.
+	// StepClassification is steps 3 and 4: gathering the classification
+	// parameters and classifying (ranking) the offers. The fused top-K
+	// pipeline performs steps 2–4 in one pass; it emits a single
+	// StepClassification span covering all three.
 	StepClassification
 	// StepCommitment is step 5: resource commitment at servers and network.
 	StepCommitment
@@ -41,16 +39,15 @@ const (
 )
 
 var stepNames = [...]string{
-	StepLocalNegotiation:     "local-negotiation",
-	StepCompatibilityCheck:   "compatibility-check",
-	StepClassificationParams: "classification-params",
-	StepClassification:       "classification",
-	StepCommitment:           "commitment",
-	StepConfirmation:         "confirmation",
-	StepSkipDead:             "skip-dead",
-	StepQuarantine:           "quarantine",
-	StepRedial:               "redial",
-	StepAdaptation:           "adaptation",
+	StepLocalNegotiation:   "local-negotiation",
+	StepCompatibilityCheck: "compatibility-check",
+	StepClassification:     "classification",
+	StepCommitment:         "commitment",
+	StepConfirmation:       "confirmation",
+	StepSkipDead:           "skip-dead",
+	StepQuarantine:         "quarantine",
+	StepRedial:             "redial",
+	StepAdaptation:         "adaptation",
 }
 
 // String returns the canonical span name; allocation-free.

@@ -33,7 +33,7 @@ type Bed struct {
 	// against; it holds Fleet.
 	Manager core.SessionManager
 	// Fleet is the manager fleet behind Manager (Spec.Shards shards, one by
-	// default), for the fleet-only views: Sync, ShardStats, Shards.
+	// default), for the fleet-only views: ShardStats, Shards.
 	Fleet   *shard.Fleet
 	Servers map[media.ServerID]*cmfs.Server
 	Clients map[client.MachineID]client.Machine

@@ -186,12 +186,11 @@ func WithAdmission(c *admission.Controller) Option {
 // WithShards sets how many independent manager shards the system's fleet
 // runs behind consistent-hash session routing (see internal/shard and
 // DESIGN.md §14): new negotiations are placed round-robin, session
-// operations route by session id, the document catalog and pricing replicate
-// to every shard with generation stamps, and breaker evidence propagates
-// fleet-wide over the update bus. System.Fleet holds the fleet handle;
+// operations route by session id, every shard reads the one document
+// catalog, and tariff changes and breaker trips reach every shard before the
+// call that made them returns. System.Fleet holds the fleet handle;
 // System.Manager remains the single surface callers use. The default is one
-// shard, which allocates session ids 1, 2, 3 … and never touches the bus;
-// n < 1 means 1.
+// shard, which allocates session ids 1, 2, 3 …; n < 1 means 1.
 func WithShards(n int) Option {
 	return func(c *config) { c.spec.Shards = n }
 }
@@ -201,10 +200,9 @@ func WithShards(n int) Option {
 // offers the classifier ranked equal — same status, same OIF — are ordered
 // by the policy instead of the fixed cost-then-key tie-break. Policies that
 // implement core.PolicyObserver learn online from every commit outcome; on
-// a sharded system (WithShards) a core.PolicyForker splits into per-shard
-// instances that exchange learned state over the update bus. Nil — the
-// default — keeps the paper's fixed order byte-for-byte. It applies on top
-// of WithOptions.
+// a sharded system (WithShards) every shard consults and teaches this one
+// object, so it must be safe for concurrent use. Nil — the default — keeps
+// the paper's fixed order byte-for-byte. It applies on top of WithOptions.
 func WithSelectionPolicy(p core.SelectionPolicy) Option {
 	return func(c *config) { c.selection = p }
 }

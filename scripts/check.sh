@@ -44,6 +44,10 @@ go test -race -short -count=1 -run 'TestLifecycleStress' ./internal/core
 echo "== sharded lifecycle stress gate (race, short)"
 go test -race -short -count=1 -run 'TestShardLifecycleStress' ./internal/shard
 
+echo "== sharded shared-state gate (race)"
+go test -race -count=1 -run 'TestFleetSharedState|TestCrossShardQuarantinePropagation|TestConcurrentCrossShardTrips' ./internal/shard
+go test -race -count=1 -run 'TestBanditFleetPropagation' ./internal/policy
+
 echo "== overload shed gate (race, short)"
 go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmission' .
 

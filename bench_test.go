@@ -598,130 +598,114 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkWireLifecycle is the JSON-vs-binary figure at one caller: a
-// session's whole wire lifecycle — negotiate, confirm, session — over
-// loopback, once per codec, then completed in-process as the daemon's
-// playout driver would. `make profile` takes its wire profiles from it.
+// BenchmarkWireLifecycle is the one-caller wire figure: a session's whole
+// wire lifecycle — negotiate, confirm, session — over loopback, then
+// completed in-process as the daemon's playout driver would. `make profile`
+// takes its wire profiles from it.
 func BenchmarkWireLifecycle(b *testing.B) {
-	for _, tc := range []struct{ label, codec string }{
-		{"json", protocol.CodecJSON},
-		{"binary", protocol.CodecBinary},
-	} {
-		b.Run("codec="+tc.label, func(b *testing.B) {
-			sys, doc := benchSystem(b, 1, 2)
+	b.Run("codec=binary", func(b *testing.B) {
+		sys, doc := benchSystem(b, 1, 2)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := protocol.NewServer(sys.Manager, sys.Registry)
+		go srv.Serve(l)
+		defer func() {
+			l.Close()
+			srv.Close()
+		}()
+		c, err := protocol.Dial(l.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		mach, _ := sys.Client("client-1")
+		u := benchProfile()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := c.Negotiate(ctx, mach, doc.ID, u)
+			if err != nil || !res.Status.Reserved() {
+				b.Fatalf("negotiate: %v %v", res.Status, err)
+			}
+			if err := c.Confirm(ctx, res.Session); err != nil {
+				b.Fatal(err)
+			}
+			if info, err := c.Session(ctx, res.Session); err != nil || info.State != core.Playing.String() {
+				b.Fatalf("session: %+v %v", info, err)
+			}
+			if err := sys.Manager.Complete(res.Session); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWireRPC measures wire-protocol RPC throughput over a single
+// client (hence a single TCP connection) shared by 1, 64 and 1000
+// concurrent callers, multiplexed onto streams. The RPC is the lightest one (list-sessions on an idle system) so the numbers
+// measure transport overhead, not handler cost; p99 latency is reported
+// alongside ns/op.
+func BenchmarkWireRPC(b *testing.B) {
+	for _, conc := range []int{1, 64, 1000} {
+		b.Run(fmt.Sprintf("codec=binary/clients=%d", conc), func(b *testing.B) {
+			sys, _ := benchSystem(b, 1, 2)
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
-			srv := protocol.NewServer(sys.Manager, sys.Registry)
+			srv := protocol.NewServer(sys.Manager, sys.Registry,
+				protocol.WithServerWire(protocol.WireOptions{MaxStreams: 1024}))
 			go srv.Serve(l)
 			defer func() {
 				l.Close()
 				srv.Close()
 			}()
-			c, err := protocol.Dial(l.Addr().String(), protocol.WithWire(protocol.WireOptions{Codecs: []string{tc.codec}}))
+			c, err := protocol.Dial(l.Addr().String(), protocol.WithWire(protocol.WireOptions{MaxStreams: 1024}))
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer c.Close()
-			mach, _ := sys.Client("client-1")
-			u := benchProfile()
-			ctx := context.Background()
-			b.ReportAllocs()
+			if _, err := c.ListSessions(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			lat := make([][]time.Duration, conc)
+			var next atomic.Int64
+			var wg sync.WaitGroup
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := c.Negotiate(ctx, mach, doc.ID, u)
-				if err != nil || !res.Status.Reserved() {
-					b.Fatalf("negotiate: %v %v", res.Status, err)
+			for w := 0; w < conc; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var samples []time.Duration
+					for next.Add(1) <= int64(b.N) {
+						t0 := time.Now()
+						if _, err := c.ListSessions(context.Background()); err != nil {
+							b.Error(err)
+							return
+						}
+						samples = append(samples, time.Since(t0))
+					}
+					lat[w] = samples
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			var all []time.Duration
+			for _, s := range lat {
+				all = append(all, s...)
+			}
+			if len(all) > 0 {
+				sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+				idx := len(all) * 99 / 100
+				if idx >= len(all) {
+					idx = len(all) - 1
 				}
-				if err := c.Confirm(ctx, res.Session); err != nil {
-					b.Fatal(err)
-				}
-				if info, err := c.Session(ctx, res.Session); err != nil || info.State != core.Playing.String() {
-					b.Fatalf("session: %+v %v", info, err)
-				}
-				if err := sys.Manager.Complete(res.Session); err != nil {
-					b.Fatal(err)
-				}
+				b.ReportMetric(float64(all[idx].Nanoseconds())/1e6, "p99-ms")
 			}
 		})
-	}
-}
-
-// BenchmarkWireRPC measures wire-protocol RPC throughput over a single
-// client (hence a single TCP connection) shared by 1, 64 and 1000
-// concurrent callers, once per codec. The JSON line codec serializes
-// callers on the connection; the binary codec multiplexes them onto
-// streams, which is the redesign's headline win at high concurrency. The
-// RPC is the lightest one (list-sessions on an idle system) so the numbers
-// measure transport overhead, not handler cost; p99 latency is reported
-// alongside ns/op.
-func BenchmarkWireRPC(b *testing.B) {
-	for _, tc := range []struct{ label, codec string }{
-		{"json", protocol.CodecJSON},
-		{"binary", protocol.CodecBinary},
-	} {
-		for _, conc := range []int{1, 64, 1000} {
-			b.Run(fmt.Sprintf("codec=%s/clients=%d", tc.label, conc), func(b *testing.B) {
-				sys, _ := benchSystem(b, 1, 2)
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv := protocol.NewServer(sys.Manager, sys.Registry,
-					protocol.WithServerWire(protocol.WireOptions{MaxStreams: 1024}))
-				go srv.Serve(l)
-				defer func() {
-					l.Close()
-					srv.Close()
-				}()
-				c, err := protocol.Dial(l.Addr().String(), protocol.WithWire(protocol.WireOptions{
-					Codecs:     []string{tc.codec},
-					MaxStreams: 1024,
-				}))
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				if _, err := c.ListSessions(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				lat := make([][]time.Duration, conc)
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for w := 0; w < conc; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						var samples []time.Duration
-						for next.Add(1) <= int64(b.N) {
-							t0 := time.Now()
-							if _, err := c.ListSessions(context.Background()); err != nil {
-								b.Error(err)
-								return
-							}
-							samples = append(samples, time.Since(t0))
-						}
-						lat[w] = samples
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				var all []time.Duration
-				for _, s := range lat {
-					all = append(all, s...)
-				}
-				if len(all) > 0 {
-					sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-					idx := len(all) * 99 / 100
-					if idx >= len(all) {
-						idx = len(all) - 1
-					}
-					b.ReportMetric(float64(all[idx].Nanoseconds())/1e6, "p99-ms")
-				}
-			})
-		}
 	}
 }
 

@@ -66,63 +66,57 @@ func startShedDaemon(t *testing.T, wireShed bool) string {
 }
 
 // TestQosctlRendersShedResult: a manager-level shed renders the Shed
-// marker and the RetryAfter hint, on both codecs.
+// marker and the RetryAfter hint.
 func TestQosctlRendersShedResult(t *testing.T) {
 	addr := startShedDaemon(t, false)
-	for _, codec := range []string{"auto", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			stdout, stderr, code := ctl(t, addr, "-codec", codec, "-doc", "news-1", "negotiate")
-			if code != 0 {
-				t.Fatalf("exit %d (stderr: %s)", code, stderr)
+	t.Run("auto", func(t *testing.T) {
+		stdout, stderr, code := ctl(t, addr, "-doc", "news-1", "negotiate")
+		if code != 0 {
+			t.Fatalf("exit %d (stderr: %s)", code, stderr)
+		}
+		for _, w := range []string{
+			"status: FAILEDTRYLATER",
+			"shed: refused by admission control",
+			"retry after: ",
+		} {
+			if !strings.Contains(stdout, w) {
+				t.Errorf("output missing %q:\n%s", w, stdout)
 			}
-			for _, w := range []string{
-				"status: FAILEDTRYLATER",
-				"shed: refused by admission control",
-				"retry after: ",
-			} {
-				if !strings.Contains(stdout, w) {
-					t.Errorf("output missing %q:\n%s", w, stdout)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestQosctlRendersBatchShed: shed batch items carry the (shed) marker and
 // a retry hint per item.
 func TestQosctlRendersBatchShed(t *testing.T) {
 	addr := startShedDaemon(t, false)
-	for _, codec := range []string{"auto", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			stdout, stderr, code := ctl(t, addr, "-codec", codec, "-docs", "news-1,news-1", "batch")
-			if code != 0 {
-				t.Fatalf("exit %d (stderr: %s)", code, stderr)
-			}
-			if got := strings.Count(stdout, "(shed)"); got != 2 {
-				t.Errorf("want 2 shed markers, got %d:\n%s", got, stdout)
-			}
-			if got := strings.Count(stdout, "(retry after "); got != 2 {
-				t.Errorf("want 2 retry hints, got %d:\n%s", got, stdout)
-			}
-		})
-	}
+	t.Run("auto", func(t *testing.T) {
+		stdout, stderr, code := ctl(t, addr, "-docs", "news-1,news-1", "batch")
+		if code != 0 {
+			t.Fatalf("exit %d (stderr: %s)", code, stderr)
+		}
+		if got := strings.Count(stdout, "(shed)"); got != 2 {
+			t.Errorf("want 2 shed markers, got %d:\n%s", got, stdout)
+		}
+		if got := strings.Count(stdout, "(retry after "); got != 2 {
+			t.Errorf("want 2 retry hints, got %d:\n%s", got, stdout)
+		}
+	})
 }
 
 // TestQosctlReportsBusyError: a wire-level shed surfaces the typed busy
-// error, including the hint, on both codecs.
+// error, including the hint.
 func TestQosctlReportsBusyError(t *testing.T) {
 	addr := startShedDaemon(t, true)
-	for _, codec := range []string{"auto", "json"} {
-		t.Run(codec, func(t *testing.T) {
-			stdout, stderr, code := ctl(t, addr, "-codec", codec, "-doc", "news-1", "negotiate")
-			if code != 1 {
-				t.Fatalf("exit %d, want 1\nstdout: %s", code, stdout)
-			}
-			if !strings.Contains(stderr, "server busy") || !strings.Contains(stderr, "retry after") {
-				t.Errorf("stderr missing busy diagnosis:\n%s", stderr)
-			}
-		})
-	}
+	t.Run("auto", func(t *testing.T) {
+		stdout, stderr, code := ctl(t, addr, "-doc", "news-1", "negotiate")
+		if code != 1 {
+			t.Fatalf("exit %d, want 1\nstdout: %s", code, stdout)
+		}
+		if !strings.Contains(stderr, "server busy") || !strings.Contains(stderr, "retry after") {
+			t.Errorf("stderr missing busy diagnosis:\n%s", stderr)
+		}
+	})
 }
 
 // TestQosctlStatsShowsAdmission: after sheds, stats reports both the

@@ -16,11 +16,6 @@
 //	qosctl -addr 127.0.0.1:7000 servers
 //	qosctl -addr 127.0.0.1:7000 stats
 //	qosctl -addr 127.0.0.1:7000 shards
-//
-// The -codec flag pins the wire codec: "auto" (default) negotiates the
-// multiplexed binary codec (binary/2: typed frame bodies) and falls back to
-// JSON against daemons that predate it, "binary" refuses to fall back, and
-// "json" speaks the legacy line protocol byte-for-byte.
 package main
 
 import (
@@ -61,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profileName := fs.String("profile", "tv-quality", "factory profile: tv-quality, premium or economy")
 	clientNode := fs.String("client", "client-1", "client attachment point on the daemon's network")
 	confirm := fs.Bool("confirm", false, "confirm the offer after a successful negotiation")
-	codec := fs.String("codec", "auto", "wire codec: auto (binary/2, falling back to JSON lines against a daemon without it), binary (no fallback) or json")
 	id := fs.Uint64("id", 0, "session id for the session command")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -71,20 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, usage)
 		return 2
 	}
-	var wire protocol.WireOptions
-	switch *codec {
-	case "auto":
-		// Zero value: offer binary, fall back to JSON.
-	case "binary":
-		wire.Codecs = []string{protocol.CodecBinary}
-	case "json":
-		wire.Codecs = []string{protocol.CodecJSON}
-	default:
-		fmt.Fprintf(stderr, "qosctl: unknown codec %q (want auto, binary or json)\n", *codec)
-		return 2
-	}
 	ctx := context.Background()
-	c, err := protocol.Dial(*addr, protocol.WithWire(wire))
+	c, err := protocol.Dial(*addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "qosctl: %v\n", err)
 		return 1
@@ -370,9 +352,7 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 			admitted, shed, limit, inflight, time.Duration(hint)*time.Millisecond)
 	}
 	if v := snap.CounterValue("qosneg_rpc_shed_total", ""); v > 0 {
-		fmt.Fprintf(w, "wire sheds: %d (binary %d, json %d)\n", v,
-			snap.CounterValue("qosneg_rpc_shed_total", protocol.CodecBinary),
-			snap.CounterValue("qosneg_rpc_shed_total", protocol.CodecJSON))
+		fmt.Fprintf(w, "wire sheds: %d\n", v)
 	}
 	if len(loads) > 0 {
 		fmt.Fprintln(w, "servers:")

@@ -156,30 +156,6 @@ func TestQosctlRetiredSession(t *testing.T) {
 	}
 }
 
-// TestQosctlJSONCodecFlow pins the legacy serialized codec end to end: a
-// -codec json client running the classic negotiate → confirm → invoice
-// flow against the new daemon must behave exactly as the pre-multiplexing
-// qosctl did.
-func TestQosctlJSONCodecFlow(t *testing.T) {
-	addr := startDaemon(t, true)
-	stdout, stderr, code := ctl(t, addr, "-codec", "json", "-doc", "news-1", "-confirm", "negotiate")
-	if code != 0 {
-		t.Fatalf("negotiate: exit %d (stderr: %s)", code, stderr)
-	}
-	for _, w := range []string{"status: SUCCEEDED", "confirmed: delivery started"} {
-		if !strings.Contains(stdout, w) {
-			t.Errorf("output missing %q:\n%s", w, stdout)
-		}
-	}
-	stdout, stderr, code = ctl(t, addr, "-codec", "json", "-id", "1", "invoice")
-	if code != 0 {
-		t.Fatalf("invoice: exit %d (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stdout, "TOTAL") {
-		t.Errorf("invoice output missing TOTAL:\n%s", stdout)
-	}
-}
-
 // TestQosctlBatch drives the batch subcommand: several documents in one
 // round trip, per-item statuses, and a non-zero exit when an item names an
 // unknown document.

@@ -62,7 +62,6 @@ func main() {
 	tariff := flag.String("pricing", "", "JSON tariff to load (default: built-in cost tables)")
 	verbose := flag.Bool("verbose", false, "log every negotiation decision (the QoS manager's trace)")
 	debugAddr := flag.String("debug-addr", "", "HTTP address for /metrics, /debug/vars, /debug/trace and /debug/pprof (empty disables)")
-	codec := flag.String("codec", "auto", "wire codecs accepted in the handshake: auto (binary/2 with JSON-lines fallback), binary or json; clients that send no hello, or offer only an older binary version, always get JSON")
 	maxStreams := flag.Int("max-streams", 0, "concurrent streams per multiplexed connection (0 selects the protocol default)")
 	traceDepth := flag.Int("trace-depth", 256, "negotiation spans retained for /debug/trace")
 	articles := flag.Int("articles", 5, "synthetic articles to create when no catalog is given")
@@ -176,19 +175,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}
-	wire := protocol.WireOptions{MaxStreams: *maxStreams}
-	switch *codec {
-	case "auto":
-		// Zero codec list: binary preferred, JSON fallback.
-	case "binary":
-		wire.Codecs = []string{protocol.CodecBinary}
-	case "json":
-		wire.Codecs = []string{protocol.CodecJSON}
-	default:
-		log.Fatalf("qosnegd: unknown -codec %q (want auto, binary or json)", *codec)
-	}
 	srv := protocol.NewServer(sys.Manager, sys.Registry,
-		protocol.WithServerWire(wire), protocol.WithServerAdmission(ctrl))
+		protocol.WithServerWire(protocol.WireOptions{MaxStreams: *maxStreams}), protocol.WithServerAdmission(ctrl))
 	srv.Instrument(reg)
 	playout := protocol.AttachPlayout(srv, sys.Manager, 100*time.Millisecond)
 

@@ -57,86 +57,69 @@ func serveWith(t *testing.T, bed *testbed.Bed, opts ...ServerOption) (*harness, 
 	return h, reg
 }
 
-func codecCases() []struct {
-	name string
-	wire WireOptions
-} {
-	return []struct {
-		name string
-		wire WireOptions
-	}{
-		{CodecBinary, WireOptions{Codecs: []string{CodecBinary, CodecJSON}}},
-		{CodecJSON, WireOptions{Codecs: []string{CodecJSON}}},
-	}
-}
-
 // TestServerShedBusyOverWire: with the admission controller saturated, a
-// negotiation on either codec is answered MsgBusy — surfaced as *ErrBusy
+// negotiation is answered MsgBusy — surfaced as *ErrBusy
 // with a positive RetryAfter — while queries keep working.
 func TestServerShedBusyOverWire(t *testing.T) {
-	for _, tc := range codecCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			bed := testbed.MustNew(testbed.Spec{})
-			if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			ctrl := saturatedController(t)
-			h, reg := serveWith(t, bed, WithServerAdmission(ctrl))
-			c, err := Dial(h.addr, WithWire(tc.wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			_, err = c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
-			var busy *ErrBusy
-			if !errors.As(err, &busy) {
-				t.Fatalf("negotiate under saturation: err = %v, want *ErrBusy", err)
-			}
-			if busy.RetryAfter <= 0 {
-				t.Fatalf("busy reply carries RetryAfter %v, want > 0", busy.RetryAfter)
-			}
-			// Queries are never shed: the daemon stays observable.
-			if _, err := c.Stats(bg); err != nil {
-				t.Fatalf("stats under saturation: %v", err)
-			}
-			if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", tc.name); v == 0 {
-				t.Fatalf("no %s shed counted", tc.name)
-			}
-		})
-	}
+	t.Run(CodecBinary, func(t *testing.T) {
+		bed := testbed.MustNew(testbed.Spec{})
+		if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ctrl := saturatedController(t)
+		h, reg := serveWith(t, bed, WithServerAdmission(ctrl))
+		c, err := Dial(h.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_, err = c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
+		var busy *ErrBusy
+		if !errors.As(err, &busy) {
+			t.Fatalf("negotiate under saturation: err = %v, want *ErrBusy", err)
+		}
+		if busy.RetryAfter <= 0 {
+			t.Fatalf("busy reply carries RetryAfter %v, want > 0", busy.RetryAfter)
+		}
+		// Queries are never shed: the daemon stays observable.
+		if _, err := c.Stats(bg); err != nil {
+			t.Fatalf("stats under saturation: %v", err)
+		}
+		if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v == 0 {
+			t.Fatal("no shed counted")
+		}
+	})
 }
 
 // TestManagerShedResultOverWire: a controller installed on the manager (not
 // the server) sheds with a FAILEDTRYLATER result whose Shed flag and
-// RetryAfter survive both codecs.
+// RetryAfter survive the wire.
 func TestManagerShedResultOverWire(t *testing.T) {
-	for _, tc := range codecCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
-			if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			h, _ := serveWith(t, bed)
-			c, err := Dial(h.addr, WithWire(tc.wire))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
-			if err != nil {
-				t.Fatalf("negotiate: %v", err)
-			}
-			if res.Status != core.FailedTryLater {
-				t.Fatalf("status = %v, want FAILEDTRYLATER", res.Status)
-			}
-			if !res.Shed {
-				t.Fatal("Shed flag lost over the wire")
-			}
-			if res.RetryAfter <= 0 {
-				t.Fatalf("RetryAfter = %v, want > 0", res.RetryAfter)
-			}
-		})
-	}
+	t.Run(CodecBinary, func(t *testing.T) {
+		bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
+		if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		h, _ := serveWith(t, bed)
+		c, err := Dial(h.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
+		if err != nil {
+			t.Fatalf("negotiate: %v", err)
+		}
+		if res.Status != core.FailedTryLater {
+			t.Fatalf("status = %v, want FAILEDTRYLATER", res.Status)
+		}
+		if !res.Shed {
+			t.Fatal("Shed flag lost over the wire")
+		}
+		if res.RetryAfter <= 0 {
+			t.Fatalf("RetryAfter = %v, want > 0", res.RetryAfter)
+		}
+	})
 }
 
 // TestBatchShedItemsCarryRetryAfter: every shed item of a batch carries the
@@ -298,28 +281,31 @@ func TestBatchClientPropagatesDeadline(t *testing.T) {
 		}
 		defer conn.Close()
 		r := bufio.NewReader(conn)
-		line, err := r.ReadBytes('\n')
+		if _, err := r.ReadBytes('\n'); err != nil {
+			return
+		}
+		conn.Write([]byte(`{"type":"hello-ack","codec":"binary/2"}` + "\n"))
+		f, err := readFrame(r)
 		if err != nil {
 			return
 		}
-		env, err := readEnvelopeLine(line)
+		env, err := decodeBody(f.Payload)
 		if err != nil || env.Type != MsgBatchNegotiate {
 			got <- -1
 			return
 		}
 		req := env.Payload.(*BatchNegotiateRequest)
 		got <- req.TimeoutMs
-		writeEnvelopeLine(conn, Envelope{Type: MsgBatchResult, Payload: &BatchResultPayload{
+		body, _ := appendBody(nil, Envelope{Type: MsgBatchResult, Payload: &BatchResultPayload{
 			Items: make([]BatchItemResult, len(req.Items)),
 		}})
+		conn.Write(appendFrame(nil, frame{Stream: f.Stream, Flags: flagFIN, Payload: body}))
 	}()
 	nc, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A JSON-pinned client skips the handshake, so the stub only ever sees
-	// the batch request.
-	c := NewClient(nc, WithWire(WireOptions{Codecs: []string{CodecJSON}}))
+	c := NewClient(nc)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

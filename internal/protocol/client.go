@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,6 +23,11 @@ import (
 
 // ErrClientClosed is returned for RPCs on a closed client.
 var ErrClientClosed = errors.New("protocol: client closed")
+
+// ErrHandshakeRefused reports a daemon that answered the hello with
+// anything but an ack naming CodecBinary: one that predates the handshake
+// or speaks another codec. The client never downgrades.
+var ErrHandshakeRefused = errors.New("protocol: handshake refused")
 
 // errConnBroken reports that the connection died under a concurrent caller
 // before this RPC's exchange started.
@@ -83,8 +89,8 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 // ClientOption configures Dial and NewClient.
 type ClientOption func(*Client)
 
-// WithWire sets the client's codec preference and stream cap; the zero
-// value offers binary-then-JSON with the default cap.
+// WithWire sets the client's stream cap; the zero value asks for the
+// default cap.
 func WithWire(w WireOptions) ClientOption {
 	return func(c *Client) { c.wire = w }
 }
@@ -93,14 +99,11 @@ func WithWire(w WireOptions) ClientOption {
 // negotiation daemon and performs negotiate/confirm/reject rounds. It is
 // safe for concurrent use.
 //
-// On the binary codec (the default when the daemon speaks it) concurrent
-// RPCs are multiplexed over one connection on per-request stream ids, a
-// Watch is a server-push stream that does not block other calls, and
+// Each connection opens with a hello offering CodecBinary; a daemon that
+// refuses it, or acks another codec, fails the dial with a typed error.
+// Concurrent RPCs are multiplexed over the connection on per-request stream
+// ids, a Watch is a server-push stream that does not block other calls, and
 // canceling a call only abandons its stream — the connection stays healthy.
-// On the JSON fallback codec requests are serialized one at a time and
-// cancellation is implemented by poisoning the connection's deadline: a
-// canceled in-flight call returns the context's error and marks the
-// connection broken.
 //
 // Every RPC takes a context as its first argument.
 //
@@ -219,17 +222,6 @@ func (c *Client) Redials() int {
 	return c.redials
 }
 
-// Codec reports the negotiated codec of the live connection, or "" when no
-// connection is up.
-func (c *Client) Codec() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cc == nil {
-		return ""
-	}
-	return c.cc.codec
-}
-
 // grab returns a healthy connection, dialing or handshaking one if needed.
 // Dialing happens under c.mu so concurrent callers share one attempt.
 func (c *Client) grab(ctx context.Context) (*clientConn, error) {
@@ -273,7 +265,7 @@ func (c *Client) connectLocked(ctx context.Context) (*clientConn, error) {
 		return nil, err
 	}
 	c.cc = cc
-	c.connCtr.With(cc.codec).Inc()
+	c.connCtr.With(CodecBinary).Inc()
 	if c.dialed {
 		c.redials++
 		c.redialCtr.Inc()
@@ -285,65 +277,45 @@ func (c *Client) connectLocked(ctx context.Context) (*clientConn, error) {
 	return cc, nil
 }
 
-// handshake runs codec negotiation on a fresh connection. A client
-// configured as JSON-only skips it entirely (legacy behaviour, byte for
-// byte). Otherwise it sends MsgHello and adopts the server's choice; a
-// legacy server answers MsgError, which selects the JSON fallback when the
-// preference list allows it.
+// handshake opens a fresh connection: it sends the hello and checks the ack.
+// It cancels by closing the socket it owns, so a canceled handshake leaves
+// no connection behind.
 func (c *Client) handshake(ctx context.Context, nc net.Conn) (*clientConn, error) {
-	cc := &clientConn{owner: c, nc: nc, r: bufio.NewReader(nc)}
-	prefs := c.wire.codecs()
-	if len(prefs) == 1 && prefs[0] == CodecJSON {
-		cc.codec = CodecJSON
-		return cc, nil
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	defer stop()
+	streams := c.wire.maxStreams()
+	hello := Envelope{Type: MsgHello, Payload: &HelloRequest{Codecs: []string{CodecBinary}, MaxStreams: streams}}
+	if err := writeEnvelopeLine(nc, hello); err != nil {
+		return nil, c.finishCtx(ctx, fmt.Errorf("protocol: handshake send: %w", err))
 	}
-	stop, done := cc.arm(ctx)
-	hello := Envelope{Type: MsgHello, Payload: &HelloRequest{Codecs: prefs, MaxStreams: c.wire.maxStreams()}}
-	sendErr := writeEnvelopeLine(nc, hello)
-	var resp Envelope
-	var recvErr error
-	if sendErr == nil {
-		resp, recvErr = cc.readLine()
+	r := bufio.NewReader(nc)
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		return nil, c.finishCtx(ctx, fmt.Errorf("protocol: handshake receive: %w", err))
+	}
+	resp, err := readEnvelopeLine(line)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: handshake receive: %w", err)
+	}
+	ack, _ := resp.Payload.(*HelloAck)
+	if ack == nil || ack.Codec != CodecBinary {
+		return nil, fmt.Errorf("%w: the daemon answered %s", ErrHandshakeRefused, bytes.TrimSpace(line))
+	}
+	if ack.MaxStreams > 0 && ack.MaxStreams < streams {
+		streams = ack.MaxStreams
 	}
 	if !stop() {
-		<-done
-		if sendErr == nil && recvErr == nil {
-			nc.SetDeadline(time.Time{})
-		}
+		return nil, fmt.Errorf("protocol: %w", ctx.Err())
 	}
-	if sendErr != nil {
-		return nil, fmt.Errorf("protocol: handshake send: %w", sendErr)
+	cc := &clientConn{
+		owner:    c,
+		nc:       nc,
+		sem:      make(chan struct{}, streams),
+		streams:  make(map[uint32]streamSink),
+		closedCh: make(chan struct{}),
+		fw:       newFrameWriter(nc, func(error) { nc.Close() }),
 	}
-	if recvErr != nil {
-		return nil, c.finishCtx(ctx, fmt.Errorf("protocol: handshake receive: %w", recvErr))
-	}
-	streams := c.wire.maxStreams()
-	switch p := resp.Payload.(type) {
-	case *HelloAck:
-		if !c.wire.supports(p.Codec) {
-			return nil, fmt.Errorf("protocol: server chose unsupported codec %q", p.Codec)
-		}
-		cc.codec = p.Codec
-		if p.MaxStreams > 0 && p.MaxStreams < streams {
-			streams = p.MaxStreams
-		}
-	case *ErrorPayload:
-		// A server that predates the handshake: fall back to plain JSON if
-		// the preference list allows it.
-		if !c.wire.supports(CodecJSON) {
-			return nil, fmt.Errorf("protocol: server does not speak %v: %s", prefs, p.Error)
-		}
-		cc.codec = CodecJSON
-	default:
-		return nil, fmt.Errorf("protocol: unexpected handshake response %q", resp.Type)
-	}
-	if cc.codec == CodecBinary {
-		cc.sem = make(chan struct{}, streams)
-		cc.streams = make(map[uint32]streamSink)
-		cc.closedCh = make(chan struct{})
-		cc.fw = newFrameWriter(nc, func(error) { nc.Close() })
-		go cc.readLoop()
-	}
+	go cc.readLoop(r)
 	return cc, nil
 }
 
@@ -594,13 +566,10 @@ func (c *Client) Session(ctx context.Context, id core.SessionID) (SessionInfo, e
 }
 
 // Watch streams session updates until the session completes or aborts,
-// calling fn for every state or transition change. On a multiplexed
-// connection the watch runs on its own stream: other RPCs on this client
-// proceed concurrently, and canceling ctx ends just the watch — the
-// connection stays usable. On the JSON fallback the watch occupies the
-// connection until the final update, and a cancellation breaks the
-// connection (the next RPC redials). A non-positive interval selects the
-// server default.
+// calling fn for every state or transition change. The watch runs on its
+// own stream: other RPCs on this client proceed concurrently, and canceling
+// ctx ends just the watch — the connection stays usable. A non-positive
+// interval selects the server default.
 func (c *Client) Watch(ctx context.Context, id core.SessionID, interval time.Duration, fn func(SessionInfo)) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("protocol: %w", err)
@@ -609,11 +578,32 @@ func (c *Client) Watch(ctx context.Context, id core.SessionID, interval time.Dur
 	if err != nil {
 		return err
 	}
-	req := Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: id, IntervalMs: interval.Milliseconds()}}
-	if cc.codec == CodecBinary {
-		return cc.watchBinary(ctx, req, fn)
+	st := newClientStream()
+	sid, err := cc.startStream(ctx, st, Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: id, IntervalMs: interval.Milliseconds()}})
+	if err != nil {
+		return err
 	}
-	return cc.watchJSON(ctx, req, fn)
+	defer cc.endStream(sid)
+	for {
+		resp, err := st.next(ctx)
+		if err != nil {
+			if ctx.Err() != nil && !cc.isBroken() {
+				return cc.abandon(ctx, sid)
+			}
+			return err
+		}
+		if err := envelopeError(resp); err != nil {
+			return err
+		}
+		p, ok := resp.Payload.(*SessionInfoPayload)
+		if !ok {
+			return fmt.Errorf("protocol: unexpected watch update %q", resp.Type)
+		}
+		fn(sessionInfo(p))
+		if p.Final {
+			return nil
+		}
+	}
 }
 
 // ListDocuments lists the daemon's catalog, optionally filtered by a title
@@ -800,20 +790,13 @@ func (s *clientStream) next(ctx context.Context) (Envelope, error) {
 	}
 }
 
-// clientConn is one negotiated connection: either the serialized JSON
-// fallback or the multiplexed binary codec.
+// clientConn is one multiplexed connection.
 type clientConn struct {
 	owner *Client
 	nc    net.Conn
-	codec string
-	r     *bufio.Reader
 
 	broken atomic.Bool
 
-	// JSON mode: one exchange at a time.
-	jmu sync.Mutex
-
-	// Binary mode.
 	fw       *frameWriter
 	sem      chan struct{}
 	smu      sync.Mutex
@@ -821,25 +804,15 @@ type clientConn struct {
 	nextID   uint32
 	connErr  error
 	closedCh chan struct{}
-	tonce    sync.Once
+	once     sync.Once
 }
 
 func (cc *clientConn) isBroken() bool { return cc.broken.Load() }
 
-// close tears the connection down; every pending stream fails with err.
+// close tears the connection down once: pending streams fail with err, the
+// writer stops, the socket closes.
 func (cc *clientConn) close(err error) {
-	if cc.codec == CodecBinary {
-		cc.teardown(err)
-		return
-	}
-	cc.broken.Store(true)
-	cc.nc.Close()
-}
-
-// teardown ends a binary connection once: pending streams fail, the writer
-// stops, the socket closes.
-func (cc *clientConn) teardown(err error) {
-	cc.tonce.Do(func() {
+	cc.once.Do(func() {
 		cc.broken.Store(true)
 		cc.smu.Lock()
 		cc.connErr = err
@@ -855,14 +828,13 @@ func (cc *clientConn) teardown(err error) {
 	})
 }
 
-// readLoop demultiplexes binary frames to their streams until the
-// connection dies.
-func (cc *clientConn) readLoop() {
-	frames := frameReader{r: cc.r}
+// readLoop demultiplexes frames to their streams until the connection dies.
+func (cc *clientConn) readLoop(r *bufio.Reader) {
+	frames := frameReader{r: r}
 	for {
 		f, err := frames.next()
 		if err != nil {
-			cc.teardown(fmt.Errorf("protocol: receive: %w", err))
+			cc.close(fmt.Errorf("protocol: receive: %w", err))
 			return
 		}
 		if f.Flags&flagCancel != 0 {
@@ -870,7 +842,7 @@ func (cc *clientConn) readLoop() {
 		}
 		env, err := decodeBody(f.Payload)
 		if err != nil {
-			cc.teardown(fmt.Errorf("protocol: receive: %w", err))
+			cc.close(fmt.Errorf("protocol: receive: %w", err))
 			return
 		}
 		cc.smu.Lock()
@@ -921,7 +893,7 @@ func (cc *clientConn) startStream(ctx context.Context, sink streamSink, env Enve
 	if err := cc.fw.sendEnvelope(id, 0, env); err != nil {
 		cc.endStream(id)
 		err = fmt.Errorf("protocol: send: %w", err)
-		cc.teardown(err)
+		cc.close(err)
 		return 0, err
 	}
 	return id, nil
@@ -954,17 +926,8 @@ func (cc *clientConn) abandon(ctx context.Context, id uint32) error {
 	return fmt.Errorf("protocol: %w", ctx.Err())
 }
 
-// exchange performs one request/response on this connection, whichever
-// codec it speaks.
+// exchange runs one request/response on its own stream.
 func (cc *clientConn) exchange(ctx context.Context, env Envelope) (Envelope, error) {
-	if cc.codec == CodecBinary {
-		return cc.exchangeBinary(ctx, env)
-	}
-	return cc.exchangeJSON(ctx, env)
-}
-
-// exchangeBinary runs the RPC on its own stream.
-func (cc *clientConn) exchangeBinary(ctx context.Context, env Envelope) (Envelope, error) {
 	slot := make(replySlot, 1)
 	id, err := cc.startStream(ctx, slot, env)
 	if err != nil {
@@ -985,142 +948,4 @@ func (cc *clientConn) exchangeBinary(ctx context.Context, env Envelope) (Envelop
 		return Envelope{}, rep.err
 	}
 	return rep.env, envelopeError(rep.env)
-}
-
-// exchangeJSON performs one serialized request/response; concurrent callers
-// queue on the connection. Transport failures and cancellations mark the
-// connection broken, exactly as the legacy protocol behaved.
-func (cc *clientConn) exchangeJSON(ctx context.Context, env Envelope) (Envelope, error) {
-	cc.jmu.Lock()
-	defer cc.jmu.Unlock()
-	if cc.isBroken() {
-		return Envelope{}, errConnBroken
-	}
-	stop, done := cc.arm(ctx)
-	sendErr := writeEnvelopeLine(cc.nc, env)
-	var resp Envelope
-	var recvErr error
-	if sendErr == nil {
-		resp, recvErr = cc.readLine()
-	}
-	if !stop() {
-		// The AfterFunc fired. Wait for it, then clear the poisoned
-		// deadline if the exchange actually completed first — otherwise
-		// the stale past deadline would fail every later call on this
-		// connection.
-		<-done
-		if sendErr == nil && recvErr == nil {
-			cc.nc.SetDeadline(time.Time{})
-		}
-	}
-	if sendErr != nil {
-		cc.broken.Store(true)
-		return Envelope{}, cc.owner.finishCtx(ctx, fmt.Errorf("protocol: send: %w", sendErr))
-	}
-	if recvErr != nil {
-		cc.broken.Store(true)
-		return Envelope{}, cc.owner.finishCtx(ctx, fmt.Errorf("protocol: receive: %w", recvErr))
-	}
-	if err := envelopeError(resp); err != nil {
-		return resp, err
-	}
-	return resp, nil
-}
-
-// arm makes a ctx cancellation interrupt reads and writes on the
-// connection by forcing its deadline into the past. The returned stop must
-// be called when the call completes; when it reports false the caller must
-// wait on done before touching the deadline again — the poisoning callback
-// may still be mid-flight.
-func (cc *clientConn) arm(ctx context.Context) (stop func() bool, done chan struct{}) {
-	done = make(chan struct{})
-	if ctx.Done() == nil {
-		close(done)
-		return func() bool { return true }, done
-	}
-	conn := cc.nc
-	stop = context.AfterFunc(ctx, func() {
-		conn.SetDeadline(time.Now())
-		close(done)
-	})
-	return stop, done
-}
-
-func (cc *clientConn) readLine() (Envelope, error) {
-	line, err := cc.r.ReadBytes('\n')
-	if err != nil {
-		return Envelope{}, err
-	}
-	return readEnvelopeLine(line)
-}
-
-// watchBinary consumes a server-push watch stream on its own stream id.
-func (cc *clientConn) watchBinary(ctx context.Context, req Envelope, fn func(SessionInfo)) error {
-	st := newClientStream()
-	id, err := cc.startStream(ctx, st, req)
-	if err != nil {
-		return err
-	}
-	defer cc.endStream(id)
-	for {
-		resp, err := st.next(ctx)
-		if err != nil {
-			if ctx.Err() != nil && !cc.isBroken() {
-				return cc.abandon(ctx, id)
-			}
-			return err
-		}
-		if err := envelopeError(resp); err != nil {
-			return err
-		}
-		p, ok := resp.Payload.(*SessionInfoPayload)
-		if !ok {
-			return fmt.Errorf("protocol: unexpected watch update %q", resp.Type)
-		}
-		fn(sessionInfo(p))
-		if p.Final {
-			return nil
-		}
-	}
-}
-
-// watchJSON consumes a watch stream on the serialized JSON codec; the
-// connection is busy until the final update.
-func (cc *clientConn) watchJSON(ctx context.Context, req Envelope, fn func(SessionInfo)) error {
-	cc.jmu.Lock()
-	defer cc.jmu.Unlock()
-	if cc.isBroken() {
-		return errConnBroken
-	}
-	stop, done := cc.arm(ctx)
-	defer func() {
-		if !stop() {
-			<-done
-			if !cc.isBroken() {
-				cc.nc.SetDeadline(time.Time{})
-			}
-		}
-	}()
-	if err := writeEnvelopeLine(cc.nc, req); err != nil {
-		cc.broken.Store(true)
-		return cc.owner.finishCtx(ctx, fmt.Errorf("protocol: send: %w", err))
-	}
-	for {
-		resp, err := cc.readLine()
-		if err != nil {
-			cc.broken.Store(true)
-			return cc.owner.finishCtx(ctx, fmt.Errorf("protocol: receive: %w", err))
-		}
-		if err := envelopeError(resp); err != nil {
-			return err
-		}
-		p, ok := resp.Payload.(*SessionInfoPayload)
-		if !ok {
-			return fmt.Errorf("protocol: unexpected watch update %q", resp.Type)
-		}
-		fn(sessionInfo(p))
-		if p.Final {
-			return nil
-		}
-	}
 }

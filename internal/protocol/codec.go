@@ -54,8 +54,7 @@ func appendBody(dst []byte, e Envelope) ([]byte, error) {
 
 // decodeBody parses one binary/2 frame body. An unknown type code decodes
 // to a payload-less envelope of a type no handler knows, so the dispatcher
-// answers a typed MsgError — as an unknown type string does on the JSON
-// codec — instead of the connection dropping.
+// answers a typed MsgError instead of the connection dropping.
 func decodeBody(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, fmt.Errorf("protocol: empty frame body")
@@ -143,7 +142,7 @@ func (c *coder) resultPayload(p *ResultPayload) {
 	integer(c, &p.Cost)
 	text(c, &p.Reason)
 	integer(c, &p.ChoicePeriodMs)
-	// omitempty on the JSON codec: nil and empty are one value.
+	// omitempty in the JSON encoding: nil and empty are one value.
 	if n := c.length(len(p.Violations), 0, 1); !c.enc && n > 0 {
 		p.Violations = make([]string, n)
 	}
@@ -229,8 +228,8 @@ func sortedKeys[K cmp.Ordered](m map[K]float64, buf []K) []K {
 }
 
 // intMap codes an int-keyed importance map as count + entries in ascending
-// key order. The maps are omitempty on the JSON codec, so nil and empty are
-// one value here too. Decoded keys that do not strictly ascend — duplicates
+// key order. The maps are omitempty in the JSON encoding, so nil and empty
+// are one value here too. Decoded keys that do not strictly ascend — duplicates
 // included — are malformed.
 func intMap[K ~int](c *coder, m *map[K]float64) {
 	if c.enc {
@@ -359,7 +358,7 @@ func optional[T any](c *coder, section **T) bool {
 }
 
 // length codes an element count n as n+off: off is 1 for the slices whose
-// nil (-1, see lenOrNil) and empty forms the JSON codec keeps apart, else 0.
+// nil (-1, see lenOrNil) and empty forms the JSON encoding keeps apart, else 0.
 // Decoding refuses a count the remaining bytes cannot hold at min bytes an
 // element — before the caller allocates from it.
 func (c *coder) length(n, off, min int) int {

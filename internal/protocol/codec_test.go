@@ -1,12 +1,10 @@
 package protocol
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -109,7 +107,7 @@ func TestBinaryBodyFieldDrift(t *testing.T) {
 		if got.Type != e.Type || !reflect.DeepEqual(got.Payload, e.Payload) {
 			t.Errorf("%s: a field does not survive the binary codec:\n sent %s\n got  %s", e.Type, dump(e.Payload), dump(got.Payload))
 		}
-		// The JSON codec is the oracle: it must agree on the same value.
+		// The JSON encoding is the oracle: it must agree on the same value.
 		if viaJSON := jsonRoundTrip(t, e); !reflect.DeepEqual(viaJSON.Payload, got.Payload) {
 			t.Errorf("%s: codecs disagree:\n json   %s\n binary %s", e.Type, dump(viaJSON.Payload), dump(got.Payload))
 		}
@@ -304,7 +302,7 @@ func (g gen) envelope() Envelope {
 // TestBinaryMatchesJSONCodec is the property the replacement rests on: for
 // any payload — nil and empty maps, slices and curves, absent sections, zero
 // and negative numbers, non-ASCII names — decoding what the binary codec
-// wrote yields exactly what decoding the JSON codec's line yields, and
+// wrote yields exactly what decoding its JSON encoding yields, and
 // re-encoding the result reproduces the bytes.
 func TestBinaryMatchesJSONCodec(t *testing.T) {
 	property := func(seed int64) bool {
@@ -410,7 +408,7 @@ func TestBinaryDecodeDoesNotRetainInput(t *testing.T) {
 // panic. For the typed bodies, whose decoders allocate from lengths read off
 // the wire, a body may not make the decoder allocate more than a small
 // multiple of its own size (the JSON-bodied types are encoding/json's to
-// bound, exactly as on the JSON codec), and a body that decodes is canonical:
+// bound), and a body that decodes is canonical:
 // it re-encodes to the same bytes.
 func FuzzBinaryBody(f *testing.F) {
 	for _, e := range typedBodies() {
@@ -475,84 +473,6 @@ func FuzzBinaryBody(f *testing.F) {
 	})
 }
 
-// The three ways a peer from before binary/2 meets this build. In none of
-// them is there a second binary code path: the handshake steers both sides
-// to the JSON line codec, and a version-1 frame is a framing error.
-
-// TestOldClientIsAnsweredJSON: a client offering [binary/1, json] lands on
-// JSON and is served there.
-func TestOldClientIsAnsweredJSON(t *testing.T) {
-	h := newHarness(t)
-	conn, err := net.Dial("tcp", h.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	r := bufio.NewReader(conn)
-	for _, step := range []struct {
-		send string
-		want func(Envelope) bool
-	}{
-		{`{"type":"hello","codecs":["binary/1","json"]}`, func(e Envelope) bool {
-			ack, ok := e.Payload.(*HelloAck)
-			return ok && ack.Codec == CodecJSON
-		}},
-		{`{"type":"list-documents"}`, func(e Envelope) bool {
-			docs, ok := e.Payload.(*DocumentsPayload)
-			return ok && len(docs.Documents) == 2
-		}},
-	} {
-		if _, err := conn.Write([]byte(step.send + "\n")); err != nil {
-			t.Fatal(err)
-		}
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("%s: %v", step.send, err)
-		}
-		if env, err := readEnvelopeLine(line); err != nil || !step.want(env) {
-			t.Errorf("%s answered %s (%v)", step.send, line, err)
-		}
-	}
-}
-
-// TestNewClientFallsBackOnOldDaemon: a daemon that accepts [binary/1, json]
-// — the handshake logic is the one it has always had — picks JSON for a
-// client offering [binary/2, json], on the same connection.
-func TestNewClientFallsBackOnOldDaemon(t *testing.T) {
-	bed := testbed.MustNew(testbed.Spec{})
-	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(bed.Manager, bed.Registry, WithServerWire(WireOptions{Codecs: []string{"binary/1", CodecJSON}}))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(l) }()
-	t.Cleanup(func() { l.Close(); srv.Close(); <-done })
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Codec(); got != CodecJSON {
-		t.Fatalf("codec = %q, want %q", got, CodecJSON)
-	}
-	res, err := c.Negotiate(bg, bed.Client(1), "news-1", tvProfile(time.Minute))
-	if err != nil || !res.Status.Reserved() {
-		t.Fatalf("negotiate over the fallback: %v %v", res.Status, err)
-	}
-	if err := c.Reject(bg, res.Session); err != nil {
-		t.Fatal(err)
-	}
-	if c.Redials() != 0 {
-		t.Errorf("fallback cost %d redials; want 0", c.Redials())
-	}
-}
-
 // TestVersion1FrameIsRejected: a frame with the old version byte — header
 // and JSON line exactly as binary/1 wrote them — answers the typed framing
 // error on stream 0 and closes the connection.
@@ -581,8 +501,8 @@ func TestVersion1FrameIsRejected(t *testing.T) {
 }
 
 // TestUnknownTypeCodeAnswersTypedError: a type code this build does not know
-// is answered like an unknown type string on the JSON codec — a MsgError on
-// the request's stream, the connection left serving.
+// is answered with a MsgError on the request's stream, the connection left
+// serving.
 func TestUnknownTypeCodeAnswersTypedError(t *testing.T) {
 	h := newHarness(t)
 	conn, r := binaryHandshake(t, h.addr)

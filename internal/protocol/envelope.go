@@ -20,23 +20,21 @@ import (
 // per message type. Adding an RPC means adding a payload struct and a
 // messages entry — not widening a shared field bag.
 //
-// On the JSON codec an envelope is one flat JSON object, {"type":...} merged
-// with the payload's fields, byte-compatible with the pre-envelope protocol.
-// On the binary codec it is a type-code byte and a body (codec.go), on the
-// stream its frame header names.
+// On the wire an envelope is a type-code byte and a body (codec.go), on the
+// stream its frame header names. The hello exchange that opens a connection
+// carries it as one flat JSON line instead: {"type":...} merged with the
+// payload's fields.
 type Envelope struct {
 	Type    MessageType
 	Payload any
 }
 
-// Request payloads (client → server). Field order mirrors the legacy
-// Request struct so the marshaled JSON is byte-identical to the old
-// protocol.
+// Request payloads (client → server).
 
 // HelloRequest opens codec negotiation: the client's codec preference list
 // and its desired concurrent-stream cap. It must be the first message on a
-// connection; servers that predate it answer MsgError, which clients treat
-// as "JSON only".
+// connection, and its list must offer CodecBinary; any other opening is
+// answered with one MsgError line and the connection is closed.
 type HelloRequest struct {
 	Codecs     []string `json:"codecs"`
 	MaxStreams int      `json:"maxStreams,omitempty"`
@@ -92,8 +90,7 @@ type BatchNegotiateRequest struct {
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 }
 
-// Response payloads (server → client). Field order mirrors the legacy
-// Response struct for byte compatibility on the JSON codec.
+// Response payloads (server → client).
 
 // HelloAck answers MsgHello with the codec the server chose and its
 // per-connection stream cap.
@@ -258,7 +255,7 @@ func payloadFor(t MessageType) any {
 	return nil
 }
 
-// encodeEnvelope renders the flat JSON object the JSON codec puts on a line.
+// encodeEnvelope renders the flat JSON object of a hello-exchange line.
 func encodeEnvelope(e Envelope) ([]byte, error) {
 	head := make([]byte, 0, 256)
 	head = append(head, `{"type":`...)
@@ -284,47 +281,10 @@ func encodeEnvelope(e Envelope) ([]byte, error) {
 	return append(head, body[1:]...), nil
 }
 
-// probeType extracts the message type without a full JSON parse when the
-// input starts with `{"type":"..."` — which everything our own encoder
-// produces does, since encodeEnvelope always splices the type field first.
-// Inputs with a leading BOM, whitespace, reordered fields or an escaped
-// type string report !ok and take the full-parse path instead.
-func probeType(data []byte) (MessageType, bool) {
-	const prefix = `{"type":"`
-	if len(data) < len(prefix) || string(data[:len(prefix)]) != prefix {
-		return "", false
-	}
-	rest := data[len(prefix):]
-	i := bytes.IndexByte(rest, '"')
-	if i < 0 {
-		return "", false
-	}
-	// Message types never contain escapes; a backslash means this string is
-	// not one of ours.
-	if bytes.IndexByte(rest[:i], '\\') >= 0 {
-		return "", false
-	}
-	return MessageType(rest[:i]), true
-}
-
 // decodeEnvelope parses a flat JSON object into a typed envelope. Unknown
-// message types decode with a nil payload so the dispatcher can answer a
+// message types decode with a nil payload, so the caller can answer a
 // protocol-level error instead of dropping the connection.
-//
-// The hot path (a known type in leading position, as encodeEnvelope emits)
-// is a single typed json.Unmarshal, which also validates the whole document.
-// Everything else — unknown types, payload-less messages, foreign field
-// orders — falls back to a probe parse first, so malformed JSON is still
-// rejected even when there is no payload struct to validate against.
 func decodeEnvelope(data []byte) (Envelope, error) {
-	if t, ok := probeType(data); ok {
-		if p := payloadFor(t); p != nil {
-			if err := json.Unmarshal(data, p); err != nil {
-				return Envelope{}, err
-			}
-			return Envelope{Type: t, Payload: p}, nil
-		}
-	}
 	var probe struct {
 		Type MessageType `json:"type"`
 	}
@@ -381,7 +341,7 @@ func envelopeError(e Envelope) error {
 	return nil
 }
 
-// writeEnvelopeLine writes an envelope in the JSON codec's line framing.
+// writeEnvelopeLine writes one line of the hello exchange.
 func writeEnvelopeLine(w interface{ Write([]byte) (int, error) }, e Envelope) error {
 	data, err := encodeEnvelope(e)
 	if err != nil {
@@ -391,9 +351,8 @@ func writeEnvelopeLine(w interface{ Write([]byte) (int, error) }, e Envelope) er
 	return err
 }
 
-// readEnvelopeLine reads one line and decodes it; empty lines are skipped
-// by the caller. It exists so client and server share exactly one JSON
-// parse path.
+// readEnvelopeLine decodes one line of the hello exchange, so client and
+// server share one JSON parse path.
 func readEnvelopeLine(line []byte) (Envelope, error) {
 	return decodeEnvelope(bytes.TrimSpace(line))
 }

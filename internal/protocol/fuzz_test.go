@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"bufio"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,9 +12,10 @@ import (
 	"qosneg/internal/testbed"
 )
 
-// FuzzServerInput throws arbitrary bytes at a live protocol server: every
-// line must produce either a JSON response or a clean connection close —
-// never a hang or a crash.
+// FuzzServerInput throws an arbitrary first line at a live protocol server.
+// A hello offering binary/2 is acked and the connection stays open; any
+// other line gets exactly one reply line and then EOF — never a hang or a
+// crash.
 func FuzzServerInput(f *testing.F) {
 	bed := testbed.MustNew(testbed.Spec{})
 	bed.AddNewsArticle("news-1", "T", time.Minute)
@@ -37,15 +40,13 @@ func FuzzServerInput(f *testing.F) {
 	f.Add(`{"type":"watch","session":9999}`)
 	f.Add(``)
 	f.Add(`{"type":1234}`)
+	f.Add(`{"type":"hello","codecs":["json"]}`)
+	f.Add(`{"type":"hello","codecs":["binary/1","json"]}`)
+	f.Add(`{"type":"hello","codecs":["binary/2"]}`)
 
 	f.Fuzz(func(t *testing.T, line string) {
 		if strings.ContainsAny(line, "\n\r") {
 			t.Skip("single-line inputs only")
-		}
-		if strings.TrimSpace(line) == "" {
-			// Whitespace is not a JSON value; the streaming decoder
-			// legitimately keeps waiting for one.
-			t.Skip("whitespace-only input")
 		}
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err != nil {
@@ -56,13 +57,30 @@ func FuzzServerInput(f *testing.F) {
 		if _, err := conn.Write([]byte(line + "\n")); err != nil {
 			return
 		}
-		// Either a response line arrives or the server closes; both are
-		// acceptable. A deadline error means the server hung.
 		r := bufio.NewReader(conn)
-		if _, err := r.ReadString('\n'); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				t.Fatalf("server hung on input %q", line)
+		reply, err := r.ReadBytes('\n')
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("server hung on input %q", line)
+		}
+		if err != nil {
+			t.Fatalf("no reply line to %q: %v", line, err)
+		}
+		env, err := readEnvelopeLine(reply)
+		if err != nil {
+			t.Fatalf("reply %q to %q: %v", reply, line, err)
+		}
+		sent, _ := readEnvelopeLine([]byte(line))
+		if hello, ok := sent.Payload.(*HelloRequest); ok && slices.Contains(hello.Codecs, CodecBinary) {
+			if env.Type != MsgHelloAck {
+				t.Fatalf("hello %q answered %s", line, reply)
 			}
+			return
+		}
+		if env.Type != MsgError {
+			t.Fatalf("%q answered %s, want a MsgError", line, reply)
+		}
+		if _, err := r.ReadByte(); err != io.EOF {
+			t.Fatalf("after the reply to %q: %v, want EOF", line, err)
 		}
 	})
 }

@@ -3,9 +3,7 @@ package protocol
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -13,147 +11,30 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/client"
 	"qosneg/internal/core"
+	"qosneg/internal/cost"
+	"qosneg/internal/media"
+	"qosneg/internal/profile"
 	"qosneg/internal/telemetry"
-	"qosneg/internal/testbed"
 )
 
 func TestHandshakeNegotiatesBinary(t *testing.T) {
 	h := newHarness(t)
-	c := h.dial(t)
-	if got := c.Codec(); got != CodecBinary {
-		t.Fatalf("negotiated codec = %q, want %q", got, CodecBinary)
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	// NewClient shakes hands on first use, so the counter sees it.
+	c := NewClient(conn)
+	defer c.Close()
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg, nil)
 	if _, err := c.Stats(bg); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestJSONPinnedClientSkipsHandshake(t *testing.T) {
-	h := newHarness(t)
-	c, err := Dial(h.addr, WithWire(WireOptions{Codecs: []string{CodecJSON}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Codec(); got != CodecJSON {
-		t.Fatalf("codec = %q, want %q", got, CodecJSON)
-	}
-	if _, err := c.ListDocuments(bg, ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBinaryClientFallsBackToJSONOnlyServer: a binary-preferring client
-// against a daemon configured to only accept JSON lands on the fallback
-// codec through the handshake, on the same connection.
-func TestBinaryClientFallsBackToJSONOnlyServer(t *testing.T) {
-	bed := testbed.MustNew(testbed.Spec{})
-	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(bed.Manager, bed.Registry, WithServerWire(WireOptions{Codecs: []string{CodecJSON}}))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(l) }()
-	t.Cleanup(func() { l.Close(); srv.Close(); <-done })
-
-	c, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Codec(); got != CodecJSON {
-		t.Fatalf("codec = %q, want fallback to %q", got, CodecJSON)
-	}
-	res, err := c.Negotiate(bg, bed.Client(1), "news-1", tvProfile(time.Minute))
-	if err != nil || !res.Status.Reserved() {
-		t.Fatalf("negotiate over fallback: %v %v", res.Status, err)
-	}
-	if err := c.Reject(bg, res.Session); err != nil {
-		t.Fatal(err)
-	}
-	if c.Redials() != 0 {
-		t.Errorf("fallback cost %d redials; want 0", c.Redials())
-	}
-}
-
-// legacyStubServer emulates a daemon that predates the MsgHello handshake:
-// unknown request types (including hello) are answered with MsgError on an
-// open connection, exactly as the old dispatch loop did.
-func legacyStubServer(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadBytes('\n')
-					if err != nil {
-						return
-					}
-					var req struct {
-						Type string `json:"type"`
-					}
-					if json.Unmarshal(line, &req) != nil {
-						return
-					}
-					switch req.Type {
-					case "list-documents":
-						fmt.Fprintf(conn, "{\"type\":\"documents\",\"documents\":[{\"id\":\"legacy-1\",\"title\":\"Legacy doc\",\"components\":1}]}\n")
-					default:
-						fmt.Fprintf(conn, "{\"type\":\"error\",\"error\":\"unknown request type %s\"}\n", req.Type)
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestBinaryClientFallsBackToLegacyServer is the mixed-version matrix's
-// hard corner: a new client dials a server that answers the hello with
-// MsgError. The client must drop to JSON on the same (still healthy)
-// connection and complete RPCs normally.
-func TestBinaryClientFallsBackToLegacyServer(t *testing.T) {
-	addr := legacyStubServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.Codec(); got != CodecJSON {
-		t.Fatalf("codec = %q, want fallback to %q", got, CodecJSON)
-	}
-	docs, err := c.ListDocuments(bg, "")
-	if err != nil || len(docs) != 1 || docs[0].ID != "legacy-1" {
-		t.Fatalf("ListDocuments over fallback: %v %v", docs, err)
-	}
-	if c.Redials() != 0 {
-		t.Errorf("fallback cost %d redials; want 0", c.Redials())
-	}
-}
-
-// TestBinaryOnlyClientRefusesLegacyServer: with JSON struck from the
-// preference list there is nothing to fall back to.
-func TestBinaryOnlyClientRefusesLegacyServer(t *testing.T) {
-	addr := legacyStubServer(t)
-	_, err := Dial(addr, WithWire(WireOptions{Codecs: []string{CodecBinary}}))
-	if err == nil || !strings.Contains(err.Error(), "does not speak") {
-		t.Fatalf("binary-only dial of a legacy server: %v", err)
+	if v := reg.Snapshot().CounterValue("qosneg_client_connections_total", CodecBinary); v != 1 {
+		t.Fatalf("%v %s connections counted, want 1", v, CodecBinary)
 	}
 }
 
@@ -164,9 +45,6 @@ func TestBinaryOnlyClientRefusesLegacyServer(t *testing.T) {
 func TestConcurrentRPCsOnOneConnection(t *testing.T) {
 	h := newHarness(t)
 	c := h.dial(t)
-	if c.Codec() != CodecBinary {
-		t.Fatalf("codec = %q", c.Codec())
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 16; i++ {
@@ -377,58 +255,84 @@ func TestBatchChoiceTimersExpire(t *testing.T) {
 	}
 }
 
-// TestCrossCodecEquivalence runs the same negotiate/confirm/reject flow over
-// both codecs against identically-built beds and requires identical
-// outcomes: the binary codec is a framing change, not a semantic one.
-func TestCrossCodecEquivalence(t *testing.T) {
+// TestWireMatchesInProcess runs one negotiate → confirm → session → reject
+// flow, plus a second negotiation, over the wire and directly on the manager
+// of an identically built bed, and requires identical outcomes: the wire is
+// transport, not semantics.
+func TestWireMatchesInProcess(t *testing.T) {
+	type negotiation struct {
+		Status       core.NegotiationStatus
+		Offer        *profile.MMProfile
+		Session      core.SessionID
+		Cost         cost.Money
+		ChoicePeriod time.Duration
+	}
 	type outcome struct {
-		Negotiate NegotiationResult
-		Confirmed SessionInfo
-		RejectErr string
-		Second    NegotiationResult
+		First, Second negotiation
+		State         string
+		StateCost     cost.Money
+		RejectErr     string
 	}
-	runFlow := func(t *testing.T, codecs []string, wantCodec string) outcome {
-		h := newHarness(t)
-		c, err := Dial(h.addr, WithWire(WireOptions{Codecs: codecs}))
+
+	h := newHarness(t)
+	c := h.dial(t)
+	overWire := func(mach client.Machine, doc media.DocumentID) negotiation {
+		res, err := c.Negotiate(bg, mach, doc, tvProfile(time.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close() })
-		if got := c.Codec(); got != wantCodec {
-			t.Fatalf("codec = %q, want %q", got, wantCodec)
-		}
-		var o outcome
-		o.Negotiate, err = c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Confirm(bg, o.Negotiate.Session); err != nil {
-			t.Fatal(err)
-		}
-		o.Confirmed, err = c.Session(bg, o.Negotiate.Session)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Reject(bg, o.Negotiate.Session); err != nil {
-			o.RejectErr = err.Error()
-		}
-		o.Second, err = c.Negotiate(bg, h.bed.Client(2), "news-2", tvProfile(time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Reject(bg, o.Second.Session); err != nil {
-			t.Fatal(err)
-		}
-		return o
+		return negotiation{res.Status, res.Offer, res.Session, res.Cost, res.ChoicePeriod}
 	}
-	jsonOut := runFlow(t, []string{CodecJSON}, CodecJSON)
-	binOut := runFlow(t, []string{CodecBinary, CodecJSON}, CodecBinary)
-	// Playout position advances in real time on confirmed sessions; it is
-	// the only wall-clock-dependent field.
-	jsonOut.Confirmed.Position = 0
-	binOut.Confirmed.Position = 0
-	if !reflect.DeepEqual(jsonOut, binOut) {
-		t.Errorf("codecs disagree:\n json   %+v\n binary %+v", jsonOut, binOut)
+	var wire outcome
+	wire.First = overWire(h.bed.Client(1), "news-1")
+	if err := c.Confirm(bg, wire.First.Session); err != nil {
+		t.Fatal(err)
+	}
+	info, err := c.Session(bg, wire.First.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.State, wire.StateCost = info.State, info.Cost
+	if err := c.Reject(bg, wire.First.Session); err != nil {
+		wire.RejectErr = strings.TrimPrefix(err.Error(), "protocol: server error: ")
+	}
+	wire.Second = overWire(h.bed.Client(2), "news-2")
+	if err := c.Reject(bg, wire.Second.Session); err != nil {
+		t.Fatal(err)
+	}
+
+	bed := newsBed(t)
+	man := bed.Manager
+	inProcess := func(mach client.Machine, doc media.DocumentID) negotiation {
+		res, err := man.NegotiateContext(bg, mach, doc, tvProfile(time.Minute))
+		if err != nil || res.Session == nil {
+			t.Fatalf("negotiate: %v %v", res.Status, err)
+		}
+		return negotiation{res.Status, res.Offer, res.Session.ID, res.Session.Cost(), res.Session.ChoicePeriod}
+	}
+	var direct outcome
+	direct.First = inProcess(bed.Client(1), "news-1")
+	if err := man.Confirm(direct.First.Session); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := man.Session(direct.First.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.State, direct.StateCost = sess.State().String(), sess.Cost()
+	if err := man.Reject(direct.First.Session); err != nil {
+		direct.RejectErr = err.Error()
+	}
+	direct.Second = inProcess(bed.Client(2), "news-2")
+	if err := man.Reject(direct.Second.Session); err != nil {
+		t.Fatal(err)
+	}
+
+	if wire.RejectErr == "" {
+		t.Error("rejecting a confirmed session succeeded")
+	}
+	if !reflect.DeepEqual(wire, direct) {
+		t.Errorf("wire and in-process disagree:\n wire       %+v\n in-process %+v", wire, direct)
 	}
 }
 
@@ -442,7 +346,7 @@ func binaryHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 	}
 	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Write([]byte(`{"type":"hello","codecs":["binary/2","json"]}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"type":"hello","codecs":["binary/2"]}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
@@ -451,7 +355,7 @@ func binaryHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	ack, err := readEnvelopeLine(line)
-	if err != nil || ack.Type != MsgHelloAck {
+	if p, ok := ack.Payload.(*HelloAck); err != nil || !ok || p.Codec != CodecBinary {
 		t.Fatalf("handshake answer %v %v", ack, err)
 	}
 	return conn, r
@@ -578,8 +482,8 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 }
 
 // TestMalformedFirstLineStillAnswered: the lone-"{" crasher analogue on a
-// fresh connection — the codec-sniffing first-message path must answer and
-// close, exactly like the legacy line loop did.
+// fresh connection — the hello line must be answered and the connection
+// closed, not waited on.
 func TestMalformedFirstLineStillAnswered(t *testing.T) {
 	h := newHarness(t)
 	conn, err := net.Dial("tcp", h.addr)
@@ -604,5 +508,3 @@ func TestMalformedFirstLineStillAnswered(t *testing.T) {
 		t.Error("connection stayed open after malformed input")
 	}
 }
-
-var _ = core.SessionID(0) // keep the import stable across edits

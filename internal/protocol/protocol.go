@@ -3,17 +3,15 @@
 // which the profile manager on the user's workstation talks to the QoS
 // manager over the network.
 //
-// Two codecs share one TCP port. The legacy codec is newline-delimited
-// JSON, one request answered at a time — simple clients interoperate with
-// nothing but a socket and a JSON library. The binary codec puts typed
-// bodies in length-prefixed frames (magic, version, flags, stream id) and
-// multiplexes concurrent RPCs over a single connection: each RPC runs on its
-// own stream id, watch subscriptions are server-push streams, and a batch
-// RPC negotiates a whole playlist in one round trip. A client opens with a
-// MsgHello listing the codecs it speaks; the server picks one and answers
-// MsgHelloAck. Older peers land on JSON: a server that predates the
-// handshake answers MsgError to the hello, an old client never sends one,
-// and a peer with another binary version shares only "json" with this one.
+// The wire has one codec, binary/2 (CodecBinary). It puts typed bodies in
+// length-prefixed frames (magic, version, flags, stream id) and multiplexes
+// concurrent RPCs over a single connection: each RPC runs on its own stream
+// id, watch subscriptions are server-push streams, and a batch RPC
+// negotiates a whole playlist in one round trip. A connection opens with a
+// JSON MsgHello line offering binary/2, answered by a MsgHelloAck line. A
+// peer that offers no binary/2, or sends anything else first, gets one
+// MsgError line and a closed connection, and a client that is refused or
+// acked another codec fails the dial with a typed error.
 //
 // The protocol carries the full negotiation flow of Section 4: a negotiate
 // request (client machine description + document + user profile), the
@@ -36,7 +34,8 @@ type MessageType string
 // Request types.
 const (
 	// MsgHello negotiates the connection codec; it must be the first
-	// message on a connection and is answered by MsgHelloAck.
+	// message on a connection, sent as a JSON line, and is answered by
+	// MsgHelloAck.
 	MsgHello MessageType = "hello"
 	// MsgNegotiate runs the negotiation procedure.
 	MsgNegotiate MessageType = "negotiate"
@@ -67,10 +66,8 @@ const (
 	// MsgWatch streams MsgSessionInfo updates for one session until it
 	// reaches a terminal state: the notification channel the profile
 	// manager uses to follow the delivery (and to learn about automatic
-	// adaptations) without polling. On a multiplexed connection the watch
-	// is a server-push stream on its own stream id and other RPCs proceed
-	// concurrently; on the JSON codec it occupies the connection until the
-	// final update.
+	// adaptations) without polling. The watch is a server-push stream on
+	// its own stream id, and other RPCs proceed concurrently.
 	MsgWatch MessageType = "watch"
 	// MsgMetrics fetches the daemon's full telemetry snapshot (counters,
 	// gauges, latency histograms); `qosctl stats` renders it. A daemon

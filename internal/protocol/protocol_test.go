@@ -28,6 +28,13 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return serveHarness(t, newsBed(t))
+}
+
+// newsBed builds the harness's bed, two articles on the default testbed,
+// without serving it.
+func newsBed(t *testing.T) *testbed.Bed {
+	t.Helper()
 	bed := testbed.MustNew(testbed.Spec{})
 	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
 		t.Fatal(err)
@@ -35,7 +42,7 @@ func newHarness(t *testing.T) *harness {
 	if _, err := bed.AddNewsArticle("news-2", "Hockey final", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	return serveHarness(t, bed)
+	return bed
 }
 
 // serveHarness starts a protocol server over an already-populated bed.

@@ -2,12 +2,12 @@ package protocol
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,11 +20,10 @@ import (
 	"qosneg/internal/telemetry"
 )
 
-// Server exposes a QoS manager over TCP, speaking both wire codecs: every
-// connection opens in the JSON line protocol, and a MsgHello handshake may
-// upgrade it to the multiplexed binary codec. Legacy clients never send a
-// hello and are served exactly as before; clients offering only an older
-// binary version are answered JSON.
+// Server exposes a QoS manager over TCP. Every connection opens with a JSON
+// MsgHello line offering CodecBinary, answered by a MsgHelloAck line; from
+// then on it carries multiplexed binary frames. Any other opening is
+// answered with one MsgError line and the connection is closed.
 //
 // The server enforces each reserved session's choice period with a
 // server-side timer: the paper's step 6 ("The user must confirm the user
@@ -73,10 +72,8 @@ const defaultShedRetryAfter = time.Second
 // ServerOption configures NewServer.
 type ServerOption func(*Server)
 
-// WithServerWire sets the codecs the server may pick in the MsgHello
-// handshake and its per-connection stream cap. Regardless of the codec
-// list, clients that never send a hello are served the legacy JSON
-// protocol — the fallback is unconditional.
+// WithServerWire sets the server's per-connection stream cap; a hello asking
+// for fewer streams lowers it for that connection.
 func WithServerWire(w WireOptions) ServerOption {
 	return func(s *Server) { s.wire = w }
 }
@@ -85,10 +82,9 @@ func WithServerWire(w WireOptions) ServerOption {
 // negotiation-class requests (negotiate, batch-negotiate, renegotiate) are
 // refused with a typed MsgBusy reply carrying the controller's RetryAfter
 // when the controller reports saturation — cheap refusal before any
-// reservation work, on both codecs. Queries and the step 6
-// confirm/reject of already-admitted sessions are never shed, so running
-// sessions stay manageable under overload. A nil controller disables the
-// check.
+// reservation work. Queries and the step 6 confirm/reject of
+// already-admitted sessions are never shed, so running sessions stay
+// manageable under overload. A nil controller disables the check.
 func WithServerAdmission(c *admission.Controller) ServerOption {
 	return func(s *Server) { s.adm = c }
 }
@@ -199,91 +195,37 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// handle serves one connection. It opens in the JSON line protocol — a
-// truncated value (a client dying mid-write, or garbage like a lone "{")
-// is answered and the connection closed instead of the handler blocking
-// forever waiting for the value to complete. A MsgHello as the first
-// message may upgrade the connection to the binary codec; anything else
-// pins it to JSON for its lifetime.
+// handle serves one connection. Its first line must be a hello offering
+// CodecBinary. Anything else — a request line, a hello without binary/2, a
+// truncated value such as a lone "{" — gets one MsgError line, and the
+// connection is closed instead of the handler waiting for more.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	first := true
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) == 0 {
-			if err != nil {
-				return
-			}
-			continue
+	line, err := r.ReadBytes('\n')
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return
+	}
+	env, err := readEnvelopeLine(line)
+	hello, _ := env.Payload.(*HelloRequest)
+	switch {
+	case err != nil:
+		writeEnvelopeLine(conn, errEnvelope("bad request: %v", err))
+	case hello == nil:
+		writeEnvelopeLine(conn, errEnvelope("the first message on a connection must be a hello offering %s", CodecBinary))
+	case !slices.Contains(hello.Codecs, CodecBinary):
+		writeEnvelopeLine(conn, errEnvelope("no common codec: the server speaks %s, the client offered %q", CodecBinary, hello.Codecs))
+	default:
+		streams := s.wire.maxStreams()
+		if hello.MaxStreams > 0 && hello.MaxStreams < streams {
+			streams = hello.MaxStreams
 		}
-		if err != nil && err != io.EOF {
+		if writeEnvelopeLine(conn, Envelope{Type: MsgHelloAck, Payload: &HelloAck{Codec: CodecBinary, MaxStreams: streams}}) != nil {
 			return
 		}
-		env, derr := readEnvelopeLine(line)
-		if derr != nil {
-			writeEnvelopeLine(conn, Envelope{Type: MsgError, Payload: &ErrorPayload{Error: fmt.Sprintf("bad request: %v", derr)}})
-			return
-		}
-		if first {
-			first = false
-			if env.Type == MsgHello {
-				chosen, streams := s.pickCodec(env.Payload.(*HelloRequest))
-				writeEnvelopeLine(conn, Envelope{Type: MsgHelloAck, Payload: &HelloAck{Codec: chosen, MaxStreams: streams}})
-				s.connCtr.With(chosen).Inc()
-				if chosen == CodecBinary {
-					s.serveBinary(conn, r, streams)
-					return
-				}
-				continue
-			}
-			s.connCtr.With(CodecJSON).Inc()
-		} else if env.Type == MsgHello {
-			if werr := writeEnvelopeLine(conn, Envelope{Type: MsgError, Payload: &ErrorPayload{Error: "hello must be the first message on a connection"}}); werr != nil {
-				return
-			}
-			continue
-		}
-		if env.Type == MsgWatch {
-			req, _ := env.Payload.(*WatchRequest)
-			if err := s.watchJSON(conn, req); err != nil {
-				return
-			}
-			continue
-		}
-		// Admission control mirrors the binary codec: negotiation-class
-		// requests are refused with a typed busy reply under saturation.
-		if s.adm != nil && negotiationType(env.Type) {
-			if retry, saturated := s.adm.Saturated(); saturated {
-				s.shedCtr.With(CodecJSON).Inc()
-				if err := writeEnvelopeLine(conn, Envelope{Type: MsgBusy, Payload: &BusyPayload{Error: "admission control: manager overloaded", RetryAfterMs: retry.Milliseconds()}}); err != nil {
-					return
-				}
-				continue
-			}
-		}
-		resp := s.serve(s.baseCtx, env)
-		if err := writeEnvelopeLine(conn, resp); err != nil {
-			return
-		}
+		s.connCtr.With(CodecBinary).Inc()
+		s.serveBinary(conn, r, streams)
 	}
-}
-
-// pickCodec answers a hello: the first client-preferred codec the server
-// accepts, falling back to JSON (which the server always speaks).
-func (s *Server) pickCodec(req *HelloRequest) (codec string, streams int) {
-	codec = CodecJSON
-	for _, c := range req.Codecs {
-		if s.wire.supports(c) && (c == CodecBinary || c == CodecJSON) {
-			codec = c
-			break
-		}
-	}
-	streams = s.wire.maxStreams()
-	if req.MaxStreams > 0 && req.MaxStreams < streams {
-		streams = req.MaxStreams
-	}
-	return codec, streams
 }
 
 // serve times and dispatches one unary RPC.
@@ -607,14 +549,6 @@ func (s *Server) watchLoop(ctx context.Context, req *WatchRequest, send func(Env
 	}
 }
 
-// watchJSON streams updates on the JSON codec; the connection is busy until
-// the final update.
-func (s *Server) watchJSON(conn net.Conn, req *WatchRequest) error {
-	return s.watchLoop(s.baseCtx, req, func(e Envelope) error {
-		return writeEnvelopeLine(conn, e)
-	})
-}
-
 func (s *Server) listSessions() Envelope {
 	p := &SessionsPayload{}
 	for _, state := range []core.SessionState{core.Reserved, core.Playing, core.Completed, core.Aborted} {
@@ -651,7 +585,7 @@ func (s *Server) listDocuments(query string) Envelope {
 	return Envelope{Type: MsgDocuments, Payload: p}
 }
 
-// serveBinary runs the multiplexed frame loop after a successful binary
+// serveBinary runs the multiplexed frame loop after a successful
 // handshake. Each request frame starts a handler goroutine on its stream
 // id; responses are written through a shared frame writer; a cancel frame
 // aborts the stream's context. Framing violations (bad magic or version,

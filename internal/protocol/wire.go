@@ -10,20 +10,12 @@ import (
 	"sync"
 )
 
-// Codec names, as exchanged in the MsgHello handshake. The binary codec is
-// length-prefixed frames with typed bodies (codec.go); the JSON codec is the
-// legacy newline-delimited stream, one request at a time: the fallback for
-// peers that predate this binary version, and the tests' oracle.
-const (
-	// CodecJSON is the legacy framing: one JSON value per line, requests
-	// answered in order on a single logical stream.
-	CodecJSON = "json"
-	// CodecBinary is the multiplexed framing: 12-byte binary headers
-	// (magic, version, flags, stream id, payload length) in front of a
-	// type-code byte and the message body, with concurrent streams per
-	// connection. A peer offering only "binary/1" is answered CodecJSON.
-	CodecBinary = "binary/2"
-)
+// CodecBinary is the one codec, named in the MsgHello handshake that opens
+// every connection: 12-byte binary frame headers (magic, version, flags,
+// stream id, payload length) in front of a type-code byte and the message
+// body (codec.go), with concurrent streams per connection. A hello that
+// does not offer it is refused with a MsgError line.
+const CodecBinary = "binary/2"
 
 // WireVersion is the binary framing version this build speaks; it is
 // carried in every frame header and checked on receipt.
@@ -75,24 +67,12 @@ var (
 	ErrBadStreamID = errors.New("protocol: invalid stream id")
 )
 
-// WireOptions tunes a connection's codec negotiation and multiplexing. The
-// zero value offers binary-then-JSON and the default stream cap.
+// WireOptions tunes a connection's multiplexing. The zero value selects the
+// default stream cap.
 type WireOptions struct {
-	// Codecs is the preference-ordered codec list offered (client) or
-	// accepted (server). Nil selects [CodecBinary, CodecJSON]. A client
-	// configured as exactly [CodecJSON] skips the hello handshake entirely
-	// and speaks the legacy protocol byte-for-byte.
-	Codecs []string
-	// MaxStreams caps concurrently open streams per multiplexed
-	// connection; 0 selects DefaultMaxStreams.
+	// MaxStreams caps concurrently open streams per connection; 0 selects
+	// DefaultMaxStreams.
 	MaxStreams int
-}
-
-func (w WireOptions) codecs() []string {
-	if len(w.Codecs) == 0 {
-		return []string{CodecBinary, CodecJSON}
-	}
-	return w.Codecs
 }
 
 func (w WireOptions) maxStreams() int {
@@ -102,16 +82,7 @@ func (w WireOptions) maxStreams() int {
 	return w.MaxStreams
 }
 
-func (w WireOptions) supports(codec string) bool {
-	for _, c := range w.codecs() {
-		if c == codec {
-			return true
-		}
-	}
-	return false
-}
-
-// frame is one received unit of the binary codec. Payload (a body, codec.go)
+// frame is one received unit of the wire. Payload (a body, codec.go)
 // aliases the frameReader's buffer and is valid only until its next call.
 type frame struct {
 	Stream  uint32

@@ -205,11 +205,7 @@ func TestWireNegotiateAllocBound(t *testing.T) {
 		t.Skip("sync.Pool sheds under -race, so pooled frames allocate")
 	}
 	h := newHarness(t)
-	c, err := Dial(h.addr, WithWire(WireOptions{Codecs: []string{CodecBinary}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := h.dial(t)
 	mach, u := h.bed.Client(1), tvProfile(time.Minute)
 	overWire := func() {
 		res, err := c.Negotiate(bg, mach, "news-1", u)

@@ -145,10 +145,9 @@ func WithRetryPolicy(p protocol.RetryPolicy) Option {
 	return func(c *config) { c.retry = p }
 }
 
-// WithWire sets the wire-codec negotiation options used by both Serve and
-// Dial: the codec preference list and the per-connection stream cap of the
-// multiplexed binary codec. The zero value offers binary with a JSON
-// fallback (see protocol.WireOptions).
+// WithWire sets the wire options used by both Serve and Dial: the
+// per-connection stream cap of the multiplexed binary/2 codec. The zero
+// value selects the default cap (see protocol.WireOptions).
 func WithWire(w protocol.WireOptions) Option {
 	return func(c *config) { c.wire = w }
 }
@@ -232,8 +231,8 @@ type System struct {
 	Profiles *profile.Store
 	// Retry is the redial/backoff policy System.Dial hands to clients.
 	Retry protocol.RetryPolicy
-	// Wire is the codec negotiation configuration (WithWire) Serve and
-	// Dial hand to the protocol layer.
+	// Wire is the wire configuration (WithWire) Serve and Dial hand to the
+	// protocol layer.
 	Wire protocol.WireOptions
 	// Metrics is the telemetry registry installed by WithMetrics, nil
 	// otherwise. Serve and Dial instrument the wire layer with it.

@@ -24,6 +24,25 @@ if grep -rn 'core\.NewManager(' --include='*.go' --exclude='*_test.go' --exclude
 	exit 1
 fi
 
+echo "== one wire codec"
+if grep -rnE 'CodecJSON|exchangeJSON|watchJSON|\.[A-Za-z]+\("codec"' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+	echo "check: binary/2 is the only wire codec; JSON is the hello line alone" >&2
+	exit 1
+fi
+# The hello line is the only JSON line: only the two ends of the handshake
+# may read or write one.
+stray=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec awk '
+	/^func / { fn = $0 }
+	/(write|read)EnvelopeLine\(/ && !/^func / &&
+	fn !~ /^func \(s \*Server\) handle\(/ && fn !~ /^func \(c \*Client\) handshake\(/ {
+		print FILENAME ":" FNR ": " $0
+	}' {} +)
+if [ -n "$stray" ]; then
+	echo "$stray"
+	echo "check: a JSON envelope line outside Server.handle and Client.handshake" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -51,8 +70,8 @@ go test -race -count=1 -run 'TestBanditFleetPropagation' ./internal/policy
 echo "== overload shed gate (race, short)"
 go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmission' .
 
-echo "== wire stream-slot gate (race: a client inside its stream cap is never shed for it)"
-go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling' ./internal/protocol
+echo "== wire gate (race: a client inside its stream cap is never shed for it; old peers refused at the handshake; a canceled handshake leaves no connection; a state-changing RPC is never retried)"
+go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling|TestOldPeersRefusedAtHandshake|TestDialContextHandshakeDeadline|TestNewClientHandshakeCancel|TestNonIdempotentNotRetried' ./internal/protocol
 
 echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer adds nothing to a cached negotiate+reject)"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core

@@ -3,7 +3,9 @@ package protocol
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -58,7 +60,8 @@ func stubListener(t *testing.T, serve func(net.Conn)) string {
 
 // TestOldPeersRefusedAtHandshake: a peer from before binary/2 — a client
 // that sends no hello or offers [binary/1, json], a daemon that predates
-// the handshake or acks json — meets a typed error and a closed connection,
+// the handshake, speaks only json, or speaks [binary/1, json] and so acks
+// json with its stream cap — meets a typed error and a closed connection,
 // never a downgrade.
 func TestOldPeersRefusedAtHandshake(t *testing.T) {
 	h := newHarness(t)
@@ -72,6 +75,7 @@ func TestOldPeersRefusedAtHandshake(t *testing.T) {
 		{name: "client-binary1-json", clientSends: `{"type":"hello","codecs":["binary/1","json"]}`},
 		{name: "daemon-without-handshake", daemonAnswers: `{"type":"error","error":"unknown request type hello"}`},
 		{name: "daemon-acks-json", daemonAnswers: `{"type":"hello-ack","codec":"json"}`},
+		{name: "binary1-daemon-acks-json", daemonAnswers: `{"type":"hello-ack","codec":"json","maxStreams":256}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.clientSends != "" {
@@ -117,6 +121,58 @@ func TestOldPeersRefusedAtHandshake(t *testing.T) {
 				t.Fatal("the refused client left its connection open")
 			}
 		})
+	}
+}
+
+// TestBinaryOnlyClientRefusesLegacyServer: a daemon that predates the
+// handshake answers the hello with MsgError and would go on serving JSON
+// requests on the same connection. The client sends it nothing after the
+// hello, fails the dial with the daemon's answer, and hangs up.
+func TestBinaryOnlyClientRefusesLegacyServer(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		seen []string
+	)
+	closed := make(chan struct{})
+	addr := stubListener(t, func(conn net.Conn) {
+		defer conn.Close()
+		defer close(closed)
+		r := bufio.NewReader(conn)
+		for {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				return
+			}
+			var req struct {
+				Type string `json:"type"`
+			}
+			if json.Unmarshal(line, &req) != nil {
+				return
+			}
+			mu.Lock()
+			seen = append(seen, req.Type)
+			mu.Unlock()
+			switch req.Type {
+			case "list-documents":
+				conn.Write([]byte(`{"type":"documents","documents":[{"id":"legacy-1","title":"Legacy doc","components":1}]}` + "\n"))
+			default:
+				fmt.Fprintf(conn, "{\"type\":\"error\",\"error\":\"unknown request type %s\"}\n", req.Type)
+			}
+		}
+	})
+	_, err := Dial(addr)
+	if !errors.Is(err, ErrHandshakeRefused) || !strings.Contains(err.Error(), "unknown request type hello") {
+		t.Fatalf("dial of a legacy server: %v, want %v quoting its answer", err, ErrHandshakeRefused)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the refused client left its connection open")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 1 || seen[0] != "hello" {
+		t.Errorf("the legacy server saw %q, want only the hello", seen)
 	}
 }
 

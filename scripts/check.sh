@@ -71,7 +71,7 @@ echo "== overload shed gate (race, short)"
 go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmission' .
 
 echo "== wire gate (race: a client inside its stream cap is never shed for it; old peers refused at the handshake; a canceled handshake leaves no connection; a state-changing RPC is never retried)"
-go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling|TestOldPeersRefusedAtHandshake|TestDialContextHandshakeDeadline|TestNewClientHandshakeCancel|TestNonIdempotentNotRetried' ./internal/protocol
+go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling|TestOldPeersRefusedAtHandshake|TestBinaryOnlyClientRefusesLegacyServer|TestDialContextHandshakeDeadline|TestNewClientHandshakeCancel|TestNonIdempotentNotRetried' ./internal/protocol
 
 echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer adds nothing to a cached negotiate+reject)"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core

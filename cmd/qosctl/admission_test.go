@@ -119,6 +119,31 @@ func TestQosctlReportsBusyError(t *testing.T) {
 	})
 }
 
+// TestQosctlBatchReportsBusyPerDocument: a wire-level shed refuses each
+// document's negotiation on its own, so every row is an error naming its
+// document with the busy diagnosis and hint, and the batch exits 1.
+func TestQosctlBatchReportsBusyPerDocument(t *testing.T) {
+	addr := startShedDaemon(t, true)
+	stdout, stderr, code := ctl(t, addr, "-docs", "news-1,news-1", "batch")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want one row per document, got:\n%s", stdout)
+	}
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "news-1 ") {
+			t.Errorf("row does not name its document: %q", line)
+		}
+		for _, w := range []string{"error: ", "server busy", "retry after"} {
+			if !strings.Contains(line, w) {
+				t.Errorf("row missing %q: %q", w, line)
+			}
+		}
+	}
+}
+
 // TestQosctlStatsShowsAdmission: after sheds, stats reports both the
 // manager's shed count and the controller's gauges.
 func TestQosctlStatsShowsAdmission(t *testing.T) {

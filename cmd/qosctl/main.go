@@ -1,18 +1,18 @@
 // Command qosctl talks to a qosnegd daemon: it lists the catalog, runs a
 // negotiation with a factory profile, confirms or rejects the reserved
-// offer, negotiates a whole playlist in one round trip, inspects sessions,
-// and renders the daemon's telemetry.
+// offer, negotiates a whole playlist as concurrent negotiations on one
+// connection, inspects sessions, and renders the daemon's telemetry.
 //
-// Usage:
+// Usage (flags come before the command):
 //
 //	qosctl -addr 127.0.0.1:7000 list
-//	qosctl -addr 127.0.0.1:7000 negotiate -doc news-1 -profile tv-quality [-confirm]
-//	qosctl -addr 127.0.0.1:7000 batch -docs news-1,movie-2 -profile tv-quality [-confirm]
-//	qosctl -addr 127.0.0.1:7000 renegotiate -id 3 -profile premium [-confirm]
-//	qosctl -addr 127.0.0.1:7000 session -id 3
-//	qosctl -addr 127.0.0.1:7000 watch -id 3
+//	qosctl -addr 127.0.0.1:7000 -doc news-1 -profile tv-quality [-confirm] negotiate
+//	qosctl -addr 127.0.0.1:7000 -docs news-1,movie-2 -profile tv-quality [-confirm] batch
+//	qosctl -addr 127.0.0.1:7000 -id 3 -profile premium [-confirm] renegotiate
+//	qosctl -addr 127.0.0.1:7000 -id 3 session
+//	qosctl -addr 127.0.0.1:7000 -id 3 watch
 //	qosctl -addr 127.0.0.1:7000 sessions
-//	qosctl -addr 127.0.0.1:7000 invoice -id 3
+//	qosctl -addr 127.0.0.1:7000 -id 3 invoice
 //	qosctl -addr 127.0.0.1:7000 servers
 //	qosctl -addr 127.0.0.1:7000 stats
 //	qosctl -addr 127.0.0.1:7000 shards
@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"qosneg/internal/admission"
@@ -139,26 +140,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		mach := client.Workstation(client.MachineID(*clientNode), network.NodeID(*clientNode))
-		var items []protocol.BatchItem
+		var names []media.DocumentID
 		for _, d := range strings.Split(*docs, ",") {
-			d = strings.TrimSpace(d)
-			if d == "" {
-				continue
+			if d = strings.TrimSpace(d); d != "" {
+				names = append(names, media.DocumentID(d))
 			}
-			items = append(items, protocol.BatchItem{Machine: &mach, Document: media.DocumentID(d), Profile: &u})
 		}
-		if len(items) == 0 {
+		if len(names) == 0 {
 			return fail(fmt.Errorf("batch needs -docs (comma-separated document ids)"))
 		}
-		results, err := c.BatchNegotiate(ctx, items)
-		if err != nil {
-			return fail(err)
+		// One Negotiate per document, all in flight on the one multiplexed
+		// connection; the client's acked stream cap bounds how many at once.
+		results := make([]protocol.NegotiationResult, len(names))
+		errs := make([]error, len(names))
+		var wg sync.WaitGroup
+		for i, d := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = c.Negotiate(ctx, mach, d, u)
+			}()
 		}
+		wg.Wait()
 		exit := 0
 		for i, res := range results {
-			name := items[i].Document
-			if res.Err != nil {
-				fmt.Fprintf(stdout, "%-12s error: %v\n", name, res.Err)
+			name := names[i]
+			if errs[i] != nil {
+				fmt.Fprintf(stdout, "%-12s error: %v\n", name, errs[i])
 				exit = 1
 				continue
 			}

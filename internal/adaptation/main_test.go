@@ -1,0 +1,9 @@
+package adaptation
+
+import (
+	"testing"
+
+	"qosneg/internal/testleak"
+)
+
+func TestMain(m *testing.M) { testleak.Main(m, "qosneg/internal/adaptation") }

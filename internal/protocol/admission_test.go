@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"net"
 	"strings"
@@ -13,7 +11,6 @@ import (
 
 	"qosneg/internal/admission"
 	"qosneg/internal/core"
-	"qosneg/internal/faults"
 	"qosneg/internal/media"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
@@ -85,7 +82,7 @@ func TestServerShedBusyOverWire(t *testing.T) {
 		if _, err := c.Stats(bg); err != nil {
 			t.Fatalf("stats under saturation: %v", err)
 		}
-		if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v == 0 {
+		if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", ""); v == 0 {
 			t.Fatal("no shed counted")
 		}
 	})
@@ -122,9 +119,10 @@ func TestManagerShedResultOverWire(t *testing.T) {
 	})
 }
 
-// TestBatchShedItemsCarryRetryAfter: every shed item of a batch carries the
-// controller's hint and the Shed marker.
-func TestBatchShedItemsCarryRetryAfter(t *testing.T) {
+// TestConcurrentShedNegotiationsCarryRetryAfter: every one of N concurrent
+// Negotiate calls on one connection that the manager sheds answers
+// FAILEDTRYLATER with the Shed marker and the controller's hint.
+func TestConcurrentShedNegotiationsCarryRetryAfter(t *testing.T) {
 	bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
 	docs := []media.DocumentID{"news-1", "news-2", "news-3"}
 	for _, id := range docs {
@@ -134,25 +132,26 @@ func TestBatchShedItemsCarryRetryAfter(t *testing.T) {
 	}
 	h, _ := serveWith(t, bed)
 	c := h.dial(t)
-	mach := h.bed.Client(1)
-	u := tvProfile(time.Minute)
-	var items []BatchItem
-	for _, id := range docs {
-		items = append(items, BatchItem{Machine: &mach, Document: id, Profile: &u})
+	results := make([]NegotiationResult, len(docs))
+	errs := make([]error, len(docs))
+	var wg sync.WaitGroup
+	for i, id := range docs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = c.Negotiate(bg, h.bed.Client(1), id, tvProfile(time.Minute))
+		}()
 	}
-	results, err := c.BatchNegotiate(bg, items)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
+	wg.Wait()
 	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("item %d: %v", i, res.Err)
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", docs[i], errs[i])
 		}
 		if res.Status != core.FailedTryLater || !res.Shed {
-			t.Fatalf("item %d: status %v shed %v, want shed FAILEDTRYLATER", i, res.Status, res.Shed)
+			t.Fatalf("%s: status %v shed %v, want shed FAILEDTRYLATER", docs[i], res.Status, res.Shed)
 		}
 		if res.RetryAfter <= 0 {
-			t.Fatalf("item %d: RetryAfter = %v, want > 0", i, res.RetryAfter)
+			t.Fatalf("%s: RetryAfter = %v, want > 0", docs[i], res.RetryAfter)
 		}
 	}
 }
@@ -221,7 +220,7 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 	if !sawBusy {
 		t.Fatal("no busy frame seen at the stream cap")
 	}
-	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v == 0 {
+	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", ""); v == 0 {
 		t.Fatal("binary shed not counted")
 	}
 }
@@ -265,96 +264,6 @@ func TestStreamSlotFreedBeforeFIN(t *testing.T) {
 	}
 }
 
-// TestBatchClientPropagatesDeadline: the client stamps its context deadline
-// into BatchNegotiateRequest.TimeoutMs.
-func TestBatchClientPropagatesDeadline(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	got := make(chan int64, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		if _, err := r.ReadBytes('\n'); err != nil {
-			return
-		}
-		conn.Write([]byte(`{"type":"hello-ack","codec":"binary/2"}` + "\n"))
-		f, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		env, err := decodeBody(f.Payload)
-		if err != nil || env.Type != MsgBatchNegotiate {
-			got <- -1
-			return
-		}
-		req := env.Payload.(*BatchNegotiateRequest)
-		got <- req.TimeoutMs
-		body, _ := appendBody(nil, Envelope{Type: MsgBatchResult, Payload: &BatchResultPayload{
-			Items: make([]BatchItemResult, len(req.Items)),
-		}})
-		conn.Write(appendFrame(nil, frame{Stream: f.Stream, Flags: flagFIN, Payload: body}))
-	}()
-	nc, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(nc)
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	mach := testbed.MustNew(testbed.Spec{}).Client(1)
-	u := tvProfile(time.Minute)
-	c.BatchNegotiate(ctx, []BatchItem{{Machine: &mach, Document: "news-1", Profile: &u}})
-	select {
-	case ms := <-got:
-		if ms <= 0 || ms > 5000 {
-			t.Fatalf("TimeoutMs = %d, want in (0, 5000]", ms)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stub server saw no batch request")
-	}
-}
-
-// TestBatchPerItemDeadlineBoundsNegotiation: the server applies TimeoutMs
-// per item — with injected substrate latency above the budget every item
-// times out individually, and without a budget the same batch succeeds.
-func TestBatchPerItemDeadlineBoundsNegotiation(t *testing.T) {
-	inj := faults.New(1)
-	bed := testbed.MustNew(testbed.Spec{Faults: inj})
-	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(bed.Manager, bed.Registry)
-	defer srv.Close()
-	mach := bed.Client(1)
-	u := tvProfile(time.Minute)
-	items := []BatchItem{{Machine: &mach, Document: "news-1", Profile: &u}}
-
-	inj.SetLatency(50 * time.Millisecond)
-	resp := srv.batchNegotiate(context.Background(), &BatchNegotiateRequest{Items: items, TimeoutMs: 1})
-	p := resp.Payload.(*BatchResultPayload)
-	if p.Items[0].Error == "" || !strings.Contains(p.Items[0].Error, "deadline") {
-		t.Fatalf("item with 1ms budget and 50ms substrate latency: error %q, want deadline exceeded", p.Items[0].Error)
-	}
-
-	inj.SetLatency(0)
-	resp = srv.batchNegotiate(context.Background(), &BatchNegotiateRequest{Items: items})
-	p = resp.Payload.(*BatchResultPayload)
-	if p.Items[0].Error != "" {
-		t.Fatalf("unbudgeted batch failed: %q", p.Items[0].Error)
-	}
-	if st, _ := ParseStatus(p.Items[0].Status); st.Reserved() {
-		bed.Manager.Reject(p.Items[0].Session)
-	}
-}
-
 // TestShedBeforeParse: a saturated server refuses a negotiation on its type
 // code alone. The bodies here would not decode — proof that the refusal
 // costs no parse — and each is answered busy on its own stream while the
@@ -366,7 +275,7 @@ func TestShedBeforeParse(t *testing.T) {
 	h, reg := serveWith(t, bed, WithServerAdmission(saturatedController(t)))
 	conn, r := binaryHandshake(t, h.addr)
 	var wire []byte
-	for i, mt := range []MessageType{MsgNegotiate, MsgRenegotiate, MsgBatchNegotiate} {
+	for i, mt := range []MessageType{MsgNegotiate, MsgRenegotiate} {
 		wire = appendFrame(wire, frame{Stream: uint32(i + 1), Payload: garbage(mt)})
 	}
 	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
@@ -374,7 +283,7 @@ func TestShedBeforeParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[uint32]MessageType{}
-	for len(seen) < 4 {
+	for len(seen) < 3 {
 		f, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("connection died: %v (saw %v)", err, seen)
@@ -388,11 +297,11 @@ func TestShedBeforeParse(t *testing.T) {
 			t.Errorf("stream %d: busy without a retry hint", f.Stream)
 		}
 	}
-	if seen[1] != MsgBusy || seen[2] != MsgBusy || seen[3] != MsgBusy || seen[9] != MsgStatsInfo {
+	if seen[1] != MsgBusy || seen[2] != MsgBusy || seen[9] != MsgStatsInfo {
 		t.Errorf("answers = %v", seen)
 	}
-	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", CodecBinary); v != 3 {
-		t.Errorf("%v sheds counted, want 3", v)
+	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", ""); v != 2 {
+		t.Errorf("%v sheds counted, want 2", v)
 	}
 
 	idle, _ := serveWith(t, bed)

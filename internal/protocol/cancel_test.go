@@ -59,12 +59,6 @@ func TestCancelAfterReserveReleases(t *testing.T) {
 			_, err := c.Negotiate(ctx, bed.Client(1), "news-1", tvProfile(time.Hour))
 			return err
 		}},
-		{"batch", func(ctx context.Context, c *Client, bed *testbed.Bed) error {
-			u := tvProfile(time.Hour)
-			m := bed.Client(1)
-			_, err := c.BatchNegotiate(ctx, []BatchItem{{Machine: &m, Document: "news-1", Profile: &u}})
-			return err
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bed := testbed.MustNew(testbed.Spec{})

@@ -111,7 +111,7 @@ func WithWire(w WireOptions) ClientOption {
 // redialed with capped exponential backoff, and read-only RPCs (Session,
 // ListDocuments, ListSessions, Stats, Invoice, ServerLoads, Metrics) are
 // retried on the fresh connection. State-changing RPCs (Negotiate,
-// Renegotiate, BatchNegotiate, Confirm, Reject) are never retried — a lost
+// Renegotiate, Confirm, Reject) are never retried — a lost
 // response could mean the daemon already committed resources — but they do
 // get a fresh dial when the connection is already known broken before the
 // attempt. Clients built by NewClient have no address to redial and fail
@@ -132,14 +132,14 @@ type Client struct {
 	rpcSeconds  *telemetry.HistogramFamily
 	rpcErrors   *telemetry.CounterFamily
 	redialCtr   *telemetry.Counter
-	connCtr     *telemetry.CounterFamily
+	connCtr     *telemetry.Counter
 	streamGauge *telemetry.Gauge
 	tracer      telemetry.Tracer
 }
 
 // Instrument wires the client into a telemetry registry (per-RPC latency
 // histograms and error counters by message type, a redial counter, a
-// per-codec connection counter and a live-stream gauge) and an optional
+// connection counter and a live-stream gauge) and an optional
 // tracer that receives a StepRedial span per successful reconnect. Both
 // arguments may be nil.
 func (c *Client) Instrument(reg *telemetry.Registry, tr telemetry.Tracer) {
@@ -152,8 +152,8 @@ func (c *Client) Instrument(reg *telemetry.Registry, tr telemetry.Tracer) {
 			"Client RPCs that ultimately failed, by message type.", "type")
 		c.redialCtr = reg.Counter("qosneg_client_redials_total",
 			"Successful reconnects to the daemon.")
-		c.connCtr = reg.CounterFamily("qosneg_client_connections_total",
-			"Connections established, by negotiated codec.", "codec")
+		c.connCtr = reg.Counter("qosneg_client_connections_total",
+			"Connections established.")
 		c.streamGauge = reg.Gauge("qosneg_client_streams",
 			"Currently open client-side streams on multiplexed connections.")
 	}
@@ -265,7 +265,7 @@ func (c *Client) connectLocked(ctx context.Context) (*clientConn, error) {
 		return nil, err
 	}
 	c.cc = cc
-	c.connCtr.With(CodecBinary).Inc()
+	c.connCtr.Inc()
 	if c.dialed {
 		c.redials++
 		c.redialCtr.Inc()
@@ -470,55 +470,6 @@ func (c *Client) Renegotiate(ctx context.Context, id core.SessionID, u profile.U
 		return NegotiationResult{}, err
 	}
 	return resultEnvelope(resp)
-}
-
-// BatchResult is one item's outcome of a BatchNegotiate: either Err or an
-// embedded negotiation result.
-type BatchResult struct {
-	Err error
-	NegotiationResult
-}
-
-// BatchNegotiate negotiates a list of (machine, document, profile) triples
-// — a playlist, or the monomedia of a composite document — in a single
-// round trip. The daemon fans the items out concurrently; item i of the
-// returned slice answers items[i], and one failed item does not fail its
-// siblings. Like Negotiate, the call is never retried across a broken
-// connection.
-func (c *Client) BatchNegotiate(ctx context.Context, items []BatchItem) ([]BatchResult, error) {
-	req := &BatchNegotiateRequest{Items: items}
-	// Propagate the caller's deadline so the server bounds each item's
-	// negotiation independently instead of only the whole batch.
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			req.TimeoutMs = ms
-		}
-	}
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgBatchNegotiate, Payload: req}, false)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := resp.Payload.(*BatchResultPayload)
-	if !ok {
-		return nil, fmt.Errorf("protocol: unexpected response %q", resp.Type)
-	}
-	if len(p.Items) != len(items) {
-		return nil, fmt.Errorf("protocol: batch answered %d of %d items", len(p.Items), len(items))
-	}
-	out := make([]BatchResult, len(p.Items))
-	for i := range p.Items {
-		if p.Items[i].Error != "" {
-			out[i].Err = fmt.Errorf("protocol: server error: %s", p.Items[i].Error)
-			continue
-		}
-		res, err := negotiationResult(&p.Items[i].ResultPayload)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].NegotiationResult = res
-	}
-	return out, nil
 }
 
 // Confirm accepts a reserved offer.

@@ -339,8 +339,6 @@ func TestBinaryJSONBodiedTypes(t *testing.T) {
 		{Envelope{Type: MsgListDocuments, Payload: &ListDocumentsRequest{}}, `{}`},
 		{Envelope{Type: MsgDocuments, Payload: &DocumentsPayload{Documents: []DocumentSummary{{ID: "d", Title: "T", Components: 3}}}},
 			`{"documents":[{"id":"d","title":"T","components":3}]}`},
-		{Envelope{Type: MsgBatchNegotiate, Payload: &BatchNegotiateRequest{Items: []BatchItem{{Document: "d"}}, TimeoutMs: 9}},
-			`{"items":[{"document":"d"}],"timeoutMs":9}`},
 	} {
 		body, err := appendBody(nil, tc.env)
 		if err != nil {
@@ -354,7 +352,7 @@ func TestBinaryJSONBodiedTypes(t *testing.T) {
 		}
 	}
 	// Every message type has exactly one code.
-	if len(codeOf) != 27 {
+	if len(codeOf) != 25 {
 		t.Errorf("%d type codes; a MessageType constant is missing from typeCodes", len(codeOf))
 	}
 	// A payload-less message with a body is malformed, as is a truncated or
@@ -501,18 +499,19 @@ func TestVersion1FrameIsRejected(t *testing.T) {
 }
 
 // TestUnknownTypeCodeAnswersTypedError: a type code this build does not know
-// is answered with a MsgError on the request's stream, the connection left
-// serving.
+// — never assigned (31) or retired (6) — is answered with a MsgError on the
+// request's stream, the connection left serving.
 func TestUnknownTypeCodeAnswersTypedError(t *testing.T) {
 	h := newHarness(t)
 	conn, r := binaryHandshake(t, h.addr)
 	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
 	wire := appendFrame(nil, frame{Stream: 1, Payload: []byte{31, 'x'}})
-	if _, err := conn.Write(appendFrame(wire, frame{Stream: 2, Payload: stats})); err != nil {
+	wire = appendFrame(wire, frame{Stream: 2, Payload: []byte{6, 'x'}})
+	if _, err := conn.Write(appendFrame(wire, frame{Stream: 3, Payload: stats})); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint32]MessageType{}
-	for len(seen) < 2 {
+	for len(seen) < 3 {
 		f, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("connection died: %v (saw %v)", err, seen)
@@ -526,7 +525,7 @@ func TestUnknownTypeCodeAnswersTypedError(t *testing.T) {
 			t.Errorf("error = %q", p.Error)
 		}
 	}
-	if seen[1] != MsgError || seen[2] != MsgStatsInfo {
+	if seen[1] != MsgError || seen[2] != MsgError || seen[3] != MsgStatsInfo {
 		t.Errorf("answers = %v", seen)
 	}
 }

@@ -70,26 +70,6 @@ type WatchRequest struct {
 	IntervalMs int64          `json:"intervalMs,omitempty"`
 }
 
-// BatchItem is one (machine, document, profile) triple of a
-// MsgBatchNegotiate request — one monomedia negotiation of a playlist or
-// composite document.
-type BatchItem struct {
-	Machine  *client.Machine      `json:"machine,omitempty"`
-	Document media.DocumentID     `json:"document"`
-	Profile  *profile.UserProfile `json:"profile,omitempty"`
-}
-
-// BatchNegotiateRequest carries MsgBatchNegotiate: every item is negotiated
-// concurrently on the manager side and answered in one round trip.
-type BatchNegotiateRequest struct {
-	Items []BatchItem `json:"items"`
-	// TimeoutMs, when positive, bounds each item's negotiation
-	// independently on the server. The client fills it from its context
-	// deadline, so one slow item is canceled at the deadline (answering
-	// an item-level error) instead of pinning the whole batch past it.
-	TimeoutMs int64 `json:"timeoutMs,omitempty"`
-}
-
 // Response payloads (server → client).
 
 // HelloAck answers MsgHello with the codec the server chose and its
@@ -112,8 +92,7 @@ type BusyPayload struct {
 	RetryAfterMs int64  `json:"retryAfterMs,omitempty"`
 }
 
-// ResultPayload answers MsgNegotiate and MsgRenegotiate, and is embedded in
-// every batch item result.
+// ResultPayload answers MsgNegotiate and MsgRenegotiate.
 type ResultPayload struct {
 	Status         string             `json:"status,omitempty"`
 	Offer          *profile.MMProfile `json:"offer,omitempty"`
@@ -181,23 +160,10 @@ type MetricsPayload struct {
 	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
 }
 
-// BatchItemResult is one item's outcome in a MsgBatchResult: either an
-// item-level error or an embedded negotiation result. One failed item does
-// not fail its siblings.
-type BatchItemResult struct {
-	Error string `json:"error,omitempty"`
-	ResultPayload
-}
-
-// BatchResultPayload answers MsgBatchNegotiate, item i answering request
-// item i.
-type BatchResultPayload struct {
-	Items []BatchItemResult `json:"items"`
-}
-
 // messages is the protocol's registry. A message type's index is its type
 // code on the binary codec (requests below 32, responses from 32 up, 0 never
 // sent); alloc makes its fresh payload and is nil for payload-less messages.
+// Codes 6 and 34 are retired: a retired code stays an empty slot, never reused.
 var messages = [...]struct {
 	typ   MessageType
 	alloc func() any
@@ -207,7 +173,6 @@ var messages = [...]struct {
 	3:  {MsgConfirm, alloc[SessionRequest]},
 	4:  {MsgReject, alloc[SessionRequest]},
 	5:  {MsgRenegotiate, alloc[RenegotiateRequest]},
-	6:  {MsgBatchNegotiate, alloc[BatchNegotiateRequest]},
 	7:  {MsgSession, alloc[SessionRequest]},
 	8:  {MsgListDocuments, alloc[ListDocumentsRequest]},
 	9:  {MsgStats, nil},
@@ -219,7 +184,6 @@ var messages = [...]struct {
 
 	32: {MsgHelloAck, alloc[HelloAck]},
 	33: {MsgResult, alloc[ResultPayload]},
-	34: {MsgBatchResult, alloc[BatchResultPayload]},
 	35: {MsgOK, alloc[OKPayload]},
 	36: {MsgSessionInfo, alloc[SessionInfoPayload]},
 	37: {MsgDocuments, alloc[DocumentsPayload]},

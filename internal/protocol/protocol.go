@@ -6,8 +6,8 @@
 // The wire has one codec, binary/2 (CodecBinary). It puts typed bodies in
 // length-prefixed frames (magic, version, flags, stream id) and multiplexes
 // concurrent RPCs over a single connection: each RPC runs on its own stream
-// id, watch subscriptions are server-push streams, and a batch RPC
-// negotiates a whole playlist in one round trip. A connection opens with a
+// id, so N concurrent negotiations share one connection, and watch
+// subscriptions are server-push streams. A connection opens with a
 // JSON MsgHello line offering binary/2, answered by a MsgHelloAck line. A
 // peer that offers no binary/2, or sends anything else first, gets one
 // MsgError line and a closed connection, and a client that is refused or
@@ -46,11 +46,6 @@ const (
 	// MsgRenegotiate re-runs the procedure for a reserved session with a
 	// modified profile (Section 8's "modify the offer and then push OK").
 	MsgRenegotiate MessageType = "renegotiate"
-	// MsgBatchNegotiate negotiates a list of (machine, document, profile)
-	// triples — a playlist or composite document — in one round trip. The
-	// manager fans the items out concurrently and answers MsgBatchResult
-	// with per-item statuses and RetryAfter hints.
-	MsgBatchNegotiate MessageType = "batch-negotiate"
 	// MsgSession queries a session's state.
 	MsgSession MessageType = "session"
 	// MsgListDocuments lists or searches the document catalog.
@@ -81,8 +76,6 @@ const (
 	MsgHelloAck MessageType = "hello-ack"
 	// MsgResult answers MsgNegotiate and MsgRenegotiate.
 	MsgResult MessageType = "result"
-	// MsgBatchResult answers MsgBatchNegotiate.
-	MsgBatchResult MessageType = "batch-result"
 	// MsgOK answers MsgConfirm / MsgReject.
 	MsgOK MessageType = "ok"
 	// MsgSessionInfo answers MsgSession.

@@ -10,6 +10,7 @@ import (
 
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
+	"qosneg/internal/media"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
 	"qosneg/internal/testbed"
@@ -154,37 +155,58 @@ func TestRejectReleasesOverWire(t *testing.T) {
 	}
 }
 
+// TestChoicePeriodTimeout: every reserved session gets its own step 6
+// choice timer, also when several negotiations run concurrently on one
+// connection; each lapses into an abort that reclaims its resources.
 func TestChoicePeriodTimeout(t *testing.T) {
 	h := newHarness(t)
 	c := h.dial(t)
-	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(50*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+	docs := []media.DocumentID{"news-1", "news-2"}
+	results := make([]NegotiationResult, len(docs))
+	errs := make([]error, len(docs))
+	var wg sync.WaitGroup
+	for i, doc := range docs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = c.Negotiate(bg, h.bed.Client(i+1), doc, tvProfile(50*time.Millisecond))
+		}()
 	}
-	// Let the choice period lapse: the server aborts the session and
+	wg.Wait()
+	for i := range docs {
+		if errs[i] != nil || !results[i].Status.Reserved() {
+			t.Fatalf("%s: %v %v", docs[i], results[i].Status, errs[i])
+		}
+	}
+	if results[0].Session == results[1].Session {
+		t.Fatalf("concurrent negotiations share session %d", results[0].Session)
+	}
+	// Let the choice periods lapse: the server aborts the sessions and
 	// reclaims the resources ("the session is simply aborted").
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if h.server.Expired() == 1 {
-			break
-		}
+	for time.Now().Before(deadline) && h.server.Expired() < len(docs) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if h.server.Expired() != 1 {
-		t.Fatal("choice period never expired")
+	if n := h.server.Expired(); n != len(docs) {
+		t.Fatalf("expired = %d, want %d", n, len(docs))
 	}
 	if h.bed.Network.ActiveReservations() != 0 {
 		t.Error("expired session leaked reservations")
 	}
-	if err := c.Confirm(bg, res.Session); err == nil {
-		t.Error("confirm after expiry accepted")
+	if err := h.bed.Ledger.CheckEmpty(); err != nil {
+		t.Errorf("ledger not empty after expiry: %v", err)
 	}
-	info, err := c.Session(bg, res.Session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.State != "aborted" {
-		t.Errorf("state = %s", info.State)
+	for _, res := range results {
+		if err := c.Confirm(bg, res.Session); err == nil {
+			t.Errorf("session %d: confirm after expiry accepted", res.Session)
+		}
+		info, err := c.Session(bg, res.Session)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.State != "aborted" {
+			t.Errorf("session %d: state = %s", res.Session, info.State)
+		}
 	}
 }
 
@@ -205,6 +227,9 @@ func TestConfirmDisarmsTimer(t *testing.T) {
 	info, _ := c.Session(bg, res.Session)
 	if info.State != "playing" {
 		t.Errorf("state = %s", info.State)
+	}
+	if err := c.Reject(bg, res.Session); err == nil {
+		t.Error("reject after confirm accepted")
 	}
 }
 

@@ -58,10 +58,10 @@ type Server struct {
 	rpcSeconds  *telemetry.HistogramFamily
 	rpcErrors   *telemetry.CounterFamily
 	connGauge   *telemetry.Gauge
-	connCtr     *telemetry.CounterFamily
+	connCtr     *telemetry.Counter
 	streamGauge *telemetry.Gauge
 	expiredCtr  *telemetry.Counter
-	shedCtr     *telemetry.CounterFamily
+	shedCtr     *telemetry.Counter
 }
 
 // defaultShedRetryAfter is the hint a busy reply carries when the stream
@@ -79,7 +79,7 @@ func WithServerWire(w WireOptions) ServerOption {
 }
 
 // WithServerAdmission installs an admission controller on the server: new
-// negotiation-class requests (negotiate, batch-negotiate, renegotiate) are
+// negotiation-class requests (negotiate, renegotiate) are
 // refused with a typed MsgBusy reply carrying the controller's RetryAfter
 // when the controller reports saturation — cheap refusal before any
 // reservation work. Queries and the step 6 confirm/reject of
@@ -91,7 +91,7 @@ func WithServerAdmission(c *admission.Controller) ServerOption {
 
 // Instrument wires the server into a telemetry registry: per-RPC latency
 // histograms and error counters by message type, a live-connection gauge,
-// a per-codec connection counter, a live-stream gauge for multiplexed
+// a connection counter, a live-stream gauge for multiplexed
 // connections, a choice-period-expiry counter — and makes MsgMetrics
 // answer with the registry's snapshot. Call before Serve; a nil registry
 // is a no-op.
@@ -106,14 +106,14 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"RPCs answered with an error, by message type.", "type")
 	s.connGauge = reg.Gauge("qosneg_server_connections",
 		"Currently open protocol connections.")
-	s.connCtr = reg.CounterFamily("qosneg_server_connections_total",
-		"Connections served, by negotiated codec.", "codec")
+	s.connCtr = reg.Counter("qosneg_server_connections_total",
+		"Connections served.")
 	s.streamGauge = reg.Gauge("qosneg_server_streams",
 		"Currently executing streams on multiplexed connections.")
 	s.expiredCtr = reg.Counter("qosneg_sessions_expired_total",
 		"Sessions aborted by choice-period time-out.")
-	s.shedCtr = reg.CounterFamily("qosneg_rpc_shed_total",
-		"Requests shed with a typed busy reply before dispatch, by codec.", "codec")
+	s.shedCtr = reg.Counter("qosneg_rpc_shed_total",
+		"Requests shed with a typed busy reply before dispatch.")
 }
 
 // NewServer builds a protocol server over the QoS manager and registry.
@@ -223,7 +223,7 @@ func (s *Server) handle(conn net.Conn) {
 		if writeEnvelopeLine(conn, Envelope{Type: MsgHelloAck, Payload: &HelloAck{Codec: CodecBinary, MaxStreams: streams}}) != nil {
 			return
 		}
-		s.connCtr.With(CodecBinary).Inc()
+		s.connCtr.Inc()
 		s.serveBinary(conn, r, streams)
 	}
 }
@@ -258,7 +258,7 @@ func busyEnvelope(msg string, retry time.Duration) Envelope {
 // overload never strands admitted work.
 func negotiationType(t MessageType) bool {
 	switch t {
-	case MsgNegotiate, MsgBatchNegotiate, MsgRenegotiate:
+	case MsgNegotiate, MsgRenegotiate:
 		return true
 	}
 	return false
@@ -279,8 +279,6 @@ func (s *Server) dispatch(ctx context.Context, env Envelope) Envelope {
 	switch env.Type {
 	case MsgNegotiate:
 		return s.negotiate(ctx, env.Payload.(*NegotiateRequest))
-	case MsgBatchNegotiate:
-		return s.batchNegotiate(ctx, env.Payload.(*BatchNegotiateRequest))
 	case MsgConfirm:
 		return s.confirm(env.Payload.(*SessionRequest).Session)
 	case MsgReject:
@@ -294,8 +292,9 @@ func (s *Server) dispatch(ctx context.Context, env Envelope) Envelope {
 	case MsgStats:
 		st := s.man.Stats()
 		p := &StatsInfoPayload{Stats: &st}
-		// The fleet reveals its per-shard breakdown through this optional
-		// interface; a bare core.Manager answers without it.
+		// Every daemon fronts a shard.Fleet, which reports its per-shard
+		// breakdown through this optional interface; a lone shard manager
+		// served directly (tests, benchmarks) answers without it.
 		if f, ok := s.man.(interface{ ShardStats() []shard.Stat }); ok {
 			p.Shards = f.ShardStats()
 		}
@@ -360,46 +359,6 @@ func (s *Server) negotiate(ctx context.Context, req *NegotiateRequest) Envelope 
 		return errEnvelope("%s", err)
 	}
 	return Envelope{Type: MsgResult, Payload: s.resultPayload(res)}
-}
-
-// batchNegotiate fans a playlist's items out concurrently; item i of the
-// answer corresponds to item i of the request, and one failed item does not
-// fail its siblings. Each reserved item gets its own choice timer.
-func (s *Server) batchNegotiate(ctx context.Context, req *BatchNegotiateRequest) Envelope {
-	if len(req.Items) == 0 {
-		return errEnvelope("batch-negotiate needs at least one item")
-	}
-	results := make([]BatchItemResult, len(req.Items))
-	// The client propagates its context deadline as TimeoutMs; each item's
-	// negotiation is bounded by it independently, so one slow item times out
-	// on schedule instead of inheriting only the server's base context.
-	timeout := time.Duration(req.TimeoutMs) * time.Millisecond
-	var wg sync.WaitGroup
-	for i := range req.Items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ictx := ctx
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ictx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			resp := s.negotiate(ictx, &NegotiateRequest{
-				Machine:  req.Items[i].Machine,
-				Document: req.Items[i].Document,
-				Profile:  req.Items[i].Profile,
-			})
-			switch p := resp.Payload.(type) {
-			case *ResultPayload:
-				results[i].ResultPayload = *p
-			case *ErrorPayload:
-				results[i].Error = p.Error
-			}
-		}(i)
-	}
-	wg.Wait()
-	return Envelope{Type: MsgBatchResult, Payload: &BatchResultPayload{Items: results}}
 }
 
 // armChoiceTimer starts the step 6 time-out for a reserved session.
@@ -652,7 +611,7 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		select {
 		case sem <- struct{}{}:
 		default:
-			s.shedCtr.With(CodecBinary).Inc()
+			s.shedCtr.Inc()
 			fw.sendEnvelope(f.Stream, flagFIN, busyEnvelope("stream limit reached", s.busyRetry()))
 			continue
 		}
@@ -661,7 +620,7 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		if s.adm != nil && negotiationType(bodyType(f.Payload)) {
 			if retry, saturated := s.adm.Saturated(); saturated {
 				<-sem
-				s.shedCtr.With(CodecBinary).Inc()
+				s.shedCtr.Inc()
 				fw.sendEnvelope(f.Stream, flagFIN, busyEnvelope("admission control: manager overloaded", retry))
 				continue
 			}
@@ -723,17 +682,8 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 // the session id: reject it now, not at the end of its choice period. (A
 // renegotiated session is left alone; its caller has known the id all along.)
 func (s *Server) abandon(req MessageType, resp Envelope) {
-	switch p := resp.Payload.(type) {
-	case *ResultPayload:
-		if req == MsgNegotiate && p.Session != 0 {
-			s.reject(p.Session)
-		}
-	case *BatchResultPayload:
-		for i := range p.Items {
-			if id := p.Items[i].Session; id != 0 {
-				s.reject(id)
-			}
-		}
+	if p, ok := resp.Payload.(*ResultPayload); ok && req == MsgNegotiate && p.Session != 0 {
+		s.reject(p.Session)
 	}
 }
 

@@ -1,0 +1,9 @@
+package telemetry
+
+import (
+	"testing"
+
+	"qosneg/internal/testleak"
+)
+
+func TestMain(m *testing.M) { testleak.Main(m, "qosneg/internal/telemetry") }

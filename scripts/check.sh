@@ -43,6 +43,12 @@ if [ -n "$stray" ]; then
 	exit 1
 fi
 
+echo "== one negotiate RPC"
+if grep -rnE 'BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+	echo "check: one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 

@@ -143,8 +143,8 @@ func (m *Manager) adaptFailed(current offer.Ranked) {
 // to sessions.
 func (m *Manager) SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*Session, bool) {
 	return m.sessionHolding(func(cm commitment) bool {
-		for _, sr := range cm.servers {
-			if sr.server.ID() == server && sr.res.ID == res {
+		for _, h := range cm.choices {
+			if h.server.ID() == server && h.res.ID == res {
 				return true
 			}
 		}
@@ -156,8 +156,8 @@ func (m *Manager) SessionByServerReservation(server media.ServerID, res cmfs.Res
 // network reservation.
 func (m *Manager) SessionByNetworkReservation(res network.ReservationID) (*Session, bool) {
 	return m.sessionHolding(func(cm commitment) bool {
-		for _, c := range cm.conns {
-			if c.Reservation.ID == res {
+		for _, h := range cm.choices {
+			if h.conn.Reservation.ID == res {
 				return true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qosneg/internal/media"
+	"qosneg/internal/network"
 	"qosneg/internal/offercache"
 	"qosneg/internal/telemetry"
 )
@@ -55,22 +56,83 @@ func (c FailureCause) String() string {
 	return failureCauseNames[c]
 }
 
-// commitFailure is the typed outcome of a failed tryCommit.
+// refusal names the check of tryCommit that refused an offer.
+type refusal uint8
+
+// The refusals, in the order tryCommit makes its checks.
+const (
+	// refusedCanceled: the caller's context ended; err is its error.
+	refusedCanceled refusal = iota
+	// refusedQuarantined: the server is quarantined for left.
+	refusedQuarantined
+	// refusedUnregistered: the server is not registered with the manager.
+	refusedUnregistered
+	// refusedReserve: the server refused the reservation with err.
+	refusedReserve
+	// refusedConnect: the transport refused the connection from..to with
+	// err.
+	refusedConnect
+	// refusedStartDelay: the committed start delay value exceeds the
+	// profile's bound.
+	refusedStartDelay
+	// refusedSync: the combined jitter value of monomedia a and b exceeds
+	// their synchronization tolerance bound.
+	refusedSync
+)
+
+// commitFailure is the typed outcome of a failed tryCommit. It is a value
+// holding the refusal's numbers, not its text: String renders the text,
+// and only a tracer asks for it. The zero value (CauseNone) is success.
 type commitFailure struct {
 	cause FailureCause
+	kind  refusal
 	// server is the server the failure is attributable to; empty for
 	// constraint violations and cancellations.
 	server media.ServerID
-	// op is "reserve" or "connect" for server-attributable failures.
-	op  string
-	err error
+	// err is the context's, the server's or the transport's error.
+	err      error
+	from, to network.NodeID
+	left     time.Duration
+	// value and bound are the start delay or combined jitter and the
+	// bound it exceeds.
+	value, bound time.Duration
+	a, b         media.MonomediaID
 }
 
-func (f *commitFailure) String() string {
+// String renders the refusal as "<cause> [<server>]: <reason>".
+func (f commitFailure) String() string {
 	if f.server != "" {
-		return fmt.Sprintf("%s %s: %v", f.cause, f.server, f.err)
+		return fmt.Sprintf("%s %s: %s", f.cause, f.server, f.reason())
 	}
-	return fmt.Sprintf("%s: %v", f.cause, f.err)
+	return fmt.Sprintf("%s: %s", f.cause, f.reason())
+}
+
+// reason renders why the offer was refused.
+func (f commitFailure) reason() string {
+	switch f.kind {
+	case refusedQuarantined:
+		return fmt.Sprintf("%v: %s quarantined for %s", ErrServerDown, f.server, f.left.Round(time.Millisecond))
+	case refusedUnregistered:
+		return fmt.Sprintf("%v: %s not registered", ErrServerDown, f.server)
+	case refusedReserve:
+		return fmt.Sprintf("reserve on %s: %v", f.server, f.err)
+	case refusedConnect:
+		return fmt.Sprintf("connect %s -> %s: %v", f.from, f.to, f.err)
+	case refusedStartDelay:
+		return fmt.Sprintf("start delay %s exceeds profile bound %s", f.value, f.bound)
+	case refusedSync:
+		return fmt.Sprintf("combined jitter %s exceeds sync tolerance %s between %s and %s", f.value, f.bound, f.a, f.b)
+	}
+	return fmt.Sprint(f.err)
+}
+
+// refusalCause classifies a server's or the transport's refusal: hard
+// server-down evidence, or a transient shortage.
+func refusalCause(err error) FailureCause {
+	if errors.Is(err, ErrServerDown) {
+		return CauseServerDown
+	}
+	return CauseCapacity
 }
 
 // Default health-policy parameters.
@@ -159,7 +221,7 @@ func (m *Manager) healthFor(id media.ServerID) *serverHealth {
 
 // recordCommitFailure feeds one failed commit attempt into the outcome
 // counters and, for server-attributable causes, the circuit breaker.
-func (m *Manager) recordCommitFailure(f *commitFailure) {
+func (m *Manager) recordCommitFailure(f commitFailure) {
 	m.met.commitFailure(f.cause)
 	m.statsMu.Lock()
 	switch f.cause {
@@ -178,10 +240,10 @@ func (m *Manager) recordCommitFailure(f *commitFailure) {
 	m.healthMu.Lock()
 	h := m.healthFor(f.server)
 	h.gen++
-	switch f.op {
-	case "reserve":
+	switch f.kind {
+	case refusedUnregistered, refusedReserve:
 		h.reserveFailures++
-	case "connect":
+	case refusedConnect:
 		h.connectFailures++
 	}
 	quarantine := false

@@ -49,8 +49,9 @@ type Options struct {
 	ChoicePeriod time.Duration
 	// MaxOffers bounds offer enumeration.
 	MaxOffers int
-	// PathAlternates is how many candidate network paths the transport
-	// system tries per stream.
+	// PathAlternates is the k of the transport's path search: each stream
+	// gets the best (fewest hops, then largest bottleneck) of the first
+	// 4k feasible paths the search finds, chosen and reserved in one step.
 	PathAlternates int
 	// TopK bounds how many classified offers each negotiation keeps for
 	// commitment and later adaptation; 0 selects DefaultTopK, negative
@@ -646,7 +647,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc medi
 				continue
 			}
 			cm, fail := m.tryCommit(ctx, mach, doc, u, r)
-			if fail == nil {
+			if fail.cause == CauseNone {
 				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
 				if ranks != nil {
 					c.rank = ranks[i]
@@ -903,35 +904,32 @@ func (m *Manager) serverFor(id media.ServerID) (serverEntry, bool) {
 	return entry, ok
 }
 
+// planWidth is how many choices tryCommit holds in its on-stack plan; the
+// plan of a wider document spills to the heap.
+const planWidth = 8
+
 // tryCommit reserves server and network resources for every choice of the
-// offer. It either commits everything (nil failure) or rolls back and
+// offer. It either commits everything (a zero failure) or rolls back and
 // reports a typed failure cause: server-down, capacity shortage, hard
 // constraint, or cancellation. Server-attributable failures also feed the
 // circuit breaker, so quarantines accrue no matter which entry point
 // (negotiate, renegotiate, adapt) drove the attempt.
-func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, r offer.Ranked) (commitment, *commitFailure) {
-	var cm commitment
-	rollback := func() {
-		for _, sr := range cm.servers {
-			sr.server.Release(sr.res.ID)
-		}
-		for _, c := range cm.conns {
-			m.transport.Close(c)
-		}
+//
+// The attempt holds its reservations in a fixed-size plan and copies them
+// into one exact-size slice only when the offer commits; a refusal
+// allocates nothing here.
+func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, r offer.Ranked) (commitment, commitFailure) {
+	var plan [planWidth]heldChoice
+	held := plan[:0]
+	if len(r.Choices) > planWidth {
+		held = make([]heldChoice, 0, len(r.Choices))
 	}
-	fail := func(cause FailureCause, server media.ServerID, op string, err error) (commitment, *commitFailure) {
-		rollback()
-		f := &commitFailure{cause: cause, server: server, op: op, err: err}
-		m.recordCommitFailure(f)
-		m.observeCommit(server, u.Desired.Cost.Guarantee, cause, 0)
-		return commitment{}, f
-	}
+	g := u.Desired.Cost.Guarantee
 	var startDelay time.Duration
-	jitterByMono := make(map[media.MonomediaID]time.Duration, len(r.Choices))
 	for _, ch := range r.Choices {
 		if err := ctx.Err(); err != nil {
-			rollback()
-			return commitment{}, &commitFailure{cause: CauseCanceled, err: err}
+			m.releaseHeld(held, len(held))
+			return commitment{}, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err}
 		}
 		sid := ch.Variant.Server
 		// Snapshot the evidence generation before the quarantine check: a
@@ -940,16 +938,13 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		if rem, ok := m.Quarantined(sid); ok {
 			// No new evidence — the breaker already tripped — so this is
 			// not recorded against the server again.
-			rollback()
-			return commitment{}, &commitFailure{
-				cause:  CauseServerDown,
-				server: sid,
-				err:    fmt.Errorf("%w: %s quarantined for %s", ErrServerDown, sid, rem.Round(time.Millisecond)),
-			}
+			m.releaseHeld(held, len(held))
+			return commitment{}, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: rem}
 		}
 		entry, ok := m.serverFor(sid)
 		if !ok {
-			return fail(CauseServerDown, sid, "reserve", fmt.Errorf("%w: %s not registered", ErrServerDown, sid))
+			return commitment{}, m.refuse(held, len(held), g,
+				commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
 		}
 		netQoS := ch.Variant.NetworkQoS()
 		var began time.Time
@@ -958,38 +953,29 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		}
 		res, err := entry.server.Reserve(netQoS)
 		if err != nil {
-			cause := CauseCapacity
-			if errors.Is(err, ErrServerDown) {
-				cause = CauseServerDown
-			}
-			return fail(cause, sid, "reserve", fmt.Errorf("reserve on %s: %w", sid, err))
+			return commitment{}, m.refuse(held, len(held), g,
+				commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err})
 		}
-		cm.servers = append(cm.servers, serverReservation{server: entry.server, res: res})
+		held = append(held, heldChoice{server: entry.server, res: res})
 		conn, err := m.transport.Connect(entry.node, mach.Node, netQoS)
 		if err != nil {
-			cause := CauseCapacity
-			if errors.Is(err, ErrServerDown) {
-				cause = CauseServerDown
-			}
-			return fail(cause, sid, "connect", fmt.Errorf("connect %s -> %s: %w", entry.node, mach.Node, err))
+			return commitment{}, m.refuse(held, len(held)-1, g,
+				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node})
 		}
-		cm.conns = append(cm.conns, conn)
+		held[len(held)-1].conn = conn
 		m.recordServerSuccess(sid, healthGen)
 		if len(m.observers) > 0 {
-			m.observeCommit(sid, u.Desired.Cost.Guarantee, CauseNone, m.now().Sub(began))
+			m.observeCommit(sid, g, CauseNone, m.now().Sub(began))
 		}
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
 			startDelay = d
-		}
-		if !netQoS.Zero() {
-			jitterByMono[ch.Monomedia] = conn.Metrics.Jitter
 		}
 	}
 	// Time profile: the committed configuration must be able to start the
 	// presentation within the user's start-delay bound.
 	if max := u.Desired.Time.MaxStartDelay; max > 0 && startDelay > max {
-		return fail(CauseConstraint, "", "",
-			fmt.Errorf("start delay %s exceeds profile bound %s", startDelay, max))
+		return commitment{}, m.refuse(held, len(held), g,
+			commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: startDelay, bound: max})
 	}
 	// Synchronization feasibility: for every temporal constraint with a
 	// skew tolerance, the committed paths' combined jitter — the bound the
@@ -999,24 +985,51 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		if tc.Tolerance <= 0 {
 			continue
 		}
-		ja, okA := jitterByMono[tc.A]
-		jb, okB := jitterByMono[tc.B]
+		ja, okA := connJitter(r, held, tc.A)
+		jb, okB := connJitter(r, held, tc.B)
 		if okA && okB && ja+jb > tc.Tolerance {
-			return fail(CauseConstraint, "", "",
-				fmt.Errorf("combined jitter %s exceeds sync tolerance %s between %s and %s", ja+jb, tc.Tolerance, tc.A, tc.B))
+			return commitment{}, m.refuse(held, len(held), g,
+				commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B})
 		}
 	}
-	return cm, nil
+	return commitment{choices: append(make([]heldChoice, 0, len(held)), held...)}, commitFailure{}
+}
+
+// connJitter returns the committed path jitter of the choice presenting
+// monomedia id; ok is false when no choice does or its stream needs no
+// network connection.
+func connJitter(r offer.Ranked, held []heldChoice, id media.MonomediaID) (jitter time.Duration, ok bool) {
+	for i, ch := range r.Choices {
+		if ch.Monomedia == id && !ch.Variant.NetworkQoS().Zero() {
+			jitter, ok = held[i].conn.Metrics.Jitter, true
+		}
+	}
+	return jitter, ok
+}
+
+// refuse rolls back a refused attempt — every held server reservation, then
+// the first conns connections — and records the refusal against its server.
+func (m *Manager) refuse(held []heldChoice, conns int, g cost.Guarantee, f commitFailure) commitFailure {
+	m.releaseHeld(held, conns)
+	m.recordCommitFailure(f)
+	m.observeCommit(f.server, g, f.cause, 0)
+	return f
+}
+
+// releaseHeld frees held resources: every server reservation first, then
+// the connections of the first conns choices.
+func (m *Manager) releaseHeld(held []heldChoice, conns int) {
+	for _, h := range held {
+		h.server.Release(h.res.ID)
+	}
+	for _, h := range held[:conns] {
+		m.transport.Close(h.conn)
+	}
 }
 
 // release frees a session's committed resources.
 func (m *Manager) release(cm commitment) {
-	for _, sr := range cm.servers {
-		sr.server.Release(sr.res.ID)
-	}
-	for _, c := range cm.conns {
-		m.transport.Close(c)
-	}
+	m.releaseHeld(cm.choices, len(cm.choices))
 }
 
 // Confirm is step 6's acceptance: the session moves from Reserved to

@@ -215,8 +215,8 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 	}
 
 	// Trip the breaker for server-2: the healthy-world entry is purged.
-	b.man.recordCommitFailure(&commitFailure{
-		cause: CauseServerDown, server: "server-2", op: "reserve",
+	b.man.recordCommitFailure(commitFailure{
+		cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 		err: errors.New("injected"),
 	})
 	st := b.man.Stats()
@@ -345,8 +345,8 @@ func TestOfferCacheOnOffEquivalence(t *testing.T) {
 				}
 			} else {
 				for _, b := range beds {
-					b.man.recordCommitFailure(&commitFailure{
-						cause: CauseServerDown, server: "server-2", op: "reserve",
+					b.man.recordCommitFailure(commitFailure{
+						cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 						err: errors.New("injected"),
 					})
 				}
@@ -433,8 +433,8 @@ func coherenceRun(t *testing.T, seed int64) {
 		<-start
 		for i := 0; i < 20; i++ {
 			if i%2 == 0 {
-				b.man.recordCommitFailure(&commitFailure{
-					cause: CauseServerDown, server: "server-2", op: "reserve",
+				b.man.recordCommitFailure(commitFailure{
+					cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 					err: errors.New("injected"),
 				})
 				quarVer.Add(1) // odd: quarantine definitely in force

@@ -41,16 +41,19 @@ func (s SessionState) String() string {
 	return sessionStateNames[s]
 }
 
-// commitment holds the resources reserved for one system offer: one CMFS
-// reservation and one transport connection per monomedia choice.
+// commitment holds the resources reserved for one system offer: one
+// heldChoice per monomedia choice, in the offer's choice order.
 type commitment struct {
-	servers []serverReservation
-	conns   []transport.Connection
+	choices []heldChoice
 }
 
-type serverReservation struct {
+// heldChoice is what step 5 holds for one choice of an offer: the CMFS
+// reservation on its server and the transport connection (zero for
+// discrete media, which need none).
+type heldChoice struct {
 	server MediaServer
 	res    cmfs.Reservation
+	conn   transport.Connection
 }
 
 // Session is the state the QoS manager keeps per negotiated delivery: the

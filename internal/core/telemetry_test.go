@@ -192,16 +192,17 @@ func cachedCycleAllocs(t *testing.T, b *bed) testing.BenchmarkResult {
 
 // TestCachedNegotiateAllocBound pins what a full cached negotiate-and-reject
 // cycle allocates (telemetry disabled, candidate set memoized), in count and
-// in bytes. The bounds are the measured 31 allocations and 2.5 KB plus 15%:
-// a ranked list copied out of the shared product, a re-materialized
-// acceptable/feasible partition, a profile section boxed per candidate or an
-// eager fmt.Sprintf call site each overshoot them.
+// in bytes. The bounds are the measured 12 allocations and 1616 bytes plus
+// 15%: a ranked list copied out of the shared product, a re-materialized
+// acceptable/feasible partition, a profile section boxed per candidate, an
+// eager fmt.Sprintf call site or a step-5 path search that allocates each
+// overshoot them.
 func TestCachedNegotiateAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race beds")
 	}
 	res := cachedCycleAllocs(t, defaultBed(t))
-	const maxAllocs, maxBytes = 36, 2900
+	const maxAllocs, maxBytes = 14, 1860
 	if res.AllocsPerOp() > maxAllocs || res.AllocedBytesPerOp() > maxBytes {
 		t.Fatalf("cached negotiate+reject allocated %d objects, %d bytes per cycle, want <= %d and <= %d",
 			res.AllocsPerOp(), res.AllocedBytesPerOp(), maxAllocs, maxBytes)
@@ -258,7 +259,7 @@ func missDoc(id media.DocumentID, side int) media.Document {
 // so steps 2–4 filter, build and classify the whole product. The product is
 // built in slabs, so a 216-offer document may cost at most 8 allocations
 // more than an 8-offer one — per-offer allocation anywhere on the path costs
-// hundreds — and the absolute bound is the measured 42 plus 15%.
+// hundreds — and the absolute bound is the measured 21 plus 15%.
 func TestMissPathAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race beds")
@@ -307,7 +308,7 @@ func TestMissPathAllocBound(t *testing.T) {
 	}
 	small, large := measure(2), measure(6)
 	t.Logf("miss negotiate+reject: %.0f allocs at product 8, %.0f at product 216", small, large)
-	const maxGrowth, maxAllocs = 8, 48
+	const maxGrowth, maxAllocs = 8, 24
 	if large-small > maxGrowth {
 		t.Errorf("product 216 allocates %.0f per cycle, product 8 %.0f: grows by more than %d with the product", large, small, maxGrowth)
 	}

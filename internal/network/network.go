@@ -92,12 +92,17 @@ type Reservation struct {
 // Network is the topology plus its reservation state. It is safe for
 // concurrent use.
 type Network struct {
-	mu       sync.Mutex
-	links    map[LinkID]*linkState
-	adjacent map[NodeID][]LinkID
-	nodes    map[NodeID]bool
-	next     ReservationID
-	resv     map[ReservationID]Reservation
+	mu    sync.Mutex
+	links map[LinkID]*linkState
+	// nodes indexes the node set; out holds each node's outgoing links in
+	// installation order, which is the order the walk tries them in.
+	nodes map[NodeID]int
+	out   [][]*linkState
+	next  ReservationID
+	resv  map[ReservationID]Reservation
+
+	// w is the graph walk's scratch, reused under mu.
+	w walker
 
 	// Telemetry series, installed by Instrument; nil when uninstrumented.
 	admitted *telemetry.Counter
@@ -139,6 +144,8 @@ func (n *Network) Instrument(reg *telemetry.Registry) {
 
 type linkState struct {
 	Link
+	// to is the index of the node the link leads to.
+	to          int
 	reserved    qos.BitRate
 	degradation float64
 }
@@ -146,11 +153,22 @@ type linkState struct {
 // New returns an empty network.
 func New() *Network {
 	return &Network{
-		links:    make(map[LinkID]*linkState),
-		adjacent: make(map[NodeID][]LinkID),
-		nodes:    make(map[NodeID]bool),
-		resv:     make(map[ReservationID]Reservation),
+		links: make(map[LinkID]*linkState),
+		nodes: make(map[NodeID]int),
+		resv:  make(map[ReservationID]Reservation),
 	}
+}
+
+// nodeLocked returns a node's index, creating the node if it is new.
+func (n *Network) nodeLocked(id NodeID) int {
+	i, ok := n.nodes[id]
+	if !ok {
+		i = len(n.out)
+		n.nodes[id] = i
+		n.out = append(n.out, nil)
+		n.w.visited = append(n.w.visited, false)
+	}
+	return i
 }
 
 // AddLink installs a directed link. Nodes are created implicitly.
@@ -163,10 +181,10 @@ func (n *Network) AddLink(l Link) error {
 	if _, ok := n.links[l.ID]; ok {
 		return fmt.Errorf("network: duplicate link id %s", l.ID)
 	}
-	n.links[l.ID] = &linkState{Link: l}
-	n.adjacent[l.From] = append(n.adjacent[l.From], l.ID)
-	n.nodes[l.From] = true
-	n.nodes[l.To] = true
+	from := n.nodeLocked(l.From)
+	ls := &linkState{Link: l, to: n.nodeLocked(l.To)}
+	n.links[l.ID] = ls
+	n.out[from] = append(n.out[from], ls)
 	return nil
 }
 
@@ -234,15 +252,12 @@ type PathMetrics struct {
 	Bottleneck qos.BitRate
 }
 
-// metricsLocked computes path metrics; caller holds the lock.
-func (n *Network) metricsLocked(p Path) (PathMetrics, error) {
+// linksMetrics computes the metrics of a path given as its links; caller
+// holds the lock.
+func linksMetrics(links []*linkState) PathMetrics {
 	m := PathMetrics{Bottleneck: 1<<62 - 1}
 	keep := 1.0
-	for _, id := range p {
-		ls, ok := n.links[id]
-		if !ok {
-			return PathMetrics{}, fmt.Errorf("network: unknown link %s in path", id)
-		}
+	for _, ls := range links {
 		m.Hops++
 		m.Delay += ls.Delay
 		m.Jitter += ls.Jitter
@@ -252,14 +267,33 @@ func (n *Network) metricsLocked(p Path) (PathMetrics, error) {
 		}
 	}
 	m.Loss = 1 - keep
-	return m, nil
+	return m
+}
+
+// resolveLocked looks a path's links up into the walker's resolve scratch;
+// caller holds the lock.
+func (n *Network) resolveLocked(p Path) ([]*linkState, error) {
+	links := n.w.resolved[:0]
+	for _, id := range p {
+		ls, ok := n.links[id]
+		if !ok {
+			return nil, fmt.Errorf("network: unknown link %s in path", id)
+		}
+		links = append(links, ls)
+	}
+	n.w.resolved = links
+	return links, nil
 }
 
 // Metrics returns the aggregate QoS of a path.
 func (n *Network) Metrics(p Path) (PathMetrics, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.metricsLocked(p)
+	links, err := n.resolveLocked(p)
+	if err != nil {
+		return PathMetrics{}, err
+	}
+	return linksMetrics(links), nil
 }
 
 // feasibleLocked reports whether metrics m support the request q.
@@ -279,78 +313,150 @@ func feasibleLocked(m PathMetrics, q qos.NetworkQoS) bool {
 	return true
 }
 
-// FindPaths returns up to k loop-free paths from src to dst that are
-// feasible for the request, ordered best-first: fewest hops, then largest
-// bottleneck capacity. It returns ErrNoPath when none exists.
-func (n *Network) FindPaths(src, dst NodeID, q qos.NetworkQoS, k int) ([]Path, error) {
+// maxHops bounds the walk's depth. Topologies here are small (tens of
+// nodes), so exhaustive enumeration under a depth bound is fine.
+const maxHops = 8
+
+// walker is the scratch of the one graph walk. It belongs to a Network and
+// is only touched under its lock, so walks reuse it and allocate nothing
+// once it has grown to the topology's size.
+type walker struct {
+	// stack is the path being extended; visited is indexed by node.
+	stack   []*linkState
+	visited []bool
+	// found holds the feasible paths in discovery order, each a span of
+	// links, where the paths are stored back to back.
+	found []candidate
+	links []*linkState
+	// resolved is Reserve's and Metrics' lookup of a caller's path.
+	resolved []*linkState
+}
+
+// candidate is one feasible path the walk found.
+type candidate struct {
+	start, end int
+	metrics    PathMetrics
+}
+
+// better reports whether c ranks before d: fewer hops, then a larger
+// bottleneck capacity.
+func (c candidate) better(d candidate) bool {
+	if c.metrics.Hops != d.metrics.Hops {
+		return c.metrics.Hops < d.metrics.Hops
+	}
+	return c.metrics.Bottleneck > d.metrics.Bottleneck
+}
+
+// findLocked walks the graph from src towards dst, depth-first over each
+// node's links in installation order, and collects the first 4k feasible
+// loop-free paths into the walker; caller holds the lock. The result
+// aliases the walker and is valid until the next walk.
+func (n *Network) findLocked(src, dst NodeID, q qos.NetworkQoS, k int) ([]candidate, error) {
 	if k <= 0 {
 		k = 1
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.nodes[src] || !n.nodes[dst] {
+	s, okS := n.nodes[src]
+	d, okD := n.nodes[dst]
+	if !okS || !okD {
 		return nil, fmt.Errorf("%w: unknown endpoint %s or %s", ErrNoPath, src, dst)
 	}
-
-	type cand struct {
-		path    Path
-		metrics PathMetrics
-	}
-	var found []cand
-	// Bounded DFS over loop-free paths. Topologies here are small (tens
-	// of nodes), so exhaustive enumeration with a depth bound is fine.
-	const maxHops = 8
-	visited := map[NodeID]bool{src: true}
-	var walk func(at NodeID, path Path)
-	walk = func(at NodeID, path Path) {
-		if len(found) >= 4*k && len(path) > 0 {
-			// Enough candidates to choose the best k from.
-			return
-		}
-		if at == dst {
-			m, err := n.metricsLocked(path)
-			if err == nil && feasibleLocked(m, q) {
-				cp := make(Path, len(path))
-				copy(cp, path)
-				found = append(found, cand{path: cp, metrics: m})
-			}
-			return
-		}
-		if len(path) >= maxHops {
-			return
-		}
-		for _, lid := range n.adjacent[at] {
-			ls := n.links[lid]
-			if visited[ls.To] {
-				continue
-			}
-			// Prune links that cannot carry the rate at all.
-			if availableLocked(ls) < q.AvgBitRate {
-				continue
-			}
-			visited[ls.To] = true
-			walk(ls.To, append(path, lid))
-			visited[ls.To] = false
-		}
-	}
-	walk(src, nil)
-	if len(found) == 0 {
+	w := &n.w
+	w.stack, w.found, w.links = w.stack[:0], w.found[:0], w.links[:0]
+	w.visited[s] = true
+	n.walkLocked(s, d, q, 4*k)
+	w.visited[s] = false
+	if len(w.found) == 0 {
 		return nil, fmt.Errorf("%w: %s → %s for %v", ErrNoPath, src, dst, q)
 	}
-	sort.Slice(found, func(i, j int) bool {
-		if found[i].metrics.Hops != found[j].metrics.Hops {
-			return found[i].metrics.Hops < found[j].metrics.Hops
+	return w.found, nil
+}
+
+// walkLocked extends the walker's stack from node at; it stops once limit
+// candidates are found (enough to choose the best k from).
+func (n *Network) walkLocked(at, dst int, q qos.NetworkQoS, limit int) {
+	w := &n.w
+	if len(w.found) >= limit && len(w.stack) > 0 {
+		return
+	}
+	if at == dst {
+		if m := linksMetrics(w.stack); feasibleLocked(m, q) {
+			start := len(w.links)
+			w.links = append(w.links, w.stack...)
+			w.found = append(w.found, candidate{start: start, end: len(w.links), metrics: m})
 		}
-		return found[i].metrics.Bottleneck > found[j].metrics.Bottleneck
-	})
+		return
+	}
+	if len(w.stack) >= maxHops {
+		return
+	}
+	for _, ls := range n.out[at] {
+		// Prune links that cannot carry the rate at all.
+		if w.visited[ls.to] || availableLocked(ls) < q.AvgBitRate {
+			continue
+		}
+		w.visited[ls.to] = true
+		w.stack = append(w.stack, ls)
+		n.walkLocked(ls.to, dst, q, limit)
+		w.stack = w.stack[:len(w.stack)-1]
+		w.visited[ls.to] = false
+	}
+}
+
+// FindPaths returns up to k loop-free paths from src to dst that are
+// feasible for the request, ordered best-first: fewest hops, then largest
+// bottleneck capacity, then the order the walk found them in. The paths are
+// the best k of the first 4k feasible ones the walk finds. It returns
+// ErrNoPath when none exists.
+func (n *Network) FindPaths(src, dst NodeID, q qos.NetworkQoS, k int) ([]Path, error) {
+	k = max(k, 1)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	found, err := n.findLocked(src, dst, q, k)
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(found, func(i, j int) bool { return found[i].better(found[j]) })
 	if len(found) > k {
 		found = found[:k]
 	}
 	out := make([]Path, len(found))
 	for i, c := range found {
-		out[i] = c.path
+		out[i] = pathOf(n.w.links[c.start:c.end])
 	}
 	return out, nil
+}
+
+// pathOf copies a path's link ids out of the walker.
+func pathOf(links []*linkState) Path {
+	p := make(Path, len(links))
+	for i, ls := range links {
+		p[i] = ls.ID
+	}
+	return p
+}
+
+// Open finds a path for the request and reserves it in one critical
+// section: the path is FindPaths(src, dst, q, k)[0], the reservation is
+// what Reserve would grant on it, and the metrics are what Metrics would
+// then report. No concurrent reservation can take the path's capacity
+// between the choice and the charge. The reservation's own copy of the
+// path is the only allocation.
+func (n *Network) Open(src, dst NodeID, q qos.NetworkQoS, k int) (Reservation, PathMetrics, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	found, err := n.findLocked(src, dst, q, k)
+	if err != nil {
+		return Reservation{}, PathMetrics{}, err
+	}
+	best := found[0]
+	for _, c := range found[1:] {
+		if c.better(best) {
+			best = c
+		}
+	}
+	links := n.w.links[best.start:best.end]
+	r := n.chargeLocked(links, q)
+	return r, linksMetrics(links), nil
 }
 
 // Reserve reserves the request's average bit rate on every link of the
@@ -358,25 +464,31 @@ func (n *Network) FindPaths(src, dst NodeID, q qos.NetworkQoS, k int) ([]Path, e
 func (n *Network) Reserve(p Path, q qos.NetworkQoS) (Reservation, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m, err := n.metricsLocked(p)
+	links, err := n.resolveLocked(p)
 	if err != nil {
 		n.rejected.Inc()
 		return Reservation{}, err
 	}
-	if !feasibleLocked(m, q) {
+	if !feasibleLocked(linksMetrics(links), q) {
 		n.rejected.Inc()
 		return Reservation{}, fmt.Errorf("%w: path no longer feasible for %v", ErrNoPath, q)
 	}
-	for _, id := range p {
-		n.links[id].reserved += q.AvgBitRate
+	return n.chargeLocked(links, q), nil
+}
+
+// chargeLocked reserves the request's average bit rate on a feasible path
+// and records the reservation; caller holds the lock.
+func (n *Network) chargeLocked(links []*linkState, q qos.NetworkQoS) Reservation {
+	for _, ls := range links {
+		ls.reserved += q.AvgBitRate
 	}
 	n.next++
-	r := Reservation{ID: n.next, Path: append(Path{}, p...), Rate: q.AvgBitRate}
+	r := Reservation{ID: n.next, Path: pathOf(links), Rate: q.AvgBitRate}
 	n.resv[r.ID] = r
 	n.admitted.Inc()
 	n.active.Set(int64(len(n.resv)))
 	n.led.Acquire(ledger.KindNetwork, "", uint64(r.ID))
-	return r, nil
+	return r
 }
 
 // Release frees a reservation's bandwidth on every link of its path.

@@ -2,9 +2,10 @@
 // the QoS manager calls in negotiation step 5 to reserve end-to-end network
 // resources for one stream ("asks the transport system and the media file
 // servers to reserve resources to support the QoS associated with the
-// system offer"). It selects a path through the network substrate and
-// installs a bandwidth reservation on it, retrying alternate paths when a
-// concurrent reservation races it.
+// system offer"). Each connection is one call to network.Open, which picks
+// the best feasible path and reserves its bandwidth under one acquisition
+// of the network's lock, so no concurrent reservation can take the path
+// between the choice and the charge and there is nothing to retry.
 package transport
 
 import (
@@ -32,7 +33,8 @@ type Connection struct {
 // underlying network serializes reservation state).
 type System struct {
 	net *network.Network
-	// alternates is how many candidate paths Connect tries.
+	// alternates is the k of network.Open: each connection takes the best
+	// of the first 4k feasible paths the walk finds.
 	alternates int
 
 	// mu guards led only.
@@ -57,8 +59,9 @@ func (s *System) ledger() *ledger.Ledger {
 	return s.led
 }
 
-// New builds a transport system over the given network, trying up to
-// alternates candidate paths per connection request (minimum 1).
+// New builds a transport system over the given network; each connection
+// chooses among the first 4·alternates feasible paths (alternates is at
+// least 1).
 func New(n *network.Network, alternates int) *System {
 	if alternates < 1 {
 		alternates = 1
@@ -78,29 +81,12 @@ func (s *System) Connect(src, dst network.NodeID, q qos.NetworkQoS) (Connection,
 	if q.Zero() {
 		return Connection{QoS: q}, nil
 	}
-	paths, err := s.net.FindPaths(src, dst, q, s.alternates)
+	r, m, err := s.net.Open(src, dst, q, s.alternates)
 	if err != nil {
 		return Connection{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	var lastErr error
-	for _, p := range paths {
-		r, err := s.net.Reserve(p, q)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		m, err := s.net.Metrics(p)
-		if err != nil {
-			// The path vanished between Reserve and Metrics; give the
-			// bandwidth back and try the next candidate.
-			s.net.Release(r.ID)
-			lastErr = err
-			continue
-		}
-		s.ledger().Acquire(ledger.KindTransport, "", uint64(r.ID))
-		return Connection{Reservation: r, Metrics: m, QoS: q}, nil
-	}
-	return Connection{}, fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+	s.ledger().Acquire(ledger.KindTransport, "", uint64(r.ID))
+	return Connection{Reservation: r, Metrics: m, QoS: q}, nil
 }
 
 // Close releases a connection's reservation. Closing a zero-throughput

@@ -3,9 +3,11 @@ package transport
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"qosneg/internal/ledger"
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
 )
@@ -127,4 +129,65 @@ func TestNewClampsAlternates(t *testing.T) {
 	if s.alternates != 1 {
 		t.Errorf("alternates = %d", s.alternates)
 	}
+}
+
+// TestConcurrentConnectCloseNeverOvercommits runs Connect and Close from 8
+// goroutines against a single 10 Mbit/s link that fits two 4 Mbit/s
+// streams. Path choice and charge happen in one critical section, so no
+// probe ever sees the link overcommitted, and every connection made is
+// closed exactly once.
+func TestConcurrentConnectCloseNeverOvercommits(t *testing.T) {
+	n := network.New()
+	if err := n.AddLink(network.Link{ID: "bottleneck", From: "server", To: "client",
+		Capacity: 10 * qos.MBitPerSecond, Delay: time.Millisecond, Jitter: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	led := ledger.New()
+	led.OnViolation(func(v string) { t.Errorf("ledger violation: %s", v) })
+	n.SetLedger(led)
+	s := New(n, 3)
+	s.SetLedger(led)
+	q := request(4 * qos.MBitPerSecond)
+	var wg sync.WaitGroup
+	var connected, refused atomic.Int64
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				c, err := s.Connect("server", "client", q)
+				if over := n.Overcommitted(); len(over) != 0 {
+					t.Errorf("overcommitted: %+v", over)
+					return
+				}
+				if err != nil {
+					if !errors.Is(err, ErrUnavailable) {
+						t.Errorf("connect: %v", err)
+						return
+					}
+					refused.Add(1)
+					continue
+				}
+				connected.Add(1)
+				if err := s.Close(c); err != nil {
+					t.Errorf("close: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n.ActiveReservations() != 0 {
+		t.Errorf("leaked %d reservations", n.ActiveReservations())
+	}
+	if err := led.CheckEmpty(); err != nil {
+		t.Error(err)
+	}
+	if acq, rel := led.Counts(); acq != rel || acq != 2*uint64(connected.Load()) {
+		t.Errorf("ledger: %d acquires, %d releases for %d connections", acq, rel, connected.Load())
+	}
+	if avail, _ := n.Available("bottleneck"); avail != 10*qos.MBitPerSecond {
+		t.Errorf("bottleneck spare = %v after every close, want 10 Mbit/s", avail)
+	}
+	t.Logf("%d connections, %d refused", connected.Load(), refused.Load())
 }

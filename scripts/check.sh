@@ -79,12 +79,16 @@ go test -race -short -count=1 -run 'TestOverloadShedBurst|TestServeThreadsAdmiss
 echo "== wire gate (race: a client inside its stream cap is never shed for it; old peers refused at the handshake; a canceled handshake leaves no connection; a state-changing RPC is never retried)"
 go test -race -count=1 -run 'TestStreamSlotFreedBeforeFIN|TestStreamCapShedsInsteadOfStalling|TestOldPeersRefusedAtHandshake|TestBinaryOnlyClientRefusesLegacyServer|TestDialContextHandshakeDeadline|TestNewClientHandshakeCancel|TestNonIdempotentNotRetried' ./internal/protocol
 
+echo "== step-5 critical section gate (race: concurrent connects on one bottleneck never overcommit it; the ledger balances)"
+go test -race -count=1 -run 'TestConcurrentConnectCloseNeverOvercommits' ./internal/transport
+
 echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer adds nothing to a cached negotiate+reject)"
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free)"
-go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound' ./internal/core
+echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; Network.Open allocates only its path)"
+go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestRefusalAllocBound' ./internal/core
+go test -count=1 -run 'TestOpenAllocatesOnlyThePath' ./internal/network
 
 echo "== wire allocation gate (negotiate+reject over the binary codec, minus the same pair in-process)"
 go test -count=1 -run 'TestWireNegotiateAllocBound' ./internal/protocol

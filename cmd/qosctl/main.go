@@ -368,8 +368,9 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 	}
 }
 
-// printShards renders the per-shard fleet view: live sessions, outcome
-// counters and breaker state for each manager shard.
+// printShards renders the per-shard fleet view: live sessions and outcome
+// counters for each manager shard. Breaker state is the fleet's one server
+// table, which `servers` and `stats` print.
 func printShards(w io.Writer, rows []shard.Stat) {
 	for _, r := range rows {
 		st := r.Stats
@@ -380,15 +381,6 @@ func printShards(w io.Writer, rows []shard.Stat) {
 			st.FailedWithoutOffer, st.FailedWithLocalOffer, st.Adaptations, st.AdaptationFailures)
 		if st.Quarantines > 0 || st.AdmissionSheds > 0 {
 			fmt.Fprintf(w, "  quarantines %d, admission sheds %d\n", st.Quarantines, st.AdmissionSheds)
-		}
-		for _, b := range r.Breakers {
-			health := "recovered"
-			if b.Quarantined {
-				health = fmt.Sprintf("QUARANTINED %s", time.Duration(b.QuarantineMs)*time.Millisecond)
-			} else if b.ConsecutiveFailures > 0 {
-				health = fmt.Sprintf("%d consecutive failure(s)", b.ConsecutiveFailures)
-			}
-			fmt.Fprintf(w, "  breaker %-12s %-24s trips %d\n", b.Server, health, b.Quarantines)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"time"
 
 	"qosneg/internal/media"
@@ -189,13 +191,43 @@ func (p HealthPolicy) retryAfter() time.Duration {
 	return DefaultRetryAfter
 }
 
-// serverHealth is the breaker state the manager keeps per server.
+// ServerTable holds the media servers the QoS manager commits against and
+// the circuit breaker's record of each. A fleet builds one table and every
+// shard commits against it (ShardHooks.Servers), so a trip, a
+// consecutive-failure count and a policy's breaker context are one fact per
+// server however many shards front it; a bare manager builds its own. Step 5
+// reads a choice's server, failure generation and remaining quarantine in
+// one read-locked lookup.
+type ServerTable struct {
+	mu      sync.RWMutex
+	servers map[media.ServerID]*serverRecord
+}
+
+// NewServerTable returns an empty server table.
+func NewServerTable() *ServerTable {
+	return &ServerTable{servers: make(map[media.ServerID]*serverRecord)}
+}
+
+// serverRecord is one server's row: its registration (zero until AddServer
+// — failures are recorded against unregistered servers too) and its breaker
+// state.
+type serverRecord struct {
+	serverEntry
+	serverHealth
+}
+
+type serverEntry struct {
+	server MediaServer
+	node   network.NodeID
+}
+
+// serverHealth is the breaker state the table keeps per server.
 type serverHealth struct {
-	// gen counts failure recordings against the server. Success evidence
-	// is stamped with the generation current when it was gathered and
-	// only clears breaker state while the generation still matches:
-	// a slow commit that reserved before a quarantine tripped must not
-	// lift that quarantine when it finally reports in.
+	// gen counts failure recordings against the server; 0 means none ever
+	// was. Success evidence is stamped with the generation current when it
+	// was gathered and only clears breaker state while the generation still
+	// matches: a slow commit that reserved before a quarantine tripped must
+	// not lift that quarantine when it finally reports in.
 	gen uint64
 	// consecutive counts capacity-class failures since the last success.
 	consecutive int
@@ -208,19 +240,199 @@ type serverHealth struct {
 	quarantines     int
 }
 
-// healthFor returns the (lazily created) health record for a server; the
-// caller must hold healthMu.
-func (m *Manager) healthFor(id media.ServerID) *serverHealth {
-	h, ok := m.health[id]
+// record returns the (lazily created) record for a server; the caller must
+// hold mu for writing.
+func (t *ServerTable) record(id media.ServerID) *serverRecord {
+	rec, ok := t.servers[id]
 	if !ok {
-		h = &serverHealth{}
-		m.health[id] = h
+		rec = &serverRecord{}
+		t.servers[id] = rec
 	}
-	return h
+	return rec
+}
+
+// add registers a media server and its network attachment point, keeping
+// whatever breaker state the server already has.
+func (t *ServerTable) add(s MediaServer, node network.NodeID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.record(s.ID()).serverEntry = serverEntry{server: s, node: node}
+}
+
+// lookup is step 5's one read of a server: its registration (a nil server
+// when unregistered), its failure-evidence generation and its remaining
+// quarantine (zero when none). A commit attempt hands the generation back
+// to recordSuccess, which ignores the success if any failure was recorded
+// in between.
+func (t *ServerTable) lookup(id media.ServerID, now func() time.Time) (serverEntry, uint64, time.Duration) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	rec, ok := t.servers[id]
+	if !ok {
+		return serverEntry{}, 0, 0
+	}
+	var left time.Duration
+	if !rec.quarantinedUntil.IsZero() {
+		left = max(rec.quarantinedUntil.Sub(now()), 0)
+	}
+	return rec.serverEntry, rec.gen, left
+}
+
+// recordFailure feeds one server-attributable failure into the breaker. It
+// returns the server's consecutive-failure count and quarantine deadline
+// afterwards, and whether this failure tripped the breaker.
+func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, now func() time.Time) (consecutive int, until time.Time, tripped bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := &t.record(f.server).serverHealth
+	h.gen++
+	switch f.kind {
+	case refusedUnregistered, refusedReserve:
+		h.reserveFailures++
+	case refusedConnect:
+		h.connectFailures++
+	}
+	quarantine := false
+	switch f.cause {
+	case CauseServerDown:
+		h.downFailures++
+		h.consecutive++
+		quarantine = true
+	case CauseCapacity:
+		h.consecutive++
+		quarantine = p.FailureThreshold > 0 && h.consecutive >= p.FailureThreshold
+	}
+	if quarantine {
+		at := now()
+		if end := at.Add(p.cooldown()); end.After(h.quarantinedUntil) {
+			tripped = !h.quarantinedUntil.After(at)
+			h.quarantinedUntil = end
+		}
+	}
+	if tripped {
+		h.quarantines++
+	}
+	return h.consecutive, h.quarantinedUntil, tripped
+}
+
+// recordSuccess resets a server's breaker after a successful reserve and
+// connect — unless the evidence is stale: gen is what lookup returned when
+// the attempt began, and failures recorded since are newer evidence than
+// this success. It reports whether the reset applied and whether it lifted
+// a quarantine. A server with no failure on record has nothing to reset.
+func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, now func() time.Time) (applied, restored bool) {
+	if gen == 0 {
+		return false, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec, ok := t.servers[id]
+	if !ok || rec.gen != gen {
+		return false, false
+	}
+	restored = rec.quarantinedUntil.After(now())
+	rec.consecutive = 0
+	rec.quarantinedUntil = time.Time{}
+	return true, restored
+}
+
+// exclusion snapshots the quarantined-server set as a variant filter for
+// classification, plus the longest remaining cooldown (the RetryAfter hint
+// when quarantine starves the candidate sets) and the order-independent
+// hash of the set — the exclusion-world component of the offer-cache key.
+// It returns a nil filter and a zero hash when no server is quarantined.
+// Because the hash is computed from the same snapshot the filter closes
+// over, a cached candidate set is always keyed by exactly the exclusion
+// world it was filtered under — including worlds reached by silent
+// time-based quarantine expiry, which simply hash differently.
+func (t *ServerTable) exclusion(now func() time.Time) (func(media.Variant) bool, time.Duration, uint64) {
+	t.mu.RLock()
+	var quarantined map[media.ServerID]bool
+	var ids []media.ServerID
+	var longest time.Duration
+	var at time.Time
+	for id, rec := range t.servers {
+		if rec.quarantinedUntil.IsZero() {
+			continue
+		}
+		if at.IsZero() {
+			at = now()
+		}
+		if rem := rec.quarantinedUntil.Sub(at); rem > 0 {
+			if quarantined == nil {
+				quarantined = make(map[media.ServerID]bool)
+			}
+			quarantined[id] = true
+			ids = append(ids, id)
+			longest = max(longest, rem)
+		}
+	}
+	t.mu.RUnlock()
+	if quarantined == nil {
+		return nil, 0, 0
+	}
+	return func(v media.Variant) bool { return quarantined[v.Server] }, longest, offercache.ExclusionHash(ids)
+}
+
+// loads reports each registered server's load and breaker state, sorted by
+// id. The servers are asked for their load after the table is unlocked.
+func (t *ServerTable) loads(now func() time.Time) []ServerLoad {
+	t.mu.RLock()
+	at := now()
+	out := make([]ServerLoad, 0, len(t.servers))
+	servers := make([]MediaServer, 0, len(t.servers))
+	for id, rec := range t.servers {
+		if rec.server == nil {
+			continue
+		}
+		row := ServerLoad{
+			ID:                  id,
+			ConsecutiveFailures: rec.consecutive,
+			DownFailures:        rec.downFailures,
+			ReserveFailures:     rec.reserveFailures,
+			ConnectFailures:     rec.connectFailures,
+			Quarantines:         rec.quarantines,
+		}
+		if rem := rec.quarantinedUntil.Sub(at); rem > 0 {
+			row.Quarantined = true
+			row.QuarantineMs = rem.Milliseconds()
+		}
+		out = append(out, row)
+		servers = append(servers, rec.server)
+	}
+	t.mu.RUnlock()
+	for i, s := range servers {
+		out[i].ActiveStreams = s.ActiveStreams()
+		out[i].Utilization = s.Utilization()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// policyInfo snapshots one server's live load and breaker history for a
+// selection policy.
+func (t *ServerTable) policyInfo(id media.ServerID) PolicyServer {
+	info := PolicyServer{ID: id}
+	t.mu.RLock()
+	rec, ok := t.servers[id]
+	var server MediaServer
+	if ok {
+		server = rec.server
+		info.ConsecutiveFailures = rec.consecutive
+		info.Quarantines = rec.quarantines
+	}
+	t.mu.RUnlock()
+	if server != nil {
+		info.ActiveStreams = server.ActiveStreams()
+		info.Utilization = server.Utilization()
+	}
+	return info
 }
 
 // recordCommitFailure feeds one failed commit attempt into the outcome
-// counters and, for server-attributable causes, the circuit breaker.
+// counters and, for server-attributable causes, the circuit breaker. A trip
+// is this manager's to count, trace and purge its offer cache for, whichever
+// shard's table it lands in.
 func (m *Manager) recordCommitFailure(f commitFailure) {
 	m.met.commitFailure(f.cause)
 	m.statsMu.Lock()
@@ -237,41 +449,7 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 		return
 	}
 
-	m.healthMu.Lock()
-	h := m.healthFor(f.server)
-	h.gen++
-	switch f.kind {
-	case refusedUnregistered, refusedReserve:
-		h.reserveFailures++
-	case refusedConnect:
-		h.connectFailures++
-	}
-	quarantine := false
-	switch f.cause {
-	case CauseServerDown:
-		h.downFailures++
-		h.consecutive++
-		quarantine = true
-	case CauseCapacity:
-		h.consecutive++
-		if t := m.opts.Health.FailureThreshold; t > 0 && h.consecutive >= t {
-			quarantine = true
-		}
-	}
-	tripped := false
-	if quarantine {
-		until := m.now().Add(m.opts.Health.cooldown())
-		if until.After(h.quarantinedUntil) {
-			tripped = !h.quarantinedUntil.After(m.now())
-			h.quarantinedUntil = until
-		}
-	}
-	if tripped {
-		h.quarantines++
-	}
-	consecutive, until := h.consecutive, h.quarantinedUntil
-	m.healthMu.Unlock()
-
+	consecutive, until, tripped := m.servers.recordFailure(f, m.opts.Health, m.now)
 	m.met.serverHealthGauges(f.server, consecutive, until)
 	if tripped {
 		m.exclusionChanged()
@@ -279,12 +457,6 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 		m.statsMu.Lock()
 		m.stats.Quarantines++
 		m.statsMu.Unlock()
-		if m.opts.Shard != nil {
-			// Locally gathered breaker evidence only: quarantines applied
-			// from a sibling shard go through ApplyQuarantine, which never
-			// re-publishes, so each trip reaches each sibling exactly once.
-			m.opts.Shard.PublishQuarantine(f.server, until)
-		}
 		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
 			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})
@@ -292,136 +464,28 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 	}
 }
 
-// serverHealthGen snapshots a server's failure-evidence generation. A
-// commit attempt captures it before reserving and hands it back to
-// recordServerSuccess, which ignores the success if any failure was
-// recorded in between.
-func (m *Manager) serverHealthGen(id media.ServerID) uint64 {
-	m.healthMu.Lock()
-	defer m.healthMu.Unlock()
-	if h, ok := m.health[id]; ok {
-		return h.gen
-	}
-	return 0
-}
-
 // recordServerSuccess resets a server's breaker: a successful reserve and
 // connect is proof of health, so the consecutive counter and any pending
-// quarantine are cleared — unless the evidence is stale. gen is the
-// generation serverHealthGen returned when the successful attempt began;
-// if failures were recorded since, they are newer evidence than this
-// success and the breaker state stands.
+// quarantine are cleared — unless failures were recorded since generation
+// gen, which are newer evidence than this success.
 func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
-	m.healthMu.Lock()
-	h, ok := m.health[id]
-	applied, restored := false, false
-	if ok && h.gen == gen {
-		applied = true
-		h.consecutive = 0
-		restored = h.quarantinedUntil.After(m.now())
-		h.quarantinedUntil = time.Time{}
-	}
-	m.healthMu.Unlock()
-	if applied {
-		if restored {
-			// The exclusion world shrank: drop candidate sets filtered
-			// without the restored server's variants.
-			m.exclusionChanged()
-		}
-		m.met.serverHealthGauges(id, 0, time.Time{})
-	}
-}
-
-// ApplyQuarantine installs externally gathered breaker evidence: the server
-// is quarantined until the given deadline unless a longer local quarantine
-// already stands. The sharded fleet calls it on every sibling of the shard
-// whose breaker tripped, so one shard's hard-down evidence excludes the
-// server fleet-wide without each shard burning its own failed commits.
-//
-// The failure-evidence generation is bumped so an in-flight local commit
-// that started before the evidence arrived cannot clear it on success, and
-// ShardHooks.PublishQuarantine deliberately does not fire — replicated
-// evidence is never re-published, which is what makes the propagation
-// loop-free.
-func (m *Manager) ApplyQuarantine(id media.ServerID, until time.Time) {
-	if !until.After(m.now()) {
+	applied, restored := m.servers.recordSuccess(id, gen, m.now)
+	if !applied {
 		return
 	}
-	m.healthMu.Lock()
-	h := m.healthFor(id)
-	h.gen++
-	tripped := false
-	if until.After(h.quarantinedUntil) {
-		tripped = !h.quarantinedUntil.After(m.now())
-		h.quarantinedUntil = until
-	}
-	if tripped {
-		h.quarantines++
-	}
-	consecutive, deadline := h.consecutive, h.quarantinedUntil
-	m.healthMu.Unlock()
-
-	m.met.serverHealthGauges(id, consecutive, deadline)
-	if tripped {
+	if restored {
+		// The exclusion world shrank: drop candidate sets filtered
+		// without the restored server's variants.
 		m.exclusionChanged()
-		m.met.quarantineTrip()
-		m.statsMu.Lock()
-		m.stats.Quarantines++
-		m.statsMu.Unlock()
-		if m.opts.Tracer != nil {
-			detail := fmt.Sprintf("%s until %s (replicated evidence)", id, until.Format(time.RFC3339))
-			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(id), Status: "replicated", Detail: detail})
-		}
 	}
+	m.met.serverHealthGauges(id, 0, time.Time{})
 }
 
 // Quarantined reports whether a server is currently quarantined by the
 // circuit breaker and, if so, the remaining cooldown.
 func (m *Manager) Quarantined(id media.ServerID) (time.Duration, bool) {
-	m.healthMu.Lock()
-	defer m.healthMu.Unlock()
-	h, ok := m.health[id]
-	if !ok {
-		return 0, false
-	}
-	if rem := h.quarantinedUntil.Sub(m.now()); rem > 0 {
-		return rem, true
-	}
-	return 0, false
-}
-
-// quarantineExclude snapshots the quarantined-server set as a variant
-// filter for classification, plus the longest remaining cooldown (the
-// RetryAfter hint when quarantine starves the candidate sets) and the
-// order-independent hash of the set — the exclusion-world component of the
-// offer-cache key. It returns a nil filter and a zero hash when no server
-// is quarantined. Because the hash is computed from the same snapshot the
-// filter closes over, a cached candidate set is always keyed by exactly the
-// exclusion world it was filtered under — including worlds reached by
-// silent time-based quarantine expiry, which simply hash differently.
-func (m *Manager) quarantineExclude() (func(media.Variant) bool, time.Duration, uint64) {
-	m.healthMu.Lock()
-	var quarantined map[media.ServerID]bool
-	var ids []media.ServerID
-	var longest time.Duration
-	now := m.now()
-	for id, h := range m.health {
-		if rem := h.quarantinedUntil.Sub(now); rem > 0 {
-			if quarantined == nil {
-				quarantined = make(map[media.ServerID]bool)
-			}
-			quarantined[id] = true
-			ids = append(ids, id)
-			if rem > longest {
-				longest = rem
-			}
-		}
-	}
-	m.healthMu.Unlock()
-	if quarantined == nil {
-		return nil, 0, 0
-	}
-	return func(v media.Variant) bool { return quarantined[v.Server] }, longest, offercache.ExclusionHash(ids)
+	_, _, left := m.servers.lookup(id, m.now)
+	return left, left > 0
 }
 
 // exclusionChanged runs after a breaker transition (trip or restore): cache
@@ -429,33 +493,16 @@ func (m *Manager) quarantineExclude() (func(media.Variant) bool, time.Duration, 
 // up — their key has the old hash — so they are dropped promptly instead of
 // aging out of the LRU. Correctness does not depend on this (the key alone
 // guarantees a hit matches the current world); it reclaims capacity and
-// feeds the invalidation counter.
+// feeds the invalidation counter. Only this manager's cache is purged: a
+// sibling shard's entries for the old world are never hit while it lasts,
+// and are valid again if it returns.
 func (m *Manager) exclusionChanged() {
 	if m.cache == nil {
 		return
 	}
-	_, _, hash := m.quarantineExclude()
+	_, _, hash := m.servers.exclusion(m.now)
 	if n := m.cache.PurgeExclusions(hash); n > 0 {
 		m.met.offerCacheInvalidations(n)
 		m.met.offerCacheEntries(m.cache.Len())
 	}
-}
-
-// healthSnapshot copies a server's breaker state into a ServerLoad row.
-func (m *Manager) healthSnapshot(row *ServerLoad) {
-	m.healthMu.Lock()
-	defer m.healthMu.Unlock()
-	h, ok := m.health[row.ID]
-	if !ok {
-		return
-	}
-	if rem := h.quarantinedUntil.Sub(m.now()); rem > 0 {
-		row.Quarantined = true
-		row.QuarantineMs = rem.Milliseconds()
-	}
-	row.ConsecutiveFailures = h.consecutive
-	row.DownFailures = h.downFailures
-	row.ReserveFailures = h.reserveFailures
-	row.ConnectFailures = h.connectFailures
-	row.Quarantines = h.quarantines
 }

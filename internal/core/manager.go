@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -79,10 +78,10 @@ type Options struct {
 	// negotiating goroutine and must be fast and non-blocking.
 	Tracer telemetry.Tracer
 	// Shard, when non-nil, makes this manager one shard of a fleet: session
-	// ids, breaker-trip publication and the negotiation-latency series' shard
-	// label come from the hooks (see ShardHooks). Nil — a bare manager in
-	// tests and benchmarks — allocates 1, 2, 3 … privately, publishes
-	// nothing and records under shard "0".
+	// ids, the server table and the negotiation-latency series' shard label
+	// come from the hooks (see ShardHooks). Nil — a bare manager in tests and
+	// benchmarks — allocates 1, 2, 3 … privately, keeps its own server table
+	// and records under shard "0".
 	Shard ShardHooks
 	// Selection, when non-nil, may reorder step 5's commitment attempts
 	// among offers the classifier ranked equal — same Status, same OIF —
@@ -109,11 +108,10 @@ type ShardHooks interface {
 	// for it and fleet-wide uniqueness needs no coordination. Called under
 	// the session-table lock.
 	NextSessionID() SessionID
-	// PublishQuarantine fires after this manager's own circuit breaker trips
-	// (never for evidence installed by ApplyQuarantine), so sibling shards
-	// stop offering the dead server too. It runs with none of this
-	// manager's locks held, so it may call into sibling managers.
-	PublishQuarantine(id media.ServerID, until time.Time)
+	// Servers is the fleet's one server table, read once at construction:
+	// every shard registers, commits against and trips the breaker of the
+	// same media servers.
+	Servers() *ServerTable
 }
 
 // DefaultTopK is how many classified offers a negotiation retains by
@@ -198,8 +196,8 @@ type Transport interface {
 // session table and the adaptation procedure. It is safe for concurrent
 // use: the negotiation pipeline runs lock-free, and independent
 // negotiations from different clients proceed concurrently — the manager's
-// locks only cover the session table, the server registry and the outcome
-// counters, each separately.
+// locks only cover the session table, the server table (shared by a fleet's
+// shards) and the outcome counters, each separately.
 type Manager struct {
 	registry  *registry.Registry
 	transport Transport
@@ -237,13 +235,9 @@ type Manager struct {
 	tombs    []tombstone
 	tombNext int
 
-	// srvMu guards the (read-mostly) server registry.
-	srvMu   sync.RWMutex
-	servers map[media.ServerID]serverEntry
-
-	// healthMu guards the per-server circuit-breaker state.
-	healthMu sync.Mutex
-	health   map[media.ServerID]*serverHealth
+	// servers is the media servers and their circuit breaker; a fleet's
+	// shards share one.
+	servers *ServerTable
 	// observers is the learning surface of the installed policies, resolved
 	// once at construction; empty when no policy learns.
 	observers []PolicyObserver
@@ -251,11 +245,6 @@ type Manager struct {
 	// statsMu guards the outcome counters.
 	statsMu sync.Mutex
 	stats   Stats
-}
-
-type serverEntry struct {
-	server MediaServer
-	node   network.NodeID
 }
 
 // Stats counts negotiation outcomes.
@@ -307,6 +296,12 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 	if opts.ChoicePeriod <= 0 {
 		opts.ChoicePeriod = 30 * time.Second
 	}
+	var servers *ServerTable
+	if opts.Shard != nil {
+		servers = opts.Shard.Servers()
+	} else {
+		servers = NewServerTable()
+	}
 	m := &Manager{
 		registry:  reg,
 		transport: ts,
@@ -314,8 +309,7 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		opts:      opts,
 		met:       newNegMetrics(opts.Metrics, opts.Shard),
 		now:       time.Now,
-		servers:   make(map[media.ServerID]serverEntry),
-		health:    make(map[media.ServerID]*serverHealth),
+		servers:   servers,
 		sessions:  make(map[SessionID]*Session),
 		observers: policyObservers(opts.Selection, opts.Adaptation),
 	}
@@ -343,10 +337,10 @@ func (m *Manager) pricingSnapshot() (cost.Pricing, uint64) {
 }
 
 // AddServer registers a media file server and its network attachment point.
+// A fleet's shards share the server table, so registering with one shard
+// registers with all.
 func (m *Manager) AddServer(s MediaServer, node network.NodeID) {
-	m.srvMu.Lock()
-	defer m.srvMu.Unlock()
-	m.servers[s.ID()] = serverEntry{server: s, node: node}
+	m.servers.add(s, node)
 }
 
 // Stats returns a snapshot of the outcome counters, merged with the offer
@@ -514,7 +508,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	// classification parameters and classification, in one streaming pass.
 	// Variants on quarantined servers are excluded up front: the breaker
 	// already has evidence they cannot commit.
-	exclude, quarRemain, exclHash := m.quarantineExclude()
+	exclude, quarRemain, exclHash := m.servers.exclusion(m.now)
 	ranked, err := m.classify(ctx, doc, docGen, mach, u, exclude, exclHash, &t)
 	if err != nil {
 		var nv *offer.NoVariantError
@@ -896,14 +890,6 @@ func (m *Manager) count(s NegotiationStatus) {
 	}
 }
 
-// serverFor looks up a registered server under the read lock.
-func (m *Manager) serverFor(id media.ServerID) (serverEntry, bool) {
-	m.srvMu.RLock()
-	defer m.srvMu.RUnlock()
-	entry, ok := m.servers[id]
-	return entry, ok
-}
-
 // planWidth is how many choices tryCommit holds in its on-stack plan; the
 // plan of a wider document spills to the heap.
 const planWidth = 8
@@ -932,17 +918,17 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 			return commitment{}, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err}
 		}
 		sid := ch.Variant.Server
-		// Snapshot the evidence generation before the quarantine check: a
-		// quarantine that trips between the two must outlive this success.
-		healthGen := m.serverHealthGen(sid)
-		if rem, ok := m.Quarantined(sid); ok {
+		// One lookup reads the server, its evidence generation and its
+		// quarantine together: a quarantine that trips after it bumps the
+		// generation, so it outlives this attempt's success.
+		entry, healthGen, left := m.servers.lookup(sid, m.now)
+		if left > 0 {
 			// No new evidence — the breaker already tripped — so this is
 			// not recorded against the server again.
 			m.releaseHeld(held, len(held))
-			return commitment{}, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: rem}
+			return commitment{}, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left}
 		}
-		entry, ok := m.serverFor(sid)
-		if !ok {
+		if entry.server == nil {
 			return commitment{}, m.refuse(held, len(held), g,
 				commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
 		}
@@ -1227,24 +1213,7 @@ type ServerLoad struct {
 // ServerLoads reports each registered media server's current load and
 // breaker health, sorted by id; the ops view behind `qosctl servers`.
 func (m *Manager) ServerLoads() []ServerLoad {
-	m.srvMu.RLock()
-	entries := make([]serverEntry, 0, len(m.servers))
-	for _, e := range m.servers {
-		entries = append(entries, e)
-	}
-	m.srvMu.RUnlock()
-	out := make([]ServerLoad, 0, len(entries))
-	for _, e := range entries {
-		row := ServerLoad{
-			ID:            e.server.ID(),
-			ActiveStreams: e.server.ActiveStreams(),
-			Utilization:   e.server.Utilization(),
-		}
-		m.healthSnapshot(&row)
-		out = append(out, row)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return m.servers.loads(m.now)
 }
 
 // Invoice itemizes the committed offer of a live session: one line per

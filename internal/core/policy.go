@@ -186,7 +186,7 @@ func (m *Manager) policyCandidates(run []offer.Ranked, g cost.Guarantee) []Polic
 			sid := ch.Variant.Server
 			info, ok := seen[sid]
 			if !ok {
-				info = m.policyServerInfo(sid)
+				info = m.servers.policyInfo(sid)
 				seen[sid] = info
 			}
 			dup := false
@@ -203,22 +203,6 @@ func (m *Manager) policyCandidates(run []offer.Ranked, g cost.Guarantee) []Polic
 		out[i] = c
 	}
 	return out
-}
-
-// policyServerInfo snapshots one server's live load and breaker history.
-func (m *Manager) policyServerInfo(id media.ServerID) PolicyServer {
-	info := PolicyServer{ID: id}
-	if e, ok := m.serverFor(id); ok {
-		info.ActiveStreams = e.server.ActiveStreams()
-		info.Utilization = e.server.Utilization()
-	}
-	m.healthMu.Lock()
-	if h, ok := m.health[id]; ok {
-		info.ConsecutiveFailures = h.consecutive
-		info.Quarantines = h.quarantines
-	}
-	m.healthMu.Unlock()
-	return info
 }
 
 // validPermutation reports whether perm is a permutation of 0..len(perm)-1.

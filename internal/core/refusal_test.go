@@ -35,7 +35,10 @@ func TestRefusalDetailText(t *testing.T) {
 			status: "server-down",
 			detail: "server-down server-1: core: media server down: server-1 quarantined for 1m30s",
 			setup: func(t *testing.T, b *bed, r offer.Ranked) (media.Document, profile.UserProfile, offer.Ranked) {
-				b.man.ApplyQuarantine("server-1", t0.Add(90*time.Second))
+				// Hard-down evidence at the frozen t0 quarantines server-1
+				// until t0+90s.
+				b.man.opts.Health.Cooldown = 90 * time.Second
+				b.man.recordCommitFailure(commitFailure{cause: CauseServerDown, kind: refusedReserve, server: "server-1", err: ErrServerDown})
 				return keep(t, b, r)
 			},
 		},

@@ -624,8 +624,8 @@ func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
 }
 
 // ShardStats fetches the per-shard breakdown of a daemon fronting a sharded
-// manager fleet: session counts, outcome counters and breaker states per
-// shard. A single-manager daemon answers with no rows.
+// manager fleet: session counts and outcome counters per shard. A
+// single-manager daemon answers with no rows.
 func (c *Client) ShardStats(ctx context.Context) ([]shard.Stat, error) {
 	resp, err := c.roundTrip(ctx, Envelope{Type: MsgStats}, true)
 	if err != nil {

@@ -34,8 +34,9 @@ type Config struct {
 	// Pricing is the initial tariff.
 	Pricing cost.Pricing
 	// Options is the per-shard manager configuration; the fleet installs
-	// each shard's handle as Options.Shard on that shard's copy. Every shard
-	// consults the same Selection and Adaptation policy objects.
+	// each shard's handle as Options.Shard on that shard's copy, which hands
+	// every shard the fleet's one server table. Every shard consults the
+	// same Selection and Adaptation policy objects.
 	Options core.Options
 	// Admission, when non-nil, gates negotiation-class work once at the
 	// router, before routing: refused work is answered FAILEDTRYLATER with
@@ -45,7 +46,7 @@ type Config struct {
 }
 
 // shardHandle is one manager shard. It is the shard's core.ShardHooks:
-// metric label, session-id allocator and breaker-trip publisher.
+// metric label, session-id allocator and the fleet's server table.
 type shardHandle struct {
 	fleet *Fleet
 	idx   int
@@ -65,6 +66,9 @@ type shardHandle struct {
 // unchanged.
 type Fleet struct {
 	shards []*shardHandle
+	// servers is the media servers and their circuit breaker, shared by
+	// every shard.
+	servers *core.ServerTable
 	// adm, when non-nil, gates negotiation-class work once at the router.
 	adm *admission.Controller
 	rr  atomic.Uint64
@@ -80,18 +84,20 @@ type Fleet struct {
 var _ core.SessionManager = (*Fleet)(nil)
 
 // New builds a fleet of cfg.Shards managers over the shared substrate. The
-// shards share the registry, the policy objects and the media servers
-// registered later via AddServer, so disk-round and network admission stay
-// global; each keeps its own offer cache, breaker table, tariff copy and a
-// disjoint session-id partition.
+// shards share the registry, the policy objects and one server table — the
+// media servers registered later via AddServer and their circuit breaker —
+// so disk-round and network admission and every quarantine are global; each
+// keeps its own offer cache, tariff copy and a disjoint session-id
+// partition.
 func New(cfg Config) *Fleet {
 	n := cfg.Shards
 	if n < 1 {
 		n = 1
 	}
 	f := &Fleet{
-		adm: cfg.Admission,
-		met: newFleetMetrics(cfg.Options.Metrics, n),
+		servers: core.NewServerTable(),
+		adm:     cfg.Admission,
+		met:     newFleetMetrics(cfg.Options.Metrics, n),
 	}
 	for i := 0; i < n; i++ {
 		sh := &shardHandle{fleet: f, idx: i}
@@ -126,20 +132,11 @@ func (sh *shardHandle) NextSessionID() core.SessionID {
 	}
 }
 
-// PublishQuarantine installs one local breaker trip on every sibling shard
-// before it returns. The manager calls it holding none of its locks, and
-// ApplyQuarantine never publishes, so two shards tripping at once can
-// neither deadlock nor echo.
-func (sh *shardHandle) PublishQuarantine(id media.ServerID, until time.Time) {
-	for _, sib := range sh.fleet.shards {
-		if sib != sh {
-			sib.mgr.ApplyQuarantine(id, until)
-		}
-	}
-}
+// Servers is the fleet's one server table.
+func (sh *shardHandle) Servers() *core.ServerTable { return sh.fleet.servers }
 
-// Sync is a no-op: shards share the registry and receive tariffs and
-// breaker trips directly, so there is nothing to catch up on. It remains
+// Sync is a no-op: shards share the registry and the server table and
+// receive tariffs directly, so there is nothing to catch up on. It remains
 // because the benchmark module calls it.
 func (f *Fleet) Sync() {}
 
@@ -284,26 +281,18 @@ func (f *Fleet) SetPricing(p cost.Pricing) {
 	}
 }
 
-// AddServer registers a media server with every shard. The server object is
-// shared: admission (disk rounds, utilization) is enforced by the server
-// itself, so capacity stays a global property however many shards front it.
+// AddServer registers a media server in the fleet's server table, which
+// every shard commits against. Admission (disk rounds, utilization) is
+// enforced by the server itself, so capacity stays a global property however
+// many shards front it.
 func (f *Fleet) AddServer(s core.MediaServer, node network.NodeID) {
-	for _, sh := range f.shards {
-		sh.mgr.AddServer(s, node)
-	}
+	f.shards[0].mgr.AddServer(s, node)
 }
 
-// Quarantined reports the longest remaining quarantine any shard holds for
-// the server.
+// Quarantined reports the server's remaining quarantine in the fleet's
+// server table.
 func (f *Fleet) Quarantined(id media.ServerID) (time.Duration, bool) {
-	var longest time.Duration
-	found := false
-	for _, sh := range f.shards {
-		if rem, ok := sh.mgr.Quarantined(id); ok && rem > longest {
-			longest, found = rem, true
-		}
-	}
-	return longest, found
+	return f.shards[0].mgr.Quarantined(id)
 }
 
 // Stats sums every shard's outcome counters plus the router-level shed
@@ -342,50 +331,10 @@ func addStats(a, b core.Stats) core.Stats {
 	return a
 }
 
-// ServerLoads merges the shards' views per server: load figures come from
-// the shared server objects (identical on every shard), breaker state is
-// the fleet-wide union — quarantined anywhere counts, the longest remaining
-// cooldown wins, failure counters sum across shards.
+// ServerLoads reports the fleet's server table: each server's load and
+// breaker state, sorted by id.
 func (f *Fleet) ServerLoads() []core.ServerLoad {
-	merged := make(map[media.ServerID]*core.ServerLoad)
-	var order []media.ServerID
-	for _, sh := range f.shards {
-		for _, row := range sh.mgr.ServerLoads() {
-			m, ok := merged[row.ID]
-			if !ok {
-				r := row
-				merged[row.ID] = &r
-				order = append(order, row.ID)
-				continue
-			}
-			m.Quarantined = m.Quarantined || row.Quarantined
-			if row.QuarantineMs > m.QuarantineMs {
-				m.QuarantineMs = row.QuarantineMs
-			}
-			if row.ConsecutiveFailures > m.ConsecutiveFailures {
-				m.ConsecutiveFailures = row.ConsecutiveFailures
-			}
-			m.DownFailures += row.DownFailures
-			m.ReserveFailures += row.ReserveFailures
-			m.ConnectFailures += row.ConnectFailures
-			m.Quarantines += row.Quarantines
-		}
-	}
-	out := make([]core.ServerLoad, 0, len(order))
-	for _, id := range order {
-		out = append(out, *merged[id])
-	}
-	return out
-}
-
-// Breaker is one shard's circuit-breaker view of one server, reported by
-// ShardStats only for servers with live breaker state.
-type Breaker struct {
-	Server              media.ServerID `json:"server"`
-	Quarantined         bool           `json:"quarantined,omitempty"`
-	QuarantineMs        int64          `json:"quarantineMs,omitempty"`
-	ConsecutiveFailures int            `json:"consecutiveFailures,omitempty"`
-	Quarantines         int            `json:"quarantines,omitempty"`
+	return f.shards[0].mgr.ServerLoads()
 }
 
 // Stat is one shard's row in the per-shard ops view (`qosctl shards`).
@@ -398,35 +347,20 @@ type Stat struct {
 	// BusLag always reads 0: shards share state, so none lags. The field
 	// remains because the benchmark module reads it.
 	BusLag uint64 `json:"busLag"`
-	// Breakers lists the servers this shard's circuit breaker holds state
-	// for.
-	Breakers []Breaker `json:"breakers,omitempty"`
 }
 
-// ShardStats snapshots each shard's session count, outcome counters and
-// breaker states. The protocol server detects this method on
-// its manager via interface assertion and attaches the rows to MsgStats
-// answers, which is how `qosctl shards` sees them.
+// ShardStats snapshots each shard's session count and outcome counters. The
+// protocol server detects this method on its manager via interface
+// assertion and attaches the rows to MsgStats answers, which is how `qosctl
+// shards` sees them.
 func (f *Fleet) ShardStats() []Stat {
 	out := make([]Stat, len(f.shards))
 	for i, sh := range f.shards {
-		st := Stat{
+		out[i] = Stat{
 			Shard:    i,
 			Sessions: sh.mgr.LiveSessions(),
 			Stats:    sh.mgr.Stats(),
 		}
-		for _, row := range sh.mgr.ServerLoads() {
-			if row.Quarantined || row.ConsecutiveFailures > 0 || row.Quarantines > 0 {
-				st.Breakers = append(st.Breakers, Breaker{
-					Server:              row.ID,
-					Quarantined:         row.Quarantined,
-					QuarantineMs:        row.QuarantineMs,
-					ConsecutiveFailures: row.ConsecutiveFailures,
-					Quarantines:         row.Quarantines,
-				})
-			}
-		}
-		out[i] = st
 	}
 	return out
 }

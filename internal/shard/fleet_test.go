@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -281,26 +282,39 @@ func TestFleetSharedState(t *testing.T) {
 	}
 }
 
-// quarantinedOn reports, per shard, whether the shard's breaker holds the
-// server quarantined.
+// quarantinedOn reports, per shard, whether the shard holds the server
+// quarantined.
 func quarantinedOn(bed *testbed.Bed, server media.ServerID) []bool {
-	var out []bool
-	for _, row := range bed.Fleet.ShardStats() {
-		q := false
-		for _, b := range row.Breakers {
-			q = q || (b.Server == server && b.Quarantined)
-		}
-		out = append(out, q)
+	out := make([]bool, bed.Fleet.Shards())
+	for i := range out {
+		_, out[i] = shard.Manager(bed.Fleet, i).Quarantined(server)
 	}
 	return out
 }
 
+// serverLoad returns the fleet's ServerLoads row for one server.
+func serverLoad(t *testing.T, bed *testbed.Bed, id media.ServerID) core.ServerLoad {
+	t.Helper()
+	for _, row := range bed.Manager.ServerLoads() {
+		if row.ID == id {
+			return row
+		}
+	}
+	t.Fatalf("ServerLoads has no row for %s", id)
+	return core.ServerLoad{}
+}
+
 // One shard's breaker evidence must exclude the server fleet-wide: by the
 // time the negotiation whose commit tripped the breaker returns, every
-// shard reports the server quarantined.
+// shard reports the server quarantined. The shards share one breaker, so
+// the trip is one fact: Stats, the quarantine counter and ServerLoads each
+// count it once, and the consecutive-failures gauge agrees with
+// ServerLoads.
 func TestCrossShardQuarantinePropagation(t *testing.T) {
 	inj := faults.New(7)
+	reg := telemetry.NewRegistry()
 	opts := core.DefaultOptions()
+	opts.Metrics = reg
 	opts.Health = core.HealthPolicy{
 		FailureThreshold: 1,
 		Cooldown:         time.Hour, // outlasts the test: no shard may time out of it
@@ -312,8 +326,7 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	}
 	inj.Crash("server-1")
 	// Negotiate until some shard's breaker trips on the crashed server. The
-	// round-robin placement means the tripping shard is arbitrary; the
-	// other three hold only the evidence it handed them.
+	// round-robin placement means the tripping shard is arbitrary.
 	tripped := false
 	for i := 0; i < 32 && !tripped; i++ {
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
@@ -336,8 +349,8 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	if _, q := bed.Manager.Quarantined("server-1"); !q {
 		t.Fatal("fleet does not report server-1 quarantined after a trip")
 	}
-	// Per-shard counters are what each shard's breaker recorded, trips
-	// installed from a sibling included, and the aggregate is their sum.
+	// Per-shard counters are what each shard's commits tripped, and the
+	// aggregate is their sum.
 	quarantines := 0
 	for _, row := range bed.Fleet.ShardStats() {
 		quarantines += row.Stats.Quarantines
@@ -345,12 +358,163 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	if st := bed.Manager.Stats(); st.Quarantines != quarantines {
 		t.Errorf("aggregate quarantines %d != sum of shard quarantines %d", st.Quarantines, quarantines)
 	}
+
+	// One trip reads as one everywhere.
+	if got := bed.Manager.Stats().Quarantines; got != 1 {
+		t.Errorf("Stats().Quarantines = %d, want 1 (one trip)", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.CounterValue(core.MetricQuarantines, ""); got != 1 {
+		t.Errorf("%s = %d, want 1 (one trip)", core.MetricQuarantines, got)
+	}
+	row := serverLoad(t, bed, "server-1")
+	if row.Quarantines != 1 {
+		t.Errorf("ServerLoads server-1 quarantines = %d, want 1 (one trip)", row.Quarantines)
+	}
+	gauge, found := int64(0), false
+	for _, g := range snap.Gauges {
+		if g.Name == core.MetricConsecutive && g.Labels["server"] == "server-1" {
+			gauge, found = g.Value, true
+		}
+	}
+	if !found || gauge != int64(row.ConsecutiveFailures) {
+		t.Errorf("%s{server=server-1} = %d (found %v), ServerLoads reads %d", core.MetricConsecutive, gauge, found, row.ConsecutiveFailures)
+	}
 }
 
-// Two shards trip their breakers on two different servers at the same
-// time; each trip is installed on the sibling while the sibling may be
-// tripping too. Both shards must end with both servers quarantined, and
-// neither negotiation may hang. Run under -race.
+// errClass names an operation's error by its sentinel: the texts carry
+// session ids, which differ between fleets of different sizes.
+func errClass(err error) string {
+	for _, e := range []error{core.ErrBadState, core.ErrChoicePeriodExpired, core.ErrUnknownSession} {
+		if errors.Is(err, e) {
+			return e.Error()
+		}
+	}
+	if err != nil {
+		return "error"
+	}
+	return "ok"
+}
+
+// breakerScript drives one seeded sequential script through a fleet of the
+// given size under DefaultHealthPolicy: negotiations, confirms, rejects and
+// completions mixed with fault weather (crash and restart, reserve-failure
+// rates, server degradation). It returns what the script observed: every
+// operation's outcome and chosen offer, then the fleet's outcome, commit
+// and quarantine counters and its ServerLoads. Offer-cache counters are
+// left out, since each shard keeps its own cache, and so is the remaining
+// quarantine time, which reads the wall clock. The counters are returned
+// too.
+func breakerScript(t *testing.T, shards int, seed int64, ops int) ([]string, core.Stats) {
+	t.Helper()
+	inj := faults.New(seed)
+	opts := core.DefaultOptions()
+	opts.Health = core.DefaultHealthPolicy()
+	bed := testbed.MustNew(testbed.Spec{Shards: shards, Servers: 4, Faults: inj, Options: &opts})
+	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRand(seed)
+	ids := bed.ServerIDs()
+	var live []core.SessionID
+	var out []string
+	record := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+	// settle runs a session operation on a random live session and drops
+	// the session from the script once it ended.
+	settle := func(op string, do func(core.SessionID) error) {
+		if len(live) == 0 {
+			return
+		}
+		i := rng.Intn(len(live))
+		err := do(live[i])
+		record("%s %d %s", op, i, errClass(err))
+		if err == nil && op != "confirm" {
+			live = append(live[:i], live[i+1:]...)
+		}
+	}
+	for n := 0; n < ops; n++ {
+		switch rng.Intn(14) {
+		case 0, 1, 2, 3, 4, 5:
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+rng.Intn(2)), "news-1", stressProfile())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := ""
+			if res.Session != nil {
+				key = res.Session.CurrentOffer().Key()
+				live = append(live, res.Session.ID)
+			}
+			record("negotiate %v %q %s", res.Status, res.Reason, key)
+		case 6, 7:
+			settle("confirm", bed.Manager.Confirm)
+		case 8:
+			settle("reject", bed.Manager.Reject)
+		case 9, 10, 11:
+			settle("complete", bed.Manager.Complete)
+		default:
+			id := ids[rng.Intn(len(ids))]
+			switch rng.Intn(8) {
+			case 0:
+				inj.Crash(id)
+				record("crash %s", id)
+			case 1, 2:
+				inj.Restart(id)
+				record("restart %s", id)
+			case 3, 4:
+				p := float64(rng.Intn(3)) * 0.15
+				inj.SetReserveFailure(p)
+				record("reserve-failure %g", p)
+			default:
+				d := float64(rng.Intn(3)) * 0.4
+				if err := bed.Servers[id].SetDegradation(d); err != nil {
+					t.Fatal(err)
+				}
+				record("degrade %s %g", id, d)
+			}
+		}
+	}
+	for _, id := range live {
+		bed.Manager.Abort(id)
+	}
+	if err := bed.Ledger.CheckEmpty(); err != nil {
+		t.Errorf("shards=%d seed %d: %v", shards, seed, err)
+	}
+	st := bed.Manager.Stats()
+	st.OfferCacheHits, st.OfferCacheMisses, st.OfferCacheInvalidations, st.OfferCacheEntries = 0, 0, 0, 0
+	record("stats %+v", st)
+	for _, row := range bed.Manager.ServerLoads() {
+		row.QuarantineMs = 0
+		record("load %+v", row)
+	}
+	return out, st
+}
+
+// A fleet's breaker equals one shard's: the shards share one server table,
+// so the same script drives the same trips, resets and commitments on a
+// 1-shard and a 4-shard fleet. The 30 s default cooldown outlasts a script,
+// so many short scripts cover more breaker transitions than one long one.
+// Run under -race.
+func TestFleetBreakerMatchesOneShard(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		one, st := breakerScript(t, 1, seed, 90)
+		four, _ := breakerScript(t, 4, seed, 90)
+		for i := 0; i < len(one) && i < len(four); i++ {
+			if one[i] != four[i] {
+				t.Fatalf("seed %d: observation %d diverged\n one shard: %s\nfour shards: %s", seed, i, one[i], four[i])
+			}
+		}
+		if len(one) != len(four) {
+			t.Fatalf("seed %d: %d observations on one shard vs %d on four", seed, len(one), len(four))
+		}
+		if st.Succeeded == 0 || st.Quarantines == 0 {
+			t.Errorf("seed %d: the script must both commit and trip the breaker: %+v", seed, st)
+		}
+	}
+}
+
+// Two shards trip the shared breaker on two different servers at the same
+// time. Both shards must end with both servers quarantined, neither
+// negotiation may hang, and the ledger must end empty. Run under -race.
 func TestConcurrentCrossShardTrips(t *testing.T) {
 	servers := []media.ServerID{"server-1", "server-2"}
 	for round := 0; round < 20; round++ {

@@ -186,8 +186,9 @@ func WithAdmission(c *admission.Controller) Option {
 // runs behind consistent-hash session routing (see internal/shard and
 // DESIGN.md §14): new negotiations are placed round-robin, session
 // operations route by session id, every shard reads the one document
-// catalog, and tariff changes and breaker trips reach every shard before the
-// call that made them returns. System.Fleet holds the fleet handle;
+// catalog and commits against the one server table (servers and circuit
+// breaker), and tariff changes reach every shard before the call that made
+// them returns. System.Fleet holds the fleet handle;
 // System.Manager remains the single surface callers use. The default is one
 // shard, which allocates session ids 1, 2, 3 …; n < 1 means 1.
 func WithShards(n int) Option {

@@ -49,6 +49,12 @@ if grep -rnE 'BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs' --inc
 	exit 1
 fi
 
+echo "== one breaker table"
+if grep -rnE 'ApplyQuarantine|PublishQuarantine|Breakers' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+	echo "check: a fleet's shards share one server table; a quarantine is one fact, never copied from shard to shard" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 
@@ -70,7 +76,7 @@ echo "== sharded lifecycle stress gate (race, short)"
 go test -race -short -count=1 -run 'TestShardLifecycleStress' ./internal/shard
 
 echo "== sharded shared-state gate (race)"
-go test -race -count=1 -run 'TestFleetSharedState|TestCrossShardQuarantinePropagation|TestConcurrentCrossShardTrips' ./internal/shard
+go test -race -count=1 -run 'TestFleetSharedState|TestCrossShardQuarantinePropagation|TestConcurrentCrossShardTrips|TestFleetBreakerMatchesOneShard' ./internal/shard
 go test -race -count=1 -run 'TestBanditFleetPropagation' ./internal/policy
 
 echo "== overload shed gate (race, short)"

@@ -13,17 +13,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qosneg/internal/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E12, F1, F2) or \"all\"")
+	all := experiments.All()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
+	}
+	exp := flag.String("exp", "all", "experiment id ("+strings.Join(ids, ", ")+") or \"all\"")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	flag.Parse()
 
 	if *list {
-		for _, e := range experiments.All() {
+		for _, e := range all {
 			fmt.Printf("%-4s %-60s [%s]\n", e.ID, e.Title, e.Paper)
 		}
 		return

@@ -40,109 +40,120 @@ import (
 )
 
 // managerOptions is the flag→options wiring of the QoS manager and its
-// tracer: the core options, and the ring behind /debug/trace, teed to logf
-// under -verbose so that every negotiation decision is logged, once.
+// tracer: the offer cache, the circuit breaker, and the ring behind
+// /debug/trace, teed to logf under -verbose so that every negotiation
+// decision is logged, once.
 func managerOptions(offerCache int, health core.HealthPolicy, verbose bool, ring *telemetry.Ring, logf func(format string, args ...any)) []qosneg.Option {
-	opts := core.DefaultOptions()
-	opts.OfferCache = offerCache
-	opts.Health = health
 	var tracer telemetry.Tracer = ring
 	if verbose {
 		tracer = telemetry.Multi(ring, telemetry.LogTracer(logf))
 	}
-	return []qosneg.Option{qosneg.WithOptions(opts), qosneg.WithTracer(tracer)}
+	return []qosneg.Option{qosneg.WithOfferCache(offerCache), qosneg.WithHealthPolicy(health), qosneg.WithTracer(tracer)}
+}
+
+// flags is the daemon's command line.
+type flags struct {
+	addr, catalog, tariff, debugAddr, faultCrash, policy       string
+	servers, clients, shards, maxStreams, traceDepth, articles int
+	offerCache, healthThreshold                                int
+	verbose, admit                                             bool
+	healthCooldown, retryAfter, faultLatency, sloP99           time.Duration
+	faultSeed                                                  int64
+	faultReserve, faultConnect                                 float64
+}
+
+// defineFlags registers the daemon's flags on fs.
+func defineFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:7000", "TCP listen address")
+	fs.IntVar(&f.servers, "servers", 2, "number of CMFS servers")
+	fs.IntVar(&f.clients, "clients", 4, "number of provisioned client attachment points")
+	fs.IntVar(&f.shards, "shards", 1, "manager shards behind consistent-hash session routing")
+	fs.StringVar(&f.catalog, "catalog", "", "JSON document catalog to load (default: synthesize articles)")
+	fs.StringVar(&f.tariff, "pricing", "", "JSON tariff to load (default: built-in cost tables)")
+	fs.BoolVar(&f.verbose, "verbose", false, "log every negotiation decision (the QoS manager's trace)")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "HTTP address for /metrics, /debug/vars, /debug/trace and /debug/pprof (empty disables)")
+	fs.IntVar(&f.maxStreams, "max-streams", 0, "concurrent streams per multiplexed connection (0 selects the protocol default)")
+	fs.IntVar(&f.traceDepth, "trace-depth", 256, "negotiation spans retained for /debug/trace")
+	fs.IntVar(&f.articles, "articles", 5, "synthetic articles to create when no catalog is given")
+	fs.IntVar(&f.offerCache, "offer-cache", 0, "candidate-set cache entries (0 selects the default size, negative disables caching)")
+	fs.IntVar(&f.healthThreshold, "health-threshold", 3, "consecutive commit failures that quarantine a server (0 disables the breaker)")
+	fs.DurationVar(&f.healthCooldown, "health-cooldown", core.DefaultCooldown, "quarantine period after the breaker trips")
+	fs.DurationVar(&f.retryAfter, "retry-after", core.DefaultRetryAfter, "retry hint attached to FAILEDTRYLATER results")
+	fs.Int64Var(&f.faultSeed, "fault-seed", 0, "seed for the deterministic fault injector (0 disables injection unless another -fault-* flag is set)")
+	fs.StringVar(&f.faultCrash, "fault-crash", "", "comma-separated server ids to crash at startup (e.g. server-1)")
+	fs.Float64Var(&f.faultReserve, "fault-reserve-failure", 0, "probability an injected Reserve fails")
+	fs.Float64Var(&f.faultConnect, "fault-connect-failure", 0, "probability an injected Connect fails")
+	fs.DurationVar(&f.faultLatency, "fault-latency", 0, "injected latency per Reserve/Connect")
+	fs.BoolVar(&f.admit, "admission", false, "enable SLO-driven admission control: overloaded negotiations are shed with FAILEDTRYLATER and a load-derived retry hint")
+	fs.DurationVar(&f.sloP99, "slo-p99", admission.DefaultSLO, "negotiation-latency p99 target the admission controller defends (with -admission)")
+	fs.StringVar(&f.policy, "policy", "", "policy ordering commitment attempts and adaptation targets among equally-ranked offers: static (the paper's fixed tie-break, the default) or bandit (online contextual bandit that learns which servers commit reliably)")
+	return f
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7000", "TCP listen address")
-	servers := flag.Int("servers", 2, "number of CMFS servers")
-	clients := flag.Int("clients", 4, "number of provisioned client attachment points")
-	shards := flag.Int("shards", 1, "manager shards behind consistent-hash session routing")
-	catalog := flag.String("catalog", "", "JSON document catalog to load (default: synthesize articles)")
-	tariff := flag.String("pricing", "", "JSON tariff to load (default: built-in cost tables)")
-	verbose := flag.Bool("verbose", false, "log every negotiation decision (the QoS manager's trace)")
-	debugAddr := flag.String("debug-addr", "", "HTTP address for /metrics, /debug/vars, /debug/trace and /debug/pprof (empty disables)")
-	maxStreams := flag.Int("max-streams", 0, "concurrent streams per multiplexed connection (0 selects the protocol default)")
-	traceDepth := flag.Int("trace-depth", 256, "negotiation spans retained for /debug/trace")
-	articles := flag.Int("articles", 5, "synthetic articles to create when no catalog is given")
-	offerCache := flag.Int("offer-cache", 0, "candidate-set cache entries (0 selects the default size, negative disables caching)")
-	healthThreshold := flag.Int("health-threshold", 3, "consecutive commit failures that quarantine a server (0 disables the breaker)")
-	healthCooldown := flag.Duration("health-cooldown", core.DefaultCooldown, "quarantine period after the breaker trips")
-	retryAfter := flag.Duration("retry-after", core.DefaultRetryAfter, "retry hint attached to FAILEDTRYLATER results")
-	faultSeed := flag.Int64("fault-seed", 0, "seed for the deterministic fault injector (0 disables injection unless another -fault-* flag is set)")
-	faultCrash := flag.String("fault-crash", "", "comma-separated server ids to crash at startup (e.g. server-1)")
-	faultReserve := flag.Float64("fault-reserve-failure", 0, "probability an injected Reserve fails")
-	faultConnect := flag.Float64("fault-connect-failure", 0, "probability an injected Connect fails")
-	faultLatency := flag.Duration("fault-latency", 0, "injected latency per Reserve/Connect")
-	admit := flag.Bool("admission", false, "enable SLO-driven admission control: overloaded negotiations are shed with FAILEDTRYLATER and a load-derived retry hint")
-	sloP99 := flag.Duration("slo-p99", admission.DefaultSLO, "negotiation-latency p99 target the admission controller defends (with -admission)")
-	policyName := flag.String("policy", "", "selection/adaptation policy ordering commitment attempts among equally-ranked offers: static (the paper's fixed tie-break, the default) or bandit (online contextual bandit that learns which servers commit reliably)")
-	policySeed := flag.Int64("policy-seed", 1, "deterministic seed for the bandit policy's exploration (with -policy bandit)")
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
 
 	reg := telemetry.NewRegistry()
-	ring := telemetry.NewRing(*traceDepth)
-	options := append(managerOptions(*offerCache, core.HealthPolicy{
-		FailureThreshold: *healthThreshold,
-		Cooldown:         *healthCooldown,
-		RetryAfter:       *retryAfter,
-	}, *verbose, ring, log.Printf),
+	ring := telemetry.NewRing(f.traceDepth)
+	options := append(managerOptions(f.offerCache, core.HealthPolicy{
+		FailureThreshold: f.healthThreshold,
+		Cooldown:         f.healthCooldown,
+		RetryAfter:       f.retryAfter,
+	}, f.verbose, ring, log.Printf),
 		qosneg.WithMetrics(reg),
-		qosneg.WithClients(*clients),
-		qosneg.WithServers(*servers),
-		qosneg.WithShards(*shards),
+		qosneg.WithClients(f.clients),
+		qosneg.WithServers(f.servers),
+		qosneg.WithShards(f.shards),
 	)
-	switch *policyName {
+	switch f.policy {
 	case "", "static":
 		// The fixed tie-break; installing policy.Static would be equivalent.
 	case "bandit":
-		cfg := policy.DefaultConfig()
-		cfg.Seed = *policySeed
-		b := policy.NewBandit(cfg)
-		options = append(options,
-			qosneg.WithSelectionPolicy(b), qosneg.WithAdaptationPolicy(b))
-		log.Printf("bandit selection policy armed (seed %d)", *policySeed)
+		options = append(options, qosneg.WithPolicy(policy.NewBandit()))
+		log.Printf("bandit policy armed")
 	default:
-		log.Fatalf("qosnegd: unknown -policy %q (want static or bandit)", *policyName)
+		log.Fatalf("qosnegd: unknown -policy %q (want static or bandit)", f.policy)
 	}
 	var ctrl *admission.Controller
-	if *admit {
-		ctrl = admission.New(admission.Config{SLO: *sloP99})
+	if f.admit {
+		ctrl = admission.New(admission.Config{SLO: f.sloP99})
 		options = append(options, qosneg.WithAdmission(ctrl))
-		log.Printf("admission control armed (p99 SLO %s)", *sloP99)
+		log.Printf("admission control armed (p99 SLO %s)", f.sloP99)
 	}
 	var inj *faults.Injector
-	if *faultSeed != 0 || *faultCrash != "" || *faultReserve > 0 || *faultConnect > 0 || *faultLatency > 0 {
-		seed := *faultSeed
+	if f.faultSeed != 0 || f.faultCrash != "" || f.faultReserve > 0 || f.faultConnect > 0 || f.faultLatency > 0 {
+		seed := f.faultSeed
 		if seed == 0 {
 			seed = 1
 		}
 		inj = faults.New(seed)
 		options = append(options, qosneg.WithFaultInjector(inj))
 	}
-	if *tariff != "" {
-		p, err := cost.LoadPricing(*tariff)
+	if f.tariff != "" {
+		p, err := cost.LoadPricing(f.tariff)
 		if err != nil {
 			log.Fatalf("qosnegd: loading tariff: %v", err)
 		}
 		options = append(options, qosneg.WithPricing(p))
-		log.Printf("loaded tariff from %s", *tariff)
+		log.Printf("loaded tariff from %s", f.tariff)
 	}
 	sys, err := qosneg.New(options...)
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}
 	if inj != nil {
-		if *faultReserve > 0 {
-			inj.SetReserveFailure(*faultReserve)
+		if f.faultReserve > 0 {
+			inj.SetReserveFailure(f.faultReserve)
 		}
-		if *faultConnect > 0 {
-			inj.SetConnectFailure(*faultConnect)
+		if f.faultConnect > 0 {
+			inj.SetConnectFailure(f.faultConnect)
 		}
-		if *faultLatency > 0 {
-			inj.SetLatency(*faultLatency)
+		if f.faultLatency > 0 {
+			inj.SetLatency(f.faultLatency)
 		}
-		for _, id := range strings.Split(*faultCrash, ",") {
+		for _, id := range strings.Split(f.faultCrash, ",") {
 			id = strings.TrimSpace(id)
 			if id == "" {
 				continue
@@ -153,35 +164,35 @@ func main() {
 			log.Printf("fault injector: crashed %s at startup", id)
 		}
 		log.Printf("fault injector armed (reserve-fail %.2f, connect-fail %.2f, latency %s)",
-			*faultReserve, *faultConnect, *faultLatency)
+			f.faultReserve, f.faultConnect, f.faultLatency)
 	}
-	if *catalog != "" {
-		if err := sys.Registry.LoadFile(*catalog); err != nil {
+	if f.catalog != "" {
+		if err := sys.Registry.LoadFile(f.catalog); err != nil {
 			log.Fatalf("qosnegd: loading catalog: %v", err)
 		}
-		log.Printf("loaded %d documents from %s", sys.Registry.Len(), *catalog)
+		log.Printf("loaded %d documents from %s", sys.Registry.Len(), f.catalog)
 	} else {
-		for i := 1; i <= *articles; i++ {
+		for i := 1; i <= f.articles; i++ {
 			id := media.DocumentID(fmt.Sprintf("news-%d", i))
 			title := fmt.Sprintf("Synthetic article %d", i)
 			if _, err := sys.AddNewsArticle(id, title, 2*time.Minute); err != nil {
 				log.Fatalf("qosnegd: %v", err)
 			}
 		}
-		log.Printf("synthesized %d articles", *articles)
+		log.Printf("synthesized %d articles", f.articles)
 	}
 
-	l, err := net.Listen("tcp", *addr)
+	l, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}
 	srv := protocol.NewServer(sys.Manager, sys.Registry,
-		protocol.WithServerWire(protocol.WireOptions{MaxStreams: *maxStreams}), protocol.WithServerAdmission(ctrl))
+		protocol.WithServerWire(protocol.WireOptions{MaxStreams: f.maxStreams}), protocol.WithServerAdmission(ctrl))
 	srv.Instrument(reg)
 	playout := protocol.AttachPlayout(srv, sys.Manager, 100*time.Millisecond)
 
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
+	if f.debugAddr != "" {
+		dl, err := net.Listen("tcp", f.debugAddr)
 		if err != nil {
 			log.Fatalf("qosnegd: debug listener: %v", err)
 		}
@@ -225,7 +236,7 @@ func main() {
 	}()
 
 	log.Printf("qosnegd listening on %s (%d manager shards, %d servers, %d client slots, real-time playout on)",
-		l.Addr(), sys.Fleet.Shards(), *servers, *clients)
+		l.Addr(), sys.Fleet.Shards(), f.servers, f.clients)
 	if err := srv.Serve(l); err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"qosneg"
 	"qosneg/internal/core"
+	"qosneg/internal/testbed"
 )
 
 // TestErrorContract exercises every typed sentinel the package comment
@@ -48,14 +49,15 @@ func TestErrorContract(t *testing.T) {
 	// multi-variant document.
 	opts := core.DefaultOptions()
 	opts.MaxOffers = 1
-	tight, err := qosneg.New(qosneg.WithClients(1), qosneg.WithServers(2), qosneg.WithOptions(opts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tight := testbed.MustNew(testbed.Spec{Clients: 1, Servers: 2, Options: &opts})
 	if _, err := tight.AddNewsArticle("news-1", "Election night", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tight.Negotiate(ctx, "client-1", "news-1", "tv-quality"); !errors.Is(err, qosneg.ErrTooManyOffers) {
+	u, err := sys.Profiles.Get("tv-quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tight.Manager.NegotiateContext(ctx, tight.Client(1), "news-1", u); !errors.Is(err, qosneg.ErrTooManyOffers) {
 		t.Errorf("tight MaxOffers: %v, want ErrTooManyOffers", err)
 	}
 }

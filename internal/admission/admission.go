@@ -1,7 +1,7 @@
 // Package admission implements SLO-driven admission control for the QoS
 // manager: a controller that watches the signals the stack already
-// produces — negotiation latency (p99 against a declared SLO), in-flight
-// counts and ledger-tracked resource occupancy — and decides, before step
+// produces — negotiation latency (p99 against a declared SLO) and in-flight
+// counts — and decides, before step
 // 1 of the procedure runs, whether new work is admitted or shed with a
 // FAILEDTRYLATER carrying a load-derived RetryAfter hint.
 //
@@ -65,23 +65,6 @@ type Config struct {
 	// throttles below it, so a breached SLO degrades throughput gradually
 	// instead of collapsing it. Default GOMAXPROCS.
 	MinInFlight int
-	// Window is how much latency history feeds the p99 estimate.
-	// Default 2s.
-	Window time.Duration
-	// MinRetryAfter and MaxRetryAfter bound the MIAD retry hint.
-	// Defaults 100ms and 10s.
-	MinRetryAfter time.Duration
-	MaxRetryAfter time.Duration
-	// HintDecay is the additive decrease applied to the retry hint per
-	// healthy adjustment interval. Default 100ms.
-	HintDecay time.Duration
-	// Occupancy, when non-nil together with MaxOccupancy > 0, is polled on
-	// every admission decision; at or above MaxOccupancy new work is shed.
-	// The facade wires it to the resource ledger's open-entry count, so a
-	// substrate saturated with held reservations refuses new sessions even
-	// when negotiation latency still looks healthy.
-	Occupancy    func() int
-	MaxOccupancy int
 	// Clock overrides the time source; tests use it. Default time.Now.
 	Clock func() time.Time
 }
@@ -99,26 +82,27 @@ func (c Config) withDefaults() Config {
 	if c.MinInFlight > c.MaxInFlight {
 		c.MinInFlight = c.MaxInFlight
 	}
-	if c.Window <= 0 {
-		c.Window = 2 * time.Second
-	}
-	if c.MinRetryAfter <= 0 {
-		c.MinRetryAfter = 100 * time.Millisecond
-	}
-	if c.MaxRetryAfter <= 0 {
-		c.MaxRetryAfter = 10 * time.Second
-	}
-	if c.MaxRetryAfter < c.MinRetryAfter {
-		c.MaxRetryAfter = c.MinRetryAfter
-	}
-	if c.HintDecay <= 0 {
-		c.HintDecay = 100 * time.Millisecond
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
 }
+
+// window is how much latency history feeds the p99 estimate; minRetryAfter
+// and maxRetryAfter bound the MIAD retry hint, and hintDecay is its additive
+// decrease per healthy adjustment interval. The hint doubles at most once
+// per growEvery, so a shed storm walks it up in decades rather than
+// saturating on the first burst; the limit adjusts at most once per
+// adjustWait so one slow outlier cannot halve it repeatedly within a single
+// window.
+const (
+	window        = 2 * time.Second
+	minRetryAfter = 100 * time.Millisecond
+	maxRetryAfter = 10 * time.Second
+	hintDecay     = 100 * time.Millisecond
+	growEvery     = 100 * time.Millisecond
+	adjustWait    = window / 8
+)
 
 // ringSize bounds the latency window's sample buffer; at 4096 samples the
 // p99 estimate rests on the freshest ~40 above-p99 observations.
@@ -130,8 +114,8 @@ type sample struct {
 }
 
 // Controller is the admission gate. Decisions read two atomics (in-flight
-// count and limit) plus an optional occupancy poll; the mutex only covers
-// the latency window and the periodic AIMD/MIAD adjustment.
+// count and limit); the mutex only covers the latency window and the
+// periodic AIMD/MIAD adjustment.
 type Controller struct {
 	cfg Config
 
@@ -144,10 +128,6 @@ type Controller struct {
 	admitted atomic.Uint64
 	sheds    atomic.Uint64
 
-	// occ is swappable after construction (the facade binds it to the
-	// ledger once the testbed exists).
-	occ atomic.Pointer[func() int]
-
 	mu         sync.Mutex
 	samples    [ringSize]sample
 	head       int // next write position
@@ -157,14 +137,12 @@ type Controller struct {
 	p99Ns      atomic.Int64 // last computed windowed p99
 
 	// Telemetry, installed by Instrument; all nil-safe when absent.
-	shedCtr    *telemetry.Counter
-	admitCtr   *telemetry.Counter
-	inflightG  *telemetry.Gauge
-	limitG     *telemetry.Gauge
-	hintG      *telemetry.Gauge
-	p99G       *telemetry.Gauge
-	growEvery  time.Duration
-	adjustWait time.Duration
+	shedCtr   *telemetry.Counter
+	admitCtr  *telemetry.Counter
+	inflightG *telemetry.Gauge
+	limitG    *telemetry.Gauge
+	hintG     *telemetry.Gauge
+	p99G      *telemetry.Gauge
 }
 
 // New builds a controller; zero config fields take defaults.
@@ -172,34 +150,8 @@ func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg}
 	c.limit.Store(int64(cfg.MaxInFlight))
-	c.hintNs.Store(int64(cfg.MinRetryAfter))
-	if cfg.Occupancy != nil {
-		fn := cfg.Occupancy
-		c.occ.Store(&fn)
-	}
-	// The hint doubles at most once per growEvery, so a shed storm walks it
-	// up in decades rather than saturating on the first burst; the limit
-	// adjusts at most once per adjustWait so one slow outlier cannot halve
-	// it repeatedly within a single window.
-	c.growEvery = 100 * time.Millisecond
-	c.adjustWait = cfg.Window / 8
-	if c.adjustWait < 25*time.Millisecond {
-		c.adjustWait = 25 * time.Millisecond
-	}
+	c.hintNs.Store(int64(minRetryAfter))
 	return c
-}
-
-// SetOccupancy binds the occupancy signal after construction; the facade
-// uses it to point the controller at the resource ledger. Nil-safe.
-func (c *Controller) SetOccupancy(fn func() int) {
-	if c == nil {
-		return
-	}
-	if fn == nil {
-		c.occ.Store(nil)
-		return
-	}
-	c.occ.Store(&fn)
 }
 
 // Instrument registers the controller's metric series; a nil registry (or
@@ -241,9 +193,6 @@ func (c *Controller) Admit() (release func(), retryAfter time.Duration, ok bool)
 	if c == nil {
 		return nil, 0, true
 	}
-	if c.overOccupancy() {
-		return nil, c.shed(), false
-	}
 	if n := c.inflight.Add(1); n > c.limit.Load() {
 		c.inflight.Add(-1)
 		return nil, c.shed(), false
@@ -267,7 +216,7 @@ func (c *Controller) Saturated() (retryAfter time.Duration, saturated bool) {
 	if c == nil {
 		return 0, false
 	}
-	if c.inflight.Load() >= c.limit.Load() || c.overOccupancy() {
+	if c.inflight.Load() >= c.limit.Load() {
 		return c.shed(), true
 	}
 	return 0, false
@@ -282,14 +231,6 @@ func (c *Controller) RetryHint() time.Duration {
 	return time.Duration(c.hintNs.Load())
 }
 
-func (c *Controller) overOccupancy() bool {
-	if c.cfg.MaxOccupancy <= 0 {
-		return false
-	}
-	fn := c.occ.Load()
-	return fn != nil && (*fn)() >= c.cfg.MaxOccupancy
-}
-
 // shed counts one refusal and applies the hint's multiplicative increase,
 // rate-limited to once per growEvery so a burst of sheds walks the hint up
 // instead of slamming it to the cap.
@@ -298,11 +239,11 @@ func (c *Controller) shed() time.Duration {
 	c.shedCtr.Inc()
 	now := c.cfg.Clock()
 	c.mu.Lock()
-	if now.Sub(c.lastGrow) >= c.growEvery {
+	if now.Sub(c.lastGrow) >= growEvery {
 		c.lastGrow = now
 		h := 2 * time.Duration(c.hintNs.Load())
-		if h > c.cfg.MaxRetryAfter {
-			h = c.cfg.MaxRetryAfter
+		if h > maxRetryAfter {
+			h = maxRetryAfter
 		}
 		c.hintNs.Store(int64(h))
 		c.hintG.Set(int64(h / time.Millisecond))
@@ -323,7 +264,7 @@ func (c *Controller) observe(lat time.Duration) {
 	if c.count < ringSize {
 		c.count++
 	}
-	if now.Sub(c.lastAdjust) < c.adjustWait {
+	if now.Sub(c.lastAdjust) < adjustWait {
 		c.mu.Unlock()
 		return
 	}
@@ -341,9 +282,9 @@ func (c *Controller) observe(lat time.Duration) {
 			lim = int64(c.cfg.MaxInFlight)
 		}
 		// Healthy interval: walk the retry hint back down additively.
-		h := time.Duration(c.hintNs.Load()) - c.cfg.HintDecay
-		if h < c.cfg.MinRetryAfter {
-			h = c.cfg.MinRetryAfter
+		h := time.Duration(c.hintNs.Load()) - hintDecay
+		if h < minRetryAfter {
+			h = minRetryAfter
 		}
 		c.hintNs.Store(int64(h))
 		c.hintG.Set(int64(h / time.Millisecond))
@@ -357,7 +298,7 @@ func (c *Controller) observe(lat time.Duration) {
 // p99Locked estimates the 99th percentile of the samples still inside the
 // window. Called with mu held.
 func (c *Controller) p99Locked(now time.Time) time.Duration {
-	cutoff := now.Add(-c.cfg.Window)
+	cutoff := now.Add(-window)
 	lats := make([]time.Duration, 0, c.count)
 	for i := 0; i < c.count; i++ {
 		s := c.samples[(c.head-1-i+2*ringSize)%ringSize]

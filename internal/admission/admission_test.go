@@ -42,7 +42,6 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 	if c.RetryHint() != 0 || c.SLO() != 0 {
 		t.Fatalf("nil controller leaks hints: hint %v slo %v", c.RetryHint(), c.SLO())
 	}
-	c.SetOccupancy(func() int { return 1 }) // must not panic
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil controller stats = %+v, want zero", st)
 	}
@@ -77,14 +76,11 @@ func TestAdmitUpToLimitThenShed(t *testing.T) {
 
 func TestHintMIAD(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{
-		SLO: 100 * time.Millisecond, MaxInFlight: 1, MinInFlight: 1,
-		MinRetryAfter: 100 * time.Millisecond, MaxRetryAfter: time.Second,
-		HintDecay: 100 * time.Millisecond, Window: time.Second, Clock: clk.Now,
-	})
+	c := New(Config{SLO: 100 * time.Millisecond, MaxInFlight: 1, MinInFlight: 1, Clock: clk.Now})
 	rel, _, _ := c.Admit() // pin the only slot
-	// Each shed separated by growEvery doubles the hint up to the cap.
-	want := []time.Duration{200, 400, 800, 1000, 1000}
+	// Each shed separated by growEvery doubles the hint from minRetryAfter
+	// up to the maxRetryAfter cap.
+	want := []time.Duration{200, 400, 800, 1600, 3200, 6400, 10000, 10000}
 	for i, w := range want {
 		clk.Advance(150 * time.Millisecond)
 		_, retry, ok := c.Admit()
@@ -98,10 +94,11 @@ func TestHintMIAD(t *testing.T) {
 	rel()
 	// Age the pinned slot's (long) latency sample out of the window so the
 	// healthy intervals below actually read as healthy.
-	clk.Advance(2 * time.Second)
-	// Healthy completions walk the hint back down additively.
+	clk.Advance(window + time.Second)
+	// Healthy completions walk the hint back down additively, hintDecay
+	// per adjustment interval.
 	for i := 0; i < 3; i++ {
-		clk.Advance(200 * time.Millisecond)
+		clk.Advance(adjustWait + 50*time.Millisecond)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatalf("healthy admit %d refused", i)
@@ -109,20 +106,17 @@ func TestHintMIAD(t *testing.T) {
 		clk.Advance(time.Millisecond)
 		rel()
 	}
-	if h := c.RetryHint(); h != 700*time.Millisecond {
-		t.Fatalf("hint after 3 healthy intervals = %v, want 700ms", h)
+	if h := c.RetryHint(); h != 9700*time.Millisecond {
+		t.Fatalf("hint after 3 healthy intervals = %v, want 9.7s", h)
 	}
 }
 
 func TestLimitAIMD(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{
-		SLO: 10 * time.Millisecond, MaxInFlight: 64, MinInFlight: 4,
-		Window: time.Second, Clock: clk.Now,
-	})
+	c := New(Config{SLO: 10 * time.Millisecond, MaxInFlight: 64, MinInFlight: 4, Clock: clk.Now})
 	// Slow completions breach the SLO: the limit halves per adjustment.
 	slow := func() {
-		clk.Advance(200 * time.Millisecond)
+		clk.Advance(adjustWait)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatal("admit refused below the limit")
@@ -146,7 +140,7 @@ func TestLimitAIMD(t *testing.T) {
 	}
 	// Fast completions: additive recovery, one per adjustment interval.
 	fast := func() {
-		clk.Advance(200 * time.Millisecond)
+		clk.Advance(adjustWait)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatal("admit refused below the limit")
@@ -155,7 +149,7 @@ func TestLimitAIMD(t *testing.T) {
 		rel()
 	}
 	// The old slow samples must age out of the window first.
-	clk.Advance(2 * time.Second)
+	clk.Advance(window + time.Second)
 	fast()
 	fast()
 	fast()
@@ -164,31 +158,6 @@ func TestLimitAIMD(t *testing.T) {
 	}
 	if p99 := c.Stats().P99; p99 != time.Millisecond {
 		t.Fatalf("windowed p99 = %v, want 1ms", p99)
-	}
-}
-
-func TestOccupancyGate(t *testing.T) {
-	clk := newFakeClock()
-	occ := 0
-	c := New(Config{
-		SLO: 50 * time.Millisecond, MaxInFlight: 8,
-		Occupancy: func() int { return occ }, MaxOccupancy: 5,
-		Clock: clk.Now,
-	})
-	if _, _, ok := c.Admit(); !ok {
-		t.Fatal("admit refused under occupancy cap")
-	}
-	occ = 5
-	if _, retry, ok := c.Admit(); ok || retry <= 0 {
-		t.Fatalf("admit at occupancy cap: ok=%v retry=%v, want shed with hint", ok, retry)
-	}
-	if _, sat := c.Saturated(); !sat {
-		t.Fatal("Saturated() false at occupancy cap")
-	}
-	// SetOccupancy swaps the source live.
-	c.SetOccupancy(func() int { return 0 })
-	if _, _, ok := c.Admit(); !ok {
-		t.Fatal("admit refused after occupancy source swap")
 	}
 }
 

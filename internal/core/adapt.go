@@ -83,13 +83,9 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	}
 
 	// Consider the ordered offers except the current one, acceptable set
-	// first, as in step 5. An installed adaptation policy may reorder ties
-	// within each group — same freedom as step 5's selection policy.
-	var adOrder func([]PolicyCandidate) []int
-	if m.opts.Adaptation != nil {
-		adOrder = m.opts.Adaptation.OrderTargets
-	}
-	if c, _ := m.commitFirst(ctx, mach, d, u, ranked, current.Key(), adOrder, "adapt"); c.ok {
+	// first, as in step 5. An installed policy may reorder ties within each
+	// group — the same freedom it has in step 5.
+	if c, _ := m.commitFirst(ctx, mach, d, u, ranked, current.Key(), m.opts.Policy, "adapt"); c.ok {
 		r := c.chosen
 		s.mu.Lock()
 		if s.state != Playing || s.epoch != epoch {

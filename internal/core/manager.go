@@ -43,19 +43,12 @@ type Options struct {
 	// Classifier orders the feasible offers; nil selects the paper's
 	// SNS-primary classification.
 	Classifier offer.Orderer
-	// ChoicePeriod is the default confirmation window when the user
-	// profile does not set one (Section 8).
-	ChoicePeriod time.Duration
 	// MaxOffers bounds offer enumeration.
 	MaxOffers int
 	// PathAlternates is the k of the transport's path search: each stream
 	// gets the best (fewest hops, then largest bottleneck) of the first
 	// 4k feasible paths the search finds, chosen and reserved in one step.
 	PathAlternates int
-	// TopK bounds how many classified offers each negotiation keeps for
-	// commitment and later adaptation; 0 selects DefaultTopK, negative
-	// keeps the full classified set.
-	TopK int
 	// Health tunes the per-server circuit breaker; the zero value keeps
 	// the consecutive-failure breaker off (hard server-down evidence
 	// still quarantines).
@@ -83,16 +76,13 @@ type Options struct {
 	// benchmarks — allocates 1, 2, 3 … privately, keeps its own server table
 	// and records under shard "0".
 	Shard ShardHooks
-	// Selection, when non-nil, may reorder step 5's commitment attempts
-	// among offers the classifier ranked equal — same Status, same OIF —
-	// and nothing else, so classification stays normative (see policy.go).
-	// Policies that implement PolicyObserver learn from every commit
-	// outcome. Nil keeps the paper's fixed tie-break order byte-for-byte at
-	// zero cost.
-	Selection SelectionPolicy
-	// Adaptation is Selection's counterpart for the adaptation procedure's
-	// target order; the same object may serve both roles.
-	Adaptation AdaptationPolicy
+	// Policy, when non-nil, orders both step 5's commitment attempts and
+	// the adaptation procedure's targets among offers the classifier ranked
+	// equal — same Status, same OIF — and nothing else, so classification
+	// stays normative (see policy.go). A policy that implements
+	// PolicyObserver learns from every commit outcome. Nil keeps the
+	// paper's fixed tie-break order byte-for-byte at zero cost.
+	Policy Policy
 }
 
 // ShardHooks is what a manager running as one shard of a fleet asks of the
@@ -114,29 +104,20 @@ type ShardHooks interface {
 	Servers() *ServerTable
 }
 
-// DefaultTopK is how many classified offers a negotiation retains by
-// default: enough alternates for step 5's fallback commitment and the
-// adaptation procedure, without holding a 2^20-offer product per session.
+// DefaultTopK is how many classified offers a negotiation retains: enough
+// alternates for step 5's fallback commitment and the adaptation procedure,
+// without holding a 2^20-offer product per session.
 const DefaultTopK = 64
 
-// topK resolves the classification bound.
-func (o Options) topK() int {
-	switch {
-	case o.TopK == 0:
-		return DefaultTopK
-	case o.TopK < 0:
-		return 0
-	default:
-		return o.TopK
-	}
-}
+// DefaultChoicePeriod is the confirmation window when the user profile does
+// not set one (Section 8).
+const DefaultChoicePeriod = 30 * time.Second
 
 // DefaultOptions returns the options used by the examples: SNS-primary
-// classification, a 30-second choice period and 3 path alternates.
+// classification and 3 path alternates.
 func DefaultOptions() Options {
 	return Options{
 		Classifier:     offer.SNSPrimary{},
-		ChoicePeriod:   30 * time.Second,
 		MaxOffers:      1 << 16,
 		PathAlternates: 3,
 	}
@@ -238,9 +219,9 @@ type Manager struct {
 	// servers is the media servers and their circuit breaker; a fleet's
 	// shards share one.
 	servers *ServerTable
-	// observers is the learning surface of the installed policies, resolved
-	// once at construction; empty when no policy learns.
-	observers []PolicyObserver
+	// observer is the installed policy's learning surface, resolved once at
+	// construction; nil when no policy learns.
+	observer PolicyObserver
 
 	// statsMu guards the outcome counters.
 	statsMu sync.Mutex
@@ -293,9 +274,6 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 	if opts.Classifier == nil {
 		opts.Classifier = offer.SNSPrimary{}
 	}
-	if opts.ChoicePeriod <= 0 {
-		opts.ChoicePeriod = 30 * time.Second
-	}
 	var servers *ServerTable
 	if opts.Shard != nil {
 		servers = opts.Shard.Servers()
@@ -311,7 +289,9 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		now:       time.Now,
 		servers:   servers,
 		sessions:  make(map[SessionID]*Session),
-		observers: policyObservers(opts.Selection, opts.Adaptation),
+	}
+	if ob, ok := opts.Policy.(PolicyObserver); ok {
+		m.observer = ob
 	}
 	if opts.OfferCache >= 0 {
 		m.cache = offercache.New(opts.OfferCache)
@@ -367,7 +347,7 @@ type negOutcome struct {
 	violations []client.LocalViolation
 	localOffer *profile.MMProfile
 	// ranked is the classified offer list (steps 3–4), bounded by
-	// Options.TopK; set whenever enumeration succeeded.
+	// DefaultTopK; set whenever enumeration succeeded.
 	ranked []offer.Ranked
 	// chosen and commit are set when resources were reserved.
 	chosen offer.Ranked
@@ -471,7 +451,7 @@ func (m *Manager) classify(ctx context.Context, doc media.Document, docGen uint6
 	}
 	ranked, err := offer.TopKFromCandidates(ctx, doc, cands, u, offer.PipelineOptions{
 		MaxOffers: m.opts.MaxOffers,
-		TopK:      m.opts.topK(),
+		TopK:      DefaultTopK,
 		Orderer:   m.opts.Classifier,
 		Prebuilt:  prebuilt,
 	})
@@ -536,11 +516,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	var selOrder func([]PolicyCandidate) []int
-	if m.opts.Selection != nil {
-		selOrder = m.opts.Selection.OrderCommits
-	}
-	c, err := m.commitFirst(ctx, mach, doc, u, ranked, "", selOrder, "negotiate")
+	c, err := m.commitFirst(ctx, mach, doc, u, ranked, "", m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}
@@ -549,7 +525,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 		if c.chosen.Acceptable(u) {
 			status = Succeeded
 		}
-		if selOrder != nil {
+		if m.opts.Policy != nil {
 			// Chosen rank in classical order (the regret-proxy pair: a good
 			// policy commits at low rank with few failed attempts).
 			m.met.policyChosenRank(c.rank)
@@ -596,7 +572,7 @@ type commitResult struct {
 	chosen offer.Ranked
 	commit commitment
 	// rank is chosen's classical position in its set, for the policy
-	// metrics; only set meaningfully when an ordering hook is installed.
+	// metrics; only set meaningfully when a policy is installed.
 	rank int
 	// Failed attempts by cause (a down server counts once), offers skipped
 	// for touching a down server, and the longest quarantine left on one.
@@ -613,20 +589,20 @@ type commitResult struct {
 // policy orders the attempts: the dead set keys on the server and marks it
 // idempotently, so the bookkeeping is independent of iteration order.
 //
-// Without an ordering hook the one ranked slice is walked twice under the
-// acceptable-set predicate; a hook permutes ties within each set, so the two
-// sets are materialized for it. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, ranked []offer.Ranked, skipKey string, order func([]PolicyCandidate) []int, procedure string) (commitResult, error) {
+// Without a policy the one ranked slice is walked twice under the
+// acceptable-set predicate; a policy permutes ties within each set, so the
+// two sets are materialized for it. A canceled ctx returns its error.
+func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, ranked []offer.Ranked, skipKey string, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	groups := [2][]offer.Ranked{ranked, ranked}
-	if order != nil {
+	if pol != nil {
 		groups[0], groups[1] = offer.Partition(ranked, u)
 	}
 	for pass, group := range groups {
-		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, order, procedure)
+		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, pol, procedure)
 		for i, r := range group {
-			if order == nil && r.Acceptable(u) != (pass == 0) {
+			if pol == nil && r.Acceptable(u) != (pass == 0) {
 				continue
 			}
 			if skipKey != "" && r.Key() == skipKey {
@@ -708,7 +684,7 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 	if c := u.Desired.Time.ChoicePeriod; c > 0 {
 		return c
 	}
-	return m.opts.ChoicePeriod
+	return DefaultChoicePeriod
 }
 
 // NegotiateContext runs the negotiation procedure of Section 4 for the
@@ -934,7 +910,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		}
 		netQoS := ch.Variant.NetworkQoS()
 		var began time.Time
-		if len(m.observers) > 0 {
+		if m.observer != nil {
 			began = m.now()
 		}
 		res, err := entry.server.Reserve(netQoS)
@@ -950,7 +926,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		}
 		held[len(held)-1].conn = conn
 		m.recordServerSuccess(sid, healthGen)
-		if len(m.observers) > 0 {
+		if m.observer != nil {
 			m.observeCommit(sid, g, CauseNone, m.now().Sub(began))
 		}
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
@@ -1087,8 +1063,9 @@ func (m *Manager) expireOrReject(id SessionID, expire bool) error {
 	return nil
 }
 
-// Advance moves a playing session's position forward; the playout driver
-// (package session) calls it as virtual time passes.
+// Advance moves a playing session's position forward; the playout drivers
+// call it as time passes: package session's on the simulation clock, and
+// protocol.Playout on the wall clock for sessions confirmed over the wire.
 func (m *Manager) Advance(id SessionID, dt time.Duration) error {
 	s, err := m.Session(id)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // status, same OIF, typically the same logical configuration replicated on
 // different servers — are interchangeable as far as the user is concerned,
 // and the classical tie-break (total cost, then offer key) is arbitrary. A
-// SelectionPolicy may permute exactly those runs of equals, nothing else; so
+// Policy may permute exactly those runs of equals, nothing else; so
 // any policy, however adventurous, preserves the procedure's user-visible
 // QoS ordering, and a nil policy is byte-for-byte today's behaviour at zero
 // cost (the group slice is returned untouched, no candidate features are
@@ -57,27 +57,15 @@ type PolicyCandidate struct {
 	Servers []PolicyServer
 }
 
-// SelectionPolicy orders step 5's commitment attempts among offers the
-// classifier ranked equal. OrderCommits receives one maximal run of
-// (Status, OIF)-equal candidates, at least two, and returns the order to
-// attempt them in as a permutation of 0..len(ties)-1. A nil or invalid
-// return keeps the classical order, so a policy can always decline.
-// Policies that also implement PolicyObserver receive the outcome of every
-// commit attempt and can learn online.
-type SelectionPolicy interface {
-	// Name labels the policy in logs and reports.
-	Name() string
-	OrderCommits(ties []PolicyCandidate) []int
-}
-
-// AdaptationPolicy is SelectionPolicy's counterpart for the adaptation
-// procedure: OrderTargets orders the tie runs the procedure walks when it
-// picks the alternate configuration for a degraded session. One object may
-// implement both interfaces (the bandit does); the manager then feeds it
-// observations once.
-type AdaptationPolicy interface {
-	Name() string
-	OrderTargets(ties []PolicyCandidate) []int
+// Policy orders the offers the classifier ranked equal, in step 5's
+// commitment attempts and in the adaptation procedure's choice of target.
+// Order receives one maximal run of (Status, OIF)-equal candidates, at least
+// two, and returns the order to attempt them in as a permutation of
+// 0..len(ties)-1. A nil or invalid return keeps the classical order, so a
+// policy can always decline. Policies that also implement PolicyObserver
+// receive the outcome of every commit attempt and can learn online.
+type Policy interface {
+	Order(ties []PolicyCandidate) []int
 }
 
 // CommitObservation is the outcome of one per-server commit attempt, fed to
@@ -99,41 +87,24 @@ type PolicyObserver interface {
 	ObserveCommit(CommitObservation)
 }
 
-// policyObservers resolves the observer list once at construction: the
-// selection policy, and the adaptation policy when it is a distinct object.
-// tryCommit consults the slice with a single len check on the hot path.
-func policyObservers(sel SelectionPolicy, ad AdaptationPolicy) []PolicyObserver {
-	var out []PolicyObserver
-	if ob, ok := sel.(PolicyObserver); ok {
-		out = append(out, ob)
-	}
-	if ob, ok := ad.(PolicyObserver); ok && any(ad) != any(sel) {
-		out = append(out, ob)
-	}
-	return out
-}
-
-// observeCommit feeds one attempt outcome to every learning policy.
+// observeCommit feeds one attempt outcome to the learning policy.
 func (m *Manager) observeCommit(server media.ServerID, g cost.Guarantee, cause FailureCause, latency time.Duration) {
-	if len(m.observers) == 0 || server == "" {
+	if m.observer == nil || server == "" {
 		return
 	}
-	o := CommitObservation{Server: server, Guarantee: g, Cause: cause, Latency: latency}
-	for _, ob := range m.observers {
-		ob.ObserveCommit(o)
-	}
+	m.observer.ObserveCommit(CommitObservation{Server: server, Guarantee: g, Cause: cause, Latency: latency})
 }
 
-// policyOrder applies one ordering hook to a partition group: each maximal
+// policyOrder applies the policy to a partition group: each maximal
 // run of (Status, OIF)-equal offers of length ≥ 2 is presented to the
 // policy, and a valid non-identity permutation reorders that run in a fresh
 // copy of the group. It returns the (possibly reordered) group plus, when
 // anything moved, the classical rank of each position — nil means the group
-// is untouched and position equals rank. A nil hook short-circuits to the
+// is untouched and position equals rank. A nil policy short-circuits to the
 // input slice: the policy-off path allocates nothing and compares nothing
 // beyond this one nil check.
-func (m *Manager) policyOrder(group []offer.Ranked, g cost.Guarantee, order func([]PolicyCandidate) []int, procedure string) ([]offer.Ranked, []int) {
-	if order == nil || len(group) < 2 {
+func (m *Manager) policyOrder(group []offer.Ranked, g cost.Guarantee, pol Policy, procedure string) ([]offer.Ranked, []int) {
+	if pol == nil || len(group) < 2 {
 		return group, nil
 	}
 	var out []offer.Ranked
@@ -144,7 +115,7 @@ func (m *Manager) policyOrder(group []offer.Ranked, g cost.Guarantee, order func
 			hi++
 		}
 		if hi-lo >= 2 {
-			perm := order(m.policyCandidates(group[lo:hi], g))
+			perm := pol.Order(m.policyCandidates(group[lo:hi], g))
 			if len(perm) == hi-lo && validPermutation(perm) && !identityPermutation(perm) {
 				if out == nil {
 					out = append([]offer.Ranked(nil), group...)

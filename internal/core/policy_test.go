@@ -51,19 +51,19 @@ func TestPolicyOrderValidation(t *testing.T) {
 		"out-of-kilt": {0, 1, 3},
 		"identity":    {0, 1, 2},
 	} {
-		got, ranks := b.man.policyOrder(group, cost.BestEffort, func([]PolicyCandidate) []int { return bad }, "negotiate")
+		got, ranks := b.man.policyOrder(group, cost.BestEffort, orderFunc(func([]PolicyCandidate) []int { return bad }), "negotiate")
 		if &got[0] != &group[0] || ranks != nil {
 			t.Errorf("%s answer: classical slice not returned untouched", name)
 		}
 	}
 	// A valid non-identity permutation reorders the 3-long tie run and
 	// leaves the lone constraint offer where it was.
-	got, ranks := b.man.policyOrder(group, cost.BestEffort, func(ties []PolicyCandidate) []int {
+	got, ranks := b.man.policyOrder(group, cost.BestEffort, orderFunc(func(ties []PolicyCandidate) []int {
 		if len(ties) != 3 {
 			t.Fatalf("policy saw a run of %d, want 3", len(ties))
 		}
 		return []int{2, 0, 1}
-	}, "negotiate")
+	}), "negotiate")
 	if &got[0] == &group[0] {
 		t.Fatal("reorder mutated the classical slice instead of copying")
 	}
@@ -97,37 +97,32 @@ func TestPolicyOffAllocBound(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("policy-off ordering allocates %.1f per negotiation, want 0", allocs)
 	}
-	if len(b.man.observers) != 0 {
+	if b.man.observer != nil {
 		t.Error("policy-off manager resolved observers")
 	}
 }
 
-// The observer list is resolved once at construction: one entry per
-// distinct learning policy, none for policies that cannot learn.
+// The observer is resolved once at construction: the policy itself when it
+// learns, nothing when there is no policy.
 func TestPolicyObservers(t *testing.T) {
-	if got := policyObservers(nil, nil); len(got) != 0 {
-		t.Errorf("nil policies resolved %d observers", len(got))
+	if got := NewManager(nil, nil, cost.DefaultPricing(), Options{}).observer; got != nil {
+		t.Errorf("nil policy resolved observer %v", got)
 	}
 	ob := &countingPolicy{}
-	if got := policyObservers(ob, nil); len(got) != 1 {
-		t.Errorf("learning selection policy resolved %d observers, want 1", len(got))
-	}
-	// The same object serving both roles is fed once.
-	if got := policyObservers(ob, ob); len(got) != 1 {
-		t.Errorf("shared policy object resolved %d observers, want 1", len(got))
-	}
-	other := &countingPolicy{}
-	if got := policyObservers(ob, other); len(got) != 2 {
-		t.Errorf("distinct policy objects resolved %d observers, want 2", len(got))
+	if got := NewManager(nil, nil, cost.DefaultPricing(), Options{Policy: ob}).observer; got != ob {
+		t.Errorf("learning policy resolved observer %v, want the policy", got)
 	}
 }
+
+// orderFunc adapts a function to Policy.
+type orderFunc func([]PolicyCandidate) []int
+
+func (f orderFunc) Order(ties []PolicyCandidate) []int { return f(ties) }
 
 // countingPolicy is a minimal learning policy for observer-resolution tests.
 type countingPolicy struct {
 	observed int
 }
 
-func (p *countingPolicy) Name() string                              { return "counting" }
-func (p *countingPolicy) OrderCommits(ties []PolicyCandidate) []int { return nil }
-func (p *countingPolicy) OrderTargets(ties []PolicyCandidate) []int { return nil }
-func (p *countingPolicy) ObserveCommit(CommitObservation)           { p.observed++ }
+func (p *countingPolicy) Order(ties []PolicyCandidate) []int { return nil }
+func (p *countingPolicy) ObserveCommit(CommitObservation)    { p.observed++ }

@@ -72,7 +72,6 @@ func e19Bed(faulty bool) (*testbed.Bed, []media.DocumentID, *admission.Controlle
 		Admission:      ctrl,
 		Faults:         inj,
 	})
-	ctrl.SetOccupancy(bed.Ledger.Open)
 	inj.SetLatency(500 * time.Microsecond)
 	if faulty {
 		inj.SetReserveFailure(0.10)

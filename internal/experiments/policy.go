@@ -64,9 +64,8 @@ func e20Bed(bandit bool, faulty bool) (*testbed.Bed, *faults.Injector, *policy.B
 	opts.Health = core.HealthPolicy{FailureThreshold: 0}
 	var b *policy.Bandit
 	if bandit {
-		b = policy.NewBandit(policy.DefaultConfig())
-		opts.Selection = b
-		opts.Adaptation = b
+		b = policy.NewBandit()
+		opts.Policy = b
 	}
 	inj := faults.New(1996)
 	bed := testbed.MustNew(testbed.Spec{

@@ -1,6 +1,5 @@
-// Package policy provides concrete Selection/Adaptation policies for the
-// QoS manager's pluggable tie-break layer (core.SelectionPolicy,
-// core.AdaptationPolicy): a static policy that keeps the paper's fixed
+// Package policy provides concrete policies for the QoS manager's pluggable
+// tie-break layer (core.Policy): a static policy that keeps the paper's fixed
 // order, and an online contextual bandit that learns which servers commit
 // reliably and steers tie runs toward them.
 //
@@ -29,82 +28,25 @@ type Static struct{}
 // NewStatic returns the identity policy.
 func NewStatic() Static { return Static{} }
 
-// Name implements core.SelectionPolicy and core.AdaptationPolicy.
-func (Static) Name() string { return "static" }
+// Order declines the reorder; the classical order stands.
+func (Static) Order(ties []core.PolicyCandidate) []int { return nil }
 
-// OrderCommits declines the reorder; the classical order stands.
-func (Static) OrderCommits(ties []core.PolicyCandidate) []int { return nil }
-
-// OrderTargets declines the reorder; the classical order stands.
-func (Static) OrderTargets(ties []core.PolicyCandidate) []int { return nil }
-
-// Config tunes the bandit. The zero value is usable: DefaultConfig's values
-// are substituted for any field left zero.
-type Config struct {
-	// Seed makes the bandit's exploration deterministic.
-	Seed int64
-	// Exploration scales the UCB-style uncertainty bonus. Zero means
-	// DefaultConfig's value; negative disables the bonus.
-	Exploration float64
-	// Thompson adds posterior sampling noise on top of the UCB bonus,
-	// breaking symmetric ties randomly instead of lexically.
-	Thompson bool
-	// Decay in (0,1] discounts old evidence on every new observation of an
-	// arm, so the bandit tracks servers whose behaviour changes. 1 never
-	// forgets.
-	Decay float64
-	// LoadWeight penalizes a server's live utilization; FailureWeight its
-	// consecutive-failure streak and quarantine history; LatencyWeight the
-	// arm's learned commit latency (per second); CostWeight applies gentle
-	// pressure toward cheaper offers within a tie run, so an indifferent
-	// bandit degrades to the classical cheapest-first order.
-	LoadWeight    float64
-	FailureWeight float64
-	LatencyWeight float64
-	CostWeight    float64
-}
-
-// DefaultConfig are the weights E20 runs with.
-func DefaultConfig() Config {
-	return Config{
-		Seed:          1,
-		Exploration:   0.6,
-		Decay:         0.98,
-		LoadWeight:    0.15,
-		FailureWeight: 0.25,
-		LatencyWeight: 0.5,
-		CostWeight:    0.05,
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	if c.Exploration == 0 {
-		c.Exploration = d.Exploration
-	} else if c.Exploration < 0 {
-		c.Exploration = 0
-	}
-	if c.Decay <= 0 || c.Decay > 1 {
-		c.Decay = d.Decay
-	}
-	if c.LoadWeight == 0 {
-		c.LoadWeight = d.LoadWeight
-	}
-	if c.FailureWeight == 0 {
-		c.FailureWeight = d.FailureWeight
-	}
-	if c.LatencyWeight == 0 {
-		c.LatencyWeight = d.LatencyWeight
-	}
-	if c.CostWeight == 0 {
-		c.CostWeight = d.CostWeight
-	}
-	return c
-}
+// The bandit's tuning, the weights E20 runs with. exploration scales the
+// UCB-style uncertainty bonus. decay in (0,1] discounts old evidence on
+// every new observation of an arm, so the bandit tracks servers whose
+// behaviour changes. loadWeight penalizes a server's live utilization;
+// failureWeight its consecutive-failure streak and quarantine history;
+// latencyWeight the arm's learned commit latency (per second); costWeight
+// applies gentle pressure toward cheaper offers within a tie run, so an
+// indifferent bandit degrades to the classical cheapest-first order.
+const (
+	exploration   = 0.6
+	decay         = 0.98
+	loadWeight    = 0.15
+	failureWeight = 0.25
+	latencyWeight = 0.5
+	costWeight    = 0.05
+)
 
 // armKey is the bandit's context: which server, for which service class.
 // Guaranteed and best-effort commits stress a server differently (admission
@@ -140,39 +82,22 @@ func (a *arm) mean() float64 { return (a.successes + 1) / (a.n() + 2) }
 // one mutex and do O(run length × servers) float work, no allocation beyond
 // the returned permutation.
 type Bandit struct {
-	cfg Config
-
 	mu   sync.Mutex
-	rng  splitmix
 	arms map[armKey]*arm
 }
 
-// NewBandit builds a bandit with cfg (zero fields take defaults).
-func NewBandit(cfg Config) *Bandit {
-	cfg = cfg.withDefaults()
-	return &Bandit{
-		cfg:  cfg,
-		rng:  splitmix(cfg.Seed),
-		arms: make(map[armKey]*arm),
-	}
+// NewBandit builds a bandit with no evidence.
+func NewBandit() *Bandit {
+	return &Bandit{arms: make(map[armKey]*arm)}
 }
 
-// Name implements core.SelectionPolicy and core.AdaptationPolicy.
-func (b *Bandit) Name() string { return "bandit" }
-
-// OrderCommits implements core.SelectionPolicy.
-func (b *Bandit) OrderCommits(ties []core.PolicyCandidate) []int { return b.order(ties) }
-
-// OrderTargets implements core.AdaptationPolicy: the same scoring picks the
-// adaptation target — a degraded session should move to the server most
-// likely to hold its reservation.
-func (b *Bandit) OrderTargets(ties []core.PolicyCandidate) []int { return b.order(ties) }
-
-// order scores each candidate and returns the best-first permutation.
+// Order implements core.Policy: it scores each candidate and returns the
+// best-first permutation, for step 5 and adaptation alike — a degraded
+// session should move to the server most likely to hold its reservation.
 // Stable: equal scores keep their classical relative order, so a bandit
-// with no evidence and no noise returns the identity (which the manager
-// treats as "no reorder").
-func (b *Bandit) order(ties []core.PolicyCandidate) []int {
+// with no evidence returns the identity (which the manager treats as "no
+// reorder").
+func (b *Bandit) Order(ties []core.PolicyCandidate) []int {
 	if len(ties) < 2 {
 		return nil
 	}
@@ -192,7 +117,7 @@ func (b *Bandit) order(ties []core.PolicyCandidate) []int {
 	for i, c := range ties {
 		s := b.scoreLocked(c)
 		if span > 0 {
-			s -= b.cfg.CostWeight * float64(c.Cost-lo) / span
+			s -= costWeight * float64(c.Cost-lo) / span
 		}
 		scores[i] = s
 	}
@@ -231,14 +156,11 @@ func (b *Bandit) serverScoreLocked(sv core.PolicyServer, g cost.Guarantee) float
 	}
 	mean := a.mean()
 	sigma := math.Sqrt(mean * (1 - mean) / (a.n() + 1))
-	s := mean + b.cfg.Exploration*sigma
-	if b.cfg.Thompson {
-		s += b.rng.norm() * sigma
-	}
-	s -= b.cfg.LoadWeight * sv.Utilization
-	s -= b.cfg.FailureWeight * float64(sv.ConsecutiveFailures)
-	s -= b.cfg.FailureWeight * 0.5 * float64(sv.Quarantines)
-	s -= b.cfg.LatencyWeight * a.latency
+	s := mean + exploration*sigma
+	s -= loadWeight * sv.Utilization
+	s -= failureWeight * float64(sv.ConsecutiveFailures)
+	s -= failureWeight * 0.5 * float64(sv.Quarantines)
+	s -= latencyWeight * a.latency
 	return s
 }
 
@@ -256,8 +178,8 @@ func (b *Bandit) ObserveCommit(o core.CommitObservation) {
 		a = &arm{}
 		b.arms[k] = a
 	}
-	a.successes *= b.cfg.Decay
-	a.failures *= b.cfg.Decay
+	a.successes *= decay
+	a.failures *= decay
 	if o.Cause == core.CauseNone {
 		a.successes++
 		if sec := o.Latency.Seconds(); sec > 0 {
@@ -271,31 +193,4 @@ func (b *Bandit) ObserveCommit(o core.CommitObservation) {
 		a.failures++
 	}
 	b.mu.Unlock()
-}
-
-// splitmix is a tiny deterministic PRNG (SplitMix64) so the bandit does not
-// share math/rand's global state and seeded runs reproduce bit-for-bit.
-type splitmix uint64
-
-func (s *splitmix) next() uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := uint64(*s)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 in [0,1).
-func (s *splitmix) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
-// norm is a standard gaussian via Box-Muller.
-func (s *splitmix) norm() float64 {
-	u := s.float64()
-	for u == 0 {
-		u = s.float64()
-	}
-	v := s.float64()
-	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }

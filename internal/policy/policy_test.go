@@ -70,12 +70,12 @@ func candidate(rank int, c cost.Money, servers ...core.PolicyServer) core.Policy
 // the healthy server's offer first, however the classical tie-break ranked
 // them.
 func TestBanditLearnsFlakyServer(t *testing.T) {
-	b := policy.NewBandit(policy.Config{})
+	b := policy.NewBandit()
 	for i := 0; i < 6; i++ {
 		b.ObserveCommit(core.CommitObservation{Server: "server-1", Cause: core.CauseServerDown})
 		b.ObserveCommit(core.CommitObservation{Server: "server-2", Cause: core.CauseNone, Latency: time.Millisecond})
 	}
-	perm := b.OrderCommits([]core.PolicyCandidate{
+	perm := b.Order([]core.PolicyCandidate{
 		candidate(0, 100, core.PolicyServer{ID: "server-1"}),
 		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
 	})
@@ -84,7 +84,7 @@ func TestBanditLearnsFlakyServer(t *testing.T) {
 	}
 	// The offer is only as good as its weakest server: pairing the healthy
 	// server with the flaky one must not outrank the all-healthy offer.
-	perm = b.OrderCommits([]core.PolicyCandidate{
+	perm = b.Order([]core.PolicyCandidate{
 		candidate(0, 100, core.PolicyServer{ID: "server-2"}, core.PolicyServer{ID: "server-1"}),
 		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
 	})
@@ -97,15 +97,15 @@ func TestBanditLearnsFlakyServer(t *testing.T) {
 // first) and, with equal costs, keeps the classical order — which the
 // manager treats as "no reorder".
 func TestBanditNoEvidenceDefaults(t *testing.T) {
-	b := policy.NewBandit(policy.Config{})
+	b := policy.NewBandit()
 	sv := core.PolicyServer{ID: "server-1"}
-	perm := b.OrderCommits([]core.PolicyCandidate{
+	perm := b.Order([]core.PolicyCandidate{
 		candidate(0, 200, sv), candidate(1, 100, sv),
 	})
 	if perm[0] != 1 {
 		t.Fatalf("order = %v, want the cheaper offer first", perm)
 	}
-	perm = b.OrderCommits([]core.PolicyCandidate{
+	perm = b.Order([]core.PolicyCandidate{
 		candidate(0, 100, sv), candidate(1, 100, sv),
 	})
 	for i, p := range perm {
@@ -115,7 +115,7 @@ func TestBanditNoEvidenceDefaults(t *testing.T) {
 	}
 	// Live features still matter with no commit history: a server drowning
 	// in consecutive failures is tried last.
-	perm = b.OrderCommits([]core.PolicyCandidate{
+	perm = b.Order([]core.PolicyCandidate{
 		candidate(0, 100, core.PolicyServer{ID: "server-1", ConsecutiveFailures: 5}),
 		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
 	})
@@ -128,16 +128,12 @@ func TestBanditNoEvidenceDefaults(t *testing.T) {
 // makes it the sharpest probe of order-independent bookkeeping.
 type reversing struct{}
 
-func (reversing) Name() string { return "reversing" }
-func (reversing) OrderCommits(ties []core.PolicyCandidate) []int {
+func (reversing) Order(ties []core.PolicyCandidate) []int {
 	perm := make([]int, len(ties))
 	for i := range perm {
 		perm[i] = len(perm) - 1 - i
 	}
 	return perm
-}
-func (reversing) OrderTargets(ties []core.PolicyCandidate) []int {
-	return reversing{}.OrderCommits(ties)
 }
 
 // TestPolicyReorderedFailover drives the same crashed-server negotiation
@@ -146,10 +142,10 @@ func (reversing) OrderTargets(ties []core.PolicyCandidate) []int {
 // bookkeeping must count the crashed server exactly once however many
 // reordered offers touch it.
 func TestPolicyReorderedFailover(t *testing.T) {
-	run := func(p core.SelectionPolicy) (core.Result, core.Stats, *testbed.Bed) {
+	run := func(p core.Policy) (core.Result, core.Stats, *testbed.Bed) {
 		opts := core.DefaultOptions()
 		opts.Health = core.HealthPolicy{FailureThreshold: 0}
-		opts.Selection = p
+		opts.Policy = p
 		inj := faults.New(11)
 		bed := testbed.MustNew(testbed.Spec{Clients: 2, Servers: 3, Options: &opts, Faults: inj})
 		if err := bed.Registry.Add(replicatedArticle("news-1", "server-1", "server-2", "server-3")); err != nil {
@@ -199,6 +195,70 @@ func TestPolicyReorderedFailover(t *testing.T) {
 	}
 }
 
+// videoServer is the server of the session's committed video variant.
+func videoServer(t *testing.T, s *core.Session) media.ServerID {
+	t.Helper()
+	for _, ch := range s.CurrentOffer().Choices {
+		if ch.Monomedia == "video" {
+			return ch.Variant.Server
+		}
+	}
+	t.Fatal("session has no video choice")
+	return ""
+}
+
+// TestPolicyOrdersAdaptation checks that the one installed policy orders
+// the adaptation procedure's targets as well as step 5. With the video
+// replicated on four servers the tie run is server-1..4 in classical order.
+// Each bed confirms a session, crashes the server its video plays from, and
+// adapts: with no policy the session moves to the next replica in classical
+// order, with the reversing policy to the next in reversed order.
+func TestPolicyOrdersAdaptation(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		pol             core.Policy
+		start, adaptsTo media.ServerID
+	}{
+		{"classical", nil, "server-1", "server-2"},
+		{"reversed", reversing{}, "server-4", "server-3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.Health = core.HealthPolicy{FailureThreshold: 0}
+			opts.Policy = c.pol
+			inj := faults.New(7)
+			bed := testbed.MustNew(testbed.Spec{Clients: 2, Servers: 4, Options: &opts, Faults: inj})
+			if err := bed.Registry.Add(replicatedArticle("news-1", "server-1", "server-2", "server-3", "server-4")); err != nil {
+				t.Fatal(err)
+			}
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvProfile())
+			if err != nil || res.Session == nil {
+				t.Fatalf("negotiate: %v %v", res.Status, err)
+			}
+			if got := videoServer(t, res.Session); got != c.start {
+				t.Fatalf("negotiation committed video on %s, want %s", got, c.start)
+			}
+			if err := bed.Manager.Confirm(res.Session.ID); err != nil {
+				t.Fatal(err)
+			}
+			inj.Crash(c.start)
+			if _, err := bed.Manager.Adapt(res.Session.ID); err != nil {
+				t.Fatalf("adapt: %v", err)
+			}
+			if got := videoServer(t, res.Session); got != c.adaptsTo {
+				t.Errorf("adaptation moved video to %s, want %s", got, c.adaptsTo)
+			}
+			inj.Restart(c.start)
+			if err := bed.Manager.Abort(res.Session.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := bed.Ledger.CheckEmpty(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // signature flattens one operation's outcome for byte-identity comparison.
 func signature(res core.Result, err error) string {
 	if err != nil {
@@ -229,10 +289,9 @@ func TestPolicyOffEquivalence(t *testing.T) {
 		bed *testbed.Bed
 		inj *faults.Injector
 	}
-	mk := func(p core.SelectionPolicy, a core.AdaptationPolicy) pbed {
+	mk := func(p core.Policy) pbed {
 		opts := core.DefaultOptions()
-		opts.Selection = p
-		opts.Adaptation = a
+		opts.Policy = p
 		inj := faults.New(1996)
 		bed := testbed.MustNew(testbed.Spec{Clients: 2, Servers: 3, Options: &opts, Faults: inj})
 		if err := bed.Registry.Add(replicatedArticle("news-1", "server-1", "server-2", "server-3")); err != nil {
@@ -240,7 +299,7 @@ func TestPolicyOffEquivalence(t *testing.T) {
 		}
 		return pbed{bed, inj}
 	}
-	beds := []pbed{mk(nil, nil), mk(static, static)}
+	beds := []pbed{mk(nil), mk(static)}
 
 	rng := sim.NewRand(42)
 	live := [2][]core.SessionID{}
@@ -339,10 +398,10 @@ func TestPolicyOffEquivalence(t *testing.T) {
 // package's stub test: a real bandit on a 2-shard fleet, with one shard's
 // learned aversion to a flaky server steering the sibling too.
 func TestBanditFleetPropagation(t *testing.T) {
-	b := policy.NewBandit(policy.Config{})
+	b := policy.NewBandit()
 	opts := core.DefaultOptions()
 	opts.Health = core.HealthPolicy{FailureThreshold: 0}
-	opts.Selection = b
+	opts.Policy = b
 	inj := faults.New(3)
 	bed := testbed.MustNew(testbed.Spec{Shards: 2, Clients: 2, Servers: 3, Options: &opts, Faults: inj})
 	if err := bed.Registry.Add(replicatedArticle("news-1", "server-1", "server-2", "server-3")); err != nil {

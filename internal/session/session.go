@@ -15,17 +15,18 @@ import (
 	"qosneg/internal/sim"
 )
 
+// tick is the playout bookkeeping granularity.
+const tick = time.Second
+
 // Player drives sessions on a simulation engine.
 type Player struct {
 	eng *sim.Engine
 	man core.SessionManager
-	// Tick is the playout bookkeeping granularity (default 1s).
-	Tick time.Duration
 }
 
 // NewPlayer builds a player over the engine and QoS manager.
 func NewPlayer(eng *sim.Engine, man core.SessionManager) *Player {
-	return &Player{eng: eng, man: man, Tick: time.Second}
+	return &Player{eng: eng, man: man}
 }
 
 // Outcome reports how a playout ended.
@@ -63,8 +64,8 @@ func (p *Player) Play(s *core.Session, doc media.Document, done func(Outcome)) e
 			})
 		}
 	}
-	var tick func()
-	tick = func() {
+	var advance func()
+	advance = func() {
 		switch s.State() {
 		case core.Aborted:
 			finish(core.Aborted)
@@ -87,7 +88,7 @@ func (p *Player) Play(s *core.Session, doc media.Document, done func(Outcome)) e
 			}
 			return
 		}
-		step := p.Tick
+		step := tick
 		if step > remaining {
 			step = remaining
 		}
@@ -97,8 +98,8 @@ func (p *Player) Play(s *core.Session, doc media.Document, done func(Outcome)) e
 			finish(s.State())
 			return
 		}
-		p.eng.MustSchedule(p.Tick, tick)
+		p.eng.MustSchedule(tick, advance)
 	}
-	p.eng.MustSchedule(p.Tick, tick)
+	p.eng.MustSchedule(tick, advance)
 	return nil
 }

@@ -35,8 +35,8 @@ type Config struct {
 	Pricing cost.Pricing
 	// Options is the per-shard manager configuration; the fleet installs
 	// each shard's handle as Options.Shard on that shard's copy, which hands
-	// every shard the fleet's one server table. Every shard consults the
-	// same Selection and Adaptation policy objects.
+	// every shard the fleet's one server table. Every shard consults and
+	// teaches the same Options.Policy object.
 	Options core.Options
 	// Admission, when non-nil, gates negotiation-class work once at the
 	// router, before routing: refused work is answered FAILEDTRYLATER with

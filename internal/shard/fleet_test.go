@@ -573,15 +573,13 @@ func TestConcurrentCrossShardTrips(t *testing.T) {
 	}
 }
 
-// countingPolicy is a selection policy that counts the commit outcomes fed
-// to it.
+// countingPolicy is a policy that counts the commit outcomes fed to it.
 type countingPolicy struct {
 	mu       sync.Mutex
 	observed int
 }
 
-func (p *countingPolicy) Name() string                                   { return "counting" }
-func (p *countingPolicy) OrderCommits(ties []core.PolicyCandidate) []int { return nil }
+func (p *countingPolicy) Order(ties []core.PolicyCandidate) []int { return nil }
 
 func (p *countingPolicy) ObserveCommit(core.CommitObservation) {
 	p.mu.Lock()
@@ -602,7 +600,7 @@ func TestFleetPolicyPropagation(t *testing.T) {
 	const shards = 2
 	pol := &countingPolicy{}
 	opts := core.DefaultOptions()
-	opts.Selection = pol
+	opts.Policy = pol
 	bed := testbed.MustNew(testbed.Spec{Shards: shards, Options: &opts})
 	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 		t.Fatal(err)

@@ -74,9 +74,6 @@ type Spec struct {
 	// manager, so crashes and injected failures can be driven at runtime.
 	// Bed.Servers still holds the raw servers.
 	Faults *faults.Injector
-	// Ledger overrides the resource ledger the bed installs on its
-	// subsystems; nil means New builds a fresh one.
-	Ledger *ledger.Ledger
 }
 
 // New assembles a star-topology prototype: clients client-1..N and servers
@@ -117,10 +114,7 @@ func New(spec Spec) (*Bed, error) {
 	if spec.Pricing != nil {
 		pricing = *spec.Pricing
 	}
-	led := spec.Ledger
-	if led == nil {
-		led = ledger.New()
-	}
+	led := ledger.New()
 	bed := &Bed{
 		Registry: registry.New(),
 		Network:  net,

@@ -40,7 +40,6 @@ func TestDefaults(t *testing.T) {
 func TestCustomSpec(t *testing.T) {
 	cfg := cmfs.Config{DiskRate: qos.MBitPerSecond, SeekTime: time.Millisecond, RoundLength: time.Second, MaxStreams: 2}
 	opts := core.DefaultOptions()
-	opts.ChoicePeriod = 5 * time.Second
 	b, err := New(Spec{
 		Clients:          3,
 		Servers:          4,

@@ -71,16 +71,10 @@ import (
 // builds a two-client, two-server star-topology system with the default disk
 // model, link capacities and cost tables.
 type config struct {
-	spec       testbed.Spec
-	opts       core.Options
-	offerCache *int
-	health     *core.HealthPolicy
-	retry      protocol.RetryPolicy
-	wire       protocol.WireOptions
-	metrics    *telemetry.Registry
-	tracer     telemetry.Tracer
-	selection  core.SelectionPolicy
-	adaptation core.AdaptationPolicy
+	spec  testbed.Spec
+	opts  core.Options
+	retry protocol.RetryPolicy
+	wire  protocol.WireOptions
 }
 
 // Option configures New; the With* constructors build them.
@@ -106,12 +100,6 @@ func WithAccessCapacity(r qos.BitRate) Option {
 	return func(c *config) { c.spec.AccessCapacity = r }
 }
 
-// WithOptions replaces the QoS manager options wholesale (classifier,
-// choice period, enumeration bound, path alternates).
-func WithOptions(o core.Options) Option {
-	return func(c *config) { c.opts = o }
-}
-
 // WithPricing overrides the default cost tables (see cost.LoadPricing).
 func WithPricing(p cost.Pricing) Option {
 	return func(c *config) { c.spec.Pricing = &p }
@@ -125,17 +113,16 @@ func WithPricing(p cost.Pricing) Option {
 // offercache.DefaultSize); pass a negative size to disable it. Hits are
 // provably coherent — registry mutations, pricing swaps and breaker
 // transitions all invalidate — so outcomes are identical with the cache on
-// or off. It applies on top of WithOptions.
+// or off.
 func WithOfferCache(size int) Option {
-	return func(c *config) { c.offerCache = &size }
+	return func(c *config) { c.opts.OfferCache = size }
 }
 
 // WithHealthPolicy enables the QoS manager's per-server circuit breaker:
 // consecutive commit failures quarantine a server for a cooldown, and
-// FAILEDTRYLATER results carry the policy's RetryAfter hint. It applies on
-// top of WithOptions.
+// FAILEDTRYLATER results carry the policy's RetryAfter hint.
 func WithHealthPolicy(p core.HealthPolicy) Option {
-	return func(c *config) { c.health = &p }
+	return func(c *config) { c.opts.Health = p }
 }
 
 // WithRetryPolicy sets the redial/backoff policy used by clients the
@@ -157,16 +144,16 @@ func WithWire(w protocol.WireOptions) Option {
 // per-step latency histograms, every CMFS server and the network record
 // admission decisions, and servers/clients built by Serve and Dial record
 // per-RPC latency. A nil registry (telemetry.Noop) leaves the hot paths
-// free of telemetry work. It applies on top of WithOptions.
+// free of telemetry work.
 func WithMetrics(reg *telemetry.Registry) Option {
-	return func(c *config) { c.metrics = reg }
+	return func(c *config) { c.opts.Metrics = reg }
 }
 
 // WithTracer installs a structured span tracer on the QoS manager (and on
 // clients built by Dial): every negotiation step, skip, quarantine and
-// redial emits a typed telemetry.Event. It applies on top of WithOptions.
+// redial emits a typed telemetry.Event.
 func WithTracer(tr telemetry.Tracer) Option {
-	return func(c *config) { c.tracer = tr }
+	return func(c *config) { c.opts.Tracer = tr }
 }
 
 // WithAdmission installs an SLO-driven admission controller on the system:
@@ -174,8 +161,8 @@ func WithTracer(tr telemetry.Tracer) Option {
 // (and a load-derived RetryAfter hint) when the controller reports overload
 // — once per request, before routing — and servers built by Serve refuse
 // negotiation-class RPCs with a typed busy reply before any reservation
-// work. New wires the controller's occupancy signal to the system's resource
-// ledger and, when WithMetrics is also set, instruments it. A nil controller
+// work. When WithMetrics is also set, New instruments the controller. A nil
+// controller
 // disables admission control (the default): each gate is then a single nil
 // check — the zero-overhead path.
 func WithAdmission(c *admission.Controller) Option {
@@ -195,23 +182,16 @@ func WithShards(n int) Option {
 	return func(c *config) { c.spec.Shards = n }
 }
 
-// WithSelectionPolicy installs a selection policy on the QoS manager (see
-// internal/policy and DESIGN.md §15): step 5's commitment attempts among
-// offers the classifier ranked equal — same status, same OIF — are ordered
-// by the policy instead of the fixed cost-then-key tie-break. Policies that
-// implement core.PolicyObserver learn online from every commit outcome; on
-// a sharded system (WithShards) every shard consults and teaches this one
-// object, so it must be safe for concurrent use. Nil — the default — keeps
-// the paper's fixed order byte-for-byte. It applies on top of WithOptions.
-func WithSelectionPolicy(p core.SelectionPolicy) Option {
-	return func(c *config) { c.selection = p }
-}
-
-// WithAdaptationPolicy is WithSelectionPolicy's counterpart for the
-// adaptation procedure's target order. The same object may serve both
-// roles; the manager then feeds it observations once.
-func WithAdaptationPolicy(p core.AdaptationPolicy) Option {
-	return func(c *config) { c.adaptation = p }
+// WithPolicy installs a policy on the QoS manager (see internal/policy and
+// DESIGN.md §15) that orders both step 5's commitment attempts and the
+// adaptation procedure's targets among offers the classifier ranked equal —
+// same status, same OIF — instead of the fixed cost-then-key tie-break. A
+// policy that implements core.PolicyObserver learns online from every
+// commit outcome; on a sharded system (WithShards) every shard consults and
+// teaches this one object, so it must be safe for concurrent use. Nil — the
+// default — keeps the paper's fixed order byte-for-byte.
+func WithPolicy(p core.Policy) Option {
+	return func(c *config) { c.opts.Policy = p }
 }
 
 // WithFaultInjector wraps every CMFS server and the transport system with
@@ -252,39 +232,19 @@ func New(options ...Option) (*System, error) {
 	for _, o := range options {
 		o(&cfg)
 	}
-	opts := cfg.opts
-	if cfg.offerCache != nil {
-		opts.OfferCache = *cfg.offerCache
-	}
-	if cfg.health != nil {
-		opts.Health = *cfg.health
-	}
-	if cfg.metrics != nil {
-		opts.Metrics = cfg.metrics
-	}
-	if cfg.tracer != nil {
-		opts.Tracer = cfg.tracer
-	}
-	if cfg.selection != nil {
-		opts.Selection = cfg.selection
-	}
-	if cfg.adaptation != nil {
-		opts.Adaptation = cfg.adaptation
-	}
-	cfg.spec.Options = &opts
+	cfg.spec.Options = &cfg.opts
 	bed, err := testbed.New(cfg.spec)
 	if err != nil {
 		return nil, err
 	}
-	// Both are no-ops on a nil controller.
-	cfg.spec.Admission.SetOccupancy(bed.Ledger.Open)
-	cfg.spec.Admission.Instrument(cfg.metrics)
-	if cfg.metrics != nil {
+	metrics := cfg.opts.Metrics
+	cfg.spec.Admission.Instrument(metrics) // a no-op on a nil controller
+	if metrics != nil {
 		for _, srv := range bed.Servers {
-			srv.Instrument(cfg.metrics)
+			srv.Instrument(metrics)
 		}
-		bed.Network.Instrument(cfg.metrics)
-		bed.Ledger.Instrument(cfg.metrics)
+		bed.Network.Instrument(metrics)
+		bed.Ledger.Instrument(metrics)
 	}
 	store := profile.NewStore()
 	for _, p := range profile.DefaultProfiles() {
@@ -297,8 +257,8 @@ func New(options ...Option) (*System, error) {
 		Profiles:  store,
 		Retry:     cfg.retry,
 		Wire:      cfg.wire,
-		Metrics:   cfg.metrics,
-		Tracer:    cfg.tracer,
+		Metrics:   metrics,
+		Tracer:    cfg.opts.Tracer,
 		Admission: cfg.spec.Admission,
 	}, nil
 }

@@ -55,6 +55,12 @@ if grep -rnE 'ApplyQuarantine|PublishQuarantine|Breakers' --include='*.go' --exc
 	exit 1
 fi
 
+echo "== no unset knobs"
+if grep -rnE '\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|AdaptationPolicy|OrderTargets|OrderCommits|WithOptions\(|policy-seed|\.topK\(\)' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+	echo "check: a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 

@@ -721,7 +721,7 @@ func BenchmarkPlayout(b *testing.B) {
 			b.Fatalf("negotiate: %v %v", res.Status, err)
 		}
 		eng := sim.NewEngine()
-		sys.Monitor().Attach(eng, 5*time.Second, func(adaptation.Report) {})
+		sys.Monitor().Attach(eng, func(adaptation.Report) {})
 		var out session.Outcome
 		if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
 			b.Fatal(err)

@@ -189,7 +189,7 @@ func main() {
 	srv := protocol.NewServer(sys.Manager, sys.Registry,
 		protocol.WithServerWire(protocol.WireOptions{MaxStreams: f.maxStreams}), protocol.WithServerAdmission(ctrl))
 	srv.Instrument(reg)
-	playout := protocol.AttachPlayout(srv, sys.Manager, 100*time.Millisecond)
+	playout := protocol.AttachPlayout(srv, sys.Manager)
 
 	if f.debugAddr != "" {
 		dl, err := net.Listen("tcp", f.debugAddr)
@@ -219,8 +219,8 @@ func main() {
 		log.Printf("debug surface on http://%s (/metrics, /debug/vars, /debug/trace, /debug/pprof/)", dl.Addr())
 	}
 
-	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, drain handlers
-	// and playout goroutines, report final stats.
+	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, drain handlers,
+	// stop the playout driver, report final stats.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {

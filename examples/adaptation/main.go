@@ -68,7 +68,7 @@ func main() {
 	fmt.Printf("        video streams from %s\n", videoServer)
 
 	eng := sim.NewEngine()
-	sys.Monitor().Attach(eng, 5*time.Second, func(r adaptation.Report) {
+	sys.Monitor().Attach(eng, func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Printf("t=%-5s adaptation: %s → %s (restart at %s)\n",
 				eng.Now(), tr.From.Key(), tr.To.Key(), time.Duration(tr.Position))

@@ -68,7 +68,7 @@ func main() {
 
 	eng := sim.NewEngine()
 	player := sys.Player(eng)
-	sys.Monitor().Attach(eng, 5*time.Second, func(r adaptation.Report) {
+	sys.Monitor().Attach(eng, func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Printf("t=%-6s ADAPT  session %d switched offers at position %s\n",
 				eng.Now(), tr.Session, time.Duration(tr.Position))

@@ -42,7 +42,7 @@ func TestFullLifecycle(t *testing.T) {
 
 	eng := sim.NewEngine()
 	var reports []adaptation.Report
-	sys.Monitor().Attach(eng, 5*time.Second, func(r adaptation.Report) { reports = append(reports, r) })
+	sys.Monitor().Attach(eng, func(r adaptation.Report) { reports = append(reports, r) })
 
 	var out session.Outcome
 	if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
@@ -109,7 +109,7 @@ func lifecycleTrace(t *testing.T, seed int64) string {
 	}
 	eng := sim.NewEngine()
 	player := sys.Player(eng)
-	sys.Monitor().Attach(eng, 5*time.Second, nil)
+	sys.Monitor().Attach(eng, nil)
 	fingerprint := ""
 	gen.Drive(eng, 80, func(req workload.Request) {
 		res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)

@@ -52,14 +52,13 @@ type Report struct {
 // reservation is traced to its session and each affected playing session is
 // adapted at most once.
 func (m *Monitor) Scan() Report {
-	return m.ScanContext(context.Background())
+	return m.scan(context.Background())
 }
 
-// ScanContext is Scan bounded by ctx: each adaptation runs under the
-// context, and once it is done the remaining victims are reported as
-// skipped rather than adapted — their sessions stay playing for the next
-// sweep.
-func (m *Monitor) ScanContext(ctx context.Context) Report {
+// scan is Scan bounded by ctx: each adaptation runs under the context, and
+// once it is done the remaining victims are reported as skipped rather
+// than adapted — their sessions stay playing for the next sweep.
+func (m *Monitor) scan(ctx context.Context) Report {
 	var rep Report
 	affected := make(map[core.SessionID]bool)
 
@@ -113,26 +112,30 @@ func (m *Monitor) ScanContext(ctx context.Context) Report {
 	return rep
 }
 
+// ScanInterval is the period of Attach's sweeps: the reproduction's stand-in
+// for how quickly the prototype's QoS violation notifications arrive.
+const ScanInterval = 5 * time.Second
+
 // Attach schedules a recurring sweep on the simulation engine every
-// interval, reporting each non-empty scan to report (which may be nil).
+// ScanInterval, reporting each non-empty scan to report (which may be nil).
 // The returned stop function cancels future sweeps and any sweep in flight:
-// it cancels the context every ScanContext (and so every adaptation commit)
-// runs under, so engine shutdown is never blocked behind a slow adaptation —
+// it cancels the context every scan (and so every adaptation commit) runs
+// under, so engine shutdown is never blocked behind a slow adaptation —
 // victims the canceled sweep had not reached stay playing, reported as
 // skipped. stop is idempotent and safe to call from any goroutine.
-func (m *Monitor) Attach(eng *sim.Engine, interval time.Duration, report func(Report)) (stop func()) {
+func (m *Monitor) Attach(eng *sim.Engine, report func(Report)) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var tick func()
 	tick = func() {
 		if ctx.Err() != nil {
 			return
 		}
-		rep := m.ScanContext(ctx)
+		rep := m.scan(ctx)
 		if report != nil && rep.Violations > 0 {
 			report(rep)
 		}
-		eng.MustSchedule(interval, tick)
+		eng.MustSchedule(ScanInterval, tick)
 	}
-	eng.MustSchedule(interval, tick)
+	eng.MustSchedule(ScanInterval, tick)
 	return cancel
 }

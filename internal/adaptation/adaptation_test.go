@@ -2,6 +2,7 @@ package adaptation
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,7 +143,7 @@ func TestAttachPeriodicScan(t *testing.T) {
 	s := playing(t, b)
 	eng := sim.NewEngine()
 	var reports []Report
-	stop := monitor(b).Attach(eng, 5*time.Second, func(r Report) { reports = append(reports, r) })
+	stop := monitor(b).Attach(eng, func(r Report) { reports = append(reports, r) })
 
 	// Inject degradation at t=12s; the scan at t=15s must catch it.
 	eng.MustSchedule(12*time.Second, func() {
@@ -204,13 +205,16 @@ func TestAttachStopCancelsInFlightSweep(t *testing.T) {
 	inj.SetLatency(300 * time.Millisecond)
 
 	eng := sim.NewEngine()
-	stop := monitor(b).Attach(eng, 5*time.Second, nil)
+	mon := monitor(b)
+	started := &adaptStarted{SessionManager: b.Manager, ch: make(chan struct{})}
+	mon.man = started
+	stop := mon.Attach(eng, nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		eng.Run(6 * time.Second) // one tick, at virtual t=5s
 	}()
-	time.Sleep(50 * time.Millisecond) // the tick fires immediately in wall time
+	<-started.ch // the sweep has begun adapting the first victim
 	stop()
 	<-done
 
@@ -220,4 +224,17 @@ func TestAttachStopCancelsInFlightSweep(t *testing.T) {
 	if st := s2.State(); st != core.Playing {
 		t.Fatalf("later session state = %v, want Playing (left for a sweep that never came)", st)
 	}
+}
+
+// adaptStarted is the manager a monitor sees, with a signal: ch closes when
+// the first adaptation begins.
+type adaptStarted struct {
+	core.SessionManager
+	once sync.Once
+	ch   chan struct{}
+}
+
+func (a *adaptStarted) AdaptContext(ctx context.Context, id core.SessionID) (core.Transition, error) {
+	a.once.Do(func() { close(a.ch) })
+	return a.SessionManager.AdaptContext(ctx, id)
 }

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/telemetry"
 )
 
@@ -65,8 +66,8 @@ type Config struct {
 	// throttles below it, so a breached SLO degrades throughput gradually
 	// instead of collapsing it. Default GOMAXPROCS.
 	MinInFlight int
-	// Clock overrides the time source; tests use it. Default time.Now.
-	Clock func() time.Time
+	// Clock is the time source; tests set a Sim clock. Default clock.Wall.
+	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -83,7 +84,7 @@ func (c Config) withDefaults() Config {
 		c.MinInFlight = c.MaxInFlight
 	}
 	if c.Clock == nil {
-		c.Clock = time.Now
+		c.Clock = clock.Wall{}
 	}
 	return c
 }
@@ -200,11 +201,11 @@ func (c *Controller) Admit() (release func(), retryAfter time.Duration, ok bool)
 	c.admitted.Add(1)
 	c.admitCtr.Inc()
 	c.inflightG.Add(1)
-	start := c.cfg.Clock()
+	start := c.cfg.Clock.Now()
 	return func() {
 		c.inflight.Add(-1)
 		c.inflightG.Add(-1)
-		c.observe(c.cfg.Clock().Sub(start))
+		c.observe(c.cfg.Clock.Now().Sub(start))
 	}, 0, true
 }
 
@@ -237,7 +238,7 @@ func (c *Controller) RetryHint() time.Duration {
 func (c *Controller) shed() time.Duration {
 	c.sheds.Add(1)
 	c.shedCtr.Inc()
-	now := c.cfg.Clock()
+	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	if now.Sub(c.lastGrow) >= growEvery {
 		c.lastGrow = now
@@ -257,7 +258,7 @@ func (c *Controller) shed() time.Duration {
 // per adjustment interval, re-estimates the p99 and applies AIMD to the
 // limit and the additive decrease to the hint.
 func (c *Controller) observe(lat time.Duration) {
-	now := c.cfg.Clock()
+	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	c.samples[c.head] = sample{at: now, lat: lat}
 	c.head = (c.head + 1) % ringSize

@@ -5,30 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
+	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 )
-
-// fakeClock is a mutable time source tests advance by hand.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 func TestNilControllerAdmitsEverything(t *testing.T) {
 	var c *Controller
@@ -48,8 +28,8 @@ func TestNilControllerAdmitsEverything(t *testing.T) {
 }
 
 func TestAdmitUpToLimitThenShed(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{SLO: 50 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1, Clock: clk.Now})
+	eng := sim.NewEngine()
+	c := New(Config{SLO: 50 * time.Millisecond, MaxInFlight: 2, MinInFlight: 1, Clock: clock.Sim(eng)})
 	rel1, _, ok1 := c.Admit()
 	rel2, _, ok2 := c.Admit()
 	if !ok1 || !ok2 {
@@ -75,14 +55,14 @@ func TestAdmitUpToLimitThenShed(t *testing.T) {
 }
 
 func TestHintMIAD(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{SLO: 100 * time.Millisecond, MaxInFlight: 1, MinInFlight: 1, Clock: clk.Now})
+	eng := sim.NewEngine()
+	c := New(Config{SLO: 100 * time.Millisecond, MaxInFlight: 1, MinInFlight: 1, Clock: clock.Sim(eng)})
 	rel, _, _ := c.Admit() // pin the only slot
 	// Each shed separated by growEvery doubles the hint from minRetryAfter
 	// up to the maxRetryAfter cap.
 	want := []time.Duration{200, 400, 800, 1600, 3200, 6400, 10000, 10000}
 	for i, w := range want {
-		clk.Advance(150 * time.Millisecond)
+		eng.Run(eng.Now() + 150*time.Millisecond)
 		_, retry, ok := c.Admit()
 		if ok {
 			t.Fatalf("shed %d admitted", i)
@@ -94,16 +74,16 @@ func TestHintMIAD(t *testing.T) {
 	rel()
 	// Age the pinned slot's (long) latency sample out of the window so the
 	// healthy intervals below actually read as healthy.
-	clk.Advance(window + time.Second)
+	eng.Run(eng.Now() + window + time.Second)
 	// Healthy completions walk the hint back down additively, hintDecay
 	// per adjustment interval.
 	for i := 0; i < 3; i++ {
-		clk.Advance(adjustWait + 50*time.Millisecond)
+		eng.Run(eng.Now() + adjustWait + 50*time.Millisecond)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatalf("healthy admit %d refused", i)
 		}
-		clk.Advance(time.Millisecond)
+		eng.Run(eng.Now() + time.Millisecond)
 		rel()
 	}
 	if h := c.RetryHint(); h != 9700*time.Millisecond {
@@ -112,16 +92,16 @@ func TestHintMIAD(t *testing.T) {
 }
 
 func TestLimitAIMD(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{SLO: 10 * time.Millisecond, MaxInFlight: 64, MinInFlight: 4, Clock: clk.Now})
+	eng := sim.NewEngine()
+	c := New(Config{SLO: 10 * time.Millisecond, MaxInFlight: 64, MinInFlight: 4, Clock: clock.Sim(eng)})
 	// Slow completions breach the SLO: the limit halves per adjustment.
 	slow := func() {
-		clk.Advance(adjustWait)
+		eng.Run(eng.Now() + adjustWait)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatal("admit refused below the limit")
 		}
-		clk.Advance(50 * time.Millisecond) // latency 50ms > SLO 10ms
+		eng.Run(eng.Now() + 50*time.Millisecond) // latency 50ms > SLO 10ms
 		rel()
 	}
 	slow()
@@ -140,16 +120,16 @@ func TestLimitAIMD(t *testing.T) {
 	}
 	// Fast completions: additive recovery, one per adjustment interval.
 	fast := func() {
-		clk.Advance(adjustWait)
+		eng.Run(eng.Now() + adjustWait)
 		rel, _, ok := c.Admit()
 		if !ok {
 			t.Fatal("admit refused below the limit")
 		}
-		clk.Advance(time.Millisecond)
+		eng.Run(eng.Now() + time.Millisecond)
 		rel()
 	}
 	// The old slow samples must age out of the window first.
-	clk.Advance(window + time.Second)
+	eng.Run(eng.Now() + window + time.Second)
 	fast()
 	fast()
 	fast()
@@ -162,9 +142,9 @@ func TestLimitAIMD(t *testing.T) {
 }
 
 func TestInstrumentRecordsDecisions(t *testing.T) {
-	clk := newFakeClock()
+	eng := sim.NewEngine()
 	reg := telemetry.NewRegistry()
-	c := New(Config{SLO: 50 * time.Millisecond, MaxInFlight: 1, Clock: clk.Now})
+	c := New(Config{SLO: 50 * time.Millisecond, MaxInFlight: 1, Clock: clock.Sim(eng)})
 	c.Instrument(reg)
 	rel, _, _ := c.Admit()
 	c.Admit() // shed

@@ -15,6 +15,6 @@ func (m *Manager) SetTestHookUnlocked(f func(op string, id SessionID)) {
 // serverHealthGen reads a server's failure-evidence generation, for tests
 // that hand recordServerSuccess evidence that is current.
 func (m *Manager) serverHealthGen(id media.ServerID) uint64 {
-	_, gen, _ := m.servers.lookup(id, m.now)
+	_, gen, _ := m.servers.lookup(id, m.clk)
 	return gen
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/offercache"
@@ -264,7 +265,7 @@ func (t *ServerTable) add(s MediaServer, node network.NodeID) {
 // quarantine (zero when none). A commit attempt hands the generation back
 // to recordSuccess, which ignores the success if any failure was recorded
 // in between.
-func (t *ServerTable) lookup(id media.ServerID, now func() time.Time) (serverEntry, uint64, time.Duration) {
+func (t *ServerTable) lookup(id media.ServerID, clk clock.Clock) (serverEntry, uint64, time.Duration) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rec, ok := t.servers[id]
@@ -273,7 +274,7 @@ func (t *ServerTable) lookup(id media.ServerID, now func() time.Time) (serverEnt
 	}
 	var left time.Duration
 	if !rec.quarantinedUntil.IsZero() {
-		left = max(rec.quarantinedUntil.Sub(now()), 0)
+		left = max(rec.quarantinedUntil.Sub(clk.Now()), 0)
 	}
 	return rec.serverEntry, rec.gen, left
 }
@@ -281,7 +282,7 @@ func (t *ServerTable) lookup(id media.ServerID, now func() time.Time) (serverEnt
 // recordFailure feeds one server-attributable failure into the breaker. It
 // returns the server's consecutive-failure count and quarantine deadline
 // afterwards, and whether this failure tripped the breaker.
-func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, now func() time.Time) (consecutive int, until time.Time, tripped bool) {
+func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.Clock) (consecutive int, until time.Time, tripped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := &t.record(f.server).serverHealth
@@ -303,7 +304,7 @@ func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, now func() 
 		quarantine = p.FailureThreshold > 0 && h.consecutive >= p.FailureThreshold
 	}
 	if quarantine {
-		at := now()
+		at := clk.Now()
 		if end := at.Add(p.cooldown()); end.After(h.quarantinedUntil) {
 			tripped = !h.quarantinedUntil.After(at)
 			h.quarantinedUntil = end
@@ -320,7 +321,7 @@ func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, now func() 
 // the attempt began, and failures recorded since are newer evidence than
 // this success. It reports whether the reset applied and whether it lifted
 // a quarantine. A server with no failure on record has nothing to reset.
-func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, now func() time.Time) (applied, restored bool) {
+func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, clk clock.Clock) (applied, restored bool) {
 	if gen == 0 {
 		return false, false
 	}
@@ -330,7 +331,7 @@ func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, now func() ti
 	if !ok || rec.gen != gen {
 		return false, false
 	}
-	restored = rec.quarantinedUntil.After(now())
+	restored = rec.quarantinedUntil.After(clk.Now())
 	rec.consecutive = 0
 	rec.quarantinedUntil = time.Time{}
 	return true, restored
@@ -345,7 +346,7 @@ func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, now func() ti
 // over, a cached candidate set is always keyed by exactly the exclusion
 // world it was filtered under — including worlds reached by silent
 // time-based quarantine expiry, which simply hash differently.
-func (t *ServerTable) exclusion(now func() time.Time) (func(media.Variant) bool, time.Duration, uint64) {
+func (t *ServerTable) exclusion(clk clock.Clock) (func(media.Variant) bool, time.Duration, uint64) {
 	t.mu.RLock()
 	var quarantined map[media.ServerID]bool
 	var ids []media.ServerID
@@ -356,7 +357,7 @@ func (t *ServerTable) exclusion(now func() time.Time) (func(media.Variant) bool,
 			continue
 		}
 		if at.IsZero() {
-			at = now()
+			at = clk.Now()
 		}
 		if rem := rec.quarantinedUntil.Sub(at); rem > 0 {
 			if quarantined == nil {
@@ -376,9 +377,9 @@ func (t *ServerTable) exclusion(now func() time.Time) (func(media.Variant) bool,
 
 // loads reports each registered server's load and breaker state, sorted by
 // id. The servers are asked for their load after the table is unlocked.
-func (t *ServerTable) loads(now func() time.Time) []ServerLoad {
+func (t *ServerTable) loads(clk clock.Clock) []ServerLoad {
 	t.mu.RLock()
-	at := now()
+	at := clk.Now()
 	out := make([]ServerLoad, 0, len(t.servers))
 	servers := make([]MediaServer, 0, len(t.servers))
 	for id, rec := range t.servers {
@@ -449,7 +450,7 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 		return
 	}
 
-	consecutive, until, tripped := m.servers.recordFailure(f, m.opts.Health, m.now)
+	consecutive, until, tripped := m.servers.recordFailure(f, m.opts.Health, m.clk)
 	m.met.serverHealthGauges(f.server, consecutive, until)
 	if tripped {
 		m.exclusionChanged()
@@ -469,7 +470,7 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 // quarantine are cleared — unless failures were recorded since generation
 // gen, which are newer evidence than this success.
 func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
-	applied, restored := m.servers.recordSuccess(id, gen, m.now)
+	applied, restored := m.servers.recordSuccess(id, gen, m.clk)
 	if !applied {
 		return
 	}
@@ -484,7 +485,7 @@ func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
 // Quarantined reports whether a server is currently quarantined by the
 // circuit breaker and, if so, the remaining cooldown.
 func (m *Manager) Quarantined(id media.ServerID) (time.Duration, bool) {
-	_, _, left := m.servers.lookup(id, m.now)
+	_, _, left := m.servers.lookup(id, m.clk)
 	return left, left > 0
 }
 
@@ -500,7 +501,7 @@ func (m *Manager) exclusionChanged() {
 	if m.cache == nil {
 		return
 	}
-	_, _, hash := m.servers.exclusion(m.now)
+	_, _, hash := m.servers.exclusion(m.clk)
 	if n := m.cache.PurgeExclusions(hash); n > 0 {
 		m.met.offerCacheInvalidations(n)
 		m.met.offerCacheEntries(m.cache.Len())

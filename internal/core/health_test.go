@@ -7,10 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
+	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 )
 
@@ -202,8 +204,8 @@ func TestCapacityBreakerTripsAndHeals(t *testing.T) {
 	b := defaultBed(t)
 	flaky := flakify(b)
 	b.man.opts.Health = HealthPolicy{FailureThreshold: 2, Cooldown: time.Minute}
-	clock := time.Now()
-	b.man.now = func() time.Time { return clock }
+	eng := sim.NewEngine()
+	b.man.clk = clock.Sim(eng)
 
 	for _, fs := range flaky {
 		fs.failReserves(-1)
@@ -249,7 +251,7 @@ func TestCapacityBreakerTripsAndHeals(t *testing.T) {
 
 	// Past the cooldown the quarantine lapses and negotiation succeeds;
 	// the successful commit resets the breaker counters.
-	clock = clock.Add(2 * time.Minute)
+	eng.Run(eng.Now() + 2*time.Minute)
 	res3, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 	if err != nil {
 		t.Fatal(err)

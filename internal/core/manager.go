@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -196,9 +197,8 @@ type Manager struct {
 	// met caches the metric series when Options.Metrics is set; nil means
 	// metrics disabled (every recording helper nil-checks).
 	met *negMetrics
-	// now is the clock the circuit breaker and latency metrics use; tests
-	// may override it.
-	now func() time.Time
+	// clk is the clock the breaker and latency metrics read; tests set Sim.
+	clk clock.Clock
 	// testHookUnlocked, when non-nil, fires at the start of every unlock
 	// window — after a procedure has withdrawn and released a session's
 	// commitment but before it re-locks to install the replacement. The
@@ -286,7 +286,7 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		pricing:   pricing,
 		opts:      opts,
 		met:       newNegMetrics(opts.Metrics, opts.Shard),
-		now:       time.Now,
+		clk:       clock.Wall{},
 		servers:   servers,
 		sessions:  make(map[SessionID]*Session),
 	}
@@ -488,7 +488,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	// classification parameters and classification, in one streaming pass.
 	// Variants on quarantined servers are excluded up front: the breaker
 	// already has evidence they cannot commit.
-	exclude, quarRemain, exclHash := m.servers.exclusion(m.now)
+	exclude, quarRemain, exclHash := m.servers.exclusion(m.clk)
 	ranked, err := m.classify(ctx, doc, docGen, mach, u, exclude, exclHash, &t)
 	if err != nil {
 		var nv *offer.NoVariantError
@@ -705,14 +705,14 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 
 	var begin time.Time
 	if m.met != nil {
-		begin = m.now()
+		begin = m.clk.Now()
 	}
 	out, err := m.runProcedure(ctx, mach, doc, docGen, u)
 	if err != nil {
 		return Result{}, err
 	}
 	if m.met != nil {
-		m.met.observeNegotiation(m.now().Sub(begin))
+		m.met.observeNegotiation(m.clk.Now().Sub(begin))
 	}
 	m.count(out.status)
 	if !out.status.Reserved() {
@@ -729,7 +729,7 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		commit:       out.commit,
 	}
 	if m.met != nil || m.opts.Tracer != nil {
-		sess.reservedAt = m.now()
+		sess.reservedAt = m.clk.Now()
 	}
 	m.sessMu.Lock()
 	if m.opts.Shard != nil {
@@ -801,7 +801,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	m.statsMu.Unlock()
 	var begin time.Time
 	if m.met != nil {
-		begin = m.now()
+		begin = m.clk.Now()
 	}
 	out, err := m.runProcedure(ctx, mach, doc, docGen, u)
 	if err != nil {
@@ -809,7 +809,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 		return Result{}, err
 	}
 	if m.met != nil {
-		m.met.observeNegotiation(m.now().Sub(begin))
+		m.met.observeNegotiation(m.clk.Now().Sub(begin))
 	}
 	m.count(out.status)
 	if !out.status.Reserved() {
@@ -841,7 +841,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	s.epoch++
 	s.busy = false
 	if m.met != nil || m.opts.Tracer != nil {
-		s.reservedAt = m.now()
+		s.reservedAt = m.clk.Now()
 	}
 	s.mu.Unlock()
 	uo := out.chosen.UserOffer()
@@ -897,7 +897,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		// One lookup reads the server, its evidence generation and its
 		// quarantine together: a quarantine that trips after it bumps the
 		// generation, so it outlives this attempt's success.
-		entry, healthGen, left := m.servers.lookup(sid, m.now)
+		entry, healthGen, left := m.servers.lookup(sid, m.clk)
 		if left > 0 {
 			// No new evidence — the breaker already tripped — so this is
 			// not recorded against the server again.
@@ -911,7 +911,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		netQoS := ch.Variant.NetworkQoS()
 		var began time.Time
 		if m.observer != nil {
-			began = m.now()
+			began = m.clk.Now()
 		}
 		res, err := entry.server.Reserve(netQoS)
 		if err != nil {
@@ -927,7 +927,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 		held[len(held)-1].conn = conn
 		m.recordServerSuccess(sid, healthGen)
 		if m.observer != nil {
-			m.observeCommit(sid, g, CauseNone, m.now().Sub(began))
+			m.observeCommit(sid, g, CauseNone, m.clk.Now().Sub(began))
 		}
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
 			startDelay = d
@@ -1021,7 +1021,7 @@ func (m *Manager) Confirm(id SessionID) error {
 	// Step 6's latency: how long the user deliberated before accepting
 	// the reserved configuration.
 	if !s.reservedAt.IsZero() {
-		d := m.now().Sub(s.reservedAt)
+		d := m.clk.Now().Sub(s.reservedAt)
 		m.met.step(telemetry.StepConfirmation).Observe(d)
 		m.span(telemetry.Event{Step: telemetry.StepConfirmation, Elapsed: d})
 	}
@@ -1063,9 +1063,8 @@ func (m *Manager) expireOrReject(id SessionID, expire bool) error {
 	return nil
 }
 
-// Advance moves a playing session's position forward; the playout drivers
-// call it as time passes: package session's on the simulation clock, and
-// protocol.Playout on the wall clock for sessions confirmed over the wire.
+// Advance moves a playing session's position forward; the playout driver,
+// session.Player, calls it every tick of its clock.
 func (m *Manager) Advance(id SessionID, dt time.Duration) error {
 	s, err := m.Session(id)
 	if err != nil {
@@ -1190,7 +1189,7 @@ type ServerLoad struct {
 // ServerLoads reports each registered media server's current load and
 // breaker health, sorted by id; the ops view behind `qosctl servers`.
 func (m *Manager) ServerLoads() []ServerLoad {
-	return m.servers.loads(m.now)
+	return m.servers.loads(m.clk)
 }
 
 // Invoice itemizes the committed offer of a live session: one line per

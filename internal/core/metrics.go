@@ -274,7 +274,7 @@ func (m *Manager) stepTimer() stepTimer {
 	if m.met == nil && m.opts.Tracer == nil {
 		return stepTimer{}
 	}
-	return stepTimer{m: m, last: m.now()}
+	return stepTimer{m: m, last: m.clk.Now()}
 }
 
 // lap closes the current phase as step s and starts the next one.
@@ -282,7 +282,7 @@ func (t *stepTimer) lap(s telemetry.Step) {
 	if t.m == nil {
 		return
 	}
-	now := t.m.now()
+	now := t.m.clk.Now()
 	d := now.Sub(t.last)
 	t.last = now
 	t.m.met.step(s).Observe(d)

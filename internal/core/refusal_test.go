@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
+	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 )
 
@@ -25,7 +27,6 @@ type refusalCase struct {
 // /debug/trace. The clock is frozen, so the quarantine's remaining time is
 // exact.
 func TestRefusalDetailText(t *testing.T) {
-	t0 := time.Date(1996, 8, 6, 12, 0, 0, 0, time.UTC)
 	keep := func(t *testing.T, b *bed, r offer.Ranked) (media.Document, profile.UserProfile, offer.Ranked) {
 		return b.doc, tvProfile(), r
 	}
@@ -35,8 +36,8 @@ func TestRefusalDetailText(t *testing.T) {
 			status: "server-down",
 			detail: "server-down server-1: core: media server down: server-1 quarantined for 1m30s",
 			setup: func(t *testing.T, b *bed, r offer.Ranked) (media.Document, profile.UserProfile, offer.Ranked) {
-				// Hard-down evidence at the frozen t0 quarantines server-1
-				// until t0+90s.
+				// Hard-down evidence on the frozen clock quarantines
+				// server-1 for exactly 90s.
 				b.man.opts.Health.Cooldown = 90 * time.Second
 				b.man.recordCommitFailure(commitFailure{cause: CauseServerDown, kind: refusedReserve, server: "server-1", err: ErrServerDown})
 				return keep(t, b, r)
@@ -112,7 +113,7 @@ func TestRefusalDetailText(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ring := telemetry.NewRing(64)
 			b := metricsBed(t, nil, ring)
-			b.man.now = func() time.Time { return t0 }
+			b.man.clk = clock.Sim(sim.NewEngine())
 			res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
 			if err != nil || res.Session == nil {
 				t.Fatalf("negotiate: %v (%+v)", err, res.Status)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qosneg/internal/adaptation"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/media"
@@ -75,13 +76,13 @@ func runE16One(withMonitor bool) (int, int, int, int) {
 	doc, _ := bed.Registry.Document("news-1")
 
 	eng := sim.NewEngine()
-	player := session.NewPlayer(eng, bed.Manager)
+	player := session.NewPlayer(clock.Sim(eng), bed.Manager, time.Second)
 	if withMonitor {
 		var servers []*cmfs.Server
 		for _, id := range bed.ServerIDs() {
 			servers = append(servers, bed.Servers[id])
 		}
-		adaptation.New(bed.Manager, bed.Network, servers...).Attach(eng, 5*time.Second, nil)
+		adaptation.New(bed.Manager, bed.Network, servers...).Attach(eng, nil)
 	}
 	completed, aborted := 0, 0
 	transitions := 0

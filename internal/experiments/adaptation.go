@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qosneg/internal/adaptation"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/session"
@@ -54,7 +55,7 @@ func runE7(w io.Writer) error {
 		servers = append(servers, bed.Servers[id])
 	}
 	mon := adaptation.New(bed.Manager, bed.Network, servers...)
-	mon.Attach(eng, 5*time.Second, func(r adaptation.Report) {
+	mon.Attach(eng, func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Fprintf(w, "t=%-5s adaptation: switched to %s (position preserved at %s)\n",
 				eng.Now(), tr.To.SystemOffer, time.Duration(tr.Position))
@@ -64,7 +65,7 @@ func runE7(w io.Writer) error {
 		}
 	})
 
-	player := session.NewPlayer(eng, bed.Manager)
+	player := session.NewPlayer(clock.Sim(eng), bed.Manager, time.Second)
 	var out *session.Outcome
 	if err := player.Play(s, doc, func(o session.Outcome) { out = &o }); err != nil {
 		return err
@@ -102,7 +103,7 @@ func runE10(w io.Writer) error {
 	timerA, _ := eng.Schedule(choice, func() { bed.Manager.Reject(resA.Session.ID) })
 	eng.MustSchedule(choice/2, func() {
 		bed.Manager.Confirm(resA.Session.ID)
-		eng.Cancel(timerA)
+		timerA.Stop()
 	})
 
 	// Scenario B: the user never presses OK; the timer aborts the session.

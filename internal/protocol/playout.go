@@ -1,110 +1,30 @@
 package protocol
 
 import (
-	"sync"
 	"time"
 
 	"qosneg/internal/core"
 	"qosneg/internal/session"
 )
 
-// Playout drives confirmed sessions in real (wall-clock) time on the daemon
-// side: the role the media players fill in the prototype. Once attached to
-// a server, every session confirmed over the wire advances until its
-// document's schedule ends, then completes; querying the session over the
-// protocol shows the live position.
-type Playout struct {
-	man  core.SessionManager
-	srv  *Server
-	tick time.Duration
+// playoutTick is the daemon's playout bookkeeping granularity.
+const playoutTick = 100 * time.Millisecond
 
-	mu      sync.Mutex
-	driving map[core.SessionID]bool
-	stopped bool
-	wg      sync.WaitGroup
-}
-
-// AttachPlayout wires a real-time playout driver into the server: sessions
-// confirmed through srv start playing immediately. tick is the bookkeeping
-// granularity (default 100 ms).
-func AttachPlayout(srv *Server, man core.SessionManager, tick time.Duration) *Playout {
-	if tick <= 0 {
-		tick = 100 * time.Millisecond
+// AttachPlayout wires a playout driver, the prototype's media players, into
+// the server on its clock: every session confirmed through srv plays at once,
+// advancing every playoutTick until its document's schedule ends.
+func AttachPlayout(srv *Server, man core.SessionManager) *session.Player {
+	p := session.NewPlayer(srv.clk, man, playoutTick)
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	srv.confirmHook = func(id core.SessionID) {
+		sess, err := man.Session(id)
+		if err != nil {
+			return
+		}
+		if doc, err := srv.reg.Document(sess.Document); err == nil {
+			p.Drive(sess, session.BuildSchedule(doc).Duration(), nil)
+		}
 	}
-	p := &Playout{man: man, srv: srv, tick: tick, driving: make(map[core.SessionID]bool)}
-	srv.setConfirmHook(p.start)
 	return p
-}
-
-// start begins driving a confirmed session; idempotent per session.
-func (p *Playout) start(id core.SessionID) {
-	p.mu.Lock()
-	if p.stopped || p.driving[id] {
-		p.mu.Unlock()
-		return
-	}
-	p.driving[id] = true
-	p.wg.Add(1)
-	p.mu.Unlock()
-
-	go func() {
-		defer p.wg.Done()
-		defer func() {
-			p.mu.Lock()
-			delete(p.driving, id)
-			p.mu.Unlock()
-		}()
-		sess, err := p.man.Session(id)
-		if err != nil {
-			return
-		}
-		doc, err := p.srv.registryDocument(sess.Document)
-		if err != nil {
-			return
-		}
-		duration := session.BuildSchedule(doc).Duration()
-		ticker := time.NewTicker(p.tick)
-		defer ticker.Stop()
-		for range ticker.C {
-			p.mu.Lock()
-			stopped := p.stopped
-			p.mu.Unlock()
-			if stopped {
-				return
-			}
-			if sess.State() != core.Playing {
-				return
-			}
-			remaining := duration - sess.Position()
-			step := p.tick
-			if step > remaining {
-				step = remaining
-			}
-			if step > 0 {
-				if err := p.man.Advance(id, step); err != nil {
-					return
-				}
-			}
-			if sess.Position() >= duration {
-				p.man.Complete(id)
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts every playout goroutine and waits for them to exit. Sessions
-// keep their current state (the daemon is shutting down, not the users).
-func (p *Playout) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-	p.wg.Wait()
-}
-
-// Active returns the number of sessions currently being driven.
-func (p *Playout) Active() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.driving)
 }

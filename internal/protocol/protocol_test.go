@@ -2,17 +2,21 @@ package protocol
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
+	"qosneg/internal/sim"
 	"qosneg/internal/testbed"
 )
 
@@ -49,7 +53,41 @@ func newsBed(t *testing.T) *testbed.Bed {
 // serveHarness starts a protocol server over an already-populated bed.
 func serveHarness(t *testing.T, bed *testbed.Bed) *harness {
 	t.Helper()
+	return startHarness(t, bed, NewServer(bed.Manager, bed.Registry))
+}
+
+// simHarness is serveHarness with the server on a Sim clock: choice
+// periods, watch polls and playout ticks fire as the test runs the engine.
+func simHarness(t *testing.T, bed *testbed.Bed) (*harness, *sim.Engine) {
+	t.Helper()
+	eng := sim.NewEngine()
 	srv := NewServer(bed.Manager, bed.Registry)
+	srv.clk = clock.Sim(eng)
+	return startHarness(t, bed, srv), eng
+}
+
+// waitPending blocks until the engine holds n events: the server's
+// goroutines have armed the timers the test is about to fire.
+func waitPending(t *testing.T, eng *sim.Engine, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d pending events", n), func() bool { return eng.Pending() == n })
+}
+
+// waitFor yields to the server's goroutines until cond holds, failing the
+// test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("gave up waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+func startHarness(t *testing.T, bed *testbed.Bed, srv *Server) *harness {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +197,7 @@ func TestRejectReleasesOverWire(t *testing.T) {
 // choice timer, also when several negotiations run concurrently on one
 // connection; each lapses into an abort that reclaims its resources.
 func TestChoicePeriodTimeout(t *testing.T) {
-	h := newHarness(t)
+	h, eng := simHarness(t, newsBed(t))
 	c := h.dial(t)
 	docs := []media.DocumentID{"news-1", "news-2"}
 	results := make([]NegotiationResult, len(docs))
@@ -183,10 +221,7 @@ func TestChoicePeriodTimeout(t *testing.T) {
 	}
 	// Let the choice periods lapse: the server aborts the sessions and
 	// reclaims the resources ("the session is simply aborted").
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && h.server.Expired() < len(docs) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	eng.Run(eng.Now() + 50*time.Millisecond)
 	if n := h.server.Expired(); n != len(docs) {
 		t.Fatalf("expired = %d, want %d", n, len(docs))
 	}
@@ -210,8 +245,72 @@ func TestChoicePeriodTimeout(t *testing.T) {
 	}
 }
 
+// TestChoiceTimersLeaveNoEntry checks the choice-timer table after every
+// way a timer ends: expiry, confirm, reject and renegotiate. The expiring
+// sessions carry a 1ns choice period while a goroutine runs the engine, so
+// a timer can lapse before the server has finished arming it.
+func TestChoiceTimersLeaveNoEntry(t *testing.T) {
+	h, eng := simHarness(t, newsBed(t))
+	c := h.dial(t)
+	negotiate := func(doc media.DocumentID, period time.Duration) core.SessionID {
+		t.Helper()
+		res, err := c.Negotiate(bg, h.bed.Client(1), doc, tvProfile(period))
+		if err != nil || !res.Status.Reserved() {
+			t.Fatalf("negotiate %s: %v %v", doc, res.Status, err)
+		}
+		return res.Session
+	}
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				eng.Run(eng.Now() + time.Nanosecond)
+				runtime.Gosched()
+			}
+		}
+	}()
+	const expiring = 8
+	for i := range expiring {
+		negotiate([]media.DocumentID{"news-1", "news-2"}[i%2], time.Nanosecond)
+		waitFor(t, "expiry", func() bool { return h.server.Expired() > i })
+	}
+	close(stop)
+	<-stopped
+
+	confirmed := negotiate("news-1", time.Minute)
+	if err := c.Confirm(bg, confirmed); err != nil {
+		t.Fatal(err)
+	}
+	rejected := negotiate("news-1", time.Minute)
+	if err := c.Reject(bg, rejected); err != nil {
+		t.Fatal(err)
+	}
+	renegotiated := negotiate("news-2", time.Minute)
+	if _, err := c.Renegotiate(bg, renegotiated, tvProfile(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Confirm(bg, renegotiated); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := h.server.Expired(); n != expiring {
+		t.Errorf("expired = %d, want %d", n, expiring)
+	}
+	h.server.mu.Lock()
+	left := len(h.server.timers)
+	h.server.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d choice timers left in the table after every session resolved", left)
+	}
+}
+
 func TestConfirmDisarmsTimer(t *testing.T) {
-	h := newHarness(t)
+	h, eng := simHarness(t, newsBed(t))
 	c := h.dial(t)
 	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(80*time.Millisecond))
 	if err != nil {
@@ -220,7 +319,7 @@ func TestConfirmDisarmsTimer(t *testing.T) {
 	if err := c.Confirm(bg, res.Session); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	eng.Run(eng.Now() + 150*time.Millisecond)
 	if h.server.Expired() != 0 {
 		t.Error("confirmed session expired anyway")
 	}

@@ -49,7 +49,7 @@ func TestRenegotiateOverWire(t *testing.T) {
 }
 
 func TestRenegotiateRearmsChoiceTimer(t *testing.T) {
-	h := newHarness(t)
+	h, eng := simHarness(t, newsBed(t))
 	c := h.dial(t)
 	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
 	if err != nil {
@@ -63,10 +63,7 @@ func TestRenegotiateRearmsChoiceTimer(t *testing.T) {
 	if res2.ChoicePeriod != 60*time.Millisecond {
 		t.Errorf("choice period = %v", res2.ChoicePeriod)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && h.server.Expired() == 0 {
-		time.Sleep(10 * time.Millisecond)
-	}
+	eng.Run(eng.Now() + 60*time.Millisecond)
 	if h.server.Expired() != 1 {
 		t.Fatal("renegotiated choice period never expired")
 	}

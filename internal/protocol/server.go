@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"qosneg/internal/admission"
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
-	"qosneg/internal/media"
 	"qosneg/internal/registry"
 	"qosneg/internal/shard"
 	"qosneg/internal/telemetry"
@@ -42,10 +42,12 @@ type Server struct {
 	// so in-flight pipelines abort and roll back.
 	baseCtx context.Context
 	cancel  context.CancelFunc
+	// clk times RPCs, choice periods and watch polls; tests set a Sim one.
+	clk clock.Clock
 
 	mu          sync.Mutex
 	confirmHook func(core.SessionID)
-	timers      map[core.SessionID]*time.Timer
+	timers      map[core.SessionID]clock.Timer
 	conns       map[net.Conn]bool
 	wg          sync.WaitGroup
 	closed      bool
@@ -124,7 +126,8 @@ func NewServer(man core.SessionManager, reg *registry.Registry, opts ...ServerOp
 		reg:     reg,
 		baseCtx: ctx,
 		cancel:  cancel,
-		timers:  make(map[core.SessionID]*time.Timer),
+		clk:     clock.Wall{},
+		timers:  make(map[core.SessionID]clock.Timer),
 		conns:   make(map[net.Conn]bool),
 	}
 	for _, o := range opts {
@@ -189,12 +192,6 @@ func (s *Server) Expired() int {
 	return s.expired
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // handle serves one connection. Its first line must be a hello offering
 // CodecBinary. Anything else — a request line, a hello without binary/2, a
 // truncated value such as a lone "{" — gets one MsgError line, and the
@@ -232,11 +229,11 @@ func (s *Server) handle(conn net.Conn) {
 func (s *Server) serve(ctx context.Context, env Envelope) Envelope {
 	var begin time.Time
 	if s.rpcSeconds != nil {
-		begin = time.Now()
+		begin = s.clk.Now()
 	}
 	resp := s.dispatch(ctx, env)
 	if s.rpcSeconds != nil {
-		s.rpcSeconds.With(string(env.Type)).Observe(time.Since(begin))
+		s.rpcSeconds.With(string(env.Type)).Observe(s.clk.Now().Sub(begin))
 	}
 	if resp.Type == MsgError {
 		s.rpcErrors.With(string(env.Type)).Inc()
@@ -361,9 +358,13 @@ func (s *Server) negotiate(ctx context.Context, req *NegotiateRequest) Envelope 
 	return Envelope{Type: MsgResult, Payload: s.resultPayload(res)}
 }
 
-// armChoiceTimer starts the step 6 time-out for a reserved session.
+// armChoiceTimer starts the step 6 time-out for a reserved session. The
+// timer is stored under s.mu, which the callback takes first, so even a
+// period short enough to lapse at once never outlives its table entry.
 func (s *Server) armChoiceTimer(id core.SessionID, period time.Duration) {
-	t := time.AfterFunc(period, func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.timers[id] = s.clk.AfterFunc(period, func() {
 		s.mu.Lock()
 		delete(s.timers, id)
 		s.mu.Unlock()
@@ -377,9 +378,6 @@ func (s *Server) armChoiceTimer(id core.SessionID, period time.Duration) {
 			s.mu.Unlock()
 		}
 	})
-	s.mu.Lock()
-	s.timers[id] = t
-	s.mu.Unlock()
 }
 
 // disarmChoiceTimer cancels the time-out; it reports whether the timer was
@@ -426,19 +424,6 @@ func (s *Server) confirm(id core.SessionID) Envelope {
 	return Envelope{Type: MsgOK, Payload: &OKPayload{Session: id}}
 }
 
-// setConfirmHook installs a callback fired after every successful Confirm;
-// the playout driver uses it.
-func (s *Server) setConfirmHook(hook func(core.SessionID)) {
-	s.mu.Lock()
-	s.confirmHook = hook
-	s.mu.Unlock()
-}
-
-// registryDocument exposes the catalog to the playout driver.
-func (s *Server) registryDocument(id media.DocumentID) (media.Document, error) {
-	return s.reg.Document(id)
-}
-
 func (s *Server) reject(id core.SessionID) Envelope {
 	s.disarmChoiceTimer(id)
 	if err := s.man.Reject(id); err != nil {
@@ -466,8 +451,9 @@ func (s *Server) session(id core.SessionID) Envelope {
 }
 
 // watchLoop samples one session until it reaches a terminal state, the
-// context is canceled, the server closes, or send fails. Updates are
-// emitted on state or transition changes; the last one carries Final=true.
+// context is canceled (Close cancels every stream's), or send fails.
+// Updates are emitted on state or transition changes; the last one carries
+// Final=true.
 func (s *Server) watchLoop(ctx context.Context, req *WatchRequest, send func(Envelope) error) error {
 	interval := time.Duration(req.IntervalMs) * time.Millisecond
 	if interval <= 0 {
@@ -479,6 +465,8 @@ func (s *Server) watchLoop(ctx context.Context, req *WatchRequest, send func(Env
 	}
 	var lastState string
 	var lastTransitions int
+	wake := make(chan struct{}, 1)
+	poll := func() { wake <- struct{}{} }
 	for {
 		state := sess.State()
 		info := sessionInfoPayload(sess)
@@ -497,13 +485,12 @@ func (s *Server) watchLoop(ctx context.Context, req *WatchRequest, send func(Env
 		if terminal {
 			return nil
 		}
-		if s.isClosed() {
-			return nil
-		}
+		t := s.clk.AfterFunc(interval, poll)
 		select {
 		case <-ctx.Done():
+			t.Stop()
 			return nil
-		case <-time.After(interval):
+		case <-wake:
 		}
 	}
 }

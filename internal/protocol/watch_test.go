@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +15,8 @@ func TestWatchStreamsToCompletion(t *testing.T) {
 	if _, err := bed.AddNewsArticle("news-1", "Clip", 300*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	h := serveHarness(t, bed)
-	p := AttachPlayout(h.server, bed.Manager, 20*time.Millisecond)
+	h, eng := simHarness(t, bed)
+	p := AttachPlayout(h.server, bed.Manager)
 	t.Cleanup(p.Stop)
 
 	ctl := h.dial(t)
@@ -27,19 +28,37 @@ func TestWatchStreamsToCompletion(t *testing.T) {
 	// Watch on a dedicated connection, then confirm from the control one.
 	watcher := h.dial(t)
 	done := make(chan []SessionInfo, 1)
+	states := make(chan string, 16) // more than the watch sends: its callback never blocks
 	go func() {
 		var updates []SessionInfo
 		err := watcher.Watch(bg, res.Session, 20*time.Millisecond, func(i SessionInfo) {
 			updates = append(updates, i)
+			states <- i.State
 		})
 		if err != nil {
 			t.Error(err)
 		}
 		done <- updates
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The choice timer and the watch's first poll are armed.
+	waitPending(t, eng, 2)
 	if err := ctl.Confirm(bg, res.Session); err != nil {
 		t.Fatal(err)
+	}
+	// One step fires the poll; the watch reports the session playing before
+	// the engine runs on to its end.
+	eng.Run(eng.Now() + 20*time.Millisecond)
+	for state := ""; state != "playing"; {
+		select {
+		case state = <-states:
+		case <-time.After(5 * time.Second):
+			t.Fatal("playing never reported")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(done) == 0 && time.Now().Before(deadline) {
+		eng.Run(eng.Now() + 20*time.Millisecond)
+		runtime.Gosched()
 	}
 
 	select {
@@ -83,7 +102,7 @@ func TestWatchUnknownSession(t *testing.T) {
 }
 
 func TestWatchReportsAbort(t *testing.T) {
-	h := newHarness(t)
+	h, eng := simHarness(t, newsBed(t))
 	ctl := h.dial(t)
 	res, err := ctl.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
 	if err != nil {
@@ -96,10 +115,12 @@ func TestWatchReportsAbort(t *testing.T) {
 		watcher.Watch(bg, res.Session, 10*time.Millisecond, func(i SessionInfo) { last = i.State })
 		done <- last
 	}()
-	time.Sleep(30 * time.Millisecond)
+	// The choice timer and the watch's first poll are armed.
+	waitPending(t, eng, 2)
 	if err := ctl.Reject(bg, res.Session); err != nil {
 		t.Fatal(err)
 	}
+	eng.Run(eng.Now() + 10*time.Millisecond)
 	select {
 	case last := <-done:
 		if last != "aborted" {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qosneg/internal/adaptation"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
@@ -53,7 +54,7 @@ func TestPlayToCompletion(t *testing.T) {
 	}
 	s := reserved(t, b, doc.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {
@@ -88,14 +89,14 @@ func TestPlayWithMidStreamAdaptation(t *testing.T) {
 	}
 	s := reserved(t, b, doc.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 
 	var servers []*cmfs.Server
 	for _, id := range b.ServerIDs() {
 		servers = append(servers, b.Servers[id])
 	}
 	mon := adaptation.New(b.Manager, b.Network, servers...)
-	mon.Attach(eng, 5*time.Second, nil)
+	mon.Attach(eng, nil)
 
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {
@@ -129,13 +130,13 @@ func TestPlayAbortsWhenAdaptationFails(t *testing.T) {
 	}
 	s := reserved(t, b, doc.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 
 	var servers []*cmfs.Server
 	for _, id := range b.ServerIDs() {
 		servers = append(servers, b.Servers[id])
 	}
-	adaptation.New(b.Manager, b.Network, servers...).Attach(eng, 5*time.Second, nil)
+	adaptation.New(b.Manager, b.Network, servers...).Attach(eng, nil)
 
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {
@@ -166,7 +167,7 @@ func TestPlayDocumentMismatch(t *testing.T) {
 	other, _ := b.AddNewsArticle("news-2", "U", time.Minute)
 	s := reserved(t, b, doc.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 	if err := p.Play(s, other, nil); err == nil {
 		t.Error("document mismatch accepted")
 	}
@@ -178,7 +179,7 @@ func TestPlayRequiresReservedSession(t *testing.T) {
 	s := reserved(t, b, doc.ID)
 	b.Manager.Reject(s.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 	if err := p.Play(s, doc, nil); err == nil {
 		t.Error("rejected session played")
 	}
@@ -192,7 +193,7 @@ func TestPlayShortDocumentSubTick(t *testing.T) {
 	}
 	s := reserved(t, b, doc.ID)
 	eng := sim.NewEngine()
-	p := NewPlayer(eng, b.Manager)
+	p := NewPlayer(clock.Sim(eng), b.Manager, time.Second)
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {
 		t.Fatal(err)
@@ -203,5 +204,53 @@ func TestPlayShortDocumentSubTick(t *testing.T) {
 	}
 	if out.Position != 1500*time.Millisecond {
 		t.Errorf("position = %v", out.Position)
+	}
+}
+
+// TestDriveOnWallClock drives confirmed sessions concurrently on wall time,
+// as the daemon does: the short documents complete on their own, and Stop
+// on a player still driving a session leaves nothing active and the session
+// playing.
+func TestDriveOnWallClock(t *testing.T) {
+	b := testbed.MustNew(testbed.Spec{})
+	short, err := b.AddNewsArticle("news-1", "T", 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlayer(clock.Wall{}, b.Manager, time.Millisecond)
+	const n = 3
+	outcomes := make(chan Outcome, n)
+	for range n {
+		s := reserved(t, b, short.ID)
+		if err := b.Manager.Confirm(s.ID); err != nil {
+			t.Fatal(err)
+		}
+		p.Drive(s, BuildSchedule(short).Duration(), func(o Outcome) { outcomes <- o })
+	}
+	for range n {
+		select {
+		case o := <-outcomes:
+			if o.State != core.Completed || o.Position != 30*time.Millisecond {
+				t.Errorf("outcome = %+v", o)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("playouts still active: %d", p.Active())
+		}
+	}
+
+	s := reserved(t, b, short.ID)
+	if err := b.Manager.Confirm(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	p.Drive(s, time.Hour, nil)
+	if p.Active() != 1 {
+		t.Fatalf("active = %d", p.Active())
+	}
+	p.Stop()
+	if p.Active() != 0 {
+		t.Errorf("active after stop = %d", p.Active())
+	}
+	if st := s.State(); st != core.Playing {
+		t.Errorf("state after stop = %v", st)
 	}
 }

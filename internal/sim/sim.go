@@ -8,13 +8,18 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
-// NewEngine.
+// NewEngine. It is safe for concurrent use: one goroutine may run the
+// calendar while others schedule and stop events. No lock is held while an
+// event runs, so an event may schedule, stop and read the clock.
 type Engine struct {
+	mu    sync.Mutex
 	now   time.Duration
 	queue eventQueue
 	seq   uint64
@@ -26,16 +31,39 @@ func NewEngine() *Engine {
 }
 
 // Now returns the current virtual time.
-func (e *Engine) Now() time.Duration { return e.now }
+func (e *Engine) Now() time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.now
+}
 
 // Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.queue.Len()
+}
 
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct{ ev *event }
+// Handle identifies a scheduled event so it can be stopped.
+type Handle struct {
+	e  *Engine
+	ev *event
+}
 
-// Cancelled reports whether the event was cancelled (or the zero Handle).
-func (h Handle) Cancelled() bool { return h.ev == nil || h.ev.cancelled }
+// Stop removes the event from the calendar and reports whether it was still
+// pending. Stopping a fired or stopped event, or the zero Handle, is a no-op.
+func (h Handle) Stop() bool {
+	if h.ev == nil {
+		return false
+	}
+	h.e.mu.Lock()
+	defer h.e.mu.Unlock()
+	if h.ev.index < 0 {
+		return false
+	}
+	heap.Remove(&h.e.queue, h.ev.index)
+	return true
+}
 
 // Schedule runs fn at now+delay. A negative delay is an error; a zero delay
 // fires after the currently executing event completes.
@@ -43,7 +71,12 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) (Handle, error) {
 	if delay < 0 {
 		return Handle{}, fmt.Errorf("sim: negative delay %v", delay)
 	}
-	return e.At(e.now+delay, fn)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ev := &event{at: e.now + delay, seq: e.seq, fn: fn}
+	e.seq++
+	heap.Push(&e.queue, ev)
+	return Handle{e: e, ev: ev}, nil
 }
 
 // MustSchedule is Schedule that panics on error; for literals known to be
@@ -56,62 +89,21 @@ func (e *Engine) MustSchedule(delay time.Duration, fn func()) Handle {
 	return h
 }
 
-// At runs fn at absolute virtual time t, which must not lie in the past.
-func (e *Engine) At(t time.Duration, fn func()) (Handle, error) {
-	if t < e.now {
-		return Handle{}, fmt.Errorf("sim: time %v is in the past (now %v)", t, e.now)
-	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return Handle{ev: ev}, nil
-}
-
-// Cancel prevents a scheduled event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op.
-func (e *Engine) Cancel(h Handle) {
-	if h.ev != nil {
-		h.ev.cancelled = true
-	}
-}
-
 // Step fires the next event, advancing the clock to its timestamp. It
 // returns false when the calendar is empty.
-func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.at
-		ev.fn()
-		return true
-	}
-	return false
-}
+func (e *Engine) Step() bool { return e.fire(math.MaxInt64) }
 
 // Run fires events until the calendar is empty or the next event lies
 // beyond the horizon; the clock then advances to the horizon. It returns
 // the number of events fired.
 func (e *Engine) Run(horizon time.Duration) int {
 	fired := 0
-	for {
-		ev := e.queue.peek()
-		for ev != nil && ev.cancelled {
-			heap.Pop(&e.queue)
-			ev = e.queue.peek()
-		}
-		if ev == nil || ev.at > horizon {
-			break
-		}
-		heap.Pop(&e.queue)
-		e.now = ev.at
-		ev.fn()
+	for e.fire(horizon) {
 		fired++
 	}
-	if horizon > e.now {
-		e.now = horizon
-	}
+	e.mu.Lock()
+	e.now = max(e.now, horizon)
+	e.mu.Unlock()
 	return fired
 }
 
@@ -126,12 +118,26 @@ func (e *Engine) RunAll() int {
 	return fired
 }
 
+// fire pops the next event due by horizon, advances the clock to it and
+// runs it with the lock released. It returns false when none is due.
+func (e *Engine) fire(horizon time.Duration) bool {
+	e.mu.Lock()
+	if len(e.queue) == 0 || e.queue[0].at > horizon {
+		e.mu.Unlock()
+		return false
+	}
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.at
+	e.mu.Unlock()
+	ev.fn()
+	return true
+}
+
 type event struct {
-	at        time.Duration
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int
+	at    time.Duration
+	seq   uint64
+	fn    func()
+	index int
 }
 
 type eventQueue []*event
@@ -158,14 +164,9 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
+	ev.index = -1 // fired or stopped: no longer pending
 	*q = old[:n-1]
 	return ev
-}
-func (q eventQueue) peek() *event {
-	if len(q) == 0 {
-		return nil
-	}
-	return q[0]
 }
 
 // Rand is a deterministic random source for workload generation. It wraps

@@ -49,10 +49,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"time"
 
 	"qosneg/internal/adaptation"
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
@@ -305,9 +307,9 @@ func (s *System) Monitor() *adaptation.Monitor {
 	return adaptation.New(s.Manager, s.Network, servers...)
 }
 
-// Player builds a playout driver on the given simulation engine.
+// Player builds a playout driver ticking once a virtual second of eng.
 func (s *System) Player(eng *sim.Engine) *session.Player {
-	return session.NewPlayer(eng, s.Manager)
+	return session.NewPlayer(clock.Sim(eng), s.Manager, time.Second)
 }
 
 // Serve exposes the system's QoS manager over the wire protocol on l; it

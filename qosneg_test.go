@@ -30,7 +30,7 @@ func TestSystemNegotiatePlayComplete(t *testing.T) {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
 	eng := sim.NewEngine()
-	sys.Monitor().Attach(eng, 5*time.Second, nil)
+	sys.Monitor().Attach(eng, nil)
 	var out *session.Outcome
 	if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = &o }); err != nil {
 		t.Fatal(err)

@@ -61,6 +61,32 @@ if grep -rnE '\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinR
 	exit 1
 fi
 
+echo "== one clock"
+if grep -rnE 'time\.(Now|Since|Until|AfterFunc|NewTicker|NewTimer|After|Tick)\b' --include='*.go' --exclude='*_test.go' \
+	internal/core internal/shard internal/admission internal/adaptation internal/session \
+	internal/protocol/server.go internal/protocol/playout.go; then
+	echo "check: time enters through internal/clock; read the component's clock.Clock, not the time package" >&2
+	exit 1
+fi
+if grep -rn 'time\.NewTicker' --include='*.go' --exclude='*_test.go' --exclude-dir=bench .; then
+	echo "check: playout ticks on a clock.Clock in session.Player, not on a ticker" >&2
+	exit 1
+fi
+# A function that both advances and completes sessions is a playout loop;
+# session.Player is the one.
+loops=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './internal/session/*' -exec awk '
+	function flush() { if (adv && cmp) print file ": " fn; adv = cmp = 0 }
+	FNR == 1 { flush(); file = FILENAME }
+	/^func / { flush(); fn = $0 }
+	/\.Advance\(/ && !/^func / { adv = 1 }
+	/\.Complete\(/ && !/^func / { cmp = 1 }
+	END { flush() }' {} +)
+if [ -n "$loops" ]; then
+	echo "$loops"
+	echo "check: a second Advance/Complete playout loop outside internal/session; drive sessions with session.Player" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
 

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare profile cover check experiments expdiff examples fmt vet fuzz stress clean
+.PHONY: all build test race bench bench-compare profile cover check experiments expdiff fmt vet fuzz stress clean
 
 all: build test
 
@@ -76,15 +76,6 @@ experiments:
 # wall-clock cells masked; no output means E1–E20 are unchanged.
 expdiff:
 	./scripts/expdiff.sh $(REV)
-
-# Run every example program once.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/newsondemand
-	$(GO) run ./examples/adaptation
-	$(GO) run ./examples/protocol
-	$(GO) run ./examples/multidomain
-	$(GO) run ./examples/booking
 
 fmt:
 	gofmt -w .

@@ -68,7 +68,7 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.addr, "addr", "127.0.0.1:7000", "TCP listen address")
 	fs.IntVar(&f.servers, "servers", 2, "number of CMFS servers")
 	fs.IntVar(&f.clients, "clients", 4, "number of provisioned client attachment points")
-	fs.IntVar(&f.shards, "shards", 1, "manager shards behind consistent-hash session routing")
+	fs.IntVar(&f.shards, "shards", 1, "manager shards; shard i of n allocates session ids i+1, i+1+n, …")
 	fs.StringVar(&f.catalog, "catalog", "", "JSON document catalog to load (default: synthesize articles)")
 	fs.StringVar(&f.tariff, "pricing", "", "JSON tariff to load (default: built-in cost tables)")
 	fs.BoolVar(&f.verbose, "verbose", false, "log every negotiation decision (the QoS manager's trace)")

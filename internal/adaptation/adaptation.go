@@ -14,6 +14,7 @@ package adaptation
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"qosneg/internal/cmfs"
@@ -44,7 +45,10 @@ type Report struct {
 	// Failed lists sessions whose adaptation failed (now aborted).
 	Failed []core.SessionID
 	// Skipped counts victims whose session was not playing (reserved
-	// sessions are left for the confirmation flow to resolve).
+	// sessions are left for the confirmation flow to resolve), including
+	// sessions that left Playing, or were being adapted already, by the
+	// time the sweep reached them: those the manager declines with
+	// ErrBadState or ErrUnknownSession and aborts nothing.
 	Skipped int
 }
 
@@ -103,11 +107,14 @@ func (m *Monitor) scan(ctx context.Context) Report {
 			break
 		}
 		tr, err := m.man.AdaptContext(ctx, id)
-		if err != nil {
+		switch {
+		case err == nil:
+			rep.Adapted = append(rep.Adapted, tr)
+		case errors.Is(err, core.ErrBadState), errors.Is(err, core.ErrUnknownSession):
+			rep.Skipped++
+		default:
 			rep.Failed = append(rep.Failed, id)
-			continue
 		}
-		rep.Adapted = append(rep.Adapted, tr)
 	}
 	return rep
 }

@@ -114,6 +114,42 @@ func TestScanReportsFailures(t *testing.T) {
 	}
 }
 
+// completingManager completes each session just before adapting it: the
+// interleaving a wall-clock player produces when a session reaches its end
+// between the sweep's state check and its adaptation.
+type completingManager struct{ core.SessionManager }
+
+func (m completingManager) AdaptContext(ctx context.Context, id core.SessionID) (core.Transition, error) {
+	if err := m.Complete(id); err != nil {
+		return core.Transition{}, err
+	}
+	return m.SessionManager.AdaptContext(ctx, id)
+}
+
+// A session that completed before its adaptation ran was not a failed
+// adaptation: nothing was aborted, so the report skips it and agrees with
+// the manager's failure count.
+func TestScanSkipsSessionThatLeftPlaying(t *testing.T) {
+	b := testbed.MustNew(testbed.Spec{})
+	s := playing(t, b)
+	for _, srv := range b.Servers {
+		srv.SetDegradation(0.999)
+	}
+	before := b.Manager.Stats().AdaptationFailures
+	mon := monitor(b)
+	mon.man = completingManager{b.Manager}
+	rep := mon.Scan()
+	if len(rep.Failed) != 0 || rep.Skipped != 1 {
+		t.Fatalf("report %+v, want no failure and one skip", rep)
+	}
+	if rise := b.Manager.Stats().AdaptationFailures - before; rise != len(rep.Failed) {
+		t.Errorf("AdaptationFailures rose by %d, report lists %d failures", rise, len(rep.Failed))
+	}
+	if s.State() != core.Completed {
+		t.Errorf("state = %v", s.State())
+	}
+}
+
 func TestScanSkipsReservedSessions(t *testing.T) {
 	b := testbed.MustNew(testbed.Spec{})
 	if _, err := b.AddNewsArticle("news-1", "T", 2*time.Minute); err != nil {

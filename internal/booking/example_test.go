@@ -1,14 +1,7 @@
-// Future reservations ([Haf 96], cited from Section 5 of the paper): users
-// book a prime-time slot in advance instead of walking in. The negotiator
-// classifies offers exactly as Section 5 prescribes, then books the best
-// one whose resource demands fit the requested interval in the capacity
-// calendars; when the slot is full it shifts the start time instead of
-// blocking.
-package main
+package booking_test
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"qosneg/internal/booking"
@@ -20,7 +13,12 @@ import (
 	"qosneg/internal/qos"
 )
 
-func main() {
+// ExampleNegotiator shows future reservations ([Haf 96], cited from §5):
+// users book a prime-time slot in advance. The negotiator classifies offers
+// as §5 prescribes, then books the best one whose resource demands fit the
+// requested interval in the capacity calendars; when the slot is full the
+// user shifts the start time instead of being blocked.
+func ExampleNegotiator() {
 	// One stored rendition: color TV video + CD audio, 30 minutes.
 	dur := 30 * time.Minute
 	doc := media.Document{
@@ -37,7 +35,7 @@ func main() {
 	mach := client.Workstation("c1", "client-1")
 	offers, err := offer.Enumerate(doc, mach, cost.DefaultPricing(), offer.EnumerateOptions{})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	u := profile.DefaultProfiles()[0]
 	ranked := offer.Classify(offers, u)
@@ -56,7 +54,6 @@ func main() {
 	neg := booking.NewNegotiator(planner)
 
 	prime := 20 * time.Hour // 8 pm
-	fmt.Printf("8 users book the %s slot (capacity: 3 concurrent sessions)\n\n", prime)
 	for user := 1; user <= 8; user++ {
 		booked := false
 		for shift := time.Duration(0); shift <= 3*dur; shift += dur {
@@ -66,7 +63,7 @@ func main() {
 			}
 			fmt.Printf("user %d: booked %s at %s", user, res.Offer.Key(), prime+shift)
 			if shift > 0 {
-				fmt.Printf("  (prime time full — shifted %s)", shift)
+				fmt.Printf(" (prime time full, shifted %s)", shift)
 			}
 			fmt.Println()
 			booked = true
@@ -77,6 +74,16 @@ func main() {
 		}
 	}
 	cal, _ := planner.Resource(booking.LinkResource("client-1"))
-	fmt.Printf("\nclient link at prime time: %d of %d units committed\n",
+	fmt.Printf("client link at prime time: %d of %d units committed\n",
 		cal.Peak(prime, prime+dur), cal.Capacity())
+	// Output:
+	// user 1: booked v1+a1 at 20h0m0s
+	// user 2: booked v1+a1 at 20h0m0s
+	// user 3: booked v1+a1 at 20h0m0s
+	// user 4: booked v1+a1 at 20h30m0s (prime time full, shifted 30m0s)
+	// user 5: booked v1+a1 at 20h30m0s (prime time full, shifted 30m0s)
+	// user 6: booked v1+a1 at 20h30m0s (prime time full, shifted 30m0s)
+	// user 7: booked v1+a1 at 21h0m0s (prime time full, shifted 1h0m0s)
+	// user 8: booked v1+a1 at 21h0m0s (prime time full, shifted 1h0m0s)
+	// client link at prime time: 12009600 of 12009600 units committed
 }

@@ -94,7 +94,7 @@ type ShardHooks interface {
 	// "shard" label, so a fleet's shards share one metrics registry.
 	Label() string
 	// NextSessionID allocates the id of a freshly reserved session, in place
-	// of the manager's private counter. A shard only emits ids that hash
+	// of the manager's private counter. A shard only emits ids that route
 	// back to itself, so a session is resident where the router will look
 	// for it and fleet-wide uniqueness needs no coordination. Called under
 	// the session-table lock.

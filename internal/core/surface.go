@@ -15,7 +15,7 @@ import (
 // SessionManager is the manager surface the rest of the system programs
 // against: the six-step negotiation procedure, the step 6 session lifecycle,
 // the adaptation procedure and the ops views. Every assembled system holds a
-// shard.Fleet behind it, which implements it by consistent-hash routing over
+// shard.Fleet behind it, which implements it by session-id routing over
 // its shards; each shard is a *Manager, which implements it directly — so the
 // protocol server, playout driver and adaptation monitor also sit on a bare
 // manager in tests and benchmarks.

@@ -1,3 +1,8 @@
+// Package shard fronts N independent core.Manager shards behind session-id
+// routing, exposing the same manager surface (core.SessionManager), so the
+// facade, protocol server and admission controller sit on top of a fleet
+// exactly as they sit on top of a single manager. See DESIGN.md §14 for the
+// topology and the shared-state argument.
 package shard
 
 import (
@@ -52,18 +57,17 @@ type shardHandle struct {
 	idx   int
 	mgr   *core.Manager
 
-	// idMu guards the session-id scan cursor.
-	idMu   sync.Mutex
-	lastID uint64
+	// nextID is the id the shard allocates next; only its manager reads
+	// or writes it, under the manager's session-table lock.
+	nextID core.SessionID
 }
 
-// Fleet fronts N independent core.Manager shards behind consistent-hash
-// session routing. New negotiations are placed round-robin; every
-// session-addressed operation routes by jump-hashing the session id, which
-// lands on the shard that allocated it because each shard only allocates
-// ids from its own hash partition. Fleet implements core.SessionManager, so
-// everything built against the manager surface works against a fleet
-// unchanged.
+// Fleet fronts N independent core.Manager shards. New negotiations are
+// placed round-robin; every session-addressed operation routes by the
+// session id, which names the shard that allocated it: shard i of n
+// allocates the ids i+1, i+1+n, i+1+2n, … Fleet implements
+// core.SessionManager, so everything built against the manager surface
+// works against a fleet unchanged.
 type Fleet struct {
 	shards []*shardHandle
 	// servers is the media servers and their circuit breaker, shared by
@@ -100,7 +104,7 @@ func New(cfg Config) *Fleet {
 		met:     newFleetMetrics(cfg.Options.Metrics, n),
 	}
 	for i := 0; i < n; i++ {
-		sh := &shardHandle{fleet: f, idx: i}
+		sh := &shardHandle{fleet: f, idx: i, nextID: core.SessionID(i + 1)}
 		opts := cfg.Options
 		opts.Shard = sh
 		sh.mgr = core.NewManager(cfg.Registry, cfg.Transport, cfg.Pricing, opts)
@@ -115,21 +119,14 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // Label is the shard's index, the "shard" label of its latency series.
 func (sh *shardHandle) Label() string { return strconv.Itoa(sh.idx) }
 
-// NextSessionID scans upward from the shard's last id to the next id that
-// jump-hashes home. The partitions {id : shardOf(id)=i} are disjoint across
-// shards, so ids are fleet-unique without coordination; the expected scan
-// length is the shard count. With one shard every id matches, so a
-// single-shard fleet allocates 1, 2, 3, … exactly like a bare manager.
+// NextSessionID allocates the shard's next id, striding by the shard
+// count, so ids are fleet-unique without coordination and route back to
+// the shard. A single-shard fleet allocates 1, 2, 3, … exactly like a bare
+// manager. The manager calls it under its session-table lock.
 func (sh *shardHandle) NextSessionID() core.SessionID {
-	n := len(sh.fleet.shards)
-	sh.idMu.Lock()
-	defer sh.idMu.Unlock()
-	for {
-		sh.lastID++
-		if shardOf(core.SessionID(sh.lastID), n) == sh.idx {
-			return core.SessionID(sh.lastID)
-		}
-	}
+	id := sh.nextID
+	sh.nextID += core.SessionID(len(sh.fleet.shards))
+	return id
 }
 
 // Servers is the fleet's one server table.
@@ -140,18 +137,19 @@ func (sh *shardHandle) Servers() *core.ServerTable { return sh.fleet.servers }
 // because the benchmark module calls it.
 func (f *Fleet) Sync() {}
 
-// route resolves the home shard of a session id and returns its manager.
+// route resolves the home shard of a session id, the shard whose stride
+// holds it, and returns its manager.
 // Unknown ids route like known ones: the home shard is the only shard that
 // could ever hold the session, so its ErrUnknownSession answer is
 // authoritative.
 func (f *Fleet) route(id core.SessionID) *core.Manager {
-	sh := f.shards[shardOf(id, len(f.shards))]
+	sh := f.shards[int((id-1)%core.SessionID(len(f.shards)))]
 	f.met.routed(sh.idx)
 	return sh.mgr
 }
 
 // place picks the shard for a new negotiation round-robin — no session id
-// exists yet to hash, and round-robin keeps the fleet evenly loaded.
+// exists yet to route by, and round-robin keeps the fleet evenly loaded.
 func (f *Fleet) place() *shardHandle {
 	sh := f.shards[int(f.rr.Add(1)-1)%len(f.shards)]
 	f.met.routed(sh.idx)

@@ -58,10 +58,8 @@ type Spec struct {
 	// ServerConfig overrides the CMFS disk model (default
 	// cmfs.DefaultConfig).
 	ServerConfig *cmfs.Config
-	// AccessCapacity and BackboneCapacity override the star topology's
-	// link capacities.
-	AccessCapacity   qos.BitRate
-	BackboneCapacity qos.BitRate
+	// AccessCapacity overrides the star topology's access-link capacity.
+	AccessCapacity qos.BitRate
 	// Options overrides the QoS manager options.
 	Options *core.Options
 	// Admission, when non-nil, gates negotiation-class work at the fleet
@@ -98,10 +96,9 @@ func New(spec Spec) (*Bed, error) {
 		serverNodes = append(serverNodes, network.NodeID(fmt.Sprintf("server-%d", i)))
 	}
 	net, err := network.BuildStar(network.StarSpec{
-		Clients:          clientNodes,
-		Servers:          serverNodes,
-		AccessCapacity:   spec.AccessCapacity,
-		BackboneCapacity: spec.BackboneCapacity,
+		Clients:        clientNodes,
+		Servers:        serverNodes,
+		AccessCapacity: spec.AccessCapacity,
 	})
 	if err != nil {
 		return nil, err

@@ -41,12 +41,11 @@ func TestCustomSpec(t *testing.T) {
 	cfg := cmfs.Config{DiskRate: qos.MBitPerSecond, SeekTime: time.Millisecond, RoundLength: time.Second, MaxStreams: 2}
 	opts := core.DefaultOptions()
 	b, err := New(Spec{
-		Clients:          3,
-		Servers:          4,
-		ServerConfig:     &cfg,
-		AccessCapacity:   5 * qos.MBitPerSecond,
-		BackboneCapacity: 50 * qos.MBitPerSecond,
-		Options:          &opts,
+		Clients:        3,
+		Servers:        4,
+		ServerConfig:   &cfg,
+		AccessCapacity: 5 * qos.MBitPerSecond,
+		Options:        &opts,
 	})
 	if err != nil {
 		t.Fatal(err)

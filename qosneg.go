@@ -73,10 +73,8 @@ import (
 // builds a two-client, two-server star-topology system with the default disk
 // model, link capacities and cost tables.
 type config struct {
-	spec  testbed.Spec
-	opts  core.Options
-	retry protocol.RetryPolicy
-	wire  protocol.WireOptions
+	spec testbed.Spec
+	opts core.Options
 }
 
 // Option configures New; the With* constructors build them.
@@ -127,20 +125,6 @@ func WithHealthPolicy(p core.HealthPolicy) Option {
 	return func(c *config) { c.opts.Health = p }
 }
 
-// WithRetryPolicy sets the redial/backoff policy used by clients the
-// system dials (see System.Dial); the zero value selects
-// protocol.DefaultRetryPolicy.
-func WithRetryPolicy(p protocol.RetryPolicy) Option {
-	return func(c *config) { c.retry = p }
-}
-
-// WithWire sets the wire options used by both Serve and Dial: the
-// per-connection stream cap of the multiplexed binary/2 codec. The zero
-// value selects the default cap (see protocol.WireOptions).
-func WithWire(w protocol.WireOptions) Option {
-	return func(c *config) { c.wire = w }
-}
-
 // WithMetrics instruments the whole system with the given telemetry
 // registry: the QoS manager records negotiation outcome counters and
 // per-step latency histograms, every CMFS server and the network record
@@ -172,7 +156,7 @@ func WithAdmission(c *admission.Controller) Option {
 }
 
 // WithShards sets how many independent manager shards the system's fleet
-// runs behind consistent-hash session routing (see internal/shard and
+// runs behind session-id routing (see internal/shard and
 // DESIGN.md §14): new negotiations are placed round-robin, session
 // operations route by session id, every shard reads the one document
 // catalog and commits against the one server table (servers and circuit
@@ -212,10 +196,9 @@ func WithFaultInjector(inj *faults.Injector) Option {
 type System struct {
 	*testbed.Bed
 	Profiles *profile.Store
-	// Retry is the redial/backoff policy System.Dial hands to clients.
-	Retry protocol.RetryPolicy
-	// Wire is the wire configuration (WithWire) Serve and Dial hand to the
-	// protocol layer.
+	// Wire is the wire configuration Serve and Dial hand to the protocol
+	// layer. No option sets it, so it holds the default stream cap; it
+	// stays a field because the benchmark module reads it.
 	Wire protocol.WireOptions
 	// Metrics is the telemetry registry installed by WithMetrics, nil
 	// otherwise. Serve and Dial instrument the wire layer with it.
@@ -257,8 +240,6 @@ func New(options ...Option) (*System, error) {
 	return &System{
 		Bed:       bed,
 		Profiles:  store,
-		Retry:     cfg.retry,
-		Wire:      cfg.wire,
 		Metrics:   metrics,
 		Tracer:    cfg.opts.Tracer,
 		Admission: cfg.spec.Admission,
@@ -322,9 +303,9 @@ func (s *System) Serve(l net.Listener) (*protocol.Server, error) {
 }
 
 // Dial connects a self-healing protocol client to a negotiation daemon
-// using the system's retry policy (WithRetryPolicy).
+// using the default retry policy.
 func (s *System) Dial(ctx context.Context, addr string) (*protocol.Client, error) {
-	c, err := protocol.DialRetry(ctx, addr, s.Retry, protocol.WithWire(s.Wire))
+	c, err := protocol.DialContext(ctx, addr, protocol.WithWire(s.Wire))
 	if err != nil {
 		return nil, err
 	}

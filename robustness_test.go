@@ -7,7 +7,6 @@ import (
 
 	"qosneg/internal/core"
 	"qosneg/internal/faults"
-	"qosneg/internal/protocol"
 )
 
 // TestSystemFaultInjectionFailover wires the fault injector through the
@@ -47,16 +46,12 @@ func TestSystemFaultInjectionFailover(t *testing.T) {
 	sys.Manager.Reject(res.Session.ID)
 }
 
-// TestSystemRetryPolicyDial: WithRetryPolicy flows into System.Dial's
-// self-healing clients.
+// TestSystemRetryPolicyDial: System.Dial's initial dial is one attempt, so
+// a dead address fails instead of hanging in the retry policy.
 func TestSystemRetryPolicyDial(t *testing.T) {
-	policy := protocol.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: 0.1}
-	sys, err := New(WithClients(1), WithRetryPolicy(policy))
+	sys, err := New(WithClients(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sys.Retry != policy {
-		t.Fatalf("System.Retry = %+v", sys.Retry)
 	}
 	if _, err := sys.Dial(context.Background(), "127.0.0.1:1"); err == nil {
 		t.Fatal("Dial to a dead address succeeded")

@@ -16,12 +16,12 @@ import (
 	"time"
 
 	"qosneg/internal/adaptation"
-	"qosneg/internal/booking"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
-	"qosneg/internal/domain"
+	"qosneg/internal/experiments"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
@@ -427,7 +427,7 @@ func BenchmarkE8Blocking(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := sim.NewEngine()
-		gen.Drive(eng, 120, func(req workload.Request) {
+		gen.Drive(clock.Sim(eng), 120, func(req workload.Request) {
 			res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 			if err != nil || !res.Status.Reserved() {
 				return
@@ -577,7 +577,7 @@ func BenchmarkProtocolRoundTrip(b *testing.B) {
 		l.Close()
 		srv.Close()
 	}()
-	c, err := protocol.Dial(l.Addr().String())
+	c, err := protocol.Dial(context.Background(), l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func BenchmarkWireLifecycle(b *testing.B) {
 			l.Close()
 			srv.Close()
 		}()
-		c, err := protocol.Dial(l.Addr().String())
+		c, err := protocol.Dial(context.Background(), l.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -663,7 +663,7 @@ func BenchmarkWireRPC(b *testing.B) {
 				l.Close()
 				srv.Close()
 			}()
-			c, err := protocol.Dial(l.Addr().String(), protocol.WithWire(protocol.WireOptions{MaxStreams: 1024}))
+			c, err := protocol.Dial(context.Background(), l.Addr().String(), protocol.WithWire(protocol.WireOptions{MaxStreams: 1024}))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -721,9 +721,9 @@ func BenchmarkPlayout(b *testing.B) {
 			b.Fatalf("negotiate: %v %v", res.Status, err)
 		}
 		eng := sim.NewEngine()
-		sys.Monitor().Attach(eng, func(adaptation.Report) {})
+		sys.Monitor().Attach(clock.Sim(eng), func(adaptation.Report) {})
 		var out session.Outcome
-		if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
+		if err := sys.Player(clock.Sim(eng)).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run(10 * time.Minute)
@@ -750,11 +750,11 @@ func BenchmarkCMFSAdmission(b *testing.B) {
 // an atomic three-resource booking against calendars holding many live
 // bookings.
 func BenchmarkBookingReserve(b *testing.B) {
-	p := booking.NewPlanner()
-	p.AddResource("server:server-1", booking.MustCalendar(1<<40))
-	p.AddResource("server:server-2", booking.MustCalendar(1<<40))
-	p.AddResource("link:client-1", booking.MustCalendar(1<<40))
-	demands := []booking.Demand{
+	p := experiments.NewPlanner()
+	p.AddResource("server:server-1", experiments.MustCalendar(1<<40))
+	p.AddResource("server:server-2", experiments.MustCalendar(1<<40))
+	p.AddResource("link:client-1", experiments.MustCalendar(1<<40))
+	demands := []experiments.Demand{
 		{Resource: "server:server-1", Amount: 2_000_000},
 		{Resource: "server:server-2", Amount: 1_400_000},
 		{Resource: "link:client-1", Amount: 3_400_000},
@@ -820,7 +820,7 @@ func BenchmarkRenegotiate(b *testing.B) {
 // BenchmarkE15Federation measures one brokered negotiation across three
 // provider domains (negotiate in each, keep the best, release the rest).
 func BenchmarkE15Federation(b *testing.B) {
-	var domains []*domain.Domain
+	var domains []*experiments.Domain
 	var firstClient client.Machine
 	for i := 0; i < 3; i++ {
 		sys, err := New(WithClients(1), WithServers(2))
@@ -833,13 +833,13 @@ func BenchmarkE15Federation(b *testing.B) {
 		if i == 0 {
 			firstClient, _ = sys.Client("client-1")
 		}
-		domains = append(domains, &domain.Domain{
+		domains = append(domains, &experiments.Domain{
 			Name:     fmt.Sprintf("provider-%d", i+1),
 			Manager:  sys.Manager,
 			Registry: sys.Registry,
 		})
 	}
-	broker := domain.NewBroker(domains...)
+	broker := experiments.NewBroker(domains...)
 	u := benchProfile()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,7 +23,6 @@ import (
 	"qosneg/internal/client"
 	"qosneg/internal/cost"
 	"qosneg/internal/profile"
-	"qosneg/internal/profilemgr"
 	"qosneg/internal/qos"
 )
 
@@ -58,22 +57,22 @@ func renderWindows(store *profile.Store, which string) {
 	}
 	offerVideo := &qos.VideoQoS{Color: qos.Grey, FrameRate: 20, Resolution: qos.TVResolution}
 	windows := map[string]func() string{
-		"main": func() string { return profilemgr.RenderMain(store, "tv-quality") },
+		"main": func() string { return RenderMain(store, "tv-quality") },
 		"components": func() string {
-			return profilemgr.RenderComponents(u, map[string]bool{"video": true})
+			return RenderComponents(u, map[string]bool{"video": true})
 		},
-		"video":      func() string { return profilemgr.RenderVideoProfile(u, offerVideo) },
-		"audio":      func() string { return profilemgr.RenderAudioProfile(u, nil) },
-		"cost":       func() string { return profilemgr.RenderCostProfile(u, cost.DollarsFloat(4.5)) },
-		"time":       func() string { return profilemgr.RenderTimeProfile(u) },
-		"importance": func() string { return profilemgr.RenderImportanceProfile(u) },
+		"video":      func() string { return RenderVideoProfile(u, offerVideo) },
+		"audio":      func() string { return RenderAudioProfile(u, nil) },
+		"cost":       func() string { return RenderCostProfile(u, cost.DollarsFloat(4.5)) },
+		"time":       func() string { return RenderTimeProfile(u) },
+		"importance": func() string { return RenderImportanceProfile(u) },
 		"info": func() string {
 			offer := profile.MMProfile{
 				Video: offerVideo,
 				Audio: u.Desired.Audio,
 				Cost:  profile.CostProfile{MaxCost: cost.DollarsFloat(4.5)},
 			}
-			return profilemgr.RenderInformation(profilemgr.InfoResult{
+			return RenderInformation(InfoResult{
 				Status: "FAILEDWITHOFFER", Offer: &offer,
 				Cost: cost.DollarsFloat(4.5), ChoicePeriod: "30s",
 			})
@@ -103,12 +102,12 @@ func runFlow(store *profile.Store, profileName string) {
 		log.Fatalf("profiletool: %v", err)
 	}
 
-	negotiate := func(u profile.UserProfile) (profilemgr.Outcome, error) {
+	negotiate := func(u profile.UserProfile) (Outcome, error) {
 		res, err := sys.NegotiateWith(context.Background(), mustClient(sys), doc.ID, u)
 		if err != nil {
-			return profilemgr.Outcome{}, err
+			return Outcome{}, err
 		}
-		out := profilemgr.Outcome{
+		out := Outcome{
 			Status: res.Status.String(),
 			Offer:  res.Offer,
 			Reason: res.Reason,
@@ -126,7 +125,7 @@ func runFlow(store *profile.Store, profileName string) {
 		return out, nil
 	}
 
-	f := profilemgr.NewFlow(store, negotiate)
+	f := NewFlow(store, negotiate)
 	if err := f.Select(profileName); err != nil {
 		log.Fatalf("profiletool: %v", err)
 	}

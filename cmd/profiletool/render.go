@@ -1,11 +1,12 @@
-// Package profilemgr is the reproduction's profile manager: the component
+package main
+
+// This file is the reproduction's profile manager: the component
 // that owns user profiles and the QoS GUI of Section 8. The original was
 // built with AIC/Motif on X11; here every window of Figures 3–7 is a
 // deterministic text rendering, and the window flow (main window → profile
 // component window → profile windows → information window, with the
 // choicePeriod confirmation timer) is a state machine that examples and
 // tests can drive programmatically.
-package profilemgr
 
 import (
 	"fmt"

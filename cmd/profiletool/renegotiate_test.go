@@ -1,4 +1,4 @@
-package profilemgr
+package main
 
 import (
 	"errors"

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	ctx := context.Background()
-	c, err := protocol.Dial(*addr)
+	c, err := protocol.Dial(ctx, *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "qosctl: %v\n", err)
 		return 1

@@ -116,10 +116,8 @@ func main() {
 	default:
 		log.Fatalf("qosnegd: unknown -policy %q (want static or bandit)", f.policy)
 	}
-	var ctrl *admission.Controller
 	if f.admit {
-		ctrl = admission.New(admission.Config{SLO: f.sloP99})
-		options = append(options, qosneg.WithAdmission(ctrl))
+		options = append(options, qosneg.WithAdmission(admission.New(admission.Config{SLO: f.sloP99})))
 		log.Printf("admission control armed (p99 SLO %s)", f.sloP99)
 	}
 	var inj *faults.Injector
@@ -182,14 +180,11 @@ func main() {
 		log.Printf("synthesized %d articles", f.articles)
 	}
 
+	sys.Wire = protocol.WireOptions{MaxStreams: f.maxStreams}
 	l, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}
-	srv := protocol.NewServer(sys.Manager, sys.Registry,
-		protocol.WithServerWire(protocol.WireOptions{MaxStreams: f.maxStreams}), protocol.WithServerAdmission(ctrl))
-	srv.Instrument(reg)
-	playout := protocol.AttachPlayout(srv, sys.Manager)
 
 	if f.debugAddr != "" {
 		dl, err := net.Listen("tcp", f.debugAddr)
@@ -219,25 +214,24 @@ func main() {
 		log.Printf("debug surface on http://%s (/metrics, /debug/vars, /debug/trace, /debug/pprof/)", dl.Addr())
 	}
 
-	// Graceful shutdown on SIGINT/SIGTERM: stop accepting, drain handlers,
-	// stop the playout driver, report final stats.
+	// Graceful shutdown on SIGINT/SIGTERM: stop accepting (Serve then stops
+	// the playout driver and returns), drain handlers, report final stats.
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigs
 		log.Printf("qosnegd: shutting down")
 		l.Close()
-		srv.Close()
-		playout.Stop()
-		st := sys.Manager.Stats()
-		log.Printf("qosnegd: served %d requests (%d succeeded, %d with degraded offer)",
-			st.Requests, st.Succeeded, st.FailedWithOffer)
-		os.Exit(0)
 	}()
 
 	log.Printf("qosnegd listening on %s (%d manager shards, %d servers, %d client slots, real-time playout on)",
 		l.Addr(), sys.Fleet.Shards(), f.servers, f.clients)
-	if err := srv.Serve(l); err != nil {
+	srv, err := sys.Serve(l)
+	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
 	}
+	srv.Close()
+	st := sys.Manager.Stats()
+	log.Printf("qosnegd: served %d requests (%d succeeded, %d with degraded offer)",
+		st.Requests, st.Succeeded, st.FailedWithOffer)
 }

@@ -9,6 +9,7 @@ import (
 	"qosneg"
 	"qosneg/internal/adaptation"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -46,7 +47,7 @@ func Example() {
 
 	eng := sim.NewEngine()
 	var out session.Outcome
-	if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
+	if err := sys.Player(clock.Sim(eng)).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
 		panic(err)
 	}
 	eng.RunAll()
@@ -106,14 +107,14 @@ func Example_adaptation() {
 	fmt.Printf("        video streams from %s\n", videoServer)
 
 	eng := sim.NewEngine()
-	sys.Monitor().Attach(eng, func(r adaptation.Report) {
+	sys.Monitor().Attach(clock.Sim(eng), func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Printf("t=%-5s adaptation: %s → %s (restart at %s)\n",
 				eng.Now(), tr.From.Key(), tr.To.Key(), time.Duration(tr.Position))
 		}
 	})
 	var out session.Outcome
-	must(sys.Player(eng).Play(s, doc, func(o session.Outcome) { out = o }))
+	must(sys.Player(clock.Sim(eng)).Play(s, doc, func(o session.Outcome) { out = o }))
 
 	// Choke the link carrying the video at t=40s.
 	route := network.LinkID(fmt.Sprintf("backbone-%s:rev", videoServer))
@@ -177,8 +178,8 @@ func Example_newsOnDemand() {
 	}
 
 	eng := sim.NewEngine()
-	player := sys.Player(eng)
-	sys.Monitor().Attach(eng, func(r adaptation.Report) {
+	player := sys.Player(clock.Sim(eng))
+	sys.Monitor().Attach(clock.Sim(eng), func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Printf("t=%-6s ADAPT  session %d switched offers at position %s\n",
 				eng.Now(), tr.Session, time.Duration(tr.Position))
@@ -188,7 +189,7 @@ func Example_newsOnDemand() {
 		}
 	})
 	var completed, aborted int
-	gen.Drive(eng, 60, func(req workload.Request) {
+	gen.Drive(clock.Sim(eng), 60, func(req workload.Request) {
 		res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil {
 			panic(err)
@@ -260,7 +261,7 @@ func Example_protocol() {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	c, err := protocol.Dial(l.Addr().String())
+	c, err := protocol.Dial(ctx, l.Addr().String())
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"qosneg/internal/adaptation"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
@@ -42,10 +43,10 @@ func TestFullLifecycle(t *testing.T) {
 
 	eng := sim.NewEngine()
 	var reports []adaptation.Report
-	sys.Monitor().Attach(eng, func(r adaptation.Report) { reports = append(reports, r) })
+	sys.Monitor().Attach(clock.Sim(eng), func(r adaptation.Report) { reports = append(reports, r) })
 
 	var out session.Outcome
-	if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
+	if err := sys.Player(clock.Sim(eng)).Play(res.Session, doc, func(o session.Outcome) { out = o }); err != nil {
 		t.Fatal(err)
 	}
 	victim := res.Session.Current.Choices[0].Variant.Server
@@ -108,10 +109,10 @@ func lifecycleTrace(t *testing.T, seed int64) string {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	player := sys.Player(eng)
-	sys.Monitor().Attach(eng, nil)
+	player := sys.Player(clock.Sim(eng))
+	sys.Monitor().Attach(clock.Sim(eng), nil)
 	fingerprint := ""
-	gen.Drive(eng, 80, func(req workload.Request) {
+	gen.Drive(clock.Sim(eng), 80, func(req workload.Request) {
 		res, err := sys.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil {
 			t.Fatal(err)

@@ -15,12 +15,14 @@ package adaptation
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/network"
-	"qosneg/internal/sim"
 )
 
 // Monitor watches servers and the network for QoS violations.
@@ -96,11 +98,7 @@ func (m *Monitor) scan(ctx context.Context) Report {
 	for id := range affected {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	for i, id := range ids {
 		if ctx.Err() != nil {
 			rep.Skipped += len(ids) - i
@@ -123,17 +121,20 @@ func (m *Monitor) scan(ctx context.Context) Report {
 // for how quickly the prototype's QoS violation notifications arrive.
 const ScanInterval = 5 * time.Second
 
-// Attach schedules a recurring sweep on the simulation engine every
-// ScanInterval, reporting each non-empty scan to report (which may be nil).
-// The returned stop function cancels future sweeps and any sweep in flight:
-// it cancels the context every scan (and so every adaptation commit) runs
-// under, so engine shutdown is never blocked behind a slow adaptation —
-// victims the canceled sweep had not reached stay playing, reported as
-// skipped. stop is idempotent and safe to call from any goroutine.
-func (m *Monitor) Attach(eng *sim.Engine, report func(Report)) (stop func()) {
+// Attach runs a sweep on clk every ScanInterval, reporting each non-empty
+// scan to report (which may be nil). The returned stop function stops the
+// pending sweep and cancels the context any sweep in flight (and so its
+// adaptation commit) runs under, so shutdown never waits on a slow
+// adaptation: victims it had not reached stay playing, reported as skipped,
+// and it does not re-arm. stop is idempotent and safe from any goroutine.
+func (m *Monitor) Attach(clk clock.Clock, report func(Report)) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var tick func()
-	tick = func() {
+	var (
+		mu    sync.Mutex // guards next against stop
+		next  clock.Timer
+		sweep func()
+	)
+	sweep = func() {
 		if ctx.Err() != nil {
 			return
 		}
@@ -141,8 +142,19 @@ func (m *Monitor) Attach(eng *sim.Engine, report func(Report)) (stop func()) {
 		if report != nil && rep.Violations > 0 {
 			report(rep)
 		}
-		eng.MustSchedule(ScanInterval, tick)
+		mu.Lock()
+		defer mu.Unlock()
+		if ctx.Err() == nil {
+			next = clk.AfterFunc(ScanInterval, sweep)
+		}
 	}
-	eng.MustSchedule(ScanInterval, tick)
-	return cancel
+	mu.Lock()
+	defer mu.Unlock()
+	next = clk.AfterFunc(ScanInterval, sweep)
+	return func() {
+		cancel()
+		mu.Lock()
+		defer mu.Unlock()
+		next.Stop()
+	}
 }

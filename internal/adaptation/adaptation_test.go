@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
@@ -179,7 +180,7 @@ func TestAttachPeriodicScan(t *testing.T) {
 	s := playing(t, b)
 	eng := sim.NewEngine()
 	var reports []Report
-	stop := monitor(b).Attach(eng, func(r Report) { reports = append(reports, r) })
+	stop := monitor(b).Attach(clock.Sim(eng), func(r Report) { reports = append(reports, r) })
 
 	// Inject degradation at t=12s; the scan at t=15s must catch it.
 	eng.MustSchedule(12*time.Second, func() {
@@ -194,9 +195,10 @@ func TestAttachPeriodicScan(t *testing.T) {
 		t.Errorf("transitions = %d", s.Transitions())
 	}
 	stop()
-	pendingBefore := eng.Pending()
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("%d events pending after stop, want the next sweep stopped", n)
+	}
 	eng.Run(60 * time.Second)
-	_ = pendingBefore
 	if s.Transitions() != 1 {
 		t.Errorf("stopped monitor kept adapting")
 	}
@@ -244,7 +246,7 @@ func TestAttachStopCancelsInFlightSweep(t *testing.T) {
 	mon := monitor(b)
 	started := &adaptStarted{SessionManager: b.Manager, ch: make(chan struct{})}
 	mon.man = started
-	stop := mon.Attach(eng, nil)
+	stop := mon.Attach(clock.Sim(eng), nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -179,6 +179,23 @@ var rules = []rule{{
 	msg: "a second Advance/Complete playout loop outside internal/session; drive sessions with session.Player",
 	at:  "internal/protocol/x.go", plant: "package protocol\n\nfunc drive(m manager, id uint64) {\n\tm.Advance(id, 1)\n\tm.Complete(id)\n}\n",
 }, {
+	name: "one time source for every driver", scope: func(f *file) bool {
+		return f.code() && !f.under("internal/sim/", "internal/clock/", "internal/experiments/")
+	},
+	re:  regexp.MustCompile(`^qosneg/internal/sim\.(Engine|NewEngine)$`),
+	msg: "drivers take a clock.Clock; only experiments build engines, and clock.Sim adapts them",
+	at:  "internal/adaptation/x.go", plant: "package adaptation\n\nimport s \"qosneg/internal/sim\"\n\nfunc (m *Monitor) Attach(e *s.Engine) {}\n",
+}, {
+	name: "one Dial", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },
+	re:  regexp.MustCompile(`^func Dial\w+\(|^(Default)?RetryPolicy$`),
+	msg: "protocol.Dial(ctx, addr, opts...) is the one way to connect; the retry schedule is a constant",
+	at:  "internal/protocol/x.go", plant: "package protocol\n\nfunc DialContext(ctx context.Context, addr string) (*Client, error) { return nil, nil }\n",
+}, {
+	name: "one way to serve a system", scope: func(f *file) bool { return f.code() && f.path != "qosneg.go" },
+	re:  regexp.MustCompile(`^qosneg/internal/protocol\.NewServer$`),
+	msg: "serve a system through qosneg.System.Serve, which attaches playout; not a second server assembly",
+	at:  "cmd/qosnegd/x.go", plant: "package main\n\nimport \"qosneg/internal/protocol\"\n\nvar srv = protocol.NewServer(nil, nil)\n",
+}, {
 	name: "docs name only commands that exist", scope: func(f *file) bool { return f.ast == nil },
 	re: regexp.MustCompile(`^go run`), outside: []string{"main"},
 	msg: "a `go run` in the docs names a directory without a main package",

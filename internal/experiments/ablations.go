@@ -82,7 +82,7 @@ func runE16One(withMonitor bool) (int, int, int, int) {
 		for _, id := range bed.ServerIDs() {
 			servers = append(servers, bed.Servers[id])
 		}
-		adaptation.New(bed.Manager, bed.Network, servers...).Attach(eng, nil)
+		adaptation.New(bed.Manager, bed.Network, servers...).Attach(clock.Sim(eng), nil)
 	}
 	completed, aborted := 0, 0
 	transitions := 0

@@ -55,7 +55,7 @@ func runE7(w io.Writer) error {
 		servers = append(servers, bed.Servers[id])
 	}
 	mon := adaptation.New(bed.Manager, bed.Network, servers...)
-	mon.Attach(eng, func(r adaptation.Report) {
+	mon.Attach(clock.Sim(eng), func(r adaptation.Report) {
 		for _, tr := range r.Adapted {
 			fmt.Fprintf(w, "t=%-5s adaptation: switched to %s (position preserved at %s)\n",
 				eng.Now(), tr.To.SystemOffer, time.Duration(tr.Position))

@@ -1,4 +1,6 @@
-// Package booking implements negotiation with future reservations, the
+package experiments
+
+// This file implements negotiation with future reservations, the
 // extension the authors develop in [Haf 96] ("Quality of Service
 // Negotiation with Future Reservations") and cite from Section 5 of the
 // HPDC paper: instead of reserving resources for immediate playout, the
@@ -11,7 +13,6 @@
 // including the candidate, never exceeds the capacity. A Planner books a
 // multi-resource demand set atomically across several calendars — the
 // future-reservation analogue of the QoS manager's commitment step.
-package booking
 
 import (
 	"errors"

@@ -1,12 +1,12 @@
-package booking_test
+package experiments_test
 
 import (
 	"fmt"
 	"time"
 
-	"qosneg/internal/booking"
 	"qosneg/internal/client"
 	"qosneg/internal/cost"
+	"qosneg/internal/experiments"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
@@ -43,21 +43,21 @@ func ExampleNegotiator() {
 		ranked[0].Choices[1].Variant.NetworkQoS().AvgBitRate)
 
 	// Capacity calendars sized for 3 concurrent sessions.
-	planner := booking.NewPlanner()
+	planner := experiments.NewPlanner()
 	for _, r := range []string{
-		booking.ServerResource("server-1"),
-		booking.ServerResource("server-2"),
-		booking.LinkResource("client-1"),
+		experiments.ServerResource("server-1"),
+		experiments.ServerResource("server-2"),
+		experiments.LinkResource("client-1"),
 	} {
-		planner.AddResource(r, booking.MustCalendar(perSession*3))
+		planner.AddResource(r, experiments.MustCalendar(perSession*3))
 	}
-	neg := booking.NewNegotiator(planner)
+	neg := experiments.NewNegotiator(planner)
 
 	prime := 20 * time.Hour // 8 pm
 	for user := 1; user <= 8; user++ {
 		booked := false
 		for shift := time.Duration(0); shift <= 3*dur; shift += dur {
-			res, err := neg.Negotiate(ranked, u, booking.LinkResource("client-1"), prime+shift, dur)
+			res, err := neg.Negotiate(ranked, u, experiments.LinkResource("client-1"), prime+shift, dur)
 			if err != nil {
 				continue
 			}
@@ -73,7 +73,7 @@ func ExampleNegotiator() {
 			fmt.Printf("user %d: no slot within 3 shifts\n", user)
 		}
 	}
-	cal, _ := planner.Resource(booking.LinkResource("client-1"))
+	cal, _ := planner.Resource(experiments.LinkResource("client-1"))
 	fmt.Printf("client link at prime time: %d of %d units committed\n",
 		cal.Peak(prime, prime+dur), cal.Capacity())
 	// Output:

@@ -1,4 +1,6 @@
-// Package domain implements hierarchical multi-domain negotiation, the
+package experiments
+
+// This file implements hierarchical multi-domain negotiation, the
 // [Haf 95b] extension the paper's sub-project developed alongside the HPDC
 // procedure: when several administrative domains (providers) can each
 // deliver the requested document, a broker runs the negotiation procedure
@@ -10,7 +12,6 @@
 // Each Domain is a complete prototype stack (registry, servers, network,
 // QoS manager); the client machine is multi-homed, with an access point in
 // every domain it can buy service from.
-package domain
 
 import (
 	"context"

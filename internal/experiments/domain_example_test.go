@@ -1,10 +1,10 @@
-package domain_test
+package experiments_test
 
 import (
 	"fmt"
 	"time"
 
-	"qosneg/internal/domain"
+	"qosneg/internal/experiments"
 	"qosneg/internal/profile"
 	"qosneg/internal/testbed"
 )
@@ -23,9 +23,9 @@ func ExampleBroker() {
 			panic(err)
 		}
 	}
-	broker := domain.NewBroker(
-		&domain.Domain{Name: "provider-a", Manager: bedA.Manager, Registry: bedA.Registry},
-		&domain.Domain{Name: "provider-b", Manager: bedB.Manager, Registry: bedB.Registry},
+	broker := experiments.NewBroker(
+		&experiments.Domain{Name: "provider-a", Manager: bedA.Manager, Registry: bedA.Registry},
+		&experiments.Domain{Name: "provider-b", Manager: bedB.Manager, Registry: bedB.Registry},
 	)
 	u := profile.DefaultProfiles()[0] // tv-quality
 

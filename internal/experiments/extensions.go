@@ -6,11 +6,10 @@ import (
 	"io"
 	"time"
 
-	"qosneg/internal/booking"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
-	"qosneg/internal/domain"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
@@ -129,7 +128,7 @@ func runE13One(cl offer.Orderer) e13Stats {
 	}
 	eng := sim.NewEngine()
 	var stats e13Stats
-	g.Drive(eng, 120, func(req workload.Request) {
+	g.Drive(clock.Sim(eng), 120, func(req workload.Request) {
 		stats.requests++
 		res, err := bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil || !res.Status.Reserved() {
@@ -171,9 +170,9 @@ func runE14(w io.Writer) error {
 	walkIn := 0
 	{
 		planner := e14Planner(perSession, slotCap)
-		n := booking.NewNegotiator(planner)
+		n := NewNegotiator(planner)
 		for i := 0; i < users; i++ {
-			if _, err := n.Negotiate(ranked, u, booking.LinkResource("client-1"), primeTime, duration); err == nil {
+			if _, err := n.Negotiate(ranked, u, LinkResource("client-1"), primeTime, duration); err == nil {
 				walkIn++
 			}
 		}
@@ -186,10 +185,10 @@ func runE14(w io.Writer) error {
 	var waits []time.Duration
 	{
 		planner := e14Planner(perSession, slotCap)
-		n := booking.NewNegotiator(planner)
+		n := NewNegotiator(planner)
 		for i := 0; i < users; i++ {
 			for shift := time.Duration(0); shift <= 4*duration; shift += duration {
-				res, err := n.Negotiate(ranked, u, booking.LinkResource("client-1"), primeTime+shift, duration)
+				res, err := n.Negotiate(ranked, u, LinkResource("client-1"), primeTime+shift, duration)
 				if err != nil {
 					continue
 				}
@@ -240,12 +239,12 @@ func e14Offers() ([]offer.Ranked, profile.UserProfile) {
 	return offer.Classify(offers, u), u
 }
 
-func e14Planner(perSession int64, slots int) *booking.Planner {
-	p := booking.NewPlanner()
+func e14Planner(perSession int64, slots int) *Planner {
+	p := NewPlanner()
 	cap := perSession * int64(slots)
-	p.AddResource(booking.ServerResource("server-1"), booking.MustCalendar(cap))
-	p.AddResource(booking.ServerResource("server-2"), booking.MustCalendar(cap))
-	p.AddResource(booking.LinkResource("client-1"), booking.MustCalendar(cap))
+	p.AddResource(ServerResource("server-1"), MustCalendar(cap))
+	p.AddResource(ServerResource("server-2"), MustCalendar(cap))
+	p.AddResource(LinkResource("client-1"), MustCalendar(cap))
 	return p
 }
 
@@ -271,7 +270,7 @@ func runE15(w io.Writer) error {
 }
 
 func runE15One(domains int) int {
-	var ds []*domain.Domain
+	var ds []*Domain
 	var beds []*testbed.Bed
 	for i := 0; i < domains; i++ {
 		bed := testbed.MustNew(testbed.Spec{
@@ -280,14 +279,14 @@ func runE15One(domains int) int {
 			AccessCapacity: 25 * qos.MBitPerSecond,
 		})
 		bed.AddNewsArticle("news-1", "Article", 2*time.Minute)
-		ds = append(ds, &domain.Domain{
+		ds = append(ds, &Domain{
 			Name:     fmt.Sprintf("provider-%d", i+1),
 			Manager:  bed.Manager,
 			Registry: bed.Registry,
 		})
 		beds = append(beds, bed)
 	}
-	broker := domain.NewBroker(ds...)
+	broker := NewBroker(ds...)
 	u := e8Profile()
 	accepted := 0
 	for i := 0; i < 60; i++ {

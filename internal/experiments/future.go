@@ -1,4 +1,4 @@
-package booking
+package experiments
 
 import (
 	"fmt"

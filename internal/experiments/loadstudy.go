@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
@@ -199,7 +200,7 @@ func runE8Smart(mean time.Duration, arrivals, docs int) e8Counts {
 	g := e8Workload(bed, ids, mean)
 	eng := sim.NewEngine()
 	var counts e8Counts
-	g.Drive(eng, arrivals, func(req workload.Request) {
+	g.Drive(clock.Sim(eng), arrivals, func(req workload.Request) {
 		counts.requests++
 		res, err := bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
 		if err != nil || !res.Status.Reserved() {
@@ -226,7 +227,7 @@ func runE8Basic(mean time.Duration, arrivals, docs int) e8Counts {
 	g := e8Workload(bed, ids, mean)
 	eng := sim.NewEngine()
 	var counts e8Counts
-	g.Drive(eng, arrivals, func(req workload.Request) {
+	g.Drive(clock.Sim(eng), arrivals, func(req workload.Request) {
 		counts.requests++
 		doc, err := bed.Registry.Document(req.Document)
 		if err != nil {

@@ -65,7 +65,7 @@ func TestServerShedBusyOverWire(t *testing.T) {
 		}
 		ctrl := saturatedController(t)
 		h, reg := serveWith(t, bed, WithServerAdmission(ctrl))
-		c, err := Dial(h.addr)
+		c, err := Dial(bg, h.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestManagerShedResultOverWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		h, _ := serveWith(t, bed)
-		c, err := Dial(h.addr)
+		c, err := Dial(bg, h.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestStreamSlotFreedBeforeFIN(t *testing.T) {
 	bed := testbed.MustNew(testbed.Spec{})
 	wire := WireOptions{MaxStreams: 8}
 	h, _ := serveWith(t, bed, WithServerWire(wire))
-	c, err := Dial(h.addr, WithWire(wire))
+	c, err := Dial(bg, h.addr, WithWire(wire))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,57 +33,25 @@ var ErrHandshakeRefused = errors.New("protocol: handshake refused")
 // before this RPC's exchange started.
 var errConnBroken = errors.New("protocol: connection broken")
 
-// RetryPolicy tunes the client's self-healing: how often a broken
-// connection is redialed and idempotent RPCs retried, with capped
-// exponential backoff plus jitter between attempts. The zero value selects
-// the defaults below.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per idempotent RPC
-	// (default 4). 1 disables retries.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 50ms);
-	// each further retry doubles it up to MaxDelay (default 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Jitter is the random fraction added to each backoff, in [0, Jitter)
-	// of the delay (default 0.2).
-	Jitter float64
-}
-
-// DefaultRetryPolicy returns the policy Dial uses: 4 attempts, 50ms base
-// delay doubling to a 2s cap, 20% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second, Jitter: 0.2}
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = d.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = d.MaxDelay
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = d.Jitter
-	}
-	return p
-}
+// Self-healing: a broken connection is redialed and an idempotent RPC tried
+// retryAttempts times in all, backing off retryBase doubling up to retryMax,
+// plus a random fraction in [0, retryJitter) of each delay.
+const (
+	retryAttempts = 4
+	retryBase     = 50 * time.Millisecond
+	retryMax      = 2 * time.Second
+	retryJitter   = 0.2
+)
 
 // backoff returns the delay before retry number n (0-based), capped
 // exponential with jitter.
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.BaseDelay
-	for i := 0; i < n && d < p.MaxDelay; i++ {
+func backoff(n int) time.Duration {
+	d := retryBase
+	for i := 0; i < n && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	return d + time.Duration(p.Jitter*rand.Float64()*float64(d))
+	d = min(d, retryMax)
+	return d + time.Duration(retryJitter*rand.Float64()*float64(d))
 }
 
 // ClientOption configures Dial and NewClient.
@@ -117,9 +85,8 @@ func WithWire(w WireOptions) ClientOption {
 // attempt. Clients built by NewClient have no address to redial and fail
 // fast instead.
 type Client struct {
-	addr  string
-	retry RetryPolicy
-	wire  WireOptions
+	addr string
+	wire WireOptions
 
 	mu      sync.Mutex
 	cc      *clientConn
@@ -160,23 +127,12 @@ func (c *Client) Instrument(reg *telemetry.Registry, tr telemetry.Tracer) {
 	c.tracer = tr
 }
 
-// Dial connects to a negotiation daemon with the default retry policy.
-func Dial(addr string, opts ...ClientOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// DialContext connects to a negotiation daemon with the default retry
-// policy, abandoning the attempt when ctx is canceled.
-func DialContext(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
-	return DialRetry(ctx, addr, DefaultRetryPolicy(), opts...)
-}
-
-// DialRetry connects to a negotiation daemon with an explicit retry
-// policy. The initial dial — including the codec handshake — is a single
-// attempt, so a daemon that is down now fails fast; the policy governs
-// redials and idempotent-RPC retries afterward.
-func DialRetry(ctx context.Context, addr string, policy RetryPolicy, opts ...ClientOption) (*Client, error) {
-	c := &Client{addr: addr, retry: policy}
+// Dial connects to a negotiation daemon, abandoning the attempt when ctx is
+// canceled. The initial dial — including the codec handshake — is a single
+// attempt, so a daemon that is down now fails fast; later, a broken
+// connection is redialed and idempotent RPCs are retried (see Client).
+func Dial(ctx context.Context, addr string, opts ...ClientOption) (*Client, error) {
+	c := &Client{addr: addr}
 	for _, o := range opts {
 		o(c)
 	}
@@ -337,7 +293,7 @@ func (c *Client) drop(cc *clientConn) {
 }
 
 // roundTrip performs one RPC. Idempotent RPCs are retried across redials
-// per the retry policy; non-idempotent ones get at most a fresh dial (when
+// with backoff; non-idempotent ones get at most a fresh dial (when
 // the connection was already broken) and a single exchange.
 func (c *Client) roundTrip(ctx context.Context, env Envelope, idempotent bool) (Envelope, error) {
 	if c.rpcSeconds != nil {
@@ -352,10 +308,9 @@ func (c *Client) roundTrip(ctx context.Context, env Envelope, idempotent bool) (
 }
 
 func (c *Client) roundTripRetry(ctx context.Context, env Envelope, idempotent bool) (Envelope, error) {
-	policy := c.retry.withDefaults()
 	attempts := 1
 	if idempotent && c.addr != "" {
-		attempts = policy.MaxAttempts
+		attempts = retryAttempts
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -363,7 +318,7 @@ func (c *Client) roundTripRetry(ctx context.Context, env Envelope, idempotent bo
 			return Envelope{}, fmt.Errorf("protocol: %w", err)
 		}
 		if attempt > 0 {
-			if err := sleepCtx(ctx, policy.backoff(attempt-1)); err != nil {
+			if err := sleepCtx(ctx, backoff(attempt-1)); err != nil {
 				return Envelope{}, fmt.Errorf("protocol: %w", err)
 			}
 		}

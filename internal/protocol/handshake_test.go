@@ -112,7 +112,7 @@ func TestOldPeersRefusedAtHandshake(t *testing.T) {
 				r.ReadBytes('\n') // returns once the client hangs up
 				close(closed)
 			})
-			if _, err := Dial(addr); !errors.Is(err, ErrHandshakeRefused) {
+			if _, err := Dial(bg, addr); !errors.Is(err, ErrHandshakeRefused) {
 				t.Fatalf("dial: %v, want %v", err, ErrHandshakeRefused)
 			}
 			select {
@@ -160,7 +160,7 @@ func TestBinaryOnlyClientRefusesLegacyServer(t *testing.T) {
 			}
 		}
 	})
-	_, err := Dial(addr)
+	_, err := Dial(bg, addr)
 	if !errors.Is(err, ErrHandshakeRefused) || !strings.Contains(err.Error(), "unknown request type hello") {
 		t.Fatalf("dial of a legacy server: %v, want %v quoting its answer", err, ErrHandshakeRefused)
 	}
@@ -203,7 +203,7 @@ func TestDialContextHandshakeDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	err := within(t, time.Second, func() error {
-		_, err := DialContext(ctx, addr)
+		_, err := Dial(ctx, addr)
 		return err
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {

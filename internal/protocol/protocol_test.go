@@ -108,7 +108,7 @@ func startHarness(t *testing.T, bed *testbed.Bed, srv *Server) *harness {
 
 func (h *harness) dial(t *testing.T) *Client {
 	t.Helper()
-	c, err := Dial(h.addr)
+	c, err := Dial(bg, h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(h.addr)
+			c, err := Dial(bg, h.addr)
 			if err != nil {
 				errs <- err
 				return

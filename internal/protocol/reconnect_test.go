@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bufio"
-	"context"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -11,10 +10,6 @@ import (
 	"qosneg/internal/core"
 	"qosneg/internal/testbed"
 )
-
-func fastRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Jitter: 0.2}
-}
 
 // TestClientRedialsAfterServerRestart: a daemon restart breaks the client's
 // connection; the next idempotent RPC redials transparently once the daemon
@@ -33,7 +28,7 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Serve(l) }()
 
-	c, err := DialRetry(context.Background(), addr, fastRetry())
+	c, err := Dial(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +103,7 @@ func TestNonIdempotentNotRetried(t *testing.T) {
 			conn.Write(appendFrame(nil, frame{Stream: f.Stream, Flags: flagFIN, Payload: body}))
 		}
 	})
-	c, err := DialRetry(context.Background(), addr, fastRetry())
+	c, err := Dial(bg, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +165,7 @@ func TestNewClientFailsFastWithoutAddress(t *testing.T) {
 // clients.
 func TestClosedClientRejectsRPCs(t *testing.T) {
 	h := newHarness(t)
-	c, err := Dial(h.addr)
+	c, err := Dial(bg, h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestPlayWithMidStreamAdaptation(t *testing.T) {
 		servers = append(servers, b.Servers[id])
 	}
 	mon := adaptation.New(b.Manager, b.Network, servers...)
-	mon.Attach(eng, nil)
+	mon.Attach(clock.Sim(eng), nil)
 
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {
@@ -136,7 +136,7 @@ func TestPlayAbortsWhenAdaptationFails(t *testing.T) {
 	for _, id := range b.ServerIDs() {
 		servers = append(servers, b.Servers[id])
 	}
-	adaptation.New(b.Manager, b.Network, servers...).Attach(eng, nil)
+	adaptation.New(b.Manager, b.Network, servers...).Attach(clock.Sim(eng), nil)
 
 	var out *Outcome
 	if err := p.Play(s, doc, func(o Outcome) { out = &o }); err != nil {

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"qosneg/internal/sim"
 )
 
 // Shape selects the arrival-rate envelope of an open-loop schedule.
@@ -150,17 +148,4 @@ func (o *OpenLoop) Run(ctx context.Context, count int, handle func(Request)) err
 		}(a.Request)
 	}
 	return nil
-}
-
-// Schedule places count arrivals on a simulation engine at their absolute
-// offsets — the discrete-event twin of Run, for experiments on virtual time.
-// Unlike Generator.Drive, the next arrival is scheduled up front rather than
-// from inside the previous handler, so a slow handler cannot delay the
-// stream.
-func (o *OpenLoop) Schedule(eng *sim.Engine, count int, handle func(Request)) {
-	for i := 0; i < count; i++ {
-		a := o.Next()
-		req := a.Request
-		eng.MustSchedule(a.At, func() { handle(req) })
-	}
 }

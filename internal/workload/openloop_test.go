@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"qosneg/internal/sim"
 )
 
 func openSpec(shape Shape) OpenLoopSpec {
@@ -143,24 +141,5 @@ func TestOpenLoopRunCancel(t *testing.T) {
 	}()
 	if err := o.Run(ctx, 100, func(Request) {}); err != context.Canceled {
 		t.Fatalf("Run under cancellation = %v, want context.Canceled", err)
-	}
-}
-
-func TestOpenLoopSchedule(t *testing.T) {
-	o, err := NewOpenLoop(openSpec(Poisson))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	var ats []time.Duration
-	o.Schedule(eng, 100, func(Request) { ats = append(ats, eng.Now()) })
-	eng.RunAll()
-	if len(ats) != 100 {
-		t.Fatalf("%d arrivals fired, want 100", len(ats))
-	}
-	for i := 1; i < len(ats); i++ {
-		if ats[i] < ats[i-1] {
-			t.Fatalf("virtual arrivals out of order at %d", i)
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
 	"qosneg/internal/sim"
@@ -118,16 +119,16 @@ func (g *Generator) pickProfile() profile.UserProfile {
 	return g.spec.Profiles[len(g.spec.Profiles)-1]
 }
 
-// Drive schedules count arrivals on the engine, calling handle for each.
-// Arrivals begin one inter-arrival gap after the current virtual time.
-func (g *Generator) Drive(eng *sim.Engine, count int, handle func(Request)) {
+// Drive schedules count arrivals on clk, calling handle for each. Each
+// arrival is armed by the one before it, one inter-arrival gap later.
+func (g *Generator) Drive(clk clock.Clock, count int, handle func(Request)) {
 	var arrive func(remaining int)
 	arrive = func(remaining int) {
 		if remaining <= 0 {
 			return
 		}
 		req := g.Next()
-		eng.MustSchedule(req.InterArrival, func() {
+		clk.AfterFunc(req.InterArrival, func() {
 			handle(req)
 			arrive(remaining - 1)
 		})

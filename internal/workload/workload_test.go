@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
 	"qosneg/internal/sim"
@@ -102,7 +103,7 @@ func TestDrive(t *testing.T) {
 	g, _ := NewGenerator(spec())
 	eng := sim.NewEngine()
 	var got []Request
-	g.Drive(eng, 20, func(r Request) { got = append(got, r) })
+	g.Drive(clock.Sim(eng), 20, func(r Request) { got = append(got, r) })
 	eng.RunAll()
 	if len(got) != 20 {
 		t.Fatalf("handled %d requests", len(got))

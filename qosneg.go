@@ -13,8 +13,8 @@
 // transport system, client machine models, the offer classification
 // machinery of the paper's Section 5, the six-step negotiation procedure of
 // Section 4 run on a streaming pipeline, the adaptation monitor, a
-// playout driver on a discrete-event engine, a TCP wire protocol, and the
-// profile manager's window flow.
+// playout driver on a virtual or real-time clock, a TCP wire protocol, and
+// the profile manager's window flow.
 //
 // Quickstart:
 //
@@ -64,7 +64,6 @@ import (
 	"qosneg/internal/protocol"
 	"qosneg/internal/qos"
 	"qosneg/internal/session"
-	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
 )
@@ -197,8 +196,8 @@ type System struct {
 	*testbed.Bed
 	Profiles *profile.Store
 	// Wire is the wire configuration Serve and Dial hand to the protocol
-	// layer. No option sets it, so it holds the default stream cap; it
-	// stays a field because the benchmark module reads it.
+	// layer; the zero value selects the default stream cap. Set it before
+	// Serve, as cmd/qosnegd does from -max-streams.
 	Wire protocol.WireOptions
 	// Metrics is the telemetry registry installed by WithMetrics, nil
 	// otherwise. Serve and Dial instrument the wire layer with it.
@@ -288,24 +287,26 @@ func (s *System) Monitor() *adaptation.Monitor {
 	return adaptation.New(s.Manager, s.Network, servers...)
 }
 
-// Player builds a playout driver ticking once a virtual second of eng.
-func (s *System) Player(eng *sim.Engine) *session.Player {
-	return session.NewPlayer(clock.Sim(eng), s.Manager, time.Second)
+// Player builds a playout driver ticking once a second of clk.
+func (s *System) Player(clk clock.Clock) *session.Player {
+	return session.NewPlayer(clk, s.Manager, time.Second)
 }
 
-// Serve exposes the system's QoS manager over the wire protocol on l; it
-// blocks until l is closed. The returned server's Close stops handlers.
+// Serve exposes the QoS manager over the wire protocol on l as cmd/qosnegd
+// runs it: with Wire, Admission and Metrics, and every session confirmed
+// through it playing out in real time (protocol.AttachPlayout). It blocks
+// until l is closed, then stops playout; the server's Close stops handlers.
 func (s *System) Serve(l net.Listener) (*protocol.Server, error) {
 	srv := protocol.NewServer(s.Manager, s.Registry,
 		protocol.WithServerWire(s.Wire), protocol.WithServerAdmission(s.Admission))
 	srv.Instrument(s.Metrics)
+	defer protocol.AttachPlayout(srv, s.Manager).Stop()
 	return srv, srv.Serve(l)
 }
 
-// Dial connects a self-healing protocol client to a negotiation daemon
-// using the default retry policy.
+// Dial connects a self-healing protocol client to a negotiation daemon.
 func (s *System) Dial(ctx context.Context, addr string) (*protocol.Client, error) {
-	c, err := protocol.DialContext(ctx, addr, protocol.WithWire(s.Wire))
+	c, err := protocol.Dial(ctx, addr, protocol.WithWire(s.Wire))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/protocol"
 	"qosneg/internal/qos"
@@ -30,9 +31,9 @@ func TestSystemNegotiatePlayComplete(t *testing.T) {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
 	eng := sim.NewEngine()
-	sys.Monitor().Attach(eng, nil)
+	sys.Monitor().Attach(clock.Sim(eng), nil)
 	var out *session.Outcome
-	if err := sys.Player(eng).Play(res.Session, doc, func(o session.Outcome) { out = &o }); err != nil {
+	if err := sys.Player(clock.Sim(eng)).Play(res.Session, doc, func(o session.Outcome) { out = &o }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(10 * time.Minute)
@@ -104,7 +105,7 @@ func TestSystemServe(t *testing.T) {
 		done <- serveResult{srv, err}
 	}()
 
-	c, err := protocol.Dial(l.Addr().String())
+	c, err := protocol.Dial(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,5 +123,63 @@ func TestSystemServe(t *testing.T) {
 		r.srv.Close()
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve never returned after listener close")
+	}
+}
+
+// TestSystemServePlaysConfirmedSessions: a session confirmed over a daemon
+// started with System.Serve plays out, as on cmd/qosnegd, instead of holding
+// its reservations forever at position zero.
+func TestSystemServePlaysConfirmedSessions(t *testing.T) {
+	sys, err := New(WithClients(1), WithServers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AddNewsArticle("news-1", "T", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvCh := make(chan *protocol.Server, 1)
+	go func() {
+		srv, _ := sys.Serve(l)
+		srvCh <- srv
+	}()
+	defer func() {
+		l.Close()
+		(<-srvCh).Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := sys.Dial(ctx, l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mach, err := sys.Client("client-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sys.Profiles.Get("tv-quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Negotiate(ctx, mach, "news-1", u)
+	if err != nil || !res.Status.Reserved() {
+		t.Fatalf("negotiate: %v %v", res.Status, err)
+	}
+	if err := c.Confirm(ctx, res.Session); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		info, err := c.Session(ctx, res.Session)
+		if err != nil {
+			t.Fatalf("session %d never advanced: %v", res.Session, err)
+		}
+		if info.Position > 0 {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }

@@ -59,7 +59,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc medi
 				if m.opts.Tracer != nil {
 					m.span(telemetry.Event{Step: telemetry.StepSkipDead, Offer: r.Key(), Server: string(id)})
 				}
-				m.met.skip()
+				m.met.commitSkips.Inc()
 				c.skipped++
 				continue
 			}

@@ -435,7 +435,7 @@ func (t *ServerTable) policyInfo(id media.ServerID) PolicyServer {
 // is this manager's to count, trace and purge its offer cache for, whichever
 // shard's table it lands in.
 func (m *Manager) recordCommitFailure(f commitFailure) {
-	m.met.commitFailure(f.cause)
+	m.met.commitFailures.With(f.cause.String()).Inc()
 	m.statsMu.Lock()
 	switch f.cause {
 	case CauseServerDown:
@@ -454,7 +454,7 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 	m.met.serverHealthGauges(f.server, consecutive, until)
 	if tripped {
 		m.exclusionChanged()
-		m.met.quarantineTrip()
+		m.met.quarantines.Inc()
 		m.statsMu.Lock()
 		m.stats.Quarantines++
 		m.statsMu.Unlock()
@@ -503,7 +503,7 @@ func (m *Manager) exclusionChanged() {
 	}
 	_, _, hash := m.servers.exclusion(m.clk)
 	if n := m.cache.PurgeExclusions(hash); n > 0 {
-		m.met.offerCacheInvalidations(n)
-		m.met.offerCacheEntries(m.cache.Len())
+		m.met.cacheInvalidations.Add(uint64(n))
+		m.met.cacheEntries.Set(int64(m.cache.Len()))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"qosneg/internal/client"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
@@ -13,22 +14,52 @@ import (
 	"qosneg/internal/telemetry"
 )
 
+// This file is the session lifecycle: step 6 (confirm, reject, time out),
+// playout, renegotiation (Section 8) and adaptation (Section 4). Every
+// transition opens with lockIn and every terminal one closes with finish;
+// the two procedures that commit off-lock share one unlock window
+// (withdraw, then install or abortWindow) under the epoch guard
+// (DESIGN.md §10).
+
+// lockIn looks session id up and returns it locked if it is in state want:
+// the opening every session-addressed transition shares. A session in any
+// other state answers ErrBadState naming op, or ErrChoicePeriodExpired when
+// the choice period ended it and op needs a reserved session.
+func (m *Manager) lockIn(id SessionID, want SessionState, op string) (*Session, error) {
+	s, err := m.Session(id)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	if s.state != want {
+		st, expired := s.state, s.expired
+		s.mu.Unlock()
+		if expired && want == Reserved {
+			return nil, fmt.Errorf("%w: session %d", ErrChoicePeriodExpired, id)
+		}
+		return nil, fmt.Errorf("%w: %s in state %v", ErrBadState, op, st)
+	}
+	return s, nil
+}
+
+// finish ends a locked live session in a terminal state and unlocks it,
+// then releases its commitment and retires it to the tombstone ring.
+func (m *Manager) finish(s *Session, state SessionState) {
+	cm := s.end(state)
+	s.mu.Unlock()
+	m.release(cm)
+	m.retire(s)
+}
+
 // Confirm is step 6's acceptance: the session moves from Reserved to
 // Playing and the presentation starts. Confirming after the choice period
 // was enforced returns ErrChoicePeriodExpired.
 func (m *Manager) Confirm(id SessionID) error {
-	s, err := m.Session(id)
+	s, err := m.lockIn(id, Reserved, "confirm")
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != Reserved {
-		if s.expired {
-			return fmt.Errorf("%w: session %d", ErrChoicePeriodExpired, id)
-		}
-		return fmt.Errorf("%w: confirm in state %v", ErrBadState, s.state)
-	}
 	if s.busy {
 		// Mid-renegotiation the session holds no resources to start the
 		// presentation on; confirming would play a configuration that is
@@ -41,7 +72,7 @@ func (m *Manager) Confirm(id SessionID) error {
 	// the reserved configuration.
 	if !s.reservedAt.IsZero() {
 		d := m.clk.Now().Sub(s.reservedAt)
-		m.met.step(telemetry.StepConfirmation).Observe(d)
+		m.met.steps[telemetry.StepConfirmation].Observe(d)
 		m.span(telemetry.Event{Step: telemetry.StepConfirmation, Elapsed: d})
 	}
 	return nil
@@ -50,7 +81,12 @@ func (m *Manager) Confirm(id SessionID) error {
 // Reject is step 6's rejection: reserved resources are de-allocated and the
 // session is aborted.
 func (m *Manager) Reject(id SessionID) error {
-	return m.expireOrReject(id, false)
+	s, err := m.lockIn(id, Reserved, "reject")
+	if err != nil {
+		return err
+	}
+	m.finish(s, Aborted)
+	return nil
 }
 
 // Expire is step 6's time-out: like Reject, but the session is marked
@@ -58,64 +94,36 @@ func (m *Manager) Reject(id SessionID) error {
 // ErrChoicePeriodExpired instead of a bare state error. The protocol
 // server's choice-period timers call it.
 func (m *Manager) Expire(id SessionID) error {
-	return m.expireOrReject(id, true)
-}
-
-func (m *Manager) expireOrReject(id SessionID, expire bool) error {
-	s, err := m.Session(id)
+	s, err := m.lockIn(id, Reserved, "expire")
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.state != Reserved {
-		defer s.mu.Unlock()
-		if s.expired {
-			return fmt.Errorf("%w: session %d", ErrChoicePeriodExpired, id)
-		}
-		return fmt.Errorf("%w: reject in state %v", ErrBadState, s.state)
-	}
-	s.expired = expire
-	cm := s.end(Aborted)
-	s.mu.Unlock()
-	m.release(cm)
-	m.retire(s)
+	s.expired = true
+	m.finish(s, Aborted)
 	return nil
 }
 
 // Advance moves a playing session's position forward; the playout driver,
 // session.Player, calls it every tick of its clock.
 func (m *Manager) Advance(id SessionID, dt time.Duration) error {
-	s, err := m.Session(id)
+	s, err := m.lockIn(id, Playing, "advance")
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Playing {
-		return fmt.Errorf("%w: advance in state %v", ErrBadState, s.state)
-	}
 	s.position += dt
+	s.mu.Unlock()
 	return nil
 }
 
 // Complete finishes a playing session and releases its resources.
 func (m *Manager) Complete(id SessionID) error {
-	s, err := m.Session(id)
+	s, err := m.lockIn(id, Playing, "complete")
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if s.state != Playing {
-		st := s.state
-		s.mu.Unlock()
-		return fmt.Errorf("%w: complete in state %v", ErrBadState, st)
-	}
-	cm := s.end(Completed)
 	price := s.Current.Total()
-	s.mu.Unlock()
-	m.release(cm)
-	m.retire(s)
-	m.met.addRevenue(int64(price))
+	m.finish(s, Completed)
+	m.met.revenue.Add(uint64(price))
 	m.statsMu.Lock()
 	m.stats.Revenue += price
 	m.statsMu.Unlock()
@@ -133,50 +141,98 @@ func (m *Manager) Abort(id SessionID) error {
 		s.mu.Unlock()
 		return nil
 	}
-	cm := s.end(Aborted)
-	s.mu.Unlock()
-	m.release(cm)
-	m.retire(s)
+	m.finish(s, Aborted)
 	return nil
 }
 
-// hookUnlocked fires the test-only unlock-window hook.
-func (m *Manager) hookUnlocked(op string, id SessionID) {
+// window is one unlock window: a session whose commitment a procedure has
+// withdrawn and released while it commits a replacement off-lock. epoch is
+// the session's epoch at withdrawal; the other fields are the session as the
+// window found it, read under the lock, since a concurrent end() clears
+// Ranked.
+type window struct {
+	s       *Session
+	want    SessionState
+	epoch   uint64
+	op      string
+	mach    client.Machine
+	doc     media.DocumentID
+	profile profile.UserProfile
+	current offer.Ranked
+	ranked  []offer.Ranked
+}
+
+// withdraw opens an unlock window on session id, which must be in state
+// want and not already in one (inFlight names what a second one refuses
+// on). It marks the session busy, bumps its epoch, takes its commitment and
+// releases it, so the replacement can re-use the capacity. Every window must
+// close through install or abortWindow, which clear busy.
+func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string) (window, error) {
+	s, err := m.lockIn(id, want, op)
+	if err != nil {
+		return window{}, err
+	}
+	if s.busy {
+		s.mu.Unlock()
+		return window{}, fmt.Errorf("%w: %s already in flight on session %d", ErrBadState, inFlight, id)
+	}
+	s.busy = true
+	s.epoch++
+	w := window{s: s, want: want, epoch: s.epoch, op: op, mach: s.Machine, doc: s.Document,
+		profile: s.Profile, current: s.Current, ranked: s.Ranked}
+	old := s.commit
+	s.commit = commitment{}
+	s.mu.Unlock()
+	m.release(old)
 	if m.testHookUnlocked != nil {
 		m.testHookUnlocked(op, id)
 	}
+	return w, nil
 }
 
-// abortWindow closes an unlock window that produced no new commitment: the
-// session is aborted unless a concurrent transition already ended it (the
-// epoch guard detects that), and the busy marker is cleared. The caller
-// has already withdrawn and released the old commitment, so there is
-// nothing to free here.
-func (m *Manager) abortWindow(s *Session, epoch uint64, expect SessionState) {
+// install closes a window with the fresh commitment cm. If the session is
+// still in the window's state and epoch, install hands it cm, bumps the
+// epoch, clears busy and returns ok with s.mu held, for the caller to
+// install the rest. Otherwise a concurrent transition (the choice-period
+// time-out, a Reject, Abort or Complete) ended the session while it was
+// unlocked; installing would strand cm on a terminal session forever, so
+// install releases it, counts a stale install and returns the state the
+// session reached.
+func (m *Manager) install(w *window, cm commitment) (moved SessionState, expired, ok bool) {
+	s := w.s
 	s.mu.Lock()
-	aborted := s.state == expect && s.epoch == epoch
-	if aborted {
-		s.end(Aborted)
-	}
 	s.busy = false
-	s.mu.Unlock()
-	if aborted {
-		m.retire(s)
+	if s.state == w.want && s.epoch == w.epoch {
+		s.commit = cm
+		s.epoch++
+		return s.state, false, true
 	}
-}
-
-// recordStaleInstall counts one epoch-guard save: a freshly committed
-// configuration released instead of installed because the session moved on
-// while it was unlocked.
-func (m *Manager) recordStaleInstall(procedure string, id SessionID, st SessionState) {
-	m.met.staleInstall(procedure)
+	moved, expired = s.state, s.expired
+	s.mu.Unlock()
+	m.release(cm)
+	m.met.staleInstalls.With(w.op).Inc()
 	m.statsMu.Lock()
 	m.stats.StaleInstalls++
 	m.statsMu.Unlock()
 	if m.opts.Tracer != nil {
-		detail := fmt.Sprintf("session %d reached %v mid-%s; fresh commitment released", id, st, procedure)
+		detail := fmt.Sprintf("session %d reached %v mid-%s; fresh commitment released", s.ID, moved, w.op)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "stale-install", Detail: detail})
 	}
+	return moved, expired, false
+}
+
+// abortWindow closes a window that produced no new commitment: the session
+// is aborted unless a concurrent transition already ended it, and busy is
+// cleared. withdraw released the old commitment, so nothing is left to free.
+func (m *Manager) abortWindow(w *window) {
+	s := w.s
+	s.mu.Lock()
+	s.busy = false
+	if s.state == w.want && s.epoch == w.epoch {
+		m.finish(s, Aborted)
+		return
+	}
+	s.mu.Unlock()
 }
 
 // RenegotiateContext re-runs the negotiation procedure for a reserved
@@ -193,89 +249,37 @@ func (m *Manager) recordStaleInstall(procedure string, id SessionID, st SessionS
 // the freshly committed resources are released instead of installed, and
 // ErrChoicePeriodExpired (or ErrBadState) is returned.
 func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profile.UserProfile) (Result, error) {
-	s, err := m.Session(id)
+	w, err := m.withdraw(id, Reserved, "renegotiate", "renegotiation or adaptation")
 	if err != nil {
 		return Result{}, err
 	}
-	s.mu.Lock()
-	if s.state != Reserved {
-		defer s.mu.Unlock()
-		if s.expired {
-			return Result{}, fmt.Errorf("%w: session %d", ErrChoicePeriodExpired, id)
-		}
-		return Result{}, fmt.Errorf("%w: renegotiate in state %v", ErrBadState, s.state)
-	}
-	if s.busy {
-		s.mu.Unlock()
-		return Result{}, fmt.Errorf("%w: renegotiation or adaptation already in flight on session %d", ErrBadState, id)
-	}
-	// Open the unlock window: withdraw the commitment under the epoch
-	// guard. Every return path below must clear busy.
-	s.busy = true
-	s.epoch++
-	epoch := s.epoch
-	mach := s.Machine
-	docID := s.Document
-	old := s.commit
-	s.commit = commitment{}
-	s.mu.Unlock()
-
-	// Release the old configuration first so the fresh offer can re-use
-	// its capacity.
-	m.release(old)
-	m.hookUnlocked("renegotiate", id)
-
-	doc, docGen, err := m.registry.Snapshot(docID)
+	doc, docGen, err := m.registry.Snapshot(w.doc)
 	if err != nil {
-		m.abortWindow(s, epoch, Reserved)
+		m.abortWindow(&w)
 		return Result{}, err
 	}
-
-	m.statsMu.Lock()
-	m.stats.Requests++
-	m.statsMu.Unlock()
-	var begin time.Time
-	if m.met != nil {
-		begin = m.clk.Now()
-	}
-	out, err := m.runProcedure(ctx, mach, doc, docGen, u)
+	out, err := m.runProcedure(ctx, w.mach, doc, docGen, u)
 	if err != nil {
-		m.abortWindow(s, epoch, Reserved)
+		m.abortWindow(&w)
 		return Result{}, err
 	}
-	if m.met != nil {
-		m.met.observeNegotiation(m.clk.Now().Sub(begin))
-	}
-	m.count(out.status)
 	if !out.status.Reserved() {
-		m.abortWindow(s, epoch, Reserved)
+		m.abortWindow(&w)
 		return out.refusal(), nil
 	}
-	s.mu.Lock()
-	if s.state != Reserved || s.epoch != epoch {
-		// A concurrent transition — the choice-period time-out firing
-		// Expire, a Reject, an Abort — ended the session while it was
-		// unlocked. Installing now would strand the fresh reservations on
-		// a terminal session forever; release them instead.
-		expired := s.expired
-		st := s.state
-		s.busy = false
-		s.mu.Unlock()
-		m.release(out.commit)
-		m.recordStaleInstall("renegotiate", id, st)
+	moved, expired, ok := m.install(&w, out.commit)
+	if !ok {
 		if expired {
 			return Result{}, fmt.Errorf("%w: session %d expired during renegotiation", ErrChoicePeriodExpired, id)
 		}
-		return Result{}, fmt.Errorf("%w: session %d moved to %v during renegotiation", ErrBadState, id, st)
+		return Result{}, fmt.Errorf("%w: session %d moved to %v during renegotiation", ErrBadState, id, moved)
 	}
+	s := w.s
 	s.Profile = u
 	s.Current = out.chosen
 	s.Ranked = out.ranked
 	s.ChoicePeriod = m.choicePeriodFor(u)
-	s.commit = out.commit
-	s.epoch++
-	s.busy = false
-	if m.met != nil || m.opts.Tracer != nil {
+	if m.opts.Metrics != nil || m.opts.Tracer != nil {
 		s.reservedAt = m.clk.Now()
 	}
 	s.mu.Unlock()
@@ -317,93 +321,54 @@ func (m *Manager) Adapt(id SessionID) (Transition, error) {
 // epoch captured at withdrawal detects that at install time: the fresh
 // commitment is released instead of being leaked onto a terminal session.
 func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, error) {
-	s, err := m.Session(id)
+	// Stop the presentation: withdrawing releases the troubled
+	// configuration first so surviving capacity can be re-used by the
+	// alternate offer.
+	w, err := m.withdraw(id, Playing, "adapt", "adaptation")
 	if err != nil {
 		return Transition{}, err
 	}
-	s.mu.Lock()
-	if s.state != Playing {
-		st := s.state
-		s.mu.Unlock()
-		return Transition{}, fmt.Errorf("%w: adapt in state %v", ErrBadState, st)
-	}
-	if s.busy {
-		s.mu.Unlock()
-		return Transition{}, fmt.Errorf("%w: adaptation already in flight on session %d", ErrBadState, id)
-	}
-	s.busy = true
-	s.epoch++ // commitment withdrawal is a transition
-	epoch := s.epoch
-	current := s.Current
-	old := s.commit
-	s.commit = commitment{}
-	mach := s.Machine
-	u := s.Profile
-	ranked := s.Ranked
-	doc := s.Document
-	s.mu.Unlock()
-
-	// Stop the presentation: release the troubled configuration first so
-	// surviving capacity can be re-used by the alternate offer.
-	m.release(old)
-	m.hookUnlocked("adapt", id)
-
-	d, err := m.registry.Document(doc)
+	d, err := m.registry.Document(w.doc)
 	if err != nil {
-		m.abortWindow(s, epoch, Playing)
+		m.abortWindow(&w)
 		return Transition{}, err
 	}
 
 	// Consider the ordered offers except the current one, acceptable set
 	// first, as in step 5. An installed policy may reorder ties within each
 	// group — the same freedom it has in step 5.
-	if c, _ := m.commitFirst(ctx, mach, d, u, ranked, current.Key(), m.opts.Policy, "adapt"); c.ok {
-		r := c.chosen
-		s.mu.Lock()
-		if s.state != Playing || s.epoch != epoch {
-			// A concurrent transition ended the session while we were
-			// committing; don't install resources nothing will release.
-			st := s.state
-			s.busy = false
-			s.mu.Unlock()
-			m.release(c.commit)
-			m.recordStaleInstall("adapt", id, st)
-			return Transition{}, fmt.Errorf("%w: adapt in state %v", ErrBadState, st)
-		}
-		s.commit = c.commit
-		s.Current = r
-		s.transition++
-		s.epoch++
-		s.busy = false
-		pos := s.position
-		s.mu.Unlock()
-		m.met.adapt(true)
+	c, _ := m.commitFirst(ctx, w.mach, d, w.profile, w.ranked, w.current.Key(), m.opts.Policy, "adapt")
+	if !c.ok {
+		m.abortWindow(&w)
+		m.met.adaptations.With("failed").Inc()
 		if m.opts.Tracer != nil {
-			m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: r.Key(), Status: "ok", Detail: "from " + current.Key()})
+			m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: w.current.Key(), Status: "failed"})
 		}
 		m.statsMu.Lock()
-		m.stats.Adaptations++
+		m.stats.AdaptationFailures++
 		m.statsMu.Unlock()
-		return Transition{Session: id, From: current, To: r, Position: int64(pos)}, nil
+		if err := ctx.Err(); err != nil {
+			return Transition{}, fmt.Errorf("%w: session %d: %w", ErrAdaptationFailed, id, err)
+		}
+		return Transition{}, fmt.Errorf("%w: session %d", ErrAdaptationFailed, id)
 	}
-
-	m.abortWindow(s, epoch, Playing)
-	m.adaptFailed(current)
-	if err := ctx.Err(); err != nil {
-		return Transition{}, fmt.Errorf("%w: session %d: %w", ErrAdaptationFailed, id, err)
+	moved, _, ok := m.install(&w, c.commit)
+	if !ok {
+		return Transition{}, fmt.Errorf("%w: adapt in state %v", ErrBadState, moved)
 	}
-	return Transition{}, fmt.Errorf("%w: session %d", ErrAdaptationFailed, id)
-}
-
-// adaptFailed records a failed adaptation in metrics, spans and stats.
-func (m *Manager) adaptFailed(current offer.Ranked) {
-	m.met.adapt(false)
+	s := w.s
+	s.Current = c.chosen
+	s.transition++
+	pos := s.position
+	s.mu.Unlock()
+	m.met.adaptations.With("ok").Inc()
 	if m.opts.Tracer != nil {
-		m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: current.Key(), Status: "failed"})
+		m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: c.chosen.Key(), Status: "ok", Detail: "from " + w.current.Key()})
 	}
 	m.statsMu.Lock()
-	m.stats.AdaptationFailures++
+	m.stats.Adaptations++
 	m.statsMu.Unlock()
+	return Transition{Session: id, From: w.current, To: c.chosen, Position: int64(pos)}, nil
 }
 
 // SessionByServerReservation finds the live session holding the given CMFS

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"qosneg/internal/telemetry"
@@ -173,6 +174,41 @@ func TestConfirmRefusedMidRenegotiation(t *testing.T) {
 	}
 	if err := b.man.Complete(s.ID); err != nil {
 		t.Errorf("Complete: %v", err)
+	}
+	checkLedgerEmpty(t, b)
+}
+
+// A second renegotiation entering another's unlock window must refuse: the
+// window renegotiation and adaptation share admits one procedure at a time.
+// The first renegotiation then completes normally.
+func TestRenegotiateRefusedWhileRenegotiationInFlight(t *testing.T) {
+	b := defaultBed(t)
+	s := reservedSession(t, b)
+	var nested error
+	fired := false
+	b.man.testHookUnlocked = func(op string, id SessionID) {
+		if op != "renegotiate" || fired {
+			return
+		}
+		fired = true
+		_, nested = b.man.RenegotiateContext(context.Background(), id, tvProfile())
+	}
+	res, err := b.man.RenegotiateContext(context.Background(), s.ID, tvProfile())
+	if err != nil {
+		t.Fatalf("RenegotiateContext: %v", err)
+	}
+	if !res.Status.Reserved() {
+		t.Fatalf("renegotiation status = %v (%s)", res.Status, res.Reason)
+	}
+	want := fmt.Sprintf("%v: renegotiation or adaptation already in flight on session %d", ErrBadState, s.ID)
+	if !errors.Is(nested, ErrBadState) || nested.Error() != want {
+		t.Errorf("nested RenegotiateContext = %v, want %q", nested, want)
+	}
+	if got := s.State(); got != Reserved {
+		t.Errorf("state = %v, want reserved", got)
+	}
+	if err := b.man.Reject(s.ID); err != nil {
+		t.Fatal(err)
 	}
 	checkLedgerEmpty(t, b)
 }

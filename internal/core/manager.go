@@ -193,9 +193,8 @@ type Manager struct {
 	priceMu    sync.RWMutex
 	pricing    cost.Pricing
 	pricingGen uint64
-	// met caches the metric series when Options.Metrics is set; nil means
-	// metrics disabled (every recording helper nil-checks).
-	met *negMetrics
+	// met holds the metric series; all nil when Options.Metrics is.
+	met negMetrics
 	// clk is the clock the breaker and latency metrics read; tests set Sim.
 	clk clock.Clock
 	// testHookUnlocked, when non-nil, fires at the start of every unlock

@@ -36,14 +36,15 @@ const (
 	MetricPolicyRegret     = "qosneg_policy_wasted_attempts_total"
 )
 
-// negMetrics caches the manager's metric series so hot paths record through
-// pre-resolved pointers instead of name lookups. A nil *negMetrics (metrics
-// disabled) is fully inert: every method nil-checks first.
+// negMetrics holds the manager's metric series, resolved once so hot paths
+// record through pointers instead of name lookups. Built from a nil registry
+// every series is nil, and the telemetry package makes nil series inert, so
+// call sites record unconditionally; only a clock read or a rendered detail
+// needs an Options.Metrics check.
 type negMetrics struct {
 	outcomes       *telemetry.CounterFamily
 	negSeconds     *telemetry.Histogram
-	steps          *telemetry.HistogramFamily
-	stepCache      [telemetry.StepAdaptation + 1]*telemetry.Histogram
+	steps          [telemetry.StepAdaptation + 1]*telemetry.Histogram
 	commitFailures *telemetry.CounterFamily
 	commitSkips    *telemetry.Counter
 	quarantines    *telemetry.Counter
@@ -63,26 +64,21 @@ type negMetrics struct {
 	policyWasted   *telemetry.Counter
 }
 
-// newNegMetrics registers the manager's metrics; nil registry → nil metrics.
+// newNegMetrics registers the manager's metrics on reg, which may be nil.
 // The end-to-end negotiation histogram is a "shard"-labeled family, so every
 // shard of a fleet records into its own latency distribution on the shared
 // registry; a manager without shard hooks records under "0".
-func newNegMetrics(reg *telemetry.Registry, shard ShardHooks) *negMetrics {
-	if reg == nil {
-		return nil
-	}
+func newNegMetrics(reg *telemetry.Registry, shard ShardHooks) negMetrics {
 	label := "0"
 	if shard != nil {
 		label = shard.Label()
 	}
-	n := &negMetrics{
+	n := negMetrics{
 		outcomes: reg.CounterFamily(MetricNegotiations,
 			"Negotiation outcomes by NegotiationStatus.", "status"),
 		negSeconds: reg.HistogramFamily(MetricNegotiationTime,
 			"End-to-end negotiation latency (steps 1-5), by manager shard.",
 			"shard", telemetry.LatencyBuckets).With(label),
-		steps: reg.HistogramFamily(MetricStepTime,
-			"Per-step negotiation latency.", "step", telemetry.LatencyBuckets),
 		commitFailures: reg.CounterFamily(MetricCommitFailures,
 			"Failed resource-commitment attempts by cause.", "cause"),
 		commitSkips: reg.Counter(MetricCommitSkips,
@@ -116,67 +112,18 @@ func newNegMetrics(reg *telemetry.Registry, shard ShardHooks) *negMetrics {
 	}
 	// Pre-resolve the per-step series so stepTimer.lap never takes the
 	// family's map path on the hot path.
+	steps := reg.HistogramFamily(MetricStepTime,
+		"Per-step negotiation latency.", "step", telemetry.LatencyBuckets)
 	for s := telemetry.StepLocalNegotiation; s <= telemetry.StepAdaptation; s++ {
-		n.stepCache[s] = n.steps.With(s.String())
+		n.steps[s] = steps.With(s.String())
 	}
 	return n
-}
-
-func (n *negMetrics) step(s telemetry.Step) *telemetry.Histogram {
-	if n == nil || int(s) >= len(n.stepCache) {
-		return nil
-	}
-	return n.stepCache[s]
-}
-
-func (n *negMetrics) outcome(s NegotiationStatus) {
-	if n != nil {
-		n.outcomes.With(s.String()).Inc()
-	}
-}
-
-func (n *negMetrics) commitFailure(c FailureCause) {
-	if n != nil {
-		n.commitFailures.With(c.String()).Inc()
-	}
-}
-
-func (n *negMetrics) skip() {
-	if n != nil {
-		n.commitSkips.Inc()
-	}
-}
-
-func (n *negMetrics) quarantineTrip() {
-	if n != nil {
-		n.quarantines.Inc()
-	}
-}
-
-func (n *negMetrics) adapt(ok bool) {
-	if n == nil {
-		return
-	}
-	if ok {
-		n.adaptations.With("ok").Inc()
-	} else {
-		n.adaptations.With("failed").Inc()
-	}
-}
-
-func (n *negMetrics) staleInstall(procedure string) {
-	if n != nil {
-		n.staleInstalls.With(procedure).Inc()
-	}
 }
 
 // offerCacheLookup records one cache consultation. A stale entry counts as
 // both a miss (the set is recomputed) and an invalidation (a generation
 // moved underneath the entry).
 func (n *negMetrics) offerCacheLookup(out offercache.Outcome) {
-	if n == nil {
-		return
-	}
 	switch out {
 	case offercache.Hit:
 		n.cacheHits.Inc()
@@ -188,32 +135,11 @@ func (n *negMetrics) offerCacheLookup(out offercache.Outcome) {
 	}
 }
 
-func (n *negMetrics) offerCacheInvalidations(k int) {
-	if n != nil && k > 0 {
-		n.cacheInvalidations.Add(uint64(k))
-	}
-}
-
-func (n *negMetrics) offerCacheEntries(k int) {
-	if n != nil {
-		n.cacheEntries.Set(int64(k))
-	}
-}
-
-func (n *negMetrics) policyReorder(procedure string) {
-	if n != nil {
-		n.policyReorders.With(procedure).Inc()
-	}
-}
-
 // policyRankLabels keeps the rank family's cardinality bounded: ranks past 7
 // share one bucket.
 var policyRankLabels = [...]string{"0", "1", "2", "3", "4", "5", "6", "7"}
 
 func (n *negMetrics) policyChosenRank(rank int) {
-	if n == nil {
-		return
-	}
 	label := "8+"
 	if rank >= 0 && rank < len(policyRankLabels) {
 		label = policyRankLabels[rank]
@@ -221,28 +147,7 @@ func (n *negMetrics) policyChosenRank(rank int) {
 	n.policyRank.With(label).Inc()
 }
 
-func (n *negMetrics) policyRegret(wasted int) {
-	if n != nil && wasted > 0 {
-		n.policyWasted.Add(uint64(wasted))
-	}
-}
-
-func (n *negMetrics) addRevenue(milli int64) {
-	if n != nil && milli > 0 {
-		n.revenue.Add(uint64(milli))
-	}
-}
-
-func (n *negMetrics) observeNegotiation(d time.Duration) {
-	if n != nil {
-		n.negSeconds.Observe(d)
-	}
-}
-
 func (n *negMetrics) serverHealthGauges(id media.ServerID, consecutive int, until time.Time) {
-	if n == nil {
-		return
-	}
 	n.consecutive.With(string(id)).Set(int64(consecutive))
 	var end int64
 	if !until.IsZero() {
@@ -271,7 +176,7 @@ type stepTimer struct {
 // stepTimer returns a running timer, or an inert one when neither metrics
 // nor a tracer would consume the laps.
 func (m *Manager) stepTimer() stepTimer {
-	if m.met == nil && m.opts.Tracer == nil {
+	if m.opts.Metrics == nil && m.opts.Tracer == nil {
 		return stepTimer{}
 	}
 	return stepTimer{m: m, last: m.clk.Now()}
@@ -285,6 +190,6 @@ func (t *stepTimer) lap(s telemetry.Step) {
 	now := t.m.clk.Now()
 	d := now.Sub(t.last)
 	t.last = now
-	t.m.met.step(s).Observe(d)
+	t.m.met.steps[s].Observe(d)
 	t.m.span(telemetry.Event{Step: s, Elapsed: d})
 }

@@ -128,7 +128,7 @@ func (m *Manager) policyOrder(group []offer.Ranked, g cost.Guarantee, pol Policy
 					out[lo+i] = group[lo+p]
 					ranks[lo+i] = lo + p
 				}
-				m.met.policyReorder(procedure)
+				m.met.policyReorders.With(procedure).Inc()
 			}
 		}
 		lo = hi

@@ -49,22 +49,10 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	if err != nil {
 		return Result{}, err
 	}
-	m.statsMu.Lock()
-	m.stats.Requests++
-	m.statsMu.Unlock()
-
-	var begin time.Time
-	if m.met != nil {
-		begin = m.clk.Now()
-	}
 	out, err := m.runProcedure(ctx, mach, doc, docGen, u)
 	if err != nil {
 		return Result{}, err
 	}
-	if m.met != nil {
-		m.met.observeNegotiation(m.clk.Now().Sub(begin))
-	}
-	m.count(out.status)
 	if !out.status.Reserved() {
 		return out.refusal(), nil
 	}
@@ -78,7 +66,7 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		state:        Reserved,
 		commit:       out.commit,
 	}
-	if m.met != nil || m.opts.Tracer != nil {
+	if m.opts.Metrics != nil || m.opts.Tracer != nil {
 		sess.reservedAt = m.clk.Now()
 	}
 	m.sessMu.Lock()
@@ -94,11 +82,38 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	return Result{Status: out.status, Offer: &uo, Session: sess}, nil
 }
 
-func (m *Manager) count(s NegotiationStatus) {
-	m.met.outcome(s)
+// choicePeriodFor resolves the confirmation window for a profile.
+func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
+	if c := u.Desired.Time.ChoicePeriod; c > 0 {
+		return c
+	}
+	return DefaultChoicePeriod
+}
+
+// runProcedure executes steps 1–5 of Section 4 as one counted request, for
+// negotiation and renegotiation alike: it books the request, times the run
+// into the negotiation-latency histogram and counts its outcome. A run that
+// ends in an error (a canceled ctx) is booked but neither timed nor
+// counted. docGen is the registry generation doc was snapshotted at; the
+// offer cache validates entries against it.
+func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
 	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	switch s {
+	m.stats.Requests++
+	m.statsMu.Unlock()
+	var begin time.Time
+	if m.opts.Metrics != nil {
+		begin = m.clk.Now()
+	}
+	out, err := m.runSteps(ctx, mach, doc, docGen, u)
+	if err != nil {
+		return negOutcome{}, err
+	}
+	if m.opts.Metrics != nil {
+		m.met.negSeconds.Observe(m.clk.Now().Sub(begin))
+	}
+	m.met.outcomes.With(out.status.String()).Inc()
+	m.statsMu.Lock()
+	switch out.status {
 	case Succeeded:
 		m.stats.Succeeded++
 	case FailedWithOffer:
@@ -110,20 +125,12 @@ func (m *Manager) count(s NegotiationStatus) {
 	case FailedWithLocalOffer:
 		m.stats.FailedWithLocalOffer++
 	}
+	m.statsMu.Unlock()
+	return out, nil
 }
 
-// choicePeriodFor resolves the confirmation window for a profile.
-func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
-	if c := u.Desired.Time.ChoicePeriod; c > 0 {
-		return c
-	}
-	return DefaultChoicePeriod
-}
-
-// runProcedure executes steps 1–5 of Section 4. docGen is the registry
-// generation doc was snapshotted at; the offer cache validates entries
-// against it.
-func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
+// runSteps is the uncounted body of runProcedure.
+func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
 	t := m.stepTimer()
 	// Step 1: static local negotiation.
 	if violations := mach.CheckLocal(u.Desired); len(violations) > 0 {
@@ -187,7 +194,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 			// Chosen rank in classical order (the regret-proxy pair: a good
 			// policy commits at low rank with few failed attempts).
 			m.met.policyChosenRank(c.rank)
-			m.met.policyRegret(c.downs + c.capacities + c.constraints + c.skipped)
+			m.met.policyWasted.Add(uint64(c.downs + c.capacities + c.constraints + c.skipped))
 		}
 		t.lap(telemetry.StepCommitment)
 		if m.opts.Tracer != nil {
@@ -255,7 +262,7 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 		}
 	}
 	m.cache.Store(key, docGen, pricingGen, cands, offers2)
-	m.met.offerCacheEntries(m.cache.Len())
+	m.met.cacheEntries.Set(int64(m.cache.Len()))
 	return cands, offers2, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
+	"qosneg/internal/offercache"
 	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/transport"
@@ -128,15 +129,16 @@ func TestBreakerMetricsRecorded(t *testing.T) {
 }
 
 // TestNoopTelemetryZeroAlloc pins the disabled-telemetry negotiation hot
-// path: with no Tracer and no Metrics registry, the manager's
-// instrumentation helpers must allocate nothing. The call sites that render
-// a detail string (commit-failed, exhausted, quarantine, stale-install) are
-// all gated on Options.Tracer, so this test plus the guards is the
-// allocation proof for the whole trace surface.
+// path: with no Tracer and no Metrics registry, the manager's series are
+// nil and recording through them — as every call site does, unguarded —
+// must allocate nothing. The call sites that render a detail string
+// (commit-failed, exhausted, quarantine, stale-install) are all gated on
+// Options.Tracer, so this test plus the guards is the allocation proof for
+// the whole trace surface.
 func TestNoopTelemetryZeroAlloc(t *testing.T) {
 	b := newBed(t, cmfs.DefaultConfig(), 0)
 	m := b.man
-	if m.opts.Tracer != nil || m.met != nil {
+	if m.opts.Tracer != nil || m.opts.Metrics != nil || m.met.outcomes != nil {
 		t.Fatalf("bed unexpectedly has telemetry enabled")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -144,14 +146,21 @@ func TestNoopTelemetryZeroAlloc(t *testing.T) {
 		tm := m.stepTimer()
 		tm.lap(telemetry.StepLocalNegotiation)
 		tm.lap(telemetry.StepClassification)
-		m.met.outcome(Succeeded)
-		m.met.commitFailure(CauseCapacity)
-		m.met.skip()
-		m.met.quarantineTrip()
-		m.met.adapt(true)
-		m.met.addRevenue(100)
-		m.met.observeNegotiation(time.Millisecond)
-		m.met.step(telemetry.StepCommitment).Observe(time.Millisecond)
+		m.met.outcomes.With(Succeeded.String()).Inc()
+		m.met.commitFailures.With(CauseCapacity.String()).Inc()
+		m.met.commitSkips.Inc()
+		m.met.quarantines.Inc()
+		m.met.adaptations.With("ok").Inc()
+		m.met.staleInstalls.With("adapt").Inc()
+		m.met.revenue.Add(100)
+		m.met.negSeconds.Observe(time.Millisecond)
+		m.met.steps[telemetry.StepCommitment].Observe(time.Millisecond)
+		m.met.offerCacheLookup(offercache.Stale)
+		m.met.cacheInvalidations.Add(1)
+		m.met.cacheEntries.Set(1)
+		m.met.policyReorders.With("negotiate").Inc()
+		m.met.policyChosenRank(3)
+		m.met.policyWasted.Add(1)
 		m.met.serverHealthGauges("server-1", 0, time.Time{})
 	})
 	if allocs != 0 {

@@ -76,7 +76,7 @@ type Fleet struct {
 	// adm, when non-nil, gates negotiation-class work once at the router.
 	adm *admission.Controller
 	rr  atomic.Uint64
-	met *fleetMetrics
+	met fleetMetrics
 
 	// statsMu guards the router-level shed counters, which have no home
 	// shard (a shed request is refused before routing).
@@ -144,7 +144,7 @@ func (f *Fleet) Sync() {}
 // authoritative.
 func (f *Fleet) route(id core.SessionID) *core.Manager {
 	sh := f.shards[int((id-1)%core.SessionID(len(f.shards)))]
-	f.met.routed(sh.idx)
+	f.met.routedTo[sh.idx].Inc()
 	return sh.mgr
 }
 
@@ -152,7 +152,7 @@ func (f *Fleet) route(id core.SessionID) *core.Manager {
 // exists yet to route by, and round-robin keeps the fleet evenly loaded.
 func (f *Fleet) place() *shardHandle {
 	sh := f.shards[int(f.rr.Add(1)-1)%len(f.shards)]
-	f.met.routed(sh.idx)
+	f.met.routedTo[sh.idx].Inc()
 	return sh
 }
 
@@ -163,7 +163,7 @@ func (f *Fleet) shedResult(retry time.Duration) core.Result {
 	f.shed.AdmissionSheds++
 	f.shed.FailedTryLater++
 	f.statsMu.Unlock()
-	f.met.outcome(core.FailedTryLater)
+	f.met.outcomes.With(core.FailedTryLater.String()).Inc()
 	return core.Result{
 		Status:     core.FailedTryLater,
 		Reason:     "admission control: manager overloaded",
@@ -363,8 +363,9 @@ func (f *Fleet) ShardStats() []Stat {
 	return out
 }
 
-// fleetMetrics holds the router's own telemetry series; nil (no registry)
-// disables recording, every method nil-checks.
+// fleetMetrics holds the router's own telemetry series: one routed counter
+// per shard and the shed outcomes. Built from a nil registry every series is
+// nil, which the telemetry package makes inert.
 type fleetMetrics struct {
 	routedTo []*telemetry.Counter
 	outcomes *telemetry.CounterFamily
@@ -373,30 +374,16 @@ type fleetMetrics struct {
 // MetricShardRouted is the router's metric name; DESIGN.md §14 documents it.
 const MetricShardRouted = "qosneg_shard_routed_total"
 
-func newFleetMetrics(reg *telemetry.Registry, shards int) *fleetMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &fleetMetrics{
+func newFleetMetrics(reg *telemetry.Registry, shards int) fleetMetrics {
+	m := fleetMetrics{
+		routedTo: make([]*telemetry.Counter, shards),
 		outcomes: reg.CounterFamily(core.MetricNegotiations,
 			"Negotiation outcomes by NegotiationStatus.", "status"),
 	}
 	routed := reg.CounterFamily(MetricShardRouted,
 		"Requests routed to each manager shard (placements and session-addressed operations).", "shard")
-	for i := 0; i < shards; i++ {
-		m.routedTo = append(m.routedTo, routed.With(strconv.Itoa(i)))
+	for i := range m.routedTo {
+		m.routedTo[i] = routed.With(strconv.Itoa(i))
 	}
 	return m
-}
-
-func (m *fleetMetrics) routed(i int) {
-	if m != nil && i < len(m.routedTo) {
-		m.routedTo[i].Inc()
-	}
-}
-
-func (m *fleetMetrics) outcome(s core.NegotiationStatus) {
-	if m != nil {
-		m.outcomes.With(s.String()).Inc()
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 	"qosneg/internal/testbed"
 )
 
-// TestRetiredSessionSemantics pins what every session-addressed call answers
-// for a live session, for a retired one still in the tombstone ring (ended by
-// rejection, by the choice-period time-out, by completion) and for one the
+// TestRetiredSessionSemantics pins what every session-addressed call answers,
+// sentinel and text, for a live session in the state it applies to and in
+// the other live state, for a retired one still in the tombstone ring (ended
+// by rejection, by the choice-period time-out, by completion) and for one the
 // ring has since overwritten — on the default one-shard fleet (Spec.Shards 0)
 // and on a 4-shard fleet, whose shards each keep their own ring.
 func TestRetiredSessionSemantics(t *testing.T) {
@@ -67,43 +69,76 @@ func TestRetiredSessionSemantics(t *testing.T) {
 			calls := []struct {
 				name string
 				call func(core.SessionID) error
-				// fresh makes a live session in the state the call applies to.
-				fresh func() core.SessionID
+				// fresh makes a live session in the state the call applies
+				// to; wrong, when set, one in the other live state.
+				fresh, wrong func() core.SessionID
 			}{
-				{"Session", func(id core.SessionID) error { _, err := m.Session(id); return err }, reserve},
-				{"Confirm", m.Confirm, reserve},
-				{"Reject", m.Reject, reserve},
-				{"Expire", m.Expire, reserve},
-				{"Renegotiate", func(id core.SessionID) error { _, err := m.RenegotiateContext(ctx, id, u); return err }, reserve},
-				{"Adapt", func(id core.SessionID) error { _, err := m.AdaptContext(ctx, id); return err }, play},
-				{"Complete", m.Complete, play},
-				{"Abort", m.Abort, play},
-				{"Invoice", func(id core.SessionID) error { _, err := m.Invoice(id); return err }, reserve},
+				{"Session", func(id core.SessionID) error { _, err := m.Session(id); return err }, reserve, nil},
+				{"Confirm", m.Confirm, reserve, play},
+				{"Reject", m.Reject, reserve, play},
+				{"Expire", m.Expire, reserve, play},
+				{"Renegotiate", func(id core.SessionID) error { _, err := m.RenegotiateContext(ctx, id, u); return err }, reserve, play},
+				{"Adapt", func(id core.SessionID) error { _, err := m.AdaptContext(ctx, id); return err }, play, reserve},
+				{"Advance", func(id core.SessionID) error { return m.Advance(id, time.Second) }, play, reserve},
+				{"Complete", m.Complete, play, reserve},
+				{"Abort", m.Abort, play, nil},
+				{"Invoice", func(id core.SessionID) error { _, err := m.Invoice(id); return err }, reserve, nil},
 			}
-			// What a terminal session answers, in or out of the live table.
-			wantRetired := func(call, how string) error {
-				switch {
-				case call == "Session" || call == "Abort":
-					return nil
-				case call == "Adapt" || call == "Complete" || call == "Invoice" || how != "expired":
-					return core.ErrBadState
+			// check compares an answer with the sentinel and the exact text
+			// of the error a call should return; a nil want is success.
+			check := func(what string, err, want error, text string) {
+				t.Helper()
+				if want == nil {
+					if err != nil {
+						t.Errorf("%s: %v, want success", what, err)
+					}
+					return
 				}
-				return core.ErrChoicePeriodExpired
+				if !errors.Is(err, want) || err.Error() != text {
+					t.Errorf("%s: %v, want %q", what, err, text)
+				}
+			}
+			// badState is the refusal of a call on a session in state st.
+			badState := func(call string, st core.SessionState) string {
+				return fmt.Sprintf("%v: %s in state %v", core.ErrBadState, strings.ToLower(call), st)
+			}
+			// What a terminal session answers, in or out of the live table:
+			// an expired one reports the time-out to the calls that need a
+			// reserved session, every other call and end its state.
+			wantRetired := func(call, how string, id core.SessionID) (error, string) {
+				st := core.Aborted
+				if how == "completed" {
+					st = core.Completed
+				}
+				switch call {
+				case "Session", "Abort":
+					return nil, ""
+				case "Confirm", "Reject", "Expire", "Renegotiate":
+					if how == "expired" {
+						return core.ErrChoicePeriodExpired, fmt.Sprintf("%v: session %d", core.ErrChoicePeriodExpired, id)
+					}
+				}
+				return core.ErrBadState, badState(call, st)
 			}
 			for _, c := range calls {
 				id := c.fresh()
-				if err := c.call(id); err != nil {
-					t.Errorf("%s on a live session: %v", c.name, err)
-				}
+				check(c.name+" on a live session", c.call(id), nil, "")
 				m.Abort(id)
+				if c.wrong != nil {
+					id := c.wrong()
+					s, err := m.Session(id)
+					must(err)
+					st := s.State()
+					check(fmt.Sprintf("%s on a live %v session", c.name, st), c.call(id), core.ErrBadState, badState(c.name, st))
+					m.Abort(id)
+				}
 				for how, id := range retired {
-					if err, want := c.call(id), wantRetired(c.name, how); !errors.Is(err, want) || (want == nil && err != nil) {
-						t.Errorf("%s on a %s session in the ring: %v, want %v", c.name, how, err, want)
-					}
+					err := c.call(id)
+					want, text := wantRetired(c.name, how, id)
+					check(fmt.Sprintf("%s on a %s session in the ring", c.name, how), err, want, text)
 				}
-				if err := c.call(evicted); !errors.Is(err, core.ErrUnknownSession) {
-					t.Errorf("%s on a session evicted from the ring: %v, want %v", c.name, err, core.ErrUnknownSession)
-				}
+				check(c.name+" on a session evicted from the ring", c.call(evicted),
+					core.ErrUnknownSession, fmt.Sprintf("%v: %d", core.ErrUnknownSession, evicted))
 			}
 
 			// None of those calls changed what the ring remembers.

@@ -245,7 +245,7 @@ func (c *Client) handshake(ctx context.Context, nc net.Conn) (*clientConn, error
 		return nil, c.finishCtx(ctx, fmt.Errorf("protocol: handshake send: %w", err))
 	}
 	r := bufio.NewReader(nc)
-	line, err := r.ReadBytes('\n')
+	line, err := readHelloLine(r)
 	if err != nil {
 		return nil, c.finishCtx(ctx, fmt.Errorf("protocol: handshake receive: %w", err))
 	}

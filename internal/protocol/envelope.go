@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -313,6 +315,21 @@ func writeEnvelopeLine(w interface{ Write([]byte) (int, error) }, e Envelope) er
 	}
 	_, err = w.Write(append(data, '\n'))
 	return err
+}
+
+// errHelloTooLong refuses a hello-exchange line that outgrows the reader's
+// buffer (4 KiB; a hello or its ack is under 100 bytes).
+var errHelloTooLong = errors.New("hello line too long")
+
+// readHelloLine reads one line of the hello exchange in place, bounded by
+// r's buffer, so a peer that never sends a newline cannot make the other end
+// buffer without limit. The line is valid until the next read from r.
+func readHelloLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return nil, errHelloTooLong
+	}
+	return line, err
 }
 
 // readEnvelopeLine decodes one line of the hello exchange, so client and

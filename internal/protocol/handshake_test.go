@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -121,6 +122,37 @@ func TestOldPeersRefusedAtHandshake(t *testing.T) {
 				t.Fatal("the refused client left its connection open")
 			}
 		})
+	}
+}
+
+// TestOverlongHelloRefused: a peer that sends 8 MiB without a newline gets
+// one MsgError line as soon as its first line outgrows the reader's buffer,
+// and then a closed connection, instead of a daemon buffering it all and
+// waiting for the rest.
+func TestOverlongHelloRefused(t *testing.T) {
+	h := newHarness(t)
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		conn.Write(bytes.Repeat([]byte{'x'}, 8<<20)) // fails once the daemon hangs up
+	}()
+	defer func() { conn.Close(); <-wrote }()
+	r := bufio.NewReader(conn)
+	line, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no answer within 2s: %v", err)
+	}
+	env, err := readEnvelopeLine(line)
+	if err != nil || env.Type != MsgError || !strings.Contains(string(line), "hello line too long") {
+		t.Fatalf("answered %s (%v), want one MsgError line saying the hello is too long", line, err)
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		t.Fatalf("after the refusal: %v, want the connection closed", err)
 	}
 }
 

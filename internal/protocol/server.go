@@ -194,12 +194,23 @@ func (s *Server) Expired() int {
 
 // handle serves one connection. Its first line must be a hello offering
 // CodecBinary. Anything else — a request line, a hello without binary/2, a
-// truncated value such as a lone "{" — gets one MsgError line, and the
-// connection is closed instead of the handler waiting for more.
+// truncated value such as a lone "{", a line longer than the reader's buffer
+// — gets one MsgError line, and the connection is closed instead of the
+// handler waiting for more.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
-	line, err := r.ReadBytes('\n')
+	line, err := readHelloLine(r)
+	if err == errHelloTooLong {
+		// The rest of the line is still arriving, and closing with unread
+		// input resets the connection; half-close first so the refusal and
+		// the end of the stream reach the peer ahead of the reset.
+		writeEnvelopeLine(conn, errEnvelope("%v", err))
+		if tc, ok := conn.(*net.TCPConn); ok {
+			tc.CloseWrite()
+		}
+		return
+	}
 	if err != nil && (err != io.EOF || len(line) == 0) {
 		return
 	}

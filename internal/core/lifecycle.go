@@ -21,8 +21,9 @@ import (
 // (withdraw, then install or abortWindow) under the epoch guard
 // (DESIGN.md §10).
 
-// lockIn looks session id up and returns it locked if it is in state want:
-// the opening every session-addressed transition shares. A session in any
+// lockIn looks session id up and returns it locked if it is in state want,
+// for the caller to unlock (or finish): the opening every session-addressed
+// transition shares. A session in any
 // other state answers ErrBadState naming op, or ErrChoicePeriodExpired when
 // the choice period ended it and op needs a reserved session.
 func (m *Manager) lockIn(id SessionID, want SessionState, op string) (*Session, error) {

@@ -128,7 +128,8 @@ func TestOldPeersRefusedAtHandshake(t *testing.T) {
 // TestOverlongHelloRefused: a peer that sends 8 MiB without a newline gets
 // one MsgError line as soon as its first line outgrows the reader's buffer,
 // and then a closed connection, instead of a daemon buffering it all and
-// waiting for the rest.
+// waiting for the rest. A client whose daemon answers that way fails the
+// dial.
 func TestOverlongHelloRefused(t *testing.T) {
 	h := newHarness(t)
 	conn, err := net.Dial("tcp", h.addr)
@@ -153,6 +154,19 @@ func TestOverlongHelloRefused(t *testing.T) {
 	}
 	if _, err := r.ReadByte(); err != io.EOF {
 		t.Fatalf("after the refusal: %v, want the connection closed", err)
+	}
+
+	// The client bounds the daemon's answer the same way.
+	addr := stubListener(t, func(conn net.Conn) {
+		defer conn.Close()
+		bufio.NewReader(conn).ReadBytes('\n')
+		conn.Write(bytes.Repeat([]byte{'x'}, 8<<10))
+		io.Copy(io.Discard, conn) // returns once the client hangs up
+	})
+	ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+	defer cancel()
+	if _, err := Dial(ctx, addr); !errors.Is(err, errHelloTooLong) {
+		t.Fatalf("dial of a daemon answering 8 KiB without a newline: %v, want %v", err, errHelloTooLong)
 	}
 }
 

@@ -201,7 +201,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	line, err := readHelloLine(r)
-	if err == errHelloTooLong {
+	if errors.Is(err, errHelloTooLong) {
 		// The rest of the line is still arriving, and closing with unread
 		// input resets the connection; half-close first so the refusal and
 		// the end of the stream reach the peer ahead of the reset.

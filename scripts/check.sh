@@ -22,6 +22,12 @@ go build ./...
 echo "== go test -race"
 go test -race -shuffle=on ./...
 
+# `make stress` at its default: the session lifecycle's epoch guard and
+# unlock window under many concurrent transitions, beyond what the short
+# runs above reach.
+echo "== lifecycle stress (race, 2000 operations per worker)"
+QOSNEG_STRESS_ITERS=2000 go test -race -count=1 -run 'TestLifecycleStress|TestChaos' ./internal/core
+
 # bench/ is a nested module the lines above do not reach; an internal API
 # change that stops it compiling fails bench/run.sh, and with it the PR.
 echo "== benchmark module (vet, all workloads at 1/200 scale)"

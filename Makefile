@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare profile cover check experiments expdiff fmt vet fuzz stress clean
+.PHONY: all build test race bench bench-compare profile cover check experiments golden fmt vet fuzz stress clean
 
 all: build test
 
@@ -72,10 +72,11 @@ cover:
 experiments:
 	$(GO) run ./cmd/nodsim -exp all
 
-# Diff `nodsim -exp all` between commit REV and the working tree, with the
-# wall-clock cells masked; no output means E1–E20 are unchanged.
-expdiff:
-	./scripts/expdiff.sh $(REV)
+# Rewrite internal/experiments/testdata/all.golden from a fresh run of every
+# experiment; TestGolden compares against it, and its diff is the change's
+# experiment diff.
+golden:
+	$(GO) test ./internal/experiments -run TestGolden -update
 
 fmt:
 	gofmt -w .

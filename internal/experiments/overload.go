@@ -219,7 +219,7 @@ func runE19(w io.Writer) error {
 			tally.p99().Round(time.Millisecond),
 			ctrl.Stats().RetryHint.Round(10*time.Millisecond))
 		if err := bed.Ledger.CheckEmpty(); err != nil {
-			fmt.Fprintf(w, "  LEAK in %s: %v\n", sc.name, err)
+			return fmt.Errorf("LEAK in %s: %w", sc.name, err)
 		}
 	}
 	fmt.Fprintln(w, "ledger: empty after every scenario (all reservations wound down)")

@@ -59,13 +59,11 @@ func e20Article(id media.DocumentID) media.Document {
 // comparison isolates what the *policy* learns — with the breaker on, a
 // quarantine would eventually rescue the static order too, and the study
 // would measure the breaker's threshold instead of the policy.
-func e20Bed(bandit bool, faulty bool) (*testbed.Bed, *faults.Injector, *policy.Bandit) {
+func e20Bed(bandit bool, faulty bool) *testbed.Bed {
 	opts := core.DefaultOptions()
 	opts.Health = core.HealthPolicy{FailureThreshold: 0}
-	var b *policy.Bandit
 	if bandit {
-		b = policy.NewBandit()
-		opts.Policy = b
+		opts.Policy = policy.NewBandit()
 	}
 	inj := faults.New(1996)
 	bed := testbed.MustNew(testbed.Spec{
@@ -84,39 +82,29 @@ func e20Bed(bandit bool, faulty bool) (*testbed.Bed, *faults.Injector, *policy.B
 			s.SetReserveFailure(0.9)
 		}
 	}
-	return bed, inj, b
+	return bed
 }
 
 // e20Outcome tallies one policy × scenario run.
 type e20Outcome struct {
-	negotiations  int
 	succeeded     int
 	failedCommits int
 	// lastFailing is the 1-based index of the last negotiation that burned
 	// at least one failed commit attempt — the policy's time-to-adapt in
 	// units of negotiations (0: never failed).
 	lastFailing int
-	goodput     float64 // successful negotiations per second
 	leak        error
-}
-
-func (o e20Outcome) failRate() float64 {
-	if o.negotiations == 0 {
-		return 0
-	}
-	return float64(o.failedCommits) / float64(o.negotiations)
 }
 
 // e20Drive runs count sequential negotiations and winds each one down,
 // tracking per-negotiation commit-failure deltas.
 func e20Drive(bandit, faulty bool, count int) e20Outcome {
-	bed, _, _ := e20Bed(bandit, faulty)
+	bed := e20Bed(bandit, faulty)
 	u := tvRequest()
 	u.Desired.Cost.MaxCost = cost.Dollars(20)
 	u.Worst.Cost.MaxCost = cost.Dollars(20)
-	out := e20Outcome{negotiations: count}
+	var out e20Outcome
 	prevFails := 0
-	start := time.Now()
 	for i := 1; i <= count; i++ {
 		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1+i%2), "news-1", u)
 		if err != nil {
@@ -136,9 +124,38 @@ func e20Drive(bandit, faulty bool, count int) e20Outcome {
 		prevFails = fails
 	}
 	out.failedCommits = prevFails
-	out.goodput = float64(out.succeeded) / time.Since(start).Seconds()
 	out.leak = bed.Ledger.CheckEmpty()
 	return out
+}
+
+// e20Cell is one scenario × policy cell of the study.
+type e20Cell struct{ scenario, policy string }
+
+var e20Cells = [4]e20Cell{{"clean", "static"}, {"clean", "bandit"}, {"faulty", "static"}, {"faulty", "bandit"}}
+
+// e20Verdict checks the study's claims: no cell leaks, the two policies tie
+// on the clean scenario (no failures for either), and under faults the
+// bandit burns strictly fewer failed commitments and stops failing earlier.
+// results[i] is the outcome of e20Cells[i].
+func e20Verdict(results [4]e20Outcome) error {
+	for i, c := range e20Cells {
+		if err := results[i].leak; err != nil {
+			return fmt.Errorf("LEAK in %s/%s: %w", c.scenario, c.policy, err)
+		}
+	}
+	cleanStatic, cleanBandit, faultyStatic, faultyBandit := results[0], results[1], results[2], results[3]
+	switch {
+	case cleanStatic.failedCommits != 0 || cleanBandit.failedCommits != 0:
+		return fmt.Errorf("failures on the clean scenario (static %d, bandit %d)",
+			cleanStatic.failedCommits, cleanBandit.failedCommits)
+	case faultyBandit.failedCommits >= faultyStatic.failedCommits:
+		return fmt.Errorf("bandit did not beat the static tie-break under faults (%d vs %d failed commitments)",
+			faultyBandit.failedCommits, faultyStatic.failedCommits)
+	case faultyBandit.lastFailing >= faultyStatic.lastFailing:
+		return fmt.Errorf("bandit did not stop failing earlier than static (negotiation %d vs %d)",
+			faultyBandit.lastFailing, faultyStatic.lastFailing)
+	}
+	return nil
 }
 
 // runE20 is the selection-policy study: identical catalogs, identical fault
@@ -155,48 +172,24 @@ func runE20(w io.Writer) error {
 	fmt.Fprintln(w, "Classical order always tries server-1 first (offer-key tie-break); the faulty")
 	fmt.Fprintln(w, "scenario makes exactly that server drop 90% of reservations. Breaker disabled")
 	fmt.Fprintf(w, "to isolate the policy; %d sequential negotiations per cell.\n\n", count)
-	fmt.Fprintf(w, "%-8s %-8s %9s %12s %11s %14s %10s\n",
-		"scenario", "policy", "accepted", "failedCommit", "fails/neg", "lastFail@neg", "goodput/s")
-	type cell struct {
-		scenario string
-		faulty   bool
-		bandit   bool
+	fmt.Fprintf(w, "%-8s %-8s %9s %12s %11s %14s\n",
+		"scenario", "policy", "accepted", "failedCommit", "fails/neg", "lastFail@neg")
+	var results [4]e20Outcome
+	for i, c := range e20Cells {
+		out := e20Drive(c.policy == "bandit", c.scenario == "faulty", count)
+		results[i] = out
+		fmt.Fprintf(w, "%-8s %-8s %9d %12d %11.2f %14d\n", c.scenario, c.policy, out.succeeded,
+			out.failedCommits, float64(out.failedCommits)/count, out.lastFailing)
 	}
-	results := map[cell]e20Outcome{}
-	for _, c := range []cell{
-		{"clean", false, false}, {"clean", false, true},
-		{"faulty", true, false}, {"faulty", true, true},
-	} {
-		out := e20Drive(c.bandit, c.faulty, count)
-		results[c] = out
-		name := "static"
-		if c.bandit {
-			name = "bandit"
-		}
-		fmt.Fprintf(w, "%-8s %-8s %9d %12d %11.2f %14d %10.0f\n",
-			c.scenario, name, out.succeeded, out.failedCommits, out.failRate(), out.lastFailing, out.goodput)
-		if out.leak != nil {
-			fmt.Fprintf(w, "  LEAK in %s/%s: %v\n", c.scenario, name, out.leak)
-		}
+	if err := e20Verdict(results); err != nil {
+		return err
 	}
-	cleanStatic := results[cell{"clean", false, false}]
-	cleanBandit := results[cell{"clean", false, true}]
-	faultyStatic := results[cell{"faulty", true, false}]
-	faultyBandit := results[cell{"faulty", true, true}]
+	faultyStatic, faultyBandit := results[2], results[3]
 	fmt.Fprintln(w)
-	switch {
-	case cleanStatic.failedCommits != 0 || cleanBandit.failedCommits != 0:
-		fmt.Fprintln(w, "UNEXPECTED: failures on the clean scenario")
-	case faultyBandit.failedCommits >= faultyStatic.failedCommits:
-		fmt.Fprintln(w, "UNEXPECTED: bandit did not beat the static tie-break under faults")
-	case faultyBandit.lastFailing >= faultyStatic.lastFailing:
-		fmt.Fprintln(w, "UNEXPECTED: bandit did not stop failing earlier than static")
-	default:
-		fmt.Fprintf(w, "bandit burned %.0f%% fewer failed commitments than static under identical\n",
-			100*(1-float64(faultyBandit.failedCommits)/float64(faultyStatic.failedCommits)))
-		fmt.Fprintf(w, "fault weather (last failed attempt at negotiation %d vs %d) and tied clean;\n",
-			faultyBandit.lastFailing, faultyStatic.lastFailing)
-		fmt.Fprintln(w, "ledger: empty after every cell (all reservations wound down)")
-	}
+	fmt.Fprintf(w, "bandit burned %.0f%% fewer failed commitments than static under identical\n",
+		100*(1-float64(faultyBandit.failedCommits)/float64(faultyStatic.failedCommits)))
+	fmt.Fprintf(w, "fault weather (last failed attempt at negotiation %d vs %d) and tied clean;\n",
+		faultyBandit.lastFailing, faultyStatic.lastFailing)
+	fmt.Fprintln(w, "ledger: empty after every cell (all reservations wound down)")
 	return nil
 }

@@ -49,9 +49,6 @@ go test -count=1 -run 'TestWireNegotiateAllocBound' ./internal/protocol
 echo "== bounded-retention gate (100k cycles, live heap flat)"
 go test -count=1 -run 'TestSteadyStateHeapFlat' ./internal/core
 
-echo "== selection-policy study gate (E20)"
-go test -count=1 -run 'TestE20PolicyStudy' ./internal/experiments
-
 echo "== benchmarks (smoke, 1 iteration)"
 ./scripts/bench.sh -smoke
 

@@ -733,16 +733,31 @@ func BenchmarkPlayout(b *testing.B) {
 	}
 }
 
-// BenchmarkCMFSAdmission measures the disk-round admission test.
+// BenchmarkCMFSAdmission measures the disk-round admission test on a server
+// already holding 10, 64 and 256 streams: the server keeps its demand as a
+// running sum, so the cost should not grow with the stream count.
 func BenchmarkCMFSAdmission(b *testing.B) {
-	srv := cmfs.MustServer("s1", cmfs.DefaultConfig())
 	n := qos.NetworkQoS{MaxBitRate: 4 * qos.MBitPerSecond, AvgBitRate: 2 * qos.MBitPerSecond}
-	for i := 0; i < 10; i++ {
-		srv.Reserve(n)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srv.Admit(n)
+	for _, streams := range []int{10, 64, 256} {
+		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
+			// A disk large enough for 257 such streams, with no stream cap.
+			cfg := cmfs.DefaultConfig()
+			cfg.DiskRate = 1000 * qos.MBitPerSecond
+			cfg.SeekTime = time.Millisecond
+			cfg.MaxStreams = 0
+			srv := cmfs.MustServer("s1", cfg)
+			for i := 0; i < streams; i++ {
+				if _, err := srv.Reserve(n); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := srv.Admit(n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -17,15 +17,24 @@
 // (disk transfer rate, seek time, round length) are configurable per
 // server.
 //
+// Running demand. A server keeps the left-hand side as a running sum:
+// demand = Σ bytesPerRound(r.Rate) over the admitted streams, updated by
+// Reserve and Release, the only writers of the stream set. The sum is over
+// int64, so it is exact and independent of order, and the admission test,
+// Utilization and Capacity cost O(1) in the number of streams. A refusal is
+// a small error value that renders its text only when read, so a refused
+// Reserve costs one allocation.
+//
 // Degradation injection. Experiments shrink a server's effective disk rate
 // with SetDegradation; streams that no longer fit are reported by
 // Overcommitted, which the QoS manager's adaptation procedure consumes.
 package cmfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,6 +141,7 @@ type Server struct {
 	mu          sync.Mutex
 	next        ReservationID
 	streams     map[ReservationID]Reservation
+	demand      int64   // Σ bytesPerRound(r.Rate) over streams
 	degradation float64 // fraction of DiskRate lost, in [0, 1)
 
 	// Telemetry series, installed by Instrument; nil when uninstrumented
@@ -243,18 +253,32 @@ func (s *Server) admitLocked(rate qos.BitRate) error {
 	}
 	n := len(s.streams) + 1
 	if s.cfg.MaxStreams > 0 && n > s.cfg.MaxStreams {
-		return fmt.Errorf("%w: server %s at stream cap %d", ErrAdmission, s.id, s.cfg.MaxStreams)
+		return &admissionError{server: s.id, cap: s.cfg.MaxStreams}
 	}
-	var demand int64
-	for _, r := range s.streams {
-		demand += s.bytesPerRound(r.Rate)
-	}
-	demand += s.bytesPerRound(rate)
+	demand := s.demand + s.bytesPerRound(rate)
 	if budget := s.roundBudget(n); demand > budget {
-		return fmt.Errorf("%w: server %s needs %d bytes/round, budget %d", ErrAdmission, s.id, demand, budget)
+		return &admissionError{server: s.id, demand: demand, budget: budget}
 	}
 	return nil
 }
+
+// admissionError is a refusal of the admission test. It keeps the figures
+// and renders its text only when read; it unwraps to ErrAdmission.
+type admissionError struct {
+	server media.ServerID
+	// cap is the stream cap that refused; zero when the round budget did.
+	cap            int
+	demand, budget int64
+}
+
+func (e *admissionError) Error() string {
+	if e.cap > 0 {
+		return fmt.Sprintf("%v: server %s at stream cap %d", ErrAdmission, e.server, e.cap)
+	}
+	return fmt.Sprintf("%v: server %s needs %d bytes/round, budget %d", ErrAdmission, e.server, e.demand, e.budget)
+}
+
+func (e *admissionError) Unwrap() error { return ErrAdmission }
 
 // Reserve admits and reserves a stream; it returns the reservation that a
 // later Release must present. Discrete media (zero rate) reserve no disk
@@ -270,6 +294,7 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.next++
 	r := Reservation{ID: s.next, Rate: charged, Peak: n.MaxBitRate}
 	s.streams[r.ID] = r
+	s.demand += s.bytesPerRound(charged)
 	s.admitted.Inc()
 	s.active.Set(int64(len(s.streams)))
 	s.led.Acquire(ledger.KindCMFS, string(s.id), uint64(r.ID))
@@ -280,10 +305,12 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 func (s *Server) Release(id ReservationID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.streams[id]; !ok {
+	r, ok := s.streams[id]
+	if !ok {
 		return fmt.Errorf("%w: %d on server %s", ErrUnknownReservation, id, s.id)
 	}
 	delete(s.streams, id)
+	s.demand -= s.bytesPerRound(r.Rate)
 	s.active.Set(int64(len(s.streams)))
 	s.led.Release(ledger.KindCMFS, string(s.id), uint64(id))
 	return nil
@@ -309,11 +336,7 @@ func (s *Server) Utilization() float64 {
 		}
 		return 1
 	}
-	var demand int64
-	for _, r := range s.streams {
-		demand += s.bytesPerRound(r.Rate)
-	}
-	return float64(demand) / float64(budget)
+	return float64(s.demand) / float64(budget)
 }
 
 // SetDegradation shrinks the effective disk rate by the given fraction in
@@ -331,23 +354,23 @@ func (s *Server) SetDegradation(fraction float64) error {
 
 // Overcommitted returns the reservations that no longer fit in the degraded
 // round budget, largest rate first: the streams the disk can no longer
-// serve at their negotiated QoS. An empty result means every admitted
-// stream still fits.
+// serve at their negotiated QoS. A nil result means every admitted stream
+// still fits; finding that out costs no allocation.
 func (s *Server) Overcommitted() []Reservation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	budget := s.roundBudget(len(s.streams))
+	if s.demand <= budget {
+		return nil
+	}
 	res := make([]Reservation, 0, len(s.streams))
 	for _, r := range s.streams {
 		res = append(res, r)
 	}
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Rate != res[j].Rate {
-			return res[i].Rate < res[j].Rate
-		}
-		return res[i].ID < res[j].ID
+	slices.SortFunc(res, func(a, b Reservation) int {
+		return cmp.Or(cmp.Compare(a.Rate, b.Rate), cmp.Compare(a.ID, b.ID))
 	})
 	// Keep the cheapest streams that fit; everything else is a casualty.
-	budget := s.roundBudget(len(s.streams))
 	var demand int64
 	keep := 0
 	for _, r := range res {
@@ -361,7 +384,7 @@ func (s *Server) Overcommitted() []Reservation {
 	victims := res[keep:]
 	out := make([]Reservation, len(victims))
 	copy(out, victims)
-	sort.Slice(out, func(i, j int) bool { return out[i].Rate > out[j].Rate })
+	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(b.Rate, a.Rate) })
 	return out
 }
 
@@ -371,10 +394,7 @@ func (s *Server) Capacity(rate qos.BitRate) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	count := 0
-	var demand int64
-	for _, r := range s.streams {
-		demand += s.bytesPerRound(r.Rate)
-	}
+	demand := s.demand
 	per := s.bytesPerRound(rate)
 	for {
 		n := len(s.streams) + count + 1

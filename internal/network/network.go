@@ -84,7 +84,13 @@ type ReservationID uint64
 
 // Reservation records reserved bandwidth along a path.
 type Reservation struct {
-	ID   ReservationID
+	ID ReservationID
+	// Path is shared with every other reservation along the same links and
+	// must be treated as read-only. The network keeps one copy of each
+	// distinct path it has charged; links are never removed, so those
+	// copies are bounded by the topology's loop-free paths of at most
+	// maxHops links. A longer path, which only a caller of Reserve can
+	// supply, gets a copy of its own.
 	Path Path
 	Rate qos.BitRate
 }
@@ -100,6 +106,9 @@ type Network struct {
 	out   [][]*linkState
 	next  ReservationID
 	resv  map[ReservationID]Reservation
+	// paths interns reservation paths by their links, so a reservation on
+	// an already-charged path allocates nothing for it.
+	paths map[[maxHops]*linkState]Path
 
 	// w is the graph walk's scratch, reused under mu.
 	w walker
@@ -156,6 +165,7 @@ func New() *Network {
 		links: make(map[LinkID]*linkState),
 		nodes: make(map[NodeID]int),
 		resv:  make(map[ReservationID]Reservation),
+		paths: make(map[[maxHops]*linkState]Path),
 	}
 }
 
@@ -439,8 +449,8 @@ func pathOf(links []*linkState) Path {
 // section: the path is FindPaths(src, dst, q, k)[0], the reservation is
 // what Reserve would grant on it, and the metrics are what Metrics would
 // then report. No concurrent reservation can take the path's capacity
-// between the choice and the charge. The reservation's own copy of the
-// path is the only allocation.
+// between the choice and the charge. On a path charged before, Open
+// allocates nothing; the first charge of a path allocates its shared copy.
 func (n *Network) Open(src, dst NodeID, q qos.NetworkQoS, k int) (Reservation, PathMetrics, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -483,12 +493,29 @@ func (n *Network) chargeLocked(links []*linkState, q qos.NetworkQoS) Reservation
 		ls.reserved += q.AvgBitRate
 	}
 	n.next++
-	r := Reservation{ID: n.next, Path: pathOf(links), Rate: q.AvgBitRate}
+	r := Reservation{ID: n.next, Path: n.internLocked(links), Rate: q.AvgBitRate}
 	n.resv[r.ID] = r
 	n.admitted.Inc()
 	n.active.Set(int64(len(n.resv)))
 	n.led.Acquire(ledger.KindNetwork, "", uint64(r.ID))
 	return r
+}
+
+// internLocked returns the network's shared copy of a path, making it on
+// the path's first charge; caller holds the lock. A path longer than
+// maxHops gets a fresh copy.
+func (n *Network) internLocked(links []*linkState) Path {
+	if len(links) > maxHops {
+		return pathOf(links)
+	}
+	var key [maxHops]*linkState
+	copy(key[:], links)
+	p, ok := n.paths[key]
+	if !ok {
+		p = pathOf(links)
+		n.paths[key] = p
+	}
+	return p
 }
 
 // Release frees a reservation's bandwidth on every link of its path.

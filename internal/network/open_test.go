@@ -211,9 +211,10 @@ func TestOpenMatchesFindReserve(t *testing.T) {
 	t.Logf("%d requests opened, %d refused", opened, refused)
 }
 
-// TestOpenAllocatesOnlyThePath pins Open's cost: the reservation's copy of
-// its path is the only allocation; the walk runs on scratch the network
-// owns.
+// TestOpenAllocatesOnlyThePath pins Open's cost: the walk runs on scratch
+// the network owns, and a reservation shares the network's one copy of its
+// path, so Open+Release on a path charged before allocates nothing and the
+// first charge of a path allocates only that copy.
 func TestOpenAllocatesOnlyThePath(t *testing.T) {
 	n, err := BuildStar(StarSpec{Clients: []NodeID{"c1", "c2"}, Servers: []NodeID{"s1", "s2", "s3"}})
 	if err != nil {
@@ -223,6 +224,16 @@ func TestOpenAllocatesOnlyThePath(t *testing.T) {
 	n.SetLedger(ledger.New())
 	dual := dualPath(t)
 	q := request(2 * qos.MBitPerSecond)
+	open := func(n *Network, src, dst NodeID) Reservation {
+		r, _, err := n.Open(src, dst, q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Release(r.ID); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	for _, tc := range []struct {
 		name     string
 		n        *Network
@@ -231,18 +242,21 @@ func TestOpenAllocatesOnlyThePath(t *testing.T) {
 		{"star", n, "s2", "c1"},
 		{"dual path", dual, "server", "client"},
 	} {
-		open := func() {
-			r, _, err := tc.n.Open(tc.src, tc.dst, q, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.n.Release(r.ID); err != nil {
-				t.Fatal(err)
-			}
+		first := open(tc.n, tc.src, tc.dst) // grow the walker's scratch, charge the path
+		if allocs := testing.AllocsPerRun(1000, func() { open(tc.n, tc.src, tc.dst) }); allocs != 0 {
+			t.Errorf("%s: Open+Release on a charged path allocated %.0f objects, want 0", tc.name, allocs)
 		}
-		open() // grow the walker's scratch
-		if allocs := testing.AllocsPerRun(1000, open); allocs != 1 {
-			t.Errorf("%s: Open+Release allocated %.0f objects, want exactly 1 (the path copy)", tc.name, allocs)
+		if again := open(tc.n, tc.src, tc.dst); &again.Path[0] != &first.Path[0] {
+			t.Errorf("%s: two reservations on one path hold separate copies of it", tc.name)
 		}
+	}
+	// Each call charges a path the star has not carried before; AllocsPerRun
+	// spends the first on its warm-up run.
+	fresh := [][2]NodeID{{"s3", "c1"}, {"s1", "c2"}}
+	if allocs := testing.AllocsPerRun(1, func() {
+		open(n, fresh[0][0], fresh[0][1])
+		fresh = fresh[1:]
+	}); allocs != 1 {
+		t.Errorf("star: the first charge of a path allocated %.0f objects, want exactly 1 (its shared copy)", allocs)
 	}
 }

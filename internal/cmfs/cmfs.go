@@ -20,8 +20,8 @@
 // Running demand. A server keeps the left-hand side as a running sum:
 // demand = Σ bytesPerRound(r.Rate) over the admitted streams, updated by
 // Reserve and Release, the only writers of the stream set. The sum is over
-// int64, so it is exact and independent of order, and the admission test,
-// Utilization and Capacity cost O(1) in the number of streams. A refusal is
+// int64, so it is exact and independent of order, and the admission test
+// and Utilization cost O(1) in the number of streams. A refusal is
 // a small error value that renders its text only when read, so a refused
 // Reserve costs one allocation.
 //
@@ -150,9 +150,10 @@ type Server struct {
 	rejected *telemetry.Counter
 	active   *telemetry.Gauge
 
-	// led, when non-nil, records every successful Reserve/Release in the
-	// resource ledger (leak and double-release detection in tests).
-	led *ledger.Ledger
+	// acct, when non-nil, is the server's account in the resource ledger:
+	// every successful Reserve/Release posts to it (leak and
+	// double-release detection in tests).
+	acct *ledger.Account
 }
 
 // SetLedger installs a resource ledger: every successful Reserve posts an
@@ -162,8 +163,9 @@ type Server struct {
 // legitimate lost-message flow, not a bookkeeping bug. A nil ledger
 // detaches.
 func (s *Server) SetLedger(l *ledger.Ledger) {
+	acct := l.Account(ledger.KindCMFS, string(s.id))
 	s.mu.Lock()
-	s.led = l
+	s.acct = acct
 	s.mu.Unlock()
 }
 
@@ -297,7 +299,7 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.demand += s.bytesPerRound(charged)
 	s.admitted.Inc()
 	s.active.Set(int64(len(s.streams)))
-	s.led.Acquire(ledger.KindCMFS, string(s.id), uint64(r.ID))
+	s.acct.Acquire(uint64(r.ID))
 	return r, nil
 }
 
@@ -312,7 +314,7 @@ func (s *Server) Release(id ReservationID) error {
 	delete(s.streams, id)
 	s.demand -= s.bytesPerRound(r.Rate)
 	s.active.Set(int64(len(s.streams)))
-	s.led.Release(ledger.KindCMFS, string(s.id), uint64(id))
+	s.acct.Release(uint64(id))
 	return nil
 }
 
@@ -386,24 +388,4 @@ func (s *Server) Overcommitted() []Reservation {
 	copy(out, victims)
 	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(b.Rate, a.Rate) })
 	return out
-}
-
-// Capacity reports how many additional streams of the given rate the server
-// could admit right now; a sizing helper for experiments.
-func (s *Server) Capacity(rate qos.BitRate) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	count := 0
-	demand := s.demand
-	per := s.bytesPerRound(rate)
-	for {
-		n := len(s.streams) + count + 1
-		if s.cfg.MaxStreams > 0 && n > s.cfg.MaxStreams {
-			return count
-		}
-		if demand+per*int64(count+1) > s.roundBudget(n) {
-			return count
-		}
-		count++
-	}
 }

@@ -188,25 +188,6 @@ func TestSetDegradationValidation(t *testing.T) {
 	}
 }
 
-func TestCapacity(t *testing.T) {
-	s := MustServer("s1", smallConfig())
-	c := s.Capacity(2 * qos.MBitPerSecond)
-	if c != 4 {
-		t.Errorf("Capacity = %d, want 4", c)
-	}
-	// Reserving reduces capacity.
-	if _, err := s.Reserve(stream(2 * qos.MBitPerSecond)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Capacity(2 * qos.MBitPerSecond); got != c-1 {
-		t.Errorf("Capacity after reserve = %d, want %d", got, c-1)
-	}
-	// Stream cap bounds capacity for tiny streams.
-	if got := s.Capacity(qos.BitPerSecond); got != smallConfig().MaxStreams-1 {
-		t.Errorf("tiny-stream capacity = %d", got)
-	}
-}
-
 func TestConcurrentReserveRelease(t *testing.T) {
 	s := MustServer("s1", Config{
 		DiskRate:    100 * qos.MBitPerSecond,

@@ -84,23 +84,6 @@ func refOvercommitted(s *Server) []Reservation {
 	return out
 }
 
-// refCapacity counts the further streams of a rate that would be admitted.
-func refCapacity(s *Server, rate qos.BitRate) int {
-	count := 0
-	demand := refDemand(s)
-	per := s.bytesPerRound(rate)
-	for {
-		n := len(s.streams) + count + 1
-		if s.cfg.MaxStreams > 0 && n > s.cfg.MaxStreams {
-			return count
-		}
-		if demand+per*int64(count+1) > s.roundBudget(n) {
-			return count
-		}
-		count++
-	}
-}
-
 // modelOp is one call in a model scenario.
 type modelOp int
 
@@ -109,14 +92,13 @@ const (
 	opRelease
 	opDegrade
 	opAdmit
-	opCapacity
 	opUtilization
 	opOvercommitted
 	nModelOps
 )
 
 // modelStep is one call and its argument: a request for Reserve and Admit,
-// a rate for Capacity, a fraction for SetDegradation, and for Release an
+// a fraction for SetDegradation, and for Release an
 // index into the live reservations (or, past their end, an id never
 // granted).
 type modelStep struct {
@@ -143,7 +125,7 @@ func (modelScenario) Generate(rng *rand.Rand, _ int) reflect.Value {
 	sc.Cfg.MaxStreams = []int{0, 0, 1, 8, 1 + rng.Intn(40)}[rng.Intn(5)]
 	rates := []qos.BitRate{0, 20 * qos.KBitPerSecond, 64 * qos.KBitPerSecond, 64 * qos.KBitPerSecond,
 		250 * qos.KBitPerSecond, qos.MBitPerSecond, 2 * qos.MBitPerSecond, 3 * qos.MBitPerSecond}
-	weights := [nModelOps]int{opReserve: 8, opRelease: 3, opDegrade: 1, opAdmit: 2, opCapacity: 1, opUtilization: 1, opOvercommitted: 2}
+	weights := [nModelOps]int{opReserve: 8, opRelease: 3, opDegrade: 1, opAdmit: 2, opUtilization: 1, opOvercommitted: 2}
 	total := 0
 	for _, w := range weights {
 		total += w
@@ -177,7 +159,7 @@ func sameError(got, want error) bool {
 // sum: random call sequences, under both policies and with and without a
 // stream cap, get from the server exactly what the re-summing reference
 // computes on the same state: admission errors (by errors.Is and by
-// text), capacities, bit-identical utilizations, and Overcommitted element
+// text), bit-identical utilizations, and Overcommitted element
 // for element in order (nil and empty alike). The running sum equals the
 // re-sum after every call.
 func TestServerMatchesModel(t *testing.T) {
@@ -225,14 +207,6 @@ func TestServerMatchesModel(t *testing.T) {
 			case opAdmit:
 				if err, want := s.Admit(st.Q), refAdmit(s, s.chargedRate(st.Q)); !sameError(err, want) {
 					t.Errorf("step %d: Admit(%v) = %v, reference %v", i, st.Q, err, want)
-					return false
-				}
-			case opCapacity:
-				// Capacity counts up to the answer, which is unbounded for
-				// a zero or negative rate on a server without a stream cap.
-				rate := max(st.Q.AvgBitRate, 20*qos.KBitPerSecond)
-				if got, want := s.Capacity(rate), refCapacity(s, rate); got != want {
-					t.Errorf("step %d: Capacity(%v) = %d, reference %d", i, rate, got, want)
 					return false
 				}
 			case opUtilization:

@@ -110,6 +110,9 @@ func runFaultChaos(t *testing.T, seed int64) {
 			t.Fatalf("seed %d step %d: %d network reservations for %d committed streams",
 				seed, step, got, want)
 		}
+		if err := man.CheckHoldIndex(); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
 	}
 
 	for step := 0; step < 300; step++ {

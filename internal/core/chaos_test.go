@@ -58,6 +58,9 @@ func runChaos(t *testing.T, seed int64) {
 				t.Fatalf("seed %d step %d: healthy server %s overcommitted", seed, step, id)
 			}
 		}
+		if err := b.man.CheckHoldIndex(); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
 	}
 
 	for step := 0; step < 400; step++ {
@@ -138,6 +141,9 @@ func runChaos(t *testing.T, seed int64) {
 	}
 	if live, tombs := b.man.LiveSessions(), len(b.man.tombs); live != 0 || tombs > TombstoneRing {
 		t.Fatalf("seed %d: %d live sessions and %d tombstones after winding down, want 0 and <= %d", seed, live, tombs, TombstoneRing)
+	}
+	if n := b.man.HoldIndexSize(); n != 0 {
+		t.Fatalf("seed %d: %d reservations still indexed to sessions after winding down", seed, n)
 	}
 	if got := b.man.Stats().StaleInstalls; got != 0 {
 		t.Fatalf("seed %d: %d stale installs in a sequential run", seed, got)

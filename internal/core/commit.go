@@ -140,7 +140,8 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 	}
 	g := u.Desired.Cost.Guarantee
 	var startDelay time.Duration
-	for _, ch := range r.Choices {
+	for i := range r.Choices {
+		ch := &r.Choices[i]
 		if err := ctx.Err(); err != nil {
 			m.releaseHeld(held, len(held))
 			return commitment{}, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err}

@@ -331,7 +331,9 @@ func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, clk clock.Clo
 	if !ok || rec.gen != gen {
 		return false, false
 	}
-	restored = rec.quarantinedUntil.After(clk.Now())
+	// A zero deadline is never after now, so the clock is read only when
+	// a quarantine is on record.
+	restored = !rec.quarantinedUntil.IsZero() && rec.quarantinedUntil.After(clk.Now())
 	rec.consecutive = 0
 	rec.quarantinedUntil = time.Time{}
 	return true, restored

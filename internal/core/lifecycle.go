@@ -47,6 +47,7 @@ func (m *Manager) lockIn(id SessionID, want SessionState, op string) (*Session, 
 // then releases its commitment and retires it to the tombstone ring.
 func (m *Manager) finish(s *Session, state SessionState) {
 	cm := s.end(state)
+	m.unhold(cm)
 	s.mu.Unlock()
 	m.release(cm)
 	m.retire(s)
@@ -183,6 +184,7 @@ func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string)
 		profile: s.Profile, current: s.Current, ranked: s.Ranked}
 	old := s.commit
 	s.commit = commitment{}
+	m.unhold(old)
 	s.mu.Unlock()
 	m.release(old)
 	if m.testHookUnlocked != nil {
@@ -205,6 +207,7 @@ func (m *Manager) install(w *window, cm commitment) (moved SessionState, expired
 	s.busy = false
 	if s.state == w.want && s.epoch == w.epoch {
 		s.commit = cm
+		m.hold(s, cm)
 		s.epoch++
 		return s.state, false, true
 	}
@@ -376,41 +379,58 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 // reservation; the adaptation monitor uses it to map server overcommitments
 // to sessions.
 func (m *Manager) SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*Session, bool) {
-	return m.sessionHolding(func(cm commitment) bool {
-		for _, h := range cm.choices {
-			if h.server.ID() == server && h.res.ID == res {
-				return true
-			}
-		}
-		return false
-	})
+	m.holdMu.Lock()
+	s, ok := m.heldOnCMFS[serverHold{server, res}]
+	m.holdMu.Unlock()
+	return s, ok
 }
 
 // SessionByNetworkReservation finds the live session holding the given
-// network reservation.
+// network reservation. Reservation ids start at 1; the zero id of a
+// discrete choice's connection names no reservation and finds no session.
 func (m *Manager) SessionByNetworkReservation(res network.ReservationID) (*Session, bool) {
-	return m.sessionHolding(func(cm commitment) bool {
-		for _, h := range cm.choices {
-			if h.conn.Reservation.ID == res {
-				return true
-			}
-		}
-		return false
-	})
+	m.holdMu.Lock()
+	s, ok := m.heldOnNet[res]
+	m.holdMu.Unlock()
+	return s, ok
 }
 
-// sessionHolding scans the session table, which holds live sessions only (a
-// terminal or mid-window session has an empty commitment anyway).
-func (m *Manager) sessionHolding(holds func(commitment) bool) (*Session, bool) {
-	m.sessMu.RLock()
-	defer m.sessMu.RUnlock()
-	for _, s := range m.sessions {
-		s.mu.Lock()
-		found := holds(s.commit)
-		s.mu.Unlock()
-		if found {
-			return s, true
+// serverHold keys the index by a CMFS reservation and its server.
+type serverHold struct {
+	server media.ServerID
+	res    cmfs.ReservationID
+}
+
+// hold indexes every reservation of cm as s's. The caller holds s.mu, or
+// s has not been published yet.
+func (m *Manager) hold(s *Session, cm commitment) {
+	if len(cm.choices) == 0 {
+		return
+	}
+	m.holdMu.Lock()
+	for i := range cm.choices {
+		h := &cm.choices[i]
+		m.heldOnCMFS[serverHold{h.server.ID(), h.res.ID}] = s
+		if id := h.conn.Reservation.ID; id != 0 {
+			m.heldOnNet[id] = s
 		}
 	}
-	return nil, false
+	m.holdMu.Unlock()
+}
+
+// unhold drops cm's reservations from the index; the caller holds the mu
+// of the session that held cm.
+func (m *Manager) unhold(cm commitment) {
+	if len(cm.choices) == 0 {
+		return
+	}
+	m.holdMu.Lock()
+	for i := range cm.choices {
+		h := &cm.choices[i]
+		delete(m.heldOnCMFS, serverHold{h.server.ID(), h.res.ID})
+		if id := h.conn.Reservation.ID; id != 0 {
+			delete(m.heldOnNet, id)
+		}
+	}
+	m.holdMu.Unlock()
 }

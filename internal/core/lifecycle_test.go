@@ -287,3 +287,84 @@ func TestRenegotiateDocumentLookupErrorReleasesResources(t *testing.T) {
 	}
 	checkLedgerEmpty(t, b)
 }
+
+// TestHoldIndexInsideUnlockWindow pins the reservation→session index to the
+// session-table scan it replaced, across an unlock window: a reservation
+// the procedure withdrew finds no session from inside the window (the
+// session's commitment is empty there, so the scan found none either),
+// the replacement's reservations find the session once it is installed,
+// and a terminal transition empties the index.
+func TestHoldIndexInsideUnlockWindow(t *testing.T) {
+	for _, op := range []string{"adapt", "renegotiate"} {
+		t.Run(op, func(t *testing.T) {
+			b := defaultBed(t)
+			s := reservedSession(t, b)
+			if op == "adapt" {
+				if err := b.man.Confirm(s.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			held := func() []heldChoice {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return s.commit.choices
+			}
+			lookup := func(when string, choices []heldChoice, want *Session) {
+				t.Helper()
+				nets := 0
+				for _, h := range choices {
+					got, ok := b.man.SessionByServerReservation(h.server.ID(), h.res.ID)
+					if ok != (want != nil) || got != want {
+						t.Errorf("%s: CMFS %s/%d finds %v (%v), want %v", when, h.server.ID(), h.res.ID, got, ok, want)
+					}
+					if h.conn.Reservation.ID == 0 {
+						continue
+					}
+					nets++
+					got, ok = b.man.SessionByNetworkReservation(h.conn.Reservation.ID)
+					if ok != (want != nil) || got != want {
+						t.Errorf("%s: network %d finds %v (%v), want %v", when, h.conn.Reservation.ID, got, ok, want)
+					}
+				}
+				if len(choices) == 0 || nets == 0 {
+					t.Fatalf("%s: %d choices, %d connections: nothing to look up", when, len(choices), nets)
+				}
+			}
+			old := held()
+			lookup("before", old, s)
+			windows := 0
+			b.man.testHookUnlocked = func(string, SessionID) {
+				windows++
+				lookup("inside the window", old, nil)
+			}
+			var err error
+			if op == "adapt" {
+				_, err = b.man.Adapt(s.ID)
+			} else {
+				var res Result
+				res, err = b.man.RenegotiateContext(context.Background(), s.ID, tvProfile())
+				if err == nil && !res.Status.Reserved() {
+					err = fmt.Errorf("renegotiation reserved nothing: %v", res.Status)
+				}
+			}
+			b.man.testHookUnlocked = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if windows != 1 {
+				t.Fatalf("%d unlock windows, want 1", windows)
+			}
+			lookup("after the install", held(), s)
+			lookup("after the install, withdrawn", old, nil)
+			installed := held()
+			if err := b.man.Abort(s.ID); err != nil {
+				t.Fatal(err)
+			}
+			lookup("after abort", installed, nil)
+			if n := b.man.HoldIndexSize(); n != 0 {
+				t.Errorf("%d reservations indexed after the only session ended", n)
+			}
+			checkLedgerEmpty(t, b)
+		})
+	}
+}

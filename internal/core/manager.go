@@ -214,6 +214,16 @@ type Manager struct {
 	tombs    []tombstone
 	tombNext int
 
+	// holdMu guards the reservation→session index: the CMFS (server,
+	// reservation) pairs and network reservations that live sessions'
+	// commitments hold. The index changes under Session.mu exactly where a
+	// session's commitment is set or cleared, so a lookup finds what a
+	// scan of the session table would. holdMu is a leaf: it is taken
+	// after Session.mu (or sessMu), never before another lock.
+	holdMu     sync.Mutex
+	heldOnCMFS map[serverHold]*Session
+	heldOnNet  map[network.ReservationID]*Session
+
 	// servers is the media servers and their circuit breaker; a fleet's
 	// shards share one.
 	servers *ServerTable
@@ -279,14 +289,16 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		servers = NewServerTable()
 	}
 	m := &Manager{
-		registry:  reg,
-		transport: ts,
-		pricing:   pricing,
-		opts:      opts,
-		met:       newNegMetrics(opts.Metrics, opts.Shard),
-		clk:       clock.Wall{},
-		servers:   servers,
-		sessions:  make(map[SessionID]*Session),
+		registry:   reg,
+		transport:  ts,
+		pricing:    pricing,
+		opts:       opts,
+		met:        newNegMetrics(opts.Metrics, opts.Shard),
+		clk:        clock.Wall{},
+		servers:    servers,
+		sessions:   make(map[SessionID]*Session),
+		heldOnCMFS: make(map[serverHold]*Session),
+		heldOnNet:  make(map[network.ReservationID]*Session),
 	}
 	if ob, ok := opts.Policy.(PolicyObserver); ok {
 		m.observer = ob

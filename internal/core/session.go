@@ -82,7 +82,7 @@ type Session struct {
 	// mu guards the mutable fields below plus Current, Ranked, Profile
 	// and ChoicePeriod when they are rewritten by renegotiation or
 	// adaptation. Lock ordering: Manager.sessMu before Session.mu, never
-	// the reverse.
+	// the reverse; Manager.holdMu after either.
 	mu    sync.Mutex
 	state SessionState
 	// epoch is the session's transition counter: every state change and

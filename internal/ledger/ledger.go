@@ -13,10 +13,17 @@
 // through the OnViolation callback — the fail-fast half of the check. The
 // slow half, leak detection, runs at quiescence via CheckEmpty.
 //
-// The ledger is always on in the test beds (package testbed and the core
-// test fixtures install one), cheap enough to leave on everywhere (one
-// mutexed map operation per resource event), and nil-safe: every method on
-// a nil *Ledger is a no-op, so instrumented substrate code needs no guards.
+// The ledger is split into accounts, one per (kind, owner) pair: each CMFS
+// server, the network and the transport system bind theirs once, when the
+// ledger is installed, and post to it by reservation id alone. An account
+// keeps its open ids in its own integer-keyed set under its own mutex, and
+// the ledger-wide acquire, release and open counts are atomics, so a post
+// is one uncontended lock and one map operation on a uint64, and takes the
+// ledger's own lock only to record a violation. That makes the ledger
+// cheap enough to leave on everywhere — it is always on in the test beds
+// (package testbed and the core test fixtures install one) — and it is
+// nil-safe: every method on a nil *Ledger or nil *Account is a no-op, so
+// instrumented substrate code needs no guards.
 package ledger
 
 import (
@@ -24,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"qosneg/internal/telemetry"
 )
@@ -64,25 +72,75 @@ func (r Resource) String() string {
 	return fmt.Sprintf("%s/%d", r.Kind, r.ID)
 }
 
-// Ledger is the double-entry resource account. It is safe for concurrent
-// use; the zero value is not usable, build one with New. A nil *Ledger is
-// inert.
-type Ledger struct {
-	mu         sync.Mutex
-	open       map[Resource]bool
-	acquires   uint64
-	releases   uint64
-	violations []string
-	onViolate  func(string)
+// accountKey names one account.
+type accountKey struct{ kind, owner string }
 
-	// Telemetry series, installed by Instrument; nil when uninstrumented.
+// series is the telemetry a ledger posts to, installed by Instrument.
+type series struct {
 	leaked    *telemetry.Counter
 	openGauge *telemetry.Gauge
 }
 
+// Ledger is the double-entry resource account. It is safe for concurrent
+// use; the zero value is not usable, build one with New. A nil *Ledger is
+// inert.
+type Ledger struct {
+	// The ledger-wide counts, posted by every account without a lock.
+	acquires atomic.Uint64
+	releases atomic.Uint64
+	open     atomic.Int64
+
+	// accMu guards accounts. Lock order: accMu, then an account's mu, then
+	// mu; a post holds only its account's mu, and takes mu after dropping
+	// it.
+	accMu    sync.Mutex
+	accounts map[accountKey]*Account
+
+	// mu guards the violation record and the callback.
+	mu         sync.Mutex
+	violations []string
+	onViolate  func(string)
+
+	// tel is nil when uninstrumented. Posts read it under their account's
+	// mu, and Instrument installs it holding every account's mu, so the
+	// open gauge counts each post exactly once.
+	tel atomic.Pointer[series]
+}
+
 // New returns an empty ledger.
 func New() *Ledger {
-	return &Ledger{open: make(map[Resource]bool)}
+	return &Ledger{accounts: make(map[accountKey]*Account)}
+}
+
+// Account is the part of a ledger that one owner posts to: the open ids of
+// one (kind, owner) pair. It is safe for concurrent use; a nil *Account is
+// inert.
+type Account struct {
+	l     *Ledger
+	kind  string
+	owner string
+
+	mu   sync.Mutex
+	open map[uint64]struct{}
+}
+
+// Account returns the ledger's account for (kind, owner), making it on the
+// first call; later calls return the same account. The substrate binds its
+// account once, when the ledger is installed. A nil ledger returns a nil
+// account.
+func (l *Ledger) Account(kind, owner string) *Account {
+	if l == nil {
+		return nil
+	}
+	k := accountKey{kind, owner}
+	l.accMu.Lock()
+	defer l.accMu.Unlock()
+	a := l.accounts[k]
+	if a == nil {
+		a = &Account{l: l, kind: kind, owner: owner, open: make(map[uint64]struct{})}
+		l.accounts[k] = a
+	}
+	return a
 }
 
 // OnViolation installs a callback invoked synchronously (outside the
@@ -104,82 +162,101 @@ func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	if l == nil || reg == nil {
 		return
 	}
-	leaked := reg.Counter(MetricLeaked,
-		"Resources found leaked (still open at a quiescence check) or released twice.")
-	openGauge := reg.Gauge(MetricOpen,
-		"Resources currently held open in the ledger.")
+	t := &series{
+		leaked: reg.Counter(MetricLeaked,
+			"Resources found leaked (still open at a quiescence check) or released twice."),
+		openGauge: reg.Gauge(MetricOpen,
+			"Resources currently held open in the ledger."),
+	}
+	l.accMu.Lock()
+	defer l.accMu.Unlock()
+	for _, a := range l.accounts {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+	}
 	l.mu.Lock()
-	l.leaked, l.openGauge = leaked, openGauge
-	l.openGauge.Set(int64(len(l.open)))
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	l.tel.Store(t)
+	t.openGauge.Set(l.open.Load())
 }
 
 // Acquire posts one resource acquisition. Acquiring a resource that is
 // already open is a violation (the substrate reused a live id).
-func (l *Ledger) Acquire(kind, owner string, id uint64) {
-	if l == nil {
-		return
-	}
-	r := Resource{Kind: kind, Owner: owner, ID: id}
-	var violation string
-	l.mu.Lock()
-	l.acquires++
-	if l.open[r] {
-		violation = fmt.Sprintf("ledger: double acquire of %s", r)
-		l.violations = append(l.violations, violation)
-		l.leaked.Inc()
-	}
-	l.open[r] = true
-	l.openGauge.Set(int64(len(l.open)))
-	f := l.onViolate
-	l.mu.Unlock()
-	if violation != "" && f != nil {
-		f(violation)
-	}
-}
+func (l *Ledger) Acquire(kind, owner string, id uint64) { l.Account(kind, owner).Acquire(id) }
 
 // Release balances one acquisition. Releasing a resource with no open
 // entry is a violation: a double release, or a release of something never
 // acquired.
-func (l *Ledger) Release(kind, owner string, id uint64) {
-	if l == nil {
+func (l *Ledger) Release(kind, owner string, id uint64) { l.Account(kind, owner).Release(id) }
+
+// Acquire posts the acquisition of resource id. Acquiring an id that is
+// already open is a violation (the substrate reused a live id).
+func (a *Account) Acquire(id uint64) {
+	if a == nil {
 		return
 	}
-	r := Resource{Kind: kind, Owner: owner, ID: id}
-	var violation string
-	l.mu.Lock()
-	l.releases++
-	if !l.open[r] {
-		violation = fmt.Sprintf("ledger: release of %s with no open entry (double release?)", r)
-		l.violations = append(l.violations, violation)
-		l.leaked.Inc()
+	a.mu.Lock()
+	a.l.acquires.Add(1)
+	n := len(a.open)
+	a.open[id] = struct{}{}
+	dup := len(a.open) == n
+	if !dup {
+		a.moved(1)
 	}
-	delete(l.open, r)
-	l.openGauge.Set(int64(len(l.open)))
-	f := l.onViolate
-	l.mu.Unlock()
-	if violation != "" && f != nil {
-		f(violation)
+	a.mu.Unlock()
+	if dup {
+		a.l.violate("ledger: double acquire of %s", a.resource(id))
 	}
 }
 
-// Forget drops an open entry without counting it as a violation: the
-// resource ceased to exist through a modeled failure (a server crash
-// losing its admission state), not through an orderly release. The crash
-// path in the substrate calls it so post-crash cleanup does not read as a
-// leak.
-func (l *Ledger) Forget(kind, owner string, id uint64) {
-	if l == nil {
+// Release balances the acquisition of resource id. Releasing an id with no
+// open entry is a violation: a double release, or a release of something
+// never acquired.
+func (a *Account) Release(id uint64) {
+	if a == nil {
 		return
 	}
-	r := Resource{Kind: kind, Owner: owner, ID: id}
-	l.mu.Lock()
-	if l.open[r] {
-		l.releases++
-		delete(l.open, r)
-		l.openGauge.Set(int64(len(l.open)))
+	a.mu.Lock()
+	a.l.releases.Add(1)
+	n := len(a.open)
+	delete(a.open, id)
+	held := len(a.open) < n
+	if held {
+		a.moved(-1)
 	}
+	a.mu.Unlock()
+	if !held {
+		a.l.violate("ledger: release of %s with no open entry (double release?)", a.resource(id))
+	}
+}
+
+// moved posts a change of d to the ledger's open count and gauge; caller
+// holds a.mu.
+func (a *Account) moved(d int64) {
+	a.l.open.Add(d)
+	if t := a.l.tel.Load(); t != nil {
+		t.openGauge.Add(d)
+	}
+}
+
+func (a *Account) resource(id uint64) Resource {
+	return Resource{Kind: a.kind, Owner: a.owner, ID: id}
+}
+
+// violate records one violation of resource r and reports it to the
+// callback.
+func (l *Ledger) violate(format string, r Resource) {
+	violation := fmt.Sprintf(format, r)
+	l.mu.Lock()
+	l.violations = append(l.violations, violation)
+	if t := l.tel.Load(); t != nil {
+		t.leaked.Inc()
+	}
+	f := l.onViolate
 	l.mu.Unlock()
+	if f != nil {
+		f(violation)
+	}
 }
 
 // Open returns the number of currently open resources.
@@ -187,9 +264,7 @@ func (l *Ledger) Open() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.open)
+	return int(l.open.Load())
 }
 
 // Counts returns the total acquires and releases posted so far.
@@ -197,9 +272,7 @@ func (l *Ledger) Counts() (acquires, releases uint64) {
 	if l == nil {
 		return 0, 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.acquires, l.releases
+	return l.acquires.Load(), l.releases.Load()
 }
 
 // Violations returns the violation descriptions recorded so far.
@@ -220,13 +293,21 @@ func (l *Ledger) CheckEmpty() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
 	var leaks []string
-	for r := range l.open {
-		leaks = append(leaks, r.String())
+	l.accMu.Lock()
+	for _, a := range l.accounts {
+		a.mu.Lock()
+		for id := range a.open {
+			leaks = append(leaks, a.resource(id).String())
+		}
+		a.mu.Unlock()
 	}
+	l.accMu.Unlock()
+	l.mu.Lock()
 	nviol := len(l.violations)
-	l.leaked.Add(uint64(len(leaks)))
+	if t := l.tel.Load(); t != nil {
+		t.leaked.Add(uint64(len(leaks)))
+	}
 	l.mu.Unlock()
 	if len(leaks) == 0 && nviol == 0 {
 		return nil

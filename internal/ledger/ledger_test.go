@@ -63,20 +63,6 @@ func TestDoubleAcquireIsViolation(t *testing.T) {
 	}
 }
 
-func TestForgetIsNotALeakOrViolation(t *testing.T) {
-	l := New()
-	l.Acquire(KindCMFS, "server-2", 9)
-	l.Forget(KindCMFS, "server-2", 9)
-	if err := l.CheckEmpty(); err != nil {
-		t.Fatal(err)
-	}
-	// Forgetting something not open is a no-op, not a violation.
-	l.Forget(KindCMFS, "server-2", 9)
-	if got := l.Violations(); len(got) != 0 {
-		t.Errorf("violations = %v", got)
-	}
-}
-
 func TestInstrumentedCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l := New()
@@ -109,9 +95,13 @@ func TestNilLedgerIsInert(t *testing.T) {
 	var l *Ledger
 	l.Acquire(KindCMFS, "s", 1)
 	l.Release(KindCMFS, "s", 1)
-	l.Forget(KindCMFS, "s", 1)
+	l.Account(KindCMFS, "s").Acquire(1)
+	l.Account(KindCMFS, "s").Release(1)
 	l.OnViolation(func(string) {})
 	l.Instrument(telemetry.NewRegistry())
+	if l.Account(KindCMFS, "s") != nil {
+		t.Error("nil ledger must hand out nil accounts")
+	}
 	if l.Open() != 0 || l.Violations() != nil || l.CheckEmpty() != nil {
 		t.Error("nil ledger must be inert")
 	}

@@ -118,17 +118,19 @@ type Network struct {
 	rejected *telemetry.Counter
 	active   *telemetry.Gauge
 
-	// led, when non-nil, records every Reserve/Release in the resource
-	// ledger. Reservation ids are never reused, so a Release of an unknown
-	// id is posted too — the ledger flags it as a double release.
-	led *ledger.Ledger
+	// acct, when non-nil, is the network's account in the resource ledger:
+	// every Reserve/Release posts to it. Reservation ids are never reused,
+	// so a Release of an unknown id is posted too — the ledger flags it as
+	// a double release.
+	acct *ledger.Account
 }
 
 // SetLedger installs a resource ledger on the network's reservation state;
 // a nil ledger detaches.
 func (n *Network) SetLedger(l *ledger.Ledger) {
+	acct := l.Account(ledger.KindNetwork, "")
 	n.mu.Lock()
-	n.led = l
+	n.acct = acct
 	n.mu.Unlock()
 }
 
@@ -497,7 +499,7 @@ func (n *Network) chargeLocked(links []*linkState, q qos.NetworkQoS) Reservation
 	n.resv[r.ID] = r
 	n.admitted.Inc()
 	n.active.Set(int64(len(n.resv)))
-	n.led.Acquire(ledger.KindNetwork, "", uint64(r.ID))
+	n.acct.Acquire(uint64(r.ID))
 	return r
 }
 
@@ -527,7 +529,7 @@ func (n *Network) Release(id ReservationID) error {
 		// Ids are never reused: an unknown release is a double release (or
 		// a release of something never granted) — post it so an installed
 		// ledger fails fast.
-		n.led.Release(ledger.KindNetwork, "", uint64(id))
+		n.acct.Release(uint64(id))
 		return fmt.Errorf("%w: %d", ErrUnknownReservation, id)
 	}
 	for _, lid := range r.Path {
@@ -540,7 +542,7 @@ func (n *Network) Release(id ReservationID) error {
 	}
 	delete(n.resv, id)
 	n.active.Set(int64(len(n.resv)))
-	n.led.Release(ledger.KindNetwork, "", uint64(id))
+	n.acct.Release(uint64(id))
 	return nil
 }
 

@@ -1,0 +1,215 @@
+package shard_test
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"qosneg/internal/cmfs"
+	"qosneg/internal/core"
+	"qosneg/internal/media"
+	"qosneg/internal/network"
+	"qosneg/internal/qos"
+	"qosneg/internal/shard"
+	"qosneg/internal/testbed"
+	"qosneg/internal/transport"
+)
+
+// recordingServer is a media server that remembers its live reservations.
+type recordingServer struct {
+	*cmfs.Server
+	mu   sync.Mutex
+	live map[cmfs.ReservationID]bool
+}
+
+func (r *recordingServer) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
+	res, err := r.Server.Reserve(q)
+	if err == nil {
+		r.mu.Lock()
+		r.live[res.ID] = true
+		r.mu.Unlock()
+	}
+	return res, err
+}
+
+func (r *recordingServer) Release(id cmfs.ReservationID) error {
+	err := r.Server.Release(id)
+	if err == nil {
+		r.mu.Lock()
+		delete(r.live, id)
+		r.mu.Unlock()
+	}
+	return err
+}
+
+// recordingTransport is a transport that remembers its live network
+// reservations.
+type recordingTransport struct {
+	inner *transport.System
+	mu    sync.Mutex
+	live  map[network.ReservationID]bool
+}
+
+func (r *recordingTransport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error) {
+	c, err := r.inner.Connect(src, dst, q)
+	if err == nil && c.Reservation.ID != 0 {
+		r.mu.Lock()
+		r.live[c.Reservation.ID] = true
+		r.mu.Unlock()
+	}
+	return c, err
+}
+
+func (r *recordingTransport) Close(c transport.Connection) error {
+	err := r.inner.Close(c)
+	if err == nil {
+		r.mu.Lock()
+		delete(r.live, c.Reservation.ID)
+		r.mu.Unlock()
+	}
+	return err
+}
+
+// TestFleetFindsEveryHolderMidStorm holds a 4-shard fleet's reservation
+// lookups to the substrate: before an adaptation storm and after every
+// adaptation in it, every live CMFS and network reservation finds a playing
+// session, and the sessions found hold exactly the reservations that are
+// live. A concurrent reader looks reservations up throughout, for the race
+// detector.
+func TestFleetFindsEveryHolderMidStorm(t *testing.T) {
+	disk := cmfs.DefaultConfig()
+	disk.DiskRate = 512 * qos.MBitPerSecond
+	disk.SeekTime = 2 * time.Millisecond
+	disk.MaxStreams = 256
+	bed := testbed.MustNew(testbed.Spec{Clients: 4, Servers: 3, ServerConfig: &disk, AccessCapacity: qos.GBitPerSecond})
+	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	conns := &recordingTransport{inner: bed.Transit, live: make(map[network.ReservationID]bool)}
+	fleet := shard.New(shard.Config{
+		Shards:    4,
+		Registry:  bed.Registry,
+		Transport: conns,
+		Pricing:   bed.Pricing,
+		Options:   core.DefaultOptions(),
+	})
+	servers := make(map[media.ServerID]*recordingServer)
+	for _, id := range bed.ServerIDs() {
+		rs := &recordingServer{Server: bed.Servers[id], live: make(map[cmfs.ReservationID]bool)}
+		servers[id] = rs
+		fleet.AddServer(rs, network.NodeID(id))
+	}
+
+	var sessions []*core.Session
+	shardsUsed := make(map[int]bool)
+	for i := 0; i < 32; i++ {
+		res, err := fleet.NegotiateContext(context.Background(), bed.Client(1+i%4), "news-1", stressProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Session == nil {
+			continue
+		}
+		if err := fleet.Confirm(res.Session.ID); err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, res.Session)
+		shardsUsed[int(res.Session.ID-1)%4] = true
+	}
+	if len(sessions) < 8 || len(shardsUsed) != 4 {
+		t.Fatalf("%d sessions on %d shards; the storm needs sessions on all 4", len(sessions), len(shardsUsed))
+	}
+
+	check := func(when string) {
+		t.Helper()
+		held := make(map[*core.Session]int)
+		for id, rs := range servers {
+			rs.mu.Lock()
+			for res := range rs.live {
+				s, ok := fleet.SessionByServerReservation(id, res)
+				if !ok || s.State() != core.Playing {
+					t.Fatalf("%s: CMFS reservation %s/%d finds %v (found %v), want a playing session", when, id, res, s, ok)
+				}
+				held[s]++
+			}
+			rs.mu.Unlock()
+		}
+		conns.mu.Lock()
+		for res := range conns.live {
+			if s, ok := fleet.SessionByNetworkReservation(res); !ok || s.State() != core.Playing {
+				t.Fatalf("%s: network reservation %d finds %v (found %v), want a playing session", when, res, s, ok)
+			}
+		}
+		conns.mu.Unlock()
+		// Each playing session holds one CMFS reservation per choice.
+		for _, s := range fleet.Sessions(core.Playing) {
+			if got, want := held[s], len(s.CurrentOffer().Choices); got != want {
+				t.Fatalf("%s: session %d is found for %d CMFS reservations, holds %d", when, s.ID, got, want)
+			}
+		}
+	}
+	check("before the storm")
+
+	// The concurrent reader: lookups racing the adaptations' windows.
+	var stop atomic.Bool
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for n := 0; !stop.Load(); n++ {
+			for id := range servers {
+				fleet.SessionByServerReservation(id, cmfs.ReservationID(1+n%64))
+			}
+			fleet.SessionByNetworkReservation(network.ReservationID(1 + n%64))
+		}
+	}()
+
+	// The storm: halve the busiest server's round budget against its
+	// demand and adapt every victim, the way the adaptation monitor does,
+	// one at a time.
+	var victim *recordingServer
+	for _, rs := range servers {
+		if victim == nil || rs.Utilization() > victim.Utilization() {
+			victim = rs
+		}
+	}
+	if err := victim.SetDegradation(1 - victim.Utilization()/2); err != nil {
+		t.Fatal(err)
+	}
+	over := victim.Overcommitted()
+	if len(over) == 0 {
+		t.Fatal("degradation left no victims")
+	}
+	adapted := 0
+	for i, r := range over {
+		s, ok := fleet.SessionByServerReservation(victim.ID(), r.ID)
+		if !ok {
+			continue // its session already moved off the reservation
+		}
+		if _, err := fleet.Adapt(s.ID); err == nil {
+			adapted++
+		}
+		check(fmt.Sprintf("after adaptation %d of %d", i+1, len(over)))
+	}
+	stop.Store(true)
+	reader.Wait()
+	if adapted == 0 {
+		t.Fatal("no adaptation in the storm succeeded")
+	}
+	t.Logf("%d sessions, %d victims, %d adapted", len(sessions), len(over), adapted)
+
+	for _, s := range sessions {
+		fleet.Abort(s.ID)
+	}
+	for id, rs := range servers {
+		if n := len(rs.live); n != 0 {
+			t.Errorf("server %s: %d reservations live after wind-down", id, n)
+		}
+	}
+	if err := bed.Ledger.CheckEmpty(); err != nil {
+		t.Error(err)
+	}
+}

@@ -11,7 +11,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"qosneg/internal/ledger"
 	"qosneg/internal/network"
@@ -37,26 +37,17 @@ type System struct {
 	// of the first 4k feasible paths the walk finds.
 	alternates int
 
-	// mu guards led only.
-	mu sync.Mutex
-	// led, when non-nil, records every established connection (keyed by
-	// its network reservation id) in the resource ledger. Zero-throughput
-	// connections hold no resource and are not tracked.
-	led *ledger.Ledger
+	// acct, when non-nil, is the transport's account in the resource
+	// ledger: every established connection posts to it, keyed by its
+	// network reservation id. Zero-throughput connections hold no resource
+	// and are not tracked.
+	acct atomic.Pointer[ledger.Account]
 }
 
 // SetLedger installs a resource ledger on the connection lifecycle; a nil
 // ledger detaches.
 func (s *System) SetLedger(l *ledger.Ledger) {
-	s.mu.Lock()
-	s.led = l
-	s.mu.Unlock()
-}
-
-func (s *System) ledger() *ledger.Ledger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.led
+	s.acct.Store(l.Account(ledger.KindTransport, ""))
 }
 
 // New builds a transport system over the given network; each connection
@@ -85,7 +76,7 @@ func (s *System) Connect(src, dst network.NodeID, q qos.NetworkQoS) (Connection,
 	if err != nil {
 		return Connection{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	s.ledger().Acquire(ledger.KindTransport, "", uint64(r.ID))
+	s.acct.Load().Acquire(uint64(r.ID))
 	return Connection{Reservation: r, Metrics: m, QoS: q}, nil
 }
 
@@ -100,7 +91,7 @@ func (s *System) Close(c Connection) error {
 		// A failed release means the reservation was already gone — the
 		// network-level ledger hook has flagged the double release; posting
 		// the transport entry too would double-count it.
-		s.ledger().Release(ledger.KindTransport, "", uint64(c.Reservation.ID))
+		s.acct.Load().Release(uint64(c.Reservation.ID))
 	}
 	return err
 }

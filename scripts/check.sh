@@ -39,10 +39,11 @@ echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; a CMFS refusal allocates at most its error, a clean CMFS sweep nothing; Network.Open on a charged path allocates nothing, on a new path only its shared copy)"
+echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; a CMFS refusal allocates at most its error, a clean CMFS sweep nothing; Network.Open on a charged path allocates nothing, on a new path only its shared copy; a ledger post on a warm account allocates nothing)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestRefusalAllocBound' ./internal/core
 go test -count=1 -run 'TestAdmissionCostGates' ./internal/cmfs
 go test -count=1 -run 'TestOpenAllocatesOnlyThePath' ./internal/network
+go test -count=1 -run 'TestAccountAllocsNothing' ./internal/ledger
 
 echo "== wire allocation gate (negotiate+reject over the binary codec, minus the same pair in-process)"
 go test -count=1 -run 'TestWireNegotiateAllocBound' ./internal/protocol

@@ -39,7 +39,7 @@ type commitResult struct {
 // Without a policy the one ranked slice is walked twice under the
 // acceptable-set predicate; a policy permutes ties within each set, so the
 // two sets are materialized for it. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, ranked []offer.Ranked, skipKey string, pol Policy, procedure string) (commitResult, error) {
+func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked []offer.Ranked, skipKey string, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	groups := [2][]offer.Ranked{ranked, ranked}
@@ -132,7 +132,7 @@ const planWidth = 8
 // The attempt holds its reservations in a fixed-size plan and copies them
 // into one exact-size slice only when the offer commits; a refusal
 // allocates nothing here.
-func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.Document, u profile.UserProfile, r offer.Ranked) (commitment, commitFailure) {
+func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked) (commitment, commitFailure) {
 	var plan [planWidth]heldChoice
 	held := plan[:0]
 	if len(r.Choices) > planWidth {
@@ -214,8 +214,8 @@ func (m *Manager) tryCommit(ctx context.Context, mach client.Machine, doc media.
 // monomedia id; ok is false when no choice does or its stream needs no
 // network connection.
 func connJitter(r offer.Ranked, held []heldChoice, id media.MonomediaID) (jitter time.Duration, ok bool) {
-	for i, ch := range r.Choices {
-		if ch.Monomedia == id && !ch.Variant.NetworkQoS().Zero() {
+	for i := range r.Choices {
+		if ch := &r.Choices[i]; ch.Monomedia == id && !ch.Variant.NetworkQoS().Zero() {
 			jitter, ok = held[i].conn.Metrics.Jitter, true
 		}
 	}
@@ -234,11 +234,11 @@ func (m *Manager) refuse(held []heldChoice, conns int, g cost.Guarantee, f commi
 // releaseHeld frees held resources: every server reservation first, then
 // the connections of the first conns choices.
 func (m *Manager) releaseHeld(held []heldChoice, conns int) {
-	for _, h := range held {
-		h.server.Release(h.res.ID)
+	for i := range held {
+		held[i].server.Release(held[i].res.ID)
 	}
-	for _, h := range held[:conns] {
-		m.transport.Close(h.conn)
+	for i := range held[:conns] {
+		m.transport.Close(held[i].conn)
 	}
 }
 

@@ -20,6 +20,7 @@ package network
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -85,12 +86,13 @@ type ReservationID uint64
 // Reservation records reserved bandwidth along a path.
 type Reservation struct {
 	ID ReservationID
-	// Path is shared with every other reservation along the same links and
-	// must be treated as read-only. The network keeps one copy of each
-	// distinct path it has charged; links are never removed, so those
-	// copies are bounded by the topology's loop-free paths of at most
-	// maxHops links. A longer path, which only a caller of Reserve can
-	// supply, gets a copy of its own.
+	// Path is the route cache's copy, shared with every other reservation
+	// on the same route, and must be treated as read-only. Reserve shares
+	// it too when the caller's path is a cached route; any other path
+	// (uncached pair, a loop, more than maxHops links) gets a copy of its
+	// own. The cache holds each opened pair's loop-free paths of at most
+	// maxHops links until the next AddLink, and a reservation keeps its
+	// route alive until it is released.
 	Path Path
 	Rate qos.BitRate
 }
@@ -101,16 +103,16 @@ type Network struct {
 	mu    sync.Mutex
 	links map[LinkID]*linkState
 	// nodes indexes the node set; out holds each node's outgoing links in
-	// installation order, which is the order the walk tries them in.
+	// installation order, which is the order routes are enumerated in.
 	nodes map[NodeID]int
 	out   [][]*linkState
 	next  ReservationID
-	resv  map[ReservationID]Reservation
-	// paths interns reservation paths by their links, so a reservation on
-	// an already-charged path allocates nothing for it.
-	paths map[[maxHops]*linkState]Path
+	resv  map[ReservationID]held
+	// routes caches each requested pair's routes (routesLocked); AddLink
+	// clears it.
+	routes map[pair][]route
 
-	// w is the graph walk's scratch, reused under mu.
+	// w is the path scratch, reused under mu.
 	w walker
 
 	// Telemetry series, installed by Instrument; nil when uninstrumented.
@@ -159,15 +161,24 @@ type linkState struct {
 	to          int
 	reserved    qos.BitRate
 	degradation float64
+	// over marks the link overloaded during an Overcommitted scan.
+	over bool
+}
+
+// held is a reservation's entry in the network's table: the route it
+// charged and the rate it charged on every link.
+type held struct {
+	rt   *route
+	rate qos.BitRate
 }
 
 // New returns an empty network.
 func New() *Network {
 	return &Network{
-		links: make(map[LinkID]*linkState),
-		nodes: make(map[NodeID]int),
-		resv:  make(map[ReservationID]Reservation),
-		paths: make(map[[maxHops]*linkState]Path),
+		links:  make(map[LinkID]*linkState),
+		nodes:  make(map[NodeID]int),
+		resv:   make(map[ReservationID]held),
+		routes: make(map[pair][]route),
 	}
 }
 
@@ -197,6 +208,7 @@ func (n *Network) AddLink(l Link) error {
 	ls := &linkState{Link: l, to: n.nodeLocked(l.To)}
 	n.links[l.ID] = ls
 	n.out[from] = append(n.out[from], ls)
+	clear(n.routes)
 	return nil
 }
 
@@ -247,11 +259,16 @@ func (n *Network) Available(id LinkID) (qos.BitRate, bool) {
 }
 
 func availableLocked(ls *linkState) qos.BitRate {
-	eff := qos.BitRate(float64(ls.Capacity) * (1 - ls.degradation))
+	eff := effectiveLocked(ls)
 	if ls.reserved >= eff {
 		return 0
 	}
 	return eff - ls.reserved
+}
+
+// effectiveLocked returns a link's capacity under its degradation.
+func effectiveLocked(ls *linkState) qos.BitRate {
+	return qos.BitRate(float64(ls.Capacity) * (1 - ls.degradation))
 }
 
 // PathMetrics aggregates the QoS a path delivers.
@@ -282,7 +299,7 @@ func linksMetrics(links []*linkState) PathMetrics {
 	return m
 }
 
-// resolveLocked looks a path's links up into the walker's resolve scratch;
+// resolveLocked looks a caller's path up into the walker's resolve scratch;
 // caller holds the lock.
 func (n *Network) resolveLocked(p Path) ([]*linkState, error) {
 	links := n.w.resolved[:0]
@@ -325,120 +342,180 @@ func feasibleLocked(m PathMetrics, q qos.NetworkQoS) bool {
 	return true
 }
 
-// maxHops bounds the walk's depth. Topologies here are small (tens of
-// nodes), so exhaustive enumeration under a depth bound is fine.
+// maxHops bounds the length of a route. Topologies here are small (tens of
+// nodes), so a pair's loop-free paths under the bound are few — one on a
+// star, two on the dual path — and the route cache holds them all.
 const maxHops = 8
 
-// walker is the scratch of the one graph walk. It belongs to a Network and
-// is only touched under its lock, so walks reuse it and allocate nothing
-// once it has grown to the topology's size.
+// walker is the network's path scratch. It belongs to a Network and is only
+// touched under its lock, so it is reused and allocates nothing once it has
+// grown to the topology's size.
 type walker struct {
-	// stack is the path being extended; visited is indexed by node.
+	// stack is the path being extended and visited is indexed by node,
+	// while routesLocked enumerates a pair's routes.
 	stack   []*linkState
 	visited []bool
-	// found holds the feasible paths in discovery order, each a span of
-	// links, where the paths are stored back to back.
+	// found is FindPaths' feasible routes, in route order.
 	found []candidate
-	links []*linkState
 	// resolved is Reserve's and Metrics' lookup of a caller's path.
 	resolved []*linkState
 }
 
-// candidate is one feasible path the walk found.
+// pair keys the route cache.
+type pair struct{ src, dst NodeID }
+
+// route is one cached path: its links, and the read-only copy of its ids
+// that every reservation on it shares.
+type route struct {
+	links []*linkState
+	path  Path
+}
+
+// candidate is one feasible route with its current metrics.
 type candidate struct {
-	start, end int
-	metrics    PathMetrics
+	rt      *route
+	metrics PathMetrics
 }
 
-// better reports whether c ranks before d: fewer hops, then a larger
+// better reports whether metrics m rank before o: fewer hops, then a larger
 // bottleneck capacity.
-func (c candidate) better(d candidate) bool {
-	if c.metrics.Hops != d.metrics.Hops {
-		return c.metrics.Hops < d.metrics.Hops
+func (m PathMetrics) better(o PathMetrics) bool {
+	if m.Hops != o.Hops {
+		return m.Hops < o.Hops
 	}
-	return c.metrics.Bottleneck > d.metrics.Bottleneck
+	return m.Bottleneck > o.Bottleneck
 }
 
-// findLocked walks the graph from src towards dst, depth-first over each
-// node's links in installation order, and collects the first 4k feasible
-// loop-free paths into the walker; caller holds the lock. The result
-// aliases the walker and is valid until the next walk.
-func (n *Network) findLocked(src, dst NodeID, q qos.NetworkQoS, k int) ([]candidate, error) {
-	if k <= 0 {
-		k = 1
+// routesLocked returns every loop-free path of at most maxHops links from
+// src to dst, in depth-first order over each node's links in installation
+// order; caller holds the lock. The first request for a pair enumerates
+// its routes and caches them until the next AddLink. Reservations and
+// degradation never touch the cache: they change which routes are
+// feasible, not which exist. Filtering the routes in this order by
+// feasibility yields exactly the paths a depth-first walk pruning the
+// links that cannot carry the rate would find, in the order it finds them:
+// every path through a pruned link is infeasible.
+func (n *Network) routesLocked(src, dst NodeID) ([]route, error) {
+	if rs, ok := n.routes[pair{src, dst}]; ok {
+		return rs, nil
 	}
 	s, okS := n.nodes[src]
 	d, okD := n.nodes[dst]
 	if !okS || !okD {
 		return nil, fmt.Errorf("%w: unknown endpoint %s or %s", ErrNoPath, src, dst)
 	}
-	w := &n.w
-	w.stack, w.found, w.links = w.stack[:0], w.found[:0], w.links[:0]
-	w.visited[s] = true
-	n.walkLocked(s, d, q, 4*k)
-	w.visited[s] = false
-	if len(w.found) == 0 {
-		return nil, fmt.Errorf("%w: %s → %s for %v", ErrNoPath, src, dst, q)
+	// One pass counts the routes and their links, a second lays them out
+	// back to back in three exact-size arrays.
+	var b routeBuild
+	n.enumerateLocked(s, d, &b)
+	if b.nroutes > 0 {
+		b.routes = make([]route, 0, b.nroutes)
+		b.links = make([]*linkState, 0, b.nlinks)
+		b.ids = make(Path, 0, b.nlinks)
+		n.enumerateLocked(s, d, &b)
 	}
-	return w.found, nil
+	n.routes[pair{src, dst}] = b.routes
+	return b.routes, nil
 }
 
-// walkLocked extends the walker's stack from node at; it stops once limit
-// candidates are found (enough to choose the best k from).
-func (n *Network) walkLocked(at, dst int, q qos.NetworkQoS, limit int) {
-	w := &n.w
-	if len(w.found) >= limit && len(w.stack) > 0 {
+// routeBuild collects one pair's routes: it only counts them until routes
+// is allocated, then fills it.
+type routeBuild struct {
+	nroutes, nlinks int
+	routes          []route
+	links           []*linkState
+	ids             Path
+}
+
+func (b *routeBuild) add(stack []*linkState) {
+	if b.routes == nil {
+		b.nroutes++
+		b.nlinks += len(stack)
 		return
 	}
+	start := len(b.links)
+	b.links = append(b.links, stack...)
+	for _, ls := range stack {
+		b.ids = append(b.ids, ls.ID)
+	}
+	end := len(b.links)
+	b.routes = append(b.routes, route{links: b.links[start:end:end], path: b.ids[start:end:end]})
+}
+
+// enumerateLocked hands b every loop-free path from node s to node d of at
+// most maxHops links, depth-first; caller holds the lock.
+func (n *Network) enumerateLocked(s, d int, b *routeBuild) {
+	w := &n.w
+	w.stack = w.stack[:0]
+	w.visited[s] = true
+	n.extendLocked(s, d, b)
+	w.visited[s] = false
+}
+
+// extendLocked extends the walker's stack from node at.
+func (n *Network) extendLocked(at, dst int, b *routeBuild) {
+	w := &n.w
 	if at == dst {
-		if m := linksMetrics(w.stack); feasibleLocked(m, q) {
-			start := len(w.links)
-			w.links = append(w.links, w.stack...)
-			w.found = append(w.found, candidate{start: start, end: len(w.links), metrics: m})
-		}
+		b.add(w.stack)
 		return
 	}
 	if len(w.stack) >= maxHops {
 		return
 	}
 	for _, ls := range n.out[at] {
-		// Prune links that cannot carry the rate at all.
-		if w.visited[ls.to] || availableLocked(ls) < q.AvgBitRate {
+		if w.visited[ls.to] {
 			continue
 		}
 		w.visited[ls.to] = true
 		w.stack = append(w.stack, ls)
-		n.walkLocked(ls.to, dst, q, limit)
+		n.extendLocked(ls.to, dst, b)
 		w.stack = w.stack[:len(w.stack)-1]
 		w.visited[ls.to] = false
 	}
 }
 
+// noPath is the error of a request no route can carry.
+func noPath(src, dst NodeID, q qos.NetworkQoS) error {
+	return fmt.Errorf("%w: %s → %s for %v", ErrNoPath, src, dst, q)
+}
+
 // FindPaths returns up to k loop-free paths from src to dst that are
 // feasible for the request, ordered best-first: fewest hops, then largest
-// bottleneck capacity, then the order the walk found them in. The paths are
-// the best k of the first 4k feasible ones the walk finds. It returns
-// ErrNoPath when none exists.
+// bottleneck capacity, then route order. The paths are the best k of the
+// first 4k feasible routes. It returns ErrNoPath when none exists.
 func (n *Network) FindPaths(src, dst NodeID, q qos.NetworkQoS, k int) ([]Path, error) {
 	k = max(k, 1)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	found, err := n.findLocked(src, dst, q, k)
+	routes, err := n.routesLocked(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	sort.SliceStable(found, func(i, j int) bool { return found[i].better(found[j]) })
+	found := n.w.found[:0]
+	for i := range routes {
+		if m := linksMetrics(routes[i].links); feasibleLocked(m, q) {
+			found = append(found, candidate{&routes[i], m})
+			if len(found) == 4*k {
+				break
+			}
+		}
+	}
+	n.w.found = found
+	if len(found) == 0 {
+		return nil, noPath(src, dst, q)
+	}
+	sort.SliceStable(found, func(i, j int) bool { return found[i].metrics.better(found[j].metrics) })
 	if len(found) > k {
 		found = found[:k]
 	}
 	out := make([]Path, len(found))
 	for i, c := range found {
-		out[i] = pathOf(n.w.links[c.start:c.end])
+		out[i] = pathOf(c.rt.links)
 	}
 	return out, nil
 }
 
-// pathOf copies a path's link ids out of the walker.
+// pathOf copies a path's link ids.
 func pathOf(links []*linkState) Path {
 	p := make(Path, len(links))
 	for i, ls := range links {
@@ -451,24 +528,36 @@ func pathOf(links []*linkState) Path {
 // section: the path is FindPaths(src, dst, q, k)[0], the reservation is
 // what Reserve would grant on it, and the metrics are what Metrics would
 // then report. No concurrent reservation can take the path's capacity
-// between the choice and the charge. On a path charged before, Open
-// allocates nothing; the first charge of a path allocates its shared copy.
+// between the choice and the charge. Open on a pair opened before
+// allocates nothing; the first request for a pair allocates its routes.
 func (n *Network) Open(src, dst NodeID, q qos.NetworkQoS, k int) (Reservation, PathMetrics, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	found, err := n.findLocked(src, dst, q, k)
+	routes, err := n.routesLocked(src, dst)
 	if err != nil {
 		return Reservation{}, PathMetrics{}, err
 	}
-	best := found[0]
-	for _, c := range found[1:] {
-		if c.better(best) {
-			best = c
+	limit := 4 * max(k, 1)
+	var best *route
+	var bestM PathMetrics
+	found := 0
+	for i := range routes {
+		m := linksMetrics(routes[i].links)
+		if !feasibleLocked(m, q) {
+			continue
+		}
+		if best == nil || m.better(bestM) {
+			best, bestM = &routes[i], m
+		}
+		if found++; found == limit {
+			break
 		}
 	}
-	links := n.w.links[best.start:best.end]
-	r := n.chargeLocked(links, q)
-	return r, linksMetrics(links), nil
+	if best == nil {
+		return Reservation{}, PathMetrics{}, noPath(src, dst, q)
+	}
+	r := n.chargeLocked(best, q)
+	return r, linksMetrics(best.links), nil
 }
 
 // Reserve reserves the request's average bit rate on every link of the
@@ -485,46 +574,43 @@ func (n *Network) Reserve(p Path, q qos.NetworkQoS) (Reservation, error) {
 		n.rejected.Inc()
 		return Reservation{}, fmt.Errorf("%w: path no longer feasible for %v", ErrNoPath, q)
 	}
-	return n.chargeLocked(links, q), nil
+	return n.chargeLocked(n.routeOfLocked(links), q), nil
 }
 
-// chargeLocked reserves the request's average bit rate on a feasible path
-// and records the reservation; caller holds the lock.
-func (n *Network) chargeLocked(links []*linkState, q qos.NetworkQoS) Reservation {
-	for _, ls := range links {
+// routeOfLocked returns the cached route with exactly these links, so a
+// reservation on it shares the route's Path; a path no cached route
+// matches gets a route of its own. Caller holds the lock.
+func (n *Network) routeOfLocked(links []*linkState) *route {
+	if len(links) > 0 {
+		routes := n.routes[pair{links[0].From, links[len(links)-1].To}]
+		for i := range routes {
+			if slices.Equal(routes[i].links, links) {
+				return &routes[i]
+			}
+		}
+	}
+	return &route{links: slices.Clone(links), path: pathOf(links)}
+}
+
+// chargeLocked reserves the request's average bit rate on every link of a
+// feasible route and records the reservation; caller holds the lock.
+func (n *Network) chargeLocked(rt *route, q qos.NetworkQoS) Reservation {
+	for _, ls := range rt.links {
 		ls.reserved += q.AvgBitRate
 	}
 	n.next++
-	r := Reservation{ID: n.next, Path: n.internLocked(links), Rate: q.AvgBitRate}
-	n.resv[r.ID] = r
+	n.resv[n.next] = held{rt: rt, rate: q.AvgBitRate}
 	n.admitted.Inc()
 	n.active.Set(int64(len(n.resv)))
-	n.acct.Acquire(uint64(r.ID))
-	return r
-}
-
-// internLocked returns the network's shared copy of a path, making it on
-// the path's first charge; caller holds the lock. A path longer than
-// maxHops gets a fresh copy.
-func (n *Network) internLocked(links []*linkState) Path {
-	if len(links) > maxHops {
-		return pathOf(links)
-	}
-	var key [maxHops]*linkState
-	copy(key[:], links)
-	p, ok := n.paths[key]
-	if !ok {
-		p = pathOf(links)
-		n.paths[key] = p
-	}
-	return p
+	n.acct.Acquire(uint64(n.next))
+	return Reservation{ID: n.next, Path: rt.path, Rate: q.AvgBitRate}
 }
 
 // Release frees a reservation's bandwidth on every link of its path.
 func (n *Network) Release(id ReservationID) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	r, ok := n.resv[id]
+	h, ok := n.resv[id]
 	if !ok {
 		// Ids are never reused: an unknown release is a double release (or
 		// a release of something never granted) — post it so an installed
@@ -532,12 +618,10 @@ func (n *Network) Release(id ReservationID) error {
 		n.acct.Release(uint64(id))
 		return fmt.Errorf("%w: %d", ErrUnknownReservation, id)
 	}
-	for _, lid := range r.Path {
-		if ls, ok := n.links[lid]; ok {
-			ls.reserved -= r.Rate
-			if ls.reserved < 0 {
-				ls.reserved = 0
-			}
+	for _, ls := range h.rt.links {
+		ls.reserved -= h.rate
+		if ls.reserved < 0 {
+			ls.reserved = 0
 		}
 	}
 	delete(n.resv, id)
@@ -575,21 +659,21 @@ func (n *Network) SetLinkDegradation(id LinkID, fraction float64) error {
 func (n *Network) Overcommitted() []Reservation {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	over := make(map[LinkID]qos.BitRate) // excess per link
-	for id, ls := range n.links {
-		eff := qos.BitRate(float64(ls.Capacity) * (1 - ls.degradation))
-		if ls.reserved > eff {
-			over[id] = ls.reserved - eff
+	var overloaded bool
+	for _, links := range n.out {
+		for _, ls := range links {
+			ls.over = ls.reserved > effectiveLocked(ls)
+			overloaded = overloaded || ls.over
 		}
 	}
-	if len(over) == 0 {
+	if !overloaded {
 		return nil
 	}
 	var out []Reservation
-	for _, r := range n.resv {
-		for _, lid := range r.Path {
-			if _, bad := over[lid]; bad {
-				out = append(out, r)
+	for id, h := range n.resv {
+		for _, ls := range h.rt.links {
+			if ls.over {
+				out = append(out, Reservation{ID: id, Path: h.rt.path, Rate: h.rate})
 				break
 			}
 		}

@@ -270,13 +270,21 @@ func TestConcurrentReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Half the goroutines Reserve the path found up front; the other half
+	// Open the reverse pair, whose routes the first of them caches.
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(open bool) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				r, err := n.Reserve(paths[0], q)
+				var r Reservation
+				var err error
+				if open {
+					r, _, err = n.Open("c1", "s1", q, 1)
+				} else {
+					r, err = n.Reserve(paths[0], q)
+				}
 				if err != nil {
 					continue
 				}
@@ -285,14 +293,16 @@ func TestConcurrentReservations(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(i%2 == 1)
 	}
 	wg.Wait()
 	if n.ActiveReservations() != 0 {
 		t.Errorf("leaked %d reservations", n.ActiveReservations())
 	}
-	if avail, _ := n.Available("access-c1:rev"); avail != 1000*qos.MBitPerSecond {
-		t.Errorf("capacity not restored: %v", avail)
+	for _, l := range []LinkID{"access-c1:rev", "access-c1:fwd"} {
+		if avail, _ := n.Available(l); avail != 1000*qos.MBitPerSecond {
+			t.Errorf("%s: capacity not restored: %v", l, avail)
+		}
 	}
 }
 

@@ -149,8 +149,8 @@ func Classify(offers []SystemOffer, u profile.UserProfile) []Ranked {
 // acceptable offers first and falls back to the rest ("If none of those
 // offers can be supported by the system, we consider the other offers,
 // however always in the order defined above").
-func (r Ranked) Acceptable(u profile.UserProfile) bool {
-	return r.Status != Constraint && WithinBudget(*r.SystemOffer, u)
+func (r *Ranked) Acceptable(u *profile.UserProfile) bool {
+	return r.Status != Constraint && WithinBudget(r.SystemOffer, u)
 }
 
 // Partition splits classified offers into the acceptable set and the
@@ -158,12 +158,12 @@ func (r Ranked) Acceptable(u profile.UserProfile) bool {
 // procedure walks the ranked list with Acceptable instead; the materialized
 // groups serve callers that reorder within a group (an installed selection
 // policy, the booking negotiator) and the tests' reference model.
-func Partition(ranked []Ranked, u profile.UserProfile) (acceptable, feasible []Ranked) {
-	for _, r := range ranked {
-		if r.Acceptable(u) {
-			acceptable = append(acceptable, r)
+func Partition(ranked []Ranked, u *profile.UserProfile) (acceptable, feasible []Ranked) {
+	for i := range ranked {
+		if ranked[i].Acceptable(u) {
+			acceptable = append(acceptable, ranked[i])
 		} else {
-			feasible = append(feasible, r)
+			feasible = append(feasible, ranked[i])
 		}
 	}
 	return acceptable, feasible

@@ -194,6 +194,9 @@ func OIF(o SystemOffer, u profile.UserProfile) float64 {
 // the offer a member of the "acceptable set" the commitment step tries
 // first ("At first we consider only the offers which satisfy the cost and
 // the QoS requested by the user").
-func WithinBudget(o SystemOffer, u profile.UserProfile) bool {
-	return o.Total() <= u.MaxCost()
+func WithinBudget(o *SystemOffer, u *profile.UserProfile) bool {
+	// The fields Total and MaxCost return: called through these pointers,
+	// their value receivers would copy the whole offer and profile, even
+	// inlined.
+	return o.Cost.Total <= u.Worst.Cost.MaxCost
 }

@@ -178,7 +178,7 @@ func TestMotivatingExample(t *testing.T) {
 	if ranked[0].Status != Desirable {
 		t.Errorf("best offer status = %v", ranked[0].Status)
 	}
-	acceptable, feasible := Partition(ranked, u)
+	acceptable, feasible := Partition(ranked, &u)
 	if len(acceptable) != 1 || len(feasible) != 2 {
 		t.Errorf("partition = %d acceptable / %d feasible", len(acceptable), len(feasible))
 	}
@@ -248,10 +248,10 @@ func TestOfferStringAndKey(t *testing.T) {
 
 func TestWithinBudget(t *testing.T) {
 	u := paperProfile()
-	if !WithinBudget(paperOffers()[1], u) { // 4$ at 4$ cap
+	if !WithinBudget(&paperOffers()[1], &u) { // 4$ at 4$ cap
 		t.Error("exact budget should be within")
 	}
-	if WithinBudget(paperOffers()[3], u) { // 5$ at 4$ cap
+	if WithinBudget(&paperOffers()[3], &u) { // 5$ at 4$ cap
 		t.Error("5$ offer within a 4$ budget")
 	}
 }

@@ -34,7 +34,7 @@ type Connection struct {
 type System struct {
 	net *network.Network
 	// alternates is the k of network.Open: each connection takes the best
-	// of the first 4k feasible paths the walk finds.
+	// of the first 4k feasible routes network.Open filters.
 	alternates int
 
 	// acct, when non-nil, is the transport's account in the resource

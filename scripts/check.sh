@@ -39,7 +39,7 @@ echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; a CMFS refusal allocates at most its error, a clean CMFS sweep nothing; Network.Open on a charged path allocates nothing, on a new path only its shared copy; a ledger post on a warm account allocates nothing)"
+echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; a CMFS refusal allocates at most its error, a clean CMFS sweep nothing; Network.Open+Release on an opened pair allocates nothing, the first Open of a pair on a star exactly its 3 route arrays; a ledger post on a warm account allocates nothing)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestRefusalAllocBound' ./internal/core
 go test -count=1 -run 'TestAdmissionCostGates' ./internal/cmfs
 go test -count=1 -run 'TestOpenAllocatesOnlyThePath' ./internal/network

@@ -246,18 +246,46 @@ func (s *Server) chargedRate(n qos.NetworkQoS) qos.BitRate {
 func (s *Server) Admit(n qos.NetworkQoS) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.admitLocked(s.chargedRate(n))
+	return s.admitLocked(s.chargedRate(n), Plan{})
 }
 
-func (s *Server) admitLocked(rate qos.BitRate) error {
+// Plan is a caller-held tally of the streams an attempt plans to add to one
+// server: the running demand and stream count its earlier requests would
+// have added. The zero value plans nothing.
+type Plan struct {
+	demand  int64
+	streams int
+}
+
+// Plan runs the admission test for a stream of the given network QoS as if
+// the streams p tallies were already reserved, exactly as a Reserve after
+// theirs would see it, and returns the tally with this stream added. It
+// reserves nothing, allocates nothing unless it refuses, and consumes no
+// reservation id; a later Reserve may still refuse if another caller
+// reserved or the server degraded in between. A refusal counts in the
+// server's reject counter, as a refused Reserve does.
+func (s *Server) Plan(n qos.NetworkQoS, p Plan) (Plan, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	charged := s.chargedRate(n)
+	if err := s.admitLocked(charged, p); err != nil {
+		s.rejected.Inc()
+		return p, err
+	}
+	return Plan{demand: p.demand + s.bytesPerRound(charged), streams: p.streams + 1}, nil
+}
+
+// admitLocked is the admission test for a stream of the charged rate on top
+// of the admitted streams and those p tallies; caller holds the lock.
+func (s *Server) admitLocked(rate qos.BitRate, p Plan) error {
 	if rate < 0 {
 		return fmt.Errorf("cmfs %s: negative rate", s.id)
 	}
-	n := len(s.streams) + 1
+	n := len(s.streams) + p.streams + 1
 	if s.cfg.MaxStreams > 0 && n > s.cfg.MaxStreams {
 		return &admissionError{server: s.id, cap: s.cfg.MaxStreams}
 	}
-	demand := s.demand + s.bytesPerRound(rate)
+	demand := s.demand + p.demand + s.bytesPerRound(rate)
 	if budget := s.roundBudget(n); demand > budget {
 		return &admissionError{server: s.id, demand: demand, budget: budget}
 	}
@@ -289,7 +317,7 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	charged := s.chargedRate(n)
-	if err := s.admitLocked(charged); err != nil {
+	if err := s.admitLocked(charged, Plan{}); err != nil {
 		s.rejected.Inc()
 		return Reservation{}, err
 	}

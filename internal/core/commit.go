@@ -2,13 +2,17 @@ package core
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"qosneg/internal/client"
+	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
+	"qosneg/internal/network"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
+	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 )
 
@@ -42,6 +46,7 @@ type commitResult struct {
 func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked []offer.Ranked, skipKey string, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
+	var last lastPlan
 	groups := [2][]offer.Ranked{ranked, ranked}
 	if pol != nil {
 		groups[0], groups[1] = offer.Partition(ranked, u)
@@ -63,7 +68,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 				c.skipped++
 				continue
 			}
-			cm, fail := m.tryCommit(ctx, mach, doc, u, r)
+			cm, fail := m.tryCommit(ctx, mach, doc, u, r, &last)
 			if fail.cause == CauseNone {
 				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
 				if ranks != nil {
@@ -118,105 +123,286 @@ func offerOnDead(r offer.Ranked, dead map[media.ServerID]bool) (media.ServerID, 
 	return "", false
 }
 
-// planWidth is how many choices tryCommit holds in its on-stack plan; the
-// plan of a wider document spills to the heap.
-const planWidth = 8
+// planWidth is how many choices a pass plans, and an attempt holds, in
+// fixed arrays on the stack: a news article has four monomedia. A wider
+// document's plan and hold spill to the heap.
+const planWidth = 4
 
-// tryCommit reserves server and network resources for every choice of the
-// offer. It either commits everything (a zero failure) or rolls back and
-// reports a typed failure cause: server-down, capacity shortage, hard
-// constraint, or cancellation. Server-attributable failures also feed the
-// circuit breaker, so quarantines accrue no matter which entry point
-// (negotiate, renegotiate, adapt) drove the attempt.
+// plannedChoice is step 5's plan for one choice of an offer, at the same
+// index: its server as looked up, with the breaker generation its success
+// evidence is stamped with; the network QoS its stream needs; the server's
+// tally after it; and the delay and jitter of its planned connection,
+// overwritten by the held connection's where that took another route.
+type plannedChoice struct {
+	entry         serverEntry
+	gen           uint64
+	q             qos.NetworkQoS
+	tally         cmfs.Plan
+	delay, jitter time.Duration
+}
+
+// lastPlan carries a pass's last plan to its next attempt. A plan-refused
+// attempt changes nothing the plan reads, so an offer sharing its first
+// choices with the last one planned reuses their plan, and the refusal
+// too when it shares the choice that was refused; it plans only from the
+// first choice they differ in. Only another caller's reservations, a
+// degradation or a fault can change the substrate in between, and a plan
+// is a snapshot that reserving re-checks anyway.
+type lastPlan struct {
+	choices []offer.Choice
+	// clean is how many leading choices planned clean; routes[i] is the
+	// network plan after choice i.
+	clean  int
+	plan   [planWidth]plannedChoice
+	routes [planWidth]network.Plan
+	// refused, when its cause is set, is how the plan of choice clean was
+	// refused.
+	refused commitFailure
+}
+
+// carry moves the last plan over to the offer's attempt: it keeps the
+// leading choices the two offers share that planned clean, and the refusal
+// that followed them if the offers share the refused choice too.
+func (l *lastPlan) carry(r offer.Ranked) {
+	prev := l.choices
+	l.choices = r.Choices
+	same := func(i int) bool {
+		return i < len(prev) && i < len(r.Choices) &&
+			prev[i].Variant.ID == r.Choices[i].Variant.ID && prev[i].Variant.Server == r.Choices[i].Variant.Server
+	}
+	keep := 0
+	for keep < l.clean && same(keep) {
+		keep++
+	}
+	if keep < l.clean || !same(keep) {
+		l.refused = commitFailure{}
+	}
+	l.clean = keep
+}
+
+// tryCommit is step 5 for one offer: "the first offer whose every choice
+// fits a capacity snapshot". It plans every choice, in order, against each
+// substrate's own admission rule — the server's disk-round test and the
+// network's route choice, each on top of the offer's earlier choices — and
+// checks the profile's start-delay and synchronization bounds on the
+// planned routes. Only an offer whose plan fits is reserved. It returns a
+// zero failure when everything committed, or a typed failure cause:
+// server-down, capacity shortage, hard constraint, or cancellation.
 //
-// The attempt holds its reservations in a fixed-size plan and copies them
-// into one exact-size slice only when the offer commits; a refusal
-// allocates nothing here.
-func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked) (commitment, commitFailure) {
-	var plan [planWidth]heldChoice
-	held := plan[:0]
+// A refusal the plan finds touches no substrate, and records the evidence
+// a reserve-and-rollback walk would have: the circuit breaker and the
+// policy see a success for each choice planned before the refusal, then the
+// refusal. A path that other reservations hold is the exception: the
+// attempt then walks on as reservations, and the transport refuses it or
+// not. Server-attributable failures feed the breaker, so quarantines
+// accrue no matter which entry point (negotiate, renegotiate, adapt) drove
+// the attempt.
+func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan) (commitment, commitFailure) {
+	plan := last.plan[:0]
+	if len(r.Choices) > planWidth {
+		// A wider offer plans on the heap and is not carried over.
+		var none lastPlan
+		plan, last = make([]plannedChoice, 0, len(r.Choices)), &none
+	}
+	last.carry(r)
+	g := u.Desired.Cost.Guarantee
+	var routes network.Plan
+	for i := range r.Choices {
+		if err := ctx.Err(); err != nil {
+			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err})
+		}
+		sid := r.Choices[i].Variant.Server
+		// One lookup reads the server, its evidence generation and its
+		// quarantine together: a quarantine that trips after it bumps the
+		// generation, so it outlives this attempt's success.
+		entry, gen, left := m.servers.lookup(sid, m.clk)
+		if left > 0 {
+			// No new evidence — the breaker already tripped — so this is
+			// not recorded against the server again.
+			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left})
+		}
+		if entry.server == nil {
+			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
+		}
+		plan = plan[:i+1]
+		pc := &plan[i]
+		if i < last.clean {
+			pc.entry, pc.gen = entry, gen
+			routes = last.routes[i]
+			continue
+		}
+		if last.refused.cause != CauseNone {
+			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
+		}
+		pc.entry, pc.gen, pc.q, pc.tally = entry, gen, r.Choices[i].Variant.NetworkQoS(), cmfs.Plan{}
+		for j := i - 1; j >= 0; j-- {
+			if r.Choices[j].Variant.Server == sid {
+				pc.tally = plan[j].tally
+				break
+			}
+		}
+		var err error
+		if pc.tally, err = entry.server.Plan(pc.q, pc.tally); err != nil {
+			last.refused = commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err}
+			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
+		}
+		var pm network.PathMetrics
+		if routes, pm, err = m.transport.Plan(entry.node, mach.Node, pc.q, routes); err != nil {
+			if errors.Is(err, network.ErrPathHeld) {
+				// Bandwidth on a path is taken and given back by the
+				// client's other negotiations within a round trip: a
+				// snapshot that finds it held is not final. The attempt
+				// reserves the choices planned so far and walks the rest
+				// as reservations, so the transport decides when it gets
+				// there.
+				last.clean = 0
+				return m.reserve(ctx, mach, doc, u, r, plan[:i])
+			}
+			last.refused = commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node}
+			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
+		}
+		pc.delay, pc.jitter = pm.Delay, pm.Jitter
+		if i < planWidth {
+			last.routes[i], last.clean = routes, i+1
+		}
+	}
+	if f := constraintFailure(doc, u, r, plan); f.cause != CauseNone {
+		return commitment{}, m.planRefused(r, plan, g, f)
+	}
+	// Reserving overwrites the plan's metrics and may race another caller:
+	// the next attempt plans afresh.
+	last.clean = 0
+	return m.reserve(ctx, mach, doc, u, r, plan)
+}
+
+// planRefused records a refusal the plan found as the reserve-and-rollback
+// walk would have: a success for each choice planned before it, with no
+// latency measured, then the refusal — unless it is a cancellation or a
+// quarantine, which are no new evidence against a server.
+func (m *Manager) planRefused(r offer.Ranked, planned []plannedChoice, g cost.Guarantee, f commitFailure) commitFailure {
+	for i := range planned {
+		sid := r.Choices[i].Variant.Server
+		m.recordServerSuccess(sid, planned[i].gen)
+		m.observeCommit(sid, g, CauseNone, 0)
+	}
+	if f.kind != refusedCanceled && f.kind != refusedQuarantined {
+		m.recordCommitFailure(f)
+		m.observeCommit(f.server, g, f.cause, 0)
+	}
+	return f
+}
+
+// reserve commits an offer: it reserves and connects every choice in
+// order, the planned ones first and then any the plan did not reach, each
+// looked up as the plan would have. The attempt holds its reservations in a
+// fixed-size array and copies them into one exact-size slice only when the
+// offer commits. A refusal of a planned choice means the substrate changed
+// after the plan — a concurrent negotiation took the capacity, or an
+// injected fault fired — and rolls back what the attempt holds; so does a
+// start-delay or synchronization bound the reserved routes break where the
+// planned ones did not.
+func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice) (commitment, commitFailure) {
+	var buf [planWidth]heldChoice
+	held := buf[:0]
 	if len(r.Choices) > planWidth {
 		held = make([]heldChoice, 0, len(r.Choices))
 	}
 	g := u.Desired.Cost.Guarantee
-	var startDelay time.Duration
+	// rerouted is set when a connection took a route other than its plan's,
+	// or had none, so the bounds checked on the planned routes do not hold.
+	rerouted := false
 	for i := range r.Choices {
-		ch := &r.Choices[i]
 		if err := ctx.Err(); err != nil {
 			m.releaseHeld(held, len(held))
 			return commitment{}, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err}
 		}
-		sid := ch.Variant.Server
-		// One lookup reads the server, its evidence generation and its
-		// quarantine together: a quarantine that trips after it bumps the
-		// generation, so it outlives this attempt's success.
-		entry, healthGen, left := m.servers.lookup(sid, m.clk)
-		if left > 0 {
-			// No new evidence — the breaker already tripped — so this is
-			// not recorded against the server again.
-			m.releaseHeld(held, len(held))
-			return commitment{}, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left}
+		sid := r.Choices[i].Variant.Server
+		if i == len(plan) {
+			entry, gen, left := m.servers.lookup(sid, m.clk)
+			if left > 0 {
+				m.releaseHeld(held, len(held))
+				return commitment{}, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left}
+			}
+			if entry.server == nil {
+				return commitment{}, m.refuse(held, len(held), g,
+					commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
+			}
+			plan = append(plan, plannedChoice{entry: entry, gen: gen, q: r.Choices[i].Variant.NetworkQoS()})
+			rerouted = true
 		}
-		if entry.server == nil {
-			return commitment{}, m.refuse(held, len(held), g,
-				commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
-		}
-		netQoS := ch.Variant.NetworkQoS()
+		pc := &plan[i]
 		var began time.Time
 		if m.observer != nil {
 			began = m.clk.Now()
 		}
-		res, err := entry.server.Reserve(netQoS)
-		if err != nil {
-			return commitment{}, m.refuse(held, len(held), g,
+		held = held[:i+1]
+		h := &held[i]
+		var err error
+		if h.res, err = pc.entry.server.Reserve(pc.q); err != nil {
+			return commitment{}, m.refuse(held[:i], i, g,
 				commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err})
 		}
-		held = append(held, heldChoice{server: entry.server, res: res})
-		conn, err := m.transport.Connect(entry.node, mach.Node, netQoS)
-		if err != nil {
+		h.server = pc.entry.server
+		if h.conn, err = m.transport.Connect(pc.entry.node, mach.Node, pc.q); err != nil {
 			return commitment{}, m.refuse(held, len(held)-1, g,
-				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node})
+				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: pc.entry.node, to: mach.Node})
 		}
-		held[len(held)-1].conn = conn
-		m.recordServerSuccess(sid, healthGen)
+		m.recordServerSuccess(sid, pc.gen)
 		if m.observer != nil {
 			m.observeCommit(sid, g, CauseNone, m.clk.Now().Sub(began))
 		}
-		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
-			startDelay = d
+		if pc.delay != h.conn.Metrics.Delay || pc.jitter != h.conn.Metrics.Jitter {
+			pc.delay, pc.jitter = h.conn.Metrics.Delay, h.conn.Metrics.Jitter
+			rerouted = true
 		}
 	}
-	// Time profile: the committed configuration must be able to start the
+	if rerouted {
+		if f := constraintFailure(doc, u, r, plan); f.cause != CauseNone {
+			return commitment{}, m.refuse(held, len(held), g, f)
+		}
+	}
+	return commitment{choices: append(make([]heldChoice, 0, len(held)), held...)}, commitFailure{}
+}
+
+// constraintFailure checks a planned or reserved offer against the profile's
+// hard constraints, reading each choice's connection delay and jitter from
+// the plan; it returns a zero failure when both hold.
+func constraintFailure(doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice) commitFailure {
+	// Time profile: the configuration must be able to start the
 	// presentation within the user's start-delay bound.
-	if max := u.Desired.Time.MaxStartDelay; max > 0 && startDelay > max {
-		return commitment{}, m.refuse(held, len(held), g,
-			commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: startDelay, bound: max})
+	if bound := u.Desired.Time.MaxStartDelay; bound > 0 {
+		var start time.Duration
+		for i := range plan {
+			start = max(start, plan[i].delay+plan[i].entry.server.Config().RoundLength)
+		}
+		if start > bound {
+			return commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: start, bound: bound}
+		}
 	}
 	// Synchronization feasibility: for every temporal constraint with a
-	// skew tolerance, the committed paths' combined jitter — the bound the
+	// skew tolerance, the paths' combined jitter — the bound the
 	// synchronization protocol must compensate [Lam 94] — must fit the
 	// tolerance; otherwise this configuration cannot hold lip-sync.
 	for _, tc := range doc.Temporal {
 		if tc.Tolerance <= 0 {
 			continue
 		}
-		ja, okA := connJitter(r, held, tc.A)
-		jb, okB := connJitter(r, held, tc.B)
+		ja, okA := connJitter(r, plan, tc.A)
+		jb, okB := connJitter(r, plan, tc.B)
 		if okA && okB && ja+jb > tc.Tolerance {
-			return commitment{}, m.refuse(held, len(held), g,
-				commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B})
+			return commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B}
 		}
 	}
-	return commitment{choices: append(make([]heldChoice, 0, len(held)), held...)}, commitFailure{}
+	return commitFailure{}
 }
 
-// connJitter returns the committed path jitter of the choice presenting
-// monomedia id; ok is false when no choice does or its stream needs no
-// network connection.
-func connJitter(r offer.Ranked, held []heldChoice, id media.MonomediaID) (jitter time.Duration, ok bool) {
-	for i := range r.Choices {
-		if ch := &r.Choices[i]; ch.Monomedia == id && !ch.Variant.NetworkQoS().Zero() {
-			jitter, ok = held[i].conn.Metrics.Jitter, true
+// connJitter returns the path jitter of the choice presenting monomedia id;
+// ok is false when no choice does or its stream needs no network
+// connection.
+func connJitter(r offer.Ranked, plan []plannedChoice, id media.MonomediaID) (jitter time.Duration, ok bool) {
+	for i := range plan {
+		if r.Choices[i].Monomedia == id && !plan[i].q.Zero() {
+			jitter, ok = plan[i].jitter, true
 		}
 	}
 	return jitter, ok

@@ -24,7 +24,7 @@ type flakyServer struct {
 	mu       sync.Mutex
 	down     bool
 	failNext int // <0: fail every Reserve; >0: fail that many
-	reserves int
+	plans    int
 }
 
 func (s *flakyServer) setDown(d bool) {
@@ -42,12 +42,24 @@ func (s *flakyServer) failReserves(n int) {
 func (s *flakyServer) attempts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.reserves
+	return s.plans
+}
+
+// Plan counts every step-5 attempt on the server and answers down while it
+// is; injected admission failures act on Reserve only.
+func (s *flakyServer) Plan(q qos.NetworkQoS, p cmfs.Plan) (cmfs.Plan, error) {
+	s.mu.Lock()
+	s.plans++
+	down := s.down
+	s.mu.Unlock()
+	if down {
+		return p, fmt.Errorf("%w: %s is crashed", ErrServerDown, s.ID())
+	}
+	return s.MediaServer.Plan(q, p)
 }
 
 func (s *flakyServer) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
 	s.mu.Lock()
-	s.reserves++
 	if s.down {
 		s.mu.Unlock()
 		return cmfs.Reservation{}, fmt.Errorf("%w: %s is crashed", ErrServerDown, s.ID())
@@ -110,7 +122,7 @@ func TestFailoverSkipsDeadServer(t *testing.T) {
 		}
 	}
 	if got := flaky["server-1"].attempts(); got != 1 {
-		t.Errorf("dead server reserve attempts = %d; want exactly 1", got)
+		t.Errorf("dead server commit attempts = %d; want exactly 1", got)
 	}
 	// One commit-failed event names the cause and the server; later offers
 	// on it are skipped, each skip naming the same server.
@@ -151,7 +163,7 @@ func TestFailoverSkipsDeadServer(t *testing.T) {
 		t.Fatalf("second negotiation: %v (%s)", res2.Status, res2.Reason)
 	}
 	if got := flaky["server-1"].attempts(); got != 1 {
-		t.Errorf("quarantined server attempted again: %d reserves", got)
+		t.Errorf("quarantined server attempted again: %d attempts", got)
 	}
 
 	if st := b.man.Stats(); st.CommitServerDown == 0 || st.Quarantines == 0 {

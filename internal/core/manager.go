@@ -156,9 +156,15 @@ type Result struct {
 // MediaServer is the continuous-media server surface the manager commits
 // against. *cmfs.Server implements it; the fault injector (package faults)
 // wraps it to simulate crashes and admission failures.
+//
+// Plan is step 5's side-effect-free admission test: it answers what Reserve
+// would if the streams p tallies were already reserved, and returns the
+// tally with this stream added. It must reserve nothing and allocate
+// nothing unless it refuses.
 type MediaServer interface {
 	ID() media.ServerID
 	Config() cmfs.Config
+	Plan(q qos.NetworkQoS, p cmfs.Plan) (cmfs.Plan, error)
 	Reserve(q qos.NetworkQoS) (cmfs.Reservation, error)
 	Release(id cmfs.ReservationID) error
 	ActiveStreams() int
@@ -168,7 +174,13 @@ type MediaServer interface {
 // Transport is the connection-establishment surface the manager commits
 // against. *transport.System implements it; the fault injector wraps it to
 // simulate partitions and connect failures.
+//
+// Plan is Connect without the reservation: it answers what Connect would if
+// the connections p tallies were already established, returning p extended
+// by the route Connect would take and that connection's metrics. It must
+// reserve nothing and allocate nothing unless it refuses.
 type Transport interface {
+	Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error)
 	Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error)
 	Close(c transport.Connection) error
 }

@@ -6,6 +6,12 @@
 // model the negotiation procedure's FAILEDTRYLATER / FAILEDWITHOUTOFFER
 // statuses and the manager's server quarantine are tested against.
 //
+// Step 5 plans an offer before it reserves it. A crash is state, so the
+// wrappers' Plan answers it as Reserve and Connect do. Injected latency,
+// probabilistic failures and scheduled crashes are events of a
+// reservation: they act on Reserve and Connect only, so an offer whose plan
+// fits can still be refused by them, and then rolls back.
+//
 // All randomness comes from one seeded source, so a chaos run with a given
 // seed replays the same fault schedule every time.
 package faults
@@ -176,10 +182,12 @@ func (in *Injector) SetLatency(d time.Duration) {
 
 // Server wraps a core.MediaServer with fault injection. A crashed server
 // loses its reservation state (the inner server's admissions are released,
-// as a real restart would) and refuses Reserve/Release with
+// as a real restart would) and refuses Plan, Reserve and Release with
 // core.ErrServerDown until Restart; its attachment node also refuses
-// transport connects, so in-flight commits fail between Reserve and
-// Connect exactly as against a machine that died mid-negotiation.
+// transport plans and connects, so in-flight commits fail between Reserve
+// and Connect exactly as against a machine that died mid-negotiation.
+// Injected reserve failures, latency and CrashAfterReserves act on Reserve
+// alone: Plan draws nothing from the injector's random source.
 type Server struct {
 	inner core.MediaServer
 	inj   *Injector
@@ -273,6 +281,18 @@ func (s *Server) Restart() {
 	s.inj.setNodeDown(s.node, false)
 }
 
+// Plan answers step 5's plan as Reserve would without the injected faults:
+// down while the server is crashed, and otherwise the inner server's
+// answer. Latency, probabilistic failures and CrashAfterReserves act on
+// Reserve only, so an offer whose plan fits can still be refused by them
+// when it reserves.
+func (s *Server) Plan(q qos.NetworkQoS, p cmfs.Plan) (cmfs.Plan, error) {
+	if s.Down() {
+		return p, fmt.Errorf("%w: %s is crashed", core.ErrServerDown, s.ID())
+	}
+	return s.inner.Plan(q, p)
+}
+
 // Reserve runs the inner admission test unless the server is down or an
 // injected failure fires.
 func (s *Server) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
@@ -328,10 +348,12 @@ func (s *Server) Release(id cmfs.ReservationID) error {
 	return s.inner.Release(id)
 }
 
-// Transport wraps a core.Transport with fault injection: connects to or
-// from a crashed server's node refuse with core.ErrServerDown, and
-// probabilistic connect failures simulate path-reservation races. Close
-// always reaches the inner transport, so rollback never leaks.
+// Transport wraps a core.Transport with fault injection: plans and
+// connects to or from a crashed server's node refuse with
+// core.ErrServerDown, and probabilistic connect failures simulate
+// path-reservation races; those, and injected latency, act on Connect
+// alone. Close always reaches the inner transport, so rollback never
+// leaks.
 type Transport struct {
 	inner core.Transport
 	inj   *Injector
@@ -355,6 +377,27 @@ func (t *Transport) SetLatency(d time.Duration) {
 	t.mu.Unlock()
 }
 
+// Plan answers step 5's plan as Connect would without the injected faults:
+// refused while an endpoint is down, and otherwise the inner transport's
+// answer. Latency and probabilistic failures act on Connect only.
+func (t *Transport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+	if err := t.unreachable(src, dst); err != nil {
+		return p, network.PathMetrics{}, err
+	}
+	return t.inner.Plan(src, dst, q, p)
+}
+
+// unreachable refuses a connection with a crashed server's node at either
+// end.
+func (t *Transport) unreachable(src, dst network.NodeID) error {
+	for _, node := range [2]network.NodeID{src, dst} {
+		if t.inj.nodeDown(node) {
+			return fmt.Errorf("%w: node %s unreachable", core.ErrServerDown, node)
+		}
+	}
+	return nil
+}
+
 // Connect establishes a connection unless an endpoint is down or an
 // injected failure fires.
 func (t *Transport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error) {
@@ -364,11 +407,8 @@ func (t *Transport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transpor
 	if latency > 0 {
 		time.Sleep(latency)
 	}
-	if t.inj.nodeDown(src) {
-		return transport.Connection{}, fmt.Errorf("%w: node %s unreachable", core.ErrServerDown, src)
-	}
-	if t.inj.nodeDown(dst) {
-		return transport.Connection{}, fmt.Errorf("%w: node %s unreachable", core.ErrServerDown, dst)
+	if err := t.unreachable(src, dst); err != nil {
+		return transport.Connection{}, err
 	}
 	if t.inj.chance(failP) {
 		return transport.Connection{}, fmt.Errorf("%w: connect %s -> %s", ErrInjected, src, dst)

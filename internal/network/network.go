@@ -40,6 +40,10 @@ type LinkID string
 // ErrNoPath is returned when no feasible path exists for a request.
 var ErrNoPath = errors.New("network: no feasible path")
 
+// ErrPathHeld refuses a plan that a route could carry but for the
+// bandwidth other reservations hold on it now. It is an ErrNoPath.
+var ErrPathHeld = fmt.Errorf("%w: every route that could carry it is held by reservations", ErrNoPath)
+
 // ErrUnknownReservation is returned when releasing an unknown reservation.
 var ErrUnknownReservation = errors.New("network: unknown reservation")
 
@@ -259,11 +263,16 @@ func (n *Network) Available(id LinkID) (qos.BitRate, bool) {
 }
 
 func availableLocked(ls *linkState) qos.BitRate {
-	eff := effectiveLocked(ls)
-	if ls.reserved >= eff {
+	return spare(effectiveLocked(ls), ls.reserved)
+}
+
+// spare is the capacity left on a link of effective capacity eff with
+// reserved already taken.
+func spare(eff, reserved qos.BitRate) qos.BitRate {
+	if reserved >= eff {
 		return 0
 	}
-	return eff - ls.reserved
+	return eff - reserved
 }
 
 // effectiveLocked returns a link's capacity under its degradation.
@@ -284,6 +293,13 @@ type PathMetrics struct {
 // linksMetrics computes the metrics of a path given as its links; caller
 // holds the lock.
 func linksMetrics(links []*linkState) PathMetrics {
+	return plannedMetrics(links, nil)
+}
+
+// plannedMetrics computes the metrics of a path given as its links as if
+// the connections p plans were already charged (none when p is nil); caller
+// holds the lock.
+func plannedMetrics(links []*linkState, p *Plan) PathMetrics {
 	m := PathMetrics{Bottleneck: 1<<62 - 1}
 	keep := 1.0
 	for _, ls := range links {
@@ -291,7 +307,11 @@ func linksMetrics(links []*linkState) PathMetrics {
 		m.Delay += ls.Delay
 		m.Jitter += ls.Jitter
 		keep *= 1 - ls.Loss
-		if a := availableLocked(ls); a < m.Bottleneck {
+		reserved := ls.reserved
+		if p != nil {
+			reserved += p.on(ls)
+		}
+		if a := spare(effectiveLocked(ls), reserved); a < m.Bottleneck {
 			m.Bottleneck = a
 		}
 	}
@@ -537,12 +557,23 @@ func (n *Network) Open(src, dst NodeID, q qos.NetworkQoS, k int) (Reservation, P
 	if err != nil {
 		return Reservation{}, PathMetrics{}, err
 	}
+	best, m := pickLocked(routes, q, k, nil)
+	if best == nil {
+		return Reservation{}, PathMetrics{}, noPath(src, dst, q)
+	}
+	return n.chargeLocked(best, q), m.charged(q.AvgBitRate), nil
+}
+
+// pickLocked returns the best of the first 4k routes feasible for the
+// request with p's connections charged (none when p is nil), and its
+// metrics; nil when none is. Caller holds the lock.
+func pickLocked(routes []route, q qos.NetworkQoS, k int, p *Plan) (*route, PathMetrics) {
 	limit := 4 * max(k, 1)
 	var best *route
 	var bestM PathMetrics
 	found := 0
 	for i := range routes {
-		m := linksMetrics(routes[i].links)
+		m := plannedMetrics(routes[i].links, p)
 		if !feasibleLocked(m, q) {
 			continue
 		}
@@ -553,11 +584,116 @@ func (n *Network) Open(src, dst NodeID, q qos.NetworkQoS, k int) (Reservation, P
 			break
 		}
 	}
-	if best == nil {
-		return Reservation{}, PathMetrics{}, noPath(src, dst, q)
+	return best, bestM
+}
+
+// heldLocked reports whether a route would carry the request on top of p's
+// connections if no reservation held bandwidth on its links; caller holds
+// the lock.
+func heldLocked(routes []route, q qos.NetworkQoS, p *Plan) bool {
+	for i := range routes {
+		m := plannedMetrics(routes[i].links, p)
+		m.Bottleneck = 1<<62 - 1
+		for _, ls := range routes[i].links {
+			m.Bottleneck = min(m.Bottleneck, spare(effectiveLocked(ls), p.on(ls)))
+		}
+		if feasibleLocked(m, q) {
+			return true
+		}
 	}
-	r := n.chargeLocked(best, q)
-	return r, linksMetrics(best.links), nil
+	return false
+}
+
+// planWidth is how many connections a Plan holds without allocating: a
+// plan is copied on every call, and a document rarely has more continuous
+// streams than this.
+const planWidth = 4
+
+// Plan is a caller-held tally of the connections an attempt plans to open:
+// the route each would charge and its rate. Open after them would see each
+// link's spare capacity reduced by exactly these charges. The zero value
+// plans nothing. A Plan is a value: Network.Plan returns the extended copy
+// and leaves its argument as it was.
+type Plan struct {
+	n     int
+	fixed [planWidth]charge
+	// more holds the charges past planWidth; only a wider plan allocates.
+	more []charge
+}
+
+// charge is one planned connection.
+type charge struct {
+	rt   *route
+	rate qos.BitRate
+}
+
+// add extends p by a charge of rate on rt. The charges past planWidth go
+// to a fresh array, so a copy of p taken before still plans what it did.
+func (p *Plan) add(rt *route, rate qos.BitRate) {
+	if p.n < planWidth {
+		p.fixed[p.n] = charge{rt, rate}
+	} else {
+		p.more = append(p.more[:p.n-planWidth:p.n-planWidth], charge{rt, rate})
+	}
+	p.n++
+}
+
+// on returns the rate p plans on one link.
+func (p *Plan) on(ls *linkState) (rate qos.BitRate) {
+	for i := range min(p.n, planWidth) {
+		rate += p.fixed[i].on(ls)
+	}
+	for i := range p.more {
+		rate += p.more[i].on(ls)
+	}
+	return rate
+}
+
+// on returns the rate c charges on one link.
+func (c *charge) on(ls *linkState) (rate qos.BitRate) {
+	for _, l := range c.rt.links {
+		if l == ls {
+			rate += c.rate
+		}
+	}
+	return rate
+}
+
+// Plan is Open without the reservation: it picks the route Open would
+// charge for the request if the connections p tallies were already open,
+// and returns p extended by that route with the metrics Open would then
+// report. It charges nothing, allocates nothing on a pair opened before,
+// and consumes no reservation id; a later Open may still pick another
+// route, or refuse, if a reservation or a degradation came in between.
+// Plan refuses as Open would, with one distinction: when a route would fit
+// but for the bandwidth other reservations hold on it now, the refusal is
+// ErrPathHeld, which allocates nothing.
+func (n *Network) Plan(src, dst NodeID, q qos.NetworkQoS, k int, p Plan) (Plan, PathMetrics, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	routes, err := n.routesLocked(src, dst)
+	if err != nil {
+		return p, PathMetrics{}, err
+	}
+	best, m := pickLocked(routes, q, k, &p)
+	if best == nil {
+		if heldLocked(routes, q, &p) {
+			return p, PathMetrics{}, ErrPathHeld
+		}
+		return p, PathMetrics{}, noPath(src, dst, q)
+	}
+	p.add(best, q.AvgBitRate)
+	return p, m.charged(q.AvgBitRate), nil
+}
+
+// charged returns the metrics of a feasible path after rate is charged on
+// it: every link had at least the bottleneck spare, so each loses rate and
+// the bottleneck with them. An empty path has no link to charge.
+func (m PathMetrics) charged(rate qos.BitRate) PathMetrics {
+	if m.Hops > 0 {
+		m.Bottleneck -= rate
+	}
+	return m
 }
 
 // Reserve reserves the request's average bit rate on every link of the

@@ -3,6 +3,7 @@ package protocol
 import (
 	"time"
 
+	"qosneg/internal/adaptation"
 	"qosneg/internal/core"
 	"qosneg/internal/session"
 )
@@ -27,4 +28,13 @@ func AttachPlayout(srv *Server, man core.SessionManager) *session.Player {
 		}
 	}
 	return p
+}
+
+// AttachMonitor runs the adaptation monitor on the server's clock: every
+// adaptation.ScanInterval it sweeps the substrate for QoS violations and
+// adapts each affected playing session without user involvement, re-running
+// step 5 over its remaining offers and restarting from the interrupted
+// position. The returned function stops it.
+func AttachMonitor(srv *Server, mon *adaptation.Monitor) (stop func()) {
+	return mon.Attach(srv.clk, nil)
 }

@@ -53,6 +53,10 @@ type recordingTransport struct {
 	live  map[network.ReservationID]bool
 }
 
+func (r *recordingTransport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+	return r.inner.Plan(src, dst, q, p)
+}
+
 func (r *recordingTransport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error) {
 	c, err := r.inner.Connect(src, dst, q)
 	if err == nil && c.Reservation.ID != 0 {

@@ -80,6 +80,31 @@ func (s *System) Connect(src, dst network.NodeID, q qos.NetworkQoS) (Connection,
 	return Connection{Reservation: r, Metrics: m, QoS: q}, nil
 }
 
+// Plan answers whether Connect would establish the stream if the
+// connections p tallies were already established, without reserving: it
+// returns p extended by the route Connect would take and the metrics the
+// connection would report. It refuses as Connect would, except that a path
+// held by other reservations is refused with an error that is
+// network.ErrPathHeld. Like Connect, a zero-throughput request plans
+// nothing and reports zero metrics.
+func (s *System) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+	if q.Zero() {
+		return p, network.PathMetrics{}, nil
+	}
+	p, m, err := s.net.Plan(src, dst, q, s.alternates, p)
+	if err == network.ErrPathHeld {
+		return p, m, errPathHeld
+	}
+	if err != nil {
+		return p, m, fmt.Errorf("%w: %v", ErrUnavailable, err)
+	}
+	return p, m, nil
+}
+
+// errPathHeld is network.ErrPathHeld as the transport refuses it, built
+// once so that the refusal allocates nothing.
+var errPathHeld = fmt.Errorf("%w: %w", ErrUnavailable, network.ErrPathHeld)
+
 // Close releases a connection's reservation. Closing a zero-throughput
 // connection is a no-op.
 func (s *System) Close(c Connection) error {

@@ -293,14 +293,19 @@ func (s *System) Player(clk clock.Clock) *session.Player {
 }
 
 // Serve exposes the QoS manager over the wire protocol on l as cmd/qosnegd
-// runs it: with Wire, Admission and Metrics, and every session confirmed
-// through it playing out in real time (protocol.AttachPlayout). It blocks
-// until l is closed, then stops playout; the server's Close stops handlers.
+// runs it: with Wire, Admission and Metrics, every session confirmed
+// through it playing out in real time (protocol.AttachPlayout), and the
+// adaptation monitor sweeping for QoS violations on the same clock
+// (protocol.AttachMonitor), so a playing session whose server or path
+// degrades is adapted without user involvement. It blocks until l is
+// closed, then stops the monitor and then playout; the server's Close stops
+// handlers.
 func (s *System) Serve(l net.Listener) (*protocol.Server, error) {
 	srv := protocol.NewServer(s.Manager, s.Registry,
 		protocol.WithServerWire(s.Wire), protocol.WithServerAdmission(s.Admission))
 	srv.Instrument(s.Metrics)
 	defer protocol.AttachPlayout(srv, s.Manager).Stop()
+	defer protocol.AttachMonitor(srv, s.Monitor())()
 	return srv, srv.Serve(l)
 }
 

@@ -39,10 +39,10 @@ echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing; a CMFS refusal allocates at most its error, a clean CMFS sweep nothing; Network.Open+Release on an opened pair allocates nothing, the first Open of a pair on a star exactly its 3 route arrays; a ledger post on a warm account allocates nothing)"
-go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestRefusalAllocBound' ./internal/core
-go test -count=1 -run 'TestAdmissionCostGates' ./internal/cmfs
-go test -count=1 -run 'TestOpenAllocatesOnlyThePath' ./internal/network
+echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size; policy off must stay free; a step-5 refusal adds nothing, and one the plan finds after planning two choices allocates at most its error; a CMFS refusal or refusing plan allocates at most its error, a clean CMFS sweep or admitting plan nothing; Network.Open+Release and Network.Plan on an opened pair allocate nothing, a plan refused on a held path too, the first Open of a pair on a star exactly its 3 route arrays; a ledger post on a warm account allocates nothing)"
+go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestRefusalAllocBound|TestPlanRefusalAllocBound' ./internal/core
+go test -count=1 -run 'TestAdmissionCostGates|TestPlanAllocationGate' ./internal/cmfs
+go test -count=1 -run 'TestOpenAllocatesOnlyThePath|TestPlanAllocatesNothing' ./internal/network
 go test -count=1 -run 'TestAccountAllocsNothing' ./internal/ledger
 
 echo "== wire allocation gate (negotiate+reject over the binary codec, minus the same pair in-process)"

@@ -127,7 +127,9 @@ type Controller struct {
 	hintNs atomic.Int64
 
 	admitted atomic.Uint64
-	sheds    atomic.Uint64
+	// refused counts Admit's refusals, probed Saturated's.
+	refused atomic.Uint64
+	probed  atomic.Uint64
 
 	mu         sync.Mutex
 	samples    [ringSize]sample
@@ -136,14 +138,6 @@ type Controller struct {
 	lastAdjust time.Time
 	lastGrow   time.Time
 	p99Ns      atomic.Int64 // last computed windowed p99
-
-	// Telemetry, installed by Instrument; all nil-safe when absent.
-	shedCtr   *telemetry.Counter
-	admitCtr  *telemetry.Counter
-	inflightG *telemetry.Gauge
-	limitG    *telemetry.Gauge
-	hintG     *telemetry.Gauge
-	p99G      *telemetry.Gauge
 }
 
 // New builds a controller; zero config fields take defaults.
@@ -155,26 +149,28 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Instrument registers the controller's metric series; a nil registry (or
-// nil controller) is a no-op.
+// Instrument registers the controller's metric series, read from its
+// counters at Snapshot time; a nil registry (or nil controller) is a no-op.
 func (c *Controller) Instrument(reg *telemetry.Registry) {
-	if c == nil || reg == nil {
+	if c == nil {
 		return
 	}
-	c.shedCtr = reg.Counter(MetricSheds,
-		"Requests refused by the admission controller with a RetryAfter hint.")
-	c.admitCtr = reg.Counter(MetricAdmitted,
-		"Requests admitted past the controller.")
-	c.inflightG = reg.Gauge(MetricInFlight,
-		"Currently admitted negotiations in flight.")
-	c.limitG = reg.Gauge(MetricLimit,
-		"Current AIMD concurrency limit.")
-	c.hintG = reg.Gauge(MetricRetryAfter,
-		"Current MIAD RetryAfter hint, milliseconds.")
-	c.p99G = reg.Gauge(MetricP99,
-		"Windowed p99 of admitted-negotiation latency, milliseconds.")
-	c.limitG.Set(c.limit.Load())
-	c.hintG.Set(int64(time.Duration(c.hintNs.Load()) / time.Millisecond))
+	series := func(name, help string, gauge bool, v func(Stats) int64) {
+		reg.Collect(telemetry.Collector{Name: name, Help: help, Gauge: gauge, Owner: c,
+			Read: func(emit func(string, int64)) { emit("", v(c.Stats())) }})
+	}
+	series(MetricSheds, "Requests refused by the admission controller with a RetryAfter hint.", false,
+		func(s Stats) int64 { return int64(s.Sheds) })
+	series(MetricAdmitted, "Requests admitted past the controller.", false,
+		func(s Stats) int64 { return int64(s.Admitted) })
+	series(MetricInFlight, "Currently admitted negotiations in flight.", true,
+		func(s Stats) int64 { return int64(s.InFlight) })
+	series(MetricLimit, "Current AIMD concurrency limit.", true,
+		func(s Stats) int64 { return int64(s.Limit) })
+	series(MetricRetryAfter, "Current MIAD RetryAfter hint, milliseconds.", true,
+		func(s Stats) int64 { return s.RetryHint.Milliseconds() })
+	series(MetricP99, "Windowed p99 of admitted-negotiation latency, milliseconds.", true,
+		func(s Stats) int64 { return s.P99.Milliseconds() })
 }
 
 // SLO returns the declared p99 target; 0 on a nil controller.
@@ -196,15 +192,13 @@ func (c *Controller) Admit() (release func(), retryAfter time.Duration, ok bool)
 	}
 	if n := c.inflight.Add(1); n > c.limit.Load() {
 		c.inflight.Add(-1)
+		c.refused.Add(1)
 		return nil, c.shed(), false
 	}
 	c.admitted.Add(1)
-	c.admitCtr.Inc()
-	c.inflightG.Add(1)
 	start := c.cfg.Clock.Now()
 	return func() {
 		c.inflight.Add(-1)
-		c.inflightG.Add(-1)
 		c.observe(c.cfg.Clock.Now().Sub(start))
 	}, 0, true
 }
@@ -218,6 +212,7 @@ func (c *Controller) Saturated() (retryAfter time.Duration, saturated bool) {
 		return 0, false
 	}
 	if c.inflight.Load() >= c.limit.Load() {
+		c.probed.Add(1)
 		return c.shed(), true
 	}
 	return 0, false
@@ -232,12 +227,10 @@ func (c *Controller) RetryHint() time.Duration {
 	return time.Duration(c.hintNs.Load())
 }
 
-// shed counts one refusal and applies the hint's multiplicative increase,
+// shed applies one refusal's multiplicative increase to the hint,
 // rate-limited to once per growEvery so a burst of sheds walks the hint up
 // instead of slamming it to the cap.
 func (c *Controller) shed() time.Duration {
-	c.sheds.Add(1)
-	c.shedCtr.Inc()
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
 	if now.Sub(c.lastGrow) >= growEvery {
@@ -247,7 +240,6 @@ func (c *Controller) shed() time.Duration {
 			h = maxRetryAfter
 		}
 		c.hintNs.Store(int64(h))
-		c.hintG.Set(int64(h / time.Millisecond))
 	}
 	h := time.Duration(c.hintNs.Load())
 	c.mu.Unlock()
@@ -288,12 +280,9 @@ func (c *Controller) observe(lat time.Duration) {
 			h = minRetryAfter
 		}
 		c.hintNs.Store(int64(h))
-		c.hintG.Set(int64(h / time.Millisecond))
 	}
 	c.limit.Store(lim)
 	c.mu.Unlock()
-	c.limitG.Set(lim)
-	c.p99G.Set(int64(p99 / time.Millisecond))
 }
 
 // p99Locked estimates the 99th percentile of the samples still inside the
@@ -321,9 +310,12 @@ func (c *Controller) p99Locked(now time.Time) time.Duration {
 
 // Stats is a point-in-time snapshot of the controller's state.
 type Stats struct {
-	// Admitted and Sheds count decisions since construction.
+	// Admitted and Sheds count decisions since construction. Refused is
+	// the part of Sheds that Admit refused: the requests a router turned
+	// away. The rest answered Saturated probes.
 	Admitted uint64
 	Sheds    uint64
+	Refused  uint64
 	// InFlight and Limit are the current occupancy and AIMD bound.
 	InFlight int
 	Limit    int
@@ -342,7 +334,8 @@ func (c *Controller) Stats() Stats {
 	}
 	return Stats{
 		Admitted:  c.admitted.Load(),
-		Sheds:     c.sheds.Load(),
+		Sheds:     c.refused.Load() + c.probed.Load(),
+		Refused:   c.refused.Load(),
 		InFlight:  int(c.inflight.Load()),
 		Limit:     int(c.limit.Load()),
 		RetryHint: time.Duration(c.hintNs.Load()),

@@ -150,14 +150,16 @@ var rules = []rule{{
 	at:      "internal/protocol/x.go", plant: "package protocol\n\nfunc (s *Server) serve(c conn) { writeEnvelopeLine(c, hello{}) }\n",
 }, {
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
-	// "one breaker table" and "no unset knobs" used.
+	// "one breaker table", "no unset knobs" and "one count per fact" used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
-		`AdaptationPolicy|OrderTargets|OrderCommits|WithOptions\(|policy-seed|\.topK\(\)`),
+		`AdaptationPolicy|OrderTargets|OrderCommits|WithOptions\(|policy-seed|\.topK\(\)|` +
+		`addStats|serverHealthGauges|offerCacheLookup|statsMu|\bc\.shedCtr\b|admitCtr|inflightG|limitG|hintG|p99G`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / a fleet's shards share one server table; a quarantine is one fact, never copied from shard to shard" +
-		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation",
+		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
+		" / a value its owner keeps is read at Snapshot time (telemetry.Collector), not counted again in the registry",
 	at: "internal/core/x.go", plant: "package core\n\nfunc (m *Manager) f() { _ = m.topK() }\n",
 }, {
 	name: "one clock", scope: func(f *file) bool {

@@ -148,7 +148,6 @@ type Server struct {
 	// (recording through them is then a no-op).
 	admitted *telemetry.Counter
 	rejected *telemetry.Counter
-	active   *telemetry.Gauge
 
 	// acct, when non-nil, is the server's account in the resource ledger:
 	// every successful Reserve/Release posts to it (leak and
@@ -170,9 +169,10 @@ func (s *Server) SetLedger(l *ledger.Ledger) {
 }
 
 // Instrument wires the server's admission decisions into a telemetry
-// registry: per-server admit/reject counters and an active-streams gauge,
-// all labeled with the server id. A nil registry is a no-op; instrumenting
-// several servers against one registry shares the metric families.
+// registry: per-server admit/reject counters and an active-streams gauge
+// read from the stream table, all labeled with the server id. A nil
+// registry is a no-op; instrumenting several servers against one registry
+// shares the metric families.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -181,13 +181,12 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Stream reservations admitted by the disk-round test.", "server")
 	rejects := reg.CounterFamily("qosneg_cmfs_rejects_total",
 		"Stream reservations rejected (admission failure or stream cap).", "server")
-	active := reg.GaugeFamily("qosneg_cmfs_active_streams",
-		"Currently reserved streams.", "server")
+	reg.Collect(telemetry.Collector{Name: "qosneg_cmfs_active_streams", Help: "Currently reserved streams.",
+		Label: "server", Gauge: true, Owner: s,
+		Read: func(emit func(string, int64)) { emit(string(s.id), int64(s.ActiveStreams())) }})
 	s.mu.Lock()
 	s.admitted = admits.With(string(s.id))
 	s.rejected = rejects.With(string(s.id))
-	s.active = active.With(string(s.id))
-	s.active.Set(int64(len(s.streams)))
 	s.mu.Unlock()
 }
 
@@ -326,7 +325,6 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.streams[r.ID] = r
 	s.demand += s.bytesPerRound(charged)
 	s.admitted.Inc()
-	s.active.Set(int64(len(s.streams)))
 	s.acct.Acquire(uint64(r.ID))
 	return r, nil
 }
@@ -341,7 +339,6 @@ func (s *Server) Release(id ReservationID) error {
 	}
 	delete(s.streams, id)
 	s.demand -= s.bytesPerRound(r.Rate)
-	s.active.Set(int64(len(s.streams)))
 	s.acct.Release(uint64(id))
 	return nil
 }

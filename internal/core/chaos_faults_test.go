@@ -14,7 +14,6 @@ import (
 	"qosneg/internal/qos"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
-	"qosneg/internal/testbed"
 )
 
 // TestChaosWithFaultInjection extends the chaos harness with the fault
@@ -22,7 +21,10 @@ import (
 // crash-between-Reserve-and-Connect), Reserve/Connect fail probabilistically,
 // and after every step the resource invariant must hold — live network
 // reservations equal the streams committed by Reserved/Playing sessions, and
-// nothing leaks once everything is wound down. Server crashes lose only
+// nothing leaks once everything is wound down. The manager is a 4-shard
+// fleet behind a one-slot admission controller, which some steps hold so
+// the router sheds; at the end each fact counted reads the same in Stats and
+// in its metric series. Server crashes lose only
 // server-side admission state; network reservations are owned by sessions
 // and must survive until the session ends.
 func TestChaosWithFaultInjection(t *testing.T) {
@@ -62,10 +64,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 		RetryAfter:       time.Millisecond,
 	}
 	reg := telemetry.NewRegistry()
-	opts.Metrics = reg
-	bed := testbed.MustNew(testbed.Spec{Faults: inj})
-	man := bareManager(bed, inj, opts)
-	bed.Ledger.Instrument(reg)
+	bed, ctrl, shards := chaosFleet(inj, opts, reg, 1)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
 	})
@@ -110,13 +109,15 @@ func runFaultChaos(t *testing.T, seed int64) {
 			t.Fatalf("seed %d step %d: %d network reservations for %d committed streams",
 				seed, step, got, want)
 		}
-		if err := man.CheckHoldIndex(); err != nil {
-			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		for _, man := range shards {
+			if err := man.CheckHoldIndex(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 		}
 	}
 
 	for step := 0; step < 300; step++ {
-		switch op := rng.Intn(13); op {
+		switch op := rng.Intn(14); op {
 		case 0, 1, 2, 3: // negotiate; any status is legal under injection
 			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", chaosProfile())
 			if err != nil {
@@ -158,6 +159,16 @@ func runFaultChaos(t *testing.T, seed int64) {
 		case 12: // dial injected failure rates up or down
 			inj.SetReserveFailure(float64(rng.Intn(3)) * 0.25)
 			inj.SetConnectFailure(float64(rng.Intn(3)) * 0.2)
+		case 13: // the controller's one slot is held: the router sheds
+			release, _, ok := ctrl.Admit()
+			if !ok {
+				t.Fatalf("seed %d step %d: the controller's slot is held between steps", seed, step)
+			}
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", chaosProfile())
+			release()
+			if err != nil || !res.Shed {
+				t.Fatalf("seed %d step %d: negotiate on a full controller = %+v, %v; want a shed", seed, step, res, err)
+			}
 		}
 		checkInvariant(step)
 	}
@@ -186,13 +197,14 @@ func runFaultChaos(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	checkSessionTableAtFloor(t, man)
+	for _, man := range shards {
+		checkSessionTableAtFloor(t, man)
+	}
+	checkOneCountPerFact(t, seed, bed, ctrl, reg)
 	if v := reg.Counter(ledger.MetricLeaked, "").Value(); v != 0 {
 		t.Errorf("seed %d: %s = %d, want 0", seed, ledger.MetricLeaked, v)
 	}
-	for _, procedure := range []string{"adapt", "renegotiate"} {
-		if v := reg.CounterFamily(core.MetricStaleInstalls, "", "procedure").With(procedure).Value(); v != 0 {
-			t.Errorf("seed %d: %s{procedure=%q} = %d, want 0", seed, core.MetricStaleInstalls, procedure, v)
-		}
+	if v := reg.Snapshot().CounterValue(core.MetricStaleInstalls, ""); v != 0 {
+		t.Errorf("seed %d: %s = %d, want 0", seed, core.MetricStaleInstalls, v)
 	}
 }

@@ -279,10 +279,9 @@ func (t *ServerTable) lookup(id media.ServerID, clk clock.Clock) (serverEntry, u
 	return rec.serverEntry, rec.gen, left
 }
 
-// recordFailure feeds one server-attributable failure into the breaker. It
-// returns the server's consecutive-failure count and quarantine deadline
-// afterwards, and whether this failure tripped the breaker.
-func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.Clock) (consecutive int, until time.Time, tripped bool) {
+// recordFailure feeds one server-attributable failure into the breaker and
+// reports whether it tripped the breaker.
+func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.Clock) (tripped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := &t.record(f.server).serverHealth
@@ -313,30 +312,30 @@ func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.C
 	if tripped {
 		h.quarantines++
 	}
-	return h.consecutive, h.quarantinedUntil, tripped
+	return tripped
 }
 
 // recordSuccess resets a server's breaker after a successful reserve and
 // connect — unless the evidence is stale: gen is what lookup returned when
 // the attempt began, and failures recorded since are newer evidence than
-// this success. It reports whether the reset applied and whether it lifted
-// a quarantine. A server with no failure on record has nothing to reset.
-func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, clk clock.Clock) (applied, restored bool) {
+// this success. It reports whether the reset lifted a quarantine. A server
+// with no failure on record has nothing to reset.
+func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, clk clock.Clock) (restored bool) {
 	if gen == 0 {
-		return false, false
+		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec, ok := t.servers[id]
 	if !ok || rec.gen != gen {
-		return false, false
+		return false
 	}
 	// A zero deadline is never after now, so the clock is read only when
 	// a quarantine is on record.
 	restored = !rec.quarantinedUntil.IsZero() && rec.quarantinedUntil.After(clk.Now())
 	rec.consecutive = 0
 	rec.quarantinedUntil = time.Time{}
-	return true, restored
+	return restored
 }
 
 // exclusion snapshots the quarantined-server set as a variant filter for
@@ -432,34 +431,45 @@ func (t *ServerTable) policyInfo(id media.ServerID) PolicyServer {
 	return info
 }
 
+// instrument registers the breaker gauges of every server with a failure on
+// record, read from the table at Snapshot time. The table is their one
+// owner, so a fleet's shards, which each call this, expose each server once.
+func (t *ServerTable) instrument(reg *telemetry.Registry) {
+	gauge := func(name, help string, v func(*serverHealth) int64) {
+		reg.Collect(telemetry.Collector{Name: name, Help: help, Label: "server", Gauge: true, Owner: t,
+			Read: func(emit func(string, int64)) {
+				t.mu.RLock()
+				defer t.mu.RUnlock()
+				for id, rec := range t.servers {
+					if rec.gen > 0 {
+						emit(string(id), v(&rec.serverHealth))
+					}
+				}
+			}})
+	}
+	gauge(MetricQuarantined, "Unix time a server's quarantine ends; 0 when healthy.", func(h *serverHealth) int64 {
+		if h.quarantinedUntil.IsZero() {
+			return 0
+		}
+		return h.quarantinedUntil.Unix()
+	})
+	gauge(MetricConsecutive, "Consecutive commit failures since the server's last success.",
+		func(h *serverHealth) int64 { return int64(h.consecutive) })
+}
+
 // recordCommitFailure feeds one failed commit attempt into the outcome
 // counters and, for server-attributable causes, the circuit breaker. A trip
 // is this manager's to count, trace and purge its offer cache for, whichever
 // shard's table it lands in.
 func (m *Manager) recordCommitFailure(f commitFailure) {
-	m.met.commitFailures.With(f.cause.String()).Inc()
-	m.statsMu.Lock()
-	switch f.cause {
-	case CauseServerDown:
-		m.stats.CommitServerDown++
-	case CauseCapacity:
-		m.stats.CommitCapacity++
-	case CauseConstraint:
-		m.stats.CommitConstraint++
-	}
-	m.statsMu.Unlock()
+	m.count.commitFailures[f.cause].Add(1)
 	if f.server == "" || (f.cause != CauseServerDown && f.cause != CauseCapacity) {
 		return
 	}
 
-	consecutive, until, tripped := m.servers.recordFailure(f, m.opts.Health, m.clk)
-	m.met.serverHealthGauges(f.server, consecutive, until)
-	if tripped {
+	if m.servers.recordFailure(f, m.opts.Health, m.clk) {
 		m.exclusionChanged()
-		m.met.quarantines.Inc()
-		m.statsMu.Lock()
-		m.stats.Quarantines++
-		m.statsMu.Unlock()
+		m.count.quarantines.Add(1)
 		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
 			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})
@@ -472,16 +482,11 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 // quarantine are cleared — unless failures were recorded since generation
 // gen, which are newer evidence than this success.
 func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
-	applied, restored := m.servers.recordSuccess(id, gen, m.clk)
-	if !applied {
-		return
-	}
-	if restored {
+	if m.servers.recordSuccess(id, gen, m.clk) {
 		// The exclusion world shrank: drop candidate sets filtered
 		// without the restored server's variants.
 		m.exclusionChanged()
 	}
-	m.met.serverHealthGauges(id, 0, time.Time{})
 }
 
 // Quarantined reports whether a server is currently quarantined by the
@@ -504,8 +509,5 @@ func (m *Manager) exclusionChanged() {
 		return
 	}
 	_, _, hash := m.servers.exclusion(m.clk)
-	if n := m.cache.PurgeExclusions(hash); n > 0 {
-		m.met.cacheInvalidations.Add(uint64(n))
-		m.met.cacheEntries.Set(int64(m.cache.Len()))
-	}
+	m.cache.PurgeExclusions(hash)
 }

@@ -321,3 +321,48 @@ func TestFailureCauseString(t *testing.T) {
 		t.Errorf("out-of-range cause = %q", got)
 	}
 }
+
+// TestBreakerGaugesMatchTable races breaker trips against successes on two
+// servers from several goroutines, round after round, and at each round's
+// quiescence holds the per-server breaker gauges to the server table: each
+// server's consecutive-failure gauge equals its ServerLoads count, and its
+// quarantine gauge is non-zero exactly when ServerLoads reports it
+// quarantined.
+func TestBreakerGaugesMatchTable(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	b := metricsBed(t, reg, nil)
+	b.man.opts.Health = HealthPolicy{FailureThreshold: 2, Cooldown: time.Hour}
+	ids := []media.ServerID{"server-1", "server-2"}
+	for round := 0; round < 200; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					id := ids[i%len(ids)]
+					if (w+round)%2 == 0 {
+						b.man.recordCommitFailure(commitFailure{cause: CauseCapacity, kind: refusedReserve, server: id})
+					} else {
+						b.man.recordServerSuccess(id, b.man.serverHealthGen(id))
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		gauges := map[string]int64{}
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == MetricQuarantined || g.Name == MetricConsecutive {
+				gauges[g.Name+"/"+g.Labels["server"]] = g.Value
+			}
+		}
+		for _, row := range b.man.ServerLoads() {
+			if got := gauges[MetricConsecutive+"/"+string(row.ID)]; got != int64(row.ConsecutiveFailures) {
+				t.Fatalf("round %d: %s{server=%s} = %d, ServerLoads reads %d", round, MetricConsecutive, row.ID, got, row.ConsecutiveFailures)
+			}
+			if got := gauges[MetricQuarantined+"/"+string(row.ID)]; (got != 0) != row.Quarantined {
+				t.Fatalf("round %d: %s{server=%s} = %d, ServerLoads reads quarantined=%v", round, MetricQuarantined, row.ID, got, row.Quarantined)
+			}
+		}
+	}
+}

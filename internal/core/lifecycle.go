@@ -125,10 +125,7 @@ func (m *Manager) Complete(id SessionID) error {
 	}
 	price := s.Current.Total()
 	m.finish(s, Completed)
-	m.met.revenue.Add(uint64(price))
-	m.statsMu.Lock()
-	m.stats.Revenue += price
-	m.statsMu.Unlock()
+	m.count.revenue.Add(int64(price))
 	return nil
 }
 
@@ -214,10 +211,11 @@ func (m *Manager) install(w *window, cm commitment) (moved SessionState, expired
 	moved, expired = s.state, s.expired
 	s.mu.Unlock()
 	m.release(cm)
-	m.met.staleInstalls.With(w.op).Inc()
-	m.statsMu.Lock()
-	m.stats.StaleInstalls++
-	m.statsMu.Unlock()
+	for i, op := range staleProcedures {
+		if op == w.op {
+			m.count.staleInstalls[i].Add(1)
+		}
+	}
 	if m.opts.Tracer != nil {
 		detail := fmt.Sprintf("session %d reached %v mid-%s; fresh commitment released", s.ID, moved, w.op)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "stale-install", Detail: detail})
@@ -344,13 +342,10 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, w.ranked, w.current.Key(), m.opts.Policy, "adapt")
 	if !c.ok {
 		m.abortWindow(&w)
-		m.met.adaptations.With("failed").Inc()
+		m.count.adaptations[adaptFailed].Add(1)
 		if m.opts.Tracer != nil {
 			m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: w.current.Key(), Status: "failed"})
 		}
-		m.statsMu.Lock()
-		m.stats.AdaptationFailures++
-		m.statsMu.Unlock()
 		if err := ctx.Err(); err != nil {
 			return Transition{}, fmt.Errorf("%w: session %d: %w", ErrAdaptationFailed, id, err)
 		}
@@ -365,13 +360,10 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	s.transition++
 	pos := s.position
 	s.mu.Unlock()
-	m.met.adaptations.With("ok").Inc()
+	m.count.adaptations[adaptOK].Add(1)
 	if m.opts.Tracer != nil {
 		m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: c.chosen.Key(), Status: "ok", Detail: "from " + w.current.Key()})
 	}
-	m.statsMu.Lock()
-	m.stats.Adaptations++
-	m.statsMu.Unlock()
 	return Transition{Session: id, From: w.current, To: c.chosen, Position: int64(pos)}, nil
 }
 

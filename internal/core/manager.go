@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qosneg/internal/client"
@@ -189,8 +190,8 @@ type Transport interface {
 // session table and the adaptation procedure. It is safe for concurrent
 // use: the negotiation pipeline runs lock-free, and independent
 // negotiations from different clients proceed concurrently — the manager's
-// locks only cover the session table, the server table (shared by a fleet's
-// shards) and the outcome counters, each separately.
+// locks only cover the session table and the server table (shared by a
+// fleet's shards), each separately; the outcome counters are atomics.
 type Manager struct {
 	registry  *registry.Registry
 	transport Transport
@@ -205,8 +206,10 @@ type Manager struct {
 	priceMu    sync.RWMutex
 	pricing    cost.Pricing
 	pricingGen uint64
-	// met holds the metric series; all nil when Options.Metrics is.
+	// met holds the push metric series; all nil when Options.Metrics is.
 	met negMetrics
+	// count is the outcome counters, which Stats and the registry read.
+	count counts
 	// clk is the clock the breaker and latency metrics read; tests set Sim.
 	clk clock.Clock
 	// testHookUnlocked, when non-nil, fires at the start of every unlock
@@ -242,10 +245,6 @@ type Manager struct {
 	// observer is the installed policy's learning surface, resolved once at
 	// construction; nil when no policy learns.
 	observer PolicyObserver
-
-	// statsMu guards the outcome counters.
-	statsMu sync.Mutex
-	stats   Stats
 }
 
 // Stats counts negotiation outcomes.
@@ -305,7 +304,6 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		transport:  ts,
 		pricing:    pricing,
 		opts:       opts,
-		met:        newNegMetrics(opts.Metrics, opts.Shard),
 		clk:        clock.Wall{},
 		servers:    servers,
 		sessions:   make(map[SessionID]*Session),
@@ -318,6 +316,7 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 	if opts.OfferCache >= 0 {
 		m.cache = offercache.New(opts.OfferCache)
 	}
+	m.instrument(opts.Metrics)
 	return m
 }
 
@@ -345,18 +344,39 @@ func (m *Manager) AddServer(s MediaServer, node network.NodeID) {
 	m.servers.add(s, node)
 }
 
-// Stats returns a snapshot of the outcome counters, merged with the offer
-// cache's counters when caching is enabled.
-func (m *Manager) Stats() Stats {
-	m.statsMu.Lock()
-	st := m.stats
-	m.statsMu.Unlock()
-	if m.cache != nil {
-		cs := m.cache.Stats()
-		st.OfferCacheHits = int(cs.Hits)
-		st.OfferCacheMisses = int(cs.Misses)
-		st.OfferCacheInvalidations = int(cs.Invalidations)
-		st.OfferCacheEntries = int(cs.Entries)
+// Stats returns a snapshot of the outcome counters and the offer cache's.
+func (m *Manager) Stats() Stats { return SumStats(m) }
+
+// SumStats sums the outcome and offer-cache counters of ms: one manager's,
+// or a fleet's shards'.
+func SumStats(ms ...*Manager) Stats {
+	var st Stats
+	for _, m := range ms {
+		c := &m.count
+		n := func(v *atomic.Int64) int { return int(v.Load()) }
+		st.Requests += n(&c.requests)
+		st.Succeeded += n(&c.outcomes[Succeeded])
+		st.FailedWithOffer += n(&c.outcomes[FailedWithOffer])
+		st.FailedTryLater += n(&c.outcomes[FailedTryLater])
+		st.FailedWithoutOffer += n(&c.outcomes[FailedWithoutOffer])
+		st.FailedWithLocalOffer += n(&c.outcomes[FailedWithLocalOffer])
+		st.Adaptations += n(&c.adaptations[adaptOK])
+		st.AdaptationFailures += n(&c.adaptations[adaptFailed])
+		st.CommitServerDown += n(&c.commitFailures[CauseServerDown])
+		st.CommitCapacity += n(&c.commitFailures[CauseCapacity])
+		st.CommitConstraint += n(&c.commitFailures[CauseConstraint])
+		st.Quarantines += n(&c.quarantines)
+		for i := range c.staleInstalls {
+			st.StaleInstalls += n(&c.staleInstalls[i])
+		}
+		st.Revenue += cost.Money(c.revenue.Load())
+		if m.cache != nil {
+			cs := m.cache.Stats()
+			st.OfferCacheHits += int(cs.Hits)
+			st.OfferCacheMisses += int(cs.Misses)
+			st.OfferCacheInvalidations += int(cs.Invalidations)
+			st.OfferCacheEntries += int(cs.Entries)
+		}
 	}
 	return st
 }

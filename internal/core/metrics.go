@@ -1,9 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
-	"qosneg/internal/media"
 	"qosneg/internal/offercache"
 	"qosneg/internal/telemetry"
 )
@@ -36,102 +36,120 @@ const (
 	MetricPolicyRegret     = "qosneg_policy_wasted_attempts_total"
 )
 
-// negMetrics holds the manager's metric series, resolved once so hot paths
-// record through pointers instead of name lookups. Built from a nil registry
-// every series is nil, and the telemetry package makes nil series inert, so
-// call sites record unconditionally; only a clock read or a rendered detail
-// needs an Options.Metrics check.
+// negMetrics holds the manager's push series, the ones with no count of
+// their own elsewhere, resolved once so hot paths record through pointers
+// instead of name lookups. Built from a nil registry every series is nil,
+// and the telemetry package makes nil series inert, so call sites record
+// unconditionally; only a clock read or a rendered detail needs an
+// Options.Metrics check. The outcome counters, the breaker state and the
+// offer cache's traffic are read where they are kept (see instrument).
 type negMetrics struct {
-	outcomes       *telemetry.CounterFamily
-	negSeconds     *telemetry.Histogram
-	steps          [telemetry.StepAdaptation + 1]*telemetry.Histogram
-	commitFailures *telemetry.CounterFamily
-	commitSkips    *telemetry.Counter
-	quarantines    *telemetry.Counter
-	quarantined    *telemetry.GaugeFamily
-	consecutive    *telemetry.GaugeFamily
-	adaptations    *telemetry.CounterFamily
-	revenue        *telemetry.Counter
-	staleInstalls  *telemetry.CounterFamily
-
-	cacheHits          *telemetry.Counter
-	cacheMisses        *telemetry.Counter
-	cacheInvalidations *telemetry.Counter
-	cacheEntries       *telemetry.Gauge
+	negSeconds  *telemetry.Histogram
+	steps       [telemetry.StepAdaptation + 1]*telemetry.Histogram
+	commitSkips *telemetry.Counter
 
 	policyReorders *telemetry.CounterFamily
 	policyRank     *telemetry.CounterFamily
 	policyWasted   *telemetry.Counter
 }
 
-// newNegMetrics registers the manager's metrics on reg, which may be nil.
-// The end-to-end negotiation histogram is a "shard"-labeled family, so every
-// shard of a fleet records into its own latency distribution on the shared
-// registry; a manager without shard hooks records under "0".
-func newNegMetrics(reg *telemetry.Registry, shard ShardHooks) negMetrics {
-	label := "0"
-	if shard != nil {
-		label = shard.Label()
+// counts is the manager's one record of each negotiation, commitment and
+// lifecycle fact: each is incremented at one site, and Stats and the
+// registry both read it. A labeled fact is indexed like its label names.
+type counts struct {
+	requests       atomic.Int64
+	outcomes       [len(negotiationStatusNames)]atomic.Int64
+	commitFailures [len(failureCauseNames)]atomic.Int64
+	quarantines    atomic.Int64
+	adaptations    [len(adaptationResults)]atomic.Int64
+	staleInstalls  [len(staleProcedures)]atomic.Int64
+	revenue        atomic.Int64
+}
+
+// The label values of the adaptation and stale-install series; adaptOK
+// and adaptFailed index the former.
+var (
+	adaptationResults = [...]string{adaptOK: "ok", adaptFailed: "failed"}
+	staleProcedures   = [...]string{"adapt", "renegotiate"}
+)
+
+const adaptOK, adaptFailed = 0, 1
+
+// instrument registers the manager's metrics on reg, which may be nil, in
+// the order the exposition lists them. The end-to-end negotiation histogram
+// is a "shard"-labeled family, so every shard of a fleet records into its
+// own latency distribution on the shared registry; a manager without shard
+// hooks records under "0". Every other series is shared by the shards of
+// one registry: the facts m counts are collectors the registry sums over
+// the shards, and the breaker gauges are the one server table's.
+func (m *Manager) instrument(reg *telemetry.Registry) {
+	if reg == nil {
+		return
 	}
-	n := negMetrics{
-		outcomes: reg.CounterFamily(MetricNegotiations,
-			"Negotiation outcomes by NegotiationStatus.", "status"),
-		negSeconds: reg.HistogramFamily(MetricNegotiationTime,
-			"End-to-end negotiation latency (steps 1-5), by manager shard.",
-			"shard", telemetry.LatencyBuckets).With(label),
-		commitFailures: reg.CounterFamily(MetricCommitFailures,
-			"Failed resource-commitment attempts by cause.", "cause"),
-		commitSkips: reg.Counter(MetricCommitSkips,
-			"Offers skipped because their server was already seen down this run."),
-		quarantines: reg.Counter(MetricQuarantines,
-			"Circuit-breaker trips."),
-		quarantined: reg.GaugeFamily(MetricQuarantined,
-			"Unix time a server's quarantine ends; 0 when healthy.", "server"),
-		consecutive: reg.GaugeFamily(MetricConsecutive,
-			"Consecutive commit failures since the server's last success.", "server"),
-		adaptations: reg.CounterFamily(MetricAdaptations,
-			"Adaptation-procedure runs by result.", "result"),
-		revenue: reg.Counter(MetricRevenue,
-			"Accumulated price of completed sessions, milli-dollars."),
-		staleInstalls: reg.CounterFamily(MetricStaleInstalls,
-			"Commitments released by the epoch guard instead of installed: a concurrent transition ended the session mid-procedure.", "procedure"),
-		cacheHits: reg.Counter(MetricOfferCacheHits,
-			"Negotiations served from a memoized candidate set."),
-		cacheMisses: reg.Counter(MetricOfferCacheMisses,
-			"Negotiations that computed their candidate set fresh (includes stale drops)."),
-		cacheInvalidations: reg.Counter(MetricOfferCacheInvalidations,
-			"Cached candidate sets dropped because a document, pricing or exclusion generation moved."),
-		cacheEntries: reg.Gauge(MetricOfferCacheEntries,
-			"Live candidate-set cache entries."),
-		policyReorders: reg.CounterFamily(MetricPolicyReorders,
-			"Tie runs reordered by the installed policy, by procedure.", "procedure"),
-		policyRank: reg.CounterFamily(MetricPolicyChosenRank,
-			"Classical rank of the committed offer under an installed policy.", "rank"),
-		policyWasted: reg.Counter(MetricPolicyRegret,
-			"Commit attempts that failed or were skipped before a policy-ordered run succeeded."),
+	c := &m.count
+	collect := func(name, help string, gauge bool, read func() int64) {
+		reg.Collect(telemetry.Collector{Name: name, Help: help, Gauge: gauge, Owner: m,
+			Read: func(emit func(string, int64)) { emit("", read()) }})
 	}
+	// A labeled series exists once its fact has happened.
+	labeled := func(name, help, label string, cs []atomic.Int64, names []string) {
+		reg.Collect(telemetry.Collector{Name: name, Help: help, Label: label, Owner: m,
+			Read: func(emit func(string, int64)) {
+				for i := range cs {
+					if v := cs[i].Load(); v > 0 {
+						emit(names[i], v)
+					}
+				}
+			}})
+	}
+	cache := func() offercache.Stats {
+		if m.cache == nil {
+			return offercache.Stats{}
+		}
+		return m.cache.Stats()
+	}
+	shard := "0"
+	if m.opts.Shard != nil {
+		shard = m.opts.Shard.Label()
+	}
+	labeled(MetricNegotiations, "Negotiation outcomes by NegotiationStatus.", "status",
+		c.outcomes[:], negotiationStatusNames[:])
+	m.met.negSeconds = reg.HistogramFamily(MetricNegotiationTime,
+		"End-to-end negotiation latency (steps 1-5), by manager shard.",
+		"shard", telemetry.LatencyBuckets).With(shard)
+	labeled(MetricCommitFailures, "Failed resource-commitment attempts by cause.", "cause",
+		c.commitFailures[:], failureCauseNames[:])
+	m.met.commitSkips = reg.Counter(MetricCommitSkips,
+		"Offers skipped because their server was already seen down this run.")
+	collect(MetricQuarantines, "Circuit-breaker trips.", false, c.quarantines.Load)
+	m.servers.instrument(reg)
+	labeled(MetricAdaptations, "Adaptation-procedure runs by result.", "result",
+		c.adaptations[:], adaptationResults[:])
+	collect(MetricRevenue, "Accumulated price of completed sessions, milli-dollars.", false, c.revenue.Load)
+	labeled(MetricStaleInstalls,
+		"Commitments released by the epoch guard instead of installed: a concurrent transition ended the session mid-procedure.",
+		"procedure", c.staleInstalls[:], staleProcedures[:])
+	collect(MetricOfferCacheHits, "Negotiations served from a memoized candidate set.", false,
+		func() int64 { return int64(cache().Hits) })
+	collect(MetricOfferCacheMisses, "Negotiations that computed their candidate set fresh (includes stale drops).", false,
+		func() int64 { return int64(cache().Misses) })
+	collect(MetricOfferCacheInvalidations,
+		"Cached candidate sets dropped because a document, pricing or exclusion generation moved.", false,
+		func() int64 { return int64(cache().Invalidations) })
+	collect(MetricOfferCacheEntries, "Live candidate-set cache entries.", true,
+		func() int64 { return int64(cache().Entries) })
+	m.met.policyReorders = reg.CounterFamily(MetricPolicyReorders,
+		"Tie runs reordered by the installed policy, by procedure.", "procedure")
+	m.met.policyRank = reg.CounterFamily(MetricPolicyChosenRank,
+		"Classical rank of the committed offer under an installed policy.", "rank")
+	m.met.policyWasted = reg.Counter(MetricPolicyRegret,
+		"Commit attempts that failed or were skipped before a policy-ordered run succeeded.")
 	// Pre-resolve the per-step series so stepTimer.lap never takes the
 	// family's map path on the hot path.
 	steps := reg.HistogramFamily(MetricStepTime,
 		"Per-step negotiation latency.", "step", telemetry.LatencyBuckets)
 	for s := telemetry.StepLocalNegotiation; s <= telemetry.StepAdaptation; s++ {
-		n.steps[s] = steps.With(s.String())
-	}
-	return n
-}
-
-// offerCacheLookup records one cache consultation. A stale entry counts as
-// both a miss (the set is recomputed) and an invalidation (a generation
-// moved underneath the entry).
-func (n *negMetrics) offerCacheLookup(out offercache.Outcome) {
-	switch out {
-	case offercache.Hit:
-		n.cacheHits.Inc()
-	case offercache.Miss:
-		n.cacheMisses.Inc()
-	case offercache.Stale:
-		n.cacheMisses.Inc()
-		n.cacheInvalidations.Inc()
+		m.met.steps[s] = steps.With(s.String())
 	}
 }
 
@@ -145,15 +163,6 @@ func (n *negMetrics) policyChosenRank(rank int) {
 		label = policyRankLabels[rank]
 	}
 	n.policyRank.With(label).Inc()
-}
-
-func (n *negMetrics) serverHealthGauges(id media.ServerID, consecutive int, until time.Time) {
-	n.consecutive.With(string(id)).Set(int64(consecutive))
-	var end int64
-	if !until.IsZero() {
-		end = until.Unix()
-	}
-	n.quarantined.With(string(id)).Set(end)
 }
 
 // span emits a structured event to the tracer. Call sites that render a

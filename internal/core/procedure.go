@@ -100,9 +100,7 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 // counted. docGen is the registry generation doc was snapshotted at; the
 // offer cache validates entries against it.
 func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
-	m.statsMu.Lock()
-	m.stats.Requests++
-	m.statsMu.Unlock()
+	m.count.requests.Add(1)
 	var begin time.Time
 	if m.opts.Metrics != nil {
 		begin = m.clk.Now()
@@ -114,21 +112,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 	if m.opts.Metrics != nil {
 		m.met.negSeconds.Observe(m.clk.Now().Sub(begin))
 	}
-	m.met.outcomes.With(out.status.String()).Inc()
-	m.statsMu.Lock()
-	switch out.status {
-	case Succeeded:
-		m.stats.Succeeded++
-	case FailedWithOffer:
-		m.stats.FailedWithOffer++
-	case FailedTryLater:
-		m.stats.FailedTryLater++
-	case FailedWithoutOffer:
-		m.stats.FailedWithoutOffer++
-	case FailedWithLocalOffer:
-		m.stats.FailedWithLocalOffer++
-	}
-	m.statsMu.Unlock()
+	m.count.outcomes[out.status].Add(1)
 	return out, nil
 }
 
@@ -248,7 +232,6 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 	}
 	key := offercache.Key{Doc: doc.ID, Machine: mach.Fingerprint(), Guarantee: g, Exclusion: exclHash}
 	cands, offers, out := m.cache.Lookup(key, docGen, pricingGen)
-	m.met.offerCacheLookup(out)
 	if out == offercache.Hit {
 		return cands, offers, nil
 	}
@@ -265,7 +248,6 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 		}
 	}
 	m.cache.Store(key, docGen, pricingGen, cands, offers2)
-	m.met.cacheEntries.Set(int64(m.cache.Len()))
 	return cands, offers2, nil
 }
 

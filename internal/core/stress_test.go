@@ -16,7 +16,6 @@ import (
 	"qosneg/internal/ledger"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
-	"qosneg/internal/testbed"
 )
 
 // TestLifecycleStress is the concurrent half of the chaos suite: where
@@ -24,10 +23,13 @@ import (
 // resource invariant after every step, this harness runs many goroutines
 // issuing Confirm/Reject/Expire/Adapt/Renegotiate/Complete/Abort against a
 // shared session pool while servers crash and calls fail probabilistically —
-// the interleavings the epoch guard exists for. Mid-run state is
-// unobservable under true concurrency, so the assertion is the lifecycle
-// invariant at quiescence: once every session is terminal, the resource
-// ledger balances to zero and nothing was ever double-released.
+// the interleavings the epoch guard exists for. The manager is a 4-shard
+// fleet behind an admission controller with fewer slots than workers, so
+// the router sheds too. Mid-run state is unobservable under true
+// concurrency, so the assertions hold at quiescence: once every session is
+// terminal, the resource ledger balances to zero and nothing was ever
+// double-released, and each fact counted reads the same in Stats and in
+// its metric series.
 //
 // Run it longer with `make stress` (QOSNEG_STRESS_ITERS scales the per-worker
 // operation count).
@@ -58,18 +60,6 @@ func checkSessionTableAtFloor(t *testing.T, m *core.Manager) {
 	}
 }
 
-// bareManager swaps the bed's fleet for a bare core.Manager over the same
-// registry, ledger and fault-wrapped substrate, so a test can reach the
-// manager's own hooks and retention counters.
-func bareManager(bed *testbed.Bed, inj *faults.Injector, opts core.Options) *core.Manager {
-	man := core.NewManager(bed.Registry, inj.WrapTransport(bed.Transit), bed.Pricing, opts)
-	for _, s := range inj.Servers() {
-		man.AddServer(s, s.Node())
-	}
-	bed.Manager = man
-	return man
-}
-
 func stressIters() int {
 	if s := os.Getenv("QOSNEG_STRESS_ITERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -93,10 +83,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 		RetryAfter:       50 * time.Microsecond,
 	}
 	reg := telemetry.NewRegistry()
-	opts.Metrics = reg
-	bed := testbed.MustNew(testbed.Spec{Faults: inj})
-	man := bareManager(bed, inj, opts)
-	bed.Ledger.Instrument(reg)
+	bed, ctrl, shards := chaosFleet(inj, opts, reg, 6)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
 	})
@@ -108,16 +95,18 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	// a single-CPU runner), so the harness forces the interleaving the epoch
 	// guard exists for; the guard must absorb it leak-free.
 	var windows uint64
-	man.SetTestHookUnlocked(func(op string, id core.SessionID) {
-		if atomic.AddUint64(&windows, 1)%4 != 0 {
-			return
-		}
-		if op == "adapt" {
-			bed.Manager.Abort(id)
-		} else {
-			bed.Manager.Expire(id)
-		}
-	})
+	for _, man := range shards {
+		man.SetTestHookUnlocked(func(op string, id core.SessionID) {
+			if atomic.AddUint64(&windows, 1)%4 != 0 {
+				return
+			}
+			if op == "adapt" {
+				bed.Manager.Abort(id)
+			} else {
+				bed.Manager.Expire(id)
+			}
+		})
+	}
 
 	// Shared pool of session ids every worker picks targets from, so the
 	// same session sees concurrent Confirm, Abort and Adapt calls.
@@ -260,9 +249,12 @@ func runLifecycleStress(t *testing.T, seed int64) {
 
 	// Quiescent: no procedure is mid-window, so the reservation→session
 	// index must answer exactly what a scan of the session table does.
-	if err := man.CheckHoldIndex(); err != nil {
-		t.Errorf("seed %d: %v", seed, err)
+	for _, man := range shards {
+		if err := man.CheckHoldIndex(); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
+	checkOneCountPerFact(t, seed, bed, ctrl, reg)
 
 	// Heal the world and wind every session down to a terminal state.
 	inj.SetReserveFailure(0)
@@ -287,7 +279,9 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
-	checkSessionTableAtFloor(t, man)
+	for _, man := range shards {
+		checkSessionTableAtFloor(t, man)
+	}
 	if got := bed.Network.ActiveReservations(); got != 0 {
 		t.Errorf("seed %d: %d network reservations leaked", seed, got)
 	}
@@ -301,7 +295,8 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	}
 	// Stale installs are the guard doing its job under contention — log the
 	// count so a run that never exercised the race is visible.
+	checkOneCountPerFact(t, seed, bed, ctrl, reg)
 	st := bed.Manager.Stats()
-	t.Logf("seed %d: %d sessions, %d adaptations, %d stale installs",
-		seed, len(ids), st.Adaptations, st.StaleInstalls)
+	t.Logf("seed %d: %d sessions, %d adaptations, %d stale installs, %d sheds",
+		seed, len(ids), st.Adaptations, st.StaleInstalls, st.AdmissionSheds)
 }

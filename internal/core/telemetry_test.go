@@ -10,7 +10,6 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
-	"qosneg/internal/offercache"
 	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/transport"
@@ -129,16 +128,17 @@ func TestBreakerMetricsRecorded(t *testing.T) {
 }
 
 // TestNoopTelemetryZeroAlloc pins the disabled-telemetry negotiation hot
-// path: with no Tracer and no Metrics registry, the manager's series are
-// nil and recording through them — as every call site does, unguarded —
-// must allocate nothing. The call sites that render a detail string
+// path: with no Tracer and no Metrics registry, the manager's push series
+// are nil and recording through them — as every call site does, unguarded —
+// must allocate nothing. (Its counted facts are atomics the registry reads
+// at Snapshot time, so they cost no recording at all.) The call sites that render a detail string
 // (commit-failed, exhausted, quarantine, stale-install) are all gated on
 // Options.Tracer, so this test plus the guards is the allocation proof for
 // the whole trace surface.
 func TestNoopTelemetryZeroAlloc(t *testing.T) {
 	b := newBed(t, cmfs.DefaultConfig(), 0)
 	m := b.man
-	if m.opts.Tracer != nil || m.opts.Metrics != nil || m.met.outcomes != nil {
+	if m.opts.Tracer != nil || m.opts.Metrics != nil || m.met.negSeconds != nil {
 		t.Fatalf("bed unexpectedly has telemetry enabled")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -146,22 +146,12 @@ func TestNoopTelemetryZeroAlloc(t *testing.T) {
 		tm := m.stepTimer()
 		tm.lap(telemetry.StepLocalNegotiation)
 		tm.lap(telemetry.StepClassification)
-		m.met.outcomes.With(Succeeded.String()).Inc()
-		m.met.commitFailures.With(CauseCapacity.String()).Inc()
 		m.met.commitSkips.Inc()
-		m.met.quarantines.Inc()
-		m.met.adaptations.With("ok").Inc()
-		m.met.staleInstalls.With("adapt").Inc()
-		m.met.revenue.Add(100)
 		m.met.negSeconds.Observe(time.Millisecond)
 		m.met.steps[telemetry.StepCommitment].Observe(time.Millisecond)
-		m.met.offerCacheLookup(offercache.Stale)
-		m.met.cacheInvalidations.Add(1)
-		m.met.cacheEntries.Set(1)
 		m.met.policyReorders.With("negotiate").Inc()
 		m.met.policyChosenRank(3)
 		m.met.policyWasted.Add(1)
-		m.met.serverHealthGauges("server-1", 0, time.Time{})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-telemetry hot path allocated %.1f per run, want 0", allocs)
@@ -236,6 +226,25 @@ func TestTracerOnAllocBound(t *testing.T) {
 			on.AllocsPerOp(), off.AllocsPerOp())
 	}
 	t.Logf("cached negotiate+reject: %d allocs with a ring tracer, %d without", on.AllocsPerOp(), off.AllocsPerOp())
+}
+
+// TestMetricsOnAllocBound pins that a metrics registry costs the cached
+// negotiate-and-reject cycle no allocation: the outcome and offer-cache
+// facts are the manager's own atomics, read at Snapshot time, and the push
+// series are resolved at construction. A per-event series lookup that
+// allocates, or a second count kept in the registry that does, shows here
+// as registry-on allocating more than registry-off.
+func TestMetricsOnAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race beds")
+	}
+	off := cachedCycleAllocs(t, defaultBed(t))
+	on := cachedCycleAllocs(t, metricsBed(t, telemetry.NewRegistry(), nil))
+	if on.AllocsPerOp() > off.AllocsPerOp() {
+		t.Fatalf("cached negotiate+reject allocated %d objects per cycle with a registry, %d without: metrics must not add any",
+			on.AllocsPerOp(), off.AllocsPerOp())
+	}
+	t.Logf("cached negotiate+reject: %d allocs with a registry, %d without", on.AllocsPerOp(), off.AllocsPerOp())
 }
 
 // missDoc is a video × audio × caption document with side variants each, so

@@ -75,12 +75,6 @@ func (r Resource) String() string {
 // accountKey names one account.
 type accountKey struct{ kind, owner string }
 
-// series is the telemetry a ledger posts to, installed by Instrument.
-type series struct {
-	leaked    *telemetry.Counter
-	openGauge *telemetry.Gauge
-}
-
 // Ledger is the double-entry resource account. It is safe for concurrent
 // use; the zero value is not usable, build one with New. A nil *Ledger is
 // inert.
@@ -96,15 +90,12 @@ type Ledger struct {
 	accMu    sync.Mutex
 	accounts map[accountKey]*Account
 
-	// mu guards the violation record and the callback.
+	// mu guards the violation record, the callback and the leak counter,
+	// which is nil until Instrument installs it.
 	mu         sync.Mutex
 	violations []string
 	onViolate  func(string)
-
-	// tel is nil when uninstrumented. Posts read it under their account's
-	// mu, and Instrument installs it holding every account's mu, so the
-	// open gauge counts each post exactly once.
-	tel atomic.Pointer[series]
+	leaked     *telemetry.Counter
 }
 
 // New returns an empty ledger.
@@ -156,28 +147,19 @@ func (l *Ledger) OnViolation(f func(string)) {
 }
 
 // Instrument wires the ledger into a telemetry registry: a counter of
-// detected leaks and violations, and a gauge of currently open resources.
-// A nil registry is a no-op.
+// detected leaks and violations, and a gauge of currently open resources,
+// read from the open count. A nil registry is a no-op.
 func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	if l == nil || reg == nil {
 		return
 	}
-	t := &series{
-		leaked: reg.Counter(MetricLeaked,
-			"Resources found leaked (still open at a quiescence check) or released twice."),
-		openGauge: reg.Gauge(MetricOpen,
-			"Resources currently held open in the ledger."),
-	}
-	l.accMu.Lock()
-	defer l.accMu.Unlock()
-	for _, a := range l.accounts {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-	}
+	leaked := reg.Counter(MetricLeaked,
+		"Resources found leaked (still open at a quiescence check) or released twice.")
+	reg.Collect(telemetry.Collector{Name: MetricOpen, Help: "Resources currently held open in the ledger.",
+		Gauge: true, Owner: l, Read: func(emit func(string, int64)) { emit("", l.open.Load()) }})
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.tel.Store(t)
-	t.openGauge.Set(l.open.Load())
+	l.leaked = leaked
+	l.mu.Unlock()
 }
 
 // Acquire posts one resource acquisition. Acquiring a resource that is
@@ -201,7 +183,7 @@ func (a *Account) Acquire(id uint64) {
 	a.open[id] = struct{}{}
 	dup := len(a.open) == n
 	if !dup {
-		a.moved(1)
+		a.l.open.Add(1)
 	}
 	a.mu.Unlock()
 	if dup {
@@ -222,20 +204,11 @@ func (a *Account) Release(id uint64) {
 	delete(a.open, id)
 	held := len(a.open) < n
 	if held {
-		a.moved(-1)
+		a.l.open.Add(-1)
 	}
 	a.mu.Unlock()
 	if !held {
 		a.l.violate("ledger: release of %s with no open entry (double release?)", a.resource(id))
-	}
-}
-
-// moved posts a change of d to the ledger's open count and gauge; caller
-// holds a.mu.
-func (a *Account) moved(d int64) {
-	a.l.open.Add(d)
-	if t := a.l.tel.Load(); t != nil {
-		t.openGauge.Add(d)
 	}
 }
 
@@ -249,9 +222,7 @@ func (l *Ledger) violate(format string, r Resource) {
 	violation := fmt.Sprintf(format, r)
 	l.mu.Lock()
 	l.violations = append(l.violations, violation)
-	if t := l.tel.Load(); t != nil {
-		t.leaked.Inc()
-	}
+	l.leaked.Inc()
 	f := l.onViolate
 	l.mu.Unlock()
 	if f != nil {
@@ -305,9 +276,7 @@ func (l *Ledger) CheckEmpty() error {
 	l.accMu.Unlock()
 	l.mu.Lock()
 	nviol := len(l.violations)
-	if t := l.tel.Load(); t != nil {
-		t.leaked.Add(uint64(len(leaks)))
-	}
+	l.leaked.Add(uint64(len(leaks)))
 	l.mu.Unlock()
 	if len(leaks) == 0 && nviol == 0 {
 		return nil

@@ -70,9 +70,8 @@ func TestInstrumentedCounters(t *testing.T) {
 	l.Acquire(KindCMFS, "server-1", 1)
 	l.Acquire(KindCMFS, "server-1", 2)
 	l.Release(KindCMFS, "server-1", 1)
-	openGauge := reg.Gauge("qosneg_ledger_open_resources", "")
-	if openGauge.Value() != 1 {
-		t.Errorf("open gauge = %d", openGauge.Value())
+	if got := openGauge(reg); got != 1 {
+		t.Errorf("open gauge = %d", got)
 	}
 	leaked := reg.Counter("qosneg_leaked_reservations_total", "")
 	if leaked.Value() != 0 {
@@ -89,6 +88,17 @@ func TestInstrumentedCounters(t *testing.T) {
 	if leaked.Value() != 2 {
 		t.Errorf("leaked = %d after double release", leaked.Value())
 	}
+}
+
+// openGauge reads the open-resources gauge from a snapshot of reg; -1 when
+// it is not registered.
+func openGauge(reg *telemetry.Registry) int64 {
+	for _, g := range reg.Snapshot().Gauges {
+		if g.Name == MetricOpen {
+			return g.Value
+		}
+	}
+	return -1
 }
 
 func TestNilLedgerIsInert(t *testing.T) {

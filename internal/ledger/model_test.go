@@ -211,7 +211,7 @@ func TestLedgerMatchesModel(t *testing.T) {
 					t.Errorf("step %d via %s: leak counter = %d, reference %d", n, name, got, ref.leaked)
 					return false
 				}
-				if got := reg.Gauge(MetricOpen, "").Value(); got != int64(len(ref.open)) {
+				if got := openGauge(reg); got != int64(len(ref.open)) {
 					t.Errorf("step %d via %s: open gauge = %d, reference %d", n, name, got, len(ref.open))
 					return false
 				}
@@ -290,7 +290,7 @@ func TestInstrumentMidTrafficIsExact(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	l.Instrument(reg)
 	wg.Wait()
-	if got, want := reg.Gauge(MetricOpen, "").Value(), int64(l.Open()); got != want || want != 4*20 {
+	if got, want := openGauge(reg), int64(l.Open()); got != want || want != 4*20 {
 		t.Fatalf("open gauge = %d, Open = %d, want both %d", got, want, 4*20)
 	}
 }

@@ -122,7 +122,6 @@ type Network struct {
 	// Telemetry series, installed by Instrument; nil when uninstrumented.
 	admitted *telemetry.Counter
 	rejected *telemetry.Counter
-	active   *telemetry.Gauge
 
 	// acct, when non-nil, is the network's account in the resource ledger:
 	// every Reserve/Release posts to it. Reservation ids are never reused,
@@ -141,8 +140,8 @@ func (n *Network) SetLedger(l *ledger.Ledger) {
 }
 
 // Instrument wires the network's reservation decisions into a telemetry
-// registry: admit/reject counters and a live-reservation gauge. A nil
-// registry is a no-op.
+// registry: admit/reject counters and a live-reservation gauge read from
+// the reservation table. A nil registry is a no-op.
 func (n *Network) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -151,11 +150,10 @@ func (n *Network) Instrument(reg *telemetry.Registry) {
 		"Path bandwidth reservations admitted.")
 	rejected := reg.Counter("qosneg_network_rejects_total",
 		"Path bandwidth reservations rejected (path no longer feasible).")
-	active := reg.Gauge("qosneg_network_active_reservations",
-		"Currently held path reservations.")
+	reg.Collect(telemetry.Collector{Name: "qosneg_network_active_reservations", Help: "Currently held path reservations.",
+		Gauge: true, Owner: n, Read: func(emit func(string, int64)) { emit("", int64(n.ActiveReservations())) }})
 	n.mu.Lock()
-	n.admitted, n.rejected, n.active = admitted, rejected, active
-	n.active.Set(int64(len(n.resv)))
+	n.admitted, n.rejected = admitted, rejected
 	n.mu.Unlock()
 }
 
@@ -737,7 +735,6 @@ func (n *Network) chargeLocked(rt *route, q qos.NetworkQoS) Reservation {
 	n.next++
 	n.resv[n.next] = held{rt: rt, rate: q.AvgBitRate}
 	n.admitted.Inc()
-	n.active.Set(int64(len(n.resv)))
 	n.acct.Acquire(uint64(n.next))
 	return Reservation{ID: n.next, Path: rt.path, Rate: q.AvgBitRate}
 }
@@ -761,7 +758,6 @@ func (n *Network) Release(id ReservationID) error {
 		}
 	}
 	delete(n.resv, id)
-	n.active.Set(int64(len(n.resv)))
 	n.acct.Release(uint64(id))
 	return nil
 }

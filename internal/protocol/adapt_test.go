@@ -9,6 +9,7 @@ import (
 	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
+	"qosneg/internal/policy"
 	"qosneg/internal/sim"
 	"qosneg/internal/testbed"
 )
@@ -17,9 +18,27 @@ import (
 // System.Serve does, over net.Pipe: playout and the adaptation monitor both
 // run on the server's clock. A confirmed session's server degrades 30 s
 // into playout; the next sweep adapts the session without the client
-// asking, and the session then plays to completion from where it was.
+// asking, and the session then plays to completion from where it was: one
+// transition, the position kept, and an empty ledger. It runs once with the
+// paper's fixed tie-break order and once with the bandit policy ordering
+// the adaptation's targets.
 func TestDaemonAdaptsDegradedSession(t *testing.T) {
-	bed := testbed.MustNew(testbed.Spec{})
+	for _, tc := range []struct {
+		name   string
+		policy core.Policy
+	}{
+		{"classical", nil},
+		{"bandit", policy.NewBandit()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.Policy = tc.policy
+			daemonAdaptsDegradedSession(t, testbed.MustNew(testbed.Spec{Options: &opts}))
+		})
+	}
+}
+
+func daemonAdaptsDegradedSession(t *testing.T, bed *testbed.Bed) {
 	if _, err := bed.AddNewsArticle("news-1", "Election night", time.Minute); err != nil {
 		t.Fatal(err)
 	}

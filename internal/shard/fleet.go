@@ -8,7 +8,6 @@ package shard
 import (
 	"context"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,12 +75,9 @@ type Fleet struct {
 	// adm, when non-nil, gates negotiation-class work once at the router.
 	adm *admission.Controller
 	rr  atomic.Uint64
-	met fleetMetrics
-
-	// statsMu guards the router-level shed counters, which have no home
-	// shard (a shed request is refused before routing).
-	statsMu sync.Mutex
-	shed    core.Stats
+	// routedTo is each shard's routed counter; nil series when
+	// uninstrumented, which the telemetry package makes inert.
+	routedTo []*telemetry.Counter
 }
 
 // Fleet must keep satisfying the manager surface.
@@ -99,10 +95,11 @@ func New(cfg Config) *Fleet {
 		n = 1
 	}
 	f := &Fleet{
-		servers: core.NewServerTable(),
-		adm:     cfg.Admission,
-		met:     newFleetMetrics(cfg.Options.Metrics, n),
+		servers:  core.NewServerTable(),
+		adm:      cfg.Admission,
+		routedTo: make([]*telemetry.Counter, n),
 	}
+	f.instrument(cfg.Options.Metrics)
 	for i := 0; i < n; i++ {
 		sh := &shardHandle{fleet: f, idx: i, nextID: core.SessionID(i + 1)}
 		opts := cfg.Options
@@ -115,6 +112,9 @@ func New(cfg Config) *Fleet {
 
 // Shards returns the shard count.
 func (f *Fleet) Shards() int { return len(f.shards) }
+
+// Shard returns shard i's manager, for tests that drive one shard directly.
+func (f *Fleet) Shard(i int) *core.Manager { return f.shards[i].mgr }
 
 // Label is the shard's index, the "shard" label of its latency series.
 func (sh *shardHandle) Label() string { return strconv.Itoa(sh.idx) }
@@ -144,7 +144,7 @@ func (f *Fleet) Sync() {}
 // authoritative.
 func (f *Fleet) route(id core.SessionID) *core.Manager {
 	sh := f.shards[int((id-1)%core.SessionID(len(f.shards)))]
-	f.met.routedTo[sh.idx].Inc()
+	f.routedTo[sh.idx].Inc()
 	return sh.mgr
 }
 
@@ -152,18 +152,13 @@ func (f *Fleet) route(id core.SessionID) *core.Manager {
 // exists yet to route by, and round-robin keeps the fleet evenly loaded.
 func (f *Fleet) place() *shardHandle {
 	sh := f.shards[int(f.rr.Add(1)-1)%len(f.shards)]
-	f.met.routedTo[sh.idx].Inc()
+	f.routedTo[sh.idx].Inc()
 	return sh
 }
 
-// shedResult books one router-level admission refusal.
-func (f *Fleet) shedResult(retry time.Duration) core.Result {
-	f.statsMu.Lock()
-	f.shed.Requests++
-	f.shed.AdmissionSheds++
-	f.shed.FailedTryLater++
-	f.statsMu.Unlock()
-	f.met.outcomes.With(core.FailedTryLater.String()).Inc()
+// shedResult is the answer to one router-level admission refusal, which
+// the controller counts (Stats).
+func shedResult(retry time.Duration) core.Result {
 	return core.Result{
 		Status:     core.FailedTryLater,
 		Reason:     "admission control: manager overloaded",
@@ -178,7 +173,7 @@ func (f *Fleet) shedResult(retry time.Duration) core.Result {
 func (f *Fleet) NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (core.Result, error) {
 	release, retry, admitted := f.adm.Admit()
 	if !admitted {
-		return f.shedResult(retry), nil
+		return shedResult(retry), nil
 	}
 	if release != nil {
 		defer release()
@@ -191,7 +186,7 @@ func (f *Fleet) NegotiateContext(ctx context.Context, mach client.Machine, doc m
 func (f *Fleet) RenegotiateContext(ctx context.Context, id core.SessionID, u profile.UserProfile) (core.Result, error) {
 	release, retry, admitted := f.adm.Admit()
 	if !admitted {
-		return f.shedResult(retry), nil
+		return shedResult(retry), nil
 	}
 	if release != nil {
 		defer release()
@@ -293,40 +288,20 @@ func (f *Fleet) Quarantined(id media.ServerID) (time.Duration, bool) {
 	return f.shards[0].mgr.Quarantined(id)
 }
 
-// Stats sums every shard's outcome counters plus the router-level shed
-// counters (sheds never reach a shard, so they are counted here).
+// Stats sums every shard's outcome counters, and counts the admission
+// controller's router refusals, which never reach a shard, as requests
+// that ended FAILEDTRYLATER.
 func (f *Fleet) Stats() core.Stats {
-	f.statsMu.Lock()
-	total := f.shed
-	f.statsMu.Unlock()
-	for _, sh := range f.shards {
-		total = addStats(total, sh.mgr.Stats())
+	ms := make([]*core.Manager, len(f.shards))
+	for i, sh := range f.shards {
+		ms[i] = sh.mgr
 	}
-	return total
-}
-
-// addStats sums two outcome-counter snapshots field by field.
-func addStats(a, b core.Stats) core.Stats {
-	a.Requests += b.Requests
-	a.Succeeded += b.Succeeded
-	a.FailedWithOffer += b.FailedWithOffer
-	a.FailedTryLater += b.FailedTryLater
-	a.FailedWithoutOffer += b.FailedWithoutOffer
-	a.FailedWithLocalOffer += b.FailedWithLocalOffer
-	a.Adaptations += b.Adaptations
-	a.AdaptationFailures += b.AdaptationFailures
-	a.CommitServerDown += b.CommitServerDown
-	a.CommitCapacity += b.CommitCapacity
-	a.CommitConstraint += b.CommitConstraint
-	a.Quarantines += b.Quarantines
-	a.StaleInstalls += b.StaleInstalls
-	a.AdmissionSheds += b.AdmissionSheds
-	a.OfferCacheHits += b.OfferCacheHits
-	a.OfferCacheMisses += b.OfferCacheMisses
-	a.OfferCacheInvalidations += b.OfferCacheInvalidations
-	a.OfferCacheEntries += b.OfferCacheEntries
-	a.Revenue += b.Revenue
-	return a
+	st := core.SumStats(ms...)
+	sheds := int(f.adm.Stats().Refused)
+	st.Requests += sheds
+	st.FailedTryLater += sheds
+	st.AdmissionSheds = sheds
+	return st
 }
 
 // ServerLoads reports the fleet's server table: each server's load and
@@ -363,27 +338,21 @@ func (f *Fleet) ShardStats() []Stat {
 	return out
 }
 
-// fleetMetrics holds the router's own telemetry series: one routed counter
-// per shard and the shed outcomes. Built from a nil registry every series is
-// nil, which the telemetry package makes inert.
-type fleetMetrics struct {
-	routedTo []*telemetry.Counter
-	outcomes *telemetry.CounterFamily
-}
-
 // MetricShardRouted is the router's metric name; DESIGN.md §14 documents it.
 const MetricShardRouted = "qosneg_shard_routed_total"
 
-func newFleetMetrics(reg *telemetry.Registry, shards int) fleetMetrics {
-	m := fleetMetrics{
-		routedTo: make([]*telemetry.Counter, shards),
-		outcomes: reg.CounterFamily(core.MetricNegotiations,
-			"Negotiation outcomes by NegotiationStatus.", "status"),
-	}
+// instrument registers the router's series: its sheds as FAILEDTRYLATER
+// outcomes, summed with the shards' own, and one routed counter per shard.
+func (f *Fleet) instrument(reg *telemetry.Registry) {
+	reg.Collect(telemetry.Collector{Name: core.MetricNegotiations, Help: "Negotiation outcomes by NegotiationStatus.",
+		Label: "status", Owner: f, Read: func(emit func(string, int64)) {
+			if n := f.adm.Stats().Refused; n > 0 {
+				emit(core.FailedTryLater.String(), int64(n))
+			}
+		}})
 	routed := reg.CounterFamily(MetricShardRouted,
 		"Requests routed to each manager shard (placements and session-addressed operations).", "shard")
-	for i := range m.routedTo {
-		m.routedTo[i] = routed.With(strconv.Itoa(i))
+	for i := range f.routedTo {
+		f.routedTo[i] = routed.With(strconv.Itoa(i))
 	}
-	return m
 }

@@ -18,7 +18,6 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
-	"qosneg/internal/shard"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
@@ -287,7 +286,7 @@ func TestFleetSharedState(t *testing.T) {
 func quarantinedOn(bed *testbed.Bed, server media.ServerID) []bool {
 	out := make([]bool, bed.Fleet.Shards())
 	for i := range out {
-		_, out[i] = shard.Manager(bed.Fleet, i).Quarantined(server)
+		_, out[i] = bed.Fleet.Shard(i).Quarantined(server)
 	}
 	return out
 }
@@ -548,7 +547,7 @@ func TestConcurrentCrossShardTrips(t *testing.T) {
 				defer wg.Done()
 				<-start
 				doc := media.DocumentID(fmt.Sprintf("doc-%d", i))
-				if _, err := shard.Manager(bed.Fleet, i).NegotiateContext(context.Background(), bed.Client(1), doc, stressProfile()); err != nil {
+				if _, err := bed.Fleet.Shard(i).NegotiateContext(context.Background(), bed.Client(1), doc, stressProfile()); err != nil {
 					t.Errorf("shard %d: %v", i, err)
 				}
 			}(i)

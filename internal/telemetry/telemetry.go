@@ -1,8 +1,8 @@
 // Package telemetry is the observability substrate of the reproduction: a
 // dependency-free metrics registry (atomic counters, gauges and fixed-bucket
-// latency histograms with lock-free hot-path recording, plus labeled
-// families for per-server and per-status series) and a typed span tracer
-// for the negotiation procedure.
+// latency histograms with lock-free hot-path recording, labeled families of
+// each, and collectors that read a value its owner already keeps at
+// Snapshot time) and a typed span tracer for the negotiation procedure.
 //
 // The paper's QoS manager is explicitly a monitoring entity — the
 // adaptation procedure of Section 4 acts when the manager *observes* a QoS
@@ -25,6 +25,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -261,6 +262,8 @@ const (
 	kindCounterFamily
 	kindGaugeFamily
 	kindHistogramFamily
+	kindCounterCollector
+	kindGaugeCollector
 )
 
 // entry is one registered metric or family, in registration order.
@@ -273,6 +276,9 @@ type entry struct {
 	cf         *CounterFamily
 	gf         *GaugeFamily
 	hf         *HistogramFamily
+	// cs is a collector's registrations, one per owner, guarded by the
+	// registry's mu.
+	cs []Collector
 }
 
 // Registry holds named metrics and renders them as a Snapshot, Prometheus
@@ -369,6 +375,40 @@ func (r *Registry) HistogramFamily(name, help, label string, buckets []float64) 
 	return r.lookup(name, help, kindHistogramFamily, func(e *entry) {
 		e.hf = &HistogramFamily{name: name, help: help, label: label, bounds: buckets, series: make(map[string]*Histogram)}
 	}).hf
+}
+
+// Collector is a counter or gauge whose value its owner already keeps: the
+// registry reads it at Snapshot time instead of holding a second copy that
+// every event would have to update too.
+type Collector struct {
+	Name, Help string
+	Label      string // the series' one label; "" for one unlabeled series
+	Gauge      bool   // a gauge; false registers a counter
+	// Owner identifies the component that holds the value. Several owners
+	// of one name (the shards of a fleet) sum per label value; a second
+	// registration of a name by one owner is a no-op.
+	Owner any
+	// Read reports the owner's series through emit: the label value ("" when
+	// Label is "") and the value. A labeled series exists once emitted.
+	Read func(emit func(labelValue string, v int64))
+}
+
+// Collect registers c, or adds c.Owner to the collector already registered
+// under c.Name. Nil registry: a no-op.
+func (r *Registry) Collect(c Collector) {
+	if r == nil {
+		return
+	}
+	k := kindCounterCollector
+	if c.Gauge {
+		k = kindGaugeCollector
+	}
+	e := r.lookup(c.Name, c.Help, k, func(*entry) {})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !slices.ContainsFunc(e.cs, func(o Collector) bool { return o.Owner == c.Owner }) {
+		e.cs = append(e.cs, c)
+	}
 }
 
 func validateBuckets(name string, buckets []float64) {
@@ -477,9 +517,14 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	entries := make([]*entry, len(r.entries))
-	copy(entries, r.entries)
+	entries := make([]entry, len(r.entries))
+	for i, e := range r.entries {
+		entries[i] = *e
+	}
 	r.mu.Unlock()
+	// A collector's owners' readings sum per label value.
+	sums := map[string]int64{}
+	emit := func(value string, v int64) { sums[value] += v }
 	for _, e := range entries {
 		switch e.kind {
 		case kindCounter:
@@ -510,6 +555,22 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Histograms = append(s.Histograms, e.hf.series[k].point(e.name, map[string]string{e.hf.label: k}))
 			}
 			e.hf.mu.RUnlock()
+		case kindCounterCollector, kindGaugeCollector:
+			clear(sums)
+			for _, c := range e.cs {
+				c.Read(emit)
+			}
+			for _, k := range sortedKeys(sums) {
+				var labels map[string]string
+				if label := e.cs[0].Label; label != "" {
+					labels = map[string]string{label: k}
+				}
+				if e.kind == kindGaugeCollector {
+					s.Gauges = append(s.Gauges, GaugePoint{Name: e.name, Labels: labels, Value: sums[k]})
+				} else {
+					s.Counters = append(s.Counters, CounterPoint{Name: e.name, Labels: labels, Value: uint64(sums[k])})
+				}
+			}
 		}
 	}
 	return s

@@ -315,3 +315,52 @@ func TestEnabledHistogramObserveZeroAlloc(t *testing.T) {
 		t.Fatalf("enabled hot path allocated %.1f per run, want 0", allocs)
 	}
 }
+
+// TestCollectors: a collector's series are read at Snapshot time, several
+// owners of one name sum per label value, a second registration by the same
+// owner is ignored, and the exposition renders collectors like the push
+// metrics they replace.
+func TestCollectors(t *testing.T) {
+	r := NewRegistry()
+	type shard struct{ ok, failed int64 }
+	a, b := &shard{ok: 2}, &shard{ok: 1, failed: 4}
+	for _, o := range []*shard{a, b, a} {
+		o := o
+		r.Collect(Collector{Name: "outcomes_total", Help: "Outcomes.", Label: "result", Owner: o,
+			Read: func(emit func(string, int64)) {
+				emit("ok", o.ok)
+				if o.failed > 0 {
+					emit("failed", o.failed)
+				}
+			}})
+	}
+	r.Collect(Collector{Name: "open", Help: "Open things.", Gauge: true, Owner: a,
+		Read: func(emit func(string, int64)) { emit("", a.ok-a.failed) }})
+	a.ok = 5
+	s := r.Snapshot()
+	if got := s.CounterValue("outcomes_total", "ok"); got != 6 {
+		t.Errorf("outcomes_total{result=ok} = %d, want 6 (5 + 1, read at Snapshot)", got)
+	}
+	if got := s.CounterValue("outcomes_total", "failed"); got != 4 {
+		t.Errorf("outcomes_total{result=failed} = %d, want 4", got)
+	}
+	if len(s.Gauges) != 1 || s.Gauges[0].Value != 5 || s.Gauges[0].Labels != nil {
+		t.Errorf("gauges = %+v, want one unlabeled open = 5", s.Gauges)
+	}
+	var buf strings.Builder
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP outcomes_total Outcomes.\n# TYPE outcomes_total counter\n" +
+		"outcomes_total{result=\"failed\"} 4\noutcomes_total{result=\"ok\"} 6\n" +
+		"# HELP open Open things.\n# TYPE open gauge\nopen 5\n"
+	if buf.String() != want {
+		t.Errorf("exposition =\n%s\nwant\n%s", buf.String(), want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("expected panic on kind mismatch")
+		}
+	}()
+	r.Counter("open", "")
+}

@@ -116,6 +116,17 @@ func TestQosctlReportsBusyError(t *testing.T) {
 		if !strings.Contains(stderr, "server busy") || !strings.Contains(stderr, "retry after") {
 			t.Errorf("stderr missing busy diagnosis:\n%s", stderr)
 		}
+		// The refusal at the wire is a request that ended FAILEDTRYLATER,
+		// as a refusal at the fleet router is.
+		stdout, stderr, code = ctl(t, addr, "stats")
+		if code != 0 {
+			t.Fatalf("stats: exit %d (stderr: %s)", code, stderr)
+		}
+		for _, w := range []string{"requests 1", "FAILEDTRYLATER 1"} {
+			if !strings.Contains(stdout, w) {
+				t.Errorf("stats after a wire shed missing %q:\n%s", w, stdout)
+			}
+		}
 	})
 }
 

@@ -127,9 +127,8 @@ type Controller struct {
 	hintNs atomic.Int64
 
 	admitted atomic.Uint64
-	// refused counts Admit's refusals, probed Saturated's.
-	refused atomic.Uint64
-	probed  atomic.Uint64
+	// sheds counts Admit's refusals and Saturated's true answers.
+	sheds atomic.Uint64
 
 	mu         sync.Mutex
 	samples    [ringSize]sample
@@ -192,7 +191,7 @@ func (c *Controller) Admit() (release func(), retryAfter time.Duration, ok bool)
 	}
 	if n := c.inflight.Add(1); n > c.limit.Load() {
 		c.inflight.Add(-1)
-		c.refused.Add(1)
+		c.sheds.Add(1)
 		return nil, c.shed(), false
 	}
 	c.admitted.Add(1)
@@ -212,7 +211,7 @@ func (c *Controller) Saturated() (retryAfter time.Duration, saturated bool) {
 		return 0, false
 	}
 	if c.inflight.Load() >= c.limit.Load() {
-		c.probed.Add(1)
+		c.sheds.Add(1)
 		return c.shed(), true
 	}
 	return 0, false
@@ -310,12 +309,11 @@ func (c *Controller) p99Locked(now time.Time) time.Duration {
 
 // Stats is a point-in-time snapshot of the controller's state.
 type Stats struct {
-	// Admitted and Sheds count decisions since construction. Refused is
-	// the part of Sheds that Admit refused: the requests a router turned
-	// away. The rest answered Saturated probes.
+	// Admitted and Sheds count decisions since construction: Sheds are
+	// Admit's refusals and Saturated's true answers, each one request that
+	// ended FAILEDTRYLATER.
 	Admitted uint64
 	Sheds    uint64
-	Refused  uint64
 	// InFlight and Limit are the current occupancy and AIMD bound.
 	InFlight int
 	Limit    int
@@ -334,8 +332,7 @@ func (c *Controller) Stats() Stats {
 	}
 	return Stats{
 		Admitted:  c.admitted.Load(),
-		Sheds:     c.refused.Load() + c.probed.Load(),
-		Refused:   c.refused.Load(),
+		Sheds:     c.sheds.Load(),
 		InFlight:  int(c.inflight.Load()),
 		Limit:     int(c.limit.Load()),
 		RetryHint: time.Duration(c.hintNs.Load()),

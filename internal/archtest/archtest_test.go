@@ -150,23 +150,27 @@ var rules = []rule{{
 	at:      "internal/protocol/x.go", plant: "package protocol\n\nfunc (s *Server) serve(c conn) { writeEnvelopeLine(c, hello{}) }\n",
 }, {
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
-	// "one breaker table", "no unset knobs" and "one count per fact" used.
+	// "one breaker table", "no unset knobs", "one count per fact" and "one
+	// arrival driver" used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
 		`AdaptationPolicy|OrderTargets|OrderCommits|WithOptions\(|policy-seed|\.topK\(\)|` +
-		`addStats|serverHealthGauges|offerCacheLookup|statsMu|\bc\.shedCtr\b|admitCtr|inflightG|limitG|hintG|p99G`),
+		`addStats|serverHealthGauges|offerCacheLookup|statsMu|\bc\.shedCtr\b|admitCtr|inflightG|limitG|hintG|p99G|` +
+		`NewOpenLoop|OpenLoopSpec|BurstFactor|DiurnalAmplitude`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / a fleet's shards share one server table; a quarantine is one fact, never copied from shard to shard" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
-		" / a value its owner keeps is read at Snapshot time (telemetry.Collector), not counted again in the registry",
+		" / a value its owner keeps is read at Snapshot time (telemetry.Collector), not counted again in the registry" +
+		" / workload.Generator is the one arrival source and Generator.Drive the one driver; the shapes' tuning is constant",
 	at: "internal/core/x.go", plant: "package core\n\nfunc (m *Manager) f() { _ = m.topK() }\n",
 }, {
 	name: "one clock", scope: func(f *file) bool {
 		return f.code() && f.under("internal/core/", "internal/shard/", "internal/admission/", "internal/adaptation/",
-			"internal/session/", "internal/protocol/server.go", "internal/protocol/playout.go")
+			"internal/session/", "internal/protocol/server.go", "internal/protocol/playout.go",
+			"internal/faults/", "internal/workload/", "internal/experiments/overload.go")
 	},
-	re:  regexp.MustCompile(`^time\.(Now|Since|Until|AfterFunc|NewTicker|NewTimer|After|Tick)$`),
+	re:  regexp.MustCompile(`^time\.(Now|Since|Until|AfterFunc|NewTicker|NewTimer|After|Tick|Sleep)$`),
 	msg: "time enters through internal/clock; read the component's clock.Clock, not the time package",
 	at:  "internal/core/x.go", plant: "package core\n\nimport t \"time\"\n\nfunc f() { _ = t.Now() }\n",
 }, {

@@ -88,3 +88,22 @@ func TestWallTimerIsTimeTimer(t *testing.T) {
 		t.Errorf("Wall.Now is %v away from time.Now", d)
 	}
 }
+
+func TestSimSleepSuspendsProcess(t *testing.T) {
+	eng := sim.NewEngine()
+	c := Sim(eng)
+	var woke []time.Duration
+	eng.Go(func() {
+		c.Sleep(3 * time.Second)
+		woke = append(woke, eng.Now())
+		c.Sleep(-time.Second) // as time.Sleep: no wait
+		woke = append(woke, eng.Now())
+	})
+	if len(woke) != 0 {
+		t.Fatal("Sleep returned before the engine ran")
+	}
+	eng.RunAll()
+	if len(woke) != 2 || woke[0] != 3*time.Second || woke[1] != 3*time.Second {
+		t.Fatalf("woke at %v, want [3s 3s]", woke)
+	}
+}

@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/all.golden from this r
 
 const goldenPath = "testdata/all.golden"
 
-// allRun is Run("all")'s output, produced once per test binary, so E19's
-// real-time open loop runs once however many tests read it.
+// allRun is Run("all")'s output, produced once per test binary, so the
+// experiments run once however many tests read it.
 var allRun = sync.OnceValues(func() (string, error) {
 	var buf bytes.Buffer
 	err := Run("all", &buf)
@@ -29,7 +29,7 @@ var allRun = sync.OnceValues(func() (string, error) {
 func runAll(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("runs every experiment, E19's open loop in real time")
+		t.Skip("runs every experiment")
 	}
 	out, err := allRun()
 	if err != nil {
@@ -38,15 +38,10 @@ func runAll(t *testing.T) string {
 	return out
 }
 
-var (
-	e9Time   = regexp.MustCompile(`^(\d+ +\d+ +\d+ +)[0-9.]+(ns|µs|ms|s)$`)
-	e19Row   = regexp.MustCompile(`^((?:steady|bursty|diurnal|faulty) \d+x) .*$`)
-	e19Procs = regexp.MustCompile(`GOMAXPROCS=\d+`)
-)
+var e9Time = regexp.MustCompile(`^(\d+ +\d+ +\d+ +)[0-9.]+(ns|µs|ms|s)$`)
 
 // mask blanks what the host decides rather than the code: E9's wall-clock
-// column, E19's rows (open-loop arrivals against real time, keeping the
-// scenario name) and the core count in E19's header.
+// column.
 func mask(out string) string {
 	lines := strings.Split(out, "\n")
 	id := ""
@@ -55,12 +50,8 @@ func mask(out string) string {
 			id = h
 			continue
 		}
-		switch id {
-		case "E9":
+		if id == "E9" {
 			lines[i] = e9Time.ReplaceAllString(l, "${1}<time>")
-		case "E19":
-			l = e19Procs.ReplaceAllString(l, "GOMAXPROCS=<n>")
-			lines[i] = e19Row.ReplaceAllString(l, "$1 <timing-driven>")
 		}
 	}
 	return strings.Join(lines, "\n")
@@ -170,10 +161,7 @@ func TestMask(t *testing.T) {
 	for _, tc := range []struct{ name, in, want string }{
 		{"E9 time", "=== E9: x ===\n4          8          4096       9.493ms\n",
 			"=== E9: x ===\n4          8          4096       <time>\n"},
-		{"E19 row", "=== E19: x ===\nsteady 1x        298/s       200     60.0%\n",
-			"=== E19: x ===\nsteady 1x <timing-driven>\n"},
-		{"E19 header", "=== E19: x ===\nSLO 250ms, admitted concurrency capped at GOMAXPROCS=2; open-loop\n",
-			"=== E19: x ===\nSLO 250ms, admitted concurrency capped at GOMAXPROCS=<n>; open-loop\n"},
+		{"E19 row", "=== E19: x ===\nsteady 1x        667/s       400     58.0%\n", ""},
 		{"other section", "=== E8: x ===\nsteady 1x        298/s\nGOMAXPROCS=2\n4          8          4096       9.493ms\n", ""},
 	} {
 		want := tc.want
@@ -253,12 +241,12 @@ func hasNumber(text, num string) bool {
 
 // TestExperimentsDoc checks every figure and status name EXPERIMENTS.md
 // quotes as measured against that experiment's section of the golden. E9
-// and E19 measure the host and are not quoted exactly.
+// measures the host and is not quoted exactly.
 func TestExperimentsDoc(t *testing.T) {
 	_, golden := sections(readGolden(t))
 	cells := docMeasured(t)
 	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E10",
-		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E20"} {
+		"E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E20"} {
 		if len(cells[id]) == 0 {
 			t.Errorf("%s: no Measured cell in EXPERIMENTS.md", id)
 		}

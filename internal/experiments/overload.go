@@ -4,17 +4,17 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/faults"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
+	"qosneg/internal/sim"
 	"qosneg/internal/testbed"
 	"qosneg/internal/workload"
 )
@@ -28,7 +28,16 @@ func init() {
 	})
 }
 
-const e19SLO = 250 * time.Millisecond
+const (
+	e19SLO = 250 * time.Millisecond
+	// e19Slots is the admitted concurrency, the AIMD limit's ceiling and
+	// floor alike.
+	e19Slots = 2
+	// e19Idle is how long a probe worker waits after a negotiation that
+	// took no virtual time (refused before it reserved anything), so it
+	// cannot spin forever at one instant.
+	e19Idle = 100 * time.Microsecond
+)
 
 type e19Scenario struct {
 	name   string
@@ -37,11 +46,13 @@ type e19Scenario struct {
 	faulty bool
 }
 
+// e19Tally counts one open loop's outcomes. Its processes run one at a
+// time, so it needs no lock.
 type e19Tally struct {
-	mu        sync.Mutex
-	latencies []time.Duration
+	latencies []time.Duration // admitted requests', in virtual time
 	good      int
 	sheds     int
+	badHints  int // sheds whose RetryAfter was not positive
 	failures  int
 	errs      int
 }
@@ -55,127 +66,117 @@ func (tl *e19Tally) p99() time.Duration {
 	return sorted[(99*len(sorted)+99)/100-1]
 }
 
-// e19Bed assembles the E8 substrate with an admission controller on the
-// fleet router and the standard fault weather: a fixed per-reservation cost so
-// negotiations take real time (without it the manager finishes in
-// microseconds and no load ever accumulates).
-func e19Bed(faulty bool) (*testbed.Bed, []media.DocumentID, *admission.Controller) {
-	ctrl := admission.New(admission.Config{
-		SLO:         e19SLO,
-		MaxInFlight: runtime.GOMAXPROCS(0),
+// e19Harness is the E8 substrate on one simulation engine: an admission
+// controller on the fleet router, and fault weather whose fixed cost per
+// Reserve and Connect is a sleep in virtual time (without it the manager
+// takes no time at all and no load ever accumulates). Every negotiation
+// runs as an engine process.
+type e19Harness struct {
+	eng  *sim.Engine
+	clk  clock.Clock
+	bed  *testbed.Bed
+	ctrl *admission.Controller
+	ids  []media.DocumentID
+}
+
+// newE19 builds the harness; every Reserve and Connect takes latency, and
+// a Reserve fails with probability reserveFail.
+func newE19(reserveFail float64, latency time.Duration) *e19Harness {
+	eng := sim.NewEngine()
+	h := &e19Harness{eng: eng, clk: clock.Sim(eng)}
+	h.ctrl = admission.New(admission.Config{
+		SLO: e19SLO, MaxInFlight: e19Slots, MinInFlight: e19Slots, Clock: h.clk,
 	})
 	inj := faults.New(1996)
-	bed := testbed.MustNew(testbed.Spec{
+	inj.SetClock(h.clk)
+	h.bed = testbed.MustNew(testbed.Spec{
 		Clients:        4,
 		Servers:        3,
 		AccessCapacity: 25 * qos.MBitPerSecond,
-		Admission:      ctrl,
+		Admission:      h.ctrl,
 		Faults:         inj,
 	})
-	inj.SetLatency(500 * time.Microsecond)
-	if faulty {
-		inj.SetReserveFailure(0.10)
-		inj.SetLatency(time.Millisecond)
-	}
-	var ids []media.DocumentID
+	inj.SetLatency(latency)
+	inj.SetReserveFailure(reserveFail)
 	for i := 1; i <= 6; i++ {
 		id := media.DocumentID(fmt.Sprintf("news-%d", i))
-		bed.AddNewsArticle(id, fmt.Sprintf("Article %d", i), 2*time.Minute)
-		ids = append(ids, id)
+		h.bed.AddNewsArticle(id, fmt.Sprintf("Article %d", i), 2*time.Minute)
+		h.ids = append(h.ids, id)
 	}
-	return bed, ids, ctrl
+	return h
 }
 
-// e19Probe measures the closed-loop service rate: one worker per admission
-// slot negotiating and rejecting as fast as the manager allows.
-func e19Probe(bed *testbed.Bed, ids []media.DocumentID, dur time.Duration) float64 {
-	workers := runtime.GOMAXPROCS(0)
-	u := e8Profile()
-	stop := make(chan struct{})
-	time.AfterFunc(dur, func() { close(stop) })
-	var mu sync.Mutex
+// probe measures the closed-loop service rate over a virtual window: one
+// process per admission slot negotiating and rejecting back to back.
+func (h *e19Harness) probe(window time.Duration) float64 {
+	start := h.eng.Now()
 	good := 0
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mach := bed.Client(w%4 + 1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := bed.Manager.NegotiateContext(context.Background(), mach, ids[w%len(ids)], u)
+	for w := 0; w < e19Slots; w++ {
+		mach, doc := h.bed.Client(w%4+1), h.ids[w%len(h.ids)]
+		h.eng.Go(func() {
+			for h.eng.Now() < start+window {
+				began := h.eng.Now()
+				res, err := h.bed.Manager.NegotiateContext(context.Background(), mach, doc, e8Profile())
 				if err == nil && res.Status.Reserved() {
-					mu.Lock()
 					good++
-					mu.Unlock()
-					bed.Manager.Reject(res.Session.ID)
+					h.bed.Manager.Reject(res.Session.ID)
+				}
+				if h.eng.Now() == began {
+					h.eng.Sleep(e19Idle)
 				}
 			}
-		}(w)
+		})
 	}
-	wg.Wait()
-	rate := float64(good) / time.Since(start).Seconds()
-	if rate < 1 {
-		rate = 1
-	}
-	return rate
+	h.eng.RunAll()
+	return max(float64(good)/(h.eng.Now()-start).Seconds(), 1)
 }
 
-// e19Drive fires count open-loop arrivals at the given rate straight into
-// the manager and tallies the outcomes.
-func e19Drive(bed *testbed.Bed, ids []media.DocumentID, shape workload.Shape, rate float64, count int) (*e19Tally, time.Duration, error) {
-	ol, err := workload.NewOpenLoop(workload.OpenLoopSpec{
-		Spec: workload.Spec{
-			Seed:             1996,
-			MeanInterArrival: time.Duration(float64(time.Second) / rate),
-			Documents:        ids,
-			Clients:          e19Clients(bed),
-			Profiles:         []profile.UserProfile{e8Profile()},
-		},
-		Shape: shape,
+// drive fires count open-loop arrivals at the given rate, each a process
+// that negotiates through the fleet router and rejects what it reserved,
+// and tallies the outcomes. It returns once the last process has finished,
+// with the virtual time the run took.
+func (h *e19Harness) drive(shape workload.Shape, rate float64, count int) (*e19Tally, time.Duration, error) {
+	gen, err := workload.NewGenerator(workload.Spec{
+		Seed:             1996,
+		MeanInterArrival: time.Duration(float64(time.Second) / rate),
+		Shape:            shape,
+		Documents:        h.ids,
+		Clients:          []client.Machine{h.bed.Client(1), h.bed.Client(2), h.bed.Client(3), h.bed.Client(4)},
+		Profiles:         []profile.UserProfile{e8Profile()},
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	tally := &e19Tally{}
-	start := time.Now()
-	err = ol.Run(context.Background(), count, func(req workload.Request) {
-		begin := time.Now()
-		res, err := bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
-		lat := time.Since(begin)
-		reserved := err == nil && res.Status.Reserved()
-		if reserved {
-			bed.Manager.Reject(res.Session.ID)
-		}
-		tally.mu.Lock()
-		defer tally.mu.Unlock()
-		switch {
-		case err != nil:
-			tally.errs++
-		case res.Shed:
-			tally.sheds++
-		case reserved:
-			tally.good++
-			tally.latencies = append(tally.latencies, lat)
-		default:
-			tally.failures++
-			tally.latencies = append(tally.latencies, lat)
-		}
+	start := h.eng.Now()
+	gen.Drive(h.clk, count, func(req workload.Request) {
+		h.eng.Go(func() {
+			began := h.eng.Now()
+			res, err := h.bed.Manager.NegotiateContext(context.Background(), req.Client, req.Document, req.Profile)
+			lat := h.eng.Now() - began
+			reserved := err == nil && res.Status.Reserved()
+			if reserved {
+				h.bed.Manager.Reject(res.Session.ID)
+			}
+			switch {
+			case err != nil:
+				tally.errs++
+			case res.Shed:
+				tally.sheds++
+				if res.RetryAfter <= 0 {
+					tally.badHints++
+				}
+			case reserved:
+				tally.good++
+				tally.latencies = append(tally.latencies, lat)
+			default:
+				tally.failures++
+				tally.latencies = append(tally.latencies, lat)
+			}
+		})
 	})
-	return tally, time.Since(start), err
-}
-
-func e19Clients(bed *testbed.Bed) []client.Machine {
-	var out []client.Machine
-	for i := 1; i <= 4; i++ {
-		out = append(out, bed.Client(i))
-	}
-	return out
+	h.eng.RunAll()
+	return tally, h.eng.Now() - start, nil
 }
 
 // runE19 is the overload study. The paper's procedure answers
@@ -184,7 +185,8 @@ func e19Clients(bed *testbed.Bed) []client.Machine {
 // itself* is the scarce resource: open-loop arrival schedules (Poisson,
 // bursty, diurnal) at multiples of the probed service rate, with the
 // controller shedding early — FAILEDTRYLATER plus a load-derived retry
-// hint — so that the requests it does admit keep their latency.
+// hint — so that the requests it does admit keep their latency. It runs in
+// virtual time, so its table is the same on every host.
 func runE19(w io.Writer) error {
 	scenarios := []e19Scenario{
 		{name: "steady 1x", shape: workload.Poisson, factor: 1},
@@ -193,21 +195,20 @@ func runE19(w io.Writer) error {
 		{name: "diurnal 10x", shape: workload.Diurnal, factor: 10},
 		{name: "faulty 10x", shape: workload.Poisson, factor: 10, faulty: true},
 	}
-	fmt.Fprintf(w, "SLO %s, admitted concurrency capped at GOMAXPROCS=%d; open-loop arrivals\n",
-		e19SLO, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "SLO %s, admitted concurrency capped at %d; open-loop arrivals in virtual time\n",
+		e19SLO, e19Slots)
 	fmt.Fprintln(w, "(arrivals do not wait for completions) over a Zipf catalog of 6 articles;")
 	fmt.Fprintln(w, "every reservation pays a fixed injected latency, the faulty row also fails 10%.")
 	fmt.Fprintf(w, "%-12s %8s %9s %9s %7s %10s %10s %11s\n",
 		"scenario", "offered", "arrivals", "admitted%", "shed%", "goodput/s", "p99(adm)", "retry-hint")
 	for _, sc := range scenarios {
-		bed, ids, ctrl := e19Bed(sc.faulty)
-		peak := e19Probe(bed, ids, 150*time.Millisecond)
-		rate := sc.factor * peak
-		count := int(rate * 0.6)
-		if count < 200 {
-			count = 200
+		h := newE19(0, 500*time.Microsecond)
+		if sc.faulty {
+			h = newE19(0.10, time.Millisecond)
 		}
-		tally, elapsed, err := e19Drive(bed, ids, sc.shape, rate, count)
+		rate := sc.factor * h.probe(150*time.Millisecond)
+		count := max(int(rate*0.6), 200)
+		tally, elapsed, err := h.drive(sc.shape, rate, count)
 		if err != nil {
 			return err
 		}
@@ -217,8 +218,8 @@ func runE19(w io.Writer) error {
 			sc.name, rate, count, pct(admitted), pct(tally.sheds),
 			float64(tally.good)/elapsed.Seconds(),
 			tally.p99().Round(time.Millisecond),
-			ctrl.Stats().RetryHint.Round(10*time.Millisecond))
-		if err := bed.Ledger.CheckEmpty(); err != nil {
+			h.ctrl.Stats().RetryHint.Round(10*time.Millisecond))
+		if err := h.bed.Ledger.CheckEmpty(); err != nil {
 			return fmt.Errorf("LEAK in %s: %w", sc.name, err)
 		}
 	}

@@ -13,7 +13,9 @@
 // fits can still be refused by them, and then rolls back.
 //
 // All randomness comes from one seeded source, so a chaos run with a given
-// seed replays the same fault schedule every time.
+// seed replays the same fault schedule every time. Injected latency is a
+// sleep on the injector's clock: real time by default, virtual time on a
+// Sim clock (SetClock).
 package faults
 
 import (
@@ -24,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/media"
@@ -42,6 +45,7 @@ var ErrInjected = errors.New("faults: injected failure")
 // the set of wrapped servers and transports, and the node-partition map
 // crashed servers register in.
 type Injector struct {
+	clk        clock.Clock
 	mu         sync.Mutex
 	rng        *rand.Rand
 	down       map[network.NodeID]bool
@@ -52,6 +56,7 @@ type Injector struct {
 // New builds an injector whose fault schedule is fully determined by seed.
 func New(seed int64) *Injector {
 	return &Injector{
+		clk:     clock.Wall{},
 		rng:     rand.New(rand.NewSource(seed)),
 		down:    make(map[network.NodeID]bool),
 		servers: make(map[media.ServerID]*Server),
@@ -165,6 +170,11 @@ func (in *Injector) SetConnectFailure(p float64) {
 		t.SetConnectFailure(p)
 	}
 }
+
+// SetClock makes injected latency a sleep on clk instead of real time; on
+// a Sim clock every Reserve and Connect must then run in an engine process.
+// Call it before the wrapped servers and transports see traffic.
+func (in *Injector) SetClock(clk clock.Clock) { in.clk = clk }
 
 // SetLatency injects a fixed latency into every wrapped server Reserve and
 // transport Connect.
@@ -300,7 +310,7 @@ func (s *Server) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
 	latency, down, failP := s.latency, s.down, s.reserveFailP
 	s.mu.Unlock()
 	if latency > 0 {
-		time.Sleep(latency)
+		s.inj.clk.Sleep(latency)
 	}
 	if down {
 		return cmfs.Reservation{}, fmt.Errorf("%w: %s is crashed", core.ErrServerDown, s.ID())
@@ -405,7 +415,7 @@ func (t *Transport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transpor
 	latency, failP := t.latency, t.connectFailP
 	t.mu.Unlock()
 	if latency > 0 {
-		time.Sleep(latency)
+		t.inj.clk.Sleep(latency)
 	}
 	if err := t.unreachable(src, dst); err != nil {
 		return transport.Connection{}, err

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -120,8 +121,20 @@ func daemonAdaptsDegradedSession(t *testing.T, bed *testbed.Bed) {
 			completedAt = eng.Now() - start
 		}
 	}
-	if err := <-watchDone; err != nil {
-		t.Fatal(err)
+	// The watch arms its next poll on its own goroutine, so the poll that
+	// sees the completion can fall after the last step: keep the clock
+	// moving until the watch has ended.
+	for watching := true; watching; {
+		select {
+		case err := <-watchDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			watching = false
+		default:
+			eng.Run(eng.Now() + playoutTick)
+			runtime.Gosched()
+		}
 	}
 	var last SessionInfo
 	for len(updates) > 0 {

@@ -289,15 +289,15 @@ func (f *Fleet) Quarantined(id media.ServerID) (time.Duration, bool) {
 }
 
 // Stats sums every shard's outcome counters, and counts the admission
-// controller's router refusals, which never reach a shard, as requests
-// that ended FAILEDTRYLATER.
+// controller's sheds, which never reach a shard, as requests that ended
+// FAILEDTRYLATER: the router's refusals and the protocol server's alike.
 func (f *Fleet) Stats() core.Stats {
 	ms := make([]*core.Manager, len(f.shards))
 	for i, sh := range f.shards {
 		ms[i] = sh.mgr
 	}
 	st := core.SumStats(ms...)
-	sheds := int(f.adm.Stats().Refused)
+	sheds := int(f.adm.Stats().Sheds)
 	st.Requests += sheds
 	st.FailedTryLater += sheds
 	st.AdmissionSheds = sheds
@@ -341,12 +341,13 @@ func (f *Fleet) ShardStats() []Stat {
 // MetricShardRouted is the router's metric name; DESIGN.md §14 documents it.
 const MetricShardRouted = "qosneg_shard_routed_total"
 
-// instrument registers the router's series: its sheds as FAILEDTRYLATER
-// outcomes, summed with the shards' own, and one routed counter per shard.
+// instrument registers the router's series: the controller's sheds (at the
+// router or the wire) as FAILEDTRYLATER outcomes, summed with the shards'
+// own, and one routed counter per shard.
 func (f *Fleet) instrument(reg *telemetry.Registry) {
 	reg.Collect(telemetry.Collector{Name: core.MetricNegotiations, Help: "Negotiation outcomes by NegotiationStatus.",
 		Label: "status", Owner: f, Read: func(emit func(string, int64)) {
-			if n := f.adm.Stats().Refused; n > 0 {
+			if n := f.adm.Stats().Sheds; n > 0 {
 				emit(core.FailedTryLater.String(), int64(n))
 			}
 		}})

@@ -2,7 +2,10 @@
 // that underlies the reproduction's experiments: playout sessions, workload
 // arrival processes, congestion injection and adaptation timing all run on
 // its virtual clock. Events fire in timestamp order with FIFO tie-breaking,
-// so a given seed always reproduces the same trajectory.
+// so a given seed always reproduces the same trajectory. A process (Go) is
+// a function that suspends itself on the calendar (Sleep), so code written
+// as straight-line calls, such as a negotiation whose reservations take
+// time, runs in virtual time too.
 package sim
 
 import (
@@ -23,6 +26,9 @@ type Engine struct {
 	now   time.Duration
 	queue eventQueue
 	seq   uint64
+	// running is the channel of the process that holds control, nil
+	// between processes.
+	running chan struct{}
 }
 
 // NewEngine returns an engine at virtual time zero with an empty calendar.
@@ -131,6 +137,53 @@ func (e *Engine) fire(horizon time.Duration) bool {
 	e.mu.Unlock()
 	ev.fn()
 	return true
+}
+
+// Go runs f as a process and returns once f returns or first calls Sleep.
+// A process is a goroutine that runs only while it holds control, which
+// passes to it and back over one unbuffered channel: whoever calls Go or
+// fires its wake event waits while it runs. One process runs at a time, so
+// a run is deterministic however the runtime schedules goroutines. A
+// process may call Go; the new process runs until it sleeps or returns,
+// and then the caller continues.
+func (e *Engine) Go(f func()) {
+	p := make(chan struct{})
+	go func() {
+		defer func() { p <- struct{}{} }()
+		<-p
+		f()
+	}()
+	e.hand(p)
+}
+
+// hand gives process p control until it yields it back.
+func (e *Engine) hand(p chan struct{}) {
+	e.mu.Lock()
+	prev := e.running
+	e.running = p
+	e.mu.Unlock()
+	p <- struct{}{}
+	<-p
+	e.mu.Lock()
+	e.running = prev
+	e.mu.Unlock()
+}
+
+// Sleep suspends the calling process until the calendar reaches now+d; a
+// zero d resumes it after the events already due now. It panics outside a
+// process, where there is nothing to suspend, and on a negative d. A
+// process whose wake never fires, because the engine is not run that far,
+// stays parked with its goroutine.
+func (e *Engine) Sleep(d time.Duration) {
+	e.mu.Lock()
+	p := e.running
+	e.mu.Unlock()
+	if p == nil {
+		panic("sim: Sleep outside a process; start one with Engine.Go")
+	}
+	e.MustSchedule(d, func() { e.hand(p) })
+	p <- struct{}{}
+	<-p
 }
 
 type event struct {

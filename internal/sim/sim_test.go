@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -209,5 +210,101 @@ func TestStepEmpty(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Error("clock moved without events")
+	}
+}
+
+func TestProcessesInterleaveByWakeTime(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	proc := func(name string, naps ...time.Duration) func() {
+		return func() {
+			for _, d := range naps {
+				e.Sleep(d)
+				got = append(got, fmt.Sprintf("%s@%v", name, e.Now()))
+			}
+		}
+	}
+	// a wakes at 1s, 3s and 4s; b at 2s, 3s and 4s: ties at 3s and 4s go to
+	// a, whose wake was scheduled first.
+	e.Go(proc("a", time.Second, 2*time.Second, time.Second))
+	e.Go(proc("b", 2*time.Second, time.Second, time.Second))
+	e.RunAll()
+	want := "[a@1s b@2s a@3s b@3s a@4s b@4s]"
+	if s := fmt.Sprint(got); s != want {
+		t.Fatalf("wake order %s, want %s", s, want)
+	}
+}
+
+func TestSleepZeroResumesAfterCurrentEvent(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.MustSchedule(time.Second, func() {
+		e.Go(func() {
+			got = append(got, "process")
+			e.Sleep(0)
+			got = append(got, fmt.Sprintf("woken@%v", e.Now()))
+		})
+		got = append(got, "event")
+	})
+	e.MustSchedule(time.Second, func() { got = append(got, "due") })
+	e.RunAll()
+	if s, want := fmt.Sprint(got), "[process event due woken@1s]"; s != want {
+		t.Fatalf("order %s, want %s", s, want)
+	}
+}
+
+func TestProcessWithoutSleepFinishesInGo(t *testing.T) {
+	e := NewEngine()
+	done, inner := false, false
+	e.Go(func() {
+		e.Go(func() { inner = true })
+		done = inner
+	})
+	if !done {
+		t.Fatal("a process that never sleeps had not finished when Go returned")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending after a process that never slept", e.Pending())
+	}
+}
+
+func TestNestedProcessSleeps(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.Go(func() {
+		e.Go(func() {
+			e.Sleep(2 * time.Second)
+			got = append(got, fmt.Sprintf("child@%v", e.Now()))
+		})
+		got = append(got, "parent")
+		e.Sleep(time.Second)
+		got = append(got, fmt.Sprintf("parent@%v", e.Now()))
+	})
+	e.RunAll()
+	if s, want := fmt.Sprint(got), "[parent parent@1s child@2s]"; s != want {
+		t.Fatalf("order %s, want %s", s, want)
+	}
+}
+
+func TestSleepOutsideProcessPanics(t *testing.T) {
+	panics := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	e := NewEngine()
+	if panics(func() { e.Sleep(time.Second) }) == nil {
+		t.Error("Sleep outside any process did not panic")
+	}
+	var inEvent any
+	e.MustSchedule(time.Second, func() { inEvent = panics(func() { e.Sleep(time.Second) }) })
+	e.RunAll()
+	if inEvent == nil {
+		t.Error("Sleep in an event callback did not panic")
+	}
+	var negative any
+	e.Go(func() { negative = panics(func() { e.Sleep(-time.Second) }) })
+	if negative == nil {
+		t.Error("Sleep with a negative duration did not panic")
 	}
 }

@@ -1,13 +1,14 @@
 // Package workload generates synthetic request streams for the
-// reproduction's experiments: Poisson session arrivals, Zipf-skewed
-// document popularity and a mix of user profiles. The paper's evaluation is
-// qualitative; these workloads quantify its claims (smart negotiation
-// increases availability; cost limits greediness) under a controlled,
-// seeded load.
+// reproduction's experiments: Poisson session arrivals (optionally bursty
+// or diurnal), Zipf-skewed document popularity and a mix of user profiles.
+// The paper's evaluation is qualitative; these workloads quantify its
+// claims (smart negotiation increases availability; cost limits
+// greediness) under a controlled, seeded load.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qosneg/internal/client"
@@ -26,6 +27,29 @@ type Request struct {
 	Profile      profile.UserProfile
 }
 
+// Shape selects the arrival-rate envelope of a request stream.
+type Shape int
+
+const (
+	// Poisson arrivals at a constant mean rate.
+	Poisson Shape = iota
+	// Bursty alternates on/off duty phases: for burstOn of every
+	// burstOn+burstOff the rate is burstFactor times the base rate.
+	Bursty
+	// Diurnal modulates the rate sinusoidally around the mean, with period
+	// diurnalPeriod and relative swing diurnalAmplitude: a compressed
+	// day/night cycle.
+	Diurnal
+)
+
+const (
+	burstFactor      = 10
+	burstOn          = 200 * time.Millisecond
+	burstOff         = 800 * time.Millisecond
+	diurnalPeriod    = 2 * time.Second
+	diurnalAmplitude = 0.8
+)
+
 // Spec parameterizes a Generator.
 type Spec struct {
 	// Seed makes the stream reproducible.
@@ -33,6 +57,8 @@ type Spec struct {
 	// MeanInterArrival is the Poisson process's mean gap between
 	// arrivals.
 	MeanInterArrival time.Duration
+	// Shape warps the gaps by the rate envelope (default Poisson).
+	Shape Shape
 	// Documents is the catalog, most popular first; popularity is
 	// Zipf-distributed with exponent ZipfS (default 1.2).
 	Documents []media.DocumentID
@@ -74,6 +100,8 @@ type Generator struct {
 	spec Spec
 	rng  *sim.Rand
 	wsum int
+	// at is the arrival timeline's cursor, the sum of the gaps drawn.
+	at time.Duration
 }
 
 // NewGenerator builds a generator from the spec.
@@ -91,14 +119,27 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	return g, nil
 }
 
-// Next draws the next request.
+// Next draws the next request. Its gap is exponential, warped by the
+// shape's rate multiplier at the timeline's cursor, so bursts compress
+// gaps and troughs stretch them.
 func (g *Generator) Next() Request {
 	doc := g.spec.Documents[0]
 	if len(g.spec.Documents) > 1 {
 		doc = g.spec.Documents[g.rng.Zipf(len(g.spec.Documents), g.spec.ZipfS)]
 	}
+	gap := g.rng.Exp(g.spec.MeanInterArrival)
+	switch g.spec.Shape {
+	case Bursty:
+		if g.at%(burstOn+burstOff) < burstOn {
+			gap /= burstFactor
+		}
+	case Diurnal:
+		phase := 2 * math.Pi * float64(g.at%diurnalPeriod) / float64(diurnalPeriod)
+		gap = time.Duration(float64(gap) / (1 + diurnalAmplitude*math.Sin(phase)))
+	}
+	g.at += gap
 	return Request{
-		InterArrival: g.rng.Exp(g.spec.MeanInterArrival),
+		InterArrival: gap,
 		Client:       g.spec.Clients[g.rng.Intn(len(g.spec.Clients))],
 		Document:     doc,
 		Profile:      g.pickProfile(),
@@ -119,19 +160,25 @@ func (g *Generator) pickProfile() profile.UserProfile {
 	return g.spec.Profiles[len(g.spec.Profiles)-1]
 }
 
-// Drive schedules count arrivals on clk, calling handle for each. Each
-// arrival is armed by the one before it, one inter-arrival gap later.
+// Drive schedules count arrivals on clk and returns; handle runs for each
+// as its timer fires (on a Sim clock as the engine runs, on the wall clock
+// each on a goroutine of its own). Arrival i is due at the sum of the
+// first i gaps after the call, so a late timer brings the next arrival
+// forward instead of shifting the rest of the schedule. Each arrival arms
+// the next before it calls handle, so a handler that blocks never delays
+// the schedule: the loop is open.
 func (g *Generator) Drive(clk clock.Clock, count int, handle func(Request)) {
-	var arrive func(remaining int)
-	arrive = func(remaining int) {
+	origin := clk.Now().Add(-g.at) // the timeline's zero: earlier draws are past
+	var arm func(remaining int)
+	arm = func(remaining int) {
 		if remaining <= 0 {
 			return
 		}
 		req := g.Next()
-		clk.AfterFunc(req.InterArrival, func() {
+		clk.AfterFunc(origin.Add(g.at).Sub(clk.Now()), func() {
+			arm(remaining - 1)
 			handle(req)
-			arrive(remaining - 1)
 		})
 	}
-	arrive(count)
+	arm(count)
 }

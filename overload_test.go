@@ -14,6 +14,7 @@ import (
 
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
+	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/faults"
 	"qosneg/internal/media"
@@ -33,7 +34,6 @@ const overloadSLO = 250 * time.Millisecond
 type overloadHarness struct {
 	sys  *System
 	ctrl *admission.Controller
-	inj  *faults.Injector
 	// conns carries negotiation traffic; winddown is a dedicated connection
 	// for session rejects, so wind-down (confirm-class, never shed) cannot
 	// queue behind the negotiate storm and strand reserved resources.
@@ -49,8 +49,8 @@ func newOverloadHarness(t *testing.T, nconns int, extra ...Option) *overloadHarn
 		SLO: overloadSLO,
 		// Cap admitted concurrency at the core count: the probe phase then
 		// measures the same service capacity the controller defends, so
-		// "goodput within 20% of peak" is a property of the shed path, not
-		// of slack in the limit.
+		// the 10× load is 10× what the shed path protects, not slack in
+		// the limit.
 		MaxInFlight: runtime.GOMAXPROCS(0),
 	})
 	inj := faults.New(7)
@@ -62,7 +62,7 @@ func newOverloadHarness(t *testing.T, nconns int, extra ...Option) *overloadHarn
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &overloadHarness{sys: sys, ctrl: ctrl, inj: inj}
+	h := &overloadHarness{sys: sys, ctrl: ctrl}
 	// Baseline fault weather: a fixed cost per Reserve/Connect, as a real
 	// CMFS round would have. Without it negotiations complete in
 	// microseconds and no in-flight concurrency ever accumulates — the
@@ -125,8 +125,8 @@ func (h *overloadHarness) machines() []client.Machine {
 }
 
 // probePeak measures closed-loop goodput (reserved sessions per second)
-// with one worker per admission slot — the capacity the overload phase must
-// stay within 20% of.
+// with one worker per admission slot — the rate the overload phase
+// multiplies.
 func (h *overloadHarness) probePeak(t *testing.T, dur time.Duration) float64 {
 	t.Helper()
 	// More workers than admission slots: the extra workers absorb the wire
@@ -199,12 +199,6 @@ type overloadTally struct {
 	dropped   uint64          // arrivals refused client-side at the outstanding cap
 }
 
-func (o *overloadTally) goodput(elapsed time.Duration) float64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return float64(o.good) / elapsed.Seconds()
-}
-
 func (o *overloadTally) p99() time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -258,31 +252,28 @@ func (h *overloadHarness) fire(req workload.Request, tally *overloadTally) {
 }
 
 // runOpenLoop fires count arrivals at the given rate (arrivals per second)
-// with the given shape, bounding client-side outstanding RPCs so a
-// server-side stall shows up as drops rather than unbounded goroutine
-// pile-up.
+// with the given shape on the wall clock, bounding client-side outstanding
+// RPCs so a server-side stall shows up as drops rather than unbounded
+// goroutine pile-up. It returns once every arrival has been handled.
 func (h *overloadHarness) runOpenLoop(t *testing.T, shape workload.Shape, rate float64, count int) *overloadTally {
 	t.Helper()
-	mean := time.Duration(float64(time.Second) / rate)
-	if mean <= 0 {
-		mean = time.Microsecond
-	}
-	ol, err := workload.NewOpenLoop(workload.OpenLoopSpec{
-		Spec: workload.Spec{
-			Seed:             1996,
-			MeanInterArrival: mean,
-			Documents:        h.docs,
-			Clients:          h.machines(),
-			Profiles:         profile.DefaultProfiles(),
-		},
-		Shape: shape,
+	gen, err := workload.NewGenerator(workload.Spec{
+		Seed:             1996,
+		MeanInterArrival: max(time.Duration(float64(time.Second)/rate), time.Microsecond),
+		Shape:            shape,
+		Documents:        h.docs,
+		Clients:          h.machines(),
+		Profiles:         profile.DefaultProfiles(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tally := &overloadTally{}
 	outstanding := make(chan struct{}, 8192)
-	if err := ol.Run(context.Background(), count, func(req workload.Request) {
+	var handled sync.WaitGroup
+	handled.Add(count)
+	gen.Drive(clock.Wall{}, count, func(req workload.Request) {
+		defer handled.Done()
 		select {
 		case outstanding <- struct{}{}:
 		default:
@@ -293,9 +284,8 @@ func (h *overloadHarness) runOpenLoop(t *testing.T, shape workload.Shape, rate f
 		}
 		defer func() { <-outstanding }()
 		h.fire(req, tally)
-	}); err != nil {
-		t.Fatalf("open loop: %v", err)
-	}
+	})
+	handled.Wait()
 	return tally
 }
 
@@ -324,15 +314,16 @@ func (h *overloadHarness) windDown(t *testing.T) {
 	}
 }
 
-// assertGraceful holds the tally to the graceful-degradation contract.
-// minGoodput is the floor (sessions/s) the run's goodput must clear; pass 0
-// to log goodput without asserting it (bursty shapes legitimately starve a
-// co-located single-core generator mid-burst). Under the race detector the
-// latency/goodput/error-budget assertions are skipped: race instrumentation
-// slows the CPU-bound shed path ~10× while the (sleep-dominated) service
-// rate barely drops, so the statistical contract is not meaningful there —
-// the race build is for finding data races on these paths.
-func assertGraceful(t *testing.T, tally *overloadTally, minGoodput float64, elapsed time.Duration, count int) {
+// assertGraceful holds the tally to the graceful-degradation contract over
+// the wire. It logs goodput without a floor: bursty shapes legitimately
+// starve a co-located generator mid-burst, and the goodput floor is
+// E19's, in virtual time (TestOverloadGracefulDegradation in
+// internal/experiments). Under the race detector the latency and
+// error-budget assertions are skipped: race instrumentation slows the
+// CPU-bound shed path ~10× while the (sleep-dominated) service rate barely
+// drops, so the statistical contract is not meaningful there — the race
+// build is for finding data races on these paths.
+func assertGraceful(t *testing.T, tally *overloadTally, elapsed time.Duration, count int) {
 	t.Helper()
 	tally.mu.Lock()
 	good, sheds, badHints, failures, errs, dropped :=
@@ -356,60 +347,11 @@ func assertGraceful(t *testing.T, tally *overloadTally, minGoodput float64, elap
 	if p99 > overloadSLO && !raceDetectorOn {
 		t.Errorf("admitted-request p99 %v breaches the %v SLO under overload", p99, overloadSLO)
 	}
-	if minGoodput > 0 && goodput < minGoodput && !raceDetectorOn {
-		t.Errorf("goodput %.0f/s collapsed below the %.0f/s floor (80%% of reference goodput)", goodput, minGoodput)
-	}
 	if errs > uint64(count/100) && !raceDetectorOn {
 		t.Errorf("%d unexpected transport errors (over 1%% of arrivals)", errs)
 	}
 	if dropped > uint64(count/5) {
 		t.Errorf("%d arrivals dropped at the client-side outstanding cap — the server is stalling instead of shedding", dropped)
-	}
-}
-
-// TestOverloadGracefulDegradation is the tentpole proof: ≥100k open-loop
-// sessions (20k with -short) through the real manager+wire stack at 10×
-// the probed service rate, under heavy-tailed popularity and fault
-// weather. The system must shed — with usable RetryAfter hints — while
-// holding admitted-request p99 within the declared SLO, keeping goodput
-// within 20% of the goodput-vs-load curve's top, and leaking nothing.
-func TestOverloadGracefulDegradation(t *testing.T) {
-	count, probeDur := 100_000, time.Second
-	if testing.Short() {
-		count, probeDur = 20_000, 500*time.Millisecond
-	}
-	if raceDetectorOn {
-		count, probeDur = 10_000, 500*time.Millisecond
-	}
-	h := newOverloadHarness(t, 8)
-	// Fault weather for the whole run (probe included, so every phase
-	// faces the same conditions).
-	h.inj.SetReserveFailure(0.02)
-
-	peak := h.probePeak(t, probeDur)
-	t.Logf("closed-loop probe: %.0f sessions/s", peak)
-
-	// Reference goodput at 2× the probed rate: just past saturation, where
-	// the goodput-vs-load curve tops out. Measured through the same
-	// open-loop generator as the overload phase, so the generator's own
-	// (co-located) cost is on both sides of the comparison.
-	begin := time.Now()
-	base := h.runOpenLoop(t, workload.Poisson, 2*peak, count/25)
-	refGoodput := base.goodput(time.Since(begin))
-	t.Logf("reference goodput at 2×: %.0f sessions/s", refGoodput)
-
-	begin = time.Now()
-	tally := h.runOpenLoop(t, workload.Poisson, 10*peak, count)
-	assertGraceful(t, tally, 0.8*refGoodput, time.Since(begin), count)
-
-	h.windDown(t)
-	st := h.ctrl.Stats()
-	if st.InFlight != 0 {
-		t.Errorf("controller reports %d in-flight after wind-down", st.InFlight)
-	}
-	mst := h.sys.Manager.Stats()
-	if mst.AdmissionSheds == 0 {
-		t.Log("note: every shed happened at the wire; router gate untouched")
 	}
 }
 
@@ -431,8 +373,13 @@ func TestOverloadShedBurst(t *testing.T) {
 	peak := h.probePeak(t, probeDur)
 	begin := time.Now()
 	tally := h.runOpenLoop(t, workload.Bursty, 10*peak, count)
-	assertGraceful(t, tally, 0, time.Since(begin), count)
+	assertGraceful(t, tally, time.Since(begin), count)
 	h.windDown(t)
+	// A wire shed is a request that ended FAILEDTRYLATER, as a router
+	// shed is: the fleet counts every refusal the controller made.
+	if got, want := h.sys.Manager.Stats().AdmissionSheds, h.ctrl.Stats().Sheds; uint64(got) != want {
+		t.Errorf("fleet counts %d admission sheds, the controller made %d", got, want)
+	}
 }
 
 // TestOverloadShardedFleet runs the open-loop overload harness against a
@@ -455,7 +402,7 @@ func TestOverloadShardedFleet(t *testing.T) {
 	peak := h.probePeak(t, probeDur)
 	begin := time.Now()
 	tally := h.runOpenLoop(t, workload.Bursty, 10*peak, count)
-	assertGraceful(t, tally, 0, time.Since(begin), count)
+	assertGraceful(t, tally, time.Since(begin), count)
 	h.windDown(t)
 	for _, row := range h.sys.Fleet.ShardStats() {
 		if row.Sessions != 0 {

@@ -44,6 +44,9 @@ type e19Scenario struct {
 	shape  workload.Shape
 	factor float64 // offered load, as a multiple of the probed service rate
 	faulty bool
+	// cycle is the period of a shaped row's rate envelope; the row's
+	// arrivals span two of them.
+	cycle time.Duration
 }
 
 // e19Tally counts one open loop's outcomes. Its processes run one at a
@@ -131,12 +134,10 @@ func (h *e19Harness) probe(window time.Duration) float64 {
 	return max(float64(good)/(h.eng.Now()-start).Seconds(), 1)
 }
 
-// drive fires count open-loop arrivals at the given rate, each a process
-// that negotiates through the fleet router and rejects what it reserved,
-// and tallies the outcomes. It returns once the last process has finished,
-// with the virtual time the run took.
-func (h *e19Harness) drive(shape workload.Shape, rate float64, count int) (*e19Tally, time.Duration, error) {
-	gen, err := workload.NewGenerator(workload.Spec{
+// generator is the open-loop request stream of drive at the given base
+// rate.
+func (h *e19Harness) generator(shape workload.Shape, rate float64) (*workload.Generator, error) {
+	return workload.NewGenerator(workload.Spec{
 		Seed:             1996,
 		MeanInterArrival: time.Duration(float64(time.Second) / rate),
 		Shape:            shape,
@@ -144,6 +145,27 @@ func (h *e19Harness) drive(shape workload.Shape, rate float64, count int) (*e19T
 		Clients:          []client.Machine{h.bed.Client(1), h.bed.Client(2), h.bed.Client(3), h.bed.Client(4)},
 		Profiles:         []profile.UserProfile{e8Profile()},
 	})
+}
+
+// arrivals counts the requests of drive's stream that arrive within span.
+func (h *e19Harness) arrivals(shape workload.Shape, rate float64, span time.Duration) (int, error) {
+	gen, err := h.generator(shape, rate)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for at := gen.Next().InterArrival; at < span; at += gen.Next().InterArrival {
+		n++
+	}
+	return n, nil
+}
+
+// drive fires count open-loop arrivals at the given rate, each a process
+// that negotiates through the fleet router and rejects what it reserved,
+// and tallies the outcomes. It returns once the last process has finished,
+// with the virtual time the run took.
+func (h *e19Harness) drive(shape workload.Shape, rate float64, count int) (*e19Tally, time.Duration, error) {
+	gen, err := h.generator(shape, rate)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,8 +213,8 @@ func runE19(w io.Writer) error {
 	scenarios := []e19Scenario{
 		{name: "steady 1x", shape: workload.Poisson, factor: 1},
 		{name: "steady 10x", shape: workload.Poisson, factor: 10},
-		{name: "bursty 10x", shape: workload.Bursty, factor: 10},
-		{name: "diurnal 10x", shape: workload.Diurnal, factor: 10},
+		{name: "bursty 10x", shape: workload.Bursty, factor: 10, cycle: time.Second},
+		{name: "diurnal 10x", shape: workload.Diurnal, factor: 10, cycle: 2 * time.Second},
 		{name: "faulty 10x", shape: workload.Poisson, factor: 10, faulty: true},
 	}
 	fmt.Fprintf(w, "SLO %s, admitted concurrency capped at %d; open-loop arrivals in virtual time\n",
@@ -208,6 +230,15 @@ func runE19(w io.Writer) error {
 		}
 		rate := sc.factor * h.probe(150*time.Millisecond)
 		count := max(int(rate*0.6), 200)
+		if sc.cycle > 0 {
+			// A shaped row ending inside its first burst, or in the rising
+			// half of its first period, would not show its shape.
+			n, err := h.arrivals(sc.shape, rate, 2*sc.cycle)
+			if err != nil {
+				return err
+			}
+			count = n
+		}
 		tally, elapsed, err := h.drive(sc.shape, rate, count)
 		if err != nil {
 			return err

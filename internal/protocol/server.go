@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"qosneg/internal/admission"
@@ -51,8 +52,9 @@ type Server struct {
 	conns       map[net.Conn]bool
 	wg          sync.WaitGroup
 	closed      bool
-	// Expired counts sessions aborted by choice-period time-out.
-	expired int
+	// expired counts sessions aborted by choice-period time-out; Expired and
+	// the qosneg_sessions_expired_total series both read it.
+	expired atomic.Int64
 
 	// Telemetry, installed by Instrument before Serve; all nil when the
 	// server runs uninstrumented (every recording call is nil-safe).
@@ -62,7 +64,6 @@ type Server struct {
 	connGauge   *telemetry.Gauge
 	connCtr     *telemetry.Counter
 	streamGauge *telemetry.Gauge
-	expiredCtr  *telemetry.Counter
 	shedCtr     *telemetry.Counter
 }
 
@@ -112,8 +113,9 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Connections served.")
 	s.streamGauge = reg.Gauge("qosneg_server_streams",
 		"Currently executing streams on multiplexed connections.")
-	s.expiredCtr = reg.Counter("qosneg_sessions_expired_total",
-		"Sessions aborted by choice-period time-out.")
+	reg.Collect(telemetry.Collector{Name: "qosneg_sessions_expired_total",
+		Help: "Sessions aborted by choice-period time-out.", Owner: s,
+		Read: func(emit func(string, int64)) { emit("", s.expired.Load()) }})
 	s.shedCtr = reg.Counter("qosneg_rpc_shed_total",
 		"Requests shed with a typed busy reply before dispatch.")
 }
@@ -186,11 +188,7 @@ func (s *Server) Close() {
 }
 
 // Expired returns how many sessions were aborted by choice-period time-out.
-func (s *Server) Expired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired
-}
+func (s *Server) Expired() int { return int(s.expired.Load()) }
 
 // handle serves one connection. Its first line must be a hello offering
 // CodecBinary. Anything else — a request line, a hello without binary/2, a
@@ -383,10 +381,7 @@ func (s *Server) armChoiceTimer(id core.SessionID, period time.Duration) {
 		// raced Confirm wins harmlessly; an expired session answers later
 		// Confirm/Reject calls with ErrChoicePeriodExpired.
 		if err := s.man.Expire(id); err == nil {
-			s.expiredCtr.Inc()
-			s.mu.Lock()
-			s.expired++
-			s.mu.Unlock()
+			s.expired.Add(1)
 		}
 	})
 }
@@ -542,27 +537,81 @@ func (s *Server) listDocuments(query string) Envelope {
 	return Envelope{Type: MsgDocuments, Payload: p}
 }
 
+// streamWork is a stream handed to one of a connection's workers.
+type streamWork struct {
+	id     uint32
+	env    Envelope
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
 // serveBinary runs the multiplexed frame loop after a successful
-// handshake. Each request frame starts a handler goroutine on its stream
-// id; responses are written through a shared frame writer; a cancel frame
-// aborts the stream's context. Framing violations (bad magic or version,
-// oversized frames, reserved or duplicate stream ids) answer a typed
-// MsgError on stream 0 and close the connection.
+// handshake. A request that never waits on the substrate, a fault or a
+// clock (step 6's confirm and reject, and every query) is answered by the
+// loop itself between two frames, with no goroutine and no stream context.
+// Negotiations, renegotiations and watches run on the connection's
+// workers, whose stacks stay grown from stream to stream: the loop hands
+// each such stream to an idle worker over an unbuffered channel and starts
+// a new one only when none is idle. Every worker but an idle one holds a
+// stream slot, so the stream cap bounds the set; the workers exit with the
+// connection. Responses are written through a shared frame writer; a
+// cancel frame aborts a worker stream's context. Framing violations (bad
+// magic or version, oversized frames, reserved or duplicate stream ids)
+// answer a typed MsgError on stream 0 and close the connection.
 func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 	fw := newFrameWriter(conn, func(error) { conn.Close() })
 	frames := frameReader{r: r}
 	var (
 		smu                 sync.Mutex
 		active              = make(map[uint32]context.CancelFunc)
+		idle                int // workers whose stream has closed; under smu
 		wg                  sync.WaitGroup
 		sem                 = make(chan struct{}, maxStreams)
+		work                = make(chan streamWork)
 		connCtx, connCancel = context.WithCancel(s.baseCtx)
 	)
 	defer func() {
 		connCancel()
+		close(work)
 		wg.Wait()
 		fw.stop()
 	}()
+	worker := func(st streamWork) {
+		defer wg.Done()
+		// closeStream ends the stream: it frees the stream's slot and active
+		// entry, cancels its context and counts the worker idle. It runs
+		// before the FIN is queued: a client that has read the FIN may reuse
+		// the slot at once, and must neither be shed for a stream the server
+		// already answered nor wait for a new worker. (A cancel frame still
+		// in flight then finds no entry and is ignored.)
+		var closed bool
+		closeStream := func() {
+			if closed {
+				return
+			}
+			closed = true
+			smu.Lock()
+			delete(active, st.id)
+			idle++
+			smu.Unlock()
+			st.cancel()
+			<-sem
+			s.streamGauge.Add(-1)
+		}
+		for ok := true; ok; st, ok = <-work {
+			closed = false
+			if st.env.Type == MsgWatch {
+				req, _ := st.env.Payload.(*WatchRequest)
+				s.watchBinary(st.ctx, st.id, req, fw, closeStream)
+			} else if resp := s.serve(st.ctx, st.env); st.ctx.Err() != nil {
+				s.abandon(st.env.Type, resp)
+			} else {
+				closeStream()
+				fw.sendEnvelope(st.id, flagFIN, resp)
+			}
+			closeStream()
+		}
+	}
 	fatal := func(err error) {
 		fw.sendEnvelope(0, flagFIN, errEnvelope("%s", err))
 		fw.stop() // flush the error before the deferred teardown closes conn
@@ -601,10 +650,10 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		// arrival costs a busy reply, not the decoding of its profile (so a
 		// saturated server does not notice a malformed negotiate body).
 		//
-		// The semaphore bounds handler concurrency at the negotiated stream
-		// cap. At the cap the stream is shed with a typed busy reply instead
-		// of the read loop blocking, which would silently stall every other
-		// stream on the connection (including cancels) until a handler
+		// The semaphore bounds open streams at the negotiated stream cap.
+		// At the cap the stream is shed with a typed busy reply instead of
+		// the read loop blocking, which would silently stall every other
+		// stream on the connection (including cancels) until a worker
 		// finished.
 		select {
 		case sem <- struct{}{}:
@@ -629,49 +678,29 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 			fw.stop()
 			return
 		}
-		streamCtx, cancel := context.WithCancel(connCtx)
+		s.streamGauge.Add(1)
+		if !negotiationType(env.Type) && env.Type != MsgWatch {
+			resp := s.serve(connCtx, env)
+			<-sem
+			s.streamGauge.Add(-1)
+			fw.sendEnvelope(f.Stream, flagFIN, resp)
+			continue
+		}
+		ctx, cancel := context.WithCancel(connCtx)
 		smu.Lock()
 		active[f.Stream] = cancel
+		reuse := idle > 0
+		if reuse {
+			idle--
+		}
 		smu.Unlock()
-		wg.Add(1)
-		s.streamGauge.Add(1)
-		go func(stream uint32, env Envelope, ctx context.Context, cancel context.CancelFunc) {
-			// closeStream frees the stream's slot and its active entry. It
-			// runs before the FIN is queued: a client that has read the FIN
-			// may reuse the slot at once, and must not be shed for a stream
-			// the server already answered. (A cancel frame still in flight
-			// then finds no entry and is ignored.) Only this goroutine
-			// calls it.
-			closed := false
-			closeStream := func() {
-				if closed {
-					return
-				}
-				closed = true
-				smu.Lock()
-				delete(active, stream)
-				smu.Unlock()
-				<-sem
-				s.streamGauge.Add(-1)
-			}
-			defer func() {
-				closeStream()
-				cancel()
-				wg.Done()
-			}()
-			if env.Type == MsgWatch {
-				req, _ := env.Payload.(*WatchRequest)
-				s.watchBinary(ctx, stream, req, fw, closeStream)
-				return
-			}
-			resp := s.serve(ctx, env)
-			if ctx.Err() != nil {
-				s.abandon(env.Type, resp)
-				return
-			}
-			closeStream()
-			fw.sendEnvelope(stream, flagFIN, resp)
-		}(f.Stream, env, streamCtx, cancel)
+		st := streamWork{f.Stream, env, ctx, cancel}
+		if reuse {
+			work <- st
+		} else {
+			wg.Add(1)
+			go worker(st)
+		}
 	}
 }
 

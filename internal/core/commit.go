@@ -141,6 +141,10 @@ type plannedChoice struct {
 	delay, jitter time.Duration
 }
 
+// streamQoS maps a chosen variant to its network QoS through the pointer,
+// where the value-receiver media.Variant.NetworkQoS would copy the variant.
+func streamQoS(v *media.Variant) qos.NetworkQoS { return qos.MapSetting(v.QoS, v.Blocks) }
+
 // lastPlan carries a pass's last plan to its next attempt. A plan-refused
 // attempt changes nothing the plan reads, so an offer sharing its first
 // choices with the last one planned reuses their plan, and the refusal
@@ -234,7 +238,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 		if last.refused.cause != CauseNone {
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
 		}
-		pc.entry, pc.gen, pc.q, pc.tally = entry, gen, r.Choices[i].Variant.NetworkQoS(), cmfs.Plan{}
+		pc.entry, pc.gen, pc.q, pc.tally = entry, gen, streamQoS(r.Choices[i].Variant), cmfs.Plan{}
 		for j := i - 1; j >= 0; j-- {
 			if r.Choices[j].Variant.Server == sid {
 				pc.tally = plan[j].tally
@@ -327,7 +331,7 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 				return commitment{}, m.refuse(held, len(held), g,
 					commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
 			}
-			plan = append(plan, plannedChoice{entry: entry, gen: gen, q: r.Choices[i].Variant.NetworkQoS()})
+			plan = append(plan, plannedChoice{entry: entry, gen: gen, q: streamQoS(r.Choices[i].Variant)})
 			rerouted = true
 		}
 		pc := &plan[i]

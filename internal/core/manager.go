@@ -479,7 +479,7 @@ func (m *Manager) Invoice(id SessionID) (cost.Invoice, error) {
 		}
 		labels = append(labels, string(ch.Monomedia))
 		items = append(items, cost.Item{
-			Rate:     ch.Variant.NetworkQoS().AvgBitRate,
+			Rate:     streamQoS(ch.Variant).AvgBitRate,
 			Duration: mono.Duration,
 		})
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,8 @@ import (
 	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
+	"qosneg/internal/offer"
+	"qosneg/internal/offercache"
 	"qosneg/internal/qos"
 )
 
@@ -123,6 +127,110 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 	windDown(t, b.man, res2, 0)
 	if err := b.led.CheckEmpty(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestOfferCacheSharesVariants: every offer a session ranks, commits or
+// adapts to points at the cached candidates' own variants, through
+// negotiate, confirm, adapt, renegotiate and complete; and nothing on that
+// path writes through them, so the cached candidates still equal a fresh
+// step-2 filter of the document at the end.
+func TestOfferCacheSharesVariants(t *testing.T) {
+	b := defaultBed(t)
+	ctx := context.Background()
+	entry := func() offer.Candidates {
+		t.Helper()
+		keys := b.man.cache.Keys()
+		if len(keys) != 1 {
+			t.Fatalf("cache holds %d entries, want 1", len(keys))
+		}
+		_, docGen, err := b.man.registry.Snapshot("news-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, pricingGen := b.man.pricingSnapshot()
+		cands, _, out := b.man.cache.Lookup(keys[0], docGen, pricingGen)
+		if out != offercache.Hit {
+			t.Fatalf("cache lookup = %v, want a hit", out)
+		}
+		return cands
+	}
+	shared := func(what string, ranked ...offer.Ranked) {
+		t.Helper()
+		cands := entry()
+		if len(ranked) == 0 {
+			t.Fatalf("%s: no offers", what)
+		}
+		for _, r := range ranked {
+			for i, ch := range r.Choices {
+				j := slices.IndexFunc(cands[i], func(c offer.Candidate) bool { return c.Variant.ID == ch.Variant.ID })
+				if j < 0 || ch.Variant != &cands[i][j].Variant {
+					t.Fatalf("%s: offer %s choice %d does not point at the cached candidate's variant", what, r.Key(), i)
+				}
+			}
+		}
+	}
+
+	res, err := b.man.NegotiateContext(ctx, b.mach, "news-1", tvProfile())
+	if err != nil || !res.Status.Reserved() {
+		t.Fatalf("negotiate: %v (%v)", err, res.Status)
+	}
+	s1 := res.Session
+	shared("negotiate", s1.Ranked...)
+	shared("negotiate: committed", s1.Current)
+	if err := b.man.Confirm(s1.ID); err != nil {
+		t.Fatal(err)
+	}
+	video := s1.Current.Choices[0].Variant.Server
+	if err := b.servers[video].SetDegradation(0.99); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := b.man.Adapt(s1.ID)
+	if err != nil {
+		t.Fatalf("adapt: %v", err)
+	}
+	if err := b.servers[video].SetDegradation(0); err != nil {
+		t.Fatal(err)
+	}
+	shared("adapt", tr.From, tr.To, s1.CurrentOffer())
+	shared("adapt: ranked", s1.Ranked...)
+
+	res, err = b.man.NegotiateContext(ctx, b.mach, "news-1", tvProfile())
+	if err != nil || !res.Status.Reserved() {
+		t.Fatalf("second negotiate: %v (%v)", err, res.Status)
+	}
+	s2 := res.Session
+	shared("second negotiate", s2.Ranked...)
+	u := tvProfile()
+	u.Desired.Video.FrameRate = 15
+	if res, err = b.man.RenegotiateContext(ctx, s2.ID, u); err != nil || !res.Status.Reserved() {
+		t.Fatalf("renegotiate: %v (%v)", err, res.Status)
+	}
+	shared("renegotiate", s2.Ranked...)
+	shared("renegotiate: committed", s2.CurrentOffer())
+	if err := b.man.Confirm(s2.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []SessionID{s1.ID, s2.ID} {
+		if err := b.man.Complete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.led.CheckEmpty(); err != nil {
+		t.Error(err)
+	}
+
+	doc, _, err := b.man.registry.Snapshot("news-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pricing, _ := b.man.pricingSnapshot()
+	fresh, err := offer.Filter(ctx, doc, b.mach, pricing, tvProfile().Desired.Cost.Guarantee, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cands := entry(); !reflect.DeepEqual(cands, fresh) {
+		t.Errorf("the cached candidates changed under the sessions that shared them:\ncached: %+v\nfresh:  %+v", cands, fresh)
 	}
 }
 

@@ -50,7 +50,9 @@ func TestRefusalDetailText(t *testing.T) {
 			setup: func(t *testing.T, b *bed, r offer.Ranked) (media.Document, profile.UserProfile, offer.Ranked) {
 				so := *r.SystemOffer
 				so.Choices = append([]offer.Choice(nil), so.Choices...)
-				so.Choices[0].Variant.Server = "server-9"
+				v := *so.Choices[0].Variant // the variant is shared with the cache: copy it first
+				v.Server = "server-9"
+				so.Choices[0].Variant = &v
 				r.SystemOffer = &so
 				return keep(t, b, r)
 			},

@@ -244,8 +244,8 @@ func step5Offers(r *rand.Rand, doc *media.Document) []offer.Ranked {
 	for _, mono := range doc.Monomedia {
 		var next []offer.Ranked
 		for _, o := range offers {
-			for _, v := range mono.Variants {
-				so := &offer.SystemOffer{Document: doc.ID, Choices: append(slices.Clone(o.Choices), offer.Choice{Monomedia: mono.ID, Variant: v})}
+			for k := range mono.Variants {
+				so := &offer.SystemOffer{Document: doc.ID, Choices: append(slices.Clone(o.Choices), offer.Choice{Monomedia: mono.ID, Variant: &mono.Variants[k]})}
 				next = append(next, offer.Ranked{SystemOffer: so})
 			}
 		}

@@ -122,7 +122,7 @@ func newCongestedStep5(tb testing.TB, count bool) *congestedStep5 {
 		s.servers = append(s.servers, srv)
 		mono := media.MonomediaID(variants[i].ID)
 		s.doc.Monomedia = append(s.doc.Monomedia, media.Monomedia{ID: mono, Variants: variants[i : i+1]})
-		so.Choices = append(so.Choices, offer.Choice{Monomedia: mono, Variant: variants[i]})
+		so.Choices = append(so.Choices, offer.Choice{Monomedia: mono, Variant: &variants[i]})
 	}
 	s.offers = []offer.Ranked{{SystemOffer: so}}
 	return s
@@ -324,7 +324,7 @@ func TestReroutedOfferRechecksBounds(t *testing.T) {
 	doc.Temporal[0].Tolerance = 9 * time.Millisecond
 	so := &offer.SystemOffer{Document: doc.ID}
 	for _, mono := range doc.Monomedia {
-		so.Choices = append(so.Choices, offer.Choice{Monomedia: mono.ID, Variant: mono.Variants[0]})
+		so.Choices = append(so.Choices, offer.Choice{Monomedia: mono.ID, Variant: &mono.Variants[0]})
 	}
 	offers := []offer.Ranked{{SystemOffer: so}}
 	mach, u := client.Workstation("client-1", "client-1"), tvProfile()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -277,16 +278,19 @@ func missDoc(id media.DocumentID, side int) media.Document {
 // so steps 2–4 filter, build and classify the whole product. The product is
 // built in slabs, so a 216-offer document may cost at most 8 allocations
 // more than an 8-offer one — per-offer allocation anywhere on the path costs
-// hundreds — and the absolute bound is the measured 21 plus 15%.
+// hundreds — and the absolute bound is the measured 21 plus 15%. The bytes
+// of a cycle at product 216 are bounded too, at the measured 64 667 plus
+// about 10%: the slabs grow with the product, and choices that copied their
+// variant instead of pointing at the candidate's took 130 203.
 func TestMissPathAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race beds")
 	}
 	const runs = 400
-	measure := func(side int) float64 {
+	measure := func(side int) (allocs, bytes float64) {
 		b := defaultBed(t)
 		u := tvProfile()
-		ids := make([]media.DocumentID, runs+1) // AllocsPerRun adds a warm-up run
+		ids := make([]media.DocumentID, runs+1) // one warm-up cycle, as testing.AllocsPerRun runs
 		for i := range ids {
 			ids[i] = media.DocumentID(fmt.Sprintf("miss-%d", i))
 			if err := b.reg.Add(missDoc(ids[i], side)); err != nil {
@@ -305,10 +309,8 @@ func TestMissPathAllocBound(t *testing.T) {
 			}
 		}
 		missesBefore := b.man.Stats().OfferCacheMisses
-		next := 0
-		allocs := testing.AllocsPerRun(runs, func() {
-			res, err := b.man.NegotiateContext(context.Background(), b.mach, ids[next], u)
-			next++
+		cycle := func(id media.DocumentID) {
+			res, err := b.man.NegotiateContext(context.Background(), b.mach, id, u)
 			if err != nil || res.Session == nil {
 				t.Fatalf("negotiate: %v (%+v)", err, res.Status)
 			}
@@ -318,19 +320,34 @@ func TestMissPathAllocBound(t *testing.T) {
 			if err := b.man.Reject(res.Session.ID); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		// testing.AllocsPerRun's method, keeping TotalAlloc as well.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		cycle(ids[0])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids[1:] {
+			cycle(id)
+		}
+		runtime.ReadMemStats(&after)
+		allocs = float64((after.Mallocs - before.Mallocs) / runs)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if got := b.man.Stats().OfferCacheMisses; got < missesBefore+runs {
 			t.Fatalf("measured loop did not miss every time: misses %d -> %d over %d cycles", missesBefore, got, runs)
 		}
-		return allocs
+		return allocs, bytes
 	}
-	small, large := measure(2), measure(6)
-	t.Logf("miss negotiate+reject: %.0f allocs at product 8, %.0f at product 216", small, large)
-	const maxGrowth, maxAllocs = 8, 24
+	small, _ := measure(2)
+	large, largeBytes := measure(6)
+	t.Logf("miss negotiate+reject: %.0f allocs at product 8, %.0f allocs and %.0f bytes at product 216", small, large, largeBytes)
+	const maxGrowth, maxAllocs, maxBytes = 8, 24, 71000
 	if large-small > maxGrowth {
 		t.Errorf("product 216 allocates %.0f per cycle, product 8 %.0f: grows by more than %d with the product", large, small, maxGrowth)
 	}
 	if large > maxAllocs {
 		t.Errorf("miss negotiate+reject allocated %.0f objects per cycle at product 216, want <= %d", large, maxAllocs)
+	}
+	if largeBytes > maxBytes {
+		t.Errorf("miss negotiate+reject allocated %.0f bytes per cycle at product 216, want <= %d", largeBytes, maxBytes)
 	}
 }

@@ -24,7 +24,7 @@ func paperVideoOffer(id media.VariantID, v qos.VideoQoS, total cost.Money) offer
 		Document: "news-article",
 		Choices: []offer.Choice{{
 			Monomedia: "video",
-			Variant: media.Variant{
+			Variant: &media.Variant{
 				ID: id, Format: media.MPEG1, QoS: qos.VideoSetting(v), Server: "server-1",
 			},
 		}},

@@ -73,10 +73,10 @@ func (SNSPrimary) Less(a, b Ranked) bool {
 	if a.OIF != b.OIF {
 		return a.OIF > b.OIF
 	}
-	if a.Total() != b.Total() {
-		return a.Total() < b.Total()
+	if a.Cost.Total != b.Cost.Total {
+		return a.Cost.Total < b.Cost.Total
 	}
-	return a.Key() < b.Key()
+	return a.cachedKey() < b.cachedKey()
 }
 
 // OIFOnly classifies purely by overall importance factor. It reproduces the
@@ -93,10 +93,10 @@ func (OIFOnly) Less(a, b Ranked) bool {
 	if a.OIF != b.OIF {
 		return a.OIF > b.OIF
 	}
-	if a.Total() != b.Total() {
-		return a.Total() < b.Total()
+	if a.Cost.Total != b.Cost.Total {
+		return a.Cost.Total < b.Cost.Total
 	}
-	return a.Key() < b.Key()
+	return a.cachedKey() < b.cachedKey()
 }
 
 // CostOnly classifies cheapest-first: Section 5's strawman ("to classify
@@ -109,10 +109,10 @@ func (CostOnly) Name() string { return "cost-only" }
 
 // Less implements Orderer.
 func (CostOnly) Less(a, b Ranked) bool {
-	if a.Total() != b.Total() {
-		return a.Total() < b.Total()
+	if a.Cost.Total != b.Cost.Total {
+		return a.Cost.Total < b.Cost.Total
 	}
-	return a.Key() < b.Key()
+	return a.cachedKey() < b.cachedKey()
 }
 
 // QoSOnly classifies by QoS importance alone (the weighted-average scheme
@@ -128,10 +128,10 @@ func (QoSOnly) Less(a, b Ranked) bool {
 	if a.QoSImportance != b.QoSImportance {
 		return a.QoSImportance > b.QoSImportance
 	}
-	if a.Total() != b.Total() {
-		return a.Total() < b.Total()
+	if a.Cost.Total != b.Cost.Total {
+		return a.Cost.Total < b.Cost.Total
 	}
-	return a.Key() < b.Key()
+	return a.cachedKey() < b.cachedKey()
 }
 
 // Classify ranks and orders offers with the paper's default classifier and

@@ -182,7 +182,7 @@ func buildOffer(doc media.Document, cands Candidates, idx []int, copyright cost.
 	var key strings.Builder
 	for i, j := range idx {
 		c := &cands[i][j]
-		o.Choices[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: c.Variant}
+		o.Choices[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: &c.Variant}
 		if i > 0 {
 			key.WriteByte('+')
 		}
@@ -304,7 +304,7 @@ func FromCandidates(doc media.Document, cands Candidates, maxOffers int) ([]Syst
 		keyStart, first := keys.Len(), line
 		for i, j := range idx {
 			c := &cands[i][j]
-			ch[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: c.Variant}
+			ch[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: &c.Variant}
 			if i > 0 {
 				keys.WriteByte('+')
 			}

@@ -95,7 +95,7 @@ func TestEnumerateFiltersUndecodable(t *testing.T) {
 	}
 	for _, o := range offers {
 		for _, c := range o.Choices {
-			if !m.CanDecode(c.Variant) {
+			if !m.CanDecode(*c.Variant) {
 				t.Errorf("offer includes undecodable variant %s", c.Variant.ID)
 			}
 		}

@@ -21,7 +21,7 @@ func Example_paperClassification() {
 			Document: "news-article",
 			Choices: []offer.Choice{{
 				Monomedia: "video",
-				Variant: media.Variant{
+				Variant: &media.Variant{
 					ID: media.VariantID(id), Format: media.MPEG1,
 					QoS: qos.VideoSetting(v), Server: "server-1",
 				},

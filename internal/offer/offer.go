@@ -17,9 +17,15 @@ import (
 )
 
 // Choice selects one variant for one monomedia component of the document.
+//
+// Variant points at the candidate's own variant (Candidate.Variant of the
+// candidate set the offer was built from), so every offer that picks the same
+// candidate shares one variant, and so does every session holding such an
+// offer. Like the candidates, the variant is immutable: copy it before
+// changing a field.
 type Choice struct {
 	Monomedia media.MonomediaID `json:"monomedia"`
-	Variant   media.Variant     `json:"variant"`
+	Variant   *media.Variant    `json:"variant"`
 }
 
 // SystemOffer is Definition 1: "a set of variants (a variant for each
@@ -51,12 +57,7 @@ func (o SystemOffer) Settings() []qos.Setting {
 // Key is a deterministic identity for the offer: the chosen variant ids in
 // choice order. Classification uses it as the final tie-breaker and the
 // adaptation procedure uses it to exclude the offer currently in trouble.
-func (o SystemOffer) Key() string {
-	if o.key != "" || len(o.Choices) == 0 {
-		return o.key
-	}
-	return computeKey(o.Choices)
-}
+func (o SystemOffer) Key() string { return o.cachedKey() }
 
 // Summary returns the offer's identity and price without its choices or
 // per-stream cost lines: what outlives a session. Of the product the offer
@@ -71,11 +72,15 @@ func (o SystemOffer) Summary() SystemOffer {
 	}
 }
 
-// computeKey joins the chosen variant ids; Key()'s slow path for offers whose
-// cache was not filled (hand-built literals, JSON round-trips).
-func computeKey(choices []Choice) string {
-	parts := make([]string, len(choices))
-	for i, c := range choices {
+// cachedKey is Key through the pointer, so the classification comparators
+// read shared offers without copying them. Offers whose cache was not filled
+// (hand-built literals, JSON round-trips) join the variant ids here.
+func (o *SystemOffer) cachedKey() string {
+	if o.key != "" || len(o.Choices) == 0 {
+		return o.key
+	}
+	parts := make([]string, len(o.Choices))
+	for i, c := range o.Choices {
 		parts[i] = string(c.Variant.ID)
 	}
 	return strings.Join(parts, "+")

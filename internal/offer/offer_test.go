@@ -17,7 +17,7 @@ func videoOffer(id media.VariantID, v qos.VideoQoS, price cost.Money) SystemOffe
 		Document: "news-1",
 		Choices: []Choice{{
 			Monomedia: "video",
-			Variant: media.Variant{
+			Variant: &media.Variant{
 				ID:     id,
 				Format: media.MPEG1,
 				QoS:    qos.VideoSetting(v),
@@ -217,7 +217,7 @@ func TestUserOfferDerivation(t *testing.T) {
 	o := paperOffers()[3]
 	o.Choices = append(o.Choices, Choice{
 		Monomedia: "audio",
-		Variant: media.Variant{
+		Variant: &media.Variant{
 			ID: "a1", Format: media.MPEG1Audio,
 			QoS:    qos.AudioSetting(qos.AudioQoS{Grade: qos.CDQuality, Language: qos.French}),
 			Server: "server-2",

@@ -208,7 +208,7 @@ func TestTopKProperty(t *testing.T) {
 		for i := range all {
 			r := Ranked{
 				SystemOffer: &SystemOffer{
-					Choices: []Choice{{Variant: media.Variant{ID: media.VariantID(fmt.Sprintf("v%d", i))}}},
+					Choices: []Choice{{Variant: &media.Variant{ID: media.VariantID(fmt.Sprintf("v%d", i))}}},
 					Cost:    cost.Breakdown{Total: cost.Money(rng.Intn(5))},
 				},
 				Status: Status(rng.Intn(3)),

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"qosneg/internal/client"
 	"qosneg/internal/cost"
@@ -118,7 +119,9 @@ func TestFromCandidatesMatchesBuildOffer(t *testing.T) {
 }
 
 // TestSlabOffersDoNotAlias appends through every slice one offer hands out
-// and checks its neighbours in the slabs are untouched.
+// and checks its neighbours in the slabs are untouched. What the offers do
+// share is the candidates' variants: every choice points at the variant of
+// the candidate it picked, so two offers picking one candidate share it.
 func TestSlabOffersDoNotAlias(t *testing.T) {
 	doc := shapeDoc(3, 3, 3)
 	cands, err := Filter(context.Background(), doc, client.Workstation("c1", "n1"), cost.DefaultPricing(), cost.BestEffort, 0, nil)
@@ -130,6 +133,26 @@ func TestSlabOffersDoNotAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	pristine, _ := FromCandidates(doc, cands, 0)
+	// Lexicographic order, last monomedia fastest: offers 0 and 1 pick the
+	// same video and audio candidates and different captions.
+	for i, same := range []bool{true, true, false} {
+		if got := offers[0].Choices[i].Variant == offers[1].Choices[i].Variant; got != same {
+			t.Errorf("offers 0 and 1 share choice %d's variant: %v, want %v", i, got, same)
+		}
+	}
+	idx := make([]int, len(cands))
+	for n := range offers {
+		o := &offers[n]
+		if cap(o.Choices) != len(o.Choices) {
+			t.Fatalf("offer %d: choice window has cap %d past its %d choices", n, cap(o.Choices), len(o.Choices))
+		}
+		for i, j := range idx {
+			if o.Choices[i].Variant != &cands[i][j].Variant {
+				t.Fatalf("offer %d choice %d does not point at candidate %d's variant", n, i, j)
+			}
+		}
+		advanceIndex(idx, cands)
+	}
 	for i := range offers {
 		o := &offers[i]
 		_ = append(o.Choices, Choice{Monomedia: "intruder"})
@@ -146,6 +169,16 @@ func TestSlabOffersDoNotAlias(t *testing.T) {
 	again, _ := FromCandidates(doc, cands, 0)
 	if !reflect.DeepEqual(again, pristine) {
 		t.Fatal("appending to one monomedia's candidates wrote into the next monomedia's")
+	}
+}
+
+// TestChoiceSize pins a choice at a monomedia id and a pointer to the
+// candidate's variant: 24 bytes on a 64-bit platform, where a choice holding
+// the variant by value took 120.
+func TestChoiceSize(t *testing.T) {
+	const want = 3 * unsafe.Sizeof(uintptr(0)) // a string header and a pointer
+	if got := unsafe.Sizeof(Choice{}); got != want {
+		t.Errorf("unsafe.Sizeof(Choice{}) = %d, want %d", got, want)
 	}
 }
 

@@ -70,14 +70,17 @@ func (t *TopK) Add(r Ranked) {
 // classified list handed to the resource-commitment step.
 func (t *TopK) Sorted() []Ranked {
 	out := slices.Clone(t.items)
+	// One Less per comparison: the orderers are strict total orders and an
+	// offer's key is unique within its product, so two distinct offers never
+	// tie.
 	slices.SortFunc(out, func(a, b Ranked) int {
 		switch {
+		case a.SystemOffer == b.SystemOffer:
+			return 0
 		case t.order.Less(a, b):
 			return -1
-		case t.order.Less(b, a):
-			return 1
 		}
-		return 0
+		return 1
 	})
 	return out
 }

@@ -41,6 +41,14 @@
 // fresh entry, while the old world's entries age out of the LRU (or are
 // dropped promptly by PurgeExclusions on breaker transitions).
 //
+// # Sharing
+//
+// A stored candidate set and the offers built from it are shared by every
+// negotiation that hits the entry, and the offers share the candidates'
+// variants: a choice points at the Variant of the candidate it picked
+// instead of copying it. Nothing reachable from an entry may be written —
+// not a candidate, not an offer, not a variant a choice points at.
+//
 // The cache is sharded; each shard holds an LRU list under its own mutex, so
 // concurrent negotiations on different documents rarely contend.
 package offercache
@@ -133,7 +141,9 @@ type Stats struct {
 // is not usable; construct with New. Stored candidate sets are shared by
 // reference across negotiations and MUST be treated as immutable — the
 // enumeration pipeline only reads them, and Filter always builds fresh
-// slices, so this holds by construction.
+// slices, so this holds by construction. Their variants are shared further:
+// every offer built from a set, and every session holding one, points at the
+// candidates' own variants (offer.Choice.Variant).
 type Cache struct {
 	shards [numShards]shard
 

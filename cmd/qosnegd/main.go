@@ -87,7 +87,7 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&f.faultLatency, "fault-latency", 0, "injected latency per Reserve/Connect")
 	fs.BoolVar(&f.admit, "admission", false, "enable SLO-driven admission control: overloaded negotiations are shed with FAILEDTRYLATER and a load-derived retry hint")
 	fs.DurationVar(&f.sloP99, "slo-p99", admission.DefaultSLO, "negotiation-latency p99 target the admission controller defends (with -admission)")
-	fs.StringVar(&f.policy, "policy", "", "policy ordering commitment attempts and adaptation targets among equally-ranked offers: static (the paper's fixed tie-break, the default) or bandit (online contextual bandit that learns which servers commit reliably)")
+	fs.StringVar(&f.policy, "policy", "", "policy ordering commitment attempts and adaptation targets among equally-ranked offers: static (the paper's fixed tie-break, the default) or bandit (contextual bandit that tries first the servers whose commits the server table records as reliable)")
 	return f
 }
 

@@ -194,13 +194,12 @@ func (l *lastPlan) carry(r offer.Ranked) {
 // server-down, capacity shortage, hard constraint, or cancellation.
 //
 // A refusal the plan finds touches no substrate, and records the evidence
-// a reserve-and-rollback walk would have: the circuit breaker and the
-// policy see a success for each choice planned before the refusal, then the
-// refusal. A path that other reservations hold is the exception: the
-// attempt then walks on as reservations, and the transport refuses it or
-// not. Server-attributable failures feed the breaker, so quarantines
-// accrue no matter which entry point (negotiate, renegotiate, adapt) drove
-// the attempt.
+// a reserve-and-rollback walk would have: the server table gets a success
+// for each choice planned before the refusal, then the refusal. A path
+// that other reservations hold is the exception: the attempt then walks on
+// as reservations, and the transport refuses it or not. Server-attributable
+// failures feed the breaker, so quarantines accrue no matter which entry
+// point (negotiate, renegotiate, adapt) drove the attempt.
 func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan) (commitment, commitFailure) {
 	plan := last.plan[:0]
 	if len(r.Choices) > planWidth {
@@ -280,18 +279,15 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 }
 
 // planRefused records a refusal the plan found as the reserve-and-rollback
-// walk would have: a success for each choice planned before it, with no
-// latency measured, then the refusal — unless it is a cancellation or a
-// quarantine, which are no new evidence against a server.
+// walk would have: a success for each choice planned before it, then the
+// refusal — unless it is a cancellation or a quarantine, which are no new
+// evidence against a server.
 func (m *Manager) planRefused(r offer.Ranked, planned []plannedChoice, g cost.Guarantee, f commitFailure) commitFailure {
 	for i := range planned {
-		sid := r.Choices[i].Variant.Server
-		m.recordServerSuccess(sid, planned[i].gen)
-		m.observeCommit(sid, g, CauseNone, 0)
+		m.recordServerSuccess(r.Choices[i].Variant.Server, g, planned[i].gen)
 	}
 	if f.kind != refusedCanceled && f.kind != refusedQuarantined {
-		m.recordCommitFailure(f)
-		m.observeCommit(f.server, g, f.cause, 0)
+		m.recordCommitFailure(f, g)
 	}
 	return f
 }
@@ -335,10 +331,6 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 			rerouted = true
 		}
 		pc := &plan[i]
-		var began time.Time
-		if m.observer != nil {
-			began = m.clk.Now()
-		}
 		held = held[:i+1]
 		h := &held[i]
 		var err error
@@ -351,10 +343,7 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 			return commitment{}, m.refuse(held, len(held)-1, g,
 				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: pc.entry.node, to: mach.Node})
 		}
-		m.recordServerSuccess(sid, pc.gen)
-		if m.observer != nil {
-			m.observeCommit(sid, g, CauseNone, m.clk.Now().Sub(began))
-		}
+		m.recordServerSuccess(sid, g, pc.gen)
 		if pc.delay != h.conn.Metrics.Delay || pc.jitter != h.conn.Metrics.Jitter {
 			pc.delay, pc.jitter = h.conn.Metrics.Delay, h.conn.Metrics.Jitter
 			rerouted = true
@@ -416,8 +405,7 @@ func connJitter(r offer.Ranked, plan []plannedChoice, id media.MonomediaID) (jit
 // the first conns connections — and records the refusal against its server.
 func (m *Manager) refuse(held []heldChoice, conns int, g cost.Guarantee, f commitFailure) commitFailure {
 	m.releaseHeld(held, conns)
-	m.recordCommitFailure(f)
-	m.observeCommit(f.server, g, f.cause, 0)
+	m.recordCommitFailure(f, g)
 	return f
 }
 

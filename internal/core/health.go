@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qosneg/internal/clock"
+	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/offercache"
@@ -193,12 +194,13 @@ func (p HealthPolicy) retryAfter() time.Duration {
 }
 
 // ServerTable holds the media servers the QoS manager commits against and
-// the circuit breaker's record of each. A fleet builds one table and every
+// the one record of each server's commit outcomes, which both the circuit
+// breaker and an installed policy read. A fleet builds one table and every
 // shard commits against it (ShardHooks.Servers), so a trip, a
-// consecutive-failure count and a policy's breaker context are one fact per
-// server however many shards front it; a bare manager builds its own. Step 5
-// reads a choice's server, failure generation and remaining quarantine in
-// one read-locked lookup.
+// consecutive-failure count and a policy's evidence are one fact per server
+// however many shards front it; a bare manager builds its own. Step 5 reads
+// a choice's server, failure generation and remaining quarantine in one
+// read-locked lookup, and posts each outcome once.
 type ServerTable struct {
 	mu      sync.RWMutex
 	servers map[media.ServerID]*serverRecord
@@ -210,8 +212,8 @@ func NewServerTable() *ServerTable {
 }
 
 // serverRecord is one server's row: its registration (zero until AddServer
-// — failures are recorded against unregistered servers too) and its breaker
-// state.
+// — failures are recorded against unregistered servers too) and its commit
+// record.
 type serverRecord struct {
 	serverEntry
 	serverHealth
@@ -222,13 +224,14 @@ type serverEntry struct {
 	node   network.NodeID
 }
 
-// serverHealth is the breaker state the table keeps per server.
+// serverHealth is the commit record the table keeps per server.
 type serverHealth struct {
 	// gen counts failure recordings against the server; 0 means none ever
 	// was. Success evidence is stamped with the generation current when it
-	// was gathered and only clears breaker state while the generation still
-	// matches: a slow commit that reserved before a quarantine tripped must
-	// not lift that quarantine when it finally reports in.
+	// was gathered and only clears breaker state — the streak and the
+	// quarantine — while the generation still matches: a slow commit that
+	// reserved before a quarantine tripped must not lift that quarantine
+	// when it finally reports in.
 	gen uint64
 	// consecutive counts capacity-class failures since the last success.
 	consecutive int
@@ -239,6 +242,38 @@ type serverHealth struct {
 	reserveFailures int
 	connectFailures int
 	quarantines     int
+	// outcomes is every commit outcome of each service guarantee, decayed,
+	// indexed by cost.Guarantee: what a policy scores the server by.
+	outcomes [2]outcomeCounts
+}
+
+// outcomeCounts is a server's decayed commit-success and commit-failure counts
+// for one service guarantee.
+type outcomeCounts struct{ successes, failures float64 }
+
+// outcomeDecay scales a guarantee's older outcomes at each new one, so the
+// record tracks a server whose behaviour changes.
+const outcomeDecay = 0.98
+
+// of returns the outcomes of guarantee g; a guarantee the pricing does not
+// know is best effort, as it is priced.
+func (h *serverHealth) of(g cost.Guarantee) *outcomeCounts {
+	if g == cost.Guaranteed {
+		return &h.outcomes[cost.Guaranteed]
+	}
+	return &h.outcomes[cost.BestEffort]
+}
+
+// post folds one commit outcome into the outcomes of its guarantee.
+func (h *serverHealth) post(g cost.Guarantee, ok bool) {
+	o := h.of(g)
+	o.successes *= outcomeDecay
+	o.failures *= outcomeDecay
+	if ok {
+		o.successes++
+	} else {
+		o.failures++
+	}
 }
 
 // record returns the (lazily created) record for a server; the caller must
@@ -279,12 +314,13 @@ func (t *ServerTable) lookup(id media.ServerID, clk clock.Clock) (serverEntry, u
 	return rec.serverEntry, rec.gen, left
 }
 
-// recordFailure feeds one server-attributable failure into the breaker and
-// reports whether it tripped the breaker.
-func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.Clock) (tripped bool) {
+// recordFailure posts one server-attributable failure of a guarantee-g
+// commit and reports whether it tripped the breaker.
+func (t *ServerTable) recordFailure(f commitFailure, g cost.Guarantee, p HealthPolicy, clk clock.Clock) (tripped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	h := &t.record(f.server).serverHealth
+	h.post(g, false)
 	h.gen++
 	switch f.kind {
 	case refusedUnregistered, refusedReserve:
@@ -315,19 +351,20 @@ func (t *ServerTable) recordFailure(f commitFailure, p HealthPolicy, clk clock.C
 	return tripped
 }
 
-// recordSuccess resets a server's breaker after a successful reserve and
-// connect — unless the evidence is stale: gen is what lookup returned when
-// the attempt began, and failures recorded since are newer evidence than
-// this success. It reports whether the reset lifted a quarantine. A server
-// with no failure on record has nothing to reset.
-func (t *ServerTable) recordSuccess(id media.ServerID, gen uint64, clk clock.Clock) (restored bool) {
-	if gen == 0 {
-		return false
-	}
+// recordSuccess posts a successful reserve and connect of a guarantee-g
+// commit, and resets the server's breaker — unless the evidence is stale:
+// gen is what lookup returned when the attempt began, and failures recorded
+// since are newer evidence than this success. It reports whether the reset
+// lifted a quarantine.
+func (t *ServerTable) recordSuccess(id media.ServerID, g cost.Guarantee, gen uint64, clk clock.Clock) (restored bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec, ok := t.servers[id]
-	if !ok || rec.gen != gen {
+	if !ok {
+		return false
+	}
+	rec.post(g, true)
+	if rec.gen != gen {
 		return false
 	}
 	// A zero deadline is never after now, so the clock is read only when
@@ -411,9 +448,9 @@ func (t *ServerTable) loads(clk clock.Clock) []ServerLoad {
 	return out
 }
 
-// policyInfo snapshots one server's live load and breaker history for a
-// selection policy.
-func (t *ServerTable) policyInfo(id media.ServerID) PolicyServer {
+// policyInfo snapshots one server's row for a policy: its breaker history,
+// its outcomes for guarantee g and its live load.
+func (t *ServerTable) policyInfo(id media.ServerID, g cost.Guarantee) PolicyServer {
 	info := PolicyServer{ID: id}
 	t.mu.RLock()
 	rec, ok := t.servers[id]
@@ -422,10 +459,11 @@ func (t *ServerTable) policyInfo(id media.ServerID) PolicyServer {
 		server = rec.server
 		info.ConsecutiveFailures = rec.consecutive
 		info.Quarantines = rec.quarantines
+		o := rec.of(g)
+		info.Successes, info.Failures = o.successes, o.failures
 	}
 	t.mu.RUnlock()
 	if server != nil {
-		info.ActiveStreams = server.ActiveStreams()
 		info.Utilization = server.Utilization()
 	}
 	return info
@@ -457,17 +495,17 @@ func (t *ServerTable) instrument(reg *telemetry.Registry) {
 		func(h *serverHealth) int64 { return int64(h.consecutive) })
 }
 
-// recordCommitFailure feeds one failed commit attempt into the outcome
-// counters and, for server-attributable causes, the circuit breaker. A trip
-// is this manager's to count, trace and purge its offer cache for, whichever
-// shard's table it lands in.
-func (m *Manager) recordCommitFailure(f commitFailure) {
+// recordCommitFailure feeds one failed commit attempt of guarantee g into
+// the outcome counters and, for server-attributable causes, the server's
+// record. A trip is this manager's to count, trace and purge its offer cache
+// for, whichever shard's table it lands in.
+func (m *Manager) recordCommitFailure(f commitFailure, g cost.Guarantee) {
 	m.count.commitFailures[f.cause].Add(1)
 	if f.server == "" || (f.cause != CauseServerDown && f.cause != CauseCapacity) {
 		return
 	}
 
-	if m.servers.recordFailure(f, m.opts.Health, m.clk) {
+	if m.servers.recordFailure(f, g, m.opts.Health, m.clk) {
 		m.exclusionChanged()
 		m.count.quarantines.Add(1)
 		if m.opts.Tracer != nil {
@@ -477,12 +515,12 @@ func (m *Manager) recordCommitFailure(f commitFailure) {
 	}
 }
 
-// recordServerSuccess resets a server's breaker: a successful reserve and
-// connect is proof of health, so the consecutive counter and any pending
-// quarantine are cleared — unless failures were recorded since generation
-// gen, which are newer evidence than this success.
-func (m *Manager) recordServerSuccess(id media.ServerID, gen uint64) {
-	if m.servers.recordSuccess(id, gen, m.clk) {
+// recordServerSuccess posts a successful reserve and connect of guarantee
+// g to the server's record. It is proof of health, so the consecutive
+// counter and any pending quarantine are cleared — unless failures were
+// recorded since generation gen, which are newer evidence than this success.
+func (m *Manager) recordServerSuccess(id media.ServerID, g cost.Guarantee, gen uint64) {
+	if m.servers.recordSuccess(id, g, gen, m.clk) {
 		// The exclusion world shrank: drop candidate sets filtered
 		// without the restored server's variants.
 		m.exclusionChanged()

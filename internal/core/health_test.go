@@ -9,6 +9,7 @@ import (
 
 	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
+	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
@@ -322,6 +323,23 @@ func TestFailureCauseString(t *testing.T) {
 	}
 }
 
+// A server's outcomes are kept per guarantee, and a guarantee value the
+// pricing does not know, which a client can send, counts as best effort.
+func TestOutcomesPerGuarantee(t *testing.T) {
+	b := defaultBed(t)
+	gen := b.man.serverHealthGen("server-1")
+	b.man.recordServerSuccess("server-1", cost.Guaranteed, gen)
+	b.man.recordServerSuccess("server-1", cost.Guarantee(7), gen)
+	b.man.recordCommitFailure(commitFailure{cause: CauseCapacity, kind: refusedReserve, server: "server-1"}, cost.BestEffort)
+	best, guaranteed := b.man.servers.policyInfo("server-1", cost.BestEffort), b.man.servers.policyInfo("server-1", cost.Guaranteed)
+	if best.Successes != 0.98 || best.Failures != 1 {
+		t.Errorf("best effort = %v/%v, want 0.98/1", best.Successes, best.Failures)
+	}
+	if guaranteed.Successes != 1 || guaranteed.Failures != 0 {
+		t.Errorf("guaranteed = %v/%v, want 1/0", guaranteed.Successes, guaranteed.Failures)
+	}
+}
+
 // TestBreakerGaugesMatchTable races breaker trips against successes on two
 // servers from several goroutines, round after round, and at each round's
 // quiescence holds the per-server breaker gauges to the server table: each
@@ -342,9 +360,9 @@ func TestBreakerGaugesMatchTable(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					id := ids[i%len(ids)]
 					if (w+round)%2 == 0 {
-						b.man.recordCommitFailure(commitFailure{cause: CauseCapacity, kind: refusedReserve, server: id})
+						b.man.recordCommitFailure(commitFailure{cause: CauseCapacity, kind: refusedReserve, server: id}, cost.BestEffort)
 					} else {
-						b.man.recordServerSuccess(id, b.man.serverHealthGen(id))
+						b.man.recordServerSuccess(id, cost.BestEffort, b.man.serverHealthGen(id))
 					}
 				}
 			}(w)

@@ -80,8 +80,8 @@ type Options struct {
 	// Policy, when non-nil, orders both step 5's commitment attempts and
 	// the adaptation procedure's targets among offers the classifier ranked
 	// equal — same Status, same OIF — and nothing else, so classification
-	// stays normative (see policy.go). A policy that implements
-	// PolicyObserver learns from every commit outcome. Nil keeps the
+	// stays normative (see policy.go). It reads the server table's record
+	// of every commit outcome and keeps none of its own. Nil keeps the
 	// paper's fixed tie-break order byte-for-byte at zero cost.
 	Policy Policy
 }
@@ -242,9 +242,6 @@ type Manager struct {
 	// servers is the media servers and their circuit breaker; a fleet's
 	// shards share one.
 	servers *ServerTable
-	// observer is the installed policy's learning surface, resolved once at
-	// construction; nil when no policy learns.
-	observer PolicyObserver
 }
 
 // Stats counts negotiation outcomes.
@@ -309,9 +306,6 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		sessions:   make(map[SessionID]*Session),
 		heldOnCMFS: make(map[serverHold]*Session),
 		heldOnNet:  make(map[network.ReservationID]*Session),
-	}
-	if ob, ok := opts.Policy.(PolicyObserver); ok {
-		m.observer = ob
 	}
 	if opts.OfferCache >= 0 {
 		m.cache = offercache.New(opts.OfferCache)

@@ -326,7 +326,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 	b.man.recordCommitFailure(commitFailure{
 		cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 		err: errors.New("injected"),
-	})
+	}, cost.BestEffort)
 	st := b.man.Stats()
 	if st.OfferCacheEntries != 0 {
 		t.Fatalf("after trip: entries = %d, want 0 (purged)", st.OfferCacheEntries)
@@ -360,7 +360,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 
 	// Restore: the quarantined-world entry is purged in turn, and the full
 	// candidate set comes back.
-	b.man.recordServerSuccess("server-2", b.man.serverHealthGen("server-2"))
+	b.man.recordServerSuccess("server-2", cost.BestEffort, b.man.serverHealthGen("server-2"))
 	st = b.man.Stats()
 	if st.OfferCacheEntries != 0 {
 		t.Fatalf("after restore: entries = %d, want 0", st.OfferCacheEntries)
@@ -449,14 +449,14 @@ func TestOfferCacheOnOffEquivalence(t *testing.T) {
 		case 5:
 			if quarantined {
 				for _, b := range beds {
-					b.man.recordServerSuccess("server-2", b.man.serverHealthGen("server-2"))
+					b.man.recordServerSuccess("server-2", cost.BestEffort, b.man.serverHealthGen("server-2"))
 				}
 			} else {
 				for _, b := range beds {
 					b.man.recordCommitFailure(commitFailure{
 						cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 						err: errors.New("injected"),
-					})
+					}, cost.BestEffort)
 				}
 			}
 			quarantined = !quarantined
@@ -544,11 +544,11 @@ func coherenceRun(t *testing.T, seed int64) {
 				b.man.recordCommitFailure(commitFailure{
 					cause: CauseServerDown, kind: refusedReserve, server: "server-2",
 					err: errors.New("injected"),
-				})
+				}, cost.BestEffort)
 				quarVer.Add(1) // odd: quarantine definitely in force
 			} else {
 				quarVer.Add(1) // even again, then lift it
-				b.man.recordServerSuccess("server-2", b.man.serverHealthGen("server-2"))
+				b.man.recordServerSuccess("server-2", cost.BestEffort, b.man.serverHealthGen("server-2"))
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"time"
+	"slices"
 
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -19,39 +19,32 @@ import (
 // any policy, however adventurous, preserves the procedure's user-visible
 // QoS ordering, and a nil policy is byte-for-byte today's behaviour at zero
 // cost (the group slice is returned untouched, no candidate features are
-// gathered, no clock is read).
+// gathered).
 
-// PolicyServer is the per-server feature vector a policy sees for every
-// server a candidate offer touches: live load from the shared server object
-// and breaker history from the manager's health table.
+// PolicyServer is one server's row as a policy sees it: its live load from
+// the shared server object, and the server table's record of its commit
+// outcomes.
 type PolicyServer struct {
 	ID media.ServerID
-	// ActiveStreams and Utilization are the server's live load (zero if the
-	// server is not registered with this manager).
-	ActiveStreams int
-	Utilization   float64
+	// Utilization is the server's live load (zero if the server is not
+	// registered with this manager).
+	Utilization float64
 	// ConsecutiveFailures counts commit failures since the server's last
 	// success; Quarantines counts breaker trips over the server's lifetime.
 	ConsecutiveFailures int
 	Quarantines         int
+	// Successes and Failures are the server's commit outcomes for the
+	// request's service guarantee, decayed: each new outcome of that
+	// guarantee counts 1 and scales the older ones by 0.98.
+	Successes, Failures float64
 }
 
-// PolicyCandidate is one offer of a tie run, as presented to a policy.
+// PolicyCandidate is one offer of a tie run, as presented to a policy, in
+// classical order: the first is the offer the fixed tie-break would attempt
+// first.
 type PolicyCandidate struct {
-	// Rank is the candidate's position within the run in classical order
-	// (0 is the offer the fixed tie-break would attempt first).
-	Rank int
-	// Key is the offer's stable identity (offer.SystemOffer.Key).
-	Key string
-	// Status and OIF are the classification parameters; equal across the
-	// run by construction.
-	Status offer.Status
-	OIF    float64
 	// Cost is the offer's total price.
 	Cost cost.Money
-	// Guarantee is the service class the user requested — the QoS-class
-	// feature of a contextual policy.
-	Guarantee cost.Guarantee
 	// Servers lists each distinct server the offer commits against, in
 	// choice order.
 	Servers []PolicyServer
@@ -62,37 +55,10 @@ type PolicyCandidate struct {
 // Order receives one maximal run of (Status, OIF)-equal candidates, at least
 // two, and returns the order to attempt them in as a permutation of
 // 0..len(ties)-1. A nil or invalid return keeps the classical order, so a
-// policy can always decline. Policies that also implement PolicyObserver
-// receive the outcome of every commit attempt and can learn online.
+// policy can always decline. A policy keeps no evidence of its own: the
+// server table records every commit outcome, and the candidates carry it.
 type Policy interface {
 	Order(ties []PolicyCandidate) []int
-}
-
-// CommitObservation is the outcome of one per-server commit attempt, fed to
-// learning policies: CauseNone with the reserve+connect latency on success,
-// the failure cause (server-down, capacity, …) otherwise.
-type CommitObservation struct {
-	Server    media.ServerID
-	Guarantee cost.Guarantee
-	Cause     FailureCause
-	// Latency is the wall time of the successful reserve+connect for this
-	// choice; zero for failures.
-	Latency time.Duration
-}
-
-// PolicyObserver is the optional learning surface of a policy. The manager
-// type-asserts it once at construction; ObserveCommit runs on the
-// negotiating goroutine and must be fast.
-type PolicyObserver interface {
-	ObserveCommit(CommitObservation)
-}
-
-// observeCommit feeds one attempt outcome to the learning policy.
-func (m *Manager) observeCommit(server media.ServerID, g cost.Guarantee, cause FailureCause, latency time.Duration) {
-	if m.observer == nil || server == "" {
-		return
-	}
-	m.observer.ObserveCommit(CommitObservation{Server: server, Guarantee: g, Cause: cause, Latency: latency})
 }
 
 // policyOrder applies the policy to a partition group: each maximal
@@ -139,39 +105,25 @@ func (m *Manager) policyOrder(group []offer.Ranked, g cost.Guarantee, pol Policy
 	return out, ranks
 }
 
-// policyCandidates builds the feature vectors for one tie run. Server
-// features are gathered once per distinct server across the run.
+// policyCandidates builds the rows for one tie run, each distinct server's
+// read once from the server table.
 func (m *Manager) policyCandidates(run []offer.Ranked, g cost.Guarantee) []PolicyCandidate {
-	seen := make(map[media.ServerID]PolicyServer, 2)
+	var seen []PolicyServer
 	out := make([]PolicyCandidate, len(run))
 	for i, r := range run {
-		c := PolicyCandidate{
-			Rank:      i,
-			Key:       r.Key(),
-			Status:    r.Status,
-			OIF:       r.OIF,
-			Cost:      r.Total(),
-			Guarantee: g,
-		}
+		out[i].Cost = r.Total()
 		for _, ch := range r.Choices {
 			sid := ch.Variant.Server
-			info, ok := seen[sid]
-			if !ok {
-				info = m.servers.policyInfo(sid)
-				seen[sid] = info
+			if slices.ContainsFunc(out[i].Servers, func(sv PolicyServer) bool { return sv.ID == sid }) {
+				continue
 			}
-			dup := false
-			for _, have := range c.Servers {
-				if have.ID == sid {
-					dup = true
-					break
-				}
+			k := slices.IndexFunc(seen, func(sv PolicyServer) bool { return sv.ID == sid })
+			if k < 0 {
+				k = len(seen)
+				seen = append(seen, m.servers.policyInfo(sid, g))
 			}
-			if !dup {
-				c.Servers = append(c.Servers, info)
-			}
+			out[i].Servers = append(out[i].Servers, seen[k])
 		}
-		out[i] = c
 	}
 	return out
 }

@@ -97,32 +97,9 @@ func TestPolicyOffAllocBound(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("policy-off ordering allocates %.1f per negotiation, want 0", allocs)
 	}
-	if b.man.observer != nil {
-		t.Error("policy-off manager resolved observers")
-	}
-}
-
-// The observer is resolved once at construction: the policy itself when it
-// learns, nothing when there is no policy.
-func TestPolicyObservers(t *testing.T) {
-	if got := NewManager(nil, nil, cost.DefaultPricing(), Options{}).observer; got != nil {
-		t.Errorf("nil policy resolved observer %v", got)
-	}
-	ob := &countingPolicy{}
-	if got := NewManager(nil, nil, cost.DefaultPricing(), Options{Policy: ob}).observer; got != ob {
-		t.Errorf("learning policy resolved observer %v, want the policy", got)
-	}
 }
 
 // orderFunc adapts a function to Policy.
 type orderFunc func([]PolicyCandidate) []int
 
 func (f orderFunc) Order(ties []PolicyCandidate) []int { return f(ties) }
-
-// countingPolicy is a minimal learning policy for observer-resolution tests.
-type countingPolicy struct {
-	observed int
-}
-
-func (p *countingPolicy) Order(ties []PolicyCandidate) []int { return nil }
-func (p *countingPolicy) ObserveCommit(CommitObservation)    { p.observed++ }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qosneg/internal/clock"
+	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
@@ -39,7 +40,7 @@ func TestRefusalDetailText(t *testing.T) {
 				// Hard-down evidence on the frozen clock quarantines
 				// server-1 for exactly 90s.
 				b.man.opts.Health.Cooldown = 90 * time.Second
-				b.man.recordCommitFailure(commitFailure{cause: CauseServerDown, kind: refusedReserve, server: "server-1", err: ErrServerDown})
+				b.man.recordCommitFailure(commitFailure{cause: CauseServerDown, kind: refusedReserve, server: "server-1", err: ErrServerDown}, cost.BestEffort)
 				return keep(t, b, r)
 			},
 		},

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -116,8 +117,7 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node})
 		}
 		held[len(held)-1].conn = conn
-		m.recordServerSuccess(sid, healthGen)
-		m.observeCommit(sid, g, CauseNone, 0)
+		m.recordServerSuccess(sid, g, healthGen)
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
 			startDelay = d
 		}
@@ -149,17 +149,6 @@ func refConnJitter(r offer.Ranked, held []heldChoice, id media.MonomediaID) (jit
 	return jitter, ok
 }
 
-// recordingPolicy keeps the classical order and records every commit
-// observation, latency left out.
-type recordingPolicy struct{ seen []CommitObservation }
-
-func (p *recordingPolicy) Order([]PolicyCandidate) []int { return nil }
-
-func (p *recordingPolicy) ObserveCommit(o CommitObservation) {
-	o.Latency = 0
-	p.seen = append(p.seen, o)
-}
-
 // step5World is one side of the differential test: a manager over a star
 // whose servers can crash, each side built identically from one seed.
 type step5World struct {
@@ -169,7 +158,6 @@ type step5World struct {
 	eng     *sim.Engine
 	servers []*flakyServer
 	raw     []*cmfs.Server
-	pol     *recordingPolicy
 	held    []commitment
 }
 
@@ -203,8 +191,7 @@ func newStep5World(t *testing.T, seed int64) (*step5World, *media.Document, []cl
 	ts.SetLedger(led)
 	opts := DefaultOptions()
 	opts.Health = HealthPolicy{FailureThreshold: r.Intn(4), Cooldown: time.Duration(5+r.Intn(30)) * time.Second}
-	w := &step5World{led: led, net: net, eng: sim.NewEngine(), pol: &recordingPolicy{}}
-	opts.Policy = w.pol
+	w := &step5World{led: led, net: net, eng: sim.NewEngine()}
 	w.man = NewManager(registry.New(), ts, cost.DefaultPricing(), opts)
 	w.man.clk = clock.Sim(w.eng)
 	for _, id := range ids {
@@ -274,6 +261,19 @@ func (w *step5World) state() string {
 	return s + fmt.Sprintf("\nnet %d, ledger %d", w.net.ActiveReservations(), w.led.Open())
 }
 
+// outcomes renders every server row's decayed commit outcomes, by server.
+func (w *step5World) outcomes() string {
+	t := w.man.servers
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var rows []string
+	for id, rec := range t.servers {
+		rows = append(rows, fmt.Sprintf("%s %v", id, rec.outcomes))
+	}
+	slices.Sort(rows)
+	return strings.Join(rows, " ")
+}
+
 // commitView is a commit result without reservation ids, which the walks
 // are free to number differently.
 func commitView(c commitResult) string {
@@ -307,19 +307,17 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if r.Intn(3) == 0 {
 				skip = offers[r.Intn(len(offers))].Key()
 			}
+			// The classical order as a policy still takes the policy
+			// path, which partitions the offers before the walk.
 			var pol Policy
 			if r.Intn(2) == 0 {
-				pol = plan.pol
-			}
-			var refPol Policy
-			if pol != nil {
-				refPol = ref.pol
+				pol = orderFunc(func([]PolicyCandidate) []int { return nil })
 			}
 			got, err := plan.man.commitFirst(ctx, mach, doc, &u, offers, skip, pol, "negotiate")
 			if err != nil {
 				return err
 			}
-			want, err := ref.man.refCommitFirst(ctx, mach, doc, &u, offers, skip, refPol)
+			want, err := ref.man.refCommitFirst(ctx, mach, doc, &u, offers, skip, pol)
 			if err != nil {
 				return err
 			}
@@ -360,8 +358,8 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 		if g, w := plan.state(), ref.state(); g != w {
 			return fmt.Errorf("step %d: state\n\tplanned   %s\n\treference %s", step, g, w)
 		}
-		if !slices.Equal(plan.pol.seen, ref.pol.seen) {
-			return fmt.Errorf("step %d: policy observations\n\tplanned   %v\n\treference %v", step, plan.pol.seen, ref.pol.seen)
+		if g, w := plan.outcomes(), ref.outcomes(); g != w {
+			return fmt.Errorf("step %d: commit outcomes\n\tplanned   %s\n\treference %s", step, g, w)
 		}
 	}
 	for i := range plan.held {
@@ -379,8 +377,8 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 // servers and links, crashed servers, a breaker that quarantines, start-delay
 // and synchronization bounds and adaptations that skip an offer, both give
 // the same outcome, tallies, retry hint, commitment (servers, routes and
-// metrics), breaker state, policy observations, and substrate and ledger
-// occupancy after every operation. Only reservation ids may differ.
+// metrics), breaker state, each server's decayed commit outcomes, and
+// substrate and ledger occupancy after every operation. Only reservation ids may differ.
 func TestStep5MatchesReserveAndRollback(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if testing.Short() {

@@ -133,30 +133,59 @@ func TestE11AtomicBeatsGreedy(t *testing.T)           { checkSection(t, "E11") }
 func TestE14FutureReservations(t *testing.T)          { checkSection(t, "E14") }
 func TestE16AdaptationReducesViolations(t *testing.T) { checkSection(t, "E16") }
 func TestE19OverloadStudy(t *testing.T)               { checkSection(t, "E19") }
-func TestE20PolicyStudy(t *testing.T)                 { checkSection(t, "E20") }
 func TestF1F2Render(t *testing.T)                     { checkSection(t, "F1"); checkSection(t, "F2") }
+
+// TestE20PolicyStudy runs E20 afresh rather than reading the one run of
+// every experiment, so `-count=N` repeats the study N times and a cell that
+// timing decides shows as a difference from the golden.
+func TestE20PolicyStudy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the E20 matrix")
+	}
+	var buf bytes.Buffer
+	if err := Run("E20", &buf); err != nil {
+		t.Fatalf("Run(E20): %v\n%s", err, buf.String())
+	}
+	_, got := sections(buf.String())
+	_, want := sections(readGolden(t))
+	if d := firstDiff(want["E20"], got["E20"]); d != "" {
+		t.Errorf("E20: %s", d)
+	}
+}
 
 // TestE20Verdict feeds runE20's verdict a leaked cell and each failed
 // claim; every one must be an error, so E20 cannot print its summary.
 func TestE20Verdict(t *testing.T) {
-	measured := [4]e20Outcome{ // clean static, clean bandit, faulty static, faulty bandit
-		{}, {}, {failedCommits: 138, lastFailing: 150}, {failedCommits: 1, lastFailing: 1},
+	// The measured failed commitments, static then bandit, by breaker and
+	// drop rate.
+	var measured e20Matrix
+	for b, row := range [2][4][2]int{
+		{{0, 0}, {25, 1}, {81, 1}, {138, 1}},
+		{{0, 0}, {25, 1}, {4, 1}, {3, 1}},
+	} {
+		for d, cell := range row {
+			for p, fails := range cell {
+				measured[b][d][p].failedCommits = fails
+			}
+		}
 	}
 	if err := e20Verdict(measured); err != nil {
 		t.Fatalf("verdict on the measured cells: %v", err)
 	}
 	for _, tc := range []struct {
-		name  string
-		cell  int
-		spoil func(*e20Outcome)
+		name             string
+		breaker, drop, p int
+		spoil            func(*e20Outcome)
 	}{
-		{"leaked cell", 3, func(o *e20Outcome) { o.leak = errors.New("1 reservation open") }},
-		{"clean failures", 1, func(o *e20Outcome) { o.failedCommits = 1 }},
-		{"bandit no fewer failures", 3, func(o *e20Outcome) { o.failedCommits = 138 }},
-		{"bandit no earlier", 3, func(o *e20Outcome) { o.lastFailing = 150 }},
+		{"leaked cell", 1, 3, 1, func(o *e20Outcome) { o.leak = errors.New("1 reservation open") }},
+		{"clean failures, breaker off", 0, 0, 0, func(o *e20Outcome) { o.failedCommits = 1 }},
+		{"clean failures, default breaker", 1, 0, 1, func(o *e20Outcome) { o.failedCommits = 1 }},
+		{"bandit no fewer, breaker off", 0, 2, 1, func(o *e20Outcome) { o.failedCommits = 81 }},
+		{"bandit no fewer, default breaker at 20%", 1, 1, 1, func(o *e20Outcome) { o.failedCommits = 25 }},
+		{"bandit more, default breaker", 1, 3, 1, func(o *e20Outcome) { o.failedCommits = 4 }},
 	} {
 		results := measured
-		tc.spoil(&results[tc.cell])
+		tc.spoil(&results[tc.breaker][tc.drop][tc.p])
 		if err := e20Verdict(results); err == nil {
 			t.Errorf("%s: verdict passed", tc.name)
 		}

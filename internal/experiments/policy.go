@@ -54,14 +54,13 @@ func e20Article(id media.DocumentID) media.Document {
 	return doc
 }
 
-// e20Bed assembles the study substrate: 3 servers, the replicated catalog,
-// and a deterministic injector. The circuit breaker is disabled so the
-// comparison isolates what the *policy* learns — with the breaker on, a
-// quarantine would eventually rescue the static order too, and the study
-// would measure the breaker's threshold instead of the policy.
-func e20Bed(bandit bool, faulty bool) *testbed.Bed {
+// e20Bed assembles one cell's substrate: 3 servers, the replicated catalog,
+// a deterministic injector that makes server-1 — the server the classical
+// tie-break prefers — drop the given share of its reservations, and the
+// given breaker.
+func e20Bed(health core.HealthPolicy, bandit bool, drop float64) *testbed.Bed {
 	opts := core.DefaultOptions()
-	opts.Health = core.HealthPolicy{FailureThreshold: 0}
+	opts.Health = health
 	if bandit {
 		opts.Policy = policy.NewBandit()
 	}
@@ -75,17 +74,13 @@ func e20Bed(bandit bool, faulty bool) *testbed.Bed {
 	if err := bed.Registry.Add(e20Article("news-1")); err != nil {
 		panic(err)
 	}
-	if faulty {
-		// The fault weather targets exactly the server the classical
-		// tie-break prefers: server-1 drops 90% of reservations.
-		if s, ok := inj.Server("server-1"); ok {
-			s.SetReserveFailure(0.9)
-		}
+	if s, ok := inj.Server("server-1"); ok {
+		s.SetReserveFailure(drop)
 	}
 	return bed
 }
 
-// e20Outcome tallies one policy × scenario run.
+// e20Outcome tallies one cell.
 type e20Outcome struct {
 	succeeded     int
 	failedCommits int
@@ -96,10 +91,9 @@ type e20Outcome struct {
 	leak        error
 }
 
-// e20Drive runs count sequential negotiations and winds each one down,
-// tracking per-negotiation commit-failure deltas.
-func e20Drive(bandit, faulty bool, count int) e20Outcome {
-	bed := e20Bed(bandit, faulty)
+// e20Drive runs count sequential negotiations on a cell's bed and winds
+// each one down, tracking per-negotiation commit-failure deltas.
+func e20Drive(bed *testbed.Bed, count int) e20Outcome {
 	u := tvRequest()
 	u.Desired.Cost.MaxCost = cost.Dollars(20)
 	u.Worst.Cost.MaxCost = cost.Dollars(20)
@@ -128,68 +122,88 @@ func e20Drive(bandit, faulty bool, count int) e20Outcome {
 	return out
 }
 
-// e20Cell is one scenario × policy cell of the study.
-type e20Cell struct{ scenario, policy string }
+// The study's matrix: breaker × server-1 drop rate × policy.
+var (
+	e20Health = [2]struct {
+		name   string
+		health core.HealthPolicy
+	}{{"off", core.HealthPolicy{}}, {"default", core.DefaultHealthPolicy()}}
+	e20Drops    = [4]float64{0, 0.2, 0.5, 0.9}
+	e20Policies = [2]string{"static", "bandit"}
+)
 
-var e20Cells = [4]e20Cell{{"clean", "static"}, {"clean", "bandit"}, {"faulty", "static"}, {"faulty", "bandit"}}
+// e20Matrix holds an outcome per cell, indexed as the matrix's variables.
+type e20Matrix [len(e20Health)][len(e20Drops)][len(e20Policies)]e20Outcome
 
-// e20Verdict checks the study's claims: no cell leaks, the two policies tie
-// on the clean scenario (no failures for either), and under faults the
-// bandit burns strictly fewer failed commitments and stops failing earlier.
-// results[i] is the outcome of e20Cells[i].
-func e20Verdict(results [4]e20Outcome) error {
-	for i, c := range e20Cells {
-		if err := results[i].leak; err != nil {
-			return fmt.Errorf("LEAK in %s/%s: %w", c.scenario, c.policy, err)
+// e20Verdict checks the study's claims: no cell leaks; on the clean
+// scenario neither policy fails a commit; the bandit fails strictly fewer
+// commits than static in every faulty cell without the breaker, and in the
+// 20 % cell with it, where server-1's failures never come three in a row,
+// so the breaker never trips; and it fails no more than static in every
+// other faulty cell, where the breaker's quarantine rescues static too.
+func e20Verdict(m e20Matrix) error {
+	for b, breaker := range e20Health {
+		for d, drop := range e20Drops {
+			static, bandit := m[b][d][0], m[b][d][1]
+			cell := fmt.Sprintf("breaker %s, drop %.0f%%", breaker.name, 100*drop)
+			for p, pol := range e20Policies {
+				if err := m[b][d][p].leak; err != nil {
+					return fmt.Errorf("LEAK in %s, %s: %w", cell, pol, err)
+				}
+			}
+			switch {
+			case drop == 0:
+				if static.failedCommits != 0 || bandit.failedCommits != 0 {
+					return fmt.Errorf("%s: failures on the clean scenario (static %d, bandit %d)",
+						cell, static.failedCommits, bandit.failedCommits)
+				}
+			case breaker.name == "off" || drop == 0.2:
+				if bandit.failedCommits >= static.failedCommits {
+					return fmt.Errorf("%s: bandit did not beat the static tie-break (%d vs %d failed commitments)",
+						cell, bandit.failedCommits, static.failedCommits)
+				}
+			case bandit.failedCommits > static.failedCommits:
+				return fmt.Errorf("%s: bandit failed more commitments than the static tie-break (%d vs %d)",
+					cell, bandit.failedCommits, static.failedCommits)
+			}
 		}
-	}
-	cleanStatic, cleanBandit, faultyStatic, faultyBandit := results[0], results[1], results[2], results[3]
-	switch {
-	case cleanStatic.failedCommits != 0 || cleanBandit.failedCommits != 0:
-		return fmt.Errorf("failures on the clean scenario (static %d, bandit %d)",
-			cleanStatic.failedCommits, cleanBandit.failedCommits)
-	case faultyBandit.failedCommits >= faultyStatic.failedCommits:
-		return fmt.Errorf("bandit did not beat the static tie-break under faults (%d vs %d failed commitments)",
-			faultyBandit.failedCommits, faultyStatic.failedCommits)
-	case faultyBandit.lastFailing >= faultyStatic.lastFailing:
-		return fmt.Errorf("bandit did not stop failing earlier than static (negotiation %d vs %d)",
-			faultyBandit.lastFailing, faultyStatic.lastFailing)
 	}
 	return nil
 }
 
 // runE20 is the selection-policy study: identical catalogs, identical fault
-// weather, the only difference being who orders step 5's tie runs — the
-// paper's fixed tie-break or the learning bandit. On the clean scenario the
-// two must tie (no failures for either); under faults the bandit must burn
-// strictly fewer failed commitments and stop failing earlier, because after
-// a handful of observations it stops leading with the flaky server the
-// lexical tie-break is locked onto.
+// weather, the only difference in each pair of cells being who orders step
+// 5's tie runs — the paper's fixed tie-break or the bandit — with the
+// breaker off and as the daemon ships it.
 func runE20(w io.Writer) error {
 	const count = 150
 	fmt.Fprintln(w, "3 servers, every video quality replicated on all of them: the classifier ranks")
 	fmt.Fprintln(w, "the replicas equal, so step 5's order among them is the policy's to choose.")
-	fmt.Fprintln(w, "Classical order always tries server-1 first (offer-key tie-break); the faulty")
-	fmt.Fprintln(w, "scenario makes exactly that server drop 90% of reservations. Breaker disabled")
-	fmt.Fprintf(w, "to isolate the policy; %d sequential negotiations per cell.\n\n", count)
-	fmt.Fprintf(w, "%-8s %-8s %9s %12s %11s %14s\n",
-		"scenario", "policy", "accepted", "failedCommit", "fails/neg", "lastFail@neg")
-	var results [4]e20Outcome
-	for i, c := range e20Cells {
-		out := e20Drive(c.policy == "bandit", c.scenario == "faulty", count)
-		results[i] = out
-		fmt.Fprintf(w, "%-8s %-8s %9d %12d %11.2f %14d\n", c.scenario, c.policy, out.succeeded,
-			out.failedCommits, float64(out.failedCommits)/count, out.lastFailing)
+	fmt.Fprintln(w, "Classical order always tries server-1 first (offer-key tie-break); each faulty")
+	fmt.Fprintln(w, "scenario makes exactly that server drop a share of its reservations. The breaker")
+	fmt.Fprintf(w, "is off, or the daemon's default (%d consecutive failures quarantine a server for\n", core.DefaultHealthPolicy().FailureThreshold)
+	fmt.Fprintf(w, "%s, longer than a cell runs); %d sequential negotiations per cell.\n\n", core.DefaultCooldown, count)
+	fmt.Fprintf(w, "%-8s %5s %-7s %9s %13s %13s\n", "breaker", "drop", "policy", "accepted", "failedCommit", "lastFail@neg")
+	var m e20Matrix
+	for b, breaker := range e20Health {
+		for d, drop := range e20Drops {
+			for p, pol := range e20Policies {
+				out := e20Drive(e20Bed(breaker.health, pol == "bandit", drop), count)
+				m[b][d][p] = out
+				fmt.Fprintf(w, "%-8s %4.0f%% %-7s %9d %13d %13d\n", breaker.name, 100*drop, pol,
+					out.succeeded, out.failedCommits, out.lastFailing)
+			}
+		}
 	}
-	if err := e20Verdict(results); err != nil {
+	if err := e20Verdict(m); err != nil {
 		return err
 	}
-	faultyStatic, faultyBandit := results[2], results[3]
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "bandit burned %.0f%% fewer failed commitments than static under identical\n",
-		100*(1-float64(faultyBandit.failedCommits)/float64(faultyStatic.failedCommits)))
-	fmt.Fprintf(w, "fault weather (last failed attempt at negotiation %d vs %d) and tied clean;\n",
-		faultyBandit.lastFailing, faultyStatic.lastFailing)
-	fmt.Fprintln(w, "ledger: empty after every cell (all reservations wound down)")
+	for b, breaker := range e20Health {
+		fmt.Fprintf(w, "breaker %-7s failed commitments at 20/50/90%% drop: static %d/%d/%d, bandit %d/%d/%d\n", breaker.name,
+			m[b][1][0].failedCommits, m[b][2][0].failedCommits, m[b][3][0].failedCommits,
+			m[b][1][1].failedCommits, m[b][2][1].failedCommits, m[b][3][1].failedCommits)
+	}
+	fmt.Fprintln(w, "both policies tied clean; ledger: empty after every cell (all reservations wound down)")
 	return nil
 }

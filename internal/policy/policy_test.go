@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,34 +63,37 @@ func replicatedArticle(id media.DocumentID, servers ...media.ServerID) media.Doc
 	return doc
 }
 
-func candidate(rank int, c cost.Money, servers ...core.PolicyServer) core.PolicyCandidate {
-	return core.PolicyCandidate{Rank: rank, Key: fmt.Sprintf("k%d", rank), Cost: c, Servers: servers}
+func candidate(c cost.Money, servers ...core.PolicyServer) core.PolicyCandidate {
+	return core.PolicyCandidate{Cost: c, Servers: servers}
 }
 
-// A bandit that has watched one server fail and another succeed must order
-// the healthy server's offer first, however the classical tie-break ranked
-// them.
+// A server whose record holds failures must have its offer ordered after a
+// server whose record holds successes, however the classical tie-break
+// ranked them.
 func TestBanditLearnsFlakyServer(t *testing.T) {
+	flaky := core.PolicyServer{ID: "server-1", Failures: 6}
+	healthy := core.PolicyServer{ID: "server-2", Successes: 6}
 	b := policy.NewBandit()
-	for i := 0; i < 6; i++ {
-		b.ObserveCommit(core.CommitObservation{Server: "server-1", Cause: core.CauseServerDown})
-		b.ObserveCommit(core.CommitObservation{Server: "server-2", Cause: core.CauseNone, Latency: time.Millisecond})
-	}
-	perm := b.Order([]core.PolicyCandidate{
-		candidate(0, 100, core.PolicyServer{ID: "server-1"}),
-		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
-	})
-	if len(perm) != 2 || perm[0] != 1 {
-		t.Fatalf("order after evidence = %v, want healthy server-2 first", perm)
+	if perm := b.Order([]core.PolicyCandidate{candidate(100, flaky), candidate(100, healthy)}); !slices.Equal(perm, []int{1, 0}) {
+		t.Fatalf("order = %v, want healthy server-2 first", perm)
 	}
 	// The offer is only as good as its weakest server: pairing the healthy
 	// server with the flaky one must not outrank the all-healthy offer.
-	perm = b.Order([]core.PolicyCandidate{
-		candidate(0, 100, core.PolicyServer{ID: "server-2"}, core.PolicyServer{ID: "server-1"}),
-		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
-	})
-	if perm[0] != 1 {
+	if perm := b.Order([]core.PolicyCandidate{candidate(100, healthy, flaky), candidate(100, healthy)}); !slices.Equal(perm, []int{1, 0}) {
 		t.Fatalf("order = %v, want the all-healthy offer first (weakest-link scoring)", perm)
+	}
+}
+
+// Two servers with equal records are equally good: the bandit keeps their
+// classical order. It has no latency input, so no measured microsecond can
+// break the tie.
+func TestBanditEqualEvidenceKeepsOrder(t *testing.T) {
+	row := func(id media.ServerID) core.PolicyServer {
+		return core.PolicyServer{ID: id, Successes: 5.7, Failures: 0.98}
+	}
+	perm := policy.NewBandit().Order([]core.PolicyCandidate{candidate(100, row("server-1")), candidate(100, row("server-2"))})
+	if !slices.Equal(perm, []int{0, 1}) {
+		t.Fatalf("order = %v, want the identity for equal evidence", perm)
 	}
 }
 
@@ -100,13 +104,13 @@ func TestBanditNoEvidenceDefaults(t *testing.T) {
 	b := policy.NewBandit()
 	sv := core.PolicyServer{ID: "server-1"}
 	perm := b.Order([]core.PolicyCandidate{
-		candidate(0, 200, sv), candidate(1, 100, sv),
+		candidate(200, sv), candidate(100, sv),
 	})
 	if perm[0] != 1 {
 		t.Fatalf("order = %v, want the cheaper offer first", perm)
 	}
 	perm = b.Order([]core.PolicyCandidate{
-		candidate(0, 100, sv), candidate(1, 100, sv),
+		candidate(100, sv), candidate(100, sv),
 	})
 	for i, p := range perm {
 		if p != i {
@@ -116,8 +120,8 @@ func TestBanditNoEvidenceDefaults(t *testing.T) {
 	// Live features still matter with no commit history: a server drowning
 	// in consecutive failures is tried last.
 	perm = b.Order([]core.PolicyCandidate{
-		candidate(0, 100, core.PolicyServer{ID: "server-1", ConsecutiveFailures: 5}),
-		candidate(1, 100, core.PolicyServer{ID: "server-2"}),
+		candidate(100, core.PolicyServer{ID: "server-1", ConsecutiveFailures: 5}),
+		candidate(100, core.PolicyServer{ID: "server-2"}),
 	})
 	if perm[0] != 1 {
 		t.Fatalf("order = %v, want the unfailing server first", perm)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -572,61 +574,84 @@ func TestConcurrentCrossShardTrips(t *testing.T) {
 	}
 }
 
-// countingPolicy is a policy that counts the commit outcomes fed to it.
-type countingPolicy struct {
-	mu       sync.Mutex
-	observed int
+// recordingOrder keeps the classical order and records the outcomes each
+// tie run carries, one row per distinct server, and the most successes any
+// row carried.
+type recordingOrder struct {
+	mu        sync.Mutex
+	seen      []string
+	successes float64
 }
 
-func (p *countingPolicy) Order(ties []core.PolicyCandidate) []int { return nil }
-
-func (p *countingPolicy) ObserveCommit(core.CommitObservation) {
-	p.mu.Lock()
-	p.observed++
-	p.mu.Unlock()
-}
-
-func (p *countingPolicy) count() int {
+func (p *recordingOrder) Order(ties []core.PolicyCandidate) []int {
+	var rows []string
+	var successes float64
+	for _, c := range ties {
+		for _, sv := range c.Servers {
+			row := fmt.Sprintf("%s %v/%v", sv.ID, sv.Successes, sv.Failures)
+			if !slices.Contains(rows, row) {
+				rows = append(rows, row)
+			}
+			successes = max(successes, sv.Successes)
+		}
+	}
+	slices.Sort(rows)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.observed
+	p.seen = append(p.seen, strings.Join(rows, ", "))
+	p.successes = max(p.successes, successes)
+	return nil
 }
 
-// Every shard feeds its commit outcomes to the one installed policy object:
-// whichever shard a negotiation lands on, the observer's count grows by the
-// same amount.
+// Every shard posts its commit outcomes to the one server table, and the
+// one installed policy reads them from it: whichever shard a negotiation
+// lands on, the rows its tie runs carry hold the outcomes of every
+// negotiation before it, on either shard. So round-robin placement over two
+// shards shows the policy exactly the rows one shard does.
 func TestFleetPolicyPropagation(t *testing.T) {
-	const shards = 2
-	pol := &countingPolicy{}
-	opts := core.DefaultOptions()
-	opts.Policy = pol
-	bed := testbed.MustNew(testbed.Spec{Shards: shards, Options: &opts})
-	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	per := -1
-	for i := 0; i < 3*shards; i++ {
-		before := pol.count()
-		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile())
+	run := func(shards int) []string {
+		pol := &recordingOrder{}
+		opts := core.DefaultOptions()
+		opts.Policy = pol
+		bed := testbed.MustNew(testbed.Spec{Shards: shards, Options: &opts})
+		doc, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Session == nil {
-			t.Fatalf("negotiation %d: no session (status %v, %s)", i, res.Status, res.Reason)
+		// Every variant on both servers: the replicas tie, so each
+		// negotiation shows the policy its servers' rows.
+		doc.ID = "news-replicated"
+		if err := bed.Registry.Add(media.Replicate(doc, bed.ServerIDs(), 2)); err != nil {
+			t.Fatal(err)
 		}
-		bed.Manager.Reject(res.Session.ID)
-		d := pol.count() - before
-		if per < 0 {
-			per = d
+		for i := 0; i < 6; i++ {
+			res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), doc.ID, stressProfile())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Session == nil {
+				t.Fatalf("shards=%d, negotiation %d: no session (status %v, %s)", shards, i, res.Status, res.Reason)
+			}
+			bed.Manager.Reject(res.Session.ID)
 		}
-		if d == 0 || d != per {
-			t.Errorf("negotiation %d fed the policy %d observations, want %d (>0)", i, d, per)
+		for _, row := range bed.Fleet.ShardStats() {
+			if want := 6 / shards; row.Stats.Succeeded != want {
+				t.Errorf("shards=%d: shard %d committed %d negotiations, want %d", shards, row.Shard, row.Stats.Succeeded, want)
+			}
 		}
+		if pol.successes == 0 {
+			t.Fatalf("shards=%d: no tie run carried a success", shards)
+		}
+		return pol.seen
 	}
-	for _, row := range bed.Fleet.ShardStats() {
-		if row.Stats.Succeeded != 3 {
-			t.Errorf("shard %d committed %d negotiations, want 3", row.Shard, row.Stats.Succeeded)
+	one, two := run(1), run(2)
+	if !slices.Equal(one, two) {
+		for i := range min(len(one), len(two)) {
+			if one[i] != two[i] {
+				t.Fatalf("tie run %d: one shard shows %s\ntwo shards show %s", i, one[i], two[i])
+			}
 		}
+		t.Fatalf("one shard showed %d tie runs, two shards %d", len(one), len(two))
 	}
 }
 

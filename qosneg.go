@@ -170,11 +170,12 @@ func WithShards(n int) Option {
 // WithPolicy installs a policy on the QoS manager (see internal/policy and
 // DESIGN.md §15) that orders both step 5's commitment attempts and the
 // adaptation procedure's targets among offers the classifier ranked equal —
-// same status, same OIF — instead of the fixed cost-then-key tie-break. A
-// policy that implements core.PolicyObserver learns online from every
-// commit outcome; on a sharded system (WithShards) every shard consults and
-// teaches this one object, so it must be safe for concurrent use. Nil — the
-// default — keeps the paper's fixed order byte-for-byte.
+// same status, same OIF — instead of the fixed cost-then-key tie-break. The
+// policy keeps no evidence: each tie run it orders carries its servers' rows
+// of the server table, which records every commit outcome once and which
+// every shard of a sharded system (WithShards) shares. Every shard consults
+// this one object, so it must be safe for concurrent use. Nil — the default
+// — keeps the paper's fixed order byte-for-byte.
 func WithPolicy(p core.Policy) Option {
 	return func(c *config) { c.opts.Policy = p }
 }

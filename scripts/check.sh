@@ -28,6 +28,11 @@ go test -race -shuffle=on ./...
 echo "== lifecycle stress (race, 2000 operations per worker)"
 QOSNEG_STRESS_ITERS=2000 go test -race -count=1 -run 'TestLifecycleStress|TestChaos' ./internal/core
 
+# E20's cells must not depend on timing: each run reruns the matrix and
+# compares it with the golden, so a cell that timing decides fails here.
+echo "== E20 policy study, 20 runs"
+go test -count=20 -run TestE20PolicyStudy ./internal/experiments
+
 # bench/ is a nested module the lines above do not reach; an internal API
 # change that stops it compiling fails bench/run.sh, and with it the PR.
 echo "== benchmark module (vet, all workloads at 1/200 scale)"

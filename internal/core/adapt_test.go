@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"qosneg/internal/media"
 	"qosneg/internal/network"
+	"qosneg/internal/offer"
 	"qosneg/internal/qos"
 )
 
@@ -223,5 +225,47 @@ func TestAdaptDropsToScalableLayer(t *testing.T) {
 	}
 	if res.Session.State() != Playing {
 		t.Errorf("state = %v", res.Session.State())
+	}
+}
+
+// TestRankedReadDuringAdapt reads a session's ranked list while the session
+// adapts. Negotiation leaves the list sorted only as far as step 5 read it;
+// an adaptation that sorted the rest off-lock would write the array the
+// reader sorts and reads under the session lock, which -race reports. Each
+// round adapts a fresh session, so the reader's first read and the
+// adaptation's withdrawal meet in either order.
+func TestRankedReadDuringAdapt(t *testing.T) {
+	b := defaultBed(t)
+	for round := 0; round < 30; round++ {
+		s := playingSession(t, b)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ranked := s.Ranked()
+				for i := 1; i < len(ranked); i++ {
+					if (offer.SNSPrimary{}).Less(ranked[i], ranked[i-1]) {
+						t.Errorf("round %d: ranked[%d] = %s outranks ranked[%d] = %s", round, i, ranked[i].Key(), i-1, ranked[i-1].Key())
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		_, err := b.man.Adapt(s.ID)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: Adapt: %v", round, err)
+		}
+		if err := b.man.Complete(s.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -40,21 +40,29 @@ type commitResult struct {
 // policy orders the attempts: the dead set keys on the server and marks it
 // idempotently, so the bookkeeping is independent of iteration order.
 //
-// Without a policy the one ranked slice is walked twice under the
-// acceptable-set predicate; a policy permutes ties within each set, so the
-// two sets are materialized for it. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked []offer.Ranked, skipKey string, pol Policy, procedure string) (commitResult, error) {
+// Without a policy both passes read the one view under the acceptable-set
+// predicate, so a pass that commits its first offer orders nothing past it;
+// a policy permutes ties within each set, so the two sets are materialized
+// for it from the sorted list. A canceled ctx returns its error.
+func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skipKey string, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	var last lastPlan
-	groups := [2][]offer.Ranked{ranked, ranked}
+	var groups [2][]offer.Ranked
 	if pol != nil {
-		groups[0], groups[1] = offer.Partition(ranked, u)
+		groups[0], groups[1] = offer.Partition(ranked.All(), u)
 	}
 	for pass, group := range groups {
 		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, pol, procedure)
-		for i, r := range group {
-			if pol == nil && r.Acceptable(u) != (pass == 0) {
+		n := len(group)
+		if pol == nil {
+			n = ranked.Len()
+		}
+		for i := range n {
+			var r offer.Ranked
+			if pol != nil {
+				r = group[i]
+			} else if r = ranked.At(i); r.Acceptable(u) != (pass == 0) {
 				continue
 			}
 			if skipKey != "" && r.Key() == skipKey {

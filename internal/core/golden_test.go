@@ -20,7 +20,7 @@ func TestSessionRankedJSONGolden(t *testing.T) {
 	got, err := json.MarshalIndent(struct {
 		Current any
 		Ranked  any
-	}{res.Session.CurrentOffer(), res.Session.Ranked}, "", " ")
+	}{res.Session.CurrentOffer(), res.Session.Ranked()}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,9 @@ func (m *Manager) Abort(id SessionID) error {
 // window is one unlock window: a session whose commitment a procedure has
 // withdrawn and released while it commits a replacement off-lock. epoch is
 // the session's epoch at withdrawal; the other fields are the session as the
-// window found it, read under the lock, since a concurrent end() clears
-// Ranked.
+// window found it, read under the lock, since a concurrent end() clears the
+// ranked list. The list is sorted before it is copied, so no read off-lock
+// reorders the array the session shares.
 type window struct {
 	s       *Session
 	want    SessionState
@@ -158,7 +159,7 @@ type window struct {
 	doc     media.DocumentID
 	profile profile.UserProfile
 	current offer.Ranked
-	ranked  []offer.Ranked
+	ranked  offer.Classified
 }
 
 // withdraw opens an unlock window on session id, which must be in state
@@ -177,8 +178,9 @@ func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string)
 	}
 	s.busy = true
 	s.epoch++
+	s.ranked.All()
 	w := window{s: s, want: want, epoch: s.epoch, op: op, mach: s.Machine, doc: s.Document,
-		profile: s.Profile, current: s.Current, ranked: s.Ranked}
+		profile: s.Profile, current: s.Current, ranked: s.ranked}
 	old := s.commit
 	s.commit = commitment{}
 	m.unhold(old)
@@ -279,7 +281,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	s := w.s
 	s.Profile = u
 	s.Current = out.chosen
-	s.Ranked = out.ranked
+	s.ranked = out.ranked
 	s.ChoicePeriod = m.choicePeriodFor(u)
 	if m.opts.Metrics != nil || m.opts.Tracer != nil {
 		s.reservedAt = m.clk.Now()
@@ -339,7 +341,7 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	// Consider the ordered offers except the current one, acceptable set
 	// first, as in step 5. An installed policy may reorder ties within each
 	// group — the same freedom it has in step 5.
-	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, w.ranked, w.current.Key(), m.opts.Policy, "adapt")
+	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.Key(), m.opts.Policy, "adapt")
 	if !c.ok {
 		m.abortWindow(&w)
 		m.count.adaptations[adaptFailed].Add(1)

@@ -149,8 +149,8 @@ func TestNegotiateSucceeded(t *testing.T) {
 		t.Errorf("network reservations = %d", b.net.ActiveReservations())
 	}
 	// The session's ranked list retains every feasible offer (4×2 = 8).
-	if len(res.Session.Ranked) != 8 {
-		t.Errorf("ranked offers = %d, want 8", len(res.Session.Ranked))
+	if len(res.Session.Ranked()) != 8 {
+		t.Errorf("ranked offers = %d, want 8", len(res.Session.Ranked()))
 	}
 	st := b.man.Stats()
 	if st.Requests != 1 || st.Succeeded != 1 {

@@ -106,7 +106,7 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 	if st.OfferCacheEntries != 1 {
 		t.Fatalf("entries = %d, want 1", st.OfferCacheEntries)
 	}
-	ranked1, _ := json.Marshal(res1.Session.Ranked)
+	ranked1, _ := json.Marshal(res1.Session.Ranked())
 	windDown(t, b.man, res1, 0)
 
 	res2, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
@@ -120,7 +120,7 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 	if res2.Status != res1.Status {
 		t.Fatalf("cached status = %v, fresh %v", res2.Status, res1.Status)
 	}
-	ranked2, _ := json.Marshal(res2.Session.Ranked)
+	ranked2, _ := json.Marshal(res2.Session.Ranked())
 	if string(ranked1) != string(ranked2) {
 		t.Errorf("cached ranked list differs from fresh:\nfresh:  %s\ncached: %s", ranked1, ranked2)
 	}
@@ -176,7 +176,7 @@ func TestOfferCacheSharesVariants(t *testing.T) {
 		t.Fatalf("negotiate: %v (%v)", err, res.Status)
 	}
 	s1 := res.Session
-	shared("negotiate", s1.Ranked...)
+	shared("negotiate", s1.Ranked()...)
 	shared("negotiate: committed", s1.Current)
 	if err := b.man.Confirm(s1.ID); err != nil {
 		t.Fatal(err)
@@ -193,20 +193,20 @@ func TestOfferCacheSharesVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared("adapt", tr.From, tr.To, s1.CurrentOffer())
-	shared("adapt: ranked", s1.Ranked...)
+	shared("adapt: ranked", s1.Ranked()...)
 
 	res, err = b.man.NegotiateContext(ctx, b.mach, "news-1", tvProfile())
 	if err != nil || !res.Status.Reserved() {
 		t.Fatalf("second negotiate: %v (%v)", err, res.Status)
 	}
 	s2 := res.Session
-	shared("second negotiate", s2.Ranked...)
+	shared("second negotiate", s2.Ranked()...)
 	u := tvProfile()
 	u.Desired.Video.FrameRate = 15
 	if res, err = b.man.RenegotiateContext(ctx, s2.ID, u); err != nil || !res.Status.Reserved() {
 		t.Fatalf("renegotiate: %v (%v)", err, res.Status)
 	}
-	shared("renegotiate", s2.Ranked...)
+	shared("renegotiate", s2.Ranked()...)
 	shared("renegotiate: committed", s2.CurrentOffer())
 	if err := b.man.Confirm(s2.ID); err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 				t.Errorf("offer uses quarantined server-2 variant %s", c.Variant.ID)
 			}
 		}
-		for _, r := range res.Session.Ranked {
+		for _, r := range res.Session.Ranked() {
 			for _, c := range r.Choices {
 				if c.Variant.Server == "server-2" {
 					t.Errorf("ranked list retains quarantined server-2 variant %s", c.Variant.ID)
@@ -376,7 +376,7 @@ func TestOfferCacheQuarantinePurge(t *testing.T) {
 		t.Fatalf("after restore: status = %v (%s)", res.Status, res.Reason)
 	}
 	servers := map[media.ServerID]bool{}
-	for _, r := range res.Session.Ranked {
+	for _, r := range res.Session.Ranked() {
 		for _, c := range r.Choices {
 			servers[c.Variant.Server] = true
 		}
@@ -411,7 +411,7 @@ func TestOfferCacheOnOffEquivalence(t *testing.T) {
 			}
 			var ranked, current []byte
 			if res.Session != nil {
-				ranked, _ = json.Marshal(res.Session.Ranked)
+				ranked, _ = json.Marshal(res.Session.Ranked())
 				current, _ = json.Marshal(res.Session.CurrentOffer())
 			}
 			offerJSON, _ := json.Marshal(res.Offer)

@@ -24,7 +24,7 @@ type negOutcome struct {
 	localOffer *profile.MMProfile
 	// ranked is the classified offer list (steps 3–4), bounded by
 	// DefaultTopK; set whenever enumeration succeeded.
-	ranked []offer.Ranked
+	ranked offer.Classified
 	// chosen and commit are set when resources were reserved.
 	chosen offer.Ranked
 	commit commitment
@@ -61,8 +61,8 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		Document:     doc.ID,
 		Profile:      u,
 		Current:      out.chosen,
-		Ranked:       out.ranked,
 		ChoicePeriod: m.choicePeriodFor(u),
+		ranked:       out.ranked,
 		state:        Reserved,
 		commit:       out.commit,
 	}
@@ -168,7 +168,7 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	c, err := m.commitFirst(ctx, &mach, &doc, &u, ranked, "", m.opts.Policy, "negotiate")
+	c, err := m.commitFirst(ctx, &mach, &doc, &u, &ranked, "", m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}
@@ -198,14 +198,14 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 	// with an honest retry hint.
 	if m.opts.Tracer != nil {
 		detail := fmt.Sprintf("%d feasible offers (%d server-down, %d capacity, %d constraint, %d skipped)",
-			len(ranked), c.downs, c.capacities, c.constraints, c.skipped)
+			ranked.Len(), c.downs, c.capacities, c.constraints, c.skipped)
 		m.span(telemetry.Event{Step: telemetry.StepCommitment, Status: "exhausted", Detail: detail})
 	}
 	if c.constraints > 0 && c.downs+c.capacities+c.skipped == 0 {
 		return negOutcome{
 			status: FailedWithoutOffer,
 			ranked: ranked,
-			reason: fmt.Sprintf("all %d feasible offers violate hard constraints of the profile", len(ranked)),
+			reason: fmt.Sprintf("all %d feasible offers violate hard constraints of the profile", ranked.Len()),
 		}, nil
 	}
 	return negOutcome{
@@ -213,7 +213,7 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 		ranked:     ranked,
 		retryAfter: maxDuration(c.retryAfter, maxDuration(quarRemain, m.opts.Health.retryAfter())),
 		reason: fmt.Sprintf("no resources for any of %d feasible offers (%d server-down, %d capacity, %d constraint)",
-			len(ranked), c.downs+c.skipped, c.capacities, c.constraints),
+			ranked.Len(), c.downs+c.skipped, c.capacities, c.constraints),
 	}, nil
 }
 
@@ -258,11 +258,11 @@ func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen u
 // built, so the pipeline exploits the paper's multi-server variant
 // redundancy instead of burning commit attempts on dead replicas; exclHash
 // names that exclusion world in the cache key.
-func (m *Manager) classify(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, u profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) ([]offer.Ranked, error) {
+func (m *Manager) classify(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, u profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) (offer.Classified, error) {
 	cands, prebuilt, err := m.candidateSet(ctx, doc, docGen, mach, u.Desired.Cost.Guarantee, exclude, exclHash)
 	if err != nil {
 		t.lap(telemetry.StepCompatibilityCheck)
-		return nil, err
+		return offer.Classified{}, err
 	}
 	ranked, err := offer.TopKFromCandidates(ctx, doc, cands, u, offer.PipelineOptions{
 		MaxOffers: m.opts.MaxOffers,

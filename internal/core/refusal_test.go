@@ -121,13 +121,13 @@ func TestRefusalDetailText(t *testing.T) {
 			if err != nil || res.Session == nil {
 				t.Fatalf("negotiate: %v (%+v)", err, res.Status)
 			}
-			best := res.Session.Ranked[0]
+			best := res.Session.Ranked()[0]
 			if err := b.man.Reject(res.Session.ID); err != nil {
 				t.Fatal(err)
 			}
 			doc, u, r := tc.setup(t, b, best)
 			before := len(ring.Events())
-			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, []offer.Ranked{r}, "", nil, "negotiate")
+			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, presorted([]offer.Ranked{r}), "", nil, "negotiate")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestRefusalAllocBound(t *testing.T) {
 		t.Fatalf("negotiate: %v (%+v)", err, res.Status)
 	}
 	var offers []offer.Ranked
-	for _, r := range res.Session.Ranked {
+	for _, r := range res.Session.Ranked() {
 		if r.Choices[0].Variant.Server == "server-1" {
 			offers = append(offers, r)
 		}
@@ -195,7 +195,7 @@ func TestRefusalAllocBound(t *testing.T) {
 	})
 	const runs = 200
 	total := testing.AllocsPerRun(runs, func() {
-		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, offers, "", nil, "negotiate")
+		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, presorted(offers), "", nil, "negotiate")
 		if err != nil || c.ok || c.capacities != len(offers) {
 			t.Fatalf("commitFirst: ok %v, %d capacity refusals of %d offers, err %v", c.ok, c.capacities, len(offers), err)
 		}

@@ -4,7 +4,21 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 )
+
+// TestSessionSize keeps a session in the 576-byte size class on a 64-bit
+// platform. Go puts an 8-byte malloc header in front of a pointer-holding
+// object larger than 512 bytes, so a session of 568 bytes takes 576, and one
+// word more moves it to the 640-byte class: 64 bytes more per negotiation.
+func TestSessionSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size classes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Session{}); got > 568 {
+		t.Errorf("unsafe.Sizeof(Session{}) = %d, want <= 568", got)
+	}
+}
 
 // TestSteadyStateHeapFlat is the bounded-retention gate: a manager that
 // negotiates and rejects forever must not grow. It runs 100k cycles on one

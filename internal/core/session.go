@@ -72,19 +72,18 @@ type Session struct {
 	Profile  profile.UserProfile
 	// Current is the committed offer.
 	Current offer.Ranked
-	// Ranked is the full classified offer list from negotiation step 4;
-	// nil once the session is terminal. The offers are shared with the
-	// offer cache and immutable.
-	Ranked []offer.Ranked
 	// ChoicePeriod is the confirmation window in force (step 6).
 	ChoicePeriod time.Duration
 
-	// mu guards the mutable fields below plus Current, Ranked, Profile
-	// and ChoicePeriod when they are rewritten by renegotiation or
-	// adaptation. Lock ordering: Manager.sessMu before Session.mu, never
-	// the reverse; Manager.holdMu after either.
-	mu    sync.Mutex
-	state SessionState
+	// mu guards the mutable fields below plus Current, Profile and
+	// ChoicePeriod when they are rewritten by renegotiation or adaptation.
+	// Lock ordering: Manager.sessMu before Session.mu, never the reverse;
+	// Manager.holdMu after either.
+	mu sync.Mutex
+	// ranked is the classified offer list from negotiation step 4, sorted
+	// only as far as step 5 read it; empty once the session is terminal.
+	ranked offer.Classified
+	state  SessionState
 	// epoch is the session's transition counter: every state change and
 	// every commitment install or withdrawal under mu bumps it. Procedures
 	// that drop mu mid-flight (adaptation, renegotiation) capture the
@@ -119,7 +118,7 @@ func (s *Session) end(state SessionState) commitment {
 	s.epoch++
 	cm := s.commit
 	s.commit = commitment{}
-	s.Ranked = nil
+	s.ranked = offer.Classified{}
 	return cm
 }
 
@@ -224,6 +223,15 @@ func (s *Session) UserOffer() profile.MMProfile {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.Current.UserOffer()
+}
+
+// Ranked returns the full classified offer list from negotiation step 4,
+// best-first; nil once the session is terminal. The offers are shared with
+// the offer cache and immutable.
+func (s *Session) Ranked() []offer.Ranked {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ranked.All()
 }
 
 // CurrentOffer returns a copy of the committed offer under the session

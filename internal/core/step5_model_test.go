@@ -313,7 +313,7 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if r.Intn(2) == 0 {
 				pol = orderFunc(func([]PolicyCandidate) []int { return nil })
 			}
-			got, err := plan.man.commitFirst(ctx, mach, doc, &u, offers, skip, pol, "negotiate")
+			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), skip, pol, "negotiate")
 			if err != nil {
 				return err
 			}

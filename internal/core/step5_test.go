@@ -33,6 +33,12 @@ type congestedStep5 struct {
 	offers  []offer.Ranked
 }
 
+// presorted hands step 5 a list in the order the test built it.
+func presorted(offers []offer.Ranked) *offer.Classified {
+	c := offer.Presorted(offers)
+	return &c
+}
+
 // step5Calls counts the substrate calls step 5 makes. beforeReserve, when
 // set, runs at the start of every Reserve.
 type step5Calls struct {
@@ -141,7 +147,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, s.offers, "", nil, "negotiate"); err != nil || c.capacities != 1 {
+			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate"); err != nil || c.capacities != 1 {
 				b.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 			}
 		}
@@ -151,7 +157,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, s.offers, "", nil, "negotiate")
+			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate")
 			if err != nil || !c.ok {
 				b.Fatalf("attempt: %+v, %v; want a commit", c, err)
 			}
@@ -173,7 +179,7 @@ func TestNoRollbackWithoutARace(t *testing.T) {
 	s := newCongestedStep5(t, true)
 	commit := func() commitResult {
 		t.Helper()
-		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, s.offers, "", nil, "negotiate")
+		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +293,7 @@ func TestPlanRefusalAllocBound(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(500, func() {
-		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, s.offers, "", nil, "negotiate"); err != nil || c.capacities != 1 {
+		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate"); err != nil || c.capacities != 1 {
 			t.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 		}
 	})
@@ -338,7 +344,7 @@ func TestReroutedOfferRechecksBounds(t *testing.T) {
 		}
 		congested = 0
 	}
-	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, offers, "", nil, "negotiate")
+	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, presorted(offers), "", nil, "negotiate")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,7 +314,7 @@ func TestMissPathAllocBound(t *testing.T) {
 			if err != nil || res.Session == nil {
 				t.Fatalf("negotiate: %v (%+v)", err, res.Status)
 			}
-			if got, want := len(res.Session.Ranked), min(side*side*side, DefaultTopK); got != want {
+			if got, want := len(res.Session.Ranked()), min(side*side*side, DefaultTopK); got != want {
 				t.Fatalf("ranked %d offers of a product of %d, want %d", got, side*side*side, want)
 			}
 			if err := b.man.Reject(res.Session.ID); err != nil {

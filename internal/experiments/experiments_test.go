@@ -135,23 +135,10 @@ func TestE16AdaptationReducesViolations(t *testing.T) { checkSection(t, "E16") }
 func TestE19OverloadStudy(t *testing.T)               { checkSection(t, "E19") }
 func TestF1F2Render(t *testing.T)                     { checkSection(t, "F1"); checkSection(t, "F2") }
 
-// TestE20PolicyStudy runs E20 afresh rather than reading the one run of
-// every experiment, so `-count=N` repeats the study N times and a cell that
-// timing decides shows as a difference from the golden.
-func TestE20PolicyStudy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the E20 matrix")
-	}
-	var buf bytes.Buffer
-	if err := Run("E20", &buf); err != nil {
-		t.Fatalf("Run(E20): %v\n%s", err, buf.String())
-	}
-	_, got := sections(buf.String())
-	_, want := sections(readGolden(t))
-	if d := firstDiff(want["E20"], got["E20"]); d != "" {
-		t.Errorf("E20: %s", d)
-	}
-}
+// TestE20PolicyStudy reruns the E20 matrix on every `-count`, like every
+// checkSection test, so a cell that timing decides shows as a difference
+// from the golden.
+func TestE20PolicyStudy(t *testing.T) { checkSection(t, "E20") }
 
 // TestE20Verdict feeds runE20's verdict a leaked cell and each failed
 // claim; every one must be an error, so E20 cannot print its summary.

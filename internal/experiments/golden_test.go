@@ -143,11 +143,15 @@ func TestGolden(t *testing.T) {
 	t.Log("if the change is intended: go test ./internal/experiments -run TestGolden -update")
 }
 
-// checkSection compares one experiment's section of the shared run with
-// its section of the golden file, so a failure names the experiment.
+// checkSection runs one experiment afresh and compares its report with its
+// section of the golden file, so a failure names the experiment and
+// `-count=N` repeats the experiment N times.
 func checkSection(t *testing.T, id string) {
 	t.Helper()
-	_, got := sections(mask(runAll(t)))
+	if testing.Short() {
+		t.Skip("runs the experiment")
+	}
+	_, got := sections(mask(runToString(t, id)))
 	_, want := sections(readGolden(t))
 	if want[id] == "" {
 		t.Fatalf("%s has no section in %s", id, goldenPath)

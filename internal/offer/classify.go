@@ -135,8 +135,7 @@ func (QoSOnly) Less(a, b Ranked) bool {
 }
 
 // Classify ranks and orders offers with the paper's default classifier and
-// returns them best-first, together with the index boundaries the
-// commitment step needs.
+// returns them best-first.
 func Classify(offers []SystemOffer, u profile.UserProfile) []Ranked {
 	ranked := Rank(offers, u)
 	Sort(ranked, SNSPrimary{})

@@ -7,13 +7,13 @@
 // stream price. TopKFromCandidates precomputes the profile-dependent
 // classification stats per candidate, walks the cartesian product of
 // candidates once, scores each offer from the per-candidate stats in
-// O(#monomedia) additions, and feeds a top-K collector whose sorted content
-// is the classified, bounded offer list the resource-commitment step consumes.
+// O(#monomedia) additions, and feeds a top-K collector. The collector's heap
+// becomes the classified, bounded offer list the resource-commitment step
+// reads, ordered only as far as that step reads it.
 package offer
 
 import (
 	"context"
-	"sync"
 
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -77,35 +77,29 @@ func rankCandidates(cands Candidates, u profile.UserProfile) [][]candidateStats 
 	return stats
 }
 
-// topKPool recycles collectors across negotiations. A collector's backing
-// array survives Put/Get, so a steady-state workload with a stable TopK bound
-// stops allocating heaps entirely.
-var topKPool = sync.Pool{New: func() any { return new(TopK) }}
-
 // TopKFromCandidates runs negotiation steps 3–4 — scoring and bounded
 // classification — on a filtered candidate set (Filter's output, possibly
-// memoized by the offer cache) and returns the K best classified offers,
-// best-first. With TopK <= 0 it returns the full classified set (identical
-// to FromCandidates + Rank + Sort); with a bound it returns exactly the
-// prefix that full classification would have produced, because the orderers
-// are total orders. Only offers that can still enter the top K are
-// materialized.
+// memoized by the offer cache) and returns the K best classified offers as
+// a view that orders them on demand. With TopK <= 0 the view's All is the
+// full classified set (identical to FromCandidates + Rank + Sort); with a
+// bound it is exactly the prefix that full classification would have
+// produced, because the orderers are total orders. Only offers that can
+// still enter the top K are materialized.
 //
 // Errors: *NoVariantError (an empty candidate list), ErrTooManyOffers
 // (product above MaxOffers), or ctx's error when canceled mid-stream; ctx is
 // checked every 1024 offers.
-func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidates, u profile.UserProfile, opts PipelineOptions) ([]Ranked, error) {
+func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidates, u profile.UserProfile, opts PipelineOptions) (Classified, error) {
 	orderer := opts.Orderer
 	if orderer == nil {
 		orderer = SNSPrimary{}
 	}
 	total, err := checkProduct(doc, cands, maxOffersOrDefault(opts.MaxOffers))
 	if err != nil {
-		return nil, err
+		return Classified{}, err
 	}
 	stats := rankCandidates(cands, u)
-	tk := topKPool.Get().(*TopK)
-	defer topKPool.Put(tk)
+	var tk TopK
 	tk.Reset(opts.TopK, orderer, total)
 
 	copyright := cost.Money(doc.CopyrightFee)
@@ -116,7 +110,7 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 	var probeOffer SystemOffer
 	for n := 0; n < total; n++ {
 		if n%1024 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Classified{}, ctx.Err()
 		}
 		sum := copyright
 		qImp := 0.0
@@ -158,5 +152,5 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 		}
 		advanceIndex(idx, cands)
 	}
-	return tk.Sorted(), nil
+	return tk.Classified(), nil
 }

@@ -98,13 +98,15 @@ func TestEnumerateMatchesWalk(t *testing.T) {
 }
 
 // filterTopK runs steps 2–4 the way the manager does: the step-2 filter, then
-// the fused scoring and bounded classification over its candidates.
+// the fused scoring and bounded classification over its candidates, read in
+// full.
 func filterTopK(ctx context.Context, doc media.Document, m client.Machine, u profile.UserProfile, opts PipelineOptions) ([]Ranked, error) {
 	cands, err := Filter(ctx, doc, m, cost.DefaultPricing(), u.Desired.Cost.Guarantee, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	return TopKFromCandidates(ctx, doc, cands, u, opts)
+	c, err := TopKFromCandidates(ctx, doc, cands, u, opts)
+	return c.All(), err
 }
 
 // TestTopKFromCandidatesMatchesClassify checks the bounded pipeline returns
@@ -222,7 +224,8 @@ func TestTopKProperty(t *testing.T) {
 		if k < len(all) {
 			want = all[:k]
 		}
-		got := tk.Sorted()
+		c := tk.Classified()
+		got := c.All()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: kept %d, want %d", trial, len(got), len(want))
 		}

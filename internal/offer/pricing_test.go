@@ -107,7 +107,7 @@ func TestPipelinePricesBySection7(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range ranked {
+			for _, r := range ranked.All() {
 				check("TopKFromCandidates", *r.SystemOffer)
 				if want := Rank([]SystemOffer{*r.SystemOffer}, u)[0]; r.OIF != want.OIF || r.Status != want.Status {
 					t.Fatalf("%s %s offer %s: scored OIF %v status %v, its priced total gives %v %v", doc.ID, g, r.Key(), r.OIF, r.Status, want.OIF, want.Status)

@@ -182,6 +182,17 @@ func TestChoiceSize(t *testing.T) {
 	}
 }
 
+// TestRankedSize pins a ranked offer at four words on a 64-bit platform: the
+// offer pointer, the status and the two importance figures. Step 4 keeps 64
+// of them per negotiation, so a fifth field, such as a precomputed sort key,
+// grows every negotiation's array by 64 of it.
+func TestRankedSize(t *testing.T) {
+	const want = unsafe.Sizeof(uintptr(0)) + unsafe.Sizeof(Status(0)) + 2*unsafe.Sizeof(float64(0))
+	if got := unsafe.Sizeof(Ranked{}); got != want {
+		t.Errorf("unsafe.Sizeof(Ranked{}) = %d, want %d", got, want)
+	}
+}
+
 // TestEmptyMonomediaCandidates: a candidate set with an empty monomedia used
 // to panic with an integer divide by zero in the product check.
 func TestEmptyMonomediaCandidates(t *testing.T) {

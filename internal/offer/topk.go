@@ -6,8 +6,9 @@ import "slices"
 // ordering: negotiation step 4's classification as a bounded heap instead
 // of a full sort. Insertion is O(log K); offers that cannot beat the
 // current K-th best are rejected in O(1) via Full/Worst, so classifying a
-// product of N offers costs O(N + K log K) instead of O(N log N) — and,
-// more importantly under load, O(K) memory instead of O(N).
+// product of N offers costs O(N) plus what the reader of Classified orders:
+// K/2 comparisons for the best offer, O(K log K) for all of them. Memory
+// is O(K) instead of O(N).
 //
 // K <= 0 keeps every offer (the classical unbounded classification).
 // TopK is not safe for concurrent use. The zero value is unusable until Reset.
@@ -20,26 +21,16 @@ type TopK struct {
 }
 
 // Reset initializes the collector to keep the k best offers under the
-// orderer's ordering (k <= 0 keeps everything), reusing its backing array (the
-// pipeline pools collectors via sync.Pool). capHint is how many offers the
-// caller will feed at most — the product size — so the heap backing array is
-// allocated once at its final size: min(k, capHint) for a bounded collector
-// (it never holds more than k), capHint for an unbounded one (it holds
-// everything).
+// orderer's ordering (k <= 0 keeps everything). capHint is how many offers
+// the caller will feed at most — the product size — so the heap backing
+// array is allocated once at its final size: min(k, capHint) for a bounded
+// collector (it never holds more than k), capHint for an unbounded one (it
+// holds everything).
 func (t *TopK) Reset(k int, o Orderer, capHint int) {
-	t.k = k
-	t.order = o
 	if k > 0 && (capHint <= 0 || capHint > k) {
 		capHint = k
 	}
-	if cap(t.items) < capHint {
-		t.items = make([]Ranked, 0, capHint)
-		return
-	}
-	// Reuse the backing array; drop the stale offers so a pooled collector
-	// does not pin the previous negotiation's product.
-	clear(t.items)
-	t.items = t.items[:0]
+	*t = TopK{k: k, order: o, items: make([]Ranked, 0, capHint)}
 }
 
 // Full reports whether the collector holds K offers, so that a further Add
@@ -66,23 +57,12 @@ func (t *TopK) Add(r Ranked) {
 	t.down(0)
 }
 
-// Sorted returns the kept offers best-first, consuming nothing: the
-// classified list handed to the resource-commitment step.
-func (t *TopK) Sorted() []Ranked {
-	out := slices.Clone(t.items)
-	// One Less per comparison: the orderers are strict total orders and an
-	// offer's key is unique within its product, so two distinct offers never
-	// tie.
-	slices.SortFunc(out, func(a, b Ranked) int {
-		switch {
-		case a.SystemOffer == b.SystemOffer:
-			return 0
-		case t.order.Less(a, b):
-			return -1
-		}
-		return 1
-	})
-	return out
+// Classified hands the kept offers over as the classified list step 5
+// reads, and leaves the collector empty.
+func (t *TopK) Classified() Classified {
+	c := Classified{items: t.items, order: t.order}
+	t.items = nil
+	return c
 }
 
 // worseThan is the heap ordering: the root holds the worst kept offer.
@@ -115,4 +95,60 @@ func (t *TopK) down(i int) {
 		t.items[i], t.items[worst] = t.items[worst], t.items[i]
 		i = worst
 	}
+}
+
+// Classified is step 4's classified offer list as step 5 reads it: best
+// first, but ordered only as far as it is read. Step 5 usually commits its
+// first offer, and then pays one selection pass and no sort. The view owns
+// the collector's array, which its copies share and a read may reorder:
+// read it through one pointer, from one goroutine at a time.
+type Classified struct {
+	items []Ranked
+	order Orderer
+	// sorted is how many leading offers are in place; until the first read
+	// the array is the collector's worst-rooted heap.
+	sorted int
+}
+
+// Presorted returns a view over offers already in order. Only tests build one.
+func Presorted(offers []Ranked) Classified { return Classified{items: offers, sorted: len(offers)} }
+
+// Len returns how many offers the view holds.
+func (c *Classified) Len() int { return len(c.items) }
+
+// At returns the offer at classified position i, 0 being the best. A first
+// read of position 0 is one pass over the heap's leaves, where the best
+// offer must be, since every parent ranks below its children; a deeper read
+// sorts every offer not yet in place.
+func (c *Classified) At(i int) Ranked {
+	if i == 0 && c.sorted == 0 {
+		best := len(c.items) / 2
+		for j := best + 1; j < len(c.items); j++ {
+			if c.order.Less(c.items[j], c.items[best]) {
+				best = j
+			}
+		}
+		c.items[0], c.items[best], c.sorted = c.items[best], c.items[0], 1
+	} else if i >= c.sorted {
+		c.All()
+	}
+	return c.items[i]
+}
+
+// All returns every offer best-first: the view's own array, sorted.
+func (c *Classified) All() []Ranked {
+	// One Less per comparison: the orderers are strict total orders and an
+	// offer's key is unique within its product, so two distinct offers never
+	// tie.
+	slices.SortFunc(c.items[c.sorted:], func(a, b Ranked) int {
+		switch {
+		case a.SystemOffer == b.SystemOffer:
+			return 0
+		case c.order.Less(a, b):
+			return -1
+		}
+		return 1
+	})
+	c.sorted = len(c.items)
+	return c.items
 }

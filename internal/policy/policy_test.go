@@ -274,7 +274,7 @@ func signature(res core.Result, err error) string {
 	if res.Session != nil {
 		id = res.Session.ID
 		c = res.Session.Cost()
-		ranked, _ = json.Marshal(res.Session.Ranked)
+		ranked, _ = json.Marshal(res.Session.Ranked())
 		current, _ = json.Marshal(res.Session.CurrentOffer())
 	}
 	offerJSON, _ := json.Marshal(res.Offer)

@@ -6,13 +6,15 @@
 //
 // The monitor scans the substrate (CMFS servers and the network) for
 // overcommitted reservations — the simulation's stand-in for the QoS
-// violation notifications of the real prototype — maps each victim
-// reservation to its session, and asks the QoS manager to adapt that
-// session onto an alternate system offer. The user/application is not
+// violation notifications of the real prototype — finds the live sessions
+// holding them in one walk over the sessions, each of which says what it
+// holds (core.Session.EachHold), and asks the QoS manager to adapt each
+// playing one onto an alternate system offer. The user/application is not
 // involved, per the paper's fourth design characteristic.
 package adaptation
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -22,6 +24,7 @@ import (
 	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
+	"qosneg/internal/media"
 	"qosneg/internal/network"
 )
 
@@ -66,55 +69,78 @@ func (m *Monitor) Scan() Report {
 // than adapted — their sessions stay playing for the next sweep.
 func (m *Monitor) scan(ctx context.Context) Report {
 	var rep Report
-	affected := make(map[core.SessionID]bool)
-
-	consider := func(s *core.Session, ok bool) {
-		rep.Violations++
-		if !ok {
-			return
-		}
-		if s.State() != core.Playing {
-			rep.Skipped++
-			return
-		}
-		affected[s.ID] = true
-	}
-
+	// Room for a storm's worth of victims before the slice leaves the stack.
+	victims := make([]reservation, 0, 32)
 	for _, srv := range m.servers {
-		for _, victim := range srv.Overcommitted() {
-			s, ok := m.man.SessionByServerReservation(srv.ID(), victim.ID)
-			consider(s, ok)
+		for _, v := range srv.Overcommitted() {
+			victims = append(victims, reservation{server: srv.ID(), res: v.ID})
 		}
 	}
 	if m.net != nil {
-		for _, victim := range m.net.Overcommitted() {
-			s, ok := m.man.SessionByNetworkReservation(victim.ID)
-			consider(s, ok)
+		for _, v := range m.net.Overcommitted() {
+			victims = append(victims, reservation{conn: v.ID})
 		}
+	}
+	rep.Violations = len(victims)
+	if len(victims) == 0 {
+		return rep
+	}
+	slices.SortFunc(victims, reservation.compare)
+
+	victim := func(r reservation) bool {
+		_, ok := slices.BinarySearchFunc(victims, r, reservation.compare)
+		return ok
+	}
+	// held counts the victims among the reservations s holds; a reservation
+	// has at most one holder.
+	held := func(s *core.Session) (n int) {
+		s.EachHold(func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID) {
+			if victim(reservation{server: server, res: res}) {
+				n++
+			}
+			if conn != 0 && victim(reservation{conn: conn}) {
+				n++
+			}
+		})
+		return n
+	}
+	// Playing first: a session confirmed between the two listings is in
+	// neither, and the next sweep finds it, rather than in both.
+	affected := slices.DeleteFunc(m.man.Sessions(core.Playing), func(s *core.Session) bool { return held(s) == 0 })
+	for _, s := range m.man.Sessions(core.Reserved) {
+		rep.Skipped += held(s)
 	}
 
 	// Adapt sessions in id order for determinism.
-	ids := make([]core.SessionID, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for i, id := range ids {
+	slices.SortFunc(affected, func(a, b *core.Session) int { return cmp.Compare(a.ID, b.ID) })
+	for i, s := range affected {
 		if ctx.Err() != nil {
-			rep.Skipped += len(ids) - i
+			rep.Skipped += len(affected) - i
 			break
 		}
-		tr, err := m.man.AdaptContext(ctx, id)
+		tr, err := m.man.AdaptContext(ctx, s.ID)
 		switch {
 		case err == nil:
 			rep.Adapted = append(rep.Adapted, tr)
 		case errors.Is(err, core.ErrBadState), errors.Is(err, core.ErrUnknownSession):
 			rep.Skipped++
 		default:
-			rep.Failed = append(rep.Failed, id)
+			rep.Failed = append(rep.Failed, s.ID)
 		}
 	}
 	return rep
+}
+
+// reservation names one victim: a CMFS reservation on its server, or (server
+// and res zero) a network reservation, whose ids start at 1.
+type reservation struct {
+	conn   network.ReservationID
+	res    cmfs.ReservationID
+	server media.ServerID
+}
+
+func (a reservation) compare(b reservation) int {
+	return cmp.Or(cmp.Compare(a.conn, b.conn), cmp.Compare(a.res, b.res), cmp.Compare(a.server, b.server))
 }
 
 // ScanInterval is the period of Attach's sweeps: the reproduction's stand-in

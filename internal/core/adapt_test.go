@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/offer"
@@ -135,40 +136,22 @@ func TestAdaptAfterNetworkDegradation(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("expected network overcommitment")
 	}
-	// Map the victim back to the session, as the adaptation monitor does.
+	// The session holds a victim, which is how the adaptation monitor
+	// finds it.
 	found := false
-	for _, v := range victims {
-		if sess, ok := b.man.SessionByNetworkReservation(v.ID); ok && sess.ID == s.ID {
-			found = true
+	s.EachHold(func(_ media.ServerID, _ cmfs.ReservationID, conn network.ReservationID) {
+		for _, v := range victims {
+			found = found || conn == v.ID
 		}
-	}
+	})
 	if !found {
-		t.Fatal("victim reservation not mapped to session")
+		t.Fatal("the session holds no victim reservation")
 	}
 	if _, err := b.man.Adapt(s.ID); err != nil {
 		t.Fatalf("Adapt: %v", err)
 	}
 	if s.State() != Playing || s.Transitions() != 1 {
 		t.Errorf("state=%v transitions=%d", s.State(), s.Transitions())
-	}
-}
-
-func TestSessionByServerReservation(t *testing.T) {
-	b := defaultBed(t)
-	s := playingSession(t, b)
-	srvID := s.Current.Choices[0].Variant.Server
-	// Degrade hard so every stream on that server is a victim.
-	b.servers[srvID].SetDegradation(0.99)
-	victims := b.servers[srvID].Overcommitted()
-	if len(victims) == 0 {
-		t.Fatal("expected server overcommitment")
-	}
-	sess, ok := b.man.SessionByServerReservation(srvID, victims[0].ID)
-	if !ok || sess.ID != s.ID {
-		t.Errorf("mapping failed: %v %v", sess, ok)
-	}
-	if _, ok := b.man.SessionByServerReservation("ghost", 1); ok {
-		t.Error("ghost reservation mapped")
 	}
 }
 

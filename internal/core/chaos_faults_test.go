@@ -109,10 +109,8 @@ func runFaultChaos(t *testing.T, seed int64) {
 			t.Fatalf("seed %d step %d: %d network reservations for %d committed streams",
 				seed, step, got, want)
 		}
-		for _, man := range shards {
-			if err := man.CheckHoldIndex(); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
+		if err := core.CheckHoldsDisjoint(bed.Manager); err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
 		}
 	}
 

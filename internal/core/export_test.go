@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"maps"
 
+	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 )
@@ -25,42 +25,35 @@ func (m *Manager) serverHealthGen(id media.ServerID) uint64 {
 	return gen
 }
 
-// CheckHoldIndex holds the reservation→session index to a scan of the
-// session table: every CMFS and network reservation a live session's
-// commitment holds maps to that session, and nothing else is indexed. It
-// is exact only at quiescence — with no procedure in an unlock window and
-// no transition in flight.
-func (m *Manager) CheckHoldIndex() error {
-	wantCMFS := make(map[serverHold]*Session)
-	wantNet := make(map[network.ReservationID]*Session)
-	m.sessMu.RLock()
-	for _, s := range m.sessions {
-		s.mu.Lock()
-		for _, h := range s.commit.choices {
-			wantCMFS[serverHold{h.server.ID(), h.res.ID}] = s
-			if id := h.conn.Reservation.ID; id != 0 {
-				wantNet[id] = s
-			}
+// CheckHoldsDisjoint checks that no two live sessions of m hold one
+// reservation: each CMFS (server, reservation) pair and each network
+// reservation that a reserved or playing session yields through EachHold
+// is yielded by that session alone.
+func CheckHoldsDisjoint(m SessionManager) error {
+	type onServer struct {
+		server media.ServerID
+		res    cmfs.ReservationID
+	}
+	byCMFS := make(map[onServer]SessionID)
+	byNet := make(map[network.ReservationID]SessionID)
+	var err error
+	for _, state := range []SessionState{Reserved, Playing} {
+		for _, s := range m.Sessions(state) {
+			s.EachHold(func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID) {
+				k := onServer{server, res}
+				if other, ok := byCMFS[k]; ok && err == nil {
+					err = fmt.Errorf("sessions %d and %d both hold CMFS reservation %s/%d", other, s.ID, server, res)
+				}
+				byCMFS[k] = s.ID
+				if conn == 0 {
+					return
+				}
+				if other, ok := byNet[conn]; ok && err == nil {
+					err = fmt.Errorf("sessions %d and %d both hold network reservation %d", other, s.ID, conn)
+				}
+				byNet[conn] = s.ID
+			})
 		}
-		s.mu.Unlock()
 	}
-	m.sessMu.RUnlock()
-	m.holdMu.Lock()
-	defer m.holdMu.Unlock()
-	if !maps.Equal(m.heldOnCMFS, wantCMFS) {
-		return fmt.Errorf("CMFS index holds %d reservations, the session table %d: %v != %v",
-			len(m.heldOnCMFS), len(wantCMFS), m.heldOnCMFS, wantCMFS)
-	}
-	if !maps.Equal(m.heldOnNet, wantNet) {
-		return fmt.Errorf("network index holds %d reservations, the session table %d: %v != %v",
-			len(m.heldOnNet), len(wantNet), m.heldOnNet, wantNet)
-	}
-	return nil
-}
-
-// HoldIndexSize returns how many reservations the index maps to sessions.
-func (m *Manager) HoldIndexSize() int {
-	m.holdMu.Lock()
-	defer m.holdMu.Unlock()
-	return len(m.heldOnCMFS) + len(m.heldOnNet)
+	return err
 }

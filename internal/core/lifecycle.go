@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"qosneg/internal/client"
-	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
-	"qosneg/internal/network"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
 	"qosneg/internal/telemetry"
@@ -47,7 +45,6 @@ func (m *Manager) lockIn(id SessionID, want SessionState, op string) (*Session, 
 // then releases its commitment and retires it to the tombstone ring.
 func (m *Manager) finish(s *Session, state SessionState) {
 	cm := s.end(state)
-	m.unhold(cm)
 	s.mu.Unlock()
 	m.release(cm)
 	m.retire(s)
@@ -148,8 +145,9 @@ func (m *Manager) Abort(id SessionID) error {
 // withdrawn and released while it commits a replacement off-lock. epoch is
 // the session's epoch at withdrawal; the other fields are the session as the
 // window found it, read under the lock, since a concurrent end() clears the
-// ranked list. The list is sorted before it is copied, so no read off-lock
-// reorders the array the session shares.
+// ranked list. Only an adaptation reads that list, so only its window
+// carries it, sorted before it is copied: no read off-lock reorders the
+// array the session shares.
 type window struct {
 	s       *Session
 	want    SessionState
@@ -178,12 +176,14 @@ func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string)
 	}
 	s.busy = true
 	s.epoch++
-	s.ranked.All()
 	w := window{s: s, want: want, epoch: s.epoch, op: op, mach: s.Machine, doc: s.Document,
-		profile: s.Profile, current: s.Current, ranked: s.ranked}
+		profile: s.Profile, current: s.Current}
+	if want == Playing { // an adaptation
+		s.ranked.All()
+		w.ranked = s.ranked
+	}
 	old := s.commit
 	s.commit = commitment{}
-	m.unhold(old)
 	s.mu.Unlock()
 	m.release(old)
 	if m.testHookUnlocked != nil {
@@ -206,7 +206,6 @@ func (m *Manager) install(w *window, cm commitment) (moved SessionState, expired
 	s.busy = false
 	if s.state == w.want && s.epoch == w.epoch {
 		s.commit = cm
-		m.hold(s, cm)
 		s.epoch++
 		return s.state, false, true
 	}
@@ -367,64 +366,4 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 		m.span(telemetry.Event{Step: telemetry.StepAdaptation, Offer: c.chosen.Key(), Status: "ok", Detail: "from " + w.current.Key()})
 	}
 	return Transition{Session: id, From: w.current, To: c.chosen, Position: int64(pos)}, nil
-}
-
-// SessionByServerReservation finds the live session holding the given CMFS
-// reservation; the adaptation monitor uses it to map server overcommitments
-// to sessions.
-func (m *Manager) SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*Session, bool) {
-	m.holdMu.Lock()
-	s, ok := m.heldOnCMFS[serverHold{server, res}]
-	m.holdMu.Unlock()
-	return s, ok
-}
-
-// SessionByNetworkReservation finds the live session holding the given
-// network reservation. Reservation ids start at 1; the zero id of a
-// discrete choice's connection names no reservation and finds no session.
-func (m *Manager) SessionByNetworkReservation(res network.ReservationID) (*Session, bool) {
-	m.holdMu.Lock()
-	s, ok := m.heldOnNet[res]
-	m.holdMu.Unlock()
-	return s, ok
-}
-
-// serverHold keys the index by a CMFS reservation and its server.
-type serverHold struct {
-	server media.ServerID
-	res    cmfs.ReservationID
-}
-
-// hold indexes every reservation of cm as s's. The caller holds s.mu, or
-// s has not been published yet.
-func (m *Manager) hold(s *Session, cm commitment) {
-	if len(cm.choices) == 0 {
-		return
-	}
-	m.holdMu.Lock()
-	for i := range cm.choices {
-		h := &cm.choices[i]
-		m.heldOnCMFS[serverHold{h.server.ID(), h.res.ID}] = s
-		if id := h.conn.Reservation.ID; id != 0 {
-			m.heldOnNet[id] = s
-		}
-	}
-	m.holdMu.Unlock()
-}
-
-// unhold drops cm's reservations from the index; the caller holds the mu
-// of the session that held cm.
-func (m *Manager) unhold(cm commitment) {
-	if len(cm.choices) == 0 {
-		return
-	}
-	m.holdMu.Lock()
-	for i := range cm.choices {
-		h := &cm.choices[i]
-		delete(m.heldOnCMFS, serverHold{h.server.ID(), h.res.ID})
-		if id := h.conn.Reservation.ID; id != 0 {
-			delete(m.heldOnNet, id)
-		}
-	}
-	m.holdMu.Unlock()
 }

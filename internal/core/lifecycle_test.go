@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"qosneg/internal/cmfs"
+	"qosneg/internal/media"
+	"qosneg/internal/network"
 	"qosneg/internal/telemetry"
 )
 
@@ -288,12 +292,18 @@ func TestRenegotiateDocumentLookupErrorReleasesResources(t *testing.T) {
 	checkLedgerEmpty(t, b)
 }
 
-// TestHoldIndexInsideUnlockWindow pins the reservation→session index to the
-// session-table scan it replaced, across an unlock window: a reservation
-// the procedure withdrew finds no session from inside the window (the
-// session's commitment is empty there, so the scan found none either),
-// the replacement's reservations find the session once it is installed,
-// and a terminal transition empties the index.
+// heldKey is one reservation a session yields through EachHold.
+type heldKey struct {
+	server media.ServerID
+	res    cmfs.ReservationID
+	conn   network.ReservationID
+}
+
+// TestHoldIndexInsideUnlockWindow pins what a session says it holds across
+// an unlock window: before it, the session yields its commitment's
+// reservations; inside it, where the commitment is withdrawn, nothing; after
+// the install, exactly the replacement's; after a terminal transition,
+// nothing.
 func TestHoldIndexInsideUnlockWindow(t *testing.T) {
 	for _, op := range []string{"adapt", "renegotiate"} {
 		t.Run(op, func(t *testing.T) {
@@ -304,38 +314,34 @@ func TestHoldIndexInsideUnlockWindow(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			held := func() []heldChoice {
+			committed := func() []heldKey {
 				s.mu.Lock()
 				defer s.mu.Unlock()
-				return s.commit.choices
+				var out []heldKey
+				for _, h := range s.commit.choices {
+					out = append(out, heldKey{h.server.ID(), h.res.ID, h.conn.Reservation.ID})
+				}
+				return out
 			}
-			lookup := func(when string, choices []heldChoice, want *Session) {
+			yields := func(when string, want []heldKey) {
 				t.Helper()
-				nets := 0
-				for _, h := range choices {
-					got, ok := b.man.SessionByServerReservation(h.server.ID(), h.res.ID)
-					if ok != (want != nil) || got != want {
-						t.Errorf("%s: CMFS %s/%d finds %v (%v), want %v", when, h.server.ID(), h.res.ID, got, ok, want)
-					}
-					if h.conn.Reservation.ID == 0 {
-						continue
-					}
-					nets++
-					got, ok = b.man.SessionByNetworkReservation(h.conn.Reservation.ID)
-					if ok != (want != nil) || got != want {
-						t.Errorf("%s: network %d finds %v (%v), want %v", when, h.conn.Reservation.ID, got, ok, want)
-					}
-				}
-				if len(choices) == 0 || nets == 0 {
-					t.Fatalf("%s: %d choices, %d connections: nothing to look up", when, len(choices), nets)
+				var got []heldKey
+				s.EachHold(func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID) {
+					got = append(got, heldKey{server, res, conn})
+				})
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: session yields %v, want %v", when, got, want)
 				}
 			}
-			old := held()
-			lookup("before", old, s)
+			old := committed()
+			if len(old) == 0 || !slices.ContainsFunc(old, func(k heldKey) bool { return k.conn != 0 }) {
+				t.Fatalf("commitment %v: no choice with a connection to look for", old)
+			}
+			yields("before", old)
 			windows := 0
 			b.man.testHookUnlocked = func(string, SessionID) {
 				windows++
-				lookup("inside the window", old, nil)
+				yields("inside the window", nil)
 			}
 			var err error
 			if op == "adapt" {
@@ -354,16 +360,17 @@ func TestHoldIndexInsideUnlockWindow(t *testing.T) {
 			if windows != 1 {
 				t.Fatalf("%d unlock windows, want 1", windows)
 			}
-			lookup("after the install", held(), s)
-			lookup("after the install, withdrawn", old, nil)
-			installed := held()
+			installed := committed()
+			for _, k := range old {
+				if slices.Contains(installed, k) {
+					t.Errorf("withdrawn reservation %v is held again after the install", k)
+				}
+			}
+			yields("after the install", installed)
 			if err := b.man.Abort(s.ID); err != nil {
 				t.Fatal(err)
 			}
-			lookup("after abort", installed, nil)
-			if n := b.man.HoldIndexSize(); n != 0 {
-				t.Errorf("%d reservations indexed after the only session ended", n)
-			}
+			yields("after abort", nil)
 			checkLedgerEmpty(t, b)
 		})
 	}

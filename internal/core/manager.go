@@ -229,16 +229,6 @@ type Manager struct {
 	tombs    []tombstone
 	tombNext int
 
-	// holdMu guards the reservation→session index: the CMFS (server,
-	// reservation) pairs and network reservations that live sessions'
-	// commitments hold. The index changes under Session.mu exactly where a
-	// session's commitment is set or cleared, so a lookup finds what a
-	// scan of the session table would. holdMu is a leaf: it is taken
-	// after Session.mu (or sessMu), never before another lock.
-	holdMu     sync.Mutex
-	heldOnCMFS map[serverHold]*Session
-	heldOnNet  map[network.ReservationID]*Session
-
 	// servers is the media servers and their circuit breaker; a fleet's
 	// shards share one.
 	servers *ServerTable
@@ -297,15 +287,13 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 		servers = NewServerTable()
 	}
 	m := &Manager{
-		registry:   reg,
-		transport:  ts,
-		pricing:    pricing,
-		opts:       opts,
-		clk:        clock.Wall{},
-		servers:    servers,
-		sessions:   make(map[SessionID]*Session),
-		heldOnCMFS: make(map[serverHold]*Session),
-		heldOnNet:  make(map[network.ReservationID]*Session),
+		registry:  reg,
+		transport: ts,
+		pricing:   pricing,
+		opts:      opts,
+		clk:       clock.Wall{},
+		servers:   servers,
+		sessions:  make(map[SessionID]*Session),
 	}
 	if opts.OfferCache >= 0 {
 		m.cache = offercache.New(opts.OfferCache)
@@ -393,20 +381,32 @@ func (m *Manager) Session(id SessionID) (*Session, error) {
 }
 
 // Sessions returns every session in a given state; for the terminal states
-// that is the retired sessions still in the tombstone ring.
+// that is the retired sessions still in the tombstone ring. The result is
+// allocated once, at the first match, to fit every candidate; with no match
+// it is nil.
 func (m *Manager) Sessions(state SessionState) []*Session {
 	m.sessMu.RLock()
 	defer m.sessMu.RUnlock()
 	var out []*Session
+	add := func(s *Session) {
+		if out == nil {
+			n := len(m.sessions)
+			if state.terminal() {
+				n += len(m.tombs)
+			}
+			out = make([]*Session, 0, n)
+		}
+		out = append(out, s)
+	}
 	for _, s := range m.sessions {
 		if s.State() == state {
-			out = append(out, s)
+			add(s)
 		}
 	}
 	if state.terminal() {
 		for i := range m.tombs {
 			if m.tombs[i].state == state {
-				out = append(out, m.tombs[i].session())
+				add(m.tombs[i].session())
 			}
 		}
 	}

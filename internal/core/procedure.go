@@ -77,9 +77,6 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		sess.ID = m.nextID
 	}
 	m.sessions[sess.ID] = sess
-	// Unpublished until sessMu is released, so no transition can clear the
-	// commitment before it is indexed.
-	m.hold(sess, sess.commit)
 	m.sessMu.Unlock()
 	uo := out.chosen.UserOffer()
 	return Result{Status: out.status, Offer: &uo, Session: sess}, nil

@@ -8,6 +8,7 @@ import (
 
 	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
+	"qosneg/internal/offer"
 	"qosneg/internal/qos"
 )
 
@@ -163,5 +164,40 @@ func TestRenegotiateFreesBudgetForOthers(t *testing.T) {
 	}
 	if res2.Session.Cost() >= res.Session.Cost() {
 		t.Skipf("catalog pricing did not produce a cheaper downgrade")
+	}
+}
+
+// countingOrderer counts the comparisons an orderer makes.
+type countingOrderer struct {
+	offer.Orderer
+	calls *int
+}
+
+func (c countingOrderer) Less(a, b offer.Ranked) bool {
+	*c.calls++
+	return c.Orderer.Less(a, b)
+}
+
+// TestRenegotiateLeavesRankedListUnsorted: renegotiation re-runs the
+// procedure from the profile and never reads the session's old ranked list,
+// so withdrawing the session sorts none of it. The old list keeps the
+// counting orderer it was classified with; the renegotiation classifies
+// with another, so every count is a read of the old list.
+func TestRenegotiateLeavesRankedListUnsorted(t *testing.T) {
+	b := defaultBed(t)
+	calls := 0
+	b.man.opts.Classifier = countingOrderer{offer.SNSPrimary{}, &calls}
+	s := reservedSession(t, b)
+	if n := s.ranked.Len(); n < 3 {
+		t.Fatalf("%d ranked offers: too few for a sort to show", n)
+	}
+	b.man.opts.Classifier = offer.SNSPrimary{}
+	calls = 0
+	res, err := b.man.RenegotiateContext(context.Background(), s.ID, tvProfile())
+	if err != nil || !res.Status.Reserved() {
+		t.Fatalf("renegotiate: %v %v", res.Status, err)
+	}
+	if calls != 0 {
+		t.Errorf("renegotiation made %d comparisons on the old ranked list, want 0", calls)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
+	"qosneg/internal/network"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
 	"qosneg/internal/transport"
@@ -77,8 +78,7 @@ type Session struct {
 
 	// mu guards the mutable fields below plus Current, Profile and
 	// ChoicePeriod when they are rewritten by renegotiation or adaptation.
-	// Lock ordering: Manager.sessMu before Session.mu, never the reverse;
-	// Manager.holdMu after either.
+	// Lock ordering: Manager.sessMu before Session.mu, never the reverse.
 	mu sync.Mutex
 	// ranked is the classified offer list from negotiation step 4, sorted
 	// only as far as step 5 read it; empty once the session is terminal.
@@ -232,6 +232,21 @@ func (s *Session) Ranked() []offer.Ranked {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ranked.All()
+}
+
+// EachHold calls f with each reservation the session's commitment holds:
+// per choice of the committed offer, its server, the CMFS reservation there
+// and the network reservation of its connection (zero for a discrete
+// choice, which has none). A terminal session, or one inside an adaptation
+// or renegotiation window, holds nothing. f runs under the session lock
+// and must not call back into the session.
+func (s *Session) EachHold(f func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.commit.choices {
+		h := &s.commit.choices[i]
+		f(h.server.ID(), h.res.ID, h.conn.Reservation.ID)
+	}
 }
 
 // CurrentOffer returns a copy of the committed offer under the session

@@ -44,16 +44,12 @@ func TestLifecycleStress(t *testing.T) {
 }
 
 // checkSessionTableAtFloor is the retention half of the lifecycle invariant:
-// once every session is terminal the live table and the reservation→session
-// index are empty, and what the manager still remembers of them fits the
-// tombstone ring.
+// once every session is terminal the live table is empty, and what the
+// manager still remembers of the sessions fits the tombstone ring.
 func checkSessionTableAtFloor(t *testing.T, m *core.Manager) {
 	t.Helper()
 	if n := m.LiveSessions(); n != 0 {
 		t.Errorf("%d sessions still in the live table with every session terminal", n)
-	}
-	if n := m.HoldIndexSize(); n != 0 {
-		t.Errorf("%d reservations still indexed to sessions with every session terminal", n)
 	}
 	if n := len(m.Sessions(core.Completed)) + len(m.Sessions(core.Aborted)); n > core.TombstoneRing {
 		t.Errorf("%d retired sessions remembered, ring holds %d", n, core.TombstoneRing)
@@ -247,12 +243,10 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	}
 	wg.Wait()
 
-	// Quiescent: no procedure is mid-window, so the reservation→session
-	// index must answer exactly what a scan of the session table does.
-	for _, man := range shards {
-		if err := man.CheckHoldIndex(); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
+	// Quiescent: no procedure is mid-window, so no two live sessions, on
+	// any shard, may hold one reservation.
+	if err := core.CheckHoldsDisjoint(bed.Manager); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 	}
 	checkOneCountPerFact(t, seed, bed, ctrl, reg)
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"qosneg/internal/client"
-	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
@@ -18,7 +17,9 @@ import (
 // shard.Fleet behind it, which implements it by session-id routing over
 // its shards; each shard is a *Manager, which implements it directly — so the
 // protocol server, playout driver and adaptation monitor also sit on a bare
-// manager in tests and benchmarks.
+// manager in tests and benchmarks. The surface has no reservation lookup: the
+// adaptation monitor lists the live sessions (Sessions) and asks each what it
+// holds (Session.EachHold).
 type SessionManager interface {
 	// Negotiation (Section 4, steps 1-5) and renegotiation (Section 8).
 	NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (Result, error)
@@ -35,8 +36,6 @@ type SessionManager interface {
 	// The adaptation procedure.
 	Adapt(id SessionID) (Transition, error)
 	AdaptContext(ctx context.Context, id SessionID) (Transition, error)
-	SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*Session, bool)
-	SessionByNetworkReservation(res network.ReservationID) (*Session, bool)
 
 	// Session and substrate queries.
 	Session(id SessionID) (*Session, error)

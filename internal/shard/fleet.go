@@ -13,7 +13,6 @@ import (
 
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
-	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -229,35 +228,17 @@ func (f *Fleet) Session(id core.SessionID) (*core.Session, error) {
 	return f.route(id).Session(id)
 }
 
-// Sessions concatenates every shard's sessions in the given state.
+// Sessions concatenates every shard's sessions in the given state; a
+// one-shard fleet returns its shard's slice as it is.
 func (f *Fleet) Sessions(state core.SessionState) []*core.Session {
+	if len(f.shards) == 1 {
+		return f.shards[0].mgr.Sessions(state)
+	}
 	var out []*core.Session
 	for _, sh := range f.shards {
 		out = append(out, sh.mgr.Sessions(state)...)
 	}
 	return out
-}
-
-// SessionByServerReservation scans the shards for the session holding the
-// reservation; at most one shard holds it.
-func (f *Fleet) SessionByServerReservation(server media.ServerID, res cmfs.ReservationID) (*core.Session, bool) {
-	for _, sh := range f.shards {
-		if s, ok := sh.mgr.SessionByServerReservation(server, res); ok {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-// SessionByNetworkReservation scans the shards for the session holding the
-// reservation.
-func (f *Fleet) SessionByNetworkReservation(res network.ReservationID) (*core.Session, bool) {
-	for _, sh := range f.shards {
-		if s, ok := sh.mgr.SessionByNetworkReservation(res); ok {
-			return s, true
-		}
-	}
-	return nil, false
 }
 
 // Invoice itemizes a session's committed offer on its home shard.

@@ -77,12 +77,37 @@ func (r *recordingTransport) Close(c transport.Connection) error {
 	return err
 }
 
-// TestFleetFindsEveryHolderMidStorm holds a 4-shard fleet's reservation
-// lookups to the substrate: before an adaptation storm and after every
-// adaptation in it, every live CMFS and network reservation finds a playing
-// session, and the sessions found hold exactly the reservations that are
-// live. A concurrent reader looks reservations up throughout, for the race
-// detector.
+// holders maps every reservation a live session of the fleet yields through
+// EachHold to the sessions yielding it.
+func holders(fleet *shard.Fleet) (onServer map[serverRes][]*core.Session, onNet map[network.ReservationID][]*core.Session) {
+	onServer = make(map[serverRes][]*core.Session)
+	onNet = make(map[network.ReservationID][]*core.Session)
+	for _, state := range []core.SessionState{core.Reserved, core.Playing} {
+		for _, s := range fleet.Sessions(state) {
+			s.EachHold(func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID) {
+				k := serverRes{server, res}
+				onServer[k] = append(onServer[k], s)
+				if conn != 0 {
+					onNet[conn] = append(onNet[conn], s)
+				}
+			})
+		}
+	}
+	return onServer, onNet
+}
+
+// serverRes is a CMFS reservation on its server.
+type serverRes struct {
+	server media.ServerID
+	res    cmfs.ReservationID
+}
+
+// TestFleetFindsEveryHolderMidStorm holds what a 4-shard fleet's live
+// sessions say they hold to the substrate: before an adaptation storm and
+// after every adaptation in it, every live CMFS and network reservation is
+// held by exactly one live session, a playing one, and no session holds a
+// reservation that is not live. A concurrent reader walks the sessions'
+// holds throughout, for the race detector.
 func TestFleetFindsEveryHolderMidStorm(t *testing.T) {
 	disk := cmfs.DefaultConfig()
 	disk.DiskRate = 512 * qos.MBitPerSecond
@@ -129,51 +154,58 @@ func TestFleetFindsEveryHolderMidStorm(t *testing.T) {
 
 	check := func(when string) {
 		t.Helper()
-		held := make(map[*core.Session]int)
+		onServer, onNet := holders(fleet)
+		live := 0
 		for id, rs := range servers {
 			rs.mu.Lock()
 			for res := range rs.live {
-				s, ok := fleet.SessionByServerReservation(id, res)
-				if !ok || s.State() != core.Playing {
-					t.Fatalf("%s: CMFS reservation %s/%d finds %v (found %v), want a playing session", when, id, res, s, ok)
+				live++
+				if hs := onServer[serverRes{id, res}]; len(hs) != 1 || hs[0].State() != core.Playing {
+					t.Fatalf("%s: CMFS reservation %s/%d is held by %v, want one playing session", when, id, res, hs)
 				}
-				held[s]++
 			}
 			rs.mu.Unlock()
 		}
+		if live != len(onServer) {
+			t.Fatalf("%s: sessions hold %d CMFS reservations, the servers record %d live", when, len(onServer), live)
+		}
 		conns.mu.Lock()
 		for res := range conns.live {
-			if s, ok := fleet.SessionByNetworkReservation(res); !ok || s.State() != core.Playing {
-				t.Fatalf("%s: network reservation %d finds %v (found %v), want a playing session", when, res, s, ok)
+			if hs := onNet[res]; len(hs) != 1 || hs[0].State() != core.Playing {
+				t.Fatalf("%s: network reservation %d is held by %v, want one playing session", when, res, hs)
 			}
+		}
+		if len(conns.live) != len(onNet) {
+			t.Fatalf("%s: sessions hold %d network reservations, the transport records %d live", when, len(onNet), len(conns.live))
 		}
 		conns.mu.Unlock()
 		// Each playing session holds one CMFS reservation per choice.
+		held := make(map[*core.Session]int)
+		for _, hs := range onServer {
+			held[hs[0]]++
+		}
 		for _, s := range fleet.Sessions(core.Playing) {
 			if got, want := held[s], len(s.CurrentOffer().Choices); got != want {
-				t.Fatalf("%s: session %d is found for %d CMFS reservations, holds %d", when, s.ID, got, want)
+				t.Fatalf("%s: session %d holds %d CMFS reservations, has %d choices", when, s.ID, got, want)
 			}
 		}
 	}
 	check("before the storm")
 
-	// The concurrent reader: lookups racing the adaptations' windows.
+	// The concurrent reader: walks racing the adaptations' windows.
 	var stop atomic.Bool
 	var reader sync.WaitGroup
 	reader.Add(1)
 	go func() {
 		defer reader.Done()
-		for n := 0; !stop.Load(); n++ {
-			for id := range servers {
-				fleet.SessionByServerReservation(id, cmfs.ReservationID(1+n%64))
-			}
-			fleet.SessionByNetworkReservation(network.ReservationID(1 + n%64))
+		for !stop.Load() {
+			holders(fleet)
 		}
 	}()
 
 	// The storm: halve the busiest server's round budget against its
-	// demand and adapt every victim, the way the adaptation monitor does,
-	// one at a time.
+	// demand and adapt every victim's holder, the way the adaptation
+	// monitor does, one at a time.
 	var victim *recordingServer
 	for _, rs := range servers {
 		if victim == nil || rs.Utilization() > victim.Utilization() {
@@ -189,11 +221,12 @@ func TestFleetFindsEveryHolderMidStorm(t *testing.T) {
 	}
 	adapted := 0
 	for i, r := range over {
-		s, ok := fleet.SessionByServerReservation(victim.ID(), r.ID)
-		if !ok {
+		onServer, _ := holders(fleet)
+		hs := onServer[serverRes{victim.ID(), r.ID}]
+		if len(hs) == 0 {
 			continue // its session already moved off the reservation
 		}
-		if _, err := fleet.Adapt(s.ID); err == nil {
+		if _, err := fleet.Adapt(hs[0].ID); err == nil {
 			adapted++
 		}
 		check(fmt.Sprintf("after adaptation %d of %d", i+1, len(over)))
@@ -215,5 +248,42 @@ func TestFleetFindsEveryHolderMidStorm(t *testing.T) {
 	}
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSessionsAllocatesOnce: listing N matching sessions allocates the
+// result once, on a manager and through a one-shard fleet, which hands the
+// shard's slice on; a state nothing is in allocates nothing.
+func TestSessionsAllocatesOnce(t *testing.T) {
+	disk := cmfs.DefaultConfig()
+	disk.DiskRate = 512 * qos.MBitPerSecond
+	disk.MaxStreams = 256
+	bed := testbed.MustNew(testbed.Spec{Clients: 4, Servers: 3, ServerConfig: &disk, AccessCapacity: qos.GBitPerSecond})
+	if _, err := bed.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	for i := 0; i < n; i++ {
+		res, err := bed.Fleet.NegotiateContext(context.Background(), bed.Client(1+i%4), "news-1", stressProfile())
+		if err != nil || !res.Status.Reserved() {
+			t.Fatalf("session %d: %v %v", i, res.Status, err)
+		}
+		if err := bed.Fleet.Confirm(res.Session.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		man  core.SessionManager
+	}{{"manager", bed.Fleet.Shard(0)}, {"one-shard fleet", bed.Fleet}} {
+		if got := len(c.man.Sessions(core.Playing)); got != n {
+			t.Fatalf("%s: %d playing sessions, want %d", c.name, got, n)
+		}
+		if a := testing.AllocsPerRun(100, func() { c.man.Sessions(core.Playing) }); a > 1 {
+			t.Errorf("%s: listing %d playing sessions made %.1f allocations, want at most 1", c.name, n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { c.man.Sessions(core.Reserved) }); a != 0 {
+			t.Errorf("%s: listing no reserved session made %.1f allocations, want 0", c.name, a)
+		}
 	}
 }

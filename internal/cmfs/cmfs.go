@@ -148,24 +148,34 @@ type Server struct {
 	// (recording through them is then a no-op).
 	admitted *telemetry.Counter
 	rejected *telemetry.Counter
-
-	// acct, when non-nil, is the server's account in the resource ledger:
-	// every successful Reserve/Release posts to it (leak and
-	// double-release detection in tests).
-	acct *ledger.Account
 }
 
-// SetLedger installs a resource ledger: every successful Reserve posts an
-// acquire, every successful Release a matching release. Only successful
-// operations post — a Release of an unknown reservation already reports an
-// error to the caller, and after a modeled crash such releases are a
-// legitimate lost-message flow, not a bookkeeping bug. A nil ledger
-// detaches.
+// SetLedger registers the server's stream table with a resource ledger,
+// which reads it for its open count, its issued ids and its leaks; a nil
+// ledger is a no-op. Reserve and Release post nothing. A Release of an
+// unknown reservation is not a violation: it already reports an error to
+// the caller, and after a modeled crash it is a legitimate lost-message
+// flow, not a bookkeeping bug.
 func (s *Server) SetLedger(l *ledger.Ledger) {
-	acct := l.Account(ledger.KindCMFS, string(s.id))
-	s.mu.Lock()
-	s.acct = acct
-	s.mu.Unlock()
+	l.Register(ledger.KindCMFS, string(s.id), (*table)(s))
+}
+
+// table is the server as the ledger reads it: its stream table, whose ids
+// come from next.
+type table Server
+
+func (t *table) Tally() (uint64, int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return uint64(t.next), len(t.streams)
+}
+
+func (t *table) EachOpen(f func(uint64)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id := range t.streams {
+		f(uint64(id))
+	}
 }
 
 // Instrument wires the server's admission decisions into a telemetry
@@ -325,7 +335,6 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.streams[r.ID] = r
 	s.demand += s.bytesPerRound(charged)
 	s.admitted.Inc()
-	s.acct.Acquire(uint64(r.ID))
 	return r, nil
 }
 
@@ -339,7 +348,6 @@ func (s *Server) Release(id ReservationID) error {
 	}
 	delete(s.streams, id)
 	s.demand -= s.bytesPerRound(r.Rate)
-	s.acct.Release(uint64(id))
 	return nil
 }
 

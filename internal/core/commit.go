@@ -14,6 +14,7 @@ import (
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
+	"qosneg/internal/transport"
 )
 
 // commitResult is the outcome of one step-5 pass: the first offer that
@@ -340,20 +341,21 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 		}
 		pc := &plan[i]
 		held = held[:i+1]
-		h := &held[i]
-		var err error
-		if h.res, err = pc.entry.server.Reserve(pc.q); err != nil {
+		res, err := pc.entry.server.Reserve(pc.q)
+		if err != nil {
 			return commitment{}, m.refuse(held[:i], i, g,
 				commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err})
 		}
-		h.server = pc.entry.server
-		if h.conn, err = m.transport.Connect(pc.entry.node, mach.Node, pc.q); err != nil {
+		held[i] = heldChoice{server: pc.entry.server, res: res.ID}
+		conn, err := m.transport.Connect(pc.entry.node, mach.Node, pc.q)
+		if err != nil {
 			return commitment{}, m.refuse(held, len(held)-1, g,
 				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: pc.entry.node, to: mach.Node})
 		}
+		held[i].conn = conn.Reservation.ID
 		m.recordServerSuccess(sid, g, pc.gen)
-		if pc.delay != h.conn.Metrics.Delay || pc.jitter != h.conn.Metrics.Jitter {
-			pc.delay, pc.jitter = h.conn.Metrics.Delay, h.conn.Metrics.Jitter
+		if pc.delay != conn.Metrics.Delay || pc.jitter != conn.Metrics.Jitter {
+			pc.delay, pc.jitter = conn.Metrics.Delay, conn.Metrics.Jitter
 			rerouted = true
 		}
 	}
@@ -421,10 +423,10 @@ func (m *Manager) refuse(held []heldChoice, conns int, g cost.Guarantee, f commi
 // the connections of the first conns choices.
 func (m *Manager) releaseHeld(held []heldChoice, conns int) {
 	for i := range held {
-		held[i].server.Release(held[i].res.ID)
+		held[i].server.Release(held[i].res)
 	}
 	for i := range held[:conns] {
-		m.transport.Close(held[i].conn)
+		m.transport.Close(transport.Connection{Reservation: network.Reservation{ID: held[i].conn}})
 	}
 }
 

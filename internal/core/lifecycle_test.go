@@ -319,7 +319,7 @@ func TestHoldIndexInsideUnlockWindow(t *testing.T) {
 				defer s.mu.Unlock()
 				var out []heldKey
 				for _, h := range s.commit.choices {
-					out = append(out, heldKey{h.server.ID(), h.res.ID, h.conn.Reservation.ID})
+					out = append(out, heldKey{h.server.ID(), h.res, h.conn})
 				}
 				return out
 			}

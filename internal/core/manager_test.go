@@ -54,7 +54,6 @@ func newBedOpts(t *testing.T, serverCfg cmfs.Config, access qos.BitRate, opts Op
 	})
 	net.SetLedger(led)
 	ts := transport.New(net, 3)
-	ts.SetLedger(led)
 	reg := registry.New()
 	man := NewManager(reg, ts, cost.DefaultPricing(), opts)
 	servers := map[media.ServerID]*cmfs.Server{}

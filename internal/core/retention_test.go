@@ -20,6 +20,19 @@ func TestSessionSize(t *testing.T) {
 	}
 }
 
+// TestHeldChoiceSize keeps what a session holds per choice at four words:
+// its server and the ids of its two reservations. The server and the
+// network keep the reservations themselves, and a commitment is one
+// allocation of these per offer.
+func TestHeldChoiceSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(heldChoice{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(heldChoice{}) = %d, want 32 (four words)", got)
+	}
+}
+
 // TestSteadyStateHeapFlat is the bounded-retention gate: a manager that
 // negotiates and rejects forever must not grow. It runs 100k cycles on one
 // manager and compares the live heap after the 10k-th (caches warm, tombstone

@@ -12,7 +12,6 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
-	"qosneg/internal/transport"
 )
 
 // SessionID names one negotiated delivery session.
@@ -48,13 +47,15 @@ type commitment struct {
 	choices []heldChoice
 }
 
-// heldChoice is what step 5 holds for one choice of an offer: the CMFS
-// reservation on its server and the transport connection (zero for
-// discrete media, which need none).
+// heldChoice is what step 5 holds for one choice of an offer: the ids of
+// the CMFS reservation on its server and of the transport connection's
+// network reservation (zero for discrete media, which need none). The
+// server and the network keep the reservations themselves; four words is
+// all a session needs to release them.
 type heldChoice struct {
 	server MediaServer
-	res    cmfs.Reservation
-	conn   transport.Connection
+	res    cmfs.ReservationID
+	conn   network.ReservationID
 }
 
 // Session is the state the QoS manager keeps per negotiated delivery: the
@@ -245,7 +246,7 @@ func (s *Session) EachHold(f func(server media.ServerID, res cmfs.ReservationID,
 	defer s.mu.Unlock()
 	for i := range s.commit.choices {
 		h := &s.commit.choices[i]
-		f(h.server.ID(), h.res.ID, h.conn.Reservation.ID)
+		f(h.server.ID(), h.res, h.conn)
 	}
 }
 

@@ -86,6 +86,9 @@ func (m *Manager) refCommitFirst(ctx context.Context, mach *client.Machine, doc 
 // refTryCommit is the reserve-and-rollback attempt.
 func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked) (commitment, commitFailure) {
 	var held []heldChoice
+	// conns are the held choices' connections as Connect returned them,
+	// for the synchronization check.
+	var conns []transport.Connection
 	g := u.Desired.Cost.Guarantee
 	var startDelay time.Duration
 	for i := range r.Choices {
@@ -110,13 +113,14 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 			return commitment{}, m.refuse(held, len(held), g,
 				commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err})
 		}
-		held = append(held, heldChoice{server: entry.server, res: res})
+		held = append(held, heldChoice{server: entry.server, res: res.ID})
 		conn, err := m.transport.Connect(entry.node, mach.Node, netQoS)
 		if err != nil {
 			return commitment{}, m.refuse(held, len(held)-1, g,
 				commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node})
 		}
-		held[len(held)-1].conn = conn
+		held[len(held)-1].conn = conn.Reservation.ID
+		conns = append(conns, conn)
 		m.recordServerSuccess(sid, g, healthGen)
 		if d := conn.Metrics.Delay + entry.server.Config().RoundLength; d > startDelay {
 			startDelay = d
@@ -130,8 +134,8 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 		if tc.Tolerance <= 0 {
 			continue
 		}
-		ja, okA := refConnJitter(r, held, tc.A)
-		jb, okB := refConnJitter(r, held, tc.B)
+		ja, okA := refConnJitter(r, conns, tc.A)
+		jb, okB := refConnJitter(r, conns, tc.B)
 		if okA && okB && ja+jb > tc.Tolerance {
 			return commitment{}, m.refuse(held, len(held), g,
 				commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B})
@@ -140,10 +144,10 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 	return commitment{choices: held}, commitFailure{}
 }
 
-func refConnJitter(r offer.Ranked, held []heldChoice, id media.MonomediaID) (jitter time.Duration, ok bool) {
+func refConnJitter(r offer.Ranked, conns []transport.Connection, id media.MonomediaID) (jitter time.Duration, ok bool) {
 	for i := range r.Choices {
 		if ch := &r.Choices[i]; ch.Monomedia == id && !ch.Variant.NetworkQoS().Zero() {
-			jitter, ok = held[i].conn.Metrics.Jitter, true
+			jitter, ok = conns[i].Metrics.Jitter, true
 		}
 	}
 	return jitter, ok
@@ -158,7 +162,62 @@ type step5World struct {
 	eng     *sim.Engine
 	servers []*flakyServer
 	raw     []*cmfs.Server
+	grants  *step5Grants
 	held    []commitment
+}
+
+// step5Grants is what a world's servers and transport granted and have not
+// taken back, by id: a held choice keeps only the ids, and the test reads
+// its rate, route and metrics here.
+type step5Grants struct {
+	rates map[serverGrant]qos.BitRate
+	conns map[network.ReservationID]transport.Connection
+}
+
+// serverGrant is a CMFS reservation on its server.
+type serverGrant struct {
+	server media.ServerID
+	id     cmfs.ReservationID
+}
+
+// grantingServer records the reservations its server grants in a world's
+// grants.
+type grantingServer struct {
+	MediaServer
+	g *step5Grants
+}
+
+func (s grantingServer) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
+	r, err := s.MediaServer.Reserve(q)
+	if err == nil {
+		s.g.rates[serverGrant{s.ID(), r.ID}] = r.Rate
+	}
+	return r, err
+}
+
+func (s grantingServer) Release(id cmfs.ReservationID) error {
+	delete(s.g.rates, serverGrant{s.ID(), id})
+	return s.MediaServer.Release(id)
+}
+
+// grantingTransport records the connections its transport establishes in a
+// world's grants.
+type grantingTransport struct {
+	Transport
+	g *step5Grants
+}
+
+func (t grantingTransport) Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error) {
+	c, err := t.Transport.Connect(src, dst, q)
+	if err == nil && c.Reservation.ID != 0 {
+		t.g.conns[c.Reservation.ID] = c
+	}
+	return c, err
+}
+
+func (t grantingTransport) Close(c transport.Connection) error {
+	delete(t.g.conns, c.Reservation.ID)
+	return t.Transport.Close(c)
 }
 
 // step5Scenario seeds one random world and the operations run on both
@@ -188,11 +247,13 @@ func newStep5World(t *testing.T, seed int64) (*step5World, *media.Document, []cl
 	led.OnViolation(func(v string) { t.Errorf("ledger violation: %s", v) })
 	net.SetLedger(led)
 	ts := transport.New(net, 1+r.Intn(3))
-	ts.SetLedger(led)
 	opts := DefaultOptions()
 	opts.Health = HealthPolicy{FailureThreshold: r.Intn(4), Cooldown: time.Duration(5+r.Intn(30)) * time.Second}
-	w := &step5World{led: led, net: net, eng: sim.NewEngine()}
-	w.man = NewManager(registry.New(), ts, cost.DefaultPricing(), opts)
+	w := &step5World{led: led, net: net, eng: sim.NewEngine(), grants: &step5Grants{
+		rates: make(map[serverGrant]qos.BitRate),
+		conns: make(map[network.ReservationID]transport.Connection),
+	}}
+	w.man = NewManager(registry.New(), grantingTransport{ts, w.grants}, cost.DefaultPricing(), opts)
 	w.man.clk = clock.Sim(w.eng)
 	for _, id := range ids {
 		cfg := cmfs.DefaultConfig()
@@ -201,7 +262,7 @@ func newStep5World(t *testing.T, seed int64) (*step5World, *media.Document, []cl
 		srv := cmfs.MustServer(id, cfg)
 		srv.SetLedger(led)
 		fs := &flakyServer{MediaServer: srv}
-		w.man.AddServer(fs, network.NodeID(id))
+		w.man.AddServer(grantingServer{fs, w.grants}, network.NodeID(id))
 		w.servers, w.raw = append(w.servers, fs), append(w.raw, srv)
 	}
 	videos := []qos.VideoQoS{
@@ -275,8 +336,10 @@ func (w *step5World) outcomes() string {
 }
 
 // commitView is a commit result without reservation ids, which the walks
-// are free to number differently.
-func commitView(c commitResult) string {
+// are free to number differently: each held choice is rendered as the rate,
+// route and metrics its ids were granted with, and an id the world does not
+// hold granted renders as such.
+func (w *step5World) commitView(c commitResult) string {
 	s := fmt.Sprintf("ok=%v downs=%d capacities=%d constraints=%d skipped=%d retry=%v",
 		c.ok, c.downs, c.capacities, c.constraints, c.skipped, c.retryAfter)
 	if !c.ok {
@@ -284,7 +347,13 @@ func commitView(c commitResult) string {
 	}
 	s += " chosen=" + c.chosen.Key()
 	for _, h := range c.commit.choices {
-		s += fmt.Sprintf(" [%s rate=%v path=%v metrics=%+v]", h.server.ID(), h.res.Rate, h.conn.Reservation.Path, h.conn.Metrics)
+		rate, ok := w.grants.rates[serverGrant{h.server.ID(), h.res}]
+		conn, connOK := w.grants.conns[h.conn]
+		if !ok || !connOK && h.conn != 0 {
+			s += fmt.Sprintf(" [%s not granted]", h.server.ID())
+			continue
+		}
+		s += fmt.Sprintf(" [%s rate=%v path=%v metrics=%+v]", h.server.ID(), rate, conn.Reservation.Path, conn.Metrics)
 	}
 	return s
 }
@@ -321,7 +390,7 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if err != nil {
 				return err
 			}
-			if g, w := commitView(got), commitView(want); g != w {
+			if g, w := plan.commitView(got), ref.commitView(want); g != w {
 				return fmt.Errorf("step %d: commit\n\tplanned   %s\n\treference %s", step, g, w)
 			}
 			if got.ok {

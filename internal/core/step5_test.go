@@ -97,7 +97,6 @@ func newCongestedStep5(tb testing.TB, count bool) *congestedStep5 {
 	led := ledger.New()
 	net.SetLedger(led)
 	ts := transport.New(net, 3)
-	ts.SetLedger(led)
 	calls := &step5Calls{}
 	var tr Transport = ts
 	if count {
@@ -315,7 +314,6 @@ func TestReroutedOfferRechecksBounds(t *testing.T) {
 	led := ledger.New()
 	net.SetLedger(led)
 	ts := transport.New(net, 3)
-	ts.SetLedger(led)
 	calls := &step5Calls{}
 	man := NewManager(registry.New(), countingTransport{ts, calls}, cost.DefaultPricing(), DefaultOptions())
 	srv := cmfs.MustServer("server-1", cmfs.DefaultConfig())

@@ -192,17 +192,19 @@ func cachedCycleAllocs(t *testing.T, b *bed) testing.BenchmarkResult {
 
 // TestCachedNegotiateAllocBound pins what a full cached negotiate-and-reject
 // cycle allocates (telemetry disabled, candidate set memoized), in count and
-// in bytes. The bounds are the measured 12 allocations and 1616 bytes plus
-// 15%: a ranked list copied out of the shared product, a re-materialized
-// acceptable/feasible partition, a profile section boxed per candidate, an
-// eager fmt.Sprintf call site or a step-5 path search that allocates each
-// overshoot them.
+// in bytes. The count bound was set at 12 allocations plus 15%, and a cycle
+// makes 10: a ranked list copied out of the shared product, a
+// re-materialized acceptable/feasible partition, a profile section boxed
+// per candidate, an eager fmt.Sprintf call site or a step-5 path search
+// that allocates each overshoot it. The byte bound is the measured 1 296 bytes plus 8%; a
+// commitment that copies each choice's reservation and connection (160
+// bytes a choice, 1 552 bytes a cycle) instead of their ids overshoots it.
 func TestCachedNegotiateAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race beds")
 	}
 	res := cachedCycleAllocs(t, defaultBed(t))
-	const maxAllocs, maxBytes = 14, 1860
+	const maxAllocs, maxBytes = 14, 1400
 	if res.AllocsPerOp() > maxAllocs || res.AllocedBytesPerOp() > maxBytes {
 		t.Fatalf("cached negotiate+reject allocated %d objects, %d bytes per cycle, want <= %d and <= %d",
 			res.AllocsPerOp(), res.AllocedBytesPerOp(), maxAllocs, maxBytes)

@@ -1,29 +1,33 @@
 // Package ledger is the resource ledger behind the lifecycle leak checks:
-// a strict double-entry account of every resource the QoS manager's
-// commitment step acquires — CMFS stream reservations, network bandwidth
-// reservations, transport connections — and every release that balances
-// it. The substrate packages (cmfs, network, transport) carry hooks that
-// post to an installed ledger on every acquire and release, so a test can
-// assert the paper's step-5/step-6 bookkeeping invariant directly:
+// one view over every resource the QoS manager's commitment step holds —
+// CMFS stream reservations and network bandwidth reservations (a transport
+// connection is its network reservation) — so a test can assert the
+// paper's step-5/step-6 bookkeeping invariant directly:
 //
 //	all sessions terminal  ⇒  the ledger is empty
 //
-// A release with no matching open entry is a violation (a double release,
-// or a release of something never acquired) and is reported immediately
-// through the OnViolation callback — the fail-fast half of the check. The
-// slow half, leak detection, runs at quiescence via CheckEmpty.
+// The ledger keeps no second copy of a reservation. Each substrate that
+// grants one already keeps a table of what it granted, and registers that
+// table with the ledger once, when the ledger is installed (cmfs.Server and
+// network.Network in SetLedger). The ledger reads the tables when asked:
+// Open sums their open counts, Counts their issued ids, and CheckEmpty
+// lists their open ids. A grant or a release therefore costs the substrate
+// nothing beyond its own table. Ids come from a counter under the
+// substrate's own lock, so a substrate cannot grant a live id twice, and
+// the ledger does not check for it.
 //
-// The ledger is split into accounts, one per (kind, owner) pair: each CMFS
-// server, the network and the transport system bind theirs once, when the
-// ledger is installed, and post to it by reservation id alone. An account
-// keeps its open ids in its own integer-keyed set under its own mutex, and
-// the ledger-wide acquire, release and open counts are atomics, so a post
-// is one uncontended lock and one map operation on a uint64, and takes the
-// ledger's own lock only to record a violation. That makes the ledger
-// cheap enough to leave on everywhere — it is always on in the test beds
-// (package testbed and the core test fixtures install one) — and it is
-// nil-safe: every method on a nil *Ledger or nil *Account is a no-op, so
-// instrumented substrate code needs no guards.
+// A release with no matching grant is a violation (a double release, or a
+// release of something never granted). A substrate that can tell reports
+// it through BadRelease, and the ledger reports it immediately through the
+// OnViolation callback — the fail-fast half of the check. The slow half,
+// leak detection, runs at quiescence via CheckEmpty.
+//
+// Callers with no table of their own post through Acquire and Release. The
+// ledger keeps a table for each (kind, owner) pair they post to, read as
+// the substrates' tables are; a posted table does check for a double
+// acquire. The ledger is always on in the test beds (package testbed and
+// the core test fixtures install one), and it is nil-safe: every method on
+// a nil *Ledger is a no-op.
 package ledger
 
 import (
@@ -45,16 +49,14 @@ const (
 	MetricOpen = "qosneg_ledger_open_resources"
 )
 
-// Resource kinds the substrate posts.
+// Resource kinds the substrates register.
 const (
 	// KindCMFS is a stream reservation on a continuous-media file server;
 	// Owner is the server id.
 	KindCMFS = "cmfs"
-	// KindNetwork is a path bandwidth reservation; Owner is empty.
+	// KindNetwork is a path bandwidth reservation, which is also what a
+	// transport connection holds; Owner is empty.
 	KindNetwork = "network"
-	// KindTransport is an established transport connection (tracked by its
-	// underlying network reservation id); Owner is empty.
-	KindTransport = "transport"
 )
 
 // Resource identifies one acquirable resource.
@@ -72,23 +74,35 @@ func (r Resource) String() string {
 	return fmt.Sprintf("%s/%d", r.Kind, r.ID)
 }
 
-// accountKey names one account.
+// Table is a record of granted resources the ledger reads: a substrate's
+// own reservation table, or a table the ledger keeps for posted resources.
+// Both methods run under the table's own lock and must not call back into
+// the ledger.
+type Table interface {
+	// Tally returns how many ids the table has issued and how many of them
+	// it holds open, read together.
+	Tally() (issued uint64, open int)
+	// EachOpen calls f with each id the table holds open.
+	EachOpen(f func(id uint64))
+}
+
+// accountKey names one table.
 type accountKey struct{ kind, owner string }
 
-// Ledger is the double-entry resource account. It is safe for concurrent
+// Ledger is the view over the registered tables. It is safe for concurrent
 // use; the zero value is not usable, build one with New. A nil *Ledger is
 // inert.
 type Ledger struct {
-	// The ledger-wide counts, posted by every account without a lock.
-	acquires atomic.Uint64
-	releases atomic.Uint64
-	open     atomic.Int64
+	// badAcquires and badReleases count the violations, which no table
+	// holds: an acquire of a posted id already open, and a release of an id
+	// not open. Counts adds them in.
+	badAcquires atomic.Uint64
+	badReleases atomic.Uint64
 
-	// accMu guards accounts. Lock order: accMu, then an account's mu, then
-	// mu; a post holds only its account's mu, and takes mu after dropping
-	// it.
-	accMu    sync.Mutex
-	accounts map[accountKey]*Account
+	// tablesMu guards tables. Lock order: tablesMu, then a table's own
+	// lock; mu is taken on its own.
+	tablesMu sync.Mutex
+	tables   map[accountKey]Table
 
 	// mu guards the violation record, the callback and the leak counter,
 	// which is nil until Instrument installs it.
@@ -100,36 +114,61 @@ type Ledger struct {
 
 // New returns an empty ledger.
 func New() *Ledger {
-	return &Ledger{accounts: make(map[accountKey]*Account)}
+	return &Ledger{tables: make(map[accountKey]Table)}
 }
 
-// Account is the part of a ledger that one owner posts to: the open ids of
-// one (kind, owner) pair. It is safe for concurrent use; a nil *Account is
-// inert.
-type Account struct {
+// Register makes t the table the ledger reads for (kind, owner). A key
+// holds one table: registering it again replaces the one it held.
+func (l *Ledger) Register(kind, owner string, t Table) {
+	if l == nil {
+		return
+	}
+	l.tablesMu.Lock()
+	l.tables[accountKey{kind, owner}] = t
+	l.tablesMu.Unlock()
+}
+
+// account is a table the ledger keeps for one (kind, owner) pair that
+// callers post to: its open ids and the number of distinct ids acquired. A
+// nil *account is inert.
+type account struct {
 	l     *Ledger
 	kind  string
 	owner string
 
-	mu   sync.Mutex
-	open map[uint64]struct{}
+	mu     sync.Mutex
+	issued uint64
+	open   map[uint64]struct{}
 }
 
-// Account returns the ledger's account for (kind, owner), making it on the
-// first call; later calls return the same account. The substrate binds its
-// account once, when the ledger is installed. A nil ledger returns a nil
-// account.
-func (l *Ledger) Account(kind, owner string) *Account {
+func (a *account) Tally() (uint64, int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.issued, len(a.open)
+}
+
+func (a *account) EachOpen(f func(uint64)) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for id := range a.open {
+		f(id)
+	}
+}
+
+// account returns the posted table for (kind, owner), registering it on
+// the first call and taking the key over from a substrate's table; later
+// calls return the same table. A nil ledger returns a nil account.
+func (l *Ledger) account(kind, owner string) *account {
 	if l == nil {
 		return nil
 	}
 	k := accountKey{kind, owner}
-	l.accMu.Lock()
-	defer l.accMu.Unlock()
-	a := l.accounts[k]
-	if a == nil {
-		a = &Account{l: l, kind: kind, owner: owner, open: make(map[uint64]struct{})}
-		l.accounts[k] = a
+	l.tablesMu.Lock()
+	defer l.tablesMu.Unlock()
+	a, ok := l.tables[k].(*account)
+	if !ok {
+		a = &account{l: l, kind: kind, owner: owner, open: make(map[uint64]struct{})}
+		l.tables[k] = a
 	}
 	return a
 }
@@ -148,7 +187,7 @@ func (l *Ledger) OnViolation(f func(string)) {
 
 // Instrument wires the ledger into a telemetry registry: a counter of
 // detected leaks and violations, and a gauge of currently open resources,
-// read from the open count. A nil registry is a no-op.
+// read from the tables at each snapshot. A nil registry is a no-op.
 func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	if l == nil || reg == nil {
 		return
@@ -156,64 +195,63 @@ func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	leaked := reg.Counter(MetricLeaked,
 		"Resources found leaked (still open at a quiescence check) or released twice.")
 	reg.Collect(telemetry.Collector{Name: MetricOpen, Help: "Resources currently held open in the ledger.",
-		Gauge: true, Owner: l, Read: func(emit func(string, int64)) { emit("", l.open.Load()) }})
+		Gauge: true, Owner: l, Read: func(emit func(string, int64)) { emit("", int64(l.Open())) }})
 	l.mu.Lock()
 	l.leaked = leaked
 	l.mu.Unlock()
 }
 
-// Acquire posts one resource acquisition. Acquiring a resource that is
-// already open is a violation (the substrate reused a live id).
-func (l *Ledger) Acquire(kind, owner string, id uint64) { l.Account(kind, owner).Acquire(id) }
+// Acquire posts one resource acquisition to the ledger's table for (kind,
+// owner). Acquiring a resource that is already open is a violation (the
+// caller reused a live id).
+func (l *Ledger) Acquire(kind, owner string, id uint64) { l.account(kind, owner).acquire(id) }
 
-// Release balances one acquisition. Releasing a resource with no open
-// entry is a violation: a double release, or a release of something never
-// acquired.
-func (l *Ledger) Release(kind, owner string, id uint64) { l.Account(kind, owner).Release(id) }
+// Release balances one posted acquisition. Releasing a resource with no
+// open entry is a violation: a double release, or a release of something
+// never acquired.
+func (l *Ledger) Release(kind, owner string, id uint64) { l.account(kind, owner).release(id) }
 
-// Acquire posts the acquisition of resource id. Acquiring an id that is
-// already open is a violation (the substrate reused a live id).
-func (a *Account) Acquire(id uint64) {
+func (a *account) acquire(id uint64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.l.acquires.Add(1)
 	n := len(a.open)
 	a.open[id] = struct{}{}
 	dup := len(a.open) == n
 	if !dup {
-		a.l.open.Add(1)
+		a.issued++
 	}
 	a.mu.Unlock()
 	if dup {
-		a.l.violate("ledger: double acquire of %s", a.resource(id))
+		a.l.badAcquires.Add(1)
+		a.l.violate("ledger: double acquire of %s", Resource{a.kind, a.owner, id})
 	}
 }
 
-// Release balances the acquisition of resource id. Releasing an id with no
-// open entry is a violation: a double release, or a release of something
-// never acquired.
-func (a *Account) Release(id uint64) {
+func (a *account) release(id uint64) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.l.releases.Add(1)
 	n := len(a.open)
 	delete(a.open, id)
 	held := len(a.open) < n
-	if held {
-		a.l.open.Add(-1)
-	}
 	a.mu.Unlock()
 	if !held {
-		a.l.violate("ledger: release of %s with no open entry (double release?)", a.resource(id))
+		a.l.BadRelease(a.kind, a.owner, id)
 	}
 }
 
-func (a *Account) resource(id uint64) Resource {
-	return Resource{Kind: a.kind, Owner: a.owner, ID: id}
+// BadRelease reports the release of an id the (kind, owner) table does not
+// hold: a double release, or a release of something never granted. A
+// substrate whose ids are never reused calls it for an unknown release.
+func (l *Ledger) BadRelease(kind, owner string, id uint64) {
+	if l == nil {
+		return
+	}
+	l.badReleases.Add(1)
+	l.violate("ledger: release of %s with no open entry (double release?)", Resource{kind, owner, id})
 }
 
 // violate records one violation of resource r and reports it to the
@@ -230,20 +268,41 @@ func (l *Ledger) violate(format string, r Resource) {
 	}
 }
 
-// Open returns the number of currently open resources.
+// eachTable calls f with every registered table under the tables lock.
+func (l *Ledger) eachTable(f func(k accountKey, t Table)) {
+	l.tablesMu.Lock()
+	defer l.tablesMu.Unlock()
+	for k, t := range l.tables {
+		f(k, t)
+	}
+}
+
+// Open returns the number of resources the tables hold open.
 func (l *Ledger) Open() int {
 	if l == nil {
 		return 0
 	}
-	return int(l.open.Load())
+	open := 0
+	l.eachTable(func(_ accountKey, t Table) {
+		_, n := t.Tally()
+		open += n
+	})
+	return open
 }
 
-// Counts returns the total acquires and releases posted so far.
+// Counts returns the acquires and releases so far: each table's issued ids
+// are its acquires, and those no longer open its releases. Violations count
+// on the side they were posted to.
 func (l *Ledger) Counts() (acquires, releases uint64) {
 	if l == nil {
 		return 0, 0
 	}
-	return l.acquires.Load(), l.releases.Load()
+	l.eachTable(func(_ accountKey, t Table) {
+		issued, open := t.Tally()
+		acquires += issued
+		releases += issued - uint64(open)
+	})
+	return acquires + l.badAcquires.Load(), releases + l.badReleases.Load()
 }
 
 // Violations returns the violation descriptions recorded so far.
@@ -257,23 +316,17 @@ func (l *Ledger) Violations() []string {
 }
 
 // CheckEmpty is the quiescence check: with every session terminal, the
-// ledger must hold no open resource and no recorded violation. It returns
-// an error naming the leaked resources (sorted, bounded) and counts each
-// leak on the instrumented leak counter.
+// tables must hold no open resource and the ledger no recorded violation.
+// It returns an error naming the leaked resources (sorted, bounded) and
+// counts each leak on the instrumented leak counter.
 func (l *Ledger) CheckEmpty() error {
 	if l == nil {
 		return nil
 	}
-	var leaks []string
-	l.accMu.Lock()
-	for _, a := range l.accounts {
-		a.mu.Lock()
-		for id := range a.open {
-			leaks = append(leaks, a.resource(id).String())
-		}
-		a.mu.Unlock()
-	}
-	l.accMu.Unlock()
+	var leaks []Resource
+	l.eachTable(func(k accountKey, t Table) {
+		t.EachOpen(func(id uint64) { leaks = append(leaks, Resource{k.kind, k.owner, id}) })
+	})
 	l.mu.Lock()
 	nviol := len(l.violations)
 	l.leaked.Add(uint64(len(leaks)))
@@ -281,11 +334,14 @@ func (l *Ledger) CheckEmpty() error {
 	if len(leaks) == 0 && nviol == 0 {
 		return nil
 	}
-	nleaks := len(leaks)
-	sort.Strings(leaks)
-	if nleaks > 8 {
-		leaks = append(leaks[:8], fmt.Sprintf("... and %d more", nleaks-8))
+	names := make([]string, len(leaks))
+	for i, r := range leaks {
+		names[i] = r.String()
+	}
+	sort.Strings(names)
+	if n := len(names); n > 8 {
+		names = append(names[:8], fmt.Sprintf("... and %d more", n-8))
 	}
 	return fmt.Errorf("ledger: %d resources leaked, %d violations: %s",
-		nleaks, nviol, strings.Join(leaks, ", "))
+		len(leaks), nviol, strings.Join(names, ", "))
 }

@@ -40,9 +40,9 @@ func TestDoubleReleaseIsViolation(t *testing.T) {
 	l := New()
 	var seen []string
 	l.OnViolation(func(msg string) { seen = append(seen, msg) })
-	l.Acquire(KindTransport, "", 3)
-	l.Release(KindTransport, "", 3)
-	l.Release(KindTransport, "", 3)
+	l.Acquire(KindNetwork, "", 3)
+	l.Release(KindNetwork, "", 3)
+	l.Release(KindNetwork, "", 3)
 	if len(seen) != 1 || !strings.Contains(seen[0], "double release") {
 		t.Fatalf("violation callback = %v", seen)
 	}
@@ -105,11 +105,13 @@ func TestNilLedgerIsInert(t *testing.T) {
 	var l *Ledger
 	l.Acquire(KindCMFS, "s", 1)
 	l.Release(KindCMFS, "s", 1)
-	l.Account(KindCMFS, "s").Acquire(1)
-	l.Account(KindCMFS, "s").Release(1)
+	l.account(KindCMFS, "s").acquire(1)
+	l.account(KindCMFS, "s").release(1)
+	l.Register(KindCMFS, "s", &account{})
+	l.BadRelease(KindNetwork, "", 1)
 	l.OnViolation(func(string) {})
 	l.Instrument(telemetry.NewRegistry())
-	if l.Account(KindCMFS, "s") != nil {
+	if l.account(KindCMFS, "s") != nil {
 		t.Error("nil ledger must hand out nil accounts")
 	}
 	if l.Open() != 0 || l.Violations() != nil || l.CheckEmpty() != nil {

@@ -67,9 +67,9 @@ func (l *refLedger) CheckEmpty() error {
 }
 
 // modelAccounts are the (kind, owner) pairs a scenario posts to: two
-// servers, so one kind spans two accounts, and the two owner-less kinds.
+// servers, so one kind spans two accounts, and two owner-less kinds.
 var modelAccounts = [...]accountKey{
-	{KindCMFS, "server-1"}, {KindCMFS, "server-2"}, {KindNetwork, ""}, {KindTransport, ""},
+	{KindCMFS, "server-1"}, {KindCMFS, "server-2"}, {KindNetwork, ""}, {"leaf", ""},
 }
 
 // ledgerOp is one call in a ledger scenario.
@@ -118,7 +118,7 @@ func (ledgerScenario) Generate(rng *rand.Rand, _ int) reflect.Value {
 
 // TestLedgerMatchesModel is the differential test of the per-owner
 // accounts: random call sequences over several accounts, posted once
-// through Account handles and once through the Ledger wrappers, leave both
+// through account handles and once through the Ledger wrappers, leave both
 // ledgers agreeing with the single-map reference after every call on Open,
 // Counts, the violation texts, CheckEmpty's text and the instrumented leak
 // counter and open gauge.
@@ -130,9 +130,9 @@ func TestLedgerMatchesModel(t *testing.T) {
 		regA, regW := telemetry.NewRegistry(), telemetry.NewRegistry()
 		viaAccount.Instrument(regA)
 		viaWrapper.Instrument(regW)
-		var accts [len(modelAccounts)]*Account
+		var accts [len(modelAccounts)]*account
 		for i, k := range modelAccounts {
-			accts[i] = viaAccount.Account(k.kind, k.owner)
+			accts[i] = viaAccount.account(k.kind, k.owner)
 		}
 		open := make([][]uint64, len(modelAccounts))
 		var closed [len(modelAccounts)][]uint64
@@ -141,12 +141,12 @@ func TestLedgerMatchesModel(t *testing.T) {
 			k := modelAccounts[i]
 			if acquire {
 				ref.Acquire(k.kind, k.owner, id)
-				accts[i].Acquire(id)
+				accts[i].acquire(id)
 				viaWrapper.Acquire(k.kind, k.owner, id)
 				return
 			}
 			ref.Release(k.kind, k.owner, id)
-			accts[i].Release(id)
+			accts[i].release(id)
 			viaWrapper.Release(k.kind, k.owner, id)
 		}
 		for n, st := range sc.Steps {
@@ -234,14 +234,14 @@ func TestLedgerMatchesModel(t *testing.T) {
 // account an acquire and its release allocate nothing.
 func TestAccountAllocsNothing(t *testing.T) {
 	l := New()
-	a := l.Account(KindCMFS, "server-1")
-	a.Acquire(1)
-	a.Release(1)
+	a := l.account(KindCMFS, "server-1")
+	a.acquire(1)
+	a.release(1)
 	id := uint64(1)
 	if n := testing.AllocsPerRun(1000, func() {
 		id++
-		a.Acquire(id)
-		a.Release(id)
+		a.acquire(id)
+		a.release(id)
 	}); n != 0 {
 		t.Errorf("Acquire+Release on a warm account = %v allocations, want 0", n)
 	}
@@ -250,18 +250,18 @@ func TestAccountAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestAccountIsBoundOnce holds Account to one account per (kind, owner):
+// TestAccountIsBoundOnce holds account to one table per (kind, owner):
 // posts through a bound handle and through the wrappers meet in it.
 func TestAccountIsBoundOnce(t *testing.T) {
 	l := New()
-	a := l.Account(KindCMFS, "server-1")
-	if l.Account(KindCMFS, "server-1") != a {
-		t.Fatal("a second Account call made a second account")
+	a := l.account(KindCMFS, "server-1")
+	if l.account(KindCMFS, "server-1") != a {
+		t.Fatal("a second account call made a second account")
 	}
-	if l.Account(KindCMFS, "server-2") == a || l.Account(KindNetwork, "") == a {
+	if l.account(KindCMFS, "server-2") == a || l.account(KindNetwork, "") == a {
 		t.Fatal("distinct (kind, owner) pairs share an account")
 	}
-	a.Acquire(4)
+	a.acquire(4)
 	l.Release(KindCMFS, "server-1", 4)
 	if err := l.CheckEmpty(); err != nil {
 		t.Fatal(err)
@@ -275,14 +275,14 @@ func TestInstrumentMidTrafficIsExact(t *testing.T) {
 	l := New()
 	var wg sync.WaitGroup
 	for w, k := range modelAccounts {
-		a := l.Account(k.kind, k.owner)
+		a := l.account(k.kind, k.owner)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := uint64(1); i <= 2000; i++ {
-				a.Acquire(i)
+				a.acquire(i)
 				if i%100 != 0 {
-					a.Release(i)
+					a.release(i)
 				}
 			}
 		}(w)

@@ -123,20 +123,40 @@ type Network struct {
 	admitted *telemetry.Counter
 	rejected *telemetry.Counter
 
-	// acct, when non-nil, is the network's account in the resource ledger:
-	// every Reserve/Release posts to it. Reservation ids are never reused,
-	// so a Release of an unknown id is posted too — the ledger flags it as
-	// a double release.
-	acct *ledger.Account
+	// led, when non-nil, is the resource ledger the reservation table is
+	// registered with, told of every Release of an unknown id.
+	led *ledger.Ledger
 }
 
-// SetLedger installs a resource ledger on the network's reservation state;
-// a nil ledger detaches.
+// SetLedger registers the network's reservation table with a resource
+// ledger, which reads it for its open count, its issued ids and its leaks.
+// Reserve, Open and Release post nothing, but reservation ids are never
+// reused, so a Release of an unknown id is a double release (or a release
+// of something never granted) and is reported to the ledger as a
+// violation. A nil ledger registers nothing and takes no reports.
 func (n *Network) SetLedger(l *ledger.Ledger) {
-	acct := l.Account(ledger.KindNetwork, "")
+	l.Register(ledger.KindNetwork, "", (*table)(n))
 	n.mu.Lock()
-	n.acct = acct
+	n.led = l
 	n.mu.Unlock()
+}
+
+// table is the network as the ledger reads it: its reservation table, whose
+// ids come from next.
+type table Network
+
+func (t *table) Tally() (uint64, int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return uint64(t.next), len(t.resv)
+}
+
+func (t *table) EachOpen(f func(uint64)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id := range t.resv {
+		f(uint64(id))
+	}
 }
 
 // Instrument wires the network's reservation decisions into a telemetry
@@ -735,20 +755,20 @@ func (n *Network) chargeLocked(rt *route, q qos.NetworkQoS) Reservation {
 	n.next++
 	n.resv[n.next] = held{rt: rt, rate: q.AvgBitRate}
 	n.admitted.Inc()
-	n.acct.Acquire(uint64(n.next))
 	return Reservation{ID: n.next, Path: rt.path, Rate: q.AvgBitRate}
 }
 
 // Release frees a reservation's bandwidth on every link of its path.
 func (n *Network) Release(id ReservationID) error {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	h, ok := n.resv[id]
 	if !ok {
+		led := n.led
+		n.mu.Unlock()
 		// Ids are never reused: an unknown release is a double release (or
-		// a release of something never granted) — post it so an installed
-		// ledger fails fast.
-		n.acct.Release(uint64(id))
+		// a release of something never granted), which an installed ledger
+		// reports at once.
+		led.BadRelease(ledger.KindNetwork, "", uint64(id))
 		return fmt.Errorf("%w: %d", ErrUnknownReservation, id)
 	}
 	for _, ls := range h.rt.links {
@@ -758,7 +778,7 @@ func (n *Network) Release(id ReservationID) error {
 		}
 	}
 	delete(n.resv, id)
-	n.acct.Release(uint64(id))
+	n.mu.Unlock()
 	return nil
 }
 

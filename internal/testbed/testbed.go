@@ -41,9 +41,11 @@ type Bed struct {
 	// Faults is the injector the bed was assembled with (Spec.Faults),
 	// nil otherwise.
 	Faults *faults.Injector
-	// Ledger double-checks every reservation, connection and release made
-	// through the bed's subsystems. It is always installed: Ledger.CheckEmpty
-	// after winding all sessions down proves nothing leaked.
+	// Ledger reads the reservation tables of the bed's CMFS servers and
+	// network (a connection is its network reservation), and reports every
+	// network release of an unknown id. It is always installed:
+	// Ledger.CheckEmpty after winding all sessions down proves nothing
+	// leaked.
 	Ledger *ledger.Ledger
 }
 
@@ -122,7 +124,6 @@ func New(spec Spec) (*Bed, error) {
 	}
 	net.SetLedger(led)
 	bed.Transit = transport.New(net, opts.PathAlternates)
-	bed.Transit.SetLedger(led)
 	bed.Faults = spec.Faults
 	var ts core.Transport = bed.Transit
 	if spec.Faults != nil {

@@ -11,7 +11,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"qosneg/internal/ledger"
 	"qosneg/internal/network"
@@ -36,19 +35,13 @@ type System struct {
 	// alternates is the k of network.Open: each connection takes the best
 	// of the first 4k feasible routes network.Open filters.
 	alternates int
-
-	// acct, when non-nil, is the transport's account in the resource
-	// ledger: every established connection posts to it, keyed by its
-	// network reservation id. Zero-throughput connections hold no resource
-	// and are not tracked.
-	acct atomic.Pointer[ledger.Account]
 }
 
-// SetLedger installs a resource ledger on the connection lifecycle; a nil
-// ledger detaches.
-func (s *System) SetLedger(l *ledger.Ledger) {
-	s.acct.Store(l.Account(ledger.KindTransport, ""))
-}
+// SetLedger does nothing. A connection is its network reservation, which
+// the ledger reads from the network's own table (network.SetLedger). It
+// stays only for the benchmark module's callers, until ROADMAP item 7a
+// re-founds the benchmark on the system that exists and drops the call.
+func (s *System) SetLedger(*ledger.Ledger) {}
 
 // New builds a transport system over the given network; each connection
 // chooses among the first 4·alternates feasible paths (alternates is at
@@ -76,7 +69,6 @@ func (s *System) Connect(src, dst network.NodeID, q qos.NetworkQoS) (Connection,
 	if err != nil {
 		return Connection{}, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	s.acct.Load().Acquire(uint64(r.ID))
 	return Connection{Reservation: r, Metrics: m, QoS: q}, nil
 }
 
@@ -105,18 +97,13 @@ func (s *System) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan)
 // once so that the refusal allocates nothing.
 var errPathHeld = fmt.Errorf("%w: %w", ErrUnavailable, network.ErrPathHeld)
 
-// Close releases a connection's reservation. Closing a zero-throughput
-// connection is a no-op.
+// Close releases a connection's reservation. It reads only
+// c.Reservation.ID, so a connection rebuilt from its id closes as the
+// original would. Id 0 is no connection, since network ids start at 1:
+// closing a zero-throughput connection is a no-op.
 func (s *System) Close(c Connection) error {
-	if c.QoS.Zero() && c.Reservation.ID == 0 {
+	if c.Reservation.ID == 0 {
 		return nil
 	}
-	err := s.net.Release(c.Reservation.ID)
-	if err == nil {
-		// A failed release means the reservation was already gone — the
-		// network-level ledger hook has flagged the double release; posting
-		// the transport entry too would double-count it.
-		s.acct.Load().Release(uint64(c.Reservation.ID))
-	}
-	return err
+	return s.net.Release(c.Reservation.ID)
 }

@@ -44,8 +44,8 @@ echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes; cache miss: independent of product size, and bounded in bytes; policy off must stay free; a metrics registry adds nothing to a cached negotiate+reject; a step-5 refusal adds nothing, and one the plan finds after planning two choices allocates at most its error; a CMFS refusal or refusing plan allocates at most its error, a clean CMFS sweep or admitting plan nothing; Network.Open+Release and Network.Plan on an opened pair allocate nothing, a plan refused on a held path too, the first Open of a pair on a star exactly its 3 route arrays; a ledger post on a warm account allocates nothing; a violating adaptation scan over 32 playing sessions allocates no more than the index lookups it replaced; a ranked offer stays four words and a session inside the 576-byte size class)"
-go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestMetricsOnAllocBound|TestRefusalAllocBound|TestPlanRefusalAllocBound|TestSessionSize' ./internal/core
+echo "== negotiate allocation gates (cache hit: count and bytes, a commitment holding ids only; cache miss: independent of product size, and bounded in bytes; policy off must stay free; a metrics registry adds nothing to a cached negotiate+reject; a step-5 refusal adds nothing, and one the plan finds after planning two choices allocates at most its error; a CMFS refusal or refusing plan allocates at most its error, a clean CMFS sweep or admitting plan nothing; Network.Open+Release and Network.Plan on an opened pair allocate nothing, a plan refused on a held path too, the first Open of a pair on a star exactly its 3 route arrays; a ledger post on a warm account allocates nothing; a violating adaptation scan over 32 playing sessions allocates no more than the index lookups it replaced; a ranked offer and a held choice stay four words and a session inside the 576-byte size class)"
+go test -count=1 -run 'TestCachedNegotiateAllocBound|TestMissPathAllocBound|TestPolicyOffAllocBound|TestMetricsOnAllocBound|TestRefusalAllocBound|TestPlanRefusalAllocBound|TestSessionSize|TestHeldChoiceSize' ./internal/core
 go test -count=1 -run 'TestRankedSize' ./internal/offer
 go test -count=1 -run 'TestAdmissionCostGates|TestPlanAllocationGate' ./internal/cmfs
 go test -count=1 -run 'TestOpenAllocatesOnlyThePath|TestPlanAllocatesNothing' ./internal/network

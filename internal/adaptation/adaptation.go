@@ -111,8 +111,11 @@ func (m *Monitor) scan(ctx context.Context) Report {
 		rep.Skipped += held(s)
 	}
 
-	// Adapt sessions in id order for determinism.
+	// Adapt sessions in id order for determinism, into a report sized once.
 	slices.SortFunc(affected, func(a, b *core.Session) int { return cmp.Compare(a.ID, b.ID) })
+	if len(affected) > 0 {
+		rep.Adapted = make([]core.Transition, 0, len(affected))
+	}
 	for i, s := range affected {
 		if ctx.Err() != nil {
 			rep.Skipped += len(affected) - i

@@ -21,9 +21,10 @@
 // demand = Σ bytesPerRound(r.Rate) over the admitted streams, updated by
 // Reserve and Release, the only writers of the stream set. The sum is over
 // int64, so it is exact and independent of order, and the admission test
-// and Utilization cost O(1) in the number of streams. A refusal is
-// a small error value that renders its text only when read, so a refused
-// Reserve costs one allocation.
+// and Utilization cost O(1) in the number of streams. A refusal is a
+// Refusal, the test's figures, which renders its text only when read: a
+// refused Reserve boxes one as its error, one allocation, and a refused Plan
+// hands its figures back by value in the plan, allocating nothing.
 //
 // Degradation injection. Experiments shrink a server's effective disk rate
 // with SetDegradation; streams that no longer fit are reported by
@@ -255,69 +256,98 @@ func (s *Server) chargedRate(n qos.NetworkQoS) qos.BitRate {
 func (s *Server) Admit(n qos.NetworkQoS) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.admitLocked(s.chargedRate(n), Plan{})
+	p, err := s.admitLocked(s.chargedRate(n), Plan{})
+	return s.admissionErr(p, err)
 }
 
 // Plan is a caller-held tally of the streams an attempt plans to add to one
 // server: the running demand and stream count its earlier requests would
-// have added. The zero value plans nothing.
+// have added. The zero value plans nothing. The plan that Plan returns with
+// ErrAdmission is no tally: it holds the refusal's figures, which Refusal
+// reads.
 type Plan struct {
 	demand  int64
 	streams int
+	// budget is set only in a refused plan: the round budget demand
+	// exceeded. A refused plan's streams is the stream cap that refused it,
+	// and zero when the round budget did.
+	budget int64
+}
+
+// Refusal returns the figures of the admission refusal that the server
+// named server returned p with.
+func (p Plan) Refusal(server media.ServerID) Refusal {
+	return Refusal{Server: server, Cap: p.streams, Demand: p.demand, Budget: p.budget}
 }
 
 // Plan runs the admission test for a stream of the given network QoS as if
 // the streams p tallies were already reserved, exactly as a Reserve after
 // theirs would see it, and returns the tally with this stream added. It
-// reserves nothing, allocates nothing unless it refuses, and consumes no
-// reservation id; a later Reserve may still refuse if another caller
-// reserved or the server degraded in between. A refusal counts in the
-// server's reject counter, as a refused Reserve does.
+// reserves nothing, allocates nothing, admitted or refused, and consumes no
+// reservation id. An admission refusal is the bare ErrAdmission, with a plan
+// whose Refusal holds the figures Reserve's error would render. A later
+// Reserve may still refuse if another caller reserved or the server degraded
+// in between. A refusal counts in the server's reject counter, as a refused
+// Reserve does.
 func (s *Server) Plan(n qos.NetworkQoS, p Plan) (Plan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	charged := s.chargedRate(n)
-	if err := s.admitLocked(charged, p); err != nil {
+	next, err := s.admitLocked(s.chargedRate(n), p)
+	if err != nil {
 		s.rejected.Inc()
-		return p, err
 	}
-	return Plan{demand: p.demand + s.bytesPerRound(charged), streams: p.streams + 1}, nil
+	return next, err
 }
 
 // admitLocked is the admission test for a stream of the charged rate on top
-// of the admitted streams and those p tallies; caller holds the lock.
-func (s *Server) admitLocked(rate qos.BitRate, p Plan) error {
+// of the admitted streams and those p tallies; caller holds the lock. It
+// returns the tally with the stream added or, with ErrAdmission, the refused
+// plan.
+func (s *Server) admitLocked(rate qos.BitRate, p Plan) (Plan, error) {
 	if rate < 0 {
-		return fmt.Errorf("cmfs %s: negative rate", s.id)
+		return p, fmt.Errorf("cmfs %s: negative rate", s.id)
 	}
 	n := len(s.streams) + p.streams + 1
 	if s.cfg.MaxStreams > 0 && n > s.cfg.MaxStreams {
-		return &admissionError{server: s.id, cap: s.cfg.MaxStreams}
+		return Plan{streams: s.cfg.MaxStreams}, ErrAdmission
 	}
-	demand := s.demand + p.demand + s.bytesPerRound(rate)
+	d := s.bytesPerRound(rate)
+	demand := s.demand + p.demand + d
 	if budget := s.roundBudget(n); demand > budget {
-		return &admissionError{server: s.id, demand: demand, budget: budget}
+		return Plan{demand: demand, budget: budget}, ErrAdmission
 	}
-	return nil
+	return Plan{demand: p.demand + d, streams: p.streams + 1}, nil
 }
 
-// admissionError is a refusal of the admission test. It keeps the figures
-// and renders its text only when read; it unwraps to ErrAdmission.
-type admissionError struct {
-	server media.ServerID
-	// cap is the stream cap that refused; zero when the round budget did.
-	cap            int
-	demand, budget int64
-}
-
-func (e *admissionError) Error() string {
-	if e.cap > 0 {
-		return fmt.Sprintf("%v: server %s at stream cap %d", ErrAdmission, e.server, e.cap)
+// admissionErr is admitLocked's refusal as an error: an admission refusal
+// boxes the refused plan's figures, any other error is returned as it is.
+func (s *Server) admissionErr(p Plan, err error) error {
+	if err != ErrAdmission {
+		return err
 	}
-	return fmt.Sprintf("%v: server %s needs %d bytes/round, budget %d", ErrAdmission, e.server, e.demand, e.budget)
+	r := p.Refusal(s.id)
+	return &r
 }
 
-func (e *admissionError) Unwrap() error { return ErrAdmission }
+// Refusal is a refusal of the admission test, kept as its figures: the
+// server, and the stream cap that refused or the bytes per round the
+// streams would need and the round budget they exceed. It renders its text
+// only when read and unwraps to ErrAdmission.
+type Refusal struct {
+	Server media.ServerID
+	// Cap is the stream cap that refused; zero when the round budget did.
+	Cap            int
+	Demand, Budget int64
+}
+
+func (r *Refusal) Error() string {
+	if r.Cap > 0 {
+		return fmt.Sprintf("%v: server %s at stream cap %d", ErrAdmission, r.Server, r.Cap)
+	}
+	return fmt.Sprintf("%v: server %s needs %d bytes/round, budget %d", ErrAdmission, r.Server, r.Demand, r.Budget)
+}
+
+func (r *Refusal) Unwrap() error { return ErrAdmission }
 
 // Reserve admits and reserves a stream; it returns the reservation that a
 // later Release must present. Discrete media (zero rate) reserve no disk
@@ -326,14 +356,15 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	charged := s.chargedRate(n)
-	if err := s.admitLocked(charged, Plan{}); err != nil {
+	p, err := s.admitLocked(charged, Plan{})
+	if err != nil {
 		s.rejected.Inc()
-		return Reservation{}, err
+		return Reservation{}, s.admissionErr(p, err)
 	}
 	s.next++
 	r := Reservation{ID: s.next, Rate: charged, Peak: n.MaxBitRate}
 	s.streams[r.ID] = r
-	s.demand += s.bytesPerRound(charged)
+	s.demand += p.demand
 	s.admitted.Inc()
 	return r, nil
 }
@@ -390,7 +421,8 @@ func (s *Server) SetDegradation(fraction float64) error {
 // Overcommitted returns the reservations that no longer fit in the degraded
 // round budget, largest rate first: the streams the disk can no longer
 // serve at their negotiated QoS. A nil result means every admitted stream
-// still fits; finding that out costs no allocation.
+// still fits; finding that out costs no allocation, and a violation costs
+// one, the listing of the streams the victims are cut from.
 func (s *Server) Overcommitted() []Reservation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -417,8 +449,6 @@ func (s *Server) Overcommitted() []Reservation {
 		keep++
 	}
 	victims := res[keep:]
-	out := make([]Reservation, len(victims))
-	copy(out, victims)
-	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(b.Rate, a.Rate) })
-	return out
+	slices.SortFunc(victims, func(a, b Reservation) int { return cmp.Compare(b.Rate, a.Rate) })
+	return victims
 }

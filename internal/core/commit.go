@@ -37,6 +37,9 @@ type commitResult struct {
 // which satisfy the cost and the QoS requested by the user", then the others,
 // "always in the order defined above" — and stops at the first that commits,
 // passing over the offer keyed skipKey (the one an adaptation is leaving).
+// The committed offer's hold is copied into spare when its capacity
+// suffices (an adaptation hands over the array of the commitment it
+// withdrew), and into an exact-size slice otherwise.
 // A server that fails as down is attempted at most once per pass however a
 // policy orders the attempts: the dead set keys on the server and marks it
 // idempotently, so the bookkeeping is independent of iteration order.
@@ -45,7 +48,7 @@ type commitResult struct {
 // predicate, so a pass that commits its first offer orders nothing past it;
 // a policy permutes ties within each set, so the two sets are materialized
 // for it from the sorted list. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skipKey string, pol Policy, procedure string) (commitResult, error) {
+func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skipKey string, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	var last lastPlan
@@ -77,7 +80,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 				c.skipped++
 				continue
 			}
-			cm, fail := m.tryCommit(ctx, mach, doc, u, r, &last)
+			cm, fail := m.tryCommit(ctx, mach, doc, u, r, &last, spare)
 			if fail.cause == CauseNone {
 				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
 				if ranks != nil {
@@ -209,7 +212,7 @@ func (l *lastPlan) carry(r offer.Ranked) {
 // as reservations, and the transport refuses it or not. Server-attributable
 // failures feed the breaker, so quarantines accrue no matter which entry
 // point (negotiate, renegotiate, adapt) drove the attempt.
-func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan) (commitment, commitFailure) {
+func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan, spare []heldChoice) (commitment, commitFailure) {
 	plan := last.plan[:0]
 	if len(r.Choices) > planWidth {
 		// A wider offer plans on the heap and is not carried over.
@@ -253,11 +256,12 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 				break
 			}
 		}
-		var err error
-		if pc.tally, err = entry.server.Plan(pc.q, pc.tally); err != nil {
-			last.refused = commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err}
+		tally, err := entry.server.Plan(pc.q, pc.tally)
+		if err != nil {
+			last.refused = planRefusal(sid, tally, err)
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
 		}
+		pc.tally = tally
 		var pm network.PathMetrics
 		if routes, pm, err = m.transport.Plan(entry.node, mach.Node, pc.q, routes); err != nil {
 			if errors.Is(err, network.ErrPathHeld) {
@@ -268,7 +272,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 				// as reservations, so the transport decides when it gets
 				// there.
 				last.clean = 0
-				return m.reserve(ctx, mach, doc, u, r, plan[:i])
+				return m.reserve(ctx, mach, doc, u, r, plan[:i], spare)
 			}
 			last.refused = commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node}
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
@@ -284,7 +288,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 	// Reserving overwrites the plan's metrics and may race another caller:
 	// the next attempt plans afresh.
 	last.clean = 0
-	return m.reserve(ctx, mach, doc, u, r, plan)
+	return m.reserve(ctx, mach, doc, u, r, plan, spare)
 }
 
 // planRefused records a refusal the plan found as the reserve-and-rollback
@@ -304,13 +308,14 @@ func (m *Manager) planRefused(r offer.Ranked, planned []plannedChoice, g cost.Gu
 // reserve commits an offer: it reserves and connects every choice in
 // order, the planned ones first and then any the plan did not reach, each
 // looked up as the plan would have. The attempt holds its reservations in a
-// fixed-size array and copies them into one exact-size slice only when the
-// offer commits. A refusal of a planned choice means the substrate changed
-// after the plan — a concurrent negotiation took the capacity, or an
-// injected fault fired — and rolls back what the attempt holds; so does a
-// start-delay or synchronization bound the reserved routes break where the
-// planned ones did not.
-func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice) (commitment, commitFailure) {
+// fixed-size array and copies them out only when the offer commits: into
+// spare when its capacity suffices, else into one exact-size slice. A
+// refusal of a planned choice means the substrate changed after the plan —
+// a concurrent negotiation took the capacity, or an injected fault fired —
+// and rolls back what the attempt holds; so does a start-delay or
+// synchronization bound the reserved routes break where the planned ones
+// did not.
+func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice, spare []heldChoice) (commitment, commitFailure) {
 	var buf [planWidth]heldChoice
 	held := buf[:0]
 	if len(r.Choices) > planWidth {
@@ -364,7 +369,10 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 			return commitment{}, m.refuse(held, len(held), g, f)
 		}
 	}
-	return commitment{choices: append(make([]heldChoice, 0, len(held)), held...)}, commitFailure{}
+	if cap(spare) < len(held) {
+		spare = make([]heldChoice, 0, len(held))
+	}
+	return commitment{choices: append(spare[:0], held...)}, commitFailure{}
 }
 
 // constraintFailure checks a planned or reserved offer against the profile's
@@ -379,7 +387,7 @@ func constraintFailure(doc *media.Document, u *profile.UserProfile, r offer.Rank
 			start = max(start, plan[i].delay+plan[i].entry.server.Config().RoundLength)
 		}
 		if start > bound {
-			return commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: start, bound: bound}
+			return commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: int64(start), bound: int64(bound)}
 		}
 	}
 	// Synchronization feasibility: for every temporal constraint with a
@@ -393,7 +401,7 @@ func constraintFailure(doc *media.Document, u *profile.UserProfile, r offer.Rank
 		ja, okA := connJitter(r, plan, tc.A)
 		jb, okB := connJitter(r, plan, tc.B)
 		if okA && okB && ja+jb > tc.Tolerance {
-			return commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B}
+			return commitFailure{cause: CauseConstraint, kind: refusedSync, value: int64(ja + jb), bound: int64(tc.Tolerance), a: tc.A, b: tc.B}
 		}
 	}
 	return commitFailure{}

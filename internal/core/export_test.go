@@ -28,7 +28,8 @@ func (m *Manager) serverHealthGen(id media.ServerID) uint64 {
 // CheckHoldsDisjoint checks that no two live sessions of m hold one
 // reservation: each CMFS (server, reservation) pair and each network
 // reservation that a reserved or playing session yields through EachHold
-// is yielded by that session alone.
+// is yielded by that session alone. It may run while sessions change state:
+// a session confirmed between the two listings is walked once.
 func CheckHoldsDisjoint(m SessionManager) error {
 	type onServer struct {
 		server media.ServerID
@@ -36,9 +37,14 @@ func CheckHoldsDisjoint(m SessionManager) error {
 	}
 	byCMFS := make(map[onServer]SessionID)
 	byNet := make(map[network.ReservationID]SessionID)
+	walked := make(map[SessionID]bool)
 	var err error
 	for _, state := range []SessionState{Reserved, Playing} {
 		for _, s := range m.Sessions(state) {
+			if walked[s.ID] {
+				continue
+			}
+			walked[s.ID] = true
 			s.EachHold(func(server media.ServerID, res cmfs.ReservationID, conn network.ReservationID) {
 				k := onServer{server, res}
 				if other, ok := byCMFS[k]; ok && err == nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"qosneg/internal/clock"
+	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
@@ -73,6 +74,12 @@ const (
 	refusedUnregistered
 	// refusedReserve: the server refused the reservation with err.
 	refusedReserve
+	// refusedStreamCap: the server's plan refused the stream at its
+	// stream cap, bound.
+	refusedStreamCap
+	// refusedRoundBudget: the server's plan needs value bytes per round
+	// against a round budget of bound.
+	refusedRoundBudget
 	// refusedConnect: the transport refused the connection from..to with
 	// err.
 	refusedConnect
@@ -93,13 +100,16 @@ type commitFailure struct {
 	// server is the server the failure is attributable to; empty for
 	// constraint violations and cancellations.
 	server media.ServerID
-	// err is the context's, the server's or the transport's error.
+	// err is the context's, the server's or the transport's error; a
+	// server's plan refusal keeps the bare cmfs.ErrAdmission.
 	err      error
 	from, to network.NodeID
 	left     time.Duration
-	// value and bound are the start delay or combined jitter and the
-	// bound it exceeds.
-	value, bound time.Duration
+	// value and bound are the figure that refused and the limit it
+	// exceeds: the start delay or combined jitter and its bound, in
+	// nanoseconds; the bytes per round a plan needs and the round budget;
+	// or (bound alone) the stream cap.
+	value, bound int64
 	a, b         media.MonomediaID
 }
 
@@ -120,12 +130,16 @@ func (f commitFailure) reason() string {
 		return fmt.Sprintf("%v: %s not registered", ErrServerDown, f.server)
 	case refusedReserve:
 		return fmt.Sprintf("reserve on %s: %v", f.server, f.err)
+	case refusedStreamCap:
+		return fmt.Sprintf("reserve on %s: %v", f.server, &cmfs.Refusal{Server: f.server, Cap: int(f.bound)})
+	case refusedRoundBudget:
+		return fmt.Sprintf("reserve on %s: %v", f.server, &cmfs.Refusal{Server: f.server, Demand: f.value, Budget: f.bound})
 	case refusedConnect:
 		return fmt.Sprintf("connect %s -> %s: %v", f.from, f.to, f.err)
 	case refusedStartDelay:
-		return fmt.Sprintf("start delay %s exceeds profile bound %s", f.value, f.bound)
+		return fmt.Sprintf("start delay %s exceeds profile bound %s", time.Duration(f.value), time.Duration(f.bound))
 	case refusedSync:
-		return fmt.Sprintf("combined jitter %s exceeds sync tolerance %s between %s and %s", f.value, f.bound, f.a, f.b)
+		return fmt.Sprintf("combined jitter %s exceeds sync tolerance %s between %s and %s", time.Duration(f.value), time.Duration(f.bound), f.a, f.b)
 	}
 	return fmt.Sprint(f.err)
 }
@@ -137,6 +151,21 @@ func refusalCause(err error) FailureCause {
 		return CauseServerDown
 	}
 	return CauseCapacity
+}
+
+// planRefusal is a server's refusal of the plan p as a failure: an
+// admission refusal keeps the figures the refused plan holds, and any other
+// refusal its error.
+func planRefusal(sid media.ServerID, p cmfs.Plan, err error) commitFailure {
+	f := commitFailure{cause: refusalCause(err), kind: refusedReserve, server: sid, err: err}
+	if err == cmfs.ErrAdmission {
+		if r := p.Refusal(sid); r.Cap > 0 {
+			f.kind, f.bound = refusedStreamCap, int64(r.Cap)
+		} else {
+			f.kind, f.value, f.bound = refusedRoundBudget, r.Demand, r.Budget
+		}
+	}
+	return f
 }
 
 // Default health-policy parameters.
@@ -323,7 +352,7 @@ func (t *ServerTable) recordFailure(f commitFailure, g cost.Guarantee, p HealthP
 	h.post(g, false)
 	h.gen++
 	switch f.kind {
-	case refusedUnregistered, refusedReserve:
+	case refusedUnregistered, refusedReserve, refusedStreamCap, refusedRoundBudget:
 		h.reserveFailures++
 	case refusedConnect:
 		h.connectFailures++

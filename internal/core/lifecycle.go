@@ -147,7 +147,11 @@ func (m *Manager) Abort(id SessionID) error {
 // window found it, read under the lock, since a concurrent end() clears the
 // ranked list. Only an adaptation reads that list, so only its window
 // carries it, sorted before it is copied: no read off-lock reorders the
-// array the session shares.
+// array the session shares. held is the withdrawn commitment's array, empty
+// and released: no session reaches it once withdraw cleared the session's
+// commitment under the lock, so an adaptation's step 5 copies its new hold
+// into it. A renegotiation, a failed adaptation and a stale install drop
+// it.
 type window struct {
 	s       *Session
 	want    SessionState
@@ -158,6 +162,7 @@ type window struct {
 	profile profile.UserProfile
 	current offer.Ranked
 	ranked  offer.Classified
+	held    []heldChoice
 }
 
 // withdraw opens an unlock window on session id, which must be in state
@@ -186,6 +191,7 @@ func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string)
 	s.commit = commitment{}
 	s.mu.Unlock()
 	m.release(old)
+	w.held = old.choices[:0]
 	if m.testHookUnlocked != nil {
 		m.testHookUnlocked(op, id)
 	}
@@ -340,7 +346,7 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	// Consider the ordered offers except the current one, acceptable set
 	// first, as in step 5. An installed policy may reorder ties within each
 	// group — the same freedom it has in step 5.
-	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.Key(), m.opts.Policy, "adapt")
+	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.Key(), w.held, m.opts.Policy, "adapt")
 	if !c.ok {
 		m.abortWindow(&w)
 		m.count.adaptations[adaptFailed].Add(1)

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"qosneg/internal/cmfs"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
+	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 )
 
@@ -374,4 +376,86 @@ func TestHoldIndexInsideUnlockWindow(t *testing.T) {
 			checkLedgerEmpty(t, b)
 		})
 	}
+}
+
+// TestAdaptReusesWithdrawnArrayRace adapts playing sessions, each step 5
+// copying its new hold into the array of the commitment it withdrew, while
+// another goroutine walks every live session's holds, completes sessions,
+// and completes others inside their adaptation's unlock window, so that
+// their installs go stale and release a hold built in a reused array. No two
+// live sessions may hold one reservation at any walk, and the ledger ends
+// empty. Under -race it also shows that nothing reads a withdrawn array
+// while a step 5 writes it.
+func TestAdaptReusesWithdrawnArrayRace(t *testing.T) {
+	b := newBed(t, cmfs.DefaultConfig(), 200*qos.MBitPerSecond)
+	var ids []SessionID
+	for range 6 {
+		ids = append(ids, playingSession(t, b).ID)
+	}
+	stale, staled := make(chan SessionID), make(chan struct{})
+	windows := 0
+	b.man.testHookUnlocked = func(_ string, id SessionID) {
+		if windows++; windows%7 == 0 {
+			stale <- id
+			<-staled
+		}
+	}
+	done := make(chan struct{})
+	var walkErr error
+	var wg sync.WaitGroup
+	stop := sync.OnceFunc(func() {
+		close(done)
+		wg.Wait()
+	})
+	defer stop()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for walks := 0; ; walks++ {
+			select {
+			case id := <-stale:
+				if err := b.man.Complete(id); err != nil {
+					t.Errorf("Complete in the window: %v", err)
+				}
+				staled <- struct{}{}
+			case <-done:
+				return
+			default:
+				if err := CheckHoldsDisjoint(b.man); err != nil && walkErr == nil {
+					walkErr = fmt.Errorf("walk %d: %w", walks, err)
+				}
+				if ps := b.man.Sessions(Playing); walks%100 == 99 && len(ps) > 0 {
+					// A playing session may be mid-adaptation: Complete
+					// then makes that install stale too.
+					b.man.Complete(ps[walks/100%len(ps)].ID)
+				}
+			}
+		}
+	}()
+	for range 150 {
+		for i, id := range ids {
+			if _, err := b.man.Adapt(id); err != nil {
+				// Completed, or aborted by a failed adaptation: play
+				// another in its place.
+				ids[i] = playingSession(t, b).ID
+			}
+		}
+	}
+	stop()
+	b.man.testHookUnlocked = nil
+	if walkErr != nil {
+		t.Error(walkErr)
+	}
+	st := b.man.Stats()
+	t.Logf("%d adaptations, %d stale installs", st.Adaptations, st.StaleInstalls)
+	if st.Adaptations == 0 || st.StaleInstalls == 0 {
+		t.Errorf("%d adaptations, %d stale installs; want some of each", st.Adaptations, st.StaleInstalls)
+	}
+	if err := CheckHoldsDisjoint(b.man); err != nil {
+		t.Error(err)
+	}
+	for _, id := range ids {
+		b.man.Abort(id)
+	}
+	checkLedgerEmpty(t, b)
 }

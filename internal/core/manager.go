@@ -161,7 +161,10 @@ type Result struct {
 // Plan is step 5's side-effect-free admission test: it answers what Reserve
 // would if the streams p tallies were already reserved, and returns the
 // tally with this stream added. It must reserve nothing and allocate
-// nothing unless it refuses.
+// nothing, admitted or refused: an admission refusal is the bare
+// cmfs.ErrAdmission with a plan whose Refusal holds the figures, which step
+// 5 keeps as numbers and renders only for a tracer. Any other error is kept
+// as it is.
 type MediaServer interface {
 	ID() media.ServerID
 	Config() cmfs.Config

@@ -165,7 +165,7 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	c, err := m.commitFirst(ctx, &mach, &doc, &u, &ranked, "", m.opts.Policy, "negotiate")
+	c, err := m.commitFirst(ctx, &mach, &doc, &u, &ranked, "", nil, m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}

@@ -6,10 +6,12 @@ import (
 	"time"
 
 	"qosneg/internal/clock"
+	"qosneg/internal/cmfs"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/profile"
+	"qosneg/internal/qos"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 )
@@ -127,7 +129,7 @@ func TestRefusalDetailText(t *testing.T) {
 			}
 			doc, u, r := tc.setup(t, b, best)
 			before := len(ring.Events())
-			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, presorted([]offer.Ranked{r}), "", nil, "negotiate")
+			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, presorted([]offer.Ranked{r}), "", nil, nil, "negotiate")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,6 +152,42 @@ func TestRefusalDetailText(t *testing.T) {
 				t.Errorf("the refused attempt left %d resources held", open)
 			}
 		})
+	}
+}
+
+// TestPlanRefusalRendersReserveError holds the text of a refusal the plan
+// finds, kept as figures, to the error a Reserve on the same server renders,
+// for both checks of the admission test: the stream cap and the round
+// budget.
+func TestPlanRefusalRendersReserveError(t *testing.T) {
+	q := qos.NetworkQoS{AvgBitRate: 2 * qos.MBitPerSecond, MaxBitRate: 4 * qos.MBitPerSecond}
+	capped := cmfs.DefaultConfig()
+	capped.MaxStreams = 2
+	for _, tc := range []struct {
+		name string
+		cfg  cmfs.Config
+		kind refusal
+	}{
+		{"stream cap", capped, refusedStreamCap},
+		{"round budget", cmfs.DefaultConfig(), refusedRoundBudget},
+	} {
+		srv := cmfs.MustServer("server-1", tc.cfg)
+		var planned commitFailure
+		for planned.cause == CauseNone {
+			if p, err := srv.Plan(q, cmfs.Plan{}); err != nil {
+				planned = planRefusal("server-1", p, err)
+			} else if _, err := srv.Reserve(q); err != nil {
+				t.Fatalf("%s: the plan admitted what Reserve refuses: %v", tc.name, err)
+			}
+		}
+		_, rerr := srv.Reserve(q)
+		reserved := commitFailure{cause: refusalCause(rerr), kind: refusedReserve, server: "server-1", err: rerr}
+		if planned.kind != tc.kind || planned.cause != CauseCapacity {
+			t.Errorf("%s: plan refusal is kind %d cause %v, want kind %d, capacity", tc.name, planned.kind, planned.cause, tc.kind)
+		}
+		if got, want := planned.String(), reserved.String(); got != want {
+			t.Errorf("%s: plan refusal renders\n\t%q\nReserve's\n\t%q", tc.name, got, want)
+		}
 	}
 }
 
@@ -195,7 +233,7 @@ func TestRefusalAllocBound(t *testing.T) {
 	})
 	const runs = 200
 	total := testing.AllocsPerRun(runs, func() {
-		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, presorted(offers), "", nil, "negotiate")
+		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, presorted(offers), "", nil, nil, "negotiate")
 		if err != nil || c.ok || c.capacities != len(offers) {
 			t.Fatalf("commitFirst: ok %v, %d capacity refusals of %d offers, err %v", c.ok, c.capacities, len(offers), err)
 		}

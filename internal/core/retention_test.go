@@ -33,6 +33,19 @@ func TestHeldChoiceSize(t *testing.T) {
 	}
 }
 
+// TestCommitFailureSize keeps step 5's refusal value at 136 bytes on a
+// 64-bit platform: each attempt returns one, and a plan's admission refusal
+// keeps its figures in the numeric fields the other refusals use rather
+// than in fields of its own.
+func TestCommitFailureSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(commitFailure{}); got > 136 {
+		t.Errorf("unsafe.Sizeof(commitFailure{}) = %d, want <= 136", got)
+	}
+}
+
 // TestSteadyStateHeapFlat is the bounded-retention gate: a manager that
 // negotiates and rejects forever must not grow. It runs 100k cycles on one
 // manager and compares the live heap after the 10k-th (caches warm, tombstone

@@ -128,7 +128,7 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 	}
 	if max := u.Desired.Time.MaxStartDelay; max > 0 && startDelay > max {
 		return commitment{}, m.refuse(held, len(held), g,
-			commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: startDelay, bound: max})
+			commitFailure{cause: CauseConstraint, kind: refusedStartDelay, value: int64(startDelay), bound: int64(max)})
 	}
 	for _, tc := range doc.Temporal {
 		if tc.Tolerance <= 0 {
@@ -138,7 +138,7 @@ func (m *Manager) refTryCommit(ctx context.Context, mach *client.Machine, doc *m
 		jb, okB := refConnJitter(r, conns, tc.B)
 		if okA && okB && ja+jb > tc.Tolerance {
 			return commitment{}, m.refuse(held, len(held), g,
-				commitFailure{cause: CauseConstraint, kind: refusedSync, value: ja + jb, bound: tc.Tolerance, a: tc.A, b: tc.B})
+				commitFailure{cause: CauseConstraint, kind: refusedSync, value: int64(ja + jb), bound: int64(tc.Tolerance), a: tc.A, b: tc.B})
 		}
 	}
 	return commitment{choices: held}, commitFailure{}
@@ -382,7 +382,7 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if r.Intn(2) == 0 {
 				pol = orderFunc(func([]PolicyCandidate) []int { return nil })
 			}
-			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), skip, pol, "negotiate")
+			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), skip, nil, pol, "negotiate")
 			if err != nil {
 				return err
 			}

@@ -146,7 +146,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate"); err != nil || c.capacities != 1 {
+			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate"); err != nil || c.capacities != 1 {
 				b.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 			}
 		}
@@ -156,7 +156,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate")
+			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate")
 			if err != nil || !c.ok {
 				b.Fatalf("attempt: %+v, %v; want a commit", c, err)
 			}
@@ -178,7 +178,7 @@ func TestNoRollbackWithoutARace(t *testing.T) {
 	s := newCongestedStep5(t, true)
 	commit := func() commitResult {
 		t.Helper()
-		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate")
+		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +280,9 @@ func TestNoRollbackWithoutARace(t *testing.T) {
 
 // TestPlanRefusalAllocBound is step 5's allocation gate for a refusal the
 // plan finds: refused at its last server after planning the two before it,
-// an attempt allocates nothing beyond the one admission error a refused
-// Reserve allocated before step 5 planned.
+// an attempt allocates nothing. The server hands the refusal's figures back
+// by value, and the attempt keeps them as numbers until a tracer renders
+// them.
 func TestPlanRefusalAllocBound(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("allocation counts are not kept under -race")
@@ -292,12 +293,61 @@ func TestPlanRefusalAllocBound(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(500, func() {
-		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, "negotiate"); err != nil || c.capacities != 1 {
+		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate"); err != nil || c.capacities != 1 {
 			t.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("a plan-refused attempt allocated %.0f objects, want at most its refusal error", allocs)
+	if allocs != 0 {
+		t.Errorf("a plan-refused attempt allocated %.0f objects, want 0", allocs)
+	}
+}
+
+// TestAdaptStep5AllocBound is step 5's allocation gate for an adaptation
+// whose first alternate commits: passing over the offer the playing session
+// leaves, it copies the new hold into the array of the commitment it
+// withdrew, and allocates nothing (go1.24, linux/amd64). Copying the hold
+// into a slice of its own, as negotiation does, allocates one object; the
+// test measures that too.
+func TestAdaptStep5AllocBound(t *testing.T) {
+	if raceDetectorOn {
+		t.Skip("allocation counts are not kept under -race")
+	}
+	b := defaultBed(t)
+	u := tvProfile()
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
+	if err != nil || res.Session == nil {
+		t.Fatalf("negotiate: %v (%+v)", err, res.Status)
+	}
+	if err := b.man.Confirm(res.Session.ID); err != nil {
+		t.Fatal(err)
+	}
+	ranked := presorted(res.Session.Ranked())
+	leaving := res.Session.CurrentOffer()
+	alt := ranked.At(0)
+	if alt.Key() == leaving.Key() {
+		alt = ranked.At(1)
+	}
+	ctx := context.Background()
+	step5 := func(spare []heldChoice) []heldChoice {
+		c, err := b.man.commitFirst(ctx, &b.mach, &b.doc, &u, ranked, leaving.Key(), spare, nil, "adapt")
+		if err != nil || !c.ok || c.chosen.Key() != alt.Key() {
+			t.Fatalf("adaptation: ok %v, %v; want the first alternate committed", c.ok, err)
+		}
+		b.man.release(c.commit)
+		return c.commit.choices[:0]
+	}
+	spare := step5(nil)
+	if allocs := testing.AllocsPerRun(500, func() { spare = step5(spare) }); allocs != 0 {
+		t.Errorf("an adaptation's step 5 into the withdrawn array allocated %.0f objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() { step5(nil) }); allocs != 1 {
+		t.Errorf("step 5 into an exact-size hold allocated %.0f objects, want 1", allocs)
+	}
+	if err := b.man.Complete(res.Session.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.led.CheckEmpty(); err != nil {
+		t.Errorf("after the adaptations: %v", err)
 	}
 }
 
@@ -342,7 +392,7 @@ func TestReroutedOfferRechecksBounds(t *testing.T) {
 		}
 		congested = 0
 	}
-	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, presorted(offers), "", nil, "negotiate")
+	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, presorted(offers), "", nil, nil, "negotiate")
 	if err != nil {
 		t.Fatal(err)
 	}

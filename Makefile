@@ -12,7 +12,8 @@ all: build test
 check:
 	./scripts/check.sh
 
-# Smoke-run the fuzz targets (also part of `make check`).
+# Smoke-run the fuzz targets: the one list of them, which scripts/check.sh
+# (`make check`) runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCurveEval$$' -fuzztime 5s ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzServerInput$$' -fuzztime 5s ./internal/protocol

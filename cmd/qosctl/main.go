@@ -31,6 +31,7 @@ import (
 
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
+	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
@@ -261,36 +262,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, inv.String())
-	case "servers":
-		loads, err := c.ServerLoads(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		printServers(stdout, loads)
-	case "stats":
-		st, err := c.Stats(ctx)
-		if err != nil {
-			return fail(err)
-		}
+	case "stats", "servers", "shards":
+		// Each view renders one snapshot, so its figures are of one instant.
 		snap, err := c.Metrics(ctx)
 		if err != nil {
 			return fail(err)
 		}
-		loads, err := c.ServerLoads(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		printStats(stdout, st, snap, loads)
-	case "shards":
-		rows, err := c.ShardStats(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		if len(rows) == 0 {
-			fmt.Fprintln(stdout, "daemon reports no per-shard view")
+		if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) == 0 {
+			fmt.Fprintln(stdout, "telemetry: daemon not instrumented (no metrics snapshot)")
 			break
 		}
-		printShards(stdout, rows)
+		switch now := time.Now(); fs.Arg(0) {
+		case "stats":
+			printStats(stdout, snap, now)
+		case "servers":
+			printServers(stdout, serverLoads(snap, now))
+		default:
+			printShards(stdout, snap)
+		}
 	default:
 		fmt.Fprintf(stderr, "qosctl: unknown command %q\n", fs.Arg(0))
 		return 2
@@ -298,26 +287,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printStats renders the daemon's counters, the wire-snapshot latency
-// quantiles, and the per-server breaker state in one report.
-func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []core.ServerLoad) {
+// printStats renders the fleet's outcome counters, the latency quantiles
+// and the per-server breaker state of one snapshot.
+func printStats(w io.Writer, snap telemetry.Snapshot, now time.Time) {
+	count := func(name, label string) uint64 { return snap.CounterValue(name, label) }
+	outcome := func(s core.NegotiationStatus) uint64 { return count(core.MetricNegotiations, s.String()) }
 	fmt.Fprintf(w, "requests %d: SUCCEEDED %d, FAILEDWITHOFFER %d, FAILEDTRYLATER %d, "+
 		"FAILEDWITHOUTOFFER %d, FAILEDWITHLOCALOFFER %d; adaptations %d (failed %d)\n",
-		st.Requests, st.Succeeded, st.FailedWithOffer, st.FailedTryLater,
-		st.FailedWithoutOffer, st.FailedWithLocalOffer, st.Adaptations, st.AdaptationFailures)
-	if st.OfferCacheHits+st.OfferCacheMisses > 0 {
-		ratio := float64(st.OfferCacheHits) / float64(st.OfferCacheHits+st.OfferCacheMisses)
+		count(core.MetricNegotiations, ""), outcome(core.Succeeded), outcome(core.FailedWithOffer),
+		outcome(core.FailedTryLater), outcome(core.FailedWithoutOffer), outcome(core.FailedWithLocalOffer),
+		count(core.MetricAdaptations, "ok"), count(core.MetricAdaptations, "failed"))
+	hits, misses := count(core.MetricOfferCacheHits, ""), count(core.MetricOfferCacheMisses, "")
+	if hits+misses > 0 {
 		fmt.Fprintf(w, "offer cache: %d hits, %d misses (%.0f%% hit rate), %d invalidations, %d entries\n",
-			st.OfferCacheHits, st.OfferCacheMisses, 100*ratio, st.OfferCacheInvalidations, st.OfferCacheEntries)
+			hits, misses, 100*float64(hits)/float64(hits+misses), count(core.MetricOfferCacheInvalidations, ""),
+			gaugeValue(snap, core.MetricOfferCacheEntries, ""))
 	}
-	if st.AdmissionSheds > 0 {
-		fmt.Fprintf(w, "admission sheds: %d (FAILEDTRYLATER by overload, included in the counts above)\n",
-			st.AdmissionSheds)
-	}
-
-	if len(snap.Counters)+len(snap.Histograms) == 0 {
-		fmt.Fprintln(w, "telemetry: daemon not instrumented (no metrics snapshot)")
-		return
+	shed := count(admission.MetricSheds, "")
+	if shed > 0 {
+		fmt.Fprintf(w, "admission sheds: %d (FAILEDTRYLATER by overload, included in the counts above)\n", shed)
 	}
 	// Every shard records its own latency series; the headline is the fleet's.
 	if h, ok := snap.Merged(core.MetricNegotiationTime); ok && h.Count > 0 {
@@ -342,57 +330,90 @@ func printStats(w io.Writer, st core.Stats, snap telemetry.Snapshot, loads []cor
 		}
 		fmt.Fprintf(w, "  %-22s %s (n=%d)\n", s, quantiles(h), h.Count)
 	}
-	if v := snap.CounterValue(core.MetricCommitFailures, ""); v > 0 {
+	if v := count(core.MetricCommitFailures, ""); v > 0 {
 		fmt.Fprintf(w, "commit failures: %d (skipped dead servers %d, quarantine trips %d)\n",
-			v, snap.CounterValue(core.MetricCommitSkips, ""),
-			snap.CounterValue(core.MetricQuarantines, ""))
+			v, count(core.MetricCommitSkips, ""), count(core.MetricQuarantines, ""))
 	}
-	if v := snap.CounterValue(core.MetricRevenue, ""); v > 0 {
+	if v := count(core.MetricRevenue, ""); v > 0 {
 		fmt.Fprintf(w, "revenue: $%.3f\n", float64(v)/1000)
 	}
-	admitted := snap.CounterValue(admission.MetricAdmitted, "")
-	shed := snap.CounterValue(admission.MetricSheds, "")
-	if admitted+shed > 0 {
-		limit, _ := gaugeValue(snap, admission.MetricLimit)
-		inflight, _ := gaugeValue(snap, admission.MetricInFlight)
-		hint, _ := gaugeValue(snap, admission.MetricRetryAfter)
+	if admitted := count(admission.MetricAdmitted, ""); admitted+shed > 0 {
 		fmt.Fprintf(w, "admission: %d admitted, %d shed; limit %d, in-flight %d, retry hint %s\n",
-			admitted, shed, limit, inflight, time.Duration(hint)*time.Millisecond)
+			admitted, shed, gaugeValue(snap, admission.MetricLimit, ""), gaugeValue(snap, admission.MetricInFlight, ""),
+			time.Duration(gaugeValue(snap, admission.MetricRetryAfter, ""))*time.Millisecond)
 	}
-	if v := snap.CounterValue("qosneg_rpc_shed_total", ""); v > 0 {
+	if v := count("qosneg_rpc_shed_total", ""); v > 0 {
 		fmt.Fprintf(w, "wire sheds: %d\n", v)
 	}
-	if len(loads) > 0 {
+	if loads := serverLoads(snap, now); len(loads) > 0 {
 		fmt.Fprintln(w, "servers:")
 		printServers(indent(w), loads)
 	}
 }
 
-// printShards renders the per-shard fleet view: live sessions and outcome
-// counters for each manager shard. Breaker state is the fleet's one server
-// table, which `servers` and `stats` print.
-func printShards(w io.Writer, rows []shard.Stat) {
-	for _, r := range rows {
-		st := r.Stats
-		fmt.Fprintf(w, "shard %d: %d live session(s)\n", r.Shard, r.Sessions)
-		fmt.Fprintf(w, "  requests %d: SUCCEEDED %d, FAILEDWITHOFFER %d, FAILEDTRYLATER %d, "+
-			"FAILEDWITHOUTOFFER %d, FAILEDWITHLOCALOFFER %d; adaptations %d (failed %d)\n",
-			st.Requests, st.Succeeded, st.FailedWithOffer, st.FailedTryLater,
-			st.FailedWithoutOffer, st.FailedWithLocalOffer, st.Adaptations, st.AdaptationFailures)
-		if st.Quarantines > 0 || st.AdmissionSheds > 0 {
-			fmt.Fprintf(w, "  quarantines %d, admission sheds %d\n", st.Quarantines, st.AdmissionSheds)
+// printShards renders the per-shard fleet view: each shard's live sessions,
+// routed requests and negotiation latency. Outcomes are one fleet-wide
+// count, which stats prints; breaker state is the fleet's one server table,
+// which servers and stats print.
+func printShards(w io.Writer, snap telemetry.Snapshot) {
+	for _, g := range snap.Gauges {
+		if g.Name != shard.MetricShardLiveSessions {
+			continue
+		}
+		id := labelOf(g.Labels)
+		fmt.Fprintf(w, "shard %s: %d live session(s), %d routed request(s)\n",
+			id, g.Value, snap.CounterValue(shard.MetricShardRouted, id))
+		if h, ok := snap.Find(core.MetricNegotiationTime, id); ok && h.Count > 0 {
+			fmt.Fprintf(w, "  negotiation latency: %s (n=%d)\n", quantiles(h), h.Count)
 		}
 	}
 }
 
-// gaugeValue finds an unlabeled gauge in the snapshot by name.
-func gaugeValue(snap telemetry.Snapshot, name string) (int64, bool) {
+// serverLoads reads each CMFS server's row from the snapshot: its occupancy
+// gauges and the server table's breaker series, which exist once the server
+// has a failure on record. The remaining quarantine is the gauge's end time
+// less now, to the second.
+func serverLoads(snap telemetry.Snapshot, now time.Time) []core.ServerLoad {
+	var out []core.ServerLoad
 	for _, g := range snap.Gauges {
-		if g.Name == name {
-			return g.Value, true
+		if g.Name != cmfs.MetricActiveStreams {
+			continue
+		}
+		id := labelOf(g.Labels)
+		l := core.ServerLoad{
+			ID:                  media.ServerID(id),
+			ActiveStreams:       int(g.Value),
+			Utilization:         float64(gaugeValue(snap, cmfs.MetricUtilization, id)) / 1000,
+			ConsecutiveFailures: int(gaugeValue(snap, core.MetricConsecutive, id)),
+			DownFailures:        int(snap.CounterValue(core.MetricDownFailures, id)),
+			ReserveFailures:     int(snap.CounterValue(core.MetricReserveFailures, id)),
+			ConnectFailures:     int(snap.CounterValue(core.MetricConnectFailures, id)),
+		}
+		if left := gaugeValue(snap, core.MetricQuarantined, id) - now.Unix(); left > 0 {
+			l.Quarantined, l.QuarantineMs = true, left*1000
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// gaugeValue finds a gauge in the snapshot by name and label value ("" for
+// an unlabeled series); a series the snapshot lacks reads 0.
+func gaugeValue(snap telemetry.Snapshot, name, label string) int64 {
+	for _, g := range snap.Gauges {
+		if g.Name == name && labelOf(g.Labels) == label {
+			return g.Value
 		}
 	}
-	return 0, false
+	return 0
+}
+
+// labelOf is the value of a series' one label, "" for an unlabeled series.
+func labelOf(labels map[string]string) string {
+	for _, v := range labels {
+		return v
+	}
+	return ""
 }
 
 func quantiles(h telemetry.HistogramPoint) string {

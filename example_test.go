@@ -19,6 +19,7 @@ import (
 	"qosneg/internal/qos"
 	"qosneg/internal/session"
 	"qosneg/internal/sim"
+	"qosneg/internal/telemetry"
 	"qosneg/internal/workload"
 )
 
@@ -242,7 +243,7 @@ func Example_newsOnDemand() {
 // as qosctl talks to qosnegd.
 func Example_protocol() {
 	ctx := context.Background()
-	sys, err := qosneg.New(qosneg.WithClients(2), qosneg.WithServers(2))
+	sys, err := qosneg.New(qosneg.WithClients(2), qosneg.WithServers(2), qosneg.WithMetrics(telemetry.NewRegistry()))
 	if err != nil {
 		panic(err)
 	}
@@ -258,6 +259,7 @@ func Example_protocol() {
 		panic(err)
 	}
 	srv := protocol.NewServer(sys.Manager, sys.Registry)
+	srv.Instrument(sys.Metrics)
 	go srv.Serve(l)
 	defer srv.Close()
 
@@ -295,11 +297,12 @@ func Example_protocol() {
 	}
 	fmt.Printf("confirmed → session %d state %q, cost %s\n", info.Session, info.State, info.Cost)
 
-	st, err := c.Stats(ctx)
+	snap, err := c.Metrics(ctx)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("daemon stats: %d requests, %d succeeded\n", st.Requests, st.Succeeded)
+	fmt.Printf("daemon stats: %d requests, %d succeeded\n", snap.CounterValue(core.MetricNegotiations, ""),
+		snap.CounterValue(core.MetricNegotiations, core.Succeeded.String()))
 	// Output:
 	// catalog:
 	//   news-1   Election night       3 components

@@ -151,21 +151,29 @@ var rules = []rule{{
 }, {
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
 	// "one breaker table", "no unset knobs", "one count per fact", "one
-	// arrival driver" and "one record of commit outcomes" used.
+	// arrival driver", "one record of commit outcomes" and "one ops read"
+	// used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
 		`AdaptationPolicy|OrderTargets|OrderCommits|WithOptions\(|policy-seed|\.topK\(\)|` +
 		`addStats|serverHealthGauges|offerCacheLookup|statsMu|\bc\.shedCtr\b|admitCtr|inflightG|limitG|hintG|p99G|` +
 		`NewOpenLoop|OpenLoopSpec|BurstFactor|DiurnalAmplitude|` +
-		`ObserveCommit|PolicyObserver|CommitObservation|latencyWeight`),
+		`ObserveCommit|PolicyObserver|CommitObservation|latencyWeight|` +
+		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / a fleet's shards share one server table; a quarantine is one fact, never copied from shard to shard" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
 		" / a value its owner keeps is read at Snapshot time (telemetry.Collector), not counted again in the registry" +
 		" / workload.Generator is the one arrival source and Generator.Drive the one driver; the shapes' tuning is constant" +
-		" / the server table is the one record of commit outcomes; a policy reads its rows and keeps no evidence of its own",
-	at: "internal/core/x.go", plant: "package core\n\nfunc (m *Manager) f() { _ = m.topK() }\n",
+		" / the server table is the one record of commit outcomes; a policy reads its rows and keeps no evidence of its own" +
+		" / the metrics snapshot is the one ops read; qosctl renders stats, servers and shards from it",
+	at: "internal/protocol/x.go", plant: "package protocol\n\nfunc (c *Client) f(m *Manager) {\n\t_ = m.topK()\n\tc.roundTrip(Envelope{Type: MsgStats}, &StatsInfoPayload{})\n}\n",
+}, {
+	name: "the wire reads no fleet", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },
+	re:  regexp.MustCompile(`^qosneg/internal/shard\.`),
+	msg: "the wire reads the manager surface and telemetry, not the fleet",
+	at:  "internal/protocol/x.go", plant: "package protocol\n\nimport \"qosneg/internal/shard\"\n\nvar rows []shard.Stat\n",
 }, {
 	name: "one clock", scope: func(f *file) bool {
 		return f.code() && f.under("internal/core/", "internal/shard/", "internal/admission/", "internal/adaptation/",

@@ -35,6 +35,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -179,11 +180,17 @@ func (t *table) EachOpen(f func(uint64)) {
 	}
 }
 
+// The occupancy gauges, labeled with the server id.
+const (
+	MetricActiveStreams = "qosneg_cmfs_active_streams"
+	MetricUtilization   = "qosneg_cmfs_utilization_permille"
+)
+
 // Instrument wires the server's admission decisions into a telemetry
-// registry: per-server admit/reject counters and an active-streams gauge
-// read from the stream table, all labeled with the server id. A nil
-// registry is a no-op; instrumenting several servers against one registry
-// shares the metric families.
+// registry: per-server admit/reject counters, and active-streams and
+// utilization gauges read from the stream table, all labeled with the
+// server id. A nil registry is a no-op; instrumenting several servers
+// against one registry shares the metric families.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -192,9 +199,12 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Stream reservations admitted by the disk-round test.", "server")
 	rejects := reg.CounterFamily("qosneg_cmfs_rejects_total",
 		"Stream reservations rejected (admission failure or stream cap).", "server")
-	reg.Collect(telemetry.Collector{Name: "qosneg_cmfs_active_streams", Help: "Currently reserved streams.",
+	reg.Collect(telemetry.Collector{Name: MetricActiveStreams, Help: "Currently reserved streams.",
 		Label: "server", Gauge: true, Owner: s,
 		Read: func(emit func(string, int64)) { emit(string(s.id), int64(s.ActiveStreams())) }})
+	reg.Collect(telemetry.Collector{Name: MetricUtilization, Help: "Fraction of the round budget reserved, per mille.",
+		Label: "server", Gauge: true, Owner: s,
+		Read: func(emit func(string, int64)) { emit(string(s.id), int64(math.Round(1000*s.Utilization()))) }})
 	s.mu.Lock()
 	s.admitted = admits.With(string(s.id))
 	s.rejected = rejects.With(string(s.id))

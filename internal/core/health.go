@@ -266,7 +266,8 @@ type serverHealth struct {
 	consecutive int
 	// quarantinedUntil is non-zero while the server is quarantined.
 	quarantinedUntil time.Time
-	// Per-cause counters, exposed through ServerLoads.
+	// Per-cause counters, exposed through ServerLoads and the
+	// qosneg_server_*_failures_total series.
 	downFailures    int
 	reserveFailures int
 	connectFailures int
@@ -498,12 +499,13 @@ func (t *ServerTable) policyInfo(id media.ServerID, g cost.Guarantee) PolicyServ
 	return info
 }
 
-// instrument registers the breaker gauges of every server with a failure on
-// record, read from the table at Snapshot time. The table is their one
-// owner, so a fleet's shards, which each call this, expose each server once.
+// instrument registers the breaker gauges and the per-cause failure
+// counters of every server with a failure on record, read from the table at
+// Snapshot time. The table is their one owner, so a fleet's shards, which
+// each call this, expose each server once.
 func (t *ServerTable) instrument(reg *telemetry.Registry) {
-	gauge := func(name, help string, v func(*serverHealth) int64) {
-		reg.Collect(telemetry.Collector{Name: name, Help: help, Label: "server", Gauge: true, Owner: t,
+	series := func(name, help string, gauge bool, v func(*serverHealth) int64) {
+		reg.Collect(telemetry.Collector{Name: name, Help: help, Label: "server", Gauge: gauge, Owner: t,
 			Read: func(emit func(string, int64)) {
 				t.mu.RLock()
 				defer t.mu.RUnlock()
@@ -514,13 +516,19 @@ func (t *ServerTable) instrument(reg *telemetry.Registry) {
 				}
 			}})
 	}
-	gauge(MetricQuarantined, "Unix time a server's quarantine ends; 0 when healthy.", func(h *serverHealth) int64 {
+	series(MetricDownFailures, "Commit failures with server-down evidence, by server.", false,
+		func(h *serverHealth) int64 { return int64(h.downFailures) })
+	series(MetricReserveFailures, "Stream reservations the server refused, by server.", false,
+		func(h *serverHealth) int64 { return int64(h.reserveFailures) })
+	series(MetricConnectFailures, "Connections to the server's node the transport refused, by server.", false,
+		func(h *serverHealth) int64 { return int64(h.connectFailures) })
+	series(MetricQuarantined, "Unix time a server's quarantine ends; 0 when healthy.", true, func(h *serverHealth) int64 {
 		if h.quarantinedUntil.IsZero() {
 			return 0
 		}
 		return h.quarantinedUntil.Unix()
 	})
-	gauge(MetricConsecutive, "Consecutive commit failures since the server's last success.",
+	series(MetricConsecutive, "Consecutive commit failures since the server's last success.", true,
 		func(h *serverHealth) int64 { return int64(h.consecutive) })
 }
 

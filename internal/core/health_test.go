@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -342,15 +343,33 @@ func TestOutcomesPerGuarantee(t *testing.T) {
 
 // TestBreakerGaugesMatchTable races breaker trips against successes on two
 // servers from several goroutines, round after round, and at each round's
-// quiescence holds the per-server breaker gauges to the server table: each
-// server's consecutive-failure gauge equals its ServerLoads count, and its
-// quarantine gauge is non-zero exactly when ServerLoads reports it
-// quarantined.
+// quiescence holds the per-server series to the server table: each
+// server's consecutive-failure gauge and its down, reserve and connect
+// failure counters equal its ServerLoads counts, its quarantine gauge is
+// non-zero exactly when ServerLoads reports it quarantined, and its CMFS
+// utilization gauge is its ServerLoads utilization in per mille.
 func TestBreakerGaugesMatchTable(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := metricsBed(t, reg, nil)
 	b.man.opts.Health = HealthPolicy{FailureThreshold: 2, Cooldown: time.Hour}
+	for _, s := range b.servers {
+		s.Instrument(reg)
+	}
+	// A playing session holds streams, so utilization reads above zero.
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", tvProfile())
+	if err != nil || res.Session == nil {
+		t.Fatalf("negotiate: %v (%v)", err, res.Status)
+	}
+	if err := b.man.Confirm(res.Session.ID); err != nil {
+		t.Fatal(err)
+	}
 	ids := []media.ServerID{"server-1", "server-2"}
+	// Each failure kind feeds a different per-cause counter.
+	failures := []commitFailure{
+		{cause: CauseCapacity, kind: refusedReserve},
+		{cause: CauseCapacity, kind: refusedConnect},
+		{cause: CauseServerDown, kind: refusedUnregistered},
+	}
 	for round := 0; round < 200; round++ {
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -360,7 +379,9 @@ func TestBreakerGaugesMatchTable(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					id := ids[i%len(ids)]
 					if (w+round)%2 == 0 {
-						b.man.recordCommitFailure(commitFailure{cause: CauseCapacity, kind: refusedReserve, server: id}, cost.BestEffort)
+						f := failures[(w+i+round)%len(failures)]
+						f.server = id
+						b.man.recordCommitFailure(f, cost.BestEffort)
 					} else {
 						b.man.recordServerSuccess(id, cost.BestEffort, b.man.serverHealthGen(id))
 					}
@@ -368,19 +389,35 @@ func TestBreakerGaugesMatchTable(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		gauges := map[string]int64{}
-		for _, g := range reg.Snapshot().Gauges {
-			if g.Name == MetricQuarantined || g.Name == MetricConsecutive {
-				gauges[g.Name+"/"+g.Labels["server"]] = g.Value
-			}
+		snap := reg.Snapshot()
+		series := map[string]int64{}
+		for _, g := range snap.Gauges {
+			series[g.Name+"/"+g.Labels["server"]] = g.Value
+		}
+		for _, c := range snap.Counters {
+			series[c.Name+"/"+c.Labels["server"]] = int64(c.Value)
 		}
 		for _, row := range b.man.ServerLoads() {
-			if got := gauges[MetricConsecutive+"/"+string(row.ID)]; got != int64(row.ConsecutiveFailures) {
-				t.Fatalf("round %d: %s{server=%s} = %d, ServerLoads reads %d", round, MetricConsecutive, row.ID, got, row.ConsecutiveFailures)
+			for _, m := range []struct {
+				name string
+				want int64
+			}{
+				{MetricConsecutive, int64(row.ConsecutiveFailures)},
+				{MetricDownFailures, int64(row.DownFailures)},
+				{MetricReserveFailures, int64(row.ReserveFailures)},
+				{MetricConnectFailures, int64(row.ConnectFailures)},
+				{cmfs.MetricUtilization, int64(math.Round(1000 * row.Utilization))},
+			} {
+				if got := series[m.name+"/"+string(row.ID)]; got != m.want {
+					t.Fatalf("round %d: %s{server=%s} = %d, ServerLoads reads %d", round, m.name, row.ID, got, m.want)
+				}
 			}
-			if got := gauges[MetricQuarantined+"/"+string(row.ID)]; (got != 0) != row.Quarantined {
+			if got := series[MetricQuarantined+"/"+string(row.ID)]; (got != 0) != row.Quarantined {
 				t.Fatalf("round %d: %s{server=%s} = %d, ServerLoads reads quarantined=%v", round, MetricQuarantined, row.ID, got, row.Quarantined)
 			}
 		}
+	}
+	if util := b.man.ServerLoads(); util[0].Utilization+util[1].Utilization == 0 {
+		t.Fatal("no server holds streams: the utilization gauge was checked at zero only")
 	}
 }

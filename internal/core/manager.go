@@ -426,25 +426,26 @@ func (m *Manager) LiveSessions() int {
 // ServerLoad is one row of ServerLoads: current load plus the circuit
 // breaker's view of the server's health.
 type ServerLoad struct {
-	ID            media.ServerID `json:"id"`
-	ActiveStreams int            `json:"activeStreams"`
-	Utilization   float64        `json:"utilization"`
+	ID            media.ServerID
+	ActiveStreams int
+	Utilization   float64
 	// Quarantined is true while the circuit breaker holds the server out
 	// of classification and commitment; QuarantineMs is the remaining
 	// cooldown.
-	Quarantined  bool  `json:"quarantined,omitempty"`
-	QuarantineMs int64 `json:"quarantineMs,omitempty"`
+	Quarantined  bool
+	QuarantineMs int64
 	// ConsecutiveFailures counts commit failures since the last success;
 	// the remaining counters break failures down by cause and operation.
-	ConsecutiveFailures int `json:"consecutiveFailures,omitempty"`
-	DownFailures        int `json:"downFailures,omitempty"`
-	ReserveFailures     int `json:"reserveFailures,omitempty"`
-	ConnectFailures     int `json:"connectFailures,omitempty"`
-	Quarantines         int `json:"quarantines,omitempty"`
+	ConsecutiveFailures int
+	DownFailures        int
+	ReserveFailures     int
+	ConnectFailures     int
+	Quarantines         int
 }
 
 // ServerLoads reports each registered media server's current load and
-// breaker health, sorted by id; the ops view behind `qosctl servers`.
+// breaker health, sorted by id: the in-process view of the server table,
+// which the telemetry series behind `qosctl servers` are checked against.
 func (m *Manager) ServerLoads() []ServerLoad {
 	return m.servers.loads(m.clk)
 }

@@ -19,6 +19,11 @@ const (
 	MetricQuarantines     = "qosneg_quarantines_total"
 	MetricQuarantined     = "qosneg_server_quarantined_until_seconds"
 	MetricConsecutive     = "qosneg_server_consecutive_failures"
+	// Per-server commit failures by cause and operation, as ServerLoad
+	// counts them.
+	MetricDownFailures    = "qosneg_server_down_failures_total"
+	MetricReserveFailures = "qosneg_server_reserve_failures_total"
+	MetricConnectFailures = "qosneg_server_connect_failures_total"
 	MetricAdaptations     = "qosneg_adaptations_total"
 	MetricRevenue         = "qosneg_revenue_millidollars_total"
 	MetricStaleInstalls   = "qosneg_stale_installs_total"

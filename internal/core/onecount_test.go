@@ -91,7 +91,7 @@ func checkOneCountPerFact(t *testing.T, seed int64, bed *testbed.Bed, ctrl *admi
 	if st.FailedTryLater < st.AdmissionSheds {
 		t.Errorf("seed %d: %d FAILEDTRYLATER outcomes, fewer than the %d sheds among them", seed, st.FailedTryLater, st.AdmissionSheds)
 	}
-	for _, row := range bed.Manager.ServerLoads() {
+	for _, row := range bed.Fleet.Shard(0).ServerLoads() {
 		if got := gauge(core.MetricConsecutive, string(row.ID)); got != row.ConsecutiveFailures {
 			t.Errorf("seed %d: %s{server=%s} = %d, the server table reads %d", seed, core.MetricConsecutive, row.ID, got, row.ConsecutiveFailures)
 		}

@@ -41,7 +41,6 @@ type SessionManager interface {
 	Session(id SessionID) (*Session, error)
 	Sessions(state SessionState) []*Session
 	Stats() Stats
-	ServerLoads() []ServerLoad
 	Invoice(id SessionID) (cost.Invoice, error)
 	Quarantined(id media.ServerID) (time.Duration, bool)
 

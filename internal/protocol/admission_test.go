@@ -79,8 +79,8 @@ func TestServerShedBusyOverWire(t *testing.T) {
 			t.Fatalf("busy reply carries RetryAfter %v, want > 0", busy.RetryAfter)
 		}
 		// Queries are never shed: the daemon stays observable.
-		if _, err := c.Stats(bg); err != nil {
-			t.Fatalf("stats under saturation: %v", err)
+		if _, err := c.Metrics(bg); err != nil {
+			t.Fatalf("metrics under saturation: %v", err)
 		}
 		if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", ""); v == 0 {
 			t.Fatal("no shed counted")
@@ -183,8 +183,8 @@ func TestStreamCapShedsInsteadOfStalling(t *testing.T) {
 	if _, err := readFrame(r); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
-	if _, err := conn.Write(appendFrame(nil, frame{Stream: 8, Payload: statsReq})); err != nil {
+	metricsReq, _ := appendBody(nil, Envelope{Type: MsgMetrics})
+	if _, err := conn.Write(appendFrame(nil, frame{Stream: 8, Payload: metricsReq})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -278,8 +278,8 @@ func TestShedBeforeParse(t *testing.T) {
 	for i, mt := range []MessageType{MsgNegotiate, MsgRenegotiate} {
 		wire = appendFrame(wire, frame{Stream: uint32(i + 1), Payload: garbage(mt)})
 	}
-	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
-	if _, err := conn.Write(appendFrame(wire, frame{Stream: 9, Payload: stats})); err != nil {
+	metrics, _ := appendBody(nil, Envelope{Type: MsgMetrics})
+	if _, err := conn.Write(appendFrame(wire, frame{Stream: 9, Payload: metrics})); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint32]MessageType{}
@@ -297,7 +297,7 @@ func TestShedBeforeParse(t *testing.T) {
 			t.Errorf("stream %d: busy without a retry hint", f.Stream)
 		}
 	}
-	if seen[1] != MsgBusy || seen[2] != MsgBusy || seen[9] != MsgStatsInfo {
+	if seen[1] != MsgBusy || seen[2] != MsgBusy || seen[9] != MsgMetricsInfo {
 		t.Errorf("answers = %v", seen)
 	}
 	if v := reg.Snapshot().CounterValue("qosneg_rpc_shed_total", ""); v != 2 {

@@ -124,9 +124,9 @@ func TestHeldNegotiationBlocksNoOtherStream(t *testing.T) {
 		t.Fatalf("canceled negotiation: %v", err)
 	}
 	// The cancel frame is on the wire ahead of this request, and the read
-	// loop takes frames in order: once stats answers, the held stream's
+	// loop takes frames in order: once metrics answers, the held stream's
 	// context is canceled.
-	if _, err := c.Stats(qctx); err != nil {
+	if _, err := c.Metrics(qctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := bed.Manager.Complete(a.Session); err != nil {

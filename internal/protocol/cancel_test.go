@@ -92,9 +92,9 @@ func TestCancelAfterReserveReleases(t *testing.T) {
 				t.Fatal("canceled call returned a result")
 			}
 			// The cancel frame is on the wire ahead of this request, and the
-			// server's read loop takes frames in order: once stats answers,
+			// server's read loop takes frames in order: once metrics answers,
 			// the stream's context is canceled.
-			if _, err := c.Stats(bg); err != nil {
+			if _, err := c.Metrics(bg); err != nil {
 				t.Fatal(err)
 			}
 			close(hold.release)

@@ -17,7 +17,6 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
-	"qosneg/internal/shard"
 	"qosneg/internal/telemetry"
 )
 
@@ -77,7 +76,7 @@ func WithWire(w WireOptions) ClientOption {
 //
 // Clients built by Dial self-heal: a broken connection is automatically
 // redialed with capped exponential backoff, and read-only RPCs (Session,
-// ListDocuments, ListSessions, Stats, Invoice, ServerLoads, Metrics) are
+// ListDocuments, ListSessions, Invoice, Metrics) are
 // retried on the fresh connection. State-changing RPCs (Negotiate,
 // Renegotiate, Confirm, Reject) are never retried — a lost
 // response could mean the daemon already committed resources — but they do
@@ -550,47 +549,6 @@ func (c *Client) Invoice(ctx context.Context, id core.SessionID) (cost.Invoice, 
 		return cost.Invoice{}, fmt.Errorf("protocol: empty invoice response")
 	}
 	return *p.Invoice, nil
-}
-
-// ServerLoads fetches the media servers' current load.
-func (c *Client) ServerLoads(ctx context.Context) ([]core.ServerLoad, error) {
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgServerLoads}, true)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := resp.Payload.(*ServerLoadsPayload)
-	if !ok {
-		return nil, fmt.Errorf("protocol: unexpected response %q", resp.Type)
-	}
-	return p.ServerLoads, nil
-}
-
-// Stats fetches the daemon's outcome counters.
-func (c *Client) Stats(ctx context.Context) (core.Stats, error) {
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgStats}, true)
-	if err != nil {
-		return core.Stats{}, err
-	}
-	p, ok := resp.Payload.(*StatsInfoPayload)
-	if !ok || p.Stats == nil {
-		return core.Stats{}, fmt.Errorf("protocol: empty stats response")
-	}
-	return *p.Stats, nil
-}
-
-// ShardStats fetches the per-shard breakdown of a daemon fronting a sharded
-// manager fleet: session counts and outcome counters per shard. A
-// single-manager daemon answers with no rows.
-func (c *Client) ShardStats(ctx context.Context) ([]shard.Stat, error) {
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgStats}, true)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := resp.Payload.(*StatsInfoPayload)
-	if !ok {
-		return nil, fmt.Errorf("protocol: empty stats response")
-	}
-	return p.Shards, nil
 }
 
 // Metrics fetches the daemon's telemetry snapshot: every counter, gauge and

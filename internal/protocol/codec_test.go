@@ -333,7 +333,7 @@ func TestBinaryJSONBodiedTypes(t *testing.T) {
 		env  Envelope
 		body string
 	}{
-		{Envelope{Type: MsgStats}, ""},
+		{Envelope{Type: MsgMetrics}, ""},
 		{Envelope{Type: MsgListSessions}, ""},
 		{Envelope{Type: MsgWatch, Payload: &WatchRequest{Session: 5, IntervalMs: 100}}, `{"session":5,"intervalMs":100}`},
 		{Envelope{Type: MsgListDocuments, Payload: &ListDocumentsRequest{}}, `{}`},
@@ -352,12 +352,12 @@ func TestBinaryJSONBodiedTypes(t *testing.T) {
 		}
 	}
 	// Every message type has exactly one code.
-	if len(codeOf) != 25 {
+	if len(codeOf) != 21 {
 		t.Errorf("%d type codes; a MessageType constant is missing from typeCodes", len(codeOf))
 	}
 	// A payload-less message with a body is malformed, as is a truncated or
 	// empty frame.
-	for _, bad := range [][]byte{{codeOf[MsgStats], '{', '}'}, {codeOf[MsgWatch]}, {}} {
+	for _, bad := range [][]byte{{codeOf[MsgMetrics], '{', '}'}, {codeOf[MsgWatch]}, {}} {
 		if env, err := decodeBody(bad); err == nil {
 			t.Errorf("body %x decoded to %+v", bad, env)
 		}
@@ -420,7 +420,7 @@ func FuzzBinaryBody(f *testing.F) {
 		{Type: MsgRenegotiate, Payload: &RenegotiateRequest{Profile: &u, Session: 77}},
 		{Type: MsgResult, Payload: &ResultPayload{Status: "SUCCEEDED", Offer: &u.Desired, Session: 1, Cost: 250, ChoicePeriodMs: 60000}},
 		{Type: MsgResult, Payload: &ResultPayload{Status: "FAILEDWITHLOCALOFFER", Violations: []string{"video color: too much"}}},
-		{Type: MsgStats},
+		{Type: MsgMetrics},
 		{Type: MsgWatch, Payload: &WatchRequest{Session: 5}},
 	} {
 		body, _ := appendBody(nil, e)
@@ -499,19 +499,22 @@ func TestVersion1FrameIsRejected(t *testing.T) {
 }
 
 // TestUnknownTypeCodeAnswersTypedError: a type code this build does not know
-// — never assigned (31) or retired (6) — is answered with a MsgError on the
-// request's stream, the connection left serving.
+// — never assigned (31) or retired (6; 9 and 12, an old qosctl's stats and
+// server-loads requests) — is answered with a MsgError on the request's
+// stream, the connection left serving.
 func TestUnknownTypeCodeAnswersTypedError(t *testing.T) {
 	h := newHarness(t)
 	conn, r := binaryHandshake(t, h.addr)
-	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
+	metrics, _ := appendBody(nil, Envelope{Type: MsgMetrics})
 	wire := appendFrame(nil, frame{Stream: 1, Payload: []byte{31, 'x'}})
 	wire = appendFrame(wire, frame{Stream: 2, Payload: []byte{6, 'x'}})
-	if _, err := conn.Write(appendFrame(wire, frame{Stream: 3, Payload: stats})); err != nil {
+	wire = appendFrame(wire, frame{Stream: 4, Payload: []byte{9}})
+	wire = appendFrame(wire, frame{Stream: 5, Payload: []byte{12}})
+	if _, err := conn.Write(appendFrame(wire, frame{Stream: 3, Payload: metrics})); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[uint32]MessageType{}
-	for len(seen) < 3 {
+	for len(seen) < 5 {
 		f, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("connection died: %v (saw %v)", err, seen)
@@ -525,7 +528,7 @@ func TestUnknownTypeCodeAnswersTypedError(t *testing.T) {
 			t.Errorf("error = %q", p.Error)
 		}
 	}
-	if seen[1] != MsgError || seen[2] != MsgError || seen[3] != MsgStatsInfo {
+	if seen[1] != MsgError || seen[2] != MsgError || seen[4] != MsgError || seen[5] != MsgError || seen[3] != MsgMetricsInfo {
 		t.Errorf("answers = %v", seen)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
-	"qosneg/internal/shard"
 	"qosneg/internal/telemetry"
 )
 
@@ -133,14 +132,6 @@ type DocumentsPayload struct {
 	Documents []DocumentSummary `json:"documents,omitempty"`
 }
 
-// StatsInfoPayload answers MsgStats. Shards carries the per-shard breakdown
-// when the daemon fronts a sharded manager fleet (qosnegd -shards); it is
-// absent from single-manager daemons, which older clients parse unchanged.
-type StatsInfoPayload struct {
-	Stats  *core.Stats  `json:"stats,omitempty"`
-	Shards []shard.Stat `json:"shards,omitempty"`
-}
-
 // SessionsPayload answers MsgListSessions.
 type SessionsPayload struct {
 	Sessions []SessionSummary `json:"sessions,omitempty"`
@@ -152,11 +143,6 @@ type InvoicePayload struct {
 	Invoice *cost.Invoice  `json:"invoice,omitempty"`
 }
 
-// ServerLoadsPayload answers MsgServerLoads.
-type ServerLoadsPayload struct {
-	ServerLoads []core.ServerLoad `json:"serverLoads,omitempty"`
-}
-
 // MetricsPayload answers MsgMetrics.
 type MetricsPayload struct {
 	Metrics *telemetry.Snapshot `json:"metrics,omitempty"`
@@ -165,7 +151,8 @@ type MetricsPayload struct {
 // messages is the protocol's registry. A message type's index is its type
 // code on the binary codec (requests below 32, responses from 32 up, 0 never
 // sent); alloc makes its fresh payload and is nil for payload-less messages.
-// Codes 6 and 34 are retired: a retired code stays an empty slot, never reused.
+// Codes 6, 9, 12, 34, 38 and 41 are retired: a retired code stays an empty
+// slot, never reused.
 var messages = [...]struct {
 	typ   MessageType
 	alloc func() any
@@ -177,10 +164,8 @@ var messages = [...]struct {
 	5:  {MsgRenegotiate, alloc[RenegotiateRequest]},
 	7:  {MsgSession, alloc[SessionRequest]},
 	8:  {MsgListDocuments, alloc[ListDocumentsRequest]},
-	9:  {MsgStats, nil},
 	10: {MsgListSessions, nil},
 	11: {MsgInvoice, alloc[SessionRequest]},
-	12: {MsgServerLoads, nil},
 	13: {MsgWatch, alloc[WatchRequest]},
 	14: {MsgMetrics, nil},
 
@@ -189,10 +174,8 @@ var messages = [...]struct {
 	35: {MsgOK, alloc[OKPayload]},
 	36: {MsgSessionInfo, alloc[SessionInfoPayload]},
 	37: {MsgDocuments, alloc[DocumentsPayload]},
-	38: {MsgStatsInfo, alloc[StatsInfoPayload]},
 	39: {MsgSessions, alloc[SessionsPayload]},
 	40: {MsgInvoiceInfo, alloc[InvoicePayload]},
-	41: {MsgServerLoadsInfo, alloc[ServerLoadsPayload]},
 	42: {MsgMetricsInfo, alloc[MetricsPayload]},
 	43: {MsgError, alloc[ErrorPayload]},
 	44: {MsgBusy, alloc[BusyPayload]},

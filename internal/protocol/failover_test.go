@@ -13,21 +13,17 @@ import (
 
 // TestWireFailoverWithCrashedReplica is the acceptance scenario end to end
 // over the wire: one of two replica servers is crashed, yet negotiation
-// still reserves through the survivor, and ServerLoads reports the dead
-// server's quarantine to the operator.
+// still reserves through the survivor, and the metrics snapshot reports the
+// dead server's quarantine to the operator.
 func TestWireFailoverWithCrashedReplica(t *testing.T) {
 	inj := faults.New(3)
-	bed := testbed.MustNew(testbed.Spec{Faults: inj})
-	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	h := serveHarness(t, bed)
+	h, _ := daemonHarness(t, testbed.Spec{Faults: inj})
 	c := h.dial(t)
 
 	if !inj.Crash("server-1") {
 		t.Fatal("server-1 not wrapped")
 	}
-	res, err := c.Negotiate(bg, bed.Client(1), "news-1", tvProfile(time.Minute))
+	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,29 +37,21 @@ func TestWireFailoverWithCrashedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loads, err := c.ServerLoads(bg)
+	snap, err := c.Metrics(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawQuarantine bool
-	for _, l := range loads {
-		if l.ID == "server-1" {
-			sawQuarantine = l.Quarantined && l.QuarantineMs > 0 && l.DownFailures > 0
-			if l.ActiveStreams != 0 {
-				t.Errorf("crashed server reports %d streams", l.ActiveStreams)
-			}
-		}
+	until := gauges(snap, core.MetricQuarantined)["server-1"]
+	down := snap.CounterValue(core.MetricDownFailures, "server-1")
+	if until <= time.Now().Unix() || down == 0 {
+		t.Errorf("server-1 quarantine not visible over the wire: quarantined until %d, %d down failures", until, down)
 	}
-	if !sawQuarantine {
-		t.Errorf("server-1 quarantine not visible over the wire: %+v", loads)
+	if n := gauges(snap, cmfs.MetricActiveStreams)["server-1"]; n != 0 {
+		t.Errorf("crashed server reports %d streams", n)
 	}
 
-	st, err := c.Stats(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CommitServerDown == 0 || st.Quarantines == 0 {
-		t.Errorf("stats over the wire = %+v; want server-down and quarantine counters", st)
+	if snap.CounterValue(core.MetricCommitFailures, core.CauseServerDown.String()) == 0 || snap.CounterValue(core.MetricQuarantines, "") == 0 {
+		t.Errorf("metrics over the wire = %+v; want server-down and quarantine counters", snap.Counters)
 	}
 }
 

@@ -271,14 +271,14 @@ func TestNewClientHandshakeCancel(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	err = within(t, time.Second, func() error {
-		_, err := c.Stats(ctx)
+		_, err := c.Metrics(ctx)
 		return err
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first RPC: %v, want %v", err, context.DeadlineExceeded)
 	}
 	err = within(t, time.Second, func() error {
-		_, err := c.Stats(bg)
+		_, err := c.Metrics(bg)
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "not redialable") {

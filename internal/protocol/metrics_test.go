@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -10,37 +9,43 @@ import (
 	"qosneg/internal/testbed"
 )
 
-// instrumentedHarness is newHarness with a telemetry registry wired into
-// the protocol server before it starts serving.
-func instrumentedHarness(t *testing.T, reg *telemetry.Registry) *harness {
+// daemonHarness serves spec's bed, holding news-1, with one telemetry
+// registry across its manager fleet, its CMFS servers and the protocol
+// server, as qosneg.New wires a daemon: MsgMetrics answers with every
+// series an operator reads.
+func daemonHarness(t *testing.T, spec testbed.Spec) (*harness, *telemetry.Registry) {
 	t.Helper()
-	bed := testbed.MustNew(testbed.Spec{})
+	reg := telemetry.NewRegistry()
+	opts := core.DefaultOptions()
+	opts.Metrics = reg
+	spec.Options = &opts
+	bed := testbed.MustNew(spec)
+	for _, s := range bed.Servers {
+		s.Instrument(reg)
+	}
 	if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(bed.Manager, bed.Registry)
 	srv.Instrument(reg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	return startHarness(t, bed, srv), reg
+}
+
+// gauges reads the snapshot's series of one gauge by label value.
+func gauges(snap telemetry.Snapshot, name string) map[string]int64 {
+	out := map[string]int64{}
+	for _, g := range snap.Gauges {
+		if g.Name == name {
+			for _, v := range g.Labels {
+				out[v] = g.Value
+			}
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(l)
-	}()
-	h := &harness{bed: bed, server: srv, addr: l.Addr().String(), done: done}
-	t.Cleanup(func() {
-		l.Close()
-		srv.Close()
-		<-done
-	})
-	return h
+	return out
 }
 
 func TestMetricsOverWire(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	h := instrumentedHarness(t, reg)
+	h, reg := daemonHarness(t, testbed.Spec{})
 	c := h.dial(t)
 	c.Instrument(reg, nil)
 

@@ -30,7 +30,7 @@ func TestHandshakeNegotiatesBinary(t *testing.T) {
 	defer c.Close()
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg, nil)
-	if _, err := c.Stats(bg); err != nil {
+	if _, err := c.Metrics(bg); err != nil {
 		t.Fatal(err)
 	}
 	if v := reg.Snapshot().CounterValue("qosneg_client_connections_total", ""); v != 1 {
@@ -52,7 +52,7 @@ func TestConcurrentRPCsOnOneConnection(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if _, err := c.Stats(bg); err != nil {
+				if _, err := c.Metrics(bg); err != nil {
 					errs <- err
 					return
 				}
@@ -126,7 +126,7 @@ func TestWatchDoesNotBlockMultiplexedRPCs(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rpcDone := make(chan error, 1)
 		go func() {
-			_, err := c.Stats(bg)
+			_, err := c.Metrics(bg)
 			rpcDone <- err
 		}()
 		select {
@@ -149,7 +149,7 @@ func TestWatchDoesNotBlockMultiplexedRPCs(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled watch never returned")
 	}
-	if _, err := c.Stats(bg); err != nil {
+	if _, err := c.Metrics(bg); err != nil {
 		t.Fatalf("connection poisoned by canceled watch: %v", err)
 	}
 	if err := c.Reject(bg, res.Session); err != nil {
@@ -271,7 +271,7 @@ func binaryHandshake(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 func TestStreamZeroIsProtocolError(t *testing.T) {
 	h := newHarness(t)
 	conn, r := binaryHandshake(t, h.addr)
-	payload, _ := appendBody(nil, Envelope{Type: MsgStats})
+	payload, _ := appendBody(nil, Envelope{Type: MsgMetrics})
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 0, Payload: payload})); err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +312,8 @@ func TestDuplicateStreamIDIsProtocolError(t *testing.T) {
 	if _, err := readFrame(r); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
-	if _, err := conn.Write(appendFrame(nil, frame{Stream: 7, Payload: statsReq})); err != nil {
+	metricsReq, _ := appendBody(nil, Envelope{Type: MsgMetrics})
+	if _, err := conn.Write(appendFrame(nil, frame{Stream: 7, Payload: metricsReq})); err != nil {
 		t.Fatal(err)
 	}
 	sawError := false
@@ -354,7 +354,7 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cancel the watch, then prove the connection still answers: a fresh
-	// stats stream completes with a FIN frame.
+	// metrics stream completes with a FIN frame.
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 3, Flags: flagCancel})); err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +362,8 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 	if _, err := conn.Write(appendFrame(nil, frame{Stream: 999, Flags: flagCancel})); err != nil {
 		t.Fatal(err)
 	}
-	statsReq, _ := appendBody(nil, Envelope{Type: MsgStats})
-	if _, err := conn.Write(appendFrame(nil, frame{Stream: 4, Payload: statsReq})); err != nil {
+	metricsReq, _ := appendBody(nil, Envelope{Type: MsgMetrics})
+	if _, err := conn.Write(appendFrame(nil, frame{Stream: 4, Payload: metricsReq})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -374,8 +374,8 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 		}
 		if f.Stream == 4 {
 			env, derr := decodeBody(f.Payload)
-			if derr != nil || env.Type != MsgStatsInfo {
-				t.Fatalf("stats answer = %+v %v", env, derr)
+			if derr != nil || env.Type != MsgMetricsInfo {
+				t.Fatalf("metrics answer = %+v %v", env, derr)
 			}
 			if f.Flags&flagFIN == 0 {
 				t.Error("unary response missing FIN")
@@ -383,7 +383,7 @@ func TestCancelFrameStopsServerStream(t *testing.T) {
 			return
 		}
 	}
-	t.Fatal("stats stream never answered after cancel")
+	t.Fatal("metrics stream never answered after cancel")
 }
 
 // TestMalformedFirstLineStillAnswered: the lone-"{" crasher analogue on a

@@ -50,14 +50,10 @@ const (
 	MsgSession MessageType = "session"
 	// MsgListDocuments lists or searches the document catalog.
 	MsgListDocuments MessageType = "list-documents"
-	// MsgStats fetches the QoS manager's outcome counters.
-	MsgStats MessageType = "stats"
 	// MsgListSessions lists the daemon's sessions and their states.
 	MsgListSessions MessageType = "list-sessions"
 	// MsgInvoice fetches a session's itemized bill.
 	MsgInvoice MessageType = "invoice"
-	// MsgServerLoads fetches the media servers' current load.
-	MsgServerLoads MessageType = "server-loads"
 	// MsgWatch streams MsgSessionInfo updates for one session until it
 	// reaches a terminal state: the notification channel the profile
 	// manager uses to follow the delivery (and to learn about automatic
@@ -65,8 +61,9 @@ const (
 	// its own stream id, and other RPCs proceed concurrently.
 	MsgWatch MessageType = "watch"
 	// MsgMetrics fetches the daemon's full telemetry snapshot (counters,
-	// gauges, latency histograms); `qosctl stats` renders it. A daemon
-	// running without telemetry answers with an empty snapshot.
+	// gauges, latency histograms): the one observability read, from which
+	// `qosctl stats`, `servers` and `shards` each render one instant. A
+	// daemon running without telemetry answers with an empty snapshot.
 	MsgMetrics MessageType = "metrics"
 )
 
@@ -82,14 +79,10 @@ const (
 	MsgSessionInfo MessageType = "session-info"
 	// MsgDocuments answers MsgListDocuments.
 	MsgDocuments MessageType = "documents"
-	// MsgStatsInfo answers MsgStats.
-	MsgStatsInfo MessageType = "stats-info"
 	// MsgSessions answers MsgListSessions.
 	MsgSessions MessageType = "sessions"
 	// MsgInvoiceInfo answers MsgInvoice.
 	MsgInvoiceInfo MessageType = "invoice-info"
-	// MsgServerLoadsInfo answers MsgServerLoads.
-	MsgServerLoadsInfo MessageType = "server-loads-info"
 	// MsgMetricsInfo answers MsgMetrics.
 	MsgMetricsInfo MessageType = "metrics-info"
 	// MsgError reports a request failure.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"qosneg/internal/clock"
+	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -136,7 +137,7 @@ func tvProfile(choice time.Duration) profile.UserProfile {
 }
 
 func TestNegotiateConfirmOverWire(t *testing.T) {
-	h := newHarness(t)
+	h, _ := daemonHarness(t, testbed.Spec{})
 	c := h.dial(t)
 
 	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
@@ -165,12 +166,12 @@ func TestNegotiateConfirmOverWire(t *testing.T) {
 	if info.State != "playing" {
 		t.Errorf("state = %s", info.State)
 	}
-	st, err := c.Stats(bg)
+	snap, err := c.Metrics(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Succeeded != 1 {
-		t.Errorf("stats = %+v", st)
+	if n := snap.CounterValue(core.MetricNegotiations, core.Succeeded.String()); n != 1 {
+		t.Errorf("negotiations{SUCCEEDED} = %d, want 1", n)
 	}
 }
 
@@ -505,27 +506,27 @@ func TestInvoiceOverWire(t *testing.T) {
 }
 
 func TestServerLoadsOverWire(t *testing.T) {
-	h := newHarness(t)
+	h, _ := daemonHarness(t, testbed.Spec{})
 	c := h.dial(t)
-	loads, err := c.ServerLoads(bg)
+	snap, err := c.Metrics(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loads) != 2 || loads[0].ID != "server-1" {
+	loads := gauges(snap, cmfs.MetricActiveStreams)
+	if n, ok := loads["server-1"]; len(loads) != 2 || !ok {
 		t.Fatalf("loads = %+v", loads)
-	}
-	if loads[0].ActiveStreams != 0 {
-		t.Errorf("idle server streams = %d", loads[0].ActiveStreams)
+	} else if n != 0 {
+		t.Errorf("idle server streams = %d", n)
 	}
 	res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", tvProfile(time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = res
-	loads, _ = c.ServerLoads(bg)
-	total := 0
-	for _, l := range loads {
-		total += l.ActiveStreams
+	snap, _ = c.Metrics(bg)
+	total := int64(0)
+	for _, n := range gauges(snap, cmfs.MetricActiveStreams) {
+		total += n
 	}
 	// video + audio + caption text: discrete media occupy a stream slot
 	// while being fetched.

@@ -33,7 +33,7 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Stats(bg); err != nil {
+	if _, err := c.Metrics(bg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,8 +41,8 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 	l.Close()
 	srv.Close()
 	<-done
-	if _, err := c.Stats(bg); err == nil {
-		t.Fatal("Stats succeeded with the daemon down")
+	if _, err := c.Metrics(bg); err == nil {
+		t.Fatal("Metrics succeeded with the daemon down")
 	}
 
 	// Restart on the same address: the client self-heals on the next RPC.
@@ -59,12 +59,12 @@ func TestClientRedialsAfterServerRestart(t *testing.T) {
 		<-done2
 	}()
 
-	st, err := c.Stats(bg)
+	snap, err := c.Metrics(bg)
 	if err != nil {
-		t.Fatalf("Stats after daemon restart: %v", err)
+		t.Fatalf("Metrics after daemon restart: %v", err)
 	}
-	if st.Requests != 0 {
-		t.Errorf("unexpected stats after restart: %+v", st)
+	if n := snap.CounterValue(core.MetricNegotiations, ""); n != 0 {
+		t.Errorf("unexpected negotiations after restart: %d", n)
 	}
 	if c.Redials() < 1 {
 		t.Errorf("Redials() = %d; want at least one reconnect", c.Redials())
@@ -146,14 +146,14 @@ func TestNewClientFailsFastWithoutAddress(t *testing.T) {
 	}
 	c := NewClient(conn)
 	defer c.Close()
-	if _, err := c.Stats(bg); err != nil {
+	if _, err := c.Metrics(bg); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
-	if _, err := c.Stats(bg); err == nil {
-		t.Fatal("Stats succeeded on a closed connection")
+	if _, err := c.Metrics(bg); err == nil {
+		t.Fatal("Metrics succeeded on a closed connection")
 	}
-	if _, err := c.Stats(bg); err == nil {
+	if _, err := c.Metrics(bg); err == nil {
 		t.Fatal("broken NewClient connection healed itself")
 	}
 	if c.Redials() != 0 {
@@ -170,7 +170,7 @@ func TestClosedClientRejectsRPCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	if _, err := c.Stats(bg); err == nil {
-		t.Fatal("Stats succeeded on a closed client")
+	if _, err := c.Metrics(bg); err == nil {
+		t.Fatal("Metrics succeeded on a closed client")
 	}
 }

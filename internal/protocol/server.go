@@ -17,7 +17,6 @@ import (
 	"qosneg/internal/clock"
 	"qosneg/internal/core"
 	"qosneg/internal/registry"
-	"qosneg/internal/shard"
 	"qosneg/internal/telemetry"
 )
 
@@ -295,20 +294,8 @@ func (s *Server) dispatch(ctx context.Context, env Envelope) Envelope {
 		return s.session(env.Payload.(*SessionRequest).Session)
 	case MsgListDocuments:
 		return s.listDocuments(env.Payload.(*ListDocumentsRequest).Query)
-	case MsgStats:
-		st := s.man.Stats()
-		p := &StatsInfoPayload{Stats: &st}
-		// Every daemon fronts a shard.Fleet, which reports its per-shard
-		// breakdown through this optional interface; a lone shard manager
-		// served directly (tests, benchmarks) answers without it.
-		if f, ok := s.man.(interface{ ShardStats() []shard.Stat }); ok {
-			p.Shards = f.ShardStats()
-		}
-		return Envelope{Type: MsgStatsInfo, Payload: p}
 	case MsgListSessions:
 		return s.listSessions()
-	case MsgServerLoads:
-		return Envelope{Type: MsgServerLoadsInfo, Payload: &ServerLoadsPayload{ServerLoads: s.man.ServerLoads()}}
 	case MsgMetrics:
 		// Snapshot is nil-safe: an uninstrumented daemon answers with an
 		// empty (but well-formed) snapshot rather than an error.

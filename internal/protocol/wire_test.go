@@ -42,8 +42,8 @@ func TestEnvelopeByteCompatibility(t *testing.T) {
 			`{"type":"confirm","session":42}`},
 		{"reject", Envelope{Type: MsgReject, Payload: &SessionRequest{Session: 7}},
 			`{"type":"reject","session":7}`},
-		{"stats", Envelope{Type: MsgStats},
-			`{"type":"stats"}`},
+		{"metrics", Envelope{Type: MsgMetrics},
+			`{"type":"metrics"}`},
 		{"list-documents", Envelope{Type: MsgListDocuments, Payload: &ListDocumentsRequest{Query: "hockey"}},
 			`{"type":"list-documents","query":"hockey"}`},
 		{"list-documents-empty", Envelope{Type: MsgListDocuments, Payload: &ListDocumentsRequest{}},
@@ -155,8 +155,8 @@ func TestFrameTypedErrors(t *testing.T) {
 // must produce frames or a typed/transport error in bounded time — never a
 // panic, a hang, or an oversized allocation.
 func FuzzFrameDecode(f *testing.F) {
-	stats, _ := appendBody(nil, Envelope{Type: MsgStats})
-	f.Add(appendFrame(nil, frame{Stream: 1, Payload: stats}))
+	metrics, _ := appendBody(nil, Envelope{Type: MsgMetrics})
+	f.Add(appendFrame(nil, frame{Stream: 1, Payload: metrics}))
 	// The PR 4 crasher analogue: a JSON-bodied frame whose body is a lone
 	// "{" — a truncated JSON value that must not wedge the decoder.
 	f.Add(appendFrame(nil, frame{Stream: 1, Payload: []byte{codeOf[MsgWatch], '{'}}))
@@ -167,8 +167,8 @@ func FuzzFrameDecode(f *testing.F) {
 	oversized := appendFrame(nil, frame{Stream: 1})
 	binary.BigEndian.PutUint32(oversized[8:12], 0xFFFFFFFF)
 	f.Add(oversized[:frameHeaderSize])
-	two := appendFrame(nil, frame{Stream: 1, Payload: stats})
-	f.Add(appendFrame(two, frame{Stream: 2, Flags: flagFIN, Payload: []byte{codeOf[MsgStatsInfo], '{', '}'}}))
+	two := appendFrame(nil, frame{Stream: 1, Payload: metrics})
+	f.Add(appendFrame(two, frame{Stream: 2, Flags: flagFIN, Payload: []byte{codeOf[MsgMetricsInfo], '{', '}'}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := frameReader{r: bufio.NewReader(bytes.NewReader(data))}

@@ -285,28 +285,22 @@ func (f *Fleet) Stats() core.Stats {
 	return st
 }
 
-// ServerLoads reports the fleet's server table: each server's load and
-// breaker state, sorted by id.
-func (f *Fleet) ServerLoads() []core.ServerLoad {
-	return f.shards[0].mgr.ServerLoads()
-}
-
-// Stat is one shard's row in the per-shard ops view (`qosctl shards`).
+// Stat is one shard's row of ShardStats.
 type Stat struct {
-	Shard int `json:"shard"`
+	Shard int
 	// Sessions counts the shard's live (reserved or playing) sessions.
-	Sessions int `json:"sessions"`
+	Sessions int
 	// Stats is the shard's own outcome-counter snapshot.
-	Stats core.Stats `json:"stats"`
-	// BusLag always reads 0: shards share state, so none lags. The field
-	// remains because the benchmark module reads it.
-	BusLag uint64 `json:"busLag"`
+	Stats core.Stats
+	// BusLag always reads 0: shards share state, so none lags.
+	BusLag uint64
 }
 
 // ShardStats snapshots each shard's session count and outcome counters. The
-// protocol server detects this method on its manager via interface
-// assertion and attaches the rows to MsgStats answers, which is how `qosctl
-// shards` sees them.
+// ops view reads each shard's live sessions from its qosneg_shard_* series
+// instead; this stays only for the benchmark module's callers, until
+// ROADMAP item 7a re-founds the benchmark on the system that exists and
+// drops the call.
 func (f *Fleet) ShardStats() []Stat {
 	out := make([]Stat, len(f.shards))
 	for i, sh := range f.shards {
@@ -319,12 +313,15 @@ func (f *Fleet) ShardStats() []Stat {
 	return out
 }
 
-// MetricShardRouted is the router's metric name; DESIGN.md §14 documents it.
-const MetricShardRouted = "qosneg_shard_routed_total"
+// The router's metric names; DESIGN.md §14 documents them.
+const (
+	MetricShardRouted       = "qosneg_shard_routed_total"
+	MetricShardLiveSessions = "qosneg_shard_live_sessions"
+)
 
 // instrument registers the router's series: the controller's sheds (at the
 // router or the wire) as FAILEDTRYLATER outcomes, summed with the shards'
-// own, and one routed counter per shard.
+// own, one routed counter per shard, and each shard's live sessions.
 func (f *Fleet) instrument(reg *telemetry.Registry) {
 	reg.Collect(telemetry.Collector{Name: core.MetricNegotiations, Help: "Negotiation outcomes by NegotiationStatus.",
 		Label: "status", Owner: f, Read: func(emit func(string, int64)) {
@@ -337,4 +334,10 @@ func (f *Fleet) instrument(reg *telemetry.Registry) {
 	for i := range f.routedTo {
 		f.routedTo[i] = routed.With(strconv.Itoa(i))
 	}
+	reg.Collect(telemetry.Collector{Name: MetricShardLiveSessions, Help: "Reserved and playing sessions on each manager shard.",
+		Label: "shard", Gauge: true, Owner: f, Read: func(emit func(string, int64)) {
+			for _, sh := range f.shards {
+				emit(sh.Label(), int64(sh.mgr.LiveSessions()))
+			}
+		}})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
+	"qosneg/internal/shard"
 	"qosneg/internal/sim"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/testbed"
@@ -293,10 +295,10 @@ func quarantinedOn(bed *testbed.Bed, server media.ServerID) []bool {
 	return out
 }
 
-// serverLoad returns the fleet's ServerLoads row for one server.
+// serverLoad returns one server's row of the fleet's one server table.
 func serverLoad(t *testing.T, bed *testbed.Bed, id media.ServerID) core.ServerLoad {
 	t.Helper()
-	for _, row := range bed.Manager.ServerLoads() {
+	for _, row := range bed.Fleet.Shard(0).ServerLoads() {
 		if row.ID == id {
 			return row
 		}
@@ -380,6 +382,30 @@ func TestCrossShardQuarantinePropagation(t *testing.T) {
 	}
 	if !found || gauge != int64(row.ConsecutiveFailures) {
 		t.Errorf("%s{server=server-1} = %d (found %v), ServerLoads reads %d", core.MetricConsecutive, gauge, found, row.ConsecutiveFailures)
+	}
+
+	// Each shard's live-sessions gauge is its ShardStats count, with
+	// sessions left reserved on some shards and not on others.
+	for i := 0; i < 3; i++ {
+		if _, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", stressProfile()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := map[string]int64{}
+	for _, g := range reg.Snapshot().Gauges {
+		if g.Name == shard.MetricShardLiveSessions {
+			live[g.Labels["shard"]] = g.Value
+		}
+	}
+	total := 0
+	for _, row := range bed.Fleet.ShardStats() {
+		if got := live[strconv.Itoa(row.Shard)]; got != int64(row.Sessions) {
+			t.Errorf("%s{shard=%d} = %d, ShardStats reads %d", shard.MetricShardLiveSessions, row.Shard, got, row.Sessions)
+		}
+		total += row.Sessions
+	}
+	if total == 0 || len(live) != bed.Fleet.Shards() {
+		t.Errorf("live sessions %d over %d gauge series; want some, on %d shards", total, len(live), bed.Fleet.Shards())
 	}
 }
 
@@ -483,7 +509,7 @@ func breakerScript(t *testing.T, shards int, seed int64, ops int) ([]string, cor
 	st := bed.Manager.Stats()
 	st.OfferCacheHits, st.OfferCacheMisses, st.OfferCacheInvalidations, st.OfferCacheEntries = 0, 0, 0, 0
 	record("stats %+v", st)
-	for _, row := range bed.Manager.ServerLoads() {
+	for _, row := range bed.Fleet.Shard(0).ServerLoads() {
 		row.QuarantineMs = 0
 		record("load %+v", row)
 	}

@@ -67,11 +67,8 @@ echo "== benchmarks (smoke, 1 iteration)"
 echo "== bench compare (smoke vs committed baseline)"
 ./scripts/bench.sh -compare BENCH_BASELINE.json 1 100000 1x >/dev/null
 
+# The Makefile's fuzz target is the one list of fuzz targets.
 echo "== fuzz (smoke, 5s per target)"
-go test -run '^$' -fuzz '^FuzzCurveEval$' -fuzztime 5s ./internal/profile
-go test -run '^$' -fuzz '^FuzzServerInput$' -fuzztime 5s ./internal/protocol
-go test -run '^$' -fuzz '^FuzzFrameDecode$' -fuzztime 5s ./internal/protocol
-go test -run '^$' -fuzz '^FuzzBinaryBody$' -fuzztime 5s ./internal/protocol
-go test -run '^$' -fuzz '^FuzzTableClassify$' -fuzztime 5s ./internal/cost
+make fuzz
 
 echo "check: OK"

@@ -327,54 +327,6 @@ func BenchmarkNegotiateParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedNegotiate measures concurrent negotiate+reject rounds
-// against a sharded manager fleet at 1, 2, 4 and 8 shards, with enough
-// client machines to keep every shard busy. shards=1 is the default system
-// (what BenchmarkNegotiateParallel/clients=8 also measures); higher counts
-// measure how much manager-side serialization — session table, breaker
-// state, offer cache — sharding removes. Throughput scales with cores: on a
-// multi-core host 4 shards should clear well over 2.5× the 1-shard rate; a
-// single-core runner can only show the routing overhead staying flat.
-func BenchmarkShardedNegotiate(b *testing.B) {
-	const clients = 8
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sys, err := New(WithClients(clients), WithServers(2), WithShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			doc, err := sys.AddNewsArticle("news-1", "Bench article", 2*time.Minute)
-			if err != nil {
-				b.Fatal(err)
-			}
-			u := benchProfile()
-			machines := make([]client.Machine, clients)
-			for i := range machines {
-				machines[i], _ = sys.Client(fmt.Sprintf("client-%d", i+1))
-			}
-			var next atomic.Uint64
-			b.SetParallelism(clients)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mach := machines[int(next.Add(1)-1)%clients]
-				for pb.Next() {
-					res, err := sys.Manager.NegotiateContext(context.Background(), mach, doc.ID, u)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if res.Session != nil {
-						if err := sys.Manager.Reject(res.Session.ID); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkE7Adaptation measures one adaptation transition: degrade the
 // serving machine, switch the session, recover, switch back.
 func BenchmarkE7Adaptation(b *testing.B) {

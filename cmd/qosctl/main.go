@@ -15,7 +15,6 @@
 //	qosctl -addr 127.0.0.1:7000 -id 3 invoice
 //	qosctl -addr 127.0.0.1:7000 servers
 //	qosctl -addr 127.0.0.1:7000 stats
-//	qosctl -addr 127.0.0.1:7000 shards
 package main
 
 import (
@@ -37,11 +36,10 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/protocol"
-	"qosneg/internal/shard"
 	"qosneg/internal/telemetry"
 )
 
-const usage = "usage: qosctl [flags] list|negotiate|batch|renegotiate|session|sessions|invoice|servers|watch|stats|shards"
+const usage = "usage: qosctl [flags] list|negotiate|batch|renegotiate|session|sessions|invoice|servers|watch|stats"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -226,7 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "session":
 		info, err := c.Session(ctx, core.SessionID(*id))
 		if errors.Is(err, core.ErrUnknownSession) {
-			return fail(fmt.Errorf("session %d is unknown or retired: the daemon remembers the last %d ended sessions of each shard", *id, core.TombstoneRing))
+			return fail(fmt.Errorf("session %d is unknown or retired: the daemon remembers the last %d ended sessions", *id, core.TombstoneRing))
 		}
 		if err != nil {
 			return fail(err)
@@ -262,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, inv.String())
-	case "stats", "servers", "shards":
+	case "stats", "servers":
 		// Each view renders one snapshot, so its figures are of one instant.
 		snap, err := c.Metrics(ctx)
 		if err != nil {
@@ -272,13 +270,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, "telemetry: daemon not instrumented (no metrics snapshot)")
 			break
 		}
-		switch now := time.Now(); fs.Arg(0) {
-		case "stats":
+		if now := time.Now(); fs.Arg(0) == "stats" {
 			printStats(stdout, snap, now)
-		case "servers":
+		} else {
 			printServers(stdout, serverLoads(snap, now))
-		default:
-			printShards(stdout, snap)
 		}
 	default:
 		fmt.Fprintf(stderr, "qosctl: unknown command %q\n", fs.Arg(0))
@@ -287,7 +282,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printStats renders the fleet's outcome counters, the latency quantiles
+// printStats renders the manager's outcome counters, the latency quantiles
 // and the per-server breaker state of one snapshot.
 func printStats(w io.Writer, snap telemetry.Snapshot, now time.Time) {
 	count := func(name, label string) uint64 { return snap.CounterValue(name, label) }
@@ -307,8 +302,7 @@ func printStats(w io.Writer, snap telemetry.Snapshot, now time.Time) {
 	if shed > 0 {
 		fmt.Fprintf(w, "admission sheds: %d (FAILEDTRYLATER by overload, included in the counts above)\n", shed)
 	}
-	// Every shard records its own latency series; the headline is the fleet's.
-	if h, ok := snap.Merged(core.MetricNegotiationTime); ok && h.Count > 0 {
+	if h, ok := snap.Find(core.MetricNegotiationTime, ""); ok && h.Count > 0 {
 		fmt.Fprintf(w, "negotiation latency: %s (n=%d)\n", quantiles(h), h.Count)
 	}
 	steps := []telemetry.Step{
@@ -348,24 +342,6 @@ func printStats(w io.Writer, snap telemetry.Snapshot, now time.Time) {
 	if loads := serverLoads(snap, now); len(loads) > 0 {
 		fmt.Fprintln(w, "servers:")
 		printServers(indent(w), loads)
-	}
-}
-
-// printShards renders the per-shard fleet view: each shard's live sessions,
-// routed requests and negotiation latency. Outcomes are one fleet-wide
-// count, which stats prints; breaker state is the fleet's one server table,
-// which servers and stats print.
-func printShards(w io.Writer, snap telemetry.Snapshot) {
-	for _, g := range snap.Gauges {
-		if g.Name != shard.MetricShardLiveSessions {
-			continue
-		}
-		id := labelOf(g.Labels)
-		fmt.Fprintf(w, "shard %s: %d live session(s), %d routed request(s)\n",
-			id, g.Value, snap.CounterValue(shard.MetricShardRouted, id))
-		if h, ok := snap.Find(core.MetricNegotiationTime, id); ok && h.Count > 0 {
-			fmt.Fprintf(w, "  negotiation latency: %s (n=%d)\n", quantiles(h), h.Count)
-		}
 	}
 }
 

@@ -26,16 +26,14 @@ func rpcCounts(reg *telemetry.Registry) map[string]uint64 {
 	return out
 }
 
-// TestQosctlOneSnapshot: stats, servers and shards each render one metrics
+// TestQosctlOneSnapshot: stats and servers each render one metrics
 // snapshot, so every figure a view prints is of one instant, and what they
-// print is what the fleet and its server table hold. The daemon runs four
-// shards through successes, an admission shed, an adaptation and a
-// quarantine trip.
+// print is what the manager and its server table hold. The daemon runs
+// through successes, an admission shed, an adaptation and a quarantine trip.
 func TestQosctlOneSnapshot(t *testing.T) {
 	inj := faults.New(11)
 	ctrl := admission.New(admission.Config{MaxInFlight: 1, MinInFlight: 1})
-	sys, addr := startDaemonSystem(t, true, qosneg.WithShards(4),
-		qosneg.WithAdmission(ctrl), qosneg.WithFaultInjector(inj))
+	sys, addr := startDaemonSystem(t, true, qosneg.WithAdmission(ctrl), qosneg.WithFaultInjector(inj))
 	negotiate := func(args ...string) string {
 		t.Helper()
 		stdout, stderr, code := ctl(t, addr, append(args, "-doc", "news-1", "negotiate")...)
@@ -61,16 +59,16 @@ func TestQosctlOneSnapshot(t *testing.T) {
 	}
 	sys.Manager.Adapt(playing[0].ID)
 	inj.Crash("server-1")
-	for i := 0; i < 16 && sys.Fleet.Stats().Quarantines == 0; i++ {
+	for i := 0; i < 16 && sys.Manager.Stats().Quarantines == 0; i++ {
 		negotiate()
 	}
-	st := sys.Fleet.Stats()
+	st := sys.Manager.Stats()
 	if st.Succeeded == 0 || st.AdmissionSheds != 1 || st.Adaptations+st.AdaptationFailures != 1 || st.Quarantines != 1 {
 		t.Fatalf("the run is not the mix the test needs: %+v", st)
 	}
 
 	outputs := map[string]string{}
-	for _, cmd := range []string{"stats", "servers", "shards"} {
+	for _, cmd := range []string{"stats", "servers"} {
 		before := rpcCounts(sys.Metrics)
 		stdout, stderr, code := ctl(t, addr, cmd)
 		if code != 0 {
@@ -103,11 +101,11 @@ func TestQosctlOneSnapshot(t *testing.T) {
 		fmt.Sprintf(", quarantine trips %d)\n", st.Quarantines),
 	} {
 		if !strings.Contains(outputs["stats"], want) {
-			t.Errorf("stats output missing %q, which Fleet.Stats reads:\n%s", want, outputs["stats"])
+			t.Errorf("stats output missing %q, which Manager.Stats reads:\n%s", want, outputs["stats"])
 		}
 	}
 
-	loads := sys.Fleet.Shard(0).ServerLoads()
+	loads := sys.Manager.ServerLoads()
 	lines := strings.Split(strings.TrimSpace(outputs["servers"]), "\n")
 	if len(lines) != len(loads) {
 		t.Fatalf("servers printed %d rows, the table holds %d:\n%s", len(lines), len(loads), outputs["servers"])
@@ -137,12 +135,6 @@ func TestQosctlOneSnapshot(t *testing.T) {
 			}
 		case health != "healthy":
 			t.Errorf("servers row %q: health %q, ServerLoads healthy", lines[i], health)
-		}
-	}
-
-	for _, row := range sys.Fleet.ShardStats() {
-		if want := fmt.Sprintf("shard %d: %d live session(s), ", row.Shard, row.Sessions); !strings.Contains(outputs["shards"], want) {
-			t.Errorf("shards output missing %q:\n%s", want, outputs["shards"])
 		}
 	}
 }

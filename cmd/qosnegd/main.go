@@ -53,13 +53,13 @@ func managerOptions(offerCache int, health core.HealthPolicy, verbose bool, ring
 
 // flags is the daemon's command line.
 type flags struct {
-	addr, catalog, tariff, debugAddr, faultCrash, policy       string
-	servers, clients, shards, maxStreams, traceDepth, articles int
-	offerCache, healthThreshold                                int
-	verbose, admit                                             bool
-	healthCooldown, retryAfter, faultLatency, sloP99           time.Duration
-	faultSeed                                                  int64
-	faultReserve, faultConnect                                 float64
+	addr, catalog, tariff, debugAddr, faultCrash, policy string
+	servers, clients, maxStreams, traceDepth, articles   int
+	offerCache, healthThreshold                          int
+	verbose, admit                                       bool
+	healthCooldown, retryAfter, faultLatency, sloP99     time.Duration
+	faultSeed                                            int64
+	faultReserve, faultConnect                           float64
 }
 
 // defineFlags registers the daemon's flags on fs.
@@ -68,7 +68,6 @@ func defineFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.addr, "addr", "127.0.0.1:7000", "TCP listen address")
 	fs.IntVar(&f.servers, "servers", 2, "number of CMFS servers")
 	fs.IntVar(&f.clients, "clients", 4, "number of provisioned client attachment points")
-	fs.IntVar(&f.shards, "shards", 1, "manager shards; shard i of n allocates session ids i+1, i+1+n, …")
 	fs.StringVar(&f.catalog, "catalog", "", "JSON document catalog to load (default: synthesize articles)")
 	fs.StringVar(&f.tariff, "pricing", "", "JSON tariff to load (default: built-in cost tables)")
 	fs.BoolVar(&f.verbose, "verbose", false, "log every negotiation decision (the QoS manager's trace)")
@@ -97,87 +96,9 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewRing(f.traceDepth)
-	options := append(managerOptions(f.offerCache, core.HealthPolicy{
-		FailureThreshold: f.healthThreshold,
-		Cooldown:         f.healthCooldown,
-		RetryAfter:       f.retryAfter,
-	}, f.verbose, ring, log.Printf),
-		qosneg.WithMetrics(reg),
-		qosneg.WithClients(f.clients),
-		qosneg.WithServers(f.servers),
-		qosneg.WithShards(f.shards),
-	)
-	switch f.policy {
-	case "", "static":
-		// The fixed tie-break; installing policy.Static would be equivalent.
-	case "bandit":
-		options = append(options, qosneg.WithPolicy(policy.NewBandit()))
-		log.Printf("bandit policy armed")
-	default:
-		log.Fatalf("qosnegd: unknown -policy %q (want static or bandit)", f.policy)
-	}
-	if f.admit {
-		options = append(options, qosneg.WithAdmission(admission.New(admission.Config{SLO: f.sloP99})))
-		log.Printf("admission control armed (p99 SLO %s)", f.sloP99)
-	}
-	var inj *faults.Injector
-	if f.faultSeed != 0 || f.faultCrash != "" || f.faultReserve > 0 || f.faultConnect > 0 || f.faultLatency > 0 {
-		seed := f.faultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		inj = faults.New(seed)
-		options = append(options, qosneg.WithFaultInjector(inj))
-	}
-	if f.tariff != "" {
-		p, err := cost.LoadPricing(f.tariff)
-		if err != nil {
-			log.Fatalf("qosnegd: loading tariff: %v", err)
-		}
-		options = append(options, qosneg.WithPricing(p))
-		log.Printf("loaded tariff from %s", f.tariff)
-	}
-	sys, err := qosneg.New(options...)
+	sys, err := newSystem(f, reg, ring, log.Printf)
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
-	}
-	if inj != nil {
-		if f.faultReserve > 0 {
-			inj.SetReserveFailure(f.faultReserve)
-		}
-		if f.faultConnect > 0 {
-			inj.SetConnectFailure(f.faultConnect)
-		}
-		if f.faultLatency > 0 {
-			inj.SetLatency(f.faultLatency)
-		}
-		for _, id := range strings.Split(f.faultCrash, ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
-				continue
-			}
-			if !inj.Crash(media.ServerID(id)) {
-				log.Fatalf("qosnegd: -fault-crash: unknown server %q", id)
-			}
-			log.Printf("fault injector: crashed %s at startup", id)
-		}
-		log.Printf("fault injector armed (reserve-fail %.2f, connect-fail %.2f, latency %s)",
-			f.faultReserve, f.faultConnect, f.faultLatency)
-	}
-	if f.catalog != "" {
-		if err := sys.Registry.LoadFile(f.catalog); err != nil {
-			log.Fatalf("qosnegd: loading catalog: %v", err)
-		}
-		log.Printf("loaded %d documents from %s", sys.Registry.Len(), f.catalog)
-	} else {
-		for i := 1; i <= f.articles; i++ {
-			id := media.DocumentID(fmt.Sprintf("news-%d", i))
-			title := fmt.Sprintf("Synthetic article %d", i)
-			if _, err := sys.AddNewsArticle(id, title, 2*time.Minute); err != nil {
-				log.Fatalf("qosnegd: %v", err)
-			}
-		}
-		log.Printf("synthesized %d articles", f.articles)
 	}
 
 	sys.Wire = protocol.WireOptions{MaxStreams: f.maxStreams}
@@ -224,8 +145,8 @@ func main() {
 		l.Close()
 	}()
 
-	log.Printf("qosnegd listening on %s (%d manager shards, %d servers, %d client slots, real-time playout on)",
-		l.Addr(), sys.Fleet.Shards(), f.servers, f.clients)
+	log.Printf("qosnegd listening on %s (%d servers, %d client slots, real-time playout on)",
+		l.Addr(), f.servers, f.clients)
 	srv, err := sys.Serve(l)
 	if err != nil {
 		log.Fatalf("qosnegd: %v", err)
@@ -234,4 +155,93 @@ func main() {
 	st := sys.Manager.Stats()
 	log.Printf("qosnegd: served %d requests (%d succeeded, %d with degraded offer)",
 		st.Requests, st.Succeeded, st.FailedWithOffer)
+}
+
+// newSystem assembles the system the flags describe, instrumented on reg and
+// traced into ring: the manager options, the policy, admission control, the
+// fault injector with its rates set and its startup crashes applied, the
+// tariff, and the catalog loaded or synthesized.
+func newSystem(f *flags, reg *telemetry.Registry, ring *telemetry.Ring, logf func(format string, args ...any)) (*qosneg.System, error) {
+	options := append(managerOptions(f.offerCache, core.HealthPolicy{
+		FailureThreshold: f.healthThreshold,
+		Cooldown:         f.healthCooldown,
+		RetryAfter:       f.retryAfter,
+	}, f.verbose, ring, logf),
+		qosneg.WithMetrics(reg),
+		qosneg.WithClients(f.clients),
+		qosneg.WithServers(f.servers),
+	)
+	switch f.policy {
+	case "", "static":
+		// The fixed tie-break; installing policy.Static would be equivalent.
+	case "bandit":
+		options = append(options, qosneg.WithPolicy(policy.NewBandit()))
+		logf("bandit policy armed")
+	default:
+		return nil, fmt.Errorf("unknown -policy %q (want static or bandit)", f.policy)
+	}
+	if f.admit {
+		options = append(options, qosneg.WithAdmission(admission.New(admission.Config{SLO: f.sloP99})))
+		logf("admission control armed (p99 SLO %s)", f.sloP99)
+	}
+	var inj *faults.Injector
+	if f.faultSeed != 0 || f.faultCrash != "" || f.faultReserve > 0 || f.faultConnect > 0 || f.faultLatency > 0 {
+		seed := f.faultSeed
+		if seed == 0 {
+			seed = 1
+		}
+		inj = faults.New(seed)
+		options = append(options, qosneg.WithFaultInjector(inj))
+	}
+	if f.tariff != "" {
+		p, err := cost.LoadPricing(f.tariff)
+		if err != nil {
+			return nil, fmt.Errorf("loading tariff: %w", err)
+		}
+		options = append(options, qosneg.WithPricing(p))
+		logf("loaded tariff from %s", f.tariff)
+	}
+	sys, err := qosneg.New(options...)
+	if err != nil {
+		return nil, err
+	}
+	if inj != nil {
+		if f.faultReserve > 0 {
+			inj.SetReserveFailure(f.faultReserve)
+		}
+		if f.faultConnect > 0 {
+			inj.SetConnectFailure(f.faultConnect)
+		}
+		if f.faultLatency > 0 {
+			inj.SetLatency(f.faultLatency)
+		}
+		for _, id := range strings.Split(f.faultCrash, ",") {
+			id = strings.TrimSpace(id)
+			if id == "" {
+				continue
+			}
+			if !inj.Crash(media.ServerID(id)) {
+				return nil, fmt.Errorf("-fault-crash: unknown server %q", id)
+			}
+			logf("fault injector: crashed %s at startup", id)
+		}
+		logf("fault injector armed (reserve-fail %.2f, connect-fail %.2f, latency %s)",
+			f.faultReserve, f.faultConnect, f.faultLatency)
+	}
+	if f.catalog != "" {
+		if err := sys.Registry.LoadFile(f.catalog); err != nil {
+			return nil, fmt.Errorf("loading catalog: %w", err)
+		}
+		logf("loaded %d documents from %s", sys.Registry.Len(), f.catalog)
+	} else {
+		for i := 1; i <= f.articles; i++ {
+			id := media.DocumentID(fmt.Sprintf("news-%d", i))
+			title := fmt.Sprintf("Synthetic article %d", i)
+			if _, err := sys.AddNewsArticle(id, title, 2*time.Minute); err != nil {
+				return nil, err
+			}
+		}
+		logf("synthesized %d articles", f.articles)
+	}
+	return sys, nil
 }

@@ -19,13 +19,13 @@ import (
 // stormBed is adapt-storm's population in miniature: 32 sessions on three
 // servers with room to spare, the first `reserved` of them left unconfirmed
 // and the rest playing.
-func stormBed(t testing.TB, shards, reserved int) *testbed.Bed {
+func stormBed(t testing.TB, reserved int) *testbed.Bed {
 	t.Helper()
 	disk := cmfs.DefaultConfig()
 	disk.DiskRate = 512 * qos.MBitPerSecond
 	disk.SeekTime = 2 * time.Millisecond
 	disk.MaxStreams = 256
-	b := testbed.MustNew(testbed.Spec{Clients: 4, Servers: 3, Shards: shards, ServerConfig: &disk, AccessCapacity: qos.GBitPerSecond})
+	b := testbed.MustNew(testbed.Spec{Clients: 4, Servers: 3, ServerConfig: &disk, AccessCapacity: qos.GBitPerSecond})
 	if _, err := b.AddNewsArticle("news-1", "Election night", 2*time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func busiest(b *testbed.Bed) *cmfs.Server {
 	return top
 }
 
-// scanAllocBound is what one violating scan over stormBed(1 shard, all
-// playing) allocates (go1.24, linux/amd64) now that no adaptation allocates
-// per step-5 attempt: a plan's refusal is a value, the new hold reuses the
+// scanAllocBound is what one violating scan over stormBed(all playing)
+// allocates (go1.24, linux/amd64) now that no adaptation allocates per
+// step-5 attempt: a plan's refusal is a value, the new hold reuses the
 // withdrawn commitment's array, the report is sized once and a violating
 // server lists its victims in one slice. Before, the scan took 126
 // allocations and 24 976 B; with a reservation→session index, before the
@@ -78,7 +78,7 @@ func TestScanAllocBound(t *testing.T) {
 	}
 	allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for i := 0; i < 3; i++ {
-		b := stormBed(t, 1, 0)
+		b := stormBed(t, 0)
 		mon := monitor(b)
 		if err := busiest(b).SetDegradation(0.99); err != nil {
 			t.Fatal(err)
@@ -111,13 +111,13 @@ func (r *recordingAdapts) AdaptContext(ctx context.Context, id core.SessionID) (
 	return r.SessionManager.AdaptContext(ctx, id)
 }
 
-// TestScanAdaptsPlayingHoldersInIDOrder holds one scan on a 4-shard fleet to
-// a brute-force reference: every victim reservation is matched against
+// TestScanAdaptsPlayingHoldersInIDOrder holds one scan to a brute-force
+// reference: every victim reservation is matched against
 // every reservation of every live session. The scan must adapt exactly the
 // playing holders, in id order, skip each victim a reserved session holds,
 // and count every victim as a violation.
 func TestScanAdaptsPlayingHoldersInIDOrder(t *testing.T) {
-	b := stormBed(t, 4, 8)
+	b := stormBed(t, 8)
 	// The server and its link both choke, so a session can hold two
 	// victims: one CMFS, one network reservation.
 	srv := busiest(b)

@@ -117,14 +117,15 @@ func parse(rel, src string) (*file, error) {
 
 // rule is one structural invariant. It flags each fact of a file in scope
 // that re matches, except in the functions outside lists and, if with is
-// set, in functions without a fact that with matches. plant, parsed as the
-// file at, must be flagged.
+// set, in functions without a fact that with matches. plant, and each of
+// more, parsed as the file at, must be flagged.
 type rule struct {
 	name           string
 	scope          func(*file) bool
 	re, with       *regexp.Regexp
 	outside        []string
 	msg, at, plant string
+	more           []string
 }
 
 var rules = []rule{{
@@ -133,10 +134,10 @@ var rules = []rule{{
 	msg: "a Deprecated: marker means two ways to make one call; delete the old one",
 	at:  "bench/x_test.go", plant: "package bench\n\n// Old is the old way.\n//\n// Deprecated: use New.\nfunc Old() {}\n",
 }, {
-	name: "one way to assemble a system", scope: func(f *file) bool { return f.code() && !f.under("internal/shard/") },
+	name: "one way to assemble a system", scope: func(f *file) bool { return f.code() && !f.under("internal/testbed/") },
 	re:  regexp.MustCompile(`^qosneg/internal/core\.NewManager$`),
-	msg: "only internal/shard builds managers; assemble through testbed.New or qosneg.New, not a second way",
-	at:  "internal/testbed/x.go", plant: "package testbed\n\nimport c \"qosneg/internal/core\"\n\nfunc f() { c.NewManager(nil, nil, c.Pricing{}, c.Options{}) }\n",
+	msg: "only internal/testbed builds the manager; assemble through testbed.New or qosneg.New, not a second way",
+	at:  "cmd/qosnegd/x.go", plant: "package main\n\nimport c \"qosneg/internal/core\"\n\nfunc f() { c.NewManager(nil, nil, c.Pricing{}, c.Options{}) }\n",
 }, {
 	name: "one wire codec", scope: (*file).code,
 	re:  regexp.MustCompile(`CodecJSON|exchangeJSON|watchJSON|\.[A-Za-z]+\("codec"`),
@@ -151,8 +152,8 @@ var rules = []rule{{
 }, {
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
 	// "one breaker table", "no unset knobs", "one count per fact", "one
-	// arrival driver", "one record of commit outcomes" and "one ops read"
-	// used.
+	// arrival driver", "one record of commit outcomes", "one ops read" and
+	// "one manager" used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
@@ -160,23 +161,35 @@ var rules = []rule{{
 		`addStats|serverHealthGauges|offerCacheLookup|statsMu|\bc\.shedCtr\b|admitCtr|inflightG|limitG|hintG|p99G|` +
 		`NewOpenLoop|OpenLoopSpec|BurstFactor|DiurnalAmplitude|` +
 		`ObserveCommit|PolicyObserver|CommitObservation|latencyWeight|` +
-		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload`),
+		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload|` +
+		`ShardHooks|SumStats|NextSessionID|MetricShardRouted|MetricShardLiveSessions|qosneg_shard_|qosneg/internal/shard\b`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
-		" / a fleet's shards share one server table; a quarantine is one fact, never copied from shard to shard" +
+		" / one server table holds every quarantine; a quarantine is one fact, never copied between tables" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
 		" / a value its owner keeps is read at Snapshot time (telemetry.Collector), not counted again in the registry" +
 		" / workload.Generator is the one arrival source and Generator.Drive the one driver; the shapes' tuning is constant" +
 		" / the server table is the one record of commit outcomes; a policy reads its rows and keeps no evidence of its own" +
-		" / the metrics snapshot is the one ops read; qosctl renders stats, servers and shards from it",
+		" / the metrics snapshot is the one ops read; qosctl renders stats and servers from it" +
+		" / one manager runs every system: no shard router, per-shard hooks, strided ids or per-shard series (a fleet measured no faster)",
 	at: "internal/protocol/x.go", plant: "package protocol\n\nfunc (c *Client) f(m *Manager) {\n\t_ = m.topK()\n\tc.roundTrip(Envelope{Type: MsgStats}, &StatsInfoPayload{})\n}\n",
+	more: []string{
+		"package protocol\n\nvar _ core.ShardHooks\n",
+		"package protocol\n\nvar st = core.SumStats(m)\n",
+		"package protocol\n\nfunc f(h hooks) { _ = h.NextSessionID() }\n",
+		"package protocol\n\nvar n = shard.MetricShardRouted\n",
+		"package protocol\n\nvar n = shard.MetricShardLiveSessions\n",
+		"package protocol\n\nconst n = \"qosneg_shard_routed_total\"\n",
+		"package protocol\n\nimport _ \"qosneg/internal/shard\"\n",
+	},
 }, {
 	name: "the wire reads no fleet", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },
-	re:  regexp.MustCompile(`^qosneg/internal/shard\.`),
-	msg: "the wire reads the manager surface and telemetry, not the fleet",
-	at:  "internal/protocol/x.go", plant: "package protocol\n\nimport \"qosneg/internal/shard\"\n\nvar rows []shard.Stat\n",
+	re:  regexp.MustCompile(`^qosneg/internal/(shard|testbed)\.`),
+	msg: "the wire reads the manager surface and telemetry; it neither fronts a fleet nor assembles the system it serves",
+	at:  "internal/protocol/x.go", plant: "package protocol\n\nimport \"qosneg/internal/testbed\"\n\nvar bed = testbed.MustNew(testbed.Spec{})\n",
+	more: []string{"package protocol\n\nimport \"qosneg/internal/shard\"\n\nvar rows []shard.Stat\n"},
 }, {
 	name: "one clock", scope: func(f *file) bool {
-		return f.code() && f.under("internal/core/", "internal/shard/", "internal/admission/", "internal/adaptation/",
+		return f.code() && f.under("internal/core/", "internal/admission/", "internal/adaptation/",
 			"internal/session/", "internal/protocol/server.go", "internal/protocol/playout.go",
 			"internal/faults/", "internal/workload/", "internal/experiments/overload.go")
 	},
@@ -269,8 +282,10 @@ func TestRules(t *testing.T) {
 	files := load(t)
 	for _, r := range rules {
 		t.Run(r.name, func(t *testing.T) {
-			if plant, err := parse(r.at, r.plant); err != nil || len(violations(r, plant)) == 0 {
-				t.Errorf("self-check: the planted violation in %s is not flagged (%v):\n%s", r.at, err, r.plant)
+			for _, src := range append([]string{r.plant}, r.more...) {
+				if plant, err := parse(r.at, src); err != nil || len(violations(r, plant)) == 0 {
+					t.Errorf("self-check: the planted violation in %s is not flagged (%v):\n%s", r.at, err, src)
+				}
 			}
 			for _, f := range files {
 				for _, v := range violations(r, f) {

@@ -21,9 +21,9 @@ import (
 // crash-between-Reserve-and-Connect), Reserve/Connect fail probabilistically,
 // and after every step the resource invariant must hold — live network
 // reservations equal the streams committed by Reserved/Playing sessions, and
-// nothing leaks once everything is wound down. The manager is a 4-shard
-// fleet behind a one-slot admission controller, which some steps hold so
-// the router sheds; at the end each fact counted reads the same in Stats and
+// nothing leaks once everything is wound down. The manager sits behind a
+// one-slot admission controller, which some steps hold so it sheds; at the
+// end each fact counted reads the same in Stats and
 // in its metric series. Server crashes lose only
 // server-side admission state; network reservations are owned by sessions
 // and must survive until the session ends.
@@ -64,7 +64,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 		RetryAfter:       time.Millisecond,
 	}
 	reg := telemetry.NewRegistry()
-	bed, ctrl, shards := chaosFleet(inj, opts, reg, 1)
+	bed, ctrl := chaosBed(inj, opts, reg, 1)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
 	})
@@ -195,9 +195,7 @@ func runFaultChaos(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	for _, man := range shards {
-		checkSessionTableAtFloor(t, man)
-	}
+	checkSessionTableAtFloor(t, bed.Manager)
 	checkOneCountPerFact(t, seed, bed, ctrl, reg)
 	if v := reg.Counter(ledger.MetricLeaked, "").Value(); v != 0 {
 		t.Errorf("seed %d: %s = %d, want 0", seed, ledger.MetricLeaked, v)

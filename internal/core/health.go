@@ -224,10 +224,8 @@ func (p HealthPolicy) retryAfter() time.Duration {
 
 // ServerTable holds the media servers the QoS manager commits against and
 // the one record of each server's commit outcomes, which both the circuit
-// breaker and an installed policy read. A fleet builds one table and every
-// shard commits against it (ShardHooks.Servers), so a trip, a
-// consecutive-failure count and a policy's evidence are one fact per server
-// however many shards front it; a bare manager builds its own. Step 5 reads
+// breaker and an installed policy read, so a trip, a consecutive-failure
+// count and a policy's evidence are one fact per server. Step 5 reads
 // a choice's server, failure generation and remaining quarantine in one
 // read-locked lookup, and posts each outcome once.
 type ServerTable struct {
@@ -235,8 +233,8 @@ type ServerTable struct {
 	servers map[media.ServerID]*serverRecord
 }
 
-// NewServerTable returns an empty server table.
-func NewServerTable() *ServerTable {
+// newServerTable returns an empty server table.
+func newServerTable() *ServerTable {
 	return &ServerTable{servers: make(map[media.ServerID]*serverRecord)}
 }
 
@@ -501,8 +499,8 @@ func (t *ServerTable) policyInfo(id media.ServerID, g cost.Guarantee) PolicyServ
 
 // instrument registers the breaker gauges and the per-cause failure
 // counters of every server with a failure on record, read from the table at
-// Snapshot time. The table is their one owner, so a fleet's shards, which
-// each call this, expose each server once.
+// Snapshot time. The table is their one owner, so each server is exposed
+// once.
 func (t *ServerTable) instrument(reg *telemetry.Registry) {
 	series := func(name, help string, gauge bool, v func(*serverHealth) int64) {
 		reg.Collect(telemetry.Collector{Name: name, Help: help, Label: "server", Gauge: gauge, Owner: t,
@@ -534,8 +532,7 @@ func (t *ServerTable) instrument(reg *telemetry.Registry) {
 
 // recordCommitFailure feeds one failed commit attempt of guarantee g into
 // the outcome counters and, for server-attributable causes, the server's
-// record. A trip is this manager's to count, trace and purge its offer cache
-// for, whichever shard's table it lands in.
+// record. A trip is counted, traced and purged from the offer cache here.
 func (m *Manager) recordCommitFailure(f commitFailure, g cost.Guarantee) {
 	m.count.commitFailures[f.cause].Add(1)
 	if f.server == "" || (f.cause != CauseServerDown && f.cause != CauseCapacity) {
@@ -576,9 +573,7 @@ func (m *Manager) Quarantined(id media.ServerID) (time.Duration, bool) {
 // up — their key has the old hash — so they are dropped promptly instead of
 // aging out of the LRU. Correctness does not depend on this (the key alone
 // guarantees a hit matches the current world); it reclaims capacity and
-// feeds the invalidation counter. Only this manager's cache is purged: a
-// sibling shard's entries for the old world are never hit while it lasts,
-// and are valid again if it returns.
+// feeds the invalidation counter.
 func (m *Manager) exclusionChanged() {
 	if m.cache == nil {
 		return

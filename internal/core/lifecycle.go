@@ -250,7 +250,8 @@ func (m *Manager) abortWindow(w *window) {
 // current reservation is released first; on success the same session holds
 // the new offer and a fresh choice period, on failure (any non-reserved
 // status) the session is aborted and the Result explains why. A canceled
-// ctx aborts the session and returns the context's error.
+// ctx aborts the session and returns the context's error. Options.Admission
+// gates the request first; a shed leaves the session as it was.
 //
 // The procedure commits off-lock, so the choice-period time-out (or a
 // concurrent Reject/Abort) can end the session mid-renegotiation. The
@@ -258,6 +259,13 @@ func (m *Manager) abortWindow(w *window) {
 // the freshly committed resources are released instead of installed, and
 // ErrChoicePeriodExpired (or ErrBadState) is returned.
 func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profile.UserProfile) (Result, error) {
+	release, shed, ok := m.admit()
+	if !ok {
+		return shed, nil
+	}
+	if release != nil {
+		defer release()
+	}
 	w, err := m.withdraw(id, Reserved, "renegotiate", "renegotiation or adaptation")
 	if err != nil {
 		return Result{}, err

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qosneg/internal/admission"
 	"qosneg/internal/client"
 	"qosneg/internal/clock"
 	"qosneg/internal/cmfs"
@@ -71,12 +72,13 @@ type Options struct {
 	// cause, committed, exhausted, quarantine, adaptation). It runs on the
 	// negotiating goroutine and must be fast and non-blocking.
 	Tracer telemetry.Tracer
-	// Shard, when non-nil, makes this manager one shard of a fleet: session
-	// ids, the server table and the negotiation-latency series' shard label
-	// come from the hooks (see ShardHooks). Nil — a bare manager in tests and
-	// benchmarks — allocates 1, 2, 3 … privately, keeps its own server table
-	// and records under shard "0".
-	Shard ShardHooks
+	// Admission, when non-nil, gates NegotiateContext and
+	// RenegotiateContext before step 1: refused work is answered
+	// FAILEDTRYLATER with the controller's load-derived RetryAfter hint and
+	// Result.Shed set, without touching a resource, and is counted among
+	// the FAILEDTRYLATER outcomes (Stats, the outcome series). Nil disables
+	// admission control at the cost of one nil check.
+	Admission *admission.Controller
 	// Policy, when non-nil, orders both step 5's commitment attempts and
 	// the adaptation procedure's targets among offers the classifier ranked
 	// equal — same Status, same OIF — and nothing else, so classification
@@ -84,25 +86,6 @@ type Options struct {
 	// of every commit outcome and keeps none of its own. Nil keeps the
 	// paper's fixed tie-break order byte-for-byte at zero cost.
 	Policy Policy
-}
-
-// ShardHooks is what a manager running as one shard of a fleet asks of the
-// fleet. shard.Fleet implements it per shard; the methods run on the
-// negotiating goroutine and must be fast and non-blocking.
-type ShardHooks interface {
-	// Label is the shard's value of the negotiation-latency histogram's
-	// "shard" label, so a fleet's shards share one metrics registry.
-	Label() string
-	// NextSessionID allocates the id of a freshly reserved session, in place
-	// of the manager's private counter. A shard only emits ids that route
-	// back to itself, so a session is resident where the router will look
-	// for it and fleet-wide uniqueness needs no coordination. Called under
-	// the session-table lock.
-	NextSessionID() SessionID
-	// Servers is the fleet's one server table, read once at construction:
-	// every shard registers, commits against and trips the breaker of the
-	// same media servers.
-	Servers() *ServerTable
 }
 
 // DefaultTopK is how many classified offers a negotiation retains: enough
@@ -193,8 +176,8 @@ type Transport interface {
 // session table and the adaptation procedure. It is safe for concurrent
 // use: the negotiation pipeline runs lock-free, and independent
 // negotiations from different clients proceed concurrently — the manager's
-// locks only cover the session table and the server table (shared by a
-// fleet's shards), each separately; the outcome counters are atomics.
+// locks only cover the session table and the server table, each
+// separately; the outcome counters are atomics.
 type Manager struct {
 	registry  *registry.Registry
 	transport Transport
@@ -232,8 +215,7 @@ type Manager struct {
 	tombs    []tombstone
 	tombNext int
 
-	// servers is the media servers and their circuit breaker; a fleet's
-	// shards share one.
+	// servers is the media servers and their circuit breaker.
 	servers *ServerTable
 }
 
@@ -260,9 +242,9 @@ type Stats struct {
 	// ended the session while an adaptation or renegotiation was committing
 	// off-lock. Each one is a reservation leak prevented.
 	StaleInstalls int
-	// AdmissionSheds counts requests the admission controller refused at
-	// the fleet router, before any shard ran step 1; each is also counted
-	// under Requests and FailedTryLater, since the caller saw a
+	// AdmissionSheds counts requests the admission controller refused
+	// before step 1, here or at the protocol server's gate; each is also
+	// counted under Requests and FailedTryLater, since the caller saw a
 	// FAILEDTRYLATER result.
 	AdmissionSheds int
 	// Offer-cache counters, snapshotted from the candidate-set cache: how
@@ -283,19 +265,13 @@ func NewManager(reg *registry.Registry, ts Transport, pricing cost.Pricing, opts
 	if opts.Classifier == nil {
 		opts.Classifier = offer.SNSPrimary{}
 	}
-	var servers *ServerTable
-	if opts.Shard != nil {
-		servers = opts.Shard.Servers()
-	} else {
-		servers = NewServerTable()
-	}
 	m := &Manager{
 		registry:  reg,
 		transport: ts,
 		pricing:   pricing,
 		opts:      opts,
 		clk:       clock.Wall{},
-		servers:   servers,
+		servers:   newServerTable(),
 		sessions:  make(map[SessionID]*Session),
 	}
 	if opts.OfferCache >= 0 {
@@ -323,45 +299,42 @@ func (m *Manager) pricingSnapshot() (cost.Pricing, uint64) {
 }
 
 // AddServer registers a media file server and its network attachment point.
-// A fleet's shards share the server table, so registering with one shard
-// registers with all.
 func (m *Manager) AddServer(s MediaServer, node network.NodeID) {
 	m.servers.add(s, node)
 }
 
 // Stats returns a snapshot of the outcome counters and the offer cache's.
-func (m *Manager) Stats() Stats { return SumStats(m) }
-
-// SumStats sums the outcome and offer-cache counters of ms: one manager's,
-// or a fleet's shards'.
-func SumStats(ms ...*Manager) Stats {
-	var st Stats
-	for _, m := range ms {
-		c := &m.count
-		n := func(v *atomic.Int64) int { return int(v.Load()) }
-		st.Requests += n(&c.requests)
-		st.Succeeded += n(&c.outcomes[Succeeded])
-		st.FailedWithOffer += n(&c.outcomes[FailedWithOffer])
-		st.FailedTryLater += n(&c.outcomes[FailedTryLater])
-		st.FailedWithoutOffer += n(&c.outcomes[FailedWithoutOffer])
-		st.FailedWithLocalOffer += n(&c.outcomes[FailedWithLocalOffer])
-		st.Adaptations += n(&c.adaptations[adaptOK])
-		st.AdaptationFailures += n(&c.adaptations[adaptFailed])
-		st.CommitServerDown += n(&c.commitFailures[CauseServerDown])
-		st.CommitCapacity += n(&c.commitFailures[CauseCapacity])
-		st.CommitConstraint += n(&c.commitFailures[CauseConstraint])
-		st.Quarantines += n(&c.quarantines)
-		for i := range c.staleInstalls {
-			st.StaleInstalls += n(&c.staleInstalls[i])
-		}
-		st.Revenue += cost.Money(c.revenue.Load())
-		if m.cache != nil {
-			cs := m.cache.Stats()
-			st.OfferCacheHits += int(cs.Hits)
-			st.OfferCacheMisses += int(cs.Misses)
-			st.OfferCacheInvalidations += int(cs.Invalidations)
-			st.OfferCacheEntries += int(cs.Entries)
-		}
+// Requests is derived, not counted: every request ends in one outcome or
+// one admission shed, so a negotiation canceled mid-run is no request.
+func (m *Manager) Stats() Stats {
+	c := &m.count
+	n := func(v *atomic.Int64) int { return int(v.Load()) }
+	sheds := int(m.opts.Admission.Stats().Sheds)
+	st := Stats{
+		Succeeded:            n(&c.outcomes[Succeeded]),
+		FailedWithOffer:      n(&c.outcomes[FailedWithOffer]),
+		FailedTryLater:       n(&c.outcomes[FailedTryLater]) + sheds,
+		FailedWithoutOffer:   n(&c.outcomes[FailedWithoutOffer]),
+		FailedWithLocalOffer: n(&c.outcomes[FailedWithLocalOffer]),
+		Adaptations:          n(&c.adaptations[adaptOK]),
+		AdaptationFailures:   n(&c.adaptations[adaptFailed]),
+		CommitServerDown:     n(&c.commitFailures[CauseServerDown]),
+		CommitCapacity:       n(&c.commitFailures[CauseCapacity]),
+		CommitConstraint:     n(&c.commitFailures[CauseConstraint]),
+		Quarantines:          n(&c.quarantines),
+		AdmissionSheds:       sheds,
+		Revenue:              cost.Money(c.revenue.Load()),
+	}
+	st.Requests = st.Succeeded + st.FailedWithOffer + st.FailedTryLater + st.FailedWithoutOffer + st.FailedWithLocalOffer
+	for i := range c.staleInstalls {
+		st.StaleInstalls += n(&c.staleInstalls[i])
+	}
+	if m.cache != nil {
+		cs := m.cache.Stats()
+		st.OfferCacheHits = int(cs.Hits)
+		st.OfferCacheMisses = int(cs.Misses)
+		st.OfferCacheInvalidations = int(cs.Invalidations)
+		st.OfferCacheEntries = int(cs.Entries)
 	}
 	return st
 }

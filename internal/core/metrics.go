@@ -62,7 +62,6 @@ type negMetrics struct {
 // lifecycle fact: each is incremented at one site, and Stats and the
 // registry both read it. A labeled fact is indexed like its label names.
 type counts struct {
-	requests       atomic.Int64
 	outcomes       [len(negotiationStatusNames)]atomic.Int64
 	commitFailures [len(failureCauseNames)]atomic.Int64
 	quarantines    atomic.Int64
@@ -81,12 +80,9 @@ var (
 const adaptOK, adaptFailed = 0, 1
 
 // instrument registers the manager's metrics on reg, which may be nil, in
-// the order the exposition lists them. The end-to-end negotiation histogram
-// is a "shard"-labeled family, so every shard of a fleet records into its
-// own latency distribution on the shared registry; a manager without shard
-// hooks records under "0". Every other series is shared by the shards of
-// one registry: the facts m counts are collectors the registry sums over
-// the shards, and the breaker gauges are the one server table's.
+// the order the exposition lists them. The facts m counts are collectors
+// the registry reads at Snapshot; the admission controller's sheds are read
+// into the FAILEDTRYLATER outcomes, since each caller saw one.
 func (m *Manager) instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -113,15 +109,21 @@ func (m *Manager) instrument(reg *telemetry.Registry) {
 		}
 		return m.cache.Stats()
 	}
-	shard := "0"
-	if m.opts.Shard != nil {
-		shard = m.opts.Shard.Label()
-	}
-	labeled(MetricNegotiations, "Negotiation outcomes by NegotiationStatus.", "status",
-		c.outcomes[:], negotiationStatusNames[:])
-	m.met.negSeconds = reg.HistogramFamily(MetricNegotiationTime,
-		"End-to-end negotiation latency (steps 1-5), by manager shard.",
-		"shard", telemetry.LatencyBuckets).With(shard)
+	reg.Collect(telemetry.Collector{Name: MetricNegotiations, Help: "Negotiation outcomes by NegotiationStatus.",
+		Label: "status", Owner: m, Read: func(emit func(string, int64)) {
+			sheds := int64(m.opts.Admission.Stats().Sheds)
+			for i := range c.outcomes {
+				v := c.outcomes[i].Load()
+				if NegotiationStatus(i) == FailedTryLater {
+					v += sheds
+				}
+				if v > 0 {
+					emit(negotiationStatusNames[i], v)
+				}
+			}
+		}})
+	m.met.negSeconds = reg.Histogram(MetricNegotiationTime,
+		"End-to-end negotiation latency (steps 1-5).", telemetry.LatencyBuckets)
 	labeled(MetricCommitFailures, "Failed resource-commitment attempts by cause.", "cause",
 		c.commitFailures[:], failureCauseNames[:])
 	m.met.commitSkips = reg.Counter(MetricCommitSkips,

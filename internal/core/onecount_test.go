@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"qosneg/internal/admission"
@@ -10,32 +11,25 @@ import (
 	"qosneg/internal/testbed"
 )
 
-// chaosShards is the fleet size the concurrency harnesses run on.
-const chaosShards = 4
-
-// chaosFleet assembles the harnesses' bed: a 4-shard fleet over the
-// fault-wrapped substrate, gated by an admission controller of slots
-// concurrent negotiations, with the manager, the controller and the ledger
-// instrumented on reg. It returns the bed, the controller and the shards'
-// managers, whose test hooks and indexes the harnesses reach directly.
-func chaosFleet(inj *faults.Injector, opts core.Options, reg *telemetry.Registry, slots int) (*testbed.Bed, *admission.Controller, []*core.Manager) {
+// chaosBed assembles the harnesses' bed: a manager over the fault-wrapped
+// substrate, gated by an admission controller of slots concurrent
+// negotiations, with the manager, the controller and the ledger
+// instrumented on reg. It returns the bed and the controller.
+func chaosBed(inj *faults.Injector, opts core.Options, reg *telemetry.Registry, slots int) (*testbed.Bed, *admission.Controller) {
 	opts.Metrics = reg
-	ctrl := admission.New(admission.Config{MaxInFlight: slots, MinInFlight: slots})
-	bed := testbed.MustNew(testbed.Spec{Shards: chaosShards, Faults: inj, Options: &opts, Admission: ctrl})
-	ctrl.Instrument(reg)
+	opts.Admission = admission.New(admission.Config{MaxInFlight: slots, MinInFlight: slots})
+	bed := testbed.MustNew(testbed.Spec{Faults: inj, Options: &opts})
+	opts.Admission.Instrument(reg)
 	bed.Ledger.Instrument(reg)
-	shards := make([]*core.Manager, chaosShards)
-	for i := range shards {
-		shards[i] = bed.Fleet.Shard(i)
-	}
-	return bed, ctrl, shards
+	return bed, opts.Admission
 }
 
-// checkOneCountPerFact holds the fleet's Stats to its metric series at
+// checkOneCountPerFact holds the manager's Stats to its metric series at
 // quiescence: each fact is counted once, so every Stats field equals the
-// series that exposes it; the router's sheds are the controller's count and
-// are among the FAILEDTRYLATER outcomes; and the breaker gauges, which the
-// shards share, read each server's table row once.
+// series that exposes it, and a second read equals the first; the sheds are
+// the controller's count and are among the FAILEDTRYLATER outcomes; a
+// breaker trip is one fact, so the server table's rows sum to the trips
+// Stats counts; and the breaker gauges read each server's table row once.
 func checkOneCountPerFact(t *testing.T, seed int64, bed *testbed.Bed, ctrl *admission.Controller, reg *telemetry.Registry) {
 	t.Helper()
 	st := bed.Manager.Stats()
@@ -80,8 +74,7 @@ func checkOneCountPerFact(t *testing.T, seed int64, bed *testbed.Bed, ctrl *admi
 	for _, s := range []core.NegotiationStatus{core.Succeeded, core.FailedWithOffer, core.FailedTryLater, core.FailedWithoutOffer, core.FailedWithLocalOffer} {
 		outcomes += counter(core.MetricNegotiations, s.String())
 	}
-	// No negotiation in the harnesses is canceled, so every request ended
-	// in exactly one outcome.
+	// Every request ends in exactly one outcome, a shed included.
 	if st.Requests != outcomes {
 		t.Errorf("seed %d: Stats.Requests = %d, outcomes sum to %d", seed, st.Requests, outcomes)
 	}
@@ -91,12 +84,20 @@ func checkOneCountPerFact(t *testing.T, seed int64, bed *testbed.Bed, ctrl *admi
 	if st.FailedTryLater < st.AdmissionSheds {
 		t.Errorf("seed %d: %d FAILEDTRYLATER outcomes, fewer than the %d sheds among them", seed, st.FailedTryLater, st.AdmissionSheds)
 	}
-	for _, row := range bed.Fleet.Shard(0).ServerLoads() {
+	trips := 0
+	for _, row := range bed.Manager.ServerLoads() {
+		trips += row.Quarantines
 		if got := gauge(core.MetricConsecutive, string(row.ID)); got != row.ConsecutiveFailures {
 			t.Errorf("seed %d: %s{server=%s} = %d, the server table reads %d", seed, core.MetricConsecutive, row.ID, got, row.ConsecutiveFailures)
 		}
 		if got := gauge(core.MetricQuarantined, string(row.ID)); row.Quarantined && got == 0 {
 			t.Errorf("seed %d: %s{server=%s} = %d for a quarantined server", seed, core.MetricQuarantined, row.ID, got)
 		}
+	}
+	if trips != st.Quarantines {
+		t.Errorf("seed %d: the server table records %d trips, Stats.Quarantines = %d", seed, trips, st.Quarantines)
+	}
+	if again := bed.Manager.Stats(); !reflect.DeepEqual(again, st) {
+		t.Errorf("seed %d: Stats moved at quiescence:\n%+v\n%+v", seed, st, again)
 	}
 }

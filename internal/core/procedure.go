@@ -42,9 +42,17 @@ func (o negOutcome) refusal() Result {
 // carries the negotiation status and, when resources were reserved, the
 // session the user must confirm within the choice period.
 //
-// Canceling ctx aborts the pipeline between stages and rolls back any
-// partially committed resources; the context's error is returned.
+// Options.Admission gates the request first; a shed is answered without
+// running a step. Canceling ctx aborts the pipeline between stages and rolls
+// back any partially committed resources; the context's error is returned.
 func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, docID media.DocumentID, u profile.UserProfile) (Result, error) {
+	release, shed, ok := m.admit()
+	if !ok {
+		return shed, nil
+	}
+	if release != nil {
+		defer release()
+	}
 	doc, docGen, err := m.registry.Snapshot(docID)
 	if err != nil {
 		return Result{}, err
@@ -70,16 +78,30 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		sess.reservedAt = m.clk.Now()
 	}
 	m.sessMu.Lock()
-	if m.opts.Shard != nil {
-		sess.ID = m.opts.Shard.NextSessionID()
-	} else {
-		m.nextID++
-		sess.ID = m.nextID
-	}
+	m.nextID++
+	sess.ID = m.nextID
 	m.sessions[sess.ID] = sess
 	m.sessMu.Unlock()
 	uo := out.chosen.UserOffer()
 	return Result{Status: out.status, Offer: &uo, Session: sess}, nil
+}
+
+// admit gates one negotiation-class request through Options.Admission. A
+// refused request is answered with refusal — FAILEDTRYLATER, the
+// controller's retry hint and Shed — which the controller counts (Stats
+// reads its sheds); an admitted one must call release, when non-nil, once
+// it is done.
+func (m *Manager) admit() (release func(), refusal Result, ok bool) {
+	release, retry, ok := m.opts.Admission.Admit()
+	if !ok {
+		return nil, Result{
+			Status:     FailedTryLater,
+			Reason:     "admission control: manager overloaded",
+			RetryAfter: retry,
+			Shed:       true,
+		}, false
+	}
+	return release, Result{}, true
 }
 
 // choicePeriodFor resolves the confirmation window for a profile.
@@ -91,13 +113,12 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 }
 
 // runProcedure executes steps 1–5 of Section 4 as one counted request, for
-// negotiation and renegotiation alike: it books the request, times the run
-// into the negotiation-latency histogram and counts its outcome. A run that
-// ends in an error (a canceled ctx) is booked but neither timed nor
-// counted. docGen is the registry generation doc was snapshotted at; the
+// negotiation and renegotiation alike: it times the run into the
+// negotiation-latency histogram and counts its outcome, which is what
+// Stats.Requests sums. A run that ends in an error (a canceled ctx) is
+// neither timed nor counted. docGen is the registry generation doc was snapshotted at; the
 // offer cache validates entries against it.
 func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
-	m.count.requests.Add(1)
 	var begin time.Time
 	if m.opts.Metrics != nil {
 		begin = m.clk.Now()

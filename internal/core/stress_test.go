@@ -23,9 +23,8 @@ import (
 // resource invariant after every step, this harness runs many goroutines
 // issuing Confirm/Reject/Expire/Adapt/Renegotiate/Complete/Abort against a
 // shared session pool while servers crash and calls fail probabilistically —
-// the interleavings the epoch guard exists for. The manager is a 4-shard
-// fleet behind an admission controller with fewer slots than workers, so
-// the router sheds too. Mid-run state is unobservable under true
+// the interleavings the epoch guard exists for. The manager sits behind an
+// admission controller with fewer slots than workers, so it sheds too. Mid-run state is unobservable under true
 // concurrency, so the assertions hold at quiescence: once every session is
 // terminal, the resource ledger balances to zero and nothing was ever
 // double-released, and each fact counted reads the same in Stats and in
@@ -79,7 +78,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 		RetryAfter:       50 * time.Microsecond,
 	}
 	reg := telemetry.NewRegistry()
-	bed, ctrl, shards := chaosFleet(inj, opts, reg, 6)
+	bed, ctrl := chaosBed(inj, opts, reg, 6)
 	bed.Ledger.OnViolation(func(v string) {
 		t.Errorf("seed %d: %s", seed, v)
 	})
@@ -91,18 +90,16 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	// a single-CPU runner), so the harness forces the interleaving the epoch
 	// guard exists for; the guard must absorb it leak-free.
 	var windows uint64
-	for _, man := range shards {
-		man.SetTestHookUnlocked(func(op string, id core.SessionID) {
-			if atomic.AddUint64(&windows, 1)%4 != 0 {
-				return
-			}
-			if op == "adapt" {
-				bed.Manager.Abort(id)
-			} else {
-				bed.Manager.Expire(id)
-			}
-		})
-	}
+	bed.Manager.SetTestHookUnlocked(func(op string, id core.SessionID) {
+		if atomic.AddUint64(&windows, 1)%4 != 0 {
+			return
+		}
+		if op == "adapt" {
+			bed.Manager.Abort(id)
+		} else {
+			bed.Manager.Expire(id)
+		}
+	})
 
 	// Shared pool of session ids every worker picks targets from, so the
 	// same session sees concurrent Confirm, Abort and Adapt calls.
@@ -243,8 +240,8 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	}
 	wg.Wait()
 
-	// Quiescent: no procedure is mid-window, so no two live sessions, on
-	// any shard, may hold one reservation.
+	// Quiescent: no procedure is mid-window, so no two live sessions may
+	// hold one reservation.
 	if err := core.CheckHoldsDisjoint(bed.Manager); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
@@ -273,9 +270,7 @@ func runLifecycleStress(t *testing.T, seed int64) {
 	if err := bed.Ledger.CheckEmpty(); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
 	}
-	for _, man := range shards {
-		checkSessionTableAtFloor(t, man)
-	}
+	checkSessionTableAtFloor(t, bed.Manager)
 	if got := bed.Network.ActiveReservations(); got != 0 {
 		t.Errorf("seed %d: %d network reservations leaked", seed, got)
 	}

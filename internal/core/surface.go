@@ -13,13 +13,11 @@ import (
 
 // SessionManager is the manager surface the rest of the system programs
 // against: the six-step negotiation procedure, the step 6 session lifecycle,
-// the adaptation procedure and the ops views. Every assembled system holds a
-// shard.Fleet behind it, which implements it by session-id routing over
-// its shards; each shard is a *Manager, which implements it directly — so the
-// protocol server, playout driver and adaptation monitor also sit on a bare
-// manager in tests and benchmarks. The surface has no reservation lookup: the
-// adaptation monitor lists the live sessions (Sessions) and asks each what it
-// holds (Session.EachHold).
+// the adaptation procedure and the ops views. *Manager implements it; the
+// protocol server, playout driver and adaptation monitor take the interface,
+// so tests can put a fake behind them. The surface has no reservation
+// lookup: the adaptation monitor lists the live sessions (Sessions) and asks
+// each what it holds (Session.EachHold).
 type SessionManager interface {
 	// Negotiation (Section 4, steps 1-5) and renegotiation (Section 8).
 	NegotiateContext(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (Result, error)

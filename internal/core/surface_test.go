@@ -1,4 +1,4 @@
-package shard_test
+package core_test
 
 import (
 	"bufio"
@@ -46,8 +46,8 @@ func (h reserveHook) Reserve(q qos.NetworkQoS) (cmfs.Reservation, error) {
 	return h.MediaServer.Reserve(q)
 }
 
-// TestMetricSurface runs one scripted, sequential day of a 4-shard fleet
-// with admission control, instrumented as qosneg.New instruments a system,
+// TestMetricSurface runs one scripted, sequential day of a manager with
+// admission control, instrumented as qosneg.New instruments a system,
 // and compares every counter and gauge series (name, labels, value) and
 // every HELP/TYPE line of the Prometheus exposition with
 // testdata/metric_surface.golden. The script covers negotiate, confirm,
@@ -65,7 +65,8 @@ func TestMetricSurface(t *testing.T) {
 	const cooldown = 500 * time.Millisecond
 	opts.Health = core.HealthPolicy{FailureThreshold: 3, Cooldown: cooldown, RetryAfter: time.Millisecond}
 	ctrl := admission.New(admission.Config{MaxInFlight: 1, MinInFlight: 1, Clock: clock.Sim(sim.NewEngine())})
-	bed := testbed.MustNew(testbed.Spec{Shards: 4, Faults: inj, Options: &opts, Admission: ctrl})
+	opts.Admission = ctrl
+	bed := testbed.MustNew(testbed.Spec{Faults: inj, Options: &opts})
 	ctrl.Instrument(reg)
 	for _, id := range bed.ServerIDs() {
 		bed.Servers[id].Instrument(reg)
@@ -83,7 +84,7 @@ func TestMetricSurface(t *testing.T) {
 	ctx := context.Background()
 	negotiate := func() *core.Session {
 		t.Helper()
-		res, err := bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", stressProfile())
+		res, err := bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", chaosProfile())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestMetricSurface(t *testing.T) {
 		}
 	}
 
-	// Negotiate, confirm and complete on shard 0; reject on shard 1.
+	// Negotiate, confirm and complete; negotiate and reject.
 	s := negotiate()
 	must(bed.Manager.Confirm(s.ID))
 	must(bed.Manager.Advance(s.ID, time.Minute))
@@ -108,7 +109,7 @@ func TestMetricSurface(t *testing.T) {
 	if !ok {
 		t.Fatal("could not pin the controller's only slot")
 	}
-	if res, err := bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", stressProfile()); err != nil || !res.Shed {
+	if res, err := bed.Manager.NegotiateContext(ctx, bed.Client(1), "news-1", chaosProfile()); err != nil || !res.Shed {
 		t.Fatalf("pinned controller: %+v, %v; want a shed", res, err)
 	}
 	release()
@@ -129,15 +130,15 @@ func TestMetricSurface(t *testing.T) {
 	hookMu.Lock()
 	fire = func() { bed.Manager.Abort(reserved.ID) }
 	hookMu.Unlock()
-	if _, err := bed.Manager.RenegotiateContext(ctx, reserved.ID, stressProfile()); err == nil {
+	if _, err := bed.Manager.RenegotiateContext(ctx, reserved.ID, chaosProfile()); err == nil {
 		t.Fatal("renegotiation installed on an aborted session")
 	}
 
-	// An offer-cache invalidation: a tariff change stales every shard's
-	// memoized candidate sets.
+	// An offer-cache invalidation: a tariff change stales the memoized
+	// candidate sets.
 	p := cost.DefaultPricing()
 	p.GuaranteedMarkupPercent += 10
-	bed.Fleet.SetPricing(p)
+	bed.Manager.SetPricing(p)
 	must(bed.Manager.Reject(negotiate().ID))
 
 	// The adaptation's capacity failures on the degraded victim tripped
@@ -173,7 +174,7 @@ func TestMetricSurface(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	must(err)
-	// The cache-entries gauge is the sum of the shards' caches, as Stats is.
+	// The cache-entries gauge reads what Stats reads.
 	if line := fmt.Sprintf("\n%s %d\n", core.MetricOfferCacheEntries, bed.Manager.Stats().OfferCacheEntries); !strings.Contains(got, line) {
 		t.Errorf("exposition lacks %q", strings.TrimSpace(line))
 	}

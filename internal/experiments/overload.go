@@ -10,6 +10,7 @@ import (
 	"qosneg/internal/admission"
 	"qosneg/internal/client"
 	"qosneg/internal/clock"
+	"qosneg/internal/core"
 	"qosneg/internal/faults"
 	"qosneg/internal/media"
 	"qosneg/internal/profile"
@@ -70,7 +71,7 @@ func (tl *e19Tally) p99() time.Duration {
 }
 
 // e19Harness is the E8 substrate on one simulation engine: an admission
-// controller on the fleet router, and fault weather whose fixed cost per
+// controller gating the manager, and fault weather whose fixed cost per
 // Reserve and Connect is a sleep in virtual time (without it the manager
 // takes no time at all and no load ever accumulates). Every negotiation
 // runs as an engine process.
@@ -92,11 +93,13 @@ func newE19(reserveFail float64, latency time.Duration) *e19Harness {
 	})
 	inj := faults.New(1996)
 	inj.SetClock(h.clk)
+	opts := core.DefaultOptions()
+	opts.Admission = h.ctrl
 	h.bed = testbed.MustNew(testbed.Spec{
 		Clients:        4,
 		Servers:        3,
 		AccessCapacity: 25 * qos.MBitPerSecond,
-		Admission:      h.ctrl,
+		Options:        &opts,
 		Faults:         inj,
 	})
 	inj.SetLatency(latency)
@@ -161,7 +164,7 @@ func (h *e19Harness) arrivals(shape workload.Shape, rate float64, span time.Dura
 }
 
 // drive fires count open-loop arrivals at the given rate, each a process
-// that negotiates through the fleet router and rejects what it reserved,
+// that negotiates through the admission gate and rejects what it reserved,
 // and tallies the outcomes. It returns once the last process has finished,
 // with the virtual time the run took.
 func (h *e19Harness) drive(shape workload.Shape, rate float64, count int) (*e19Tally, time.Duration, error) {

@@ -48,7 +48,7 @@ const (
 // and orders tie runs best-score-first.
 //
 // It keeps no state: the evidence is the manager's server table, which
-// every commit attempt posts to and every shard of a fleet shares. It has
+// every commit attempt posts to. It has
 // no latency input, because nothing it is deployed with measures a
 // server's commit latency: in-process servers answer in CPU time, and a
 // fault injector adds one latency to every server alike. A score read from

@@ -397,50 +397,3 @@ func TestPolicyOffEquivalence(t *testing.T) {
 		t.Fatalf("final stats differ:\nabsent:   %s\ndisabled: %s", finals[0], finals[1])
 	}
 }
-
-// TestBanditFleetPropagation is the end-to-end version of the shard
-// package's stub test: a real bandit on a 2-shard fleet, with one shard's
-// learned aversion to a flaky server steering the sibling too.
-func TestBanditFleetPropagation(t *testing.T) {
-	b := policy.NewBandit()
-	opts := core.DefaultOptions()
-	opts.Health = core.HealthPolicy{FailureThreshold: 0}
-	opts.Policy = b
-	inj := faults.New(3)
-	bed := testbed.MustNew(testbed.Spec{Shards: 2, Clients: 2, Servers: 3, Options: &opts, Faults: inj})
-	if err := bed.Registry.Add(replicatedArticle("news-1", "server-1", "server-2", "server-3")); err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := inj.Server("server-1"); ok {
-		s.SetReserveFailure(1.0)
-	}
-	for i := 0; i < 12; i++ {
-		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(1), "news-1", tvProfile())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Session != nil {
-			bed.Manager.Reject(res.Session.ID)
-		}
-	}
-	// Both shards — not just the one that suffered a failure — must now
-	// steer away from server-1, so the last rounds, placed on both shards,
-	// must commit without burning attempts.
-	before := bed.Manager.Stats()
-	for i := 0; i < 8; i++ {
-		res, err := bed.Manager.NegotiateContext(context.Background(), bed.Client(2), "news-1", tvProfile())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Session != nil {
-			bed.Manager.Reject(res.Session.ID)
-		}
-	}
-	after := bed.Manager.Stats()
-	if d := after.CommitCapacity - before.CommitCapacity; d != 0 {
-		t.Errorf("trained fleet still burned %d failed reserves; cross-shard learning did not take", d)
-	}
-	if err := bed.Ledger.CheckEmpty(); err != nil {
-		t.Error(err)
-	}
-}

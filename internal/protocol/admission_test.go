@@ -29,6 +29,15 @@ func saturatedController(t *testing.T) *admission.Controller {
 	return c
 }
 
+// shedBed is a default bed whose manager is gated by a saturated controller,
+// so it sheds every negotiation.
+func shedBed(t *testing.T) *testbed.Bed {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.Admission = saturatedController(t)
+	return testbed.MustNew(testbed.Spec{Options: &opts})
+}
+
 // serveWith starts a protocol server with explicit options over a populated
 // bed and returns the harness plus its telemetry registry.
 func serveWith(t *testing.T, bed *testbed.Bed, opts ...ServerOption) (*harness, *telemetry.Registry) {
@@ -93,7 +102,7 @@ func TestServerShedBusyOverWire(t *testing.T) {
 // RetryAfter survive the wire.
 func TestManagerShedResultOverWire(t *testing.T) {
 	t.Run(CodecBinary, func(t *testing.T) {
-		bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
+		bed := shedBed(t)
 		if _, err := bed.AddNewsArticle("news-1", "Election night", 90*time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +132,7 @@ func TestManagerShedResultOverWire(t *testing.T) {
 // Negotiate calls on one connection that the manager sheds answers
 // FAILEDTRYLATER with the Shed marker and the controller's hint.
 func TestConcurrentShedNegotiationsCarryRetryAfter(t *testing.T) {
-	bed := testbed.MustNew(testbed.Spec{Admission: saturatedController(t)})
+	bed := shedBed(t)
 	docs := []media.DocumentID{"news-1", "news-2", "news-3"}
 	for _, id := range docs {
 		if _, err := bed.AddNewsArticle(id, "Article "+string(id), time.Minute); err != nil {

@@ -62,7 +62,7 @@ const (
 	MsgWatch MessageType = "watch"
 	// MsgMetrics fetches the daemon's full telemetry snapshot (counters,
 	// gauges, latency histograms): the one observability read, from which
-	// `qosctl stats`, `servers` and `shards` each render one instant. A
+	// `qosctl stats` and `servers` each render one instant. A
 	// daemon running without telemetry answers with an empty snapshot.
 	MsgMetrics MessageType = "metrics"
 )

@@ -25,9 +25,9 @@ import (
 // ErrNotFound is returned for lookups of unknown documents or components.
 var ErrNotFound = errors.New("registry: not found")
 
-// Registry is the document/variant metadata catalog. Every shard of a
-// manager fleet reads the same Registry, so a mutation is visible fleet-wide
-// as soon as the mutating call returns.
+// Registry is the document/variant metadata catalog. The QoS manager reads
+// it directly, so a mutation is visible to the next negotiation as soon as
+// the mutating call returns.
 type Registry struct {
 	mu   sync.RWMutex
 	docs map[media.DocumentID]media.Document

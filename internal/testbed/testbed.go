@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"qosneg/internal/admission"
 	"qosneg/internal/client"
 	"qosneg/internal/cmfs"
 	"qosneg/internal/core"
@@ -20,7 +19,6 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/qos"
 	"qosneg/internal/registry"
-	"qosneg/internal/shard"
 	"qosneg/internal/transport"
 )
 
@@ -29,12 +27,12 @@ type Bed struct {
 	Registry *registry.Registry
 	Network  *network.Network
 	Transit  *transport.System
-	// Manager is the QoS manager surface the rest of the system programs
-	// against; it holds Fleet.
-	Manager core.SessionManager
-	// Fleet is the manager fleet behind Manager (Spec.Shards shards, one by
-	// default), for the fleet-only views: ShardStats, Shards.
-	Fleet   *shard.Fleet
+	// Manager is the QoS manager: one manager over the bed's shared
+	// servers and network.
+	Manager *core.Manager
+	// Fleet answers the manager-fleet calls the benchmark module still
+	// makes, for Manager (ROADMAP item 7a deletes it).
+	Fleet   *Fleet
 	Servers map[media.ServerID]*cmfs.Server
 	Clients map[client.MachineID]client.Machine
 	Pricing cost.Pricing
@@ -55,8 +53,6 @@ type Spec struct {
 	Clients int
 	// Servers is the number of CMFS servers (default 2).
 	Servers int
-	// Shards is the number of manager shards in the bed's fleet (default 1).
-	Shards int
 	// ServerConfig overrides the CMFS disk model (default
 	// cmfs.DefaultConfig).
 	ServerConfig *cmfs.Config
@@ -64,9 +60,6 @@ type Spec struct {
 	AccessCapacity qos.BitRate
 	// Options overrides the QoS manager options.
 	Options *core.Options
-	// Admission, when non-nil, gates negotiation-class work at the fleet
-	// router (see shard.Config.Admission).
-	Admission *admission.Controller
 	// Pricing overrides the default cost tables.
 	Pricing *cost.Pricing
 	// Faults, when non-nil, wraps every CMFS server and the transport
@@ -129,15 +122,8 @@ func New(spec Spec) (*Bed, error) {
 	if spec.Faults != nil {
 		ts = spec.Faults.WrapTransport(ts)
 	}
-	bed.Fleet = shard.New(shard.Config{
-		Shards:    spec.Shards,
-		Registry:  bed.Registry,
-		Transport: ts,
-		Pricing:   bed.Pricing,
-		Options:   opts,
-		Admission: spec.Admission,
-	})
-	bed.Manager = bed.Fleet
+	bed.Manager = core.NewManager(bed.Registry, ts, bed.Pricing, opts)
+	bed.Fleet = &Fleet{bed.Manager}
 	for _, node := range serverNodes {
 		srv, err := cmfs.NewServer(media.ServerID(node), cfg)
 		if err != nil {
@@ -157,6 +143,33 @@ func New(spec Spec) (*Bed, error) {
 	}
 	return bed, nil
 }
+
+// Fleet answers the manager-fleet calls of the benchmark module for
+// Bed.Manager, as one shard. It stays only because the benchmark module
+// calls it; ROADMAP item 7a re-founds the benchmark on the system that
+// exists and deletes it.
+type Fleet struct{ m *core.Manager }
+
+// FleetStat is the row ShardStats returns.
+type FleetStat struct {
+	Shard int
+	// Sessions counts the manager's live (reserved or playing) sessions.
+	Sessions int
+	Stats    core.Stats
+	// BusLag always reads 0.
+	BusLag uint64
+}
+
+// Shards returns 1.
+func (f *Fleet) Shards() int { return 1 }
+
+// ShardStats returns the manager's one row.
+func (f *Fleet) ShardStats() []FleetStat {
+	return []FleetStat{{Sessions: f.m.LiveSessions(), Stats: f.m.Stats()}}
+}
+
+// Sync does nothing.
+func (f *Fleet) Sync() {}
 
 // MustNew is New that panics on error.
 func MustNew(spec Spec) *Bed {

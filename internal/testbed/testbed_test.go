@@ -18,11 +18,9 @@ func TestDefaults(t *testing.T) {
 	if len(b.Servers) != 2 || len(b.Clients) != 2 {
 		t.Errorf("defaults: %d servers, %d clients", len(b.Servers), len(b.Clients))
 	}
-	if n := b.Fleet.Shards(); n != 1 {
-		t.Errorf("defaults: %d shards, want 1", n)
-	}
-	if b.Manager != core.SessionManager(b.Fleet) {
-		t.Error("defaults: Manager does not hold the fleet")
+	// The fleet stand-in is one row: the manager's.
+	if n, rows := b.Fleet.Shards(), b.Fleet.ShardStats(); n != 1 || len(rows) != 1 || rows[0] != (FleetStat{Stats: b.Manager.Stats()}) {
+		t.Errorf("defaults: %d shards, rows %+v; want the manager's one row", n, rows)
 	}
 	ids := b.ServerIDs()
 	if len(ids) != 2 || ids[0] != "server-1" || ids[1] != "server-2" {

@@ -1,7 +1,7 @@
 // Package testleak fails a test binary that leaves goroutines running
 // inside the package under test. Call it from the package's TestMain:
 //
-//	func TestMain(m *testing.M) { testleak.Main(m, "qosneg/internal/shard") }
+//	func TestMain(m *testing.M) { testleak.Main(m, "qosneg/internal/core") }
 package testleak
 
 import (

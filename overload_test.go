@@ -43,7 +43,7 @@ type overloadHarness struct {
 	rr       atomic.Uint64
 }
 
-func newOverloadHarness(t *testing.T, nconns int, extra ...Option) *overloadHarness {
+func newOverloadHarness(t *testing.T, nconns int) *overloadHarness {
 	t.Helper()
 	ctrl := admission.New(admission.Config{
 		SLO: overloadSLO,
@@ -55,10 +55,8 @@ func newOverloadHarness(t *testing.T, nconns int, extra ...Option) *overloadHarn
 	})
 	inj := faults.New(7)
 	reg := telemetry.NewRegistry()
-	options := append([]Option{
-		WithClients(4), WithServers(3),
-		WithMetrics(reg), WithAdmission(ctrl), WithFaultInjector(inj)}, extra...)
-	sys, err := New(options...)
+	sys, err := New(WithClients(4), WithServers(3),
+		WithMetrics(reg), WithAdmission(ctrl), WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,48 +373,11 @@ func TestOverloadShedBurst(t *testing.T) {
 	tally := h.runOpenLoop(t, workload.Bursty, 10*peak, count)
 	assertGraceful(t, tally, time.Since(begin), count)
 	h.windDown(t)
-	// A wire shed is a request that ended FAILEDTRYLATER, as a router
-	// shed is: the fleet counts every refusal the controller made.
+	// A wire shed is a request that ended FAILEDTRYLATER, as a manager
+	// shed is: the manager counts every refusal the controller made.
 	if got, want := h.sys.Manager.Stats().AdmissionSheds, h.ctrl.Stats().Sheds; uint64(got) != want {
-		t.Errorf("fleet counts %d admission sheds, the controller made %d", got, want)
+		t.Errorf("manager counts %d admission sheds, the controller made %d", got, want)
 	}
-}
-
-// TestOverloadShardedFleet runs the open-loop overload harness against a
-// 4-shard manager fleet with the admission decision at the shard router: a
-// bursty 10× overload must shed with usable hints while the admitted p99
-// holds, exactly as on the default single shard — and afterward every shard
-// drains to zero live sessions and the shared ledger balances.
-func TestOverloadShardedFleet(t *testing.T) {
-	count, probeDur := 30_000, 500*time.Millisecond
-	if testing.Short() {
-		count, probeDur = 8_000, 300*time.Millisecond
-	}
-	if raceDetectorOn {
-		count, probeDur = 5_000, 300*time.Millisecond
-	}
-	h := newOverloadHarness(t, 4, WithShards(4))
-	if n := h.sys.Fleet.Shards(); n != 4 {
-		t.Fatalf("WithShards(4) built %d shards", n)
-	}
-	peak := h.probePeak(t, probeDur)
-	begin := time.Now()
-	tally := h.runOpenLoop(t, workload.Bursty, 10*peak, count)
-	assertGraceful(t, tally, time.Since(begin), count)
-	h.windDown(t)
-	for _, row := range h.sys.Fleet.ShardStats() {
-		if row.Sessions != 0 {
-			t.Errorf("shard %d still holds %d live sessions after wind-down", row.Shard, row.Sessions)
-		}
-	}
-	if n, ring := len(h.sys.Manager.Sessions(core.Completed))+len(h.sys.Manager.Sessions(core.Aborted)), 4*core.TombstoneRing; n > ring {
-		t.Errorf("%d retired sessions remembered after wind-down, the four shards' rings hold %d", n, ring)
-	}
-	// The router gate is the only manager-side gate: any manager-level shed
-	// must appear in the fleet's aggregate counters (wire-level sheds are
-	// counted separately by the protocol server).
-	st := h.sys.Manager.Stats()
-	t.Logf("fleet: %d requests, %d router sheds", st.Requests, st.AdmissionSheds)
 }
 
 // TestServeThreadsAdmission pins the facade plumbing: a saturated

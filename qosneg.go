@@ -142,29 +142,23 @@ func WithTracer(tr telemetry.Tracer) Option {
 }
 
 // WithAdmission installs an SLO-driven admission controller on the system:
-// the manager fleet's router sheds negotiation requests with FAILEDTRYLATER
-// (and a load-derived RetryAfter hint) when the controller reports overload
-// — once per request, before routing — and servers built by Serve refuse
-// negotiation-class RPCs with a typed busy reply before any reservation
-// work. When WithMetrics is also set, New instruments the controller. A nil
-// controller
-// disables admission control (the default): each gate is then a single nil
-// check — the zero-overhead path.
+// the QoS manager sheds negotiation and renegotiation requests with
+// FAILEDTRYLATER (and a load-derived RetryAfter hint) when the controller
+// reports overload — once per request, before step 1 — and servers built by
+// Serve refuse negotiation-class RPCs with a typed busy reply before any
+// reservation work. When WithMetrics is also set, New instruments the
+// controller. A nil controller disables admission control (the default):
+// each gate is then a single nil check — the zero-overhead path.
 func WithAdmission(c *admission.Controller) Option {
-	return func(cfg *config) { cfg.spec.Admission = c }
+	return func(cfg *config) { cfg.opts.Admission = c }
 }
 
-// WithShards sets how many independent manager shards the system's fleet
-// runs behind session-id routing (see internal/shard and
-// DESIGN.md §14): new negotiations are placed round-robin, session
-// operations route by session id, every shard reads the one document
-// catalog and commits against the one server table (servers and circuit
-// breaker), and tariff changes reach every shard before the call that made
-// them returns. System.Fleet holds the fleet handle;
-// System.Manager remains the single surface callers use. The default is one
-// shard, which allocates session ids 1, 2, 3 …; n < 1 means 1.
-func WithShards(n int) Option {
-	return func(c *config) { c.spec.Shards = n }
+// WithShards accepts a shard count and ignores it: every system runs one QoS
+// manager (DESIGN.md §14). It stays only because the benchmark module calls
+// it; ROADMAP item 7a re-founds the benchmark on the system that exists and
+// deletes it.
+func WithShards(int) Option {
+	return func(*config) {}
 }
 
 // WithPolicy installs a policy on the QoS manager (see internal/policy and
@@ -172,10 +166,9 @@ func WithShards(n int) Option {
 // adaptation procedure's targets among offers the classifier ranked equal —
 // same status, same OIF — instead of the fixed cost-then-key tie-break. The
 // policy keeps no evidence: each tie run it orders carries its servers' rows
-// of the server table, which records every commit outcome once and which
-// every shard of a sharded system (WithShards) shares. Every shard consults
-// this one object, so it must be safe for concurrent use. Nil — the default
-// — keeps the paper's fixed order byte-for-byte.
+// of the server table, which records every commit outcome once. Concurrent
+// negotiations consult it at once, so it must be safe for concurrent use.
+// Nil — the default — keeps the paper's fixed order byte-for-byte.
 func WithPolicy(p core.Policy) Option {
 	return func(c *config) { c.opts.Policy = p }
 }
@@ -189,8 +182,8 @@ func WithFaultInjector(inj *faults.Injector) Option {
 }
 
 // System is an assembled news-on-demand prototype: the testbed's substrate
-// and manager fleet (Registry, Network, Transit, Manager, Fleet, Servers,
-// Clients, Pricing, Faults, Ledger, AddNewsArticle — see testbed.Bed), plus a
+// and QoS manager (Registry, Network, Transit, Manager, Servers, Clients,
+// Pricing, Faults, Ledger, AddNewsArticle — see testbed.Bed), plus a
 // profile store pre-loaded with the factory profiles and the wire and
 // telemetry configuration Serve and Dial use.
 type System struct {
@@ -223,7 +216,7 @@ func New(options ...Option) (*System, error) {
 		return nil, err
 	}
 	metrics := cfg.opts.Metrics
-	cfg.spec.Admission.Instrument(metrics) // a no-op on a nil controller
+	cfg.opts.Admission.Instrument(metrics) // a no-op on a nil controller
 	if metrics != nil {
 		for _, srv := range bed.Servers {
 			srv.Instrument(metrics)
@@ -242,7 +235,7 @@ func New(options ...Option) (*System, error) {
 		Profiles:  store,
 		Metrics:   metrics,
 		Tracer:    cfg.opts.Tracer,
-		Admission: cfg.spec.Admission,
+		Admission: cfg.opts.Admission,
 	}, nil
 }
 

@@ -11,7 +11,7 @@
 #                                benchtime default 1s) and print a min/median
 #                                ns/op delta table against the baseline JSON.
 #                                Exits non-zero when any E6 negotiation,
-#                                WireRPC or ShardedNegotiate benchmark
+#                                WireRPC or NegotiateParallel benchmark
 #                                regresses by more than maxpct percent
 #                                (default 10) on its minimum.
 set -eu
@@ -81,7 +81,7 @@ if [ "${1:-}" = "-compare" ]; then
 			dmin = (cmin - bmin) / bmin * 100
 			dmed = (cmed - bmed) / bmed * 100
 			flag = ""
-			if (name ~ /^Benchmark(E6|WireRPC|ShardedNegotiate)/ && cmin > bmin * (1 + maxpct / 100)) {
+			if (name ~ /^Benchmark(E6|WireRPC|NegotiateParallel)/ && cmin > bmin * (1 + maxpct / 100)) {
 				flag = "  REGRESSION"
 				fail = 1
 			}
@@ -92,7 +92,7 @@ if [ "${1:-}" = "-compare" ]; then
 			if (!(name in seen))
 				printf "%-52s %s\n", name, "(removed since baseline)"
 		if (fail) {
-			printf "bench: E6 negotiation, WireRPC or ShardedNegotiate regressed more than %s%% vs baseline\n", maxpct > "/dev/stderr"
+			printf "bench: E6 negotiation, WireRPC or NegotiateParallel regressed more than %s%% vs baseline\n", maxpct > "/dev/stderr"
 			exit 1
 		}
 	}

@@ -152,8 +152,8 @@ var rules = []rule{{
 }, {
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
 	// "one breaker table", "no unset knobs", "one count per fact", "one
-	// arrival driver", "one record of commit outcomes", "one ops read" and
-	// "one manager" used.
+	// arrival driver", "one record of commit outcomes", "one ops read", "one
+	// manager" and "every value kept once" used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
@@ -162,7 +162,8 @@ var rules = []rule{{
 		`NewOpenLoop|OpenLoopSpec|BurstFactor|DiurnalAmplitude|` +
 		`ObserveCommit|PolicyObserver|CommitObservation|latencyWeight|` +
 		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload|` +
-		`ShardHooks|SumStats|NextSessionID|MetricShardRouted|MetricShardLiveSessions|qosneg_shard_|qosneg/internal/shard\b`),
+		`ShardHooks|SumStats|NextSessionID|MetricShardRouted|MetricShardLiveSessions|qosneg_shard_|qosneg/internal/shard\b|` +
+		`GaugeFamily|streamGauge|connGauge|redialCtr|\bc\.connCtr\b|badAcquires`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / one server table holds every quarantine; a quarantine is one fact, never copied between tables" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
@@ -170,7 +171,8 @@ var rules = []rule{{
 		" / workload.Generator is the one arrival source and Generator.Drive the one driver; the shapes' tuning is constant" +
 		" / the server table is the one record of commit outcomes; a policy reads its rows and keeps no evidence of its own" +
 		" / the metrics snapshot is the one ops read; qosctl renders stats and servers from it" +
-		" / one manager runs every system: no shard router, per-shard hooks, strided ids or per-shard series (a fleet measured no faster)",
+		" / one manager runs every system: no shard router, per-shard hooks, strided ids or per-shard series (a fleet measured no faster)" +
+		" / a gauge is a collector over its owner's state, and a count its owner keeps is read from the owner; the ledger only reads tables",
 	at: "internal/protocol/x.go", plant: "package protocol\n\nfunc (c *Client) f(m *Manager) {\n\t_ = m.topK()\n\tc.roundTrip(Envelope{Type: MsgStats}, &StatsInfoPayload{})\n}\n",
 	more: []string{
 		"package protocol\n\nvar _ core.ShardHooks\n",
@@ -180,6 +182,12 @@ var rules = []rule{{
 		"package protocol\n\nvar n = shard.MetricShardLiveSessions\n",
 		"package protocol\n\nconst n = \"qosneg_shard_routed_total\"\n",
 		"package protocol\n\nimport _ \"qosneg/internal/shard\"\n",
+		"package protocol\n\nvar f *telemetry.GaugeFamily\n",
+		"package protocol\n\nfunc (c *Client) f() { c.streamGauge.Add(1) }\n",
+		"package protocol\n\nfunc (s *Server) f() { s.connGauge.Add(-1) }\n",
+		"package protocol\n\nfunc (c *Client) f() { c.redialCtr.Inc() }\n",
+		"package protocol\n\nfunc (c *Client) f() { c.connCtr.Inc() }\n",
+		"package protocol\n\nfunc (l *Ledger) f() { l.badAcquires.Add(1) }\n",
 	},
 }, {
 	name: "the wire reads no fleet", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },

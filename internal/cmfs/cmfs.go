@@ -146,9 +146,8 @@ type Server struct {
 	demand      int64   // Σ bytesPerRound(r.Rate) over streams
 	degradation float64 // fraction of DiskRate lost, in [0, 1)
 
-	// Telemetry series, installed by Instrument; nil when uninstrumented
-	// (recording through them is then a no-op).
-	admitted *telemetry.Counter
+	// rejected counts refused admission tests, installed by Instrument; nil
+	// (a no-op) when uninstrumented. Admits are the ids issued from next.
 	rejected *telemetry.Counter
 }
 
@@ -188,15 +187,19 @@ const (
 
 // Instrument wires the server's admission decisions into a telemetry
 // registry: per-server admit/reject counters, and active-streams and
-// utilization gauges read from the stream table, all labeled with the
-// server id. A nil registry is a no-op; instrumenting several servers
-// against one registry shares the metric families.
+// utilization gauges, all labeled with the server id. Admits and both
+// gauges are read from the stream table; only rejects, which no table
+// keeps, are counted. A nil registry is a no-op; instrumenting several
+// servers against one registry shares the metric families.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	admits := reg.CounterFamily("qosneg_cmfs_admits_total",
-		"Stream reservations admitted by the disk-round test.", "server")
+	reg.Collect(telemetry.Collector{Name: "qosneg_cmfs_admits_total", Help: "Stream reservations admitted by the disk-round test.",
+		Label: "server", Owner: s, Read: func(emit func(string, int64)) {
+			issued, _ := (*table)(s).Tally()
+			emit(string(s.id), int64(issued))
+		}})
 	rejects := reg.CounterFamily("qosneg_cmfs_rejects_total",
 		"Stream reservations rejected (admission failure or stream cap).", "server")
 	reg.Collect(telemetry.Collector{Name: MetricActiveStreams, Help: "Currently reserved streams.",
@@ -206,7 +209,6 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		Label: "server", Gauge: true, Owner: s,
 		Read: func(emit func(string, int64)) { emit(string(s.id), int64(math.Round(1000*s.Utilization()))) }})
 	s.mu.Lock()
-	s.admitted = admits.With(string(s.id))
 	s.rejected = rejects.With(string(s.id))
 	s.mu.Unlock()
 }
@@ -375,7 +377,6 @@ func (s *Server) Reserve(n qos.NetworkQoS) (Reservation, error) {
 	r := Reservation{ID: s.next, Rate: charged, Peak: n.MaxBitRate}
 	s.streams[r.ID] = r
 	s.demand += p.demand
-	s.admitted.Inc()
 	return r, nil
 }
 

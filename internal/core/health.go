@@ -476,6 +476,18 @@ func (t *ServerTable) loads(clk clock.Clock) []ServerLoad {
 	return out
 }
 
+// quarantines sums the breaker trips on the server rows: the one count of
+// them, which Stats and qosneg_quarantines_total read.
+func (t *ServerTable) quarantines() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := 0
+	for _, rec := range t.servers {
+		n += rec.quarantines
+	}
+	return n
+}
+
 // policyInfo snapshots one server's row for a policy: its breaker history,
 // its outcomes for guarantee g and its live load.
 func (t *ServerTable) policyInfo(id media.ServerID, g cost.Guarantee) PolicyServer {
@@ -532,7 +544,8 @@ func (t *ServerTable) instrument(reg *telemetry.Registry) {
 
 // recordCommitFailure feeds one failed commit attempt of guarantee g into
 // the outcome counters and, for server-attributable causes, the server's
-// record. A trip is counted, traced and purged from the offer cache here.
+// record, which counts a trip. A trip is traced and purged from the offer
+// cache here.
 func (m *Manager) recordCommitFailure(f commitFailure, g cost.Guarantee) {
 	m.count.commitFailures[f.cause].Add(1)
 	if f.server == "" || (f.cause != CauseServerDown && f.cause != CauseCapacity) {
@@ -541,7 +554,6 @@ func (m *Manager) recordCommitFailure(f commitFailure, g cost.Guarantee) {
 
 	if m.servers.recordFailure(f, g, m.opts.Health, m.clk) {
 		m.exclusionChanged()
-		m.count.quarantines.Add(1)
 		if m.opts.Tracer != nil {
 			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
 			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})

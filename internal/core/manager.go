@@ -321,7 +321,7 @@ func (m *Manager) Stats() Stats {
 		CommitServerDown:     n(&c.commitFailures[CauseServerDown]),
 		CommitCapacity:       n(&c.commitFailures[CauseCapacity]),
 		CommitConstraint:     n(&c.commitFailures[CauseConstraint]),
-		Quarantines:          n(&c.quarantines),
+		Quarantines:          m.servers.quarantines(),
 		AdmissionSheds:       sheds,
 		Revenue:              cost.Money(c.revenue.Load()),
 	}

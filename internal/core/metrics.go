@@ -64,7 +64,6 @@ type negMetrics struct {
 type counts struct {
 	outcomes       [len(negotiationStatusNames)]atomic.Int64
 	commitFailures [len(failureCauseNames)]atomic.Int64
-	quarantines    atomic.Int64
 	adaptations    [len(adaptationResults)]atomic.Int64
 	staleInstalls  [len(staleProcedures)]atomic.Int64
 	revenue        atomic.Int64
@@ -128,7 +127,7 @@ func (m *Manager) instrument(reg *telemetry.Registry) {
 		c.commitFailures[:], failureCauseNames[:])
 	m.met.commitSkips = reg.Counter(MetricCommitSkips,
 		"Offers skipped because their server was already seen down this run.")
-	collect(MetricQuarantines, "Circuit-breaker trips.", false, c.quarantines.Load)
+	collect(MetricQuarantines, "Circuit-breaker trips.", false, func() int64 { return int64(m.servers.quarantines()) })
 	m.servers.instrument(reg)
 	labeled(MetricAdaptations, "Adaptation-procedure runs by result.", "result",
 		c.adaptations[:], adaptationResults[:])

@@ -22,12 +22,10 @@
 // OnViolation callback — the fail-fast half of the check. The slow half,
 // leak detection, runs at quiescence via CheckEmpty.
 //
-// Callers with no table of their own post through Acquire and Release. The
-// ledger keeps a table for each (kind, owner) pair they post to, read as
-// the substrates' tables are; a posted table does check for a double
-// acquire. The ledger is always on in the test beds (package testbed and
-// the core test fixtures install one), and it is nil-safe: every method on
-// a nil *Ledger is a no-op.
+// The ledger only reads registered tables; it keeps none of its own. It is
+// always on in the test beds (package testbed and the core test fixtures
+// install one), and it is nil-safe: every method on a nil *Ledger is a
+// no-op.
 package ledger
 
 import (
@@ -35,7 +33,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"qosneg/internal/telemetry"
 )
@@ -75,9 +72,8 @@ func (r Resource) String() string {
 }
 
 // Table is a record of granted resources the ledger reads: a substrate's
-// own reservation table, or a table the ledger keeps for posted resources.
-// Both methods run under the table's own lock and must not call back into
-// the ledger.
+// own reservation table. Both methods run under the table's own lock and
+// must not call back into the ledger.
 type Table interface {
 	// Tally returns how many ids the table has issued and how many of them
 	// it holds open, read together.
@@ -86,26 +82,21 @@ type Table interface {
 	EachOpen(f func(id uint64))
 }
 
-// accountKey names one table.
-type accountKey struct{ kind, owner string }
+// tableKey names one table.
+type tableKey struct{ kind, owner string }
 
 // Ledger is the view over the registered tables. It is safe for concurrent
 // use; the zero value is not usable, build one with New. A nil *Ledger is
 // inert.
 type Ledger struct {
-	// badAcquires and badReleases count the violations, which no table
-	// holds: an acquire of a posted id already open, and a release of an id
-	// not open. Counts adds them in.
-	badAcquires atomic.Uint64
-	badReleases atomic.Uint64
-
 	// tablesMu guards tables. Lock order: tablesMu, then a table's own
 	// lock; mu is taken on its own.
 	tablesMu sync.Mutex
-	tables   map[accountKey]Table
+	tables   map[tableKey]Table
 
 	// mu guards the violation record, the callback and the leak counter,
-	// which is nil until Instrument installs it.
+	// which is nil until Instrument installs it. Each violation is a release
+	// of an id not open, which no table holds; Counts adds them in.
 	mu         sync.Mutex
 	violations []string
 	onViolate  func(string)
@@ -114,7 +105,7 @@ type Ledger struct {
 
 // New returns an empty ledger.
 func New() *Ledger {
-	return &Ledger{tables: make(map[accountKey]Table)}
+	return &Ledger{tables: make(map[tableKey]Table)}
 }
 
 // Register makes t the table the ledger reads for (kind, owner). A key
@@ -124,53 +115,8 @@ func (l *Ledger) Register(kind, owner string, t Table) {
 		return
 	}
 	l.tablesMu.Lock()
-	l.tables[accountKey{kind, owner}] = t
+	l.tables[tableKey{kind, owner}] = t
 	l.tablesMu.Unlock()
-}
-
-// account is a table the ledger keeps for one (kind, owner) pair that
-// callers post to: its open ids and the number of distinct ids acquired. A
-// nil *account is inert.
-type account struct {
-	l     *Ledger
-	kind  string
-	owner string
-
-	mu     sync.Mutex
-	issued uint64
-	open   map[uint64]struct{}
-}
-
-func (a *account) Tally() (uint64, int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.issued, len(a.open)
-}
-
-func (a *account) EachOpen(f func(uint64)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for id := range a.open {
-		f(id)
-	}
-}
-
-// account returns the posted table for (kind, owner), registering it on
-// the first call and taking the key over from a substrate's table; later
-// calls return the same table. A nil ledger returns a nil account.
-func (l *Ledger) account(kind, owner string) *account {
-	if l == nil {
-		return nil
-	}
-	k := accountKey{kind, owner}
-	l.tablesMu.Lock()
-	defer l.tablesMu.Unlock()
-	a, ok := l.tables[k].(*account)
-	if !ok {
-		a = &account{l: l, kind: kind, owner: owner, open: make(map[uint64]struct{})}
-		l.tables[k] = a
-	}
-	return a
 }
 
 // OnViolation installs a callback invoked synchronously (outside the
@@ -201,47 +147,13 @@ func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	l.mu.Unlock()
 }
 
-// Acquire posts one resource acquisition to the ledger's table for (kind,
-// owner). Acquiring a resource that is already open is a violation (the
-// caller reused a live id).
-func (l *Ledger) Acquire(kind, owner string, id uint64) { l.account(kind, owner).acquire(id) }
+// Acquire and Release are no-ops kept for the benchmark's ledger leaf until
+// ROADMAP item 7a rewrites it: every resource the system grants is read
+// from its substrate's table, and the ledger posts nothing.
+func (l *Ledger) Acquire(kind, owner string, id uint64) {}
 
-// Release balances one posted acquisition. Releasing a resource with no
-// open entry is a violation: a double release, or a release of something
-// never acquired.
-func (l *Ledger) Release(kind, owner string, id uint64) { l.account(kind, owner).release(id) }
-
-func (a *account) acquire(id uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	n := len(a.open)
-	a.open[id] = struct{}{}
-	dup := len(a.open) == n
-	if !dup {
-		a.issued++
-	}
-	a.mu.Unlock()
-	if dup {
-		a.l.badAcquires.Add(1)
-		a.l.violate("ledger: double acquire of %s", Resource{a.kind, a.owner, id})
-	}
-}
-
-func (a *account) release(id uint64) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	n := len(a.open)
-	delete(a.open, id)
-	held := len(a.open) < n
-	a.mu.Unlock()
-	if !held {
-		a.l.BadRelease(a.kind, a.owner, id)
-	}
-}
+// Release is a no-op; see Acquire.
+func (l *Ledger) Release(kind, owner string, id uint64) {}
 
 // BadRelease reports the release of an id the (kind, owner) table does not
 // hold: a double release, or a release of something never granted. A
@@ -250,14 +162,7 @@ func (l *Ledger) BadRelease(kind, owner string, id uint64) {
 	if l == nil {
 		return
 	}
-	l.badReleases.Add(1)
-	l.violate("ledger: release of %s with no open entry (double release?)", Resource{kind, owner, id})
-}
-
-// violate records one violation of resource r and reports it to the
-// callback.
-func (l *Ledger) violate(format string, r Resource) {
-	violation := fmt.Sprintf(format, r)
+	violation := fmt.Sprintf("ledger: release of %s with no open entry (double release?)", Resource{kind, owner, id})
 	l.mu.Lock()
 	l.violations = append(l.violations, violation)
 	l.leaked.Inc()
@@ -269,7 +174,7 @@ func (l *Ledger) violate(format string, r Resource) {
 }
 
 // eachTable calls f with every registered table under the tables lock.
-func (l *Ledger) eachTable(f func(k accountKey, t Table)) {
+func (l *Ledger) eachTable(f func(k tableKey, t Table)) {
 	l.tablesMu.Lock()
 	defer l.tablesMu.Unlock()
 	for k, t := range l.tables {
@@ -283,7 +188,7 @@ func (l *Ledger) Open() int {
 		return 0
 	}
 	open := 0
-	l.eachTable(func(_ accountKey, t Table) {
+	l.eachTable(func(_ tableKey, t Table) {
 		_, n := t.Tally()
 		open += n
 	})
@@ -291,18 +196,20 @@ func (l *Ledger) Open() int {
 }
 
 // Counts returns the acquires and releases so far: each table's issued ids
-// are its acquires, and those no longer open its releases. Violations count
-// on the side they were posted to.
+// are its acquires, and those no longer open its releases, to which each
+// violation, a release of an id not open, adds one.
 func (l *Ledger) Counts() (acquires, releases uint64) {
 	if l == nil {
 		return 0, 0
 	}
-	l.eachTable(func(_ accountKey, t Table) {
+	l.eachTable(func(_ tableKey, t Table) {
 		issued, open := t.Tally()
 		acquires += issued
 		releases += issued - uint64(open)
 	})
-	return acquires + l.badAcquires.Load(), releases + l.badReleases.Load()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return acquires, releases + uint64(len(l.violations))
 }
 
 // Violations returns the violation descriptions recorded so far.
@@ -324,7 +231,7 @@ func (l *Ledger) CheckEmpty() error {
 		return nil
 	}
 	var leaks []Resource
-	l.eachTable(func(k accountKey, t Table) {
+	l.eachTable(func(k tableKey, t Table) {
 		t.EachOpen(func(id uint64) { leaks = append(leaks, Resource{k.kind, k.owner, id}) })
 	})
 	l.mu.Lock()

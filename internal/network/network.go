@@ -119,8 +119,8 @@ type Network struct {
 	// w is the path scratch, reused under mu.
 	w walker
 
-	// Telemetry series, installed by Instrument; nil when uninstrumented.
-	admitted *telemetry.Counter
+	// rejected counts refused reservations, installed by Instrument; nil (a
+	// no-op) when uninstrumented. Admits are the ids issued from next.
 	rejected *telemetry.Counter
 
 	// led, when non-nil, is the resource ledger the reservation table is
@@ -160,20 +160,24 @@ func (t *table) EachOpen(f func(uint64)) {
 }
 
 // Instrument wires the network's reservation decisions into a telemetry
-// registry: admit/reject counters and a live-reservation gauge read from
-// the reservation table. A nil registry is a no-op.
+// registry: admit/reject counters and a live-reservation gauge. Admits and
+// the gauge are read from the reservation table; only rejects, which no
+// table keeps, are counted. A nil registry is a no-op.
 func (n *Network) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	admitted := reg.Counter("qosneg_network_admits_total",
-		"Path bandwidth reservations admitted.")
+	reg.Collect(telemetry.Collector{Name: "qosneg_network_admits_total", Help: "Path bandwidth reservations admitted.",
+		Owner: n, Read: func(emit func(string, int64)) {
+			issued, _ := (*table)(n).Tally()
+			emit("", int64(issued))
+		}})
 	rejected := reg.Counter("qosneg_network_rejects_total",
 		"Path bandwidth reservations rejected (path no longer feasible).")
 	reg.Collect(telemetry.Collector{Name: "qosneg_network_active_reservations", Help: "Currently held path reservations.",
 		Gauge: true, Owner: n, Read: func(emit func(string, int64)) { emit("", int64(n.ActiveReservations())) }})
 	n.mu.Lock()
-	n.admitted, n.rejected = admitted, rejected
+	n.rejected = rejected
 	n.mu.Unlock()
 }
 
@@ -754,7 +758,6 @@ func (n *Network) chargeLocked(rt *route, q qos.NetworkQoS) Reservation {
 	}
 	n.next++
 	n.resv[n.next] = held{rt: rt, rate: q.AvgBitRate}
-	n.admitted.Inc()
 	return Reservation{ID: n.next, Path: rt.path, Rate: q.AvgBitRate}
 }
 

@@ -121,10 +121,11 @@ func (c openClone) state() string {
 		links = append(links, fmt.Sprintf("%s=%d", l, a))
 	}
 	acq, rel := c.led.Counts()
+	snap := c.reg.Snapshot()
 	return fmt.Sprintf("links %v admits %d rejects %d active %d ledger open %d acquires %d releases %d violations %v",
 		links,
-		c.reg.Counter("qosneg_network_admits_total", "").Value(),
-		c.reg.Counter("qosneg_network_rejects_total", "").Value(),
+		snap.CounterValue("qosneg_network_admits_total", ""),
+		snap.CounterValue("qosneg_network_rejects_total", ""),
 		c.n.ActiveReservations(), c.led.Open(), acq, rel, c.led.Violations())
 }
 

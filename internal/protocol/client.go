@@ -95,35 +95,42 @@ type Client struct {
 	redials int
 
 	// Telemetry, installed by Instrument; nil when uninstrumented.
-	rpcSeconds  *telemetry.HistogramFamily
-	rpcErrors   *telemetry.CounterFamily
-	redialCtr   *telemetry.Counter
-	connCtr     *telemetry.Counter
-	streamGauge *telemetry.Gauge
-	tracer      telemetry.Tracer
+	rpcSeconds *telemetry.HistogramFamily
+	rpcErrors  *telemetry.CounterFamily
+	tracer     telemetry.Tracer
 }
 
 // Instrument wires the client into a telemetry registry (per-RPC latency
-// histograms and error counters by message type, a redial counter, a
-// connection counter and a live-stream gauge) and an optional
-// tracer that receives a StepRedial span per successful reconnect. Both
-// arguments may be nil.
+// histograms and error counters by message type, and the redial,
+// connection and live-stream series read from the client itself) and an
+// optional tracer that receives a StepRedial span per successful reconnect.
+// Both arguments may be nil.
 func (c *Client) Instrument(reg *telemetry.Registry, tr telemetry.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if reg != nil {
-		c.rpcSeconds = reg.HistogramFamily("qosneg_rpc_client_seconds",
-			"Client-side RPC latency by message type, including retries.", "type", telemetry.LatencyBuckets)
-		c.rpcErrors = reg.CounterFamily("qosneg_rpc_client_errors_total",
-			"Client RPCs that ultimately failed, by message type.", "type")
-		c.redialCtr = reg.Counter("qosneg_client_redials_total",
-			"Successful reconnects to the daemon.")
-		c.connCtr = reg.Counter("qosneg_client_connections_total",
-			"Connections established.")
-		c.streamGauge = reg.Gauge("qosneg_client_streams",
-			"Currently open client-side streams on multiplexed connections.")
-	}
 	c.tracer = tr
+	if reg == nil {
+		return
+	}
+	c.rpcSeconds = reg.HistogramFamily("qosneg_rpc_client_seconds",
+		"Client-side RPC latency by message type, including retries.", "type", telemetry.LatencyBuckets)
+	c.rpcErrors = reg.CounterFamily("qosneg_rpc_client_errors_total",
+		"Client RPCs that ultimately failed, by message type.", "type")
+	collectLocked(reg, &c.mu, c, "qosneg_client_redials_total", "Successful reconnects to the daemon.", false,
+		func() int { return c.redials })
+	collectLocked(reg, &c.mu, c, "qosneg_client_connections_total", "Connections established.", false, func() int {
+		if !c.dialed {
+			return 0
+		}
+		return 1 + c.redials
+	})
+	collectLocked(reg, &c.mu, c, "qosneg_client_streams", "Currently open client-side streams on multiplexed connections.", true,
+		func() int {
+			if c.cc == nil {
+				return 0
+			}
+			return len(c.cc.sem)
+		})
 }
 
 // Dial connects to a negotiation daemon, abandoning the attempt when ctx is
@@ -220,10 +227,8 @@ func (c *Client) connectLocked(ctx context.Context) (*clientConn, error) {
 		return nil, err
 	}
 	c.cc = cc
-	c.connCtr.Inc()
 	if c.dialed {
 		c.redials++
-		c.redialCtr.Inc()
 		if c.tracer != nil {
 			c.tracer.Trace(telemetry.Event{Step: telemetry.StepRedial, Server: c.addr})
 		}
@@ -753,7 +758,6 @@ func (cc *clientConn) startStream(ctx context.Context, sink streamSink, env Enve
 	id := cc.nextID
 	cc.streams[id] = sink
 	cc.smu.Unlock()
-	cc.owner.streamGauge.Add(1)
 	if err := cc.fw.sendEnvelope(id, 0, env); err != nil {
 		cc.endStream(id)
 		err = fmt.Errorf("protocol: send: %w", err)
@@ -770,7 +774,6 @@ func (cc *clientConn) endStream(id uint32) {
 		delete(cc.streams, id)
 	}
 	cc.smu.Unlock()
-	cc.owner.streamGauge.Add(-1)
 	<-cc.sem
 }
 

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,14 +32,19 @@ func daemonHarness(t *testing.T, spec testbed.Spec) (*harness, *telemetry.Regist
 	return startHarness(t, bed, srv), reg
 }
 
-// gauges reads the snapshot's series of one gauge by label value.
+// gauges reads the snapshot's series of one gauge by label value ("" for
+// an unlabeled gauge).
 func gauges(snap telemetry.Snapshot, name string) map[string]int64 {
 	out := map[string]int64{}
 	for _, g := range snap.Gauges {
-		if g.Name == name {
-			for _, v := range g.Labels {
-				out[v] = g.Value
-			}
+		if g.Name != name {
+			continue
+		}
+		if g.Labels == nil {
+			out[""] = g.Value
+		}
+		for _, v := range g.Labels {
+			out[v] = g.Value
 		}
 	}
 	return out
@@ -92,6 +98,55 @@ func TestMetricsOverWire(t *testing.T) {
 	}
 	if got := snap.CounterValue("qosneg_rpc_client_errors_total", string(MsgSession)); got != 1 {
 		t.Fatalf("client errors{session} = %d, want 1", got)
+	}
+	// The client was instrumented after it connected, as System.Dial does:
+	// its connection and redial counts are its own, read at Snapshot.
+	for name, want := range map[string]uint64{
+		"qosneg_client_connections_total": 1,
+		"qosneg_client_redials_total":     0,
+		"qosneg_server_connections_total": 1,
+	} {
+		if got := snap.CounterValue(name, ""); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestWireGaugesAtAnInstant reads the live-connection and live-stream
+// gauges twice: a metrics read over the wire sees its own connection and
+// its own stream on both ends, and once the client has closed and the
+// handler has exited all three read 0.
+func TestWireGaugesAtAnInstant(t *testing.T) {
+	h, reg := daemonHarness(t, testbed.Spec{})
+	c := h.dial(t)
+	c.Instrument(reg, nil)
+	wire := []string{"qosneg_server_connections", "qosneg_server_streams", "qosneg_client_streams"}
+	snap, err := c.Metrics(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range wire {
+		if got, ok := gauges(snap, name)[""]; !ok || got != 1 {
+			t.Errorf("%s = %d (found %v) during the metrics read, want 1", name, got, ok)
+		}
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap := reg.Snapshot()
+		var open []string
+		for _, name := range wire {
+			if got := gauges(snap, name)[""]; got != 0 {
+				open = append(open, fmt.Sprintf("%s = %d", name, got))
+			}
+		}
+		if len(open) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the client closed: %v, want all 0", open)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

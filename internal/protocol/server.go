@@ -48,22 +48,22 @@ type Server struct {
 	mu          sync.Mutex
 	confirmHook func(core.SessionID)
 	timers      map[core.SessionID]clock.Timer
-	conns       map[net.Conn]bool
-	wg          sync.WaitGroup
-	closed      bool
+	// conns holds each open connection and, once its handshake is done, its
+	// stream semaphore, whose held slots are the connection's open streams.
+	conns  map[net.Conn]chan struct{}
+	wg     sync.WaitGroup
+	closed bool
 	// expired counts sessions aborted by choice-period time-out; Expired and
 	// the qosneg_sessions_expired_total series both read it.
 	expired atomic.Int64
 
 	// Telemetry, installed by Instrument before Serve; all nil when the
 	// server runs uninstrumented (every recording call is nil-safe).
-	metrics     *telemetry.Registry
-	rpcSeconds  *telemetry.HistogramFamily
-	rpcErrors   *telemetry.CounterFamily
-	connGauge   *telemetry.Gauge
-	connCtr     *telemetry.Counter
-	streamGauge *telemetry.Gauge
-	shedCtr     *telemetry.Counter
+	metrics    *telemetry.Registry
+	rpcSeconds *telemetry.HistogramFamily
+	rpcErrors  *telemetry.CounterFamily
+	connCtr    *telemetry.Counter
+	shedCtr    *telemetry.Counter
 }
 
 // defaultShedRetryAfter is the hint a busy reply carries when the stream
@@ -92,11 +92,11 @@ func WithServerAdmission(c *admission.Controller) ServerOption {
 }
 
 // Instrument wires the server into a telemetry registry: per-RPC latency
-// histograms and error counters by message type, a live-connection gauge,
-// a connection counter, a live-stream gauge for multiplexed
-// connections, a choice-period-expiry counter — and makes MsgMetrics
-// answer with the registry's snapshot. Call before Serve; a nil registry
-// is a no-op.
+// histograms and error counters by message type, a connection counter, a
+// shed counter, and the live-connection, live-stream and choice-period-expiry
+// series read from the server's own connection set, stream semaphores and
+// expiry count — and makes MsgMetrics answer with the registry's snapshot.
+// Call before Serve; a nil registry is a no-op.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -106,17 +106,34 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Server-side RPC handling latency by message type.", "type", telemetry.LatencyBuckets)
 	s.rpcErrors = reg.CounterFamily("qosneg_rpc_server_errors_total",
 		"RPCs answered with an error, by message type.", "type")
-	s.connGauge = reg.Gauge("qosneg_server_connections",
-		"Currently open protocol connections.")
+	collectLocked(reg, &s.mu, s, "qosneg_server_connections", "Currently open protocol connections.", true,
+		func() int { return len(s.conns) })
 	s.connCtr = reg.Counter("qosneg_server_connections_total",
 		"Connections served.")
-	s.streamGauge = reg.Gauge("qosneg_server_streams",
-		"Currently executing streams on multiplexed connections.")
+	collectLocked(reg, &s.mu, s, "qosneg_server_streams", "Currently executing streams on multiplexed connections.", true,
+		func() int {
+			n := 0
+			for _, sem := range s.conns {
+				n += len(sem)
+			}
+			return n
+		})
 	reg.Collect(telemetry.Collector{Name: "qosneg_sessions_expired_total",
 		Help: "Sessions aborted by choice-period time-out.", Owner: s,
 		Read: func(emit func(string, int64)) { emit("", s.expired.Load()) }})
 	s.shedCtr = reg.Counter("qosneg_rpc_shed_total",
 		"Requests shed with a typed busy reply before dispatch.")
+}
+
+// collectLocked registers an unlabeled series whose value v reads from
+// owner's state under mu at Snapshot time.
+func collectLocked(reg *telemetry.Registry, mu *sync.Mutex, owner any, name, help string, gauge bool, v func() int) {
+	reg.Collect(telemetry.Collector{Name: name, Help: help, Gauge: gauge, Owner: owner,
+		Read: func(emit func(string, int64)) {
+			mu.Lock()
+			defer mu.Unlock()
+			emit("", int64(v()))
+		}})
 }
 
 // NewServer builds a protocol server over the QoS manager and registry.
@@ -129,7 +146,7 @@ func NewServer(man core.SessionManager, reg *registry.Registry, opts ...ServerOp
 		cancel:  cancel,
 		clk:     clock.Wall{},
 		timers:  make(map[core.SessionID]clock.Timer),
-		conns:   make(map[net.Conn]bool),
+		conns:   make(map[net.Conn]chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -157,17 +174,15 @@ func (s *Server) Serve(l net.Listener) error {
 			conn.Close()
 			return nil
 		}
-		s.conns[conn] = true
+		s.conns[conn] = nil
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.connGauge.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
-			s.connGauge.Add(-1)
 		}()
 	}
 }
@@ -557,6 +572,9 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 		work                = make(chan streamWork)
 		connCtx, connCancel = context.WithCancel(s.baseCtx)
 	)
+	s.mu.Lock()
+	s.conns[conn] = sem
+	s.mu.Unlock()
 	defer func() {
 		connCancel()
 		close(work)
@@ -583,7 +601,6 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 			smu.Unlock()
 			st.cancel()
 			<-sem
-			s.streamGauge.Add(-1)
 		}
 		for ok := true; ok; st, ok = <-work {
 			closed = false
@@ -665,11 +682,9 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader, maxStreams int) {
 			fw.stop()
 			return
 		}
-		s.streamGauge.Add(1)
 		if !negotiationType(env.Type) && env.Type != MsgWatch {
 			resp := s.serve(connCtx, env)
 			<-sem
-			s.streamGauge.Add(-1)
 			fw.sendEnvelope(f.Stream, flagFIN, resp)
 			continue
 		}

@@ -1,8 +1,15 @@
 // Package telemetry is the observability substrate of the reproduction: a
-// dependency-free metrics registry (atomic counters, gauges and fixed-bucket
-// latency histograms with lock-free hot-path recording, labeled families of
-// each, and collectors that read a value its owner already keeps at
-// Snapshot time) and a typed span tracer for the negotiation procedure.
+// dependency-free metrics registry and a typed span tracer for the
+// negotiation procedure.
+//
+// The registry keeps each value once. A value some component already keeps
+// (an outcome count, a table's issued ids, a connection set, a stream
+// semaphore's held slots) is that component's alone: it registers a
+// Collector, and the registry reads the value at Snapshot time. Every gauge
+// is such a collector. The registry itself counts only events no owner
+// counts (RPC latencies and errors, sheds, skips): atomic counters and
+// fixed-bucket latency histograms with lock-free hot-path recording, and
+// one-label families of each.
 //
 // The paper's QoS manager is explicitly a monitoring entity — the
 // adaptation procedure of Section 4 acts when the manager *observes* a QoS
@@ -11,7 +18,7 @@
 // produces those measurements for the rest of the system: internal/core
 // records negotiation outcomes and per-step latencies, internal/protocol
 // records per-RPC latencies and errors on both ends of the wire, and
-// internal/cmfs / internal/network record reservation admission decisions.
+// internal/cmfs / internal/network expose their reservation tables.
 //
 // # Disabled telemetry is free
 //
@@ -74,33 +81,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v. Safe on a nil gauge.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adds d (negative to decrement). Safe on a nil gauge.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v.Add(d)
-	}
-}
-
-// Value returns the current value; 0 on a nil gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket latency histogram with lock-free recording:
@@ -188,35 +168,6 @@ func (f *CounterFamily) With(value string) *Counter {
 	return c
 }
 
-// GaugeFamily is a set of gauges sharing a name, distinguished by one label.
-type GaugeFamily struct {
-	name, help, label string
-	mu                sync.RWMutex
-	series            map[string]*Gauge
-}
-
-// With returns the gauge for one label value, creating it on first use.
-// Safe on a nil family (returns a nil gauge).
-func (f *GaugeFamily) With(value string) *Gauge {
-	if f == nil {
-		return nil
-	}
-	f.mu.RLock()
-	g := f.series[value]
-	f.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g := f.series[value]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	f.series[value] = g
-	return g
-}
-
 // HistogramFamily is a set of histograms sharing a name and bucketing,
 // distinguished by one label (per-step, per-RPC-type latency series).
 type HistogramFamily struct {
@@ -257,10 +208,8 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindHistogram
 	kindCounterFamily
-	kindGaugeFamily
 	kindHistogramFamily
 	kindCounterCollector
 	kindGaugeCollector
@@ -271,10 +220,8 @@ type entry struct {
 	kind       kind
 	name, help string
 	c          *Counter
-	g          *Gauge
 	h          *Histogram
 	cf         *CounterFamily
-	gf         *GaugeFamily
 	hf         *HistogramFamily
 	// cs is a collector's registrations, one per owner, guarded by the
 	// registry's mu.
@@ -324,14 +271,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.lookup(name, help, kindCounter, func(e *entry) { e.c = &Counter{} }).c
 }
 
-// Gauge registers (or returns) a gauge. Nil registry returns nil.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGauge, func(e *entry) { e.g = &Gauge{} }).g
-}
-
 // Histogram registers (or returns) a histogram with the given bucket upper
 // bounds in seconds (ascending; an implicit +Inf bucket is appended). Nil
 // registry returns nil.
@@ -354,17 +293,6 @@ func (r *Registry) CounterFamily(name, help, label string) *CounterFamily {
 	}).cf
 }
 
-// GaugeFamily registers (or returns) a labeled gauge family. Nil registry
-// returns nil.
-func (r *Registry) GaugeFamily(name, help, label string) *GaugeFamily {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, kindGaugeFamily, func(e *entry) {
-		e.gf = &GaugeFamily{name: name, help: help, label: label, series: make(map[string]*Gauge)}
-	}).gf
-}
-
 // HistogramFamily registers (or returns) a labeled histogram family. Nil
 // registry returns nil.
 func (r *Registry) HistogramFamily(name, help, label string, buckets []float64) *HistogramFamily {
@@ -379,7 +307,7 @@ func (r *Registry) HistogramFamily(name, help, label string, buckets []float64) 
 
 // Collector is a counter or gauge whose value its owner already keeps: the
 // registry reads it at Snapshot time instead of holding a second copy that
-// every event would have to update too.
+// every event would have to update too. It is the only kind of gauge.
 type Collector struct {
 	Name, Help string
 	Label      string // the series' one label; "" for one unlabeled series
@@ -529,8 +457,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch e.kind {
 		case kindCounter:
 			s.Counters = append(s.Counters, CounterPoint{Name: e.name, Value: e.c.Value()})
-		case kindGauge:
-			s.Gauges = append(s.Gauges, GaugePoint{Name: e.name, Value: e.g.Value()})
 		case kindHistogram:
 			s.Histograms = append(s.Histograms, e.h.point(e.name, nil))
 		case kindCounterFamily:
@@ -541,14 +467,6 @@ func (r *Registry) Snapshot() Snapshot {
 				})
 			}
 			e.cf.mu.RUnlock()
-		case kindGaugeFamily:
-			e.gf.mu.RLock()
-			for _, k := range sortedKeys(e.gf.series) {
-				s.Gauges = append(s.Gauges, GaugePoint{
-					Name: e.name, Labels: map[string]string{e.gf.label: k}, Value: e.gf.series[k].Value(),
-				})
-			}
-			e.gf.mu.RUnlock()
 		case kindHistogramFamily:
 			e.hf.mu.RLock()
 			for _, k := range sortedKeys(e.hf.series) {

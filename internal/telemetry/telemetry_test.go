@@ -22,11 +22,13 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("re-registration returned a different counter")
 	}
 
-	g := r.Gauge("g", "a gauge")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	// A gauge is a collector: the registry reads its owner's value.
+	depth := int64(7)
+	r.Collect(Collector{Name: "g", Help: "a gauge", Gauge: true, Owner: &depth,
+		Read: func(emit func(string, int64)) { emit("", depth) }})
+	depth -= 3
+	if g := r.Snapshot().Gauges; len(g) != 1 || g[0].Name != "g" || g[0].Value != 4 {
+		t.Fatalf("gauges = %+v, want g = 4", g)
 	}
 }
 
@@ -38,7 +40,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 			t.Fatalf("expected panic on kind mismatch")
 		}
 	}()
-	r.Gauge("m", "")
+	r.Collect(Collector{Name: "m", Gauge: true, Read: func(func(string, int64)) {}})
 }
 
 func TestHistogramBucketsAndQuantile(t *testing.T) {
@@ -87,8 +89,6 @@ func TestFamilies(t *testing.T) {
 	if cf.With("a") != cf.With("a") {
 		t.Fatalf("family series not stable")
 	}
-	gf := r.GaugeFamily("depth", "queue depth", "queue")
-	gf.With("q1").Set(3)
 	hf := r.HistogramFamily("op_seconds", "op latency", "op", []float64{0.01, 0.1})
 	hf.With("read").Observe(5 * time.Millisecond)
 
@@ -110,7 +110,8 @@ func TestFamilies(t *testing.T) {
 func TestPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("jobs_total", "jobs processed").Add(3)
-	r.Gauge("workers", "live workers").Set(2)
+	r.Collect(Collector{Name: "workers", Help: "live workers", Gauge: true,
+		Read: func(emit func(string, int64)) { emit("", 2) }})
 	r.CounterFamily("outcomes_total", "by status", "status").With("ok").Inc()
 	r.Histogram("lat_seconds", "latency", []float64{0.01}).Observe(time.Millisecond)
 
@@ -251,32 +252,29 @@ func TestConcurrentRecording(t *testing.T) {
 }
 
 // TestNoopTelemetryZeroAlloc pins the disabled state: a nil registry, the
-// nil metrics it hands out, nil families, nil rings — every operation on
-// them must allocate nothing. scripts/check.sh gates on this test.
+// nil metrics it hands out, nil families, nil rings, collectors registered
+// on it — every operation on them must allocate nothing. scripts/check.sh
+// gates on this test.
 func TestNoopTelemetryZeroAlloc(t *testing.T) {
 	var (
 		c  = Noop.Counter("c_total", "")
-		g  = Noop.Gauge("g", "")
 		h  = Noop.Histogram("h_seconds", "", LatencyBuckets)
 		cf = Noop.CounterFamily("cf_total", "", "k")
-		gf = Noop.GaugeFamily("gf", "", "k")
 		hf = Noop.HistogramFamily("hf_seconds", "", "k", LatencyBuckets)
 		rg *Ring
+		g  = Collector{Name: "g", Gauge: true, Owner: rg, Read: func(emit func(string, int64)) { emit("", 1) }}
 	)
-	if c != nil || g != nil || h != nil || cf != nil || gf != nil || hf != nil {
+	if c != nil || h != nil || cf != nil || hf != nil {
 		t.Fatalf("nil registry must hand out nil metrics")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
 		_ = c.Value()
-		g.Set(1)
-		g.Add(-1)
-		_ = g.Value()
+		Noop.Collect(g)
 		h.Observe(time.Millisecond)
 		_ = h.Count()
 		cf.With("a").Inc()
-		gf.With("a").Set(1)
 		hf.With("a").Observe(time.Millisecond)
 		rg.Trace(Event{Step: StepCommitment})
 		_ = Noop.Snapshot()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"qosneg/internal/client"
@@ -51,7 +52,8 @@ type commitResult struct {
 func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skipKey string, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
-	var last lastPlan
+	last := m.carries.get()
+	defer m.carries.put(last)
 	var groups [2][]offer.Ranked
 	if pol != nil {
 		groups[0], groups[1] = offer.Partition(ranked.All(), u)
@@ -80,7 +82,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 				c.skipped++
 				continue
 			}
-			cm, fail := m.tryCommit(ctx, mach, doc, u, r, &last, spare)
+			cm, fail := m.tryCommit(ctx, mach, doc, u, r, last, spare)
 			if fail.cause == CauseNone {
 				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
 				if ranks != nil {
@@ -166,19 +168,57 @@ func streamQoS(v *media.Variant) qos.NetworkQoS { return qos.MapSetting(v.QoS, v
 // is a snapshot that reserving re-checks anyway.
 type lastPlan struct {
 	choices []offer.Choice
-	// clean is how many leading choices planned clean; routes[i] is the
-	// network plan after choice i.
-	clean  int
-	plan   [planWidth]plannedChoice
-	routes [planWidth]network.Plan
+	// clean is how many leading choices planned clean.
+	clean int
+	plan  [planWidth]plannedChoice
+	// routes is the network plan of the clean choices, extended in place;
+	// charges[i] is how many connections it held after choice i.
+	routes  network.Plan
+	charges [planWidth]uint8
 	// refused, when its cause is set, is how the plan of choice clean was
 	// refused.
 	refused commitFailure
 }
 
+// carryList recycles the passes' plan carries. The transport extends a
+// carry's network plan through a pointer, passed through an interface, so
+// a carry lives on the heap; a pass takes one here and gives it back when
+// it ends, so the list holds as many as passes ever ran at once. It is a
+// free list, not a sync.Pool: a garbage collection empties a pool, and a
+// race-detector build drops a quarter of what is put back, and either
+// shows as an allocation in the negotiation's allocation gates.
+type carryList struct {
+	mu   sync.Mutex
+	free []*lastPlan
+}
+
+// get returns an empty carry.
+func (c *carryList) get() *lastPlan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		return new(lastPlan)
+	}
+	l := c.free[n-1]
+	c.free = c.free[:n-1]
+	return l
+}
+
+// put empties a carry, so the next pass starts with no plan, and keeps it
+// for that pass.
+func (c *carryList) put(l *lastPlan) {
+	l.choices, l.clean, l.refused = nil, 0, commitFailure{}
+	l.routes.Truncate(0)
+	c.mu.Lock()
+	c.free = append(c.free, l)
+	c.mu.Unlock()
+}
+
 // carry moves the last plan over to the offer's attempt: it keeps the
-// leading choices the two offers share that planned clean, and the refusal
-// that followed them if the offers share the refused choice too.
+// leading choices the two offers share that planned clean, with the
+// network plan truncated to them, and the refusal that followed them if
+// the offers share the refused choice too.
 func (l *lastPlan) carry(r offer.Ranked) {
 	prev := l.choices
 	l.choices = r.Choices
@@ -194,6 +234,11 @@ func (l *lastPlan) carry(r offer.Ranked) {
 		l.refused = commitFailure{}
 	}
 	l.clean = keep
+	if keep == 0 {
+		l.routes.Truncate(0)
+	} else {
+		l.routes.Truncate(int(l.charges[keep-1]))
+	}
 }
 
 // tryCommit is step 5 for one offer: "the first offer whose every choice
@@ -213,57 +258,64 @@ func (l *lastPlan) carry(r offer.Ranked) {
 // failures feed the breaker, so quarantines accrue no matter which entry
 // point (negotiate, renegotiate, adapt) drove the attempt.
 func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan, spare []heldChoice) (commitment, commitFailure) {
-	plan := last.plan[:0]
+	var plan []plannedChoice
 	if len(r.Choices) > planWidth {
 		// A wider offer plans on the heap and is not carried over.
-		var none lastPlan
-		plan, last = make([]plannedChoice, 0, len(r.Choices)), &none
+		wide := m.carries.get()
+		defer m.carries.put(wide)
+		plan, last = make([]plannedChoice, len(r.Choices)), wide
+	} else {
+		plan = last.plan[:len(r.Choices)]
 	}
 	last.carry(r)
 	g := u.Desired.Cost.Guarantee
-	var routes network.Plan
+	// One read of the table gives every choice its server, its evidence
+	// generation and its quarantine: a quarantine that trips after it bumps
+	// the generation, so it outlives this attempt's success. Planning has
+	// no sleep point, so this is the table each choice would read in turn.
+	// A carried refusal ends the walk at choice last.clean, so no row past
+	// it is read.
+	read := r.Choices
+	if last.refused.cause != CauseNone {
+		read = read[:last.clean+1]
+	}
+	quarantined, left := m.servers.lookupOffer(read, plan, m.clk)
+	routes := &last.routes
 	for i := range r.Choices {
 		if err := ctx.Err(); err != nil {
-			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err})
+			return commitment{}, m.planRefused(r, plan[:i], g, commitFailure{cause: CauseCanceled, kind: refusedCanceled, err: err})
 		}
 		sid := r.Choices[i].Variant.Server
-		// One lookup reads the server, its evidence generation and its
-		// quarantine together: a quarantine that trips after it bumps the
-		// generation, so it outlives this attempt's success.
-		entry, gen, left := m.servers.lookup(sid, m.clk)
-		if left > 0 {
+		if i == quarantined {
 			// No new evidence — the breaker already tripped — so this is
 			// not recorded against the server again.
-			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left})
+			return commitment{}, m.planRefused(r, plan[:i], g, commitFailure{cause: CauseServerDown, kind: refusedQuarantined, server: sid, left: left})
 		}
-		if entry.server == nil {
-			return commitment{}, m.planRefused(r, plan, g, commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
-		}
-		plan = plan[:i+1]
 		pc := &plan[i]
+		if pc.entry.server == nil {
+			return commitment{}, m.planRefused(r, plan[:i], g, commitFailure{cause: CauseServerDown, kind: refusedUnregistered, server: sid})
+		}
 		if i < last.clean {
-			pc.entry, pc.gen = entry, gen
-			routes = last.routes[i]
 			continue
 		}
 		if last.refused.cause != CauseNone {
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
 		}
-		pc.entry, pc.gen, pc.q, pc.tally = entry, gen, streamQoS(r.Choices[i].Variant), cmfs.Plan{}
+		pc.q, pc.tally = streamQoS(r.Choices[i].Variant), cmfs.Plan{}
 		for j := i - 1; j >= 0; j-- {
 			if r.Choices[j].Variant.Server == sid {
 				pc.tally = plan[j].tally
 				break
 			}
 		}
-		tally, err := entry.server.Plan(pc.q, pc.tally)
+		tally, err := pc.entry.server.Plan(pc.q, pc.tally)
 		if err != nil {
 			last.refused = planRefusal(sid, tally, err)
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
 		}
 		pc.tally = tally
-		var pm network.PathMetrics
-		if routes, pm, err = m.transport.Plan(entry.node, mach.Node, pc.q, routes); err != nil {
+		pm, err := m.transport.Plan(pc.entry.node, mach.Node, pc.q, routes)
+		if err != nil {
 			if errors.Is(err, network.ErrPathHeld) {
 				// Bandwidth on a path is taken and given back by the
 				// client's other negotiations within a round trip: a
@@ -274,12 +326,12 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 				last.clean = 0
 				return m.reserve(ctx, mach, doc, u, r, plan[:i], spare)
 			}
-			last.refused = commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: entry.node, to: mach.Node}
+			last.refused = commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: pc.entry.node, to: mach.Node}
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
 		}
 		pc.delay, pc.jitter = pm.Delay, pm.Jitter
 		if i < planWidth {
-			last.routes[i], last.clean = routes, i+1
+			last.charges[i], last.clean = uint8(routes.Len()), i+1
 		}
 	}
 	if f := constraintFailure(doc, u, r, plan); f.cause != CauseNone {
@@ -294,13 +346,19 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 // planRefused records a refusal the plan found as the reserve-and-rollback
 // walk would have: a success for each choice planned before it, then the
 // refusal — unless it is a cancellation or a quarantine, which are no new
-// evidence against a server.
+// evidence against a server. The server table takes all of it under one
+// lock; a restore or a trip it causes acts after.
 func (m *Manager) planRefused(r offer.Ranked, planned []plannedChoice, g cost.Guarantee, f commitFailure) commitFailure {
-	for i := range planned {
-		m.recordServerSuccess(r.Choices[i].Variant.Server, g, planned[i].gen)
+	fails := f.kind != refusedCanceled && f.kind != refusedQuarantined
+	if fails {
+		m.count.commitFailures[f.cause].Add(1)
 	}
-	if f.kind != refusedCanceled && f.kind != refusedQuarantined {
-		m.recordCommitFailure(f, g)
+	restored, tripped := m.servers.recordPlan(r.Choices, planned, g, f, fails && serverAttributable(f), m.opts.Health, m.clk)
+	if restored {
+		m.exclusionChanged()
+	}
+	if tripped {
+		m.tripped(f)
 	}
 	return f
 }

@@ -12,6 +12,7 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
+	"qosneg/internal/offer"
 	"qosneg/internal/offercache"
 	"qosneg/internal/telemetry"
 )
@@ -323,11 +324,40 @@ func (t *ServerTable) add(s MediaServer, node network.NodeID) {
 	t.record(s.ID()).serverEntry = serverEntry{server: s, node: node}
 }
 
-// lookup is step 5's one read of a server: its registration (a nil server
+// lookupOffer is step 5's one read of an offer's servers, under one read
+// lock and at most one clock read. It gives each choice's plan the
+// server's registration (a nil server when unregistered) and its
+// failure-evidence generation, and returns the first choice whose server
+// is quarantined with the quarantine left (-1 and zero when none is); the
+// choices after that one are not read. A commit attempt hands the
+// generation back to the success it posts, which is ignored if any failure
+// was recorded in between.
+func (t *ServerTable) lookupOffer(choices []offer.Choice, plan []plannedChoice, clk clock.Clock) (int, time.Duration) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var at time.Time
+	for i := range choices {
+		rec, ok := t.servers[choices[i].Variant.Server]
+		if !ok {
+			plan[i].entry, plan[i].gen = serverEntry{}, 0
+			continue
+		}
+		if !rec.quarantinedUntil.IsZero() {
+			if at.IsZero() {
+				at = clk.Now()
+			}
+			if left := rec.quarantinedUntil.Sub(at); left > 0 {
+				return i, left
+			}
+		}
+		plan[i].entry, plan[i].gen = rec.serverEntry, rec.gen
+	}
+	return -1, 0
+}
+
+// lookup is step 5's read of one server: its registration (a nil server
 // when unregistered), its failure-evidence generation and its remaining
-// quarantine (zero when none). A commit attempt hands the generation back
-// to recordSuccess, which ignores the success if any failure was recorded
-// in between.
+// quarantine (zero when none), as lookupOffer reads them.
 func (t *ServerTable) lookup(id media.ServerID, clk clock.Clock) (serverEntry, uint64, time.Duration) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -342,11 +372,35 @@ func (t *ServerTable) lookup(id media.ServerID, clk clock.Clock) (serverEntry, u
 	return rec.serverEntry, rec.gen, left
 }
 
+// recordPlan posts a plan-refused attempt's evidence under one lock: a
+// success for each planned choice, in choice order, then the refusal f if
+// post is set. It reports whether a success lifted a quarantine and
+// whether the refusal tripped the breaker.
+func (t *ServerTable) recordPlan(choices []offer.Choice, planned []plannedChoice, g cost.Guarantee, f commitFailure, post bool, p HealthPolicy, clk clock.Clock) (restored, tripped bool) {
+	if len(planned) == 0 && !post {
+		return false, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range planned {
+		restored = t.successLocked(choices[i].Variant.Server, g, planned[i].gen, clk) || restored
+	}
+	if post {
+		tripped = t.failureLocked(f, g, p, clk)
+	}
+	return restored, tripped
+}
+
 // recordFailure posts one server-attributable failure of a guarantee-g
 // commit and reports whether it tripped the breaker.
 func (t *ServerTable) recordFailure(f commitFailure, g cost.Guarantee, p HealthPolicy, clk clock.Clock) (tripped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.failureLocked(f, g, p, clk)
+}
+
+// failureLocked is recordFailure under the caller's write lock.
+func (t *ServerTable) failureLocked(f commitFailure, g cost.Guarantee, p HealthPolicy, clk clock.Clock) (tripped bool) {
 	h := &t.record(f.server).serverHealth
 	h.post(g, false)
 	h.gen++
@@ -387,6 +441,11 @@ func (t *ServerTable) recordFailure(f commitFailure, g cost.Guarantee, p HealthP
 func (t *ServerTable) recordSuccess(id media.ServerID, g cost.Guarantee, gen uint64, clk clock.Clock) (restored bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.successLocked(id, g, gen, clk)
+}
+
+// successLocked is recordSuccess under the caller's write lock.
+func (t *ServerTable) successLocked(id media.ServerID, g cost.Guarantee, gen uint64, clk clock.Clock) (restored bool) {
 	rec, ok := t.servers[id]
 	if !ok {
 		return false
@@ -548,16 +607,24 @@ func (t *ServerTable) instrument(reg *telemetry.Registry) {
 // cache here.
 func (m *Manager) recordCommitFailure(f commitFailure, g cost.Guarantee) {
 	m.count.commitFailures[f.cause].Add(1)
-	if f.server == "" || (f.cause != CauseServerDown && f.cause != CauseCapacity) {
-		return
+	if serverAttributable(f) && m.servers.recordFailure(f, g, m.opts.Health, m.clk) {
+		m.tripped(f)
 	}
+}
 
-	if m.servers.recordFailure(f, g, m.opts.Health, m.clk) {
-		m.exclusionChanged()
-		if m.opts.Tracer != nil {
-			detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
-			m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})
-		}
+// serverAttributable reports whether a failure is evidence against its
+// server: a server-down or capacity refusal that names one.
+func serverAttributable(f commitFailure) bool {
+	return f.server != "" && (f.cause == CauseServerDown || f.cause == CauseCapacity)
+}
+
+// tripped acts on a breaker trip the failure f caused: the exclusion world
+// grew, and a tracer hears of the quarantine.
+func (m *Manager) tripped(f commitFailure) {
+	m.exclusionChanged()
+	if m.opts.Tracer != nil {
+		detail := fmt.Sprintf("%s for %s after %s", f.server, m.opts.Health.cooldown(), f.cause)
+		m.span(telemetry.Event{Step: telemetry.StepQuarantine, Server: string(f.server), Status: f.cause.String(), Detail: detail})
 	}
 }
 

@@ -52,7 +52,7 @@ type recordingTransport struct {
 	live  map[network.ReservationID]bool
 }
 
-func (r *recordingTransport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+func (r *recordingTransport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p *network.Plan) (network.PathMetrics, error) {
 	return r.inner.Plan(src, dst, q, p)
 }
 

@@ -163,11 +163,12 @@ type MediaServer interface {
 // simulate partitions and connect failures.
 //
 // Plan is Connect without the reservation: it answers what Connect would if
-// the connections p tallies were already established, returning p extended
-// by the route Connect would take and that connection's metrics. It must
-// reserve nothing and allocate nothing unless it refuses.
+// the connections p tallies were already established, extending p in place
+// by the route Connect would take and returning that connection's metrics;
+// a refusal leaves p as it was. It must reserve nothing and allocate
+// nothing unless it refuses.
 type Transport interface {
-	Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error)
+	Plan(src, dst network.NodeID, q qos.NetworkQoS, p *network.Plan) (network.PathMetrics, error)
 	Connect(src, dst network.NodeID, q qos.NetworkQoS) (transport.Connection, error)
 	Close(c transport.Connection) error
 }
@@ -198,6 +199,8 @@ type Manager struct {
 	count counts
 	// clk is the clock the breaker and latency metrics read; tests set Sim.
 	clk clock.Clock
+	// carries recycles step 5's plan carries across passes.
+	carries carryList
 	// testHookUnlocked, when non-nil, fires at the start of every unlock
 	// window — after a procedure has withdrawn and released a session's
 	// commitment but before it re-locks to install the replacement. The

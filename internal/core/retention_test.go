@@ -33,6 +33,20 @@ func TestHeldChoiceSize(t *testing.T) {
 	}
 }
 
+// TestLastPlanSize keeps step 5's plan carry in the 768-byte size class on
+// a 64-bit platform: 760 bytes and the 8-byte malloc header. A pass takes
+// one from the manager's free list, since the transport extends its
+// network plan through a pointer. It holds one network plan and a charge
+// count per choice; a network plan per choice made it 1 032 bytes.
+func TestLastPlanSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size class is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(lastPlan{}); got > 760 {
+		t.Errorf("unsafe.Sizeof(lastPlan{}) = %d, want <= 760", got)
+	}
+}
+
 // TestCommitFailureSize keeps step 5's refusal value at 136 bytes on a
 // 64-bit platform: each attempt returns one, and a plan's admission refusal
 // keeps its figures in the numeric fields the other refusals use rather

@@ -390,9 +390,9 @@ func (t *Transport) SetLatency(d time.Duration) {
 // Plan answers step 5's plan as Connect would without the injected faults:
 // refused while an endpoint is down, and otherwise the inner transport's
 // answer. Latency and probabilistic failures act on Connect only.
-func (t *Transport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+func (t *Transport) Plan(src, dst network.NodeID, q qos.NetworkQoS, p *network.Plan) (network.PathMetrics, error) {
 	if err := t.unreachable(src, dst); err != nil {
-		return p, network.PathMetrics{}, err
+		return network.PathMetrics{}, err
 	}
 	return t.inner.Plan(src, dst, q, p)
 }

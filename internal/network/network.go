@@ -627,20 +627,31 @@ func heldLocked(routes []route, q qos.NetworkQoS, p *Plan) bool {
 }
 
 // planWidth is how many connections a Plan holds without allocating: a
-// plan is copied on every call, and a document rarely has more continuous
-// streams than this.
+// document rarely has more continuous streams than this.
 const planWidth = 4
 
 // Plan is a caller-held tally of the connections an attempt plans to open:
 // the route each would charge and its rate. Open after them would see each
 // link's spare capacity reduced by exactly these charges. The zero value
-// plans nothing. A Plan is a value: Network.Plan returns the extended copy
-// and leaves its argument as it was.
+// plans nothing. Network.Plan extends a Plan in place, and Truncate takes
+// the latest charges back off, so one Plan serves a caller's successive
+// attempts: each keeps the prefix it shares with the last. Copies share the
+// charges past planWidth.
 type Plan struct {
 	n     int
 	fixed [planWidth]charge
 	// more holds the charges past planWidth; only a wider plan allocates.
 	more []charge
+}
+
+// Len returns how many connections p plans.
+func (p *Plan) Len() int { return p.n }
+
+// Truncate keeps p's first n charges and drops the rest; n must be at
+// most Len.
+func (p *Plan) Truncate(n int) {
+	p.n = n
+	p.more = p.more[:max(n-planWidth, 0)]
 }
 
 // charge is one planned connection.
@@ -649,13 +660,12 @@ type charge struct {
 	rate qos.BitRate
 }
 
-// add extends p by a charge of rate on rt. The charges past planWidth go
-// to a fresh array, so a copy of p taken before still plans what it did.
+// add extends p by a charge of rate on rt.
 func (p *Plan) add(rt *route, rate qos.BitRate) {
 	if p.n < planWidth {
 		p.fixed[p.n] = charge{rt, rate}
 	} else {
-		p.more = append(p.more[:p.n-planWidth:p.n-planWidth], charge{rt, rate})
+		p.more = append(p.more[:p.n-planWidth], charge{rt, rate})
 	}
 	p.n++
 }
@@ -683,29 +693,30 @@ func (c *charge) on(ls *linkState) (rate qos.BitRate) {
 
 // Plan is Open without the reservation: it picks the route Open would
 // charge for the request if the connections p tallies were already open,
-// and returns p extended by that route with the metrics Open would then
-// report. It charges nothing, allocates nothing on a pair opened before,
-// and consumes no reservation id; a later Open may still pick another
-// route, or refuse, if a reservation or a degradation came in between.
-// Plan refuses as Open would, with one distinction: when a route would fit
-// but for the bandwidth other reservations hold on it now, the refusal is
-// ErrPathHeld, which allocates nothing.
-func (n *Network) Plan(src, dst NodeID, q qos.NetworkQoS, k int, p Plan) (Plan, PathMetrics, error) {
+// extends p by that route and returns the metrics Open would then report.
+// It charges nothing, allocates nothing on a pair opened before (nor
+// within planWidth charges), and consumes no reservation id; a later Open
+// may still pick another route, or refuse, if a reservation or a
+// degradation came in between. Plan refuses as Open would, leaving p as it
+// was, with one distinction: when a route would fit but for the bandwidth
+// other reservations hold on it now, the refusal is ErrPathHeld, which
+// allocates nothing.
+func (n *Network) Plan(src, dst NodeID, q qos.NetworkQoS, k int, p *Plan) (PathMetrics, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	routes, err := n.routesLocked(src, dst)
 	if err != nil {
-		return p, PathMetrics{}, err
+		return PathMetrics{}, err
 	}
-	best, m := pickLocked(routes, q, k, &p)
+	best, m := pickLocked(routes, q, k, p)
 	if best == nil {
-		if heldLocked(routes, q, &p) {
-			return p, PathMetrics{}, ErrPathHeld
+		if heldLocked(routes, q, p) {
+			return PathMetrics{}, ErrPathHeld
 		}
-		return p, PathMetrics{}, noPath(src, dst, q)
+		return PathMetrics{}, noPath(src, dst, q)
 	}
 	p.add(best, q.AvgBitRate)
-	return p, m.charged(q.AvgBitRate), nil
+	return m.charged(q.AvgBitRate), nil
 }
 
 // charged returns the metrics of a feasible path after rate is charged on

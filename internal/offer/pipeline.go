@@ -60,7 +60,8 @@ func rankCandidates(cands Candidates, u profile.UserProfile) [][]candidateStats 
 	slab := make([]candidateStats, n)
 	for i, mono := range cands {
 		stats[i], slab = slab[:len(mono):len(mono)], slab[len(mono):]
-		for j, c := range mono {
+		for j := range mono {
+			c := &mono[j]
 			st := candidateStats{qImp: u.Importance.QoS(c.Variant.QoS)}
 			if kind, ok := c.Variant.QoS.Kind(); ok {
 				st.desired, st.worst = true, true

@@ -4,11 +4,14 @@ import "slices"
 
 // TopK keeps the K best ranked offers seen so far under an Orderer's
 // ordering: negotiation step 4's classification as a bounded heap instead
-// of a full sort. Insertion is O(log K); offers that cannot beat the
-// current K-th best are rejected in O(1) via Full/Worst, so classifying a
-// product of N offers costs O(N) plus what the reader of Classified orders:
-// K/2 comparisons for the best offer, O(K log K) for all of them. Memory
-// is O(K) instead of O(N).
+// of a full sort. Until it holds K offers the collector only appends, and
+// it heapifies once, when an offer past the K-th must be ranked against the
+// worst kept one; from then on insertion is O(log K) and offers that cannot
+// beat the current K-th best are rejected in O(1) via Full/Worst. So a
+// product of at most K offers is collected without a comparison, and
+// classifying a product of N offers costs O(N) plus what the reader of
+// Classified orders: one pass for the best offer, O(K log K) for all of
+// them. Memory is O(K) instead of O(N).
 //
 // K <= 0 keeps every offer (the classical unbounded classification).
 // TopK is not safe for concurrent use. The zero value is unusable until Reset.
@@ -18,12 +21,15 @@ type TopK struct {
 	// offer at the root so it can be evicted on a better arrival.
 	order Orderer
 	items []Ranked
+	// heaped is set once items is a worst-rooted heap; until then it is in
+	// arrival order.
+	heaped bool
 }
 
 // Reset initializes the collector to keep the k best offers under the
 // orderer's ordering (k <= 0 keeps everything). capHint is how many offers
-// the caller will feed at most — the product size — so the heap backing
-// array is allocated once at its final size: min(k, capHint) for a bounded
+// the caller will feed at most — the product size — so the backing array
+// is allocated once at its final size: min(k, capHint) for a bounded
 // collector (it never holds more than k), capHint for an unbounded one (it
 // holds everything).
 func (t *TopK) Reset(k int, o Orderer, capHint int) {
@@ -37,19 +43,24 @@ func (t *TopK) Reset(k int, o Orderer, capHint int) {
 // must evict the worst to be kept.
 func (t *TopK) Full() bool { return t.k > 0 && len(t.items) >= t.k }
 
-// Worst returns the worst kept offer; only valid once an offer was added.
-// Together with Full it lets callers skip materializing offers that cannot
-// be kept.
-func (t *TopK) Worst() Ranked { return t.items[0] }
+// Worst returns the worst kept offer of a full collector. Together with
+// Full it lets callers skip materializing offers that cannot be kept.
+func (t *TopK) Worst() Ranked {
+	t.heapify()
+	return t.items[0]
+}
 
 // Add offers r to the collector, evicting the current worst if the
 // collector is full and r ranks better.
 func (t *TopK) Add(r Ranked) {
 	if !t.Full() {
 		t.items = append(t.items, r)
-		t.up(len(t.items) - 1)
+		if t.heaped {
+			t.up(len(t.items) - 1)
+		}
 		return
 	}
+	t.heapify()
 	if !t.order.Less(r, t.items[0]) {
 		return
 	}
@@ -57,11 +68,26 @@ func (t *TopK) Add(r Ranked) {
 	t.down(0)
 }
 
+// heapify makes the kept offers a worst-rooted heap, bottom-up (Floyd), the
+// first time it is called.
+func (t *TopK) heapify() {
+	if t.heaped {
+		return
+	}
+	for i := len(t.items)/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
+	t.heaped = true
+}
+
 // Classified hands the kept offers over as the classified list step 5
 // reads, and leaves the collector empty.
 func (t *TopK) Classified() Classified {
 	c := Classified{items: t.items, order: t.order}
-	t.items = nil
+	if t.heaped {
+		c.sorted = heapOrder
+	}
+	t.items, t.heaped = nil, false
 	return c
 }
 
@@ -105,10 +131,14 @@ func (t *TopK) down(i int) {
 type Classified struct {
 	items []Ranked
 	order Orderer
-	// sorted is how many leading offers are in place; until the first read
-	// the array is the collector's worst-rooted heap.
+	// sorted is how many leading offers are in place. Until the first read
+	// the array is the collector's: in arrival order at 0, and a
+	// worst-rooted heap at heapOrder.
 	sorted int
 }
+
+// heapOrder is a fresh view's sorted count when its array is a heap.
+const heapOrder = -1
 
 // Presorted returns a view over offers already in order. Only tests build one.
 func Presorted(offers []Ranked) Classified { return Classified{items: offers, sorted: len(offers)} }
@@ -117,12 +147,16 @@ func Presorted(offers []Ranked) Classified { return Classified{items: offers, so
 func (c *Classified) Len() int { return len(c.items) }
 
 // At returns the offer at classified position i, 0 being the best. A first
-// read of position 0 is one pass over the heap's leaves, where the best
-// offer must be, since every parent ranks below its children; a deeper read
-// sorts every offer not yet in place.
+// read of position 0 is one selection pass: over the heap's leaves, where
+// the best offer must be since every parent ranks below its children, or
+// over every offer of a collector that never filled. A deeper read sorts
+// every offer not yet in place.
 func (c *Classified) At(i int) Ranked {
-	if i == 0 && c.sorted == 0 {
-		best := len(c.items) / 2
+	if i == 0 && c.sorted <= 0 {
+		best := 0
+		if c.sorted == heapOrder {
+			best = len(c.items) / 2
+		}
 		for j := best + 1; j < len(c.items); j++ {
 			if c.order.Less(c.items[j], c.items[best]) {
 				best = j
@@ -140,7 +174,7 @@ func (c *Classified) All() []Ranked {
 	// One Less per comparison: the orderers are strict total orders and an
 	// offer's key is unique within its product, so two distinct offers never
 	// tie.
-	slices.SortFunc(c.items[c.sorted:], func(a, b Ranked) int {
+	slices.SortFunc(c.items[max(c.sorted, 0):], func(a, b Ranked) int {
 		switch {
 		case a.SystemOffer == b.SystemOffer:
 			return 0

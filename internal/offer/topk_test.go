@@ -98,17 +98,21 @@ func (c countingOrderer) Less(a, b Ranked) bool {
 	return c.Orderer.Less(a, b)
 }
 
-// TestClassifiedFirstReadIsOnePass: the best offer of a fresh view of n
-// offers costs at most n−1 comparisons, what a selection pass makes and far
-// below a sort's.
+// TestClassifiedFirstReadIsOnePass: a collector that never fills — n ≤ K,
+// or no bound — collects without a comparison, and the best offer of a
+// fresh view of n offers costs at most n−1 comparisons, what a selection
+// pass makes and far below a sort's.
 func TestClassifiedFirstReadIsOnePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(1996))
-	for _, n := range []int{1, 2, 3, 7, 64, 65, 200} {
+	for _, n := range []int{1, 2, 3, 7, 32, 64, 65, 200} {
 		for _, k := range []int{0, 64} {
 			calls := 0
 			o := countingOrderer{SNSPrimary{}, &calls}
 			offers := viewOffers(rng, n)
 			v := collect(offers, k, o)
+			if fills := k > 0 && n > k; !fills && calls != 0 {
+				t.Errorf("n=%d k=%d: collecting made %d comparisons, want 0", n, k, calls)
+			}
 			want := append([]Ranked(nil), offers...)
 			Sort(want, SNSPrimary{})
 			calls = 0
@@ -125,40 +129,43 @@ func TestClassifiedFirstReadIsOnePass(t *testing.T) {
 // classifySink keeps the benchmark's reads from being optimized away.
 var classifySink Ranked
 
-// BenchmarkClassifyFirst times steps 3–4 on a product of 216 offers kept to
-// 64, as a cache-hot negotiation runs them, read the way step 5 reads when
-// its first offer commits (first) and read in full (all).
+// BenchmarkClassifyFirst times steps 3–4 on a product kept to 64, as a
+// cache-hot negotiation runs them, read the way step 5 reads when its first
+// offer commits (first) and read in full (all): a product of 216 offers,
+// which fills the bound, and one of 32, the news article's, which does not.
 func BenchmarkClassifyFirst(b *testing.B) {
 	ctx := context.Background()
-	doc := shapeDoc(6, 6, 6)
 	u := pipelineProfile()
-	cands, err := Filter(ctx, doc, client.Workstation("c1", "n1"), cost.DefaultPricing(), cost.BestEffort, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prebuilt, err := FromCandidates(doc, cands, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := PipelineOptions{TopK: 64, Prebuilt: prebuilt}
-	for _, all := range []bool{false, true} {
-		name := "first"
-		if all {
-			name = "all"
+	for _, shape := range [][3]int{{6, 6, 6}, {4, 4, 2}} {
+		doc := shapeDoc(shape[0], shape[1], shape[2])
+		cands, err := Filter(ctx, doc, client.Workstation("c1", "n1"), cost.DefaultPricing(), cost.BestEffort, 0, nil)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c, err := TopKFromCandidates(ctx, doc, cands, u, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if all {
-					classifySink = c.All()[0]
-				} else {
-					classifySink = c.At(0)
-				}
+		prebuilt, err := FromCandidates(doc, cands, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := PipelineOptions{TopK: 64, Prebuilt: prebuilt}
+		for _, all := range []bool{false, true} {
+			name := fmt.Sprintf("product=%d/first", len(prebuilt))
+			if all {
+				name = fmt.Sprintf("product=%d/all", len(prebuilt))
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c, err := TopKFromCandidates(ctx, doc, cands, u, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if all {
+						classifySink = c.All()[0]
+					} else {
+						classifySink = c.At(0)
+					}
+				}
+			})
+		}
 	}
 }

@@ -100,8 +100,10 @@ type Importance struct {
 // QoS returns the QoS importance of a single monomedia setting: the sum of
 // the importance values of its parameter values (Section 5.2.2(a): "we have
 // only to sum the importance values which correspond to the values of the
-// QoS parameters").
-func (im Importance) QoS(s qos.Setting) float64 {
+// QoS parameters"). QoS, Cost and Overall take a pointer: steps 3–4 call
+// them per candidate and per offer, and a value receiver copies the
+// 112-byte Importance on every call.
+func (im *Importance) QoS(s qos.Setting) float64 {
 	switch {
 	case s.Video != nil:
 		return im.VideoColor[s.Video.Color] +
@@ -119,12 +121,12 @@ func (im Importance) QoS(s qos.Setting) float64 {
 
 // Cost returns the cost importance of a price: CostPerDollar × price in
 // dollars (Section 5.2.2(b)).
-func (im Importance) Cost(m cost.Money) float64 { return im.CostPerDollar * m.Float() }
+func (im *Importance) Cost(m cost.Money) float64 { return im.CostPerDollar * m.Float() }
 
 // Overall returns the overall importance factor of an offer with the given
 // monomedia settings and total cost (Section 5.2.2(c)):
 // overall_importance = QoS_importance − cost_importance.
-func (im Importance) Overall(settings []qos.Setting, price cost.Money) float64 {
+func (im *Importance) Overall(settings []qos.Setting, price cost.Money) float64 {
 	var q float64
 	for _, s := range settings {
 		q += im.QoS(s)

@@ -33,7 +33,6 @@ package telemetry
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -352,12 +351,20 @@ func validateBuckets(name string, buckets []float64) {
 
 // sortedKeys returns map keys in sorted order for stable rendering.
 func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+	return appendSortedKeys(make([]string, 0, len(m)), m)
+}
+
+// appendSortedKeys appends m's keys to dst in sorted order; a single key
+// is appended as it is.
+func appendSortedKeys[V any](dst []string, m map[string]V) []string {
+	start := len(dst)
 	for k := range m {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(out)
-	return out
+	if len(dst)-start > 1 {
+		slices.Sort(dst[start:])
+	}
+	return dst
 }
 
 // Snapshot is a point-in-time, JSON-serializable copy of every registered
@@ -446,13 +453,30 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	entries := make([]entry, len(r.entries))
+	// A counter gives one point and an unlabelled collector at most one:
+	// the point slices are sized for one per counter and collector entry.
+	var counters, gauges int
 	for i, e := range r.entries {
 		entries[i] = *e
+		switch e.kind {
+		case kindCounter, kindCounterCollector:
+			counters++
+		case kindGaugeCollector:
+			gauges++
+		}
 	}
 	r.mu.Unlock()
-	// A collector's owners' readings sum per label value.
+	if counters > 0 {
+		s.Counters = make([]CounterPoint, 0, counters)
+	}
+	if gauges > 0 {
+		s.Gauges = make([]GaugePoint, 0, gauges)
+	}
+	// A collector's owners' readings sum per label value; keys is the
+	// sorted label values, one scratch for every collector.
 	sums := map[string]int64{}
 	emit := func(value string, v int64) { sums[value] += v }
+	var keys []string
 	for _, e := range entries {
 		switch e.kind {
 		case kindCounter:
@@ -478,7 +502,8 @@ func (r *Registry) Snapshot() Snapshot {
 			for _, c := range e.cs {
 				c.Read(emit)
 			}
-			for _, k := range sortedKeys(sums) {
+			keys = appendSortedKeys(keys[:0], sums)
+			for _, k := range keys {
 				var labels map[string]string
 				if label := e.cs[0].Label; label != "" {
 					labels = map[string]string{label: k}

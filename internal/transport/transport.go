@@ -74,23 +74,23 @@ func (s *System) Connect(src, dst network.NodeID, q qos.NetworkQoS) (Connection,
 
 // Plan answers whether Connect would establish the stream if the
 // connections p tallies were already established, without reserving: it
-// returns p extended by the route Connect would take and the metrics the
-// connection would report. It refuses as Connect would, except that a path
-// held by other reservations is refused with an error that is
-// network.ErrPathHeld. Like Connect, a zero-throughput request plans
-// nothing and reports zero metrics.
-func (s *System) Plan(src, dst network.NodeID, q qos.NetworkQoS, p network.Plan) (network.Plan, network.PathMetrics, error) {
+// extends p in place by the route Connect would take and returns the
+// metrics the connection would report. It refuses as Connect would,
+// leaving p as it was, except that a path held by other reservations is
+// refused with an error that is network.ErrPathHeld. Like Connect, a
+// zero-throughput request plans nothing and reports zero metrics.
+func (s *System) Plan(src, dst network.NodeID, q qos.NetworkQoS, p *network.Plan) (network.PathMetrics, error) {
 	if q.Zero() {
-		return p, network.PathMetrics{}, nil
+		return network.PathMetrics{}, nil
 	}
-	p, m, err := s.net.Plan(src, dst, q, s.alternates, p)
+	m, err := s.net.Plan(src, dst, q, s.alternates, p)
 	if err == network.ErrPathHeld {
-		return p, m, errPathHeld
+		return m, errPathHeld
 	}
 	if err != nil {
-		return p, m, fmt.Errorf("%w: %v", ErrUnavailable, err)
+		return m, fmt.Errorf("%w: %v", ErrUnavailable, err)
 	}
-	return p, m, nil
+	return m, nil
 }
 
 // errPathHeld is network.ErrPathHeld as the transport refuses it, built

@@ -19,6 +19,7 @@ import (
 	"qosneg/internal/network"
 	"qosneg/internal/profile"
 	"qosneg/internal/qos"
+	"qosneg/internal/wordhash"
 )
 
 // MachineID names a client machine.
@@ -232,34 +233,22 @@ func Workstation(id MachineID, node network.NodeID) Machine {
 // influence variant filtering, and folding them in would defeat the sharing.
 // The decoder fold is order-independent so permuted decoder lists (e.g. from
 // different config files describing the same hardware) still collide.
+//
+// The hash takes a word at a time (wordhash) from a fixed start state, so a
+// machine's fingerprint, and the offer-cache shard it picks, is the same in
+// every run.
 func (m Machine) Fingerprint() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	mix(uint64(m.Display.WidthPx))
-	mix(uint64(m.Display.HeightPx))
-	mix(uint64(m.Display.Color))
-	mix(uint64(m.MaxFrameRate))
-	mix(uint64(m.Audio))
 	var dec uint64
 	for _, f := range m.Decoders {
-		fh := uint64(fnvOffset)
-		for i := 0; i < len(f); i++ {
-			fh ^= uint64(f[i])
-			fh *= fnvPrime
-		}
-		dec ^= fh // XOR: order-independent
+		dec ^= wordhash.String(wordhash.Start, string(f)) // XOR: order-independent
 	}
-	mix(dec)
-	mix(uint64(len(m.Decoders)))
+	h := wordhash.Start
+	for _, v := range [...]uint64{
+		uint64(m.Display.WidthPx), uint64(m.Display.HeightPx), uint64(m.Display.Color),
+		uint64(m.MaxFrameRate), uint64(m.Audio), dec, uint64(len(m.Decoders)),
+	} {
+		h = wordhash.Word(h, v)
+	}
 	return h
 }
 

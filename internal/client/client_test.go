@@ -199,3 +199,40 @@ func TestNoAudioMachineRejectsAudio(t *testing.T) {
 		t.Error("machine without audio output decoded audio")
 	}
 }
+
+// TestFingerprint: every capability the step-1/step-2 decisions read moves
+// the fingerprint, identity does not, and a permuted decoder list keeps it.
+// The value is the same in every run, so the offer-cache shard a machine's
+// keys land in is too.
+func TestFingerprint(t *testing.T) {
+	base := Workstation("ws-1", "client-1")
+	want := base.Fingerprint()
+	if want != 0x1ccf75d963a5f25b {
+		t.Errorf("a workstation's fingerprint is %#x, want the fixed 0x1ccf75d963a5f25b", want)
+	}
+	for name, change := range map[string]func(m *Machine){
+		"width":        func(m *Machine) { m.Display.WidthPx-- },
+		"height":       func(m *Machine) { m.Display.HeightPx-- },
+		"color":        func(m *Machine) { m.Display.Color = qos.Grey },
+		"frame rate":   func(m *Machine) { m.MaxFrameRate-- },
+		"audio":        func(m *Machine) { m.Audio = qos.TelephoneQuality },
+		"decoder lost": func(m *Machine) { m.Decoders = m.Decoders[1:] },
+		"decoder swapped": func(m *Machine) {
+			m.Decoders = append([]media.Format{media.PlainText}, m.Decoders[1:]...)
+		},
+	} {
+		m := Workstation("ws-1", "client-1")
+		change(&m)
+		if m.Fingerprint() == want {
+			t.Errorf("%s: the fingerprint did not change", name)
+		}
+	}
+	same := Workstation("ws-2", "client-9")
+	same.Decoders = append([]media.Format(nil), base.Decoders...)
+	for i, j := 0, len(same.Decoders)-1; i < j; i, j = i+1, j-1 {
+		same.Decoders[i], same.Decoders[j] = same.Decoders[j], same.Decoders[i]
+	}
+	if same.Fingerprint() != want {
+		t.Error("another id, node and decoder order changed the fingerprint")
+	}
+}

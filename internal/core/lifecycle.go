@@ -275,7 +275,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 		m.abortWindow(&w)
 		return Result{}, err
 	}
-	out, err := m.runProcedure(ctx, w.mach, doc, docGen, u)
+	out, err := m.runProcedure(ctx, &w.mach, &doc, docGen, &u)
 	if err != nil {
 		m.abortWindow(&w)
 		return Result{}, err
@@ -295,7 +295,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 	s.Profile = u
 	s.Current = out.chosen
 	s.ranked = out.ranked
-	s.ChoicePeriod = m.choicePeriodFor(u)
+	s.ChoicePeriod = m.choicePeriodFor(&u)
 	if m.opts.Metrics != nil || m.opts.Tracer != nil {
 		s.reservedAt = m.clk.Now()
 	}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/offercache"
+	"qosneg/internal/profile"
 	"qosneg/internal/qos"
 )
 
@@ -134,7 +136,8 @@ func TestOfferCacheHitEquivalence(t *testing.T) {
 // adapts to points at the cached candidates' own variants, through
 // negotiate, confirm, adapt, renegotiate and complete; and nothing on that
 // path writes through them, so the cached candidates still equal a fresh
-// step-2 filter of the document at the end.
+// step-2 filter of the document at the end, and the entry's memoized
+// ranking a fresh classification of them.
 func TestOfferCacheSharesVariants(t *testing.T) {
 	b := defaultBed(t)
 	ctx := context.Background()
@@ -231,6 +234,27 @@ func TestOfferCacheSharesVariants(t *testing.T) {
 	}
 	if cands := entry(); !reflect.DeepEqual(cands, fresh) {
 		t.Errorf("the cached candidates changed under the sessions that shared them:\ncached: %+v\nfresh:  %+v", cands, fresh)
+	}
+
+	// The second negotiation was the entry's first hit, so the entry's memo
+	// holds tvProfile's ranking, which the sessions read after it (the
+	// renegotiation, with another profile, left the filled slot as it was).
+	// It must still equal a fresh classification of the cached candidates.
+	memo := memoFor(t, b, tvProfile())
+	if memo.Ranked.Len() == 0 {
+		t.Fatal("the second negotiation's hit memoized no ranking")
+	}
+	if other := memoFor(t, b, u); other.Ranked.Len() != 0 {
+		t.Fatal("the renegotiation's profile took the filled slot over")
+	}
+	ranked, err := offer.TopKFromCandidates(ctx, doc, memo.Cands, tvProfile(), offer.PipelineOptions{
+		MaxOffers: b.man.opts.MaxOffers, TopK: DefaultTopK, Orderer: b.man.opts.Classifier, Prebuilt: memo.Offers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := memo.Ranked.All(), ranked.All(); !reflect.DeepEqual(got, want) {
+		t.Errorf("the memoized ranking changed under the sessions that shared it:\nmemo:  %v\nfresh: %v", got, want)
 	}
 }
 
@@ -615,6 +639,213 @@ func coherenceRun(t *testing.T, seed int64) {
 		t.Error("coherence run never hit the cache — the property was not exercised")
 	}
 	if err := b.led.CheckEmpty(); err != nil {
+		t.Error(err)
+	}
+}
+
+// cacheOffBed is defaultBed with the offer cache off: the reference every
+// memoized ranking is compared with.
+func cacheOffBed(t *testing.T) *bed {
+	opts := DefaultOptions()
+	opts.OfferCache = -1
+	return newBedOpts(t, cmfs.DefaultConfig(), 0, opts)
+}
+
+// memoFor looks the bed's one cache entry up for u: its Ranked is the
+// entry's memoized ranking for u, empty when the slot holds none for u's
+// digest. It reads the entry as a negotiation does, so it counts a hit.
+func memoFor(t *testing.T, b *bed, u profile.UserProfile) offercache.Result {
+	t.Helper()
+	keys := b.man.cache.Keys()
+	if len(keys) != 1 {
+		t.Fatalf("cache holds %d entries, want 1", len(keys))
+	}
+	_, docGen, err := b.man.registry.Snapshot("news-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pricingGen := b.man.pricingSnapshot()
+	r, out := b.man.cache.LookupRanking(keys[0], docGen, pricingGen, u.RankDigest())
+	if out != offercache.Hit {
+		t.Fatalf("cache lookup = %v, want a hit", out)
+	}
+	return r
+}
+
+// outcome negotiates u on news-1 and renders what steps 2–5 decided —
+// status, committed offer and ranked list — then rejects the session. It
+// returns the session's own ranked view too, read before the reject.
+func outcome(t *testing.T, b *bed, u profile.UserProfile) (string, []offer.Ranked) {
+	t.Helper()
+	res, err := b.man.NegotiateContext(context.Background(), b.mach, "news-1", u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var own []offer.Ranked
+	var ranked, current []byte
+	if s := res.Session; s != nil {
+		ranked, _ = json.Marshal(s.Ranked())
+		current, _ = json.Marshal(s.CurrentOffer())
+		s.mu.Lock()
+		own = s.ranked.All()
+		s.mu.Unlock()
+	}
+	windDown(t, b.man, res, 0)
+	return fmt.Sprintf("status=%v current=%s ranked=%s", res.Status, current, ranked), own
+}
+
+// sameArray reports whether two ranked lists are one array.
+func sameArray(a, b []offer.Ranked) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
+// TestRankingMemo: a miss stores no ranking, the first hit memoizes one, an
+// equal profile built from fresh maps is served that very array, and a
+// profile that differs in one weight recomputes and leaves the slot to the
+// first. Every outcome equals a cache-off manager's.
+func TestRankingMemo(t *testing.T) {
+	on, off := defaultBed(t), cacheOffBed(t)
+	heavy := tvProfile()
+	heavy.Importance.VideoColor[qos.Grey] += 5
+	negotiate := func(what string, u profile.UserProfile) []offer.Ranked {
+		t.Helper()
+		got, own := outcome(t, on, u)
+		if want, _ := outcome(t, off, u); got != want {
+			t.Fatalf("%s: cache-on and cache-off outcomes differ:\non:  %s\noff: %s", what, got, want)
+		}
+		return own
+	}
+
+	negotiate("miss", tvProfile())
+	if m := memoFor(t, on, tvProfile()).Ranked; m.Len() != 0 {
+		t.Fatalf("a miss memoized a %d-offer ranking", m.Len())
+	}
+	first := negotiate("first hit", tvProfile())
+	memo := memoFor(t, on, tvProfile()).Ranked
+	if !sameArray(memo.All(), first) {
+		t.Fatal("the first hit did not memoize the ranking it used")
+	}
+	if again := negotiate("memo hit", tvProfile()); !sameArray(again, first) {
+		t.Fatal("an equal profile built from fresh maps was not served the memoized ranking")
+	}
+
+	moved := negotiate("one weight moved", heavy)
+	if sameArray(moved, first) {
+		t.Fatal("a profile with another weight was served the memoized ranking")
+	}
+	if m := memoFor(t, on, heavy).Ranked; m.Len() != 0 {
+		t.Fatal("the recomputed ranking took the filled slot over")
+	}
+	if again := negotiate("back to the first profile", tvProfile()); !sameArray(again, first) {
+		t.Fatal("the first profile lost its memoized ranking to another profile's hit")
+	}
+	if err := on.led.CheckEmpty(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRankingMemoNeverStale: a pricing swap, a registry Add and a quarantine
+// transition each change what classification reads, so the next negotiation
+// must not be served the memoized ranking: every outcome before and after
+// the change equals a cache-off manager's.
+func TestRankingMemoNeverStale(t *testing.T) {
+	trip := func(b *bed) {
+		b.man.recordCommitFailure(commitFailure{
+			cause: CauseServerDown, kind: refusedReserve, server: "server-2",
+			err: errors.New("injected"),
+		}, cost.BestEffort)
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(t *testing.T, b *bed)
+	}{
+		{"pricing", func(t *testing.T, b *bed) { b.man.SetPricing(versionPricing(7)) }},
+		{"registry", func(t *testing.T, b *bed) {
+			if err := b.reg.Add(bedDoc(900)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"quarantine", func(t *testing.T, b *bed) { trip(b) }},
+		{"restore", func(t *testing.T, b *bed) {
+			b.man.recordServerSuccess("server-2", cost.BestEffort, b.man.serverHealthGen("server-2"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			on, off := defaultBed(t), cacheOffBed(t)
+			if tc.name == "restore" {
+				trip(on)
+				trip(off)
+			}
+			round := func(what string) {
+				t.Helper()
+				for i := 0; i < 3; i++ { // a miss, the memo's fill, a memo hit
+					got, _ := outcome(t, on, tvProfile())
+					if want, _ := outcome(t, off, tvProfile()); got != want {
+						t.Fatalf("%s, negotiation %d: cache-on and cache-off outcomes differ:\non:  %s\noff: %s", what, i, got, want)
+					}
+				}
+			}
+			round("before")
+			if m := memoFor(t, on, tvProfile()).Ranked; m.Len() == 0 {
+				t.Fatal("the memo was never filled")
+			}
+			tc.change(t, on)
+			tc.change(t, off)
+			round("after")
+			if err := on.led.CheckEmpty(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestRankingMemoConcurrent: eight goroutines alternate two profiles on one
+// entry, so the two race to fill the slot, and the winner's array is served
+// while sessions read it and the other profile classifies afresh. Every
+// ranking equals a cache-off manager's, and every negotiation reserves.
+// Run with -race: a read of a memoized ranking that wrote to it shows.
+func TestRankingMemoConcurrent(t *testing.T) {
+	// A client link wide enough that eight sessions always fit.
+	offOpts := DefaultOptions()
+	offOpts.OfferCache = -1
+	on := newBed(t, cmfs.DefaultConfig(), qos.GBitPerSecond)
+	off := newBedOpts(t, cmfs.DefaultConfig(), qos.GBitPerSecond, offOpts)
+	heavy := tvProfile()
+	heavy.Importance.CostPerDollar = 3
+	profiles := [2]profile.UserProfile{tvProfile(), heavy}
+	var want [2]string
+	for i, u := range profiles {
+		want[i], _ = outcome(t, off, u)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				p := (w + i) % 2
+				res, err := on.man.NegotiateContext(context.Background(), on.mach, "news-1", profiles[p])
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if res.Session == nil {
+					t.Errorf("worker %d: %v (%s)", w, res.Status, res.Reason)
+					return
+				}
+				ranked, _ := json.Marshal(res.Session.Ranked())
+				if !strings.Contains(want[p], fmt.Sprintf("ranked=%s", ranked)) {
+					t.Errorf("worker %d, profile %d: ranking differs from the cache-off manager's:\ngot:  %s\nwant: %s", w, p, ranked, want[p])
+				}
+				windDown(t, on.man, res, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if st := on.man.Stats(); st.OfferCacheHits == 0 {
+		t.Error("the run never hit the cache")
+	}
+	if err := on.led.CheckEmpty(); err != nil {
 		t.Error(err)
 	}
 }

@@ -57,7 +57,7 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	if err != nil {
 		return Result{}, err
 	}
-	out, err := m.runProcedure(ctx, mach, doc, docGen, u)
+	out, err := m.runProcedure(ctx, &mach, &doc, docGen, &u)
 	if err != nil {
 		return Result{}, err
 	}
@@ -69,7 +69,7 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 		Document:     doc.ID,
 		Profile:      u,
 		Current:      out.chosen,
-		ChoicePeriod: m.choicePeriodFor(u),
+		ChoicePeriod: m.choicePeriodFor(&u),
 		ranked:       out.ranked,
 		state:        Reserved,
 		commit:       out.commit,
@@ -105,7 +105,7 @@ func (m *Manager) admit() (release func(), refusal Result, ok bool) {
 }
 
 // choicePeriodFor resolves the confirmation window for a profile.
-func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
+func (m *Manager) choicePeriodFor(u *profile.UserProfile) time.Duration {
 	if c := u.Desired.Time.ChoicePeriod; c > 0 {
 		return c
 	}
@@ -113,12 +113,13 @@ func (m *Manager) choicePeriodFor(u profile.UserProfile) time.Duration {
 }
 
 // runProcedure executes steps 1–5 of Section 4 as one counted request, for
-// negotiation and renegotiation alike: it times the run into the
+// negotiation and renegotiation alike. It times the run into the
 // negotiation-latency histogram and counts its outcome, which is what
-// Stats.Requests sums. A run that ends in an error (a canceled ctx) is
-// neither timed nor counted. docGen is the registry generation doc was snapshotted at; the
-// offer cache validates entries against it.
-func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
+// Stats.Requests sums; a run that ends in an error (a canceled ctx) is
+// neither timed nor counted. docGen is the registry generation doc was
+// snapshotted at, which the offer cache validates entries against. mach,
+// doc and u are read, never written.
+func (m *Manager) runProcedure(ctx context.Context, mach *client.Machine, doc *media.Document, docGen uint64, u *profile.UserProfile) (negOutcome, error) {
 	var begin time.Time
 	if m.opts.Metrics != nil {
 		begin = m.clk.Now()
@@ -135,7 +136,7 @@ func (m *Manager) runProcedure(ctx context.Context, mach client.Machine, doc med
 }
 
 // runSteps is the uncounted body of runProcedure.
-func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.Document, docGen uint64, u profile.UserProfile) (negOutcome, error) {
+func (m *Manager) runSteps(ctx context.Context, mach *client.Machine, doc *media.Document, docGen uint64, u *profile.UserProfile) (negOutcome, error) {
 	t := m.stepTimer()
 	// Step 1: static local negotiation.
 	if violations := mach.CheckLocal(u.Desired); len(violations) > 0 {
@@ -186,13 +187,13 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	c, err := m.commitFirst(ctx, &mach, &doc, &u, &ranked, "", nil, m.opts.Policy, "negotiate")
+	c, err := m.commitFirst(ctx, mach, doc, u, &ranked, "", nil, m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}
 	if c.ok {
 		status := FailedWithOffer
-		if c.chosen.Acceptable(&u) {
+		if c.chosen.Acceptable(u) {
 			status = Succeeded
 		}
 		if m.opts.Policy != nil {
@@ -235,64 +236,83 @@ func (m *Manager) runSteps(ctx context.Context, mach client.Machine, doc media.D
 	}, nil
 }
 
-// candidateSet resolves the step-2 candidate set for one negotiation: a
-// memoized set when the cache holds a coherent entry for (document, machine
-// class, guarantee, exclusion world) at the caller's generations, a fresh
-// Filter pass otherwise, stored for the next request under the generations
-// it was computed from. Every input of the filter/mapping/pricing
-// computation is either part of the cache key or generation-checked, so a
-// hit is byte-equivalent to recomputing.
-func (m *Manager) candidateSet(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, g cost.Guarantee, exclude func(media.Variant) bool, exclHash uint64) (offer.Candidates, []offer.SystemOffer, error) {
+// classify runs steps 2–4: static compatibility checking, classification
+// parameters and classification, as one streaming pass that keeps only the
+// top-K offers. An exclude filter (the quarantine set) drops variants on
+// unhealthy servers before the product is built, so the pipeline exploits
+// the paper's multi-server variant redundancy instead of burning commit
+// attempts on dead replicas; exclHash names that exclusion world in the
+// cache key.
+//
+// With the offer cache on, the step-2 candidate set comes from the entry
+// for (document, machine class, guarantee, exclusion world) when it is
+// coherent at the caller's generations. A hit whose entry also memoizes the
+// classification for u's rank digest returns that, sorted and shared,
+// without scoring anything. A hit on an entry whose ranking slot is empty
+// classifies the entry's candidates and memoizes the result there; a hit
+// whose slot holds another profile's ranking classifies and keeps its
+// result to itself; a miss filters afresh and stores the candidates only,
+// so an entry no one reuses carries no ranking.
+// Every input of steps 2–4 is part of the cache key, generation-checked, or
+// digested, so a hit is equivalent to recomputing.
+func (m *Manager) classify(ctx context.Context, doc *media.Document, docGen uint64, mach *client.Machine, u *profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) (offer.Classified, error) {
+	var (
+		key    offercache.Key
+		digest uint64
+		set    offercache.Result
+		out    = offercache.Miss
+	)
 	pricing, pricingGen := m.pricingSnapshot()
-	if m.cache == nil {
-		cands, err := offer.Filter(ctx, doc, mach, pricing, g, 0, exclude)
-		return cands, nil, err
-	}
-	key := offercache.Key{Doc: doc.ID, Machine: mach.Fingerprint(), Guarantee: g, Exclusion: exclHash}
-	cands, offers, out := m.cache.Lookup(key, docGen, pricingGen)
-	if out == offercache.Hit {
-		return cands, offers, nil
-	}
-	cands, err := offer.Filter(ctx, doc, mach, pricing, g, 0, exclude)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Memoize the built product too when it is small enough to hold: hits
-	// then skip per-offer materialization entirely, not just the filter.
-	var offers2 []offer.SystemOffer
-	if cands.Offers() <= offercache.MaterializeLimit {
-		if offers2, err = offer.FromCandidates(doc, cands, m.opts.MaxOffers); err != nil {
-			return nil, nil, err
+	if m.cache != nil {
+		key = offercache.Key{Doc: doc.ID, Machine: mach.Fingerprint(), Guarantee: u.Desired.Cost.Guarantee, Exclusion: exclHash}
+		digest = u.RankDigest()
+		set, out = m.cache.LookupRanking(key, docGen, pricingGen, digest)
+		if set.Ranked.Len() > 0 {
+			// The scoring pass a memo skips is also where a canceled ctx
+			// was noticed; it still is.
+			t.lap(telemetry.StepClassification)
+			return set.Ranked, ctx.Err()
 		}
 	}
-	m.cache.Store(key, docGen, pricingGen, cands, offers2)
-	return cands, offers2, nil
-}
-
-// classify runs steps 2–4: enumeration, classification parameters and
-// classification, as one streaming pass over the (possibly memoized)
-// candidate set that keeps only the top-K offers. An exclude filter (the
-// quarantine set) drops variants on unhealthy servers before the product is
-// built, so the pipeline exploits the paper's multi-server variant
-// redundancy instead of burning commit attempts on dead replicas; exclHash
-// names that exclusion world in the cache key.
-func (m *Manager) classify(ctx context.Context, doc media.Document, docGen uint64, mach client.Machine, u profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) (offer.Classified, error) {
-	cands, prebuilt, err := m.candidateSet(ctx, doc, docGen, mach, u.Desired.Cost.Guarantee, exclude, exclHash)
-	if err != nil {
-		t.lap(telemetry.StepCompatibilityCheck)
-		return offer.Classified{}, err
+	if out != offercache.Hit {
+		var err error
+		if set.Cands, set.Offers, err = m.candidateSet(ctx, doc, mach, pricing, u.Desired.Cost.Guarantee, exclude); err != nil {
+			t.lap(telemetry.StepCompatibilityCheck)
+			return offer.Classified{}, err
+		}
+		if m.cache != nil {
+			m.cache.Store(key, docGen, pricingGen, set.Cands, set.Offers)
+		}
 	}
-	ranked, err := offer.TopKFromCandidates(ctx, doc, cands, u, offer.PipelineOptions{
+	ranked, err := offer.TopKFromCandidates(ctx, *doc, set.Cands, *u, offer.PipelineOptions{
 		MaxOffers: m.opts.MaxOffers,
 		TopK:      DefaultTopK,
 		Orderer:   m.opts.Classifier,
-		Prebuilt:  prebuilt,
+		Prebuilt:  set.Offers,
 	})
+	if err == nil && set.Vacant {
+		m.cache.StoreRanking(key, docGen, pricingGen, digest, &ranked)
+	}
 	// The fused pipeline performs steps 2-4 in one streaming pass, so a
 	// single classification lap covers compatibility checking,
 	// classification parameters and classification.
 	t.lap(telemetry.StepClassification)
 	return ranked, err
+}
+
+// candidateSet computes the step-2 candidate set afresh: a Filter pass, and
+// with the offer cache on the built product too when it is small enough to
+// memoize, so that hits skip per-offer materialization, not just the filter.
+func (m *Manager) candidateSet(ctx context.Context, doc *media.Document, mach *client.Machine, pricing cost.Pricing, g cost.Guarantee, exclude func(media.Variant) bool) (offer.Candidates, []offer.SystemOffer, error) {
+	cands, err := offer.Filter(ctx, *doc, *mach, pricing, g, 0, exclude)
+	if err != nil || m.cache == nil || cands.Offers() > offercache.MaterializeLimit {
+		return cands, nil, err
+	}
+	offers, err := offer.FromCandidates(*doc, cands, m.opts.MaxOffers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cands, offers, nil
 }
 
 // maxDuration returns the larger duration.

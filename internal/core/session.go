@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,7 +83,9 @@ type Session struct {
 	// Lock ordering: Manager.sessMu before Session.mu, never the reverse.
 	mu sync.Mutex
 	// ranked is the classified offer list from negotiation step 4, sorted
-	// only as far as step 5 read it; empty once the session is terminal.
+	// only as far as step 5 read it, or sorted whole and shared when it is
+	// the offer cache's memoized ranking; empty once the session is
+	// terminal.
 	ranked offer.Classified
 	state  SessionState
 	// epoch is the session's transition counter: every state change and
@@ -226,13 +229,15 @@ func (s *Session) UserOffer() profile.MMProfile {
 	return s.Current.UserOffer()
 }
 
-// Ranked returns the full classified offer list from negotiation step 4,
-// best-first; nil once the session is terminal. The offers are shared with
-// the offer cache and immutable.
+// Ranked returns a copy of the full classified offer list from negotiation
+// step 4, best-first; nil once the session is terminal. The list is a copy
+// because the session's own may be the offer cache's memoized ranking,
+// which other sessions read; the offers it points at are shared with the
+// offer cache and immutable.
 func (s *Session) Ranked() []offer.Ranked {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ranked.All()
+	return slices.Clone(s.ranked.All())
 }
 
 // EachHold calls f with each reservation the session's commitment holds:

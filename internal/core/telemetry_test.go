@@ -11,6 +11,7 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/network"
+	"qosneg/internal/offer"
 	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/transport"
@@ -191,25 +192,69 @@ func cachedCycleAllocs(t *testing.T, b *bed) testing.BenchmarkResult {
 }
 
 // TestCachedNegotiateAllocBound pins what a full cached negotiate-and-reject
-// cycle allocates (telemetry disabled, candidate set memoized), in count and
-// in bytes. The count bound was set at 12 allocations plus 15%, and a cycle
-// makes 10: a ranked list copied out of the shared product, a
-// re-materialized acceptable/feasible partition, a profile section boxed
-// per candidate, an eager fmt.Sprintf call site or a step-5 path search
-// that allocates each overshoot it. The byte bound is the measured 1 296 bytes plus 8%; a
-// commitment that copies each choice's reservation and connection (160
-// bytes a choice, 1 552 bytes a cycle) instead of their ids overshoots it.
+// cycle allocates (telemetry disabled, candidate set and ranking memoized),
+// in count and in bytes. A cycle makes 5: the session, the user offer and
+// its two boxed sections, and the commitment's hold array. The count bound
+// is exactly that (15% of 5 rounds to nothing), which a ranked list
+// copied out of the shared product, a re-materialized acceptable/feasible
+// partition, a profile section boxed per candidate, an eager fmt.Sprintf
+// call site, a step-5 path search that allocates, or a hot entry whose
+// ranking is scored again instead of served from its memo (5 more)
+// overshoots. The byte bound is the measured 752
+// bytes plus 8%; a commitment that copies each choice's reservation and
+// connection (160 bytes a choice) instead of their ids overshoots it.
 func TestCachedNegotiateAllocBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is noisy under -short race beds")
 	}
 	res := cachedCycleAllocs(t, defaultBed(t))
-	const maxAllocs, maxBytes = 14, 1400
+	const maxAllocs, maxBytes = 5, 812
 	if res.AllocsPerOp() > maxAllocs || res.AllocedBytesPerOp() > maxBytes {
 		t.Fatalf("cached negotiate+reject allocated %d objects, %d bytes per cycle, want <= %d and <= %d",
 			res.AllocsPerOp(), res.AllocedBytesPerOp(), maxAllocs, maxBytes)
 	}
 	t.Logf("cached negotiate+reject: %d allocs, %d bytes per cycle", res.AllocsPerOp(), res.AllocedBytesPerOp())
+}
+
+// TestRankingHitAllocatesNothing pins that steps 2–4 on a hot entry whose
+// ranking slot holds the profile's classification — the machine
+// fingerprint, the profile's rank digest, the entry lookup — allocate
+// nothing: the memoized ranking is handed out as it is.
+func TestRankingHitAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race beds")
+	}
+	b := defaultBed(t)
+	ctx := context.Background()
+	u := tvProfile()
+	for i := 0; i < 2; i++ { // a miss stores the entry, its first hit fills the slot
+		res, err := b.man.NegotiateContext(ctx, b.mach, "news-1", u)
+		if err != nil || res.Session == nil {
+			t.Fatalf("warm-up: %v (%+v)", err, res.Status)
+		}
+		if err := b.man.Reject(res.Session.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	doc, docGen, err := b.man.registry.Snapshot("news-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exclude, _, exclHash := b.man.servers.exclusion(b.man.clk)
+	timer := b.man.stepTimer()
+	var ranked offer.Classified
+	allocs := testing.AllocsPerRun(100, func() {
+		ranked, err = b.man.classify(ctx, &doc, docGen, &b.mach, &u, exclude, exclHash, &timer)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if memo := memoFor(t, b, u).Ranked; !sameArray(memo.All(), ranked.All()) {
+		t.Fatal("the measured classification was not served from the memo")
+	}
+	if allocs != 0 {
+		t.Fatalf("steps 2-4 on a memo hit allocated %.1f objects, want 0", allocs)
+	}
 }
 
 // TestTracerOnAllocBound pins that installing a tracer costs the cached

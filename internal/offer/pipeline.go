@@ -51,7 +51,7 @@ type candidateStats struct {
 // rankCandidates precomputes candidateStats for every candidate, mirroring
 // SNS's per-choice comparisons and Rank's importance sum. The per-monomedia
 // rows are windows of one slab.
-func rankCandidates(cands Candidates, u profile.UserProfile) [][]candidateStats {
+func rankCandidates(cands Candidates, u *profile.UserProfile) [][]candidateStats {
 	n := 0
 	for _, mono := range cands {
 		n += len(mono)
@@ -99,7 +99,7 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 	if err != nil {
 		return Classified{}, err
 	}
-	stats := rankCandidates(cands, u)
+	stats := rankCandidates(cands, &u)
 	var tk TopK
 	tk.Reset(opts.TopK, orderer, total)
 

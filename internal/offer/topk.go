@@ -140,7 +140,8 @@ type Classified struct {
 // heapOrder is a fresh view's sorted count when its array is a heap.
 const heapOrder = -1
 
-// Presorted returns a view over offers already in order. Only tests build one.
+// Presorted returns a view over offers already in order: the offer cache's
+// memoized rankings, and tests.
 func Presorted(offers []Ranked) Classified { return Classified{items: offers, sorted: len(offers)} }
 
 // Len returns how many offers the view holds.

@@ -10,7 +10,10 @@
 // offer.Candidates set, plus (for products up to MaterializeLimit) the built
 // offer list derived from it — behind a key that names every input the
 // computation reads, plus generation stamps for the two inputs that mutate
-// in place.
+// in place. An entry that is hit also memoizes steps 3–4 over its
+// candidates: one ranking slot holds the classified top K for the first
+// profile that hit it, so the users of one profile share a ranking as they
+// share candidates.
 //
 // # Coherence argument
 //
@@ -41,13 +44,27 @@
 // fresh entry, while the old world's entries age out of the LRU (or are
 // dropped promptly by PurgeExclusions on breaker transitions).
 //
+// A memoized ranking is a pure function of the entry's candidates and
+// built offers (coherent by the argument above) and of the user profile
+// fields classification reads. The profile is pinned by a key that, like
+// Key.Machine, is a 64-bit hash: its rank digest
+// (profile.UserProfile.RankDigest). LookupRanking serves the slot only to
+// a caller whose digest equals the one it was filled for; StoreRanking
+// fills an empty slot only while the entry still carries the stamps the
+// caller hit it at; Store, replacing the candidates, empties it; and a
+// stale or evicted entry takes its slot with it. A fresh entry has an empty
+// slot, so an entry no one reuses holds no ranking.
+//
 // # Sharing
 //
 // A stored candidate set and the offers built from it are shared by every
 // negotiation that hits the entry, and the offers share the candidates'
 // variants: a choice points at the Variant of the candidate it picked
-// instead of copying it. Nothing reachable from an entry may be written —
-// not a candidate, not an offer, not a variant a choice points at.
+// instead of copying it. A memoized ranking is shared by every session it
+// is served to; it is sorted before it is published, then never written, so
+// a session reading it in classified order only reads. Nothing reachable
+// from an entry may be written — not a candidate, not an offer, not a
+// variant a choice points at, not a ranking.
 //
 // The cache is sharded; each shard holds an LRU list under its own mutex, so
 // concurrent negotiations on different documents rarely contend.
@@ -61,6 +78,7 @@ import (
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
+	"qosneg/internal/wordhash"
 )
 
 // DefaultSize is the entry capacity used when the configured size is 0.
@@ -116,8 +134,37 @@ type entry struct {
 	// order, memoized when the product is at most MaterializeLimit; nil
 	// otherwise. Derived purely from the document and cands, so the same
 	// stamps that keep cands coherent keep offers coherent.
-	offers     []offer.SystemOffer
+	offers []offer.SystemOffer
+	// memo is the entry's one ranking slot, empty until StoreRanking fills
+	// it after a hit; the first profile to fill it keeps it. It is part of
+	// the entry, so filling it allocates nothing, and it is read and written
+	// under the shard mutex only.
+	memo       ranking
 	prev, next *entry
+}
+
+// ranking is a memoized classification: steps 3–4's top K over an entry's
+// candidates, sorted, for the profiles whose rank digest is digest. It keeps
+// the sorted array alone, not the view with its orderer: every read of a
+// sorted view is in place. An empty ranked list is an empty slot.
+type ranking struct {
+	digest uint64
+	ranked []offer.Ranked
+}
+
+// Result is what a lookup hands back on a hit.
+type Result struct {
+	// Cands is the memoized candidate set.
+	Cands offer.Candidates
+	// Offers is the built offer list, nil when the product exceeded
+	// MaterializeLimit.
+	Offers []offer.SystemOffer
+	// Ranked is the entry's memoized classification when the slot holds
+	// one for the digest asked; otherwise Ranked.Len() is 0.
+	Ranked offer.Classified
+	// Vacant reports that the entry's ranking slot is empty, so that a
+	// StoreRanking after this hit would fill it.
+	Vacant bool
 }
 
 // shard is one LRU segment: map for lookup, doubly-linked list for
@@ -143,7 +190,8 @@ type Stats struct {
 // enumeration pipeline only reads them, and Filter always builds fresh
 // slices, so this holds by construction. Their variants are shared further:
 // every offer built from a set, and every session holding one, points at the
-// candidates' own variants (offer.Choice.Variant).
+// candidates' own variants (offer.Choice.Variant). So is a memoized
+// ranking's array, which StoreRanking sorts before any reader sees it.
 type Cache struct {
 	shards [numShards]shard
 
@@ -170,49 +218,27 @@ func New(size int) *Cache {
 	return c
 }
 
-// fnv-1a constants, inlined to keep the package dependency-free.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func hashString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-func hashUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
+// hash picks k's shard. It starts from a fixed state (wordhash.Start), as
+// do Key.Machine and ExclusionHash, so a key lands in the same shard in
+// every run and a seeded workload evicts the same entries each time.
 func (k Key) hash() uint64 {
-	h := hashString(uint64(fnvOffset), string(k.Doc))
-	h = hashUint64(h, k.Machine)
-	h = hashUint64(h, uint64(k.Guarantee))
-	h = hashUint64(h, k.Exclusion)
-	return h
+	h := wordhash.String(wordhash.Start, string(k.Doc))
+	return wordhash.Word(wordhash.Word(wordhash.Word(h, k.Machine), uint64(k.Guarantee)), k.Exclusion)
 }
 
 // ExclusionHash folds a quarantined-server set into a 64-bit value,
-// independent of iteration order: per-id FNV-1a hashes combined by XOR,
-// mixed with the set size so nothing-excluded (0 ids) is distinguishable
-// from pathological XOR cancellations.
+// independent of iteration order: per-id hashes combined by XOR, mixed with
+// the set size so nothing-excluded (0 ids) is distinguishable from
+// pathological XOR cancellations.
 func ExclusionHash(ids []media.ServerID) uint64 {
 	if len(ids) == 0 {
 		return 0
 	}
 	var x uint64
 	for _, id := range ids {
-		x ^= hashString(uint64(fnvOffset), string(id))
+		x ^= wordhash.String(wordhash.Start, string(id))
 	}
-	return hashUint64(x, uint64(len(ids)))
+	return wordhash.Word(x, uint64(len(ids)))
 }
 
 func (c *Cache) shardFor(k Key) *shard {
@@ -224,13 +250,23 @@ func (c *Cache) shardFor(k Key) *shard {
 // generation stamps match the caller's current (docGen, pricingGen). A
 // mismatched entry is removed and reported as Stale — it is never returned.
 func (c *Cache) Lookup(k Key, docGen, pricingGen uint64) (offer.Candidates, []offer.SystemOffer, Outcome) {
+	r, out := c.LookupRanking(k, docGen, pricingGen, 0)
+	return r.Cands, r.Offers, out
+}
+
+// LookupRanking is Lookup that also reads the entry's ranking slot: on a
+// hit whose slot holds the classification for the profile rank digest
+// digest, Result.Ranked is that classification, sorted and shared with
+// every other reader — none may write it. On a hit whose slot is empty,
+// Result.Vacant is set.
+func (c *Cache) LookupRanking(k Key, docGen, pricingGen, digest uint64) (Result, Outcome) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		return nil, nil, Miss
+		return Result{}, Miss
 	}
 	if e.docGen != docGen || e.pricingGen != pricingGen {
 		s.removeLocked(e)
@@ -238,13 +274,19 @@ func (c *Cache) Lookup(k Key, docGen, pricingGen uint64) (offer.Candidates, []of
 		c.entries.Add(-1)
 		c.invalidations.Add(1)
 		c.misses.Add(1)
-		return nil, nil, Stale
+		return Result{}, Stale
 	}
 	s.moveFrontLocked(e)
-	cands, offers := e.cands, e.offers
+	r := Result{Cands: e.cands, Offers: e.offers}
+	switch {
+	case len(e.memo.ranked) == 0:
+		r.Vacant = true
+	case e.memo.digest == digest:
+		r.Ranked = offer.Presorted(e.memo.ranked)
+	}
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return cands, offers, Hit
+	return r, Hit
 }
 
 // Store memoizes cands (and the optional pre-built offer list, nil when the
@@ -258,6 +300,7 @@ func (c *Cache) Store(k Key, docGen, pricingGen uint64, cands offer.Candidates, 
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		e.docGen, e.pricingGen, e.cands, e.offers = docGen, pricingGen, cands, offers
+		e.memo = ranking{}
 		s.moveFrontLocked(e)
 		s.mu.Unlock()
 		return
@@ -272,6 +315,27 @@ func (c *Cache) Store(k Key, docGen, pricingGen uint64, cands offer.Candidates, 
 	s.pushFrontLocked(e)
 	s.mu.Unlock()
 	c.entries.Add(1 - int64(evicted))
+}
+
+// StoreRanking sorts ranked in place and memoizes it in the slot of the
+// entry under k, if the slot is empty. ranked must be the classification
+// (steps 3–4) of the entry's own candidates for a profile whose rank digest
+// is digest, computed after a lookup that hit at (docGen, pricingGen); if
+// the entry has gone or moved to other stamps since, or another profile
+// has filled the slot, the ranking is dropped. A filled slot is kept until
+// Store replaces the entry's candidates: profiles that share an entry but
+// not a digest would otherwise overwrite each other's ranking on every hit,
+// each paying a sort for a memo the next one discards. Sorting first means
+// that no reader of the memo ever reorders its array: a sorted view's reads
+// only read.
+func (c *Cache) StoreRanking(k Key, docGen, pricingGen, digest uint64, ranked *offer.Classified) {
+	sorted := ranked.All()
+	s := c.shardFor(k)
+	s.mu.Lock()
+	if e, ok := s.entries[k]; ok && e.docGen == docGen && e.pricingGen == pricingGen && len(e.memo.ranked) == 0 {
+		e.memo = ranking{digest: digest, ranked: sorted}
+	}
+	s.mu.Unlock()
 }
 
 // PurgeExclusions drops every entry whose exclusion hash differs from

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"qosneg/internal/cost"
 	"qosneg/internal/media"
@@ -256,5 +257,88 @@ func TestConcurrentChurn(t *testing.T) {
 	// Gauge must agree with an exhaustive key scan.
 	if got, want := c.Len(), len(c.Keys()); got != want {
 		t.Fatalf("entry gauge = %d but %d keys live", got, want)
+	}
+}
+
+// TestRankingSlot: an entry's ranking slot starts empty (and says so), is
+// filled only by StoreRanking at the entry's own stamps, is served only for
+// the digest it was filled for, keeps its first ranking against another
+// digest's, and goes with the candidates when Store replaces them.
+func TestRankingSlot(t *testing.T) {
+	c := New(0)
+	k := key("doc-1", 42)
+	ranked := func(n int) offer.Classified {
+		rs := make([]offer.Ranked, n)
+		for i := range rs {
+			rs[i] = offer.Ranked{SystemOffer: &offer.SystemOffer{Document: "doc-1"}, OIF: float64(n - i)}
+		}
+		return offer.Presorted(rs)
+	}
+	vacant := false
+	memo := func(digest uint64) int {
+		t.Helper()
+		r, out := c.LookupRanking(k, 1, 1, digest)
+		if out != Hit {
+			t.Fatalf("lookup = %v, want Hit", out)
+		}
+		vacant = r.Vacant
+		return r.Ranked.Len()
+	}
+
+	c.Store(k, 1, 1, testCands(2), nil)
+	if n := memo(7); n != 0 || !vacant {
+		t.Fatalf("a freshly stored entry serves a %d-offer ranking (vacant %v)", n, vacant)
+	}
+	// A ranking computed at other stamps never lands.
+	r2 := ranked(2)
+	c.StoreRanking(k, 1, 2, 8, &r2)
+	if n := memo(8); n != 0 || !vacant {
+		t.Fatalf("a ranking stored at stale stamps is served (%d offers, vacant %v)", n, vacant)
+	}
+	r := ranked(3)
+	c.StoreRanking(k, 1, 1, 7, &r)
+	if n := memo(7); n != 3 || vacant {
+		t.Fatalf("slot for digest 7 serves %d offers (vacant %v), want 3", n, vacant)
+	}
+	if n := memo(8); n != 0 || vacant {
+		t.Fatalf("slot for digest 7 serves digest 8 a %d-offer ranking (vacant %v)", n, vacant)
+	}
+	// A filled slot keeps its ranking: another digest's is dropped.
+	c.StoreRanking(k, 1, 1, 8, &r2)
+	if n := memo(8); n != 0 {
+		t.Fatalf("digest 8 overwrote digest 7's slot (%d offers served)", n)
+	}
+	if n := memo(7); n != 3 {
+		t.Fatalf("after digest 8's store, digest 7 is served %d offers, want 3", n)
+	}
+	// Replacing the candidates empties the slot.
+	c.Store(k, 1, 1, testCands(2), nil)
+	if n := memo(7); n != 0 {
+		t.Fatalf("the slot survived Store replacing its candidates (%d offers)", n)
+	}
+	// A stale lookup drops the entry and its slot with it.
+	c.StoreRanking(k, 1, 1, 7, &r)
+	if _, out := c.LookupRanking(k, 2, 1, 7); out != Stale {
+		t.Fatalf("lookup at a new docGen = %v, want Stale", out)
+	}
+	c.Store(k, 2, 1, testCands(2), nil)
+	if r, _ := c.LookupRanking(k, 2, 1, 7); r.Ranked.Len() != 0 {
+		t.Fatal("a re-stored entry serves the dropped entry's ranking")
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %d, want 1", st.Entries)
+	}
+}
+
+// TestEntrySize keeps an entry, ranking slot included, in the 160-byte size
+// class on a 64-bit platform: every stored entry pays the slot, hit or not,
+// so the slot keeps the sorted array alone (32 bytes with its digest), not
+// the classified view with its orderer, which would take the 176-byte class.
+func TestEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size classes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(entry{}); got > 160 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d, want <= 160", got)
 	}
 }

@@ -30,21 +30,24 @@ var ErrNotFound = errors.New("registry: not found")
 // the mutating call returns.
 type Registry struct {
 	mu   sync.RWMutex
-	docs map[media.DocumentID]media.Document
+	docs map[media.DocumentID]stored
 	// gen is a monotonic mutation counter; every mutation stamps the
-	// affected documents' entries in gens with a fresh value. The offer
-	// cache keys candidate sets by it, so a document update (or a
-	// remove+re-add cycle) is always visible as a generation change.
-	gen  uint64
-	gens map[media.DocumentID]uint64
+	// affected documents with a fresh value. The offer cache keys candidate
+	// sets by it, so a document update (or a remove+re-add cycle) is always
+	// visible as a generation change.
+	gen uint64
+}
+
+// stored is one catalog entry: the document and the generation it was
+// stored at, kept together so a Snapshot reads both with one lookup.
+type stored struct {
+	doc media.Document
+	gen uint64
 }
 
 // New returns an empty registry.
 func New() *Registry {
-	return &Registry{
-		docs: make(map[media.DocumentID]media.Document),
-		gens: make(map[media.DocumentID]uint64),
-	}
+	return &Registry{docs: make(map[media.DocumentID]stored)}
 }
 
 // Add validates and stores a document, replacing any document with the same
@@ -54,9 +57,8 @@ func (r *Registry) Add(d media.Document) error {
 		return err
 	}
 	r.mu.Lock()
-	r.docs[d.ID] = d
 	r.gen++
-	r.gens[d.ID] = r.gen
+	r.docs[d.ID] = stored{doc: d, gen: r.gen}
 	r.mu.Unlock()
 	return nil
 }
@@ -69,7 +71,6 @@ func (r *Registry) Remove(id media.DocumentID) error {
 		return fmt.Errorf("%w: document %q", ErrNotFound, id)
 	}
 	delete(r.docs, id)
-	delete(r.gens, id)
 	r.gen++
 	r.mu.Unlock()
 	return nil
@@ -89,11 +90,11 @@ func (r *Registry) Document(id media.DocumentID) (media.Document, error) {
 func (r *Registry) Snapshot(id media.DocumentID) (media.Document, uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	d, ok := r.docs[id]
+	e, ok := r.docs[id]
 	if !ok {
 		return media.Document{}, 0, fmt.Errorf("%w: document %q", ErrNotFound, id)
 	}
-	return d, r.gens[id], nil
+	return e.doc, e.gen, nil
 }
 
 // List returns every stored document id in sorted order.
@@ -123,8 +124,8 @@ func (r *Registry) SearchTitle(query string) []media.DocumentID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var ids []media.DocumentID
-	for id, d := range r.docs {
-		if strings.Contains(strings.ToLower(d.Title), q) {
+	for id, e := range r.docs {
+		if strings.Contains(strings.ToLower(e.doc.Title), q) {
 			ids = append(ids, id)
 		}
 	}
@@ -152,8 +153,8 @@ func (r *Registry) Servers() []media.ServerID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	set := make(map[media.ServerID]bool)
-	for _, d := range r.docs {
-		for _, m := range d.Monomedia {
+	for _, e := range r.docs {
+		for _, m := range e.doc.Monomedia {
 			for _, v := range m.Variants {
 				set[v.Server] = true
 			}
@@ -172,7 +173,7 @@ func (r *Registry) SaveFile(path string) error {
 	r.mu.RLock()
 	docs := make([]media.Document, 0, len(r.docs))
 	for _, id := range r.listLocked() {
-		docs = append(docs, r.docs[id])
+		docs = append(docs, r.docs[id].doc)
 	}
 	r.mu.RUnlock()
 	data, err := json.MarshalIndent(docs, "", "  ")
@@ -202,22 +203,19 @@ func (r *Registry) LoadFile(path string) error {
 	if err := json.Unmarshal(data, &docs); err != nil {
 		return fmt.Errorf("registry %s: %w", path, err)
 	}
-	m := make(map[media.DocumentID]media.Document, len(docs))
 	for _, d := range docs {
 		if err := d.Validate(); err != nil {
 			return fmt.Errorf("registry %s: %w", path, err)
 		}
-		m[d.ID] = d
 	}
 	r.mu.Lock()
-	r.docs = m
 	// A reload replaces the whole catalog: every surviving document gets a
 	// fresh generation so cached candidate sets from the old catalog can
 	// never be mistaken for current ones.
-	r.gens = make(map[media.DocumentID]uint64, len(m))
 	r.gen++
-	for id := range m {
-		r.gens[id] = r.gen
+	r.docs = make(map[media.DocumentID]stored, len(docs))
+	for _, d := range docs {
+		r.docs[d.ID] = stored{doc: d, gen: r.gen}
 	}
 	r.mu.Unlock()
 	return nil

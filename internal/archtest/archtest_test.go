@@ -153,7 +153,8 @@ var rules = []rule{{
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
 	// "one breaker table", "no unset knobs", "one count per fact", "one
 	// arrival driver", "one record of commit outcomes", "one ops read", "one
-	// manager" and "every value kept once" used.
+	// manager", "every value kept once" and "one way to build an offer"
+	// used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
@@ -163,7 +164,8 @@ var rules = []rule{{
 		`ObserveCommit|PolicyObserver|CommitObservation|latencyWeight|` +
 		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload|` +
 		`ShardHooks|SumStats|NextSessionID|MetricShardRouted|MetricShardLiveSessions|qosneg_shard_|qosneg/internal/shard\b|` +
-		`GaugeFamily|streamGauge|connGauge|redialCtr|\bc\.connCtr\b|badAcquires`),
+		`GaugeFamily|streamGauge|connGauge|redialCtr|\bc\.connCtr\b|badAcquires|` +
+		`\bMaterializeLimit\b|\bbuildOffer\b|internal/offer\.Walk\b|^func Walk\(|\bcandidateSet\b`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / one server table holds every quarantine; a quarantine is one fact, never copied between tables" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
@@ -172,7 +174,8 @@ var rules = []rule{{
 		" / the server table is the one record of commit outcomes; a policy reads its rows and keeps no evidence of its own" +
 		" / the metrics snapshot is the one ops read; qosctl renders stats and servers from it" +
 		" / one manager runs every system: no shard router, per-shard hooks, strided ids or per-shard series (a fleet measured no faster)" +
-		" / a gauge is a collector over its owner's state, and a count its owner keeps is read from the owner; the ledger only reads tables",
+		" / a gauge is a collector over its owner's state, and a count its owner keeps is read from the owner; the ledger only reads tables" +
+		" / a classification writes only the offers it keeps, through the one offer writer, and the offer cache memoizes no offer product",
 	at: "internal/protocol/x.go", plant: "package protocol\n\nfunc (c *Client) f(m *Manager) {\n\t_ = m.topK()\n\tc.roundTrip(Envelope{Type: MsgStats}, &StatsInfoPayload{})\n}\n",
 	more: []string{
 		"package protocol\n\nvar _ core.ShardHooks\n",
@@ -188,6 +191,11 @@ var rules = []rule{{
 		"package protocol\n\nfunc (c *Client) f() { c.redialCtr.Inc() }\n",
 		"package protocol\n\nfunc (c *Client) f() { c.connCtr.Inc() }\n",
 		"package protocol\n\nfunc (l *Ledger) f() { l.badAcquires.Add(1) }\n",
+		"package protocol\n\nvar n = offercache.MaterializeLimit\n",
+		"package protocol\n\nfunc f(doc media.Document) { _ = buildOffer(doc, nil, nil, 0) }\n",
+		"package protocol\n\nimport \"qosneg/internal/offer\"\n\nfunc f() { offer.Walk(doc, cands, yield) }\n",
+		"package protocol\n\nfunc Walk(doc media.Document, yield func(SystemOffer) bool) {}\n",
+		"package protocol\n\nfunc (m *Manager) f() { m.candidateSet(ctx, doc, mach) }\n",
 	},
 }, {
 	name: "the wire reads no fleet", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },

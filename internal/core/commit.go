@@ -37,7 +37,8 @@ type commitResult struct {
 // resource commitment for the ranked offers — "at first ... only the offers
 // which satisfy the cost and the QoS requested by the user", then the others,
 // "always in the order defined above" — and stops at the first that commits,
-// passing over the offer keyed skipKey (the one an adaptation is leaving).
+// passing over the offer with skip's key (the one an adaptation is leaving),
+// compared by offer.CompareKeys, which builds no string.
 // The committed offer's hold is copied into spare when its capacity
 // suffices (an adaptation hands over the array of the commitment it
 // withdrew), and into an exact-size slice otherwise.
@@ -49,7 +50,7 @@ type commitResult struct {
 // predicate, so a pass that commits its first offer orders nothing past it;
 // a policy permutes ties within each set, so the two sets are materialized
 // for it from the sorted list. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skipKey string, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
+func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skip *offer.SystemOffer, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	last := m.carries.get()
@@ -71,7 +72,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 			} else if r = ranked.At(i); r.Acceptable(u) != (pass == 0) {
 				continue
 			}
-			if skipKey != "" && r.Key() == skipKey {
+			if skip != nil && offer.CompareKeys(r.SystemOffer, skip) == 0 {
 				continue
 			}
 			if id, onDead := offerOnDead(r, dead); onDead {

@@ -172,7 +172,7 @@ func TestPlanEvidenceMatchesOneAtATime(t *testing.T) {
 		t.Helper()
 		ref := cloneTable(w.man.servers)
 		held := w.led.Open()
-		c, err := w.man.commitFirst(ctx, &w.mach, &doc, &u, presorted(offers), "", nil, nil, "negotiate")
+		c, err := w.man.commitFirst(ctx, &w.mach, &doc, &u, presorted(offers), nil, nil, nil, "negotiate")
 		if err != nil {
 			t.Fatal(err)
 		}

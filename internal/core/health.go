@@ -232,6 +232,9 @@ func (p HealthPolicy) retryAfter() time.Duration {
 type ServerTable struct {
 	mu      sync.RWMutex
 	servers map[media.ServerID]*serverRecord
+	// quarantined counts the records with a non-zero quarantinedUntil,
+	// expired or not: exclusion returns at once when there is none.
+	quarantined int
 }
 
 // newServerTable returns an empty server table.
@@ -424,6 +427,9 @@ func (t *ServerTable) failureLocked(f commitFailure, g cost.Guarantee, p HealthP
 		at := clk.Now()
 		if end := at.Add(p.cooldown()); end.After(h.quarantinedUntil) {
 			tripped = !h.quarantinedUntil.After(at)
+			if h.quarantinedUntil.IsZero() {
+				t.quarantined++
+			}
 			h.quarantinedUntil = end
 		}
 	}
@@ -456,7 +462,10 @@ func (t *ServerTable) successLocked(id media.ServerID, g cost.Guarantee, gen uin
 	}
 	// A zero deadline is never after now, so the clock is read only when
 	// a quarantine is on record.
-	restored = !rec.quarantinedUntil.IsZero() && rec.quarantinedUntil.After(clk.Now())
+	if !rec.quarantinedUntil.IsZero() {
+		restored = rec.quarantinedUntil.After(clk.Now())
+		t.quarantined--
+	}
 	rec.consecutive = 0
 	rec.quarantinedUntil = time.Time{}
 	return restored
@@ -466,13 +475,18 @@ func (t *ServerTable) successLocked(id media.ServerID, g cost.Guarantee, gen uin
 // classification, plus the longest remaining cooldown (the RetryAfter hint
 // when quarantine starves the candidate sets) and the order-independent
 // hash of the set — the exclusion-world component of the offer-cache key.
-// It returns a nil filter and a zero hash when no server is quarantined.
+// It returns a nil filter and a zero hash when no server is quarantined,
+// without ranging over the table when no deadline is on record.
 // Because the hash is computed from the same snapshot the filter closes
 // over, a cached candidate set is always keyed by exactly the exclusion
 // world it was filtered under — including worlds reached by silent
 // time-based quarantine expiry, which simply hash differently.
 func (t *ServerTable) exclusion(clk clock.Clock) (func(media.Variant) bool, time.Duration, uint64) {
 	t.mu.RLock()
+	if t.quarantined == 0 {
+		t.mu.RUnlock()
+		return nil, 0, 0
+	}
 	var quarantined map[media.ServerID]bool
 	var ids []media.ServerID
 	var longest time.Duration

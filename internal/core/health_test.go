@@ -421,3 +421,55 @@ func TestBreakerGaugesMatchTable(t *testing.T) {
 		t.Fatal("no server holds streams: the utilization gauge was checked at zero only")
 	}
 }
+
+// TestExclusionAfterExpiryAndRequarantine follows one server through a
+// quarantine, its silent expiry, a second quarantine over the expired
+// deadline and the success that clears it. exclusion must name exactly the
+// quarantined server at each step, and the table's count of deadlines on
+// record must match its records throughout, so that the early return taken
+// at a count of 0 is never taken while a quarantine holds.
+func TestExclusionAfterExpiryAndRequarantine(t *testing.T) {
+	b := defaultBed(t)
+	b.man.opts.Health = HealthPolicy{FailureThreshold: 2, Cooldown: time.Minute}
+	eng := sim.NewEngine()
+	b.man.clk = clock.Sim(eng)
+	const id = media.ServerID("server-2")
+	excluded := func(step string, want bool) {
+		t.Helper()
+		tab := b.man.servers
+		tab.mu.RLock()
+		onRecord := 0
+		for _, rec := range tab.servers {
+			if !rec.quarantinedUntil.IsZero() {
+				onRecord++
+			}
+		}
+		count := tab.quarantined
+		tab.mu.RUnlock()
+		if count != onRecord {
+			t.Fatalf("%s: the table counts %d quarantine deadlines, its records hold %d", step, count, onRecord)
+		}
+		exclude, _, hash := tab.exclusion(b.man.clk)
+		got := exclude != nil && exclude(media.Variant{Server: id})
+		if got != want || (hash != 0) != want {
+			t.Fatalf("%s: %s excluded %v (hash %#x), want %v", step, id, got, hash, want)
+		}
+	}
+	trip := func() {
+		b.man.recordCommitFailure(commitFailure{cause: CauseServerDown, kind: refusedReserve, server: id, err: ErrServerDown}, cost.BestEffort)
+	}
+
+	excluded("before any failure", false)
+	trip()
+	excluded("quarantined", true)
+	eng.Run(eng.Now() + 2*time.Minute)
+	excluded("expired", false)
+	trip()
+	excluded("quarantined again over the expired deadline", true)
+	b.man.recordServerSuccess(id, cost.BestEffort, b.man.serverHealthGen(id))
+	excluded("cleared by a success", false)
+	b.man.recordServerSuccess(id, cost.BestEffort, b.man.serverHealthGen(id))
+	excluded("a second success", false)
+	trip()
+	excluded("quarantined after the clear", true)
+}

@@ -354,7 +354,7 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	// Consider the ordered offers except the current one, acceptable set
 	// first, as in step 5. An installed policy may reorder ties within each
 	// group — the same freedom it has in step 5.
-	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.Key(), w.held, m.opts.Policy, "adapt")
+	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.SystemOffer, w.held, m.opts.Policy, "adapt")
 	if !c.ok {
 		m.abortWindow(&w)
 		m.count.adaptations[adaptFailed].Add(1)

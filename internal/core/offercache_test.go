@@ -143,20 +143,7 @@ func TestOfferCacheSharesVariants(t *testing.T) {
 	ctx := context.Background()
 	entry := func() offer.Candidates {
 		t.Helper()
-		keys := b.man.cache.Keys()
-		if len(keys) != 1 {
-			t.Fatalf("cache holds %d entries, want 1", len(keys))
-		}
-		_, docGen, err := b.man.registry.Snapshot("news-1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, pricingGen := b.man.pricingSnapshot()
-		cands, _, out := b.man.cache.Lookup(keys[0], docGen, pricingGen)
-		if out != offercache.Hit {
-			t.Fatalf("cache lookup = %v, want a hit", out)
-		}
-		return cands
+		return memoFor(t, b, tvProfile()).Cands
 	}
 	shared := func(what string, ranked ...offer.Ranked) {
 		t.Helper()
@@ -238,21 +225,22 @@ func TestOfferCacheSharesVariants(t *testing.T) {
 
 	// The second negotiation was the entry's first hit, so the entry's memo
 	// holds tvProfile's ranking, which the sessions read after it (the
-	// renegotiation, with another profile, left the filled slot as it was).
-	// It must still equal a fresh classification of the cached candidates.
+	// renegotiation, with another profile, filled the other slot and left
+	// this one as it was). It must still equal a fresh classification of
+	// the cached candidates.
 	memo := memoFor(t, b, tvProfile())
 	if memo.Ranked.Len() == 0 {
 		t.Fatal("the second negotiation's hit memoized no ranking")
 	}
-	if other := memoFor(t, b, u); other.Ranked.Len() != 0 {
-		t.Fatal("the renegotiation's profile took the filled slot over")
-	}
 	ranked, err := offer.TopKFromCandidates(ctx, doc, memo.Cands, tvProfile(), offer.PipelineOptions{
-		MaxOffers: b.man.opts.MaxOffers, TopK: DefaultTopK, Orderer: b.man.opts.Classifier, Prebuilt: memo.Offers,
+		MaxOffers: b.man.opts.MaxOffers, TopK: DefaultTopK, Orderer: b.man.opts.Classifier,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The memo's offers carry their rendered keys; render the fresh ones'
+	// too, so the two compare field for field.
+	offer.RenderKeys(ranked.All())
 	if got, want := memo.Ranked.All(), ranked.All(); !reflect.DeepEqual(got, want) {
 		t.Errorf("the memoized ranking changed under the sessions that shared it:\nmemo:  %v\nfresh: %v", got, want)
 	}
@@ -651,21 +639,23 @@ func cacheOffBed(t *testing.T) *bed {
 	return newBedOpts(t, cmfs.DefaultConfig(), 0, opts)
 }
 
-// memoFor looks the bed's one cache entry up for u: its Ranked is the
-// entry's memoized ranking for u, empty when the slot holds none for u's
-// digest. It reads the entry as a negotiation does, so it counts a hit.
+// memoFor looks the bed's one cache entry, news-1's on the bed's machine,
+// up for u: its Ranked is the entry's memoized ranking for u, empty when no
+// slot holds one for u's digest. It reads the entry as a negotiation does,
+// so it counts a hit.
 func memoFor(t *testing.T, b *bed, u profile.UserProfile) offercache.Result {
 	t.Helper()
-	keys := b.man.cache.Keys()
-	if len(keys) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(keys))
+	if n := b.man.cache.Len(); n != 1 {
+		t.Fatalf("cache holds %d entries, want 1", n)
 	}
 	_, docGen, err := b.man.registry.Snapshot("news-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, pricingGen := b.man.pricingSnapshot()
-	r, out := b.man.cache.LookupRanking(keys[0], docGen, pricingGen, u.RankDigest())
+	_, _, exclHash := b.man.servers.exclusion(b.man.clk)
+	key := offercache.Key{Doc: "news-1", Machine: b.mach.Fingerprint(), Guarantee: u.Desired.Cost.Guarantee, Exclusion: exclHash}
+	r, out := b.man.cache.LookupRanking(key, docGen, pricingGen, u.RankDigest())
 	if out != offercache.Hit {
 		t.Fatalf("cache lookup = %v, want a hit", out)
 	}
@@ -700,13 +690,16 @@ func sameArray(a, b []offer.Ranked) bool {
 }
 
 // TestRankingMemo: a miss stores no ranking, the first hit memoizes one, an
-// equal profile built from fresh maps is served that very array, and a
-// profile that differs in one weight recomputes and leaves the slot to the
-// first. Every outcome equals a cache-off manager's.
+// equal profile built from fresh maps is served that very array, a profile
+// that differs in one weight recomputes and fills the second slot, and a
+// third profile recomputes and leaves both slots to the first two. Every
+// outcome equals a cache-off manager's.
 func TestRankingMemo(t *testing.T) {
 	on, off := defaultBed(t), cacheOffBed(t)
 	heavy := tvProfile()
 	heavy.Importance.VideoColor[qos.Grey] += 5
+	heavier := tvProfile()
+	heavier.Importance.VideoColor[qos.Grey] += 9
 	negotiate := func(what string, u profile.UserProfile) []offer.Ranked {
 		t.Helper()
 		got, own := outcome(t, on, u)
@@ -733,11 +726,21 @@ func TestRankingMemo(t *testing.T) {
 	if sameArray(moved, first) {
 		t.Fatal("a profile with another weight was served the memoized ranking")
 	}
-	if m := memoFor(t, on, heavy).Ranked; m.Len() != 0 {
-		t.Fatal("the recomputed ranking took the filled slot over")
+	if m := memoFor(t, on, heavy).Ranked; !sameArray(m.All(), moved) {
+		t.Fatal("the second profile's hit did not fill the second slot")
+	}
+	third := negotiate("a third profile", heavier)
+	if sameArray(third, first) || sameArray(third, moved) {
+		t.Fatal("a third profile was served another profile's memoized ranking")
+	}
+	if m := memoFor(t, on, heavier).Ranked; m.Len() != 0 {
+		t.Fatal("the third profile's ranking took a filled slot over")
 	}
 	if again := negotiate("back to the first profile", tvProfile()); !sameArray(again, first) {
 		t.Fatal("the first profile lost its memoized ranking to another profile's hit")
+	}
+	if again := negotiate("back to the second profile", heavy); !sameArray(again, moved) {
+		t.Fatal("the second profile lost its memoized ranking to another profile's hit")
 	}
 	if err := on.led.CheckEmpty(); err != nil {
 		t.Error(err)
@@ -799,10 +802,11 @@ func TestRankingMemoNeverStale(t *testing.T) {
 	}
 }
 
-// TestRankingMemoConcurrent: eight goroutines alternate two profiles on one
-// entry, so the two race to fill the slot, and the winner's array is served
-// while sessions read it and the other profile classifies afresh. Every
-// ranking equals a cache-off manager's, and every negotiation reserves.
+// TestRankingMemoConcurrent: eight goroutines rotate three profiles on one
+// entry, so the three race to fill its two slots, and the winners' arrays
+// are served while sessions read them and the third profile classifies
+// afresh. Every ranking equals a cache-off manager's, and every negotiation
+// reserves.
 // Run with -race: a read of a memoized ranking that wrote to it shows.
 func TestRankingMemoConcurrent(t *testing.T) {
 	// A client link wide enough that eight sessions always fit.
@@ -812,8 +816,10 @@ func TestRankingMemoConcurrent(t *testing.T) {
 	off := newBedOpts(t, cmfs.DefaultConfig(), qos.GBitPerSecond, offOpts)
 	heavy := tvProfile()
 	heavy.Importance.CostPerDollar = 3
-	profiles := [2]profile.UserProfile{tvProfile(), heavy}
-	var want [2]string
+	heavier := tvProfile()
+	heavier.Importance.CostPerDollar = 5
+	profiles := [3]profile.UserProfile{tvProfile(), heavy, heavier}
+	var want [3]string
 	for i, u := range profiles {
 		want[i], _ = outcome(t, off, u)
 	}
@@ -823,7 +829,7 @@ func TestRankingMemoConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				p := (w + i) % 2
+				p := (w + i) % 3
 				res, err := on.man.NegotiateContext(context.Background(), on.mach, "news-1", profiles[p])
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)

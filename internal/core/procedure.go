@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qosneg/internal/client"
-	"qosneg/internal/cost"
 	"qosneg/internal/media"
 	"qosneg/internal/offer"
 	"qosneg/internal/offercache"
@@ -187,7 +186,7 @@ func (m *Manager) runSteps(ctx context.Context, mach *client.Machine, doc *media
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	c, err := m.commitFirst(ctx, mach, doc, u, &ranked, "", nil, m.opts.Policy, "negotiate")
+	c, err := m.commitFirst(ctx, mach, doc, u, &ranked, nil, nil, m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}
@@ -237,7 +236,7 @@ func (m *Manager) runSteps(ctx context.Context, mach *client.Machine, doc *media
 }
 
 // classify runs steps 2–4: static compatibility checking, classification
-// parameters and classification, as one streaming pass that keeps only the
+// parameters and classification, as one streaming pass that builds only the
 // top-K offers. An exclude filter (the quarantine set) drops variants on
 // unhealthy servers before the product is built, so the pipeline exploits
 // the paper's multi-server variant redundancy instead of burning commit
@@ -248,11 +247,12 @@ func (m *Manager) runSteps(ctx context.Context, mach *client.Machine, doc *media
 // for (document, machine class, guarantee, exclusion world) when it is
 // coherent at the caller's generations. A hit whose entry also memoizes the
 // classification for u's rank digest returns that, sorted and shared,
-// without scoring anything. A hit on an entry whose ranking slot is empty
+// without scoring anything. A hit on an entry with an empty ranking slot
 // classifies the entry's candidates and memoizes the result there; a hit
-// whose slot holds another profile's ranking classifies and keeps its
+// whose slots hold other profiles' rankings classifies and keeps its
 // result to itself; a miss filters afresh and stores the candidates only,
-// so an entry no one reuses carries no ranking.
+// so an entry no one reuses carries no ranking. A classification the memo
+// does not serve writes the offers it keeps into slots of its own.
 // Every input of steps 2–4 is part of the cache key, generation-checked, or
 // digested, so a hit is equivalent to recomputing.
 func (m *Manager) classify(ctx context.Context, doc *media.Document, docGen uint64, mach *client.Machine, u *profile.UserProfile, exclude func(media.Variant) bool, exclHash uint64, t *stepTimer) (offer.Classified, error) {
@@ -276,19 +276,18 @@ func (m *Manager) classify(ctx context.Context, doc *media.Document, docGen uint
 	}
 	if out != offercache.Hit {
 		var err error
-		if set.Cands, set.Offers, err = m.candidateSet(ctx, doc, mach, pricing, u.Desired.Cost.Guarantee, exclude); err != nil {
+		if set.Cands, err = offer.Filter(ctx, *doc, *mach, pricing, u.Desired.Cost.Guarantee, 0, exclude); err != nil {
 			t.lap(telemetry.StepCompatibilityCheck)
 			return offer.Classified{}, err
 		}
 		if m.cache != nil {
-			m.cache.Store(key, docGen, pricingGen, set.Cands, set.Offers)
+			m.cache.Store(key, docGen, pricingGen, set.Cands, nil)
 		}
 	}
 	ranked, err := offer.TopKFromCandidates(ctx, *doc, set.Cands, *u, offer.PipelineOptions{
 		MaxOffers: m.opts.MaxOffers,
 		TopK:      DefaultTopK,
 		Orderer:   m.opts.Classifier,
-		Prebuilt:  set.Offers,
 	})
 	if err == nil && set.Vacant {
 		m.cache.StoreRanking(key, docGen, pricingGen, digest, &ranked)
@@ -298,21 +297,6 @@ func (m *Manager) classify(ctx context.Context, doc *media.Document, docGen uint
 	// classification parameters and classification.
 	t.lap(telemetry.StepClassification)
 	return ranked, err
-}
-
-// candidateSet computes the step-2 candidate set afresh: a Filter pass, and
-// with the offer cache on the built product too when it is small enough to
-// memoize, so that hits skip per-offer materialization, not just the filter.
-func (m *Manager) candidateSet(ctx context.Context, doc *media.Document, mach *client.Machine, pricing cost.Pricing, g cost.Guarantee, exclude func(media.Variant) bool) (offer.Candidates, []offer.SystemOffer, error) {
-	cands, err := offer.Filter(ctx, *doc, *mach, pricing, g, 0, exclude)
-	if err != nil || m.cache == nil || cands.Offers() > offercache.MaterializeLimit {
-		return cands, nil, err
-	}
-	offers, err := offer.FromCandidates(*doc, cands, m.opts.MaxOffers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cands, offers, nil
 }
 
 // maxDuration returns the larger duration.

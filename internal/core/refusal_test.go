@@ -129,7 +129,7 @@ func TestRefusalDetailText(t *testing.T) {
 			}
 			doc, u, r := tc.setup(t, b, best)
 			before := len(ring.Events())
-			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, presorted([]offer.Ranked{r}), "", nil, nil, "negotiate")
+			c, err := b.man.commitFirst(context.Background(), &b.mach, &doc, &u, presorted([]offer.Ranked{r}), nil, nil, nil, "negotiate")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestRefusalAllocBound(t *testing.T) {
 	})
 	const runs = 200
 	total := testing.AllocsPerRun(runs, func() {
-		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, presorted(offers), "", nil, nil, "negotiate")
+		c, err := b.man.commitFirst(context.Background(), &b.mach, &b.doc, &u, presorted(offers), nil, nil, nil, "negotiate")
 		if err != nil || c.ok || c.capacities != len(offers) {
 			t.Fatalf("commitFirst: ok %v, %d capacity refusals of %d offers, err %v", c.ok, c.capacities, len(offers), err)
 		}

@@ -373,8 +373,12 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			mach := &machines[r.Intn(len(machines))]
 			u.Desired.Time.MaxStartDelay = []time.Duration{0, 0, time.Second + 3*time.Millisecond, 2 * time.Second}[r.Intn(4)]
 			skip := ""
+			var leaving *offer.SystemOffer
 			if r.Intn(3) == 0 {
-				skip = offers[r.Intn(len(offers))].Key()
+				// A copy: step 5 passes over the offer with the key of
+				// the one left, not over one pointer.
+				left := *offers[r.Intn(len(offers))].SystemOffer
+				skip, leaving = left.Key(), &left
 			}
 			// The classical order as a policy still takes the policy
 			// path, which partitions the offers before the walk.
@@ -382,7 +386,7 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if r.Intn(2) == 0 {
 				pol = orderFunc(func([]PolicyCandidate) []int { return nil })
 			}
-			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), skip, nil, pol, "negotiate")
+			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), leaving, nil, pol, "negotiate")
 			if err != nil {
 				return err
 			}

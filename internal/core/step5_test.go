@@ -146,7 +146,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate"); err != nil || c.capacities != 1 {
+			if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), nil, nil, nil, "negotiate"); err != nil || c.capacities != 1 {
 				b.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 			}
 		}
@@ -156,7 +156,7 @@ func BenchmarkStep5Congested(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate")
+			c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), nil, nil, nil, "negotiate")
 			if err != nil || !c.ok {
 				b.Fatalf("attempt: %+v, %v; want a commit", c, err)
 			}
@@ -178,7 +178,7 @@ func TestNoRollbackWithoutARace(t *testing.T) {
 	s := newCongestedStep5(t, true)
 	commit := func() commitResult {
 		t.Helper()
-		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate")
+		c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), nil, nil, nil, "negotiate")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func TestPlanRefusalAllocBound(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(500, func() {
-		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), "", nil, nil, "negotiate"); err != nil || c.capacities != 1 {
+		if c, err := s.man.commitFirst(ctx, &s.mach, &s.doc, &s.u, presorted(s.offers), nil, nil, nil, "negotiate"); err != nil || c.capacities != 1 {
 			t.Fatalf("attempt: %+v, %v; want a capacity refusal", c, err)
 		}
 	})
@@ -329,8 +329,10 @@ func TestAdaptStep5AllocBound(t *testing.T) {
 	}
 	ctx := context.Background()
 	step5 := func(spare []heldChoice) []heldChoice {
-		c, err := b.man.commitFirst(ctx, &b.mach, &b.doc, &u, ranked, leaving.Key(), spare, nil, "adapt")
-		if err != nil || !c.ok || c.chosen.Key() != alt.Key() {
+		c, err := b.man.commitFirst(ctx, &b.mach, &b.doc, &u, ranked, leaving.SystemOffer, spare, nil, "adapt")
+		// Compared without joining keys: a fresh classification's offers
+		// carry none, and joining one allocates.
+		if err != nil || !c.ok || offer.CompareKeys(c.chosen.SystemOffer, alt.SystemOffer) != 0 {
 			t.Fatalf("adaptation: ok %v, %v; want the first alternate committed", c.ok, err)
 		}
 		b.man.release(c.commit)
@@ -392,7 +394,7 @@ func TestReroutedOfferRechecksBounds(t *testing.T) {
 		}
 		congested = 0
 	}
-	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, presorted(offers), "", nil, nil, "negotiate")
+	c, err := man.commitFirst(context.Background(), &mach, &doc, &u, presorted(offers), nil, nil, nil, "negotiate")
 	if err != nil {
 		t.Fatal(err)
 	}

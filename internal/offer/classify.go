@@ -8,8 +8,9 @@ import (
 
 // Ranked is a system offer annotated with its two classification parameters
 // (negotiation step 3, "computation of classification parameters"). The offer
-// is carried by reference: it is shared with whoever built it (the offer
-// cache's materialized product on a hit) and must be treated as immutable.
+// is carried by reference: it is shared with whoever built it (the slots of
+// the classification that kept it, which a memoized ranking shares with
+// every session it is served to) and must be treated as immutable.
 // The zero Ranked holds no offer; Key, Total and the other promoted methods
 // must not be called on it.
 type Ranked struct {
@@ -59,7 +60,7 @@ func Sort(ranked []Ranked, by Orderer) {
 // SNSPrimary is the paper's default classification (Section 5.2.2): "we use
 // the static negotiation status as primary classification parameter, and
 // the OIF as the secondary classification parameter". Ties break on lower
-// cost, then on the deterministic offer key.
+// cost, then on the deterministic offer key (CompareKeys).
 type SNSPrimary struct{}
 
 // Name implements Orderer.
@@ -76,7 +77,7 @@ func (SNSPrimary) Less(a, b Ranked) bool {
 	if a.Cost.Total != b.Cost.Total {
 		return a.Cost.Total < b.Cost.Total
 	}
-	return a.cachedKey() < b.cachedKey()
+	return CompareKeys(a.SystemOffer, b.SystemOffer) < 0
 }
 
 // OIFOnly classifies purely by overall importance factor. It reproduces the
@@ -96,7 +97,7 @@ func (OIFOnly) Less(a, b Ranked) bool {
 	if a.Cost.Total != b.Cost.Total {
 		return a.Cost.Total < b.Cost.Total
 	}
-	return a.cachedKey() < b.cachedKey()
+	return CompareKeys(a.SystemOffer, b.SystemOffer) < 0
 }
 
 // CostOnly classifies cheapest-first: Section 5's strawman ("to classify
@@ -112,7 +113,7 @@ func (CostOnly) Less(a, b Ranked) bool {
 	if a.Cost.Total != b.Cost.Total {
 		return a.Cost.Total < b.Cost.Total
 	}
-	return a.cachedKey() < b.cachedKey()
+	return CompareKeys(a.SystemOffer, b.SystemOffer) < 0
 }
 
 // QoSOnly classifies by QoS importance alone (the weighted-average scheme
@@ -131,7 +132,7 @@ func (QoSOnly) Less(a, b Ranked) bool {
 	if a.Cost.Total != b.Cost.Total {
 		return a.Cost.Total < b.Cost.Total
 	}
-	return a.cachedKey() < b.cachedKey()
+	return CompareKeys(a.SystemOffer, b.SystemOffer) < 0
 }
 
 // Classify ranks and orders offers with the paper's default classifier and

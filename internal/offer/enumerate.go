@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"qosneg/internal/client"
 	"qosneg/internal/cost"
@@ -174,31 +173,58 @@ func checkProduct(doc media.Document, cands Candidates, maxOffers int) (int, err
 	return total, nil
 }
 
-// buildOffer materializes the system offer selected by the multi-index idx,
-// assembling the cost breakdown from the candidates' precomputed prices.
-func buildOffer(doc media.Document, cands Candidates, idx []int, copyright cost.Money) SystemOffer {
-	o := SystemOffer{Document: doc.ID, Choices: make([]Choice, len(idx))}
-	b := cost.Breakdown{Copyright: copyright, Total: copyright}
-	var key strings.Builder
-	for i, j := range idx {
-		c := &cands[i][j]
-		o.Choices[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: &c.Variant}
-		if i > 0 {
-			key.WriteByte('+')
-		}
-		key.WriteString(string(c.Variant.ID))
-		if c.Continuous {
-			b.Network = append(b.Network, c.NetworkCost)
-			b.Server = append(b.Server, c.ServerCost)
-			b.Total += c.NetworkCost + c.ServerCost
+// newSlots allocates n offer slots for the product: one array each for the
+// offers, their choices and their cost lines, every window cap-limited so
+// an append reallocates instead of writing into a neighbour. It writes what
+// every offer of the product shares; writeOffer writes the rest. Filter
+// marks a monomedia's candidates alike, so an offer has one cost line per
+// continuous monomedia, and nil lines without one (JSON tells nil from []).
+func newSlots(doc *media.Document, cands Candidates, n int) []SystemOffer {
+	width, lines := len(cands), 0
+	for _, mono := range cands {
+		if mono[0].Continuous {
+			lines++
 		}
 	}
-	o.Cost = b
-	// Fill the Key() cache here, where the choice order is already in hand:
-	// the classification comparators tie-break on Key() and would otherwise
-	// re-join the variant ids on every comparison.
-	o.key = key.String()
-	return o
+	offers := make([]SystemOffer, n)
+	choices := make([]Choice, n*width)
+	// Network lines fill the first half, server lines the second.
+	var money []cost.Money
+	if lines > 0 {
+		money = make([]cost.Money, 2*n*lines)
+	}
+	copyright := cost.Money(doc.CopyrightFee)
+	for s := range offers {
+		o := &offers[s]
+		o.Document = doc.ID
+		o.Choices = choices[s*width : (s+1)*width : (s+1)*width]
+		for i := range o.Choices {
+			o.Choices[i].Monomedia = doc.Monomedia[i].ID
+		}
+		o.Cost.Copyright = copyright
+		if lines > 0 {
+			net, srv := s*lines, (n+s)*lines
+			o.Cost.Network = money[net : net+lines : net+lines]
+			o.Cost.Server = money[srv : srv+lines : srv+lines]
+		}
+	}
+	return offers
+}
+
+// writeOffer writes the offer the multi-index idx selects into a slot from
+// newSlots, pricing it from the candidates. It is the one offer builder.
+func writeOffer(o *SystemOffer, cands Candidates, idx []int) {
+	total, line := o.Cost.Copyright, 0
+	for i, j := range idx {
+		c := &cands[i][j]
+		o.Choices[i].Variant = &c.Variant
+		if c.Continuous {
+			o.Cost.Network[line], o.Cost.Server[line] = c.NetworkCost, c.ServerCost
+			total += c.NetworkCost + c.ServerCost
+			line++
+		}
+	}
+	o.Cost.Total = total
 }
 
 // advanceIndex steps the multi-index to the next tuple in lexicographic
@@ -214,28 +240,6 @@ func advanceIndex(idx []int, cands Candidates) bool {
 	return false
 }
 
-// Walk streams every feasible system offer in lexicographic variant order,
-// calling yield for each; enumeration stops early when yield returns false.
-// Offers are materialized one at a time — nothing proportional to the
-// product size is ever allocated, which is what lets the negotiation core
-// process variant products near the enumeration limit without holding
-// 2^20 offers in memory.
-func Walk(doc media.Document, cands Candidates, yield func(SystemOffer) bool) {
-	if len(cands) == 0 {
-		return
-	}
-	copyright := cost.Money(doc.CopyrightFee)
-	idx := make([]int, len(cands))
-	for {
-		if !yield(buildOffer(doc, cands, idx, copyright)) {
-			return
-		}
-		if !advanceIndex(idx, cands) {
-			return
-		}
-	}
-}
-
 // Enumerate produces every feasible system offer for the document on the
 // given client machine: negotiation step 2 filters each monomedia's
 // variants down to those the machine can decode and render, and the
@@ -246,7 +250,7 @@ func Walk(doc media.Document, cands Candidates, yield func(SystemOffer) bool) {
 // variant, and ErrTooManyOffers when the product exceeds the limit.
 //
 // Enumerate materializes the whole product; the negotiation hot path uses
-// Filter and the streaming TopKFromCandidates instead and keeps only the
+// Filter and the streaming TopKFromCandidates instead and builds only the
 // offers that can still win classification.
 func Enumerate(doc media.Document, m client.Machine, pricing cost.Pricing, opts EnumerateOptions) ([]SystemOffer, error) {
 	cands, err := Filter(context.Background(), doc, m, pricing, opts.Guarantee, 0, opts.Exclude)
@@ -257,71 +261,22 @@ func Enumerate(doc media.Document, m client.Machine, pricing cost.Pricing, opts 
 }
 
 // FromCandidates materializes the feasible system offers from an
-// already-filtered candidate set: Enumerate minus the step-2 filter. The
-// offer cache hands memoized candidates straight here, skipping the
-// per-request decode/map/price work entirely.
-//
-// The product is built in slabs — one array each for the offers, their
-// choices, their per-stream cost lines and their keys, filled in one
-// lexicographic walk — so it costs a handful of allocations whatever its
-// size. Every slice handed out of a slab is cap-limited: appending to one
-// offer's Choices or cost lines reallocates instead of writing into its
-// neighbour. Offer for offer the result equals buildOffer's.
+// already-filtered candidate set, in lexicographic variant order (last
+// monomedia fastest): Enumerate minus the step-2 filter. The product is
+// written into slots (newSlots), a handful of allocations whatever its
+// size; every choice points at the Variant of the candidate it picked.
 func FromCandidates(doc media.Document, cands Candidates, maxOffers int) ([]SystemOffer, error) {
 	total, err := checkProduct(doc, cands, maxOffersOrDefault(maxOffers))
 	if err != nil {
 		return nil, err
 	}
-	n := len(cands)
-	if n == 0 {
+	if len(cands) == 0 {
 		return []SystemOffer{}, nil
 	}
-	// Candidate j of monomedia i appears in total/len(cands[i]) offers; size
-	// the key and money slabs from what each one contributes.
-	keyBytes, lines := total*(n-1), 0
-	for _, mono := range cands {
-		per := total / len(mono)
-		for j := range mono {
-			keyBytes += per * len(mono[j].Variant.ID)
-			if mono[j].Continuous {
-				lines += per
-			}
-		}
-	}
-	offers := make([]SystemOffer, total)
-	choices := make([]Choice, total*n)
-	// Network lines fill the first half of the money slab, server lines the
-	// second, at the same offsets.
-	money := make([]cost.Money, 2*lines)
-	var keys strings.Builder
-	keys.Grow(keyBytes) // exact: the buffer never moves under the substrings below
-	copyright := cost.Money(doc.CopyrightFee)
-	idx := make([]int, n)
-	line := 0
+	offers := newSlots(&doc, cands, total)
+	idx := make([]int, len(cands))
 	for o := range offers {
-		b := cost.Breakdown{Copyright: copyright, Total: copyright}
-		ch := choices[o*n : (o+1)*n : (o+1)*n]
-		keyStart, first := keys.Len(), line
-		for i, j := range idx {
-			c := &cands[i][j]
-			ch[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: &c.Variant}
-			if i > 0 {
-				keys.WriteByte('+')
-			}
-			keys.WriteString(string(c.Variant.ID))
-			if c.Continuous {
-				money[line], money[lines+line] = c.NetworkCost, c.ServerCost
-				b.Total += c.NetworkCost + c.ServerCost
-				line++
-			}
-		}
-		// An offer with no continuous stream keeps nil cost lines, as
-		// buildOffer leaves them: the JSON encoding tells nil from empty.
-		if line > first {
-			b.Network = money[first:line:line]
-			b.Server = money[lines+first : lines+line : lines+line]
-		}
-		offers[o] = SystemOffer{Document: doc.ID, Choices: ch, Cost: b, key: keys.String()[keyStart:]}
+		writeOffer(&offers[o], cands, idx)
 		advanceIndex(idx, cands)
 	}
 	return offers, nil

@@ -7,6 +7,7 @@
 package offer
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -34,10 +35,9 @@ type SystemOffer struct {
 	Document media.DocumentID `json:"document"`
 	Choices  []Choice         `json:"choices"`
 	Cost     cost.Breakdown   `json:"cost"`
-	// key caches Key()'s join. The classification comparators tie-break on
-	// Key() and may call it O(K log K) times per offer; buildOffer fills the
-	// cache once so ties cost no allocation. Offers built by hand or decoded
-	// from JSON have key == "" and fall back to computing.
+	// key is Key rendered, or "": an offer the top K writes carries no
+	// string. RenderKeys fills it for a ranking the offer cache publishes,
+	// and Summary for the offer a retired session keeps.
 	key string
 }
 
@@ -55,15 +55,19 @@ func (o SystemOffer) Settings() []qos.Setting {
 }
 
 // Key is a deterministic identity for the offer: the chosen variant ids in
-// choice order. Classification uses it as the final tie-breaker and the
-// adaptation procedure uses it to exclude the offer currently in trouble.
-func (o SystemOffer) Key() string { return o.cachedKey() }
+// choice order, joined by "+". Classification breaks its last tie on it and
+// adaptation passes over the offer in trouble by it, through CompareKeys.
+func (o SystemOffer) Key() string {
+	if o.key == "" {
+		RenderKeys([]Ranked{{SystemOffer: &o}})
+	}
+	return o.key
+}
 
 // Summary returns the offer's identity and price without its choices or
-// per-stream cost lines: what outlives a session. Of the product the offer
-// was built in it keeps only the key's bytes alive — for a slab-built
-// product the one buffer holding every offer's key, a few percent of the
-// product — and none of the offers, choices or cost lines.
+// per-stream cost lines: what outlives a session. Of the classification the
+// offer came from it keeps only the key's bytes: a memoized ranking's
+// shared key buffer, or the one string Key joins here.
 func (o SystemOffer) Summary() SystemOffer {
 	return SystemOffer{
 		Document: o.Document,
@@ -72,41 +76,104 @@ func (o SystemOffer) Summary() SystemOffer {
 	}
 }
 
-// cachedKey is Key through the pointer, so the classification comparators
-// read shared offers without copying them. Offers whose cache was not filled
-// (hand-built literals, JSON round-trips) join the variant ids here.
-func (o *SystemOffer) cachedKey() string {
-	if o.key != "" || len(o.Choices) == 0 {
-		return o.key
+// RenderKeys renders the offers' keys into one shared buffer, one
+// allocation for the lot. It writes the offers, so it is for a ranking no
+// one else reads yet: the offer cache calls it before it publishes one.
+func RenderKeys(ranked []Ranked) {
+	n := 0
+	for _, r := range ranked {
+		k := keyReader{o: r.SystemOffer}
+		for p := k.next(); p != ""; p = k.next() {
+			n += len(p)
+		}
 	}
-	parts := make([]string, len(o.Choices))
-	for i, c := range o.Choices {
-		parts[i] = string(c.Variant.ID)
+	var b strings.Builder
+	b.Grow(n) // exact: the buffer never moves under the substrings below
+	for _, r := range ranked {
+		start, k := b.Len(), keyReader{o: r.SystemOffer}
+		for p := k.next(); p != ""; p = k.next() {
+			b.WriteString(p)
+		}
+		r.key = b.String()[start:]
 	}
-	return strings.Join(parts, "+")
+}
+
+// CompareKeys returns strings.Compare(a.Key(), b.Key()) without building
+// either key: past the leading choices the offers share, it compares the
+// keys piece against piece, whatever bytes the ids hold.
+func CompareKeys(a, b *SystemOffer) int {
+	ra, rb := keyReader{o: a}, keyReader{o: b}
+	if a.key == "" && b.key == "" { // a shared choice and its "+": two equal pieces
+		for i := 0; i+1 < min(len(a.Choices), len(b.Choices)) && a.Choices[i].Variant == b.Choices[i].Variant; i++ {
+			ra.n, rb.n = ra.n+2, rb.n+2
+		}
+	}
+	var x, y string
+	for {
+		if x == "" {
+			x = ra.next()
+		}
+		if y == "" {
+			y = rb.next()
+		}
+		if x == "" || y == "" {
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
+}
+
+// keyReader reads an offer's key piece by piece: its rendered key whole,
+// or its variant ids with "+" between them.
+type keyReader struct {
+	o *SystemOffer
+	n int // pieces read
+}
+
+// next returns the key's next non-empty piece, and "" at its end.
+func (r *keyReader) next() string {
+	for o := r.o; ; {
+		n := r.n
+		r.n++
+		switch {
+		case o.key != "" || len(o.Choices) == 0:
+			if n > 0 {
+				return ""
+			}
+			return o.key
+		case n >= 2*len(o.Choices)-1:
+			return ""
+		case n%2 == 1:
+			return "+"
+		case o.Choices[n/2].Variant.ID != "":
+			return string(o.Choices[n/2].Variant.ID)
+		}
+	}
 }
 
 // UserOffer derives Definition 2's user offer: "the QoS the system is able
 // to provide and the cost the user should pay ... specified as a MM
 // profile". Multiple variants of the same kind (unusual, but possible for a
-// document with two video components) keep the first occurrence.
+// document with two video components) keep the first occurrence. Each
+// section points at the chosen variant's own QoS, which is immutable like
+// the variant: copy a section before changing it.
 func (o SystemOffer) UserOffer() profile.MMProfile {
 	var p profile.MMProfile
 	for _, c := range o.Choices {
-		q := c.Variant.QoS
+		q := &c.Variant.QoS
 		switch {
 		case q.Video != nil && p.Video == nil:
-			v := *q.Video
-			p.Video = &v
+			p.Video = q.Video
 		case q.Audio != nil && p.Audio == nil:
-			a := *q.Audio
-			p.Audio = &a
+			p.Audio = q.Audio
 		case q.Image != nil && p.Image == nil:
-			i := *q.Image
-			p.Image = &i
+			p.Image = q.Image
 		case q.Text != nil && p.Text == nil:
-			t := *q.Text
-			p.Text = &t
+			p.Text = q.Text
 		}
 	}
 	p.Cost = profile.CostProfile{MaxCost: o.Total()}

@@ -28,12 +28,8 @@ type PipelineOptions struct {
 	TopK int
 	// Orderer is the classification ordering; nil selects SNSPrimary.
 	Orderer Orderer
-	// Prebuilt, when non-nil, is the materialized cartesian product of the
-	// candidate set in lexicographic (Walk) order — FromCandidates' output,
-	// typically memoized by the offer cache. Scoring then reuses Prebuilt[n]
-	// instead of materializing offer n, which removes the per-offer
-	// allocation work from cache-hot negotiations. The offers are shared by
-	// reference and must be treated as immutable.
+	// Prebuilt is ignored; it stays until ROADMAP item 7a drops the
+	// benchmark's use of it.
 	Prebuilt []SystemOffer
 }
 
@@ -48,18 +44,26 @@ type candidateStats struct {
 	desired, worst bool
 }
 
+// stackWidth is how many monomedia the walk keeps its multi-index and
+// stats rows for on the stack.
+const stackWidth = 8
+
 // rankCandidates precomputes candidateStats for every candidate, mirroring
-// SNS's per-choice comparisons and Rank's importance sum. The per-monomedia
-// rows are windows of one slab.
-func rankCandidates(cands Candidates, u *profile.UserProfile) [][]candidateStats {
+// SNS's per-choice comparisons and Rank's importance sum: rows of windows of
+// one slab, in rows' array when it is long enough.
+func rankCandidates(cands Candidates, u *profile.UserProfile, rows [][]candidateStats) [][]candidateStats {
 	n := 0
 	for _, mono := range cands {
 		n += len(mono)
 	}
-	stats := make([][]candidateStats, len(cands))
+	stats := rows[:0]
+	if cap(stats) < len(cands) {
+		stats = make([][]candidateStats, 0, len(cands))
+	}
 	slab := make([]candidateStats, n)
-	for i, mono := range cands {
-		stats[i], slab = slab[:len(mono):len(mono)], slab[len(mono):]
+	for _, mono := range cands {
+		row := slab[:len(mono):len(mono)]
+		slab = slab[len(mono):]
 		for j := range mono {
 			c := &mono[j]
 			st := candidateStats{qImp: u.Importance.QoS(c.Variant.QoS)}
@@ -72,8 +76,9 @@ func rankCandidates(cands Candidates, u *profile.UserProfile) [][]candidateStats
 					st.worst = false
 				}
 			}
-			stats[i][j] = st
+			row[j] = st
 		}
+		stats = append(stats, row)
 	}
 	return stats
 }
@@ -84,8 +89,12 @@ func rankCandidates(cands Candidates, u *profile.UserProfile) [][]candidateStats
 // a view that orders them on demand. With TopK <= 0 the view's All is the
 // full classified set (identical to FromCandidates + Rank + Sort); with a
 // bound it is exactly the prefix that full classification would have
-// produced, because the orderers are total orders. Only offers that can
-// still enter the top K are materialized.
+// produced, because the orderers are total orders.
+//
+// The walk scores every offer and builds nothing for it. Only an offer that
+// passes the numeric probe is written, into a spare slot; the offer the
+// collector then drops (TopK.Add) gives its slot to the next one. So the
+// view owns min(K+1, product) slots, or one per offer without a bound.
 //
 // Errors: *NoVariantError (an empty candidate list), ErrTooManyOffers
 // (product above MaxOffers), or ctx's error when canceled mid-stream; ctx is
@@ -99,16 +108,29 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 	if err != nil {
 		return Classified{}, err
 	}
-	stats := rankCandidates(cands, &u)
+	var rows [stackWidth][]candidateStats
+	stats := rankCandidates(cands, &u, rows[:])
 	var tk TopK
 	tk.Reset(opts.TopK, orderer, total)
+	nslots := total
+	if opts.TopK > 0 && opts.TopK < total {
+		nslots = opts.TopK + 1
+	}
+	// One slot more for the keyless probe, which escapes through
+	// Orderer.Less: one of its own would be an allocation.
+	slots := newSlots(&doc, cands, nslots+1)
+	probeOffer := &slots[nslots]
+	*probeOffer = SystemOffer{}
+	var spare *SystemOffer
 
 	copyright := cost.Money(doc.CopyrightFee)
 	budget := u.Desired.Cost.MaxCost
-	idx := make([]int, len(cands))
-	// One probe offer for the whole product: it escapes through Orderer.Less,
-	// so a per-offer probe would allocate per scored offer.
-	var probeOffer SystemOffer
+	var idxBuf [stackWidth]int
+	idx := idxBuf[:]
+	if len(cands) > stackWidth {
+		idx = make([]int, len(cands))
+	}
+	idx = idx[:len(cands)]
 	for n := 0; n < total; n++ {
 		if n%1024 == 0 && ctx.Err() != nil {
 			return Classified{}, ctx.Err()
@@ -134,22 +156,18 @@ func TopKFromCandidates(ctx context.Context, doc media.Document, cands Candidate
 			status = Acceptable
 		}
 		oif := qImp - u.Importance.Cost(sum)
-		// Probe admission before materializing: the keyless probe wins
-		// every key tie-break, so the skip only fires when the worst
-		// kept offer beats the probe on the numeric keys alone —
-		// skipping is conservative.
+		// Probe admission before writing: the keyless probe wins every key
+		// tie-break, so the skip only fires when the worst kept offer beats
+		// the probe on the numeric keys alone — skipping is conservative.
 		probeOffer.Cost.Total = sum
-		probe := Ranked{SystemOffer: &probeOffer, Status: status, OIF: oif, QoSImportance: qImp}
+		probe := Ranked{SystemOffer: probeOffer, Status: status, OIF: oif, QoSImportance: qImp}
 		if !tk.Full() || !orderer.Less(tk.Worst(), probe) {
-			var o *SystemOffer
-			if opts.Prebuilt != nil {
-				o = &opts.Prebuilt[n]
-			} else {
-				built := buildOffer(doc, cands, idx, copyright)
-				o = &built
+			if spare == nil {
+				spare, slots = &slots[0], slots[1:]
 			}
-			probe.SystemOffer = o
-			tk.Add(probe)
+			writeOffer(spare, cands, idx)
+			probe.SystemOffer = spare
+			spare = tk.Add(probe)
 		}
 		advanceIndex(idx, cands)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -64,8 +65,30 @@ func synthDoc(variants int) media.Document {
 	return doc
 }
 
-// TestEnumerateMatchesWalk checks the streaming walk reproduces the
-// materializing enumeration exactly: same order, same keys, same prices.
+// replicaDoc is synthDoc with every variant stored twice, on two servers:
+// the replicas have equal QoS and equal prices, so every orderer meets ties
+// that only the key breaks. A replica's id is its twin's plus "+r", so ids
+// hold "+" and are prefixes of one another.
+func replicaDoc(variants int) media.Document {
+	doc := synthDoc((variants + 1) / 2)
+	doc.ID = "replicas"
+	for i := range doc.Monomedia {
+		mono := &doc.Monomedia[i]
+		var vs []media.Variant
+		for _, v := range mono.Variants {
+			twin := v
+			twin.ID += "+r"
+			twin.Server = "server-2"
+			vs = append(vs, v, twin)
+		}
+		mono.Variants = vs[:variants]
+	}
+	return doc
+}
+
+// TestEnumerateMatchesWalk checks the materializing enumeration against the
+// reference walk, which builds each offer on its own: same order, same
+// keys, same prices.
 func TestEnumerateMatchesWalk(t *testing.T) {
 	doc := newsDoc()
 	m := client.Workstation("c1", "n1")
@@ -81,19 +104,17 @@ func TestEnumerateMatchesWalk(t *testing.T) {
 	if got := cands.Offers(); got != len(offers) {
 		t.Fatalf("Offers() = %d, want %d", got, len(offers))
 	}
-	i := 0
-	Walk(doc, cands, func(o SystemOffer) bool {
+	walked := referenceOffers(doc, cands)
+	if len(walked) != len(offers) {
+		t.Fatalf("walked %d offers, want %d", len(walked), len(offers))
+	}
+	for i, o := range walked {
 		if o.Key() != offers[i].Key() {
 			t.Fatalf("offer %d: key %q, want %q", i, o.Key(), offers[i].Key())
 		}
 		if o.Total() != offers[i].Total() {
 			t.Fatalf("offer %d: total %v, want %v", i, o.Total(), offers[i].Total())
 		}
-		i++
-		return true
-	})
-	if i != len(offers) {
-		t.Fatalf("walked %d offers, want %d", i, len(offers))
 	}
 }
 
@@ -110,28 +131,32 @@ func filterTopK(ctx context.Context, doc media.Document, m client.Machine, u pro
 }
 
 // TestTopKFromCandidatesMatchesClassify checks the bounded pipeline returns
-// exactly the prefix the classical enumerate+rank+sort produces, for every
-// built-in orderer and several K — including the product sizes (2197, 4096)
-// that once ran on a goroutine fan-out, unbounded and at the manager's
-// default bound.
+// exactly the prefix the classical enumerate+rank+sort produces, offer for
+// offer, for every built-in orderer and several K — including the product
+// sizes (2197, 4096) that once ran on a goroutine fan-out, unbounded (K 0
+// and -1) and at the manager's default bound, on distinct variants and on
+// replicated ones whose ties only the key breaks. The offers the pipeline
+// writes into reused slots must equal the enumerated ones field for field.
 func TestTopKFromCandidatesMatchesClassify(t *testing.T) {
 	m := client.Workstation("c1", "n1")
 	u := pipelineProfile()
 	for _, tc := range []struct {
-		variants int // per monomedia: the product is variants^3
-		ks       []int
+		doc media.Document // three monomedia, so the product is variants^3
+		ks  []int
 	}{
-		{8, []int{0, 1, 7, 64, 10_000}},
-		{13, []int{0, 64}},
-		{16, []int{0, 64}},
+		{synthDoc(8), []int{0, -1, 1, 7, 64, 10_000}},
+		{synthDoc(13), []int{0, 64}},
+		{synthDoc(16), []int{0, 64}},
+		{replicaDoc(4), []int{0, -1, 7, 64}},
+		{replicaDoc(16), []int{0, -1, 64}},
 	} {
-		doc := synthDoc(tc.variants)
+		doc := tc.doc
 		offers, err := Enumerate(doc, m, cost.DefaultPricing(), EnumerateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := tc.variants * tc.variants * tc.variants; len(offers) != want {
-			t.Fatalf("synthDoc(%d): %d offers, want %d", tc.variants, len(offers), want)
+		if n := len(doc.Monomedia[0].Variants); len(offers) != n*n*n {
+			t.Fatalf("%s: %d offers, want %d", doc.ID, len(offers), n*n*n)
 		}
 		for _, orderer := range []Orderer{SNSPrimary{}, OIFOnly{}, CostOnly{}, QoSOnly{}} {
 			full := Rank(offers, u)
@@ -150,7 +175,10 @@ func TestTopKFromCandidatesMatchesClassify(t *testing.T) {
 				}
 				for i := range want {
 					if got[i].Key() != want[i].Key() {
-						t.Errorf("%s n=%d k=%d offer %d: %q, want %q", orderer.Name(), len(offers), k, i, got[i].Key(), want[i].Key())
+						t.Fatalf("%s %s n=%d k=%d offer %d: %q, want %q", doc.ID, orderer.Name(), len(offers), k, i, got[i].Key(), want[i].Key())
+					}
+					if !reflect.DeepEqual(*got[i].SystemOffer, *want[i].SystemOffer) || got[i].Status != want[i].Status || got[i].OIF != want[i].OIF || got[i].QoSImportance != want[i].QoSImportance {
+						t.Fatalf("%s %s n=%d k=%d offer %d differs:\ngot  %+v %+v\nwant %+v %+v", doc.ID, orderer.Name(), len(offers), k, i, got[i], *got[i].SystemOffer, want[i], *want[i].SystemOffer)
 					}
 				}
 			}
@@ -198,41 +226,72 @@ func TestEnumerateTopKCanceled(t *testing.T) {
 }
 
 // TestTopKProperty cross-checks the bounded heap against a full sort on
-// random rankings.
+// random rankings, for every orderer, at random K, at the manager's 64 and
+// unbounded (K 0 and -1), on up to 4 096 offers. The numeric fields take
+// few values and the offers come in replica pairs of equal figures, so ties
+// reach the key, whose ids hold "+" and are prefixes of one another. Every
+// Add must also return what it dropped: nothing while the collector fills,
+// then the arrival or the offer it evicted, so that kept and dropped
+// offers together are every offer added, each once.
 func TestTopKProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1996))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 48; trial++ {
 		n := 1 + rng.Intn(200)
-		k := 1 + rng.Intn(20)
+		if trial%8 == 0 {
+			n = 1 + rng.Intn(4096)
+		}
+		k := []int{1 + rng.Intn(20), 64, 0, -1}[trial%4]
+		orderer := orderers[(trial/4)%len(orderers)]
 		tk := new(TopK)
-		tk.Reset(k, SNSPrimary{}, n)
+		tk.Reset(k, orderer, n)
 		all := make([]Ranked, n)
+		seen := map[*SystemOffer]bool{}
+		dropped := 0
 		for i := range all {
 			r := Ranked{
 				SystemOffer: &SystemOffer{
-					Choices: []Choice{{Variant: &media.Variant{ID: media.VariantID(fmt.Sprintf("v%d", i))}}},
+					Choices: []Choice{{Variant: &media.Variant{ID: media.VariantID(fmt.Sprintf("v%d", i/2))}}},
 					Cost:    cost.Breakdown{Total: cost.Money(rng.Intn(5))},
 				},
-				Status: Status(rng.Intn(3)),
-				OIF:    float64(rng.Intn(4)),
+				Status:        Status(rng.Intn(3)),
+				OIF:           float64(rng.Intn(4)),
+				QoSImportance: float64(rng.Intn(4)),
+			}
+			if i%2 == 1 { // the replica of offer i-1: equal figures, its id and "+r"
+				twin := *all[i-1].SystemOffer
+				twin.Choices = []Choice{{Variant: &media.Variant{ID: twin.Choices[0].Variant.ID + "+r"}}}
+				r = all[i-1]
+				r.SystemOffer = &twin
 			}
 			all[i] = r
-			tk.Add(r)
+			full := tk.Full()
+			d := tk.Add(r)
+			switch {
+			case !full && d != nil:
+				t.Fatalf("trial %d: Add %d dropped %s from a collector that was not full", trial, i, d.Key())
+			case full && d == nil:
+				t.Fatalf("trial %d: Add %d to a full collector dropped nothing", trial, i)
+			case d != nil && seen[d]:
+				t.Fatalf("trial %d: Add %d dropped %s a second time", trial, i, d.Key())
+			case d != nil:
+				seen[d] = true
+				dropped++
+			}
 		}
-		Sort(all, SNSPrimary{})
+		Sort(all, orderer)
 		want := all
-		if k < len(all) {
+		if k > 0 && k < len(all) {
 			want = all[:k]
 		}
 		c := tk.Classified()
 		got := c.All()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: kept %d, want %d", trial, len(got), len(want))
+		if len(got) != len(want) || len(got)+dropped != n {
+			t.Fatalf("trial %d: kept %d and dropped %d of %d, want %d kept", trial, len(got), dropped, n, len(want))
 		}
-		less := SNSPrimary{}.Less
+		less := orderer.Less
 		for i := range want {
-			if got[i].Key() != want[i].Key() || less(got[i], want[i]) || less(want[i], got[i]) {
-				t.Fatalf("trial %d offer %d: got %+v, want %+v", trial, i, got[i], want[i])
+			if got[i].SystemOffer != want[i].SystemOffer || seen[got[i].SystemOffer] || less(got[i], want[i]) || less(want[i], got[i]) {
+				t.Fatalf("trial %d %s n=%d k=%d offer %d: got %s %+v, want %s %+v", trial, orderer.Name(), n, k, i, got[i].Key(), got[i], want[i].Key(), want[i])
 			}
 		}
 	}

@@ -67,9 +67,10 @@ func randomCatalog(rng *rand.Rand, n int) []media.Document {
 // TestPipelinePricesBySection7 holds the negotiation pipeline's prices to
 // the Section 7 formula as cost.Pricing.Document computes it: for every
 // offer of the Section 5 article and of a seeded random catalog, under both
-// guarantees, the Breakdown of the materialized product (Enumerate), of
-// the streaming walk (Walk) and of the ranked top-K (TopKFromCandidates,
-// whose score must also use that total) equals Document over the offer's
+// guarantees, the Breakdown of the materialized product (Enumerate) and of
+// the ranked top K, unbounded and at K = 8, where offers reuse the slots of
+// dropped ones (TopKFromCandidates, whose score must also use that total),
+// equals Document over the offer's
 // continuous items. Dropping a term in Document or in any of those paths
 // fails it.
 func TestPipelinePricesBySection7(t *testing.T) {
@@ -99,18 +100,16 @@ func TestPipelinePricesBySection7(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			Walk(doc, cands, func(o SystemOffer) bool {
-				check("Walk", o)
-				return true
-			})
-			ranked, err := TopKFromCandidates(context.Background(), doc, cands, u, PipelineOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range ranked.All() {
-				check("TopKFromCandidates", *r.SystemOffer)
-				if want := Rank([]SystemOffer{*r.SystemOffer}, u)[0]; r.OIF != want.OIF || r.Status != want.Status {
-					t.Fatalf("%s %s offer %s: scored OIF %v status %v, its priced total gives %v %v", doc.ID, g, r.Key(), r.OIF, r.Status, want.OIF, want.Status)
+			for _, k := range []int{0, 8} {
+				ranked, err := TopKFromCandidates(context.Background(), doc, cands, u, PipelineOptions{TopK: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range ranked.All() {
+					check(fmt.Sprintf("TopKFromCandidates k=%d", k), *r.SystemOffer)
+					if want := Rank([]SystemOffer{*r.SystemOffer}, u)[0]; r.OIF != want.OIF || r.Status != want.Status {
+						t.Fatalf("%s %s offer %s: scored OIF %v status %v, its priced total gives %v %v", doc.ID, g, r.Key(), r.OIF, r.Status, want.OIF, want.Status)
+					}
 				}
 			}
 		}

@@ -78,9 +78,38 @@ func slabDocs() []media.Document {
 	return docs
 }
 
+// referenceOffers is the tests' reference for the slot writer: it walks the
+// product in lexicographic variant order (last monomedia fastest) and
+// builds each offer on its own, its choices and cost lines in fresh slices.
+func referenceOffers(doc media.Document, cands Candidates) []SystemOffer {
+	if len(cands) == 0 {
+		return nil
+	}
+	var out []SystemOffer
+	idx := make([]int, len(cands))
+	for {
+		o := SystemOffer{Document: doc.ID, Choices: make([]Choice, len(idx))}
+		b := cost.Breakdown{Copyright: cost.Money(doc.CopyrightFee), Total: cost.Money(doc.CopyrightFee)}
+		for i, j := range idx {
+			c := &cands[i][j]
+			o.Choices[i] = Choice{Monomedia: doc.Monomedia[i].ID, Variant: &c.Variant}
+			if c.Continuous {
+				b.Network = append(b.Network, c.NetworkCost)
+				b.Server = append(b.Server, c.ServerCost)
+				b.Total += c.NetworkCost + c.ServerCost
+			}
+		}
+		o.Cost = b
+		out = append(out, o)
+		if !advanceIndex(idx, cands) {
+			return out
+		}
+	}
+}
+
 // TestFromCandidatesMatchesBuildOffer holds the slab builder to the per-offer
-// materializer: same offers in the same order, field for field and byte for
-// byte on the wire.
+// reference materializer: same offers in the same order, field for field and
+// byte for byte on the wire.
 func TestFromCandidatesMatchesBuildOffer(t *testing.T) {
 	mach := client.Workstation("c1", "n1")
 	for _, doc := range slabDocs() {
@@ -93,11 +122,7 @@ func TestFromCandidatesMatchesBuildOffer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", doc.ID, err)
 			}
-			var want []SystemOffer
-			Walk(doc, cands, func(o SystemOffer) bool {
-				want = append(want, o)
-				return true
-			})
+			want := referenceOffers(doc, cands)
 			if len(got) != len(want) || len(got) != cands.Offers() {
 				t.Fatalf("%s: %d slab offers, %d walked, product %d", doc.ID, len(got), len(want), cands.Offers())
 			}
@@ -216,9 +241,9 @@ func TestEmptyMonomediaCandidates(t *testing.T) {
 	}
 }
 
-// BenchmarkMissPath is the unit-level view of an offer-cache miss: step 2,
-// the materialized product and the bounded classification over it. With
-// -benchmem its allocs/op should not grow with the product.
+// BenchmarkMissPath is the unit-level view of an offer-cache miss: step 2
+// and the bounded classification over its candidates. With -benchmem
+// neither its allocs/op nor its B/op should grow with the product.
 func BenchmarkMissPath(b *testing.B) {
 	mach := client.Workstation("c1", "n1")
 	pricing := cost.DefaultPricing()
@@ -233,11 +258,7 @@ func BenchmarkMissPath(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prebuilt, err := FromCandidates(doc, cands, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := TopKFromCandidates(ctx, doc, cands, u, PipelineOptions{TopK: 64, Prebuilt: prebuilt}); err != nil {
+				if _, err := TopKFromCandidates(ctx, doc, cands, u, PipelineOptions{TopK: 64}); err != nil {
 					b.Fatal(err)
 				}
 			}

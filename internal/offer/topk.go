@@ -44,28 +44,29 @@ func (t *TopK) Reset(k int, o Orderer, capHint int) {
 func (t *TopK) Full() bool { return t.k > 0 && len(t.items) >= t.k }
 
 // Worst returns the worst kept offer of a full collector. Together with
-// Full it lets callers skip materializing offers that cannot be kept.
+// Full it lets callers skip writing offers that cannot be kept.
 func (t *TopK) Worst() Ranked {
 	t.heapify()
 	return t.items[0]
 }
 
 // Add offers r to the collector, evicting the current worst if the
-// collector is full and r ranks better.
-func (t *TopK) Add(r Ranked) {
+// collector is full and r ranks better. It returns the offer it dropped,
+// the evicted worst or r itself, or nil: a caller writing offers into slots
+// of its own reuses the dropped one's slot.
+func (t *TopK) Add(r Ranked) *SystemOffer {
 	if !t.Full() {
-		t.items = append(t.items, r)
-		if t.heaped {
-			t.up(len(t.items) - 1)
-		}
-		return
+		t.items, t.heaped = append(t.items, r), false
+		return nil
 	}
 	t.heapify()
 	if !t.order.Less(r, t.items[0]) {
-		return
+		return r.SystemOffer
 	}
+	dropped := t.items[0].SystemOffer
 	t.items[0] = r
 	t.down(0)
+	return dropped
 }
 
 // heapify makes the kept offers a worst-rooted heap, bottom-up (Floyd), the
@@ -94,17 +95,6 @@ func (t *TopK) Classified() Classified {
 // worseThan is the heap ordering: the root holds the worst kept offer.
 func (t *TopK) worseThan(i, j int) bool { return t.order.Less(t.items[j], t.items[i]) }
 
-func (t *TopK) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.worseThan(i, parent) {
-			return
-		}
-		t.items[i], t.items[parent] = t.items[parent], t.items[i]
-		i = parent
-	}
-}
-
 func (t *TopK) down(i int) {
 	n := len(t.items)
 	for {
@@ -127,7 +117,8 @@ func (t *TopK) down(i int) {
 // first, but ordered only as far as it is read. Step 5 usually commits its
 // first offer, and then pays one selection pass and no sort. The view owns
 // the collector's array, which its copies share and a read may reorder:
-// read it through one pointer, from one goroutine at a time.
+// read it through one pointer, from one goroutine at a time. A view from
+// TopKFromCandidates owns the slots its offers were written into too.
 type Classified struct {
 	items []Ranked
 	order Orderer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -142,15 +143,11 @@ func BenchmarkClassifyFirst(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prebuilt, err := FromCandidates(doc, cands, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := PipelineOptions{TopK: 64, Prebuilt: prebuilt}
+		opts := PipelineOptions{TopK: 64}
 		for _, all := range []bool{false, true} {
-			name := fmt.Sprintf("product=%d/first", len(prebuilt))
+			name := fmt.Sprintf("product=%d/first", cands.Offers())
 			if all {
-				name = fmt.Sprintf("product=%d/all", len(prebuilt))
+				name = fmt.Sprintf("product=%d/all", cands.Offers())
 			}
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -167,5 +164,49 @@ func BenchmarkClassifyFirst(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// TestTopKBytesIndependentOfProduct is the pipeline's retention gate: at
+// K = 64 the bytes one classification allocates at product 4 096 stay
+// within 10% of product 64's, though the walk scores 64 times as many
+// offers. Only the offers that pass the probe are written, into the
+// min(K+1, product) slots the collector owns; what grows with the product
+// is the per-candidate stats (48 candidates instead of 12). Building every
+// offer, or a slot per offer that passes the probe, allocates in proportion
+// to the product and fails it many times over.
+func TestTopKBytesIndependentOfProduct(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting is noisy under -short race beds")
+	}
+	ctx := context.Background()
+	u := pipelineProfile()
+	m := client.Workstation("c1", "n1")
+	perClassify := func(variants int) (bytes float64, product int) {
+		doc := synthDoc(variants)
+		cands, err := Filter(ctx, doc, m, cost.DefaultPricing(), u.Desired.Cost.Guarantee, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := PipelineOptions{TopK: 64}
+		if _, err := TopKFromCandidates(ctx, doc, cands, u, opts); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := TopKFromCandidates(ctx, doc, cands, u, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, cands.Offers()
+	}
+	small, smallProduct := perClassify(4)
+	large, largeProduct := perClassify(16)
+	t.Logf("TopKFromCandidates at K=64: %.0f bytes at product %d, %.0f bytes at product %d", small, smallProduct, large, largeProduct)
+	if large > small*1.10 {
+		t.Errorf("product %d allocates %.0f bytes per classification, product %d %.0f: more than 10%% more", largeProduct, large, smallProduct, small)
 	}
 }

@@ -7,13 +7,14 @@
 // news-on-demand service plays the *same* hot documents to many users on a
 // handful of machine classes, so nearly all of that work is identical across
 // negotiations. This package caches its result — the per-monomedia
-// offer.Candidates set, plus (for products up to MaterializeLimit) the built
-// offer list derived from it — behind a key that names every input the
+// offer.Candidates set — behind a key that names every input the
 // computation reads, plus generation stamps for the two inputs that mutate
 // in place. An entry that is hit also memoizes steps 3–4 over its
-// candidates: one ranking slot holds the classified top K for the first
-// profile that hit it, so the users of one profile share a ranking as they
-// share candidates.
+// candidates: each of its ranking slots holds the classified top K for
+// one of the first profiles that hit it, so the users of a profile share a
+// ranking as they share candidates. No entry holds the offer product: a
+// classification writes only the offers it keeps, and a memoized ranking
+// holds those.
 //
 // # Coherence argument
 //
@@ -44,34 +45,35 @@
 // fresh entry, while the old world's entries age out of the LRU (or are
 // dropped promptly by PurgeExclusions on breaker transitions).
 //
-// A memoized ranking is a pure function of the entry's candidates and
-// built offers (coherent by the argument above) and of the user profile
+// A memoized ranking is a pure function of the entry's candidates
+// (coherent by the argument above) and of the user profile
 // fields classification reads. The profile is pinned by a key that, like
 // Key.Machine, is a 64-bit hash: its rank digest
-// (profile.UserProfile.RankDigest). LookupRanking serves the slot only to
-// a caller whose digest equals the one it was filled for; StoreRanking
-// fills an empty slot only while the entry still carries the stamps the
-// caller hit it at; Store, replacing the candidates, empties it; and a
-// stale or evicted entry takes its slot with it. A fresh entry has an empty
-// slot, so an entry no one reuses holds no ranking.
+// (profile.UserProfile.RankDigest). LookupRanking serves a slot only to a
+// caller whose digest equals the one it was filled for; StoreRanking fills
+// an empty slot only while the entry still carries the stamps the caller
+// hit it at; Store, replacing the candidates, empties the slots; and a
+// stale or evicted entry takes its slots with it. A fresh entry has empty
+// slots, so an entry no one reuses holds no ranking.
 //
 // # Sharing
 //
-// A stored candidate set and the offers built from it are shared by every
-// negotiation that hits the entry, and the offers share the candidates'
+// A stored candidate set is shared by every negotiation that hits the
+// entry, and every offer classified from it shares the candidates'
 // variants: a choice points at the Variant of the candidate it picked
-// instead of copying it. A memoized ranking is shared by every session it
-// is served to; it is sorted before it is published, then never written, so
-// a session reading it in classified order only reads. Nothing reachable
-// from an entry may be written — not a candidate, not an offer, not a
-// variant a choice points at, not a ranking.
+// instead of copying it. A memoized ranking, its offers included, is shared
+// by every session it is served to. Its offers' keys are rendered into one
+// buffer and its array is sorted before it is published, and then neither
+// is written, so a session reading it in classified order, or retiring with
+// one of its offers, only reads. Nothing reachable from an entry may be
+// written — not a candidate, not a ranked offer, not a variant a choice
+// points at, not a ranking.
 //
 // The cache is sharded; each shard holds an LRU list under its own mutex, so
 // concurrent negotiations on different documents rarely contend.
 package offercache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -83,13 +85,6 @@ import (
 
 // DefaultSize is the entry capacity used when the configured size is 0.
 const DefaultSize = 1024
-
-// MaterializeLimit bounds the cartesian-product size up to which callers
-// memoize the built offer list alongside the candidate set. Offers are a
-// pure function of (document, candidates) — exactly the cached inputs — so
-// sharing them is as coherent as sharing the candidates; the limit only
-// bounds per-entry memory, keeping huge products streaming-only.
-const MaterializeLimit = 4096
 
 const numShards = 16
 
@@ -130,18 +125,19 @@ type entry struct {
 	docGen     uint64
 	pricingGen uint64
 	cands      offer.Candidates
-	// offers is the materialized cartesian product in lexicographic (Walk)
-	// order, memoized when the product is at most MaterializeLimit; nil
-	// otherwise. Derived purely from the document and cands, so the same
-	// stamps that keep cands coherent keep offers coherent.
-	offers []offer.SystemOffer
-	// memo is the entry's one ranking slot, empty until StoreRanking fills
-	// it after a hit; the first profile to fill it keeps it. It is part of
-	// the entry, so filling it allocates nothing, and it is read and written
-	// under the shard mutex only.
-	memo       ranking
+	// memo is the entry's ranking slots, each empty until StoreRanking
+	// fills it after a hit; the first profiles to fill them keep them. They
+	// are part of the entry, so filling one allocates nothing, and they are
+	// read and written under the shard mutex only.
+	memo       [rankingSlots]ranking
 	prev, next *entry
 }
+
+// rankingSlots is how many profiles' rankings an entry memoizes: two, as
+// the default profile set's tv-quality and economy share every entry (both
+// best effort), and a classification the memo does not serve writes its
+// own offers. Two keep an entry in the 160-byte size class.
+const rankingSlots = 2
 
 // ranking is a memoized classification: steps 3–4's top K over an entry's
 // candidates, sorted, for the profiles whose rank digest is digest. It keeps
@@ -156,14 +152,11 @@ type ranking struct {
 type Result struct {
 	// Cands is the memoized candidate set.
 	Cands offer.Candidates
-	// Offers is the built offer list, nil when the product exceeded
-	// MaterializeLimit.
-	Offers []offer.SystemOffer
-	// Ranked is the entry's memoized classification when the slot holds
+	// Ranked is the entry's memoized classification when a slot holds
 	// one for the digest asked; otherwise Ranked.Len() is 0.
 	Ranked offer.Classified
-	// Vacant reports that the entry's ranking slot is empty, so that a
-	// StoreRanking after this hit would fill it.
+	// Vacant reports that no slot holds the digest's ranking and one is
+	// empty, so that a StoreRanking after this hit would fill it.
 	Vacant bool
 }
 
@@ -189,9 +182,9 @@ type Stats struct {
 // reference across negotiations and MUST be treated as immutable — the
 // enumeration pipeline only reads them, and Filter always builds fresh
 // slices, so this holds by construction. Their variants are shared further:
-// every offer built from a set, and every session holding one, points at the
-// candidates' own variants (offer.Choice.Variant). So is a memoized
-// ranking's array, which StoreRanking sorts before any reader sees it.
+// every offer classified from a set, and every session holding one, points
+// at the candidates' own variants (offer.Choice.Variant). So is a memoized
+// ranking, which StoreRanking sorts and keys before any reader sees it.
 type Cache struct {
 	shards [numShards]shard
 
@@ -245,20 +238,21 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[k.hash()%numShards]
 }
 
-// Lookup returns the memoized candidates — and, when the product was small
-// enough to materialize, the built offer list — for k, provided the entry's
+// Lookup returns the memoized candidates for k, provided the entry's
 // generation stamps match the caller's current (docGen, pricingGen). A
 // mismatched entry is removed and reported as Stale — it is never returned.
+// The offer list it also returns is always nil: no entry holds one. It
+// stays in the signature until ROADMAP item 7a drops the benchmark's call.
 func (c *Cache) Lookup(k Key, docGen, pricingGen uint64) (offer.Candidates, []offer.SystemOffer, Outcome) {
 	r, out := c.LookupRanking(k, docGen, pricingGen, 0)
-	return r.Cands, r.Offers, out
+	return r.Cands, nil, out
 }
 
-// LookupRanking is Lookup that also reads the entry's ranking slot: on a
-// hit whose slot holds the classification for the profile rank digest
+// LookupRanking is Lookup that also reads the entry's ranking slots: on a
+// hit where a slot holds the classification for the profile rank digest
 // digest, Result.Ranked is that classification, sorted and shared with
-// every other reader — none may write it. On a hit whose slot is empty,
-// Result.Vacant is set.
+// every other reader — none may write it. On a hit where no slot holds it
+// and one is empty, Result.Vacant is set.
 func (c *Cache) LookupRanking(k Key, docGen, pricingGen, digest uint64) (Result, Outcome) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -277,30 +271,28 @@ func (c *Cache) LookupRanking(k Key, docGen, pricingGen, digest uint64) (Result,
 		return Result{}, Stale
 	}
 	s.moveFrontLocked(e)
-	r := Result{Cands: e.cands, Offers: e.offers}
-	switch {
-	case len(e.memo.ranked) == 0:
-		r.Vacant = true
-	case e.memo.digest == digest:
-		r.Ranked = offer.Presorted(e.memo.ranked)
+	r := Result{Cands: e.cands}
+	if i := e.slotFor(digest); i >= 0 {
+		r.Ranked, r.Vacant = offer.Presorted(e.memo[i].ranked), len(e.memo[i].ranked) == 0
 	}
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return r, Hit
 }
 
-// Store memoizes cands (and the optional pre-built offer list, nil when the
-// product exceeded MaterializeLimit) under k with the generation stamps they
-// were computed from, evicting the shard's least-recently-used entry when
-// full. An existing entry under the same key is replaced (the generations may
-// have moved between the caller's snapshot and now; the stamps keep it honest
-// either way).
-func (c *Cache) Store(k Key, docGen, pricingGen uint64, cands offer.Candidates, offers []offer.SystemOffer) {
+// Store memoizes cands under k with the generation stamps they were
+// computed from, evicting the shard's least-recently-used entry when full.
+// An existing entry under the same key is replaced (the generations may
+// have moved between the caller's snapshot and now; the stamps keep it
+// honest either way). The offers argument is ignored: no entry holds an
+// offer list. It stays in the signature until ROADMAP item 7a drops the
+// benchmark's call.
+func (c *Cache) Store(k Key, docGen, pricingGen uint64, cands offer.Candidates, _ []offer.SystemOffer) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
-		e.docGen, e.pricingGen, e.cands, e.offers = docGen, pricingGen, cands, offers
-		e.memo = ranking{}
+		e.docGen, e.pricingGen, e.cands = docGen, pricingGen, cands
+		e.memo = [rankingSlots]ranking{}
 		s.moveFrontLocked(e)
 		s.mu.Unlock()
 		return
@@ -310,32 +302,52 @@ func (c *Cache) Store(k Key, docGen, pricingGen uint64, cands offer.Candidates, 
 		s.removeLocked(s.tail)
 		evicted++
 	}
-	e := &entry{key: k, docGen: docGen, pricingGen: pricingGen, cands: cands, offers: offers}
+	e := &entry{key: k, docGen: docGen, pricingGen: pricingGen, cands: cands}
 	s.entries[k] = e
 	s.pushFrontLocked(e)
 	s.mu.Unlock()
 	c.entries.Add(1 - int64(evicted))
 }
 
-// StoreRanking sorts ranked in place and memoizes it in the slot of the
-// entry under k, if the slot is empty. ranked must be the classification
-// (steps 3–4) of the entry's own candidates for a profile whose rank digest
-// is digest, computed after a lookup that hit at (docGen, pricingGen); if
-// the entry has gone or moved to other stamps since, or another profile
-// has filled the slot, the ranking is dropped. A filled slot is kept until
-// Store replaces the entry's candidates: profiles that share an entry but
-// not a digest would otherwise overwrite each other's ranking on every hit,
-// each paying a sort for a memo the next one discards. Sorting first means
-// that no reader of the memo ever reorders its array: a sorted view's reads
-// only read.
+// StoreRanking sorts ranked in place, renders its offers' keys into one
+// shared buffer (offer.RenderKeys), and memoizes it in an empty slot of the
+// entry under k. ranked must be the classification (steps 3–4) of the
+// entry's own candidates for a profile whose rank digest is digest,
+// computed after a lookup that hit at (docGen, pricingGen); if the entry
+// has gone or moved to other stamps since, if a slot already holds that
+// digest's ranking, or if other profiles have filled every slot, the
+// ranking is dropped. A filled slot is kept until Store replaces the
+// entry's candidates: profiles that share an entry but not a slot would
+// otherwise overwrite each other's ranking on every hit, each paying a sort
+// for a memo the next one discards. Sorting and keying
+// first means that no reader of the memo ever writes it: a sorted view's
+// reads only read, and a session that retires with one of its offers keeps
+// a substring of the shared buffer instead of joining a key of its own.
 func (c *Cache) StoreRanking(k Key, docGen, pricingGen, digest uint64, ranked *offer.Classified) {
 	sorted := ranked.All()
+	offer.RenderKeys(sorted)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	if e, ok := s.entries[k]; ok && e.docGen == docGen && e.pricingGen == pricingGen && len(e.memo.ranked) == 0 {
-		e.memo = ranking{digest: digest, ranked: sorted}
+	if e, ok := s.entries[k]; ok && e.docGen == docGen && e.pricingGen == pricingGen {
+		if i := e.slotFor(digest); i >= 0 && len(e.memo[i].ranked) == 0 {
+			e.memo[i] = ranking{digest: digest, ranked: sorted}
+		}
 	}
 	s.mu.Unlock()
+}
+
+// slotFor returns the slot holding digest's ranking, else the first empty
+// one, else -1. The caller holds the shard mutex.
+func (e *entry) slotFor(digest uint64) int {
+	free := -1
+	for i, m := range e.memo {
+		if len(m.ranked) > 0 && m.digest == digest {
+			return i
+		} else if len(m.ranked) == 0 && free < 0 {
+			free = i
+		}
+	}
+	return free
 }
 
 // PurgeExclusions drops every entry whose exclusion hash differs from
@@ -362,25 +374,6 @@ func (c *Cache) PurgeExclusions(current uint64) int {
 	return total
 }
 
-// Purge empties the cache, counting every dropped entry as an invalidation.
-func (c *Cache) Purge() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n := len(s.entries)
-		s.entries = make(map[Key]*entry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-		total += n
-	}
-	if total > 0 {
-		c.entries.Add(-int64(total))
-		c.invalidations.Add(uint64(total))
-	}
-	return total
-}
-
 // Len returns the live entry count.
 func (c *Cache) Len() int {
 	n := c.entries.Load()
@@ -398,34 +391,6 @@ func (c *Cache) Stats() Stats {
 		Invalidations: c.invalidations.Load(),
 		Entries:       uint64(c.Len()),
 	}
-}
-
-// Keys returns the live keys in deterministic order; tests and debug
-// surfaces use it.
-func (c *Cache) Keys() []Key {
-	var out []Key
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for k := range s.entries {
-			out = append(out, k)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Doc != b.Doc {
-			return a.Doc < b.Doc
-		}
-		if a.Machine != b.Machine {
-			return a.Machine < b.Machine
-		}
-		if a.Guarantee != b.Guarantee {
-			return a.Guarantee < b.Guarantee
-		}
-		return a.Exclusion < b.Exclusion
-	})
-	return out
 }
 
 // --- intrusive LRU list, all under the shard mutex ---

@@ -63,25 +63,20 @@ func TestLookupMissHitStale(t *testing.T) {
 	}
 }
 
-func TestStoreMaterializedOffers(t *testing.T) {
+// TestStoreKeepsNoOffers: an entry holds candidates only. Store ignores the
+// offer list it is handed, and Lookup hands back none, hit or stale.
+func TestStoreKeepsNoOffers(t *testing.T) {
 	c := New(0)
 	k := key("doc-1", 42)
 	offers := []offer.SystemOffer{{Document: "doc-1"}, {Document: "doc-1"}}
 	c.Store(k, 1, 1, testCands(2), offers)
-	_, got, out := c.Lookup(k, 1, 1)
-	if out != Hit {
-		t.Fatalf("lookup = %v, want Hit", out)
+	cands, got, out := c.Lookup(k, 1, 1)
+	if out != Hit || len(cands) != 1 || len(cands[0]) != 2 {
+		t.Fatalf("lookup = (%v, %v), want the 2 stored candidates and Hit", cands, out)
 	}
-	if len(got) != 2 {
-		t.Fatalf("hit returned %d memoized offers, want 2", len(got))
+	if got != nil {
+		t.Fatalf("hit returned %d offers, want none", len(got))
 	}
-	// A candidates-only entry returns nil offers on hit.
-	k2 := key("doc-2", 42)
-	c.Store(k2, 1, 1, testCands(2), nil)
-	if _, got, out := c.Lookup(k2, 1, 1); out != Hit || got != nil {
-		t.Fatalf("candidates-only hit = (%v, %v), want (nil, Hit)", got, out)
-	}
-	// Stale entries drop the offers with the candidates.
 	if _, got, out := c.Lookup(k, 2, 1); out != Stale || got != nil {
 		t.Fatalf("stale lookup = (%v, %v), want (nil, Stale)", got, out)
 	}
@@ -201,30 +196,6 @@ func TestPurgeExclusions(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(0)
-	for i := 0; i < 10; i++ {
-		c.Store(key("doc", uint64(i)), 1, 1, testCands(1), nil)
-	}
-	if n := c.Purge(); n != 10 {
-		t.Fatalf("purge dropped %d, want 10", n)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after purge", c.Len())
-	}
-}
-
-func TestKeysDeterministic(t *testing.T) {
-	c := New(0)
-	c.Store(key("b", 2), 1, 1, testCands(1), nil)
-	c.Store(key("a", 1), 1, 1, testCands(1), nil)
-	c.Store(key("a", 2), 1, 1, testCands(1), nil)
-	ks := c.Keys()
-	if len(ks) != 3 || ks[0].Doc != "a" || ks[0].Machine != 1 || ks[2].Doc != "b" {
-		t.Fatalf("keys not sorted: %v", ks)
-	}
-}
-
 // TestConcurrentChurn hammers one hot key plus a churn of cold keys from
 // many goroutines under -race: lookups, stores, generation flips and purges
 // racing freely must neither corrupt the LRU lists nor leak the entry gauge.
@@ -248,22 +219,37 @@ func TestConcurrentChurn(t *testing.T) {
 					c.PurgeExclusions(0)
 				}
 				if i%250 == 249 {
-					c.Purge()
+					c.PurgeExclusions(1) // every key's exclusion hash is 0
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Gauge must agree with an exhaustive key scan.
-	if got, want := c.Len(), len(c.Keys()); got != want {
-		t.Fatalf("entry gauge = %d but %d keys live", got, want)
+	// Gauge must agree with an exhaustive scan of the shards, and each
+	// shard's list with its map.
+	live := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		listed := 0
+		for e := s.head; e != nil; e = e.next {
+			listed++
+		}
+		if listed != len(s.entries) {
+			t.Fatalf("shard %d lists %d entries and maps %d", i, listed, len(s.entries))
+		}
+		live += listed
+	}
+	if got := c.Len(); got != live {
+		t.Fatalf("entry gauge = %d but %d entries live", got, live)
 	}
 }
 
-// TestRankingSlot: an entry's ranking slot starts empty (and says so), is
-// filled only by StoreRanking at the entry's own stamps, is served only for
-// the digest it was filled for, keeps its first ranking against another
-// digest's, and goes with the candidates when Store replaces them.
+// TestRankingSlot: an entry's ranking slots start empty (and a lookup whose
+// digest no slot holds says whether one is), are
+// filled only by StoreRanking at the entry's own stamps, each is served only
+// for the digest it was filled for, a digest fills one slot however often it
+// is stored, a third digest is dropped once both are filled, and the slots
+// go with the candidates when Store replaces them.
 func TestRankingSlot(t *testing.T) {
 	c := New(0)
 	k := key("doc-1", 42)
@@ -300,23 +286,34 @@ func TestRankingSlot(t *testing.T) {
 	if n := memo(7); n != 3 || vacant {
 		t.Fatalf("slot for digest 7 serves %d offers (vacant %v), want 3", n, vacant)
 	}
-	if n := memo(8); n != 0 || vacant {
-		t.Fatalf("slot for digest 7 serves digest 8 a %d-offer ranking (vacant %v)", n, vacant)
+	if n := memo(8); n != 0 || !vacant {
+		t.Fatalf("slot for digest 7 serves digest 8 a %d-offer ranking (vacant %v), want none and the second slot vacant", n, vacant)
 	}
-	// A filled slot keeps its ranking: another digest's is dropped.
+	// Storing digest 7 again fills no second slot.
+	r3 := ranked(3)
+	c.StoreRanking(k, 1, 1, 7, &r3)
+	if n := memo(8); n != 0 || !vacant {
+		t.Fatalf("a second store of digest 7 took the other slot (digest 8 served %d, vacant %v)", n, vacant)
+	}
 	c.StoreRanking(k, 1, 1, 8, &r2)
-	if n := memo(8); n != 0 {
-		t.Fatalf("digest 8 overwrote digest 7's slot (%d offers served)", n)
+	if n := memo(8); n != 2 || vacant {
+		t.Fatalf("slot for digest 8 serves %d offers (vacant %v), want 2 and no slot vacant", n, vacant)
 	}
-	if n := memo(7); n != 3 {
-		t.Fatalf("after digest 8's store, digest 7 is served %d offers, want 3", n)
+	// Both slots are filled: a third digest's ranking is dropped.
+	r4 := ranked(4)
+	c.StoreRanking(k, 1, 1, 9, &r4)
+	if n := memo(9); n != 0 {
+		t.Fatalf("digest 9 overwrote a filled slot (%d offers served)", n)
 	}
-	// Replacing the candidates empties the slot.
+	if n7, n8 := memo(7), memo(8); n7 != 3 || n8 != 2 {
+		t.Fatalf("after digest 9's store, digests 7 and 8 are served %d and %d offers, want 3 and 2", n7, n8)
+	}
+	// Replacing the candidates empties the slots.
 	c.Store(k, 1, 1, testCands(2), nil)
-	if n := memo(7); n != 0 {
-		t.Fatalf("the slot survived Store replacing its candidates (%d offers)", n)
+	if n7, n8 := memo(7), memo(8); n7 != 0 || n8 != 0 {
+		t.Fatalf("the slots survived Store replacing their candidates (%d and %d offers)", n7, n8)
 	}
-	// A stale lookup drops the entry and its slot with it.
+	// A stale lookup drops the entry and its slots with it.
 	c.StoreRanking(k, 1, 1, 7, &r)
 	if _, out := c.LookupRanking(k, 2, 1, 7); out != Stale {
 		t.Fatalf("lookup at a new docGen = %v, want Stale", out)
@@ -330,10 +327,44 @@ func TestRankingSlot(t *testing.T) {
 	}
 }
 
-// TestEntrySize keeps an entry, ranking slot included, in the 160-byte size
-// class on a 64-bit platform: every stored entry pays the slot, hit or not,
-// so the slot keeps the sorted array alone (32 bytes with its digest), not
-// the classified view with its orderer, which would take the 176-byte class.
+// TestStoreRankingRendersKeys: a published ranking's offers carry their
+// keys, rendered into one buffer, so a session that retires with one keeps
+// a substring of it and joins nothing.
+func TestStoreRankingRendersKeys(t *testing.T) {
+	c := New(0)
+	k := key("doc-1", 42)
+	c.Store(k, 1, 1, testCands(3), nil)
+	vs := []media.Variant{{ID: "v-a"}, {ID: "v+b"}, {ID: "v-c"}}
+	rs := make([]offer.Ranked, 3)
+	for i := range rs {
+		rs[i] = offer.Ranked{SystemOffer: &offer.SystemOffer{Choices: []offer.Choice{{Variant: &vs[i]}, {Variant: &vs[(i+1)%3]}}}, OIF: float64(3 - i)}
+	}
+	want := make([]string, len(rs))
+	for i := range rs {
+		want[i] = rs[i].Key()
+	}
+	r := offer.Presorted(rs)
+	c.StoreRanking(k, 1, 1, 7, &r)
+	got, _ := c.LookupRanking(k, 1, 1, 7)
+	served := got.Ranked.All()
+	for i := range served {
+		if served[i].Key() != want[i] {
+			t.Fatalf("offer %d: key %q, want %q", i, served[i].Key(), want[i])
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = served[i].Summary() }); allocs != 0 {
+			t.Fatalf("offer %d: Summary allocated %.0f objects, want 0: its key was not rendered", i, allocs)
+		}
+	}
+	first, last := unsafe.StringData(served[0].Key()), unsafe.StringData(served[2].Key())
+	if unsafe.Add(unsafe.Pointer(first), len(want[0])+len(want[1])) != unsafe.Pointer(last) {
+		t.Error("the published keys are not consecutive substrings of one buffer")
+	}
+}
+
+// TestEntrySize keeps an entry, ranking slots included, in the 160-byte size
+// class on a 64-bit platform: every stored entry pays the slots, hit or not,
+// so a slot keeps the sorted array alone (32 bytes with its digest), not
+// the classified view with its orderer, which would take the 208-byte class.
 func TestEntrySize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the size classes are pinned for 64-bit platforms")

@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -171,9 +172,14 @@ func TestStreamWorkerLifecycle(t *testing.T) {
 	for range 500 { // 1 000 RPCs
 		lifecycle(1)
 	}
-	if w, g := connWorkers(), runtime.NumGoroutine(); w != workers || g != goroutines {
-		t.Errorf("after 1 000 sequential RPCs: %d workers and %d goroutines, want %d and %d", w, g, workers, goroutines)
+	if w := connWorkers(); w != workers {
+		t.Errorf("after 1 000 sequential RPCs: %d workers, want %d", w, workers)
 	}
+	// Goroutines outside the connection may end in between (a test
+	// package's background goroutines, the runtime's own): only growth is a
+	// leak, and one that lasts once the connection has settled.
+	waitFor(t, fmt.Sprintf("the goroutine count to settle back to at most %d after 1 000 sequential RPCs", goroutines),
+		func() bool { return runtime.NumGoroutine() <= goroutines })
 
 	const burst = 4
 	holdReserves(bed, time.Second)

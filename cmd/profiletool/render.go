@@ -241,7 +241,7 @@ func RenderTimeProfile(u profile.UserProfile) string {
 func RenderImportanceProfile(u profile.UserProfile) string {
 	im := u.Importance
 	lines := []string{"QoS parameter importances:"}
-	colorLine := func(label string, m map[qos.ColorQuality]float64) string {
+	colorLine := func(label string, m profile.ColorWeights) string {
 		return fmt.Sprintf("%s  b&w %.3g  grey %.3g  color %.3g  super %.3g",
 			label, m[qos.BlackWhite], m[qos.Grey], m[qos.Color], m[qos.SuperColor])
 	}
@@ -252,9 +252,9 @@ func RenderImportanceProfile(u profile.UserProfile) string {
 		im.Resolution.Eval(qos.MinResolution), im.Resolution.Eval(qos.TVResolution), im.Resolution.Eval(qos.HDTVResolution)))
 	lines = append(lines, fmt.Sprintf("  audio quality telephone %.3g  CD %.3g",
 		im.AudioGrade[qos.TelephoneQuality], im.AudioGrade[qos.CDQuality]))
-	if len(im.Language) > 0 {
+	if im.Language[0].Weight != 0 {
 		lines = append(lines, fmt.Sprintf("  language      english %.3g  french %.3g",
-			im.Language[qos.English], im.Language[qos.French]))
+			im.Language.Of(qos.English), im.Language.Of(qos.French)))
 	}
 	lines = append(lines, fmt.Sprintf("cost importance: %.3g per $", im.CostPerDollar))
 	lines = append(lines, "", "[OK] [Save] [Save as] [CANCEL]")

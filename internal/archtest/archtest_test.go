@@ -153,8 +153,8 @@ var rules = []rule{{
 	// One list of the names the mechanisms deleted for "one negotiate RPC",
 	// "one breaker table", "no unset knobs", "one count per fact", "one
 	// arrival driver", "one record of commit outcomes", "one ops read", "one
-	// manager", "every value kept once" and "one way to build an offer"
-	// used.
+	// manager", "every value kept once", "one way to build an offer" and
+	// "a flat importance profile" used.
 	name: "retired names", scope: (*file).code,
 	re: regexp.MustCompile(`BatchNegotiate|MsgBatch|BatchItem|batch-negotiate|TimeoutMs|ApplyQuarantine|PublishQuarantine|Breakers|` +
 		`\bThompson\b|\bsplitmix\b|SetOccupancy|MaxOccupancy|HintDecay|MinRetryAfter|MaxRetryAfter|` +
@@ -165,7 +165,8 @@ var rules = []rule{{
 		`MsgStats|MsgServerLoads|StatsInfoPayload|ServerLoadsPayload|` +
 		`ShardHooks|SumStats|NextSessionID|MetricShardRouted|MetricShardLiveSessions|qosneg_shard_|qosneg/internal/shard\b|` +
 		`GaugeFamily|streamGauge|connGauge|redialCtr|\bc\.connCtr\b|badAcquires|` +
-		`\bMaterializeLimit\b|\bbuildOffer\b|internal/offer\.Walk\b|^func Walk\(|\bcandidateSet\b`),
+		`\bMaterializeLimit\b|\bbuildOffer\b|internal/offer\.Walk\b|^func Walk\(|\bcandidateSet\b|` +
+		`\bcloneMap\b|\bintMap\b|\blanguageMap\b|\bsortedKeys\b`),
 	msg: "one request negotiates one document; a batch is concurrent Negotiate calls on one connection, canceled by CANCEL frames" +
 		" / one server table holds every quarantine; a quarantine is one fact, never copied between tables" +
 		" / a setting only its default ever reaches is a constant; one core.Policy orders step 5 and adaptation" +
@@ -175,7 +176,8 @@ var rules = []rule{{
 		" / the metrics snapshot is the one ops read; qosctl renders stats and servers from it" +
 		" / one manager runs every system: no shard router, per-shard hooks, strided ids or per-shard series (a fleet measured no faster)" +
 		" / a gauge is a collector over its owner's state, and a count its owner keeps is read from the owner; the ledger only reads tables" +
-		" / a classification writes only the offers it keeps, through the one offer writer, and the offer cache memoizes no offer product",
+		" / a classification writes only the offers it keeps, through the one offer writer, and the offer cache memoizes no offer product" +
+		" / an importance profile is a flat value: copied by assignment, coded by one fixed-table coder",
 	at: "internal/protocol/x.go", plant: "package protocol\n\nfunc (c *Client) f(m *Manager) {\n\t_ = m.topK()\n\tc.roundTrip(Envelope{Type: MsgStats}, &StatsInfoPayload{})\n}\n",
 	more: []string{
 		"package protocol\n\nvar _ core.ShardHooks\n",
@@ -196,6 +198,10 @@ var rules = []rule{{
 		"package protocol\n\nimport \"qosneg/internal/offer\"\n\nfunc f() { offer.Walk(doc, cands, yield) }\n",
 		"package protocol\n\nfunc Walk(doc media.Document, yield func(SystemOffer) bool) {}\n",
 		"package protocol\n\nfunc (m *Manager) f() { m.candidateSet(ctx, doc, mach) }\n",
+		"package protocol\n\nfunc f(m map[int]float64) map[int]float64 { return cloneMap(m) }\n",
+		"package protocol\n\nfunc (c *coder) f(m *map[int]float64) { intMap(c, m) }\n",
+		"package protocol\n\nfunc (c *coder) f(m *map[qos.Language]float64) { c.languageMap(m) }\n",
+		"package protocol\n\nfunc f(m map[int]float64) { _ = sortedKeys(m, nil) }\n",
 	},
 }, {
 	name: "the wire reads no fleet", scope: func(f *file) bool { return f.code() && f.under("internal/protocol/") },

@@ -12,7 +12,6 @@ import (
 	"qosneg/internal/media"
 	"qosneg/internal/network"
 	"qosneg/internal/offer"
-	"qosneg/internal/profile"
 	"qosneg/internal/qos"
 	"qosneg/internal/telemetry"
 	"qosneg/internal/transport"
@@ -50,17 +49,17 @@ type commitResult struct {
 // predicate, so a pass that commits its first offer orders nothing past it;
 // a policy permutes ties within each set, so the two sets are materialized
 // for it from the sorted list. A canceled ctx returns its error.
-func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, ranked *offer.Classified, skip *offer.SystemOffer, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
+func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *media.Document, tm terms, ranked *offer.Classified, skip *offer.SystemOffer, spare []heldChoice, pol Policy, procedure string) (commitResult, error) {
 	var c commitResult
 	var dead map[media.ServerID]bool
 	last := m.carries.get()
 	defer m.carries.put(last)
 	var groups [2][]offer.Ranked
 	if pol != nil {
-		groups[0], groups[1] = offer.Partition(ranked.All(), u)
+		groups[0], groups[1] = offer.Partition(ranked.All(), tm.budget)
 	}
 	for pass, group := range groups {
-		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, pol, procedure)
+		group, ranks := m.policyOrder(group, tm.guarantee, pol, procedure)
 		n := len(group)
 		if pol == nil {
 			n = ranked.Len()
@@ -69,7 +68,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 			var r offer.Ranked
 			if pol != nil {
 				r = group[i]
-			} else if r = ranked.At(i); r.Acceptable(u) != (pass == 0) {
+			} else if r = ranked.At(i); r.Acceptable(tm.budget) != (pass == 0) {
 				continue
 			}
 			if skip != nil && offer.CompareKeys(r.SystemOffer, skip) == 0 {
@@ -83,7 +82,7 @@ func (m *Manager) commitFirst(ctx context.Context, mach *client.Machine, doc *me
 				c.skipped++
 				continue
 			}
-			cm, fail := m.tryCommit(ctx, mach, doc, u, r, last, spare)
+			cm, fail := m.tryCommit(ctx, mach, doc, tm, r, last, spare)
 			if fail.cause == CauseNone {
 				c.ok, c.chosen, c.commit, c.rank = true, r, cm, i
 				if ranks != nil {
@@ -258,7 +257,7 @@ func (l *lastPlan) carry(r offer.Ranked) {
 // as reservations, and the transport refuses it or not. Server-attributable
 // failures feed the breaker, so quarantines accrue no matter which entry
 // point (negotiate, renegotiate, adapt) drove the attempt.
-func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, last *lastPlan, spare []heldChoice) (commitment, commitFailure) {
+func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *media.Document, tm terms, r offer.Ranked, last *lastPlan, spare []heldChoice) (commitment, commitFailure) {
 	var plan []plannedChoice
 	if len(r.Choices) > planWidth {
 		// A wider offer plans on the heap and is not carried over.
@@ -269,7 +268,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 		plan = last.plan[:len(r.Choices)]
 	}
 	last.carry(r)
-	g := u.Desired.Cost.Guarantee
+	g := tm.guarantee
 	// One read of the table gives every choice its server, its evidence
 	// generation and its quarantine: a quarantine that trips after it bumps
 	// the generation, so it outlives this attempt's success. Planning has
@@ -325,7 +324,7 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 				// as reservations, so the transport decides when it gets
 				// there.
 				last.clean = 0
-				return m.reserve(ctx, mach, doc, u, r, plan[:i], spare)
+				return m.reserve(ctx, mach, doc, tm, r, plan[:i], spare)
 			}
 			last.refused = commitFailure{cause: refusalCause(err), kind: refusedConnect, server: sid, err: err, from: pc.entry.node, to: mach.Node}
 			return commitment{}, m.planRefused(r, plan[:i], g, last.refused)
@@ -335,13 +334,13 @@ func (m *Manager) tryCommit(ctx context.Context, mach *client.Machine, doc *medi
 			last.charges[i], last.clean = uint8(routes.Len()), i+1
 		}
 	}
-	if f := constraintFailure(doc, u, r, plan); f.cause != CauseNone {
+	if f := constraintFailure(doc, tm, r, plan); f.cause != CauseNone {
 		return commitment{}, m.planRefused(r, plan, g, f)
 	}
 	// Reserving overwrites the plan's metrics and may race another caller:
 	// the next attempt plans afresh.
 	last.clean = 0
-	return m.reserve(ctx, mach, doc, u, r, plan, spare)
+	return m.reserve(ctx, mach, doc, tm, r, plan, spare)
 }
 
 // planRefused records a refusal the plan found as the reserve-and-rollback
@@ -374,13 +373,13 @@ func (m *Manager) planRefused(r offer.Ranked, planned []plannedChoice, g cost.Gu
 // and rolls back what the attempt holds; so does a start-delay or
 // synchronization bound the reserved routes break where the planned ones
 // did not.
-func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice, spare []heldChoice) (commitment, commitFailure) {
+func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.Document, tm terms, r offer.Ranked, plan []plannedChoice, spare []heldChoice) (commitment, commitFailure) {
 	var buf [planWidth]heldChoice
 	held := buf[:0]
 	if len(r.Choices) > planWidth {
 		held = make([]heldChoice, 0, len(r.Choices))
 	}
-	g := u.Desired.Cost.Guarantee
+	g := tm.guarantee
 	// rerouted is set when a connection took a route other than its plan's,
 	// or had none, so the bounds checked on the planned routes do not hold.
 	rerouted := false
@@ -424,7 +423,7 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 		}
 	}
 	if rerouted {
-		if f := constraintFailure(doc, u, r, plan); f.cause != CauseNone {
+		if f := constraintFailure(doc, tm, r, plan); f.cause != CauseNone {
 			return commitment{}, m.refuse(held, len(held), g, f)
 		}
 	}
@@ -437,10 +436,10 @@ func (m *Manager) reserve(ctx context.Context, mach *client.Machine, doc *media.
 // constraintFailure checks a planned or reserved offer against the profile's
 // hard constraints, reading each choice's connection delay and jitter from
 // the plan; it returns a zero failure when both hold.
-func constraintFailure(doc *media.Document, u *profile.UserProfile, r offer.Ranked, plan []plannedChoice) commitFailure {
+func constraintFailure(doc *media.Document, tm terms, r offer.Ranked, plan []plannedChoice) commitFailure {
 	// Time profile: the configuration must be able to start the
 	// presentation within the user's start-delay bound.
-	if bound := u.Desired.Time.MaxStartDelay; bound > 0 {
+	if bound := tm.maxStartDelay; bound > 0 {
 		var start time.Duration
 		for i := range plan {
 			start = max(start, plan[i].delay+plan[i].entry.server.Config().RoundLength)

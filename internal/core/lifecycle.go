@@ -159,7 +159,7 @@ type window struct {
 	op      string
 	mach    client.Machine
 	doc     media.DocumentID
-	profile profile.UserProfile
+	terms   terms
 	current offer.Ranked
 	ranked  offer.Classified
 	held    []heldChoice
@@ -182,7 +182,7 @@ func (m *Manager) withdraw(id SessionID, want SessionState, op, inFlight string)
 	s.busy = true
 	s.epoch++
 	w := window{s: s, want: want, epoch: s.epoch, op: op, mach: s.Machine, doc: s.Document,
-		profile: s.Profile, current: s.Current}
+		terms: s.terms, current: s.Current}
 	if want == Playing { // an adaptation
 		s.ranked.All()
 		w.ranked = s.ranked
@@ -292,7 +292,7 @@ func (m *Manager) RenegotiateContext(ctx context.Context, id SessionID, u profil
 		return Result{}, fmt.Errorf("%w: session %d moved to %v during renegotiation", ErrBadState, id, moved)
 	}
 	s := w.s
-	s.Profile = u
+	s.terms = termsOf(&u)
 	s.Current = out.chosen
 	s.ranked = out.ranked
 	s.ChoicePeriod = m.choicePeriodFor(&u)
@@ -354,7 +354,7 @@ func (m *Manager) AdaptContext(ctx context.Context, id SessionID) (Transition, e
 	// Consider the ordered offers except the current one, acceptable set
 	// first, as in step 5. An installed policy may reorder ties within each
 	// group — the same freedom it has in step 5.
-	c, _ := m.commitFirst(ctx, &w.mach, &d, &w.profile, &w.ranked, w.current.SystemOffer, w.held, m.opts.Policy, "adapt")
+	c, _ := m.commitFirst(ctx, &w.mach, &d, w.terms, &w.ranked, w.current.SystemOffer, w.held, m.opts.Policy, "adapt")
 	if !c.ok {
 		m.abortWindow(&w)
 		m.count.adaptations[adaptFailed].Add(1)

@@ -443,7 +443,9 @@ func (m *Manager) Invoice(id SessionID) (cost.Invoice, error) {
 	if err != nil {
 		return cost.Invoice{}, err
 	}
-	current := s.CurrentOffer()
+	s.mu.Lock()
+	current, guarantee := s.Current, s.terms.guarantee
+	s.mu.Unlock()
 	var labels []string
 	var items []cost.Item
 	for _, ch := range current.Choices {
@@ -457,7 +459,6 @@ func (m *Manager) Invoice(id SessionID) (cost.Invoice, error) {
 			Duration: mono.Duration,
 		})
 	}
-	guarantee := s.Profile.Desired.Cost.Guarantee
 	pricing, _ := m.pricingSnapshot()
 	return pricing.Invoice(string(doc.ID), cost.Money(doc.CopyrightFee), guarantee, labels, items), nil
 }

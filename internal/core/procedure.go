@@ -66,10 +66,10 @@ func (m *Manager) NegotiateContext(ctx context.Context, mach client.Machine, doc
 	sess := &Session{
 		Machine:      mach,
 		Document:     doc.ID,
-		Profile:      u,
 		Current:      out.chosen,
 		ChoicePeriod: m.choicePeriodFor(&u),
 		ranked:       out.ranked,
+		terms:        termsOf(&u),
 		state:        Reserved,
 		commit:       out.commit,
 	}
@@ -186,13 +186,14 @@ func (m *Manager) runSteps(ctx context.Context, mach *client.Machine, doc *media
 		return negOutcome{}, err
 	}
 	// Step 5: resource commitment, acceptable set first.
-	c, err := m.commitFirst(ctx, mach, doc, u, &ranked, nil, nil, m.opts.Policy, "negotiate")
+	tm := termsOf(u)
+	c, err := m.commitFirst(ctx, mach, doc, tm, &ranked, nil, nil, m.opts.Policy, "negotiate")
 	if err != nil {
 		return negOutcome{}, err
 	}
 	if c.ok {
 		status := FailedWithOffer
-		if c.chosen.Acceptable(u) {
+		if c.chosen.Acceptable(tm.budget) {
 			status = Succeeded
 		}
 		if m.opts.Policy != nil {

@@ -25,8 +25,10 @@ func TestRenegotiateUpgradesOffer(t *testing.T) {
 	id := res.Session.ID
 	firstCost := res.Session.Cost()
 
-	// The user edits the profile upward and pushes OK.
+	// The user edits the profile upward, with a dollar more of budget, and
+	// pushes OK.
 	u2 := tvProfile() // color, CD
+	u2.Worst.Cost.MaxCost += cost.Dollars(1)
 	res2, err := b.man.RenegotiateContext(context.Background(), id, u2)
 	if err != nil {
 		t.Fatal(err)
@@ -40,8 +42,8 @@ func TestRenegotiateUpgradesOffer(t *testing.T) {
 	if res2.Offer.Video.Color != qos.Color {
 		t.Errorf("renegotiated offer = %+v", res2.Offer.Video)
 	}
-	if res2.Session.Profile.Desired.Video.Color != qos.Color {
-		t.Error("session profile not updated")
+	if got := res2.Session.terms; got != termsOf(&u2) || got == termsOf(&u) {
+		t.Errorf("session terms %+v, want the renegotiated profile's %+v", got, termsOf(&u2))
 	}
 	// The throughput-class tables may price grey and color video in the
 	// same class; the upgrade must never come out cheaper.

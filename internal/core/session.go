@@ -59,6 +59,24 @@ type heldChoice struct {
 	conn   network.ReservationID
 }
 
+// terms is what a session reads of its user profile once negotiation is
+// over: the guarantee its offers are priced at, the worst-acceptable budget
+// that bounds step 5's acceptable set, and the desired start delay step 5
+// checks. A session keeps these, not the profile.
+type terms struct {
+	guarantee     cost.Guarantee
+	budget        cost.Money
+	maxStartDelay time.Duration
+}
+
+func termsOf(u *profile.UserProfile) terms {
+	return terms{
+		guarantee:     u.Desired.Cost.Guarantee,
+		budget:        u.Worst.Cost.MaxCost,
+		maxStartDelay: u.Desired.Time.MaxStartDelay,
+	}
+}
+
 // Session is the state the QoS manager keeps per negotiated delivery: the
 // committed offer, the full classified offer list (kept, per step 4, so
 // "the adaptation procedure makes use of the whole set of feasible system
@@ -67,21 +85,23 @@ type heldChoice struct {
 // The manager holds a session only while it is live. A terminal transition
 // retires it to a tombstone, from which Manager.Session renders a Session
 // with the final state, document, position, transitions and the committed
-// offer's key and price — no choices, machine, profile or ranked list.
+// offer's key and price — no choices, machine, terms or ranked list.
 type Session struct {
 	ID       SessionID
 	Machine  client.Machine
 	Document media.DocumentID
-	Profile  profile.UserProfile
 	// Current is the committed offer.
 	Current offer.Ranked
 	// ChoicePeriod is the confirmation window in force (step 6).
 	ChoicePeriod time.Duration
 
-	// mu guards the mutable fields below plus Current, Profile and
-	// ChoicePeriod when they are rewritten by renegotiation or adaptation.
+	// mu guards the mutable fields below plus Current and ChoicePeriod
+	// when they are rewritten by renegotiation or adaptation.
 	// Lock ordering: Manager.sessMu before Session.mu, never the reverse.
 	mu sync.Mutex
+	// terms is what step 5 and the invoice read of the user profile; a
+	// renegotiation replaces it.
+	terms terms
 	// ranked is the classified offer list from negotiation step 4, sorted
 	// only as far as step 5 read it, or sorted whole and shared when it is
 	// the offer cache's memoized ranking; empty once the session is

@@ -35,12 +35,12 @@ func (m *Manager) refCommitFirst(ctx context.Context, mach *client.Machine, doc 
 	var dead map[media.ServerID]bool
 	groups := [2][]offer.Ranked{ranked, ranked}
 	if pol != nil {
-		groups[0], groups[1] = offer.Partition(ranked, u)
+		groups[0], groups[1] = offer.Partition(ranked, u.MaxCost())
 	}
 	for pass, group := range groups {
 		group, ranks := m.policyOrder(group, u.Desired.Cost.Guarantee, pol, "negotiate")
 		for i, r := range group {
-			if pol == nil && r.Acceptable(u) != (pass == 0) {
+			if pol == nil && r.Acceptable(u.MaxCost()) != (pass == 0) {
 				continue
 			}
 			if skipKey != "" && r.Key() == skipKey {
@@ -386,7 +386,7 @@ func runStep5Scenario(t *testing.T, sc step5Scenario) error {
 			if r.Intn(2) == 0 {
 				pol = orderFunc(func([]PolicyCandidate) []int { return nil })
 			}
-			got, err := plan.man.commitFirst(ctx, mach, doc, &u, presorted(offers), leaving, nil, pol, "negotiate")
+			got, err := plan.man.commitFirst(ctx, mach, doc, termsOf(&u), presorted(offers), leaving, nil, pol, "negotiate")
 			if err != nil {
 				return err
 			}

@@ -68,7 +68,7 @@ func (n *Negotiator) Negotiate(ranked []offer.Ranked, u profile.UserProfile, cli
 	if duration <= 0 {
 		return Reservation{}, fmt.Errorf("booking: non-positive duration %v", duration)
 	}
-	acceptable, feasible := offer.Partition(ranked, &u)
+	acceptable, feasible := offer.Partition(ranked, u.MaxCost())
 	for gi, group := range [][]offer.Ranked{acceptable, feasible} {
 		for _, r := range group {
 			plan, err := n.planner.Reserve(start, start+duration, DemandsFor(r, clientResource))

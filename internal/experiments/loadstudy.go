@@ -429,10 +429,10 @@ func e11Profile() profile.UserProfile {
 			Cost:  profile.CostProfile{MaxCost: cost.Dollars(20)},
 		},
 		Importance: profile.Importance{
-			VideoColor: map[qos.ColorQuality]float64{qos.Color: 2},
+			VideoColor: profile.ColorWeights{qos.Color: 2},
 			FrameRate:  profile.NewCurve(profile.Point{X: 15, Y: 1}, profile.Point{X: 30, Y: 3}),
 			Resolution: profile.NewCurve(profile.Point{X: 480, Y: 1}, profile.Point{X: 640, Y: 2}),
-			AudioGrade: map[qos.AudioGrade]float64{
+			AudioGrade: profile.AudioWeights{
 				qos.TelephoneQuality: 2, qos.CDQuality: 20, // audio dominates
 			},
 			CostPerDollar: 0.1,

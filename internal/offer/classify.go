@@ -3,6 +3,7 @@ package offer
 import (
 	"sort"
 
+	"qosneg/internal/cost"
 	"qosneg/internal/profile"
 )
 
@@ -145,12 +146,14 @@ func Classify(offers []SystemOffer, u profile.UserProfile) []Ranked {
 
 // Acceptable reports whether the offer belongs to step 5's acceptable set:
 // it satisfies the user's QoS and cost (SNS better than Constraint and total
-// cost within the binding budget). Step 5 commits resources against the
-// acceptable offers first and falls back to the rest ("If none of those
-// offers can be supported by the system, we consider the other offers,
-// however always in the order defined above").
-func (r *Ranked) Acceptable(u *profile.UserProfile) bool {
-	return r.Status != Constraint && WithinBudget(r.SystemOffer, u)
+// cost within budget, the profile's binding worst-acceptable cost). Step 5
+// commits resources against the acceptable offers first and falls back to
+// the rest ("If none of those offers can be supported by the system, we
+// consider the other offers, however always in the order defined above").
+// It reads the offer's Cost.Total field: called through the pointer, the
+// value receiver of Total would copy the whole offer, even inlined.
+func (r *Ranked) Acceptable(budget cost.Money) bool {
+	return r.Status != Constraint && r.SystemOffer.Cost.Total <= budget
 }
 
 // Partition splits classified offers into the acceptable set and the
@@ -158,9 +161,9 @@ func (r *Ranked) Acceptable(u *profile.UserProfile) bool {
 // procedure walks the ranked list with Acceptable instead; the materialized
 // groups serve callers that reorder within a group (an installed selection
 // policy, the booking negotiator) and the tests' reference model.
-func Partition(ranked []Ranked, u *profile.UserProfile) (acceptable, feasible []Ranked) {
+func Partition(ranked []Ranked, budget cost.Money) (acceptable, feasible []Ranked) {
 	for i := range ranked {
-		if ranked[i].Acceptable(u) {
+		if ranked[i].Acceptable(budget) {
 			acceptable = append(acceptable, ranked[i])
 		} else {
 			feasible = append(feasible, ranked[i])

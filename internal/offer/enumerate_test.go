@@ -235,17 +235,17 @@ func TestPartitionProperty(t *testing.T) {
 			offers = append(offers, videoOffer(media.VariantID(string(rune('a'+i))), v, cost.Money(pr)*10))
 		}
 		ranked := Classify(offers, u)
-		acc, fea := Partition(ranked, &u)
+		acc, fea := Partition(ranked, u.MaxCost())
 		if len(acc)+len(fea) != len(ranked) {
 			return false
 		}
 		for _, r := range acc {
-			if r.Status == Constraint || !WithinBudget(r.SystemOffer, &u) {
+			if r.Status == Constraint || r.Total() > u.MaxCost() {
 				return false
 			}
 		}
 		for _, r := range fea {
-			if r.Status != Constraint && WithinBudget(r.SystemOffer, &u) {
+			if r.Status != Constraint && r.Total() <= u.MaxCost() {
 				return false
 			}
 		}

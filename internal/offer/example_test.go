@@ -41,7 +41,7 @@ func Example_paperClassification() {
 		Desired: profile.MMProfile{Video: &want, Cost: profile.CostProfile{MaxCost: cost.Dollars(4)}},
 		Worst:   profile.MMProfile{Video: &want, Cost: profile.CostProfile{MaxCost: cost.Dollars(4)}},
 		Importance: profile.Importance{
-			VideoColor:    map[qos.ColorQuality]float64{qos.BlackWhite: 2, qos.Grey: 6, qos.Color: 9},
+			VideoColor:    profile.ColorWeights{qos.BlackWhite: 2, qos.Grey: 6, qos.Color: 9},
 			FrameRate:     profile.NewCurve(profile.Point{X: 15, Y: 5}, profile.Point{X: 25, Y: 9}),
 			Resolution:    profile.NewCurve(profile.Point{X: qos.TVResolution, Y: 9}),
 			CostPerDollar: 4,

@@ -260,15 +260,3 @@ func SNS(o SystemOffer, u profile.UserProfile) Status {
 func OIF(o SystemOffer, u profile.UserProfile) float64 {
 	return u.Importance.Overall(o.Settings(), o.Total())
 }
-
-// WithinBudget reports whether the offer's cost respects the binding
-// (worst-acceptable) budget. Together with a non-Constraint SNS this makes
-// the offer a member of the "acceptable set" the commitment step tries
-// first ("At first we consider only the offers which satisfy the cost and
-// the QoS requested by the user").
-func WithinBudget(o *SystemOffer, u *profile.UserProfile) bool {
-	// The fields Total and MaxCost return: called through these pointers,
-	// their value receivers would copy the whole offer and profile, even
-	// inlined.
-	return o.Cost.Total <= u.Worst.Cost.MaxCost
-}

@@ -39,7 +39,7 @@ func paperProfile() profile.UserProfile {
 		Desired: profile.MMProfile{Video: &v, Cost: profile.CostProfile{MaxCost: cost.Dollars(4)}},
 		Worst:   profile.MMProfile{Video: &v, Cost: profile.CostProfile{MaxCost: cost.Dollars(4)}},
 		Importance: profile.Importance{
-			VideoColor:    map[qos.ColorQuality]float64{qos.BlackWhite: 2, qos.Grey: 6, qos.Color: 9},
+			VideoColor:    profile.ColorWeights{qos.BlackWhite: 2, qos.Grey: 6, qos.Color: 9},
 			FrameRate:     profile.NewCurve(profile.Point{X: 15, Y: 5}, profile.Point{X: 25, Y: 9}),
 			Resolution:    profile.NewCurve(profile.Point{X: qos.TVResolution, Y: 9}),
 			CostPerDollar: 4,
@@ -178,7 +178,7 @@ func TestMotivatingExample(t *testing.T) {
 	if ranked[0].Status != Desirable {
 		t.Errorf("best offer status = %v", ranked[0].Status)
 	}
-	acceptable, feasible := Partition(ranked, &u)
+	acceptable, feasible := Partition(ranked, u.MaxCost())
 	if len(acceptable) != 1 || len(feasible) != 2 {
 		t.Errorf("partition = %d acceptable / %d feasible", len(acceptable), len(feasible))
 	}
@@ -246,12 +246,14 @@ func TestOfferStringAndKey(t *testing.T) {
 	}
 }
 
+// TestWithinBudget: a Desirable offer priced at the binding budget is
+// acceptable, and one over it is not.
 func TestWithinBudget(t *testing.T) {
-	u := paperProfile()
-	if !WithinBudget(&paperOffers()[1], &u) { // 4$ at 4$ cap
+	u, offers := paperProfile(), paperOffers()
+	if r := (Ranked{SystemOffer: &offers[1]}); !r.Acceptable(u.MaxCost()) { // 4$ at 4$ cap
 		t.Error("exact budget should be within")
 	}
-	if WithinBudget(&paperOffers()[3], &u) { // 5$ at 4$ cap
+	if r := (Ranked{SystemOffer: &offers[3]}); r.Acceptable(u.MaxCost()) { // 5$ at 4$ cap
 		t.Error("5$ offer within a 4$ budget")
 	}
 }

@@ -3,7 +3,6 @@ package profile
 import (
 	"math"
 	"math/rand/v2"
-	"slices"
 
 	"qosneg/internal/qos"
 	"qosneg/internal/wordhash"
@@ -31,68 +30,33 @@ func floatWord(f float64) uint64 { return math.Float64bits(f) }
 // the guarantee (which keys the offer cache itself) and the worst-acceptable
 // cost — are left out, so profiles differing only there share a digest.
 //
-// The digest is seeded once per process. An absent map entry and an entry
-// of weight 0 weigh the same in Importance.QoS, so they digest the same.
+// The digest is seeded once per process. It folds the importance profile's
+// arrays straight, two words to a mix: every position is fixed, so equal
+// importance profiles (==) digest equally.
 func (u *UserProfile) RankDigest() uint64 {
 	im := &u.Importance
 	h := digestStart
-	h = weights(h, im.VideoColor, colorKeys[:], enumKey)
-	h = weights(h, im.ImageColor, colorKeys[:], enumKey)
-	h = weights(h, im.AudioGrade, gradeKeys[:], enumKey)
-	h = weights(h, im.Language, languageKeys[:], languageKey)
-	h = mix(h, uint64(len(im.FrameRate.Points)), uint64(len(im.Resolution.Points)))
-	h = mix(h, uint64(len(im.ImageResolution.Points)), floatWord(im.CostPerDollar))
-	h = mixCurve(h, im.FrameRate)
-	h = mixCurve(h, im.Resolution)
-	h = mixCurve(h, im.ImageResolution)
+	for k := range im.VideoColor {
+		h = mix(h, floatWord(im.VideoColor[k]), floatWord(im.ImageColor[k]))
+	}
+	for _, w := range im.AudioGrade {
+		h = mix(h, floatWord(w), 0)
+	}
+	for _, p := range im.Language {
+		h = mix(h, languageKey(p.Language), floatWord(p.Weight))
+	}
+	h = mixCurve(h, &im.FrameRate)
+	h = mixCurve(h, &im.Resolution)
+	h = mixCurve(h, &im.ImageResolution)
+	h = mix(h, floatWord(im.CostPerDollar), 0)
 	h = mixSections(h, &u.Desired)
 	h = mixSections(h, &u.Worst)
 	return mix(h, present(&u.Desired)|present(&u.Worst)<<4, uint64(u.Desired.Cost.MaxCost))
 }
 
-// The keys weights looks up directly, two to a mix: the closed enums of
-// Figure 2, and the prototype's two languages.
-var (
-	colorKeys    = [...]qos.ColorQuality{qos.BlackWhite, qos.Grey, qos.Color, qos.SuperColor}
-	gradeKeys    = [...]qos.AudioGrade{qos.TelephoneQuality, qos.CDQuality}
-	languageKeys = [...]qos.Language{qos.English, qos.French}
-)
-
-// weights folds an importance map's weights for the known keys, an even
-// number of them, by direct lookup: ranging over a map costs more than a
-// handful of lookups. Only a map holding another key — an invalid enum
-// value, or a language outside the prototype's two — is ranged over, to
-// fold those entries in too, independently of iteration order.
-func weights[K comparable](h uint64, m map[K]float64, known []K, key func(K) uint64) uint64 {
-	found := 0
-	for i := 0; i < len(known); i += 2 {
-		a, aok := m[known[i]]
-		b, bok := m[known[i+1]]
-		if aok {
-			found++
-		}
-		if bok {
-			found++
-		}
-		h = mix(h, floatWord(a), floatWord(b))
-	}
-	if found == len(m) {
-		return h
-	}
-	var rest uint64
-	for k, w := range m {
-		if !slices.Contains(known, k) {
-			rest ^= mix(key(k), floatWord(w), 0)
-		}
-	}
-	return mix(h, rest, uint64(len(m)))
-}
-
-// enumKey and languageKey digest one importance-map key for weights, or a
-// section's language; the empty language, the common "any language",
+// languageKey digests a language, an importance table's or a section's;
+// the empty language, the common "any language" and an empty table pair,
 // costs no hash call.
-func enumKey[K ~int](k K) uint64 { return mix(digestStart, uint64(k), 0) }
-
 func languageKey(l qos.Language) uint64 {
 	if l == "" {
 		return 0
@@ -100,10 +64,10 @@ func languageKey(l qos.Language) uint64 {
 	return wordhash.String(digestStart, string(l))
 }
 
-// mixCurve folds a curve's anchors, one mix each; RankDigest folds the
-// anchor counts in first.
-func mixCurve(h uint64, c Curve) uint64 {
-	for _, p := range c.Points {
+// mixCurve folds a curve's count and every anchor slot, one mix each.
+func mixCurve(h uint64, c *Curve) uint64 {
+	h = mix(h, uint64(c.N), 0)
+	for _, p := range c.Anchors {
 		h = mix(h, uint64(p.X), floatWord(p.Y))
 	}
 	return h

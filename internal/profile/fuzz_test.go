@@ -17,8 +17,9 @@ func FuzzCurveEval(f *testing.F) {
 			Point{X: x3, Y: float64(y3) / 10},
 		)
 		got := c.Eval(q)
-		lo, hi := c.Points[0].Y, c.Points[0].Y
-		for _, p := range c.Points {
+		ps := c.Points()
+		lo, hi := ps[0].Y, ps[0].Y
+		for _, p := range ps {
 			if p.Y < lo {
 				lo = p.Y
 			}
@@ -27,7 +28,7 @@ func FuzzCurveEval(f *testing.F) {
 			}
 		}
 		if got < lo-1e-9 || got > hi+1e-9 {
-			t.Fatalf("Eval(%d) = %g outside [%g, %g] for %+v", q, got, lo, hi, c.Points)
+			t.Fatalf("Eval(%d) = %g outside [%g, %g] for %+v", q, got, lo, hi, ps)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ import (
 // 25 frames/s 9, 15 frames/s 5, cost importance 4.
 func paperImportance() Importance {
 	return Importance{
-		VideoColor: map[qos.ColorQuality]float64{
+		VideoColor: ColorWeights{
 			qos.BlackWhite: 2, qos.Grey: 6, qos.Color: 9,
 		},
 		FrameRate:     NewCurve(Point{X: 15, Y: 5}, Point{X: 25, Y: 9}),
@@ -93,7 +94,7 @@ func TestCurveEval(t *testing.T) {
 			t.Errorf("Eval(%d) = %g, want %g", tc.x, got, tc.want)
 		}
 	}
-	if got := (Curve{}).Eval(25); got != 0 {
+	if got := new(Curve).Eval(25); got != 0 {
 		t.Errorf("empty curve Eval = %g", got)
 	}
 }
@@ -119,9 +120,28 @@ func TestCurveValidate(t *testing.T) {
 	if err := NewCurve(Point{X: 1, Y: 1}, Point{X: 1, Y: 2}).Validate(); err == nil {
 		t.Error("duplicate anchor accepted")
 	}
-	unsorted := Curve{Points: []Point{{X: 5, Y: 1}, {X: 1, Y: 1}}}
+	unsorted := Curve{Anchors: [MaxAnchors]Point{{X: 5, Y: 1}, {X: 1, Y: 1}}, N: 2}
 	if err := unsorted.Validate(); err == nil {
 		t.Error("unsorted curve accepted")
+	}
+	full := NewCurve(Point{X: 1}, Point{X: 2}, Point{X: 3}, Point{X: 4})
+	if err := full.Validate(); err != nil {
+		t.Errorf("a curve of %d anchors rejected: %v", MaxAnchors, err)
+	}
+	over := NewCurve(Point{X: 1}, Point{X: 2}, Point{X: 3}, Point{X: 4}, Point{X: 5})
+	if err := over.Validate(); err == nil {
+		t.Errorf("a curve of %d anchors accepted", MaxAnchors+1)
+	}
+	if got := over.Eval(9); got != 0 {
+		t.Errorf("an over-full curve evaluates %g past its stored anchors, want 0", got)
+	}
+	past := NewCurve(Point{X: 1, Y: 1})
+	past.Anchors[2] = Point{X: 7, Y: 1}
+	if err := past.Validate(); err == nil {
+		t.Error("an anchor past the count accepted")
+	}
+	if err := NewCurve(Point{X: 1, Y: math.NaN()}).Validate(); err == nil {
+		t.Error("a NaN anchor accepted")
 	}
 }
 
@@ -170,16 +190,25 @@ func TestCostImportance(t *testing.T) {
 	}
 }
 
+// TestImportanceClone: a copy of an importance profile is a clone; it
+// shares no weight or anchor with the original.
 func TestImportanceClone(t *testing.T) {
 	im := DefaultImportance()
-	c := im.clone()
+	c := im
 	c.VideoColor[qos.Color] = 99
-	c.FrameRate.Points[0].Y = 99
+	c.FrameRate.Anchors[0].Y = 99
+	c.Language[0].Weight = 99
 	if im.VideoColor[qos.Color] == 99 {
-		t.Error("clone shares the color map")
+		t.Error("a copy shares the color weights")
 	}
-	if im.FrameRate.Points[0].Y == 99 {
-		t.Error("clone shares the frame-rate curve")
+	if im.FrameRate.Anchors[0].Y == 99 {
+		t.Error("a copy shares the frame-rate curve")
+	}
+	if im.Language[0].Weight == 99 {
+		t.Error("a copy shares the language weights")
+	}
+	if im != DefaultImportance() {
+		t.Error("two default importance profiles are not ==")
 	}
 }
 

@@ -130,10 +130,10 @@ type UserProfile struct {
 	Importance Importance `json:"importance"`
 }
 
-// Validate checks both MM profiles and their mutual consistency: the worst
+// Validate checks both MM profiles and their mutual consistency — the worst
 // acceptable values may not exceed the desired values, and a medium with a
 // desired requirement needs a worst-acceptable bound (the GUI pre-fills it
-// with the desired value).
+// with the desired value) — and the importance profile.
 func (u UserProfile) Validate() error {
 	if u.Name == "" {
 		return fmt.Errorf("user profile: empty name")
@@ -158,6 +158,9 @@ func (u UserProfile) Validate() error {
 		return fmt.Errorf("user profile %s: worst-acceptable budget %v below desired budget %v",
 			u.Name, u.Worst.Cost.MaxCost, u.Desired.Cost.MaxCost)
 	}
+	if err := u.Importance.Validate(); err != nil {
+		return fmt.Errorf("user profile %s: %w", u.Name, err)
+	}
 	return nil
 }
 
@@ -165,12 +168,12 @@ func (u UserProfile) Validate() error {
 func (u UserProfile) MaxCost() cost.Money { return u.Worst.Cost.MaxCost }
 
 // Clone returns a deep copy of the profile, so the GUI can edit a scratch
-// copy without touching the stored one.
+// copy without touching the stored one: the MM profiles' sections are
+// copied, and the importance profile is a value.
 func (u UserProfile) Clone() UserProfile {
 	c := u
 	c.Desired = u.Desired.clone()
 	c.Worst = u.Worst.clone()
-	c.Importance = u.Importance.clone()
 	return c
 }
 

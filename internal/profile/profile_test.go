@@ -191,7 +191,7 @@ func TestStoreRejectsInvalid(t *testing.T) {
 		t.Error("invalid profile saved")
 	}
 	p = tvProfile()
-	p.Importance.FrameRate = Curve{Points: []Point{{X: 5, Y: 1}, {X: 5, Y: 2}}}
+	p.Importance.FrameRate = NewCurve(Point{X: 5, Y: 1}, Point{X: 5, Y: 2})
 	if err := s.Save(p); err == nil {
 		t.Error("invalid importance saved")
 	}

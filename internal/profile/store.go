@@ -39,9 +39,6 @@ func (s *Store) Save(p UserProfile) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if err := p.Importance.Validate(); err != nil {
-		return fmt.Errorf("user profile %s: %w", p.Name, err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.profiles[p.Name] = p.Clone()

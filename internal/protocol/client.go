@@ -408,23 +408,44 @@ func resultEnvelope(resp Envelope) (NegotiationResult, error) {
 	return negotiationResult(p)
 }
 
+// profileRequest holds a negotiate or renegotiate request and the values
+// it points at. An envelope's payload escapes to the heap (the JSON-bodied
+// types go through encoding/json), so pointing a request at the caller's
+// arguments would copy the machine and the whole profile to the heap on
+// every call; the body is encoded before the exchange returns and nothing
+// keeps the request after, so the pool recycles them instead.
+type profileRequest struct {
+	neg   NegotiateRequest
+	reneg RenegotiateRequest
+	mach  client.Machine
+	u     profile.UserProfile
+}
+
+var profileRequests = sync.Pool{New: func() any { return new(profileRequest) }}
+
 // Negotiate runs the negotiation procedure on the daemon.
 func (c *Client) Negotiate(ctx context.Context, mach client.Machine, doc media.DocumentID, u profile.UserProfile) (NegotiationResult, error) {
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgNegotiate, Payload: &NegotiateRequest{
-		Machine:  &mach,
-		Document: doc,
-		Profile:  &u,
-	}}, false)
-	if err != nil {
-		return NegotiationResult{}, err
-	}
-	return resultEnvelope(resp)
+	r := profileRequests.Get().(*profileRequest)
+	r.mach, r.u = mach, u
+	r.neg = NegotiateRequest{Machine: &r.mach, Document: doc, Profile: &r.u}
+	return c.profileRoundTrip(ctx, Envelope{Type: MsgNegotiate, Payload: &r.neg}, r)
 }
 
 // Renegotiate re-runs the negotiation for a reserved session with a
 // modified profile.
 func (c *Client) Renegotiate(ctx context.Context, id core.SessionID, u profile.UserProfile) (NegotiationResult, error) {
-	resp, err := c.roundTrip(ctx, Envelope{Type: MsgRenegotiate, Payload: &RenegotiateRequest{Profile: &u, Session: id}}, false)
+	r := profileRequests.Get().(*profileRequest)
+	r.u = u
+	r.reneg = RenegotiateRequest{Profile: &r.u, Session: id}
+	return c.profileRoundTrip(ctx, Envelope{Type: MsgRenegotiate, Payload: &r.reneg}, r)
+}
+
+// profileRoundTrip exchanges a request of r and gives r back to the pool,
+// emptied, so the pool keeps no caller's values.
+func (c *Client) profileRoundTrip(ctx context.Context, env Envelope, r *profileRequest) (NegotiationResult, error) {
+	resp, err := c.roundTrip(ctx, env, false)
+	*r = profileRequest{}
+	profileRequests.Put(r)
 	if err != nil {
 		return NegotiationResult{}, err
 	}

@@ -1,12 +1,10 @@
 package protocol
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 
 	"qosneg/internal/client"
 	"qosneg/internal/core"
@@ -174,12 +172,12 @@ func (c *coder) userProfile(u *profile.UserProfile) {
 	c.mmProfile(&u.Desired)
 	c.mmProfile(&u.Worst)
 	im := &u.Importance
-	intMap(c, &im.VideoColor)
+	c.weights(im.VideoColor[:])
 	c.curve(&im.FrameRate)
 	c.curve(&im.Resolution)
-	intMap(c, &im.AudioGrade)
-	c.languageMap(&im.Language)
-	intMap(c, &im.ImageColor)
+	c.weights(im.AudioGrade[:])
+	c.languages(&im.Language)
+	c.weights(im.ImageColor[:])
 	c.curve(&im.ImageResolution)
 	c.float(&im.CostPerDollar)
 }
@@ -207,86 +205,88 @@ func (c *coder) mmProfile(p *profile.MMProfile) {
 	integer(c, &p.Time.ChoicePeriod)
 }
 
+// curve codes a curve as its anchor count + 1, then its anchors. An empty
+// curve is a 0: the JSON encoding writes it as null. Anchors are not
+// checked for order here: UserProfile.Validate refuses unsorted ones.
 func (c *coder) curve(cv *profile.Curve) {
-	if n := c.length(lenOrNil(cv.Points), 1, 9); !c.enc && n >= 0 {
-		cv.Points = make([]profile.Point, n)
+	n := cv.N
+	if n == 0 {
+		n = -1
 	}
-	for i := range cv.Points {
-		integer(c, &cv.Points[i].X)
-		c.float(&cv.Points[i].Y)
+	if n = c.length(n, 1, 9); !c.enc {
+		switch {
+		case n == 0:
+			c.fail("empty curve not in its nil form")
+		case n > profile.MaxAnchors:
+			c.fail("curve has too many anchors")
+		}
+		cv.N = max(n, 0)
+	}
+	for i := range cv.Points() {
+		integer(c, &cv.Anchors[i].X)
+		c.float(&cv.Anchors[i].Y)
 	}
 }
 
-// sortedKeys returns m's keys in ascending order; the importance maps hold a
-// handful of scale values, so they usually sort without outgrowing buf.
-func sortedKeys[K cmp.Ordered](m map[K]float64, buf []K) []K {
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
-}
+// The importance tables, a scale's weights and the languages', are coded as
+// a count and then (key, weight) pairs in strictly ascending key order,
+// zero weights left out: the JSON encoding's maps, which it omits when
+// empty. A decoded key outside the scale, out of order, or paired with a
+// zero weight is malformed.
 
-// intMap codes an int-keyed importance map as count + entries in ascending
-// key order. The maps are omitempty in the JSON encoding, so nil and empty
-// are one value here too. Decoded keys that do not strictly ascend — duplicates
-// included — are malformed.
-func intMap[K ~int](c *coder, m *map[K]float64) {
+// weights codes a scale's weights, keyed by scale value (index 0 is no
+// scale value, which weighs nothing).
+func (c *coder) weights(w []float64) {
+	n := 0
+	for _, v := range w {
+		if v != 0 {
+			n++
+		}
+	}
+	n = c.length(n, 0, 9)
 	if c.enc {
-		var buf [8]K
-		keys := sortedKeys(*m, buf[:0])
-		c.length(len(keys), 0, 9)
-		for _, k := range keys {
-			v := (*m)[k]
-			integer(c, &k)
-			c.float(&v)
+		for k, v := range w {
+			if v != 0 {
+				integer(c, &k)
+				c.float(&v)
+			}
 		}
 		return
 	}
-	n := c.length(0, 0, 9)
-	if n > 0 {
-		*m = make(map[K]float64, n)
-	}
-	var k, prev K
-	for i := 0; i < n; i, prev = i+1, k {
+	for i, prev := 0, 0; i < n; i++ {
+		var k int
 		var v float64
 		integer(c, &k)
 		c.float(&v)
-		if i > 0 && k <= prev {
-			c.fail("map keys out of order")
+		if c.err == nil && (k <= prev || k >= len(w) || v == 0) {
+			c.fail("importance table keys out of order or range, or a zero weight")
+		}
+		if c.err != nil {
 			return
 		}
-		(*m)[k] = v
+		w[k], prev = v, k
 	}
 }
 
-// languageMap is intMap for the one string-keyed importance map.
-func (c *coder) languageMap(m *map[qos.Language]float64) {
-	if c.enc {
-		var buf [8]qos.Language
-		keys := sortedKeys(*m, buf[:0])
-		c.length(len(keys), 0, 9)
-		for _, k := range keys {
-			v := (*m)[k]
-			text(c, &k)
-			c.float(&v)
+// languages codes the language weights; the table keeps its non-zero
+// pairs first, in this order.
+func (c *coder) languages(l *profile.LanguageWeights) {
+	n := 0
+	for _, p := range l {
+		if p.Weight != 0 {
+			n++
 		}
+	}
+	if n = c.length(n, 0, 9); n > len(l) {
+		c.fail("too many languages")
 		return
 	}
-	n := c.length(0, 0, 9)
-	if n > 0 {
-		*m = make(map[qos.Language]float64, n)
-	}
-	var k, prev qos.Language
-	for i := 0; i < n; i, prev = i+1, k {
-		var v float64
-		text(c, &k)
-		c.float(&v)
-		if i > 0 && k <= prev {
-			c.fail("map keys out of order")
-			return
+	for i := range l[:n] {
+		text(c, &l[i].Language)
+		c.float(&l[i].Weight)
+		if !c.enc && c.err == nil && (l[i].Weight == 0 || i > 0 && l[i].Language <= l[i-1].Language) {
+			c.fail("importance table keys out of order or range, or a zero weight")
 		}
-		(*m)[k] = v
 	}
 }
 
@@ -409,6 +409,9 @@ var wellKnown = func() map[string]string {
 	}
 	for _, f := range media.Formats() {
 		m[string(f)] = string(f)
+	}
+	for _, l := range []qos.Language{qos.English, qos.French} {
+		m[string(l)] = string(l)
 	}
 	return m
 }()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,10 @@ func binaryRoundTrip(t testing.TB, e Envelope) Envelope {
 }
 
 // fill sets every exported field reachable from v to a distinct non-zero
-// value: pointers are allocated, slices and maps get two elements.
+// value: pointers are allocated, slices and maps get two elements, and
+// arrays are filled whole — but for a scale's weights, whose index 0 is no
+// scale value. Strings ascend as they are filled, and so do integers, so a
+// language table and a curve come out canonical; a curve is filled full.
 func fill(t *testing.T, v reflect.Value, next *int) {
 	*next++
 	switch v.Kind() {
@@ -67,6 +71,17 @@ func fill(t *testing.T, v reflect.Value, next *int) {
 				t.Fatalf("%s has unexported field %s: the guard cannot fill it", v.Type(), v.Type().Field(i).Name)
 			}
 			fill(t, v.Field(i), next)
+		}
+		if c, ok := v.Addr().Interface().(*profile.Curve); ok {
+			c.N = len(c.Anchors)
+		}
+	case reflect.Array:
+		from := 0
+		if v.Type().Elem().Kind() == reflect.Float64 {
+			from = 1
+		}
+		for i := from; i < v.Len(); i++ {
+			fill(t, v.Index(i), next)
 		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
@@ -81,7 +96,7 @@ func fill(t *testing.T, v reflect.Value, next *int) {
 			v.SetMapIndex(k, e)
 		}
 	case reflect.String:
-		v.SetString(fmt.Sprintf("s%d", *next))
+		v.SetString(fmt.Sprintf("s%04d", *next))
 	case reflect.Int, reflect.Int64:
 		v.SetInt(int64(*next))
 	case reflect.Uint32, reflect.Uint64:
@@ -167,32 +182,45 @@ func (g gen) str() string {
 	return words[g.Intn(len(words))]
 }
 
+// curve draws up to MaxAnchors anchors in any order: the codec carries
+// them as they are, and UserProfile.Validate refuses unsorted ones.
 func (g gen) curve() profile.Curve {
-	switch g.Intn(4) {
-	case 0:
-		return profile.Curve{}
-	case 1:
-		return profile.Curve{Points: []profile.Point{}}
+	var c profile.Curve
+	if g.Intn(4) == 0 {
+		return c
 	}
-	pts := make([]profile.Point, 1+g.Intn(4))
-	for i := range pts {
-		pts[i] = profile.Point{X: g.int(), Y: g.float()}
+	c.N = 1 + g.Intn(profile.MaxAnchors)
+	for i := range c.Points() {
+		c.Anchors[i] = profile.Point{X: g.int(), Y: g.float()}
 	}
-	return profile.Curve{Points: pts}
+	return c
 }
 
-func genMap[K comparable](g gen, key func() K) map[K]float64 {
-	switch g.Intn(4) {
-	case 0:
-		return nil
-	case 1:
-		return map[K]float64{}
+// weights draws a scale's weights, index 0 (no scale value) left zero.
+func (g gen) weights(w []float64) {
+	for k := 1; k < len(w) && g.Intn(4) != 0; k++ {
+		w[k] = g.float()
 	}
-	m := make(map[K]float64)
-	for i := g.Intn(12); i >= 0; i-- { // past the encoder's on-stack key buffer, sometimes
-		m[key()] = g.float()
+}
+
+// languages draws a canonical language table: distinct languages, sorted,
+// with non-zero weights.
+func (g gen) languages() profile.LanguageWeights {
+	var l profile.LanguageWeights
+	var names []string
+	for i := g.Intn(profile.MaxLanguages + 1); i > 0; i-- {
+		if s := g.str(); !slices.Contains(names, s) {
+			names = append(names, s)
+		}
 	}
-	return m
+	slices.Sort(names)
+	for i, s := range names {
+		l[i] = profile.LanguageWeight{Language: qos.Language(s), Weight: g.float()}
+		if l[i].Weight == 0 {
+			l[i].Weight = 1
+		}
+	}
+	return l
 }
 
 func (g gen) mmProfile() profile.MMProfile {
@@ -218,22 +246,23 @@ func (g gen) userProfile() *profile.UserProfile {
 	if g.Intn(8) == 0 {
 		return nil
 	}
-	color := func() qos.ColorQuality { return qos.ColorQuality(g.int()) }
-	return &profile.UserProfile{
+	u := &profile.UserProfile{
 		Name:    g.str(),
 		Desired: g.mmProfile(),
 		Worst:   g.mmProfile(),
 		Importance: profile.Importance{
-			VideoColor:      genMap(g, color),
 			FrameRate:       g.curve(),
 			Resolution:      g.curve(),
-			AudioGrade:      genMap(g, func() qos.AudioGrade { return qos.AudioGrade(g.int()) }),
-			Language:        genMap(g, func() qos.Language { return qos.Language(g.str()) }),
-			ImageColor:      genMap(g, color),
+			Language:        g.languages(),
 			ImageResolution: g.curve(),
 			CostPerDollar:   g.float(),
 		},
 	}
+	im := &u.Importance
+	g.weights(im.VideoColor[:])
+	g.weights(im.AudioGrade[:])
+	g.weights(im.ImageColor[:])
+	return u
 }
 
 func (g gen) machine() *client.Machine {
@@ -402,6 +431,79 @@ func TestBinaryDecodeDoesNotRetainInput(t *testing.T) {
 	}
 }
 
+// offBoundsBody is a negotiate body whose importance profile sits at or
+// past one of the flat value's bounds.
+type offBoundsBody struct {
+	name string
+	body []byte
+	ok   bool // it decodes: the bound is UserProfile.Validate's
+}
+
+// offBoundsBodies encodes the tv profile with default importances, each
+// time with one importance field at or past a bound; the ones the encoder
+// cannot write are patched in by hand.
+func offBoundsBodies(t testing.TB) []offBoundsBody {
+	m := client.Machine{ID: "pc", Node: "client-1", Decoders: []media.Format{"mpeg1"}}
+	encode := func(mutate func(im *profile.Importance)) []byte {
+		u := tvProfile(time.Minute)
+		u.Importance = profile.DefaultImportance()
+		mutate(&u.Importance)
+		body, err := appendBody(nil, Envelope{Type: MsgNegotiate, Payload: &NegotiateRequest{Machine: &m, Document: "news-1", Profile: &u}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	patch := func(body, old, new []byte) []byte {
+		if bytes.Count(body, old) != 1 {
+			t.Fatalf("%x is not in the body once", old)
+		}
+		return bytes.Replace(body, old, new, 1)
+	}
+	one := []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f} // 1.0, little-endian
+	cdOnly := encode(func(im *profile.Importance) { im.AudioGrade = profile.AudioWeights{qos.CDQuality: 1} })
+	cd := append([]byte{1, 4}, one...) // one entry: key 2 (zig-zag 4), weight 1
+	greyOnly := encode(func(im *profile.Importance) { *im = profile.Importance{VideoColor: profile.ColorWeights{qos.Grey: 1}} })
+	grey := append(cd, 0) // then the empty frame-rate curve
+	return []offBoundsBody{
+		{name: "at capacity", ok: true, body: encode(func(im *profile.Importance) {
+			im.FrameRate = profile.NewCurve(profile.Point{X: 1}, profile.Point{X: 2}, profile.Point{X: 3}, profile.Point{X: 4})
+		})},
+		{name: "anchors past capacity", body: encode(func(im *profile.Importance) {
+			im.FrameRate = profile.NewCurve(profile.Point{X: 1}, profile.Point{X: 2}, profile.Point{X: 3}, profile.Point{X: 4}, profile.Point{X: 5})
+		})},
+		{name: "a key below the scale", body: encode(func(im *profile.Importance) { im.AudioGrade[0] = 1 })},
+		{name: "a key above the scale", body: patch(cdOnly, cd, append([]byte{1, 6}, one...))},
+		{name: "a zero weight", body: patch(cdOnly, cd, append([]byte{1, 4}, make([]byte, 8)...))},
+		{name: "languages out of order", body: encode(func(im *profile.Importance) {
+			im.Language[0], im.Language[1] = im.Language[1], im.Language[0]
+		})},
+		{name: "an empty curve not nil", body: patch(greyOnly, grey, append(cd[:len(cd):len(cd)], 1))},
+		{name: "a NaN weight", ok: true, body: encode(func(im *profile.Importance) { im.VideoColor[qos.Grey] = math.NaN() })},
+		{name: "unsorted anchors", ok: true, body: encode(func(im *profile.Importance) { im.Resolution.Anchors[0].X = 9999 })},
+	}
+}
+
+// TestBinaryImportanceBounds: the body decoder refuses what the flat value
+// cannot hold or the encoder would not write, and leaves the semantic
+// checks — finite weights, sorted anchors — to UserProfile.Validate.
+func TestBinaryImportanceBounds(t *testing.T) {
+	for _, tc := range offBoundsBodies(t) {
+		env, err := decodeBody(tc.body)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: decoded to %s", tc.name, dump(env.Payload))
+		case tc.ok:
+			again, _ := appendBody(nil, env)
+			if !bytes.Equal(again, tc.body) {
+				t.Errorf("%s: re-encodes to %x, want %x", tc.name, again, tc.body)
+			}
+		}
+	}
+}
+
 // FuzzBinaryBody throws arbitrary bytes at the body decoder. Nothing may
 // panic. For the typed bodies, whose decoders allocate from lengths read off
 // the wire, a body may not make the decoder allocate more than a small
@@ -425,6 +527,9 @@ func FuzzBinaryBody(f *testing.F) {
 	} {
 		body, _ := appendBody(nil, e)
 		f.Add(body)
+	}
+	for _, body := range offBoundsBodies(f) {
+		f.Add(body.body)
 	}
 	f.Add([]byte{codeOf[MsgNegotiate], 3, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a 4 GiB machine id
 	f.Add([]byte{codeOf[MsgConfirm], 0x80, 0x00})                        // non-minimal varint

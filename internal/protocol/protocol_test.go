@@ -3,6 +3,7 @@ package protocol
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -381,6 +382,53 @@ func TestServerErrors(t *testing.T) {
 	// The connection survives errors: a good request still works.
 	if _, err := c.ListDocuments(bg, ""); err != nil {
 		t.Errorf("connection broken after error: %v", err)
+	}
+}
+
+// TestMalformedImportanceRefused: a profile whose importance profile could
+// break classification — unsorted or over-full anchors, a non-finite weight,
+// a weight off its scale, a non-canonical language table — is answered with
+// a server error, by UserProfile.Validate or by the body decoder, and never
+// classified.
+func TestMalformedImportanceRefused(t *testing.T) {
+	h := newHarness(t)
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(im *profile.Importance)
+	}{
+		{"unsorted anchors", "anchors not sorted", func(im *profile.Importance) {
+			im.FrameRate = profile.Curve{Anchors: [profile.MaxAnchors]profile.Point{{X: 30, Y: 10}, {X: 1, Y: 1}, {X: 30, Y: 2}}, N: 3}
+		}},
+		{"duplicate anchors", "duplicate anchor", func(im *profile.Importance) {
+			im.Resolution = profile.NewCurve(profile.Point{X: 480, Y: 1}, profile.Point{X: 480, Y: 2})
+		}},
+		{"NaN cost", "a weight of NaN", func(im *profile.Importance) { im.CostPerDollar = nan }},
+		{"NaN color weight", "a weight of NaN", func(im *profile.Importance) { im.VideoColor[qos.Grey] = nan }},
+		{"infinite anchor", "weighs +Inf", func(im *profile.Importance) { im.ImageResolution.Anchors[0].Y = math.Inf(1) }},
+		{"NaN language weight", "weighs NaN", func(im *profile.Importance) { im.Language[1].Weight = nan }},
+		{"weight at index 0", "malformed", func(im *profile.Importance) { im.AudioGrade[0] = 1 }},
+		{"anchors over capacity", "malformed", func(im *profile.Importance) {
+			im.FrameRate = profile.NewCurve(profile.Point{X: 1}, profile.Point{X: 2}, profile.Point{X: 3}, profile.Point{X: 4}, profile.Point{X: 5})
+		}},
+		{"languages out of order", "malformed", func(im *profile.Importance) {
+			im.Language[0], im.Language[1] = im.Language[1], im.Language[0]
+		}},
+		{"a listed zero weight", "malformed", func(im *profile.Importance) { im.Language[0].Weight = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := h.dial(t) // a malformed body ends its connection
+			u := tvProfile(time.Minute)
+			u.Importance = profile.DefaultImportance()
+			tc.mutate(&u.Importance)
+			res, err := c.Negotiate(bg, h.bed.Client(1), "news-1", u)
+			if err == nil || !strings.Contains(err.Error(), "server error") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("negotiate: %v (status %v), want a server error naming %q", err, res.Status, tc.want)
+			}
+		})
+	}
+	if got := h.bed.Manager.Stats().Requests; got != 0 {
+		t.Errorf("%d negotiations ran, want 0", got)
 	}
 }
 

@@ -196,11 +196,13 @@ func FuzzFrameDecode(f *testing.F) {
 // TestWireNegotiateAllocBound pins what the wire adds to a negotiation:
 // the allocations of a Negotiate+Reject pair through client, frames and
 // server in this one process, minus those of the same pair made on the
-// manager directly. The bound is the measured 48 plus 2; the JSON-in-frames
-// codec this replaced measured 181, and a goroutine per request 54. What is
-// left is per-request server state (the negotiation's stream context and
-// its choice timer), the reply slots, and the decoded profile's own maps,
-// curves and strings. The reject, answered on the read loop, adds none.
+// manager directly. The bound is the measured 32 plus 2; the JSON-in-frames
+// codec this replaced measured 181, a goroutine per request 54, an
+// importance profile of maps and anchor slices 48, and a client that copied
+// each request's machine and profile to the heap 34. What is left is
+// per-request server state (the negotiation's stream context and its
+// choice timer), the reply slots, and the decoded request's machine,
+// sections and strings. The reject, answered on the read loop, adds none.
 func TestWireNegotiateAllocBound(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("sync.Pool sheds under -race, so pooled frames allocate")
@@ -234,7 +236,7 @@ func TestWireNegotiateAllocBound(t *testing.T) {
 		overWire()
 	}
 	wire, direct := testing.AllocsPerRun(500, overWire), testing.AllocsPerRun(500, inProcess)
-	const bound = 50
+	const bound = 34
 	if added := wire - direct; added > bound {
 		t.Errorf("the wire adds %.0f allocations to a negotiate+reject (%.0f over the wire, %.0f in-process), bound %d", added, wire, direct, bound)
 	} else {

@@ -85,7 +85,7 @@ func promLabels(labels map[string]string, leKey string, le float64) string {
 	var b strings.Builder
 	b.WriteByte('{')
 	first := true
-	for _, k := range sortedKeys(labels) {
+	for _, k := range sortedNames(labels) {
 		if !first {
 			b.WriteByte(',')
 		}

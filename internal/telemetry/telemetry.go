@@ -349,8 +349,9 @@ func validateBuckets(name string, buckets []float64) {
 	}
 }
 
-// sortedKeys returns map keys in sorted order for stable rendering.
-func sortedKeys[V any](m map[string]V) []string {
+// sortedNames returns a map's keys, series or label names, in sorted
+// order for stable rendering.
+func sortedNames[V any](m map[string]V) []string {
 	return appendSortedKeys(make([]string, 0, len(m)), m)
 }
 
@@ -485,7 +486,7 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Histograms = append(s.Histograms, e.h.point(e.name, nil))
 		case kindCounterFamily:
 			e.cf.mu.RLock()
-			for _, k := range sortedKeys(e.cf.series) {
+			for _, k := range sortedNames(e.cf.series) {
 				s.Counters = append(s.Counters, CounterPoint{
 					Name: e.name, Labels: map[string]string{e.cf.label: k}, Value: e.cf.series[k].Value(),
 				})
@@ -493,7 +494,7 @@ func (r *Registry) Snapshot() Snapshot {
 			e.cf.mu.RUnlock()
 		case kindHistogramFamily:
 			e.hf.mu.RLock()
-			for _, k := range sortedKeys(e.hf.series) {
+			for _, k := range sortedNames(e.hf.series) {
 				s.Histograms = append(s.Histograms, e.hf.series[k].point(e.name, map[string]string{e.hf.label: k}))
 			}
 			e.hf.mu.RUnlock()

@@ -44,7 +44,7 @@ echo "== telemetry zero-alloc gate (tracing off allocates nothing; a ring tracer
 go test -run 'TestNoopTelemetryZeroAlloc' ./internal/telemetry ./internal/core
 go test -count=1 -run 'TestTracerOnAllocBound' ./internal/core
 
-echo "== negotiate allocation gates (cache hit: count and bytes, a commitment holding ids only; steps 2-4 on a memoized ranking allocate nothing; cache miss: builds only the offers it keeps, so independent of product size, and bounded in bytes; the top K at product 4 096 allocates within 10% of the bytes it does at product 64; policy off must stay free; a metrics registry adds nothing to a cached negotiate+reject; a step-5 refusal adds nothing, and one the plan finds after planning two choices allocates nothing; an adaptation whose first alternate commits allocates nothing in step 5; a CMFS refusal allocates at most its error, a plan nothing, admitted or refused, and a clean CMFS sweep nothing; Network.Open+Release and Network.Plan on an opened pair allocate nothing, a plan refused on a held path too, the first Open of a pair on a star exactly its 3 route arrays; a violating adaptation scan over 32 playing sessions allocates at most 28 objects and 15 248 B; a ranked offer and a held choice stay four words, a step-5 refusal value at most 136 B, a session inside the 576-byte size class, an offer-cache entry with its two ranking slots inside the 160-byte class, and step 5's plan carry inside the 768-byte size class)"
+echo "== negotiate allocation gates (cache hit: count and bytes, a commitment holding ids only; steps 2-4 on a memoized ranking allocate nothing; cache miss: builds only the offers it keeps, so independent of product size, and bounded in bytes; the top K at product 4 096 allocates within 10% of the bytes it does at product 64; policy off must stay free; a metrics registry adds nothing to a cached negotiate+reject; a step-5 refusal adds nothing, and one the plan finds after planning two choices allocates nothing; an adaptation whose first alternate commits allocates nothing in step 5; a CMFS refusal allocates at most its error, a plan nothing, admitted or refused, and a clean CMFS sweep nothing; Network.Open+Release and Network.Plan on an opened pair allocate nothing, a plan refused on a held path too, the first Open of a pair on a star exactly its 3 route arrays; a violating adaptation scan over 32 playing sessions allocates at most 28 objects and 15 248 B; a ranked offer and a held choice stay four words, a step-5 refusal value at most 136 B, a session inside the 352-byte size class, an offer-cache entry with its two ranking slots inside the 160-byte class, and step 5's plan carry inside the 768-byte size class)"
 go test -count=1 -run 'TestCachedNegotiateAllocBound|TestRankingHitAllocatesNothing|TestMissPathAllocBound|TestPolicyOffAllocBound|TestMetricsOnAllocBound|TestRefusalAllocBound|TestPlanRefusalAllocBound|TestAdaptStep5AllocBound|TestSessionSize|TestLastPlanSize|TestHeldChoiceSize|TestCommitFailureSize' ./internal/core
 go test -count=1 -run 'TestRankedSize|TestTopKBytesIndependentOfProduct' ./internal/offer
 go test -count=1 -run 'TestEntrySize' ./internal/offercache
